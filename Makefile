@@ -12,7 +12,7 @@ FUZZ_TARGETS := \
 	internal/anomaly:FuzzZScoreDegenerate \
 	internal/anomaly:FuzzBitmapDetector
 
-.PHONY: build test vet race bench bench-json fuzz crashtest clustertest chaostest feedtest scenariotest verify
+.PHONY: build test vet race bench bench-json fuzz crashtest clustertest chaostest feedtest scenariotest benchtest verify
 
 build:
 	$(GO) build ./...
@@ -23,7 +23,7 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The race detector matters here: the sharded engine, Monitor, and
+# The race detector matters here: the engine's sharded close, Monitor, and
 # Pipeline are concurrent, and the equivalence/concurrency tests only
 # prove their locking under -race.
 race:
@@ -104,6 +104,13 @@ scenariotest:
 	$(GO) test -race -count=1 ./internal/experiments -run 'TestScenario|TestScoreEvents' -v
 	$(GO) test -race -count=1 ./internal/cluster -run TestEventsDifferential -v
 
-# Tier-1 verification plus vet and the race pass. The server tests scrape
-# GET /metrics (format, layer coverage, concurrent-scrape race-cleanliness).
-verify: build vet test race
+# The repo benchmark is a module of its own (benchmark/go.mod), so the root
+# ./... patterns never enter it: vet and test it here so an internal rename
+# that breaks it fails locally, not only in the external benchmark driver.
+benchtest:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Tier-1 verification plus vet, the race pass, and the benchmark module. The
+# server tests scrape GET /metrics (format, layer coverage, concurrent-scrape
+# race-cleanliness).
+verify: build vet test race benchtest

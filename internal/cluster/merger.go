@@ -4,79 +4,11 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"rrr"
 	"rrr/internal/events"
+	"rrr/internal/server"
 )
-
-// --- frame hub: fan merged SSE frames out to router subscribers ---
-
-// frameHub mirrors the worker-side server.Hub, but carries pre-rendered
-// SSE frames: the merger orders once and every subscriber receives
-// identical bytes. Drop-oldest semantics protect the merge loop from slow
-// clients exactly as the worker hub protects ingestion.
-type frameHub struct {
-	mu   sync.Mutex
-	subs map[*frameSub]struct{}
-	ring int
-}
-
-type frameSub struct {
-	ch      chan []byte
-	dropped atomic.Uint64
-}
-
-func newFrameHub(ring int) *frameHub {
-	if ring <= 0 {
-		ring = 256
-	}
-	return &frameHub{subs: make(map[*frameSub]struct{}), ring: ring}
-}
-
-func (h *frameHub) subscribe() *frameSub {
-	sub := &frameSub{ch: make(chan []byte, h.ring)}
-	h.mu.Lock()
-	h.subs[sub] = struct{}{}
-	h.mu.Unlock()
-	return sub
-}
-
-func (h *frameHub) unsubscribe(sub *frameSub) {
-	h.mu.Lock()
-	delete(h.subs, sub)
-	h.mu.Unlock()
-}
-
-func (h *frameHub) subscribers() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
-}
-
-func (h *frameHub) publish(frame []byte) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for sub := range h.subs {
-		sub.offer(frame)
-	}
-}
-
-func (s *frameSub) offer(frame []byte) {
-	for i := 0; i < 4; i++ {
-		select {
-		case s.ch <- frame:
-			return
-		default:
-		}
-		select {
-		case <-s.ch:
-			s.dropped.Add(1)
-		default:
-		}
-	}
-	s.dropped.Add(1)
-}
 
 // --- window-barrier merger ---
 
@@ -139,10 +71,10 @@ type merger struct {
 	lossyLast  int64
 	flushed    int64
 	hasFlushed bool
-	hub        *frameHub
+	hub        *server.Fanout[[]byte]
 }
 
-func newMerger(workers int, hub *frameHub, ring *Ring) *merger {
+func newMerger(workers int, hub *server.Fanout[[]byte], ring *Ring) *merger {
 	partReps := make([][]int, ring.Partitions())
 	for p := range partReps {
 		partReps[p] = ring.Replicas(p)
@@ -183,7 +115,7 @@ func (m *merger) setConnected(w int, up bool) {
 				m.lossyCount, m.lossyFirst, m.lossyLast)
 			m.lossyCount = 0
 			metClusterStreamGaps.Inc()
-			m.hub.publish([]byte(frame))
+			m.hub.Publish([]byte(frame))
 		}
 	} else if wasUp {
 		// The stream died mid-window: whatever it buffered was never
@@ -286,7 +218,7 @@ func (m *merger) workerDropped(w int, n uint64) {
 	metClusterStreamLate.Add(n)
 	frame := fmt.Sprintf("event: gap\ndata: {\"worker\":%d,\"droppedUpstream\":%d}\n\n", w, n)
 	metClusterStreamGaps.Inc()
-	m.hub.publish([]byte(frame))
+	m.hub.Publish([]byte(frame))
 }
 
 // tryFlushLocked advances the barrier. The candidate is the smallest head
@@ -423,7 +355,7 @@ func (m *merger) flushWindowLocked(ws int64) {
 		frame = append(frame, "event: signal\ndata: "...)
 		frame = append(frame, ev.raw...)
 		frame = append(frame, "\n\n"...)
-		m.hub.publish(frame)
+		m.hub.Publish(frame)
 		metClusterStreamSignals.Inc()
 	}
 	sort.SliceStable(routs, func(i, j int) bool { return events.EventLess(routs[i].ev, routs[j].ev) })
@@ -432,10 +364,10 @@ func (m *merger) flushWindowLocked(ws int64) {
 		frame = append(frame, "event: routing\ndata: "...)
 		frame = append(frame, rev.raw...)
 		frame = append(frame, "\n\n"...)
-		m.hub.publish(frame)
+		m.hub.Publish(frame)
 		metClusterStreamRouting.Inc()
 	}
-	m.hub.publish([]byte(fmt.Sprintf("event: window\ndata: {\"windowStart\":%d}\n\n", ws)))
+	m.hub.Publish([]byte(fmt.Sprintf("event: window\ndata: {\"windowStart\":%d}\n\n", ws)))
 	metClusterStreamWindows.Inc()
 	m.flushed = ws
 	m.hasFlushed = true

@@ -31,7 +31,8 @@ type Options struct {
 	// Timeout bounds each worker sub-request (0 = 2s). A worker that
 	// exceeds it is retried once, then reported unavailable.
 	Timeout time.Duration
-	// RingSize is the per-SSE-subscriber frame buffer (0 = 256).
+	// RingSize is the per-SSE-subscriber frame buffer (0 =
+	// server.DefaultRingSize).
 	RingSize int
 	// Heartbeat is the merged stream's keepalive interval (0 = 15s).
 	Heartbeat time.Duration
@@ -64,7 +65,7 @@ type Router struct {
 	ring     *Ring
 	opts     Options
 	mux      *http.ServeMux
-	hub      *frameHub
+	hub      *server.Fanout[[]byte]
 	merger   *merger
 	breakers []*breaker
 	inflight atomic.Int64
@@ -94,7 +95,7 @@ func NewRouter(opts Options) (*Router, error) {
 	for i, u := range opts.Workers {
 		opts.Workers[i] = strings.TrimRight(u, "/")
 	}
-	rt := &Router{ring: ring, opts: opts, mux: http.NewServeMux(), hub: newFrameHub(opts.RingSize)}
+	rt := &Router{ring: ring, opts: opts, mux: http.NewServeMux(), hub: server.NewFanout[[]byte](opts.RingSize)}
 	rt.merger = newMerger(len(opts.Workers), rt.hub, ring)
 	rt.breakers = make([]*breaker, len(opts.Workers))
 	for i := range rt.breakers {
@@ -163,7 +164,7 @@ func (rt *Router) Ring() *Ring { return rt.ring }
 func (rt *Router) StreamConnected() bool { return rt.merger.allConnected() }
 
 // Subscribers reports attached merged-stream clients.
-func (rt *Router) Subscribers() int { return rt.hub.subscribers() }
+func (rt *Router) Subscribers() int { return rt.hub.Subscribers() }
 
 // Close stops the worker stream subscriptions.
 func (rt *Router) Close() {
@@ -798,7 +799,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	merged, err := mergeStats(parts, rt.hub.subscribers())
+	merged, err := mergeStats(parts, rt.hub.Subscribers())
 	if err != nil {
 		writeErr(w, http.StatusBadGateway, err.Error())
 		return
@@ -896,8 +897,8 @@ func (rt *Router) handleSignals(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	sub := rt.hub.subscribe()
-	defer rt.hub.unsubscribe(sub)
+	sub := rt.hub.Subscribe()
+	defer rt.hub.Unsubscribe(sub)
 
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
@@ -915,8 +916,8 @@ func (rt *Router) handleSignals(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case frame := <-sub.ch:
-			if d := sub.dropped.Load(); d > reported {
+		case frame := <-sub.C():
+			if d := sub.Dropped(); d > reported {
 				fmt.Fprintf(w, "event: dropped\ndata: {\"dropped\":%d}\n\n", d)
 				reported = d
 			}

@@ -13,13 +13,12 @@ import (
 
 // benchEnv builds an engine with many synthetic corpus pairs sharing a
 // destination block, the hot shape of the experiment runs.
-func benchEnv(b *testing.B, pairs int) (*Engine, []traceroute.Key) {
+func benchEnv(b *testing.B, shards, pairs int) *Engine {
 	b.Helper()
-	geo := mapGeo{}
-	rel := mapRel{}
 	cfg := DefaultConfig()
 	cfg.IXPBootstrapSec = 0
-	e := NewEngine(cfg, testMapper{}, identityAliases, geo, rel)
+	cfg.Shards = shards
+	e := NewEngine(cfg, testMapper{}, identityAliases, mapGeo{}, mapRel{})
 	corp := corpus.New(testMapper{}, identityAliases)
 
 	pfx, err := trie.ParsePrefix("4.0.0.0/8")
@@ -27,121 +26,6 @@ func benchEnv(b *testing.B, pairs int) (*Engine, []traceroute.Key) {
 		b.Fatal(err)
 	}
 	// 12 VPs with routes to 4.0.0.0/8.
-	for v := 0; v < 12; v++ {
-		e.ObserveBGP(bgp.Update{
-			Time: 0, PeerIP: uint32(5+v)<<24 | 9, PeerAS: bgp.ASN(5 + v),
-			Type: bgp.Announce, Prefix: pfx,
-			ASPath: bgp.Path{bgp.ASN(5 + v), 2, 3, 4},
-		})
-	}
-	var keys []traceroute.Key
-	for i := 0; i < pairs; i++ {
-		tr := &traceroute.Traceroute{
-			Src: uint32(1)<<24 | uint32(i+1),
-			Dst: uint32(4)<<24 | uint32(0xc000+i),
-		}
-		for h, ip := range []uint32{
-			1<<24 | uint32(i+1000),
-			2<<24 | 1, 3<<24 | 1, 4<<24 | 2,
-			4<<24 | uint32(0xc000+i),
-		} {
-			tr.Hops = append(tr.Hops, traceroute.Hop{TTL: h + 1, IP: ip})
-		}
-		en, err := corp.Process(tr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.AddCorpusEntry(en)
-		keys = append(keys, en.Key)
-	}
-	return e, keys
-}
-
-// BenchmarkEngineQuietWindow measures per-window cost with no feed events
-// (the overwhelmingly common case in long runs).
-func BenchmarkEngineQuietWindow(b *testing.B) {
-	e, _ := benchEnv(b, 500)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.CloseWindow(int64(i) * 900)
-	}
-}
-
-// BenchmarkEngineBusyWindow measures a window containing a VP path change
-// affecting all monitored pairs.
-func BenchmarkEngineBusyWindow(b *testing.B) {
-	e, _ := benchEnv(b, 500)
-	pfx, _ := trie.ParsePrefix("4.0.0.0/8")
-	for i := 0; i < 30; i++ {
-		e.CloseWindow(int64(i) * 900)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		path := bgp.Path{5, 2, 3, 4}
-		if i%2 == 0 {
-			path = bgp.Path{5, 2, 9, 4}
-		}
-		e.ObserveBGP(bgp.Update{
-			Time: int64(30+i) * 900, PeerIP: 5<<24 | 9, PeerAS: 5,
-			Type: bgp.Announce, Prefix: pfx, ASPath: path,
-		})
-		e.CloseWindow(int64(30+i) * 900)
-	}
-}
-
-// BenchmarkEngineRegistration measures corpus on-boarding cost.
-func BenchmarkEngineRegistration(b *testing.B) {
-	e, _ := benchEnv(b, 1)
-	corp := corpus.New(testMapper{}, identityAliases)
-	tr := &traceroute.Traceroute{Src: 1<<24 | 0xffff, Dst: 4<<24 | 0xffff}
-	for h, ip := range []uint32{1<<24 | 7, 2<<24 | 1, 3<<24 | 1, 4<<24 | 2, 4<<24 | 0xffff} {
-		tr.Hops = append(tr.Hops, traceroute.Hop{TTL: h + 1, IP: ip})
-	}
-	en, err := corp.Process(tr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Reregister(en)
-	}
-}
-
-// BenchmarkEnginePublicTrace measures public-feed intake.
-func BenchmarkEnginePublicTrace(b *testing.B) {
-	e, _ := benchEnv(b, 200)
-	rng := rand.New(rand.NewSource(1))
-	traces := make([]*traceroute.Traceroute, 64)
-	for i := range traces {
-		tr := &traceroute.Traceroute{
-			Src:  9<<24 | uint32(rng.Intn(1000)+1),
-			Dst:  4<<24 | uint32(rng.Intn(100)+0xd000),
-			Time: int64(i) * 10,
-		}
-		for h, ip := range []uint32{9<<24 | 2, 2<<24 | 1, 3<<24 | 1, 4<<24 | 2} {
-			tr.Hops = append(tr.Hops, traceroute.Hop{TTL: h + 1, IP: ip})
-		}
-		traces[i] = tr
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.ObservePublicTrace(traces[i&63])
-	}
-}
-
-// shardedBenchEnv mirrors benchEnv on the sharded engine.
-func shardedBenchEnv(b *testing.B, shards, pairs int) *Sharded {
-	b.Helper()
-	cfg := DefaultConfig()
-	cfg.IXPBootstrapSec = 0
-	cfg.Shards = shards
-	e := NewSharded(cfg, testMapper{}, identityAliases, mapGeo{}, mapRel{})
-	corp := corpus.New(testMapper{}, identityAliases)
-
-	pfx, err := trie.ParsePrefix("4.0.0.0/8")
-	if err != nil {
-		b.Fatal(err)
-	}
 	for v := 0; v < 12; v++ {
 		e.ObserveBGP(bgp.Update{
 			Time: 0, PeerIP: uint32(5+v)<<24 | 9, PeerAS: bgp.ASN(5 + v),
@@ -170,13 +54,14 @@ func shardedBenchEnv(b *testing.B, shards, pairs int) *Sharded {
 	return e
 }
 
-// BenchmarkShardedQuietWindow measures the CloseWindow fan-out with no
-// feed events at several shard counts (2000 pairs). shards=1 is the exact
-// serial path, the baseline for parallel speedup.
-func BenchmarkShardedQuietWindow(b *testing.B) {
+// BenchmarkEngineQuietWindow measures per-window cost with no feed events
+// (the overwhelmingly common case in long runs) at several shard counts
+// (2000 pairs). shards=1 runs the whole close on the benchmark goroutine,
+// the baseline for parallel speedup.
+func BenchmarkEngineQuietWindow(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			e := shardedBenchEnv(b, shards, 2000)
+			e := benchEnv(b, shards, 2000)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.CloseWindow(int64(i) * 900)
@@ -185,12 +70,12 @@ func BenchmarkShardedQuietWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedBusyWindow measures a window containing a VP path change
+// BenchmarkEngineBusyWindow measures a window containing a VP path change
 // affecting all monitored pairs, at several shard counts.
-func BenchmarkShardedBusyWindow(b *testing.B) {
+func BenchmarkEngineBusyWindow(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			e := shardedBenchEnv(b, shards, 2000)
+			e := benchEnv(b, shards, 2000)
 			pfx, _ := trie.ParsePrefix("4.0.0.0/8")
 			for i := 0; i < 30; i++ {
 				e.CloseWindow(int64(i) * 900)
@@ -211,12 +96,30 @@ func BenchmarkShardedBusyWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedPublicTrace measures public-feed intake through the
-// dispatcher's prepare-once/broadcast path.
-func BenchmarkShardedPublicTrace(b *testing.B) {
+// BenchmarkEngineRegistration measures corpus on-boarding cost.
+func BenchmarkEngineRegistration(b *testing.B) {
+	e := benchEnv(b, 1, 1)
+	corp := corpus.New(testMapper{}, identityAliases)
+	tr := &traceroute.Traceroute{Src: 1<<24 | 0xffff, Dst: 4<<24 | 0xffff}
+	for h, ip := range []uint32{1<<24 | 7, 2<<24 | 1, 3<<24 | 1, 4<<24 | 2, 4<<24 | 0xffff} {
+		tr.Hops = append(tr.Hops, traceroute.Hop{TTL: h + 1, IP: ip})
+	}
+	en, err := corp.Process(tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Reregister(en)
+	}
+}
+
+// BenchmarkEnginePublicTrace measures public-feed intake, which runs once on
+// the caller's goroutine whatever the shard count.
+func BenchmarkEnginePublicTrace(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			e := shardedBenchEnv(b, shards, 500)
+			e := benchEnv(b, shards, 500)
 			rng := rand.New(rand.NewSource(1))
 			traces := make([]*traceroute.Traceroute, 64)
 			for i := range traces {

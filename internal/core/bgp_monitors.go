@@ -102,13 +102,13 @@ type vpCommState struct {
 
 // vpColocation reports whether a VP shares the traceroute source's AS or
 // city (Table 1 attributes 3-5).
-func (e *Engine) vpColocation(vp bgp.VPKey, en *corpus.Entry) (sameAS, sameCity bool) {
-	if srcAS, ok := e.mapper.ASOf(en.Key.Src); ok && srcAS == vp.PeerAS {
+func (s *shard) vpColocation(vp bgp.VPKey, en *corpus.Entry) (sameAS, sameCity bool) {
+	if srcAS, ok := s.eng.mapper.ASOf(en.Key.Src); ok && srcAS == vp.PeerAS {
 		sameAS = true
 	}
-	if e.geo != nil {
-		srcCity, ok1 := e.geo.LocateCity(en.Key.Src, en.MeasuredAt)
-		vpCity, ok2 := e.geo.LocateCity(vp.PeerIP, en.MeasuredAt)
+	if s.eng.geo != nil {
+		srcCity, ok1 := s.eng.geo.LocateCity(en.Key.Src, en.MeasuredAt)
+		vpCity, ok2 := s.eng.geo.LocateCity(vp.PeerIP, en.MeasuredAt)
 		if ok1 && ok2 && srcCity == vpCity {
 			sameCity = true
 		}
@@ -117,11 +117,11 @@ func (e *Engine) vpColocation(vp bgp.VPKey, en *corpus.Entry) (sameAS, sameCity 
 }
 
 // registerBGPMonitors wires a corpus entry into the three BGP techniques.
-// Per-pair monitors are indexed on the owning engine; the extra-AS series
-// (§4.1.4's exculpation set) are created in (or joined from) the shared
-// state, which all shards of a Sharded engine point at.
-func (e *Engine) registerBGPMonitors(en *corpus.Entry) {
-	vps := e.rib.VPs()
+// Per-pair monitors are indexed on the owning shard; the extra-AS series
+// (§4.1.4's exculpation set) are created in (or joined from) the engine's
+// shared state.
+func (s *shard) registerBGPMonitors(en *corpus.Entry) {
+	vps := s.eng.rib.VPs()
 	tauASes := make(map[bgp.ASN]int, len(en.ASPath)) // AS → hop index
 	for i, as := range en.ASPath {
 		tauASes[as] = i
@@ -136,7 +136,7 @@ func (e *Engine) registerBGPMonitors(en *corpus.Entry) {
 	}
 	var infos []vpInfo
 	for _, vp := range vps {
-		rt, ok := e.rib.Lookup(vp, en.Key.Dst)
+		rt, ok := s.eng.rib.Lookup(vp, en.Key.Dst)
 		if !ok {
 			continue
 		}
@@ -166,13 +166,13 @@ func (e *Engine) registerBGPMonitors(en *corpus.Entry) {
 		firstIdxs = append(firstIdxs, j)
 	}
 	sort.Ints(firstIdxs)
-	if e.cfg.disabled(TechBGPASPath) {
+	if s.eng.cfg.disabled(TechBGPASPath) {
 		firstIdxs = nil
 	}
 	for _, j := range firstIdxs {
 		group := byFirst[j]
 		m := &aspMonitor{
-			id:     e.monitorID("asp", en.Key, en.ASPath[j:].String()),
+			id:     monitorID("asp", en.Key, en.ASPath[j:].String()),
 			key:    en.Key,
 			dstIP:  en.Key.Dst,
 			aj:     en.ASPath[j],
@@ -184,7 +184,7 @@ func (e *Engine) registerBGPMonitors(en *corpus.Entry) {
 		// identical monitor: keep the warmed-up detector instead of
 		// cold-starting (a cold detector is blind for ~MinObservations
 		// windows after every refresh).
-		if st := e.retired[en.Key]["asp:"+m.suffix.String()]; st != nil {
+		if st := s.retired[en.Key]["asp:"+m.suffix.String()]; st != nil {
 			if det, ok := st.det.(*anomaly.BitmapDetector); ok {
 				m.det = det
 				m.baseline, m.hasBase = st.baseline, st.hasBase
@@ -199,20 +199,19 @@ func (e *Engine) registerBGPMonitors(en *corpus.Entry) {
 			m.quietI += slot.ci
 			m.quietM += slot.cm
 			m.slots = append(m.slots, slot)
-			e.aspByVP[in.pf] = append(e.aspByVP[in.pf], m)
-			sa, sc := e.vpColocation(in.vp, en)
+			sa, sc := s.vpColocation(in.vp, en)
 			m.sameAS = m.sameAS || sa
 			m.sameCity = m.sameCity || sc
 		}
 		m.cachePrimed = true
 		m.borders = bordersForSuffix(en, m.suffix)
-		e.asp = append(e.asp, m)
-		e.aspByKey[en.Key] = append(e.aspByKey[en.Key], m)
-		e.addReg(en.Key, Registration{MonitorID: m.id, Technique: TechBGPASPath, Borders: m.borders})
+		s.asp = append(s.asp, m)
+		s.aspByKey[en.Key] = append(s.aspByKey[en.Key], m)
+		s.addReg(en.Key, Registration{MonitorID: m.id, Technique: TechBGPASPath, Borders: m.borders})
 	}
 
 	// §4.1.4: one monitor per AS-suffix with enough VPs sharing it.
-	for j := 0; !e.cfg.disabled(TechBGPBurst) && j+2 <= len(en.ASPath); j++ {
+	for j := 0; !s.eng.cfg.disabled(TechBGPBurst) && j+2 <= len(en.ASPath); j++ {
 		suffix := en.ASPath[j:]
 		var shared []vpInfo
 		for _, in := range infos {
@@ -220,23 +219,23 @@ func (e *Engine) registerBGPMonitors(en *corpus.Entry) {
 				shared = append(shared, in)
 			}
 		}
-		if len(shared) < e.cfg.MinSuffixVPs {
+		if len(shared) < s.eng.cfg.MinSuffixVPs {
 			continue
 		}
 		bm := &burstMonitor{
-			id:     e.monitorID("burst", en.Key, suffix.String()),
+			id:     monitorID("burst", en.Key, suffix.String()),
 			key:    en.Key,
 			suffix: suffix.Clone(),
 			det:    anomaly.NewBitmap(),
 		}
-		if st := e.retired[en.Key]["burst:"+bm.suffix.String()]; st != nil {
+		if st := s.retired[en.Key]["burst:"+bm.suffix.String()]; st != nil {
 			if det, ok := st.det.(*anomaly.BitmapDetector); ok {
 				bm.det = det
 			}
 		}
 		for _, in := range shared {
 			bm.slots = append(bm.slots, vpSlot{vp: in.vp, pf: in.pf})
-			sa, sc := e.vpColocation(in.vp, en)
+			sa, sc := s.vpColocation(in.vp, en)
 			bm.sameAS = bm.sameAS || sa
 			bm.sameCity = bm.sameCity || sc
 		}
@@ -259,7 +258,7 @@ func (e *Engine) registerBGPMonitors(en *corpus.Entry) {
 		sort.Slice(aks, func(x, y int) bool { return aks[x] < aks[y] })
 		for _, ak := range aks {
 			ek := extraKey{ak: ak, dstIP: en.Key.Dst, j: j}
-			es, ok := e.sh.extras[ek]
+			es, ok := s.eng.sh.extras[ek]
 			if !ok {
 				es = &extraSeries{ak: ak, det: anomaly.NewBitmap()}
 				// W set: VPs traversing a_k toward d but not sharing the
@@ -269,26 +268,26 @@ func (e *Engine) registerBGPMonitors(en *corpus.Entry) {
 						es.slots = append(es.slots, vpSlot{vp: in.vp, pf: in.pf})
 					}
 				}
-				e.sh.extras[ek] = es
-				e.sh.extrasSorted = nil
+				s.eng.sh.extras[ek] = es
+				s.eng.sh.extrasSorted = nil
 			}
 			bm.extras = append(bm.extras, es)
 		}
-		e.bursts = append(e.bursts, bm)
-		e.addReg(en.Key, Registration{MonitorID: bm.id, Technique: TechBGPBurst, Borders: bm.borders})
+		s.bursts = append(s.bursts, bm)
+		s.addReg(en.Key, Registration{MonitorID: bm.id, Technique: TechBGPBurst, Borders: bm.borders})
 	}
 
 	// §4.1.3: one community monitor per τ over VPs overlapping an
 	// AS-suffix of τ.
 	cm := &commMonitor{
-		id:       e.monitorID("comm", en.Key, ""),
+		id:       monitorID("comm", en.Key, ""),
 		key:      en.Key,
 		relevant: make(map[bgp.ASN][]int),
 		overlap:  make(map[bgp.VPKey]*vpCommState),
 	}
 	anyOverlap := false
 	var allBorders []int
-	if e.cfg.disabled(TechBGPCommunity) {
+	if s.eng.cfg.disabled(TechBGPCommunity) {
 		infos = nil // do not register or index community monitors
 	}
 	for _, in := range infos {
@@ -298,7 +297,7 @@ func (e *Engine) registerBGPMonitors(en *corpus.Entry) {
 			continue
 		}
 		anyOverlap = true
-		rt, _ := e.rib.Lookup(in.vp, en.Key.Dst)
+		rt, _ := s.eng.rib.Lookup(in.vp, en.Key.Dst)
 		st := &vpCommState{pf: in.pf}
 		if rt != nil {
 			st.current = rt.Communities.Clone()
@@ -310,7 +309,7 @@ func (e *Engine) registerBGPMonitors(en *corpus.Entry) {
 				cm.relevant[as] = bordersForAS(en, as)
 			}
 		}
-		e.commByVP[in.pf] = append(e.commByVP[in.pf], cm)
+		s.commByVP[in.pf] = append(s.commByVP[in.pf], cm)
 	}
 	if anyOverlap {
 		seen := make(map[int]bool)
@@ -323,10 +322,10 @@ func (e *Engine) registerBGPMonitors(en *corpus.Entry) {
 			}
 		}
 		sort.Ints(allBorders)
-		e.comms[en.Key] = cm
-		e.addReg(en.Key, Registration{MonitorID: cm.id, Technique: TechBGPCommunity, Borders: allBorders})
+		s.comms[en.Key] = cm
+		s.addReg(en.Key, Registration{MonitorID: cm.id, Technique: TechBGPCommunity, Borders: allBorders})
 	}
-	delete(e.retired, en.Key)
+	delete(s.retired, en.Key)
 }
 
 // pathEndsWith reports whether path's tail equals suffix.
@@ -377,28 +376,19 @@ func bordersForAS(en *corpus.Entry, as bgp.ASN) []int {
 	return out
 }
 
-// ObserveBGP ingests one BGP update. Updates must be fed in time order;
-// CloseWindow must be called at each window boundary.
-func (e *Engine) ObserveBGP(u bgp.Update) {
-	if bgp.FilterTooSpecific(u.Prefix) {
-		return
-	}
-	e.sh.observeBGPChange(u, e.rib.Apply(u))
-}
-
-// closeBGPWindow evaluates the engine's per-pair BGP series for the window
+// closeBGPWindow evaluates the shard's per-pair BGP series for the window
 // starting at ws and returns signals. The shared extra-AS series (burst
 // exculpation) and the commChanged set were already evaluated once for the
 // window by sharedState.closeShared; this function only reads them.
-func (e *Engine) closeBGPWindow(ws int64, sc *sharedClose) []Signal {
+func (s *shard) closeBGPWindow(ws int64, sc *sharedClose) []Signal {
 	var sigs []Signal
 	commChanged := sc.commChanged
 
 	// §4.1.4 burst monitors.
-	for _, bm := range e.bursts {
+	for _, bm := range s.bursts {
 		dupCount := 0
 		for i := range bm.slots {
-			if st, ok := e.sh.winUpdates[bm.slots[i].pf]; ok && st.dup {
+			if st, ok := s.eng.sh.winUpdates[bm.slots[i].pf]; ok && st.dup {
 				dupCount++
 			}
 		}
@@ -416,7 +406,7 @@ func (e *Engine) closeBGPWindow(ws int64, sc *sharedClose) []Signal {
 		if !outlier || dupCount < quorum {
 			continue
 		}
-		dupSlots := dupSlots(e, bm.slots)
+		dupSlots := dupSlots(s.eng.sh, bm.slots)
 		allEchoes := true
 		for _, slot := range dupSlots {
 			if !commChanged[slot.pf.pf] {
@@ -436,7 +426,7 @@ func (e *Engine) closeBGPWindow(ws int64, sc *sharedClose) []Signal {
 				if es.outlierWin != ws {
 					continue
 				}
-				if vpTraverses(e, slot, es.ak) {
+				if vpTraverses(s.eng.rib, slot, es.ak) {
 					explained = true
 					break
 				}
@@ -467,14 +457,14 @@ func (e *Engine) closeBGPWindow(ws int64, sc *sharedClose) []Signal {
 	// §4.1.2 AS-path monitors. The window value combines the cached
 	// contributions of quiet VPs with the update paths of VPs that saw
 	// changes this window; caches refresh to the post-window table route.
-	for _, m := range e.asp {
+	for _, m := range s.asp {
 		if m.dead {
 			continue
 		}
 		intersect, match := m.quietI, m.quietM
 		for i := range m.slots {
 			slot := &m.slots[i]
-			st, dirty := e.sh.winUpdates[slot.pf]
+			st, dirty := s.eng.sh.winUpdates[slot.pf]
 			if !dirty {
 				continue
 			}
@@ -489,7 +479,7 @@ func (e *Engine) closeBGPWindow(ws int64, sc *sharedClose) []Signal {
 			// Refresh the cache to the current table route for the
 			// following windows.
 			var ni, nm int
-			if rt, ok := e.rib.Route(slot.pf.vp, slot.pf.pf); ok {
+			if rt, ok := s.eng.rib.Route(slot.pf.vp, slot.pf.pf); ok {
 				ni, nm = m.contribution(rt.ASPath)
 			}
 			m.quietI += ni - slot.ci
@@ -523,14 +513,14 @@ func (e *Engine) closeBGPWindow(ws int64, sc *sharedClose) []Signal {
 	}
 
 	// §4.1.3 community events.
-	sigs = append(sigs, e.processCommEvents(ws)...)
+	sigs = append(sigs, s.processCommEvents(ws)...)
 	return sigs
 }
 
-func dupSlots(e *Engine, slots []vpSlot) []*vpSlot {
+func dupSlots(sh *sharedState, slots []vpSlot) []*vpSlot {
 	var out []*vpSlot
 	for i := range slots {
-		if st, ok := e.sh.winUpdates[slots[i].pf]; ok && st.dup {
+		if st, ok := sh.winUpdates[slots[i].pf]; ok && st.dup {
 			out = append(out, &slots[i])
 		}
 	}
@@ -538,8 +528,8 @@ func dupSlots(e *Engine, slots []vpSlot) []*vpSlot {
 }
 
 // vpTraverses reports whether the VP's current route crosses as.
-func vpTraverses(e *Engine, slot *vpSlot, as bgp.ASN) bool {
-	rt, ok := e.rib.Route(slot.pf.vp, slot.pf.pf)
+func vpTraverses(rib *bgp.RIB, slot *vpSlot, as bgp.ASN) bool {
+	rt, ok := rib.Route(slot.pf.vp, slot.pf.pf)
 	if !ok {
 		return false
 	}
@@ -571,38 +561,17 @@ func (m *aspMonitor) firstIntersects(p bgp.Path) bool {
 	return true
 }
 
-func sortedExtras(m map[extraKey]*extraSeries) []*extraSeries {
-	keys := make([]extraKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].dstIP != keys[j].dstIP {
-			return keys[i].dstIP < keys[j].dstIP
-		}
-		if keys[i].ak != keys[j].ak {
-			return keys[i].ak < keys[j].ak
-		}
-		return keys[i].j < keys[j].j
-	})
-	out := make([]*extraSeries, len(keys))
-	for i, k := range keys {
-		out[i] = m[k]
-	}
-	return out
-}
-
 // processCommEvents turns the window's community change records into
 // §4.1.3 signals, applying the paper's two caveats and the calibration
 // filter.
-func (e *Engine) processCommEvents(ws int64) []Signal {
+func (s *shard) processCommEvents(ws int64) []Signal {
 	var sigs []Signal
 	// One signal per (monitor, community) per window: several VPs
 	// reporting the same community change describe one network event.
 	emitted := make(map[[2]uint64]bool)
-	for _, ev := range e.sh.winComms {
+	for _, ev := range s.eng.sh.winComms {
 		pf := vpPrefix{vp: ev.vp, pf: ev.prefix}
-		monitors := e.commByVP[pf]
+		monitors := s.commByVP[pf]
 		if len(monitors) == 0 {
 			continue
 		}
@@ -624,12 +593,12 @@ func (e *Engine) processCommEvents(ws int64) []Signal {
 					return
 				}
 				// Calibration filter (Appendix B): skip pruned communities.
-				if e.Calib.CommunityPruned(c) {
+				if s.eng.Calib.CommunityPruned(c) {
 					return
 				}
 				// Caveat 2: an added community already on an overlapping
 				// path from another VP is not a new change signal.
-				if isAdd && e.communityOnOtherVP(cm, ev.vp, c) {
+				if isAdd && s.communityOnOtherVP(cm, ev.vp, c) {
 					return
 				}
 				borders = append(borders, bs...)
@@ -672,15 +641,15 @@ func (e *Engine) processCommEvents(ws int64) []Signal {
 // another overlapping VP's route *before* this window's changes; VPs whose
 // routes changed in the same window are compared at their window-start
 // state, so a simultaneous multi-VP community change is not self-masking.
-func (e *Engine) communityOnOtherVP(cm *commMonitor, except bgp.VPKey, c bgp.Community) bool {
+func (s *shard) communityOnOtherVP(cm *commMonitor, except bgp.VPKey, c bgp.Community) bool {
 	for vp, st := range cm.overlap {
 		if vp == except {
 			continue
 		}
 		var comms bgp.Communities
-		if ws, ok := e.sh.winUpdates[st.pf]; ok && ws.startOK {
+		if ws, ok := s.eng.sh.winUpdates[st.pf]; ok && ws.startOK {
 			comms = ws.startComms
-		} else if rt, ok := e.rib.Route(st.pf.vp, st.pf.pf); ok {
+		} else if rt, ok := s.eng.rib.Route(st.pf.vp, st.pf.pf); ok {
 			comms = rt.Communities
 		}
 		for _, have := range comms {

@@ -196,20 +196,17 @@ func portionChanged(old *corpus.Entry, borders []int, new *corpus.Entry) bool {
 	return false
 }
 
-// EvaluateRefresh scores every potential signal of the pair against a new
-// measurement, updating the calibrator (including community reputations),
-// and returns the change classification. It does not modify registrations;
-// call Reregister afterwards to swap in the new measurement.
-func (e *Engine) EvaluateRefresh(newEntry *corpus.Entry) (bordermap.ChangeClass, bool) {
-	old, ok := e.entries[newEntry.Key]
+// evaluateRefresh is Engine.EvaluateRefresh on the shard owning the pair.
+func (s *shard) evaluateRefresh(newEntry *corpus.Entry) (bordermap.ChangeClass, bool) {
+	old, ok := s.entries[newEntry.Key]
 	if !ok {
 		return bordermap.Unchanged, false
 	}
 	signaled := make(map[int][]Signal)
-	for _, s := range e.active[newEntry.Key] {
-		signaled[s.MonitorID] = append(signaled[s.MonitorID], s)
+	for _, sig := range s.active[newEntry.Key] {
+		signaled[sig.MonitorID] = append(signaled[sig.MonitorID], sig)
 	}
-	for _, reg := range e.regs[newEntry.Key] {
+	for _, reg := range s.regs[newEntry.Key] {
 		changed := portionChanged(old, reg.Borders, newEntry)
 		sigs, wasSignaled := signaled[reg.MonitorID]
 		var o Outcome
@@ -223,11 +220,11 @@ func (e *Engine) EvaluateRefresh(newEntry *corpus.Entry) (bordermap.ChangeClass,
 		default:
 			o = OutcomeFN
 		}
-		e.Calib.Record(newEntry.Key.Src, reg.MonitorID, o)
+		s.eng.Calib.Record(newEntry.Key.Src, reg.MonitorID, o)
 		if reg.Technique == TechBGPCommunity && wasSignaled {
-			for _, s := range sigs {
-				if s.Comm != 0 {
-					e.Calib.RecordCommunityOutcome(s.Comm, changed)
+			for _, sig := range sigs {
+				if sig.Comm != 0 {
+					s.eng.Calib.RecordCommunityOutcome(sig.Comm, changed)
 				}
 			}
 		}
@@ -235,58 +232,52 @@ func (e *Engine) EvaluateRefresh(newEntry *corpus.Entry) (bordermap.ChangeClass,
 	return corpus.ClassifyEntry(old, newEntry), true
 }
 
-// Reregister replaces the pair's entry and monitors with a fresh
-// measurement, clearing its active signals.
-func (e *Engine) Reregister(newEntry *corpus.Entry) {
-	e.RemovePair(newEntry.Key)
-	e.AddCorpusEntry(newEntry)
-}
-
-// RemovePair unregisters a corpus pair from every technique.
-func (e *Engine) RemovePair(k traceroute.Key) {
-	delete(e.entries, k)
-	delete(e.regs, k)
-	delete(e.active, k)
+// removePair unregisters a corpus pair from every technique, stashing its
+// detector state for a later re-registration.
+func (s *shard) removePair(k traceroute.Key) {
+	delete(s.entries, k)
+	delete(s.regs, k)
+	delete(s.active, k)
 
 	stash := make(map[string]*retiredState)
-	for _, m := range e.aspByKey[k] {
+	for _, m := range s.aspByKey[k] {
 		m.dead = true
-		e.deadASP++
+		s.deadASP++
 		stash["asp:"+m.suffix.String()] = &retiredState{
 			det: m.det, baseline: m.baseline, hasBase: m.hasBase,
 		}
 	}
-	delete(e.aspByKey, k)
-	if e.deadASP > len(e.asp)/2 && len(e.asp) > 64 {
-		alive := e.asp[:0]
-		for _, m := range e.asp {
+	delete(s.aspByKey, k)
+	if s.deadASP > len(s.asp)/2 && len(s.asp) > 64 {
+		alive := s.asp[:0]
+		for _, m := range s.asp {
 			if !m.dead {
 				alive = append(alive, m)
 			}
 		}
-		e.asp = alive
-		e.deadASP = 0
+		s.asp = alive
+		s.deadASP = 0
 	}
 
-	aliveBursts := e.bursts[:0]
-	for _, bm := range e.bursts {
+	aliveBursts := s.bursts[:0]
+	for _, bm := range s.bursts {
 		if bm.key != k {
 			aliveBursts = append(aliveBursts, bm)
 			continue
 		}
 		stash["burst:"+bm.suffix.String()] = &retiredState{det: bm.det}
 	}
-	e.bursts = aliveBursts
+	s.bursts = aliveBursts
 	if len(stash) > 0 {
-		e.retired[k] = stash
+		s.retired[k] = stash
 	}
 
-	if cm := e.comms[k]; cm != nil {
+	if cm := s.comms[k]; cm != nil {
 		cm.dead = true
 	}
-	delete(e.comms, k)
+	delete(s.comms, k)
 
-	for _, mon := range e.subByKey[k] {
+	for _, mon := range s.subByKey[k] {
 		ws := mon.watchers[:0]
 		for _, w := range mon.watchers {
 			if w.key != k {
@@ -295,9 +286,9 @@ func (e *Engine) RemovePair(k traceroute.Key) {
 		}
 		mon.watchers = ws
 	}
-	delete(e.subByKey, k)
+	delete(s.subByKey, k)
 
-	for _, rs := range e.brsByKey[k] {
+	for _, rs := range s.brsByKey[k] {
 		ws := rs.watchers[:0]
 		for _, w := range rs.watchers {
 			if w.key != k {
@@ -306,37 +297,10 @@ func (e *Engine) RemovePair(k traceroute.Key) {
 		}
 		rs.watchers = ws
 	}
-	delete(e.brsByKey, k)
-
-	if keys := e.destToKeys[k.Dst]; len(keys) > 0 {
-		out := keys[:0]
-		for _, kk := range keys {
-			if kk != k {
-				out = append(out, kk)
-			}
-		}
-		e.destToKeys[k.Dst] = out
-	}
+	delete(s.brsByKey, k)
 }
 
 // --- Refresh planning (§4.3.1) ---
-
-// RefreshPlan selects which corpus pairs to refresh given the probing
-// budget, implementing the five-step procedure of §4.3.1: pick the VP with
-// the highest relative TPR, compute a per-VP refresh probability combining
-// the TPR of firing signals and the TNR of silent potential signals, spend
-// budget, then fall back to Table 1's bootstrap ordering for uncalibrated
-// signals.
-func (e *Engine) RefreshPlan(budget int, rng *rand.Rand) []traceroute.Key {
-	return planKeys(refreshPlan(e.active, e.regs, e.Calib, budget, rng))
-}
-
-// RefreshPlanDetailed is RefreshPlan returning each selection with the
-// attributes it was ranked by, so a cluster router can re-merge
-// per-worker plans in global priority order.
-func (e *Engine) RefreshPlanDetailed(budget int, rng *rand.Rand) []PlanItem {
-	return refreshPlan(e.active, e.regs, e.Calib, budget, rng)
-}
 
 // PlanItem is one refresh-plan selection together with its ranking
 // attributes (§4.3.1): whether the calibrated phase (steps 1-4) or the
@@ -371,10 +335,10 @@ func bestSignal(sigs []Signal) Signal {
 	return best
 }
 
-// refreshPlan is RefreshPlanDetailed over explicit state, so a Sharded
-// engine can merge per-shard active/registration maps and plan globally.
-// Its outcome depends only on the map contents, not iteration order:
-// every candidate list is sorted before budget is spent.
+// refreshPlan is RefreshPlanDetailed over explicit state: the engine merges
+// its shards' active/registration maps and plans globally. Its outcome
+// depends only on the map contents, not iteration order: every candidate
+// list is sorted before budget is spent.
 func refreshPlan(active map[traceroute.Key][]Signal, regs map[traceroute.Key][]Registration,
 	calib *Calibrator, budget int, rng *rand.Rand) []PlanItem {
 	type vpState struct {

@@ -18,8 +18,6 @@ import (
 	"sort"
 
 	"rrr/internal/bgp"
-	"rrr/internal/bordermap"
-	"rrr/internal/corpus"
 	"rrr/internal/traceroute"
 	"rrr/internal/trie"
 )
@@ -163,11 +161,10 @@ type Config struct {
 	// even registered), for ablation studies: the paper's Table 2 "unique"
 	// columns quantify what each technique contributes.
 	Disabled []Technique
-	// Shards is how many parallel shards NewSharded partitions the corpus
-	// across: 0 means runtime.GOMAXPROCS(0), 1 is the exact serial path.
-	// The sharded engine's signal stream is identical to the serial
-	// engine's regardless of the value. NewEngine ignores it (a plain
-	// Engine is one shard).
+	// Shards is how many shards the engine partitions the corpus across
+	// for the per-pair phase of CloseWindow: 0 means runtime.GOMAXPROCS(0),
+	// 1 runs the whole close on the caller's goroutine. The signal stream
+	// is identical regardless of the value.
 	Shards int
 }
 
@@ -211,89 +208,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Engine consumes BGP updates and public traceroutes and emits staleness
-// prediction signals for a registered corpus.
-type Engine struct {
-	cfg     Config
-	mapper  traceroute.Mapper
-	aliases bordermap.AliasOracle
-	geo     Geolocator
-	rel     RelOracle
-
-	rib *bgp.RIB
-
-	// Corpus registrations.
-	entries map[traceroute.Key]*corpus.Entry
-	regs    map[traceroute.Key][]Registration
-
-	// destToKeys indexes corpus pairs by destination address.
-	destToKeys map[uint32][]traceroute.Key
-
-	// sh is the window fold and the monitor series shared across corpus
-	// pairs. A serial engine owns its instance; every shard of a Sharded
-	// engine points at one dispatcher-owned instance, so shared state is
-	// observed and evaluated once per feed event instead of once per shard.
-	sh *sharedState
-
-	// window is the current window start; -1 before first observation.
-	window int64
-	ids    *idAlloc
-
-	asp      []*aspMonitor
-	aspByVP  map[vpPrefix][]*aspMonitor
-	aspByKey map[traceroute.Key][]*aspMonitor
-	bursts   []*burstMonitor
-	comms    map[traceroute.Key]*commMonitor
-	commByVP map[vpPrefix][]*commMonitor
-
-	subByKey   map[traceroute.Key][]*subpathMonitor
-	brsByKey   map[traceroute.Key][]*borderRouterSeries
-	pendingIXP []Signal
-
-	patcher *traceroute.Patcher
-
-	// Active signals per corpus pair, for revocation and querying.
-	active map[traceroute.Key][]Signal
-
-	// Calib is the §4.3 calibrator; exported for refresh planning.
-	Calib *Calibrator
-
-	// retired stashes detector state when a pair is re-registered after a
-	// refresh so monitors with unchanged scope keep their warmed-up
-	// detector history instead of cold-starting.
-	retired map[traceroute.Key]map[string]*retiredState
-
-	// stats
-	signalCount    [numTechniques]int
-	deadASP        int
-	revokedSignals int
-	revokedPairs   int
-	windowsClosed  int
-}
-
-// idAlloc issues monitor identifiers. Identity is content-derived: every
-// monitor is named by its scope (pair, technique, AS suffix, subpath,
-// border-router series) and its ID is a stable 63-bit FNV-1a hash of that
-// name. Content addressing makes IDs partition-invariant — a cluster
-// worker registering only its consistent-hash slice of the corpus assigns
-// each monitor exactly the ID a single daemon tracking the whole corpus
-// would, so per-pair signals (and the verdict JSON rendered from them)
-// are byte-identical under any partitioning. It also makes IDs stable
-// across refresh re-registration: a monitor with unchanged scope keeps
-// its calibration tallies along with its retained detector state. The
-// shards of one Sharded engine share the allocator for its memoization
-// map only; the hash itself needs no coordination.
-type idAlloc struct {
-	named map[string]int
-}
-
-func newIDAlloc() *idAlloc { return &idAlloc{named: make(map[string]int)} }
-
-// hashID is 64-bit FNV-1a folded to a positive int. Collisions across
-// distinct monitor names are possible in principle (~n²/2⁶³) but harmless
-// in practice: a collision would merge two monitors' calibration tallies,
-// not corrupt signal generation, and determinism — the property the
-// cluster's byte-identity proof rests on — is unaffected.
+// hashID derives a monitor identifier from its name. Identity is
+// content-derived: every monitor is named by its scope (pair, technique, AS
+// suffix, subpath, border-router series) and its ID is a stable 63-bit
+// FNV-1a hash of that name. Content addressing makes IDs partition-
+// invariant — a cluster worker registering only its consistent-hash slice of
+// the corpus assigns each monitor exactly the ID a single daemon tracking
+// the whole corpus would, so per-pair signals (and the verdict JSON rendered
+// from them) are byte-identical under any partitioning. It also makes IDs
+// stable across refresh re-registration: a monitor with unchanged scope
+// keeps its calibration tallies along with its retained detector state.
+//
+// Collisions across distinct monitor names are possible in principle
+// (~n²/2⁶³) but harmless in practice: a collision would merge two monitors'
+// calibration tallies, not corrupt signal generation, and determinism — the
+// property the cluster's byte-identity proof rests on — is unaffected.
 func hashID(name string) int {
 	const (
 		offset64 = 14695981039346656037
@@ -311,13 +240,11 @@ func hashID(name string) int {
 	return id
 }
 
-func (a *idAlloc) idFor(name string) int {
-	if id, ok := a.named[name]; ok {
-		return id
-	}
-	id := hashID(name)
-	a.named[name] = id
-	return id
+// monitorID names a per-pair monitor and returns its content-derived ID.
+// The scope string must uniquely identify the monitor within the pair
+// (e.g. the monitored AS suffix).
+func monitorID(kind string, k traceroute.Key, scope string) int {
+	return hashID(kind + ":" + k.String() + ":" + scope)
 }
 
 // retiredState preserves a monitor's detector and revocation baseline
@@ -351,138 +278,8 @@ type commEvent struct {
 	time   int64
 }
 
-// NewEngine builds an engine. The RIB should be primed with an initial
-// table dump (via ObserveBGP) before corpus traceroutes are registered, as
-// the paper starts BGP collection two days before corpus initialization.
-func NewEngine(cfg Config, m traceroute.Mapper, aliases bordermap.AliasOracle, geo Geolocator, rel RelOracle) *Engine {
-	cfg = cfg.withDefaults()
-	calib := NewCalibrator(cfg.CalibrationWindows, cfg.CommunityFPQuota)
-	return newEngineWith(cfg, m, aliases, geo, rel, bgp.NewRIB(), newIDAlloc(), calib, traceroute.NewPatcher(), newSharedState(cfg, geo))
-}
-
-// newEngineWith builds one engine around externally-owned shared services:
-// NewSharded passes the same RIB, ID allocator, calibrator, patcher, and
-// shared series state to every shard. cfg must already have defaults
-// resolved.
-func newEngineWith(cfg Config, m traceroute.Mapper, aliases bordermap.AliasOracle, geo Geolocator, rel RelOracle,
-	rib *bgp.RIB, ids *idAlloc, calib *Calibrator, patcher *traceroute.Patcher, sh *sharedState) *Engine {
-	e := &Engine{
-		cfg:        cfg,
-		mapper:     m,
-		aliases:    aliases,
-		geo:        geo,
-		rel:        rel,
-		rib:        rib,
-		entries:    make(map[traceroute.Key]*corpus.Entry),
-		regs:       make(map[traceroute.Key][]Registration),
-		destToKeys: make(map[uint32][]traceroute.Key),
-		window:     -1,
-		sh:         sh,
-		ids:        ids,
-		aspByVP:    make(map[vpPrefix][]*aspMonitor),
-		aspByKey:   make(map[traceroute.Key][]*aspMonitor),
-		comms:      make(map[traceroute.Key]*commMonitor),
-		commByVP:   make(map[vpPrefix][]*commMonitor),
-		subByKey:   make(map[traceroute.Key][]*subpathMonitor),
-		brsByKey:   make(map[traceroute.Key][]*borderRouterSeries),
-		patcher:    patcher,
-		retired:    make(map[traceroute.Key]map[string]*retiredState),
-		active:     make(map[traceroute.Key][]Signal),
-	}
-	e.Calib = calib
-	return e
-}
-
-// RIB exposes the engine's BGP table view (read-only use).
-func (e *Engine) RIB() *bgp.RIB { return e.rib }
-
-// Entry returns the registered corpus entry for a pair.
-func (e *Engine) Entry(k traceroute.Key) (*corpus.Entry, bool) {
-	en, ok := e.entries[k]
-	return en, ok
-}
-
-// Registrations returns the potential signals covering a corpus pair.
-func (e *Engine) Registrations(k traceroute.Key) []Registration {
-	return e.regs[k]
-}
-
-// Active returns the currently-active (unrevoked) signals for a pair.
-func (e *Engine) Active(k traceroute.Key) []Signal { return e.active[k] }
-
-// ActivePairs counts pairs with at least one active signal.
-func (e *Engine) ActivePairs() int {
-	n := 0
-	for _, sigs := range e.active {
-		if len(sigs) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// NumEntries reports how many corpus pairs this engine owns.
-func (e *Engine) NumEntries() int { return len(e.entries) }
-
-// ClearActive resets a pair's signal state (after a refresh re-registers
-// it).
-func (e *Engine) ClearActive(k traceroute.Key) { delete(e.active, k) }
-
-// RestoreActive re-injects previously-generated signals into the active
-// set, used when a Monitor is rebuilt from a snapshot: the signals keep
-// flagging their pairs as stale across a restart without replaying the
-// feed history that produced them. Restored signals carry MonitorIDs from
-// the previous process generation, which is fine for staleness queries and
-// refresh planning; §4.3.2 revocation still applies to them through the
-// pair-level reverted check.
-func (e *Engine) RestoreActive(sigs []Signal) {
-	for _, s := range sigs {
-		e.active[s.Key] = append(e.active[s.Key], s)
-	}
-}
-
-// SignalCounts returns per-technique signal totals.
-func (e *Engine) SignalCounts() map[Technique]int {
-	out := make(map[Technique]int, int(numTechniques))
-	for t := Technique(0); t < numTechniques; t++ {
-		out[t] = e.signalCount[t]
-	}
-	return out
-}
-
-// SetInitialIXPMembership seeds §4.2.3's membership snapshot (PeeringDB
-// substitute, possibly incomplete).
-func (e *Engine) SetInitialIXPMembership(members map[int][]bgp.ASN) {
-	for ixp, list := range members {
-		m := make(map[bgp.ASN]bool, len(list))
-		for _, as := range list {
-			m[as] = true
-		}
-		e.sh.ixpMembers[ixp] = m
-	}
-}
-
-// AllowPrivatePeerSignals marks an AS as giving public and private peers
-// equal local preference, enabling IXP signals through private peers
-// (§4.2.3's learned exception).
-func (e *Engine) AllowPrivatePeerSignals(as bgp.ASN) { e.sh.allowPriv[as] = true }
-
-// monitorID names a per-pair monitor and returns its content-derived ID.
-// The scope string must uniquely identify the monitor within the pair
-// (e.g. the monitored AS suffix); see idAlloc for why IDs are hashes.
-func (e *Engine) monitorID(kind string, k traceroute.Key, scope string) int {
-	return e.ids.idFor(kind + ":" + k.String() + ":" + scope)
-}
-
-// WindowsClosed reports how many CloseWindow calls the engine has run.
-func (e *Engine) WindowsClosed() int { return e.windowsClosed }
-
-func (e *Engine) addReg(k traceroute.Key, r Registration) {
-	e.regs[k] = append(e.regs[k], r)
-}
-
 // signalLess is a total order over distinguishable signals, so sorting a
-// merged multi-shard signal stream reproduces the serial engine's output
+// merged multi-shard signal stream reproduces the one-shard engine's output
 // byte for byte (sort.Slice is unstable; a partial order would let equal-
 // keyed signals land in input order, which differs across shard merges).
 func signalLess(a, b Signal) bool {

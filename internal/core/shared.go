@@ -13,16 +13,15 @@ import (
 // sharedState is the engine state that is logically global to one feed:
 // the per-window BGP observation fold and every monitor series shared
 // across corpus pairs (extra-AS series, subpath monitors, border-router
-// series, IXP membership). A serial Engine owns a private instance; the
-// shards of a Sharded engine all point at one instance, so each update and
-// traceroute is folded in exactly once instead of being replayed N times —
-// the replication that made the sharded engine slower than serial.
+// series, IXP membership). The Engine owns one instance and its shards reach
+// it through their back-pointer, so each update and traceroute is folded in
+// exactly once whatever the shard count.
 //
-// Concurrency contract: all writes happen on the dispatcher goroutine
-// (under Sharded.mu). During the parallel phase of CloseWindow the shards
-// only read this state (winUpdates lookups, extra-series outlierWin,
-// series First/Last), which is safe because the shared close phase
-// finishes before the per-shard workers start.
+// Concurrency contract: all writes happen on the caller's goroutine under
+// Engine.mu. During the parallel phase of CloseWindow the shards only read
+// this state (winUpdates lookups, extra-series outlierWin, series
+// First/Last), which is safe because the shared close phase finishes before
+// the per-shard phase starts.
 type sharedState struct {
 	cfg Config
 	geo Geolocator
@@ -192,17 +191,17 @@ type sharedClose struct {
 	// commChanged marks prefixes with community changes this window (used
 	// by burst echo suppression).
 	commChanged map[trie.Prefix]bool
-	// traceSigs are the window's subpath and border signals in the serial
-	// engine's emission order; the sharded engine routes each to the shard
-	// owning its pair before the parallel phase.
+	// traceSigs are the window's subpath and border signals in emission
+	// order; CloseWindow routes each to the shard owning its pair before the
+	// per-shard phase.
 	traceSigs []Signal
 }
 
 // closeShared runs the once-per-window evaluation of all shared series:
 // extra-AS detectors (consulted read-only by burst monitors afterwards)
 // and the subpath and border-router series advances. It mutates shared
-// detector state exactly once per window — the serial engine's semantics —
-// and must complete before any per-shard close work starts.
+// detector state exactly once per window and must complete before any
+// per-shard close work starts.
 func (sh *sharedState) closeShared(ws, end int64) *sharedClose {
 	sc := &sharedClose{commChanged: make(map[trie.Prefix]bool, len(sh.winComms))}
 	for _, ev := range sh.winComms {
@@ -287,10 +286,10 @@ func (sh *sharedState) borderGroupOf(b bordermap.BorderHop, when int64) (borderG
 // observeTrace folds one prepared public traceroute into the shared
 // series: subpath observations, border-router observations, and §4.2.3
 // new-IXP-member detection. Detected joins are reported through onJoin
-// one at a time, interleaved with the membership mutation exactly as the
-// serial engine interleaved them (a second join on the same traceroute
-// must see the first one already recorded). The caller turns each join
-// into per-pair signals by scanning its own corpus slice.
+// one at a time, interleaved with the membership mutation (a second join on
+// the same traceroute must see the first one already recorded). The caller
+// turns each join into per-pair signals by scanning its shards' corpus
+// slices.
 func (sh *sharedState) observeTrace(pt *preparedTrace, onJoin func(ixp int, member bgp.ASN, when int64)) {
 	path := pt.path
 

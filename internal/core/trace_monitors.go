@@ -66,15 +66,15 @@ type borderRouterSeries struct {
 	series *anomaly.WindowedSeries
 }
 
-// AddCorpusEntry registers a processed corpus traceroute with every
-// technique. The engine's RIB must already be primed.
-func (e *Engine) AddCorpusEntry(en *corpus.Entry) {
-	e.entries[en.Key] = en
-	e.destToKeys[en.Key.Dst] = append(e.destToKeys[en.Key.Dst], en.Key)
+// addCorpusEntry registers a processed corpus traceroute with every
+// technique. Shared series (extra-AS, subpath, border-router) are created in
+// or joined from the engine's shared state.
+func (s *shard) addCorpusEntry(en *corpus.Entry) {
+	s.entries[en.Key] = en
 
-	e.registerBGPMonitors(en)
-	e.registerSubpathMonitors(en)
-	e.registerBorderMonitors(en)
+	s.registerBGPMonitors(en)
+	s.registerSubpathMonitors(en)
+	s.registerBorderMonitors(en)
 }
 
 // registerSubpathMonitors creates (or joins) §4.2.1 monitors for each
@@ -82,8 +82,8 @@ func (e *Engine) AddCorpusEntry(en *corpus.Entry) {
 // AS boundaries: interdomain segments give the reliable signals, while
 // intradomain segments churn with traffic engineering (§4.2's first
 // accuracy rule).
-func (e *Engine) registerSubpathMonitors(en *corpus.Entry) {
-	if e.cfg.disabled(TechTraceSubpath) {
+func (s *shard) registerSubpathMonitors(en *corpus.Entry) {
+	if s.eng.cfg.disabled(TechTraceSubpath) {
 		return
 	}
 	path := en.Trace.IPPath()
@@ -100,19 +100,18 @@ func (e *Engine) registerSubpathMonitors(en *corpus.Entry) {
 			return
 		}
 		key := subpathKeyOf(ips)
-		mon, ok := e.sh.subpaths[key]
+		mon, ok := s.eng.sh.subpaths[key]
 		if !ok {
 			// Monitors shared across entries are content-named like
-			// everything else; the shared allocator only memoizes the
-			// hash so joint watchers agree on one instance.
-			mon = &subpathMonitor{id: e.ids.idFor("sub:" + key), ips: ips, last: ips[len(ips)-1]}
-			e.sh.subpaths[key] = mon
-			e.sh.subByStart[ips[0]] = append(e.sh.subByStart[ips[0]], mon)
-			e.sh.subSorted = nil
+			// everything else.
+			mon = &subpathMonitor{id: hashID("sub:" + key), ips: ips, last: ips[len(ips)-1]}
+			s.eng.sh.subpaths[key] = mon
+			s.eng.sh.subByStart[ips[0]] = append(s.eng.sh.subByStart[ips[0]], mon)
+			s.eng.sh.subSorted = nil
 		}
 		mon.watchers = append(mon.watchers, subpathWatcher{key: en.Key, borders: []int{bi}})
-		e.subByKey[en.Key] = append(e.subByKey[en.Key], mon)
-		e.addReg(en.Key, Registration{MonitorID: mon.id, Technique: TechTraceSubpath, Borders: []int{bi}})
+		s.subByKey[en.Key] = append(s.subByKey[en.Key], mon)
+		s.addReg(en.Key, Registration{MonitorID: mon.id, Technique: TechTraceSubpath, Borders: []int{bi}})
 	}
 	for bi, b := range en.Borders {
 		// Short monitor: near hop, far hop, and one hop of context. It
@@ -170,35 +169,35 @@ func subpathKeyOf(ips []uint32) string {
 // registerBorderMonitors creates (or joins) §4.2.2 monitors: one ratio
 // series per (inter-city AS adjacency, border router) the entry uses.
 // Crossings whose endpoints cannot be geolocated are skipped (Appendix A).
-func (e *Engine) registerBorderMonitors(en *corpus.Entry) {
-	if e.geo == nil || e.cfg.disabled(TechTraceBorder) {
+func (s *shard) registerBorderMonitors(en *corpus.Entry) {
+	if s.eng.geo == nil || s.eng.cfg.disabled(TechTraceBorder) {
 		return
 	}
 	for bi, b := range en.Borders {
-		gk, router, ok := e.sh.borderGroupOf(b, en.MeasuredAt)
+		gk, router, ok := s.eng.sh.borderGroupOf(b, en.MeasuredAt)
 		if !ok {
 			continue
 		}
-		grp := e.sh.borders[gk]
+		grp := s.eng.sh.borders[gk]
 		if grp == nil {
 			grp = &borderGroup{key: gk, routers: make(map[int]*borderRouterSeries)}
-			e.sh.borders[gk] = grp
+			s.eng.sh.borders[gk] = grp
 		}
 		rs := grp.routers[router]
 		if rs == nil {
 			name := fmt.Sprintf("brs:%d/%d-%d/%d@%d", gk.FromAS, gk.FromC, gk.ToAS, gk.ToC, router)
-			rs = &borderRouterSeries{id: e.ids.idFor(name), gk: gk, router: router}
+			rs = &borderRouterSeries{id: hashID(name), gk: gk, router: router}
 			grp.routers[router] = rs
-			e.sh.borderSorted = nil
+			s.eng.sh.borderSorted = nil
 		}
 		rs.watchers = append(rs.watchers, subpathWatcher{key: en.Key, borders: []int{bi}})
-		e.brsByKey[en.Key] = append(e.brsByKey[en.Key], rs)
-		e.addReg(en.Key, Registration{MonitorID: rs.id, Technique: TechTraceBorder, Borders: []int{bi}})
+		s.brsByKey[en.Key] = append(s.brsByKey[en.Key], rs)
+		s.addReg(en.Key, Registration{MonitorID: rs.id, Technique: TechTraceBorder, Borders: []int{bi}})
 	}
 }
 
 // preparedTrace is a public traceroute after patching and border mapping:
-// everything the per-shard observation step needs, computed once.
+// everything the shared-series observation step needs.
 type preparedTrace struct {
 	time    int64
 	path    []uint32
@@ -206,34 +205,16 @@ type preparedTrace struct {
 }
 
 // prepareTrace feeds the unresponsive-hop patcher and resolves the
-// patched IP path and border path. It owns all the mutable shared state a
-// public traceroute touches, so a Sharded engine runs it once on the
-// caller's goroutine and broadcasts the result to every shard.
-func prepareTrace(p *traceroute.Patcher, m traceroute.Mapper, aliases bordermap.AliasOracle, t *traceroute.Traceroute) *preparedTrace {
-	p.Observe(t)
+// patched IP path and border path.
+func (e *Engine) prepareTrace(t *traceroute.Traceroute) *preparedTrace {
+	e.patcher.Observe(t)
 	patched := t.Clone()
-	p.Patch(patched)
+	e.patcher.Patch(patched)
 	return &preparedTrace{
 		time:    t.Time,
 		path:    patched.IPPath(),
-		borders: bordermap.BorderPath(patched, m, aliases),
+		borders: bordermap.BorderPath(patched, e.mapper, e.aliases),
 	}
-}
-
-// ObservePublicTrace ingests one public traceroute, feeding the subpath,
-// border, and IXP techniques plus the unresponsive-hop patcher. Signals it
-// produces (IXP membership changes) are delivered by the next CloseWindow.
-func (e *Engine) ObservePublicTrace(t *traceroute.Traceroute) {
-	e.observePrepared(prepareTrace(e.patcher, e.mapper, e.aliases, t))
-}
-
-// observePrepared folds one prepared public traceroute into the shared
-// series (once) and turns any detected IXP joins into per-pair signals by
-// scanning this engine's own corpus slice.
-func (e *Engine) observePrepared(pt *preparedTrace) {
-	e.sh.observeTrace(pt, func(ixp int, member bgp.ASN, when int64) {
-		e.pendingIXP = append(e.pendingIXP, e.ixpJoinSignals(ixp, member, when)...)
-	})
 }
 
 // matchesSparse reports whether the anchors appear in order within path,
@@ -325,14 +306,14 @@ func boolVal(b bool) float64 {
 // member AS_i and, later, another member AS_j, and generates signals
 // according to the relationship between AS_i and its current next hop
 // (§4.2.3's provider / public-peer / private-peer rules).
-func (e *Engine) ixpJoinSignals(ixp int, asI bgp.ASN, when int64) []Signal {
-	if e.rel == nil {
+func (s *shard) ixpJoinSignals(ixp int, asI bgp.ASN, when int64) []Signal {
+	if s.eng.rel == nil {
 		return nil
 	}
-	members := e.sh.ixpMembers[ixp]
+	members := s.eng.sh.ixpMembers[ixp]
 	var sigs []Signal
-	keys := make([]traceroute.Key, 0, len(e.entries))
-	for k := range e.entries {
+	keys := make([]traceroute.Key, 0, len(s.entries))
+	for k := range s.entries {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -342,7 +323,7 @@ func (e *Engine) ixpJoinSignals(ixp int, asI bgp.ASN, when int64) []Signal {
 		return keys[i].Dst < keys[j].Dst
 	})
 	for _, k := range keys {
-		en := e.entries[k]
+		en := s.entries[k]
 		idxI := en.ASPath.Index(asI)
 		if idxI < 0 || idxI+1 >= len(en.ASPath) {
 			continue
@@ -350,7 +331,7 @@ func (e *Engine) ixpJoinSignals(ixp int, asI bgp.ASN, when int64) []Signal {
 		// A later hop that is already a member of the exchange.
 		foundJ := -1
 		for j := idxI + 1; j < len(en.ASPath); j++ {
-			if members[en.ASPath[j]] || e.sh.ixpObserved[ixp][en.ASPath[j]] {
+			if members[en.ASPath[j]] || s.eng.sh.ixpObserved[ixp][en.ASPath[j]] {
 				foundJ = j
 				break
 			}
@@ -362,7 +343,7 @@ func (e *Engine) ixpJoinSignals(ixp int, asI bgp.ASN, when int64) []Signal {
 		}
 		asK := en.ASPath[idxI+1]
 		emit := false
-		switch e.rel.Rel(asI, asK) {
+		switch s.eng.rel.Rel(asI, asK) {
 		case RelCustomerOf:
 			// AS_k is a provider of AS_i: the new IXP peering is cheaper.
 			emit = true
@@ -370,7 +351,7 @@ func (e *Engine) ixpJoinSignals(ixp int, asI bgp.ASN, when int64) []Signal {
 			// Equal relationship class: shortest AS path wins.
 			emit = true
 		case RelPeerPrivate:
-			emit = e.sh.allowPriv[asI]
+			emit = s.eng.sh.allowPriv[asI]
 		}
 		if !emit {
 			continue
@@ -382,12 +363,12 @@ func (e *Engine) ixpJoinSignals(ixp int, asI bgp.ASN, when int64) []Signal {
 				bs = append(bs, bi)
 			}
 		}
-		cm := e.ixpMonitorID(ixp, asI)
+		cm := ixpMonitorID(ixp, asI)
 		sigs = append(sigs, Signal{
 			Technique:   TechIXPMembership,
 			Key:         k,
 			MonitorID:   cm,
-			WindowStart: (when / e.cfg.WindowSec) * e.cfg.WindowSec,
+			WindowStart: (when / s.eng.cfg.WindowSec) * s.eng.cfg.WindowSec,
 			Borders:     bs,
 			Detail:      fmt.Sprintf("%s joined IXP %d", asI, ixp),
 			VPCount:     1,
@@ -396,12 +377,9 @@ func (e *Engine) ixpJoinSignals(ixp int, asI bgp.ASN, when int64) []Signal {
 	return sigs
 }
 
-// ixpMonitorID computes a stable monitor identity per (IXP, member). IXP
-// signals are generated during public-trace intake, which shards process
-// concurrently, so the identity is derived rather than allocated: every
-// shard computes the same ID without coordination. Negative values keep
-// the space disjoint from allocator-issued IDs.
-func (e *Engine) ixpMonitorID(ixp int, as bgp.ASN) int {
+// ixpMonitorID derives a stable monitor identity per (IXP, member).
+// Negative values keep the space disjoint from hashID's.
+func ixpMonitorID(ixp int, as bgp.ASN) int {
 	return -(ixp<<32 | int(uint32(as)))
 }
 
@@ -425,15 +403,20 @@ type Stats struct {
 }
 
 // MonitorStats reports how many monitors exist and how many traceroute
-// series have accumulated enough data to activate.
+// series have accumulated enough data to activate. Shared series are counted
+// once from the shared state; per-pair monitors are summed over the shards.
 func (e *Engine) MonitorStats() Stats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	st := Stats{
-		SubpathMonitors:  len(e.sh.subpaths),
-		BorderGroups:     len(e.sh.borders),
-		ASPathMonitors:   len(e.asp) - e.deadASP,
-		BurstMonitors:    len(e.bursts),
-		ExtraSeries:      len(e.sh.extras),
-		CommunityTargets: len(e.comms),
+		SubpathMonitors: len(e.sh.subpaths),
+		BorderGroups:    len(e.sh.borders),
+		ExtraSeries:     len(e.sh.extras),
+	}
+	for _, s := range e.shards {
+		st.ASPathMonitors += len(s.asp) - s.deadASP
+		st.BurstMonitors += len(s.bursts)
+		st.CommunityTargets += len(s.comms)
 	}
 	for _, m := range e.sh.subpaths {
 		if m.series != nil {
@@ -455,47 +438,27 @@ func (e *Engine) MonitorStats() Stats {
 	return st
 }
 
-// CloseWindow finishes the signal-generation window starting at ws: all
-// BGP series are evaluated, traceroute series are advanced past the window
-// end, revocation runs, and the window's signals are returned. Callers must
-// invoke it once per WindowSec with monotonically increasing ws.
-//
-// It runs in two phases: closeShared evaluates the series shared across
-// pairs exactly once, then closeOwned evaluates this engine's per-pair
-// monitors. A Sharded engine drives the same two phases itself — shared
-// once on the dispatcher, owned in parallel per shard — so the serial and
-// sharded streams are byte-identical by construction.
-func (e *Engine) CloseWindow(ws int64) []Signal {
-	sc := e.sh.closeShared(ws, ws+e.cfg.WindowSec)
-	sigs := e.closeOwned(ws, sc, sc.traceSigs)
-	e.sh.resetWindow()
-	return sigs
-}
-
-// closeOwned finishes the window for the monitors this engine owns:
+// closeOwned finishes the window for the monitors this shard owns:
 // per-pair BGP series, the routed share of the window's subpath/border
 // signals (traceSigs), pending IXP signals, active-signal tracking, and
 // revocation. It only reads shared state; all shared mutation happened in
 // closeShared, so shards can run closeOwned concurrently.
-func (e *Engine) closeOwned(ws int64, sc *sharedClose, traceSigs []Signal) []Signal {
-	sigs := e.closeBGPWindow(ws, sc)
+func (s *shard) closeOwned(ws int64, sc *sharedClose, traceSigs []Signal) []Signal {
+	sigs := s.closeBGPWindow(ws, sc)
 	sigs = append(sigs, traceSigs...)
 
 	// Drain pending IXP signals produced during the window.
-	sigs = append(sigs, e.pendingIXP...)
-	e.pendingIXP = nil
+	sigs = append(sigs, s.pendingIXP...)
+	s.pendingIXP = nil
 
 	// Track active signals and revoke reverted ones (§4.3.2).
 	for i := range sigs {
-		e.signalCount[sigs[i].Technique]++
-		e.active[sigs[i].Key] = append(e.active[sigs[i].Key], sigs[i])
+		s.signalCount[sigs[i].Technique]++
+		s.active[sigs[i].Key] = append(s.active[sigs[i].Key], sigs[i])
 	}
-	if e.cfg.RevokeSignals {
-		e.revokeReverted()
+	if s.eng.cfg.RevokeSignals {
+		s.revokeReverted()
 	}
-
-	e.window = ws + e.cfg.WindowSec
-	e.windowsClosed++
 
 	sortSignals(sigs)
 	return sigs
@@ -543,40 +506,34 @@ func sortedRouterIDs(m map[int]*borderRouterSeries) []int {
 // revokeReverted drops all active signals of a corpus pair when every
 // monitored series associated with it has returned to its baseline value
 // (§4.3.2): the route reverted, so the traceroute is fresh again.
-func (e *Engine) revokeReverted() {
-	for k, sigs := range e.active {
+func (s *shard) revokeReverted() {
+	for k, sigs := range s.active {
 		if len(sigs) == 0 {
 			continue
 		}
-		if e.pairReverted(k) {
-			e.revokedSignals += len(sigs)
-			e.revokedPairs++
-			delete(e.active, k)
+		if s.pairReverted(k) {
+			s.revokedSignals += len(sigs)
+			s.revokedPairs++
+			delete(s.active, k)
 		}
 	}
-}
-
-// RevocationStats reports how many signals (and distinct pair-events) the
-// §4.3.2 revocation machinery has discarded because routes reverted.
-func (e *Engine) RevocationStats() (signals, pairEvents int) {
-	return e.revokedSignals, e.revokedPairs
 }
 
 // pairReverted reports whether every monitored quantity of the pair is
 // back at the value it had when the corpus traceroute was issued: AS-path
 // ratios, community sets, and subpath/border-router ratios (§4.3.2).
-func (e *Engine) pairReverted(k traceroute.Key) bool {
+func (s *shard) pairReverted(k traceroute.Key) bool {
 	any := false
-	for _, m := range e.aspByKey[k] {
+	for _, m := range s.aspByKey[k] {
 		any = true
 		if !m.hasBase || !m.hasLast || m.lastRatio != m.baseline {
 			return false
 		}
 	}
-	if cm := e.comms[k]; cm != nil {
+	if cm := s.comms[k]; cm != nil {
 		any = true
 		for _, st := range cm.overlap {
-			rt, ok := e.rib.Route(st.pf.vp, st.pf.pf)
+			rt, ok := s.eng.rib.Route(st.pf.vp, st.pf.pf)
 			if !ok {
 				return false
 			}
@@ -585,7 +542,7 @@ func (e *Engine) pairReverted(k traceroute.Key) bool {
 			}
 		}
 	}
-	for _, mon := range e.subByKey[k] {
+	for _, mon := range s.subByKey[k] {
 		if mon.series == nil {
 			continue
 		}
@@ -596,7 +553,7 @@ func (e *Engine) pairReverted(k traceroute.Key) bool {
 			return false
 		}
 	}
-	for _, rs := range e.brsByKey[k] {
+	for _, rs := range s.brsByKey[k] {
 		if rs.series == nil {
 			continue
 		}

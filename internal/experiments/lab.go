@@ -42,8 +42,8 @@ type Scale struct {
 	// ScenarioSeed seeds the episode schedule independently of the
 	// simulator seed; 0 derives a default from SimCfg.Seed.
 	ScenarioSeed int64
-	// Shards sets engine parallelism. Experiments default to 1 (the exact
-	// serial path) so published numbers stay deterministic regardless of
+	// Shards sets engine parallelism. Experiments default to 1 (no
+	// goroutines) so published numbers stay deterministic regardless of
 	// the host's core count; the engine's signal stream is identical at
 	// any shard count either way.
 	Shards int
@@ -84,7 +84,7 @@ type Lab struct {
 	Scale  Scale
 	Sim    *netsim.Sim
 	Plat   *platform.Platform
-	Engine *core.Sharded
+	Engine *core.Engine
 	Corp   *corpus.Corpus
 
 	Aliases bordermap.AliasOracle
@@ -169,7 +169,7 @@ func NewLab(sc Scale) *Lab {
 	if cfg.Shards == 0 {
 		cfg.Shards = 1
 	}
-	eng := core.NewSharded(cfg, sim.Mapper(), aliases, labGeo, rel)
+	eng := core.NewEngine(cfg, sim.Mapper(), aliases, labGeo, rel)
 
 	// Prime the RIB with a full dump (the paper starts BGP collection two
 	// days before corpus initialization) and stream subsequent updates.

@@ -24,6 +24,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"sort"
@@ -291,14 +292,18 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// sortedFamilies returns family pointers in name order (exposition and
-// snapshots are deterministic; series names are stable across runs).
+// sortedFamilies returns a copy of every family in name order (exposition
+// and snapshots are deterministic; series names are stable across runs).
+// The copies — series map included — are taken under the lock, so a scrape
+// never reads a family while getOrCreate or Help is writing it.
 func (r *Registry) sortedFamilies() []*family {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	fams := make([]*family, 0, len(r.fams))
 	for _, f := range r.fams {
-		fams = append(fams, f)
+		c := *f
+		c.series = maps.Clone(f.series)
+		fams = append(fams, &c)
 	}
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 	return fams

@@ -12,27 +12,35 @@ import (
 // leaves RingSize zero.
 const DefaultRingSize = 256
 
-// Hub fans the pipeline's signal stream out to SSE subscribers. Publish
-// never blocks: each subscriber owns a bounded ring (a buffered channel
-// with drop-oldest overflow), so a slow or stalled client loses its oldest
-// queued signals — counted, and reported on its stream — while feed
-// ingestion proceeds at full speed. This is the one-writer/many-readers
-// boundary of the serving layer: the pipeline goroutine publishes, each
-// subscriber drains on its own HTTP handler goroutine.
-type Hub struct {
+// Fanout is the drop-oldest fan-out behind both SSE tiers: the worker's Hub
+// carries Events, the cluster router's merger carries pre-rendered frames.
+// Publish never blocks: each subscriber owns a bounded ring (a buffered
+// channel with drop-oldest overflow), so a slow or stalled client loses its
+// oldest queued items — counted in the rrr_hub_* families and reported on
+// its stream — while the publisher proceeds at full speed. One goroutine
+// publishes; each subscriber drains on its own HTTP handler goroutine.
+type Fanout[T any] struct {
 	mu   sync.Mutex
-	subs map[*Subscriber]struct{}
+	subs map[*Sub[T]]struct{}
 	ring int
 }
 
-// NewHub builds a hub with the given per-subscriber ring capacity (<= 0
-// uses DefaultRingSize).
-func NewHub(ring int) *Hub {
+// NewFanout builds a fan-out with the given per-subscriber ring capacity
+// (<= 0 uses DefaultRingSize).
+func NewFanout[T any](ring int) *Fanout[T] {
 	if ring <= 0 {
 		ring = DefaultRingSize
 	}
-	return &Hub{subs: make(map[*Subscriber]struct{}), ring: ring}
+	return &Fanout[T]{subs: make(map[*Sub[T]]struct{}), ring: ring}
 }
+
+// Hub fans the pipeline's signal stream out to SSE subscribers: a
+// Fanout[Event] with one publish method per kind of event.
+type Hub struct{ *Fanout[Event] }
+
+// NewHub builds a hub with the given per-subscriber ring capacity (<= 0
+// uses DefaultRingSize).
+func NewHub(ring int) *Hub { return &Hub{NewFanout[Event](ring)} }
 
 // Event is one item on a subscriber's stream: a pipeline signal, a
 // routing event from the event detector (Routing set), or a window-close
@@ -49,27 +57,30 @@ type Event struct {
 	Window      bool
 }
 
-// Subscriber is one attached event consumer.
-type Subscriber struct {
-	ch      chan Event
+// Sub is one attached consumer of a Fanout.
+type Sub[T any] struct {
+	ch      chan T
 	dropped atomic.Uint64
 }
 
-// C is the subscriber's event channel; drain it promptly or lose the
-// oldest buffered events.
-func (s *Subscriber) C() <-chan Event { return s.ch }
+// Subscriber is one attached Hub consumer.
+type Subscriber = Sub[Event]
 
-// Dropped reports how many signals overflow has discarded so far.
-func (s *Subscriber) Dropped() uint64 { return s.dropped.Load() }
+// C is the subscriber's channel; drain it promptly or lose the oldest
+// buffered items.
+func (s *Sub[T]) C() <-chan T { return s.ch }
+
+// Dropped reports how many items overflow has discarded so far.
+func (s *Sub[T]) Dropped() uint64 { return s.dropped.Load() }
 
 // offer enqueues without ever blocking the publisher: on a full ring it
-// evicts the oldest buffered event and retries. The retry count is
-// bounded; under pathological contention the new event itself is counted
+// evicts the oldest buffered item and retries. The retry count is
+// bounded; under pathological contention the new item itself is counted
 // dropped instead of spinning.
-func (s *Subscriber) offer(ev Event) {
+func (s *Sub[T]) offer(v T) {
 	for i := 0; i < 4; i++ {
 		select {
-		case s.ch <- ev:
+		case s.ch <- v:
 			return
 		default:
 		}
@@ -85,36 +96,46 @@ func (s *Subscriber) offer(ev Event) {
 }
 
 // Subscribe attaches a new subscriber.
-func (h *Hub) Subscribe() *Subscriber {
-	sub := &Subscriber{ch: make(chan Event, h.ring)}
-	h.mu.Lock()
-	h.subs[sub] = struct{}{}
-	metHubSubscribers.Set(int64(len(h.subs)))
-	h.mu.Unlock()
+func (f *Fanout[T]) Subscribe() *Sub[T] {
+	sub := &Sub[T]{ch: make(chan T, f.ring)}
+	f.mu.Lock()
+	f.subs[sub] = struct{}{}
+	metHubSubscribers.Set(int64(len(f.subs)))
+	f.mu.Unlock()
 	return sub
 }
 
-// Unsubscribe detaches a subscriber; its channel is left open (the hub
+// Unsubscribe detaches a subscriber; its channel is left open (the fan-out
 // simply stops publishing to it), so a racing Publish never sends on a
 // closed channel.
-func (h *Hub) Unsubscribe(sub *Subscriber) {
-	h.mu.Lock()
-	delete(h.subs, sub)
-	metHubSubscribers.Set(int64(len(h.subs)))
-	h.mu.Unlock()
+func (f *Fanout[T]) Unsubscribe(sub *Sub[T]) {
+	f.mu.Lock()
+	delete(f.subs, sub)
+	metHubSubscribers.Set(int64(len(f.subs)))
+	f.mu.Unlock()
 }
 
 // Subscribers reports the number of attached consumers.
-func (h *Hub) Subscribers() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
+func (f *Fanout[T]) Subscribers() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.subs)
+}
+
+// Publish delivers v to every subscriber without blocking.
+func (f *Fanout[T]) Publish(v T) {
+	metHubPublished.Inc()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for sub := range f.subs {
+		sub.offer(v)
+	}
 }
 
 // Publish delivers a signal to every subscriber without blocking. Safe for
 // use as a Pipeline sink.
 func (h *Hub) Publish(sig rrr.Signal) {
-	h.publish(Event{Signal: sig})
+	h.Fanout.Publish(Event{Signal: sig})
 }
 
 // PublishRouting delivers a routing event to every subscriber. The event
@@ -122,7 +143,7 @@ func (h *Hub) Publish(sig rrr.Signal) {
 // the pipeline's OnWindowClose marker, so per-stream ordering is
 // signals → routing events → window marker.
 func (h *Hub) PublishRouting(ev events.Event) {
-	h.publish(Event{Routing: &ev, WindowStart: ev.WindowStart})
+	h.Fanout.Publish(Event{Routing: &ev, WindowStart: ev.WindowStart})
 }
 
 // PublishWindow delivers a window-close marker to every subscriber. The
@@ -131,14 +152,5 @@ func (h *Hub) PublishRouting(ev events.Event) {
 // window's signals (drop-oldest overflow can discard either — dropped
 // counts surface the gap).
 func (h *Hub) PublishWindow(ws int64) {
-	h.publish(Event{WindowStart: ws, Window: true})
-}
-
-func (h *Hub) publish(ev Event) {
-	metHubPublished.Inc()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for sub := range h.subs {
-		sub.offer(ev)
-	}
+	h.Fanout.Publish(Event{WindowStart: ws, Window: true})
 }

@@ -17,9 +17,9 @@ import (
 // (border-router signals need Geo, IXP signals need Rel).
 type Options struct {
 	// Config tunes windows and calibration; DefaultConfig() if zero.
-	// Config.Shards sets engine parallelism (0 means GOMAXPROCS, 1 runs
-	// the exact serial path) and is honored even when the rest of the
-	// config is zero.
+	// Config.Shards sets engine parallelism (0 means GOMAXPROCS, 1 closes
+	// every window on the caller's goroutine) and is honored even when the
+	// rest of the config is zero.
 	Config Config
 	// Mapper resolves hop addresses to origin ASes and IXP LANs
 	// (longest-prefix matching over collector RIBs plus IXP prefix lists;
@@ -46,7 +46,7 @@ type Options struct {
 // does).
 type Monitor struct {
 	mu       sync.RWMutex
-	engine   *core.Sharded
+	engine   *core.Engine
 	corp     *corpus.Corpus
 	window   int64
 	cur      int64
@@ -84,7 +84,7 @@ func NewMonitor(opts Options) (*Monitor, error) {
 		cfg = DefaultConfig()
 		cfg.Shards = shards
 	}
-	eng := core.NewSharded(cfg, opts.Mapper, opts.Aliases, opts.Geo, opts.Rel)
+	eng := core.NewEngine(cfg, opts.Mapper, opts.Aliases, opts.Geo, opts.Rel)
 	if opts.IXPMembers != nil {
 		eng.SetInitialIXPMembership(opts.IXPMembers)
 	}

@@ -542,8 +542,11 @@ func handleFeedErr[T any](rc *pipeShared, f *feed[T], ferr error, resume int64) 
 			f.replay = append(f.replay[:0:0], f.winItems...)
 			f.replayIdx = 0
 		}
-		spawnFeed(rc, f, read)
+		// Before the reader starts: a short reopened stream can reach EOF
+		// at once, and a resume note landing after that would put the
+		// feed's status back to running for good.
 		rc.health.noteResume(f.name, resume)
+		spawnFeed(rc, f, read)
 		return true, nil
 	}
 	f.met.dead.Inc()

@@ -43,7 +43,7 @@ type (
 	// Technique identifies which of the six techniques fired.
 	Technique = core.Technique
 	// Config tunes windows, calibration, revocation, and engine
-	// parallelism (Shards; 0 = GOMAXPROCS, 1 = serial).
+	// parallelism (Shards; 0 = GOMAXPROCS, 1 = no goroutines).
 	Config = core.Config
 	// Registration is a potential signal covering part of a traceroute.
 	Registration = core.Registration
