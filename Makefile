@@ -7,12 +7,13 @@ FUZZ_TARGETS := \
 	internal/bgp:FuzzParsePath \
 	internal/bgp:FuzzParseCommunity \
 	internal/wal:FuzzWALReader \
+	internal/server:FuzzParseKey \
 	internal/feedwire:FuzzFrameReader \
 	internal/events:FuzzTruthCodec \
 	internal/anomaly:FuzzZScoreDegenerate \
 	internal/anomaly:FuzzBitmapDetector
 
-.PHONY: build test vet race bench bench-json fuzz crashtest clustertest chaostest feedtest scenariotest benchtest verify
+.PHONY: build test vet race bench fuzz crashtest clustertest chaostest feedtest scenariotest benchtest verify
 
 build:
 	$(GO) build ./...
@@ -32,28 +33,11 @@ race:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 10x ./internal/core/
 
-# Machine-readable bench record: engine + serve + cluster throughput plus
-# a full metrics-registry snapshot, diffable across PRs. BENCH_PR names
-# the output (BENCH_$(BENCH_PR).json) so each PR commits its own record
-# without clobbering earlier baselines; benchgate then enforces the
-# sharded-engine speedup floor (skipped automatically on 1-core hosts)
-# and the cluster floor: at every K the router-merged req/s must hold a
-# fraction of the single-node baseline, so a change that serializes the
-# fan-out fails the build instead of landing quietly. The floor is set
-# for the worst case (a 1-core runner, where router, K workers, and the
-# load generator all share the core); multi-core hosts clear it by a
-# wide margin.
-BENCH_PR ?= pr10
-bench-json:
-	$(GO) run ./cmd/rrrbench -only enginebench,servebench,clusterbench,feedbench,scenariobench -benchout BENCH_$(BENCH_PR).json
-	$(GO) run ./cmd/benchgate -min-speedup 1.0 -min-cluster-frac 0.03 -min-degraded-frac 0.02 -min-feed-frac 0.2 \
-		-min-event-precision 0.85 -min-event-recall 0.9 -max-stale-degradation 0.05 BENCH_$(BENCH_PR).json
-
 # Short fuzz pass over every entry point that consumes untrusted bytes:
 # the BGP parsers (MRT, binary, and text codecs; path and community
-# parsers) and the WAL segment reader. Each pkg:Target entry gets FUZZTIME
-# of coverage-guided input on top of its seed corpus. Go allows one -fuzz
-# target per invocation, hence the loop.
+# parsers), the WAL segment reader, and the HTTP pair-key parser. Each
+# pkg:Target entry gets FUZZTIME of coverage-guided input on top of its
+# seed corpus. Go allows one -fuzz target per invocation, hence the loop.
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; tgt=$${t##*:}; \

@@ -8,46 +8,30 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"runtime"
-	"strconv"
+	"slices"
 	"strings"
-	"time"
 
-	"rrr/internal/cluster"
 	"rrr/internal/experiments"
-	"rrr/internal/feedwire"
 	"rrr/internal/netsim"
-	"rrr/internal/obs"
-	"rrr/internal/server"
 )
+
+// experimentNames is every name -only accepts.
+var experimentNames = []string{
+	"fig1", "table2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
+	"fig12", "fig13", "fig14", "fig15", "fig16", "scenariobench",
+}
 
 func main() {
 	scale := flag.String("scale", "quick", "experiment scale: quick or paper")
 	days := flag.Int("days", 0, "override experiment duration in days")
 	seed := flag.Int64("seed", 0, "override simulation seed (0 keeps the scale default)")
-	only := flag.String("only", "", "comma-separated experiment list (fig1,table2,fig6,fig7,fig8,fig9,fig10,fig11,fig12,fig13,fig14,fig15,fig16,enginebench,servebench,clusterbench,feedbench,scenariobench)")
-	shards := flag.String("shards", "1,2,4", "shard counts for -only enginebench (comma-separated)")
-	clients := flag.Int("clients", 8, "concurrent clients for -only servebench/clusterbench")
-	requests := flag.Int("requests", 2000, "total batch requests for -only servebench/clusterbench")
-	batch := flag.Int("batch", 64, "keys per batch for -only servebench/clusterbench")
-	clusterWorkers := flag.String("cluster-workers", "1,2,4", "worker counts for -only clusterbench (comma-separated)")
+	only := flag.String("only", "", "comma-separated experiment list ("+strings.Join(experimentNames, ",")+")")
 	scenarioSeed := flag.Int64("scenario-seed", 4242, "episode-schedule seed for -only scenariobench")
-	metrics := flag.Bool("metrics", false, "dump the obs metrics registry (Prometheus text) after the run")
-	benchout := flag.String("benchout", "", "write machine-readable bench results + registry snapshot to this JSON file")
-	gomaxprocs := flag.Int("gomaxprocs", 0, "GOMAXPROCS for the run (0 keeps the runtime default: all cores)")
 	flag.Parse()
-
-	if *gomaxprocs > 0 {
-		runtime.GOMAXPROCS(*gomaxprocs)
-	}
-	// Speedup numbers are meaningless without knowing how many cores the
-	// run actually had; print it and record it in -benchout.
-	fmt.Printf("GOMAXPROCS=%d (NumCPU=%d)\n", runtime.GOMAXPROCS(0), runtime.NumCPU())
 
 	var sc experiments.Scale
 	switch *scale {
@@ -69,9 +53,16 @@ func main() {
 	want := map[string]bool{}
 	if *only != "" {
 		for _, name := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(name)] = true
+			name = strings.TrimSpace(name)
+			if !slices.Contains(experimentNames, name) {
+				fmt.Fprintf(os.Stderr, "unknown -only entry %q (valid: %s)\n", name, strings.Join(experimentNames, ","))
+				os.Exit(2)
+			}
+			want[name] = true
 		}
 	}
+	fmt.Printf("GOMAXPROCS=%d (NumCPU=%d)\n", runtime.GOMAXPROCS(0), runtime.NumCPU())
+
 	run := func(names ...string) bool {
 		if len(want) == 0 {
 			return true
@@ -130,194 +121,14 @@ func main() {
 			printFig15(c)
 		}
 	}
-	var engineResults []experiments.EngineBenchResult
-	var serveResult *server.ServeBenchResult
-	if len(want) != 0 && want["enginebench"] {
-		var counts []int
-		for _, s := range strings.Split(*shards, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "bad -shards entry %q\n", s)
-				os.Exit(2)
-			}
-			counts = append(counts, n)
-		}
-		engineResults = experiments.RunEngineBench(sc, counts)
-		printEngineBench(engineResults)
-	}
 	if run("fig16") {
 		printFig16(experiments.RunIPlane(sc))
 	}
-	if len(want) != 0 && want["servebench"] {
-		r, err := server.RunServeBench(sc, *clients, *requests, *batch)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "servebench: %v\n", err)
-			os.Exit(1)
-		}
-		serveResult = r
-		printServeBench(r)
+	// The adversarial-pack run is not one of the paper's figures: it only
+	// runs when asked for by name.
+	if want["scenariobench"] {
+		printScenarioBench(experiments.RunScenarioAccuracy(sc, netsim.FullPack(), *scenarioSeed), *scenarioSeed)
 	}
-	var clusterResult *cluster.BenchResult
-	if len(want) != 0 && want["clusterbench"] {
-		var counts []int
-		for _, s := range strings.Split(*clusterWorkers, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "bad -cluster-workers entry %q\n", s)
-				os.Exit(2)
-			}
-			counts = append(counts, n)
-		}
-		r, err := cluster.RunBench(sc, counts, *clients, *requests, *batch)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clusterbench: %v\n", err)
-			os.Exit(1)
-		}
-		clusterResult = r
-		printClusterBench(r)
-	}
-	var feedResult *feedwire.BenchResult
-	if len(want) != 0 && want["feedbench"] {
-		r, err := feedwire.RunBench(sc)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "feedbench: %v\n", err)
-			os.Exit(1)
-		}
-		feedResult = r
-		printFeedBench(r)
-	}
-	var scenarioResult *experiments.ScenarioResult
-	if len(want) != 0 && want["scenariobench"] {
-		scenarioResult = experiments.RunScenarioAccuracy(sc, netsim.FullPack(), *scenarioSeed)
-		printScenarioBench(scenarioResult, *scenarioSeed)
-	}
-
-	if *metrics {
-		fmt.Println("\n=== Metrics registry ===")
-		obs.Default.WritePrometheus(os.Stdout)
-	}
-	if *benchout != "" {
-		if err := writeBenchJSON(*benchout, *scale, sc, engineResults, serveResult, clusterResult, feedResult, scenarioResult); err != nil {
-			fmt.Fprintf(os.Stderr, "benchout: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s\n", *benchout)
-	}
-}
-
-// benchJSON is the machine-readable record written by -benchout: the bench
-// numbers plus a full registry snapshot so regressions in both throughput
-// and internal counters (e.g. shard imbalance) are diffable across PRs.
-type benchJSON struct {
-	Scale      string `json:"scale"`
-	Days       int    `json:"days"`
-	Seed       int64  `json:"seed"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// GitSHA pins the record to the commit it measured (empty outside a
-	// git checkout).
-	GitSHA string `json:"gitSha,omitempty"`
-	// Shards lists the engine shard counts swept, in run order.
-	Shards []int                           `json:"shards,omitempty"`
-	Engine []experiments.EngineBenchResult `json:"engine,omitempty"`
-	Serve  *server.ServeBenchResult        `json:"serve,omitempty"`
-	// Cluster records router-merged throughput per worker count against
-	// the single-node baseline; ClusterPartitions is the hash-ring
-	// partition count those topologies divided.
-	Cluster           *cluster.BenchResult `json:"cluster,omitempty"`
-	ClusterPartitions int                  `json:"clusterPartitions,omitempty"`
-	// Feed records networked-feed ingest throughput against the
-	// in-process baseline; benchgate floors Feed.WireFrac.
-	Feed *feedwire.BenchResult `json:"feed,omitempty"`
-	// Scenario records adversarial-pack accuracy: routing-event classifier
-	// precision/recall against the pack's ground-truth labels and the
-	// staleness-verdict degradation under adversarial churn; benchgate
-	// floors Precision/Recall and caps Degradation.
-	Scenario *experiments.ScenarioResult `json:"scenario,omitempty"`
-	Metrics  map[string]float64          `json:"metrics"`
-}
-
-func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
-}
-
-func writeBenchJSON(path, scale string, sc experiments.Scale,
-	engine []experiments.EngineBenchResult, serve *server.ServeBenchResult,
-	clusterRes *cluster.BenchResult, feed *feedwire.BenchResult,
-	scenario *experiments.ScenarioResult) error {
-	out := benchJSON{
-		Scale:      scale,
-		Days:       sc.Days,
-		Seed:       sc.SimCfg.Seed,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		GitSHA:     gitSHA(),
-		Engine:     engine,
-		Serve:      serve,
-		Cluster:    clusterRes,
-		Feed:       feed,
-		Scenario:   scenario,
-		Metrics:    obs.Default.Snapshot(),
-	}
-	if clusterRes != nil {
-		out.ClusterPartitions = clusterRes.Partitions
-	}
-	for _, r := range engine {
-		out.Shards = append(out.Shards, r.Shards)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func printServeBench(r *server.ServeBenchResult) {
-	fmt.Println("\n=== Serve bench: POST /v1/stale ===")
-	fmt.Printf("corpus=%d pairs, %d clients x %d reqs, batch=%d, windows ingested=%d\n",
-		r.CorpusSize, r.Clients, r.Requests/r.Clients, r.BatchSize, r.IngestedWindows)
-	fmt.Printf("%-14s %-10s %-12s %-12s %-10s %-10s %-10s\n",
-		"phase", "elapsed", "req/s", "keys/s", "p50", "p90", "p99")
-	fmt.Printf("%-14s %-10s %-12.0f %-12.0f %-10s %-10s %-10s\n",
-		"during-ingest", r.Elapsed.Round(time.Millisecond), r.ReqPerSec, r.KeysPerSec,
-		r.P50.Round(time.Microsecond), r.P90.Round(time.Microsecond), r.P99.Round(time.Microsecond))
-	fmt.Printf("%-14s %-10s %-12.0f %-12.0f %-10s %-10s %-10s\n",
-		"cached", r.CachedElapsed.Round(time.Millisecond), r.CachedReqPerSec, r.CachedKeysPerSec,
-		r.CachedP50.Round(time.Microsecond), r.CachedP90.Round(time.Microsecond), r.CachedP99.Round(time.Microsecond))
-	fmt.Printf("stale verdicts (ingest phase): %d\n", r.StaleVerdicts)
-}
-
-func printClusterBench(r *cluster.BenchResult) {
-	fmt.Println("\n=== Cluster bench: router-merged POST /v1/stale vs single node ===")
-	fmt.Printf("corpus=%d pairs over %d partitions, %d clients x %d reqs, batch=%d\n",
-		r.CorpusSize, r.Partitions, r.Clients, r.Requests/r.Clients, r.BatchSize)
-	fmt.Printf("%-12s %-10s %-12s %-12s %-10s %-10s %-10s\n",
-		"topology", "elapsed", "req/s", "keys/s", "p50", "p90", "p99")
-	row := func(name string, t cluster.BenchTopology) {
-		fmt.Printf("%-12s %-10s %-12.0f %-12.0f %-10s %-10s %-10s\n",
-			name, t.Elapsed.Round(time.Millisecond), t.ReqPerSec, t.KeysPerSec,
-			t.P50.Round(time.Microsecond), t.P90.Round(time.Microsecond), t.P99.Round(time.Microsecond))
-	}
-	row("single", r.Single)
-	for _, t := range r.Routed {
-		row(fmt.Sprintf("router K=%d", t.Workers), t)
-	}
-	for _, t := range r.Degraded {
-		// Same router topology with the last worker down: the standby
-		// replicas carry its partitions, so req/s here is failover cost.
-		row(fmt.Sprintf("K=%d -1w", t.Workers), t)
-	}
-}
-
-func printFeedBench(r *feedwire.BenchResult) {
-	fmt.Println("\n=== Feed bench: wire ingest vs in-process ===")
-	fmt.Printf("records: %d updates + %d traces per run\n", r.Updates, r.Traces)
-	fmt.Printf("%-12s %-12s %-14s\n", "mode", "elapsed", "records/s")
-	fmt.Printf("%-12s %-12s %-14.0f\n", "in-process", r.InProcElapsed.Round(time.Microsecond), r.InProcPerSec)
-	fmt.Printf("%-12s %-12s %-14.0f\n", "wire", r.WireElapsed.Round(time.Microsecond), r.WirePerSec)
-	fmt.Printf("wire fraction of in-process: %.3f\n", r.WireFrac)
 }
 
 func printScenarioBench(r *experiments.ScenarioResult, seed int64) {
@@ -333,18 +144,6 @@ func printScenarioBench(r *experiments.ScenarioResult, seed int64) {
 	fmt.Printf("overall: precision=%.3f recall=%.3f\n", r.Precision, r.Recall)
 	fmt.Printf("staleness verdict accuracy: benign=%.3f adversarial=%.3f degradation=%.3f\n",
 		r.BenignStaleAcc, r.AdversarialStaleAcc, r.Degradation)
-}
-
-func printEngineBench(rs []experiments.EngineBenchResult) {
-	fmt.Println("\n=== Engine bench: feed throughput by shard count ===")
-	fmt.Printf("(GOMAXPROCS=%d; speedup needs that many real cores)\n", runtime.GOMAXPROCS(0))
-	fmt.Printf("%-8s %-8s %-8s %-9s %-12s %-12s %-8s\n",
-		"shards", "windows", "pairs", "signals", "elapsed", "per-window", "speedup")
-	for _, r := range rs {
-		fmt.Printf("%-8d %-8d %-8d %-9d %-12s %-12s %-8.2f\n",
-			r.Shards, r.Windows, r.Pairs, r.Signals, r.Elapsed.Round(time.Millisecond),
-			r.PerWindow.Round(time.Microsecond), r.Speedup)
-	}
 }
 
 func printFig1(r *experiments.RetroResult) {

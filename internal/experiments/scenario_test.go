@@ -17,46 +17,62 @@ func mustPrefix(t *testing.T, s string) trie.Prefix {
 	return p
 }
 
-// TestScenarioAccuracy runs the headline adversarial harness at test scale
-// and pins loose floors under the calibrated BENCH gates: the classifiers
+// TestScenarioAccuracy runs the headline adversarial harness (full pack,
+// seed 4242) and floors what protects the paper's science: the classifiers
 // must find nearly everything the pack injected without drowning in false
 // positives, and the staleness engine's verdict accuracy must not collapse
-// under adversarial churn.
+// under adversarial churn. The reduced scale keeps loose floors; the default
+// quick scale is the calibrated run (precision 0.950, recall 1.000,
+// degradation 0.002) and holds the tight ones.
 func TestScenarioAccuracy(t *testing.T) {
-	sc := QuickScale()
-	sc.Days = 4
-	sc.PublicPerWindow = 20
-	res := RunScenarioAccuracy(sc, netsim.FullPack(), 4242)
+	reduced := QuickScale()
+	reduced.Days = 4
+	reduced.PublicPerWindow = 20
+	for _, tc := range []struct {
+		name           string
+		scale          Scale
+		minTruths      int
+		minPrecision   float64
+		minRecall      float64
+		maxDegradation float64
+	}{
+		{"reduced", reduced, 10, 0.8, 0.8, 0.1},
+		{"quick", QuickScale(), 1, 0.85, 0.9, 0.05},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := RunScenarioAccuracy(tc.scale, netsim.FullPack(), 4242)
 
-	if res.TruthCount < 10 {
-		t.Fatalf("vacuous scenario: only %d ground-truth episodes", res.TruthCount)
-	}
-	if res.EventCount == 0 {
-		t.Fatal("detector emitted no events under a full pack")
-	}
-	if res.Precision < 0.8 {
-		t.Errorf("event precision %.3f below floor 0.8 (classes: %+v)", res.Precision, res.Classes)
-	}
-	if res.Recall < 0.8 {
-		t.Errorf("event recall %.3f below floor 0.8 (classes: %+v)", res.Recall, res.Classes)
-	}
-	if res.BenignStaleAcc <= 0.5 {
-		t.Errorf("benign staleness accuracy %.3f is no better than chance", res.BenignStaleAcc)
-	}
-	if res.Degradation > 0.1 {
-		t.Errorf("adversarial churn degraded staleness accuracy by %.3f (benign %.3f, adversarial %.3f)",
-			res.Degradation, res.BenignStaleAcc, res.AdversarialStaleAcc)
-	}
-	// Every enabled class should have produced at least one ground-truth
-	// episode at this scale except diurnal's long-horizon label.
-	seen := map[string]bool{}
-	for _, cs := range res.Classes {
-		seen[cs.Class] = true
-	}
-	for _, want := range []string{"hijack-origin", "hijack-moas", "hijack-subprefix", "route-leak", "blackhole", "trace-cycle", "trace-diamond"} {
-		if !seen[want] {
-			t.Errorf("no score row for class %s: %+v", want, res.Classes)
-		}
+			if res.TruthCount < tc.minTruths {
+				t.Fatalf("vacuous scenario: only %d ground-truth episodes", res.TruthCount)
+			}
+			if res.EventCount == 0 {
+				t.Fatal("detector emitted no events under a full pack")
+			}
+			if res.Precision < tc.minPrecision {
+				t.Errorf("event precision %.3f below floor %v (classes: %+v)", res.Precision, tc.minPrecision, res.Classes)
+			}
+			if res.Recall < tc.minRecall {
+				t.Errorf("event recall %.3f below floor %v (classes: %+v)", res.Recall, tc.minRecall, res.Classes)
+			}
+			if res.BenignStaleAcc <= 0.5 {
+				t.Errorf("benign staleness accuracy %.3f is no better than chance", res.BenignStaleAcc)
+			}
+			if res.Degradation > tc.maxDegradation {
+				t.Errorf("adversarial churn degraded staleness accuracy by %.3f, cap %v (benign %.3f, adversarial %.3f)",
+					res.Degradation, tc.maxDegradation, res.BenignStaleAcc, res.AdversarialStaleAcc)
+			}
+			// Every enabled class should have produced at least one ground-truth
+			// episode at this scale except diurnal's long-horizon label.
+			seen := map[string]bool{}
+			for _, cs := range res.Classes {
+				seen[cs.Class] = true
+			}
+			for _, want := range []string{"hijack-origin", "hijack-moas", "hijack-subprefix", "route-leak", "blackhole", "trace-cycle", "trace-diamond"} {
+				if !seen[want] {
+					t.Errorf("no score row for class %s: %+v", want, res.Classes)
+				}
+			}
+		})
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"rrr"
 	"rrr/internal/bgp"
 	"rrr/internal/bordermap"
-	"rrr/internal/experiments"
 )
 
 // testMapper: AS by first octet; 240.x is IXP 1 (mirrors the facade tests).
@@ -158,6 +157,30 @@ func TestKeyRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseKey: whatever ParseKey accepts is a plain "src-dst"/"src->dst" of
+// unsigned dotted quads and survives the canonical form unchanged.
+func FuzzParseKey(f *testing.F) {
+	for _, s := range []string{
+		"1.2.3.4-5.6.7.8", "1.2.3.4->5.6.7.8", "", "-", "->", "1.2.3.4", "1.2.3.4-",
+		"+1.2.3.4-5.6.7.8", "1.2.3.4-+5.6.7.8", "1.2.3.4--0.0.0.0", "1.2.3.4->-0.0.0.0",
+		"1.2.+3.4->5.6.7.8", "256.2.3.4-5.6.7.8", "1.2.3.4-5.6.7.99999999999999999999",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		k, err := ParseKey(s)
+		if err != nil {
+			return
+		}
+		if strings.Contains(s, "+") || strings.Count(s, "-") != 1 {
+			t.Fatalf("ParseKey(%q) accepted a signed octet: %v", s, k)
+		}
+		if back, err := ParseKey(FormatKey(k)); err != nil || back != k {
+			t.Fatalf("ParseKey(FormatKey(%v)) = %v, %v", k, back, err)
+		}
+	})
+}
+
 func TestStaleOneEndpoint(t *testing.T) {
 	m, stale, fresh := newStaleMonitor(t)
 	ts := httptest.NewServer(New(m, Config{}).Handler())
@@ -189,9 +212,11 @@ func TestStaleOneEndpoint(t *testing.T) {
 		t.Fatalf("untracked verdict = %+v", v)
 	}
 
-	// Malformed key.
-	if code := getJSON(t, ts, "/v1/stale/not-a-key", nil); code != http.StatusBadRequest {
-		t.Fatalf("bad key status = %d", code)
+	// Malformed keys, a signed octet among them.
+	for _, bad := range []string{"not-a-key", "+10.3.0.1-10.9.0.9"} {
+		if code := getJSON(t, ts, "/v1/stale/"+bad, nil); code != http.StatusBadRequest {
+			t.Fatalf("bad key %q status = %d", bad, code)
+		}
 	}
 }
 
@@ -590,25 +615,5 @@ func TestSSESignals(t *testing.T) {
 	}
 	if sig.Key != FormatKey(stale.Key()) || sig.Technique != rrr.TechBGPASPath.String() {
 		t.Fatalf("signal = %+v", sig)
-	}
-}
-
-func TestServeBenchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("servebench smoke is slow")
-	}
-	// A tiny run proves the harness wiring end to end: requests flow while
-	// the pipeline ingests, percentiles fill, shutdown doesn't deadlock.
-	sc := experiments.QuickScale()
-	sc.Days = 1
-	res, err := RunServeBench(sc, 2, 8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests != 8 || res.BatchSize != 4 || res.CorpusSize == 0 {
-		t.Fatalf("result = %+v", res)
-	}
-	if res.P50 <= 0 || res.ReqPerSec <= 0 {
-		t.Fatalf("latency stats empty: %+v", res)
 	}
 }

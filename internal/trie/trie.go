@@ -7,7 +7,6 @@ package trie
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -60,8 +59,8 @@ func ParsePrefix(s string) (Prefix, error) {
 	if err != nil {
 		return Prefix{}, fmt.Errorf("trie: bad prefix %q: %w", s, err)
 	}
-	l, err := strconv.Atoi(s[slash+1:])
-	if err != nil || l < 0 || l > 32 {
+	l, ok := parseUint8(s[slash+1:])
+	if !ok || l > 32 {
 		return Prefix{}, fmt.Errorf("trie: bad prefix %q: invalid length", s)
 	}
 	return MakePrefix(addr, uint8(l)), nil
@@ -80,13 +79,26 @@ func ParseIP(s string) (uint32, error) {
 	}
 	var ip uint32
 	for _, p := range parts {
-		o, err := strconv.Atoi(p)
-		if err != nil || o < 0 || o > 255 {
+		o, ok := parseUint8(p)
+		if !ok {
 			return 0, fmt.Errorf("trie: bad ip %q: octet out of range", s)
 		}
-		ip = ip<<8 | uint32(o)
+		ip = ip<<8 | o
 	}
 	return ip, nil
+}
+
+// parseUint8 parses one or more ASCII digits with a value of at most 255.
+// Unlike strconv.Atoi it takes no sign: these strings arrive from outside.
+func parseUint8(s string) (uint32, bool) {
+	var v uint32
+	for i := 0; i < len(s); i++ {
+		d := uint32(s[i] - '0') // a non-digit byte wraps past 9
+		if v = v*10 + d; d > 9 || v > 255 {
+			return 0, false
+		}
+	}
+	return v, s != ""
 }
 
 type node[V any] struct {

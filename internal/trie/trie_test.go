@@ -42,12 +42,13 @@ func TestParsePrefixCanonicalizes(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, s := range []string{"", "10.0.0.0", "10.0.0.0/33", "256.0.0.0/8", "a.b.c.d/8"} {
+	for _, s := range []string{"", "10.0.0.0", "10.0.0.0/33", "256.0.0.0/8", "a.b.c.d/8", "10.0.0.0/+8", "10.0.0.0/-0", "+10.0.0.0/8"} {
 		if _, err := ParsePrefix(s); err == nil {
 			t.Errorf("ParsePrefix(%q): want error", s)
 		}
 	}
-	for _, s := range []string{"", "10.0.0", "256.1.1.1", "1.2.3.4.5"} {
+	for _, s := range []string{"", "10.0.0", "256.1.1.1", "1.2.3.4.5",
+		"+1.2.3.4", "-0.0.0.0", "1.2.3.+4", "1.-0.3.4", "1..3.4", "1.2.3.4 ", "1.2.3.99999999999999999999"} {
 		if _, err := ParseIP(s); err == nil {
 			t.Errorf("ParseIP(%q): want error", s)
 		}

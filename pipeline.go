@@ -706,11 +706,7 @@ func RunPipeline(ctx context.Context, m *Monitor, cfg PipelineConfig) error {
 		}
 	}
 
-	var (
-		window  = m.WindowSec()
-		curIdx  int64
-		started bool
-	)
+	clk := windowClock{window: m.WindowSec()}
 	// A recovery resume continues the replayed run's open window: the
 	// clock starts there, the initial opens ask the feeds for records
 	// from that point, and the records the replay already ingested seed
@@ -720,8 +716,7 @@ func RunPipeline(ctx context.Context, m *Monitor, cfg PipelineConfig) error {
 	startSince := int64(ResumeAll)
 	if cfg.Resume != nil && cfg.Resume.WindowStart != ResumeAll {
 		startSince = cfg.Resume.WindowStart
-		started = true
-		curIdx = floorDiv(startSince, window)
+		clk.resume(startSince)
 		uf.winItems = append(uf.winItems, cfg.Resume.Updates...)
 		tf.winItems = append(tf.winItems, cfg.Resume.Traces...)
 		if len(cfg.Resume.Updates) > 0 {
@@ -793,46 +788,23 @@ func RunPipeline(ctx context.Context, m *Monitor, cfg PipelineConfig) error {
 			cfg.OnWindowClose(ws)
 		}
 	}
-	// Window indices use floor division so a pre-epoch (negative)
-	// timestamp lands in the window containing it, matching
-	// Monitor.Advance's first-window snap; truncating division would put
-	// t=-1 and t=+1 in the same window.
 	advanceTo := func(t int64) {
-		idx := floorDiv(t, window)
-		if !started {
-			started = true
-			curIdx = idx
-			return
-		}
-		if curIdx < idx {
-			for ; curIdx < idx; curIdx++ {
-				closeWin(curIdx * window)
-			}
+		if clk.advanceTo(t, closeWin) {
 			// A new window opened: everything ingested before it is
 			// behind a completed boundary and will never be replayed.
 			uf.winItems = uf.winItems[:0]
 			tf.winItems = tf.winItems[:0]
 		}
 	}
-	// resumePoint is where a reopened feed must restart: the open
-	// window's start (everything before it was delivered as final
-	// signals when the window closed), or the stream's beginning before
-	// any record was ingested.
-	resumePoint := func() int64 {
-		if !started {
-			return ResumeAll
-		}
-		return curIdx * window
-	}
 
-	// finish closes the currently-open window on the way out of a
-	// cancelled or feed-error run, so already-ingested observations still
-	// produce their signals (graceful-shutdown drain); the feed-error path
-	// matters because a decode failure otherwise silently discards every
-	// observation buffered since the last window boundary.
+	// finish closes the currently-open window on every way out — feeds
+	// exhausted, cancelled, feed error — so already-ingested observations
+	// still produce their signals (graceful-shutdown drain); the feed-error
+	// path matters because a decode failure otherwise silently discards
+	// every observation buffered since the last window boundary.
 	finish := func(err error) error {
-		if started {
-			closeWin(curIdx * window)
+		if clk.started {
+			closeWin(clk.openStart())
 		}
 		return err
 	}
@@ -852,7 +824,7 @@ func RunPipeline(ctx context.Context, m *Monitor, cfg PipelineConfig) error {
 			if err == errPipelineCancelled {
 				return finish(ctx.Err())
 			}
-			ok, ferr := handleFeedErr(rc, uf, err, resumePoint())
+			ok, ferr := handleFeedErr(rc, uf, err, clk.openStart())
 			if !ok {
 				if ferr == errPipelineCancelled {
 					return finish(ctx.Err())
@@ -865,7 +837,7 @@ func RunPipeline(ctx context.Context, m *Monitor, cfg PipelineConfig) error {
 			if err == errPipelineCancelled {
 				return finish(ctx.Err())
 			}
-			ok, ferr := handleFeedErr(rc, tf, err, resumePoint())
+			ok, ferr := handleFeedErr(rc, tf, err, clk.openStart())
 			if !ok {
 				if ferr == errPipelineCancelled {
 					return finish(ctx.Err())
@@ -917,10 +889,48 @@ func RunPipeline(ctx context.Context, m *Monitor, cfg PipelineConfig) error {
 		default:
 			// Both feeds exhausted (or dead): close the final window and
 			// surface any deferred dead-feed errors.
-			if started {
-				closeWin(curIdx * window)
-			}
+			finish(nil)
 			return errors.Join(uf.deadErr, tf.deadErr, walErr)
 		}
 	}
+}
+
+// windowClock is the window bookkeeping live ingest (RunPipeline) and WAL
+// replay (Recovery) share, so both close the same windows. Indices use floor
+// division so a pre-epoch (negative) timestamp lands in the window containing
+// it, matching Monitor.Advance's first-window snap; truncating division would
+// put t=-1 and t=+1 in the same window.
+type windowClock struct {
+	window  int64
+	idx     int64
+	started bool
+}
+
+// resume starts the clock in the window beginning at start.
+func (c *windowClock) resume(start int64) {
+	c.started, c.idx = true, floorDiv(start, c.window)
+}
+
+// openStart is the open window's start, where a reopened feed must restart
+// (earlier windows are final); ResumeAll before any record was ingested.
+func (c *windowClock) openStart() int64 {
+	if !c.started {
+		return ResumeAll
+	}
+	return c.idx * c.window
+}
+
+// advanceTo moves the clock to the window containing t. The first record
+// snaps the clock to its window; a later one calls closeWin for every window
+// it leaves behind, oldest first, and reports that a boundary was crossed.
+func (c *windowClock) advanceTo(t int64, closeWin func(ws int64)) bool {
+	idx := floorDiv(t, c.window)
+	if !c.started {
+		c.started, c.idx = true, idx
+	}
+	crossed := c.idx < idx
+	for ; c.idx < idx; c.idx++ {
+		closeWin(c.idx * c.window)
+	}
+	return crossed
 }

@@ -50,15 +50,12 @@ type RecoveryStats struct {
 // for the ResumeState to hand RunPipeline. Recovery does not close the
 // open window: the resumed pipeline continues it.
 type Recovery struct {
-	m      *Monitor
-	sink   func(Signal)
-	window int64
+	m    *Monitor
+	sink func(Signal)
+	clk  windowClock
 
 	watermark int64
 	haveWM    bool
-
-	curIdx  int64
-	started bool
 
 	ups   []Update
 	trs   []*Traceroute
@@ -70,10 +67,10 @@ type Recovery struct {
 // this. sink receives replayed windows' signals (nil discards them —
 // appropriate when no subscriber existed at crash time either).
 func NewRecovery(m *Monitor, sink func(Signal)) *Recovery {
-	r := &Recovery{m: m, sink: sink, window: m.WindowSec()}
+	r := &Recovery{m: m, sink: sink, clk: windowClock{window: m.WindowSec()}}
 	if start, opened := m.WindowClock(); opened {
 		r.watermark, r.haveWM = start, true
-		r.started, r.curIdx = true, floorDiv(start, r.window)
+		r.clk.resume(start)
 	}
 	return r
 }
@@ -108,41 +105,33 @@ func (r *Recovery) skip(t int64) bool {
 	return false
 }
 
-// advanceTo mirrors the pipeline's window bookkeeping: floor-divided
-// indices, windows closed on boundary crossings, open-window record
-// buffers cleared once a boundary completes them.
+// advanceTo closes the windows t leaves behind and, once a boundary has
+// completed them, clears the open-window record buffers.
 func (r *Recovery) advanceTo(t int64) {
-	idx := floorDiv(t, r.window)
-	if !r.started {
-		r.started = true
-		r.curIdx = idx
-		return
-	}
-	if r.curIdx < idx {
-		for ; r.curIdx < idx; r.curIdx++ {
-			sigs := r.m.CloseWindow(r.curIdx * r.window)
-			r.stats.Windows++
-			r.stats.Signals += len(sigs)
-			if r.sink != nil {
-				for _, s := range sigs {
-					r.sink(s)
-				}
-			}
-		}
+	if r.clk.advanceTo(t, r.closeWindow) {
 		r.ups = r.ups[:0]
 		r.trs = r.trs[:0]
 	}
 }
 
+func (r *Recovery) closeWindow(ws int64) {
+	sigs := r.m.CloseWindow(ws)
+	r.stats.Windows++
+	r.stats.Signals += len(sigs)
+	if r.sink != nil {
+		for _, s := range sigs {
+			r.sink(s)
+		}
+	}
+}
+
 // Finish returns the resume state for RunPipeline and the replay stats.
 func (r *Recovery) Finish() (*ResumeState, RecoveryStats) {
-	rs := &ResumeState{WindowStart: ResumeAll}
-	if r.started {
-		rs.WindowStart = r.curIdx * r.window
-		rs.Updates = append([]Update(nil), r.ups...)
-		rs.Traces = append([]*Traceroute(nil), r.trs...)
-	}
-	return rs, r.stats
+	return &ResumeState{
+		WindowStart: r.clk.openStart(),
+		Updates:     append([]Update(nil), r.ups...),
+		Traces:      append([]*Traceroute(nil), r.trs...),
+	}, r.stats
 }
 
 // skipUpdates / skipTraces drop the leading records of a time-ordered
