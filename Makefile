@@ -13,7 +13,7 @@ FUZZ_TARGETS := \
 	internal/anomaly:FuzzZScoreDegenerate \
 	internal/anomaly:FuzzBitmapDetector
 
-.PHONY: build test vet race bench fuzz crashtest clustertest chaostest feedtest scenariotest benchtest verify
+.PHONY: build test vet fmtcheck race bench fuzz crashtest clustertest chaostest feedtest scenariotest benchtest verify
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Fails listing every file gofmt would rewrite (benchmark/ included).
+fmtcheck:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 # The race detector matters here: the engine's sharded close, Monitor, and
 # Pipeline are concurrent, and the equivalence/concurrency tests only
@@ -94,7 +98,7 @@ scenariotest:
 benchtest:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Tier-1 verification plus vet, the race pass, and the benchmark module. The
-# server tests scrape GET /metrics (format, layer coverage, concurrent-scrape
-# race-cleanliness).
-verify: build vet test race benchtest
+# Tier-1 verification plus vet, gofmt, the race pass, and the benchmark
+# module. The server tests scrape GET /metrics (format, layer coverage,
+# concurrent-scrape race-cleanliness).
+verify: build vet fmtcheck test race benchtest

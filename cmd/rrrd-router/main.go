@@ -46,28 +46,25 @@ import (
 )
 
 func main() {
-	var (
-		addr      = flag.String("addr", ":8080", "HTTP listen address")
-		workers   = flag.String("workers", "", "comma-separated worker base URLs, ordered by worker ID")
-		parts     = flag.Int("partitions", cluster.DefaultPartitions, "hash-ring partition count (must match the workers)")
-		timeout   = flag.Duration("timeout", 2*time.Second, "per-worker sub-request timeout (one retry before a partition is reported unavailable)")
-		heartbeat = flag.Duration("heartbeat", 15*time.Second, "SSE keepalive interval")
-		ring      = flag.Int("ring", server.DefaultRingSize, "per-SSE-subscriber frame buffer")
-		maxBatch  = flag.Int("max-batch", 10000, "POST /v1/stale key limit")
-		backoff   = flag.Duration("stream-backoff", 100*time.Millisecond, "initial worker-stream reconnect delay")
-		brkThresh = flag.Int("breaker-threshold", cluster.DefaultBreakerThreshold, "consecutive worker failures before the circuit breaker opens")
-		brkCool   = flag.Duration("breaker-cooldown", cluster.DefaultBreakerCooldown, "open-breaker wait before a half-open /readyz probe")
-		inflight  = flag.Int("max-inflight", cluster.DefaultRouterMaxInFlight, "in-flight data-request bound; excess requests are shed with 429 + Retry-After")
-	)
+	var opts cluster.Options
+	addr := flag.String("addr", ":8080", "HTTP listen address")
+	workers := flag.String("workers", "", "comma-separated worker base URLs, ordered by worker ID")
+	flag.IntVar(&opts.Partitions, "partitions", cluster.DefaultPartitions, "hash-ring partition count (must match the workers)")
+	flag.DurationVar(&opts.Timeout, "timeout", 2*time.Second, "per-worker sub-request timeout (one retry before a partition is reported unavailable)")
+	flag.IntVar(&opts.RingSize, "ring", server.DefaultRingSize, "per-SSE-subscriber frame buffer")
+	flag.DurationVar(&opts.StreamBackoff, "stream-backoff", 100*time.Millisecond, "initial worker-stream reconnect delay")
+	flag.IntVar(&opts.BreakerThreshold, "breaker-threshold", cluster.DefaultBreakerThreshold, "consecutive worker failures before the circuit breaker opens")
+	flag.DurationVar(&opts.BreakerCooldown, "breaker-cooldown", cluster.DefaultBreakerCooldown, "open-breaker wait before a half-open /readyz probe")
+	flag.IntVar(&opts.MaxInFlight, "max-inflight", cluster.DefaultRouterMaxInFlight, "in-flight data-request bound; excess requests are shed with 429 + Retry-After")
 	flag.Parse()
 
-	if err := run(*addr, *workers, *parts, *timeout, *heartbeat, *ring, *maxBatch, *backoff, *brkThresh, *brkCool, *inflight); err != nil {
+	if err := run(*addr, *workers, opts); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, workers string, parts int, timeout, heartbeat time.Duration, ring, maxBatch int, backoff time.Duration, brkThresh int, brkCool time.Duration, inflight int) error {
+func run(addr, workers string, opts cluster.Options) error {
 	var urls []string
 	for _, u := range strings.Split(workers, ",") {
 		if u = strings.TrimSpace(u); u != "" {
@@ -77,19 +74,9 @@ func run(addr, workers string, parts int, timeout, heartbeat time.Duration, ring
 	if len(urls) == 0 {
 		return fmt.Errorf("rrrd-router: -workers needs at least one worker URL")
 	}
+	opts.Workers = urls
 
-	rt, err := cluster.NewRouter(cluster.Options{
-		Workers:          urls,
-		Partitions:       parts,
-		Timeout:          timeout,
-		Heartbeat:        heartbeat,
-		RingSize:         ring,
-		MaxBatch:         maxBatch,
-		StreamBackoff:    backoff,
-		BreakerThreshold: brkThresh,
-		BreakerCooldown:  brkCool,
-		MaxInFlight:      inflight,
-	})
+	rt, err := cluster.NewRouter(opts)
 	if err != nil {
 		return err
 	}

@@ -29,7 +29,7 @@ func writeSeed(dir, name string, lines ...string) {
 	}
 }
 
-func bytesLine(b []byte) string { return "[]byte(" + strconv.Quote(string(b)) + ")" }
+func bytesLine(b []byte) string  { return "[]byte(" + strconv.Quote(string(b)) + ")" }
 func stringLine(s string) string { return "string(" + strconv.Quote(s) + ")" }
 
 // mrtRecord frames one BGP4MP_MESSAGE_AS4 record around a raw BGP message.
@@ -39,8 +39,8 @@ func mrtRecord(ts uint32, msg []byte) []byte {
 	binary.BigEndian.PutUint32(t4[:], 65000) // peer AS
 	body = append(body, t4[:]...)
 	body = append(body, 0, 0, 0, 0) // local AS
-	body = append(body, 0, 0)      // ifindex
-	body = append(body, 0, 1)      // AFI IPv4
+	body = append(body, 0, 0)       // ifindex
+	body = append(body, 0, 1)       // AFI IPv4
 	body = append(body, 1, 2, 3, 4) // peer IP
 	body = append(body, 0, 0, 0, 0) // local IP
 	body = append(body, msg...)
@@ -106,13 +106,13 @@ func main() {
 	// FuzzBinaryReader: a valid record cut mid-body, and a record whose
 	// npath field promises more ASNs than the stream holds.
 	var rec bytes.Buffer
-	rec.Write([]byte{0xb6, 0x4d, 1, 0})                                  // magic, v1, announce
-	rec.Write([]byte{0, 0, 0, 0, 0, 0, 0, 100})                          // time
-	rec.Write([]byte{1, 2, 3, 4})                                        // peerIP
-	rec.Write([]byte{0, 0, 0xfd, 0xe8})                                  // peerAS
-	rec.Write([]byte{10, 0, 0, 0, 8})                                    // prefix 10.0.0.0/8
-	rec.Write([]byte{0, 0, 0, 0})                                        // MED
-	rec.Write([]byte{0xff, 0xff})                                        // npath = 65535, then nothing
+	rec.Write([]byte{0xb6, 0x4d, 1, 0})         // magic, v1, announce
+	rec.Write([]byte{0, 0, 0, 0, 0, 0, 0, 100}) // time
+	rec.Write([]byte{1, 2, 3, 4})               // peerIP
+	rec.Write([]byte{0, 0, 0xfd, 0xe8})         // peerAS
+	rec.Write([]byte{10, 0, 0, 0, 8})           // prefix 10.0.0.0/8
+	rec.Write([]byte{0, 0, 0, 0})               // MED
+	rec.Write([]byte{0xff, 0xff})               // npath = 65535, then nothing
 	writeSeed(filepath.Join(root, "FuzzBinaryReader"), "npath-overpromise", bytesLine(rec.Bytes()))
 	writeSeed(filepath.Join(root, "FuzzBinaryReader"), "midrecord-cut", bytesLine(rec.Bytes()[:9]))
 

@@ -30,7 +30,7 @@ type routingEvent struct {
 }
 
 // merger multiplexes K workers' SSE streams into one totally-ordered
-// stream. Workers delimit engine windows with `event: window` markers
+// stream. Workers delimit engine windows with `window` marker frames
 // (every worker ingests the full feed, so all close the same windows);
 // the merger buffers each worker's signals and flushes window W — all
 // buffered signals of W sorted by rrr.SignalLess, then W's marker — once
@@ -50,7 +50,7 @@ type routingEvent struct {
 // Degradation: a disconnected worker is excluded from the barrier so the
 // survivors' stream keeps flowing. Only when some partition has no
 // connected replica at all do flushed windows actually lose signals; the
-// merger counts those lossy windows and surfaces an `event: gap` frame —
+// merger counts those lossy windows and surfaces a `gap` frame —
 // with the count and window range, so consumers can size a catch-up
 // fetch — once coverage is restored.
 type merger struct {
@@ -110,12 +110,9 @@ func (m *merger) setConnected(w int, up bool) {
 			// merged stream will never re-send; say so — with the count
 			// and range, so consumers can size their catch-up fetch —
 			// rather than splicing silently.
-			frame := fmt.Sprintf(
-				"event: gap\ndata: {\"missedWindows\":%d,\"firstMissedWindow\":%d,\"lastMissedWindow\":%d}\n\n",
+			m.publishGap(`{"missedWindows":%d,"firstMissedWindow":%d,"lastMissedWindow":%d}`,
 				m.lossyCount, m.lossyFirst, m.lossyLast)
 			m.lossyCount = 0
-			metClusterStreamGaps.Inc()
-			m.hub.Publish([]byte(frame))
 		}
 	} else if wasUp {
 		// The stream died mid-window: whatever it buffered was never
@@ -216,9 +213,14 @@ func (m *merger) marker(w int, ws int64) {
 // unquantifiable hole. Surface it like a reconnect gap.
 func (m *merger) workerDropped(w int, n uint64) {
 	metClusterStreamLate.Add(n)
-	frame := fmt.Sprintf("event: gap\ndata: {\"worker\":%d,\"droppedUpstream\":%d}\n\n", w, n)
+	m.publishGap(`{"worker":%d,"droppedUpstream":%d}`, w, n)
+}
+
+// publishGap puts a `gap` frame — the router's own frame kind; no worker
+// emits one — on the merged stream.
+func (m *merger) publishGap(format string, args ...any) {
 	metClusterStreamGaps.Inc()
-	m.hub.Publish([]byte(frame))
+	m.hub.Publish(server.SSEFrame("gap", fmt.Appendf(nil, format, args...)))
 }
 
 // tryFlushLocked advances the barrier. The candidate is the smallest head
@@ -351,23 +353,15 @@ func (m *merger) flushWindowLocked(ws int64) {
 		return string(sigs[i].raw) < string(sigs[j].raw)
 	})
 	for _, ev := range sigs {
-		frame := make([]byte, 0, len(ev.raw)+24)
-		frame = append(frame, "event: signal\ndata: "...)
-		frame = append(frame, ev.raw...)
-		frame = append(frame, "\n\n"...)
-		m.hub.Publish(frame)
+		m.hub.Publish(server.SSEFrame("signal", ev.raw))
 		metClusterStreamSignals.Inc()
 	}
 	sort.SliceStable(routs, func(i, j int) bool { return events.EventLess(routs[i].ev, routs[j].ev) })
 	for _, rev := range routs {
-		frame := make([]byte, 0, len(rev.raw)+25)
-		frame = append(frame, "event: routing\ndata: "...)
-		frame = append(frame, rev.raw...)
-		frame = append(frame, "\n\n"...)
-		m.hub.Publish(frame)
+		m.hub.Publish(server.SSEFrame("routing", rev.raw))
 		metClusterStreamRouting.Inc()
 	}
-	m.hub.Publish([]byte(fmt.Sprintf("event: window\ndata: {\"windowStart\":%d}\n\n", ws)))
+	m.hub.Publish(server.WindowFrame(ws))
 	metClusterStreamWindows.Inc()
 	m.flushed = ws
 	m.hasFlushed = true

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -34,11 +35,6 @@ type Options struct {
 	// RingSize is the per-SSE-subscriber frame buffer (0 =
 	// server.DefaultRingSize).
 	RingSize int
-	// Heartbeat is the merged stream's keepalive interval (0 = 15s).
-	Heartbeat time.Duration
-	// MaxBatch caps POST /v1/stale keys (0 = 10000), mirroring the
-	// worker-side default so the router rejects before fanning out.
-	MaxBatch int
 	// StreamBackoff is the initial worker-stream reconnect delay
 	// (0 = 100ms; doubles to a 2s cap).
 	StreamBackoff time.Duration
@@ -63,6 +59,7 @@ const DefaultRouterMaxInFlight = 1024
 // subscriptions.
 type Router struct {
 	ring     *Ring
+	all      []int // every worker ID, ascending: the scatter target of whole-cluster requests
 	opts     Options
 	mux      *http.ServeMux
 	hub      *server.Fanout[[]byte]
@@ -83,12 +80,6 @@ func NewRouter(opts Options) (*Router, error) {
 	if opts.Timeout <= 0 {
 		opts.Timeout = 2 * time.Second
 	}
-	if opts.Heartbeat <= 0 {
-		opts.Heartbeat = 15 * time.Second
-	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 10000
-	}
 	if opts.MaxInFlight <= 0 {
 		opts.MaxInFlight = DefaultRouterMaxInFlight
 	}
@@ -100,6 +91,7 @@ func NewRouter(opts Options) (*Router, error) {
 	rt.breakers = make([]*breaker, len(opts.Workers))
 	for i := range rt.breakers {
 		rt.breakers[i] = newBreaker(i, opts.BreakerThreshold, opts.BreakerCooldown)
+		rt.all = append(rt.all, i)
 	}
 
 	rt.mux.HandleFunc("GET /v1/stale/{key}", rt.handleStaleOne)
@@ -108,14 +100,14 @@ func NewRouter(opts Options) (*Router, error) {
 	rt.mux.HandleFunc("GET /v1/stats", rt.handleStats)
 	rt.mux.HandleFunc("GET /v1/cluster", rt.handleCluster)
 	rt.mux.HandleFunc("GET /v1/signals", rt.handleSignals)
-	rt.mux.HandleFunc("GET /v1/events", rt.handleEventsGet)
-	rt.mux.HandleFunc("POST /v1/events", rt.handleEventsQuery)
+	rt.mux.HandleFunc("GET /v1/events", rt.handleEvents)
+	rt.mux.HandleFunc("POST /v1/events", rt.handleEvents)
 	rt.mux.HandleFunc("POST /v1/refresh/plan", rt.handleRefreshPlan)
 	rt.mux.HandleFunc("POST /v1/refresh/record", rt.handleRefreshRecord)
 	rt.mux.HandleFunc("POST /v1/snapshot", rt.handleSnapshot)
 	rt.mux.Handle("GET /metrics", obs.Default.Handler())
 	rt.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	rt.mux.HandleFunc("GET /readyz", rt.handleReadyz)
 
@@ -148,7 +140,7 @@ func (rt *Router) Handler() http.Handler {
 		if n > int64(rt.opts.MaxInFlight) {
 			metRouterShed.Inc()
 			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusTooManyRequests,
+			server.WriteErr(w, http.StatusTooManyRequests,
 				fmt.Sprintf("overloaded: %d requests in flight (limit %d)", n, rt.opts.MaxInFlight))
 			return
 		}
@@ -177,6 +169,84 @@ func (rt *Router) Close() {
 type workerResp struct {
 	status int
 	body   []byte
+}
+
+// scatter runs call once per worker, concurrently, and returns the results
+// and errors in the order of workers. Every fan-out the router makes goes
+// through it; decoding a sub-response inside call keeps that parallel too.
+func scatter[T any](workers []int, call func(worker int) (T, error)) ([]T, []error) {
+	out := make([]T, len(workers))
+	errs := make([]error, len(workers))
+	var wg sync.WaitGroup
+	for i, worker := range workers {
+		wg.Add(1)
+		go func(i, worker int) {
+			defer wg.Done()
+			out[i], errs[i] = call(worker)
+		}(i, worker)
+	}
+	wg.Wait()
+	return out, errs
+}
+
+// failedOf lists, ascending, the positions of a scatter's non-nil errors —
+// worker IDs when the scatter ran over rt.all.
+func failedOf(errs []error) []int {
+	var failed []int
+	for i, err := range errs {
+		if err != nil {
+			failed = append(failed, i)
+		}
+	}
+	return failed
+}
+
+var errBreakerOpen = errors.New("circuit breaker open")
+
+// askAll sends one request to every worker and returns their 200 answers by
+// worker ID (nil where there is none) and the workers that are down: the
+// request failed after retry, or — unless probe is set — the breaker is
+// open and nothing was sent. Probing is for requests that must reach a
+// recovering worker: /readyz doubles as the cluster's recovery sweep, since
+// every success feeds the worker's breaker through do(). Every partition
+// has a replica on two workers, so a down worker does not by itself make
+// data unavailable; callers decide with unavailablePartitions(down).
+//
+// Workers validate requests identically, so what one refuses the cluster
+// refuses, in that worker's words: a non-200 answer is relayed to w and ok
+// is false.
+func (rt *Router) askAll(w http.ResponseWriter, r *http.Request, method, path string, body []byte, probe bool) (resps []*workerResp, down []int, ok bool) {
+	resps, errs := scatter(rt.all, func(worker int) (*workerResp, error) {
+		if !probe && !rt.workerUp(worker) {
+			return nil, errBreakerOpen
+		}
+		return rt.do(r.Context(), method, worker, path, body)
+	})
+	for _, wr := range resps {
+		if wr != nil && wr.status != http.StatusOK {
+			relay(w, wr)
+			return nil, nil, false
+		}
+	}
+	return resps, failedOf(errs), true
+}
+
+// relay passes a worker's answer through as the cluster's.
+func relay(w http.ResponseWriter, wr *workerResp) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(wr.status)
+	w.Write(wr.body)
+}
+
+// unavailable answers 503 for a request no live replica could serve, naming
+// the partitions the down workers leave without one.
+func (rt *Router) unavailable(w http.ResponseWriter, msg string, workerErrs []string, down []int) {
+	metRouterPartial.Inc()
+	body := map[string]any{"error": msg, "unavailablePartitions": rt.unavailablePartitions(down)}
+	if workerErrs != nil {
+		body["workerErrors"] = workerErrs
+	}
+	server.WriteJSON(w, http.StatusServiceUnavailable, body)
 }
 
 // describeAttempt renders one attempt's outcome for partial-failure bodies.
@@ -242,20 +312,15 @@ func (rt *Router) do(ctx context.Context, method string, worker int, path string
 			return wr, nil
 		}
 	}
-	rt.workerFailed(worker)
+	if rt.breakers[worker].onFailure(time.Now()) {
+		metRouterBreakerOpens.Inc()
+	}
 	metRouterWorkerErrs.Inc()
 	last := describeAttempt(wr, err)
 	if retried && last != first {
 		return nil, fmt.Errorf("cluster: worker %d %s %s: %s (first attempt: %s)", worker, method, path, last, first)
 	}
 	return nil, fmt.Errorf("cluster: worker %d %s %s: %s", worker, method, path, last)
-}
-
-// workerFailed feeds a sub-request failure to the worker's breaker.
-func (rt *Router) workerFailed(worker int) {
-	if rt.breakers[worker].onFailure(time.Now()) {
-		metRouterBreakerOpens.Inc()
-	}
 }
 
 // workerUp reports whether the worker's breaker admits regular traffic,
@@ -317,7 +382,6 @@ func (rt *Router) unavailablePartitions(down []int) []int {
 			parts = append(parts, p)
 		}
 	}
-	sort.Ints(parts)
 	return parts
 }
 
@@ -326,7 +390,7 @@ func (rt *Router) unavailablePartitions(down []int) []int {
 func (rt *Router) handleStaleOne(w http.ResponseWriter, r *http.Request) {
 	k, err := server.ParseKey(r.PathValue("key"))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+		server.WriteErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	p := rt.ring.PartitionOf(k)
@@ -341,42 +405,22 @@ func (rt *Router) handleStaleOne(w http.ResponseWriter, r *http.Request) {
 		if worker != rt.ring.OwnerOfPartition(p) || i > 0 {
 			metRouterFailovers.Inc()
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(wr.status)
-		w.Write(wr.body)
+		relay(w, wr)
 		return
 	}
-	metRouterPartial.Inc()
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-		"error":                 fmt.Sprintf("all replicas of partition %d unavailable", p),
-		"workerErrors":          errs,
-		"unavailablePartitions": rt.unavailablePartitions(order),
-	})
+	rt.unavailable(w, fmt.Sprintf("all replicas of partition %d unavailable", p), errs, order)
 }
 
 // subBatchResp is the worker's batch-staleness shape with verdict bodies
 // kept raw for splicing.
 type subBatchResp struct {
 	Stale    int               `json:"stale"`
-	Count    int               `json:"count"`
 	Verdicts []json.RawMessage `json:"verdicts"`
 }
 
 func (rt *Router) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Keys []string `json:"keys"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if len(req.Keys) == 0 {
-		writeErr(w, http.StatusBadRequest, "no keys")
-		return
-	}
-	if len(req.Keys) > rt.opts.MaxBatch {
-		writeErr(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("%d keys exceeds batch limit %d", len(req.Keys), rt.opts.MaxBatch))
+	names, keys, ok := server.DecodeStaleBatch(w, r)
+	if !ok {
 		return
 	}
 	// Each key routes to its partition's designated replica: the primary,
@@ -385,67 +429,59 @@ func (rt *Router) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
 	// replica for a second round; a standby's verdicts are byte-identical
 	// to the primary's (same full feed, same tracked slice), so a failover
 	// is invisible in the response.
-	parts := make([]int, len(req.Keys))
-	for i, ks := range req.Keys {
-		k, err := server.ParseKey(ks)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		parts[i] = rt.ring.PartitionOf(k)
-	}
-	verdicts := make([]json.RawMessage, len(req.Keys))
+	verdicts := make([]json.RawMessage, len(keys))
 	stale := 0
 	workerErrs := map[int]string{}
-	var mu sync.Mutex // guards stale + workerErrs across a round's goroutines
 
-	// runRound fans per-worker sub-batches out concurrently; group maps a
-	// worker to the request indices it should answer. Failed workers keep
-	// their indices unfilled and are reported back.
+	// runRound scatters per-worker sub-batches; group maps a worker to the
+	// request indices it should answer. Failed workers keep their indices
+	// unfilled and are reported back.
 	runRound := func(group map[int][]int) map[int]bool {
-		failed := map[int]bool{}
-		var wg sync.WaitGroup
-		for worker, idxs := range group {
-			wg.Add(1)
-			go func(worker int, idxs []int) {
-				defer wg.Done()
-				ks := make([]string, len(idxs))
-				for j, i := range idxs {
-					ks[j] = req.Keys[i]
-				}
-				body, _ := json.Marshal(map[string]any{"keys": ks})
-				wr, err := rt.do(r.Context(), http.MethodPost, worker, "/v1/stale", body)
-				if err == nil && wr.status != http.StatusOK {
-					err = fmt.Errorf("worker %d: status %d", worker, wr.status)
-				}
-				var sub subBatchResp
-				if err == nil {
-					if uerr := json.Unmarshal(wr.body, &sub); uerr != nil {
-						err = fmt.Errorf("worker %d: %v", worker, uerr)
-					} else if len(sub.Verdicts) != len(idxs) {
-						err = fmt.Errorf("worker %d: %d verdicts for %d keys", worker, len(sub.Verdicts), len(idxs))
-					}
-				}
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					failed[worker] = true
-					workerErrs[worker] = err.Error()
-					return
-				}
-				for j, i := range idxs {
-					verdicts[i] = sub.Verdicts[j]
-				}
-				stale += sub.Stale
-			}(worker, idxs)
+		workers := make([]int, 0, len(group))
+		for worker := range group {
+			workers = append(workers, worker)
 		}
-		wg.Wait()
+		subs, errs := scatter(workers, func(worker int) (subBatchResp, error) {
+			idxs := group[worker]
+			ks := make([]string, len(idxs))
+			for j, i := range idxs {
+				ks[j] = names[i]
+			}
+			var sub subBatchResp
+			body, _ := json.Marshal(map[string]any{"keys": ks})
+			wr, err := rt.do(r.Context(), http.MethodPost, worker, "/v1/stale", body)
+			if err != nil {
+				return sub, err
+			}
+			if wr.status != http.StatusOK {
+				return sub, fmt.Errorf("worker %d: status %d", worker, wr.status)
+			}
+			if err := json.Unmarshal(wr.body, &sub); err != nil {
+				return sub, fmt.Errorf("worker %d: %v", worker, err)
+			}
+			if len(sub.Verdicts) != len(idxs) {
+				return sub, fmt.Errorf("worker %d: %d verdicts for %d keys", worker, len(sub.Verdicts), len(idxs))
+			}
+			return sub, nil
+		})
+		failed := map[int]bool{}
+		for n, worker := range workers {
+			if errs[n] != nil {
+				failed[worker] = true
+				workerErrs[worker] = errs[n].Error()
+				continue
+			}
+			for j, i := range group[worker] {
+				verdicts[i] = subs[n].Verdicts[j]
+			}
+			stale += subs[n].Stale
+		}
 		return failed
 	}
 
 	group1 := map[int][]int{}
-	for i := range req.Keys {
-		designated := rt.replicaOrder(parts[i])[0]
+	for i, k := range keys {
+		designated := rt.replicaOrder(rt.ring.PartitionOf(k))[0]
 		group1[designated] = append(group1[designated], i)
 	}
 	failed1 := runRound(group1)
@@ -456,7 +492,7 @@ func (rt *Router) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
 		for worker := range failed1 {
 			for _, i := range group1[worker] {
 				alt := -1
-				for _, cand := range rt.ring.Replicas(parts[i]) {
+				for _, cand := range rt.ring.Replicas(rt.ring.PartitionOf(keys[i])) {
 					if cand == worker || failed1[cand] || !rt.workerUp(cand) {
 						continue
 					}
@@ -480,142 +516,51 @@ func (rt *Router) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+	var extra []byte
+	if len(lost) > 0 {
+		metRouterPartial.Inc()
+		extra = rt.lostVerdicts(lost, names, keys, verdicts, workerErrs)
+	}
+	server.WriteStaleBatch(w, stale, len(verdicts), func(i int) []byte { return verdicts[i] }, extra)
+}
 
-	// Positional placeholders keep count == len(keys) and the response
-	// order aligned with the request; visibility "unavailable" is the
-	// partition-down analogue of "untracked". With replication it takes
-	// every replica of a partition failing to get here.
+// lostVerdicts fills the verdicts no live replica could answer with
+// positional placeholders, keeping count == len(keys) and the response order
+// aligned with the request; visibility "unavailable" is the partition-down
+// analogue of "untracked". It returns the degradation members that precede
+// the verdicts: the partitions lost, ascending, and each failed worker's
+// error, keyed by worker ID in ascending numeric order.
+func (rt *Router) lostVerdicts(lost []int, names []string, keys []rrr.Key, verdicts []json.RawMessage, workerErrs map[int]string) []byte {
 	unavailSet := map[int]bool{}
 	for _, i := range lost {
-		unavailSet[parts[i]] = true
-		verdicts[i] = json.RawMessage(fmt.Sprintf(
-			`{"key":%q,"tracked":false,"stale":false,"visibility":"unavailable","potentialMonitors":0}`,
-			req.Keys[i]))
+		unavailSet[rt.ring.PartitionOf(keys[i])] = true
+		verdicts[i], _ = json.Marshal(server.Verdict{Key: names[i], Visibility: "unavailable"})
 	}
 	unavailParts := make([]int, 0, len(unavailSet))
 	for p := range unavailSet {
 		unavailParts = append(unavailParts, p)
 	}
 	sort.Ints(unavailParts)
+	workers := make([]int, 0, len(workerErrs))
+	for worker := range workerErrs {
+		workers = append(workers, worker)
+	}
+	sort.Ints(workers)
 
-	size := 0
-	for i := range verdicts {
-		size += len(verdicts[i]) + 1
-	}
-	var buf bytes.Buffer
-	buf.Grow(size + 96)
-	buf.WriteString(`{"stale":`)
-	buf.WriteString(strconv.Itoa(stale))
-	buf.WriteString(`,"count":`)
-	buf.WriteString(strconv.Itoa(len(verdicts)))
-	if len(unavailParts) > 0 {
-		metRouterPartial.Inc()
-		enc, _ := json.Marshal(unavailParts)
-		buf.WriteString(`,"unavailablePartitions":`)
-		buf.Write(enc)
-	}
-	if len(workerErrs) > 0 && len(lost) > 0 {
-		workers := make([]int, 0, len(workerErrs))
-		for worker := range workerErrs {
-			workers = append(workers, worker)
+	enc, _ := json.Marshal(unavailParts)
+	extra := append([]byte(`,"unavailablePartitions":`), enc...)
+	extra = append(extra, `,"workerErrors":{`...)
+	for j, worker := range workers {
+		if j > 0 {
+			extra = append(extra, ',')
 		}
-		sort.Ints(workers)
-		buf.WriteString(`,"workerErrors":{`)
-		for j, worker := range workers {
-			if j > 0 {
-				buf.WriteByte(',')
-			}
-			enc, _ := json.Marshal(workerErrs[worker])
-			fmt.Fprintf(&buf, `"%d":%s`, worker, enc)
-		}
-		buf.WriteByte('}')
+		enc, _ := json.Marshal(workerErrs[worker])
+		extra = fmt.Appendf(extra, `"%d":%s`, worker, enc)
 	}
-	buf.WriteString(`,"verdicts":[`)
-	for i := range verdicts {
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		buf.Write(verdicts[i])
-	}
-	buf.WriteString("]}\n")
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(buf.Bytes())
+	return append(extra, '}')
 }
 
 // --- merged reads ---
-
-// fanoutAll issues the same GET to every worker concurrently, returning
-// per-worker bodies and the list of workers that are down — either their
-// breaker is open (no request is sent) or the request failed after retry.
-// Because every partition has a replica on two workers, a down worker
-// does not by itself make any data unavailable; callers decide with
-// unavailablePartitions(down).
-func (rt *Router) fanoutAll(ctx context.Context, path string) ([][]byte, []int) {
-	return rt.fanoutAllBody(ctx, http.MethodGet, path, nil)
-}
-
-// fanoutAllBody is fanoutAll for requests with an optional body.
-func (rt *Router) fanoutAllBody(ctx context.Context, method, path string, body []byte) ([][]byte, []int) {
-	K := rt.ring.Workers()
-	bodies := make([][]byte, K)
-	failed := make([]bool, K)
-	var wg sync.WaitGroup
-	for worker := 0; worker < K; worker++ {
-		if !rt.workerUp(worker) {
-			failed[worker] = true
-			continue
-		}
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			wr, err := rt.do(ctx, method, worker, path, body)
-			if err != nil || wr.status != http.StatusOK {
-				failed[worker] = true
-				return
-			}
-			bodies[worker] = wr.body
-		}(worker)
-	}
-	wg.Wait()
-	var down []int
-	for worker, f := range failed {
-		if f {
-			down = append(down, worker)
-		}
-	}
-	return bodies, down
-}
-
-// fanoutProbe issues a GET to every worker regardless of breaker state —
-// the router's own /readyz doubles as the cluster's recovery sweep, since
-// every success feeds the worker's breaker through do().
-func (rt *Router) fanoutProbe(ctx context.Context, path string) ([][]byte, []int) {
-	K := rt.ring.Workers()
-	bodies := make([][]byte, K)
-	failed := make([]bool, K)
-	var wg sync.WaitGroup
-	for worker := 0; worker < K; worker++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			wr, err := rt.do(ctx, http.MethodGet, worker, path, nil)
-			if err != nil || wr.status != http.StatusOK {
-				failed[worker] = true
-				return
-			}
-			bodies[worker] = wr.body
-		}(worker)
-	}
-	wg.Wait()
-	var down []int
-	for worker, f := range failed {
-		if f {
-			down = append(down, worker)
-		}
-	}
-	return bodies, down
-}
 
 // parsedEvent pairs one worker routing event's ordering form with its wire
 // bytes, for union-dedup merging.
@@ -624,21 +569,23 @@ type parsedEvent struct {
 	raw json.RawMessage
 }
 
-// mergeEventBodies union-dedups the workers' /v1/events responses: every
+// mergeEventBodies union-dedups the workers' /v1/events answers: every
 // worker ingests the full feed and runs an identical detector, so merged
 // output is a single worker's list — verified byte for byte by keying the
-// dedup on the raw wire form and re-emitting those exact bytes.
-func mergeEventBodies(bodies [][]byte) ([]json.RawMessage, error) {
+// dedup on the raw wire form and re-emitting those exact bytes. The union
+// is what hides a restarted worker: WAL replay rebuilds its staleness
+// state, not its detector's past events, which survive on its peers.
+func mergeEventBodies(resps []*workerResp) ([]json.RawMessage, error) {
 	seen := make(map[string]bool)
 	var merged []parsedEvent
-	for i, body := range bodies {
-		if body == nil {
+	for i, wr := range resps {
+		if wr == nil {
 			continue
 		}
 		var sub struct {
 			Events []json.RawMessage `json:"events"`
 		}
-		if err := json.Unmarshal(body, &sub); err != nil {
+		if err := json.Unmarshal(wr.body, &sub); err != nil {
 			return nil, fmt.Errorf("worker %d events: %v", i, err)
 		}
 		for _, raw := range sub.Events {
@@ -661,71 +608,31 @@ func mergeEventBodies(bodies [][]byte) ([]json.RawMessage, error) {
 	return out, nil
 }
 
-// writeEventsMerged splices pre-rendered worker event bodies into the
-// exact response shape a single worker serves ({"count":N,"events":[...]}).
-func writeEventsMerged(w http.ResponseWriter, merged []json.RawMessage) {
-	size := 0
-	for _, raw := range merged {
-		size += len(raw) + 1
+// handleEvents serves GET and POST /v1/events: the client's request goes to
+// every worker as it came, so a filter the workers refuse is refused in
+// their words.
+func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		server.WriteErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return
 	}
-	var buf bytes.Buffer
-	buf.Grow(size + 48)
-	buf.WriteString(`{"count":`)
-	buf.WriteString(strconv.Itoa(len(merged)))
-	buf.WriteString(`,"events":[`)
-	for i, raw := range merged {
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		buf.Write(raw)
+	resps, down, ok := rt.askAll(w, r, r.Method, "/v1/events", body, false)
+	if !ok {
+		return
 	}
-	buf.WriteString("]}\n")
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(buf.Bytes())
-}
-
-func (rt *Router) handleEventsGet(w http.ResponseWriter, r *http.Request) {
-	bodies, down := rt.fanoutAll(r.Context(), "/v1/events")
 	// Routing events are detected identically by every full-feed worker,
 	// so any single responder carries the complete list.
 	if len(down) == rt.ring.Workers() {
-		metRouterPartial.Inc()
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error":                 "no workers reachable",
-			"unavailablePartitions": rt.unavailablePartitions(down),
-		})
+		rt.unavailable(w, "no workers reachable", nil, down)
 		return
 	}
-	merged, err := mergeEventBodies(bodies)
+	merged, err := mergeEventBodies(resps)
 	if err != nil {
-		writeErr(w, http.StatusBadGateway, err.Error())
+		server.WriteErr(w, http.StatusBadGateway, err.Error())
 		return
 	}
-	writeEventsMerged(w, merged)
-}
-
-func (rt *Router) handleEventsQuery(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	bodies, down := rt.fanoutAllBody(r.Context(), http.MethodPost, "/v1/events", body)
-	if len(down) == rt.ring.Workers() {
-		metRouterPartial.Inc()
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error":                 "no workers reachable",
-			"unavailablePartitions": rt.unavailablePartitions(down),
-		})
-		return
-	}
-	merged, err := mergeEventBodies(bodies)
-	if err != nil {
-		writeErr(w, http.StatusBadGateway, err.Error())
-		return
-	}
-	writeEventsMerged(w, merged)
+	server.WriteEvents(w, merged)
 }
 
 func (rt *Router) handleKeys(w http.ResponseWriter, r *http.Request) {
@@ -733,39 +640,38 @@ func (rt *Router) handleKeys(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("stale") == "1" {
 		path += "?stale=1"
 	}
-	bodies, down := rt.fanoutAll(r.Context(), path)
+	resps, down, ok := rt.askAll(w, r, http.MethodGet, path, nil, false)
+	if !ok {
+		return
+	}
 	// Replication makes a single down worker invisible here: every
 	// partition it owns is also tracked by its standby, whose key list
 	// fills the hole, and mergeKeys drops the replica duplicates. Only a
 	// partition with no live replica makes the merged list incomplete.
-	if uncovered := rt.unavailablePartitions(down); len(uncovered) > 0 {
-		metRouterPartial.Inc()
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error":                 fmt.Sprintf("%d of %d workers unavailable", len(down), rt.ring.Workers()),
-			"unavailablePartitions": uncovered,
-		})
+	if len(rt.unavailablePartitions(down)) > 0 {
+		rt.unavailable(w, fmt.Sprintf("%d of %d workers unavailable", len(down), rt.ring.Workers()), nil, down)
 		return
 	}
-	parts := make([][]string, 0, len(bodies))
-	for i, body := range bodies {
-		if body == nil {
+	parts := make([][]string, 0, len(resps))
+	for i, wr := range resps {
+		if wr == nil {
 			continue
 		}
 		var resp struct {
 			Keys []string `json:"keys"`
 		}
-		if err := json.Unmarshal(body, &resp); err != nil {
-			writeErr(w, http.StatusBadGateway, fmt.Sprintf("worker %d keys: %v", i, err))
+		if err := json.Unmarshal(wr.body, &resp); err != nil {
+			server.WriteErr(w, http.StatusBadGateway, fmt.Sprintf("worker %d keys: %v", i, err))
 			return
 		}
 		parts = append(parts, resp.Keys)
 	}
 	merged, err := mergeKeys(parts)
 	if err != nil {
-		writeErr(w, http.StatusBadGateway, err.Error())
+		server.WriteErr(w, http.StatusBadGateway, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"keys": merged, "count": len(merged)})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"keys": merged, "count": len(merged)})
 }
 
 // clusterStats is the merged /v1/stats wire form: the single-daemon shape
@@ -779,29 +685,29 @@ type clusterStats struct {
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	bodies, down := rt.fanoutAll(r.Context(), "/v1/stats")
+	resps, down, ok := rt.askAll(w, r, http.MethodGet, "/v1/stats", nil, false)
+	if !ok {
+		return
+	}
+	if len(down) == rt.ring.Workers() {
+		rt.unavailable(w, "no workers reachable", nil, down)
+		return
+	}
 	var parts []server.Stats
-	for i, body := range bodies {
-		if body == nil {
+	for i, wr := range resps {
+		if wr == nil {
 			continue
 		}
 		var st server.Stats
-		if err := json.Unmarshal(body, &st); err != nil {
-			writeErr(w, http.StatusBadGateway, fmt.Sprintf("worker %d stats: %v", i, err))
+		if err := json.Unmarshal(wr.body, &st); err != nil {
+			server.WriteErr(w, http.StatusBadGateway, fmt.Sprintf("worker %d stats: %v", i, err))
 			return
 		}
 		parts = append(parts, st)
 	}
-	if len(parts) == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error":                 "no workers reachable",
-			"unavailablePartitions": rt.unavailablePartitions(down),
-		})
-		return
-	}
 	merged, err := mergeStats(parts, rt.hub.Subscribers())
 	if err != nil {
-		writeErr(w, http.StatusBadGateway, err.Error())
+		server.WriteErr(w, http.StatusBadGateway, err.Error())
 		return
 	}
 	out := clusterStats{Stats: merged}
@@ -813,46 +719,41 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		out.DegradedWorkers = down
 		out.UnavailablePartitions = rt.unavailablePartitions(down)
 	}
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
+}
+
+// workerInfo is one worker's entry in GET /v1/cluster.
+type workerInfo struct {
+	ID                int             `json:"id"`
+	URL               string          `json:"url"`
+	Partitions        int             `json:"partitions"`
+	StandbyPartitions int             `json:"standbyPartitions"`
+	Breaker           string          `json:"breaker"`
+	Ready             bool            `json:"ready"`
+	Stats             json.RawMessage `json:"stats,omitempty"`
 }
 
 // handleCluster is the router's own topology endpoint: per-worker
 // identity, readiness, and unmerged stats — the debuggable counterpart of
 // the anonymous sums /v1/stats serves.
 func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
-	type workerInfo struct {
-		ID                int             `json:"id"`
-		URL               string          `json:"url"`
-		Partitions        int             `json:"partitions"`
-		StandbyPartitions int             `json:"standbyPartitions"`
-		Breaker           string          `json:"breaker"`
-		Ready             bool            `json:"ready"`
-		Stats             json.RawMessage `json:"stats,omitempty"`
-	}
-	K := rt.ring.Workers()
-	infos := make([]workerInfo, K)
-	var wg sync.WaitGroup
-	for worker := 0; worker < K; worker++ {
-		infos[worker] = workerInfo{
+	infos, _ := scatter(rt.all, func(worker int) (workerInfo, error) {
+		info := workerInfo{
 			ID:                worker,
 			URL:               rt.opts.Workers[worker],
 			Partitions:        rt.ring.OwnedPartitions(worker),
 			StandbyPartitions: rt.ring.ReplicaPartitions(worker) - rt.ring.OwnedPartitions(worker),
 			Breaker:           rt.breakers[worker].snapshot(),
 		}
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			if wr, err := rt.do(r.Context(), http.MethodGet, worker, "/readyz", nil); err == nil && wr.status == http.StatusOK {
-				infos[worker].Ready = true
-			}
-			if wr, err := rt.do(r.Context(), http.MethodGet, worker, "/v1/stats", nil); err == nil && wr.status == http.StatusOK {
-				infos[worker].Stats = json.RawMessage(bytes.TrimRight(wr.body, "\n"))
-			}
-		}(worker)
-	}
-	wg.Wait()
-	writeJSON(w, http.StatusOK, map[string]any{
+		if wr, err := rt.do(r.Context(), http.MethodGet, worker, "/readyz", nil); err == nil && wr.status == http.StatusOK {
+			info.Ready = true
+		}
+		if wr, err := rt.do(r.Context(), http.MethodGet, worker, "/v1/stats", nil); err == nil && wr.status == http.StatusOK {
+			info.Stats = json.RawMessage(bytes.TrimRight(wr.body, "\n"))
+		}
+		return info, nil
+	})
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"workers":       infos,
 		"partitions":    rt.ring.Partitions(),
 		"replicaFactor": rt.ring.ReplicaFactor(),
@@ -862,11 +763,13 @@ func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	// Probe every worker, open breakers included: a recovered worker's
-	// first successful /readyz here closes its breaker, so readiness
-	// polling doubles as the cluster's recovery sweep.
-	_, down := rt.fanoutProbe(r.Context(), "/readyz")
+	// first successful /readyz here closes its breaker.
+	_, down, ok := rt.askAll(w, r, http.MethodGet, "/readyz", nil, true)
+	if !ok {
+		return
+	}
 	if uncovered := rt.unavailablePartitions(down); len(uncovered) > 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status":                "unavailable",
 			"downWorkers":           down,
 			"unavailablePartitions": uncovered,
@@ -874,60 +777,25 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !rt.merger.covered() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "streams connecting"})
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "streams connecting"})
 		return
 	}
 	if len(down) > 0 || !rt.merger.allConnected() {
 		// Every partition still has a live replica and a connected stream,
 		// so reads keep succeeding — but redundancy is gone.
-		writeJSON(w, http.StatusOK, map[string]any{
+		server.WriteJSON(w, http.StatusOK, map[string]any{
 			"status":      "degraded",
 			"downWorkers": down,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-// --- merged SSE stream ---
-
+// handleSignals serves the merged stream exactly as a worker serves its
+// own: clients see one daemon, not a proxy.
 func (rt *Router) handleSignals(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	sub := rt.hub.Subscribe()
-	defer rt.hub.Unsubscribe(sub)
-
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	// Same preamble as a worker: clients see one daemon, not a proxy.
-	fmt.Fprintf(w, ": rrrd signal stream\n\n")
-	fl.Flush()
-
-	heartbeat := time.NewTicker(rt.opts.Heartbeat)
-	defer heartbeat.Stop()
-	var reported uint64
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case frame := <-sub.C():
-			if d := sub.Dropped(); d > reported {
-				fmt.Fprintf(w, "event: dropped\ndata: {\"dropped\":%d}\n\n", d)
-				reported = d
-			}
-			w.Write(frame)
-			fl.Flush()
-		case <-heartbeat.C:
-			fmt.Fprintf(w, ": keepalive\n\n")
-			fl.Flush()
-		}
-	}
+	server.ServeSSE(w, r, rt.hub, func(frame []byte) []byte { return frame })
 }
 
 // --- refresh + snapshot fan-out ---
@@ -937,46 +805,31 @@ func (rt *Router) handleRefreshPlan(w http.ResponseWriter, r *http.Request) {
 		Budget int `json:"budget"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		server.WriteErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	if req.Budget <= 0 {
-		writeErr(w, http.StatusBadRequest, "budget must be positive")
+		server.WriteErr(w, http.StatusBadRequest, "budget must be positive")
 		return
 	}
 	body, _ := json.Marshal(map[string]int{"budget": req.Budget})
-	K := rt.ring.Workers()
-	parts := make([][]server.PlanEntry, K)
-	errs := make([]error, K)
-	var wg sync.WaitGroup
-	for worker := 0; worker < K; worker++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			wr, err := rt.do(r.Context(), http.MethodPost, worker, "/v1/refresh/plan", body)
-			if err != nil {
-				errs[worker] = err
-				return
-			}
-			var resp struct {
-				Plan []server.PlanEntry `json:"plan"`
-			}
-			if err := json.Unmarshal(wr.body, &resp); err != nil {
-				errs[worker] = err
-				return
-			}
-			parts[worker] = resp.Plan
-		}(worker)
-	}
-	wg.Wait()
-	var down []int
-	cur := make([]int, K) // per-worker merge cursor
-	for worker := 0; worker < K; worker++ {
-		if errs[worker] != nil {
-			down = append(down, worker)
-			parts[worker] = nil
+	// Every worker is asked, open breakers included: a plan missing a live
+	// worker's slice is wrong, not merely slow.
+	parts, errs := scatter(rt.all, func(worker int) ([]server.PlanEntry, error) {
+		wr, err := rt.do(r.Context(), http.MethodPost, worker, "/v1/refresh/plan", body)
+		if err != nil {
+			return nil, err
 		}
-	}
+		var resp struct {
+			Plan []server.PlanEntry `json:"plan"`
+		}
+		if err := json.Unmarshal(wr.body, &resp); err != nil {
+			return nil, err
+		}
+		return resp.Plan, nil
+	})
+	K := rt.ring.Workers()
+	cur := make([]int, K) // per-worker merge cursor
 	// Each worker plans within its own slice with the full budget and
 	// returns entries in global priority order (server.PlanEntryLess), so
 	// the item at global rank r sits at rank <= r within its worker:
@@ -1011,17 +864,17 @@ func (rt *Router) handleRefreshPlan(w http.ResponseWriter, r *http.Request) {
 		keys = append(keys, e.Key)
 	}
 	resp := map[string]any{"keys": keys, "plan": merged, "planned": len(keys)}
-	if uncovered := rt.unavailablePartitions(down); len(uncovered) > 0 {
+	if uncovered := rt.unavailablePartitions(failedOf(errs)); len(uncovered) > 0 {
 		metRouterPartial.Inc()
 		resp["unavailablePartitions"] = uncovered
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleRefreshRecord(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		server.WriteErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	var probe struct {
@@ -1029,17 +882,17 @@ func (rt *Router) handleRefreshRecord(w http.ResponseWriter, r *http.Request) {
 		Dst string `json:"dst"`
 	}
 	if err := json.Unmarshal(body, &probe); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		server.WriteErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	src, err := rrr.ParseIP(probe.Src)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "src: "+err.Error())
+		server.WriteErr(w, http.StatusBadRequest, "src: "+err.Error())
 		return
 	}
 	dst, err := rrr.ParseIP(probe.Dst)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "dst: "+err.Error())
+		server.WriteErr(w, http.StatusBadRequest, "dst: "+err.Error())
 		return
 	}
 	// A recorded refresh mutates tracked-pair state, so it must reach every
@@ -1050,87 +903,40 @@ func (rt *Router) handleRefreshRecord(w http.ResponseWriter, r *http.Request) {
 	// the documented write-path caveat of replication without a log.
 	p := rt.ring.PartitionOf(rrr.Key{Src: src, Dst: dst})
 	reps := rt.ring.Replicas(p)
-	resps := make([]*workerResp, len(reps))
-	errs := make([]error, len(reps))
-	var wg sync.WaitGroup
-	for i, worker := range reps {
-		wg.Add(1)
-		go func(i, worker int) {
-			defer wg.Done()
-			resps[i], errs[i] = rt.do(r.Context(), http.MethodPost, worker, "/v1/refresh/record", body)
-		}(i, worker)
-	}
-	wg.Wait()
-	for i := range reps {
-		if errs[i] != nil {
+	resps, errs := scatter(reps, func(worker int) (*workerResp, error) {
+		return rt.do(r.Context(), http.MethodPost, worker, "/v1/refresh/record", body)
+	})
+	var errStrs []string
+	for i, err := range errs {
+		if err != nil {
+			errStrs = append(errStrs, err.Error())
 			continue
 		}
 		if i > 0 {
 			metRouterFailovers.Inc()
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(resps[i].status)
-		w.Write(resps[i].body)
+		relay(w, resps[i])
 		return
 	}
-	metRouterPartial.Inc()
-	errStrs := make([]string, 0, len(errs))
-	for _, err := range errs {
-		if err != nil {
-			errStrs = append(errStrs, err.Error())
-		}
-	}
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-		"error":                 fmt.Sprintf("all replicas of partition %d unavailable", p),
-		"workerErrors":          errStrs,
-		"unavailablePartitions": rt.unavailablePartitions(reps),
-	})
+	rt.unavailable(w, fmt.Sprintf("all replicas of partition %d unavailable", p), errStrs, reps)
 }
 
 func (rt *Router) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	K := rt.ring.Workers()
-	results := make([]json.RawMessage, K)
-	errs := make([]error, K)
-	var wg sync.WaitGroup
-	for worker := 0; worker < K; worker++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			wr, err := rt.do(r.Context(), http.MethodPost, worker, "/v1/snapshot", nil)
-			if err != nil {
-				errs[worker] = err
-				return
-			}
-			if wr.status != http.StatusOK {
-				errs[worker] = fmt.Errorf("status %d: %s", wr.status, bytes.TrimSpace(wr.body))
-				return
-			}
-			results[worker] = json.RawMessage(bytes.TrimRight(wr.body, "\n"))
-		}(worker)
-	}
-	wg.Wait()
+	results, errs := scatter(rt.all, func(worker int) (json.RawMessage, error) {
+		wr, err := rt.do(r.Context(), http.MethodPost, worker, "/v1/snapshot", nil)
+		if err != nil {
+			return nil, err
+		}
+		if wr.status != http.StatusOK {
+			return nil, fmt.Errorf("status %d: %s", wr.status, bytes.TrimSpace(wr.body))
+		}
+		return bytes.TrimRight(wr.body, "\n"), nil
+	})
 	for worker, err := range errs {
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, fmt.Sprintf("worker %d snapshot: %v", worker, err))
+			server.WriteErr(w, http.StatusInternalServerError, fmt.Sprintf("worker %d snapshot: %v", worker, err))
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"workers": results})
-}
-
-// --- helpers (mirrors server's writeJSON so merged bytes match) ---
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		data, code = []byte(`{"error":"response encoding failed"}`), http.StatusInternalServerError
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(data)
-	w.Write([]byte("\n"))
-}
-
-func writeErr(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"workers": results})
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -263,5 +264,52 @@ func TestRouterSSEReconnect(t *testing.T) {
 			t.Fatalf("window barrier went backwards: %d after %d", mk.WindowStart, last)
 		}
 		last = mk.WindowStart
+	}
+}
+
+// TestRouterRelaysClientErrors sends each malformed or refused request to a
+// worker and to the router and requires the same status and body from both:
+// a client error is the client's to fix, whoever answers, and is never
+// counted as a partial response.
+func TestRouterRelaysClientErrors(t *testing.T) {
+	lc := startSmallCluster(t, nil)
+	oversized, _ := json.Marshal(map[string]any{"keys": make([]string, server.MaxBatch+1)})
+	rows := []struct{ name, path, body string }{
+		{"stale: malformed JSON", "/v1/stale", `{`},
+		{"stale: no keys", "/v1/stale", `{"keys":[]}`},
+		{"stale: bad key", "/v1/stale", `{"keys":["junk"]}`},
+		{"stale: over the batch limit", "/v1/stale", string(oversized)},
+		{"events: unknown class", "/v1/events", `{"classes":["nosuch"]}`},
+		{"events: malformed JSON", "/v1/events", `{`},
+		{"refresh plan: budget 0", "/v1/refresh/plan", `{"budget":0}`},
+		{"refresh record: bad src", "/v1/refresh/record", `{"src":"nope","dst":"10.0.0.1","time":1,"hops":[]}`},
+	}
+	post := func(base, path, body string) (int, string) {
+		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s%s: %v", base, path, err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("POST %s%s: %v", base, path, err)
+		}
+		return resp.StatusCode, string(data)
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			partial := metRouterPartial.Value()
+			wantCode, want := post(lc.Workers[0].URL(), row.path, row.body)
+			gotCode, got := post(lc.URL(), row.path, row.body)
+			if wantCode < 400 || wantCode >= 500 {
+				t.Fatalf("worker answered %d %q; the row is not a client error", wantCode, want)
+			}
+			if gotCode != wantCode || got != want {
+				t.Fatalf("router answered %d %q, worker %d %q", gotCode, got, wantCode, want)
+			}
+			if n := metRouterPartial.Value() - partial; n != 0 {
+				t.Fatalf("rrr_router_partial_responses_total moved by %d on a client error", n)
+			}
+		})
 	}
 }

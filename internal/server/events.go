@@ -81,30 +81,25 @@ func ParseEvent(data []byte) (events.Event, error) {
 	return ev, nil
 }
 
-// EventsBody builds the /v1/events response payload; the cluster router
-// reuses it so merged responses are byte-identical to a single worker's.
-func EventsBody(evs []events.Event) map[string]any {
+// WriteEvents answers /v1/events with events already in wire form: a
+// worker's own detector emissions, or worker-rendered bytes the cluster
+// router merged.
+func WriteEvents[E EventJSON | json.RawMessage](w http.ResponseWriter, evs []E) {
+	WriteJSON(w, http.StatusOK, map[string]any{"count": len(evs), "events": evs})
+}
+
+func toEventJSONs(evs []events.Event) []EventJSON {
 	out := make([]EventJSON, len(evs))
 	for i, ev := range evs {
 		out[i] = ToEventJSON(ev)
 	}
-	return map[string]any{"count": len(out), "events": out}
+	return out
 }
 
 // PublishEvent is the event detector's sink: it fans a routing event out
 // to SSE subscribers without blocking ingestion. Wire it to the detector's
 // Config.OnEvent.
 func (s *Server) PublishEvent(ev events.Event) { s.hub.PublishRouting(ev) }
-
-// handleEventsGet is GET /v1/events: every routing event emitted so far,
-// in window order (EventLess within a window).
-func (s *Server) handleEventsGet(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Events == nil {
-		writeErr(w, http.StatusConflict, "event detection not enabled")
-		return
-	}
-	writeJSON(w, http.StatusOK, EventsBody(s.cfg.Events.Events()))
-}
 
 // eventsQueryJSON is the POST /v1/events filter body.
 type eventsQueryJSON struct {
@@ -113,26 +108,29 @@ type eventsQueryJSON struct {
 	ToWindow   int64    `json:"toWindow,omitempty"`
 }
 
-// handleEventsQuery is POST /v1/events: the GET stream narrowed by class
-// set and window range.
-func (s *Server) handleEventsQuery(w http.ResponseWriter, r *http.Request) {
+// handleEvents is GET /v1/events — every routing event emitted so far, in
+// window order (EventLess within a window) — and POST /v1/events, the same
+// list narrowed by class set and window range.
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Events == nil {
-		writeErr(w, http.StatusConflict, "event detection not enabled")
+		WriteErr(w, http.StatusConflict, "event detection not enabled")
 		return
 	}
 	var req eventsQueryJSON
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
+	if r.Method == http.MethodPost {
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			WriteErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
+			return
+		}
 	}
 	f := events.Filter{FromWindow: req.FromWindow, ToWindow: req.ToWindow}
 	for _, name := range req.Classes {
 		cls, err := events.ParseClass(name)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error())
+			WriteErr(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		f.Classes = append(f.Classes, cls)
 	}
-	writeJSON(w, http.StatusOK, EventsBody(s.cfg.Events.Filtered(f)))
+	WriteEvents(w, toEventJSONs(s.cfg.Events.Filtered(f)))
 }

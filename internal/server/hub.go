@@ -1,8 +1,12 @@
 package server
 
 import (
+	"fmt"
+	"io"
+	"net/http"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"rrr"
 	"rrr/internal/events"
@@ -129,6 +133,75 @@ func (f *Fanout[T]) Publish(v T) {
 	defer f.mu.Unlock()
 	for sub := range f.subs {
 		sub.offer(v)
+	}
+}
+
+// sseHeartbeat is the keepalive interval on an idle stream.
+const sseHeartbeat = 15 * time.Second
+
+// SSEFrame renders one Server-Sent-Events frame.
+func SSEFrame(kind string, data []byte) []byte {
+	frame := make([]byte, 0, len(kind)+len(data)+16)
+	frame = append(frame, "event: "...)
+	frame = append(frame, kind...)
+	frame = append(frame, "\ndata: "...)
+	frame = append(frame, data...)
+	return append(frame, "\n\n"...)
+}
+
+// ServeSSE subscribes the client to f and streams every item as the frame
+// the caller renders for it, until the client goes away. Both stream tiers
+// — a worker's signals, the router's merged frames — are served here, so
+// the preamble, the drop report and the keepalive are spelled once.
+func ServeSSE[T any](w http.ResponseWriter, r *http.Request, f *Fanout[T], frame func(T) []byte) {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		WriteErr(w, http.StatusInternalServerError, "streaming unsupported")
+		return
+	}
+	sub := f.Subscribe()
+	defer f.Unsubscribe(sub)
+
+	h := w.Header()
+	h.Set("Content-Type", "text/event-stream")
+	h.Set("Cache-Control", "no-cache")
+	h.Set("Connection", "keep-alive")
+	w.WriteHeader(http.StatusOK)
+	io.WriteString(w, ": rrrd signal stream\n\n")
+	fl.Flush()
+
+	heartbeat := time.NewTicker(sseHeartbeat)
+	defer heartbeat.Stop()
+	var reported uint64
+	write := func(v T) {
+		if d := sub.Dropped(); d > reported {
+			w.Write(SSEFrame("dropped", fmt.Appendf(nil, `{"dropped":%d}`, d)))
+			reported = d
+		}
+		w.Write(frame(v))
+	}
+	for {
+		select {
+		case <-r.Context().Done():
+			return
+		case v := <-sub.C():
+			write(v)
+			// A window close publishes its frames in one burst; flushing per
+			// frame would let the ring overflow behind the syscalls. Write
+			// what is already queued, then flush once.
+			for queued := true; queued; {
+				select {
+				case v = <-sub.C():
+					write(v)
+				default:
+					queued = false
+				}
+			}
+			fl.Flush()
+		case <-heartbeat.C:
+			io.WriteString(w, ": keepalive\n\n")
+			fl.Flush()
+		}
 	}
 }
 

@@ -1,6 +1,13 @@
 package server
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -109,5 +116,104 @@ func TestHubWindowMarkers(t *testing.T) {
 		default:
 			t.Fatalf("event %d missing", i)
 		}
+	}
+}
+
+// gatedWriter is a flushable ResponseWriter whose first frame Write parks
+// until the gate opens, so a test can queue a burst behind it.
+type gatedWriter struct {
+	header  http.Header
+	parked  chan struct{} // closed when the first frame's Write is reached
+	gate    chan struct{} // close to let that Write proceed
+	once    sync.Once
+	mu      sync.Mutex
+	body    bytes.Buffer
+	flushes int
+}
+
+func (g *gatedWriter) Header() http.Header { return g.header }
+func (g *gatedWriter) WriteHeader(int)     {}
+
+func (g *gatedWriter) Write(p []byte) (int, error) {
+	if bytes.HasPrefix(p, []byte("event: ")) {
+		g.once.Do(func() {
+			close(g.parked)
+			<-g.gate
+		})
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.body.Write(p)
+}
+
+func (g *gatedWriter) Flush() {
+	g.mu.Lock()
+	g.flushes++
+	g.mu.Unlock()
+}
+
+func (g *gatedWriter) snapshot() (string, int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.body.String(), g.flushes
+}
+
+// TestSSEFlushesOncePerBurst holds the stream handler inside its first
+// frame write while a window close's worth of signals lands in the ring,
+// then requires the whole burst to reach the client in order, undropped,
+// behind a single flush: a handler that flushes per frame is the one that
+// overflows the ring when a real window closes.
+func TestSSEFlushesOncePerBurst(t *testing.T) {
+	srv := New(newTestMonitor(t), Config{})
+	gw := &gatedWriter{header: http.Header{}, parked: make(chan struct{}), gate: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.Handler().ServeHTTP(gw, httptest.NewRequest("GET", "/v1/signals", nil).WithContext(ctx))
+	}()
+	for srv.Hub().Subscribers() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	const burst = 100
+	srv.Publish(sig(0))
+	<-gw.parked
+	for i := 1; i <= burst; i++ {
+		srv.Publish(sig(int64(i)))
+	}
+	close(gw.gate)
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		body, _ := gw.snapshot()
+		if strings.Count(body, "event: signal") == burst+1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stream delivered %d of %d frames", strings.Count(body, "event: signal"), burst+1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	<-served
+
+	body, flushes := gw.snapshot()
+	if strings.Contains(body, "event: dropped") {
+		t.Fatal("burst within the ring size reported drops")
+	}
+	at := 0
+	for i := 0; i <= burst; i++ {
+		next := strings.Index(body[at:], fmt.Sprintf(`"windowStart":%d}`, i))
+		if next < 0 {
+			t.Fatalf("frame %d missing or out of order", i)
+		}
+		at += next
+	}
+	// One flush for the preamble and one for the burst; the bound leaves
+	// one spare.
+	if flushes > 3 {
+		t.Fatalf("%d flushes for a %d-frame burst; want one per burst", flushes, burst)
 	}
 }

@@ -147,7 +147,7 @@ func TestMetricsScrapeUnderIngest(t *testing.T) {
 // +Inf scores into verdict responses exactly this way.
 func TestWriteJSONEncodeFailure(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeJSON(rec, 200, map[string]float64{"score": math.Inf(1)})
+	WriteJSON(rec, 200, map[string]float64{"score": math.Inf(1)})
 	if rec.Code != 500 {
 		t.Fatalf("code = %d; want 500", rec.Code)
 	}

@@ -50,10 +50,6 @@ type Config struct {
 	// RingSize is the per-SSE-subscriber signal buffer (0 =
 	// DefaultRingSize).
 	RingSize int
-	// Heartbeat is the SSE keepalive interval (0 = 15s).
-	Heartbeat time.Duration
-	// MaxBatch caps the keys accepted by one POST /v1/stale (0 = 10000).
-	MaxBatch int
 	// MaxInFlight bounds concurrently-served data requests (0 =
 	// DefaultMaxInFlight). Requests past the bound are shed with
 	// 503 + Retry-After instead of queueing into latency collapse.
@@ -114,12 +110,6 @@ type Server struct {
 // concurrently by a Pipeline; every handler uses only the Monitor's
 // public, internally-locked API.
 func New(mon *rrr.Monitor, cfg Config) *Server {
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = 15 * time.Second
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 10000
-	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = DefaultMaxInFlight
 	}
@@ -129,14 +119,14 @@ func New(mon *rrr.Monitor, cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/keys", s.handleKeys)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/signals", s.handleSignals)
-	s.mux.HandleFunc("GET /v1/events", s.handleEventsGet)
-	s.mux.HandleFunc("POST /v1/events", s.handleEventsQuery)
+	s.mux.HandleFunc("GET /v1/events", s.handleEvents)
+	s.mux.HandleFunc("POST /v1/events", s.handleEvents)
 	s.mux.HandleFunc("POST /v1/refresh/plan", s.handleRefreshPlan)
 	s.mux.HandleFunc("POST /v1/refresh/record", s.handleRefreshRecord)
 	s.mux.HandleFunc("POST /v1/snapshot", s.handleSnapshot)
 	s.mux.Handle("GET /metrics", obs.Default.Handler())
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.ready.Store(true)
@@ -151,11 +141,16 @@ func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.ready.Load() {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 		return
 	}
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "recovering"})
+	WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "recovering"})
 }
+
+// MaxBatch caps the keys one POST /v1/stale accepts. It is a constant, not
+// a setting, because it is a contract: a router in front of workers with a
+// different limit would turn their 413s into lost verdicts.
+const MaxBatch = 10000
 
 // DefaultMaxInFlight is the Config.MaxInFlight default: generous enough
 // that the differential and torture suites never shed, small enough to
@@ -195,7 +190,7 @@ func (s *Server) Handler() http.Handler {
 					// would be discarded.
 					metShed.Inc()
 					w.Header().Set("Retry-After", "1")
-					writeErr(w, http.StatusServiceUnavailable, "deadline already exceeded")
+					WriteErr(w, http.StatusServiceUnavailable, "deadline already exceeded")
 					return
 				}
 				ctx, cancel := context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)
@@ -209,7 +204,7 @@ func (s *Server) Handler() http.Handler {
 		if n > int64(s.cfg.MaxInFlight) {
 			metShed.Inc()
 			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusServiceUnavailable,
+			WriteErr(w, http.StatusServiceUnavailable,
 				fmt.Sprintf("overloaded: %d requests in flight (limit %d)", n, s.cfg.MaxInFlight))
 			return
 		}
@@ -425,7 +420,7 @@ func (s *Server) verdicts(keys []rrr.Key) []cachedVerdict {
 func (s *Server) handleStaleOne(w http.ResponseWriter, r *http.Request) {
 	k, err := ParseKey(r.PathValue("key"))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+		WriteErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	cv := s.verdicts([]rrr.Key{k})[0]
@@ -435,31 +430,72 @@ func (s *Server) handleStaleOne(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte("\n"))
 }
 
-func (s *Server) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
+// DecodeStaleBatch reads and validates a POST /v1/stale body, returning the
+// keys as sent and as parsed. On a bad request it answers the 400 or 413
+// itself and reports ok false.
+func DecodeStaleBatch(w http.ResponseWriter, r *http.Request) (names []string, keys []rrr.Key, ok bool) {
 	var req struct {
 		Keys []string `json:"keys"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
+		WriteErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return nil, nil, false
 	}
 	if len(req.Keys) == 0 {
-		writeErr(w, http.StatusBadRequest, "no keys")
-		return
+		WriteErr(w, http.StatusBadRequest, "no keys")
+		return nil, nil, false
 	}
-	if len(req.Keys) > s.cfg.MaxBatch {
-		writeErr(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("%d keys exceeds batch limit %d", len(req.Keys), s.cfg.MaxBatch))
-		return
+	if len(req.Keys) > MaxBatch {
+		WriteErr(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("%d keys exceeds batch limit %d", len(req.Keys), MaxBatch))
+		return nil, nil, false
 	}
-	keys := make([]rrr.Key, len(req.Keys))
+	keys = make([]rrr.Key, len(req.Keys))
 	for i, ks := range req.Keys {
 		k, err := ParseKey(ks)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error())
-			return
+			WriteErr(w, http.StatusBadRequest, err.Error())
+			return nil, nil, false
 		}
 		keys[i] = k
+	}
+	return req.Keys, keys, true
+}
+
+// WriteStaleBatch answers POST /v1/stale with n pre-rendered verdict bodies.
+// They are spliced directly instead of round-tripping through json.Marshal,
+// which would re-scan (Compact) every byte of every cached verdict on every
+// request. extra is spliced after the count: the cluster router's
+// pre-rendered degradation members, each with its leading comma.
+func WriteStaleBatch(w http.ResponseWriter, stale, n int, verdict func(i int) []byte, extra []byte) {
+	size := len(extra) + 64
+	for i := 0; i < n; i++ {
+		size += len(verdict(i)) + 1
+	}
+	var buf bytes.Buffer
+	buf.Grow(size)
+	buf.WriteString(`{"stale":`)
+	buf.WriteString(strconv.Itoa(stale))
+	buf.WriteString(`,"count":`)
+	buf.WriteString(strconv.Itoa(n))
+	buf.Write(extra)
+	buf.WriteString(`,"verdicts":[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			buf.WriteByte(',')
+		}
+		buf.Write(verdict(i))
+	}
+	buf.WriteString("]}\n")
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(buf.Bytes())
+}
+
+func (s *Server) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
+	_, keys, ok := DecodeStaleBatch(w, r)
+	if !ok {
+		return
 	}
 	// The client (or the router, via the propagated deadline) may already
 	// be gone; verdict computation for a canceled request is pure waste.
@@ -471,33 +507,12 @@ func (s *Server) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	stale := 0
-	size := 0
 	for i := range verdicts {
-		size += len(verdicts[i].JSON) + 1
 		if verdicts[i].Stale {
 			stale++
 		}
 	}
-	// The verdict bodies are pre-rendered JSON; splice them directly
-	// instead of round-tripping through json.Marshal, which would re-scan
-	// (Compact) every byte of every cached verdict on every request.
-	var buf bytes.Buffer
-	buf.Grow(size + 64)
-	buf.WriteString(`{"stale":`)
-	buf.WriteString(strconv.Itoa(stale))
-	buf.WriteString(`,"count":`)
-	buf.WriteString(strconv.Itoa(len(verdicts)))
-	buf.WriteString(`,"verdicts":[`)
-	for i := range verdicts {
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		buf.Write(verdicts[i].JSON)
-	}
-	buf.WriteString("]}\n")
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(buf.Bytes())
+	WriteStaleBatch(w, stale, len(verdicts), func(i int) []byte { return verdicts[i].JSON }, nil)
 }
 
 func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
@@ -512,7 +527,7 @@ func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
 	for i, k := range keys {
 		out[i] = FormatKey(k)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"keys": out, "count": len(out)})
+	WriteJSON(w, http.StatusOK, map[string]any{"keys": out, "count": len(out)})
 }
 
 // Stats is GET /v1/stats: deliberately free of wall-clock fields so a
@@ -574,63 +589,34 @@ func (s *Server) stats() Stats {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.stats())
+	WriteJSON(w, http.StatusOK, s.stats())
 }
 
 func (s *Server) handleSignals(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	sub := s.hub.Subscribe()
-	defer s.hub.Unsubscribe(sub)
+	ServeSSE(w, r, s.hub.Fanout, eventFrame)
+}
 
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintf(w, ": rrrd signal stream\n\n")
-	fl.Flush()
+// WindowFrame renders the window-close marker frame for the window
+// starting at ws.
+func WindowFrame(ws int64) []byte {
+	return SSEFrame("window", fmt.Appendf(nil, `{"windowStart":%d}`, ws))
+}
 
-	heartbeat := time.NewTicker(s.cfg.Heartbeat)
-	defer heartbeat.Stop()
-	var reported uint64
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev := <-sub.C():
-			if d := sub.Dropped(); d > reported {
-				fmt.Fprintf(w, "event: dropped\ndata: {\"dropped\":%d}\n\n", d)
-				reported = d
-			}
-			if ev.Window {
-				fmt.Fprintf(w, "event: window\ndata: {\"windowStart\":%d}\n\n", ev.WindowStart)
-				fl.Flush()
-				continue
-			}
-			if ev.Routing != nil {
-				data, err := json.Marshal(ToEventJSON(*ev.Routing))
-				if err != nil {
-					continue
-				}
-				fmt.Fprintf(w, "event: routing\ndata: %s\n\n", data)
-				fl.Flush()
-				continue
-			}
-			data, err := json.Marshal(toSignalJSON(ev.Signal))
-			if err != nil {
-				continue
-			}
-			fmt.Fprintf(w, "event: signal\ndata: %s\n\n", data)
-			fl.Flush()
-		case <-heartbeat.C:
-			fmt.Fprintf(w, ": keepalive\n\n")
-			fl.Flush()
-		}
+// eventFrame renders one hub event as its SSE frame (nil if it cannot be
+// encoded, which writes nothing).
+func eventFrame(ev Event) []byte {
+	if ev.Window {
+		return WindowFrame(ev.WindowStart)
 	}
+	kind, v := "signal", any(toSignalJSON(ev.Signal))
+	if ev.Routing != nil {
+		kind, v = "routing", ToEventJSON(*ev.Routing)
+	}
+	data, err := json.Marshal(v)
+	if err != nil {
+		return nil
+	}
+	return SSEFrame(kind, data)
 }
 
 func (s *Server) handleRefreshPlan(w http.ResponseWriter, r *http.Request) {
@@ -638,11 +624,11 @@ func (s *Server) handleRefreshPlan(w http.ResponseWriter, r *http.Request) {
 		Budget int `json:"budget"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		WriteErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	if req.Budget <= 0 {
-		writeErr(w, http.StatusBadRequest, "budget must be positive")
+		WriteErr(w, http.StatusBadRequest, "budget must be positive")
 		return
 	}
 	// nil rng: the Monitor falls back to its deterministic seeded source,
@@ -654,7 +640,7 @@ func (s *Server) handleRefreshPlan(w http.ResponseWriter, r *http.Request) {
 		keys[i] = FormatKey(it.Key)
 		entries[i] = toPlanEntry(it)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"keys": keys, "plan": entries, "planned": len(keys)})
+	WriteJSON(w, http.StatusOK, map[string]any{"keys": keys, "plan": entries, "planned": len(keys)})
 }
 
 // PlanEntry is one /v1/refresh/plan selection with the attributes it was
@@ -809,20 +795,20 @@ func (t traceJSON) toTraceroute() (*rrr.Traceroute, error) {
 func (s *Server) handleRefreshRecord(w http.ResponseWriter, r *http.Request) {
 	var req traceJSON
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		WriteErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	tr, err := req.toTraceroute()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+		WriteErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	cls, err := s.mon.RecordRefresh(tr)
 	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, err.Error())
+		WriteErr(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"key":         FormatKey(tr.Key()),
 		"changeClass": cls.String(),
 	})
@@ -830,15 +816,15 @@ func (s *Server) handleRefreshRecord(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.SnapshotPath == "" {
-		writeErr(w, http.StatusConflict, "no snapshot path configured (start with -snapshot)")
+		WriteErr(w, http.StatusConflict, "no snapshot path configured (start with -snapshot)")
 		return
 	}
 	n, err := WriteSnapshot(s.cfg.SnapshotPath, s.mon)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err.Error())
+		WriteErr(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"path":    s.cfg.SnapshotPath,
 		"entries": n.Entries,
 		"signals": n.Signals,
@@ -848,11 +834,11 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 
 // --- helpers ---
 
-// writeJSON marshals before touching the ResponseWriter, so an encode
+// WriteJSON marshals before touching the ResponseWriter, so an encode
 // failure (e.g. a non-finite float smuggled into a response struct) becomes
 // a 500 with a body instead of a silently empty 200 — headers would already
 // be on the wire by the time a streaming encoder notices.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		data, code = []byte(`{"error":"response encoding failed"}`), http.StatusInternalServerError
@@ -863,6 +849,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Write([]byte("\n"))
 }
 
-func writeErr(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+// WriteErr answers code with the API's {"error": msg} body.
+func WriteErr(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, map[string]string{"error": msg})
 }

@@ -222,7 +222,7 @@ func TestStaleOneEndpoint(t *testing.T) {
 
 func TestStaleBatchEndpoint(t *testing.T) {
 	m, stale, fresh := newStaleMonitor(t)
-	ts := httptest.NewServer(New(m, Config{MaxBatch: 3}).Handler())
+	ts := httptest.NewServer(New(m, Config{}).Handler())
 	defer ts.Close()
 
 	var out struct {
@@ -247,7 +247,7 @@ func TestStaleBatchEndpoint(t *testing.T) {
 	if code := postJSON(t, ts, "/v1/stale", map[string]any{"keys": []string{"junk"}}, nil); code != http.StatusBadRequest {
 		t.Fatalf("bad key status = %d", code)
 	}
-	big := map[string]any{"keys": []string{"1.0.0.1-2.0.0.1", "1.0.0.1-2.0.0.2", "1.0.0.1-2.0.0.3", "1.0.0.1-2.0.0.4"}}
+	big := map[string]any{"keys": make([]string, MaxBatch+1)}
 	if code := postJSON(t, ts, "/v1/stale", big, nil); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized batch status = %d", code)
 	}

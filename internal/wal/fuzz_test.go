@@ -51,12 +51,12 @@ func fuzzSeedSegment(f *testing.F) []byte {
 // restart.
 func FuzzWALReader(f *testing.F) {
 	valid := fuzzSeedSegment(f)
-	f.Add(valid)                                     // intact segment
-	f.Add(valid[:len(valid)-3])                      // torn tail
-	f.Add(append([]byte(nil), valid[:8]...))         // bare magic
-	f.Add([]byte(segMagic[:5]))                      // segment shorter than magic
-	f.Add([]byte{})                                  // empty file
-	f.Add([]byte("NOTAWAL!garbage"))                 // wrong magic
+	f.Add(valid)                                                                  // intact segment
+	f.Add(valid[:len(valid)-3])                                                   // torn tail
+	f.Add(append([]byte(nil), valid[:8]...))                                      // bare magic
+	f.Add([]byte(segMagic[:5]))                                                   // segment shorter than magic
+	f.Add([]byte{})                                                               // empty file
+	f.Add([]byte("NOTAWAL!garbage"))                                              // wrong magic
 	f.Add(append(append([]byte(nil), valid...), make([]byte, frameHeaderLen)...)) // zero-length frame
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)-1] ^= 0x01

@@ -7,13 +7,13 @@ import "rrr/internal/obs"
 // all WAL instances in the process; the segments gauge describes the most
 // recently active log (the daemon runs exactly one).
 var (
-	metAppends     = obs.Default.Counter("rrr_wal_appends_total")
-	metAppendBytes = obs.Default.Counter("rrr_wal_append_bytes_total")
-	metFsyncs      = obs.Default.Counter("rrr_wal_fsyncs_total")
-	metSegments    = obs.Default.Gauge("rrr_wal_segments")
-	metRotations   = obs.Default.Counter("rrr_wal_segment_rotations_total")
-	metTruncations = obs.Default.Counter("rrr_wal_tail_truncations_total")
-	metReplayed    = obs.Default.Counter("rrr_wal_records_replayed_total")
+	metAppends       = obs.Default.Counter("rrr_wal_appends_total")
+	metAppendBytes   = obs.Default.Counter("rrr_wal_append_bytes_total")
+	metFsyncs        = obs.Default.Counter("rrr_wal_fsyncs_total")
+	metSegments      = obs.Default.Gauge("rrr_wal_segments")
+	metRotations     = obs.Default.Counter("rrr_wal_segment_rotations_total")
+	metTruncations   = obs.Default.Counter("rrr_wal_tail_truncations_total")
+	metReplayed      = obs.Default.Counter("rrr_wal_records_replayed_total")
 	metCompacted     = obs.Default.Counter("rrr_wal_compacted_segments_total")
 	metReplaySeconds = obs.Default.Histogram("rrr_wal_replay_seconds", nil)
 )

@@ -14,11 +14,11 @@ import (
 // memLog is an in-memory RecordLog: it captures the merged ingestion order
 // the pipeline would hand a real WAL, optionally failing on cue.
 type memLog struct {
-	recs       []memRec
-	windows    []int64
-	failAfter  int // fail the append that would be number failAfter+1
-	failErr    error
-	windowErr  error
+	recs      []memRec
+	windows   []int64
+	failAfter int // fail the append that would be number failAfter+1
+	failErr   error
+	windowErr error
 }
 
 type memRec struct {
