@@ -8,6 +8,7 @@ FUZZ_TARGETS := \
 	internal/bgp:FuzzParseCommunity \
 	internal/wal:FuzzWALReader \
 	internal/server:FuzzParseKey \
+	internal/server:FuzzStaleFrame \
 	internal/feedwire:FuzzFrameReader \
 	internal/events:FuzzTruthCodec \
 	internal/anomaly:FuzzZScoreDegenerate \
@@ -39,7 +40,8 @@ bench:
 
 # Short fuzz pass over every entry point that consumes untrusted bytes:
 # the BGP parsers (MRT, binary, and text codecs; path and community
-# parsers), the WAL segment reader, and the HTTP pair-key parser. Each
+# parsers), the WAL segment reader, the HTTP pair-key parser, and the
+# router<->worker stale frame. Each
 # pkg:Target entry gets FUZZTIME of coverage-guided input on top of its
 # seed corpus. Go allows one -fuzz target per invocation, hence the loop.
 fuzz:

@@ -74,10 +74,11 @@ type vnode struct {
 type Ring struct {
 	workers    int
 	partitions int
-	owner      []int // partition -> primary worker
-	standby    []int // partition -> standby worker (== owner when K == 1)
-	owned      []int // worker -> primary partition count
-	replicas   []int // worker -> primary+standby partition count
+	owner      []int   // partition -> primary worker
+	standby    []int   // partition -> standby worker (== owner when K == 1)
+	reps       [][]int // partition -> its distinct replicas, primary first
+	owned      []int   // worker -> primary partition count
+	replicas   []int   // worker -> primary+standby partition count
 }
 
 // NewRing places `partitions` partitions onto `workers` workers
@@ -111,6 +112,7 @@ func NewRing(workers, partitions int) (*Ring, error) {
 		partitions: partitions,
 		owner:      make([]int, partitions),
 		standby:    make([]int, partitions),
+		reps:       make([][]int, partitions),
 		owned:      make([]int, workers),
 		replicas:   make([]int, workers),
 	}
@@ -137,8 +139,10 @@ func NewRing(workers, partitions int) (*Ring, error) {
 			}
 		}
 		r.standby[p] = s
+		r.reps[p] = []int{w}
 		if s != w {
 			r.replicas[s]++
+			r.reps[p] = []int{w, s}
 		}
 	}
 	return r, nil
@@ -178,12 +182,9 @@ func (r *Ring) Standby(k rrr.Key) int { return r.standby[r.PartitionOf(k)] }
 func (r *Ring) StandbyOfPartition(p int) int { return r.standby[p] }
 
 // Replicas lists the distinct workers tracking partition p, primary first.
-func (r *Ring) Replicas(p int) []int {
-	if r.standby[p] == r.owner[p] {
-		return []int{r.owner[p]}
-	}
-	return []int{r.owner[p], r.standby[p]}
-}
+// The slice is the ring's own, shared by every caller: read it, never
+// write to it.
+func (r *Ring) Replicas(p int) []int { return r.reps[p] }
 
 // IsReplica reports whether worker w tracks pair k (as primary or standby).
 func (r *Ring) IsReplica(k rrr.Key, w int) bool {

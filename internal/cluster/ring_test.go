@@ -107,6 +107,10 @@ func TestRingStandbyPlacement(t *testing.T) {
 			t.Fatalf("Replicas(%d) = %v, want [%d %d]", p, reps, pri, sb)
 		}
 	}
+	// The router asks once per key of every batch.
+	if n := testing.AllocsPerRun(100, func() { a.Replicas(7) }); n != 0 {
+		t.Fatalf("Replicas allocates %v times per call", n)
+	}
 	for i := 0; i < 1000; i++ {
 		k := rrr.Key{Src: uint32(i * 2654435761), Dst: uint32(i*40503 + 7)}
 		p := a.PartitionOf(k)

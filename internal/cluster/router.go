@@ -65,6 +65,10 @@ type Router struct {
 	hub      *server.Fanout[[]byte]
 	merger   *merger
 	breakers []*breaker
+	// client carries every connection the router opens to a worker —
+	// sub-requests, breaker probes, signal streams — on a transport of the
+	// router's own, so Close can end them.
+	client   *http.Client
 	inflight atomic.Int64
 	cancel   context.CancelFunc
 	done     sync.WaitGroup
@@ -87,6 +91,13 @@ func NewRouter(opts Options) (*Router, error) {
 		opts.Workers[i] = strings.TrimRight(u, "/")
 	}
 	rt := &Router{ring: ring, opts: opts, mux: http.NewServeMux(), hub: server.NewFanout[[]byte](opts.RingSize)}
+	// Every admitted request may hold one connection per worker at once;
+	// an idle pool of that size means a burst at the admission bound
+	// redials nothing on the next one.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = opts.MaxInFlight
+	tr.MaxIdleConns = opts.MaxInFlight * len(opts.Workers)
+	rt.client = &http.Client{Transport: tr}
 	rt.merger = newMerger(len(opts.Workers), rt.hub, ring)
 	rt.breakers = make([]*breaker, len(opts.Workers))
 	for i := range rt.breakers {
@@ -114,7 +125,7 @@ func NewRouter(opts Options) (*Router, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	rt.cancel = cancel
 	for i := range opts.Workers {
-		c := newSSEClient(i, opts.Workers[i], rt.merger, opts.StreamBackoff)
+		c := newSSEClient(i, opts.Workers[i], rt.client, rt.merger, opts.StreamBackoff)
 		rt.done.Add(1)
 		go func() {
 			defer rt.done.Done()
@@ -158,10 +169,12 @@ func (rt *Router) StreamConnected() bool { return rt.merger.allConnected() }
 // Subscribers reports attached merged-stream clients.
 func (rt *Router) Subscribers() int { return rt.hub.Subscribers() }
 
-// Close stops the worker stream subscriptions.
+// Close stops the worker stream subscriptions and closes the idle worker
+// connections.
 func (rt *Router) Close() {
 	rt.cancel()
 	rt.done.Wait()
+	rt.client.CloseIdleConnections()
 }
 
 // --- worker fan-out ---
@@ -257,15 +270,22 @@ func describeAttempt(wr *workerResp, err error) string {
 	return fmt.Sprintf("status %d", wr.status)
 }
 
-// do issues one worker sub-request, retrying once on transport failure or
-// 5xx. Both attempts share a single deadline budget (opts.Timeout measured
-// from the first attempt's start) so a retry cannot double the effective
-// timeout, and the remaining budget is propagated to the worker via
-// server.DeadlineHeader so it abandons work the router will discard. Every
-// outcome feeds the worker's circuit breaker; the final error carries the
-// first attempt's status context so partial-failure bodies say what
-// actually happened, not just that the retry failed.
+// do issues one JSON worker sub-request and reads its whole answer.
 func (rt *Router) do(ctx context.Context, method string, worker int, path string, body []byte) (*workerResp, error) {
+	return rt.send(ctx, method, worker, path, "application/json", body, func(resp *http.Response) ([]byte, error) {
+		return io.ReadAll(resp.Body)
+	})
+}
+
+// send issues one worker sub-request, retrying once on transport failure,
+// 5xx, or an answer read refuses. Both attempts share a single deadline
+// budget (opts.Timeout measured from the first attempt's start) so a retry
+// cannot double the effective timeout, and the remaining budget is
+// propagated to the worker via server.DeadlineHeader so it abandons work the
+// router will discard. Every outcome feeds the worker's circuit breaker; the
+// final error carries the first attempt's status context so partial-failure
+// bodies say what actually happened, not just that the retry failed.
+func (rt *Router) send(ctx context.Context, method string, worker int, path, ctype string, body []byte, read func(*http.Response) ([]byte, error)) (*workerResp, error) {
 	dctx, cancel := context.WithTimeout(ctx, rt.opts.Timeout)
 	defer cancel()
 	deadline, _ := dctx.Deadline()
@@ -279,18 +299,18 @@ func (rt *Router) do(ctx context.Context, method string, worker int, path string
 			return nil, err
 		}
 		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set("Content-Type", ctype)
 		}
 		if ms := time.Until(deadline).Milliseconds(); ms > 0 {
 			req.Header.Set(server.DeadlineHeader, strconv.FormatInt(ms, 10))
 		}
 		metRouterFanout.Inc()
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := rt.client.Do(req)
 		if err != nil {
 			return nil, err
 		}
 		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
+		data, err := read(resp)
 		if err != nil {
 			return nil, err
 		}
@@ -342,7 +362,7 @@ func (rt *Router) probe(worker int) {
 	ok := false
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rt.opts.Workers[worker]+"/readyz", nil)
 	if err == nil {
-		if resp, derr := http.DefaultClient.Do(req); derr == nil {
+		if resp, derr := rt.client.Do(req); derr == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			ok = resp.StatusCode == http.StatusOK
@@ -356,7 +376,7 @@ func (rt *Router) probe(worker int) {
 func (rt *Router) replicaOrder(p int) []int {
 	reps := rt.ring.Replicas(p)
 	if len(reps) == 2 && !rt.workerUp(reps[0]) && rt.workerUp(reps[1]) {
-		reps[0], reps[1] = reps[1], reps[0]
+		return []int{reps[1], reps[0]}
 	}
 	return reps
 }
@@ -409,155 +429,6 @@ func (rt *Router) handleStaleOne(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.unavailable(w, fmt.Sprintf("all replicas of partition %d unavailable", p), errs, order)
-}
-
-// subBatchResp is the worker's batch-staleness shape with verdict bodies
-// kept raw for splicing.
-type subBatchResp struct {
-	Stale    int               `json:"stale"`
-	Verdicts []json.RawMessage `json:"verdicts"`
-}
-
-func (rt *Router) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
-	names, keys, ok := server.DecodeStaleBatch(w, r)
-	if !ok {
-		return
-	}
-	// Each key routes to its partition's designated replica: the primary,
-	// unless the primary's breaker is open and the standby's isn't. Keys
-	// whose round-one worker fails are regrouped onto their alternate
-	// replica for a second round; a standby's verdicts are byte-identical
-	// to the primary's (same full feed, same tracked slice), so a failover
-	// is invisible in the response.
-	verdicts := make([]json.RawMessage, len(keys))
-	stale := 0
-	workerErrs := map[int]string{}
-
-	// runRound scatters per-worker sub-batches; group maps a worker to the
-	// request indices it should answer. Failed workers keep their indices
-	// unfilled and are reported back.
-	runRound := func(group map[int][]int) map[int]bool {
-		workers := make([]int, 0, len(group))
-		for worker := range group {
-			workers = append(workers, worker)
-		}
-		subs, errs := scatter(workers, func(worker int) (subBatchResp, error) {
-			idxs := group[worker]
-			ks := make([]string, len(idxs))
-			for j, i := range idxs {
-				ks[j] = names[i]
-			}
-			var sub subBatchResp
-			body, _ := json.Marshal(map[string]any{"keys": ks})
-			wr, err := rt.do(r.Context(), http.MethodPost, worker, "/v1/stale", body)
-			if err != nil {
-				return sub, err
-			}
-			if wr.status != http.StatusOK {
-				return sub, fmt.Errorf("worker %d: status %d", worker, wr.status)
-			}
-			if err := json.Unmarshal(wr.body, &sub); err != nil {
-				return sub, fmt.Errorf("worker %d: %v", worker, err)
-			}
-			if len(sub.Verdicts) != len(idxs) {
-				return sub, fmt.Errorf("worker %d: %d verdicts for %d keys", worker, len(sub.Verdicts), len(idxs))
-			}
-			return sub, nil
-		})
-		failed := map[int]bool{}
-		for n, worker := range workers {
-			if errs[n] != nil {
-				failed[worker] = true
-				workerErrs[worker] = errs[n].Error()
-				continue
-			}
-			for j, i := range group[worker] {
-				verdicts[i] = subs[n].Verdicts[j]
-			}
-			stale += subs[n].Stale
-		}
-		return failed
-	}
-
-	group1 := map[int][]int{}
-	for i, k := range keys {
-		designated := rt.replicaOrder(rt.ring.PartitionOf(k))[0]
-		group1[designated] = append(group1[designated], i)
-	}
-	failed1 := runRound(group1)
-
-	var lost []int // request indices with no live replica left to try
-	if len(failed1) > 0 {
-		group2 := map[int][]int{}
-		for worker := range failed1 {
-			for _, i := range group1[worker] {
-				alt := -1
-				for _, cand := range rt.ring.Replicas(rt.ring.PartitionOf(keys[i])) {
-					if cand == worker || failed1[cand] || !rt.workerUp(cand) {
-						continue
-					}
-					alt = cand
-					break
-				}
-				if alt < 0 {
-					lost = append(lost, i)
-					continue
-				}
-				group2[alt] = append(group2[alt], i)
-			}
-		}
-		if len(group2) > 0 {
-			for _, idxs := range group2 {
-				metRouterFailovers.Add(uint64(len(idxs)))
-			}
-			failed2 := runRound(group2)
-			for worker := range failed2 {
-				lost = append(lost, group2[worker]...)
-			}
-		}
-	}
-	var extra []byte
-	if len(lost) > 0 {
-		metRouterPartial.Inc()
-		extra = rt.lostVerdicts(lost, names, keys, verdicts, workerErrs)
-	}
-	server.WriteStaleBatch(w, stale, len(verdicts), func(i int) []byte { return verdicts[i] }, extra)
-}
-
-// lostVerdicts fills the verdicts no live replica could answer with
-// positional placeholders, keeping count == len(keys) and the response order
-// aligned with the request; visibility "unavailable" is the partition-down
-// analogue of "untracked". It returns the degradation members that precede
-// the verdicts: the partitions lost, ascending, and each failed worker's
-// error, keyed by worker ID in ascending numeric order.
-func (rt *Router) lostVerdicts(lost []int, names []string, keys []rrr.Key, verdicts []json.RawMessage, workerErrs map[int]string) []byte {
-	unavailSet := map[int]bool{}
-	for _, i := range lost {
-		unavailSet[rt.ring.PartitionOf(keys[i])] = true
-		verdicts[i], _ = json.Marshal(server.Verdict{Key: names[i], Visibility: "unavailable"})
-	}
-	unavailParts := make([]int, 0, len(unavailSet))
-	for p := range unavailSet {
-		unavailParts = append(unavailParts, p)
-	}
-	sort.Ints(unavailParts)
-	workers := make([]int, 0, len(workerErrs))
-	for worker := range workerErrs {
-		workers = append(workers, worker)
-	}
-	sort.Ints(workers)
-
-	enc, _ := json.Marshal(unavailParts)
-	extra := append([]byte(`,"unavailablePartitions":`), enc...)
-	extra = append(extra, `,"workerErrors":{`...)
-	for j, worker := range workers {
-		if j > 0 {
-			extra = append(extra, ',')
-		}
-		enc, _ := json.Marshal(workerErrs[worker])
-		extra = fmt.Appendf(extra, `"%d":%s`, worker, enc)
-	}
-	return append(extra, '}')
 }
 
 // --- merged reads ---

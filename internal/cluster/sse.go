@@ -18,6 +18,7 @@ import (
 type sseClient struct {
 	worker  int
 	url     string
+	httpc   *http.Client
 	m       *merger
 	backoff time.Duration
 	// lastDropped is the worker stream's cumulative drop counter as of
@@ -26,13 +27,14 @@ type sseClient struct {
 	lastDropped uint64
 }
 
-func newSSEClient(worker int, baseURL string, m *merger, backoff time.Duration) *sseClient {
+func newSSEClient(worker int, baseURL string, httpc *http.Client, m *merger, backoff time.Duration) *sseClient {
 	if backoff <= 0 {
 		backoff = 100 * time.Millisecond
 	}
 	return &sseClient{
 		worker:  worker,
 		url:     strings.TrimRight(baseURL, "/") + "/v1/signals",
+		httpc:   httpc,
 		m:       m,
 		backoff: backoff,
 	}
@@ -72,7 +74,7 @@ func (c *sseClient) consume(ctx context.Context) error {
 	}
 	// A streaming client must not carry a response deadline; liveness
 	// comes from the worker's keepalive comments and ctx cancellation.
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := c.httpc.Do(req)
 	if err != nil {
 		return err
 	}

@@ -12,6 +12,7 @@
 //
 //	GET  /v1/stale/{key}      staleness verdict for one pair ("1.2.3.4-5.6.7.8")
 //	POST /v1/stale            batch verdicts: {"keys": ["src-dst", ...]}
+//	                          (or the router's framed form, see staleframe.go)
 //	GET  /v1/keys?stale=1     tracked (or only flagged) pairs, sorted
 //	GET  /v1/stats            corpus size, window clock, signal/revocation totals
 //	GET  /v1/signals          Server-Sent-Events stream of live signals
@@ -160,8 +161,10 @@ const DefaultMaxInFlight = 4096
 // DeadlineHeader carries the router's remaining per-request budget in
 // milliseconds. The worker folds it into the request context so work for
 // an already-expired router deadline is abandoned instead of computed and
-// discarded.
-const DeadlineHeader = "X-RRR-Deadline-Ms"
+// discarded. X-RRR-Deadline-Ms, spelled the way net/http canonicalizes it on
+// the wire anyway: any other spelling costs Header.Set and Header.Get an
+// allocation each, on every request.
+const DeadlineHeader = "X-Rrr-Deadline-Ms"
 
 // OverloadExempt reports whether a path bypasses in-flight admission:
 // probes and metrics must answer during overload (they are how operators
@@ -441,13 +444,7 @@ func DecodeStaleBatch(w http.ResponseWriter, r *http.Request) (names []string, k
 		WriteErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return nil, nil, false
 	}
-	if len(req.Keys) == 0 {
-		WriteErr(w, http.StatusBadRequest, "no keys")
-		return nil, nil, false
-	}
-	if len(req.Keys) > MaxBatch {
-		WriteErr(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("%d keys exceeds batch limit %d", len(req.Keys), MaxBatch))
+	if !batchSizeOK(w, len(req.Keys)) {
 		return nil, nil, false
 	}
 	keys = make([]rrr.Key, len(req.Keys))
@@ -460,6 +457,20 @@ func DecodeStaleBatch(w http.ResponseWriter, r *http.Request) (names []string, k
 		keys[i] = k
 	}
 	return req.Keys, keys, true
+}
+
+// batchSizeOK refuses an empty or over-limit batch, whichever body form
+// carried it, and reports whether n keys may be served.
+func batchSizeOK(w http.ResponseWriter, n int) bool {
+	switch {
+	case n == 0:
+		WriteErr(w, http.StatusBadRequest, "no keys")
+	case n > MaxBatch:
+		WriteErr(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("%d keys exceeds batch limit %d", n, MaxBatch))
+	default:
+		return true
+	}
+	return false
 }
 
 // WriteStaleBatch answers POST /v1/stale with n pre-rendered verdict bodies.
@@ -493,7 +504,18 @@ func WriteStaleBatch(w http.ResponseWriter, stale, n int, verdict func(i int) []
 }
 
 func (s *Server) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
-	_, keys, ok := DecodeStaleBatch(w, r)
+	// The body form is the only fork: admission, the deadline and the
+	// verdicts are the same code for a client's JSON and a router's frame.
+	var keys []rrr.Key
+	var sc *staleScratch
+	ok := false
+	if r.Header.Get("Content-Type") == StaleFrameType {
+		sc = staleScratchPool.Get().(*staleScratch)
+		defer staleScratchPool.Put(sc)
+		keys, ok = decodeStaleFrame(w, r, sc)
+	} else {
+		_, keys, ok = DecodeStaleBatch(w, r)
+	}
 	if !ok {
 		return
 	}
@@ -511,6 +533,10 @@ func (s *Server) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
 		if verdicts[i].Stale {
 			stale++
 		}
+	}
+	if sc != nil {
+		writeStaleFrame(w, stale, verdicts, sc)
+		return
 	}
 	WriteStaleBatch(w, stale, len(verdicts), func(i int) []byte { return verdicts[i].JSON }, nil)
 }

@@ -71,21 +71,33 @@ func FormatIP(ip uint32) string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
 }
 
-// ParseIP parses a dotted-quad IPv4 address.
+// ParseIP parses a dotted-quad IPv4 address: four dot-separated runs of one
+// or more ASCII digits, each at most 255 (leading zeros allowed, no signs).
+// One pass, no allocation on success — it runs twice per key on every
+// /v1/stale request.
 func ParseIP(s string) (uint32, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
+	var ip, octet uint32
+	dots, digits, ok := 0, 0, true
+	for i := 0; i < len(s); i++ {
+		if s[i] == '.' {
+			ok = ok && digits > 0
+			ip, octet, digits = ip<<8|octet, 0, 0
+			dots++
+			continue
+		}
+		d := uint32(s[i] - '0') // a non-digit byte wraps past 9
+		if octet = octet*10 + d; d > 9 || octet > 255 {
+			ok, octet = false, 0
+		}
+		digits++
+	}
+	if dots != 3 {
 		return 0, fmt.Errorf("trie: bad ip %q: want 4 octets", s)
 	}
-	var ip uint32
-	for _, p := range parts {
-		o, ok := parseUint8(p)
-		if !ok {
-			return 0, fmt.Errorf("trie: bad ip %q: octet out of range", s)
-		}
-		ip = ip<<8 | o
+	if !ok || digits == 0 {
+		return 0, fmt.Errorf("trie: bad ip %q: octet out of range", s)
 	}
-	return ip, nil
+	return ip<<8 | octet, nil
 }
 
 // parseUint8 parses one or more ASCII digits with a value of at most 255.

@@ -1,7 +1,9 @@
 package trie
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -52,6 +54,63 @@ func TestParseErrors(t *testing.T) {
 		if _, err := ParseIP(s); err == nil {
 			t.Errorf("ParseIP(%q): want error", s)
 		}
+	}
+}
+
+// parseIPSplit is ParseIP as it was while it split the string first; the
+// one-pass parser must accept and refuse exactly what it did, in its words.
+func parseIPSplit(s string) (uint32, error) {
+	parts := strings.Split(s, ".")
+	if len(parts) != 4 {
+		return 0, fmt.Errorf("trie: bad ip %q: want 4 octets", s)
+	}
+	var ip uint32
+	for _, p := range parts {
+		o, ok := parseUint8(p)
+		if !ok {
+			return 0, fmt.Errorf("trie: bad ip %q: octet out of range", s)
+		}
+		ip = ip<<8 | o
+	}
+	return ip, nil
+}
+
+func TestParseIPMatchesSplit(t *testing.T) {
+	cases := []string{
+		"", ".", "...", "....", "1.2.3", "1.2.3.4", "1.2.3.4.5", "1.2.3.4.", ".1.2.3", ".1.2.3.4",
+		"1..2.3", "1..3.4", "1.2..4", "1.2.3.", "0.0.0.0", "255.255.255.255", "256.1.1.1", "1.256.1.1",
+		"1.1.1.256", "999.1.1.1", "01.02.03.04", "001.1.1.1", "0000000001.1.1.1", "0255.1.1.1", "0256.1.1.1",
+		"+1.2.3.4", "-0.0.0.0", "1.2.3.+4", "1.-0.3.4", "1.2.3.4 ", " 1.2.3.4", "1.2.3.4\n", "a.b.c.d",
+		"1.2.3.4a", "1.2.3.99999999999999999999", "4294967296.0.0.0", "1.2.3.4294967297", "1,2,3,4",
+		"10.3.0.1-10.9.0.9", "１.2.3.4", "1.2.3.\x00",
+	}
+	rng := rand.New(rand.NewSource(16))
+	octets := []string{"0", "7", "42", "199", "255", "007", "0255", "256", "1000", "", "+1", "-0", "a", "1 "}
+	for i := 0; i < 5000; i++ {
+		parts := make([]string, []int{4, 4, 4, 4, 4, 4, 3, 5}[rng.Intn(8)])
+		for j := range parts {
+			// Mostly the well-formed head of the pool, so both sides of the
+			// accept/refuse line are exercised.
+			parts[j] = octets[rng.Intn(7+rng.Intn(2)*7)]
+		}
+		cases = append(cases, strings.Join(parts, "."))
+	}
+	accepted := 0
+	for _, s := range cases {
+		want, wantErr := parseIPSplit(s)
+		got, err := ParseIP(s)
+		if got != want || (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Errorf("ParseIP(%q) = %d, %v; the split parser gave %d, %v", s, got, err, want, wantErr)
+		}
+		if err == nil {
+			accepted++
+		}
+	}
+	if accepted < 500 || accepted > len(cases)-500 {
+		t.Fatalf("%d of %d cases parse; the table exercises one side", accepted, len(cases))
+	}
+	if n := testing.AllocsPerRun(100, func() { ParseIP("203.0.113.77") }); n != 0 {
+		t.Errorf("ParseIP allocates %v times per address", n)
 	}
 }
 
