@@ -35,8 +35,12 @@ fmtcheck:
 race:
 	$(GO) test -race ./...
 
+# The per-layer counts behind the ledger's ingest numbers, one command:
+# ns, B and allocs per op for the engine (window close, public trace,
+# registration), the two detectors, and the event tap.
 bench:
-	$(GO) test -run xxx -bench . -benchtime 10x ./internal/core/
+	$(GO) test -run xxx -bench . -benchmem -benchtime 10x ./internal/core/
+	$(GO) test -run xxx -bench 'Add|TapTrace' -benchmem ./internal/anomaly/ ./internal/events/
 
 # Short fuzz pass over every entry point that consumes untrusted bytes:
 # the BGP parsers (MRT, binary, and text codecs; path and community

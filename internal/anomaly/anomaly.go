@@ -156,6 +156,13 @@ func (d *ZScoreDetector) push(v float64) {
 // anomaly score is the squared distance between the normalized bitmaps. A
 // window is flagged when its score exceeds an adaptive threshold (mean + k·σ
 // of past scores).
+//
+// The outlier-free history is conceptually unbounded up to a 4×→2×
+// DefaultMaxHistory trim, but Add only ever reads its length and its last
+// Lead+Lag values, so that is all the detector stores; the score history,
+// which the adaptive threshold does read in full, lives in one buffer of
+// fixed capacity. A series that has never moved stores neither: every value
+// equals sameVal and every score is zero, so two counters stand in for both.
 type BitmapDetector struct {
 	// Alphabet is the SAX alphabet size; 4 if zero (the paper's reference
 	// implementation default).
@@ -167,14 +174,28 @@ type BitmapDetector struct {
 	// Sigmas is the adaptive threshold multiplier; 3 if zero.
 	Sigmas float64
 
-	hist      []float64
+	// n is the history length and win its most recent values (at least
+	// min(n, Lead+Lag) of them, contiguous, newest last). scores is the
+	// score history. While allSame holds both slices are nil and nScores
+	// counts the zero scores; afterwards nScores is unused.
+	n         int
+	win       []float64
 	scores    []float64
+	nScores   int
 	lastScore float64
 
 	allSame bool
 	sameVal float64
 	started bool
 }
+
+// historyCap is where the value and score histories are trimmed, and
+// historyKeep what a trim keeps: the adaptive threshold is taken over
+// between two and four DefaultMaxHistory windows of scores.
+const (
+	historyCap  = 4 * DefaultMaxHistory
+	historyKeep = 2 * DefaultMaxHistory
+)
 
 // NewBitmap returns a detector with reference defaults.
 func NewBitmap() *BitmapDetector { return &BitmapDetector{} }
@@ -207,14 +228,17 @@ func (d *BitmapDetector) sigmas() float64 {
 	return d.Sigmas
 }
 
-// Ready reports whether enough history has accumulated.
-func (d *BitmapDetector) Ready() bool {
+// warmup is the history length below which nothing is scored.
+func (d *BitmapDetector) warmup() int {
 	need := d.lead() + 4
 	if need < MinObservations {
 		need = MinObservations
 	}
-	return len(d.hist) >= need
+	return need
 }
+
+// Ready reports whether enough history has accumulated.
+func (d *BitmapDetector) Ready() bool { return d.n >= d.warmup() }
 
 // Score returns the bitmap distance of the most recent Add.
 func (d *BitmapDetector) Score() float64 { return d.lastScore }
@@ -224,54 +248,93 @@ func (d *BitmapDetector) Score() float64 { return d.lastScore }
 func (d *BitmapDetector) Add(v float64) bool {
 	if !d.started {
 		d.started, d.allSame, d.sameVal = true, true, v
-	} else if v != d.sameVal {
+	} else if d.allSame && v != d.sameVal {
 		d.allSame = false
+		d.materialize()
 	}
-	if d.allSame && len(d.hist) >= MinObservations {
-		// Constant series: zero score, never an outlier, O(1).
-		d.hist = append(d.hist, v)
-		d.scores = append(d.scores, 0)
+	if d.allSame {
+		// Constant series: zero score, never an outlier, O(1). A window is
+		// scored (as zero) once the history, this value included, is past
+		// warm-up; from MinObservations on the lead window no longer
+		// matters because nothing is compared.
+		d.n++
 		d.lastScore = 0
-		if len(d.hist) > 4*DefaultMaxHistory {
-			d.hist = d.hist[len(d.hist)-2*DefaultMaxHistory:]
-			d.scores = d.scores[len(d.scores)-2*DefaultMaxHistory:]
+		if d.n > MinObservations || d.n >= d.warmup() {
+			d.nScores++
+		}
+		if d.n > historyCap {
+			d.n, d.nScores = historyKeep, historyKeep
 		}
 		return false
 	}
-	d.hist = append(d.hist, v)
-	if len(d.hist) < d.lead()+4 || len(d.hist) < MinObservations {
+	d.push(v)
+	if d.n < d.warmup() {
 		d.lastScore = 0
 		return false
 	}
-	lead := d.hist[len(d.hist)-d.lead():]
-	lagStart := len(d.hist) - d.lead() - d.lag()
+	lead := d.win[len(d.win)-d.lead():]
+	lagStart := len(d.win) - d.lead() - d.lag()
 	if lagStart < 0 {
 		lagStart = 0
 	}
-	lag := d.hist[lagStart : len(d.hist)-d.lead()]
+	lag := d.win[lagStart : len(d.win)-d.lead()]
 	d.lastScore = bitmapDistance(lag, lead, d.alphabet())
 
-	outlier := false
-	if len(d.scores) >= MinObservations {
+	// The cheap half of the test first: a (near-)zero score is never an
+	// outlier, whatever the threshold.
+	if d.lastScore > 1e-12 && len(d.scores) >= MinObservations {
 		m, s := meanStd(d.scores)
-		if d.lastScore > m+d.sigmas()*s && d.lastScore > 1e-12 {
-			outlier = true
+		if d.lastScore > m+d.sigmas()*s {
+			// Remove the offending value so persistent shifts keep flagging.
+			d.win = d.win[:len(d.win)-1]
+			d.n--
+			return true
 		}
 	}
-	if outlier {
-		// Remove the offending value so persistent shifts keep flagging.
-		d.hist = d.hist[:len(d.hist)-1]
-		return true
-	}
 	d.scores = append(d.scores, d.lastScore)
-	if len(d.scores) > 4*DefaultMaxHistory {
-		d.scores = d.scores[len(d.scores)-2*DefaultMaxHistory:]
+	if len(d.scores) > historyCap {
+		d.scores = d.scores[:copy(d.scores, d.scores[len(d.scores)-historyKeep:])]
 	}
-	if len(d.hist) > 4*DefaultMaxHistory {
-		d.hist = d.hist[len(d.hist)-2*DefaultMaxHistory:]
+	if d.n > historyCap {
+		d.n = historyKeep
+		if len(d.win) > d.n {
+			d.win = d.win[:copy(d.win, d.win[len(d.win)-d.n:])]
+		}
 	}
 	return false
 }
+
+// materialize leaves the constant regime: the value window and the score
+// history the counters stood for are written out, each into a buffer sized
+// once for the detector's lifetime.
+func (d *BitmapDetector) materialize() {
+	w := d.lead() + d.lag()
+	k := d.n
+	if k > w {
+		k = w
+	}
+	d.win = make([]float64, k, 2*w)
+	for i := range d.win {
+		d.win[i] = d.sameVal
+	}
+	d.scores = make([]float64, d.nScores, historyCap+1)
+	d.nScores = 0
+}
+
+// push appends v to the history. win slides inside its buffer: when full,
+// the newest Lead+Lag-1 values move to the front, so the lag and lead
+// windows are always contiguous slices of it.
+func (d *BitmapDetector) push(v float64) {
+	if len(d.win) == cap(d.win) {
+		keep := cap(d.win)/2 - 1
+		d.win = d.win[:copy(d.win, d.win[len(d.win)-keep:])]
+	}
+	d.win = append(d.win, v)
+	d.n++
+}
+
+// maxAlphabet is the largest SAX alphabet with declared breakpoints.
+const maxAlphabet = 8
 
 // bitmapDistance computes the squared distance between the normalized
 // bigram frequency bitmaps of the SAX words of the two windows. Values are
@@ -299,19 +362,20 @@ func bitmapDistance(lag, lead []float64, alphabet int) float64 {
 		}
 		s = math.Max(1e-9, math.Abs(m)*1e-6)
 	}
-	sym := func(v float64) int { return saxSymbol((v-m)/s, alphabet) }
-	lagBM := bigramBitmap(lag, sym, alphabet)
-	leadBM := bigramBitmap(lead, sym, alphabet)
+	alphabet = saxAlphabet(alphabet)
+	var lagBM, leadBM [maxAlphabet * maxAlphabet]float64
+	bigramBitmap(lagBM[:alphabet*alphabet], lag, m, s, alphabet)
+	bigramBitmap(leadBM[:alphabet*alphabet], lead, m, s, alphabet)
 	var dist float64
-	for i := range lagBM {
+	for i := 0; i < alphabet*alphabet; i++ {
 		diff := lagBM[i] - leadBM[i]
 		dist += diff * diff
 	}
 	return dist
 }
 
-// gaussianBreakpoints per SAX for alphabet sizes 2..8.
-var gaussianBreakpoints = map[int][]float64{
+// gaussianBreakpoints per SAX, indexed by alphabet size (2..maxAlphabet).
+var gaussianBreakpoints = [maxAlphabet + 1][]float64{
 	2: {0},
 	3: {-0.43, 0.43},
 	4: {-0.67, 0, 0.67},
@@ -321,39 +385,44 @@ var gaussianBreakpoints = map[int][]float64{
 	8: {-1.15, -0.67, -0.32, 0, 0.32, 0.67, 1.15},
 }
 
-func saxSymbol(z float64, alphabet int) int {
-	bps, ok := gaussianBreakpoints[alphabet]
-	if !ok {
-		bps = gaussianBreakpoints[4]
-		alphabet = 4
+// saxAlphabet is the alphabet size actually in use: sizes without declared
+// breakpoints fall back to 4.
+func saxAlphabet(alphabet int) int {
+	if alphabet < 2 || alphabet > maxAlphabet {
+		return 4
 	}
+	return alphabet
+}
+
+func saxSymbol(z float64, alphabet int) int {
+	bps := gaussianBreakpoints[saxAlphabet(alphabet)]
 	for i, bp := range bps {
 		if z < bp {
 			return i
 		}
 	}
-	return alphabet - 1
+	return len(bps)
 }
 
-func bigramBitmap(window []float64, sym func(float64) int, alphabet int) []float64 {
-	bm := make([]float64, alphabet*alphabet)
+// bigramBitmap fills bm (zeroed, len alphabet²) with the normalized bigram
+// frequencies of the window's SAX word under the given normalization.
+func bigramBitmap(bm, window []float64, m, s float64, alphabet int) {
 	if len(window) < 2 {
-		return bm
+		return
 	}
 	var total float64
-	for i := 1; i < len(window); i++ {
-		a, b := sym(window[i-1]), sym(window[i])
+	a := saxSymbol((window[0]-m)/s, alphabet)
+	for _, v := range window[1:] {
+		b := saxSymbol((v-m)/s, alphabet)
 		bm[a*alphabet+b]++
 		total++
+		a = b
 	}
-	if total > 0 {
-		// Normalize to a probability distribution so window lengths do not
-		// bias the distance.
-		for i := range bm {
-			bm[i] /= total
-		}
+	// Normalize to a probability distribution so window lengths do not
+	// bias the distance.
+	for i := range bm {
+		bm[i] /= total
 	}
-	return bm
 }
 
 // --- small statistics helpers ---

@@ -291,13 +291,26 @@ func BenchmarkZScoreAdd(b *testing.B) {
 	}
 }
 
-func BenchmarkBitmapAdd(b *testing.B) {
+// BenchmarkBitmapAddConstant is the quiet monitor: a series that never
+// moves, which is what almost every §4.1.2/§4.1.4 series is in almost every
+// window.
+func BenchmarkBitmapAddConstant(b *testing.B) {
+	d := NewBitmap()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d.Add(1)
+	}
+}
+
+// BenchmarkBitmapAddNoisy scores every window against a full score history.
+func BenchmarkBitmapAddNoisy(b *testing.B) {
 	d := NewBitmap()
 	rng := rand.New(rand.NewSource(1))
 	vals := make([]float64, 1024)
 	for i := range vals {
 		vals[i] = rng.NormFloat64()
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Add(vals[i&1023])

@@ -71,7 +71,8 @@ func FuzzZScoreDegenerate(f *testing.F) {
 }
 
 // FuzzBitmapDetector pins the same no-panic/no-NaN contract for the
-// bitmap detector over the identical seed corpora.
+// bitmap detector over the identical seed corpora, and holds every verdict
+// and every score bit to the unbounded reference implementation.
 func FuzzBitmapDetector(f *testing.F) {
 	for _, seed := range scenarioSeries() {
 		f.Add(seed)
@@ -80,10 +81,10 @@ func FuzzBitmapDetector(f *testing.F) {
 		if len(data) > 1<<11 {
 			data = data[:1<<11]
 		}
-		d := NewBitmap()
+		p := newBitmapPair(0, 0, 0)
 		for i, b := range data {
-			d.Add(float64(int8(b)))
-			if s := d.Score(); math.IsNaN(s) || s < 0 {
+			p.add(t, float64(int8(b)))
+			if s := p.got.Score(); math.IsNaN(s) || s < 0 {
 				t.Fatalf("step %d: score %v", i, s)
 			}
 		}

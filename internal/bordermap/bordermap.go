@@ -73,6 +73,13 @@ type IXPMembershipResolver interface {
 // AS it is assigned to when membership data resolves it, otherwise to the
 // next mapped AS after the LAN.
 func BorderPath(t *traceroute.Traceroute, m traceroute.Mapper, aliases AliasOracle) []BorderHop {
+	return AppendBorderPath(nil, t, m, aliases)
+}
+
+// AppendBorderPath is BorderPath appending to out, for callers that map
+// one traceroute after another into a buffer they own. Nothing of t is
+// retained.
+func AppendBorderPath(out []BorderHop, t *traceroute.Traceroute, m traceroute.Mapper, aliases AliasOracle) []BorderHop {
 	type mapped struct {
 		idx int
 		ip  uint32
@@ -80,7 +87,9 @@ func BorderPath(t *traceroute.Traceroute, m traceroute.Mapper, aliases AliasOrac
 		ixp int
 	}
 	membership, _ := m.(IXPMembershipResolver)
-	var hops []mapped
+	// Traceroutes are tens of hops at most: the mapped-hop list lives on
+	// the stack unless a trace is longer than any probe sends.
+	hops := make([]mapped, 0, 64)
 	for i, h := range t.Hops {
 		if !h.Responsive() {
 			continue
@@ -109,7 +118,6 @@ func BorderPath(t *traceroute.Traceroute, m traceroute.Mapper, aliases AliasOrac
 		}
 		return r
 	}
-	var out []BorderHop
 	for i := 1; i < len(hops); i++ {
 		prev, cur := hops[i-1], hops[i]
 		if prev.as == 0 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"rrr/internal/bgp"
@@ -13,7 +12,7 @@ import (
 
 // benchEnv builds an engine with many synthetic corpus pairs sharing a
 // destination block, the hot shape of the experiment runs.
-func benchEnv(b *testing.B, shards, pairs int) *Engine {
+func benchEnv(b testing.TB, shards, pairs int) *Engine {
 	b.Helper()
 	cfg := DefaultConfig()
 	cfg.IXPBootstrapSec = 0
@@ -62,6 +61,7 @@ func BenchmarkEngineQuietWindow(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			e := benchEnv(b, shards, 2000)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.CloseWindow(int64(i) * 900)
@@ -120,19 +120,8 @@ func BenchmarkEnginePublicTrace(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			e := benchEnv(b, shards, 500)
-			rng := rand.New(rand.NewSource(1))
-			traces := make([]*traceroute.Traceroute, 64)
-			for i := range traces {
-				tr := &traceroute.Traceroute{
-					Src:  9<<24 | uint32(rng.Intn(1000)+1),
-					Dst:  4<<24 | uint32(rng.Intn(100)+0xd000),
-					Time: int64(i) * 10,
-				}
-				for h, ip := range []uint32{9<<24 | 2, 2<<24 | 1, 3<<24 | 1, 4<<24 | 2} {
-					tr.Hops = append(tr.Hops, traceroute.Hop{TTL: h + 1, IP: ip})
-				}
-				traces[i] = tr
-			}
+			traces := benchTraces()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.ObservePublicTrace(traces[i&63])

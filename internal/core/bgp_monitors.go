@@ -10,13 +10,24 @@ import (
 	"rrr/internal/traceroute"
 )
 
-// vpSlot is one vantage point inside a monitor's fixed VP set, with the
-// cached (intersect, match) contribution of its current table route so
-// quiet windows need no RIB walk.
+// vpSlot is one vantage point inside a monitor's fixed VP set: the fold
+// cell of its (VP, prefix), and the cached (intersect, match) contribution
+// of its current table route so quiet windows need no RIB walk.
 type vpSlot struct {
-	vp     bgp.VPKey
-	pf     vpPrefix
+	cell   *vpCell
 	ci, cm int
+}
+
+// dupCount counts the slots whose VP emitted a duplicate update in the open
+// window (§4.1.4's U_i).
+func dupCount(slots []vpSlot) int {
+	n := 0
+	for i := range slots {
+		if slots[i].cell.dup() {
+			n++
+		}
+	}
+	return n
 }
 
 // aspMonitor implements §4.1.2 for one corpus traceroute and one AS hop
@@ -25,7 +36,6 @@ type vpSlot struct {
 type aspMonitor struct {
 	id      int
 	key     traceroute.Key
-	dstIP   uint32
 	aj      bgp.ASN
 	suffix  bgp.Path
 	before  map[bgp.ASN]bool
@@ -45,7 +55,6 @@ type aspMonitor struct {
 	// quietI/quietM aggregate the cached slot contributions (the window
 	// value when no monitored VP saw updates).
 	quietI, quietM int
-	cachePrimed    bool
 
 	dead bool
 }
@@ -61,7 +70,6 @@ type burstMonitor struct {
 	det     *anomaly.BitmapDetector
 	extras  []*extraSeries
 	borders []int
-	lastDup int
 
 	sameAS, sameCity bool
 }
@@ -85,9 +93,8 @@ type extraSeries struct {
 // commMonitor implements §4.1.3 for one corpus traceroute: tracks relevant
 // communities on overlapping VP routes.
 type commMonitor struct {
-	id   int
-	dead bool
-	key  traceroute.Key
+	id  int
+	key traceroute.Key
 	// relevant maps τ ASes to the border indices adjacent to them.
 	relevant map[bgp.ASN][]int
 	// overlap[vp] is the VP's overlap state, fixed at registration.
@@ -95,7 +102,7 @@ type commMonitor struct {
 }
 
 type vpCommState struct {
-	pf       vpPrefix
+	cell     *vpCell
 	baseline bgp.Communities // relevant-AS communities at t0
 	current  bgp.Communities
 }
@@ -174,7 +181,6 @@ func (s *shard) registerBGPMonitors(en *corpus.Entry) {
 		m := &aspMonitor{
 			id:     monitorID("asp", en.Key, en.ASPath[j:].String()),
 			key:    en.Key,
-			dstIP:  en.Key.Dst,
 			aj:     en.ASPath[j],
 			suffix: en.ASPath[j:].Clone(),
 			before: make(map[bgp.ASN]bool, j),
@@ -194,7 +200,7 @@ func (s *shard) registerBGPMonitors(en *corpus.Entry) {
 			m.before[as] = true
 		}
 		for _, in := range group {
-			slot := vpSlot{vp: in.vp, pf: in.pf}
+			slot := vpSlot{cell: s.eng.sh.cellFor(in.pf, s)}
 			slot.ci, slot.cm = m.contribution(in.path)
 			m.quietI += slot.ci
 			m.quietM += slot.cm
@@ -203,7 +209,6 @@ func (s *shard) registerBGPMonitors(en *corpus.Entry) {
 			m.sameAS = m.sameAS || sa
 			m.sameCity = m.sameCity || sc
 		}
-		m.cachePrimed = true
 		m.borders = bordersForSuffix(en, m.suffix)
 		s.asp = append(s.asp, m)
 		s.aspByKey[en.Key] = append(s.aspByKey[en.Key], m)
@@ -234,7 +239,7 @@ func (s *shard) registerBGPMonitors(en *corpus.Entry) {
 			}
 		}
 		for _, in := range shared {
-			bm.slots = append(bm.slots, vpSlot{vp: in.vp, pf: in.pf})
+			bm.slots = append(bm.slots, vpSlot{cell: s.eng.sh.cellFor(in.pf, s)})
 			sa, sc := s.vpColocation(in.vp, en)
 			bm.sameAS = bm.sameAS || sa
 			bm.sameCity = bm.sameCity || sc
@@ -265,7 +270,8 @@ func (s *shard) registerBGPMonitors(en *corpus.Entry) {
 				// whole suffix.
 				for _, in := range infos {
 					if in.path.Contains(ak) && !pathEndsWith(in.path, suffix) {
-						es.slots = append(es.slots, vpSlot{vp: in.vp, pf: in.pf})
+						// Shared series: closeShared reads these slots, no shard does.
+						es.slots = append(es.slots, vpSlot{cell: s.eng.sh.cellFor(in.pf, nil)})
 					}
 				}
 				s.eng.sh.extras[ek] = es
@@ -298,7 +304,7 @@ func (s *shard) registerBGPMonitors(en *corpus.Entry) {
 		}
 		anyOverlap = true
 		rt, _ := s.eng.rib.Lookup(in.vp, en.Key.Dst)
-		st := &vpCommState{pf: in.pf}
+		st := &vpCommState{cell: s.eng.sh.cellFor(in.pf, s)}
 		if rt != nil {
 			st.current = rt.Communities.Clone()
 			st.baseline = st.current
@@ -383,17 +389,19 @@ func bordersForAS(en *corpus.Entry, as bgp.ASN) []int {
 func (s *shard) closeBGPWindow(ws int64, sc *sharedClose) []Signal {
 	var sigs []Signal
 	commChanged := sc.commChanged
+	// A window that touched none of this shard's cells leaves every slot
+	// loop below with nothing to find: each series takes its cached quiet
+	// value straight to the detector.
+	dirty := s.winDirty
+	s.winDirty = false
 
 	// §4.1.4 burst monitors.
 	for _, bm := range s.bursts {
-		dupCount := 0
-		for i := range bm.slots {
-			if st, ok := s.eng.sh.winUpdates[bm.slots[i].pf]; ok && st.dup {
-				dupCount++
-			}
+		dups := 0
+		if dirty {
+			dups = dupCount(bm.slots)
 		}
-		bm.lastDup = dupCount
-		outlier := bm.det.Add(float64(dupCount))
+		outlier := bm.det.Add(float64(dups))
 		// The technique's premise is *contemporaneous* duplicates from
 		// multiple peers sharing the subpath (§4.1.4): a genuine border
 		// change re-announces from every peer routing across it, so a
@@ -403,13 +411,13 @@ func (s *shard) closeBGPWindow(ws int64, sc *sharedClose) []Signal {
 		if q := (len(bm.slots) + 2) / 3; q > quorum {
 			quorum = q
 		}
-		if !outlier || dupCount < quorum {
+		if !outlier || dups < quorum {
 			continue
 		}
-		dupSlots := dupSlots(s.eng.sh, bm.slots)
+		dupSlots := dupSlots(bm.slots)
 		allEchoes := true
 		for _, slot := range dupSlots {
-			if !commChanged[slot.pf.pf] {
+			if !commChanged[slot.cell.pf.pf] {
 				allEchoes = false
 				break
 			}
@@ -447,7 +455,7 @@ func (s *shard) closeBGPWindow(ws int64, sc *sharedClose) []Signal {
 			Borders:     bm.borders,
 			Detail:      fmt.Sprintf("dup burst on suffix %v", bm.suffix),
 			Score:       bm.det.Score(),
-			VPCount:     dupCount,
+			VPCount:     dups,
 			ASOverlap:   len(bm.suffix),
 			SameASVP:    bm.sameAS,
 			SameCityVP:  bm.sameCity,
@@ -462,10 +470,10 @@ func (s *shard) closeBGPWindow(ws int64, sc *sharedClose) []Signal {
 			continue
 		}
 		intersect, match := m.quietI, m.quietM
-		for i := range m.slots {
+		for i := 0; dirty && i < len(m.slots); i++ {
 			slot := &m.slots[i]
-			st, dirty := s.eng.sh.winUpdates[slot.pf]
-			if !dirty {
+			st := slot.cell.win
+			if st == nil {
 				continue
 			}
 			// The cached value covers the window-start route; add the
@@ -479,7 +487,7 @@ func (s *shard) closeBGPWindow(ws int64, sc *sharedClose) []Signal {
 			// Refresh the cache to the current table route for the
 			// following windows.
 			var ni, nm int
-			if rt, ok := s.eng.rib.Route(slot.pf.vp, slot.pf.pf); ok {
+			if rt, ok := slot.cell.route(s.eng.rib); ok {
 				ni, nm = m.contribution(rt.ASPath)
 			}
 			m.quietI += ni - slot.ci
@@ -517,10 +525,10 @@ func (s *shard) closeBGPWindow(ws int64, sc *sharedClose) []Signal {
 	return sigs
 }
 
-func dupSlots(sh *sharedState, slots []vpSlot) []*vpSlot {
+func dupSlots(slots []vpSlot) []*vpSlot {
 	var out []*vpSlot
 	for i := range slots {
-		if st, ok := sh.winUpdates[slots[i].pf]; ok && st.dup {
+		if slots[i].cell.dup() {
 			out = append(out, &slots[i])
 		}
 	}
@@ -529,7 +537,7 @@ func dupSlots(sh *sharedState, slots []vpSlot) []*vpSlot {
 
 // vpTraverses reports whether the VP's current route crosses as.
 func vpTraverses(rib *bgp.RIB, slot *vpSlot, as bgp.ASN) bool {
-	rt, ok := rib.Route(slot.pf.vp, slot.pf.pf)
+	rt, ok := slot.cell.route(rib)
 	if !ok {
 		return false
 	}
@@ -578,9 +586,6 @@ func (s *shard) processCommEvents(ws int64) []Signal {
 		added := ev.cur.Diff(ev.prev)
 		removed := ev.prev.Diff(ev.cur)
 		for _, cm := range monitors {
-			if cm.dead {
-				continue
-			}
 			st := cm.overlap[ev.vp]
 			if st == nil {
 				continue
@@ -647,9 +652,9 @@ func (s *shard) communityOnOtherVP(cm *commMonitor, except bgp.VPKey, c bgp.Comm
 			continue
 		}
 		var comms bgp.Communities
-		if ws, ok := s.eng.sh.winUpdates[st.pf]; ok && ws.startOK {
+		if ws := st.cell.win; ws != nil && ws.startOK {
 			comms = ws.startComms
-		} else if rt, ok := s.eng.rib.Route(st.pf.vp, st.pf.pf); ok {
+		} else if rt, ok := st.cell.route(s.eng.rib); ok {
 			comms = rt.Communities
 		}
 		for _, have := range comms {

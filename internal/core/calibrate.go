@@ -273,7 +273,16 @@ func (s *shard) removePair(k traceroute.Key) {
 	}
 
 	if cm := s.comms[k]; cm != nil {
-		cm.dead = true
+		// Off the per-(VP, prefix) index too, or every refresh of the pair
+		// would leave one more corpse for processCommEvents to walk.
+		for _, st := range cm.overlap {
+			pf := st.cell.pf
+			if rest := removeComm(s.commByVP[pf], cm); len(rest) > 0 {
+				s.commByVP[pf] = rest
+			} else {
+				delete(s.commByVP, pf)
+			}
+		}
 	}
 	delete(s.comms, k)
 
@@ -298,6 +307,17 @@ func (s *shard) removePair(k traceroute.Key) {
 		rs.watchers = ws
 	}
 	delete(s.brsByKey, k)
+}
+
+// removeComm deletes cm from one commByVP list in place, keeping order.
+func removeComm(list []*commMonitor, cm *commMonitor) []*commMonitor {
+	out := list[:0]
+	for _, have := range list {
+		if have != cm {
+			out = append(out, have)
+		}
+	}
+	return out
 }
 
 // --- Refresh planning (§4.3.1) ---

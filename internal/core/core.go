@@ -260,6 +260,30 @@ type vpPrefix struct {
 	pf trie.Prefix
 }
 
+// vpCell is the fold cell of one watched (VP, prefix): every monitor slot
+// and community state over that pair points at the same cell, so the
+// per-pair close reads the window's updates through a pointer instead of
+// hashing the pair into winUpdates once per slot. Cells exist only for
+// pairs some monitor watches — created at registration, never per RIB
+// entry — and, like the shared series, outlive their last watcher.
+type vpCell struct {
+	pf vpPrefix
+	// win is the pair's fold state while the open window has touched it,
+	// nil otherwise: linked by observeBGPChange (or at creation, for a pair
+	// registered mid-window), unlinked by resetWindow.
+	win *vpWindowState
+	// shards are the shards with a monitor on this cell; linking marks
+	// their window dirty.
+	shards []*shard
+}
+
+// dup reports whether the VP emitted a duplicate update for the prefix in
+// the open window.
+func (c *vpCell) dup() bool { return c.win != nil && c.win.dup }
+
+// route returns the VP's current table route for the prefix.
+func (c *vpCell) route(rib *bgp.RIB) (*bgp.Route, bool) { return rib.Route(c.pf.vp, c.pf.pf) }
+
 type vpWindowState struct {
 	// startPath/startComms are the route attributes at window start.
 	startPath  bgp.Path

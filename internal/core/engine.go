@@ -46,6 +46,7 @@ type Engine struct {
 
 	rib     *bgp.RIB
 	patcher *traceroute.Patcher
+	scratch traceScratch
 	sh      *sharedState
 	shards  []*shard
 
@@ -77,6 +78,10 @@ type shard struct {
 	subByKey   map[traceroute.Key][]*subpathMonitor
 	brsByKey   map[traceroute.Key][]*borderRouterSeries
 	pendingIXP []Signal
+
+	// winDirty is set when the open window first touches a fold cell one of
+	// this shard's monitors watches, and cleared by the shard's close.
+	winDirty bool
 
 	// Active signals per corpus pair, for revocation and querying.
 	active map[traceroute.Key][]Signal

@@ -32,6 +32,10 @@ type sharedState struct {
 	// freeStates recycles vpWindowState objects across windows so the
 	// steady-state fold allocates nothing.
 	freeStates []*vpWindowState
+	// cells are the fold cells of the watched (VP, prefix) pairs; touched
+	// lists the ones linked to this window's state, for resetWindow.
+	cells   map[vpPrefix]*vpCell
+	touched []*vpCell
 
 	// §4.1.4 extra-AS exculpation series.
 	extras       map[extraKey]*extraSeries
@@ -50,6 +54,9 @@ type sharedState struct {
 	ixpMembers  map[int]map[bgp.ASN]bool
 	ixpObserved map[int]map[bgp.ASN]bool
 	allowPriv   map[bgp.ASN]bool
+
+	// times is ratioSeries.activate's scratch.
+	times []int64
 }
 
 func newSharedState(cfg Config, geo Geolocator) *sharedState {
@@ -57,6 +64,7 @@ func newSharedState(cfg Config, geo Geolocator) *sharedState {
 		cfg:         cfg,
 		geo:         geo,
 		winUpdates:  make(map[vpPrefix]*vpWindowState),
+		cells:       make(map[vpPrefix]*vpCell),
 		extras:      make(map[extraKey]*extraSeries),
 		subpaths:    make(map[string]*subpathMonitor),
 		subByStart:  make(map[uint32][]*subpathMonitor),
@@ -87,6 +95,9 @@ func (sh *sharedState) observeBGPChange(u bgp.Update, c bgp.Change) {
 			st.startOK = true
 		}
 		sh.winUpdates[key] = st
+		if cell := sh.cells[key]; cell != nil {
+			sh.link(cell, st)
+		}
 	}
 	switch c.Kind {
 	case bgp.ChangeWithdrawn:
@@ -109,9 +120,54 @@ func (sh *sharedState) observeBGPChange(u bgp.Update, c bgp.Change) {
 	}
 }
 
+// cellFor returns the fold cell of a (VP, prefix) a monitor on shard s is
+// about to watch, creating it on first use. A pair first watched mid-window
+// must still see that window's earlier updates, so a new cell looks its
+// state up once here; from then on observeBGPChange keeps it linked.
+func (sh *sharedState) cellFor(pf vpPrefix, s *shard) *vpCell {
+	c := sh.cells[pf]
+	if c == nil {
+		c = &vpCell{pf: pf}
+		sh.cells[pf] = c
+		if st := sh.winUpdates[pf]; st != nil {
+			sh.link(c, st)
+		}
+	}
+	if s != nil && !c.watchedBy(s) {
+		c.shards = append(c.shards, s)
+		if c.win != nil {
+			s.winDirty = true
+		}
+	}
+	return c
+}
+
+func (c *vpCell) watchedBy(s *shard) bool {
+	for _, have := range c.shards {
+		if have == s {
+			return true
+		}
+	}
+	return false
+}
+
+// link points a cell at the open window's state for its pair and marks the
+// window dirty for every shard watching it.
+func (sh *sharedState) link(c *vpCell, st *vpWindowState) {
+	c.win = st
+	sh.touched = append(sh.touched, c)
+	for _, s := range c.shards {
+		s.winDirty = true
+	}
+}
+
 // resetWindow clears the per-window fold, recycling the state objects (and
 // their path slices) for the next window.
 func (sh *sharedState) resetWindow() {
+	for _, c := range sh.touched {
+		c.win = nil
+	}
+	sh.touched = sh.touched[:0]
 	for _, st := range sh.winUpdates {
 		st.startPath, st.startComms = nil, nil
 		st.startOK, st.dup = false, false
@@ -211,10 +267,8 @@ func (sh *sharedState) closeShared(ws, end int64) *sharedClose {
 	// Extra series first: burst correlation consults their outcome.
 	for _, es := range sh.sortedExtras() {
 		dups := 0
-		for i := range es.slots {
-			if st, ok := sh.winUpdates[es.slots[i].pf]; ok && st.dup {
-				dups++
-			}
+		if len(sh.touched) > 0 {
+			dups = dupCount(es.slots)
 		}
 		if es.det.Add(float64(dups)) {
 			es.outlierWin = ws
@@ -290,7 +344,7 @@ func (sh *sharedState) borderGroupOf(b bordermap.BorderHop, when int64) (borderG
 // the same traceroute must see the first one already recorded). The caller
 // turns each join into per-pair signals by scanning its shards' corpus
 // slices.
-func (sh *sharedState) observeTrace(pt *preparedTrace, onJoin func(ixp int, member bgp.ASN, when int64)) {
+func (sh *sharedState) observeTrace(pt preparedTrace, onJoin func(ixp int, member bgp.ASN, when int64)) {
 	path := pt.path
 
 	// §4.2.1: subpath observations.
@@ -315,15 +369,7 @@ func (sh *sharedState) observeTrace(pt *preparedTrace, onJoin func(ixp int, memb
 			if !match && spanHasHole(path[i:], endIdx) {
 				continue
 			}
-			if DebugSubpath != nil && !match {
-				DebugSubpath(mon.ips, path, match)
-			}
-			if mon.series != nil {
-				mon.series.Observe(pt.time, boolVal(match))
-			} else {
-				mon.buf = append(mon.buf, subObs{t: pt.time, match: match})
-				mon.activate(sh.cfg.PublicLadder, pt.time)
-			}
+			mon.observe(sh, pt.time, match)
 		}
 	}
 
@@ -344,12 +390,7 @@ func (sh *sharedState) observeTrace(pt *preparedTrace, onJoin func(ixp int, memb
 				continue
 			}
 			for _, rs := range grp.routers {
-				if rs.series != nil {
-					rs.series.Observe(pt.time, boolVal(rs.router == router))
-					continue
-				}
-				rs.buf = append(rs.buf, subObs{t: pt.time, match: rs.router == router})
-				rs.activate(sh.cfg.PublicLadder, pt.time)
+				rs.observe(sh, pt.time, rs.router == router)
 			}
 		}
 	}

@@ -14,9 +14,7 @@ import (
 
 // subpathMonitor implements §4.2.1 for one monitored IP-level subpath.
 // Monitors are shared across corpus traceroutes that traverse the same
-// subpath (the sharing that Appendix C's Fig 14 quantifies). Observations
-// buffer until enough data exists to pick a window size from the ladder;
-// then a modified z-score series activates.
+// subpath (the sharing that Appendix C's Fig 14 quantifies).
 type subpathMonitor struct {
 	id   int
 	ips  []uint32 // the anchor sequence ι_m..ι_n (hole-free, deduped)
@@ -26,6 +24,14 @@ type subpathMonitor struct {
 	// indices the subpath spans in each.
 	watchers []subpathWatcher
 
+	ratioSeries
+}
+
+// ratioSeries is the match-ratio series of a traceroute-derived monitor
+// (§4.2.1 subpaths, §4.2.2 border routers): observations buffer until
+// enough data exists to pick a window size from the ladder; then a modified
+// z-score series activates and the buffer is replayed into it.
+type ratioSeries struct {
 	buf    []subObs
 	series *anomaly.WindowedSeries
 }
@@ -62,8 +68,7 @@ type borderRouterSeries struct {
 	router   int
 	watchers []subpathWatcher
 
-	buf    []subObs
-	series *anomaly.WindowedSeries
+	ratioSeries
 }
 
 // addCorpusEntry registers a processed corpus traceroute with every
@@ -197,24 +202,37 @@ func (s *shard) registerBorderMonitors(en *corpus.Entry) {
 }
 
 // preparedTrace is a public traceroute after patching and border mapping:
-// everything the shared-series observation step needs.
+// everything the shared-series observation step needs. Its slices are the
+// engine's per-trace scratch, valid until the next prepareTrace; nothing
+// downstream retains them.
 type preparedTrace struct {
 	time    int64
 	path    []uint32
 	borders []bordermap.BorderHop
 }
 
+// traceScratch is the engine-owned working memory of one public
+// traceroute, reused for the next: the caller's hops are patched in a copy
+// (the traceroute itself is the feed's), and the IP and border paths are
+// appended into buffers that stop growing at the longest trace seen.
+type traceScratch struct {
+	hops    []traceroute.Hop
+	path    []uint32
+	borders []bordermap.BorderHop
+}
+
 // prepareTrace feeds the unresponsive-hop patcher and resolves the
 // patched IP path and border path.
-func (e *Engine) prepareTrace(t *traceroute.Traceroute) *preparedTrace {
+func (e *Engine) prepareTrace(t *traceroute.Traceroute) preparedTrace {
 	e.patcher.Observe(t)
-	patched := t.Clone()
-	e.patcher.Patch(patched)
-	return &preparedTrace{
-		time:    t.Time,
-		path:    patched.IPPath(),
-		borders: bordermap.BorderPath(patched, e.mapper, e.aliases),
-	}
+	sc := &e.scratch
+	sc.hops = append(sc.hops[:0], t.Hops...)
+	patched := *t
+	patched.Hops = sc.hops
+	e.patcher.Patch(&patched)
+	sc.path = patched.AppendIPPath(sc.path[:0])
+	sc.borders = bordermap.AppendBorderPath(sc.borders[:0], &patched, e.mapper, e.aliases)
+	return preparedTrace{time: t.Time, path: sc.path, borders: sc.borders}
 }
 
 // matchesSparse reports whether the anchors appear in order within path,
@@ -248,51 +266,43 @@ func spanHasHole(path []uint32, end int) bool {
 	return false
 }
 
-// activate instantiates the windowed series once enough observations exist
-// to choose a window size per §4.2.1's ladder rule, then replays the
-// buffer.
-func (m *subpathMonitor) activate(ladder []int64, now int64) {
-	if m.series != nil || len(m.buf) < 2*anomaly.MinObservations {
+// observe records one match/mismatch observation at time t: into the
+// series once it is active, into the buffer until then.
+func (r *ratioSeries) observe(sh *sharedState, t int64, match bool) {
+	if r.series != nil {
+		r.series.Observe(t, boolVal(match))
 		return
 	}
-	times := make([]int64, len(m.buf))
-	for i, o := range m.buf {
-		times[i] = o.t
-	}
-	w, ok := anomaly.ChooseWindowMin(times, now, ladder, 2)
-	if !ok {
-		if len(m.buf) > 4096 {
-			m.buf = m.buf[len(m.buf)-2048:]
-		}
-		return
-	}
-	m.series = &anomaly.WindowedSeries{WindowSec: w, Det: anomaly.NewZScore()}
-	for _, o := range m.buf {
-		m.series.Observe(o.t, boolVal(o.match))
-	}
-	m.buf = nil
+	r.buf = append(r.buf, subObs{t: t, match: match})
+	r.activate(sh, t)
 }
 
-func (rs *borderRouterSeries) activate(ladder []int64, now int64) {
-	if rs.series != nil || len(rs.buf) < 2*anomaly.MinObservations {
+// activate instantiates the windowed series once enough observations exist
+// to choose a window size per §4.2.1's ladder rule, then replays the
+// buffer. The buffered times reach ChooseWindowMin through the engine's
+// scratch: a monitor can sit between 2*MinObservations and activation for
+// thousands of observations.
+func (r *ratioSeries) activate(sh *sharedState, now int64) {
+	if len(r.buf) < 2*anomaly.MinObservations {
 		return
 	}
-	times := make([]int64, len(rs.buf))
-	for i, o := range rs.buf {
-		times[i] = o.t
+	times := sh.times[:0]
+	for _, o := range r.buf {
+		times = append(times, o.t)
 	}
-	w, ok := anomaly.ChooseWindowMin(times, now, ladder, 2)
+	sh.times = times
+	w, ok := anomaly.ChooseWindowMin(times, now, sh.cfg.PublicLadder, 2)
 	if !ok {
-		if len(rs.buf) > 4096 {
-			rs.buf = rs.buf[len(rs.buf)-2048:]
+		if len(r.buf) > 4096 {
+			r.buf = r.buf[len(r.buf)-2048:]
 		}
 		return
 	}
-	rs.series = &anomaly.WindowedSeries{WindowSec: w, Det: anomaly.NewZScore()}
-	for _, o := range rs.buf {
-		rs.series.Observe(o.t, boolVal(o.match))
+	r.series = &anomaly.WindowedSeries{WindowSec: w, Det: anomaly.NewZScore()}
+	for _, o := range r.buf {
+		r.series.Observe(o.t, boolVal(o.match))
 	}
-	rs.buf = nil
+	r.buf = nil
 }
 
 func boolVal(b bool) float64 {
@@ -382,10 +392,6 @@ func (s *shard) ixpJoinSignals(ixp int, asI bgp.ASN, when int64) []Signal {
 func ixpMonitorID(ixp int, as bgp.ASN) int {
 	return -(ixp<<32 | int(uint32(as)))
 }
-
-// DebugSubpath, when non-nil, is invoked on every subpath observation
-// mismatch (test instrumentation).
-var DebugSubpath func(monIPs []uint32, path []uint32, match bool)
 
 // Stats summarizes monitor state for diagnostics and ablation reporting.
 type Stats struct {
@@ -533,7 +539,7 @@ func (s *shard) pairReverted(k traceroute.Key) bool {
 	if cm := s.comms[k]; cm != nil {
 		any = true
 		for _, st := range cm.overlap {
-			rt, ok := s.eng.rib.Route(st.pf.vp, st.pf.pf)
+			rt, ok := st.cell.route(s.eng.rib)
 			if !ok {
 				return false
 			}

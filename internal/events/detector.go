@@ -71,7 +71,12 @@ type Detector struct {
 	winBlackhole map[trie.Prefix]*blackholeObs
 	winChurn     map[trie.Prefix]int
 	winArtifacts map[artifactKey]*artifactObs
-	winTraceSigs map[traceroute.Key]map[string]bool
+	// Distinct hop sequences seen per pair this window: winTraceSigs heads
+	// a chain through winSigs, whose entries span winSigHops. The slab and
+	// the entries are reused from window to window.
+	winTraceSigs map[traceroute.Key]traceSigs
+	winSigs      []sigSpan
+	winSigHops   []uint32
 
 	// Diurnal slot activity: prefix -> set of window starts with churn,
 	// pruned past the detection horizon.
@@ -83,6 +88,20 @@ type Detector struct {
 type blackholeObs struct {
 	origin bgp.ASN
 	vps    map[uint32]bool
+}
+
+// traceSigs is one pair's distinct hop sequences in the open window: the
+// index of the newest in Detector.winSigs, and how many there are.
+type traceSigs struct {
+	head  int32
+	count int32
+}
+
+// sigSpan is one hop sequence, winSigHops[off:off+n], chained to the
+// previous distinct sequence of the same pair (-1 ends the chain).
+type sigSpan struct {
+	off, n int32
+	prev   int32
 }
 
 type artifactKey struct {
@@ -116,8 +135,14 @@ func NewDetector(cfg Config) *Detector {
 		originCnt: make(map[trie.Prefix]map[bgp.ASN]int),
 		leakCnt:   make(map[trie.Prefix]map[bgp.ASN]int),
 		activity:  make(map[trie.Prefix]map[int64]bool),
+
+		winTouched:   make(map[trie.Prefix]bool),
+		winNewOrigin: make(map[trie.Prefix]map[bgp.ASN]int),
+		winBlackhole: make(map[trie.Prefix]*blackholeObs),
+		winChurn:     make(map[trie.Prefix]int),
+		winArtifacts: make(map[artifactKey]*artifactObs),
+		winTraceSigs: make(map[traceroute.Key]traceSigs),
 	}
-	d.resetWindow()
 	return d
 }
 
@@ -129,13 +154,17 @@ func (d *Detector) SetSink(fn func(Event)) {
 	d.mu.Unlock()
 }
 
+// resetWindow empties the per-window accumulators, keeping their storage:
+// a window's maps are about the size of the last one's.
 func (d *Detector) resetWindow() {
-	d.winTouched = make(map[trie.Prefix]bool)
-	d.winNewOrigin = make(map[trie.Prefix]map[bgp.ASN]int)
-	d.winBlackhole = make(map[trie.Prefix]*blackholeObs)
-	d.winChurn = make(map[trie.Prefix]int)
-	d.winArtifacts = make(map[artifactKey]*artifactObs)
-	d.winTraceSigs = make(map[traceroute.Key]map[string]bool)
+	clear(d.winTouched)
+	clear(d.winNewOrigin)
+	clear(d.winBlackhole)
+	clear(d.winChurn)
+	clear(d.winArtifacts)
+	clear(d.winTraceSigs)
+	d.winSigs = d.winSigs[:0]
+	d.winSigHops = d.winSigHops[:0]
 }
 
 // Prime learns the baseline from one table-dump update: legitimate origin
@@ -256,13 +285,16 @@ func (d *Detector) TapTrace(tr *traceroute.Traceroute) {
 	defer d.mu.Unlock()
 	metEventsTraces.Inc()
 	key := tr.Key()
-	seenAt := make(map[uint32]int)
-	artifact := false
+	// The first responsive hop that repeats an earlier one: a trace is tens
+	// of hops, so looking back over them beats building a set.
 	for i, h := range tr.Hops {
 		if !h.Responsive() {
 			continue
 		}
-		if j, seen := seenAt[h.IP]; seen {
+		for j := i - 1; j >= 0; j-- {
+			if tr.Hops[j].IP != h.IP {
+				continue
+			}
 			cls := TraceCycle
 			if j == i-1 {
 				cls = TraceLoop
@@ -274,24 +306,37 @@ func (d *Detector) TapTrace(tr *traceroute.Traceroute) {
 				d.winArtifacts[ak] = obs
 			}
 			obs.count++
-			artifact = true
-			break
+			return // a looping trace's hop signature is not a diamond variant
 		}
-		seenAt[h.IP] = i
 	}
-	if artifact {
-		return // a looping trace's hop signature is not a diamond variant
+	// Record the hop sequence unless the pair already showed it this window.
+	sigs, seen := d.winTraceSigs[key]
+	if !seen {
+		sigs.head = -1
 	}
-	sig := make([]byte, 0, len(tr.Hops)*4)
+	for at := sigs.head; at >= 0; at = d.winSigs[at].prev {
+		if sp := d.winSigs[at]; sameHops(d.winSigHops[sp.off:sp.off+sp.n], tr.Hops) {
+			return
+		}
+	}
+	off := int32(len(d.winSigHops))
 	for _, h := range tr.Hops {
-		sig = append(sig, byte(h.IP>>24), byte(h.IP>>16), byte(h.IP>>8), byte(h.IP))
+		d.winSigHops = append(d.winSigHops, h.IP)
 	}
-	set := d.winTraceSigs[key]
-	if set == nil {
-		set = make(map[string]bool)
-		d.winTraceSigs[key] = set
+	d.winSigs = append(d.winSigs, sigSpan{off: off, n: int32(len(tr.Hops)), prev: sigs.head})
+	d.winTraceSigs[key] = traceSigs{head: int32(len(d.winSigs) - 1), count: sigs.count + 1}
+}
+
+func sameHops(ips []uint32, hops []traceroute.Hop) bool {
+	if len(ips) != len(hops) {
+		return false
 	}
-	set[string(sig)] = true
+	for i, ip := range ips {
+		if hops[i].IP != ip {
+			return false
+		}
+	}
+	return true
 }
 
 // TapWindowClose classifies the closing window and emits its events in
@@ -421,14 +466,14 @@ func (d *Detector) classifyArtifacts(ws int64, evs *[]Event) {
 		})
 	}
 	for key, sigs := range d.winTraceSigs {
-		if len(sigs) < 2 {
+		if sigs.count < 2 {
 			continue
 		}
 		*evs = append(*evs, Event{
 			Class: TraceDiamond, WindowStart: ws,
 			Key:    key,
 			Detail: "divergent same-pair hop sequences",
-			Score:  float64(len(sigs)),
+			Score:  float64(sigs.count),
 		})
 	}
 }

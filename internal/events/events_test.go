@@ -299,6 +299,71 @@ func TestTraceArtifactClassifiers(t *testing.T) {
 	}
 }
 
+// TestTraceDiamondCountsDistinctSequences pins what the per-window
+// signature slab must preserve: a diamond's score is the number of
+// *distinct* hop sequences the pair showed in the window (unresponsive hops
+// included, length included), and nothing of one window leaks into the next.
+func TestTraceDiamondCountsDistinctSequences(t *testing.T) {
+	mk := func(src, dst uint32, ips ...uint32) *traceroute.Traceroute {
+		tr := &traceroute.Traceroute{Src: src, Dst: dst, ProbeID: 1}
+		for i, ip := range ips {
+			tr.Hops = append(tr.Hops, traceroute.Hop{IP: ip, TTL: i + 1})
+		}
+		return tr
+	}
+	d := NewDetector(Config{WindowSec: 900})
+	for _, tr := range []*traceroute.Traceroute{
+		mk(5, 6, 30, 31, 32),
+		mk(5, 6, 30, 33, 32),
+		mk(9, 9, 30, 31, 32), // another pair with the first pair's sequence
+		mk(5, 6, 30, 31, 32), // repeats: not new
+		mk(5, 6, 30, 33, 32),
+		mk(5, 6, 30, 0, 32),  // a hole is part of the sequence
+		mk(5, 6, 30, 31),     // so is the length
+		mk(7, 8, 40, 41, 42), // one sequence, twice: no diamond
+		mk(7, 8, 40, 41, 42),
+	} {
+		d.TapTrace(tr)
+	}
+	d.TapWindowClose(900)
+	// Next window: the first pair shows one sequence only.
+	d.TapTrace(mk(5, 6, 30, 33, 32))
+	d.TapTrace(mk(7, 8, 40, 41, 42))
+	d.TapTrace(mk(7, 8, 40, 43, 42))
+	d.TapWindowClose(1800)
+
+	want := []Event{
+		{Class: TraceDiamond, WindowStart: 900, Key: traceroute.Key{Src: 5, Dst: 6},
+			Detail: "divergent same-pair hop sequences", Score: 4},
+		{Class: TraceDiamond, WindowStart: 1800, Key: traceroute.Key{Src: 7, Dst: 8},
+			Detail: "divergent same-pair hop sequences", Score: 2},
+	}
+	if got := d.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("events:\n got  %+v\n want %+v", got, want)
+	}
+}
+
+// BenchmarkTapTrace is the detector's per-traceroute cost in steady state:
+// clean 12-hop traces from 512 pairs, a window close every 600.
+func BenchmarkTapTrace(b *testing.B) {
+	traces := make([]*traceroute.Traceroute, 512)
+	for i := range traces {
+		tr := &traceroute.Traceroute{Src: uint32(1000 + i), Dst: uint32(5000 + i%64)}
+		for h := 0; h < 12; h++ {
+			tr.Hops = append(tr.Hops, traceroute.Hop{IP: uint32(10000 + 97*i + h), TTL: h + 1})
+		}
+		traces[i] = tr
+	}
+	d := NewDetector(Config{WindowSec: 900})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d.TapTrace(traces[i%len(traces)])
+		if i%600 == 599 {
+			d.TapWindowClose(int64(i/600) * 900)
+		}
+	}
+}
+
 func TestDiurnalClassifier(t *testing.T) {
 	const day = 86400
 	d := NewDetector(Config{WindowSec: 900, DiurnalDays: 3, DiurnalSparseMax: 3})

@@ -63,9 +63,13 @@ func (k Key) String() string {
 
 // IPPath returns the hop IPs (0 for unresponsive hops).
 func (t *Traceroute) IPPath() []uint32 {
-	out := make([]uint32, len(t.Hops))
-	for i, h := range t.Hops {
-		out[i] = h.IP
+	return t.AppendIPPath(make([]uint32, 0, len(t.Hops)))
+}
+
+// AppendIPPath is IPPath appending to out.
+func (t *Traceroute) AppendIPPath(out []uint32) []uint32 {
+	for _, h := range t.Hops {
+		out = append(out, h.IP)
 	}
 	return out
 }
