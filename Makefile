@@ -14,7 +14,7 @@ FUZZ_TARGETS := \
 	internal/anomaly:FuzzZScoreDegenerate \
 	internal/anomaly:FuzzBitmapDetector
 
-.PHONY: build test vet fmtcheck race bench fuzz crashtest clustertest chaostest feedtest scenariotest benchtest verify
+.PHONY: build test vet fmtcheck race bench fuzz crashtest clustertest chaostest feedtest scenariotest cmdtest benchtest verify
 
 build:
 	$(GO) build ./...
@@ -98,13 +98,20 @@ scenariotest:
 	$(GO) test -race -count=1 ./internal/experiments -run 'TestScenario|TestScoreEvents' -v
 	$(GO) test -race -count=1 ./internal/cluster -run TestEventsDifferential -v
 
+# The commands as processes, never from the test cache: rrrd and rrrfeedd
+# (flag validation before anything is bound or created, the pinned flag
+# set, a snapshot + WAL restart, wire-fed vs in-process-fed), rrrd-router and
+# rrrbench, and one smoke invocation each of rrrbgp, rrrtrace, rrrsim, rrrmon.
+cmdtest:
+	$(GO) test -count=1 ./cmd/...
+
 # The repo benchmark is a module of its own (benchmark/go.mod), so the root
 # ./... patterns never enter it: vet and test it here so an internal rename
 # that breaks it fails locally, not only in the external benchmark driver.
 benchtest:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Tier-1 verification plus vet, gofmt, the race pass, and the benchmark
-# module. The server tests scrape GET /metrics (format, layer coverage,
-# concurrent-scrape race-cleanliness).
-verify: build vet fmtcheck test race benchtest
+# Tier-1 verification plus vet, gofmt, the race pass, the commands as
+# processes, and the benchmark module. The server tests scrape GET /metrics
+# (format, layer coverage, concurrent-scrape race-cleanliness).
+verify: build vet fmtcheck test race cmdtest benchtest

@@ -33,21 +33,10 @@ func main() {
 	scenarioSeed := flag.Int64("scenario-seed", 4242, "episode-schedule seed for -only scenariobench")
 	flag.Parse()
 
-	var sc experiments.Scale
-	switch *scale {
-	case "quick":
-		sc = experiments.QuickScale()
-	case "paper":
-		sc = experiments.PaperScale()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	sc, err := experiments.ScaleByName(*scale, *days, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if *days > 0 {
-		sc.Days = *days
-	}
-	if *seed != 0 {
-		sc.SimCfg.Seed = *seed
 	}
 
 	want := map[string]bool{}

@@ -24,17 +24,11 @@
 //	curl localhost:8080/metrics              # Prometheus text exposition
 //	curl localhost:8080/readyz               # 503 until WAL recovery completes
 //
-// Startup with -wal-dir is serve-early: the HTTP listener comes up
-// immediately (liveness green, readiness 503), the snapshot restores, the
-// WAL replays every record past the snapshot's watermark through the
-// recovery path, segments the snapshot covers are compacted away, and
-// only then does /readyz go 200 and the pipeline resume ingesting — from
-// the open window, skipping records the replay already ingested.
-//
-// Graceful shutdown (SIGINT/SIGTERM): cancel the pipeline (which drains
-// buffered observations and closes the open window), write the snapshot if
-// -snapshot is set, compact the WAL behind it, then stop the HTTP
-// listener.
+// Startup is serve-early (liveness at once, /readyz 503 until snapshot
+// restore and WAL replay complete) and SIGINT/SIGTERM shuts down gracefully
+// (drain, final window close, snapshot, WAL compaction, listener stop);
+// internal/daemon holds the sequence and DESIGN.md "Daemon assembly" the
+// reasons.
 package main
 
 import (
@@ -43,8 +37,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -53,7 +48,7 @@ import (
 
 	"rrr"
 	"rrr/internal/cluster"
-	"rrr/internal/events"
+	"rrr/internal/daemon"
 	"rrr/internal/experiments"
 	"rrr/internal/feedwire"
 	"rrr/internal/netsim"
@@ -62,49 +57,29 @@ import (
 	"rrr/internal/wal"
 )
 
-// The WAL must keep satisfying the pipeline's tee interface.
-var _ rrr.RecordLog = (*wal.WAL)(nil)
-
-// options collects the daemon's flag-configured knobs.
+// options collects the daemon's flag-configured knobs. Flags that set a
+// field of a config the daemon hands on bind to that field directly.
 type options struct {
-	addr        string
-	scale       string
-	days        int
-	seed        int64
-	shards      int
-	pace        time.Duration
-	snapshot    string
-	restore     bool
-	walDir      string
-	walFsync    string
-	walSegBytes int64
-	ring        int
-	maxInflight int
-	debugAddr   string
-	feedRetries int
-	feedBackoff time.Duration
-	verbose     bool
-
-	// Networked feed mode: ingest from an rrrfeedd server instead of the
-	// in-process simulator feeds. Reconnect/resume rides the pipeline's
-	// RetryPolicy + window-aligned positional replay.
-	feedAddr   string
-	feedBuffer int
-	feedPolicy string
-	feedStall  time.Duration
-
-	// Cluster worker mode: this daemon ingests the full feed but tracks
-	// only the corpus pairs its consistent-hash slice owns. Front K such
-	// workers with rrrd-router to serve the merged corpus.
-	workerID   int
-	workers    int
-	partitions int
-
-	// Adversarial scenario overlay on the simulated feeds: forged hijack/
-	// leak/blackhole announcements and fabricated traceroute artifacts,
-	// classified live on /v1/events and the SSE routing stream.
+	addr         string
+	scale        string
+	days         int
+	seed         int64
+	shards       int
+	restore      bool
+	walFsync     string
+	debugAddr    string
+	verbose      bool
+	feedPolicy   string
+	workerID     int
+	workers      int
+	partitions   int
 	scenario     string
 	scenarioSeed int64
+
+	d     daemon.Options           // -pace -snapshot -ring -max-inflight
+	wal   wal.Options              // -wal-dir -wal-segment-bytes
+	retry rrr.RetryPolicy          // -feed-retries -feed-backoff
+	feed  feedwire.ConnectorConfig // -feed-addr -feed-buffer -feed-stall
 }
 
 // parseScenarioPack maps the -scenario flag to a netsim pack: empty or
@@ -119,54 +94,44 @@ func parseScenarioPack(s string) (*netsim.ScenarioPack, error) {
 		return &p, nil
 	}
 	var p netsim.ScenarioPack
+	kinds := map[string]*bool{
+		"hijack-origin": &p.HijackOrigin, "hijack-moas": &p.HijackMOAS, "hijack-subprefix": &p.HijackSubprefix,
+		"leaks": &p.RouteLeaks, "blackholes": &p.Blackholes, "artifacts": &p.Artifacts,
+		"diurnal": &p.Diurnal, "anycast": &p.Anycast,
+	}
 	for _, kind := range strings.Split(s, ",") {
-		switch strings.TrimSpace(kind) {
-		case "hijack-origin":
-			p.HijackOrigin = true
-		case "hijack-moas":
-			p.HijackMOAS = true
-		case "hijack-subprefix":
-			p.HijackSubprefix = true
-		case "leaks":
-			p.RouteLeaks = true
-		case "blackholes":
-			p.Blackholes = true
-		case "artifacts":
-			p.Artifacts = true
-		case "diurnal":
-			p.Diurnal = true
-		case "anycast":
-			p.Anycast = true
-		default:
+		on, ok := kinds[strings.TrimSpace(kind)]
+		if !ok {
 			return nil, fmt.Errorf("unknown -scenario kind %q", kind)
 		}
+		*on = true
 	}
 	return &p, nil
 }
 
 func main() {
-	var o options
+	o := options{retry: daemon.DefaultRetry}
 	flag.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
 	flag.StringVar(&o.scale, "scale", "quick", "feed scale: quick or paper")
 	flag.IntVar(&o.days, "days", 0, "virtual days of feed before EOF (0 keeps the scale default)")
 	flag.Int64Var(&o.seed, "seed", 0, "simulation seed (0 keeps the scale default)")
 	flag.IntVar(&o.shards, "shards", 0, "engine shards (0 = GOMAXPROCS)")
-	flag.DurationVar(&o.pace, "pace", 0, "wall-clock delay per 15-min virtual window (0 = full speed)")
-	flag.StringVar(&o.snapshot, "snapshot", "", "snapshot file path (written on shutdown and POST /v1/snapshot)")
+	flag.DurationVar(&o.d.Pace, "pace", 0, "wall-clock delay per 15-min virtual window (0 = full speed)")
+	flag.StringVar(&o.d.Server.SnapshotPath, "snapshot", "", "snapshot file path (written on shutdown and POST /v1/snapshot)")
 	flag.BoolVar(&o.restore, "restore", false, "restore corpus and signals from -snapshot at startup")
-	flag.StringVar(&o.walDir, "wal-dir", "", "write-ahead log directory (empty disables the WAL)")
+	flag.StringVar(&o.wal.Dir, "wal-dir", "", "write-ahead log directory (empty disables the WAL)")
 	flag.StringVar(&o.walFsync, "wal-fsync", "window", "WAL durability: record, window, or a sync interval like 2s")
-	flag.Int64Var(&o.walSegBytes, "wal-segment-bytes", 8<<20, "WAL segment rotation size")
-	flag.IntVar(&o.ring, "ring", server.DefaultRingSize, "per-SSE-subscriber signal buffer")
-	flag.IntVar(&o.maxInflight, "max-inflight", server.DefaultMaxInFlight, "in-flight data-request bound; excess requests are shed with 503 + Retry-After")
+	flag.Int64Var(&o.wal.SegmentBytes, "wal-segment-bytes", 8<<20, "WAL segment rotation size")
+	flag.IntVar(&o.d.Server.RingSize, "ring", server.DefaultRingSize, "per-SSE-subscriber signal buffer")
+	flag.IntVar(&o.d.Server.MaxInFlight, "max-inflight", server.DefaultMaxInFlight, "in-flight data-request bound; excess requests are shed with 503 + Retry-After")
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "optional debug listen address serving /metrics and /debug/pprof/*")
-	flag.IntVar(&o.feedRetries, "feed-retries", 5, "transient feed failures tolerated per window before a feed is declared dead")
-	flag.DurationVar(&o.feedBackoff, "feed-backoff", 500*time.Millisecond, "initial retry backoff after a feed failure (doubles per attempt)")
+	flag.IntVar(&o.retry.MaxRetries, "feed-retries", o.retry.MaxRetries, "transient feed failures tolerated per window before a feed is declared dead")
+	flag.DurationVar(&o.retry.Backoff, "feed-backoff", o.retry.Backoff, "initial retry backoff after a feed failure (doubles per attempt)")
 	flag.BoolVar(&o.verbose, "v", false, "log every signal")
-	flag.StringVar(&o.feedAddr, "feed-addr", "", "rrrfeedd address to ingest from over TCP (empty = in-process simulator feeds)")
-	flag.IntVar(&o.feedBuffer, "feed-buffer", feedwire.DefaultBuffer, "per-stream client record buffer for -feed-addr")
+	flag.StringVar(&o.feed.Addr, "feed-addr", "", "rrrfeedd address to ingest from over TCP (empty = in-process simulator feeds)")
+	flag.IntVar(&o.feed.Buffer, "feed-buffer", feedwire.DefaultBuffer, "per-stream client record buffer for -feed-addr")
 	flag.StringVar(&o.feedPolicy, "feed-policy", "block", "full-buffer policy for -feed-addr: block (TCP backpressure) or disconnect (drop + reconnect)")
-	flag.DurationVar(&o.feedStall, "feed-stall", 5*time.Second, "how long the disconnect policy tolerates a full buffer before dropping the connection")
+	flag.DurationVar(&o.feed.StallTimeout, "feed-stall", 5*time.Second, "how long the disconnect policy tolerates a full buffer before dropping the connection")
 	flag.IntVar(&o.workerID, "worker-id", -1, "cluster worker ID in [0, -workers); -1 runs single-node")
 	flag.IntVar(&o.workers, "workers", 0, "cluster worker count (with -worker-id)")
 	flag.IntVar(&o.partitions, "partitions", cluster.DefaultPartitions, "cluster hash-ring partition count (must match the router)")
@@ -181,20 +146,11 @@ func main() {
 }
 
 func run(o options) error {
-	var sc experiments.Scale
-	switch o.scale {
-	case "quick":
-		sc = experiments.QuickScale()
-	case "paper":
-		sc = experiments.PaperScale()
-	default:
-		return fmt.Errorf("unknown scale %q", o.scale)
-	}
-	if o.days > 0 {
-		sc.Days = o.days
-	}
-	if o.seed != 0 {
-		sc.SimCfg.Seed = o.seed
+	// Everything flags alone can get wrong is rejected here, before the
+	// listener binds or the WAL directory is created.
+	sc, err := experiments.ScaleByName(o.scale, o.days, o.seed)
+	if err != nil {
+		return err
 	}
 	sc.Shards = o.shards
 	pack, err := parseScenarioPack(o.scenario)
@@ -202,307 +158,175 @@ func run(o options) error {
 		return err
 	}
 	if pack != nil {
-		if o.feedAddr != "" {
+		if o.feed.Addr != "" {
 			return errors.New("-scenario overlays the in-process simulator feeds; it cannot combine with -feed-addr (run the pack on the feed server side instead)")
 		}
 		sc.Scenario = pack
 		sc.ScenarioSeed = o.scenarioSeed
 		log.Printf("rrrd: scenario pack enabled (%s)", o.scenario)
 	}
+	if o.restore && o.d.Server.SnapshotPath == "" {
+		return errors.New("-restore needs -snapshot")
+	}
+	if o.workerID >= 0 && o.workerID >= o.workers {
+		return fmt.Errorf("-worker-id %d out of range for -workers %d", o.workerID, o.workers)
+	}
+	if o.wal.Fsync, o.wal.FsyncInterval, err = wal.ParseFsyncPolicy(o.walFsync); err != nil {
+		return fmt.Errorf("-wal-fsync: %w", err)
+	}
 
+	dopts := o.d
+	dopts.Server.Health = rrr.NewPipelineHealth()
 	// Worker mode: agree on the partition placement with the router (and
 	// every sibling worker) purely from flags — no coordination service.
-	var ring *cluster.Ring
 	if o.workerID >= 0 {
-		if o.workerID >= o.workers {
-			return fmt.Errorf("-worker-id %d out of range for -workers %d", o.workerID, o.workers)
-		}
-		var err error
-		ring, err = cluster.NewRing(o.workers, o.partitions)
+		ring, err := cluster.NewRing(o.workers, o.partitions)
 		if err != nil {
 			return err
 		}
 		log.Printf("rrrd: worker %d/%d owns %d of %d partitions (+%d as standby, rf=%d)",
 			o.workerID, o.workers, ring.OwnedPartitions(o.workerID), ring.Partitions(),
 			ring.ReplicaPartitions(o.workerID)-ring.OwnedPartitions(o.workerID), ring.ReplicaFactor())
+		dopts.Keep, dopts.Server.Worker = ring.Worker(o.workerID)
 	}
-
-	log.Printf("rrrd: building %s-scale environment (seed %d)", o.scale, sc.SimCfg.Seed)
-	env := experiments.NewDaemonEnv(sc, o.pace)
-
-	cfg := rrr.DefaultConfig()
-	cfg.WindowSec = sc.WindowSec
-	cfg.Shards = o.shards
-	mon, err := rrr.NewMonitor(rrr.Options{
-		Config:     cfg,
-		Mapper:     env.Mapper,
-		Aliases:    env.Aliases,
-		Geo:        env.Geo,
-		Rel:        env.Rel,
-		IXPMembers: env.IXPMembers,
-	})
-	if err != nil {
-		return err
-	}
-
-	// Prime the RIB view before streaming (table dump first). Priming and
-	// corpus tracking are deterministic from flags, so the WAL does not
-	// log them: recovery re-primes identically and replays only feed
-	// records. The event detector learns its origin/transit baselines from
-	// the same dump and taps the live feed records the engine ingests;
-	// WAL replay rebuilds staleness state only, not past routing events.
-	det := events.NewDetector(events.Config{WindowSec: sc.WindowSec})
-	for _, u := range env.Dump {
-		mon.ObserveBGP(u)
-		det.Prime(u)
-	}
-
-	var w *wal.WAL
-	if o.walDir != "" {
-		policy, interval, err := wal.ParseFsyncPolicy(o.walFsync)
-		if err != nil {
-			return err
-		}
-		w, err = wal.Open(wal.Options{
-			Dir:           o.walDir,
-			SegmentBytes:  o.walSegBytes,
-			Fsync:         policy,
-			FsyncInterval: interval,
-		})
+	if o.wal.Dir != "" {
+		w, err := wal.Open(o.wal)
 		if err != nil {
 			return err
 		}
 		defer w.Close()
+		dopts.WAL = w
 	}
 
-	health := rrr.NewPipelineHealth()
-	srvCfg := server.Config{SnapshotPath: o.snapshot, RingSize: o.ring, MaxInFlight: o.maxInflight, Health: health, Events: det}
-	if w != nil {
-		srvCfg.WALStatus = w.Status
+	log.Printf("rrrd: building %s-scale environment (seed %d)", o.scale, sc.SimCfg.Seed)
+	d, err := daemon.New(sc, dopts)
+	if err != nil {
+		return err
 	}
-	if ring != nil {
-		srvCfg.Worker = &server.WorkerIdentity{
-			ID:         o.workerID,
-			Workers:    o.workers,
-			Partitions: ring.OwnedPartitions(o.workerID),
-			RF:         ring.ReplicaFactor(),
-		}
-	}
-	srv := server.New(mon, srvCfg)
-	det.SetSink(srv.PublishEvent)
 
 	// Serve early: liveness comes up before recovery so orchestrators see
 	// the process alive, while /readyz answers 503 until the monitor's
 	// state is complete.
-	srv.SetReady(false)
-	httpSrv := &http.Server{Addr: o.addr, Handler: srv.Handler()}
+	lis, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		return err
+	}
+	httpSrv := &http.Server{Handler: d.Srv.Handler()}
 	httpDone := make(chan error, 1)
 	go func() {
-		log.Printf("rrrd: serving on %s (readiness gated on recovery)", o.addr)
-		httpDone <- httpSrv.ListenAndServe()
+		log.Printf("rrrd: serving on %s (readiness gated on recovery)", lis.Addr())
+		httpDone <- httpSrv.Serve(lis)
 	}()
 
-	// Phase 1: snapshot restore sets the window clock (the WAL compaction
-	// watermark); without -restore the corpus is tracked fresh.
-	watermark := int64(rrr.ResumeAll)
 	if o.restore {
-		if o.snapshot == "" {
-			return errors.New("-restore needs -snapshot")
-		}
-		info, err := server.RestoreSnapshot(o.snapshot, mon)
+		info, err := d.Restore(dopts.Server.SnapshotPath)
 		if err != nil {
 			return err
 		}
-		watermark = info.Watermark
 		log.Printf("rrrd: restored %d corpus entries, %d active signals from %s",
-			info.Entries, info.Signals, o.snapshot)
+			info.Entries, info.Signals, dopts.Server.SnapshotPath)
+	} else if tracked, discarded, foreign := d.Track(); dopts.Keep != nil {
+		log.Printf("rrrd: tracking %d corpus pairs (%d traces discarded, %d owned elsewhere)", tracked, discarded, foreign)
 	} else {
-		tracked, skipped, foreign := 0, 0, 0
-		for _, tr := range env.Corpus {
-			if ring != nil && !ring.IsReplica(tr.Key(), o.workerID) {
-				foreign++ // another worker's slice; still observed via the shared feed
-				continue
-			}
-			if err := mon.Track(tr); err != nil {
-				skipped++ // AS-loop traces are discarded (Appendix A)
-				continue
-			}
-			tracked++
-		}
-		if ring != nil {
-			log.Printf("rrrd: tracking %d corpus pairs (%d traces discarded, %d owned elsewhere)", tracked, skipped, foreign)
-		} else {
-			log.Printf("rrrd: tracking %d corpus pairs (%d traces discarded)", tracked, skipped)
-		}
+		log.Printf("rrrd: tracking %d corpus pairs (%d traces discarded)", tracked, discarded)
 	}
 
-	// Phase 2: WAL replay rebuilds everything ingested after the
-	// snapshot, emitting replayed windows' signals into the hub (fresh
-	// subscribers arrive later; the hub never blocks).
-	var resume *rrr.ResumeState
-	if w != nil {
-		rec := rrr.NewRecovery(mon, srv.Publish)
-		info, err := w.Replay(func(r wal.Record) error {
-			switch {
-			case r.Update != nil:
-				rec.ObserveUpdate(*r.Update)
-			case r.Trace != nil:
-				rec.ObserveTrace(r.Trace)
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("rrrd: wal recovery: %w", err)
-		}
-		var stats rrr.RecoveryStats
-		resume, stats = rec.Finish()
-		log.Printf("rrrd: wal replayed %d records from %d segments (%d updates, %d traces, %d pre-snapshot skipped, %d windows closed, truncated tail: %v)",
-			info.Records, info.Segments, stats.Updates, stats.Traces, stats.Skipped, stats.Windows, info.TruncatedTail)
-		if watermark != rrr.ResumeAll {
-			if n, err := w.Compact(watermark); err != nil {
-				log.Printf("rrrd: wal compact: %v", err)
-			} else if n > 0 {
-				log.Printf("rrrd: wal compacted %d segments behind snapshot watermark %d", n, watermark)
-			}
-		}
+	rep, compacted, err := d.Recover(nil)
+	if err != nil {
+		return fmt.Errorf("rrrd: %w", err)
 	}
-	srv.SetReady(true)
+	if dopts.WAL != nil {
+		log.Printf("rrrd: wal replayed %d records from %d segments (%d updates, %d traces, %d pre-snapshot skipped, %d windows closed, truncated tail: %v)",
+			rep.Replay.Records, rep.Replay.Segments, rep.Stats.Updates, rep.Stats.Traces, rep.Stats.Skipped, rep.Stats.Windows, rep.Replay.TruncatedTail)
+	}
+	logCompaction(compacted, "restored")
+	if rep.Resume.WindowStart != rrr.ResumeAll {
+		log.Printf("rrrd: resuming ingest at window %d", rep.Resume.WindowStart)
+	}
 
 	// One writer: the pipeline goroutine. Its sink tees into the SSE hub
 	// (never blocks) and, optionally, the log.
-	sink := srv.Publish
+	var logSink func(rrr.Signal)
 	if o.verbose {
-		sink = rrr.Tee(srv.Publish, func(s rrr.Signal) { log.Printf("signal: %s", s) })
+		logSink = func(s rrr.Signal) { log.Printf("signal: %s", s) }
+	}
+	pipeCfg := d.Pipeline(logSink, o.retry)
+	if o.feed.Addr != "" {
+		// Networked feeds: every pipeline (re)open dials rrrfeedd fresh,
+		// resuming window-aligned from the since the supervisor passes —
+		// reconnect after a cut and resume after recovery are the same
+		// code path.
+		if o.feed.Policy, err = feedwire.ParsePolicy(o.feedPolicy); err != nil {
+			return err
+		}
+		conn := feedwire.NewConnector(o.feed)
+		defer conn.Close()
+		log.Printf("rrrd: ingesting over the wire from %s (buffer %d, policy %s)", o.feed.Addr, o.feed.Buffer, o.feedPolicy)
+		pipeCfg.Updates, pipeCfg.Traces = nil, nil
+		pipeCfg.OpenUpdates = func(since int64) (rrr.UpdateSource, error) { return conn.OpenUpdates(since) }
+		pipeCfg.OpenTraces = func(since int64) (rrr.TraceSource, error) { return conn.OpenTraces(since) }
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	pipeCfg := rrr.PipelineConfig{
-		Sink: sink,
-		Tap:  det,
-		Retry: rrr.RetryPolicy{
-			MaxRetries:         o.feedRetries,
-			Backoff:            o.feedBackoff,
-			ContinueOnDeadFeed: true,
-		},
-		DedupAdjacent: true,
-		Health:        health,
-		Resume:        resume,
-		OnWindowClose: srv.PublishWindowClose,
-	}
-	if o.feedAddr != "" {
-		// Networked feeds: every pipeline (re)open dials rrrfeedd fresh,
-		// resuming window-aligned from the since the supervisor passes —
-		// reconnect after a cut and resume after WAL recovery are the
-		// same code path.
-		policy, err := feedwire.ParsePolicy(o.feedPolicy)
-		if err != nil {
-			return err
-		}
-		conn := feedwire.NewConnector(feedwire.ConnectorConfig{
-			Addr:         o.feedAddr,
-			Buffer:       o.feedBuffer,
-			Policy:       policy,
-			StallTimeout: o.feedStall,
-		})
-		defer conn.Close()
-		log.Printf("rrrd: ingesting over the wire from %s (buffer %d, policy %s)", o.feedAddr, o.feedBuffer, o.feedPolicy)
-		pipeCfg.OpenUpdates = func(since int64) (rrr.UpdateSource, error) { return conn.OpenUpdates(since) }
-		pipeCfg.OpenTraces = func(since int64) (rrr.TraceSource, error) { return conn.OpenTraces(since) }
-	} else {
-		// The simulated feeds regenerate deterministically from their
-		// beginning; after a recovery replay the pipeline resumes at the
-		// open window, so skip everything before it (the replay ingested
-		// the open window's prefix, and positional replay matching skips
-		// exactly that prefix as the feed re-delivers it).
-		var updates rrr.UpdateSource = env.Updates
-		var traces rrr.TraceSource = env.Traces
-		if resume != nil && resume.WindowStart != rrr.ResumeAll {
-			updates = rrr.SkipUpdatesBefore(updates, resume.WindowStart)
-			traces = rrr.SkipTracesBefore(traces, resume.WindowStart)
-		}
-		pipeCfg.Updates = updates
-		pipeCfg.Traces = traces
-	}
-	if w != nil {
-		pipeCfg.WAL = w
-	}
-	pipeDone := make(chan error, 1)
+	pipeDone := make(chan struct{})
 	go func() {
+		defer close(pipeDone)
 		// Degrade gracefully: transient feed failures retry with backoff,
 		// and a feed that dies anyway stops silently while the other feed
-		// and the query API keep running. Per-feed health shows up in
-		// /v1/stats and the retry counters in /metrics.
-		pipeDone <- rrr.RunPipeline(ctx, mon, pipeCfg)
+		// and the query API keep running (per-feed health is in /v1/stats).
+		// A finished feed keeps the daemon serving its final state.
+		err := rrr.RunPipeline(ctx, d.Mon, pipeCfg)
+		if err != nil && !errors.Is(err, context.Canceled) {
+			log.Printf("rrrd: pipeline: %v", err)
+		} else if ctx.Err() == nil {
+			log.Printf("rrrd: feed exhausted after %d windows; still serving", d.Mon.WindowsClosed())
+		}
 	}()
 
-	// Optional debug listener: pprof plus a second /metrics. Kept off the
-	// main mux so profiling endpoints are never exposed on the query port.
+	// Optional debug listener: pprof (which net/http/pprof registers on the
+	// default mux) plus a second /metrics. Kept off the main mux so
+	// profiling endpoints are never exposed on the query port.
 	if o.debugAddr != "" {
-		dbg := http.NewServeMux()
-		dbg.Handle("GET /metrics", obs.Default.Handler())
-		dbg.HandleFunc("/debug/pprof/", pprof.Index)
-		dbg.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		dbg.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		dbg.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		dbg.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		http.Handle("GET /metrics", obs.Default.Handler())
 		go func() {
 			log.Printf("rrrd: debug endpoints on %s (/metrics, /debug/pprof/)", o.debugAddr)
-			if err := http.ListenAndServe(o.debugAddr, dbg); err != nil {
+			if err := http.ListenAndServe(o.debugAddr, nil); err != nil {
 				log.Printf("rrrd: debug listener: %v", err)
 			}
 		}()
 	}
 
-	// Run until a signal arrives or the HTTP listener fails. A finished
-	// feed (pipeDone with nil) keeps the daemon serving: consumers can
-	// still query the final state.
-	var pipeErr error
-	pipeRunning := true
-	for {
-		select {
-		case <-ctx.Done():
-			log.Printf("rrrd: shutting down")
-			if pipeRunning {
-				pipeErr = <-pipeDone // pipeline drains + closes final window
-				pipeRunning = false
-			}
-			if pipeErr != nil && !errors.Is(pipeErr, context.Canceled) {
-				log.Printf("rrrd: pipeline: %v", pipeErr)
-			}
-			if o.snapshot != "" {
-				info, err := server.WriteSnapshot(o.snapshot, mon)
-				if err != nil {
-					log.Printf("rrrd: snapshot: %v", err)
-				} else {
-					log.Printf("rrrd: snapshot: %d entries, %d signals, %d bytes -> %s",
-						info.Entries, info.Signals, info.Bytes, o.snapshot)
-					if w != nil && info.Watermark != rrr.ResumeAll {
-						if n, err := w.Compact(info.Watermark); err != nil {
-							log.Printf("rrrd: wal compact: %v", err)
-						} else if n > 0 {
-							log.Printf("rrrd: wal compacted %d segments behind shutdown snapshot", n)
-						}
-					}
-				}
-			}
-			shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			return httpSrv.Shutdown(shutCtx)
-		case err := <-pipeDone:
-			pipeRunning = false
-			pipeErr = err
-			if err != nil && !errors.Is(err, context.Canceled) {
-				log.Printf("rrrd: pipeline: %v", err)
-			} else {
-				log.Printf("rrrd: feed exhausted after %d windows; still serving", mon.WindowsClosed())
-			}
-		case err := <-httpDone:
-			if pipeRunning {
-				stop()
-				<-pipeDone
-			}
-			return err
+	// Run until a signal arrives or the HTTP listener fails; either way the
+	// pipeline drains and closes its final window before anything else.
+	select {
+	case <-ctx.Done():
+		log.Printf("rrrd: shutting down")
+		<-pipeDone
+	case err := <-httpDone:
+		stop()
+		<-pipeDone
+		return err
+	}
+	if path := dopts.Server.SnapshotPath; path != "" {
+		info, compacted, err := d.Snapshot(path)
+		if err != nil {
+			log.Printf("rrrd: snapshot: %v", err)
+		} else {
+			log.Printf("rrrd: snapshot: %d entries, %d signals, %d bytes -> %s",
+				info.Entries, info.Signals, info.Bytes, path)
+			logCompaction(compacted, "shutdown")
 		}
+	}
+	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	return httpSrv.Shutdown(shutCtx)
+}
+
+// logCompaction reports WAL segments dropped behind the named snapshot.
+func logCompaction(c daemon.Compaction, which string) {
+	if c.Err != nil {
+		log.Printf("rrrd: wal compact: %v", c.Err)
+	} else if c.Segments > 0 {
+		log.Printf("rrrd: wal compacted %d segments behind the %s snapshot", c.Segments, which)
 	}
 }

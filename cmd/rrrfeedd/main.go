@@ -52,20 +52,9 @@ func main() {
 }
 
 func run(addr, scale string, days int, seed int64, pace time.Duration, historyWindows int) error {
-	var sc experiments.Scale
-	switch scale {
-	case "quick":
-		sc = experiments.QuickScale()
-	case "paper":
-		sc = experiments.PaperScale()
-	default:
-		return fmt.Errorf("unknown scale %q", scale)
-	}
-	if days > 0 {
-		sc.Days = days
-	}
-	if seed != 0 {
-		sc.SimCfg.Seed = seed
+	sc, err := experiments.ScaleByName(scale, days, seed)
+	if err != nil {
+		return err
 	}
 
 	log.Printf("rrrfeedd: building %s-scale environment (seed %d)", scale, sc.SimCfg.Seed)

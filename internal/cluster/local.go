@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"rrr"
-	"rrr/internal/events"
+	"rrr/internal/daemon"
 	"rrr/internal/experiments"
 	"rrr/internal/server"
 )
@@ -34,10 +34,6 @@ type LocalOptions struct {
 	// Middleware, when set, wraps each worker's handler (by worker ID) —
 	// failure tests inject latency or errors here.
 	Middleware func(workerID int, h http.Handler) http.Handler
-	// Tune, when set, adjusts every worker's engine config after the
-	// scale defaults are applied — regression tests pin thresholds (a
-	// community FP quota, say) identically across workers and baseline.
-	Tune func(cfg *rrr.Config)
 	// WorkerURL, when set, rewrites each worker's base URL before the
 	// router sees it — chaos tests interpose a fault-injecting proxy here.
 	WorkerURL func(workerID int, url string) string
@@ -50,16 +46,13 @@ type LocalOptions struct {
 	BreakerCooldown  time.Duration
 }
 
-// LocalWorker is one in-process rrrd worker: a Monitor tracking its ring
-// slice, a serving layer, and an HTTP listener whose address survives
+// LocalWorker is one in-process rrrd worker: the daemon rrrd assembles,
+// tracking its ring slice, behind an HTTP listener whose address survives
 // StopHTTP/StartHTTP cycles so the router (and its SSE reconnect path)
 // can find a "restarted" worker at the same URL.
 type LocalWorker struct {
-	ID  int
-	Mon *rrr.Monitor
-	Det *events.Detector
-	Srv *server.Server
-	Env *experiments.DaemonEnv
+	ID int
+	*daemon.Daemon
 
 	addr    string
 	handler http.Handler
@@ -70,8 +63,8 @@ type LocalWorker struct {
 // URL is the worker's base URL.
 func (lw *LocalWorker) URL() string { return "http://" + lw.addr }
 
-// StartHTTP (re)binds the worker's fixed address and serves until
-// StopHTTP.
+// StartHTTP binds the worker's address — any free loopback port the first
+// time, that same port on every restart — and serves until StopHTTP.
 func (lw *LocalWorker) StartHTTP() error {
 	lw.mu.Lock()
 	defer lw.mu.Unlock()
@@ -80,8 +73,9 @@ func (lw *LocalWorker) StartHTTP() error {
 	}
 	lis, err := net.Listen("tcp", lw.addr)
 	if err != nil {
-		return fmt.Errorf("cluster: worker %d relisten %s: %w", lw.ID, lw.addr, err)
+		return fmt.Errorf("cluster: worker %d listen %s: %w", lw.ID, lw.addr, err)
 	}
+	lw.addr = lis.Addr().String()
 	lw.httpSrv = &http.Server{Handler: lw.handler}
 	go lw.httpSrv.Serve(lis)
 	return nil
@@ -114,84 +108,44 @@ type LocalCluster struct {
 	started  bool
 }
 
-// newWorkerMonitor builds a Monitor over a fresh deterministic DaemonEnv,
-// priming the RIB from the dump and tracking only the pairs `ring` assigns
-// to worker `id` (a nil ring tracks everything — the single-daemon
-// baseline). The returned event detector is primed from the same dump;
-// since every worker ingests the full feed, detectors are identical
-// across workers regardless of ring slice.
-func newWorkerMonitor(sc experiments.Scale, ring *Ring, id int, tune func(cfg *rrr.Config)) (*rrr.Monitor, *events.Detector, *experiments.DaemonEnv, error) {
-	env := experiments.NewDaemonEnv(sc, 0)
-	cfg := rrr.DefaultConfig()
-	cfg.WindowSec = sc.WindowSec
-	cfg.Shards = sc.Shards
-	if tune != nil {
-		tune(&cfg)
+// startWorker assembles worker id of ring the way rrrd does and serves it on
+// a fresh loopback address. A nil ring is the single-daemon baseline: full
+// corpus, no worker identity. Workers track every pair their partitions
+// replicate, as primary or standby; a standby sees the same full feed, so
+// its verdicts are the primary's, byte for byte. No Health registry: the
+// router prefixes merged feed names per worker, and the differentials compare
+// merged stats with a single daemon's byte for byte.
+func startWorker(sc experiments.Scale, ring *Ring, id int, wrap func(int, http.Handler) http.Handler) (*LocalWorker, error) {
+	opts := daemon.Options{Server: server.Config{RingSize: localRingSize}}
+	if ring != nil {
+		opts.Keep, opts.Server.Worker = ring.Worker(id)
 	}
-	mon, err := rrr.NewMonitor(rrr.Options{
-		Config:     cfg,
-		Mapper:     env.Mapper,
-		Aliases:    env.Aliases,
-		Geo:        env.Geo,
-		Rel:        env.Rel,
-		IXPMembers: env.IXPMembers,
-	})
+	d, err := daemon.New(sc, opts)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	det := events.NewDetector(events.Config{WindowSec: sc.WindowSec})
-	for _, u := range env.Dump {
-		mon.ObserveBGP(u)
-		det.Prime(u)
+	d.Track()
+	if _, _, err := d.Recover(nil); err != nil {
+		return nil, err
 	}
-	for _, tr := range env.Corpus {
-		// Replicated tracking: a worker tracks every pair its partitions
-		// replicate, as primary or standby — the standby's monitor sees the
-		// same full feed, so its verdicts are the primary's, byte for byte.
-		if ring != nil && !ring.IsReplica(tr.Key(), id) {
-			continue
-		}
-		// AS-loop traces are rejected by design; skip them like the lab.
-		_ = mon.Track(tr)
+	lw := &LocalWorker{ID: id, Daemon: d, addr: "127.0.0.1:0", handler: d.Srv.Handler()}
+	if wrap != nil {
+		lw.handler = wrap(id, lw.handler)
 	}
-	return mon, det, env, nil
+	return lw, lw.StartHTTP()
 }
 
 // StartLocalDaemon builds the single-node baseline the differential tests
 // compare the cluster against: same scale, same feeds, full corpus, no
 // worker identity.
-func StartLocalDaemon(sc experiments.Scale, tune ...func(cfg *rrr.Config)) (*LocalWorker, error) {
-	var tn func(cfg *rrr.Config)
-	if len(tune) > 0 {
-		tn = tune[0]
-	}
-	mon, det, env, err := newWorkerMonitor(sc, nil, 0, tn)
-	if err != nil {
-		return nil, err
-	}
-	srv := server.New(mon, server.Config{Events: det, RingSize: localRingSize})
-	det.SetSink(srv.PublishEvent)
-	lw := &LocalWorker{ID: 0, Mon: mon, Det: det, Srv: srv, Env: env, handler: srv.Handler()}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	lw.addr = lis.Addr().String()
-	lw.httpSrv = &http.Server{Handler: lw.handler}
-	go lw.httpSrv.Serve(lis)
-	return lw, nil
+func StartLocalDaemon(sc experiments.Scale) (*LocalWorker, error) {
+	return startWorker(sc, nil, 0, nil)
 }
 
-// RunFeed drives the worker's pipeline to feed EOF, publishing signals and
-// window markers to its SSE hub.
+// RunFeed drives the worker's pipeline — rrrd's, at default flags — to feed
+// EOF, publishing signals and window markers to its SSE hub.
 func (lw *LocalWorker) RunFeed(ctx context.Context) error {
-	return rrr.RunPipeline(ctx, lw.Mon, rrr.PipelineConfig{
-		Updates:       lw.Env.Updates,
-		Traces:        lw.Env.Traces,
-		Sink:          lw.Srv.Publish,
-		Tap:           lw.Det,
-		OnWindowClose: lw.Srv.PublishWindowClose,
-	})
+	return rrr.RunPipeline(ctx, lw.Mon, lw.Pipeline(nil, daemon.DefaultRetry))
 }
 
 // StartLocal brings up the cluster: workers listening, router subscribed
@@ -204,35 +158,11 @@ func StartLocal(opts LocalOptions) (*LocalCluster, error) {
 	lc := &LocalCluster{Ring: ring, feedErrs: make(chan error, opts.Workers)}
 	urls := make([]string, opts.Workers)
 	for w := 0; w < opts.Workers; w++ {
-		mon, det, env, err := newWorkerMonitor(opts.Scale, ring, w, opts.Tune)
+		lw, err := startWorker(opts.Scale, ring, w, opts.Middleware)
 		if err != nil {
 			lc.Close()
 			return nil, err
 		}
-		srv := server.New(mon, server.Config{
-			Worker: &server.WorkerIdentity{
-				ID:         w,
-				Workers:    opts.Workers,
-				Partitions: ring.OwnedPartitions(w),
-				RF:         ring.ReplicaFactor(),
-			},
-			Events:   det,
-			RingSize: localRingSize,
-		})
-		det.SetSink(srv.PublishEvent)
-		handler := http.Handler(srv.Handler())
-		if opts.Middleware != nil {
-			handler = opts.Middleware(w, handler)
-		}
-		lw := &LocalWorker{ID: w, Mon: mon, Det: det, Srv: srv, Env: env, handler: handler}
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			lc.Close()
-			return nil, err
-		}
-		lw.addr = lis.Addr().String()
-		lw.httpSrv = &http.Server{Handler: handler}
-		go lw.httpSrv.Serve(lis)
 		lc.Workers = append(lc.Workers, lw)
 		urls[w] = lw.URL()
 		if opts.WorkerURL != nil {

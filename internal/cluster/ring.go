@@ -21,6 +21,7 @@ import (
 	"sort"
 
 	"rrr"
+	"rrr/internal/server"
 )
 
 // Defaults for ring geometry. Partition count bounds rebalance granularity
@@ -199,6 +200,14 @@ func (r *Ring) ReplicaFactor() int {
 		return 2
 	}
 	return 1
+}
+
+// Worker is what makes a daemon worker w of this ring: the corpus filter
+// (every pair w replicates, as primary or standby) and the identity its
+// /v1/stats reports, RF included so the router can de-duplicate sums.
+func (r *Ring) Worker(w int) (keep func(rrr.Key) bool, id *server.WorkerIdentity) {
+	return func(k rrr.Key) bool { return r.IsReplica(k, w) },
+		&server.WorkerIdentity{ID: w, Workers: r.workers, Partitions: r.owned[w], RF: r.ReplicaFactor()}
 }
 
 // OwnedPartitions reports how many partitions worker w owns as primary.

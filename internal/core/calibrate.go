@@ -238,6 +238,7 @@ func (s *shard) removePair(k traceroute.Key) {
 	delete(s.entries, k)
 	delete(s.regs, k)
 	delete(s.active, k)
+	delete(s.restored, k)
 
 	stash := make(map[string]*retiredState)
 	for _, m := range s.aspByKey[k] {

@@ -971,3 +971,52 @@ func TestEvaluateRefreshUnknownPair(t *testing.T) {
 		t.Fatal("EvaluateRefresh on untracked pair reported ok")
 	}
 }
+
+// TestRestoredSignalsOutliveQuietWindow pins the §4.3.2 exemption for
+// snapshot-restored signals: a restarted process registers fresh monitors
+// whose baseline is whatever routes it found, so the first quiet close reads
+// every restored pair as "back at baseline". The signals must survive that
+// — and a real deviation-and-revert observed by this process must still
+// revoke them.
+func TestRestoredSignalsOutliveQuietWindow(t *testing.T) {
+	te := newEnv(t)
+	te.primeVPs(t)
+	en := te.standardEntry(t)
+	restored := []Signal{
+		{Technique: TechBGPASPath, Key: en.Key, WindowStart: -2700, MonitorID: 7},
+		{Technique: TechBGPBurst, Key: en.Key, WindowStart: -1800, MonitorID: 8},
+		{Technique: TechBGPCommunity, Key: en.Key, WindowStart: -900, MonitorID: 9},
+	}
+	te.e.RestoreActive(restored)
+
+	end := te.warm(t, 0, 1)
+	if n := len(te.e.Active(en.Key)); n != len(restored) {
+		t.Fatalf("%d of %d restored signals active after one quiet window", n, len(restored))
+	}
+	if sigs, pairs := te.e.RevocationStats(); sigs != 0 || pairs != 0 {
+		t.Fatalf("RevocationStats() = (%d, %d) after one quiet window, want (0, 0)", sigs, pairs)
+	}
+
+	end = te.warm(t, end, 44)
+	if n := len(te.e.Active(en.Key)); n != len(restored) {
+		t.Fatalf("%d of %d restored signals active after warm-up", n, len(restored))
+	}
+	// Shift, revert, settle — the sequence TestRevocationOnRevert proves
+	// revokes a pair that was never restored.
+	te.e.ObserveBGP(announce(t, end+10, "5.0.0.9", 5, "4.0.0.0/8", bgp.Path{5, 2, 9, 4}, nil))
+	te.e.CloseWindow(end)
+	raised := len(te.e.Active(en.Key)) - len(restored)
+	if raised <= 0 {
+		t.Fatal("expected a fresh signal after the shift")
+	}
+	end += 900
+	te.e.ObserveBGP(announce(t, end+10, "5.0.0.9", 5, "4.0.0.0/8", bgp.Path{5, 2, 3, 4}, nil))
+	te.e.CloseWindow(end)
+	te.e.CloseWindow(end + 900)
+	if n := len(te.e.Active(en.Key)); n != 0 {
+		t.Fatalf("%d signals still active after an observed revert", n)
+	}
+	if sigs, pairs := te.e.RevocationStats(); sigs < len(restored)+raised || pairs != 1 {
+		t.Fatalf("RevocationStats() = (%d, %d), want (>= %d, 1)", sigs, pairs, len(restored)+raised)
+	}
+}

@@ -85,6 +85,10 @@ type shard struct {
 
 	// Active signals per corpus pair, for revocation and querying.
 	active map[traceroute.Key][]Signal
+	// restored marks pairs whose active signals came from a snapshot and
+	// whose monitors have not raised a signal in this process; revocation
+	// skips them (see RestoreActive). Nil in a process that never restores.
+	restored map[traceroute.Key]bool
 
 	// retired stashes detector state when a pair is re-registered after a
 	// refresh so monitors with unchanged scope keep their warmed-up
@@ -293,7 +297,9 @@ func (e *Engine) Active(k traceroute.Key) []Signal {
 func (e *Engine) ClearActive(k traceroute.Key) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	delete(e.shardOf(k).active, k)
+	s := e.shardOf(k)
+	delete(s.active, k)
+	delete(s.restored, k)
 }
 
 // RestoreActive re-injects previously-generated signals into the active
@@ -301,14 +307,21 @@ func (e *Engine) ClearActive(k traceroute.Key) {
 // flagging their pairs as stale across a restart without replaying the
 // feed history that produced them. Restored signals carry MonitorIDs from
 // the previous process generation, which is fine for staleness queries and
-// refresh planning; §4.3.2 revocation still applies to them through the
-// pair-level reverted check.
+// refresh planning. §4.3.2 revocation is suspended for a restored pair: its
+// monitors were registered by this process against whatever routes the
+// restart found, so "back at baseline" is trivially true. The pair rejoins
+// revocation once it raises a signal here (its monitors then hold an
+// observed baseline); re-registration, removal and ClearActive drop the mark.
 func (e *Engine) RestoreActive(sigs []Signal) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, sig := range sigs {
 		s := e.shardOf(sig.Key)
 		s.active[sig.Key] = append(s.active[sig.Key], sig)
+		if s.restored == nil {
+			s.restored = make(map[traceroute.Key]bool)
+		}
+		s.restored[sig.Key] = true
 	}
 }
 

@@ -461,6 +461,7 @@ func (s *shard) closeOwned(ws int64, sc *sharedClose, traceSigs []Signal) []Sign
 	for i := range sigs {
 		s.signalCount[sigs[i].Technique]++
 		s.active[sigs[i].Key] = append(s.active[sigs[i].Key], sigs[i])
+		delete(s.restored, sigs[i].Key)
 	}
 	if s.eng.cfg.RevokeSignals {
 		s.revokeReverted()
@@ -511,10 +512,11 @@ func sortedRouterIDs(m map[int]*borderRouterSeries) []int {
 
 // revokeReverted drops all active signals of a corpus pair when every
 // monitored series associated with it has returned to its baseline value
-// (§4.3.2): the route reverted, so the traceroute is fresh again.
+// (§4.3.2): the route reverted, so the traceroute is fresh again. Pairs
+// still marked restored are skipped (see RestoreActive).
 func (s *shard) revokeReverted() {
 	for k, sigs := range s.active {
-		if len(sigs) == 0 {
+		if len(sigs) == 0 || s.restored[k] {
 			continue
 		}
 		if s.pairReverted(k) {

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand"
 
 	"rrr/internal/bgp"
@@ -77,6 +78,27 @@ func PaperScale() Scale {
 		SimCfg:          sc,
 		PlatCfg:         pc,
 	}
+}
+
+// ScaleByName resolves a command's -scale flag ("quick" or "paper") and
+// applies its -days and -seed overrides; zero keeps the scale's default.
+func ScaleByName(name string, days int, seed int64) (Scale, error) {
+	var sc Scale
+	switch name {
+	case "quick":
+		sc = QuickScale()
+	case "paper":
+		sc = PaperScale()
+	default:
+		return Scale{}, fmt.Errorf("unknown scale %q", name)
+	}
+	if days > 0 {
+		sc.Days = days
+	}
+	if seed != 0 {
+		sc.SimCfg.Seed = seed
+	}
+	return sc, nil
 }
 
 // Lab is the assembled experiment environment.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"rrr"
+	"rrr/internal/daemon"
 	"rrr/internal/experiments"
 	"rrr/internal/faultfeed"
 	"rrr/internal/feedwire"
@@ -30,35 +31,26 @@ func diffScale() experiments.Scale {
 	return sc
 }
 
-// newMonitor builds a monitor over a fresh deterministic environment,
-// primed and tracking the full corpus — the same construction for the
+// newDaemon assembles rrrd at default flags over a fresh deterministic
+// environment, tracking the full corpus — the same construction for the
 // in-process baseline and every wire-fed run, so any output difference is
 // the transport's fault.
-func newMonitor(t *testing.T, sc experiments.Scale) (*rrr.Monitor, *experiments.DaemonEnv) {
+func newDaemon(t *testing.T, sc experiments.Scale) *daemon.Daemon {
 	t.Helper()
-	env := experiments.NewDaemonEnv(sc, 0)
-	cfg := rrr.DefaultConfig()
-	cfg.WindowSec = sc.WindowSec
-	cfg.Shards = sc.Shards
-	mon, err := rrr.NewMonitor(rrr.Options{
-		Config:     cfg,
-		Mapper:     env.Mapper,
-		Aliases:    env.Aliases,
-		Geo:        env.Geo,
-		Rel:        env.Rel,
-		IXPMembers: env.IXPMembers,
-	})
+	d, err := daemon.New(sc, daemon.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, u := range env.Dump {
-		mon.ObserveBGP(u)
+	d.Track()
+	if _, _, err := d.Recover(nil); err != nil {
+		t.Fatal(err)
 	}
-	for _, tr := range env.Corpus {
-		_ = mon.Track(tr) // AS-loop traces are rejected by design
-	}
-	return mon, env
+	return d
 }
+
+// wireRetry is a reconnect budget tight enough for CI: a forced disconnect
+// costs milliseconds, and a feed that stays down fails the run.
+var wireRetry = rrr.RetryPolicy{MaxRetries: 10, Backoff: 5 * time.Millisecond}
 
 // outputs are the comparison surfaces: every emitted signal in order,
 // then the served key list, full-corpus batch verdicts, and stats.
@@ -131,17 +123,13 @@ func collect(t *testing.T, mon *rrr.Monitor, signals []string) outputs {
 func inprocOutputs(t *testing.T) outputs {
 	t.Helper()
 	sc := diffScale()
-	mon, env := newMonitor(t, sc)
+	d := newDaemon(t, sc)
 	var sigs []string
-	err := rrr.RunPipeline(context.Background(), mon, rrr.PipelineConfig{
-		Updates: env.Updates,
-		Traces:  env.Traces,
-		Sink:    func(s rrr.Signal) { sigs = append(sigs, s.String()) },
-	})
-	if err != nil {
+	cfg := d.Pipeline(func(s rrr.Signal) { sigs = append(sigs, s.String()) }, wireRetry)
+	if err := rrr.RunPipeline(context.Background(), d.Mon, cfg); err != nil {
 		t.Fatalf("baseline pipeline: %v", err)
 	}
-	return collect(t, mon, sigs)
+	return collect(t, d.Mon, sigs)
 }
 
 // stallPoints makes an update-source wrapper that injects one long pause
@@ -248,18 +236,14 @@ func wireOutputs(t *testing.T, opts wireOpts) outputs {
 
 	droppedBefore := obs.Default.Counter("rrr_feedwire_dropped_conns_total", "stream", "updates").Value()
 
-	mon, _ := newMonitor(t, sc)
+	// rrrd's pipeline with the daemon's own simulated feeds swapped for
+	// the connector's Open factories, as -feed-addr does.
+	d := newDaemon(t, sc)
 	var sigs []string
-	err = rrr.RunPipeline(context.Background(), mon, rrr.PipelineConfig{
-		OpenUpdates: openUpdates,
-		OpenTraces:  openTraces,
-		Sink:        func(s rrr.Signal) { sigs = append(sigs, s.String()) },
-		Retry: rrr.RetryPolicy{
-			MaxRetries: 10,
-			Backoff:    5 * time.Millisecond,
-		},
-	})
-	if err != nil {
+	cfg := d.Pipeline(func(s rrr.Signal) { sigs = append(sigs, s.String()) }, wireRetry)
+	cfg.Updates, cfg.Traces = nil, nil
+	cfg.OpenUpdates, cfg.OpenTraces = openUpdates, openTraces
+	if err := rrr.RunPipeline(context.Background(), d.Mon, cfg); err != nil {
 		t.Fatalf("wire pipeline: %v", err)
 	}
 
@@ -281,7 +265,7 @@ func wireOutputs(t *testing.T, opts wireOpts) outputs {
 	if depth := obs.Default.Gauge("rrr_feedwire_buffer_depth", "stream", "updates").Value(); cc.Buffer > 0 && depth > int64(cc.Buffer) {
 		t.Fatalf("buffer depth %d exceeds configured bound %d", depth, cc.Buffer)
 	}
-	return collect(t, mon, sigs)
+	return collect(t, d.Mon, sigs)
 }
 
 // diffStrings fails with a focused diff rather than dumping two full

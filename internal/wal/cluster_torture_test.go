@@ -24,12 +24,12 @@ import (
 
 	"rrr"
 	"rrr/internal/cluster"
+	"rrr/internal/daemon"
 	"rrr/internal/experiments"
-	"rrr/internal/server"
 	"rrr/internal/wal"
 )
 
-const clusterTortureWorkers = 3
+const tortureWorkers = 3
 
 // clusterTortureScale mirrors the cluster differential tests: one
 // simulated day, small enough for CI, busy enough that every worker's
@@ -54,57 +54,35 @@ func clusterWalOptions(dir string, policy wal.FsyncPolicy) wal.Options {
 	}
 }
 
-// clusterTortureWorker rebuilds worker w's deterministic pre-feed state: a
-// fresh simulated environment and a monitor primed from the BGP dump,
-// tracking only the corpus pairs w's ring slice owns. Every incarnation
-// (baseline, crashed, recovered) starts from an identical monitor, exactly
-// as rrrd's re-priming on restart guarantees.
-func clusterTortureWorker(t *testing.T, sc experiments.Scale, ring *cluster.Ring, w int) (*rrr.Monitor, *experiments.DaemonEnv) {
+// tortureWorker assembles worker w the way `rrrd -worker-id w -wal-dir …`
+// does — ring-replica corpus slice, replication-aware identity, detector
+// tapped, rrrd's pipeline — and brings it through startup recovery of wl.
+// Every incarnation (baseline, crashed, recovered) is built here, so each
+// starts from the identical primed state rrrd's restart guarantees. sink
+// collects the signals of replayed and live windows alike.
+func tortureWorker(t *testing.T, sc experiments.Scale, ring *cluster.Ring, w int, wl *wal.WAL, sink func(rrr.Signal)) (*daemon.Daemon, daemon.Replayed) {
 	t.Helper()
-	env := experiments.NewDaemonEnv(sc, 0)
-	cfg := rrr.DefaultConfig()
-	cfg.WindowSec = sc.WindowSec
-	cfg.Shards = sc.Shards
-	mon, err := rrr.NewMonitor(rrr.Options{
-		Config:     cfg,
-		Mapper:     env.Mapper,
-		Aliases:    env.Aliases,
-		Geo:        env.Geo,
-		Rel:        env.Rel,
-		IXPMembers: env.IXPMembers,
-	})
+	opts := daemon.Options{WAL: wl}
+	opts.Keep, opts.Server.Worker = ring.Worker(w)
+	d, err := daemon.New(sc, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, u := range env.Dump {
-		mon.ObserveBGP(u)
-	}
-	tracked := 0
-	for _, tr := range env.Corpus {
-		if ring.Owner(tr.Key()) != w {
-			continue
-		}
-		// AS-loop traces are rejected by design; skip them like the lab.
-		if err := mon.Track(tr); err == nil {
-			tracked++
-		}
-	}
-	if tracked == 0 {
+	if tracked, _, _ := d.Track(); tracked == 0 {
 		t.Fatalf("worker %d tracks no pairs; killing it would prove nothing", w)
 	}
-	return mon, env
+	rep, _, err := d.Recover(sink)
+	if err != nil {
+		t.Fatalf("worker %d recovery: %v", w, err)
+	}
+	return d, rep
 }
 
-// runClusterWorker drives one worker's pipeline to feed EOF against its
-// own write-ahead log. Workers ingest the full feeds (so the log carries
-// every record) while the monitor reacts only to its tracked slice.
-func runClusterWorker(mon *rrr.Monitor, env *experiments.DaemonEnv, w *wal.WAL, sink func(rrr.Signal)) error {
-	return rrr.RunPipeline(context.Background(), mon, rrr.PipelineConfig{
-		Updates: env.Updates,
-		Traces:  env.Traces,
-		Sink:    sink,
-		WAL:     w,
-	})
+// runFeed drives the worker's pipeline to feed EOF against its own
+// write-ahead log. Workers ingest the full feeds (so the log carries every
+// record) while the monitor reacts only to its tracked slice.
+func runFeed(d *daemon.Daemon, sink func(rrr.Signal)) error {
+	return rrr.RunPipeline(context.Background(), d.Mon, d.Pipeline(sink, daemon.DefaultRetry))
 }
 
 func clusterGet(t *testing.T, url string) string {
@@ -141,20 +119,15 @@ func clusterPost(t *testing.T, url, body string) string {
 	return string(data)
 }
 
-// mergedSurfaces serves the given worker monitors behind a fresh router
-// and captures the merged comparison surfaces: the key list, a
-// full-corpus batch verdict response, and merged stats.
-func mergedSurfaces(t *testing.T, ring *cluster.Ring, mons []*rrr.Monitor) (keys, batch, stats string) {
+// mergedSurfaces serves the given workers behind a fresh router and
+// captures the merged comparison surfaces: the key list, a full-corpus
+// batch verdict response, and merged stats.
+func mergedSurfaces(t *testing.T, ds []*daemon.Daemon) (keys, batch, stats string) {
 	t.Helper()
-	urls := make([]string, len(mons))
-	workers := make([]*httptest.Server, len(mons))
-	for i, m := range mons {
-		srv := server.New(m, server.Config{Worker: &server.WorkerIdentity{
-			ID:         i,
-			Workers:    len(mons),
-			Partitions: ring.OwnedPartitions(i),
-		}})
-		workers[i] = httptest.NewServer(srv.Handler())
+	urls := make([]string, len(ds))
+	workers := make([]*httptest.Server, len(ds))
+	for i, d := range ds {
+		workers[i] = httptest.NewServer(d.Srv.Handler())
 		urls[i] = workers[i].URL
 	}
 	rt, err := cluster.NewRouter(cluster.Options{
@@ -218,10 +191,18 @@ func mustMatch(t *testing.T, what, want, got string) {
 
 // clusterWorkerBase is one worker's uninterrupted ground truth.
 type clusterWorkerBase struct {
-	mon  *rrr.Monitor
+	d    *daemon.Daemon
 	sigs []rrr.Signal
 	recs uint64
 	log  []byte
+}
+
+func workersOf(bases []*clusterWorkerBase) []*daemon.Daemon {
+	ds := make([]*daemon.Daemon, len(bases))
+	for w, wb := range bases {
+		ds[w] = wb.d
+	}
+	return ds
 }
 
 // TestClusterCrashTorture is the cluster acceptance harness: for seeded
@@ -231,27 +212,24 @@ type clusterWorkerBase struct {
 // lost a process.
 func TestClusterCrashTorture(t *testing.T) {
 	sc := clusterTortureScale()
-	ring, err := cluster.NewRing(clusterTortureWorkers, 0)
+	ring, err := cluster.NewRing(tortureWorkers, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Uninterrupted baseline: every worker runs its full feed against its
 	// own log.
-	bases := make([]*clusterWorkerBase, clusterTortureWorkers)
-	mons := make([]*rrr.Monitor, clusterTortureWorkers)
+	bases := make([]*clusterWorkerBase, tortureWorkers)
 	for w := range bases {
 		dir := t.TempDir()
 		wl, err := wal.Open(clusterWalOptions(dir, wal.FsyncEveryRecord))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := wl.Replay(nil); err != nil {
-			t.Fatal(err)
-		}
-		mon, env := clusterTortureWorker(t, sc, ring, w)
-		wb := &clusterWorkerBase{mon: mon}
-		if err := runClusterWorker(mon, env, wl, func(s rrr.Signal) { wb.sigs = append(wb.sigs, s) }); err != nil {
+		wb := &clusterWorkerBase{}
+		collect := func(s rrr.Signal) { wb.sigs = append(wb.sigs, s) }
+		wb.d, _ = tortureWorker(t, sc, ring, w, wl, collect)
+		if err := runFeed(wb.d, collect); err != nil {
 			t.Fatalf("baseline worker %d: %v", w, err)
 		}
 		if len(wb.sigs) == 0 {
@@ -263,9 +241,8 @@ func TestClusterCrashTorture(t *testing.T) {
 		}
 		wb.log = dirBytes(t, dir)
 		bases[w] = wb
-		mons[w] = mon
 	}
-	baseKeys, baseBatch, baseStats := mergedSurfaces(t, ring, mons)
+	baseKeys, baseBatch, baseStats := mergedSurfaces(t, workersOf(bases))
 
 	const victim = 1
 	policies := []wal.FsyncPolicy{wal.FsyncEveryRecord, wal.FsyncOnWindowClose, wal.FsyncInterval}
@@ -301,13 +278,9 @@ func runClusterTorturePoint(t *testing.T, sc experiments.Scale, ring *cluster.Ri
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w1.Replay(nil); err != nil {
-		t.Fatal(err)
-	}
+	d1, _ := tortureWorker(t, sc, ring, victim, w1, nil)
 	w1.SetCrashAfterAppends(crashAt, partial)
-	m1, env1 := clusterTortureWorker(t, sc, ring, victim)
-	err = runClusterWorker(m1, env1, w1, func(rrr.Signal) {})
-	if !errors.Is(err, wal.ErrSimulatedCrash) {
+	if err := runFeed(d1, nil); !errors.Is(err, wal.ErrSimulatedCrash) {
 		t.Fatalf("crash-armed worker pipeline err = %v, want the simulated crash", err)
 	}
 	w1.Close() // post-crash no-op, like the dead process's kernel cleanup
@@ -318,43 +291,16 @@ func runClusterTorturePoint(t *testing.T, sc experiments.Scale, ring *cluster.Ri
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, env2 := clusterTortureWorker(t, sc, ring, victim)
 	var sigs []rrr.Signal
-	rec := rrr.NewRecovery(m2, func(s rrr.Signal) { sigs = append(sigs, s) })
-	info, err := w2.Replay(func(r wal.Record) error {
-		switch {
-		case r.Update != nil:
-			rec.ObserveUpdate(*r.Update)
-		case r.Trace != nil:
-			rec.ObserveTrace(r.Trace)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("recovery replay: %v", err)
+	collect := func(s rrr.Signal) { sigs = append(sigs, s) }
+	d2, rep := tortureWorker(t, sc, ring, victim, w2, collect)
+	if rep.Replay.Records > crashAt {
+		t.Fatalf("recovered %d records but only %d were ever appended", rep.Replay.Records, crashAt)
 	}
-	if info.Records > crashAt {
-		t.Fatalf("recovered %d records but only %d were ever appended", info.Records, crashAt)
+	if policy == wal.FsyncEveryRecord && rep.Replay.Records != crashAt {
+		t.Fatalf("per-record durability recovered %d of %d acknowledged records", rep.Replay.Records, crashAt)
 	}
-	if policy == wal.FsyncEveryRecord && info.Records != crashAt {
-		t.Fatalf("per-record durability recovered %d of %d acknowledged records", info.Records, crashAt)
-	}
-	resume, _ := rec.Finish()
-
-	updates := rrr.UpdateSource(env2.Updates)
-	traces := rrr.TraceSource(env2.Traces)
-	if resume.WindowStart != rrr.ResumeAll {
-		updates = rrr.SkipUpdatesBefore(updates, resume.WindowStart)
-		traces = rrr.SkipTracesBefore(traces, resume.WindowStart)
-	}
-	err = rrr.RunPipeline(context.Background(), m2, rrr.PipelineConfig{
-		Updates: updates,
-		Traces:  traces,
-		Sink:    func(s rrr.Signal) { sigs = append(sigs, s) },
-		WAL:     w2,
-		Resume:  resume,
-	})
-	if err != nil {
+	if err := runFeed(d2, collect); err != nil {
 		t.Fatalf("resumed worker pipeline: %v", err)
 	}
 
@@ -365,8 +311,8 @@ func runClusterTorturePoint(t *testing.T, sc experiments.Scale, ring *cluster.Ri
 		t.Fatalf("crash at %d (partial %d): victim signal stream diverges (%d signals, want %d)",
 			crashAt, partial, len(sigs), len(base.sigs))
 	}
-	if !reflect.DeepEqual(m2.StaleKeys(), base.mon.StaleKeys()) {
-		t.Fatalf("crash at %d: victim stale set = %v, want %v", crashAt, m2.StaleKeys(), base.mon.StaleKeys())
+	if !reflect.DeepEqual(d2.Mon.StaleKeys(), base.d.Mon.StaleKeys()) {
+		t.Fatalf("crash at %d: victim stale set = %v, want %v", crashAt, d2.Mon.StaleKeys(), base.d.Mon.StaleKeys())
 	}
 	if st := w2.Status(); st.Records != base.recs {
 		t.Fatalf("crash at %d: victim log holds %d records, want %d (dup or loss)", crashAt, st.Records, base.recs)
@@ -381,12 +327,9 @@ func runClusterTorturePoint(t *testing.T, sc experiments.Scale, ring *cluster.Ri
 
 	// Cluster-level: the router merging [intact, recovered, intact] must
 	// be byte-identical to the never-killed cluster.
-	mons := make([]*rrr.Monitor, len(bases))
-	for w, wb := range bases {
-		mons[w] = wb.mon
-	}
-	mons[victim] = m2
-	keys, batch, stats := mergedSurfaces(t, ring, mons)
+	workers := workersOf(bases)
+	workers[victim] = d2
+	keys, batch, stats := mergedSurfaces(t, workers)
 	mustMatch(t, "merged /v1/keys", baseKeys, keys)
 	mustMatch(t, "merged /v1/stale batch", baseBatch, batch)
 	mustMatch(t, "merged /v1/stats", baseStats, stats)

@@ -23,6 +23,7 @@ import (
 	"rrr"
 	"rrr/internal/bgp"
 	"rrr/internal/bordermap"
+	"rrr/internal/daemon"
 	"rrr/internal/server"
 	"rrr/internal/wal"
 )
@@ -286,39 +287,24 @@ func runTorturePoint(t *testing.T, base baseline, policy wal.FsyncPolicy, crashA
 	}
 	m2 := tortureMonitor(t)
 	var sigs []rrr.Signal
-	rec := rrr.NewRecovery(m2, func(s rrr.Signal) { sigs = append(sigs, s) })
-	info, err := w2.Replay(func(r wal.Record) error {
-		switch {
-		case r.Update != nil:
-			rec.ObserveUpdate(*r.Update)
-		case r.Trace != nil:
-			rec.ObserveTrace(r.Trace)
-		}
-		return nil
-	})
+	rep, err := daemon.Recover(m2, w2, func(s rrr.Signal) { sigs = append(sigs, s) })
 	if err != nil {
 		t.Fatalf("recovery replay: %v", err)
 	}
-	if info.Records > crashAt {
-		t.Fatalf("recovered %d records but only %d were ever appended", info.Records, crashAt)
+	if rep.Replay.Records > crashAt {
+		t.Fatalf("recovered %d records but only %d were ever appended", rep.Replay.Records, crashAt)
 	}
-	if policy == wal.FsyncEveryRecord && info.Records != crashAt {
-		t.Fatalf("per-record durability recovered %d of %d acknowledged records", info.Records, crashAt)
+	if policy == wal.FsyncEveryRecord && rep.Replay.Records != crashAt {
+		t.Fatalf("per-record durability recovered %d of %d acknowledged records", rep.Replay.Records, crashAt)
 	}
-	resume, _ := rec.Finish()
 
-	updates := rrr.UpdateSource(bgp.NewSliceSource(tortureUpdates(t)))
-	traces := rrr.TraceSource(&sliceTraces{traces: tortureTraces(t)})
-	if resume.WindowStart != rrr.ResumeAll {
-		updates = rrr.SkipUpdatesBefore(updates, resume.WindowStart)
-		traces = rrr.SkipTracesBefore(traces, resume.WindowStart)
-	}
+	updates, traces := daemon.ResumeFeeds(bgp.NewSliceSource(tortureUpdates(t)), &sliceTraces{traces: tortureTraces(t)}, rep.Resume)
 	err = rrr.RunPipeline(context.Background(), m2, rrr.PipelineConfig{
 		Updates: updates,
 		Traces:  traces,
 		Sink:    func(s rrr.Signal) { sigs = append(sigs, s) },
 		WAL:     w2,
-		Resume:  resume,
+		Resume:  rep.Resume,
 	})
 	if err != nil {
 		t.Fatalf("resumed pipeline: %v", err)

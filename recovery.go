@@ -134,56 +134,35 @@ func (r *Recovery) Finish() (*ResumeState, RecoveryStats) {
 	}, r.stats
 }
 
-// skipUpdates / skipTraces drop the leading records of a time-ordered
-// source before a resume point, for sources (like the daemon's simulated
-// feeds) that always regenerate from their beginning and have no
-// Open(since) form.
-type skipUpdates struct {
-	src   UpdateSource
-	since int64
-	done  bool
+// skipSource drops the leading records of a time-ordered source before a
+// resume point, for sources (like the daemon's simulated feeds) that always
+// regenerate from their beginning and have no Open(since) form.
+type skipSource[T any] struct {
+	src    interface{ Read() (T, error) }
+	timeOf func(T) int64
+	since  int64
+	done   bool
+}
+
+func (s *skipSource[T]) Read() (T, error) {
+	for {
+		rec, err := s.src.Read()
+		if err != nil {
+			return rec, err
+		}
+		if s.done || s.timeOf(rec) >= s.since {
+			s.done = true
+			return rec, nil
+		}
+	}
 }
 
 // SkipUpdatesBefore returns src minus its records with Time < since.
 func SkipUpdatesBefore(src UpdateSource, since int64) UpdateSource {
-	return &skipUpdates{src: src, since: since}
-}
-
-func (s *skipUpdates) Read() (Update, error) {
-	for {
-		u, err := s.src.Read()
-		if err != nil {
-			return u, err
-		}
-		if !s.done && u.Time < s.since {
-			continue
-		}
-		s.done = true
-		return u, nil
-	}
-}
-
-type skipTraces struct {
-	src   TraceSource
-	since int64
-	done  bool
+	return &skipSource[Update]{src: src, timeOf: func(u Update) int64 { return u.Time }, since: since}
 }
 
 // SkipTracesBefore returns src minus its traceroutes with Time < since.
 func SkipTracesBefore(src TraceSource, since int64) TraceSource {
-	return &skipTraces{src: src, since: since}
-}
-
-func (s *skipTraces) Read() (*Traceroute, error) {
-	for {
-		t, err := s.src.Read()
-		if err != nil {
-			return t, err
-		}
-		if !s.done && t.Time < s.since {
-			continue
-		}
-		s.done = true
-		return t, nil
-	}
+	return &skipSource[*Traceroute]{src: src, timeOf: func(t *Traceroute) int64 { return t.Time }, since: since}
 }
