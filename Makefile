@@ -14,7 +14,7 @@ FUZZ_TARGETS := \
 	internal/anomaly:FuzzZScoreDegenerate \
 	internal/anomaly:FuzzBitmapDetector
 
-.PHONY: build test vet fmtcheck race bench fuzz crashtest clustertest chaostest feedtest scenariotest cmdtest benchtest verify
+.PHONY: build test vet fmtcheck race bench fuzz crashtest clustertest chaostest feedtest scenariotest cachetest cmdtest benchtest verify
 
 build:
 	$(GO) build ./...
@@ -97,6 +97,15 @@ scenariotest:
 	$(GO) test -race -count=1 ./internal/netsim -run TestScenario -v
 	$(GO) test -race -count=1 ./internal/experiments -run 'TestScenario|TestScoreEvents' -v
 	$(GO) test -race -count=1 ./internal/cluster -run TestEventsDifferential -v
+
+# Verdict-cache acceptance under the race detector: the cache's own tests
+# (per-key invalidation, forward-only generation, flushes, the quiet-close
+# allocation budget), the four-day differential that reads every key after
+# every close and refresh against a fresh server, and readers racing a
+# whole pipeline run.
+cachetest:
+	$(GO) test -race -count=1 ./internal/server -run 'Cache|Allocs|Batch' -v
+	$(GO) test -race -count=1 ./internal/daemon -run TestVerdictCache -v
 
 # The commands as processes, never from the test cache: rrrd and rrrfeedd
 # (flag validation before anything is bound or created, the pinned flag

@@ -49,6 +49,9 @@ type Engine struct {
 	scratch traceScratch
 	sh      *sharedState
 	shards  []*shard
+	// changed is the last close's merged per-shard changed lists; see
+	// ChangedKeys.
+	changed []traceroute.Key
 
 	// Calib is the §4.3 calibrator; exported for refresh planning.
 	Calib *Calibrator
@@ -85,6 +88,9 @@ type shard struct {
 
 	// Active signals per corpus pair, for revocation and querying.
 	active map[traceroute.Key][]Signal
+	// changed lists the pairs whose active signals this shard's last close
+	// changed (raised or revoked), repeats allowed; closeOwned resets it.
+	changed []traceroute.Key
 	// restored marks pairs whose active signals came from a snapshot and
 	// whose monitors have not raised a signal in this process; revocation
 	// skips them (see RestoreActive). Nil in a process that never restores.
@@ -224,9 +230,24 @@ func (e *Engine) CloseWindow(ws int64) []Signal {
 	closeShard(0)
 	wg.Wait()
 
+	e.changed = e.changed[:0]
+	for _, s := range e.shards {
+		e.changed = append(e.changed, s.changed...)
+	}
 	e.sh.resetWindow()
 	e.windowsClosed++
 	return mergeSortedSignals(results)
+}
+
+// ChangedKeys returns the pairs whose active signals the last CloseWindow
+// changed — a signal raised on the pair, or its signals revoked — in no
+// particular order and possibly repeated. No other state a pair's verdict
+// reads (entry, registrations) moves in a close. The slice is engine-owned
+// scratch, overwritten by the next CloseWindow.
+func (e *Engine) ChangedKeys() []traceroute.Key {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.changed
 }
 
 // AddCorpusEntry registers a processed corpus traceroute with every

@@ -450,6 +450,7 @@ func (e *Engine) MonitorStats() Stats {
 // revocation. It only reads shared state; all shared mutation happened in
 // closeShared, so shards can run closeOwned concurrently.
 func (s *shard) closeOwned(ws int64, sc *sharedClose, traceSigs []Signal) []Signal {
+	s.changed = s.changed[:0]
 	sigs := s.closeBGPWindow(ws, sc)
 	sigs = append(sigs, traceSigs...)
 
@@ -461,6 +462,7 @@ func (s *shard) closeOwned(ws int64, sc *sharedClose, traceSigs []Signal) []Sign
 	for i := range sigs {
 		s.signalCount[sigs[i].Technique]++
 		s.active[sigs[i].Key] = append(s.active[sigs[i].Key], sigs[i])
+		s.changed = append(s.changed, sigs[i].Key)
 		delete(s.restored, sigs[i].Key)
 	}
 	if s.eng.cfg.RevokeSignals {
@@ -523,6 +525,7 @@ func (s *shard) revokeReverted() {
 			s.revokedSignals += len(sigs)
 			s.revokedPairs++
 			delete(s.active, k)
+			s.changed = append(s.changed, k)
 		}
 	}
 }

@@ -15,10 +15,10 @@ import (
 	"rrr/internal/wal"
 )
 
-// dayScale is `rrrd -scale quick -days 1`.
-func dayScale(t *testing.T) experiments.Scale {
+// quickScale is `rrrd -scale quick -days N`.
+func quickScale(t *testing.T, days int) experiments.Scale {
 	t.Helper()
-	sc, err := experiments.ScaleByName("quick", 1, 0)
+	sc, err := experiments.ScaleByName("quick", days, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func runToEOF(t *testing.T, walDir, snapshot string, restore bool) server.Stats 
 		defer w.Close()
 		opts.WAL = w
 	}
-	d, err := daemon.New(dayScale(t), opts)
+	d, err := daemon.New(quickScale(t, 1), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ type Server struct {
 	hub *Hub
 	cfg Config
 	mux *http.ServeMux
-	// cache memoizes verdicts between Monitor state transitions, keyed by
+	// cache memoizes verdicts across Monitor state transitions, keyed by
 	// pair and stamped with the Monitor's StateVersion; see verdictCache.
 	cache *verdictCache
 	// ready gates GET /readyz: the daemon starts serving (liveness) while
@@ -114,7 +114,7 @@ func New(mon *rrr.Monitor, cfg Config) *Server {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = DefaultMaxInFlight
 	}
-	s := &Server{mon: mon, hub: NewHub(cfg.RingSize), cfg: cfg, mux: http.NewServeMux(), cache: newVerdictCache(0)}
+	s := &Server{mon: mon, hub: NewHub(cfg.RingSize), cfg: cfg, mux: http.NewServeMux(), cache: newVerdictCache(mon, 0)}
 	s.mux.HandleFunc("GET /v1/stale/{key}", s.handleStaleOne)
 	s.mux.HandleFunc("POST /v1/stale", s.handleStaleBatch)
 	s.mux.HandleFunc("GET /v1/keys", s.handleKeys)

@@ -80,22 +80,30 @@ func newTestMonitor(t *testing.T) *rrr.Monitor {
 	return m
 }
 
+// newQuietMonitor builds a monitor tracking two pairs over routes that have
+// not changed, with every window up to 45 closed (calibration done).
+func newQuietMonitor(t *testing.T) (m *rrr.Monitor, first, second *rrr.Traceroute) {
+	t.Helper()
+	m = newTestMonitor(t)
+	m.ObserveBGP(announceUpd(t, 0, "5.0.0.9", 5, "4.0.0.0/8", []rrr.ASN{5, 2, 3, 4}))
+	m.ObserveBGP(announceUpd(t, 0, "6.0.0.9", 6, "7.0.0.0/8", []rrr.ASN{6, 7}))
+	first = trace(t, 0, "1.0.0.1", "4.0.0.9", "1.0.0.2", "2.0.0.1", "3.0.0.1", "4.0.0.9")
+	if err := m.Track(first); err != nil {
+		t.Fatal(err)
+	}
+	second = trace(t, 0, "8.0.0.1", "7.0.0.9", "8.0.0.2", "6.0.0.1", "7.0.0.9")
+	if err := m.Track(second); err != nil {
+		t.Fatal(err)
+	}
+	m.Advance(45 * 900)
+	return m, first, second
+}
+
 // newStaleMonitor builds a monitor with one tracked pair that has gone
 // stale (the canonical AS-path-change scenario) and one fresh pair.
 func newStaleMonitor(t *testing.T) (*rrr.Monitor, *rrr.Traceroute, *rrr.Traceroute) {
 	t.Helper()
-	m := newTestMonitor(t)
-	m.ObserveBGP(announceUpd(t, 0, "5.0.0.9", 5, "4.0.0.0/8", []rrr.ASN{5, 2, 3, 4}))
-	m.ObserveBGP(announceUpd(t, 0, "6.0.0.9", 6, "7.0.0.0/8", []rrr.ASN{6, 7}))
-	stale := trace(t, 0, "1.0.0.1", "4.0.0.9", "1.0.0.2", "2.0.0.1", "3.0.0.1", "4.0.0.9")
-	if err := m.Track(stale); err != nil {
-		t.Fatal(err)
-	}
-	fresh := trace(t, 0, "8.0.0.1", "7.0.0.9", "8.0.0.2", "6.0.0.1", "7.0.0.9")
-	if err := m.Track(fresh); err != nil {
-		t.Fatal(err)
-	}
-	m.Advance(45 * 900)
+	m, stale, fresh := newQuietMonitor(t)
 	m.ObserveBGP(announceUpd(t, 45*900+5, "5.0.0.9", 5, "4.0.0.0/8", []rrr.ASN{5, 2, 9, 4}))
 	m.Advance(46 * 900)
 	if !m.Stale(stale.Key()) {

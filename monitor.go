@@ -59,9 +59,12 @@ type Monitor struct {
 	// bump it — observations only influence verdicts once a window closes
 	// — so between closes every pair's verdict is immutable and callers
 	// (internal/server's verdict cache) may reuse answers stamped with the
-	// current version. Bumped only under the write lock; read via
+	// current version. Bumped only by bump, under the write lock; read via
 	// StateVersion or the version returned by PairStates.
 	version atomic.Uint64
+	// changes[v%changeLogLen] holds the pairs version v changed, for
+	// ChangedSince; written by bump.
+	changes [changeLogLen]changeRec
 
 	// Baselines carried over from a restored snapshot, so cumulative
 	// counters (signal totals, closed windows, revocations, pruned
@@ -71,6 +74,23 @@ type Monitor struct {
 	baseRevSigs  int
 	baseRevPairs int
 	basePruned   int
+}
+
+// changeLogLen is how many state versions ChangedSince looks back over. A
+// reader further behind than that gets "all"; one that reads after every
+// close is at most a few versions behind.
+const changeLogLen = 64
+
+// maxLoggedKeys caps the pairs one version logs; a transition that changes
+// more (a catch-up Advance over many windows, say) is logged as changing
+// all of them, which also bounds the memory the log's reused slots keep.
+const maxLoggedKeys = 4096
+
+// changeRec is one version's entry in the change log: the pairs whose
+// verdict inputs the transition changed, or all of them.
+type changeRec struct {
+	all  bool
+	keys []Key
 }
 
 // NewMonitor builds a Monitor.
@@ -154,7 +174,7 @@ func (m *Monitor) trackLocked(t *Traceroute) error {
 		m.engine.AddCorpusEntry(en)
 	}
 	metMonTracked.Set(int64(m.corp.Len()))
-	m.version.Add(1)
+	m.bump(false, []Key{en.Key})
 	return nil
 }
 
@@ -165,7 +185,43 @@ func (m *Monitor) Untrack(k Key) {
 	m.corp.Remove(k)
 	m.engine.RemovePair(k)
 	metMonTracked.Set(int64(m.corp.Len()))
-	m.version.Add(1)
+	m.bump(false, []Key{k})
+}
+
+// bump is the one place the state version moves. It logs the pairs the
+// transition changed (every pair when all is set or the list is longer
+// than maxLoggedKeys) under the new version, reusing the slot's storage.
+// Callers hold the write lock.
+func (m *Monitor) bump(all bool, keys []Key) {
+	r := &m.changes[m.version.Add(1)%changeLogLen]
+	r.all = all || len(keys) > maxLoggedKeys
+	r.keys = r.keys[:0]
+	if !r.all {
+		r.keys = append(r.keys, keys...)
+	}
+}
+
+// ChangedSince reports which pairs' verdict inputs (tracking, measurement
+// time, potential monitors, active signals) may differ from what they were
+// at state version v, and now, the version the answer runs up to: the
+// pairs every transition after v logged, or all when one of them changed
+// every pair (Restore) or v is further back than the log reaches. An answer
+// a caller computed at v for a pair outside keys is still the answer at now.
+func (m *Monitor) ChangedSince(v uint64) (keys []Key, all bool, now uint64) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	now = m.version.Load()
+	if v > now || now-v > changeLogLen {
+		return nil, true, now
+	}
+	for u := v + 1; u <= now; u++ {
+		r := &m.changes[u%changeLogLen]
+		if r.all {
+			return nil, true, now
+		}
+		keys = append(keys, r.keys...)
+	}
+	return keys, false, now
 }
 
 // Tracked returns the monitored pairs in sorted (Src, Dst) order, so API
@@ -193,7 +249,7 @@ func (m *Monitor) CloseWindow(ws int64) []Signal {
 	m.cur, m.opened = ws+m.window, true
 	sigs := m.engine.CloseWindow(ws)
 	m.noteWindowMetrics(sigs, 1)
-	m.version.Add(1)
+	m.bump(false, m.engine.ChangedKeys())
 	return sigs
 }
 
@@ -230,15 +286,19 @@ func (m *Monitor) Advance(t int64) []Signal {
 		m.cur, m.opened = floorDiv(start, m.window)*m.window, true
 	}
 	var out []Signal
+	var changed []Key
 	windows := 0
 	for ws := m.cur; ws+m.window <= t; ws += m.window {
 		out = append(out, m.engine.CloseWindow(ws)...)
+		if len(changed) <= maxLoggedKeys { // past it, bump logs all anyway
+			changed = append(changed, m.engine.ChangedKeys()...)
+		}
 		m.cur = ws + m.window
 		windows++
 	}
 	m.noteWindowMetrics(out, windows)
 	if windows > 0 {
-		m.version.Add(1)
+		m.bump(false, changed)
 	}
 	return out
 }
@@ -272,17 +332,19 @@ func (m *Monitor) StaleKeys() []Key {
 	return out
 }
 
-// StateVersion returns the monitor's verdict-state version. It changes
-// exactly when some pair's staleness answer may have changed: on window
-// closes, tracking changes, refreshes, and restores — never on raw feed
+// StateVersion returns the monitor's verdict-state version. It moves on
+// every transition that may change some pair's staleness answer — window
+// closes, tracking changes, refreshes, and restores — and never on raw feed
 // ingestion. A caller that cached answers stamped with version v may keep
-// serving them while StateVersion still returns v.
+// serving them while StateVersion still returns v; once it moves,
+// ChangedSince(v) names the pairs whose answers to drop, so the rest carry
+// over to the new version.
 func (m *Monitor) StateVersion() uint64 { return m.version.Load() }
 
 // PairState is one pair's verdict inputs, read consistently under a single
-// lock acquisition by PairStates. Signals aliases engine-internal storage
-// and is only valid while StateVersion is unchanged; copy it to retain it
-// across state transitions.
+// lock acquisition by PairStates. Signals aliases engine-internal storage:
+// treat it as read-only, and copy it to keep it past the next transition
+// that ChangedSince reports for the pair.
 type PairState struct {
 	Key        Key
 	Tracked    bool
@@ -371,7 +433,7 @@ func (m *Monitor) RecordRefresh(t *Traceroute) (ChangeClass, error) {
 	m.engine.Reregister(en)
 	metMonRefreshes.Inc()
 	metMonStale.Set(int64(m.engine.ActivePairs()))
-	m.version.Add(1)
+	m.bump(false, []Key{en.Key})
 	return cls, nil
 }
 
@@ -558,7 +620,7 @@ func (m *Monitor) Restore(s *MonitorSnapshot) error {
 	m.baseWindows = s.WindowsClosed
 	m.baseRevSigs, m.baseRevPairs = s.RevokedSignals, s.RevokedPairEvents
 	m.basePruned = s.PrunedCommunities
-	m.version.Add(1)
+	m.bump(true, nil)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package rrr
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -156,6 +157,49 @@ func TestMonitorUntrack(t *testing.T) {
 	m.Untrack(tr.Key())
 	if len(m.Tracked()) != 0 || len(m.Potential(tr.Key())) != 0 {
 		t.Fatal("untrack incomplete")
+	}
+}
+
+// TestChangedSinceLog: every state version logs the pairs it changed, and
+// a reader the log no longer reaches back to, or one behind a restore, is
+// told "all".
+func TestChangedSinceLog(t *testing.T) {
+	m := newTestMonitor(t)
+	m.ObserveBGP(announceUpd(t, 0, "5.0.0.9", 5, "4.0.0.0/8", []ASN{5, 2, 3, 4}))
+	tr := trace(t, 0, "1.0.0.1", "4.0.0.9", "1.0.0.2", "2.0.0.1", "3.0.0.1", "4.0.0.9")
+	v0 := m.StateVersion()
+	if keys, all, now := m.ChangedSince(v0); len(keys) != 0 || all || now != v0 {
+		t.Fatalf("ChangedSince(current) = %v, %v, %d; want nothing at %d", keys, all, now, v0)
+	}
+	if err := m.Track(tr); err != nil {
+		t.Fatal(err)
+	}
+	m.Untrack(tr.Key())
+	m.Advance(900) // quiet: logs no pair
+	keys, all, now := m.ChangedSince(v0)
+	if all || now != v0+3 || !reflect.DeepEqual(keys, []Key{tr.Key(), tr.Key()}) {
+		t.Fatalf("after track, untrack, quiet close: %v, %v, %d; want the pair twice at %d", keys, all, now, v0+3)
+	}
+
+	for i := 0; i < changeLogLen; i++ {
+		if err := m.Track(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, all, _ := m.ChangedSince(v0); !all {
+		t.Fatalf("ChangedSince(%d), %d versions back: not all", v0, m.StateVersion()-v0)
+	}
+	if keys, all, _ := m.ChangedSince(m.StateVersion() - changeLogLen); all || len(keys) != changeLogLen {
+		t.Fatalf("ChangedSince the log's oldest version: %d keys, all %v; want %d", len(keys), all, changeLogLen)
+	}
+
+	m2 := newTestMonitor(t)
+	v := m2.StateVersion()
+	if err := m2.Restore(m.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if _, all, _ := m2.ChangedSince(v); !all {
+		t.Fatal("ChangedSince across a restore: not all")
 	}
 }
 
