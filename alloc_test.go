@@ -1,10 +1,11 @@
-package rrr
+package rrr_test
 
 import (
 	"io"
 	"runtime"
 	"testing"
 
+	"rrr"
 	"rrr/internal/events"
 	"rrr/internal/experiments"
 )
@@ -25,10 +26,10 @@ func TestIngestAllocs(t *testing.T) {
 
 	sc := experiments.QuickScale()
 	env := experiments.NewDaemonEnv(sc, 0)
-	cfg := DefaultConfig()
+	cfg := rrr.DefaultConfig()
 	cfg.WindowSec = sc.WindowSec
 	cfg.Shards = 2
-	mon, err := NewMonitor(Options{
+	mon, err := rrr.NewMonitor(rrr.Options{
 		Config: cfg, Mapper: env.Mapper, Aliases: env.Aliases,
 		Geo: env.Geo, Rel: env.Rel, IXPMembers: env.IXPMembers,
 	})
@@ -46,7 +47,7 @@ func TestIngestAllocs(t *testing.T) {
 
 	// Record the feed first: the simulator allocates while it generates.
 	end := int64(warmup+measured) * sc.WindowSec
-	var ups []Update
+	var ups []rrr.Update
 	for {
 		u, err := env.Updates.Read()
 		if err == io.EOF || u.Time >= end {
@@ -57,7 +58,7 @@ func TestIngestAllocs(t *testing.T) {
 		}
 		ups = append(ups, u)
 	}
-	var trs []*Traceroute
+	var trs []*rrr.Traceroute
 	for {
 		tr, err := env.Traces.Read()
 		if err == io.EOF || tr.Time >= end {

@@ -1,4 +1,4 @@
-package rrr
+package rrr_test
 
 // One benchmark per table and figure of the paper's evaluation. Each bench
 // drives the corresponding experiment runner at a reduced scale and reports
@@ -12,7 +12,7 @@ import (
 	"sync"
 	"testing"
 
-	"rrr/internal/core"
+	"rrr"
 	"rrr/internal/experiments"
 )
 
@@ -230,16 +230,16 @@ func safeDiv(a, b float64) float64 {
 // "unique" columns report the same effect from a single run).
 func BenchmarkAblationTechniques(b *testing.B) {
 	full := retro()
-	techs := map[string]core.Technique{
-		"no-aspath":  core.TechBGPASPath,
-		"no-burst":   core.TechBGPBurst,
-		"no-subpath": core.TechTraceSubpath,
+	techs := map[string]rrr.Technique{
+		"no-aspath":  rrr.TechBGPASPath,
+		"no-burst":   rrr.TechBGPBurst,
+		"no-subpath": rrr.TechTraceSubpath,
 	}
 	for i := 0; i < b.N; i++ {
 		for name, tech := range techs {
 			sc := benchScale()
 			sc.Days = 3
-			sc.Disabled = []core.Technique{tech}
+			sc.Disabled = []rrr.Technique{tech}
 			r := experiments.RunRetrospective(sc)
 			b.ReportMetric(r.AllTechniques.CovAll, name+"-coverage")
 		}
