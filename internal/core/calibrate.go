@@ -359,27 +359,34 @@ func bestSignal(sigs []Signal) Signal {
 // refreshPlan is RefreshPlanDetailed over explicit state: the engine merges
 // its shards' active/registration maps and plans globally. Its outcome
 // depends only on the map contents, not iteration order: every candidate
-// list is sorted before budget is spent.
+// list is sorted before budget is spent, and every rate sum runs in key
+// order (floating-point addition is not associative, so a sum in map order
+// could reorder two VPs whose relative TPRs tie).
 func refreshPlan(active map[traceroute.Key][]Signal, regs map[traceroute.Key][]Registration,
 	calib *Calibrator, budget int, rng *rand.Rand) []PlanItem {
 	type vpState struct {
 		src     uint32
 		sumTPR  float64
-		keys    map[traceroute.Key]bool
+		keys    []traceroute.Key // ascending
 		sigs    []Signal
 		anyInit bool
 	}
-	bySrc := make(map[uint32]*vpState)
+	flagged := make(map[traceroute.Key]bool, len(active))
 	for k, sigs := range active {
-		if len(sigs) == 0 {
-			continue
+		if len(sigs) > 0 {
+			flagged[k] = true
 		}
+	}
+	keys := sortedKeySet(flagged)
+	bySrc := make(map[uint32]*vpState)
+	for _, k := range keys {
+		sigs := active[k]
 		st := bySrc[k.Src]
 		if st == nil {
-			st = &vpState{src: k.Src, keys: make(map[traceroute.Key]bool)}
+			st = &vpState{src: k.Src}
 			bySrc[k.Src] = st
 		}
-		st.keys[k] = true
+		st.keys = append(st.keys, k)
 		st.sigs = append(st.sigs, sigs...)
 		for _, s := range sigs {
 			if tpr, _, ok := calib.Rates(k.Src, s.MonitorID); ok {
@@ -414,7 +421,7 @@ func refreshPlan(active map[traceroute.Key][]Signal, regs map[traceroute.Key][]R
 		// silent potential signals across the VP's flagged traceroutes.
 		var sumTPR, sumTNR float64
 		signaledMon := make(map[traceroute.Key]map[int]bool)
-		for k := range st.keys {
+		for _, k := range st.keys {
 			signaledMon[k] = make(map[int]bool)
 		}
 		for _, s := range st.sigs {
@@ -425,7 +432,7 @@ func refreshPlan(active map[traceroute.Key][]Signal, regs map[traceroute.Key][]R
 				sumTPR += tpr
 			}
 		}
-		for k := range st.keys {
+		for _, k := range st.keys {
 			for _, reg := range regs[k] {
 				if signaledMon[k][reg.MonitorID] {
 					continue
@@ -439,8 +446,7 @@ func refreshPlan(active map[traceroute.Key][]Signal, regs map[traceroute.Key][]R
 		if sumTPR+sumTNR > 0 {
 			p = sumTPR / (sumTPR + sumTNR)
 		}
-		keys := sortedKeySet(st.keys)
-		for _, k := range keys {
+		for _, k := range st.keys {
 			if remaining <= 0 {
 				break
 			}
@@ -463,13 +469,12 @@ func refreshPlan(active map[traceroute.Key][]Signal, regs map[traceroute.Key][]R
 	// Step 5: bootstrap ordering over remaining signals (Table 1).
 	if remaining > 0 {
 		var rest []Signal
-		for k, sigs := range active {
-			if chosenSet[k] {
-				continue
+		for _, k := range keys {
+			if !chosenSet[k] {
+				rest = append(rest, active[k]...)
 			}
-			rest = append(rest, sigs...)
 		}
-		sort.Slice(rest, func(i, j int) bool { return table1Less(rest[i], rest[j]) })
+		sort.SliceStable(rest, func(i, j int) bool { return table1Less(rest[i], rest[j]) })
 		for _, s := range rest {
 			if remaining <= 0 {
 				break
