@@ -110,7 +110,8 @@ cachetest:
 # The commands as processes, never from the test cache: rrrd and rrrfeedd
 # (flag validation before anything is bound or created, the pinned flag
 # set, a snapshot + WAL restart, wire-fed vs in-process-fed), rrrd-router and
-# rrrbench, and one smoke invocation each of rrrbgp, rrrtrace, rrrsim, rrrmon.
+# rrrbench, and one smoke invocation each of rrrbgp, rrrtrace, rrrsim, rrrmon
+# and the three simulator examples.
 cmdtest:
 	$(GO) test -count=1 ./cmd/...
 

@@ -7,7 +7,8 @@
 //
 // It demonstrates the exact integration a real deployment uses: prime the
 // Monitor with a table dump, stream BGP updates and public traceroutes,
-// close windows, act on signals.
+// close windows, act on signals, and refresh through PlanRefresh and
+// RecordRefresh.
 package main
 
 import (
@@ -16,8 +17,7 @@ import (
 	"math/rand"
 	"os"
 
-	"rrr/internal/bordermap"
-	"rrr/internal/core"
+	"rrr"
 	"rrr/internal/experiments"
 )
 
@@ -36,17 +36,17 @@ func main() {
 	fmt.Printf("corpus: %d traceroutes; VPs: %d; topology: %d ASes, %d links\n",
 		n, len(lab.Sim.VPs()), len(lab.Sim.T.ASList), len(lab.Sim.T.Links)-1)
 
+	mon := lab.Mon
 	rng := rand.New(rand.NewSource(*seed))
-	totalWindows := sc.Days * 86400 / int(sc.WindowSec)
 	windowsPerDay := int(86400 / sc.WindowSec)
 	daySignals := 0
 	dayRefreshed, dayChanged := 0, 0
 
-	for w := 0; w < totalWindows; w++ {
-		ws := int64(w) * sc.WindowSec
-		lab.Sim.Step(sc.WindowSec)
-		lab.PublicRound(sc.PublicPerWindow, ws+sc.WindowSec/2)
-		sigs := lab.Engine.CloseWindow(ws)
+	for w := 0; ; w++ {
+		ws, sigs, ok := lab.Window()
+		if !ok {
+			break
+		}
 		daySignals += len(sigs)
 		if *verbose {
 			for _, s := range sigs {
@@ -59,44 +59,31 @@ func main() {
 		}
 		day := (w + 1) / windowsPerDay
 		if *budget > 0 {
-			for _, k := range lab.Engine.RefreshPlan(*budget, rng) {
-				en, ok := lab.Corp.Get(k)
-				if !ok {
-					continue
-				}
-				fresh, err := lab.MeasurePair(k, en.Trace.ProbeID, ws+sc.WindowSec)
+			for _, k := range mon.PlanRefresh(*budget, rng) {
+				cls, err := lab.Refresh(k, ws+sc.WindowSec)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "refresh %s: %v\n", k, err)
 					continue
 				}
-				cls, _ := lab.Engine.EvaluateRefresh(fresh)
 				dayRefreshed++
-				if cls != bordermap.Unchanged {
+				if cls != rrr.Unchanged {
 					dayChanged++
 				}
-				lab.Corp.Add(fresh.Trace)
-				lab.Engine.Reregister(fresh)
-			}
-		}
-		stale := 0
-		for _, k := range lab.Corp.Keys() {
-			if len(lab.Engine.Active(k)) > 0 {
-				stale++
 			}
 		}
 		prec := 0.0
 		if dayRefreshed > 0 {
 			prec = float64(dayChanged) / float64(dayRefreshed)
 		}
-		revoked, _ := lab.Engine.RevocationStats()
+		revoked, _ := mon.RevocationStats()
 		fmt.Printf("day %d: %4d signals, %4d flagged pairs, refreshed %d (precision %.2f), revoked %d, pruned-communities %d\n",
-			day, daySignals, stale, dayRefreshed, prec, revoked, lab.Engine.Calib.PrunedCommunityCount())
+			day, daySignals, len(mon.StaleKeys()), dayRefreshed, prec, revoked, mon.PrunedCommunities())
 		daySignals, dayRefreshed, dayChanged = 0, 0, 0
 	}
 
-	counts := lab.Engine.SignalCounts()
+	counts := mon.SignalCounts()
 	fmt.Println("\nper-technique signal totals:")
-	for t := core.Technique(0); int(t) < len(counts); t++ {
+	for t := rrr.Technique(0); int(t) < len(counts); t++ {
 		fmt.Printf("  %-22s %d\n", t, counts[t])
 	}
 }

@@ -1,6 +1,6 @@
-// Package cmd_test smoke-tests the commands that have no test of their own:
-// each is built and driven as a process through its cheapest documented
-// invocation.
+// Package cmd_test smoke-tests the commands that have no test of their own,
+// and the simulator examples: each is built and driven as a process through
+// its cheapest documented invocation.
 package cmd_test
 
 import (
@@ -33,16 +33,19 @@ ANNOUNCE: 200.61.128.0/19
 // the last must print something; want, when set, is its exact output.
 func TestSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds four binaries")
+		t.Skip("builds seven binaries")
 	}
 	for _, tc := range []struct {
-		bin   string
+		bin   string // package directory, relative to cmd
 		seed  string
 		steps [][]string
 		want  string
 	}{
 		{bin: "rrrsim", steps: [][]string{{"topo"}}},
 		{bin: "rrrmon", steps: [][]string{{"-days", "1", "-budget", "0"}}},
+		{bin: "../examples/archivalreuse", steps: [][]string{{"-days", "1"}}},
+		{bin: "../examples/corpusmaintainer", steps: [][]string{{"-days", "1"}}},
+		{bin: "../examples/dtrackintegration", steps: [][]string{{"-days", "1"}}},
 		{bin: "rrrbgp", seed: bgpText, want: bgpText, steps: [][]string{
 			{"convert", "-from", "text", "-to", "mrt"},
 			{"convert", "-from", "mrt", "-to", "text"},
@@ -52,8 +55,8 @@ func TestSmoke(t *testing.T) {
 			{"parse"},
 		}},
 	} {
-		t.Run(tc.bin, func(t *testing.T) {
-			bin := filepath.Join(t.TempDir(), tc.bin)
+		t.Run(filepath.Base(tc.bin), func(t *testing.T) {
+			bin := filepath.Join(t.TempDir(), filepath.Base(tc.bin))
 			if out, err := exec.Command("go", "build", "-o", bin, "./"+tc.bin).CombinedOutput(); err != nil {
 				t.Fatalf("go build: %v\n%s", err, out)
 			}

@@ -13,10 +13,9 @@ import (
 	"fmt"
 	"math/rand"
 
-	"rrr/internal/bordermap"
+	"rrr"
 	"rrr/internal/corpus"
 	"rrr/internal/experiments"
-	"rrr/internal/traceroute"
 )
 
 func main() {
@@ -27,28 +26,26 @@ func main() {
 	sc := experiments.QuickScale()
 	sc.Days = *days
 	lab := experiments.NewLab(sc)
+	mon := lab.Mon
 	n := lab.BuildCorpus()
 	fmt.Printf("maintaining %d traceroutes with a budget of %d refreshes/day\n", n, *budget)
 
 	// A frozen copy of the initial corpus shows what no maintenance looks
 	// like.
-	initial := make(map[traceroute.Key]*corpus.Entry)
-	for _, k := range lab.Corp.Keys() {
-		en, _ := lab.Corp.Get(k)
-		initial[k] = en
+	initial := make(map[rrr.Key]*rrr.Entry)
+	for _, k := range mon.Tracked() {
+		initial[k], _ = mon.Entry(k)
 	}
 
 	rng := rand.New(rand.NewSource(7))
-	totalWindows := sc.Days * 86400 / int(sc.WindowSec)
 	windowsPerDay := int(86400 / sc.WindowSec)
 	spent := 0
 
-	for w := 0; w < totalWindows; w++ {
-		ws := int64(w) * sc.WindowSec
-		lab.Sim.Step(sc.WindowSec)
-		lab.PublicRound(sc.PublicPerWindow, ws+sc.WindowSec/2)
-		lab.Engine.CloseWindow(ws)
-
+	for w := 0; ; w++ {
+		ws, _, ok := lab.Window()
+		if !ok {
+			break
+		}
 		if (w+1)%windowsPerDay != 0 {
 			continue
 		}
@@ -56,39 +53,32 @@ func main() {
 		// Spend the day's budget on signal-flagged pairs (§4.3.1 planning:
 		// calibrated TPR ordering with Table 1 bootstrap).
 		refreshed, found := 0, 0
-		for _, k := range lab.Engine.RefreshPlan(*budget, rng) {
-			en, ok := lab.Corp.Get(k)
-			if !ok {
-				continue
-			}
-			fresh, err := lab.MeasurePair(k, en.Trace.ProbeID, now)
+		for _, k := range mon.PlanRefresh(*budget, rng) {
+			cls, err := lab.Refresh(k, now)
 			if err != nil {
 				continue
 			}
-			cls, _ := lab.Engine.EvaluateRefresh(fresh)
 			refreshed++
 			spent++
-			if cls != bordermap.Unchanged {
+			if cls != rrr.Unchanged {
 				found++
 			}
-			lab.Corp.Add(fresh.Trace)
-			lab.Engine.Reregister(fresh)
 		}
 
 		// Audit corpus freshness against ground truth (free in the
 		// simulator; a real deployment cannot do this, which is the point
 		// of the signals).
 		staleMaintained, staleFrozen := 0, 0
-		for _, k := range lab.Corp.Keys() {
-			en, _ := lab.Corp.Get(k)
-			truth, err := lab.MeasurePair(k, en.Trace.ProbeID, now)
+		for _, k := range mon.Tracked() {
+			en, _ := mon.Entry(k)
+			truth, err := lab.MeasurePair(k, now)
 			if err != nil {
 				continue
 			}
-			if corpus.ClassifyEntry(en, truth) != bordermap.Unchanged {
+			if corpus.ClassifyEntry(en, truth) != rrr.Unchanged {
 				staleMaintained++
 			}
-			if corpus.ClassifyEntry(initial[k], truth) != bordermap.Unchanged {
+			if corpus.ClassifyEntry(initial[k], truth) != rrr.Unchanged {
 				staleFrozen++
 			}
 		}

@@ -149,12 +149,6 @@ func NewEngine(cfg Config, m traceroute.Mapper, aliases bordermap.AliasOracle, g
 	return e
 }
 
-// NumShards reports the shard count.
-func (e *Engine) NumShards() int { return len(e.shards) }
-
-// RIB exposes the engine's BGP table view (read-only use).
-func (e *Engine) RIB() *bgp.RIB { return e.rib }
-
 // shardIdxOf maps a corpus pair to its owning shard index.
 func (e *Engine) shardIdxOf(k traceroute.Key) int {
 	h := uint64(k.Src)*0x9e3779b185ebca87 + uint64(k.Dst)*0xc2b2ae3d27d4eb4f
@@ -313,9 +307,9 @@ func (e *Engine) Active(k traceroute.Key) []Signal {
 	return e.shardOf(k).active[k]
 }
 
-// ClearActive resets a pair's signal state (after a refresh re-registers
+// clearActive resets a pair's signal state (after a refresh re-registers
 // it).
-func (e *Engine) ClearActive(k traceroute.Key) {
+func (e *Engine) clearActive(k traceroute.Key) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := e.shardOf(k)
@@ -332,7 +326,7 @@ func (e *Engine) ClearActive(k traceroute.Key) {
 // monitors were registered by this process against whatever routes the
 // restart found, so "back at baseline" is trivially true. The pair rejoins
 // revocation once it raises a signal here (its monitors then hold an
-// observed baseline); re-registration, removal and ClearActive drop the mark.
+// observed baseline); re-registration, removal and clearActive drop the mark.
 func (e *Engine) RestoreActive(sigs []Signal) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -407,10 +401,10 @@ func (e *Engine) SetInitialIXPMembership(members map[int][]bgp.ASN) {
 	}
 }
 
-// AllowPrivatePeerSignals marks an AS as giving public and private peers
+// allowPrivatePeerSignals marks an AS as giving public and private peers
 // equal local preference, enabling IXP signals through private peers
 // (§4.2.3's learned exception).
-func (e *Engine) AllowPrivatePeerSignals(as bgp.ASN) {
+func (e *Engine) allowPrivatePeerSignals(as bgp.ASN) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.sh.allowPriv[as] = true

@@ -249,7 +249,7 @@ func TestShardedQueryFanout(t *testing.T) {
 			t.Fatalf("Registrations(%v) empty", k)
 		}
 	}
-	st := s.MonitorStats()
+	st := s.monitorStats()
 	if st.ASPathMonitors == 0 || st.SubpathMonitors == 0 {
 		t.Fatalf("stats missing monitors: %+v", st)
 	}
@@ -271,9 +271,9 @@ func TestShardedQueryFanout(t *testing.T) {
 	for _, k := range keys {
 		if len(s.Active(k)) > 0 {
 			flagged++
-			s.ClearActive(k)
+			s.clearActive(k)
 			if len(s.Active(k)) != 0 {
-				t.Fatalf("ClearActive(%v) left signals", k)
+				t.Fatalf("clearActive(%v) left signals", k)
 			}
 		}
 	}
@@ -365,12 +365,12 @@ func TestRestoreActive(t *testing.T) {
 			}
 		}
 	}
-	s.ClearActive(keys[0])
+	s.clearActive(keys[0])
 	if len(s.Active(keys[0])) != 0 {
-		t.Fatal("ClearActive left restored signals")
+		t.Fatal("clearActive left restored signals")
 	}
 	if len(s.Active(keys[1])) != 2 {
-		t.Fatal("ClearActive bled into another key")
+		t.Fatal("clearActive bled into another key")
 	}
 }
 

@@ -408,10 +408,10 @@ type Stats struct {
 	CommunityTargets int
 }
 
-// MonitorStats reports how many monitors exist and how many traceroute
+// monitorStats reports how many monitors exist and how many traceroute
 // series have accumulated enough data to activate. Shared series are counted
 // once from the shared state; per-pair monitors are summed over the shards.
-func (e *Engine) MonitorStats() Stats {
+func (e *Engine) monitorStats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := Stats{

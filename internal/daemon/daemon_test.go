@@ -3,6 +3,7 @@ package daemon_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
@@ -113,4 +114,81 @@ func TestRestoreRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLabMatchesDaemon: the paper's experiments and rrrd are one program.
+// Over one quick-scale day with no refreshes, the experiments Lab's signal
+// stream is, signal for signal, the stream of the rrrd that daemon.New,
+// Track, Recover and the pipeline assemble. Seed 1's first day carries
+// only BGP signals, which the two agreed on even when the Lab generated
+// its own traceroutes, so the test runs five seeds.
+func TestLabMatchesDaemon(t *testing.T) {
+	total := 0
+	for seed := int64(1); seed <= 5; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			sc := quickScale(t, 1)
+			sc.SimCfg.Seed = seed
+			sc.Shards = 1
+			got, gotWindows := labSignals(sc)
+			want, wantWindows := daemonSignals(t, sc)
+			for i := 0; i < len(got) || i < len(want); i++ {
+				var g, w string
+				if i < len(got) {
+					g = got[i]
+				}
+				if i < len(want) {
+					w = want[i]
+				}
+				if g != w {
+					t.Fatalf("signal %d of %d (lab) / %d (daemon) differs:\n lab:    %s\n daemon: %s", i, len(got), len(want), g, w)
+				}
+			}
+			if gotWindows != wantWindows {
+				t.Fatalf("lab closed %d windows, daemon %d", gotWindows, wantWindows)
+			}
+			t.Logf("%d signals over %d windows, identical", len(want), wantWindows)
+			total += len(want)
+		})
+	}
+	if total == 0 {
+		t.Fatal("no seed signalled anything; the comparison was vacuous")
+	}
+}
+
+// labSignals runs the experiments Lab over sc's feed with no refreshes.
+func labSignals(sc experiments.Scale) ([]string, int) {
+	lab := experiments.NewLab(sc)
+	lab.BuildCorpus()
+	var out []string
+	for {
+		_, sigs, ok := lab.Window()
+		if !ok {
+			break
+		}
+		for _, s := range sigs {
+			out = append(out, s.String())
+		}
+	}
+	return out, lab.Mon.WindowsClosed()
+}
+
+// daemonSignals runs rrrd's assembly over sc's feed, recorded first (see
+// recordFeeds).
+func daemonSignals(t *testing.T, sc experiments.Scale) ([]string, int) {
+	t.Helper()
+	d, err := daemon.New(sc, daemon.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Track()
+	if _, _, err := d.Recover(nil); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	cfg := d.Pipeline(func(s rrr.Signal) { out = append(out, s.String()) }, daemon.DefaultRetry)
+	recordFeeds(t, &cfg)
+	if err := rrr.RunPipeline(context.Background(), d.Mon, cfg); err != nil {
+		t.Fatal(err)
+	}
+	return out, d.Mon.WindowsClosed()
 }

@@ -26,8 +26,8 @@ type ArchivalResult struct {
 }
 
 // RunArchival executes the archival reuse evaluation: every archived
-// traceroute is registered with the engine (so its borders are monitored),
-// and at each day boundary the archive is partitioned by signal state.
+// traceroute is tracked by the monitor (so its borders are monitored), and
+// at each day boundary the archive is partitioned by signal state.
 func RunArchival(sc Scale, perDay int) *ArchivalResult {
 	lab := NewLab(sc)
 	rng := rand.New(rand.NewSource(sc.SimCfg.Seed + 31))
@@ -36,25 +36,20 @@ func RunArchival(sc Scale, perDay int) *ArchivalResult {
 	type archived struct {
 		key     traceroute.Key
 		probeID int
-		issued  int64
 	}
 	var archive []archived
 
 	asns := lab.Sim.StubASes()
-	totalWindows := sc.Days * 86400 / int(sc.WindowSec)
 	windowsPerDay := int(86400 / sc.WindowSec)
-	perWindow := perDay / windowsPerDay
-	if perWindow == 0 {
-		perWindow = 1
-	}
+	perWindow := max(perDay/windowsPerDay, 1)
 
-	for w := 0; w < totalWindows; w++ {
-		ws := int64(w) * sc.WindowSec
-		lab.Sim.Step(sc.WindowSec)
-		// The public feed both populates the archive and powers the
-		// signal techniques (the paper uses all public RIPE traceroutes
-		// for both).
-		lab.PublicRound(sc.PublicPerWindow, ws+sc.WindowSec/4)
+	for w := 0; ; w++ {
+		// The public feed both populates the archive and powers the signal
+		// techniques (the paper uses all public RIPE traceroutes for both).
+		ws, ok := lab.Ingest()
+		if !ok {
+			break
+		}
 		for i := 0; i < perWindow; i++ {
 			probe := lab.Plat.Probes[rng.Intn(len(lab.Plat.Probes))]
 			if !probe.Active {
@@ -63,18 +58,16 @@ func RunArchival(sc Scale, perDay int) *ArchivalResult {
 			dstAS := asns[rng.Intn(len(asns))]
 			dst := lab.Sim.T.HostIP(dstAS, 1+rng.Intn(30))
 			tr := lab.Sim.Traceroute(probe.ID, probe.IP, dst, ws+sc.WindowSec/2)
-			lab.Engine.ObservePublicTrace(tr)
-			if _, exists := lab.Corp.Get(tr.Key()); exists {
+			lab.Mon.ObservePublic(tr)
+			if _, exists := lab.Mon.Entry(tr.Key()); exists {
 				continue
 			}
-			en, err := lab.Corp.Add(tr)
-			if err != nil {
+			if lab.Mon.Track(tr) != nil {
 				continue
 			}
-			lab.Engine.AddCorpusEntry(en)
-			archive = append(archive, archived{key: tr.Key(), probeID: probe.ID, issued: tr.Time})
+			archive = append(archive, archived{key: tr.Key(), probeID: probe.ID})
 		}
-		lab.Engine.CloseWindow(ws)
+		lab.Close(ws)
 
 		if (w+1)%windowsPerDay != 0 {
 			continue
@@ -83,9 +76,9 @@ func RunArchival(sc Scale, perDay int) *ArchivalResult {
 		var fresh, stale, dead, unknown int
 		for _, a := range archive {
 			switch {
-			case len(lab.Engine.Active(a.key)) > 0:
+			case lab.Mon.Stale(a.key):
 				stale++
-			case len(lab.Engine.Registrations(a.key)) == 0:
+			case len(lab.Mon.Potential(a.key)) == 0:
 				unknown++
 			default:
 				if p, ok := lab.Plat.ProbeByID(a.probeID); ok && !p.Active {
@@ -107,7 +100,7 @@ func RunArchival(sc Scale, perDay int) *ArchivalResult {
 	// and check whether a fresh archived traceroute already answers them.
 	freshByReq := make(map[[3]uint32]bool)
 	for _, a := range archive {
-		if len(lab.Engine.Active(a.key)) > 0 || len(lab.Engine.Registrations(a.key)) == 0 {
+		if lab.Mon.Stale(a.key) || len(lab.Mon.Potential(a.key)) == 0 {
 			continue
 		}
 		p, ok := lab.Plat.ProbeByID(a.probeID)

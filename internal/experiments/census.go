@@ -3,6 +3,7 @@ package experiments
 import (
 	"sort"
 
+	"rrr/internal/corpus"
 	"rrr/internal/geo"
 )
 
@@ -30,24 +31,30 @@ type CensusResult struct {
 func RunCensus(sc Scale) *CensusResult {
 	lab := NewLab(sc)
 	lab.BuildCorpus()
-	keys := lab.Corp.Keys()
+	keys := lab.Mon.Tracked()
 
 	// Record initial border IPs per pair.
-	census := lab.Corp.Census()
-
-	// Advance the simulator, then remeasure to find changed border IPs.
-	totalWindows := sc.Days * 86400 / int(sc.WindowSec)
-	for w := 0; w < totalWindows; w++ {
-		lab.Sim.Step(sc.WindowSec)
+	initial := corpus.New(lab.Mapper, lab.Aliases)
+	for _, k := range keys {
+		en, _ := lab.Mon.Entry(k)
+		initial.Put(en)
 	}
-	now := int64(totalWindows) * sc.WindowSec
+	census := initial.Census()
+
+	// Advance the feed (no signals are needed), then remeasure to find
+	// changed border IPs.
+	var now int64
+	for {
+		ws, _, _, ok := lab.NextWindow()
+		if !ok {
+			break
+		}
+		now = ws + sc.WindowSec
+	}
 	changedIPs := make(map[uint32]bool)
 	for _, k := range keys {
-		en, ok := lab.Corp.Get(k)
-		if !ok {
-			continue
-		}
-		fresh, err := lab.MeasurePair(k, en.Trace.ProbeID, now)
+		en, _ := initial.Get(k)
+		fresh, err := lab.MeasurePair(k, now)
 		if err != nil {
 			continue
 		}
@@ -117,13 +124,13 @@ type GeoValidationResult struct {
 // RunGeoValidation reproduces the Fig 12 comparison with synthetic
 // databases matching the paper's three reference profiles.
 func RunGeoValidation(sc Scale) *GeoValidationResult {
-	lab := NewLab(sc)
+	sim := NewDaemonEnv(sc, 0).Sim
 	var ips []uint32
-	for i := 1; i < len(lab.Sim.T.Routers); i++ {
-		ips = append(ips, lab.Sim.T.Routers[i].Loopback)
+	for i := 1; i < len(sim.T.Routers); i++ {
+		ips = append(ips, sim.T.Routers[i].Loopback)
 	}
 	// The validated technique is the measurement pipeline itself (no DB).
-	locator := geo.NewLocator(lab.Sim, nil)
+	locator := geo.NewLocator(sim, nil)
 
 	located := 0
 	for _, ip := range ips {
@@ -139,7 +146,7 @@ func RunGeoValidation(sc Scale) *GeoValidationResult {
 		Under100 float64
 		Under500 float64
 	}) {
-		db := geo.BuildDB(lab.Sim, ips, p, seed)
+		db := geo.BuildDB(sim, ips, p, seed)
 		results := geo.Validate(locator, db, ips, 100)
 		exact, under := geo.CDF(results, []float64{100, 500})
 		out.Name = name

@@ -56,8 +56,7 @@ type DaemonEnv struct {
 const scenarioProbeBase = 1 << 20
 
 // simGeolocator builds the IPMap-like geolocation database over the
-// simulator's router addresses (80%+ city-level accuracy profile) shared
-// by the Lab and the daemon environment.
+// simulator's router addresses (80%+ city-level accuracy profile).
 func simGeolocator(sim *netsim.Sim, seed int64) *LabGeo {
 	var infraIPs []uint32
 	for i := 1; i < len(sim.T.Routers); i++ {
@@ -212,6 +211,25 @@ func (f *daemonFeed) step() {
 		f.traces = append(f.traces, f.scen.WindowTraces(scenarioProbeBase, ws)...)
 	}
 	f.next = ws + f.windowSec
+}
+
+// NextWindow steps the feed one window and hands over what that window
+// queued: its start, its BGP updates and its public traceroutes, each in
+// time order. ok is false once the feed has ended. It is the
+// window-at-a-time way to consume the feed, for a caller that drives a
+// Monitor on its own goroutine (Lab) instead of reading Updates and Traces
+// through rrr.Pipeline; one environment serves one of the two.
+func (e *DaemonEnv) NextWindow() (ws int64, ups []bgp.Update, trs []*traceroute.Traceroute, ok bool) {
+	f := e.Updates.f
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	ws = f.next
+	if f.step(); f.done {
+		return ws, nil, nil, false
+	}
+	ups, trs = f.updates[f.uHead:], f.traces[f.tHead:]
+	f.updates, f.uHead, f.traces, f.tHead = nil, 0, nil, 0
+	return ws, ups, trs, true
 }
 
 func (f *daemonFeed) readUpdate() (bgp.Update, error) {

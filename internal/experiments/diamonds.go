@@ -36,7 +36,7 @@ type DiamondsResult struct {
 func RunDiamonds(sc Scale) *DiamondsResult {
 	lab := NewLab(sc)
 	lab.BuildCorpus()
-	keys := lab.Corp.Keys()
+	keys := lab.Mon.Tracked()
 
 	lbPairs := make(map[[2]bgp.ASN]bool)
 	for _, p := range lab.Sim.InterdomainLBPairs() {
@@ -60,14 +60,13 @@ func RunDiamonds(sc Scale) *DiamondsResult {
 		return st
 	}
 	for _, k := range keys {
-		en, _ := lab.Corp.Get(k)
+		en, _ := lab.Mon.Entry(k)
 		for _, b := range en.Borders {
 			segOf([2]bgp.ASN{b.FromAS, b.ToAS})
 		}
 	}
 
 	windowsPerRound := int(sc.RoundSec / sc.WindowSec)
-	totalWindows := sc.Days * 86400 / int(sc.WindowSec)
 
 	type pendingSig struct {
 		pair [2]bgp.ASN
@@ -75,16 +74,17 @@ func RunDiamonds(sc Scale) *DiamondsResult {
 	}
 	var pending []pendingSig
 
-	for w := 0; w < totalWindows; w++ {
-		ws := int64(w) * sc.WindowSec
-		lab.Sim.Step(sc.WindowSec)
-		lab.PublicRound(sc.PublicPerWindow, ws+sc.WindowSec/2)
-		for _, s := range lab.Engine.CloseWindow(ws) {
+	for w := 0; ; w++ {
+		ws, sigs, ok := lab.Window()
+		if !ok {
+			break
+		}
+		for _, s := range sigs {
 			// §5.4 evaluates the traceroute-based techniques.
 			if s.Technique != core.TechTraceSubpath && s.Technique != core.TechTraceBorder {
 				continue
 			}
-			en, ok := lab.Corp.Get(s.Key)
+			en, ok := lab.Mon.Entry(s.Key)
 			if !ok {
 				continue
 			}
@@ -101,24 +101,20 @@ func RunDiamonds(sc Scale) *DiamondsResult {
 		if (w+1)%windowsPerRound != 0 {
 			continue
 		}
-		// Round: resolve pending signals against ground truth.
+		// Round: refresh every pair (calibrating, as §5.4's shared
+		// retrospective run does) and resolve pending signals against the
+		// segments that changed.
 		now := ws + sc.WindowSec
 		changedPairs := make(map[traceroute.Key]map[[2]bgp.ASN]bool)
 		for _, k := range keys {
-			en, ok := lab.Corp.Get(k)
-			if !ok {
+			en, _ := lab.Mon.Entry(k)
+			if _, err := lab.Refresh(k, now); err != nil {
 				continue
 			}
-			fresh, err := lab.MeasurePair(k, en.Trace.ProbeID, now)
-			if err != nil {
-				continue
-			}
-			diff := changedSegments(en.Borders, fresh.Borders)
-			if len(diff) > 0 {
+			fresh, _ := lab.Mon.Entry(k)
+			if diff := changedSegments(en.Borders, fresh.Borders); len(diff) > 0 {
 				changedPairs[k] = diff
 			}
-			lab.Corp.Put(fresh)
-			lab.Engine.Reregister(fresh)
 		}
 		for _, ps := range pending {
 			if changedPairs[ps.key][ps.pair] {

@@ -29,12 +29,12 @@ type Fig8Result struct {
 }
 
 // RunFig8 builds a DTRACK-style pseudo-ground-truth (dense measurements of
-// every monitored pair), runs the engine over the same period to produce a
+// every monitored pair), runs the monitor over the same period to produce a
 // signal feed, and emulates every approach across the probing-budget sweep.
 func RunFig8(sc Scale, pairs int, ppsSweep []float64) *Fig8Result {
 	lab := NewLab(sc)
 	lab.BuildCorpus()
-	keys := lab.Corp.Keys()
+	keys := lab.Mon.Tracked()
 	if pairs > 0 && len(keys) > pairs {
 		keys = keys[:pairs]
 	}
@@ -59,22 +59,19 @@ func RunFig8(sc Scale, pairs int, ppsSweep []float64) *Fig8Result {
 	}
 
 	timelines := make(map[traceroute.Key]*baselines.Timeline, len(keys))
-	probeOf := make(map[traceroute.Key]int, len(keys))
 	for _, k := range keys {
 		timelines[k] = &baselines.Timeline{Key: k}
-		en, _ := lab.Corp.Get(k)
-		probeOf[k] = en.Trace.ProbeID
 	}
 
 	feed := baselines.SignalFeed{}
-	totalWindows := sc.Days * 86400 / int(sc.WindowSec)
-	start, end := int64(0), int64(totalWindows)*sc.WindowSec
+	start, end := int64(0), int64(sc.Days)*86400/sc.WindowSec*sc.WindowSec
 
-	for w := 0; w < totalWindows; w++ {
-		ws := int64(w) * sc.WindowSec
-		lab.Sim.Step(sc.WindowSec)
-		lab.PublicRound(sc.PublicPerWindow, ws+sc.WindowSec/2)
-		for _, s := range lab.Engine.CloseWindow(ws) {
+	for {
+		ws, sigs, ok := lab.Window()
+		if !ok {
+			break
+		}
+		for _, s := range sigs {
 			if _, monitored := timelines[s.Key]; monitored {
 				feed[s.Key] = append(feed[s.Key], s.WindowStart)
 			}
@@ -83,7 +80,7 @@ func RunFig8(sc Scale, pairs int, ppsSweep []float64) *Fig8Result {
 		// PlanetLab pseudo-ground-truth of §5.3).
 		now := ws + sc.WindowSec
 		for _, k := range keys {
-			en, err := lab.MeasurePair(k, probeOf[k], now)
+			en, err := lab.MeasurePair(k, now)
 			if err != nil {
 				continue
 			}

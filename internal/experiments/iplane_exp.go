@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"rrr/internal/corpus"
 	"rrr/internal/iplane"
 	"rrr/internal/traceroute"
 )
@@ -19,18 +18,18 @@ type IPlaneResult struct {
 	Predictions   int
 }
 
-// popLevel maps a corpus entry to its PoP-level path: each hop becomes an
+// popLevel maps a traceroute to its PoP-level path: each hop becomes an
 // ⟨AS, city⟩ tuple via geolocation; hops that cannot be geolocated are
 // their own PoP (Appendix D's processing).
-func popLevel(lab *Lab, en *corpus.Entry, when int64) []iplane.PoP {
+func popLevel(lab *Lab, tr *traceroute.Traceroute, when int64) []iplane.PoP {
 	var out []iplane.PoP
 	var last iplane.PoP = -1
-	for _, h := range en.Trace.Hops {
+	for _, h := range tr.Hops {
 		if !h.Responsive() {
 			continue
 		}
 		var p iplane.PoP
-		as, okAS := lab.Sim.Mapper().ASOf(h.IP)
+		as, okAS := lab.Mapper.ASOf(h.IP)
 		city, okC := lab.Geo.LocateCity(h.IP, when)
 		if okAS && okC {
 			p = iplane.PoP(int64(as)<<20 | int64(city))
@@ -51,33 +50,31 @@ func popLevel(lab *Lab, en *corpus.Entry, when int64) []iplane.PoP {
 func RunIPlane(sc Scale) *IPlaneResult {
 	lab := NewLab(sc)
 	// iPlane's corpus deliberately misses some (probe, anchor) pairs: each
-	// probe measures alternating anchors, and the skipped pairs become the
-	// prediction targets (as in Appendix D, where splices are built for
-	// Probe→Anchor pairs the anchoring measurements did not cover).
+	// probe's anchoring row alternates between tracked pairs and skipped
+	// ones, and the skipped pairs become the prediction targets (as in
+	// Appendix D, where splices are built for Probe→Anchor pairs the
+	// anchoring measurements did not cover).
 	type target struct{ src, dst uint32 }
 	var targets []target
-	for pi, p := range lab.CorpusProbes {
-		for ai, a := range lab.Anchors {
-			if p.ID == a.ID {
-				continue
-			}
-			if (pi+ai)%2 == 0 {
-				tr := lab.Sim.Traceroute(p.ID, p.IP, a.IP, lab.Sim.Now())
-				if en, err := lab.Corp.Add(tr); err == nil {
-					lab.Engine.AddCorpusEntry(en)
-				}
-			} else {
-				targets = append(targets, target{src: p.IP, dst: a.IP})
-			}
+	row, col := -1, 0
+	for i, tr := range lab.Corpus {
+		if i == 0 || tr.Src != lab.Corpus[i-1].Src {
+			row, col = row+1, 0
 		}
+		if (row+col)%2 == 0 {
+			_ = lab.Mon.Track(tr) // AS-loop traces are discarded (Appendix A)
+		} else {
+			targets = append(targets, target{src: tr.Src, dst: tr.Dst})
+		}
+		col++
 	}
-	keys := lab.Corp.Keys()
+	keys := lab.Mon.Tracked()
 
 	pruned := iplane.New()
 	unpruned := iplane.New()
 	for _, k := range keys {
-		en, _ := lab.Corp.Get(k)
-		pops := popLevel(lab, en, 0)
+		en, _ := lab.Mon.Entry(k)
+		pops := popLevel(lab, en.Trace, 0)
 		pruned.Add(k, pops)
 		unpruned.Add(k, pops)
 	}
@@ -86,18 +83,17 @@ func RunIPlane(sc Scale) *IPlaneResult {
 	}
 
 	res := &IPlaneResult{}
-	totalWindows := sc.Days * 86400 / int(sc.WindowSec)
 	windowsPerDay := int(86400 / sc.WindowSec)
 
-	for w := 0; w < totalWindows; w++ {
-		ws := int64(w) * sc.WindowSec
-		lab.Sim.Step(sc.WindowSec)
-		lab.PublicRound(sc.PublicPerWindow, ws+sc.WindowSec/2)
-		lab.Engine.CloseWindow(ws)
+	for w := 0; ; w++ {
+		ws, _, ok := lab.Window()
+		if !ok {
+			break
+		}
 		// Maintain pruning from signal state (§4.3.2 re-adds on
 		// revocation).
 		for _, k := range keys {
-			if len(lab.Engine.Active(k)) > 0 {
+			if lab.Mon.Stale(k) {
 				pruned.Prune(k)
 			} else {
 				pruned.Unprune(k)
@@ -112,15 +108,9 @@ func RunIPlane(sc Scale) *IPlaneResult {
 		// Current ground-truth PoP paths of corpus pairs, for validity.
 		current := make(map[traceroute.Key][]iplane.PoP, len(keys))
 		for _, k := range keys {
-			en, ok := lab.Corp.Get(k)
-			if !ok {
-				continue
+			if fresh, err := lab.MeasurePair(k, now); err == nil {
+				current[k] = popLevel(lab, fresh.Trace, now)
 			}
-			fresh, err := lab.MeasurePair(k, en.Trace.ProbeID, now)
-			if err != nil {
-				continue
-			}
-			current[k] = popLevel(lab, fresh, now)
 		}
 
 		evalService := func(s *iplane.Service) (invalid float64, valid int, total int) {

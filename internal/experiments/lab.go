@@ -1,17 +1,16 @@
 // Package experiments contains one runner per table and figure of the
-// paper's evaluation (§5, §6, appendices), wiring the simulator, platform,
-// corpus, and signal engine together and reporting the same quantities the
-// paper plots. Absolute numbers differ from the paper (the substrate is a
+// paper's evaluation (§5, §6, appendices), driving an rrr.Monitor over the
+// simulated feed rrrd ingests and reporting the same quantities the paper
+// plots. Absolute numbers differ from the paper (the substrate is a
 // simulator); the runners exist to reproduce the qualitative shape of every
 // result.
 package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
+	"rrr"
 	"rrr/internal/bgp"
-	"rrr/internal/bordermap"
 	"rrr/internal/core"
 	"rrr/internal/corpus"
 	"rrr/internal/geo"
@@ -101,32 +100,24 @@ func ScaleByName(name string, days int, seed int64) (Scale, error) {
 	return sc, nil
 }
 
-// Lab is the assembled experiment environment.
+// Lab is the assembled experiment environment: the daemon's simulated
+// environment and an rrr.Monitor built from its services, which the Lab
+// feeds one window at a time on the caller's goroutine. Every experiment
+// reads and refreshes the corpus through the monitor, so the paper's
+// numbers come from the program rrrd runs.
 type Lab struct {
-	Scale  Scale
-	Sim    *netsim.Sim
-	Plat   *platform.Platform
-	Engine *core.Engine
-	Corp   *corpus.Corpus
+	*DaemonEnv
+	Mon *rrr.Monitor
 
-	Aliases bordermap.AliasOracle
-	Geo     *LabGeo
-	Rel     LabRel
+	// Tap, when set, observes every record the Lab feeds the monitor and
+	// every window close, in the order and at the points RunPipeline's Tap
+	// does.
+	Tap rrr.RecordTap
 
-	// Public and CorpusProbes are the §5.1.1 split.
-	Public       []*platform.Probe
-	CorpusProbes []*platform.Probe
-	Anchors      []*platform.Probe
-
-	// OnPublicTrace, when set, receives each public traceroute instead of
-	// the engine. The engine bench uses it to record one window's feed and
-	// replay it per shard count, so the timed loop contains engine work
-	// only (trace generation is identical across shard counts anyway —
-	// same seed — but its cost is not engine cost).
-	OnPublicTrace func(tr *traceroute.Traceroute)
-
+	// proc processes ground-truth remeasurements with the monitor's
+	// services; it never stores an entry.
+	proc    *corpus.Corpus
 	patcher *traceroute.Patcher
-	rng     *rand.Rand
 }
 
 // LabGeo adapts geo.Locator to core.Geolocator.
@@ -167,130 +158,129 @@ func (r LabRel) Rel(a, b bgp.ASN) core.Rel {
 	}
 }
 
-// NewLab assembles the full pipeline: simulator, platform, geolocation DB,
-// engine primed with an initial table dump, probe split, and the initial
-// corpus from an anchoring round.
+// NewLab builds the daemon environment at scale sc and a monitor over its
+// services, primed with the environment's table dump the way daemon.New
+// primes rrrd's. Engine parallelism defaults to one shard (no goroutines).
+// The monitor tracks nothing yet: BuildCorpus tracks the anchoring-round
+// corpus, and experiments with a corpus of their own track it themselves.
 func NewLab(sc Scale) *Lab {
-	sim := netsim.New(sc.SimCfg)
-	plat := platform.New(sim, sc.PlatCfg)
-
-	aliases := bordermap.OracleFunc(func(ip uint32) (int, bool) {
-		r, ok := sim.T.RouterForIP(ip)
-		return int(r), ok
-	})
-
-	// IPMap-like DB over all router addresses, with the accuracy profile
-	// the paper reports for IPMap (80%+ city-level).
-	labGeo := simGeolocator(sim, sc.SimCfg.Seed+100)
-	rel := LabRel{T: sim.T}
-
-	cfg := core.DefaultConfig()
+	env := NewDaemonEnv(sc, 0)
+	cfg := rrr.DefaultConfig()
 	cfg.WindowSec = sc.WindowSec
 	cfg.Disabled = sc.Disabled
 	cfg.Shards = sc.Shards
 	if cfg.Shards == 0 {
 		cfg.Shards = 1
 	}
-	eng := core.NewEngine(cfg, sim.Mapper(), aliases, labGeo, rel)
-
-	// Prime the RIB with a full dump (the paper starts BGP collection two
-	// days before corpus initialization) and stream subsequent updates.
-	for _, u := range sim.InitialUpdates(0) {
-		eng.ObserveBGP(u)
+	mon, err := rrr.NewMonitor(rrr.Options{
+		Config:     cfg,
+		Mapper:     env.Mapper,
+		Aliases:    env.Aliases,
+		Geo:        env.Geo,
+		Rel:        env.Rel,
+		IXPMembers: env.IXPMembers,
+	})
+	if err != nil {
+		panic(err) // only a nil Mapper fails, and the environment always has one
 	}
-	sim.OnUpdate(func(u bgp.Update) { eng.ObserveBGP(u) })
-
-	// PeeringDB-style membership snapshot with gaps.
-	snap := sim.MembershipSnapshot(0.3)
-	members := make(map[int][]bgp.ASN, len(snap))
-	for id, list := range snap {
-		members[int(id)] = list
+	for _, u := range env.Dump {
+		mon.ObserveBGP(u)
 	}
-	eng.SetInitialIXPMembership(members)
-
-	lab := &Lab{
-		Scale:   sc,
-		Sim:     sim,
-		Plat:    plat,
-		Engine:  eng,
-		Corp:    corpus.New(sim.Mapper(), aliases),
-		Aliases: aliases,
-		Geo:     labGeo,
-		Rel:     rel,
-		patcher: traceroute.NewPatcher(),
-		rng:     rand.New(rand.NewSource(sc.SimCfg.Seed + 7)),
+	return &Lab{
+		DaemonEnv: env,
+		Mon:       mon,
+		proc:      corpus.New(env.Mapper, env.Aliases),
+		patcher:   traceroute.NewPatcher(),
 	}
-	pub, corp := plat.Split(sc.SimCfg.Seed + 13)
-	lab.Public, lab.CorpusProbes = pub, corp
-	lab.Anchors = plat.Anchors()
-	return lab
 }
 
-// BuildCorpus measures the initial corpus (corpus probes → anchors) at the
-// current virtual time and registers it with the engine. Two measurement
-// passes feed the unresponsive-hop patcher before processing (Appendix A).
+// BuildCorpus tracks the environment's initial corpus (corpus probes →
+// anchors, unresponsive hops patched) as Daemon.Track does and returns how
+// many pairs the monitor accepted; AS-loop traces are discarded (Appendix
+// A). The traces also seed the patcher remeasurements use.
 func (l *Lab) BuildCorpus() int {
-	raw := l.Plat.AnchoringRound(l.CorpusProbes, l.Anchors, l.Sim.Now())
-	for _, tr := range raw {
-		l.patcher.Observe(tr)
-	}
 	n := 0
-	for _, tr := range raw {
-		l.patcher.Patch(tr)
-		en, err := l.Corp.Add(tr)
-		if err != nil {
-			continue // AS-loop traces are discarded (Appendix A)
+	for _, tr := range l.Corpus {
+		l.patcher.Observe(tr)
+		if l.Mon.Track(tr) == nil {
+			n++
 		}
-		l.Engine.AddCorpusEntry(en)
-		n++
 	}
 	return n
 }
 
-// PublicRound issues n public traceroutes from P_public probes to randomly
-// chosen destinations (excluding anchoring targets per §5.1.2 is naturally
-// approximated by random host targets) and feeds them to the engine.
-func (l *Lab) PublicRound(n int, when int64) {
-	if len(l.Public) == 0 {
-		return
-	}
-	asns := l.Sim.StubASes()
-	for i := 0; i < n; i++ {
-		probe := l.Public[l.rng.Intn(len(l.Public))]
-		if !probe.Active {
-			continue
-		}
-		dstAS := asns[l.rng.Intn(len(asns))]
-		dst := l.Sim.T.HostIP(dstAS, 1+l.rng.Intn(20))
-		tr := l.Sim.Traceroute(probe.ID, probe.IP, dst, when)
-		if l.OnPublicTrace != nil {
-			l.OnPublicTrace(tr)
+// Ingest steps the feed one window and feeds its records to Tap and the
+// monitor in RunPipeline's order: by timestamp, updates first on ties. It
+// returns the window's start, or ok false once the feed has ended.
+func (l *Lab) Ingest() (ws int64, ok bool) {
+	ws, ups, trs, ok := l.NextWindow()
+	for len(ups) > 0 || len(trs) > 0 {
+		if len(ups) > 0 && (len(trs) == 0 || ups[0].Time <= trs[0].Time) {
+			if l.Tap != nil {
+				l.Tap.TapUpdate(ups[0])
+			}
+			l.Mon.ObserveBGP(ups[0])
+			ups = ups[1:]
 		} else {
-			l.Engine.ObservePublicTrace(tr)
+			if l.Tap != nil {
+				l.Tap.TapTrace(trs[0])
+			}
+			l.Mon.ObservePublic(trs[0])
+			trs = trs[1:]
 		}
 	}
+	return ws, ok
 }
 
-// MeasurePair remeasures one corpus pair against ground truth (used for
-// evaluation, not counted against any budget), patching unresponsive hops
-// from accumulated evidence.
-func (l *Lab) MeasurePair(k traceroute.Key, probeID int, when int64) (*corpus.Entry, error) {
-	tr := l.Sim.Traceroute(probeID, k.Src, k.Dst, when)
+// Close closes the window starting at ws and returns its signals; Tap sees
+// the close after the monitor has run it.
+func (l *Lab) Close(ws int64) []rrr.Signal {
+	sigs := l.Mon.CloseWindow(ws)
+	if l.Tap != nil {
+		l.Tap.TapWindowClose(ws)
+	}
+	return sigs
+}
+
+// Window is Ingest followed by Close.
+func (l *Lab) Window() (ws int64, sigs []rrr.Signal, ok bool) {
+	if ws, ok = l.Ingest(); ok {
+		sigs = l.Close(ws)
+	}
+	return ws, sigs, ok
+}
+
+// Refresh remeasures a tracked pair against ground truth and records the
+// measurement through Mon.RecordRefresh, §4.3's refresh step, returning the
+// change class. The simulator's ground truth charges no budget.
+func (l *Lab) Refresh(k rrr.Key, when int64) (rrr.ChangeClass, error) {
+	tr, err := l.remeasure(k, when)
+	if err != nil {
+		return rrr.Unchanged, err
+	}
+	return l.Mon.RecordRefresh(tr)
+}
+
+// MeasurePair remeasures a tracked pair like Refresh but only processes the
+// measurement into a corpus entry, for comparisons that must leave the
+// monitor untouched.
+func (l *Lab) MeasurePair(k rrr.Key, when int64) (*rrr.Entry, error) {
+	tr, err := l.remeasure(k, when)
+	if err != nil {
+		return nil, err
+	}
+	return l.proc.Process(tr)
+}
+
+// remeasure traces a tracked pair again from the probe that measured it,
+// patching unresponsive hops from the evidence accumulated so far.
+func (l *Lab) remeasure(k rrr.Key, when int64) (*rrr.Traceroute, error) {
+	en, ok := l.Mon.Entry(k)
+	if !ok {
+		return nil, fmt.Errorf("experiments: pair %v is not tracked", k)
+	}
+	tr := l.Sim.Traceroute(en.Trace.ProbeID, k.Src, k.Dst, when)
 	l.patcher.Observe(tr)
 	l.patcher.Patch(tr)
-	return l.Corp.Process(tr)
-}
-
-// ChangeClassOf compares a pair's stored entry against a fresh ground-truth
-// measurement.
-func (l *Lab) ChangeClassOf(k traceroute.Key, when int64) (bordermap.ChangeClass, *corpus.Entry, error) {
-	en, ok := l.Corp.Get(k)
-	if !ok {
-		return bordermap.Unchanged, nil, nil
-	}
-	fresh, err := l.MeasurePair(k, en.Trace.ProbeID, when)
-	if err != nil {
-		return bordermap.Unchanged, nil, err
-	}
-	return corpus.ClassifyEntry(en, fresh), fresh, nil
+	return tr, nil
 }

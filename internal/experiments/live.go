@@ -43,17 +43,12 @@ func RunLive(sc Scale, dailyBudget int) *LiveResult {
 				continue
 			}
 			seen[tr.Key()] = true
-			en, err := lab.Corp.Add(tr)
-			if err != nil {
-				continue
-			}
-			lab.Engine.AddCorpusEntry(en)
+			_ = lab.Mon.Track(tr) // AS-loop traces are discarded (Appendix A)
 		}
 	}
-	keys := lab.Corp.Keys()
+	keys := lab.Mon.Tracked()
 	res := &LiveResult{CorpusSize: len(keys)}
 
-	totalWindows := sc.Days * 86400 / int(sc.WindowSec)
 	windowsPerDay := int(86400 / sc.WindowSec)
 
 	// Per-pair flag state since last refresh (for Fig 7b).
@@ -63,11 +58,12 @@ func RunLive(sc Scale, dailyBudget int) *LiveResult {
 		sigN, sigC, rndN, rndC, rndFlagged int
 	}{}
 
-	for w := 0; w < totalWindows; w++ {
-		ws := int64(w) * sc.WindowSec
-		lab.Sim.Step(sc.WindowSec)
-		lab.PublicRound(sc.PublicPerWindow, ws+sc.WindowSec/2)
-		for _, s := range lab.Engine.CloseWindow(ws) {
+	for w := 0; ; w++ {
+		ws, sigs, ok := lab.Window()
+		if !ok {
+			break
+		}
+		for _, s := range sigs {
 			flagged[s.Key] = true
 		}
 
@@ -77,40 +73,24 @@ func RunLive(sc Scale, dailyBudget int) *LiveResult {
 		now := ws + sc.WindowSec
 
 		// Signal-driven refreshes.
-		plan := lab.Engine.RefreshPlan(dailyBudget, rng)
-		for _, k := range plan {
-			en, ok := lab.Corp.Get(k)
-			if !ok {
-				continue
-			}
-			fresh, err := lab.MeasurePair(k, en.Trace.ProbeID, now)
+		for _, k := range lab.Mon.PlanRefresh(dailyBudget, rng) {
+			cls, err := lab.Refresh(k, now)
 			if err != nil {
 				continue
 			}
-			cls, _ := lab.Engine.EvaluateRefresh(fresh)
 			dayStats.sigN++
 			if cls != bordermap.Unchanged {
 				dayStats.sigC++
 			}
-			lab.Corp.Put(fresh)
-			lab.Engine.Reregister(fresh)
 			flagged[k] = false
 		}
 
 		// Random refreshes (same budget).
 		for i := 0; i < dailyBudget && len(keys) > 0; i++ {
 			k := keys[rng.Intn(len(keys))]
-			en, ok := lab.Corp.Get(k)
-			if !ok {
-				continue
-			}
-			fresh, err := lab.MeasurePair(k, en.Trace.ProbeID, now)
+			cls, err := lab.Refresh(k, now)
 			if err != nil {
 				continue
-			}
-			cls := bordermap.Unchanged
-			if c, ok := lab.Engine.EvaluateRefresh(fresh); ok {
-				cls = c
 			}
 			dayStats.rndN++
 			if cls != bordermap.Unchanged {
@@ -119,8 +99,6 @@ func RunLive(sc Scale, dailyBudget int) *LiveResult {
 					dayStats.rndFlagged++
 				}
 			}
-			lab.Corp.Put(fresh)
-			lab.Engine.Reregister(fresh)
 			flagged[k] = false
 		}
 

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"sort"
-
 	"rrr/internal/bordermap"
 	"rrr/internal/core"
 	"rrr/internal/corpus"
@@ -62,20 +60,17 @@ func RunRetrospective(sc Scale) *RetroResult {
 	lab := NewLab(sc)
 	lab.BuildCorpus()
 
-	keys := lab.Corp.Keys()
+	keys := lab.Mon.Tracked()
 	res := &RetroResult{CorpusSize: len(keys)}
 
 	// Keep the initial entries for Fig 1.
 	initial := make(map[traceroute.Key]*corpus.Entry, len(keys))
 	for _, k := range keys {
-		en, _ := lab.Corp.Get(k)
-		initial[k] = en
+		initial[k], _ = lab.Mon.Entry(k)
 	}
 
 	windowsPerRound := int(sc.RoundSec / sc.WindowSec)
-	totalWindows := sc.Days * 86400 / int(sc.WindowSec)
-	rounds := totalWindows / windowsPerRound
-	res.Rounds = rounds
+	res.Rounds = sc.Days * 86400 / int(sc.WindowSec) / windowsPerRound
 
 	// Signal log per pair per round interval.
 	sigLog := make(map[traceroute.Key][]sigRec)
@@ -86,7 +81,7 @@ func RunRetrospective(sc Scale) *RetroResult {
 	}
 	monitorable := make(map[traceroute.Key]bool, len(keys))
 	for _, k := range keys {
-		monitorable[k] = len(lab.Engine.Registrations(k)) > 0
+		monitorable[k] = len(lab.Mon.Potential(k)) > 0
 	}
 
 	// Daily community-FP tracking (Fig 13).
@@ -96,71 +91,47 @@ func RunRetrospective(sc Scale) *RetroResult {
 	}
 
 	round := 0
-	for w := 0; w < totalWindows; w++ {
-		ws := int64(w) * sc.WindowSec
-		lab.Sim.Step(sc.WindowSec)
-		lab.PublicRound(sc.PublicPerWindow, ws+sc.WindowSec/2)
-		for _, s := range lab.Engine.CloseWindow(ws) {
+	for w := 0; ; w++ {
+		ws, sigs, ok := lab.Window()
+		if !ok {
+			break
+		}
+		for _, s := range sigs {
 			sigLog[s.Key] = append(sigLog[s.Key], sigRec{time: s.WindowStart, tech: s.Technique})
-			if s.Comm != 0 {
-				// Tentatively recorded; pruned to FPs below once change
-				// truth for the interval is known.
-				day := int(s.WindowStart / 86400)
-				if day <= sc.Days {
-					if !pairChangedNear(changed[s.Key], round) {
-						// Provisional; refined after round evaluation.
-						_ = day
-					}
-				}
-			}
 		}
 
 		if (w+1)%windowsPerRound != 0 {
 			continue
 		}
-		// Round boundary: remeasure every pair against ground truth.
+		// Round boundary: remeasure every pair against ground truth. Every
+		// round refreshes the pair, so calibration learns from every
+		// remeasurement and monitors whose scope moved re-anchor (leaving
+		// them on a stale IP path would make them scream forever).
 		now := ws + sc.WindowSec
 		for _, k := range keys {
-			en, ok := lab.Corp.Get(k)
-			if !ok {
-				continue
-			}
-			fresh, err := lab.MeasurePair(k, en.Trace.ProbeID, now)
+			// Read before the refresh clears them: communities with false
+			// signals feed Fig 13.
+			active := lab.Mon.ActiveSignals(k)
+			cls, err := lab.Refresh(k, now)
 			if err != nil {
 				continue
 			}
-			cls := corpus.ClassifyEntry(en, fresh)
-			if cls != bordermap.Unchanged {
-				changed[k][round] = cls
-			}
-			// Calibration learns from every remeasurement; communities
-			// with false signals feed Fig 13.
-			hadCommSignal := false
-			for _, s := range lab.Engine.Active(k) {
-				if s.Technique == core.TechBGPCommunity && s.Comm != 0 && cls == bordermap.Unchanged {
-					day := int(now / 86400)
-					if day >= len(dayFPComms) {
-						day = len(dayFPComms) - 1
+			if cls == bordermap.Unchanged {
+				day := min(int(now/86400), len(dayFPComms)-1)
+				for _, s := range active {
+					if s.Technique == core.TechBGPCommunity && s.Comm != 0 {
+						dayFPComms[day][uint32(s.Comm)] = true
 					}
-					dayFPComms[day][uint32(s.Comm)] = true
-					hadCommSignal = true
 				}
+				continue
 			}
-			_ = hadCommSignal
-			lab.Engine.EvaluateRefresh(fresh)
-			// Every round refreshes the corpus entry and re-registers its
-			// monitors; shared traceroute series and transferred BGP
-			// detectors persist, so this only re-anchors monitors whose
-			// scope actually moved (leaving them anchored on a stale IP
-			// path would make them scream forever).
-			lab.Corp.Put(fresh)
-			lab.Engine.Reregister(fresh)
+			changed[k][round] = cls
 		}
 		// Fig 1: daily comparison against the initial corpus.
 		if now%86400 < sc.RoundSec {
 			var asFrac, borderFrac float64
 			for _, k := range keys {
-				fresh, err := lab.MeasurePair(k, initial[k].Trace.ProbeID, now)
+				fresh, err := lab.MeasurePair(k, now)
 				if err != nil {
 					continue
 				}
@@ -182,12 +153,6 @@ func RunRetrospective(sc Scale) *RetroResult {
 
 	res.compile(sc, keys, sigLog, changed, monitorable, dayFPComms)
 	return res
-}
-
-func pairChangedNear(m map[int]bordermap.ChangeClass, round int) bool {
-	_, a := m[round]
-	_, b := m[round-1]
-	return a || b
 }
 
 // compile turns the raw logs into Table 2, Fig 6, and Fig 13.
@@ -227,7 +192,7 @@ func (res *RetroResult) compile(sc Scale, keys []traceroute.Key,
 	for k, sigs := range sigLog {
 		for _, s := range sigs {
 			r := roundOf(s.time)
-			correct := pairChangedNear2(changed[k], r)
+			correct := pairChangedNear(changed[k], r)
 			perTech[s.tech].sig++
 			allSig++
 			if s.tech.IsBGP() {
@@ -391,10 +356,9 @@ func (res *RetroResult) compile(sc Scale, keys []traceroute.Key,
 		res.Fig6CovMonitorable = append(res.Fig6CovMonitorable, frac(covMon, totalMon))
 		res.Fig13FPComms = append(res.Fig13FPComms, len(dayFPComms[day]))
 	}
-	sort.SliceStable(res.Table2, func(i, j int) bool { return false }) // keep order
 }
 
-func pairChangedNear2(m map[int]bordermap.ChangeClass, r int) bool {
+func pairChangedNear(m map[int]bordermap.ChangeClass, r int) bool {
 	if _, ok := m[r]; ok {
 		return true
 	}

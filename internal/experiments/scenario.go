@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"rrr/internal/bordermap"
-	"rrr/internal/corpus"
 	"rrr/internal/events"
 	"rrr/internal/netsim"
 	"rrr/internal/traceroute"
@@ -76,77 +75,50 @@ func RunScenarioAccuracy(sc Scale, pack netsim.ScenarioPack, seed int64) *Scenar
 }
 
 // runScenarioPass drives one full Lab run with an optional scenario pack,
-// feeding the event detector the same record stream the engine sees and
-// remeasuring every corpus pair each round for staleness ground truth.
+// tapping the event detector into the record stream the monitor ingests
+// and remeasuring every corpus pair each round for staleness ground truth.
 func runScenarioPass(sc Scale, pack *netsim.ScenarioPack, seed int64) *scenarioPass {
+	sc.Scenario, sc.ScenarioSeed = pack, seed
 	lab := NewLab(sc)
 
+	// The dump carries the scenario's legitimate multi-origin baseline
+	// (anycast), so the detector's origin sets learn it as the RIB does.
 	det := events.NewDetector(events.Config{WindowSec: sc.WindowSec})
-	for _, u := range lab.Sim.InitialUpdates(0) {
+	for _, u := range lab.Dump {
 		det.Prime(u)
 	}
-
-	var scen *netsim.Scenario
-	if pack != nil && pack.Enabled() {
-		scen = netsim.NewScenario(lab.Sim, *pack, seed, int64(sc.Days)*86400, sc.WindowSec)
-		// Anycast secondary origins are legitimate baseline: both the
-		// engine's RIB and the detector's origin sets learn them upfront.
-		for _, u := range scen.AugmentDump(nil) {
-			lab.Engine.ObserveBGP(u)
-			det.Prime(u)
-		}
-	}
-	lab.Sim.OnUpdate(det.TapUpdate)
-	lab.OnPublicTrace = func(tr *traceroute.Traceroute) {
-		det.TapTrace(tr)
-		lab.Engine.ObservePublicTrace(tr)
-	}
+	lab.Tap = det
 
 	lab.BuildCorpus()
-	keys := lab.Corp.Keys()
+	keys := lab.Mon.Tracked()
 
 	windowsPerRound := int(sc.RoundSec / sc.WindowSec)
-	totalWindows := sc.Days * 86400 / int(sc.WindowSec)
 
 	sigTimes := make(map[traceroute.Key][]int64)
 	verdictRight, verdictTotal := 0, 0
 
-	for w := 0; w < totalWindows; w++ {
-		ws := int64(w) * sc.WindowSec
-		lab.Sim.Step(sc.WindowSec)
-		if scen != nil {
-			scen.Advance(ws, ws+sc.WindowSec)
+	for w := 0; ; w++ {
+		ws, sigs, ok := lab.Window()
+		if !ok {
+			break
 		}
-		lab.PublicRound(sc.PublicPerWindow, ws+sc.WindowSec/2)
-		if scen != nil {
-			for _, tr := range scen.WindowTraces(scenarioProbeBase, ws) {
-				det.TapTrace(tr)
-				lab.Engine.ObservePublicTrace(tr)
-			}
-		}
-		for _, s := range lab.Engine.CloseWindow(ws) {
+		for _, s := range sigs {
 			sigTimes[s.Key] = append(sigTimes[s.Key], s.WindowStart)
 		}
-		det.TapWindowClose(ws)
 
 		if (w+1)%windowsPerRound != 0 {
 			continue
 		}
 		// Round boundary: remeasure every pair against ground truth and
-		// score the engine's verdict — "signaled during this interval"
+		// score the monitor's verdict — "signaled during this interval"
 		// against "path actually changed since last round".
 		now := ws + sc.WindowSec
 		intervalStart := now - sc.RoundSec
 		for _, k := range keys {
-			en, ok := lab.Corp.Get(k)
-			if !ok {
-				continue
-			}
-			fresh, err := lab.MeasurePair(k, en.Trace.ProbeID, now)
+			cls, err := lab.Refresh(k, now)
 			if err != nil {
 				continue
 			}
-			changed := corpus.ClassifyEntry(en, fresh) != bordermap.Unchanged
 			verdict := false
 			for _, t := range sigTimes[k] {
 				if t >= intervalStart && t < now {
@@ -154,13 +126,10 @@ func runScenarioPass(sc Scale, pack *netsim.ScenarioPack, seed int64) *scenarioP
 					break
 				}
 			}
-			if verdict == changed {
+			if verdict == (cls != bordermap.Unchanged) {
 				verdictRight++
 			}
 			verdictTotal++
-			lab.Engine.EvaluateRefresh(fresh)
-			lab.Corp.Put(fresh)
-			lab.Engine.Reregister(fresh)
 		}
 	}
 
@@ -168,8 +137,8 @@ func runScenarioPass(sc Scale, pack *netsim.ScenarioPack, seed int64) *scenarioP
 		corpusSize: len(keys),
 		events:     det.Events(),
 	}
-	if scen != nil {
-		out.truths = scen.Truths()
+	if lab.Scen != nil {
+		out.truths = lab.Scen.Truths()
 	}
 	if verdictTotal > 0 {
 		out.staleAcc = float64(verdictRight) / float64(verdictTotal)
