@@ -88,7 +88,7 @@ feedtest:
 
 # Adversarial-scenario acceptance under the race detector: netsim pack
 # determinism (byte-identical streams and ground-truth labels, with and
-# without fault injection), the classifier edge-case tables (benign anycast
+# without seeded duplicate delivery), the classifier edge-case tables (benign anycast
 # MOAS vs hijack MOAS, self-healing leaks, blackholes), the ground-truth
 # accuracy harness, and the event-surface differential (serial vs sharded
 # vs 3-worker cluster byte-identical on /v1/events and SSE routing frames).

@@ -125,8 +125,8 @@ func main() {
 	flag.IntVar(&o.d.Server.RingSize, "ring", server.DefaultRingSize, "per-SSE-subscriber signal buffer")
 	flag.IntVar(&o.d.Server.MaxInFlight, "max-inflight", server.DefaultMaxInFlight, "in-flight data-request bound; excess requests are shed with 503 + Retry-After")
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "optional debug listen address serving /metrics and /debug/pprof/*")
-	flag.IntVar(&o.retry.MaxRetries, "feed-retries", o.retry.MaxRetries, "transient feed failures tolerated per window before a feed is declared dead")
-	flag.DurationVar(&o.retry.Backoff, "feed-backoff", o.retry.Backoff, "initial retry backoff after a feed failure (doubles per attempt)")
+	flag.IntVar(&o.retry.MaxRetries, "feed-retries", o.retry.MaxRetries, "reconnects per failure episode for -feed-addr before a feed is declared dead")
+	flag.DurationVar(&o.retry.Backoff, "feed-backoff", o.retry.Backoff, "initial reconnect backoff after a -feed-addr failure (doubles per attempt, up to 5s)")
 	flag.BoolVar(&o.verbose, "v", false, "log every signal")
 	flag.StringVar(&o.feed.Addr, "feed-addr", "", "rrrfeedd address to ingest from over TCP (empty = in-process simulator feeds)")
 	flag.IntVar(&o.feed.Buffer, "feed-buffer", feedwire.DefaultBuffer, "per-stream client record buffer for -feed-addr")

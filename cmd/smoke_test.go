@@ -1,6 +1,7 @@
 // Package cmd_test smoke-tests the commands that have no test of their own,
 // and the simulator examples: each is built and driven as a process through
-// its cheapest documented invocation.
+// its cheapest documented invocation. It also keeps fault injection out of
+// every binary.
 package cmd_test
 
 import (
@@ -9,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -96,5 +98,25 @@ func TestSmoke(t *testing.T) {
 				t.Fatalf("%s round trip:\n got %q\nwant %q", tc.bin, data, tc.want)
 			}
 		})
+	}
+}
+
+// TestNoFaultInjectionShipped holds the premise behind the pipeline's fault
+// model: no binary under cmd/, and neither the rrr package nor the daemon
+// assembly they run, depends on internal/faultfeed. Only tests inject
+// faults, so the pipeline absorbs exactly what real feeds produce.
+func TestNoFaultInjectionShipped(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", "rrr/cmd/...", "rrr", "rrr/internal/daemon").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, out)
+	}
+	deps := strings.Fields(string(out))
+	if len(deps) < 10 {
+		t.Fatalf("go list -deps listed only %v; the check is vacuous", deps)
+	}
+	for _, pkg := range deps {
+		if pkg == "rrr/internal/faultfeed" {
+			t.Fatal("a shipped package depends on rrr/internal/faultfeed; fault injection belongs in _test.go files")
+		}
 	}
 }

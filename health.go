@@ -43,8 +43,8 @@ type FeedHealth struct {
 }
 
 // PipelineHealth aggregates per-feed supervisor state. All methods are
-// safe for concurrent use (reader goroutines note retries while the serving
-// layer snapshots). The zero value is not usable; call NewPipelineHealth.
+// safe for concurrent use (reader goroutines report a feed's end while the
+// serving layer snapshots). The zero value is not usable; call NewPipelineHealth.
 // A nil *PipelineHealth is a valid no-op sink.
 type PipelineHealth struct {
 	mu    sync.Mutex

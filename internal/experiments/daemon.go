@@ -79,18 +79,19 @@ func NewDaemonEnv(sc Scale, pace time.Duration) *DaemonEnv {
 	sim := netsim.New(sc.SimCfg)
 	plat := platform.New(sim, sc.PlatCfg)
 
-	aliases := bordermap.OracleFunc(func(ip uint32) (int, bool) {
-		r, ok := sim.T.RouterForIP(ip)
-		return int(r), ok
-	})
-
+	svc := &simServices{
+		mapper: sim.Mapper(),
+		t:      sim.T,
+		geo:    simGeolocator(sim, sc.SimCfg.Seed+100),
+		rel:    LabRel{T: sim.T},
+	}
 	env := &DaemonEnv{
 		Sim:     sim,
 		Plat:    plat,
-		Mapper:  sim.Mapper(),
-		Aliases: aliases,
-		Geo:     simGeolocator(sim, sc.SimCfg.Seed+100),
-		Rel:     LabRel{T: sim.T},
+		Mapper:  svc,
+		Aliases: svc,
+		Geo:     svc,
+		Rel:     svc,
 	}
 
 	// Table dump first, then hook the live capture: Step-generated
@@ -132,6 +133,7 @@ func NewDaemonEnv(sc Scale, pace time.Duration) *DaemonEnv {
 	env.Corpus = raw
 
 	f := &daemonFeed{
+		simMu:           &svc.mu,
 		sim:             sim,
 		scen:            scen,
 		public:          public,
@@ -152,7 +154,10 @@ func NewDaemonEnv(sc Scale, pace time.Duration) *DaemonEnv {
 // updates that Step emits and issuing that window's public traceroutes.
 // Both sources stay individually time-ordered, as rrr.Pipeline requires.
 type daemonFeed struct {
-	mu              sync.Mutex
+	mu sync.Mutex
+	// simMu is the services' lock, held for writing while a step mutates
+	// the simulator (an IXP join writes the topology maps they read).
+	simMu           *sync.RWMutex
 	sim             *netsim.Sim
 	scen            *netsim.Scenario
 	public          []*platform.Probe
@@ -171,7 +176,10 @@ type daemonFeed struct {
 }
 
 // step advances one window (mu held). The OnUpdate hook registered at
-// construction appends Step's updates to f.updates.
+// construction appends Step's updates to f.updates. Stepping the simulator
+// holds simMu for writing, so nothing in step may call the environment's
+// services, which take it for reading; issuing the window's traceroutes
+// only reads the topology and runs outside it.
 func (f *daemonFeed) step() {
 	if f.end > 0 && f.next >= f.end {
 		f.done = true
@@ -182,6 +190,7 @@ func (f *daemonFeed) step() {
 	}
 	ws := f.next
 	segStart := len(f.updates)
+	f.simMu.Lock()
 	f.sim.Step(f.windowSec)
 	if f.scen != nil {
 		// Scenario emissions publish through the same hook but grouped
@@ -192,6 +201,7 @@ func (f *daemonFeed) step() {
 		seg := f.updates[segStart:]
 		sort.SliceStable(seg, func(i, j int) bool { return seg[i].Time < seg[j].Time })
 	}
+	f.simMu.Unlock()
 	if f.publicPerWindow > 0 && len(f.public) > 0 {
 		asns := f.sim.StubASes()
 		when := ws + f.windowSec/2
@@ -265,6 +275,62 @@ func (f *daemonFeed) readTrace() (*traceroute.Traceroute, error) {
 		f.traces, f.tHead = f.traces[:0], 0
 	}
 	return t, nil
+}
+
+// simServices serves the monitor's mapper, alias, geolocation and
+// relationship oracles from the simulator, each read under mu: the feed's
+// readers step the simulator on their own goroutines while the monitor
+// queries these services on the pipeline's merge goroutine.
+type simServices struct {
+	mu     sync.RWMutex
+	mapper netsim.SimMapper
+	t      *netsim.Topology
+	geo    *LabGeo
+	rel    LabRel
+}
+
+// ASOf implements traceroute.Mapper.
+func (s *simServices) ASOf(ip uint32) (bgp.ASN, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.mapper.ASOf(ip)
+}
+
+// IXPOf implements traceroute.Mapper.
+func (s *simServices) IXPOf(ip uint32) (int, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.mapper.IXPOf(ip)
+}
+
+// IXPMemberOf implements bordermap.IXPMembershipResolver, which border
+// mapping type-asserts on the mapper to attribute IXP interfaces.
+func (s *simServices) IXPMemberOf(ip uint32) (bgp.ASN, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.mapper.IXPMemberOf(ip)
+}
+
+// RouterOf implements bordermap.AliasOracle.
+func (s *simServices) RouterOf(ip uint32) (int, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	r, ok := s.t.RouterForIP(ip)
+	return int(r), ok
+}
+
+// LocateCity implements core.Geolocator.
+func (s *simServices) LocateCity(ip uint32, when int64) (int, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.geo.LocateCity(ip, when)
+}
+
+// Rel implements core.RelOracle.
+func (s *simServices) Rel(a, b bgp.ASN) core.Rel {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.rel.Rel(a, b)
 }
 
 // SimUpdateFeed implements bgp.UpdateSource over the shared window

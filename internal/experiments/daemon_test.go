@@ -3,6 +3,8 @@ package experiments
 import (
 	"io"
 	"testing"
+
+	"rrr/internal/bordermap"
 )
 
 // daemonTestScale keeps the feed small: a few windows, a handful of public
@@ -110,6 +112,55 @@ func TestDaemonEnvDeterministic(t *testing.T) {
 		}
 		if ua.Time != ub.Time || ua.PeerIP != ub.PeerIP || ua.Prefix != ub.Prefix {
 			t.Fatalf("update %d differs: %+v vs %+v", i, ua, ub)
+		}
+	}
+}
+
+// TestDaemonEnvServicesUnderFeed: RunPipeline's reader goroutines step the
+// simulator while the merge goroutine reads the topology through the
+// monitor's services, and an IXP join writes the maps those services read.
+// Under -race this fails unless stepping and service reads are
+// synchronized.
+func TestDaemonEnvServicesUnderFeed(t *testing.T) {
+	sc := QuickScale()
+	sc.Days = 2
+	sc.SimCfg.IXPJoinsPerDay = 40
+	env := NewDaemonEnv(sc, 0)
+	members, ok := env.Mapper.(bordermap.IXPMembershipResolver)
+	if !ok {
+		t.Fatal("env.Mapper lost IXPMemberOf; border mapping would stop resolving IXP members")
+	}
+	var ips []uint32
+	for _, r := range env.Sim.T.Routers[1:] {
+		ips = append(ips, r.Interfaces...)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		for {
+			if _, err := env.Updates.Read(); err != nil {
+				if err == io.EOF {
+					err = nil
+				}
+				done <- err
+				return
+			}
+		}
+	}()
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		default:
+		}
+		for _, ip := range ips {
+			env.Mapper.IXPOf(ip)
+			members.IXPMemberOf(ip)
+			env.Aliases.RouterOf(ip)
+			env.Geo.LocateCity(ip, 0)
 		}
 	}
 }

@@ -1,37 +1,29 @@
 // Package faultfeed provides deterministic, seeded fault injection for the
-// project's feed interfaces. It wraps a bgp.UpdateSource or a traceroute
-// feed and perturbs delivery the way real third-party feeds do (paper
-// context: BGPStream collectors and RIPE Atlas result streams): stalls,
-// duplicate delivery, bounded reordering, clock skew, transient errors that
-// a well-behaved consumer should retry, and hard errors that kill the feed.
-// A byte-level Reader injects torn (short) reads and mid-record truncation
-// under the binary codecs.
+// project's feed interfaces, limited to the faults the shipping pipeline
+// absorbs. Updates and Traces wrap a feed with adjacent duplicate delivery
+// and scheduled transient stream breaks; ReplayableUpdates models an
+// upstream archive or broker that resumes from a timestamp and breaks on a
+// schedule; Proxy cuts TCP connections mid-frame; and a byte-level Reader
+// injects torn (short) reads and mid-record truncation under the binary
+// codecs.
 //
-// Every injector is driven by its own math/rand PRNG seeded from
-// Config.Seed, so a fault schedule is a pure function of (seed, input
-// stream): tests replay the exact same faults on every run, which is what
-// makes the differential harness (faulted run vs. clean run, sharded vs.
-// serial engine) meaningful.
+// Duplicates are drawn from a math/rand PRNG seeded from Config.Seed, so a
+// fault schedule is a pure function of (seed, input stream): tests replay
+// the exact same faults on every run, which is what makes the differential
+// harness (faulted run vs. clean run, sharded vs. serial engine)
+// meaningful.
 //
-// Fault composition order matters for absorbability. Skew is applied when a
-// record first leaves the reorder stage, and duplicates are injected last,
-// so an injected duplicate is always byte-identical to its original and
-// delivered adjacent to it — transport-level redelivery semantics, which
-// the pipeline's adjacent-dedup stage can remove without touching
+// An injected duplicate is byte-identical to its original and delivered
+// adjacent to it — transport-level redelivery semantics, which the
+// pipeline's adjacent-dedup stage can remove without touching
 // protocol-level BGP duplicates (those differ in arrival time and feed the
-// burst detector). Reordering displaces a record by at most
-// Config.ReorderDepth positions of the duplicate-free stream: a dup-pen
-// delivery can defer a due held record by one extra raw-stream slot, so a
-// consumer must strip adjacent duplicates first, after which a
-// (Depth+1)-slot ordering buffer recovers the original order exactly (the
-// order the pipeline's absorption stages apply).
+// burst detector).
 package faultfeed
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"rrr/internal/bgp"
 	"rrr/internal/traceroute"
@@ -65,218 +57,70 @@ func Transient(err error) error { return &TransientError{Err: err} }
 // ErrInjected is the base cause of faults injected by this package.
 var ErrInjected = errors.New("faultfeed: injected fault")
 
-// ErrFeedDown is the hard (non-retryable) error a source returns after
-// Config.HardErrAfter records.
-var ErrFeedDown = errors.New("faultfeed: feed down")
-
-// ErrStallInterrupted is the permanent error a stalled Read returns when
-// Config.Stop fires mid-stall: the consumer is shutting down, so the
-// record that would have followed the stall is deliberately not read.
-var ErrStallInterrupted = errors.New("faultfeed: stall interrupted by stop")
-
-// Config describes one feed's fault schedule. Probabilities are per
-// delivered record in [0,1]; zero values disable the corresponding fault.
+// Config describes one feed's fault schedule; zero values disable the
+// corresponding fault.
 type Config struct {
 	// Seed drives the injector's private PRNG. The same seed over the
 	// same input stream reproduces the same fault schedule.
 	Seed int64
 
-	// StallProb delays a delivery by StallDur before returning it,
-	// modeling a feed that hangs mid-stream.
-	StallProb float64
-	StallDur  time.Duration
-
-	// Stop, when non-nil, preempts an in-progress stall: a close of this
-	// channel wakes the stalled Read immediately, which returns
-	// ErrStallInterrupted (permanent, so a retry policy lets the feed
-	// die) instead of holding shutdown hostage for up to StallDur.
-	Stop <-chan struct{}
-
-	// DupProb re-delivers a record: the copy is byte-identical and
-	// arrives immediately after the original (at-least-once transport).
+	// DupProb re-delivers a record with that probability per delivery:
+	// the copy is byte-identical and arrives immediately after the
+	// original (at-least-once transport).
 	DupProb float64
 
-	// ReorderProb holds a record back so that up to ReorderDepth
-	// subsequent records overtake it. Displacement is bounded by
-	// ReorderDepth positions; nothing is lost.
-	ReorderProb  float64
-	ReorderDepth int
-
-	// SkewProb perturbs a record's timestamp by a uniform offset in
-	// [-SkewMaxSec, +SkewMaxSec], modeling sender clock drift.
-	SkewProb   float64
-	SkewMaxSec int64
-
-	// ErrProb injects a TransientError between records (nothing is
-	// consumed, so a retrying consumer loses no data). ErrEvery — if
-	// positive — instead injects one deterministic transient error
-	// before every ErrEvery-th delivery.
-	ErrProb  float64
+	// ErrEvery, if positive, injects one deterministic TransientError
+	// before every ErrEvery-th delivery. Nothing is consumed, so the
+	// source stays readable after the break.
 	ErrEvery int
-
-	// HardErrAfter, if positive, makes the source return a permanent
-	// (non-Temporary) error once that many records have been delivered,
-	// and on every Read thereafter.
-	HardErrAfter int
 }
 
-// injector holds the staged fault state shared by both feed kinds. The
-// element type carries its own clone/timestamp accessors so updates
-// (values) and traceroutes (pointers) share one implementation.
+// injector holds the fault state shared by both feed kinds. The element
+// type carries its own clone so updates (values) and traceroutes
+// (pointers) share one implementation.
 type injector[T any] struct {
-	cfg       Config
-	rng       *rand.Rand
-	read      func() (T, error)
-	clone     func(T) T
-	shiftTime func(T, int64) T
+	cfg   Config
+	rng   *rand.Rand
+	read  func() (T, error)
+	clone func(T) T
 
-	hold       []T   // reorder pen: records overtaken by later ones
-	holdDue    []int // deliveries remaining before the held record frees
-	dup        []T   // pending adjacent duplicate (0 or 1 element)
-	pendingErr error // source error deferred until the pen drains
-	delivered  int
-	sinceErr   int
+	dup      []T // pending adjacent duplicate (0 or 1 element)
+	sinceErr int
 }
 
-func newInjector[T any](cfg Config, read func() (T, error), clone func(T) T, shift func(T, int64) T) *injector[T] {
+func newInjector[T any](cfg Config, read func() (T, error), clone func(T) T) *injector[T] {
 	return &injector[T]{
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		read:      read,
-		clone:     clone,
-		shiftTime: shift,
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		read:  read,
+		clone: clone,
 	}
-}
-
-func (in *injector[T]) hit(p float64) bool {
-	return p > 0 && in.rng.Float64() < p
-}
-
-// pull reads the next record from the wrapped source through the reorder
-// stage, applying skew as records leave it. The error return is the
-// source's own error, passed through unchanged.
-func (in *injector[T]) pull() (T, bool, error) {
-	var zero T
-	// Release any held record whose delay expired.
-	for i := range in.hold {
-		if in.holdDue[i] <= 0 {
-			rec := in.hold[i]
-			in.hold = append(in.hold[:i], in.hold[i+1:]...)
-			in.holdDue = append(in.holdDue[:i], in.holdDue[i+1:]...)
-			return rec, true, nil
-		}
-	}
-	for {
-		if in.pendingErr != nil {
-			// Drain the pen in held order before surfacing the
-			// deferred source error, so no record the injector was
-			// holding is ever lost. The error is delivered once;
-			// a retrying consumer then reads the source again.
-			if len(in.hold) > 0 {
-				rec := in.hold[0]
-				in.hold = in.hold[1:]
-				in.holdDue = in.holdDue[1:]
-				return rec, true, nil
-			}
-			err := in.pendingErr
-			in.pendingErr = nil
-			return zero, false, err
-		}
-		rec, err := in.read()
-		if err != nil {
-			if len(in.hold) > 0 {
-				in.pendingErr = err
-				held := in.hold[0]
-				in.hold = in.hold[1:]
-				in.holdDue = in.holdDue[1:]
-				return held, true, nil
-			}
-			return zero, false, err
-		}
-		rec = in.applySkew(rec)
-		if in.hit(in.cfg.ReorderProb) && len(in.hold) < in.cfg.ReorderDepth {
-			in.hold = append(in.hold, rec)
-			in.holdDue = append(in.holdDue, 1+in.rng.Intn(in.cfg.ReorderDepth))
-			continue
-		}
-		return rec, true, nil
-	}
-}
-
-func (in *injector[T]) applySkew(rec T) T {
-	if in.hit(in.cfg.SkewProb) && in.cfg.SkewMaxSec > 0 {
-		delta := in.rng.Int63n(2*in.cfg.SkewMaxSec+1) - in.cfg.SkewMaxSec
-		return in.shiftTime(rec, delta)
-	}
-	return rec
 }
 
 // Next delivers the next faulted record.
 func (in *injector[T]) Next() (T, error) {
 	var zero T
-	if in.hit(in.cfg.StallProb) && in.cfg.StallDur > 0 {
-		// Preemptible stall, matching the pipeline's sleepOrStop: a bare
-		// time.Sleep here held shutdown hostage for up to StallDur.
-		if !in.sleepOrStop(in.cfg.StallDur) {
-			return zero, ErrStallInterrupted
-		}
-	}
 	// Pending adjacent duplicate goes out first and is never re-duped.
 	if len(in.dup) > 0 {
 		rec := in.dup[0]
 		in.dup = in.dup[:0]
-		in.afterDeliver()
+		in.sinceErr++
 		return rec, nil
 	}
-	if in.cfg.HardErrAfter > 0 && in.delivered >= in.cfg.HardErrAfter {
-		return zero, fmt.Errorf("%w after %d records", ErrFeedDown, in.delivered)
-	}
-	// Transient errors are injected between records: nothing is consumed,
-	// so a consumer that retries the same source loses no data.
+	// Transient errors are injected between records: nothing is consumed.
 	if in.cfg.ErrEvery > 0 && in.sinceErr >= in.cfg.ErrEvery {
 		in.sinceErr = 0
 		return zero, Transient(fmt.Errorf("%w: scheduled stream break", ErrInjected))
 	}
-	if in.hit(in.cfg.ErrProb) {
-		in.sinceErr = 0
-		return zero, Transient(fmt.Errorf("%w: random stream break", ErrInjected))
-	}
-	rec, ok, err := in.pull()
-	if !ok {
+	rec, err := in.read()
+	if err != nil {
 		return zero, err
 	}
-	if in.hit(in.cfg.DupProb) {
+	if in.cfg.DupProb > 0 && in.rng.Float64() < in.cfg.DupProb {
 		in.dup = append(in.dup, in.clone(rec))
 	}
-	in.afterDeliver()
-	return rec, nil
-}
-
-// sleepOrStop sleeps for d, or returns false early if cfg.Stop fires
-// first.
-func (in *injector[T]) sleepOrStop(d time.Duration) bool {
-	if in.cfg.Stop == nil {
-		time.Sleep(d)
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-in.cfg.Stop:
-		return false
-	}
-}
-
-func (in *injector[T]) afterDeliver() {
-	in.delivered++
 	in.sinceErr++
-	// Age the reorder pen: each delivery brings held records one step
-	// closer to release, bounding displacement by ReorderDepth.
-	for i := range in.holdDue {
-		in.holdDue[i]--
-	}
+	return rec, nil
 }
 
 // cloneUpdate deep-copies an update so a duplicate delivery shares no
@@ -287,22 +131,6 @@ func cloneUpdate(u bgp.Update) bgp.Update {
 	return u
 }
 
-func shiftUpdate(u bgp.Update, d int64) bgp.Update {
-	u.Time += d
-	return u
-}
-
-func cloneTrace(t *traceroute.Traceroute) *traceroute.Traceroute {
-	return t.Clone()
-}
-
-func shiftTrace(t *traceroute.Traceroute, d int64) *traceroute.Traceroute {
-	out := *t
-	out.Time += d
-	out.Hops = t.Hops
-	return &out
-}
-
 // UpdateFeed is a fault-injecting bgp.UpdateSource.
 type UpdateFeed struct {
 	in *injector[bgp.Update]
@@ -310,7 +138,7 @@ type UpdateFeed struct {
 
 // Updates wraps src with the fault schedule in cfg.
 func Updates(src bgp.UpdateSource, cfg Config) *UpdateFeed {
-	return &UpdateFeed{in: newInjector(cfg, src.Read, cloneUpdate, shiftUpdate)}
+	return &UpdateFeed{in: newInjector(cfg, src.Read, cloneUpdate)}
 }
 
 // Read implements bgp.UpdateSource.
@@ -323,7 +151,7 @@ type TraceFeed struct {
 
 // Traces wraps src with the fault schedule in cfg.
 func Traces(src TraceSource, cfg Config) *TraceFeed {
-	return &TraceFeed{in: newInjector(cfg, src.Read, cloneTrace, shiftTrace)}
+	return &TraceFeed{in: newInjector(cfg, src.Read, (*traceroute.Traceroute).Clone)}
 }
 
 // Read implements the traceroute feed interface.

@@ -2,28 +2,21 @@ package faultfeed
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 
 	"rrr/internal/bgp"
-	"rrr/internal/traceroute"
 )
 
 // ReplayConfig describes how a replayable feed misbehaves across
 // incarnations. A replayable feed models an upstream archive or broker
 // that supports resuming from a timestamp: each Open(since) returns a
-// fresh source over the records at or after since, optionally faulted.
+// fresh source over the records at or after since.
 type ReplayConfig struct {
-	// Faults is applied to every opened source. The per-open seed is
-	// Faults.Seed + the open ordinal, so successive incarnations see
-	// different (but still deterministic) schedules.
-	Faults Config
-
 	// FailOpens makes each of the first FailOpens opened sources return
-	// a transient error after FailAfter delivered records (the source's
-	// own records, counted post-faults). Opens beyond FailOpens are
-	// clean, so a consumer with a retry budget > FailOpens recovers.
+	// a transient error after every FailAfter delivered records. Opens
+	// beyond FailOpens are clean, so a consumer with a retry budget >
+	// FailOpens recovers.
 	FailOpens int
 	FailAfter int
 
@@ -56,7 +49,7 @@ func (f *ReplayableUpdates) Opens() int {
 	return f.opens
 }
 
-// Open returns a source over the records with Time >= since, faulted per
+// Open returns a source over the records with Time >= since, breaking per
 // the replay config. The pipeline's supervisor calls it with the open
 // window's start time to resume after a transient failure.
 func (f *ReplayableUpdates) Open(since int64) (bgp.UpdateSource, error) {
@@ -67,67 +60,9 @@ func (f *ReplayableUpdates) Open(since int64) (bgp.UpdateSource, error) {
 		return nil, Transient(fmt.Errorf("%w: open refused (attempt %d)", ErrInjected, f.opens))
 	}
 	lo := sort.Search(len(f.base), func(i int) bool { return f.base[i].Time >= since })
-	cfg := f.perOpen()
+	var cfg Config
+	if f.opens <= f.cfg.OpenErrs+f.cfg.FailOpens {
+		cfg.ErrEvery = f.cfg.FailAfter
+	}
 	return Updates(bgp.NewSliceSource(f.base[lo:]), cfg), nil
-}
-
-func (f *ReplayableUpdates) perOpen() Config {
-	cfg := f.cfg.Faults
-	cfg.Seed += int64(f.opens)
-	if f.opens <= f.cfg.OpenErrs+f.cfg.FailOpens && f.cfg.FailAfter > 0 {
-		cfg.ErrEvery = f.cfg.FailAfter
-	}
-	return cfg
-}
-
-// ReplayableTraces is the traceroute twin of ReplayableUpdates.
-type ReplayableTraces struct {
-	mu    sync.Mutex
-	base  []*traceroute.Traceroute
-	cfg   ReplayConfig
-	opens int
-}
-
-// NewReplayableTraces builds a replayable trace feed over a time-sorted
-// slice.
-func NewReplayableTraces(traces []*traceroute.Traceroute, cfg ReplayConfig) *ReplayableTraces {
-	return &ReplayableTraces{base: traces, cfg: cfg}
-}
-
-// Opens reports how many times Open has been called.
-func (f *ReplayableTraces) Opens() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.opens
-}
-
-// Open returns a source over the traceroutes with Time >= since.
-func (f *ReplayableTraces) Open(since int64) (TraceSource, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.opens++
-	if f.opens <= f.cfg.OpenErrs {
-		return nil, Transient(fmt.Errorf("%w: open refused (attempt %d)", ErrInjected, f.opens))
-	}
-	lo := sort.Search(len(f.base), func(i int) bool { return f.base[i].Time >= since })
-	cfg := f.cfg.Faults
-	cfg.Seed += int64(f.opens)
-	if f.opens <= f.cfg.OpenErrs+f.cfg.FailOpens && f.cfg.FailAfter > 0 {
-		cfg.ErrEvery = f.cfg.FailAfter
-	}
-	return Traces(&traceSlice{traces: f.base[lo:]}, cfg), nil
-}
-
-type traceSlice struct {
-	traces []*traceroute.Traceroute
-	i      int
-}
-
-func (s *traceSlice) Read() (*traceroute.Traceroute, error) {
-	if s.i >= len(s.traces) {
-		return nil, io.EOF
-	}
-	t := s.traces[s.i]
-	s.i++
-	return t, nil
 }

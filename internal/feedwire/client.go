@@ -60,9 +60,10 @@ type ConnectorConfig struct {
 	// StallTimeout is how long PolicyDisconnect tolerates a full buffer
 	// before dropping the connection (default 5s).
 	StallTimeout time.Duration
-	// DialTimeout bounds each dial (default 5s).
-	DialTimeout time.Duration
 }
+
+// dialTimeout bounds each dial.
+const dialTimeout = 5 * time.Second
 
 func (c ConnectorConfig) withDefaults() ConnectorConfig {
 	if c.Buffer <= 0 {
@@ -70,9 +71,6 @@ func (c ConnectorConfig) withDefaults() ConnectorConfig {
 	}
 	if c.StallTimeout <= 0 {
 		c.StallTimeout = 5 * time.Second
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
 	}
 	return c
 }
@@ -186,7 +184,7 @@ func (c *Connector) open(kind byte, since int64) (*stream, error) {
 	c.mu.Unlock()
 
 	met := newStreamMetrics(streamName(kind))
-	conn, err := net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", c.cfg.Addr, dialTimeout)
 	if err != nil {
 		return nil, transient(err)
 	}

@@ -108,12 +108,12 @@ func TestScenarioDeterminism(t *testing.T) {
 }
 
 // TestScenarioDeterminismUnderFaultfeed repeats the regression with the
-// feeds wrapped in a duplicating, reordering fault injector: the injected
-// schedule is itself seeded, so two identically-configured faulty runs
-// must still match byte for byte.
+// feeds wrapped in a duplicating fault injector: the injected schedule is
+// itself seeded, so two identically-configured faulty runs must still
+// match byte for byte.
 func TestScenarioDeterminismUnderFaultfeed(t *testing.T) {
 	sc := scenarioScale()
-	ff := &faultfeed.Config{Seed: 99, DupProb: 0.05, ReorderProb: 0.05, ReorderDepth: 4}
+	ff := &faultfeed.Config{Seed: 99, DupProb: 0.05}
 	u1, t1, g1 := drainEnv(t, experiments.NewDaemonEnv(sc, 0), ff)
 	u2, t2, g2 := drainEnv(t, experiments.NewDaemonEnv(sc, 0), ff)
 	if u1 != u2 {

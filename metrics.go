@@ -43,39 +43,36 @@ var (
 )
 
 // feedMetrics groups the per-feed supervisor counters introduced with the
-// self-healing pipeline: retry attempts, faults fully absorbed (recovery
+// self-healing pipeline: reopen attempts, faults fully absorbed (recovery
 // completed with no duplicated or dropped signals), feeds declared dead,
 // plus the absorption machinery's own accounting (adjacent duplicates
-// dropped, records delivered out of arrival order, records skipped as
-// already-ingested replay during a window-aligned resume).
+// dropped, records skipped as already-ingested replay during a
+// window-aligned resume).
 type feedMetrics struct {
-	retries   *obs.Counter
-	absorbed  *obs.Counter
-	dead      *obs.Counter
-	dups      *obs.Counter
-	reordered *obs.Counter
-	replayed  *obs.Counter
-	up        *obs.Gauge
+	retries  *obs.Counter
+	absorbed *obs.Counter
+	dead     *obs.Counter
+	dups     *obs.Counter
+	replayed *obs.Counter
+	up       *obs.Gauge
 }
 
 func newFeedMetrics(feed string) *feedMetrics {
 	return &feedMetrics{
-		retries:   obs.Default.Counter("rrr_pipeline_feed_retries_total", "feed", feed),
-		absorbed:  obs.Default.Counter("rrr_pipeline_faults_absorbed_total", "feed", feed),
-		dead:      obs.Default.Counter("rrr_pipeline_feeds_dead_total", "feed", feed),
-		dups:      obs.Default.Counter("rrr_pipeline_dup_records_dropped_total", "feed", feed),
-		reordered: obs.Default.Counter("rrr_pipeline_reordered_records_total", "feed", feed),
-		replayed:  obs.Default.Counter("rrr_pipeline_replayed_records_total", "feed", feed),
-		up:        obs.Default.Gauge("rrr_pipeline_feed_up", "feed", feed),
+		retries:  obs.Default.Counter("rrr_pipeline_feed_retries_total", "feed", feed),
+		absorbed: obs.Default.Counter("rrr_pipeline_faults_absorbed_total", "feed", feed),
+		dead:     obs.Default.Counter("rrr_pipeline_feeds_dead_total", "feed", feed),
+		dups:     obs.Default.Counter("rrr_pipeline_dup_records_dropped_total", "feed", feed),
+		replayed: obs.Default.Counter("rrr_pipeline_replayed_records_total", "feed", feed),
+		up:       obs.Default.Gauge("rrr_pipeline_feed_up", "feed", feed),
 	}
 }
 
 func init() {
-	obs.Default.Help("rrr_pipeline_feed_retries_total", "feed retry attempts (in-place re-reads and reopen attempts) by the pipeline supervisor")
+	obs.Default.Help("rrr_pipeline_feed_retries_total", "feed reopen attempts by the pipeline supervisor")
 	obs.Default.Help("rrr_pipeline_faults_absorbed_total", "feed failures fully recovered from: the feed resumed and the open window replay matched exactly")
 	obs.Default.Help("rrr_pipeline_feeds_dead_total", "feeds abandoned after exhausting the retry budget or failing permanently")
 	obs.Default.Help("rrr_pipeline_dup_records_dropped_total", "adjacent byte-identical records dropped by transport-level dedup")
-	obs.Default.Help("rrr_pipeline_reordered_records_total", "records delivered out of arrival order and restored by the reorder buffer")
 	obs.Default.Help("rrr_pipeline_replayed_records_total", "already-ingested records skipped during window-aligned resume replay")
 	obs.Default.Help("rrr_pipeline_feed_up", "1 while the feed is delivering records, 0 once it ended or died")
 	obs.Default.Help("rrr_pipeline_updates_total", "BGP updates consumed by the pipeline merge loop")

@@ -83,32 +83,33 @@ const pipelineChanCap = 1024
 // has not yet ingested anything: deliver the feed from its beginning.
 const ResumeAll = math.MinInt64
 
-// IsTransientError reports whether err is worth retrying: anything in its
-// chain implementing Temporary() bool and returning true. net.Error values
-// and faultfeed's injected transients both satisfy it; io.EOF and decode
-// errors do not.
+// IsTransientError reports whether err is worth a reopen: anything in its
+// chain implementing Temporary() bool and returning true. net.Error values,
+// feedwire's connection failures and faultfeed's injected breaks satisfy
+// it; io.EOF and decode errors do not.
 func IsTransientError(err error) bool {
 	var t interface{ Temporary() bool }
 	return errors.As(err, &t) && t.Temporary()
 }
 
+// maxBackoff caps the doubling reopen delay.
+const maxBackoff = 5 * time.Second
+
 // RetryPolicy bounds how hard the pipeline fights for a failing feed.
 // The zero value never retries, matching the historical Pipeline behavior
 // of treating the first feed error as terminal.
 type RetryPolicy struct {
-	// MaxRetries is the retry budget per failure episode. Without an
-	// Open factory the reader retries the same source in place; with
-	// one, the supervisor reopens the feed and resumes window-aligned.
-	// The budget resets after a fully absorbed recovery.
+	// MaxRetries is the reopen budget per failure episode: a feed with an
+	// Open factory that fails with a transient error (IsTransientError) is
+	// reopened and resumed window-aligned, at most MaxRetries times in a
+	// row. The budget resets once the reopened feed's replay of the open
+	// window ends, matched or diverged. A feed without a factory cannot be
+	// resumed, so any error ends it, as does a permanent error.
 	MaxRetries int
-	// Backoff is the first retry's delay, doubling per attempt up to
-	// MaxBackoff (defaults 100ms and 5s when MaxRetries > 0). Context
-	// cancellation always preempts a backoff sleep.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	// IsTransient classifies retryable errors; nil means
-	// IsTransientError. Permanent errors skip the budget entirely.
-	IsTransient func(error) bool
+	// Backoff is the first reopen's delay (default 100ms), doubling per
+	// attempt up to 5s. Context cancellation always preempts a backoff
+	// sleep.
+	Backoff time.Duration
 	// ContinueOnDeadFeed keeps the run alive when a feed is declared
 	// dead: the other feed continues, windows keep closing, and the
 	// dead feed's error is returned (wrapped) only when the run ends.
@@ -120,12 +121,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.Backoff <= 0 {
 		p.Backoff = 100 * time.Millisecond
 	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 5 * time.Second
-	}
-	if p.IsTransient == nil {
-		p.IsTransient = IsTransientError
-	}
 	return p
 }
 
@@ -133,16 +128,10 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // (1-based).
 func (p RetryPolicy) backoffFor(attempt int) time.Duration {
 	d := p.Backoff
-	for i := 1; i < attempt; i++ {
+	for i := 1; i < attempt && d < maxBackoff; i++ {
 		d *= 2
-		if d >= p.MaxBackoff {
-			return p.MaxBackoff
-		}
 	}
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	return d
+	return min(d, maxBackoff)
 }
 
 // PipelineConfig configures a RunPipeline run. Updates/Traces are the
@@ -152,7 +141,8 @@ func (p RetryPolicy) backoffFor(attempt int) time.Duration {
 // time, or ResumeAll before the first record): the reopened feed re-covers
 // the open window and the pipeline skips the records it already ingested,
 // so signals are neither duplicated nor dropped. When only a factory is
-// given the initial source is opened lazily with ResumeAll.
+// given the initial source is opened lazily with ResumeAll. Both feeds
+// must deliver their records in time order; the pipeline does not reorder.
 type PipelineConfig struct {
 	Updates     UpdateSource
 	OpenUpdates func(since int64) (UpdateSource, error)
@@ -163,12 +153,6 @@ type PipelineConfig struct {
 	Sink func(Signal)
 
 	Retry RetryPolicy
-
-	// ReorderWindow, when positive, restores timestamp order for records
-	// displaced by at most that many positions (a min-heap of
-	// ReorderWindow+1 records per feed), absorbing bounded transport
-	// reordering before the merge loop sees it.
-	ReorderWindow int
 
 	// DedupAdjacent drops a record byte-identical to its immediate
 	// predecessor: transport-level at-least-once redelivery. Distinct
@@ -234,7 +218,7 @@ type feed[T any] struct {
 	name    string
 	errWrap string
 	ch      chan feedItem[T]
-	// open is the normalized reopen factory (nil: in-place retry only).
+	// open is the normalized reopen factory (nil: any error ends the feed).
 	open func(int64) (func() (T, error), error)
 
 	pending T
@@ -252,8 +236,7 @@ type feed[T any] struct {
 	dead    bool
 	deadErr error
 
-	timeOf func(T) int64
-	equal  func(T, T) bool
+	equal func(T, T) bool
 
 	met   *feedMetrics
 	queue *obs.Gauge
@@ -263,17 +246,16 @@ type feed[T any] struct {
 // pipeShared is the state shared between the merge loop and the reader
 // goroutines.
 type pipeShared struct {
-	stop    chan struct{}
-	done    <-chan struct{}
-	retry   RetryPolicy
-	reorder int
-	dedup   bool
-	health  *PipelineHealth
+	stop   chan struct{}
+	done   <-chan struct{}
+	retry  RetryPolicy
+	dedup  bool
+	health *PipelineHealth
 }
 
 // sleepOrStop sleeps d unless ch fires first; it reports whether the sleep
-// completed. Used for backoff in both the reader goroutines (stop) and the
-// merge loop (ctx.Done()), so cancellation always wins over backoff.
+// completed. The merge loop backs off on ctx.Done(), so cancellation
+// always wins over backoff.
 func sleepOrStop(ch <-chan struct{}, d time.Duration) bool {
 	if d <= 0 {
 		return true
@@ -288,113 +270,8 @@ func sleepOrStop(ch <-chan struct{}, d time.Duration) bool {
 	}
 }
 
-// seqRec tags a record with its arrival sequence so the reorder buffer can
-// break timestamp ties in arrival order (keeping injected adjacent
-// duplicates adjacent).
-type seqRec[T any] struct {
-	rec T
-	t   int64
-	seq uint64
-}
-
-// orderedReader restores timestamp order for a stream whose records are
-// displaced by at most k positions: it keeps a min-heap of k+1 records and
-// always releases the earliest. Errors pass through with the heap intact,
-// so an in-place retry continues where it left off; on a reopen the heap
-// is discarded, which is safe because every buffered record has a
-// timestamp at or after the open window's start and window-aligned replay
-// re-delivers it.
-type orderedReader[T any] struct {
-	read   func() (T, error)
-	timeOf func(T) int64
-	k      int
-	h      []seqRec[T]
-	seq    uint64
-	maxPop uint64
-	popped bool
-	srcEOF bool
-	met    *obs.Counter
-}
-
-func newOrdered[T any](read func() (T, error), timeOf func(T) int64, k int, met *obs.Counter) *orderedReader[T] {
-	return &orderedReader[T]{read: read, timeOf: timeOf, k: k, met: met}
-}
-
-func (o *orderedReader[T]) less(i, j int) bool {
-	if o.h[i].t != o.h[j].t {
-		return o.h[i].t < o.h[j].t
-	}
-	return o.h[i].seq < o.h[j].seq
-}
-
-func (o *orderedReader[T]) push(r seqRec[T]) {
-	o.h = append(o.h, r)
-	for i := len(o.h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !o.less(i, parent) {
-			break
-		}
-		o.h[i], o.h[parent] = o.h[parent], o.h[i]
-		i = parent
-	}
-}
-
-func (o *orderedReader[T]) pop() seqRec[T] {
-	top := o.h[0]
-	last := len(o.h) - 1
-	o.h[0] = o.h[last]
-	o.h = o.h[:last]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(o.h) && o.less(l, small) {
-			small = l
-		}
-		if r < len(o.h) && o.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		o.h[i], o.h[small] = o.h[small], o.h[i]
-		i = small
-	}
-	return top
-}
-
-func (o *orderedReader[T]) next() (T, error) {
-	var zero T
-	for !o.srcEOF && len(o.h) <= o.k {
-		rec, err := o.read()
-		if err == io.EOF {
-			o.srcEOF = true
-			break
-		}
-		if err != nil {
-			return zero, err
-		}
-		o.push(seqRec[T]{rec: rec, t: o.timeOf(rec), seq: o.seq})
-		o.seq++
-	}
-	if len(o.h) == 0 {
-		return zero, io.EOF
-	}
-	top := o.pop()
-	// A record released after one with a later arrival sequence was
-	// delivered out of order by the transport.
-	if o.popped && top.seq < o.maxPop {
-		o.met.Inc()
-	} else {
-		o.maxPop = top.seq
-		o.popped = true
-	}
-	return top.rec, nil
-}
-
 // dedupReader drops records byte-identical to their immediate predecessor
-// (transport-level at-least-once redelivery). Errors pass through with the
-// predecessor state intact, so an in-place retry continues where it left
-// off.
+// (transport-level at-least-once redelivery).
 func dedupReader[T any](read func() (T, error), f *feed[T]) func() (T, error) {
 	var last T
 	have := false
@@ -414,12 +291,10 @@ func dedupReader[T any](read func() (T, error), f *feed[T]) func() (T, error) {
 	}
 }
 
-// spawnFeed starts the reader goroutine for f consuming read. The reader
-// applies adjacent dedup and then reorder restoration — in that order,
-// because redelivered duplicates arrive adjacent to their original in the
-// raw stream, and the injector/transport displacement bound that sizes the
-// reorder buffer holds on the duplicate-free stream — and, when the feed
-// has no reopen factory, retries transient errors in place with backoff.
+// spawnFeed starts the reader goroutine for f consuming read, with adjacent
+// dedup applied when configured. The reader ends at the source's first
+// error: io.EOF ends the feed cleanly, and any other error goes to the
+// merge loop, whose supervisor reopens the feed or declares it dead.
 func spawnFeed[T any](rc *pipeShared, f *feed[T], read func() (T, error)) {
 	ch := make(chan feedItem[T], pipelineChanCap)
 	f.ch = ch
@@ -430,10 +305,6 @@ func spawnFeed[T any](rc *pipeShared, f *feed[T], read func() (T, error)) {
 		if rc.dedup {
 			read = dedupReader(read, f)
 		}
-		if rc.reorder > 0 {
-			read = newOrdered(read, f.timeOf, rc.reorder, f.met.reordered).next
-		}
-		consec := 0
 		for {
 			rec, err := read()
 			if err == io.EOF {
@@ -442,30 +313,11 @@ func spawnFeed[T any](rc *pipeShared, f *feed[T], read func() (T, error)) {
 				return
 			}
 			if err != nil {
-				// In-place retry: same source, next Read. Only when the
-				// merge loop cannot reopen the feed instead.
-				if f.open == nil && rc.retry.IsTransient(err) && consec < rc.retry.MaxRetries {
-					consec++
-					f.met.retries.Inc()
-					rc.health.noteRetry(f.name, err)
-					if !sleepOrStop(rc.stop, rc.retry.backoffFor(consec)) {
-						return
-					}
-					continue
-				}
 				select {
 				case ch <- feedItem[T]{err: err}:
 				case <-rc.stop:
 				}
 				return
-			}
-			if consec > 0 {
-				// The in-place retry worked: the episode is over, its
-				// budget refunds, and the fault counts as absorbed.
-				consec = 0
-				f.met.absorbed.Inc()
-				rc.health.noteAbsorbed(f.name)
-				rc.health.setStatus(f.name, FeedRunning, nil)
 			}
 			select {
 			case ch <- feedItem[T]{rec: rec}:
@@ -513,10 +365,11 @@ func fill[T any](rc *pipeShared, f *feed[T]) error {
 }
 
 // handleFeedErr decides a failing feed's fate: reopen window-aligned when
-// a factory and budget remain, otherwise declare it dead. It reports
-// whether the run continues; a false return carries the fatal error.
+// the error is transient and a factory and budget remain, otherwise declare
+// it dead. It reports whether the run continues; a false return carries the
+// fatal error.
 func handleFeedErr[T any](rc *pipeShared, f *feed[T], ferr error, resume int64) (bool, error) {
-	for f.open != nil && rc.retry.IsTransient(ferr) && f.reopens < rc.retry.MaxRetries {
+	for f.open != nil && IsTransientError(ferr) && f.reopens < rc.retry.MaxRetries {
 		f.reopens++
 		f.met.retries.Inc()
 		rc.health.noteRetry(f.name, ferr)
@@ -567,6 +420,8 @@ func handleFeedErr[T any](rc *pipeShared, f *feed[T], ferr error, resume int64) 
 // positional: the reopened stream must re-deliver the open window's
 // records verbatim and in order; on the first mismatch matching stops and
 // everything from there on is ingested (divergence is counted, not fatal).
+// Either way the replay's end closes the failure episode and refunds the
+// reopen budget; only a full match counts as absorbed.
 func (f *feed[T]) consumeReplay(rc *pipeShared, rec T) bool {
 	if f.replay == nil {
 		return false
@@ -584,6 +439,7 @@ func (f *feed[T]) consumeReplay(rc *pipeShared, rec T) bool {
 		return true
 	}
 	f.replay = nil
+	f.reopens = 0
 	rc.health.noteDiverged(f.name)
 	return false
 }
@@ -635,17 +491,16 @@ func Pipeline(ctx context.Context, m *Monitor, updates UpdateSource, traces Trac
 // time order, so the Monitor sees exactly the stream a serial loop would
 // produce.
 //
-// Failure handling is per feed. A transient error (RetryPolicy.
-// IsTransient) consumes one unit of retry budget: without an Open factory
-// the reader retries the same source in place after an exponential
-// backoff; with one, the supervisor reopens the feed at the open window's
-// start time and skips the records it already ingested as they re-arrive,
-// so recovery neither duplicates nor drops signals. Context cancellation
-// preempts any backoff sleep. A feed that exhausts its budget (or fails
-// permanently) is declared dead: fatal by default, or — with
-// ContinueOnDeadFeed — the run degrades to the surviving feed and the
-// dead feed's error is reported only at the end (and via Health/metrics
-// immediately).
+// Failure handling is per feed, and reopen-and-replay is its one recovery:
+// a transient error (IsTransientError) on a feed with an Open factory
+// consumes one unit of retry budget, and after an exponential backoff the
+// supervisor reopens the feed at the open window's start time and skips
+// the records it already ingested as they re-arrive, so recovery neither
+// duplicates nor drops signals. Context cancellation preempts any backoff
+// sleep. A feed that cannot be reopened, fails permanently or exhausts its
+// budget is declared dead: fatal by default, or — with ContinueOnDeadFeed —
+// the run degrades to the surviving feed and the dead feed's error is
+// reported only at the end (and via Health/metrics immediately).
 //
 // Cancellation is honored even while both reader goroutines are blocked
 // inside Read (a live feed waiting for its next item): the merge loop
@@ -663,11 +518,10 @@ func Pipeline(ctx context.Context, m *Monitor, updates UpdateSource, traces Trac
 // reopen uses. Log failures are fatal to the run (see RecordLog).
 func RunPipeline(ctx context.Context, m *Monitor, cfg PipelineConfig) error {
 	rc := &pipeShared{
-		stop:    make(chan struct{}),
-		retry:   cfg.Retry.withDefaults(),
-		reorder: cfg.ReorderWindow,
-		dedup:   cfg.DedupAdjacent,
-		health:  cfg.Health,
+		stop:   make(chan struct{}),
+		retry:  cfg.Retry.withDefaults(),
+		dedup:  cfg.DedupAdjacent,
+		health: cfg.Health,
 	}
 	defer close(rc.stop)
 	// done is nil (blocks forever) when no context is supplied.
@@ -677,9 +531,8 @@ func RunPipeline(ctx context.Context, m *Monitor, cfg PipelineConfig) error {
 
 	uf := &feed[Update]{
 		name: "bgp", errWrap: "bgp feed",
-		timeOf: func(u Update) int64 { return u.Time },
-		equal:  updateEqual,
-		met:    metFeedBGP, queue: metPipeUpdateQueue, errs: metPipeErrBGP,
+		equal: updateEqual,
+		met:   metFeedBGP, queue: metPipeUpdateQueue, errs: metPipeErrBGP,
 	}
 	if cfg.OpenUpdates != nil {
 		uf.open = func(since int64) (func() (Update, error), error) {
@@ -692,9 +545,8 @@ func RunPipeline(ctx context.Context, m *Monitor, cfg PipelineConfig) error {
 	}
 	tf := &feed[*Traceroute]{
 		name: "traceroute", errWrap: "traceroute feed",
-		timeOf: func(t *Traceroute) int64 { return t.Time },
-		equal:  traceEqual,
-		met:    metFeedTrace, queue: metPipeTraceQueue, errs: metPipeErrTrace,
+		equal: traceEqual,
+		met:   metFeedTrace, queue: metPipeTraceQueue, errs: metPipeErrTrace,
 	}
 	if cfg.OpenTraces != nil {
 		tf.open = func(since int64) (func() (*Traceroute, error), error) {

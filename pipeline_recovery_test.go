@@ -3,6 +3,7 @@ package rrr
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -61,51 +62,17 @@ func cleanRecoveryRun(t *testing.T) ([]Signal, []Key) {
 	return sigs, m.StaleKeys()
 }
 
-// TestPipelineInPlaceRetryAbsorbs: a feed without a reopen factory that
-// throws transient errors between records is retried in place; nothing is
-// lost and nothing is duplicated, so the signal stream matches the clean run
-// while the retry and absorption counters record the episodes.
-func TestPipelineInPlaceRetryAbsorbs(t *testing.T) {
-	wantSigs, wantStale := cleanRecoveryRun(t)
-
-	retriesBefore := metFeedBGP.retries.Value()
-	absorbedBefore := metFeedBGP.absorbed.Value()
-
-	m, _ := recoveryMonitor(t)
-	faulted := faultfeed.Updates(bgp.NewSliceSource(recoveryUpdates(t)),
-		faultfeed.Config{Seed: 3, ErrEvery: 7})
-	var sigs []Signal
-	err := RunPipeline(context.Background(), m, PipelineConfig{
-		Updates: faulted,
-		Sink:    func(s Signal) { sigs = append(sigs, s) },
-		Retry:   RetryPolicy{MaxRetries: 3, Backoff: time.Millisecond},
-	})
-	if err != nil {
-		t.Fatalf("in-place retries should have absorbed every transient: %v", err)
-	}
-	if !reflect.DeepEqual(sigs, wantSigs) {
-		t.Fatalf("faulted signal stream diverges from clean run:\n got  %v\n want %v", sigs, wantSigs)
-	}
-	if !reflect.DeepEqual(m.StaleKeys(), wantStale) {
-		t.Fatalf("faulted stale set = %v, want %v", m.StaleKeys(), wantStale)
-	}
-	if d := metFeedBGP.retries.Value() - retriesBefore; d == 0 {
-		t.Fatal("rrr_pipeline_feed_retries_total did not record the in-place retries")
-	}
-	if d := metFeedBGP.absorbed.Value() - absorbedBefore; d == 0 {
-		t.Fatal("rrr_pipeline_faults_absorbed_total did not record the recoveries")
-	}
-}
-
-// TestPipelineRetriesExhaustStillDrains extends TestPipelineFeedErrorDrain
-// to the retrying pipeline: a transient error that persists through the
-// whole in-place retry budget still drains the open window (the buffered
-// change surfaces as a signal) and still reports the failure.
-func TestPipelineRetriesExhaustStillDrains(t *testing.T) {
+// TestPipelineDirectSourceErrorEndsFeed: a source without an Open factory
+// cannot be resumed, so even a transient error ends the feed without
+// touching the retry budget — and, as TestPipelineFeedErrorDrain requires of
+// the non-retrying pipeline, still drains the open window and reports the
+// failure.
+func TestPipelineDirectSourceErrorEndsFeed(t *testing.T) {
 	m, key := recoveryMonitor(t)
 	m.Advance(45 * 900)
 
 	retriesBefore := metFeedBGP.retries.Value()
+	deadBefore := metFeedBGP.dead.Value()
 	us := &erroringUpdateSource{
 		updates: []Update{announceUpd(t, 45*900+5, "5.0.0.9", 5, "4.0.0.0/8", []ASN{5, 2, 9, 4})},
 		err:     faultfeed.Transient(io.ErrUnexpectedEOF),
@@ -120,13 +87,115 @@ func TestPipelineRetriesExhaustStillDrains(t *testing.T) {
 		t.Fatalf("err = %v; want wrapped unexpected EOF", err)
 	}
 	if len(got) == 0 {
+		t.Fatal("feed error dropped the open window's signals")
+	}
+	if !m.Stale(key) {
+		t.Fatal("pair not stale after feed-error drain")
+	}
+	if d := metFeedBGP.retries.Value() - retriesBefore; d != 0 {
+		t.Fatalf("retries metric delta = %d, want 0: a direct source is never retried", d)
+	}
+	if d := metFeedBGP.dead.Value() - deadBefore; d != 1 {
+		t.Fatalf("feeds_dead metric delta = %d, want 1", d)
+	}
+}
+
+// TestPipelineRetriesExhaustStillDrains extends TestPipelineFeedErrorDrain
+// to the reopening pipeline: a feed whose every reopen breaks before its
+// replay of the open window completes exhausts the budget, still drains the
+// open window (the buffered change surfaces as a signal) and still reports
+// the failure.
+func TestPipelineRetriesExhaustStillDrains(t *testing.T) {
+	m, key := recoveryMonitor(t)
+	m.Advance(45 * 900)
+
+	window := []Update{
+		announceUpd(t, 45*900+3, "6.0.0.9", 6, "4.0.0.0/8", []ASN{6, 3, 4}),
+		announceUpd(t, 45*900+5, "5.0.0.9", 5, "4.0.0.0/8", []ASN{5, 2, 9, 4}),
+	}
+	// The initial source delivers the window's two records and breaks; every
+	// reopen re-delivers only the first of them before breaking again.
+	us := &erroringUpdateSource{
+		updates: window,
+		err:     faultfeed.Transient(io.ErrUnexpectedEOF),
+	}
+	ru := faultfeed.NewReplayableUpdates(window, faultfeed.ReplayConfig{FailOpens: 100, FailAfter: 1})
+
+	retriesBefore := metFeedBGP.retries.Value()
+	var got []Signal
+	err := RunPipeline(context.Background(), m, PipelineConfig{
+		Updates:     us,
+		OpenUpdates: ru.Open,
+		Sink:        func(s Signal) { got = append(got, s) },
+		Retry:       RetryPolicy{MaxRetries: 2, Backoff: time.Microsecond},
+	})
+	if err == nil || !errors.Is(err, faultfeed.ErrInjected) {
+		t.Fatalf("err = %v; want the last reopen's injected break", err)
+	}
+	if len(got) == 0 {
 		t.Fatal("exhausted retries dropped the open window's signals")
 	}
 	if !m.Stale(key) {
 		t.Fatal("pair not stale after feed-error drain")
 	}
+	if ru.Opens() != 2 {
+		t.Fatalf("feed reopened %d times, want the full budget of 2", ru.Opens())
+	}
 	if d := metFeedBGP.retries.Value() - retriesBefore; d != 2 {
 		t.Fatalf("retries metric delta = %d, want the full budget of 2", d)
+	}
+}
+
+// TestPipelineReplayDivergenceRefundsBudget: the reopen budget is per
+// failure episode, and a replay that diverges ends its episode as surely as
+// one that matches. Each open breaks after seven records under a budget of
+// one; with gap, every reopen starts one record past the resume point (a
+// feed server that trimmed it), so every replay diverges at its first
+// record. Both schedules must survive all four opens. The gap skips only the
+// one record each break leaves in the open window, so nothing is lost and
+// the signal stream still equals the clean run's.
+func TestPipelineReplayDivergenceRefundsBudget(t *testing.T) {
+	wantSigs, _ := cleanRecoveryRun(t)
+	for _, gap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("gap=%v", gap), func(t *testing.T) {
+			m, _ := recoveryMonitor(t)
+			// Opens 1-3 break after seven records; open 4 is clean.
+			ru := faultfeed.NewReplayableUpdates(recoveryUpdates(t),
+				faultfeed.ReplayConfig{FailOpens: 3, FailAfter: 7})
+			open := func(since int64) (UpdateSource, error) {
+				src, err := ru.Open(since)
+				if err == nil && gap && ru.Opens() > 1 {
+					_, err = src.Read()
+				}
+				return src, err
+			}
+			health := NewPipelineHealth()
+			var sigs []Signal
+			err := RunPipeline(context.Background(), m, PipelineConfig{
+				OpenUpdates: open,
+				Sink:        func(s Signal) { sigs = append(sigs, s) },
+				Retry:       RetryPolicy{MaxRetries: 1, Backoff: time.Millisecond},
+				Health:      health,
+			})
+			if err != nil {
+				t.Fatalf("feed died after %d opens: %v", ru.Opens(), err)
+			}
+			if ru.Opens() != 4 {
+				t.Fatalf("feed opened %d times, want 4", ru.Opens())
+			}
+			if !reflect.DeepEqual(sigs, wantSigs) {
+				t.Fatalf("signal stream diverges from clean run:\n got  %v\n want %v", sigs, wantSigs)
+			}
+			wantDiverged := uint64(0)
+			if gap {
+				wantDiverged = 3
+			}
+			for _, f := range health.Snapshot() {
+				if f.Feed == "bgp" && f.Diverged != wantDiverged {
+					t.Fatalf("bgp replay divergences = %d, want %d", f.Diverged, wantDiverged)
+				}
+			}
+		})
 	}
 }
 
