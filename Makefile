@@ -10,7 +10,6 @@ FUZZ_TARGETS := \
 	internal/server:FuzzParseKey \
 	internal/server:FuzzStaleFrame \
 	internal/feedwire:FuzzFrameReader \
-	internal/events:FuzzTruthCodec \
 	internal/anomaly:FuzzZScoreDegenerate \
 	internal/anomaly:FuzzBitmapDetector
 

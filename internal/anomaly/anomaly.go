@@ -31,7 +31,7 @@ type Detector interface {
 	// Score returns the outlier score of the most recent Add; larger means
 	// more anomalous. The scale is detector specific, but scores are
 	// always finite (signals travel through JSON, which rejects NaN/Inf);
-	// DegenerateScore marks the unbounded any-change-is-an-outlier case.
+	// degenerateScore marks the unbounded any-change-is-an-outlier case.
 	Score() float64
 	// Ready reports whether enough history has accumulated to flag.
 	Ready() bool
@@ -44,7 +44,7 @@ type Detector interface {
 type ZScoreDetector struct {
 	// Threshold is the |modified z| cutoff; 3.5 if zero.
 	Threshold float64
-	// MaxHistory bounds the history length; 0 means DefaultMaxHistory.
+	// MaxHistory bounds the history length; 0 means defaultMaxHistory.
 	MaxHistory int
 
 	hist  []float64
@@ -56,19 +56,19 @@ type ZScoreDetector struct {
 	sameVal float64
 }
 
-// DefaultMaxHistory bounds detector history so long-running series adapt to
+// defaultMaxHistory bounds detector history so long-running series adapt to
 // slow drift while staying robust to outliers.
-const DefaultMaxHistory = 96
+const defaultMaxHistory = 96
 
 const zScoreConsistency = 0.6745 // E[MAD]/σ for the normal distribution
 
-// DegenerateScore is the score assigned when a constant history makes any
+// degenerateScore is the score assigned when a constant history makes any
 // differing value an outlier (zero MAD and zero mean absolute deviation).
 // It is a finite stand-in for +Inf: it sorts above every real score, and —
 // unlike Inf — survives encoding/json, which rejects non-finite floats
 // (an Inf score silently truncated API verdict bodies and failed snapshot
 // writes).
-const DegenerateScore = math.MaxFloat64
+const degenerateScore = math.MaxFloat64
 
 // NewZScore returns a detector with the conventional 3.5 cutoff.
 func NewZScore() *ZScoreDetector { return &ZScoreDetector{} }
@@ -82,7 +82,7 @@ func (d *ZScoreDetector) threshold() float64 {
 
 func (d *ZScoreDetector) maxHistory() int {
 	if d.MaxHistory == 0 {
-		return DefaultMaxHistory
+		return defaultMaxHistory
 	}
 	return d.MaxHistory
 }
@@ -120,7 +120,7 @@ func (d *ZScoreDetector) Add(v float64) bool {
 			// Degenerate constant history: any different value is an
 			// outlier once ready.
 			if v != med {
-				d.score = DegenerateScore
+				d.score = degenerateScore
 				return true
 			}
 			d.score = 0
@@ -158,7 +158,7 @@ func (d *ZScoreDetector) push(v float64) {
 // of past scores).
 //
 // The outlier-free history is conceptually unbounded up to a 4×→2×
-// DefaultMaxHistory trim, but Add only ever reads its length and its last
+// defaultMaxHistory trim, but Add only ever reads its length and its last
 // Lead+Lag values, so that is all the detector stores; the score history,
 // which the adaptive threshold does read in full, lives in one buffer of
 // fixed capacity. A series that has never moved stores neither: every value
@@ -191,10 +191,10 @@ type BitmapDetector struct {
 
 // historyCap is where the value and score histories are trimmed, and
 // historyKeep what a trim keeps: the adaptive threshold is taken over
-// between two and four DefaultMaxHistory windows of scores.
+// between two and four defaultMaxHistory windows of scores.
 const (
-	historyCap  = 4 * DefaultMaxHistory
-	historyKeep = 2 * DefaultMaxHistory
+	historyCap  = 4 * defaultMaxHistory
+	historyKeep = 2 * defaultMaxHistory
 )
 
 // NewBitmap returns a detector with reference defaults.
@@ -475,9 +475,3 @@ func meanStd(xs []float64) (mean, std float64) {
 	std = math.Sqrt(std / float64(len(xs)))
 	return mean, std
 }
-
-// Median exposes the median for callers that need summary statistics.
-func Median(xs []float64) float64 { return median(xs) }
-
-// MeanStd exposes mean and standard deviation.
-func MeanStd(xs []float64) (float64, float64) { return meanStd(xs) }

@@ -55,8 +55,8 @@ func TestZScoreConstantHistoryDegenerate(t *testing.T) {
 		t.Error("any deviation from constant history should flag")
 	}
 	// Finite by contract: Inf would fail JSON encoding of signals.
-	if d.Score() != DegenerateScore {
-		t.Errorf("score = %v; want DegenerateScore", d.Score())
+	if d.Score() != degenerateScore {
+		t.Errorf("score = %v; want degenerateScore", d.Score())
 	}
 }
 
@@ -221,7 +221,7 @@ func TestWindowedSeriesAggregation(t *testing.T) {
 
 func TestWindowedSeriesSumAggAndOutlier(t *testing.T) {
 	z := NewZScore()
-	s := &WindowedSeries{WindowSec: 900, Det: z, Agg: AggSum}
+	s := &WindowedSeries{WindowSec: 900, Det: z, Agg: func(sum float64, n int) float64 { return sum }}
 	// 30 windows, 3 observations each summing to 3.
 	for w := int64(0); w < 30; w++ {
 		for k := int64(0); k < 3; k++ {
@@ -257,9 +257,9 @@ func TestChooseWindow(t *testing.T) {
 		times = append(times, i*900+10)
 	}
 	now := int64(25 * 900)
-	w, ok := ChooseWindow(times, now, nil)
+	w, ok := ChooseWindowMin(times, now, nil, 1)
 	if !ok || w != 900 {
-		t.Fatalf("ChooseWindow = %d,%v; want 900", w, ok)
+		t.Fatalf("ChooseWindowMin = %d,%v; want 900", w, ok)
 	}
 	// One observation every hour → 900 fails, 3600 works.
 	times = nil
@@ -267,13 +267,13 @@ func TestChooseWindow(t *testing.T) {
 		times = append(times, i*3600+17)
 	}
 	now = 30 * 3600
-	w, ok = ChooseWindow(times, now, nil)
+	w, ok = ChooseWindowMin(times, now, nil, 1)
 	if !ok || w != 3600 {
-		t.Fatalf("ChooseWindow hourly = %d,%v; want 3600", w, ok)
+		t.Fatalf("ChooseWindowMin hourly = %d,%v; want 3600", w, ok)
 	}
 	// Too sparse for any ladder entry → not monitorable.
 	times = []int64{0, 1000000}
-	if _, ok := ChooseWindow(times, 2000000, nil); ok {
+	if _, ok := ChooseWindowMin(times, 2000000, nil, 1); ok {
 		t.Error("sparse series should not be monitorable")
 	}
 }

@@ -39,7 +39,7 @@ func scenarioSeries() [][]byte {
 // FuzzZScoreDegenerate drives arbitrary byte-derived series through the
 // modified-z detector, pinning the degenerate constant-history contract:
 // Add never panics, Score is never NaN or negative, an outlier verdict
-// always carries a positive score, and DegenerateScore appears only once
+// always carries a positive score, and degenerateScore appears only once
 // the detector is ready.
 func FuzzZScoreDegenerate(f *testing.F) {
 	for _, seed := range scenarioSeries() {
@@ -63,7 +63,7 @@ func FuzzZScoreDegenerate(f *testing.F) {
 			if out && len(d.hist) < MinObservations {
 				t.Fatalf("step %d: outlier before MinObservations history", i)
 			}
-			if s == DegenerateScore && !out {
+			if s == degenerateScore && !out {
 				t.Fatalf("step %d: degenerate score without outlier verdict", i)
 			}
 		}

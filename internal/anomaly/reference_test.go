@@ -7,7 +7,7 @@ import (
 )
 
 // The bitmap detector as it stood before it was bounded (unbounded hist and
-// scores slices resliced at 4x DefaultMaxHistory, heap bitmaps, breakpoints
+// scores slices resliced at 4x defaultMaxHistory, heap bitmaps, breakpoints
 // in a map), kept verbatim as the reference the bounded detector must match
 // bit for bit: signals are content-addressed and digested, so a score that
 // differs in its last ulp is a different signal stream.
@@ -94,9 +94,9 @@ func (d *refBitmapDetector) Add(v float64) bool {
 		d.hist = append(d.hist, v)
 		d.scores = append(d.scores, 0)
 		d.lastScore = 0
-		if len(d.hist) > 4*DefaultMaxHistory {
-			d.hist = d.hist[len(d.hist)-2*DefaultMaxHistory:]
-			d.scores = d.scores[len(d.scores)-2*DefaultMaxHistory:]
+		if len(d.hist) > 4*defaultMaxHistory {
+			d.hist = d.hist[len(d.hist)-2*defaultMaxHistory:]
+			d.scores = d.scores[len(d.scores)-2*defaultMaxHistory:]
 		}
 		return false
 	}
@@ -126,11 +126,11 @@ func (d *refBitmapDetector) Add(v float64) bool {
 		return true
 	}
 	d.scores = append(d.scores, d.lastScore)
-	if len(d.scores) > 4*DefaultMaxHistory {
-		d.scores = d.scores[len(d.scores)-2*DefaultMaxHistory:]
+	if len(d.scores) > 4*defaultMaxHistory {
+		d.scores = d.scores[len(d.scores)-2*defaultMaxHistory:]
 	}
-	if len(d.hist) > 4*DefaultMaxHistory {
-		d.hist = d.hist[len(d.hist)-2*DefaultMaxHistory:]
+	if len(d.hist) > 4*defaultMaxHistory {
+		d.hist = d.hist[len(d.hist)-2*defaultMaxHistory:]
 	}
 	return false
 }
@@ -254,7 +254,7 @@ func (p *bitmapPair) add(t testing.TB, v float64) {
 }
 
 func TestBitmapMatchesReferenceTable(t *testing.T) {
-	const long = 4*DefaultMaxHistory*3 + 57 // the trim fires several times
+	const long = 4*defaultMaxHistory*3 + 57 // the trim fires several times
 	cases := []struct {
 		name   string
 		series func(i int, r *rand.Rand) float64
@@ -307,9 +307,9 @@ func TestBitmapMatchesReferenceTable(t *testing.T) {
 	// One outlier at every position from MinObservations on, then a tail
 	// long enough for the detector to recover and for a trim to fire.
 	t.Run("outlier at every position", func(t *testing.T) {
-		for pos := MinObservations; pos < 4*DefaultMaxHistory+40; pos++ {
+		for pos := MinObservations; pos < 4*defaultMaxHistory+40; pos++ {
 			p := newBitmapPair(0, 0, 0)
-			for i := 0; i < pos+2*DefaultMaxHistory; i++ {
+			for i := 0; i < pos+2*defaultMaxHistory; i++ {
 				v := 1.0
 				if i == pos {
 					v = 9

@@ -13,7 +13,7 @@ type WindowedSeries struct {
 	// window.
 	Det Detector
 	// Agg chooses how multiple observations in one window combine;
-	// AggMean if nil.
+	// aggMean if nil.
 	Agg func(sum float64, n int) float64
 
 	started bool
@@ -32,11 +32,8 @@ func (s *WindowedSeries) First() (float64, bool) { return s.first, s.hasFirst }
 // Last returns the most recent completed non-empty window's aggregate.
 func (s *WindowedSeries) Last() (float64, bool) { return s.last, s.hasLast }
 
-// AggMean averages the observations in a window.
-func AggMean(sum float64, n int) float64 { return sum / float64(n) }
-
-// AggSum totals the observations in a window (for count series like U_i).
-func AggSum(sum float64, n int) float64 { return sum }
+// aggMean averages the observations in a window.
+func aggMean(sum float64, n int) float64 { return sum / float64(n) }
 
 // Outlier describes a flagged window.
 type Outlier struct {
@@ -88,7 +85,7 @@ func (s *WindowedSeries) flushTo(idx int64) []Outlier {
 	if s.curN > 0 {
 		agg := s.Agg
 		if agg == nil {
-			agg = AggMean
+			agg = aggMean
 		}
 		v := agg(s.curSum, s.curN)
 		if !s.hasFirst {
@@ -111,27 +108,22 @@ func (s *WindowedSeries) flushTo(idx int64) []Outlier {
 // Ready reports whether the underlying detector has enough history.
 func (s *WindowedSeries) Ready() bool { return s.Det.Ready() }
 
-// WindowLadder is the set of candidate window durations used to auto-size
+// windowLadder is the set of candidate window durations used to auto-size
 // traceroute-derived series (§4.2.1): minimum 15 minutes (the BGP window),
 // maximum 24 hours (bounding accumulation to 20 days of data).
-var WindowLadder = []int64{900, 1800, 3600, 7200, 14400, 28800, 43200, 86400}
+var windowLadder = []int64{900, 1800, 3600, 7200, 14400, 28800, 43200, 86400}
 
-// ChooseWindow selects the smallest window duration from ladder such that
-// the most recent 20 consecutive windows ending at `now` each contain at
-// least minPer of the given observation timestamps (minPer < 1 is treated
-// as 1). It returns false when even the largest window cannot produce 20
-// consecutive populated windows, in which case the subpath is not
-// considered for staleness inference (§4.2.1). Requiring more than one
+// ChooseWindowMin selects the smallest window duration from ladder such
+// that the most recent 20 consecutive windows ending at `now` each contain
+// at least minPer of the given observation timestamps (minPer < 1 is
+// treated as 1). It returns false when even the largest window cannot
+// produce 20 consecutive populated windows, in which case the subpath is
+// not considered for staleness inference (§4.2.1). Requiring more than one
 // observation per window keeps the per-window ratio from degenerating into
 // single-coin-flip noise.
-func ChooseWindow(times []int64, now int64, ladder []int64) (int64, bool) {
-	return ChooseWindowMin(times, now, ladder, 1)
-}
-
-// ChooseWindowMin is ChooseWindow with an explicit per-window minimum.
 func ChooseWindowMin(times []int64, now int64, ladder []int64, minPer int) (int64, bool) {
 	if len(ladder) == 0 {
-		ladder = WindowLadder
+		ladder = windowLadder
 	}
 	if minPer < 1 {
 		minPer = 1

@@ -31,9 +31,9 @@ type Timeline struct {
 	Obs []PathObservation
 }
 
-// At returns the latest observation at or before t (the first observation
+// at returns the latest observation at or before t (the first observation
 // for earlier times).
-func (tl *Timeline) At(t int64) PathObservation {
+func (tl *Timeline) at(t int64) PathObservation {
 	idx := sort.Search(len(tl.Obs), func(i int) bool { return tl.Obs[i].Time > t })
 	if idx == 0 {
 		return tl.Obs[0]
@@ -41,20 +41,20 @@ func (tl *Timeline) At(t int64) PathObservation {
 	return tl.Obs[idx-1]
 }
 
-// Change is one ground-truth path change.
-type Change struct {
+// change is one ground-truth path change.
+type change struct {
 	Key  traceroute.Key
 	Time int64
 	From PathObservation
 	To   PathObservation
 }
 
-// Changes lists the timeline's transitions.
-func (tl *Timeline) Changes() []Change {
-	var out []Change
+// changes lists the timeline's transitions.
+func (tl *Timeline) changes() []change {
+	var out []change
 	for i := 1; i < len(tl.Obs); i++ {
 		if tl.Obs[i].PathID != tl.Obs[i-1].PathID {
-			out = append(out, Change{
+			out = append(out, change{
 				Key: tl.Key, Time: tl.Obs[i].Time,
 				From: tl.Obs[i-1], To: tl.Obs[i],
 			})
@@ -93,7 +93,7 @@ func (o *Oracle) Keys() []traceroute.Key { return o.keys }
 func (o *Oracle) TotalChanges(start, end int64) int {
 	n := 0
 	for _, tl := range o.Timelines {
-		for _, c := range tl.Changes() {
+		for _, c := range tl.changes() {
 			if c.Time >= start && c.Time < end {
 				n++
 			}
@@ -118,9 +118,9 @@ type View struct {
 	PacketsSpent float64
 }
 
-// NewView initializes strategy state at the emulation start: every pair's
+// newView initializes strategy state at the emulation start: every pair's
 // initial measurement is known (the corpus exists at t0).
-func NewView(o *Oracle, start int64, seed int64) *View {
+func newView(o *Oracle, start int64, seed int64) *View {
 	v := &View{
 		oracle:   o,
 		lastSeen: make(map[traceroute.Key]PathObservation, len(o.keys)),
@@ -128,29 +128,23 @@ func NewView(o *Oracle, start int64, seed int64) *View {
 		seed:     seed,
 	}
 	for _, k := range o.keys {
-		v.lastSeen[k] = o.Timelines[k].At(start)
+		v.lastSeen[k] = o.Timelines[k].at(start)
 		v.lastTime[k] = start
 	}
 	return v
 }
 
-// LastSeen returns the strategy's current belief for the pair.
-func (v *View) LastSeen(k traceroute.Key) PathObservation { return v.lastSeen[k] }
-
-// LastMeasured returns when the strategy last measured the pair.
-func (v *View) LastMeasured(k traceroute.Key) int64 { return v.lastTime[k] }
-
-// ProbeChanged emulates one DTRACK detection probe (one packet): it probes
+// probeChanged emulates one DTRACK detection probe (one packet): it probes
 // a single varying hop and notices a change only if that hop differs. A
 // border-level change touches a small share of a path's hops, so a single
 // probe detects it with probability ~0.3; deterministic per (pair, time).
-func (v *View) ProbeChanged(k traceroute.Key, now int64) bool {
+func (v *View) probeChanged(k traceroute.Key, now int64) bool {
 	return v.probeChangedSalted(k, now, 0)
 }
 
 func (v *View) probeChangedSalted(k traceroute.Key, now, salt int64) bool {
 	v.PacketsSpent++
-	cur := v.oracle.Timelines[k].At(now)
+	cur := v.oracle.Timelines[k].at(now)
 	if cur.PathID == v.lastSeen[k].PathID {
 		return false
 	}
@@ -168,7 +162,7 @@ func (v *View) probeChangedSalted(k traceroute.Key, now, salt int64) bool {
 func (v *View) Measure(k traceroute.Key, now int64) (prev, cur PathObservation) {
 	v.PacketsSpent += TraceroutePackets
 	prev = v.lastSeen[k]
-	cur = v.oracle.Timelines[k].At(now)
+	cur = v.oracle.Timelines[k].at(now)
 	v.lastSeen[k] = cur
 	v.lastTime[k] = now
 	return prev, cur
@@ -206,10 +200,15 @@ func (r Result) Fraction() float64 {
 // and an average per-path probing rate in packets per second (Fig 8's
 // x-axis).
 func Evaluate(o *Oracle, s Strategy, start, end, step int64, ppsPerPath float64) Result {
-	v := NewView(o, start, 1)
+	v := newView(o, start, 1)
 	res := Result{Strategy: s.Name(), Total: o.TotalChanges(start, end)}
 	detected := make(map[traceroute.Key]map[int64]bool)
 	credit := func(k traceroute.Key, t int64) {
+		// Total counts changes in [start, end); the last step measures at
+		// end itself, so a change exactly at end is outside the run.
+		if t < start || t >= end {
+			return
+		}
 		if detected[k] == nil {
 			detected[k] = make(map[int64]bool)
 		}
@@ -231,7 +230,7 @@ func Evaluate(o *Oracle, s Strategy, start, end, step int64, ppsPerPath float64)
 			// Credit the latest change in (lastT, now]; earlier overwritten
 			// changes are missed, as in the paper's emulation.
 			tl := o.Timelines[k]
-			chs := tl.Changes()
+			chs := tl.changes()
 			for i := len(chs) - 1; i >= 0; i-- {
 				if chs[i].Time > lastT && chs[i].Time <= now {
 					credit(k, chs[i].Time)
@@ -316,7 +315,7 @@ func (s *Sibyl) Patch(k traceroute.Key, prev, cur PathObservation, now int64, v 
 			continue
 		}
 		seen := v.lastSeen[ok]
-		truth := v.oracle.Timelines[ok].At(now)
+		truth := v.oracle.Timelines[ok].at(now)
 		if truth.PathID == seen.PathID {
 			continue
 		}
@@ -330,7 +329,7 @@ func (s *Sibyl) Patch(k traceroute.Key, prev, cur PathObservation, now int64, v 
 		lastT := v.lastTime[ok]
 		v.lastSeen[ok] = truth
 		v.lastTime[ok] = now
-		chs := v.oracle.Timelines[ok].Changes()
+		chs := v.oracle.Timelines[ok].changes()
 		for i := len(chs) - 1; i >= 0; i-- {
 			if chs[i].Time > lastT && chs[i].Time <= now {
 				out = append(out, patchCredit{key: ok, changeTime: chs[i].Time})
@@ -514,7 +513,7 @@ func (s *Signals) Step(now int64, packets float64, v *View) []traceroute.Key {
 		if budget < TraceroutePackets {
 			break
 		}
-		lastM := v.LastMeasured(k)
+		lastM := v.lastTime[k]
 		for _, t := range s.Feed[k] {
 			if t > lastM && t <= now {
 				out = append(out, k)
@@ -534,9 +533,9 @@ func (s *Signals) Step(now int64, packets float64, v *View) []traceroute.Key {
 func EvaluateSignalsMatched(o *Oracle, feed SignalFeed, matchWindow, start, end, step int64, ppsPerPath float64) Result {
 	res := Result{Strategy: "signals", Total: o.TotalChanges(start, end)}
 	// Per-pair signal cursor and change list.
-	changes := make(map[traceroute.Key][]Change)
+	changes := make(map[traceroute.Key][]change)
 	for k, tl := range o.Timelines {
-		changes[k] = tl.Changes()
+		changes[k] = tl.changes()
 	}
 	credited := make(map[traceroute.Key]map[int64]bool)
 	cursor := make(map[traceroute.Key]int)
@@ -562,6 +561,9 @@ func EvaluateSignalsMatched(o *Oracle, feed SignalFeed, matchWindow, start, end,
 			// Match the signal to a change within the tolerance window.
 			sigT := now - step/2
 			for _, c := range changes[k] {
+				if c.Time < start || c.Time >= end {
+					continue
+				}
 				if c.Time >= sigT-matchWindow-step && c.Time <= sigT+matchWindow+step {
 					if credited[k] == nil {
 						credited[k] = make(map[int64]bool)
@@ -585,7 +587,7 @@ func MatchOptimal(o *Oracle, feed SignalFeed, window int64, start, end int64) Re
 	res := Result{Strategy: "optimal-signals", Total: o.TotalChanges(start, end)}
 	for k, tl := range o.Timelines {
 		sigTimes := feed[k]
-		for _, c := range tl.Changes() {
+		for _, c := range tl.changes() {
 			if c.Time < start || c.Time >= end {
 				continue
 			}
@@ -628,7 +630,7 @@ func (ds *DTrackSignals) Step(now int64, packets float64, v *View) []traceroute.
 			break
 		}
 		budget--
-		if v.ProbeChanged(k, now) || v.ProbeChanged(k, now+1) {
+		if v.probeChanged(k, now) || v.probeChanged(k, now+1) {
 			if budget >= TraceroutePackets {
 				budget -= TraceroutePackets
 				remaps = append(remaps, k)

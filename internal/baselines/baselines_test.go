@@ -47,19 +47,19 @@ func key(i int) traceroute.Key { return traceroute.Key{Src: uint32(i + 1), Dst: 
 func TestTimelineAtAndChanges(t *testing.T) {
 	o := synthOracle(1, 2, map[int][]int64{0: {3600, 7200}})
 	tl := o.Timelines[key(0)]
-	if tl.At(0).PathID != 0 {
+	if tl.at(0).PathID != 0 {
 		t.Error("initial path id")
 	}
-	if tl.At(3600).PathID != 1 {
-		t.Errorf("At(3600) = %d; want 1", tl.At(3600).PathID)
+	if tl.at(3600).PathID != 1 {
+		t.Errorf("At(3600) = %d; want 1", tl.at(3600).PathID)
 	}
-	if tl.At(1e9).PathID != 2 {
+	if tl.at(1e9).PathID != 2 {
 		t.Error("late At should be final path")
 	}
-	if tl.At(-5).PathID != 0 {
+	if tl.at(-5).PathID != 0 {
 		t.Error("pre-start At should be first obs")
 	}
-	chs := tl.Changes()
+	chs := tl.changes()
 	if len(chs) != 2 || chs[0].Time != 3600 || chs[1].Time != 7200 {
 		t.Fatalf("changes = %+v", chs)
 	}
@@ -73,7 +73,7 @@ func TestTimelineAtAndChanges(t *testing.T) {
 
 func TestRoundRobinBudget(t *testing.T) {
 	o := synthOracle(10, 1, nil)
-	v := NewView(o, 0, 1)
+	v := newView(o, 0, 1)
 	rr := &RoundRobin{}
 	// Budget for exactly 3 traceroutes per step.
 	got := rr.Step(900, 3*TraceroutePackets, v)
@@ -239,12 +239,12 @@ func TestApproxExp(t *testing.T) {
 
 func TestViewMeasureUpdatesState(t *testing.T) {
 	o := synthOracle(2, 2, map[int][]int64{0: {3600}})
-	v := NewView(o, 0, 1)
+	v := newView(o, 0, 1)
 	prev, cur := v.Measure(key(0), 7200)
 	if prev.PathID != 0 || cur.PathID != 1 {
 		t.Fatalf("measure = %d -> %d", prev.PathID, cur.PathID)
 	}
-	if v.LastSeen(key(0)).PathID != 1 || v.LastMeasured(key(0)) != 7200 {
+	if v.lastSeen[key(0)].PathID != 1 || v.lastTime[key(0)] != 7200 {
 		t.Fatal("view state not updated")
 	}
 	if v.PacketsSpent != TraceroutePackets {
@@ -254,14 +254,14 @@ func TestViewMeasureUpdatesState(t *testing.T) {
 
 func TestProbeChangedOnlyWhenChanged(t *testing.T) {
 	o := synthOracle(1, 2, map[int][]int64{0: {3600}})
-	v := NewView(o, 0, 1)
-	if v.ProbeChanged(key(0), 1800) {
+	v := newView(o, 0, 1)
+	if v.probeChanged(key(0), 1800) {
 		t.Fatal("probe detected change before it happened")
 	}
 	// After the change, repeated probes eventually detect (p=1/2 each).
 	hit := false
 	for i := int64(0); i < 20; i++ {
-		if v.ProbeChanged(key(0), 7200+i) {
+		if v.probeChanged(key(0), 7200+i) {
 			hit = true
 			break
 		}
@@ -296,5 +296,45 @@ func TestEvaluateSignalsMatched(t *testing.T) {
 	r0 := EvaluateSignalsMatched(o, feed, 1800, 0, 5*86400, 3600, 0)
 	if r0.Detected != 0 || r0.Measurements != 0 {
 		t.Fatalf("zero budget: %+v", r0)
+	}
+}
+
+// TestFractionNeverExceedsOne pins the run boundary: Total counts changes
+// in [start, end), and no strategy may credit a change outside it. Every
+// pair here also changes exactly at end, which the last step (now == end)
+// measures; crediting it would push the fraction above 1. Signals fire at
+// end too, inside every matching window.
+func TestFractionNeverExceedsOne(t *testing.T) {
+	const start, end, step = 0, 86400, 3600
+	changes := map[int][]int64{
+		0: {3600, end}, // pairs 0 and 1 share borders: Sibyl patches
+		1: {end},
+		2: {43200, end},
+	}
+	o := synthOracle(3, 2, changes)
+	feed := SignalFeed{
+		key(0): {3600, end},
+		key(1): {end},
+		key(2): {43200, end},
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() Result
+	}{
+		{"round-robin", func() Result { return Evaluate(o, &RoundRobin{}, start, end, step, 1) }},
+		{"sibyl", func() Result { return Evaluate(o, &Sibyl{}, start, end, step, 1) }},
+		{"dtrack", func() Result { return Evaluate(o, NewDTrack(), start, end, step, 1) }},
+		{"signals", func() Result { return EvaluateSignalsMatched(o, feed, 1800, start, end, step, 1) }},
+		{"signals strategy", func() Result { return Evaluate(o, &Signals{Feed: feed}, start, end, step, 1) }},
+		{"dtrack+signals", func() Result { return Evaluate(o, NewDTrackSignals(feed), start, end, step, 1) }},
+		{"optimal-signals", func() Result { return MatchOptimal(o, feed, 1800, start, end) }},
+	} {
+		r := tc.run()
+		if r.Total != 2 {
+			t.Fatalf("%s: total = %d; want the 2 changes inside [start, end)", tc.name, r.Total)
+		}
+		if f := r.Fraction(); f > 1 {
+			t.Errorf("%s: fraction %.3f (%d/%d) exceeds 1", tc.name, f, r.Detected, r.Total)
+		}
 	}
 }

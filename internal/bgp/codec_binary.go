@@ -31,8 +31,8 @@ const (
 	binaryVersion = 1
 )
 
-// ErrBadMagic indicates a corrupt or misaligned binary stream.
-var ErrBadMagic = errors.New("bgp: bad magic in binary stream")
+// errBadMagic indicates a corrupt or misaligned binary stream.
+var errBadMagic = errors.New("bgp: bad magic in binary stream")
 
 // BinaryWriter serializes updates in the framed binary format.
 type BinaryWriter struct {
@@ -121,7 +121,7 @@ func (br *BinaryReader) Read() (Update, error) {
 		return u, unexpectedEOF(err)
 	}
 	if binary.BigEndian.Uint16(hdr[0:2]) != binaryMagic {
-		return u, ErrBadMagic
+		return u, errBadMagic
 	}
 	if hdr[2] != binaryVersion {
 		return u, fmt.Errorf("bgp: unsupported binary version %d", hdr[2])

@@ -102,8 +102,8 @@ func TestBinaryTruncation(t *testing.T) {
 
 func TestBinaryBadMagic(t *testing.T) {
 	r := NewBinaryReader(bytes.NewReader([]byte{0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 0}))
-	if _, err := r.Read(); err != ErrBadMagic {
-		t.Fatalf("want ErrBadMagic, got %v", err)
+	if _, err := r.Read(); err != errBadMagic {
+		t.Fatalf("want errBadMagic, got %v", err)
 	}
 }
 

@@ -125,14 +125,14 @@ func (tr *TextReader) Read() (Update, error) {
 			u.PeerIP, u.PeerAS = ip, ASN(as)
 			sawFrom = true
 		case "ASPATH":
-			p, err := ParsePath(val)
+			p, err := parsePath(val)
 			if err != nil {
 				return u, fmt.Errorf("bgp: text line %d: %v", tr.line, err)
 			}
 			u.ASPath = p
 		case "COMMUNITY":
 			for _, tok := range strings.Fields(val) {
-				c, err := ParseCommunity(tok)
+				c, err := parseCommunity(tok)
 				if err != nil {
 					return u, fmt.Errorf("bgp: text line %d: %v", tr.line, err)
 				}

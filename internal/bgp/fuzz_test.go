@@ -12,7 +12,7 @@ import (
 
 // Native fuzz targets for every decoder that consumes third-party bytes:
 // the MRT and framed-binary codecs, the text codec, and the string parsers
-// ParsePath/ParseCommunity. Beyond "no panic", each target checks the
+// parsePath/parseCommunity. Beyond "no panic", each target checks the
 // codec's contract: truncation classifies as io.ErrUnexpectedEOF (or this
 // codec's structural error), never a silent success, and anything that
 // parses must survive a write→re-read round trip unchanged — the
@@ -117,7 +117,7 @@ func FuzzBinaryReader(f *testing.F) {
 				if err == io.EOF {
 					break
 				}
-				if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, ErrBadMagic) {
+				if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, errBadMagic) {
 					return
 				}
 				return // structural error: fine, as long as it didn't panic
@@ -211,12 +211,12 @@ func FuzzParsePath(f *testing.F) {
 	f.Add("4294967295")
 	f.Add("4294967296") // overflows uint32: must error, not wrap
 	f.Fuzz(func(t *testing.T, s string) {
-		p, err := ParsePath(s)
+		p, err := parsePath(s)
 		if err != nil {
 			return
 		}
 		// Round trip through the canonical rendering.
-		q, err := ParsePath(p.String())
+		q, err := parsePath(p.String())
 		if err != nil {
 			t.Fatalf("re-parse of %q failed: %v", p.String(), err)
 		}
@@ -240,11 +240,11 @@ func FuzzParseCommunity(f *testing.F) {
 	f.Add(":")
 	f.Add("no-colon")
 	f.Fuzz(func(t *testing.T, s string) {
-		c, err := ParseCommunity(s)
+		c, err := parseCommunity(s)
 		if err != nil {
 			return
 		}
-		q, err := ParseCommunity(c.String())
+		q, err := parseCommunity(c.String())
 		if err != nil {
 			t.Fatalf("re-parse of %q failed: %v", c.String(), err)
 		}

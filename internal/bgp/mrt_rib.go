@@ -22,8 +22,8 @@ const (
 	tdv2RIBIPv4Unicast = 2
 )
 
-// RIBDumpWriter produces a TABLE_DUMP_V2 archive from per-peer routes.
-type RIBDumpWriter struct {
+// ribDumpWriter produces a TABLE_DUMP_V2 archive from per-peer routes.
+type ribDumpWriter struct {
 	w       *bufio.Writer
 	peers   []VPKey
 	peerIdx map[VPKey]uint16
@@ -33,17 +33,17 @@ type RIBDumpWriter struct {
 	DumpTime int64
 }
 
-// NewRIBDumpWriter prepares a writer for the given peer set (the peer index
+// newRIBDumpWriter prepares a writer for the given peer set (the peer index
 // table is emitted before the first RIB record).
-func NewRIBDumpWriter(w io.Writer, peers []VPKey) *RIBDumpWriter {
+func newRIBDumpWriter(w io.Writer, peers []VPKey) *ribDumpWriter {
 	idx := make(map[VPKey]uint16, len(peers))
 	for i, p := range peers {
 		idx[p] = uint16(i)
 	}
-	return &RIBDumpWriter{w: bufio.NewWriter(w), peers: peers, peerIdx: idx}
+	return &ribDumpWriter{w: bufio.NewWriter(w), peers: peers, peerIdx: idx}
 }
 
-func (dw *RIBDumpWriter) record(subtype uint16, body []byte) error {
+func (dw *ribDumpWriter) record(subtype uint16, body []byte) error {
 	var hdr [12]byte
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(dw.DumpTime))
 	binary.BigEndian.PutUint16(hdr[4:6], mrtTypeTableDumpV2)
@@ -56,7 +56,7 @@ func (dw *RIBDumpWriter) record(subtype uint16, body []byte) error {
 	return err
 }
 
-func (dw *RIBDumpWriter) writeIndex() error {
+func (dw *ribDumpWriter) writeIndex() error {
 	body := make([]byte, 0, 8+len(dw.peers)*11)
 	var tmp [4]byte
 	binary.BigEndian.PutUint32(tmp[:], 0xc0a80001) // collector BGP ID
@@ -79,8 +79,8 @@ func (dw *RIBDumpWriter) writeIndex() error {
 	return dw.record(tdv2PeerIndexTable, body)
 }
 
-// RIBEntry is one peer's route to the record's prefix.
-type RIBEntry struct {
+// ribEntry is one peer's route to the record's prefix.
+type ribEntry struct {
 	Peer        VPKey
 	Originated  int64
 	ASPath      Path
@@ -88,8 +88,8 @@ type RIBEntry struct {
 	MED         uint32
 }
 
-// WritePrefix emits one RIB_IPV4_UNICAST record with the given entries.
-func (dw *RIBDumpWriter) WritePrefix(p trie.Prefix, entries []RIBEntry) error {
+// writePrefix emits one RIB_IPV4_UNICAST record with the given entries.
+func (dw *ribDumpWriter) writePrefix(p trie.Prefix, entries []ribEntry) error {
 	if !dw.wroteIx {
 		if err := dw.writeIndex(); err != nil {
 			return err
@@ -125,7 +125,7 @@ func (dw *RIBDumpWriter) WritePrefix(p trie.Prefix, entries []RIBEntry) error {
 	return dw.record(tdv2RIBIPv4Unicast, body)
 }
 
-func encodeRIBAttrs(e RIBEntry) ([]byte, error) {
+func encodeRIBAttrs(e ribEntry) ([]byte, error) {
 	var attrs []byte
 	var err error
 	if attrs, err = appendAttr(attrs, attrOrigin, []byte{0}); err != nil {
@@ -175,15 +175,15 @@ func encodeRIBAttrs(e RIBEntry) ([]byte, error) {
 }
 
 // Flush flushes the underlying buffer.
-func (dw *RIBDumpWriter) Flush() error { return dw.w.Flush() }
+func (dw *ribDumpWriter) Flush() error { return dw.w.Flush() }
 
 // WriteRIBDump serializes an entire RIB as a TABLE_DUMP_V2 archive.
 func WriteRIBDump(w io.Writer, rib *RIB, dumpTime int64) error {
 	peers := rib.VPs()
-	dw := NewRIBDumpWriter(w, peers)
+	dw := newRIBDumpWriter(w, peers)
 	dw.DumpTime = dumpTime
 	// Gather prefixes across peers.
-	byPrefix := make(map[trie.Prefix][]RIBEntry)
+	byPrefix := make(map[trie.Prefix][]ribEntry)
 	var order []trie.Prefix
 	for _, vp := range peers {
 		for _, p := range rib.Prefixes(vp) {
@@ -194,14 +194,14 @@ func WriteRIBDump(w io.Writer, rib *RIB, dumpTime int64) error {
 			if _, seen := byPrefix[p]; !seen {
 				order = append(order, p)
 			}
-			byPrefix[p] = append(byPrefix[p], RIBEntry{
+			byPrefix[p] = append(byPrefix[p], ribEntry{
 				Peer: vp, Originated: rt.Updated,
 				ASPath: rt.ASPath, Communities: rt.Communities, MED: rt.MED,
 			})
 		}
 	}
 	for _, p := range order {
-		if err := dw.WritePrefix(p, byPrefix[p]); err != nil {
+		if err := dw.writePrefix(p, byPrefix[p]); err != nil {
 			return err
 		}
 	}

@@ -236,8 +236,8 @@ func TestRIBDumpRoundTrip(t *testing.T) {
 
 func TestRIBDumpUnknownPeerRejected(t *testing.T) {
 	var buf bytes.Buffer
-	dw := NewRIBDumpWriter(&buf, []VPKey{{PeerIP: 1, PeerAS: 2}})
-	err := dw.WritePrefix(trie.MakePrefix(0x0a000000, 8), []RIBEntry{
+	dw := newRIBDumpWriter(&buf, []VPKey{{PeerIP: 1, PeerAS: 2}})
+	err := dw.writePrefix(trie.MakePrefix(0x0a000000, 8), []ribEntry{
 		{Peer: VPKey{PeerIP: 9, PeerAS: 9}, ASPath: Path{9}},
 	})
 	if err == nil {
@@ -248,9 +248,9 @@ func TestRIBDumpUnknownPeerRejected(t *testing.T) {
 func TestRIBDumpReaderRejectsOrphanRecord(t *testing.T) {
 	// A RIB record with no preceding peer index table is an error.
 	var buf bytes.Buffer
-	dw := NewRIBDumpWriter(&buf, []VPKey{{PeerIP: 1, PeerAS: 2}})
+	dw := newRIBDumpWriter(&buf, []VPKey{{PeerIP: 1, PeerAS: 2}})
 	dw.DumpTime = 5
-	if err := dw.WritePrefix(trie.MakePrefix(0x0a000000, 8), []RIBEntry{
+	if err := dw.writePrefix(trie.MakePrefix(0x0a000000, 8), []ribEntry{
 		{Peer: VPKey{PeerIP: 1, PeerAS: 2}, ASPath: Path{2}},
 	}); err != nil {
 		t.Fatal(err)

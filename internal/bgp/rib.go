@@ -171,23 +171,6 @@ func (r *RIB) VPs() []VPKey {
 	return out
 }
 
-// VPsWithRouteTo returns the VPs whose current route covers ip, sorted.
-func (r *RIB) VPsWithRouteTo(ip uint32) []VPKey {
-	var out []VPKey
-	for vp, tbl := range r.tables {
-		if _, ok := tbl.trie.Lookup(ip); ok {
-			out = append(out, vp)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].PeerIP != out[j].PeerIP {
-			return out[i].PeerIP < out[j].PeerIP
-		}
-		return out[i].PeerAS < out[j].PeerAS
-	})
-	return out
-}
-
 // FilterTooSpecific reports whether an update should be excluded because its
 // prefix is more specific than /24; such prefixes generally do not propagate
 // far and may indicate misconfiguration or blackholing (paper §4.1.1).

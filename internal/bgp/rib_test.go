@@ -120,9 +120,10 @@ func TestRIBVPsSortedAndFiltered(t *testing.T) {
 		t.Fatalf("VPs = %v", vps)
 	}
 	ip, _ := trie.ParseIP("10.9.9.9")
-	with := r.VPsWithRouteTo(ip)
-	if len(with) != 2 || with[0].PeerIP != 3 || with[1].PeerIP != 5 {
-		t.Fatalf("VPsWithRouteTo = %v", with)
+	for _, vp := range vps {
+		if _, ok := r.Lookup(vp, ip); ok != (vp.PeerIP != 4) {
+			t.Fatalf("Lookup(%v, 10.9.9.9) found = %v", vp, ok)
+		}
 	}
 }
 

@@ -42,8 +42,8 @@ func (c Community) String() string {
 	return fmt.Sprintf("%d:%d", uint32(c)>>16, uint16(c))
 }
 
-// ParseCommunity parses "AS:value" notation.
-func ParseCommunity(s string) (Community, error) {
+// parseCommunity parses "AS:value" notation.
+func parseCommunity(s string) (Community, error) {
 	colon := strings.IndexByte(s, ':')
 	if colon < 0 {
 		return 0, fmt.Errorf("bgp: bad community %q: missing colon", s)
@@ -139,22 +139,6 @@ func (p Path) HasLoop() bool {
 	return false
 }
 
-// Strip returns the path with every AS in remove deleted. It is used to
-// strip IXP route-server ASNs so that AS links span IXP members rather than
-// the IXP itself (paper §4.1.1).
-func (p Path) Strip(remove map[ASN]bool) Path {
-	if len(remove) == 0 {
-		return p.Clone()
-	}
-	out := make(Path, 0, len(p))
-	for _, a := range p {
-		if !remove[a] {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // Suffix returns the subpath from the first occurrence of as to the origin,
 // or nil if as is not on the path.
 func (p Path) Suffix(as ASN) Path {
@@ -175,8 +159,8 @@ func (p Path) String() string {
 	return strings.Join(parts, " ")
 }
 
-// ParsePath parses a space-separated list of ASNs.
-func ParsePath(s string) (Path, error) {
+// parsePath parses a space-separated list of ASNs.
+func parsePath(s string) (Path, error) {
 	fields := strings.Fields(s)
 	out := make(Path, 0, len(fields))
 	for _, f := range fields {
@@ -225,17 +209,6 @@ func (cs Communities) Clone() Communities {
 	}
 	out := make(Communities, len(cs))
 	copy(out, cs)
-	return out
-}
-
-// ByAS returns the subset of communities defined by as.
-func (cs Communities) ByAS(as ASN) Communities {
-	var out Communities
-	for _, c := range cs {
-		if c.AS() == as {
-			out = append(out, c)
-		}
-	}
 	return out
 }
 

@@ -16,13 +16,13 @@ func TestCommunityParts(t *testing.T) {
 }
 
 func TestParseCommunity(t *testing.T) {
-	c, err := ParseCommunity("13030:2")
+	c, err := parseCommunity("13030:2")
 	if err != nil || c != MakeCommunity(13030, 2) {
-		t.Errorf("ParseCommunity = %v, %v", c, err)
+		t.Errorf("parseCommunity = %v, %v", c, err)
 	}
 	for _, bad := range []string{"", "13030", "x:2", "13030:y", "70000:1", "1:70000"} {
-		if _, err := ParseCommunity(bad); err == nil {
-			t.Errorf("ParseCommunity(%q): want error", bad)
+		if _, err := parseCommunity(bad); err == nil {
+			t.Errorf("parseCommunity(%q): want error", bad)
 		}
 	}
 }
@@ -30,7 +30,7 @@ func TestParseCommunity(t *testing.T) {
 func TestQuickCommunityRoundTrip(t *testing.T) {
 	f := func(as uint16, v uint16) bool {
 		c := MakeCommunity(ASN(as), v)
-		q, err := ParseCommunity(c.String())
+		q, err := parseCommunity(c.String())
 		return err == nil && q == c
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -82,18 +82,6 @@ func TestPathHasLoop(t *testing.T) {
 	}
 }
 
-func TestPathStrip(t *testing.T) {
-	p := Path{1, 99, 2}
-	got := p.Strip(map[ASN]bool{99: true})
-	if !got.Equal(Path{1, 2}) {
-		t.Errorf("Strip = %v", got)
-	}
-	got = p.Strip(nil)
-	if !got.Equal(p) {
-		t.Errorf("Strip(nil) = %v", got)
-	}
-}
-
 func TestPathSuffix(t *testing.T) {
 	p := Path{1, 2, 3, 4}
 	if !p.Suffix(3).Equal(Path{3, 4}) {
@@ -106,14 +94,14 @@ func TestPathSuffix(t *testing.T) {
 
 func TestPathStringParseRoundTrip(t *testing.T) {
 	p := Path{13030, 1299, 2914, 18747}
-	got, err := ParsePath(p.String())
+	got, err := parsePath(p.String())
 	if err != nil || !got.Equal(p) {
 		t.Errorf("round trip = %v, %v", got, err)
 	}
-	if _, err := ParsePath("1 x 3"); err == nil {
+	if _, err := parsePath("1 x 3"); err == nil {
 		t.Error("want error for bad path")
 	}
-	empty, err := ParsePath("")
+	empty, err := parsePath("")
 	if err != nil || len(empty) != 0 {
 		t.Errorf("empty path parse = %v, %v", empty, err)
 	}
@@ -124,14 +112,6 @@ func TestNormalizeCommunities(t *testing.T) {
 	got := NormalizeCommunities(cs)
 	if !got.Equal(Communities{1, 2, 3}) {
 		t.Errorf("Normalize = %v", got)
-	}
-}
-
-func TestCommunitiesByAS(t *testing.T) {
-	cs := Communities{MakeCommunity(10, 1), MakeCommunity(20, 2), MakeCommunity(10, 3)}
-	got := cs.ByAS(10)
-	if len(got) != 2 {
-		t.Errorf("ByAS = %v", got)
 	}
 }
 

@@ -8,7 +8,6 @@ package bordermap
 
 import (
 	"fmt"
-	"sort"
 
 	"rrr/internal/bgp"
 	"rrr/internal/traceroute"
@@ -17,7 +16,7 @@ import (
 // AliasOracle resolves an interface address to an opaque router identifier.
 // The primary implementation is MIDAR-style alias resolution, which the
 // paper consumes as an external service; the simulator provides ground
-// truth. PassiveResolver offers a purely passive fallback.
+// truth.
 type AliasOracle interface {
 	RouterOf(ip uint32) (int, bool)
 }
@@ -156,35 +155,12 @@ func AppendBorderPath(out []BorderHop, t *traceroute.Traceroute, m traceroute.Ma
 	return out
 }
 
-// BorderKeys renders a border path as comparable keys.
-func BorderKeys(bs []BorderHop) []string {
-	out := make([]string, len(bs))
-	for i, b := range bs {
-		out[i] = b.Key()
-	}
-	return out
-}
-
-// EqualBorders reports whether two border paths cross the same routers in
-// the same order.
-func EqualBorders(a, b []BorderHop) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Key() != b[i].Key() {
-			return false
-		}
-	}
-	return true
-}
-
-// BorderLevelChanged compares two border paths tolerantly: crossings are
+// borderLevelChanged compares two border paths tolerantly: crossings are
 // aligned by AS pair, and only AS pairs visible in *both* paths can
 // indicate a change (crossings hidden by unresponsive hops act as
 // wildcards, per Appendix A). It reports true when some shared AS pair
 // crosses a different border router.
-func BorderLevelChanged(a, b []BorderHop) bool {
+func borderLevelChanged(a, b []BorderHop) bool {
 	am := routersByPair(a)
 	bm := routersByPair(b)
 	for pair, ra := range am {
@@ -248,111 +224,8 @@ func Classify(oldAS, newAS bgp.Path, oldB, newB []BorderHop) ChangeClass {
 	if !oldAS.Equal(newAS) {
 		return ASChange
 	}
-	if BorderLevelChanged(oldB, newB) {
+	if borderLevelChanged(oldB, newB) {
 		return BorderChange
 	}
 	return Unchanged
-}
-
-// PassiveResolver infers alias sets without probing: interfaces in the same
-// AS that appear between the same pair of neighbor interfaces across
-// different traceroutes are merged (they answer for the same position in
-// the topology). This is deliberately conservative; MIDAR-style active
-// resolution (the oracle) supersedes it when available.
-type PassiveResolver struct {
-	m       traceroute.Mapper
-	parent  map[uint32]uint32
-	between map[[2]uint32]uint32
-	ids     map[uint32]int
-	nextID  int
-}
-
-// NewPassiveResolver returns an empty resolver.
-func NewPassiveResolver(m traceroute.Mapper) *PassiveResolver {
-	return &PassiveResolver{
-		m:       m,
-		parent:  make(map[uint32]uint32),
-		between: make(map[[2]uint32]uint32),
-		ids:     make(map[uint32]int),
-		nextID:  1,
-	}
-}
-
-func (r *PassiveResolver) find(ip uint32) uint32 {
-	p, ok := r.parent[ip]
-	if !ok {
-		r.parent[ip] = ip
-		return ip
-	}
-	if p == ip {
-		return ip
-	}
-	root := r.find(p)
-	r.parent[ip] = root
-	return root
-}
-
-func (r *PassiveResolver) union(a, b uint32) {
-	ra, rb := r.find(a), r.find(b)
-	if ra != rb {
-		r.parent[rb] = ra
-	}
-}
-
-// Observe ingests one traceroute's evidence.
-func (r *PassiveResolver) Observe(t *traceroute.Traceroute) {
-	for i := 1; i+1 < len(t.Hops); i++ {
-		prev, mid, next := t.Hops[i-1], t.Hops[i], t.Hops[i+1]
-		if !prev.Responsive() || !mid.Responsive() || !next.Responsive() {
-			continue
-		}
-		key := [2]uint32{prev.IP, next.IP}
-		if other, ok := r.between[key]; ok && other != mid.IP {
-			// Same position between the same neighbors: only merge when
-			// both interfaces map into the same AS.
-			asA, okA := r.m.ASOf(other)
-			asB, okB := r.m.ASOf(mid.IP)
-			if okA && okB && asA == asB {
-				r.union(other, mid.IP)
-			}
-		} else {
-			r.between[key] = mid.IP
-		}
-		r.find(mid.IP)
-	}
-}
-
-// RouterOf implements AliasOracle over the inferred sets.
-func (r *PassiveResolver) RouterOf(ip uint32) (int, bool) {
-	if _, ok := r.parent[ip]; !ok {
-		return 0, false
-	}
-	root := r.find(ip)
-	id, ok := r.ids[root]
-	if !ok {
-		id = r.nextID
-		r.nextID++
-		r.ids[root] = id
-	}
-	return id, true
-}
-
-// Sets returns the inferred alias sets with at least two members, sorted
-// for deterministic inspection.
-func (r *PassiveResolver) Sets() [][]uint32 {
-	groups := make(map[uint32][]uint32)
-	for ip := range r.parent {
-		root := r.find(ip)
-		groups[root] = append(groups[root], ip)
-	}
-	var out [][]uint32
-	for _, g := range groups {
-		if len(g) < 2 {
-			continue
-		}
-		sort.Slice(g, func(i, j int) bool { return g[i] < g[j] })
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
 }

@@ -1,6 +1,7 @@
 package bordermap
 
 import (
+	"slices"
 	"testing"
 
 	"rrr/internal/bgp"
@@ -89,6 +90,15 @@ func TestBorderPathNoBorderSameAS(t *testing.T) {
 	}
 }
 
+// borderKeys renders a border path as the router keys it crosses, in order.
+func borderKeys(bs []BorderHop) []string {
+	out := make([]string, len(bs))
+	for i, b := range bs {
+		out[i] = b.Key()
+	}
+	return out
+}
+
 func TestBorderPathAliasResolution(t *testing.T) {
 	oracle := OracleFunc(func(v uint32) (int, bool) {
 		// 2.0.0.1 and 2.0.0.7 are the same router.
@@ -99,13 +109,13 @@ func TestBorderPathAliasResolution(t *testing.T) {
 	})
 	a := BorderPath(mk(t, "1.0.0.1", "1.0.0.2", "2.0.0.1"), octetMapper{}, oracle)
 	b := BorderPath(mk(t, "1.0.0.9", "1.0.0.8", "2.0.0.7"), octetMapper{}, oracle)
-	if !EqualBorders(a, b) {
-		t.Fatalf("alias-equal borders should match: %v vs %v", BorderKeys(a), BorderKeys(b))
+	if !slices.Equal(borderKeys(a), borderKeys(b)) {
+		t.Fatalf("alias-equal borders should match: %v vs %v", borderKeys(a), borderKeys(b))
 	}
 	// Without the oracle they differ by interface.
 	a = BorderPath(mk(t, "1.0.0.1", "1.0.0.2", "2.0.0.1"), octetMapper{}, nil)
 	b = BorderPath(mk(t, "1.0.0.9", "1.0.0.8", "2.0.0.7"), octetMapper{}, nil)
-	if EqualBorders(a, b) {
+	if slices.Equal(borderKeys(a), borderKeys(b)) {
 		t.Fatal("different interfaces without aliasing should differ")
 	}
 }
@@ -123,31 +133,6 @@ func TestClassify(t *testing.T) {
 	}
 	if c := Classify(asA, asA, bh1, bh1); c != Unchanged {
 		t.Errorf("unchanged = %v", c)
-	}
-}
-
-func TestPassiveResolverMergesSameASOnly(t *testing.T) {
-	r := NewPassiveResolver(octetMapper{})
-	// 2.0.0.1 and 2.0.0.2 both appear between 1.0.0.1 and 3.0.0.1: merge.
-	r.Observe(mk(t, "1.0.0.1", "2.0.0.1", "3.0.0.1"))
-	r.Observe(mk(t, "1.0.0.1", "2.0.0.2", "3.0.0.1"))
-	// 4.0.0.1 appears between the same pair but in another AS: no merge.
-	r.Observe(mk(t, "1.0.0.1", "4.0.0.1", "3.0.0.1"))
-	id1, ok1 := r.RouterOf(ip(t, "2.0.0.1"))
-	id2, ok2 := r.RouterOf(ip(t, "2.0.0.2"))
-	if !ok1 || !ok2 || id1 != id2 {
-		t.Fatalf("aliases not merged: %d,%v %d,%v", id1, ok1, id2, ok2)
-	}
-	id4, ok4 := r.RouterOf(ip(t, "4.0.0.1"))
-	if !ok4 || id4 == id1 {
-		t.Fatalf("cross-AS merge happened: %d vs %d", id4, id1)
-	}
-	sets := r.Sets()
-	if len(sets) != 1 || len(sets[0]) != 2 {
-		t.Fatalf("sets = %v", sets)
-	}
-	if _, ok := r.RouterOf(ip(t, "9.9.9.9")); ok {
-		t.Fatal("unknown IP resolved")
 	}
 }
 
@@ -230,18 +215,18 @@ func TestBorderLevelChangedWildcard(t *testing.T) {
 	a := []BorderHop{{FromAS: 1, ToAS: 2, Router: 5}, {FromAS: 2, ToAS: 3, Router: 9}}
 	// The 2→3 crossing is hidden in b: only 1→2 is comparable.
 	b := []BorderHop{{FromAS: 1, ToAS: 2, Router: 5}}
-	if BorderLevelChanged(a, b) {
+	if borderLevelChanged(a, b) {
 		t.Fatal("hidden crossing must not count as change")
 	}
 	b2 := []BorderHop{{FromAS: 1, ToAS: 2, Router: 6}}
-	if !BorderLevelChanged(a, b2) {
+	if !borderLevelChanged(a, b2) {
 		t.Fatal("router change not detected")
 	}
 	// A crossing appearing twice (path loops through the pair) compares
 	// positionally.
 	c1 := []BorderHop{{FromAS: 1, ToAS: 2, Router: 5}, {FromAS: 1, ToAS: 2, Router: 6}}
 	c2 := []BorderHop{{FromAS: 1, ToAS: 2, Router: 5}, {FromAS: 1, ToAS: 2, Router: 7}}
-	if !BorderLevelChanged(c1, c2) {
+	if !borderLevelChanged(c1, c2) {
 		t.Fatal("second occurrence change missed")
 	}
 }

@@ -71,7 +71,7 @@ func (rt *Router) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
 	// primary, unless the primary's breaker is open and the standby's isn't.
 	dest := make([]int, len(keys))
 	for i, k := range keys {
-		reps := rt.ring.Replicas(rt.ring.PartitionOf(k))
+		reps := rt.ring.Replicas(rt.ring.partitionOf(k))
 		dest[i] = reps[0]
 		if len(reps) == 2 && !up[reps[0]] && up[reps[1]] {
 			dest[i] = reps[1]
@@ -125,7 +125,7 @@ func (rt *Router) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
 			if _, failed := workerErrs[worker]; !failed {
 				continue
 			}
-			for _, cand := range rt.ring.Replicas(rt.ring.PartitionOf(keys[i])) {
+			for _, cand := range rt.ring.Replicas(rt.ring.partitionOf(keys[i])) {
 				if _, failed := workerErrs[cand]; round == 0 && !failed && up[cand] {
 					dest[i] = cand
 					moved++
@@ -158,7 +158,7 @@ func (rt *Router) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) lostVerdicts(lost []int, names []string, keys []rrr.Key, verdicts [][]byte, workerErrs map[int]string) []byte {
 	unavailSet := map[int]bool{}
 	for _, i := range lost {
-		unavailSet[rt.ring.PartitionOf(keys[i])] = true
+		unavailSet[rt.ring.partitionOf(keys[i])] = true
 		verdicts[i], _ = json.Marshal(server.Verdict{Key: names[i], Visibility: "unavailable"})
 	}
 	unavailParts := make([]int, 0, len(unavailSet))

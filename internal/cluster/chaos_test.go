@@ -127,10 +127,10 @@ func TestClusterChaos(t *testing.T) {
 	// for the router to have reconnected through it (second accepted
 	// connection) with every stream attached again.
 	deadline := time.Now().Add(30 * time.Second)
-	for streamSubs.Load() < 2 || !lc.Router.StreamConnected() {
+	for streamSubs.Load() < 2 || !lc.Router.merger.allConnected() {
 		if time.Now().After(deadline) {
 			t.Fatalf("stream never killed+reconnected: %d subscriptions, connected=%v",
-				streamSubs.Load(), lc.Router.StreamConnected())
+				streamSubs.Load(), lc.Router.merger.allConnected())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -244,7 +244,7 @@ func TestClusterChaos(t *testing.T) {
 		t.Fatalf("count = %d, want %d", resp.Count, len(all))
 	}
 	for i, v := range resp.Verdicts {
-		p := lc.Ring.PartitionOf(mustKey(t, v.Key))
+		p := lc.Ring.partitionOf(mustKey(t, v.Key))
 		if dark[p] && v.Visibility != "unavailable" {
 			t.Fatalf("verdict %d (dark partition %d): visibility %q, want unavailable", i, p, v.Visibility)
 		}

@@ -128,7 +128,7 @@ func TestRouterCloseEndsWorkerConnections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(10 * time.Second); !rt.StreamConnected(); time.Sleep(5 * time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); !rt.merger.allConnected(); time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			rt.Close()
 			t.Fatal("worker streams never attached")

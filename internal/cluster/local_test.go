@@ -196,7 +196,7 @@ func (lc *LocalCluster) URL() string { return lc.RouterTS.URL }
 // merger).
 func (lc *LocalCluster) WaitStreams(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	for !lc.Router.StreamConnected() {
+	for !lc.Router.merger.allConnected() {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("cluster: worker streams not connected after %v", timeout)
 		}

@@ -155,9 +155,9 @@ func (r *Ring) Workers() int { return r.workers }
 // Partitions reports P.
 func (r *Ring) Partitions() int { return r.partitions }
 
-// PartitionOf folds a pair onto its partition. The fold ignores ring
+// partitionOf folds a pair onto its partition. The fold ignores ring
 // geometry, so a key's partition survives worker joins and leaves.
-func (r *Ring) PartitionOf(k rrr.Key) int {
+func (r *Ring) partitionOf(k rrr.Key) int {
 	var b [8]byte
 	b[0] = byte(k.Src >> 24)
 	b[1] = byte(k.Src >> 16)
@@ -171,16 +171,10 @@ func (r *Ring) PartitionOf(k rrr.Key) int {
 }
 
 // Owner maps a pair to its primary worker.
-func (r *Ring) Owner(k rrr.Key) int { return r.owner[r.PartitionOf(k)] }
+func (r *Ring) Owner(k rrr.Key) int { return r.owner[r.partitionOf(k)] }
 
-// OwnerOfPartition maps a partition to its primary worker.
-func (r *Ring) OwnerOfPartition(p int) int { return r.owner[p] }
-
-// Standby maps a pair to its standby worker (== Owner when K == 1).
-func (r *Ring) Standby(k rrr.Key) int { return r.standby[r.PartitionOf(k)] }
-
-// StandbyOfPartition maps a partition to its standby worker.
-func (r *Ring) StandbyOfPartition(p int) int { return r.standby[p] }
+// ownerOfPartition maps a partition to its primary worker.
+func (r *Ring) ownerOfPartition(p int) int { return r.owner[p] }
 
 // Replicas lists the distinct workers tracking partition p, primary first.
 // The slice is the ring's own, shared by every caller: read it, never
@@ -189,7 +183,7 @@ func (r *Ring) Replicas(p int) []int { return r.reps[p] }
 
 // IsReplica reports whether worker w tracks pair k (as primary or standby).
 func (r *Ring) IsReplica(k rrr.Key, w int) bool {
-	p := r.PartitionOf(k)
+	p := r.partitionOf(k)
 	return r.owner[p] == w || r.standby[p] == w
 }
 
@@ -216,17 +210,6 @@ func (r *Ring) OwnedPartitions(w int) int { return r.owned[w] }
 // ReplicaPartitions reports how many partitions worker w tracks in total
 // (primary plus standby).
 func (r *Ring) ReplicaPartitions(w int) int { return r.replicas[w] }
-
-// WorkerPartitions lists the partitions worker w owns as primary, ascending.
-func (r *Ring) WorkerPartitions(w int) []int {
-	out := make([]int, 0, r.owned[w])
-	for p, o := range r.owner {
-		if o == w {
-			out = append(out, p)
-		}
-	}
-	return out
-}
 
 // StandbyPartitions lists the partitions worker w covers as standby,
 // ascending. Empty on a single-worker ring.

@@ -6,6 +6,17 @@ import (
 	"rrr"
 )
 
+// primaryPartitions counts the partitions whose primary is worker w.
+func primaryPartitions(r *Ring, w int) int {
+	n := 0
+	for p := 0; p < r.Partitions(); p++ {
+		if r.ownerOfPartition(p) == w {
+			n++
+		}
+	}
+	return n
+}
+
 func TestRingDeterministicAndComplete(t *testing.T) {
 	a, err := NewRing(3, 0)
 	if err != nil {
@@ -20,8 +31,8 @@ func TestRingDeterministicAndComplete(t *testing.T) {
 		if a.OwnedPartitions(w) == 0 {
 			t.Fatalf("worker %d owns no partitions; vnode spread failed", w)
 		}
-		if got := len(a.WorkerPartitions(w)); got != a.OwnedPartitions(w) {
-			t.Fatalf("WorkerPartitions(%d) lists %d, OwnedPartitions says %d", w, got, a.OwnedPartitions(w))
+		if got := primaryPartitions(a, w); got != a.OwnedPartitions(w) {
+			t.Fatalf("worker %d is primary of %d partitions, OwnedPartitions says %d", w, got, a.OwnedPartitions(w))
 		}
 		total += a.OwnedPartitions(w)
 	}
@@ -29,7 +40,7 @@ func TestRingDeterministicAndComplete(t *testing.T) {
 		t.Fatalf("owned partitions sum to %d, want %d", total, a.Partitions())
 	}
 	for p := 0; p < a.Partitions(); p++ {
-		if a.OwnerOfPartition(p) != b.OwnerOfPartition(p) {
+		if a.ownerOfPartition(p) != b.ownerOfPartition(p) {
 			t.Fatalf("partition %d placement differs between identical rings", p)
 		}
 	}
@@ -38,8 +49,8 @@ func TestRingDeterministicAndComplete(t *testing.T) {
 		if a.Owner(k) != b.Owner(k) {
 			t.Fatalf("key %v routed differently by identical rings", k)
 		}
-		if a.Owner(k) != a.OwnerOfPartition(a.PartitionOf(k)) {
-			t.Fatal("Owner disagrees with PartitionOf composition")
+		if a.Owner(k) != a.ownerOfPartition(a.partitionOf(k)) {
+			t.Fatal("Owner disagrees with partitionOf composition")
 		}
 	}
 }
@@ -52,7 +63,7 @@ func TestRingPartitionStability(t *testing.T) {
 	big, _ := NewRing(4, 128)
 	moved := 0
 	for p := 0; p < 128; p++ {
-		was, now := small.OwnerOfPartition(p), big.OwnerOfPartition(p)
+		was, now := small.ownerOfPartition(p), big.ownerOfPartition(p)
 		if was == now {
 			continue
 		}
@@ -92,14 +103,14 @@ func TestRingStandbyPlacement(t *testing.T) {
 		t.Fatalf("ReplicaFactor() = %d, want 2 for 3 workers", rf)
 	}
 	for p := 0; p < a.Partitions(); p++ {
-		pri, sb := a.OwnerOfPartition(p), a.StandbyOfPartition(p)
+		pri, sb := a.ownerOfPartition(p), a.standby[p]
 		if sb == pri {
 			t.Fatalf("partition %d standby == primary %d; replication buys nothing", p, pri)
 		}
 		if sb < 0 || sb >= 3 {
 			t.Fatalf("partition %d standby %d out of range", p, sb)
 		}
-		if b.StandbyOfPartition(p) != sb {
+		if b.standby[p] != sb {
 			t.Fatalf("partition %d standby differs between identical rings", p)
 		}
 		reps := a.Replicas(p)
@@ -113,12 +124,9 @@ func TestRingStandbyPlacement(t *testing.T) {
 	}
 	for i := 0; i < 1000; i++ {
 		k := rrr.Key{Src: uint32(i * 2654435761), Dst: uint32(i*40503 + 7)}
-		p := a.PartitionOf(k)
-		if a.Standby(k) != a.StandbyOfPartition(p) {
-			t.Fatal("Standby disagrees with StandbyOfPartition composition")
-		}
+		p := a.partitionOf(k)
 		for w := 0; w < 3; w++ {
-			want := w == a.OwnerOfPartition(p) || w == a.StandbyOfPartition(p)
+			want := w == a.ownerOfPartition(p) || w == a.standby[p]
 			if got := a.IsReplica(k, w); got != want {
 				t.Fatalf("IsReplica(%v, %d) = %v, want %v", k, w, got, want)
 			}
@@ -135,12 +143,12 @@ func TestRingStandbyCoverage(t *testing.T) {
 	seen := make(map[int]int)
 	for w := 0; w < 4; w++ {
 		for _, p := range r.StandbyPartitions(w) {
-			if r.StandbyOfPartition(p) != w {
-				t.Fatalf("worker %d lists partition %d but its standby is %d", w, p, r.StandbyOfPartition(p))
+			if r.standby[p] != w {
+				t.Fatalf("worker %d lists partition %d but its standby is %d", w, p, r.standby[p])
 			}
 			seen[p]++
 		}
-		owned := len(r.WorkerPartitions(w))
+		owned := primaryPartitions(r, w)
 		standby := len(r.StandbyPartitions(w))
 		if got := r.ReplicaPartitions(w); got != owned+standby {
 			t.Fatalf("worker %d ReplicaPartitions = %d, want owned %d + standby %d", w, got, owned, standby)
@@ -165,7 +173,7 @@ func TestRingSingleWorkerNoReplication(t *testing.T) {
 		t.Fatalf("ReplicaFactor() = %d, want 1 for a single worker", rf)
 	}
 	for p := 0; p < r.Partitions(); p++ {
-		if sb := r.StandbyOfPartition(p); sb != 0 {
+		if sb := r.standby[p]; sb != 0 {
 			t.Fatalf("partition %d standby %d, want 0", p, sb)
 		}
 		if reps := r.Replicas(p); len(reps) != 1 || reps[0] != 0 {

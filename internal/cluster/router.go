@@ -162,10 +162,6 @@ func (rt *Router) Handler() http.Handler {
 // Ring exposes the placement (for worker-mode corpus filtering and tests).
 func (rt *Router) Ring() *Ring { return rt.ring }
 
-// StreamConnected reports whether every worker signal stream is attached;
-// differential harnesses wait for it before releasing feeds.
-func (rt *Router) StreamConnected() bool { return rt.merger.allConnected() }
-
 // Subscribers reports attached merged-stream clients.
 func (rt *Router) Subscribers() int { return rt.hub.Subscribers() }
 
@@ -413,7 +409,7 @@ func (rt *Router) handleStaleOne(w http.ResponseWriter, r *http.Request) {
 		server.WriteErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	p := rt.ring.PartitionOf(k)
+	p := rt.ring.partitionOf(k)
 	order := rt.replicaOrder(p)
 	var errs []string
 	for i, worker := range order {
@@ -422,7 +418,7 @@ func (rt *Router) handleStaleOne(w http.ResponseWriter, r *http.Request) {
 			errs = append(errs, err.Error())
 			continue
 		}
-		if worker != rt.ring.OwnerOfPartition(p) || i > 0 {
+		if worker != rt.ring.ownerOfPartition(p) || i > 0 {
 			metRouterFailovers.Inc()
 		}
 		relay(w, wr)
@@ -772,7 +768,7 @@ func (rt *Router) handleRefreshRecord(w http.ResponseWriter, r *http.Request) {
 	// response (they are byte-identical when both succeed). A refresh that
 	// lands on only one replica leaves the other stale until it re-feeds —
 	// the documented write-path caveat of replication without a log.
-	p := rt.ring.PartitionOf(rrr.Key{Src: src, Dst: dst})
+	p := rt.ring.partitionOf(rrr.Key{Src: src, Dst: dst})
 	reps := rt.ring.Replicas(p)
 	resps, errs := scatter(reps, func(worker int) (*workerResp, error) {
 		return rt.do(r.Context(), http.MethodPost, worker, "/v1/refresh/record", body)

@@ -130,7 +130,7 @@ func TestRouterWorkerDownMidBatch(t *testing.T) {
 		if v.Key != all[i] {
 			t.Fatalf("verdict %d is for %q, want %q", i, v.Key, all[i])
 		}
-		p := lc.Ring.PartitionOf(mustKey(t, v.Key))
+		p := lc.Ring.partitionOf(mustKey(t, v.Key))
 		if dark[p] {
 			if v.Visibility != "unavailable" || v.Tracked {
 				t.Fatalf("verdict for %q (dark partition %d): visibility %q tracked %v", v.Key, p, v.Visibility, v.Tracked)
@@ -222,7 +222,7 @@ func TestRouterSSEReconnect(t *testing.T) {
 	cap := captureStream(t, lc.URL())
 	lc.Workers[0].StopHTTP()
 	deadline := time.Now().Add(5 * time.Second)
-	for lc.Router.StreamConnected() {
+	for lc.Router.merger.allConnected() {
 		if time.Now().After(deadline) {
 			t.Fatal("router never noticed the dead worker stream")
 		}

@@ -598,7 +598,7 @@ func (s *shard) processCommEvents(ws int64) []Signal {
 					return
 				}
 				// Calibration filter (Appendix B): skip pruned communities.
-				if s.eng.Calib.CommunityPruned(c) {
+				if s.eng.Calib.communityPruned(c) {
 					return
 				}
 				// Caveat 2: an added community already on an overlapping

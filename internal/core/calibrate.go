@@ -16,14 +16,14 @@ type Outcome int
 
 // Outcomes.
 const (
-	// OutcomeTP: the signal indicated a change and the portion changed.
-	OutcomeTP Outcome = iota
-	// OutcomeFP: the signal indicated a change but the portion is intact.
-	OutcomeFP
-	// OutcomeTN: no signal, and the portion is intact.
-	OutcomeTN
-	// OutcomeFN: no signal, but the portion changed.
-	OutcomeFN
+	// outcomeTP: the signal indicated a change and the portion changed.
+	outcomeTP Outcome = iota
+	// outcomeFP: the signal indicated a change but the portion is intact.
+	outcomeFP
+	// outcomeTN: no signal, and the portion is intact.
+	outcomeTN
+	// outcomeFN: no signal, but the portion changed.
+	outcomeFN
 )
 
 // calibKey identifies a (traceroute vantage point, potential signal) pair.
@@ -61,13 +61,13 @@ func (t *tally) rates() (tpr, tnr float64, ok bool) {
 	var tp, fp, tn, fn int
 	for _, o := range t.ring {
 		switch o {
-		case OutcomeTP:
+		case outcomeTP:
 			tp++
-		case OutcomeFP:
+		case outcomeFP:
 			fp++
-		case OutcomeTN:
+		case outcomeTN:
 			tn++
-		case OutcomeFN:
+		case outcomeFN:
 			fn++
 		}
 	}
@@ -92,9 +92,9 @@ type Calibrator struct {
 	commPruned map[bgp.Community]bool
 }
 
-// NewCalibrator returns a calibrator with sliding window length l and a
+// newCalibrator returns a calibrator with sliding window length l and a
 // community false-positive quota.
-func NewCalibrator(l, fpQuota int) *Calibrator {
+func newCalibrator(l, fpQuota int) *Calibrator {
 	return &Calibrator{
 		l:          l,
 		fpQuota:    fpQuota,
@@ -116,9 +116,9 @@ func (c *Calibrator) Record(src uint32, monitor int, o Outcome) {
 	t.add(o, c.l)
 }
 
-// Rates returns (TPR, TNR) for a (VP, signal); ok is false while the
+// rates returns (TPR, TNR) for a (VP, signal); ok is false while the
 // sliding window is not yet full (uninitialized per §4.3.1).
-func (c *Calibrator) Rates(src uint32, monitor int) (tpr, tnr float64, ok bool) {
+func (c *Calibrator) rates(src uint32, monitor int) (tpr, tnr float64, ok bool) {
 	t := c.stats[calibKey{src: src, monitor: monitor}]
 	if t == nil {
 		return 0, 0, false
@@ -126,9 +126,9 @@ func (c *Calibrator) Rates(src uint32, monitor int) (tpr, tnr float64, ok bool) 
 	return t.rates()
 }
 
-// RecordCommunityOutcome feeds Appendix B's learning: communities whose
+// recordCommunityOutcome feeds Appendix B's learning: communities whose
 // signals keep failing are pruned.
-func (c *Calibrator) RecordCommunityOutcome(comm bgp.Community, truePositive bool) {
+func (c *Calibrator) recordCommunityOutcome(comm bgp.Community, truePositive bool) {
 	if truePositive {
 		c.commTP[comm]++
 		return
@@ -139,9 +139,9 @@ func (c *Calibrator) RecordCommunityOutcome(comm bgp.Community, truePositive boo
 	}
 }
 
-// CommunityPruned reports whether the community has been learned to be
+// communityPruned reports whether the community has been learned to be
 // unrelated to path changes.
-func (c *Calibrator) CommunityPruned(comm bgp.Community) bool {
+func (c *Calibrator) communityPruned(comm bgp.Community) bool {
 	return c.commPruned[comm]
 }
 
@@ -212,19 +212,19 @@ func (s *shard) evaluateRefresh(newEntry *corpus.Entry) (bordermap.ChangeClass, 
 		var o Outcome
 		switch {
 		case wasSignaled && changed:
-			o = OutcomeTP
+			o = outcomeTP
 		case wasSignaled && !changed:
-			o = OutcomeFP
+			o = outcomeFP
 		case !wasSignaled && !changed:
-			o = OutcomeTN
+			o = outcomeTN
 		default:
-			o = OutcomeFN
+			o = outcomeFN
 		}
 		s.eng.Calib.Record(newEntry.Key.Src, reg.MonitorID, o)
 		if reg.Technique == TechBGPCommunity && wasSignaled {
 			for _, sig := range sigs {
 				if sig.Comm != 0 {
-					s.eng.Calib.RecordCommunityOutcome(sig.Comm, changed)
+					s.eng.Calib.recordCommunityOutcome(sig.Comm, changed)
 				}
 			}
 		}
@@ -389,7 +389,7 @@ func refreshPlan(active map[traceroute.Key][]Signal, regs map[traceroute.Key][]R
 		st.keys = append(st.keys, k)
 		st.sigs = append(st.sigs, sigs...)
 		for _, s := range sigs {
-			if tpr, _, ok := calib.Rates(k.Src, s.MonitorID); ok {
+			if tpr, _, ok := calib.rates(k.Src, s.MonitorID); ok {
 				st.sumTPR += tpr
 				st.anyInit = true
 			}
@@ -428,7 +428,7 @@ func refreshPlan(active map[traceroute.Key][]Signal, regs map[traceroute.Key][]R
 			if m, ok := signaledMon[s.Key]; ok {
 				m[s.MonitorID] = true
 			}
-			if tpr, _, ok := calib.Rates(st.src, s.MonitorID); ok {
+			if tpr, _, ok := calib.rates(st.src, s.MonitorID); ok {
 				sumTPR += tpr
 			}
 		}
@@ -437,7 +437,7 @@ func refreshPlan(active map[traceroute.Key][]Signal, regs map[traceroute.Key][]R
 				if signaledMon[k][reg.MonitorID] {
 					continue
 				}
-				if _, tnr, ok := calib.Rates(st.src, reg.MonitorID); ok {
+				if _, tnr, ok := calib.rates(st.src, reg.MonitorID); ok {
 					sumTNR += tnr
 				}
 			}

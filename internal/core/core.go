@@ -140,7 +140,7 @@ type Config struct {
 	// (one RouteViews dump cycle).
 	WindowSec int64
 	// PublicLadder is the candidate window ladder for traceroute-derived
-	// series; anomaly.WindowLadder if nil.
+	// series; the anomaly package's default ladder if nil.
 	PublicLadder []int64
 	// MinSuffixVPs is the minimum VP set size to instantiate a burst
 	// series.

@@ -284,9 +284,9 @@ func TestCommunityPrunedByCalibration(t *testing.T) {
 	te.standardEntry(t)
 	comm := bgp.MakeCommunity(3, 7000)
 	for i := 0; i < 3; i++ {
-		te.e.Calib.RecordCommunityOutcome(comm, false)
+		te.e.Calib.recordCommunityOutcome(comm, false)
 	}
-	if !te.e.Calib.CommunityPruned(comm) {
+	if !te.e.Calib.communityPruned(comm) {
 		t.Fatal("community not pruned after FP quota")
 	}
 	end := te.warm(t, 0, 2)
@@ -552,7 +552,7 @@ func TestEvaluateRefreshOutcomes(t *testing.T) {
 		tally := te.e.Calib.stats[calibKey{src: en.Key.Src, monitor: reg.MonitorID}]
 		if tally != nil {
 			for _, o := range tally.ring {
-				if o == OutcomeTP {
+				if o == outcomeTP {
 					foundTP = true
 				}
 			}
@@ -602,26 +602,26 @@ func TestRefreshPlanRespectsBudget(t *testing.T) {
 }
 
 func TestCalibratorRates(t *testing.T) {
-	c := NewCalibrator(4, 3)
-	if _, _, ok := c.Rates(1, 1); ok {
+	c := newCalibrator(4, 3)
+	if _, _, ok := c.rates(1, 1); ok {
 		t.Fatal("rates should be uninitialized")
 	}
-	c.Record(1, 1, OutcomeTP)
-	c.Record(1, 1, OutcomeFN)
-	c.Record(1, 1, OutcomeTN)
-	if _, _, ok := c.Rates(1, 1); ok {
+	c.Record(1, 1, outcomeTP)
+	c.Record(1, 1, outcomeFN)
+	c.Record(1, 1, outcomeTN)
+	if _, _, ok := c.rates(1, 1); ok {
 		t.Fatal("rates initialized before window full")
 	}
-	c.Record(1, 1, OutcomeFP)
-	tpr, tnr, ok := c.Rates(1, 1)
+	c.Record(1, 1, outcomeFP)
+	tpr, tnr, ok := c.rates(1, 1)
 	if !ok || tpr != 0.5 || tnr != 0.5 {
 		t.Fatalf("rates = %f, %f, %v; want 0.5, 0.5", tpr, tnr, ok)
 	}
 	// Sliding: four more TPs push out the old outcomes.
 	for i := 0; i < 4; i++ {
-		c.Record(1, 1, OutcomeTP)
+		c.Record(1, 1, outcomeTP)
 	}
-	tpr, tnr, _ = c.Rates(1, 1)
+	tpr, tnr, _ = c.rates(1, 1)
 	if tpr != 1 || tnr != 0 {
 		t.Fatalf("slid rates = %f, %f", tpr, tnr)
 	}
@@ -754,12 +754,12 @@ func TestRefreshPlanPrefersCalibratedVP(t *testing.T) {
 	// 1.0.0.77 has zero TPR (all signals were false).
 	for _, reg := range te.e.Registrations(en1.Key) {
 		for i := 0; i < 30; i++ {
-			te.e.Calib.Record(en1.Key.Src, reg.MonitorID, OutcomeTP)
+			te.e.Calib.Record(en1.Key.Src, reg.MonitorID, outcomeTP)
 		}
 	}
 	for _, reg := range te.e.Registrations(en2.Key) {
 		for i := 0; i < 30; i++ {
-			te.e.Calib.Record(en2.Key.Src, reg.MonitorID, OutcomeFP)
+			te.e.Calib.Record(en2.Key.Src, reg.MonitorID, outcomeFP)
 		}
 	}
 	end := te.warm(t, 0, 45)
@@ -781,7 +781,7 @@ func TestRefreshPlanPrefersCalibratedVP(t *testing.T) {
 // 2's total comes out as 0.6 or 0.6000000000000001, which decides the VP a
 // one-pair budget goes to; the plan must be the same on every call.
 func TestRefreshPlanIgnoresMapOrder(t *testing.T) {
-	calib := NewCalibrator(10, 1)
+	calib := newCalibrator(10, 1)
 	type flag struct {
 		key     traceroute.Key
 		monitor int
@@ -795,9 +795,9 @@ func TestRefreshPlanIgnoresMapOrder(t *testing.T) {
 	}
 	for _, f := range flags {
 		for i := 0; i < 10; i++ {
-			o := OutcomeFN
+			o := outcomeFN
 			if i < f.tp {
-				o = OutcomeTP
+				o = outcomeTP
 			}
 			calib.Record(f.key.Src, f.monitor, o)
 		}

@@ -129,7 +129,7 @@ func NewEngine(cfg Config, m traceroute.Mapper, aliases bordermap.AliasOracle, g
 		rib:     bgp.NewRIB(),
 		patcher: traceroute.NewPatcher(),
 		sh:      newSharedState(cfg, geo),
-		Calib:   NewCalibrator(cfg.CalibrationWindows, cfg.CommunityFPQuota),
+		Calib:   newCalibrator(cfg.CalibrationWindows, cfg.CommunityFPQuota),
 		met:     newShardMetrics(n),
 	}
 	for i := 0; i < n; i++ {

@@ -393,8 +393,8 @@ func ixpMonitorID(ixp int, as bgp.ASN) int {
 	return -(ixp<<32 | int(uint32(as)))
 }
 
-// Stats summarizes monitor state for diagnostics and ablation reporting.
-type Stats struct {
+// stats summarizes monitor state for diagnostics and ablation reporting.
+type stats struct {
 	SubpathMonitors  int
 	SubpathActive    int
 	SubpathBuffered  int
@@ -411,10 +411,10 @@ type Stats struct {
 // monitorStats reports how many monitors exist and how many traceroute
 // series have accumulated enough data to activate. Shared series are counted
 // once from the shared state; per-pair monitors are summed over the shards.
-func (e *Engine) monitorStats() Stats {
+func (e *Engine) monitorStats() stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := Stats{
+	st := stats{
 		SubpathMonitors: len(e.sh.subpaths),
 		BorderGroups:    len(e.sh.borders),
 		ExtraSeries:     len(e.sh.extras),

@@ -24,9 +24,20 @@ func setup(t *testing.T) (*netsim.Sim, *platform.Platform, *Corpus) {
 	return s, p, New(s.Mapper(), oracle)
 }
 
+// regularProbes returns the platform's non-anchor probes.
+func regularProbes(p *platform.Platform) []*platform.Probe {
+	var out []*platform.Probe
+	for _, pr := range p.Probes {
+		if !pr.Anchor {
+			out = append(out, pr)
+		}
+	}
+	return out
+}
+
 func TestAddGetRemove(t *testing.T) {
 	_, p, c := setup(t)
-	traces := p.AnchoringRound(p.RegularProbes()[:4], p.Anchors()[:4], 0)
+	traces := p.AnchoringRound(regularProbes(p)[:4], p.Anchors()[:4], 0)
 	added := 0
 	for _, tr := range traces {
 		if _, err := c.Add(tr); err == nil {
@@ -55,7 +66,7 @@ func TestAddGetRemove(t *testing.T) {
 
 func TestKeysSortedDeterministic(t *testing.T) {
 	_, p, c := setup(t)
-	for _, tr := range p.AnchoringRound(p.RegularProbes()[:5], p.Anchors()[:5], 0) {
+	for _, tr := range p.AnchoringRound(regularProbes(p)[:5], p.Anchors()[:5], 0) {
 		c.Add(tr)
 	}
 	k1 := c.Keys()
@@ -73,7 +84,7 @@ func TestKeysSortedDeterministic(t *testing.T) {
 
 func TestClassifyUnchangedAndRefresh(t *testing.T) {
 	s, p, c := setup(t)
-	probe := p.RegularProbes()[0]
+	probe := regularProbes(p)[0]
 	anchor := p.Anchors()[0]
 	tr := p.Measure(probe, anchor.IP, 0)
 	if _, err := c.Add(tr); err != nil {
@@ -106,18 +117,18 @@ func TestClassifyUnchangedAndRefresh(t *testing.T) {
 
 func TestClassifyDetectsEventChange(t *testing.T) {
 	s, p, c := setup(t)
-	// Build corpus across all probe/anchor pairs, then fail links until
+	// Build corpus across all probe/anchor pairs, then let the simulator
+	// apply its sampled events (link failures, egress shifts, ...) until
 	// some pair changes.
-	pairs := p.AnchoringRound(p.RegularProbes(), p.Anchors(), 0)
+	pairs := p.AnchoringRound(regularProbes(p), p.Anchors(), 0)
 	for _, tr := range pairs {
 		c.Add(tr)
 	}
-	// Fail a batch of links to force changes.
 	changedAS, changedBorder := 0, 0
-	for lid := 1; lid < len(s.T.Links) && changedAS == 0; lid += 7 {
-		s.Inject(netsim.Event{Kind: netsim.EvLinkDown, Time: 100, Link: netsim.LinkID(lid)})
+	for day := 0; day < 30 && changedAS == 0; day++ {
+		s.Step(86400)
 		for _, tr := range pairs {
-			now := p.Sim.Traceroute(tr.ProbeID, tr.Src, tr.Dst, 900)
+			now := p.Sim.Traceroute(tr.ProbeID, tr.Src, tr.Dst, s.Now())
 			cls, err := c.Classify(now)
 			if err != nil {
 				continue
@@ -131,13 +142,13 @@ func TestClassifyDetectsEventChange(t *testing.T) {
 		}
 	}
 	if changedAS == 0 {
-		t.Fatal("link failures never produced an AS-level change")
+		t.Fatal("a month of simulated events never produced an AS-level change")
 	}
 }
 
 func TestCensus(t *testing.T) {
 	_, p, c := setup(t)
-	for _, tr := range p.AnchoringRound(p.RegularProbes(), p.Anchors(), 0) {
+	for _, tr := range p.AnchoringRound(regularProbes(p), p.Anchors(), 0) {
 		c.Add(tr)
 	}
 	census := c.Census()

@@ -14,10 +14,9 @@
 // contract, so cluster routers can union-merge worker streams byte for
 // byte.
 //
-// Truth is the simulator-side ground-truth label for one injected episode;
-// the binary codec (EncodeTruths/DecodeTruths) lets scenario packs ship
-// labels alongside streams and is fuzzed like every other untrusted-bytes
-// entry point in the repo.
+// Truth is the simulator-side ground-truth label for one injected episode.
+// Labels stay in memory: scenario packs hand them to the accuracy harness
+// directly, and no file format carries them.
 package events
 
 import (
@@ -93,8 +92,8 @@ func (c Class) String() string {
 	return "unknown"
 }
 
-// ClassByName inverts Class.String for wire-form decoding.
-var ClassByName = func() map[string]Class {
+// classByName inverts Class.String for wire-form decoding.
+var classByName = func() map[string]Class {
 	m := make(map[string]Class, int(numClasses))
 	for c := Class(0); c < numClasses; c++ {
 		m[c.String()] = c
@@ -104,7 +103,7 @@ var ClassByName = func() map[string]Class {
 
 // ParseClass resolves a wire-form class name.
 func ParseClass(s string) (Class, error) {
-	c, ok := ClassByName[s]
+	c, ok := classByName[s]
 	if !ok {
 		return 0, fmt.Errorf("events: unknown class %q", s)
 	}

@@ -42,48 +42,6 @@ func TestClassNamesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTruthCodecRoundTrip(t *testing.T) {
-	truths := []Truth{
-		{Class: HijackOrigin, Start: 86400, End: 88200, Prefix: pfx("16.1.0.0/16"), AS: 64501, Detail: "full origin hijack"},
-		{Class: HijackMOAS, Start: 0, End: 345600, Prefix: pfx("16.2.0.0/16"), AS: 64502, Benign: true, Detail: "stable anycast baseline"},
-		{Class: RouteLeak, Start: 90000, End: 91350, Prefix: pfx("16.3.0.0/16"), AS: 64503},
-		{Class: TraceLoop, Start: 104400, End: 105300, Key: traceroute.Key{Src: 0x10131234, Dst: 0x10251234}, Detail: "fabricated per-flow artifact"},
-		{Class: Diurnal, Start: 216300, End: 345600, Prefix: pfx("16.4.0.0/16")},
-	}
-	enc := EncodeTruths(truths)
-	dec, err := DecodeTruths(enc)
-	if err != nil {
-		t.Fatalf("DecodeTruths: %v", err)
-	}
-	if !reflect.DeepEqual(truths, dec) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", dec, truths)
-	}
-
-	// Empty slice round-trips too.
-	dec, err = DecodeTruths(EncodeTruths(nil))
-	if err != nil || len(dec) != 0 {
-		t.Fatalf("empty round trip: %v, %v", dec, err)
-	}
-}
-
-func TestTruthCodecRejectsMalformed(t *testing.T) {
-	enc := EncodeTruths([]Truth{{Class: Blackhole, Start: 1, End: 2, Prefix: pfx("10.0.0.0/8"), AS: 7}})
-	cases := map[string][]byte{
-		"empty":       nil,
-		"bad magic":   append([]byte("XXGT"), enc[4:]...),
-		"truncated":   enc[:len(enc)-3],
-		"trailing":    append(append([]byte{}, enc...), 0xff),
-		"only header": enc[:5],
-		"bogus count": {'R', 'R', 'G', 'T', 1, 0xff, 0xff, 0xff, 0xff, 0x7f},
-		"bad version": append([]byte("RRGT\x09"), enc[5:]...),
-	}
-	for name, data := range cases {
-		if _, err := DecodeTruths(data); err == nil {
-			t.Errorf("%s: decode accepted malformed input", name)
-		}
-	}
-}
-
 func TestEventLessCanonicalOrder(t *testing.T) {
 	evs := []Event{
 		{WindowStart: 900, Class: Blackhole, Prefix: pfx("10.0.0.0/16")},

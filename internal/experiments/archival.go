@@ -46,7 +46,7 @@ func RunArchival(sc Scale, perDay int) *ArchivalResult {
 	for w := 0; ; w++ {
 		// The public feed both populates the archive and powers the signal
 		// techniques (the paper uses all public RIPE traceroutes for both).
-		ws, ok := lab.Ingest()
+		ws, ok := lab.ingest()
 		if !ok {
 			break
 		}

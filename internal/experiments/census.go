@@ -45,7 +45,7 @@ func RunCensus(sc Scale) *CensusResult {
 	// changed border IPs.
 	var now int64
 	for {
-		ws, _, _, ok := lab.NextWindow()
+		ws, _, _, ok := lab.nextWindow()
 		if !ok {
 			break
 		}

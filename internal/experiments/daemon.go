@@ -57,7 +57,7 @@ const scenarioProbeBase = 1 << 20
 
 // simGeolocator builds the IPMap-like geolocation database over the
 // simulator's router addresses (80%+ city-level accuracy profile).
-func simGeolocator(sim *netsim.Sim, seed int64) *LabGeo {
+func simGeolocator(sim *netsim.Sim, seed int64) *labGeo {
 	var infraIPs []uint32
 	for i := 1; i < len(sim.T.Routers); i++ {
 		infraIPs = append(infraIPs, sim.T.Routers[i].Loopback)
@@ -66,7 +66,7 @@ func simGeolocator(sim *netsim.Sim, seed int64) *LabGeo {
 	db := geo.BuildDB(sim, infraIPs, geo.DBProfile{
 		Name: "ipmap", Coverage: 0.7, ExactFrac: 0.85, NearFrac: 0.1,
 	}, seed)
-	return &LabGeo{L: geo.NewLocator(sim, db)}
+	return &labGeo{L: geo.NewLocator(sim, db)}
 }
 
 // NewDaemonEnv assembles a daemon environment at the given scale. The feed
@@ -83,7 +83,7 @@ func NewDaemonEnv(sc Scale, pace time.Duration) *DaemonEnv {
 		mapper: sim.Mapper(),
 		t:      sim.T,
 		geo:    simGeolocator(sim, sc.SimCfg.Seed+100),
-		rel:    LabRel{T: sim.T},
+		rel:    labRel{T: sim.T},
 	}
 	env := &DaemonEnv{
 		Sim:     sim,
@@ -223,13 +223,13 @@ func (f *daemonFeed) step() {
 	f.next = ws + f.windowSec
 }
 
-// NextWindow steps the feed one window and hands over what that window
+// nextWindow steps the feed one window and hands over what that window
 // queued: its start, its BGP updates and its public traceroutes, each in
 // time order. ok is false once the feed has ended. It is the
 // window-at-a-time way to consume the feed, for a caller that drives a
 // Monitor on its own goroutine (Lab) instead of reading Updates and Traces
 // through rrr.Pipeline; one environment serves one of the two.
-func (e *DaemonEnv) NextWindow() (ws int64, ups []bgp.Update, trs []*traceroute.Traceroute, ok bool) {
+func (e *DaemonEnv) nextWindow() (ws int64, ups []bgp.Update, trs []*traceroute.Traceroute, ok bool) {
 	f := e.Updates.f
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -285,8 +285,8 @@ type simServices struct {
 	mu     sync.RWMutex
 	mapper netsim.SimMapper
 	t      *netsim.Topology
-	geo    *LabGeo
-	rel    LabRel
+	geo    *labGeo
+	rel    labRel
 }
 
 // ASOf implements traceroute.Mapper.

@@ -120,25 +120,25 @@ type Lab struct {
 	patcher *traceroute.Patcher
 }
 
-// LabGeo adapts geo.Locator to core.Geolocator.
-type LabGeo struct {
+// labGeo adapts geo.Locator to core.Geolocator.
+type labGeo struct {
 	L *geo.Locator
 }
 
 // LocateCity implements core.Geolocator.
-func (g *LabGeo) LocateCity(ip uint32, when int64) (int, bool) {
+func (g *labGeo) LocateCity(ip uint32, when int64) (int, bool) {
 	c, _, ok := g.L.Locate(ip, when)
 	return int(c), ok
 }
 
-// LabRel adapts the simulator's ground-truth relationships to
+// labRel adapts the simulator's ground-truth relationships to
 // core.RelOracle (standing in for CAIDA's AS relationship database).
-type LabRel struct {
+type labRel struct {
 	T *netsim.Topology
 }
 
 // Rel implements core.RelOracle: a's relationship toward b.
-func (r LabRel) Rel(a, b bgp.ASN) core.Rel {
+func (r labRel) Rel(a, b bgp.ASN) core.Rel {
 	rel, ok := r.T.RelBetween(a, b)
 	if !ok {
 		return core.RelNone
@@ -209,11 +209,11 @@ func (l *Lab) BuildCorpus() int {
 	return n
 }
 
-// Ingest steps the feed one window and feeds its records to Tap and the
+// ingest steps the feed one window and feeds its records to Tap and the
 // monitor in RunPipeline's order: by timestamp, updates first on ties. It
 // returns the window's start, or ok false once the feed has ended.
-func (l *Lab) Ingest() (ws int64, ok bool) {
-	ws, ups, trs, ok := l.NextWindow()
+func (l *Lab) ingest() (ws int64, ok bool) {
+	ws, ups, trs, ok := l.nextWindow()
 	for len(ups) > 0 || len(trs) > 0 {
 		if len(ups) > 0 && (len(trs) == 0 || ups[0].Time <= trs[0].Time) {
 			if l.Tap != nil {
@@ -244,7 +244,7 @@ func (l *Lab) Close(ws int64) []rrr.Signal {
 
 // Window is Ingest followed by Close.
 func (l *Lab) Window() (ws int64, sigs []rrr.Signal, ok bool) {
-	if ws, ok = l.Ingest(); ok {
+	if ws, ok = l.ingest(); ok {
 		sigs = l.Close(ws)
 	}
 	return ws, sigs, ok

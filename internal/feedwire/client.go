@@ -189,11 +189,11 @@ func (c *Connector) open(kind byte, since int64) (*stream, error) {
 		return nil, transient(err)
 	}
 	fw := NewFrameWriter(conn)
-	if _, err := io.WriteString(conn, Magic); err != nil {
+	if _, err := io.WriteString(conn, magic); err != nil {
 		conn.Close()
 		return nil, transient(err)
 	}
-	if err := fw.WriteHello(kind, since); err != nil {
+	if err := fw.writeHello(kind, since); err != nil {
 		conn.Close()
 		return nil, transient(err)
 	}

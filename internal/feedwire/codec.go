@@ -16,7 +16,7 @@
 // payloads use kinds from 0x10 up, outside the WAL's record-kind space.
 //
 // Failure surface. A connection cut mid-frame decodes as
-// io.ErrUnexpectedEOF and a checksum mismatch as ErrCorruptFrame; the
+// io.ErrUnexpectedEOF and a checksum mismatch as errCorruptFrame; the
 // client connector wraps both as transient errors so the pipeline's
 // RetryPolicy reconnects and resumes window-aligned (positional replay
 // makes the recovery exactly-once). Torn (short) reads are absorbed by
@@ -35,10 +35,10 @@ import (
 	"rrr/internal/wal"
 )
 
-// Magic opens every feedwire connection (client→server), versioned
+// magic opens every feedwire connection (client→server), versioned
 // separately from the frame payloads so an incompatible framing change
 // fails the handshake instead of desyncing mid-stream.
-const Magic = "RRRFEED1"
+const magic = "RRRFEED1"
 
 // Stream identifiers carried in hello frames.
 const (
@@ -69,10 +69,10 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrCorruptFrame reports a frame whose checksum did not match or whose
+// errCorruptFrame reports a frame whose checksum did not match or whose
 // payload failed to decode: the stream position can no longer be trusted
 // and the connection must be re-established.
-var ErrCorruptFrame = errors.New("feedwire: corrupt frame")
+var errCorruptFrame = errors.New("feedwire: corrupt frame")
 
 // Frame is one decoded wire frame; exactly one of the kind-specific
 // groups is meaningful.
@@ -136,39 +136,39 @@ func (fw *FrameWriter) WriteTrace(t *traceroute.Traceroute) error {
 	return fw.writePayload(p)
 }
 
-// WriteHello frames the client handshake: stream selector + resume point.
-func (fw *FrameWriter) WriteHello(stream byte, since int64) error {
+// writeHello frames the client handshake: stream selector + resume point.
+func (fw *FrameWriter) writeHello(stream byte, since int64) error {
 	p := make([]byte, 0, 10)
 	p = append(p, kindHello, stream)
 	p = binary.BigEndian.AppendUint64(p, uint64(since))
 	return fw.writePayload(p)
 }
 
-// WriteHelloAck frames the server's handshake answer: the timestamp it
+// writeHelloAck frames the server's handshake answer: the timestamp it
 // will actually serve from.
-func (fw *FrameWriter) WriteHelloAck(start int64) error {
+func (fw *FrameWriter) writeHelloAck(start int64) error {
 	p := make([]byte, 0, 9)
 	p = append(p, kindHelloAck)
 	p = binary.BigEndian.AppendUint64(p, uint64(start))
 	return fw.writePayload(p)
 }
 
-// WriteWatermark frames a completed window boundary.
-func (fw *FrameWriter) WriteWatermark(windowStart int64) error {
+// writeWatermark frames a completed window boundary.
+func (fw *FrameWriter) writeWatermark(windowStart int64) error {
 	p := make([]byte, 0, 9)
 	p = append(p, kindWatermark)
 	p = binary.BigEndian.AppendUint64(p, uint64(windowStart))
 	return fw.writePayload(p)
 }
 
-// WriteEOF frames the end of the feed (the stream is exhausted, not
+// writeEOF frames the end of the feed (the stream is exhausted, not
 // broken).
-func (fw *FrameWriter) WriteEOF() error {
+func (fw *FrameWriter) writeEOF() error {
 	return fw.writePayload([]byte{kindEOF})
 }
 
-// WriteError frames a terminal server-side error.
-func (fw *FrameWriter) WriteError(msg string) error {
+// writeError frames a terminal server-side error.
+func (fw *FrameWriter) writeError(msg string) error {
 	p := make([]byte, 0, 1+len(msg))
 	p = append(p, kindError)
 	p = append(p, msg...)
@@ -190,7 +190,7 @@ func NewFrameReader(r io.Reader) *FrameReader {
 
 // Read decodes the next frame. A clean cut at a frame boundary returns
 // io.EOF; a cut inside a frame returns io.ErrUnexpectedEOF; a checksum
-// or payload-decode failure returns an error wrapping ErrCorruptFrame.
+// or payload-decode failure returns an error wrapping errCorruptFrame.
 func (fr *FrameReader) Read() (Frame, error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		// A partial header is a mid-frame cut; io.ReadFull already maps
@@ -200,7 +200,7 @@ func (fr *FrameReader) Read() (Frame, error) {
 	plen := binary.BigEndian.Uint32(fr.hdr[0:4])
 	want := binary.BigEndian.Uint32(fr.hdr[4:8])
 	if plen == 0 || plen > maxFrameBytes {
-		return Frame{}, fmt.Errorf("%w: impossible frame length %d", ErrCorruptFrame, plen)
+		return Frame{}, fmt.Errorf("%w: impossible frame length %d", errCorruptFrame, plen)
 	}
 	if cap(fr.payload) < int(plen) {
 		fr.payload = make([]byte, plen)
@@ -213,7 +213,7 @@ func (fr *FrameReader) Read() (Frame, error) {
 		return Frame{}, err
 	}
 	if crc32.Checksum(p, castagnoli) != want {
-		return Frame{}, fmt.Errorf("%w: checksum mismatch", ErrCorruptFrame)
+		return Frame{}, fmt.Errorf("%w: checksum mismatch", errCorruptFrame)
 	}
 	return decodeFrame(p)
 }
@@ -222,34 +222,34 @@ func decodeFrame(p []byte) (Frame, error) {
 	if wal.IsRecordKind(p[0]) {
 		rec, err := wal.DecodeRecordPayload(p)
 		if err != nil {
-			return Frame{}, fmt.Errorf("%w: %v", ErrCorruptFrame, err)
+			return Frame{}, fmt.Errorf("%w: %v", errCorruptFrame, err)
 		}
 		return Frame{Kind: p[0], Update: rec.Update, Trace: rec.Trace}, nil
 	}
 	switch p[0] {
 	case kindHello:
 		if len(p) != 10 {
-			return Frame{}, fmt.Errorf("%w: hello frame length %d", ErrCorruptFrame, len(p))
+			return Frame{}, fmt.Errorf("%w: hello frame length %d", errCorruptFrame, len(p))
 		}
 		return Frame{Kind: kindHello, Stream: p[1], Since: int64(binary.BigEndian.Uint64(p[2:10]))}, nil
 	case kindHelloAck:
 		if len(p) != 9 {
-			return Frame{}, fmt.Errorf("%w: hello-ack frame length %d", ErrCorruptFrame, len(p))
+			return Frame{}, fmt.Errorf("%w: hello-ack frame length %d", errCorruptFrame, len(p))
 		}
 		return Frame{Kind: kindHelloAck, Start: int64(binary.BigEndian.Uint64(p[1:9]))}, nil
 	case kindWatermark:
 		if len(p) != 9 {
-			return Frame{}, fmt.Errorf("%w: watermark frame length %d", ErrCorruptFrame, len(p))
+			return Frame{}, fmt.Errorf("%w: watermark frame length %d", errCorruptFrame, len(p))
 		}
 		return Frame{Kind: kindWatermark, Watermark: int64(binary.BigEndian.Uint64(p[1:9]))}, nil
 	case kindEOF:
 		if len(p) != 1 {
-			return Frame{}, fmt.Errorf("%w: eof frame length %d", ErrCorruptFrame, len(p))
+			return Frame{}, fmt.Errorf("%w: eof frame length %d", errCorruptFrame, len(p))
 		}
 		return Frame{Kind: kindEOF}, nil
 	case kindError:
 		return Frame{Kind: kindError, Msg: string(p[1:])}, nil
 	default:
-		return Frame{}, fmt.Errorf("%w: unknown frame kind %d", ErrCorruptFrame, p[0])
+		return Frame{}, fmt.Errorf("%w: unknown frame kind %d", errCorruptFrame, p[0])
 	}
 }

@@ -39,13 +39,13 @@ func seedStream(t *testing.T) ([]byte, map[int]bool, []Frame) {
 		}
 		boundaries[buf.Len()] = true
 	}
-	mark(fw.WriteHello(StreamUpdates, ResumeAll))
-	mark(fw.WriteHelloAck(100))
+	mark(fw.writeHello(StreamUpdates, ResumeAll))
+	mark(fw.writeHelloAck(100))
 	mark(fw.WriteUpdate(u))
 	mark(fw.WriteTrace(tr))
-	mark(fw.WriteWatermark(900))
-	mark(fw.WriteError("feed detached"))
-	mark(fw.WriteEOF())
+	mark(fw.writeWatermark(900))
+	mark(fw.writeError("feed detached"))
+	mark(fw.writeEOF())
 
 	want := []Frame{
 		{Kind: kindHello, Stream: StreamUpdates, Since: ResumeAll},
@@ -136,8 +136,8 @@ func TestFrameReaderRejectsImpossibleLength(t *testing.T) {
 		hdr[2] = byte(plen >> 8)
 		hdr[3] = byte(plen)
 		_, err := NewFrameReader(bytes.NewReader(hdr)).Read()
-		if !errors.Is(err, ErrCorruptFrame) {
-			t.Fatalf("length %d: got %v, want ErrCorruptFrame", plen, err)
+		if !errors.Is(err, errCorruptFrame) {
+			t.Fatalf("length %d: got %v, want errCorruptFrame", plen, err)
 		}
 	}
 }
@@ -147,9 +147,9 @@ func TestFrameReaderRejectsImpossibleLength(t *testing.T) {
 func FuzzFrameReader(f *testing.F) {
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)
-	fw.WriteHello(StreamTraces, 42)
-	fw.WriteWatermark(900)
-	fw.WriteEOF()
+	fw.writeHello(StreamTraces, 42)
+	fw.writeWatermark(900)
+	fw.writeEOF()
 	whole := buf.Bytes()
 	f.Add(whole)
 	f.Add(whole[:len(whole)-3])

@@ -225,27 +225,27 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	fw := NewFrameWriter(conn)
 
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(conn, magic); err != nil {
+	hello := make([]byte, len(magic))
+	if _, err := io.ReadFull(conn, hello); err != nil {
 		return
 	}
-	if string(magic) != Magic {
-		fw.WriteError(fmt.Sprintf("bad protocol magic %q", magic))
+	if string(hello) != magic {
+		fw.writeError(fmt.Sprintf("bad protocol magic %q", hello))
 		return
 	}
 	f, err := NewFrameReader(conn).Read()
 	if err != nil || f.Kind != kindHello {
-		fw.WriteError("expected hello frame")
+		fw.writeError("expected hello frame")
 		return
 	}
 	h := s.historyFor(f.Stream)
 	if h == nil {
-		fw.WriteError(fmt.Sprintf("unknown stream %d", f.Stream))
+		fw.writeError(fmt.Sprintf("unknown stream %d", f.Stream))
 		return
 	}
 
 	cursor, start := h.startAt(f.Since)
-	if fw.WriteHelloAck(start) != nil {
+	if fw.writeHelloAck(start) != nil {
 		return
 	}
 
@@ -257,7 +257,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// Watermark every completed window the stream has moved past.
 			if w := floorDiv(rec.Time(), s.cfg.WindowSec); w > lastWin {
 				if lastWin != math.MinInt64 {
-					if fw.WriteWatermark((w-1)*s.cfg.WindowSec) != nil {
+					if fw.writeWatermark((w-1)*s.cfg.WindowSec) != nil {
 						return
 					}
 				}
@@ -278,18 +278,18 @@ func (s *Server) serveConn(conn net.Conn) {
 			// gone, so exactly-once delivery on this connection is dead.
 			// Fail loudly and let the client reconnect (its hello-ack
 			// will then carry the explicit resume gap).
-			fw.WriteError("consumer fell behind feed retention")
+			fw.writeError("consumer fell behind feed retention")
 			return
 		case histEOF:
 			if lastWin != math.MinInt64 {
-				if fw.WriteWatermark(lastWin*s.cfg.WindowSec) != nil {
+				if fw.writeWatermark(lastWin*s.cfg.WindowSec) != nil {
 					return
 				}
 			}
-			fw.WriteEOF()
+			fw.writeEOF()
 			return
 		case histError:
-			fw.WriteError(msg)
+			fw.writeError(msg)
 			return
 		}
 	}

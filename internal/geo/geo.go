@@ -20,25 +20,25 @@ type Method int
 
 // Geolocation methods, in the order the pipeline tries them.
 const (
-	// MethodNone means the address could not be located; path segments
+	// methodNone means the address could not be located; path segments
 	// ending at it are excluded from PoP-level staleness signals.
-	MethodNone Method = iota
-	// MethodDB is an IPMap-like database hit.
-	MethodDB
-	// MethodShortestPing located the address by RTT proximity.
-	MethodShortestPing
-	// MethodCFS is the constrained-facility-search style fallback.
-	MethodCFS
+	methodNone Method = iota
+	// methodDB is an IPMap-like database hit.
+	methodDB
+	// methodShortestPing located the address by RTT proximity.
+	methodShortestPing
+	// methodCFS is the constrained-facility-search style fallback.
+	methodCFS
 )
 
 // String names the method.
 func (m Method) String() string {
 	switch m {
-	case MethodDB:
+	case methodDB:
 		return "ipmap-db"
-	case MethodShortestPing:
+	case methodShortestPing:
 		return "shortest-ping"
-	case MethodCFS:
+	case methodCFS:
 		return "cfs"
 	default:
 		return "none"
@@ -112,16 +112,16 @@ func nearestOther(s *netsim.Sim, c netsim.CityID) netsim.CityID {
 		if other.ID == c {
 			continue
 		}
-		if d := CityDistance(s, c, other.ID); d < bestD {
+		if d := cityDistance(s, c, other.ID); d < bestD {
 			best, bestD = other.ID, d
 		}
 	}
 	return best
 }
 
-// CityDistance returns the abstract plane distance between two cities,
+// cityDistance returns the abstract plane distance between two cities,
 // scaled to kilometers (1 unit ≈ 100 km) for reporting.
-func CityDistance(s *netsim.Sim, a, b netsim.CityID) float64 {
+func cityDistance(s *netsim.Sim, a, b netsim.CityID) float64 {
 	ca, cb := s.T.Cities[a], s.T.Cities[b]
 	dx, dy := ca.X-cb.X, ca.Y-cb.Y
 	return math.Sqrt(dx*dx+dy*dy) * 100
@@ -154,26 +154,26 @@ func NewLocator(s *netsim.Sim, db *DB) *Locator {
 // whether location succeeded.
 func (l *Locator) Locate(ip uint32, when int64) (netsim.CityID, Method, bool) {
 	if got, ok := l.cache[ip]; ok {
-		return got.city, got.method, got.method != MethodNone
+		return got.city, got.method, got.method != methodNone
 	}
 	city, method := l.locate(ip, when)
 	l.cache[ip] = located{city: city, method: method}
-	return city, method, method != MethodNone
+	return city, method, method != methodNone
 }
 
 func (l *Locator) locate(ip uint32, when int64) (netsim.CityID, Method) {
 	if l.db != nil {
 		if c, ok := l.db.Lookup(ip); ok {
-			return c, MethodDB
+			return c, methodDB
 		}
 	}
 	if c, ok := l.shortestPing(ip, when); ok {
-		return c, MethodShortestPing
+		return c, methodShortestPing
 	}
 	if c, ok := l.cfsFallback(ip); ok {
-		return c, MethodCFS
+		return c, methodCFS
 	}
-	return 0, MethodNone
+	return 0, methodNone
 }
 
 // shortestPing implements the paper's technique: derive candidate cities
@@ -312,7 +312,7 @@ func Validate(l *Locator, ref *DB, ips []uint32, when int64) []ValidationResult 
 		}
 		out = append(out, ValidationResult{
 			IP: ip, OurCity: ours, DBCity: refCity,
-			Distance: CityDistance(l.sim, ours, refCity),
+			Distance: cityDistance(l.sim, ours, refCity),
 		})
 	}
 	return out

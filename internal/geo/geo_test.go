@@ -50,7 +50,7 @@ func TestLocatorDBFirst(t *testing.T) {
 	l := NewLocator(s, db)
 	for _, ip := range ips[:10] {
 		city, method, ok := l.Locate(ip, 100)
-		if !ok || method != MethodDB {
+		if !ok || method != methodDB {
 			t.Fatalf("Locate = %v, %v, %v; want DB hit", city, method, ok)
 		}
 		r, _ := s.T.RouterForIP(ip)
@@ -71,7 +71,7 @@ func TestLocatorShortestPingFallback(t *testing.T) {
 			continue
 		}
 		located++
-		if method != MethodShortestPing && method != MethodCFS {
+		if method != methodShortestPing && method != methodCFS {
 			t.Fatalf("method = %v", method)
 		}
 		if city == s.T.CityOfRouter(r.ID) {
@@ -103,7 +103,7 @@ func TestLocatorCaches(t *testing.T) {
 func TestLocateUnknownIP(t *testing.T) {
 	s := netsim.New(netsim.TestConfig())
 	l := NewLocator(s, nil)
-	if _, m, ok := l.Locate(0xdeadbeef, 1); ok || m != MethodNone {
+	if _, m, ok := l.Locate(0xdeadbeef, 1); ok || m != methodNone {
 		t.Fatalf("unknown IP located: %v %v", m, ok)
 	}
 }
@@ -137,8 +137,8 @@ func TestValidateAndCDF(t *testing.T) {
 
 func TestMethodString(t *testing.T) {
 	for m, want := range map[Method]string{
-		MethodNone: "none", MethodDB: "ipmap-db",
-		MethodShortestPing: "shortest-ping", MethodCFS: "cfs",
+		methodNone: "none", methodDB: "ipmap-db",
+		methodShortestPing: "shortest-ping", methodCFS: "cfs",
 	} {
 		if m.String() != want {
 			t.Errorf("%d.String() = %q", m, m.String())
@@ -181,8 +181,8 @@ func TestCityDistanceSymmetricZero(t *testing.T) {
 	s := netsim.New(netsim.TestConfig())
 	for i := range s.T.Cities {
 		for j := range s.T.Cities {
-			a := CityDistance(s, s.T.Cities[i].ID, s.T.Cities[j].ID)
-			b := CityDistance(s, s.T.Cities[j].ID, s.T.Cities[i].ID)
+			a := cityDistance(s, s.T.Cities[i].ID, s.T.Cities[j].ID)
+			b := cityDistance(s, s.T.Cities[j].ID, s.T.Cities[i].ID)
 			if a != b {
 				t.Fatalf("distance asymmetric: %f vs %f", a, b)
 			}

@@ -16,8 +16,8 @@ import (
 // paper's processing; IPs that cannot be geolocated are their own PoP).
 type PoP int64
 
-// Entry is one corpus traceroute at PoP granularity.
-type Entry struct {
+// entry is one corpus traceroute at PoP granularity.
+type entry struct {
 	Key  traceroute.Key
 	PoPs []PoP
 }
@@ -32,18 +32,18 @@ type Splice struct {
 
 // Service is the splicing index.
 type Service struct {
-	entries map[traceroute.Key]*Entry
-	bySrc   map[uint32][]*Entry
-	byPoP   map[PoP]map[uint32][]*Entry // PoP → dst → entries through it
+	entries map[traceroute.Key]*entry
+	bySrc   map[uint32][]*entry
+	byPoP   map[PoP]map[uint32][]*entry // PoP → dst → entries through it
 	pruned  map[traceroute.Key]bool
 }
 
 // New returns an empty service.
 func New() *Service {
 	return &Service{
-		entries: make(map[traceroute.Key]*Entry),
-		bySrc:   make(map[uint32][]*Entry),
-		byPoP:   make(map[PoP]map[uint32][]*Entry),
+		entries: make(map[traceroute.Key]*entry),
+		bySrc:   make(map[uint32][]*entry),
+		byPoP:   make(map[PoP]map[uint32][]*entry),
 		pruned:  make(map[traceroute.Key]bool),
 	}
 }
@@ -56,13 +56,13 @@ func (s *Service) Add(key traceroute.Key, pops []PoP) {
 	if _, ok := s.entries[key]; ok {
 		s.remove(key)
 	}
-	e := &Entry{Key: key, PoPs: pops}
+	e := &entry{Key: key, PoPs: pops}
 	s.entries[key] = e
 	s.bySrc[key.Src] = append(s.bySrc[key.Src], e)
 	for _, p := range e.PoPs {
 		m := s.byPoP[p]
 		if m == nil {
-			m = make(map[uint32][]*Entry)
+			m = make(map[uint32][]*entry)
 			s.byPoP[p] = m
 		}
 		m[key.Dst] = append(m[key.Dst], e)
@@ -84,7 +84,7 @@ func (s *Service) remove(key traceroute.Key) {
 	delete(s.pruned, key)
 }
 
-func filterEntries(es []*Entry, key traceroute.Key) []*Entry {
+func filterEntries(es []*entry, key traceroute.Key) []*entry {
 	out := es[:0]
 	for _, e := range es {
 		if e.Key != key {
@@ -99,9 +99,6 @@ func (s *Service) Prune(key traceroute.Key) { s.pruned[key] = true }
 
 // Unprune restores a traceroute whose staleness signals were revoked.
 func (s *Service) Unprune(key traceroute.Key) { delete(s.pruned, key) }
-
-// PrunedCount reports how many stored traceroutes are currently pruned.
-func (s *Service) PrunedCount() int { return len(s.pruned) }
 
 // Predict returns a splice for src → dst, or false if no pair of usable
 // traceroutes intersects. Among candidates it prefers the intersection
@@ -131,12 +128,6 @@ func (s *Service) Predict(src, dst uint32) (Splice, bool) {
 		}
 	}
 	return best, bestRank >= 0
-}
-
-// Direct reports whether the service holds an unpruned direct measurement.
-func (s *Service) Direct(src, dst uint32) bool {
-	e, ok := s.entries[traceroute.Key{Src: src, Dst: dst}]
-	return ok && !s.pruned[e.Key]
 }
 
 // Valid checks a splice against current ground-truth PoP paths: it holds

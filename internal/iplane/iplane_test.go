@@ -53,8 +53,8 @@ func TestPruneExcludesAndUnpruneRestores(t *testing.T) {
 	if _, ok := s.Predict(1, 200); ok {
 		t.Fatal("pruned left path used in splice")
 	}
-	if s.PrunedCount() != 1 {
-		t.Fatalf("pruned = %d", s.PrunedCount())
+	if len(s.pruned) != 1 {
+		t.Fatalf("pruned = %d", len(s.pruned))
 	}
 	s.Unprune(k(1, 100))
 	if _, ok := s.Predict(1, 200); !ok {
@@ -94,21 +94,6 @@ func TestSpliceValidAgainstCurrentPaths(t *testing.T) {
 	}
 }
 
-func TestDirect(t *testing.T) {
-	s := New()
-	s.Add(k(1, 100), []PoP{10, 100})
-	if !s.Direct(1, 100) {
-		t.Fatal("direct measurement not found")
-	}
-	s.Prune(k(1, 100))
-	if s.Direct(1, 100) {
-		t.Fatal("pruned direct measurement still usable")
-	}
-	if s.Direct(1, 999) {
-		t.Fatal("phantom direct measurement")
-	}
-}
-
 func TestKeysDeterministic(t *testing.T) {
 	s := New()
 	s.Add(k(2, 5), []PoP{1})
@@ -130,7 +115,7 @@ func TestRemoveCleansIndexes(t *testing.T) {
 	s.Prune(k(1, 100))
 	// Replacing via Add clears prune state and old index entries.
 	s.Add(k(1, 100), []PoP{10, 8, 100})
-	if s.PrunedCount() != 0 {
+	if len(s.pruned) != 0 {
 		t.Fatal("Add did not clear prune state")
 	}
 	if _, ok := s.Predict(1, 200); ok {

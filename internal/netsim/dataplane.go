@@ -3,7 +3,6 @@ package netsim
 import (
 	"hash/fnv"
 	"math"
-	"sort"
 
 	"rrr/internal/bgp"
 	"rrr/internal/traceroute"
@@ -186,7 +185,7 @@ func (s *Sim) Traceroute(probeID int, srcIP, dstIP uint32, when int64) *tracerou
 			tr.Reached = true
 			return tr
 		}
-		next, ok := s.R.NextHop(cur, dstAS)
+		next, ok := s.R.nextHop(cur, dstAS)
 		if !ok {
 			// No route: the trace dies with unresponsive hops.
 			for k := 0; k < 3; k++ {
@@ -303,7 +302,7 @@ func (s *Sim) Borders(srcIP, dstIP uint32) []BorderCrossing {
 	var out []BorderCrossing
 	cur := srcAS
 	for steps := 0; steps < 64 && cur != dstAS; steps++ {
-		next, ok := s.R.NextHop(cur, dstAS)
+		next, ok := s.R.nextHop(cur, dstAS)
 		if !ok {
 			return out
 		}
@@ -321,14 +320,5 @@ func (s *Sim) Borders(srcIP, dstIP uint32) []BorderCrossing {
 		out = append(out, bc)
 		cur = next
 	}
-	return out
-}
-
-// SortedASNs returns the topology's ASNs (already sorted); convenience for
-// deterministic iteration by callers.
-func (t *Topology) SortedASNs() []bgp.ASN {
-	out := make([]bgp.ASN, len(t.ASList))
-	copy(out, t.ASList)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

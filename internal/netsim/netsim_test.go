@@ -209,7 +209,7 @@ func TestEgressShiftChangesBorderNotASPath(t *testing.T) {
 
 	var updates []bgp.Update
 	s.OnUpdate(func(u bgp.Update) { updates = append(updates, u) })
-	s.Inject(Event{Kind: EvEgressShift, Time: 100, A: pk.lo, B: pk.hi})
+	s.apply(Event{Kind: evEgressShift, Time: 100, A: pk.lo, B: pk.hi})
 
 	pathAfter := s.R.ASPath(mustOrigin(t, s, src), mustOrigin(t, s, dst))
 	if !pathBefore.Equal(pathAfter) {
@@ -287,7 +287,7 @@ func TestLinkDownOnlyLinkChangesASPaths(t *testing.T) {
 
 	var updates []bgp.Update
 	s.OnUpdate(func(u bgp.Update) { updates = append(updates, u) })
-	s.Inject(Event{Kind: EvLinkDown, Time: 100, Link: lid})
+	s.apply(Event{Kind: evLinkDown, Time: 100, Link: lid})
 
 	after := s.R.ASPath(srcAS, dstAS)
 	if before.Equal(after) {
@@ -297,7 +297,7 @@ func TestLinkDownOnlyLinkChangesASPaths(t *testing.T) {
 		t.Fatal("link failure should emit updates")
 	}
 	// Repair restores connectivity.
-	s.Inject(Event{Kind: EvLinkUp, Time: 200, Link: lid})
+	s.apply(Event{Kind: evLinkUp, Time: 200, Link: lid})
 	restored := s.R.ASPath(srcAS, dstAS)
 	if restored == nil {
 		t.Fatal("path should exist after repair")
@@ -315,7 +315,7 @@ func TestIntraRerouteKeepsBorders(t *testing.T) {
 	var updates []bgp.Update
 	s.OnUpdate(func(u bgp.Update) { updates = append(updates, u) })
 	for i := 0; i < 5; i++ {
-		s.Inject(Event{Kind: EvIntraReroute, Time: int64(100 + i), AS: asn})
+		s.apply(Event{Kind: evIntraReroute, Time: int64(100 + i), AS: asn})
 	}
 	after := s.Borders(src, dst)
 	if len(before) != len(after) {
@@ -344,7 +344,7 @@ func TestPolicyNoiseOnlyChangesCommunities(t *testing.T) {
 	asn := s.T.ASList[0] // tier-1: on many VP paths
 	var updates []bgp.Update
 	s.OnUpdate(func(u bgp.Update) { updates = append(updates, u) })
-	s.Inject(Event{Kind: EvPolicyNoise, Time: 100, AS: asn})
+	s.apply(Event{Kind: evPolicyNoise, Time: 100, AS: asn})
 	if len(updates) == 0 {
 		t.Fatal("policy noise on a tier-1 should emit updates")
 	}
@@ -383,7 +383,7 @@ func TestIXPJoinAddsMemberAndLinks(t *testing.T) {
 		t.Skip("everyone is already a member")
 	}
 	linksBefore := len(s.T.Links)
-	s.Inject(Event{Kind: EvIXPJoin, Time: 100, AS: joiner, IXP: ixp})
+	s.apply(Event{Kind: evIXPJoin, Time: 100, AS: joiner, IXP: ixp})
 	if len(s.T.IXPs[ixp].MemberIPs) <= memBefore {
 		t.Fatal("membership did not grow")
 	}
@@ -519,7 +519,7 @@ func BenchmarkRecomputeAll(b *testing.B) {
 	s := New(TestConfig())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.R.RecomputeAll()
+		s.R.recomputeAll()
 	}
 }
 
@@ -586,7 +586,7 @@ func TestReachabilityRestoredAfterRepairs(t *testing.T) {
 	// Force-repair everything and clear overrides.
 	for lid := 1; lid < len(s.T.Links); lid++ {
 		if !s.T.Links[lid].Up {
-			s.Inject(Event{Kind: EvLinkUp, Time: s.Now(), Link: LinkID(lid)})
+			s.apply(Event{Kind: evLinkUp, Time: s.Now(), Link: LinkID(lid)})
 		}
 	}
 	missing := 0
@@ -628,13 +628,9 @@ func TestHostIPWithinOriginatedPrefix(t *testing.T) {
 func TestGeoCommunityRoundTrip(t *testing.T) {
 	for _, pop := range []PoPID{0, 7, 1499} {
 		v := geoCommunityValue(pop)
-		got, ok := GeoCommunityPoP(v)
-		if !ok || got != pop {
-			t.Fatalf("geo community round trip %d -> %d,%v", pop, got, ok)
+		if v < 50000 || PoPID(v-50000) != pop {
+			t.Fatalf("geo community for PoP %d is %d; want 50000+PoP", pop, v)
 		}
-	}
-	if _, ok := GeoCommunityPoP(100); ok {
-		t.Fatal("non-geo value decoded")
 	}
 }
 
@@ -659,8 +655,8 @@ func TestIXPMemberForIP(t *testing.T) {
 }
 
 func TestEventKindStrings(t *testing.T) {
-	kinds := []EventKind{EvLinkDown, EvLinkUp, EvEgressShift, EvTiebreakFlip,
-		EvIntraReroute, EvPolicyNoise, EvIXPJoin}
+	kinds := []EventKind{evLinkDown, evLinkUp, evEgressShift, evTiebreakFlip,
+		evIntraReroute, evPolicyNoise, evIXPJoin}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()
@@ -676,14 +672,14 @@ func TestEventKindStrings(t *testing.T) {
 
 func TestRelationshipInvertInvolution(t *testing.T) {
 	for _, r := range []Relationship{RelCustomer, RelProvider, RelPeer} {
-		if r.Invert().Invert() != r {
-			t.Fatalf("Invert not an involution for %v", r)
+		if r.invert().invert() != r {
+			t.Fatalf("invert not an involution for %v", r)
 		}
 	}
-	if RelCustomer.Invert() != RelProvider {
+	if RelCustomer.invert() != RelProvider {
 		t.Fatal("customer inverse")
 	}
-	if RelPeer.Invert() != RelPeer {
+	if RelPeer.invert() != RelPeer {
 		t.Fatal("peer inverse")
 	}
 }
@@ -723,16 +719,16 @@ func TestIntraReroutePerturbationToggles(t *testing.T) {
 	if asn == 0 {
 		t.Skip("no multi-PoP AS")
 	}
-	s.Inject(Event{Kind: EvIntraReroute, Time: 1, AS: asn})
+	s.apply(Event{Kind: evIntraReroute, Time: 1, AS: asn})
 	if len(s.intraMul[asn]) != 1 {
 		t.Fatalf("perturbations = %d; want 1", len(s.intraMul[asn]))
 	}
-	// The sampler is deterministic per sim RNG: injecting repeatedly
+	// The sampler is deterministic per sim RNG: applying repeatedly
 	// eventually toggles the same edge off.
 	toggledOff := false
 	for i := 0; i < 50; i++ {
 		before := len(s.intraMul[asn])
-		s.Inject(Event{Kind: EvIntraReroute, Time: int64(2 + i), AS: asn})
+		s.apply(Event{Kind: evIntraReroute, Time: int64(2 + i), AS: asn})
 		if len(s.intraMul[asn]) < before {
 			toggledOff = true
 			break

@@ -78,14 +78,14 @@ func newRouting(t *Topology) *Routing {
 	for pk := range rt.allPairs() {
 		rt.selectActiveLink(pk)
 	}
-	rt.RecomputeAll()
+	rt.recomputeAll()
 	return rt
 }
 
-// SetLinkUp changes a link's operational state, keeping the adjacency cache
+// setLinkUp changes a link's operational state, keeping the adjacency cache
 // and active-link selection consistent. It reports whether the state
 // actually changed.
-func (rt *Routing) SetLinkUp(lid LinkID, up bool) bool {
+func (rt *Routing) setLinkUp(lid LinkID, up bool) bool {
 	l := &rt.topo.Links[lid]
 	if l.Up == up {
 		return false
@@ -101,9 +101,9 @@ func (rt *Routing) SetLinkUp(lid LinkID, up bool) bool {
 	return true
 }
 
-// NoteLinkAdded registers a newly created link (IXP joins add links after
+// noteLinkAdded registers a newly created link (IXP joins add links after
 // initialization).
-func (rt *Routing) NoteLinkAdded(lid LinkID) {
+func (rt *Routing) noteLinkAdded(lid LinkID) {
 	l := rt.topo.Links[lid]
 	if l.Up {
 		rt.upCount[mkPair(l.AAS, l.BAS)]++
@@ -152,10 +152,10 @@ func (rt *Routing) selectActiveLink(pk pairKey) bool {
 	return cur != ups[0]
 }
 
-// RotateActiveLink shifts the pair's active link to the next operational
+// rotateActiveLink shifts the pair's active link to the next operational
 // parallel link (hot-potato/egress engineering change). It reports whether
 // anything changed.
-func (rt *Routing) RotateActiveLink(a, b bgp.ASN) bool {
+func (rt *Routing) rotateActiveLink(a, b bgp.ASN) bool {
 	pk := mkPair(a, b)
 	ups := rt.upLinks(pk)
 	if len(ups) < 2 {
@@ -187,10 +187,10 @@ func (rt *Routing) ActiveLink(a, b bgp.ASN, flow uint64) (LinkID, bool) {
 	return lid, ok
 }
 
-// ControlLink returns the link whose attributes (ingress PoP, communities)
+// controlLink returns the link whose attributes (ingress PoP, communities)
 // the control plane advertises for the pair: the active link, ignoring
 // per-flow balancing.
-func (rt *Routing) ControlLink(a, b bgp.ASN) (LinkID, bool) {
+func (rt *Routing) controlLink(a, b bgp.ASN) (LinkID, bool) {
 	lid, ok := rt.activeLink[mkPair(a, b)]
 	return lid, ok
 }
@@ -200,8 +200,8 @@ func (rt *Routing) hasUpNeighbor(a, b bgp.ASN) bool {
 	return rt.upCount[mkPair(a, b)] > 0
 }
 
-// RecomputeAll recomputes best routes for every destination AS.
-func (rt *Routing) RecomputeAll() {
+// recomputeAll recomputes best routes for every destination AS.
+func (rt *Routing) recomputeAll() {
 	for _, d := range rt.topo.ASList {
 		rt.best[d] = rt.computeDest(d)
 	}
@@ -400,10 +400,10 @@ func (rt *Routing) ASPath(x, d bgp.ASN) bgp.Path {
 	return nil // malformed (should not happen)
 }
 
-// RouteAttrs computes the BGP attributes a vantage point in AS v would hold
+// routeAttrs computes the BGP attributes a vantage point in AS v would hold
 // for destination AS d: the AS path and the community set accumulated along
 // it (geo tags at each ingress PoP, policy communities, stripping).
-func (rt *Routing) RouteAttrs(v, d bgp.ASN) (bgp.Path, bgp.Communities, uint32, bool) {
+func (rt *Routing) routeAttrs(v, d bgp.ASN) (bgp.Path, bgp.Communities, uint32, bool) {
 	path := rt.ASPath(v, d)
 	if path == nil {
 		return nil, nil, 0, false
@@ -421,7 +421,7 @@ func (rt *Routing) RouteAttrs(v, d bgp.ASN) (bgp.Path, bgp.Communities, uint32, 
 			comms = nil
 		}
 		if recv.TagsGeo {
-			if lid, ok := rt.ControlLink(path[i], path[i+1]); ok {
+			if lid, ok := rt.controlLink(path[i], path[i+1]); ok {
 				pop := rt.sidePoP(lid, path[i])
 				comms = append(comms, bgp.MakeCommunity(path[i], geoCommunityValue(pop)))
 			}
@@ -435,7 +435,7 @@ func (rt *Routing) RouteAttrs(v, d bgp.ASN) (bgp.Path, bgp.Communities, uint32, 
 	// egress shifts but is non-transitive.
 	var med uint32
 	if len(path) > 1 {
-		if lid, ok := rt.ControlLink(path[0], path[1]); ok {
+		if lid, ok := rt.controlLink(path[0], path[1]); ok {
 			med = uint32(lid)
 		}
 	}
@@ -457,25 +457,11 @@ func geoCommunityValue(pop PoPID) uint16 {
 	return uint16(50000 + int(pop)%15000)
 }
 
-// GeoCommunityPoP decodes a geo community value back to the PoP, for tests.
-func GeoCommunityPoP(v uint16) (PoPID, bool) {
-	if v < 50000 {
-		return 0, false
-	}
-	return PoPID(v - 50000), true
-}
-
-// NextHop returns x's next-hop AS toward d.
-func (rt *Routing) NextHop(x, d bgp.ASN) (bgp.ASN, bool) {
+// nextHop returns x's next-hop AS toward d.
+func (rt *Routing) nextHop(x, d bgp.ASN) (bgp.ASN, bool) {
 	c, ok := rt.best[d][x]
 	if !ok || c.class == classSelf {
 		return 0, false
 	}
 	return c.next, true
-}
-
-// HasRoute reports whether x has any route toward d.
-func (rt *Routing) HasRoute(x, d bgp.ASN) bool {
-	_, ok := rt.best[d][x]
-	return ok
 }

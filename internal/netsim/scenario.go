@@ -226,7 +226,7 @@ func (sc *Scenario) forgeOrigin(vps []VP, prefix trie.Prefix, attacker bgp.ASN, 
 // of the victim AS.
 func (sc *Scenario) healPrefix(vps []VP, prefix trie.Prefix, victim bgp.ASN, t int64) {
 	for _, vp := range vps {
-		path, comms, med, ok := sc.sim.R.RouteAttrs(vp.AS, victim)
+		path, comms, med, ok := sc.sim.R.routeAttrs(vp.AS, victim)
 		if !ok {
 			continue
 		}
@@ -467,7 +467,7 @@ func (sc *Scenario) buildBlackholes(stubs []bgp.ASN) {
 		})
 		sc.addAction(t, func(at int64) {
 			for _, vp := range vps {
-				path, comms, med, ok := sc.sim.R.RouteAttrs(vp.AS, victim)
+				path, comms, med, ok := sc.sim.R.routeAttrs(vp.AS, victim)
 				if !ok {
 					continue
 				}

@@ -1,9 +1,9 @@
 package netsim_test
 
 import (
-	"bytes"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -26,9 +26,9 @@ func scenarioScale() experiments.Scale {
 
 // drainEnv consumes a daemon environment's feeds to EOF, rendering every
 // update and trace to a canonical text form, and returns the rendered
-// streams plus the encoded ground-truth labels. Sources may be wrapped
-// (faultfeed) before draining.
-func drainEnv(t *testing.T, env *experiments.DaemonEnv, ff *faultfeed.Config) (string, string, []byte) {
+// streams plus the ground-truth labels. Sources may be wrapped (faultfeed)
+// before draining.
+func drainEnv(t *testing.T, env *experiments.DaemonEnv, ff *faultfeed.Config) (string, string, []events.Truth) {
 	t.Helper()
 	var usrc interface {
 		Read() (bgp.Update, error)
@@ -78,20 +78,19 @@ func drainEnv(t *testing.T, env *experiments.DaemonEnv, ff *faultfeed.Config) (s
 	if nt < 50 {
 		t.Fatalf("vacuous run: only %d traces", nt)
 	}
-	var truths []byte
+	var labels []events.Truth
 	if env.Scen != nil {
-		labels := env.Scen.Truths()
+		labels = env.Scen.Truths()
 		if len(labels) < 8 {
 			t.Fatalf("vacuous run: only %d ground-truth labels", len(labels))
 		}
-		truths = events.EncodeTruths(labels)
 	}
-	return ub.String(), tb.String(), truths
+	return ub.String(), tb.String(), labels
 }
 
 // TestScenarioDeterminism pins the scenario contract: the same scale, sim
-// seed, and pack produce byte-identical update streams, trace streams, and
-// encoded ground-truth labels across independent runs.
+// seed, and pack produce byte-identical update streams and trace streams,
+// and ground-truth labels equal in every field, across independent runs.
 func TestScenarioDeterminism(t *testing.T) {
 	sc := scenarioScale()
 	u1, t1, g1 := drainEnv(t, experiments.NewDaemonEnv(sc, 0), nil)
@@ -102,8 +101,8 @@ func TestScenarioDeterminism(t *testing.T) {
 	if t1 != t2 {
 		t.Fatal("trace streams differ across identical runs")
 	}
-	if !bytes.Equal(g1, g2) {
-		t.Fatal("encoded ground-truth labels differ across identical runs")
+	if !reflect.DeepEqual(g1, g2) {
+		t.Fatal("ground-truth labels differ across identical runs")
 	}
 }
 
@@ -122,7 +121,7 @@ func TestScenarioDeterminismUnderFaultfeed(t *testing.T) {
 	if t1 != t2 {
 		t.Fatal("faulty trace streams differ across identical runs")
 	}
-	if !bytes.Equal(g1, g2) {
+	if !reflect.DeepEqual(g1, g2) {
 		t.Fatal("ground-truth labels differ across identical faulty runs")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"rrr/internal/bgp"
-	"rrr/internal/trie"
 )
 
 // VP is a BGP vantage point: a router in some AS peering with a collector.
@@ -24,47 +23,47 @@ type EventKind int
 
 // Event kinds.
 const (
-	// EvLinkDown fails an inter-AS link; parallel-link pairs shift border
+	// evLinkDown fails an inter-AS link; parallel-link pairs shift border
 	// routers with unchanged AS paths (duplicate updates, §4.1.4);
 	// single-link pairs change AS paths or lose reachability (§4.1.2).
-	EvLinkDown EventKind = iota
-	// EvLinkUp repairs a failed link.
-	EvLinkUp
-	// EvEgressShift rotates the active border link between two ASes
+	evLinkDown EventKind = iota
+	// evLinkUp repairs a failed link.
+	evLinkUp
+	// evEgressShift rotates the active border link between two ASes
 	// (hot-potato/TE change): border-level change, geo-community change
 	// (§4.1.3), duplicate updates downstream, no AS-path change.
-	EvEgressShift
-	// EvTiebreakFlip changes an AS's preference among equal-preference
+	evEgressShift
+	// evTiebreakFlip changes an AS's preference among equal-preference
 	// neighbors: AS-path changes without topology change.
-	EvTiebreakFlip
-	// EvIntraReroute perturbs an AS's IGP weights: intra-domain IP-level
+	evTiebreakFlip
+	// evIntraReroute perturbs an AS's IGP weights: intra-domain IP-level
 	// changes that are *not* border changes, plus duplicate updates.
-	EvIntraReroute
-	// EvPolicyNoise rotates an AS's routing-policy community: community
+	evIntraReroute
+	// evPolicyNoise rotates an AS's routing-policy community: community
 	// churn unrelated to paths, which calibration must learn to ignore
 	// (§4.1.3, Appendix B).
-	EvPolicyNoise
-	// EvIXPJoin adds an AS to an IXP with new public peering links
+	evPolicyNoise
+	// evIXPJoin adds an AS to an IXP with new public peering links
 	// (§4.2.3).
-	EvIXPJoin
+	evIXPJoin
 )
 
 // String names the event kind.
 func (k EventKind) String() string {
 	switch k {
-	case EvLinkDown:
+	case evLinkDown:
 		return "link-down"
-	case EvLinkUp:
+	case evLinkUp:
 		return "link-up"
-	case EvEgressShift:
+	case evEgressShift:
 		return "egress-shift"
-	case EvTiebreakFlip:
+	case evTiebreakFlip:
 		return "tiebreak-flip"
-	case EvIntraReroute:
+	case evIntraReroute:
 		return "intra-reroute"
-	case EvPolicyNoise:
+	case evPolicyNoise:
 		return "policy-noise"
-	case EvIXPJoin:
+	case evIXPJoin:
 		return "ixp-join"
 	}
 	return "unknown"
@@ -74,10 +73,10 @@ func (k EventKind) String() string {
 type Event struct {
 	Kind EventKind
 	Time int64
-	Link LinkID  // EvLinkDown / EvLinkUp
-	A, B bgp.ASN // EvEgressShift pair
-	AS   bgp.ASN // EvTiebreakFlip / EvIntraReroute / EvPolicyNoise / EvIXPJoin
-	IXP  IXPID   // EvIXPJoin
+	Link LinkID  // evLinkDown / evLinkUp
+	A, B bgp.ASN // evEgressShift pair
+	AS   bgp.ASN // evTiebreakFlip / evIntraReroute / evPolicyNoise / evIXPJoin
+	IXP  IXPID   // evIXPJoin
 }
 
 // Sim is the deterministic Internet simulator.
@@ -95,7 +94,7 @@ type Sim struct {
 	// intraMul holds per-AS IGP weight perturbations.
 	intraMul map[bgp.ASN]map[[2]int]float64
 
-	repairs []Event // scheduled EvLinkUp events
+	repairs []Event // scheduled evLinkUp events
 
 	// Events applied so far, for inspection by tests and experiments.
 	Log []Event
@@ -120,9 +119,6 @@ func New(cfg Config) *Sim {
 
 // Now returns the current virtual time in seconds.
 func (s *Sim) Now() int64 { return s.now }
-
-// SetNow moves the clock without applying events (initialization only).
-func (s *Sim) SetNow(t int64) { s.now = t }
 
 // OnUpdate registers a BGP update subscriber.
 func (s *Sim) OnUpdate(fn func(bgp.Update)) { s.subs = append(s.subs, fn) }
@@ -218,7 +214,7 @@ func (s *Sim) InitialUpdates(t int64) []bgp.Update {
 // announcements builds announce updates from vp for all prefixes of dest AS
 // d under current routing; nil when vp has no route.
 func (s *Sim) announcements(vp VP, d bgp.ASN, t int64) []bgp.Update {
-	path, comms, med, ok := s.R.RouteAttrs(vp.AS, d)
+	path, comms, med, ok := s.R.routeAttrs(vp.AS, d)
 	if !ok {
 		return nil
 	}
@@ -254,7 +250,7 @@ func (s *Sim) snapshotAttrs() map[bgp.ASN]map[bgp.ASN]attrSnap {
 	for _, vp := range s.vps {
 		m := make(map[bgp.ASN]attrSnap, len(s.T.ASList))
 		for _, d := range s.T.ASList {
-			path, comms, _, ok := s.R.RouteAttrs(vp.AS, d)
+			path, comms, _, ok := s.R.routeAttrs(vp.AS, d)
 			m[d] = attrSnap{path: path, comms: comms, ok: ok}
 		}
 		out[vp.AS] = m
@@ -273,30 +269,21 @@ func pathCrossesPair(p bgp.Path, pk pairKey) bool {
 	return false
 }
 
-// Inject applies one event at its stated time, emitting BGP updates.
-func (s *Sim) Inject(ev Event) {
-	if ev.Time < s.now {
-		ev.Time = s.now
-	}
-	s.apply(ev)
-	s.Log = append(s.Log, ev)
-}
-
 func (s *Sim) apply(ev Event) {
 	switch ev.Kind {
-	case EvLinkDown:
+	case evLinkDown:
 		s.applyLinkChange(ev, false)
-	case EvLinkUp:
+	case evLinkUp:
 		s.applyLinkChange(ev, true)
-	case EvEgressShift:
+	case evEgressShift:
 		s.applyEgressShift(ev)
-	case EvTiebreakFlip:
+	case evTiebreakFlip:
 		s.applyTiebreakFlip(ev)
-	case EvIntraReroute:
+	case evIntraReroute:
 		s.applyIntraReroute(ev)
-	case EvPolicyNoise:
+	case evPolicyNoise:
 		s.applyPolicyNoise(ev)
-	case EvIXPJoin:
+	case evIXPJoin:
 		s.applyIXPJoin(ev)
 	}
 }
@@ -312,18 +299,18 @@ func (s *Sim) applyLinkChange(ev Event, up bool) {
 	}
 	pk := mkPair(l.AAS, l.BAS)
 	before := s.snapshotAttrs()
-	s.R.SetLinkUp(ev.Link, up)
-	s.R.RecomputeAll()
+	s.R.setLinkUp(ev.Link, up)
+	s.R.recomputeAll()
 	s.diffAndEmit(before, ev.Time, map[pairKey]bool{pk: true})
 	if !up && s.Cfg.LinkRepairDelaySec > 0 {
 		s.repairs = append(s.repairs, Event{
-			Kind: EvLinkUp, Time: ev.Time + s.Cfg.LinkRepairDelaySec, Link: ev.Link,
+			Kind: evLinkUp, Time: ev.Time + s.Cfg.LinkRepairDelaySec, Link: ev.Link,
 		})
 	}
 }
 
 func (s *Sim) applyEgressShift(ev Event) {
-	if !s.R.RotateActiveLink(ev.A, ev.B) {
+	if !s.R.rotateActiveLink(ev.A, ev.B) {
 		return
 	}
 	pk := mkPair(ev.A, ev.B)
@@ -367,7 +354,7 @@ func (s *Sim) applyTiebreakFlip(ev Event) {
 			}
 		}
 	}
-	s.R.RecomputeAll()
+	s.R.recomputeAll()
 	s.diffAndEmit(before, ev.Time, nil)
 }
 
@@ -466,7 +453,7 @@ func (s *Sim) applyIXPJoin(ev Event) {
 		}
 		if s.rng.Float64() < 0.5 {
 			lid := s.T.addLink(ev.AS, m, RelPeer, ev.IXP, s.rng)
-			s.R.NoteLinkAdded(lid)
+			s.R.noteLinkAdded(lid)
 			pk := mkPair(ev.AS, m)
 			added[pk] = true
 			s.R.selectActiveLink(pk)
@@ -481,7 +468,7 @@ func (s *Sim) applyIXPJoin(ev Event) {
 		for _, m := range members {
 			if m != ev.AS && len(a.Neighbors[m]) == 0 {
 				lid := s.T.addLink(ev.AS, m, RelPeer, ev.IXP, s.rng)
-				s.R.NoteLinkAdded(lid)
+				s.R.noteLinkAdded(lid)
 				pk := mkPair(ev.AS, m)
 				added[pk] = true
 				s.R.selectActiveLink(pk)
@@ -495,7 +482,7 @@ func (s *Sim) applyIXPJoin(ev Event) {
 		s.T.ixpMemberIP(ev.IXP, ev.AS, r)
 		return
 	}
-	s.R.RecomputeAll()
+	s.R.recomputeAll()
 	s.diffAndEmit(before, ev.Time, added)
 }
 
@@ -506,7 +493,7 @@ func (s *Sim) diffAndEmit(before map[bgp.ASN]map[bgp.ASN]attrSnap, t int64, dupP
 		prev := before[vp.AS]
 		for _, d := range s.T.ASList {
 			old := prev[d]
-			path, comms, _, ok := s.R.RouteAttrs(vp.AS, d)
+			path, comms, _, ok := s.R.routeAttrs(vp.AS, d)
 			switch {
 			case !ok && old.ok:
 				for _, u := range s.withdrawals(vp, d, t) {
@@ -583,7 +570,7 @@ func (s *Sim) Step(dt int64) {
 		if len(ups) == 0 {
 			return Event{}, false
 		}
-		return Event{Kind: EvLinkDown, Link: ups[s.rng.Intn(len(ups))]}, true
+		return Event{Kind: evLinkDown, Link: ups[s.rng.Intn(len(ups))]}, true
 	})
 	sample(s.Cfg.EgressShiftsPerDay, func() (Event, bool) {
 		pairs := s.multiLinkPairs()
@@ -591,19 +578,19 @@ func (s *Sim) Step(dt int64) {
 			return Event{}, false
 		}
 		pk := pairs[s.rng.Intn(len(pairs))]
-		return Event{Kind: EvEgressShift, A: pk.lo, B: pk.hi}, true
+		return Event{Kind: evEgressShift, A: pk.lo, B: pk.hi}, true
 	})
 	sample(s.Cfg.TiebreakFlipsPerDay, func() (Event, bool) {
 		asn := s.T.ASList[s.rng.Intn(len(s.T.ASList))]
-		return Event{Kind: EvTiebreakFlip, AS: asn}, true
+		return Event{Kind: evTiebreakFlip, AS: asn}, true
 	})
 	sample(s.Cfg.IntraReroutesPerDay, func() (Event, bool) {
 		asn := s.T.ASList[s.rng.Intn(len(s.T.ASList))]
-		return Event{Kind: EvIntraReroute, AS: asn}, true
+		return Event{Kind: evIntraReroute, AS: asn}, true
 	})
 	sample(s.Cfg.PolicyNoisePerDay, func() (Event, bool) {
 		asn := s.T.ASList[s.rng.Intn(len(s.T.ASList))]
-		return Event{Kind: EvPolicyNoise, AS: asn}, true
+		return Event{Kind: evPolicyNoise, AS: asn}, true
 	})
 	sample(s.Cfg.IXPJoinsPerDay, func() (Event, bool) {
 		if len(s.T.IXPs) <= 1 {
@@ -631,7 +618,7 @@ func (s *Sim) Step(dt int64) {
 				return Event{}, false
 			}
 		}
-		return Event{Kind: EvIXPJoin, AS: asn, IXP: ixp}, true
+		return Event{Kind: evIXPJoin, AS: asn, IXP: ixp}, true
 	})
 
 	sort.Slice(evs, func(i, j int) bool { return evs[i].Time < evs[j].Time })
@@ -721,7 +708,7 @@ type SimMapper struct {
 // ASOf maps an address to its originating AS. IXP LAN addresses are not
 // mapped to an AS (they are detected via IXPOf).
 func (m SimMapper) ASOf(ip uint32) (bgp.ASN, bool) {
-	if _, isIXP := m.t.IXPForIP(ip); isIXP {
+	if _, isIXP := m.t.ixpForIP(ip); isIXP {
 		return 0, false
 	}
 	return m.t.OriginAS(ip)
@@ -729,7 +716,7 @@ func (m SimMapper) ASOf(ip uint32) (bgp.ASN, bool) {
 
 // IXPOf reports whether the address is on an IXP peering LAN.
 func (m SimMapper) IXPOf(ip uint32) (int, bool) {
-	id, ok := m.t.IXPForIP(ip)
+	id, ok := m.t.ixpForIP(ip)
 	return int(id), ok
 }
 
@@ -737,10 +724,4 @@ func (m SimMapper) IXPOf(ip uint32) (int, bool) {
 // (traIXroute-style), implementing bordermap.IXPMembershipResolver.
 func (m SimMapper) IXPMemberOf(ip uint32) (bgp.ASN, bool) {
 	return m.t.IXPMemberForIP(ip)
-}
-
-// PrefixFor returns the most specific originated prefix covering ip.
-func (s *Sim) PrefixFor(ip uint32) (trie.Prefix, bgp.ASN, bool) {
-	p, asn, ok := s.T.originTrie.LookupPrefix(ip)
-	return p, asn, ok
 }

@@ -60,8 +60,8 @@ func (r Relationship) String() string {
 	}
 }
 
-// Invert returns the relationship seen from the other side.
-func (r Relationship) Invert() Relationship {
+// invert returns the relationship seen from the other side.
+func (r Relationship) invert() Relationship {
 	switch r {
 	case RelCustomer:
 		return RelProvider
@@ -627,7 +627,7 @@ func (t *Topology) addLink(a, b bgp.ASN, rel Relationship, ixp IXPID, rng *rand.
 	asA.Neighbors[b] = append(asA.Neighbors[b], lid)
 	asB.Neighbors[a] = append(asB.Neighbors[a], lid)
 	asA.Rel[b] = rel
-	asB.Rel[a] = rel.Invert()
+	asB.Rel[a] = rel.invert()
 	return lid
 }
 
@@ -698,8 +698,8 @@ func (t *Topology) OriginAS(ip uint32) (bgp.ASN, bool) {
 	return t.originTrie.Lookup(ip)
 }
 
-// IXPForIP reports whether ip is on an IXP peering LAN.
-func (t *Topology) IXPForIP(ip uint32) (IXPID, bool) {
+// ixpForIP reports whether ip is on an IXP peering LAN.
+func (t *Topology) ixpForIP(ip uint32) (IXPID, bool) {
 	return t.ixpTrie.Lookup(ip)
 }
 

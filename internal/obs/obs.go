@@ -35,10 +35,10 @@ import (
 	"time"
 )
 
-// DefBuckets is the default histogram bucket layout for latencies in
+// defBuckets is the default histogram bucket layout for latencies in
 // seconds: 100µs to 10s, roughly logarithmic. Window closes, snapshot
 // writes, and merge-loop stalls all land comfortably inside it.
-var DefBuckets = []float64{
+var defBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
@@ -158,21 +158,21 @@ type family struct {
 	series  map[string]any // rendered label string -> *Counter | *Gauge | *Histogram
 }
 
-// Registry holds metric families. Get-or-create calls take a short lock;
+// registry holds metric families. Get-or-create calls take a short lock;
 // the returned handles are lock-free.
-type Registry struct {
+type registry struct {
 	mu   sync.RWMutex
 	fams map[string]*family
 }
 
-// NewRegistry builds an empty registry.
-func NewRegistry() *Registry { return &Registry{fams: make(map[string]*family)} }
+// newRegistry builds an empty registry.
+func newRegistry() *registry { return &registry{fams: make(map[string]*family)} }
 
 // Default is the process-wide registry the instrumented layers write to
 // and GET /metrics serves.
-var Default = NewRegistry()
+var Default = newRegistry()
 
-func (r *Registry) getOrCreate(name string, kind metricKind, buckets []float64, labels []string) any {
+func (r *registry) getOrCreate(name string, kind metricKind, buckets []float64, labels []string) any {
 	ls := renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -205,28 +205,28 @@ func (r *Registry) getOrCreate(name string, kind metricKind, buckets []float64, 
 
 // Counter returns (creating if needed) the counter series with the given
 // name and label key/value pairs.
-func (r *Registry) Counter(name string, labels ...string) *Counter {
+func (r *registry) Counter(name string, labels ...string) *Counter {
 	return r.getOrCreate(name, kindCounter, nil, labels).(*Counter)
 }
 
 // Gauge returns the gauge series with the given name and labels.
-func (r *Registry) Gauge(name string, labels ...string) *Gauge {
+func (r *registry) Gauge(name string, labels ...string) *Gauge {
 	return r.getOrCreate(name, kindGauge, nil, labels).(*Gauge)
 }
 
 // Histogram returns the histogram series with the given name, bucket
-// bounds (nil means DefBuckets; the family's first registration wins),
+// bounds (nil means defBuckets; the family's first registration wins),
 // and labels.
-func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *Histogram {
+func (r *registry) Histogram(name string, buckets []float64, labels ...string) *Histogram {
 	if buckets == nil {
-		buckets = DefBuckets
+		buckets = defBuckets
 	}
 	return r.getOrCreate(name, kindHistogram, buckets, labels).(*Histogram)
 }
 
 // Help sets the family's HELP text (shown in the exposition). Creating
 // the family first is not required but typical.
-func (r *Registry) Help(name, help string) {
+func (r *registry) Help(name, help string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f := r.fams[name]; f != nil {
@@ -296,7 +296,7 @@ func formatFloat(v float64) string {
 // and snapshots are deterministic; series names are stable across runs).
 // The copies — series map included — are taken under the lock, so a scrape
 // never reads a family while getOrCreate or Help is writing it.
-func (r *Registry) sortedFamilies() []*family {
+func (r *registry) sortedFamilies() []*family {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	fams := make([]*family, 0, len(r.fams))
@@ -318,12 +318,12 @@ func sortedSeries(f *family) []string {
 	return keys
 }
 
-// WritePrometheus writes the registry in the Prometheus text exposition
+// writePrometheus writes the registry in the Prometheus text exposition
 // format (version 0.0.4 subset: HELP/TYPE headers, counter/gauge/histogram
 // samples). Values read while writers run are individually atomic;
 // histogram bucket/count/sum triples are not snapshotted together, which
 // scrapers tolerate by design.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+func (r *registry) writePrometheus(w io.Writer) error {
 	for _, f := range r.sortedFamilies() {
 		if len(f.series) == 0 {
 			continue
@@ -374,7 +374,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // Snapshot returns every series value keyed by its rendered name
 // (histograms expand into _bucket/_sum/_count samples), for embedding in
 // bench reports and test assertions.
-func (r *Registry) Snapshot() map[string]float64 {
+func (r *registry) Snapshot() map[string]float64 {
 	out := make(map[string]float64)
 	for _, f := range r.sortedFamilies() {
 		for _, ls := range sortedSeries(f) {
@@ -400,9 +400,9 @@ func (r *Registry) Snapshot() map[string]float64 {
 }
 
 // Handler serves the registry as a Prometheus scrape target.
-func (r *Registry) Handler() http.Handler {
+func (r *registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WritePrometheus(w)
+		_ = r.writePrometheus(w)
 	})
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.Counter("x_total")
 	c.Inc()
 	c.Add(4)
@@ -30,7 +30,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 }
 
 func TestLabelCanonicalization(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	a := r.Counter("s_total", "b", "2", "a", "1")
 	b := r.Counter("s_total", "a", "1", "b", "2")
 	if a != b {
@@ -43,7 +43,7 @@ func TestLabelCanonicalization(t *testing.T) {
 	// Escaping.
 	r.Counter("esc_total", "k", "a\"b\\c\nd").Inc()
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.writePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `esc_total{k="a\"b\\c\nd"} 1`) {
@@ -52,7 +52,7 @@ func TestLabelCanonicalization(t *testing.T) {
 }
 
 func TestKindMismatchPanics(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Counter("dual")
 	defer func() {
 		if recover() == nil {
@@ -63,7 +63,7 @@ func TestKindMismatchPanics(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	h := r.Histogram("lat_seconds", []float64{0.1, 1, 10})
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
@@ -106,13 +106,13 @@ func checkExposition(t *testing.T, text string) {
 }
 
 func TestWritePrometheusFormat(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Counter("a_total", "k", "v").Add(3)
 	r.Help("a_total", "a help string")
 	r.Gauge("b").Set(-2)
 	r.Histogram("c_seconds", nil).Observe(0.2)
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.writePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -133,7 +133,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 	// Deterministic output.
 	var buf2 bytes.Buffer
-	if err := r.WritePrometheus(&buf2); err != nil {
+	if err := r.writePrometheus(&buf2); err != nil {
 		t.Fatal(err)
 	}
 	if out != buf2.String() {
@@ -142,7 +142,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 }
 
 func TestTimer(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	h := r.Histogram("t_seconds", nil)
 	tm := NewTimer(h)
 	time.Sleep(time.Millisecond)
@@ -161,7 +161,7 @@ func TestTimer(t *testing.T) {
 // TestConcurrentScrape proves the registry is race-clean: writers on
 // every series kind while scrapers render and snapshot. Run with -race.
 func TestConcurrentScrape(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.Counter("w_total")
 	g := r.Gauge("w_depth")
 	h := r.Histogram("w_seconds", nil)
@@ -181,7 +181,7 @@ func TestConcurrentScrape(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		var buf bytes.Buffer
-		if err := r.WritePrometheus(&buf); err != nil {
+		if err := r.writePrometheus(&buf); err != nil {
 			t.Error(err)
 		}
 		checkExposition(t, buf.String())

@@ -7,7 +7,6 @@
 package platform
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -90,17 +89,6 @@ func (p *Platform) Anchors() []*Probe {
 	return out
 }
 
-// RegularProbes returns the non-anchor probes.
-func (p *Platform) RegularProbes() []*Probe {
-	var out []*Probe
-	for _, pr := range p.Probes {
-		if !pr.Anchor {
-			out = append(out, pr)
-		}
-	}
-	return out
-}
-
 // ProbeByID returns a probe.
 func (p *Platform) ProbeByID(id int) (*Probe, bool) {
 	for _, pr := range p.Probes {
@@ -133,26 +121,6 @@ func (p *Platform) AnchoringRound(sources, targets []*Probe, when int64) []*trac
 			}
 			tr := p.Sim.Traceroute(src.ID, src.IP, dst.IP, when)
 			tr.MsmID = 1000 // anchoring measurement id space
-			out = append(out, tr)
-		}
-	}
-	return out
-}
-
-// TopologyCampaignRound mimics built-in measurement #5051: each
-// participating probe measures a random sample of destination prefixes'
-// .1-style addresses. Destinations rotate per round.
-func (p *Platform) TopologyCampaignRound(probes []*Probe, dests []uint32, perProbe int, when int64) []*traceroute.Traceroute {
-	var out []*traceroute.Traceroute
-	rng := rand.New(rand.NewSource(p.rng.Int63() ^ when))
-	for _, src := range probes {
-		if !src.Active {
-			continue
-		}
-		for k := 0; k < perProbe && k < len(dests); k++ {
-			dst := dests[rng.Intn(len(dests))]
-			tr := p.Sim.Traceroute(src.ID, src.IP, dst, when)
-			tr.MsmID = 5051
 			out = append(out, tr)
 		}
 	}
@@ -197,43 +165,4 @@ func (p *Platform) Split(seed int64) (public, corpus []*Probe) {
 	sort.Slice(public, func(i, j int) bool { return public[i].ID < public[j].ID })
 	sort.Slice(corpus, func(i, j int) bool { return corpus[i].ID < corpus[j].ID })
 	return public, corpus
-}
-
-// Budget enforces a per-day measurement quota like RIPE Atlas credits
-// (10k traceroutes/day for a non-privileged user in §5.2).
-type Budget struct {
-	PerDay int
-	day    int64
-	spent  int
-}
-
-// NewBudget returns a budget of n measurements per day.
-func NewBudget(n int) *Budget { return &Budget{PerDay: n} }
-
-// Spend consumes n measurements at time `when`; it returns false when the
-// day's quota is exhausted.
-func (b *Budget) Spend(when int64, n int) bool {
-	day := when / 86400
-	if day != b.day {
-		b.day, b.spent = day, 0
-	}
-	if b.spent+n > b.PerDay {
-		return false
-	}
-	b.spent += n
-	return true
-}
-
-// Remaining reports the measurements left today.
-func (b *Budget) Remaining(when int64) int {
-	day := when / 86400
-	if day != b.day {
-		return b.PerDay
-	}
-	return b.PerDay - b.spent
-}
-
-// String renders the budget state.
-func (b *Budget) String() string {
-	return fmt.Sprintf("budget{day=%d spent=%d/%d}", b.day, b.spent, b.PerDay)
 }

@@ -15,13 +15,24 @@ func newPlat(t *testing.T) *Platform {
 	return New(s, cfg)
 }
 
+// regularProbes returns the non-anchor probes, dead ones included.
+func regularProbes(p *Platform) []*Probe {
+	var out []*Probe
+	for _, pr := range p.Probes {
+		if !pr.Anchor {
+			out = append(out, pr)
+		}
+	}
+	return out
+}
+
 func TestPlacement(t *testing.T) {
 	p := newPlat(t)
 	if len(p.Probes) != 40 {
 		t.Fatalf("placed %d probes; want 40", len(p.Probes))
 	}
-	if len(p.Anchors()) != 10 || len(p.RegularProbes()) != 30 {
-		t.Fatalf("anchors=%d regular=%d", len(p.Anchors()), len(p.RegularProbes()))
+	if len(p.Anchors()) != 10 || len(regularProbes(p)) != 30 {
+		t.Fatalf("anchors=%d regular=%d", len(p.Anchors()), len(regularProbes(p)))
 	}
 	seen := make(map[int]bool)
 	ips := make(map[uint32]bool)
@@ -43,7 +54,7 @@ func TestPlacement(t *testing.T) {
 func TestAnchoringRound(t *testing.T) {
 	p := newPlat(t)
 	anchors := p.Anchors()
-	probes := p.RegularProbes()[:5]
+	probes := regularProbes(p)[:5]
 	traces := p.AnchoringRound(probes, anchors, 1000)
 	if len(traces) != 5*10 {
 		t.Fatalf("round produced %d traces; want 50", len(traces))
@@ -60,23 +71,6 @@ func TestAnchoringRound(t *testing.T) {
 	mesh := p.AnchoringRound(anchors, anchors, 1000)
 	if len(mesh) != 10*9 {
 		t.Fatalf("mesh produced %d; want 90", len(mesh))
-	}
-}
-
-func TestTopologyCampaign(t *testing.T) {
-	p := newPlat(t)
-	dests := []uint32{
-		p.Sim.T.HostIP(p.Sim.StubASes()[0], 1),
-		p.Sim.T.HostIP(p.Sim.StubASes()[1], 1),
-	}
-	traces := p.TopologyCampaignRound(p.RegularProbes(), dests, 2, 5000)
-	if len(traces) != 30*2 {
-		t.Fatalf("campaign produced %d; want 60", len(traces))
-	}
-	for _, tr := range traces {
-		if tr.MsmID != 5051 {
-			t.Fatalf("msm id = %d", tr.MsmID)
-		}
 	}
 }
 
@@ -103,7 +97,7 @@ func TestProbeChurn(t *testing.T) {
 		t.Fatalf("dead = %d; want 10", dead)
 	}
 	// Inactive probes issue nothing.
-	traces := p.AnchoringRound(p.RegularProbes(), p.Anchors(), 1)
+	traces := p.AnchoringRound(regularProbes(p), p.Anchors(), 1)
 	for _, tr := range traces {
 		pr, _ := p.ProbeByID(tr.ProbeID)
 		if !pr.Active {
@@ -139,26 +133,6 @@ func TestSplitHalves(t *testing.T) {
 	}
 }
 
-func TestBudget(t *testing.T) {
-	b := NewBudget(10)
-	if !b.Spend(0, 7) || !b.Spend(100, 3) {
-		t.Fatal("within-quota spend failed")
-	}
-	if b.Spend(200, 1) {
-		t.Fatal("over-quota spend succeeded")
-	}
-	if b.Remaining(200) != 0 {
-		t.Fatalf("remaining = %d", b.Remaining(200))
-	}
-	// Next day resets.
-	if !b.Spend(86400+1, 10) {
-		t.Fatal("next-day spend failed")
-	}
-	if b.Remaining(2*86400) != 10 {
-		t.Fatalf("new-day remaining = %d", b.Remaining(2*86400))
-	}
-}
-
 func TestProbeByIDMissing(t *testing.T) {
 	p := newPlat(t)
 	if _, ok := p.ProbeByID(999999); ok {
@@ -170,18 +144,9 @@ func TestProbeByIDMissing(t *testing.T) {
 	}
 }
 
-func TestBudgetString(t *testing.T) {
-	b := NewBudget(5)
-	b.Spend(86400+10, 2)
-	got := b.String()
-	if got != "budget{day=1 spent=2/5}" {
-		t.Fatalf("String = %q", got)
-	}
-}
-
 func TestMeasureProducesTrace(t *testing.T) {
 	p := newPlat(t)
-	probe := p.RegularProbes()[0]
+	probe := regularProbes(p)[0]
 	anchor := p.Anchors()[0]
 	tr := p.Measure(probe, anchor.IP, 123)
 	if tr.Src != probe.IP || tr.Dst != anchor.IP || tr.Time != 123 {

@@ -24,8 +24,8 @@ type EventJSON struct {
 	VPCount     int     `json:"vpCount,omitempty"`
 }
 
-// ToEventJSON renders one routing event in wire form.
-func ToEventJSON(ev events.Event) EventJSON {
+// toEventJSON renders one routing event in wire form.
+func toEventJSON(ev events.Event) EventJSON {
 	ej := EventJSON{
 		Class:       ev.Class.String(),
 		WindowStart: ev.WindowStart,
@@ -91,7 +91,7 @@ func WriteEvents[E EventJSON | json.RawMessage](w http.ResponseWriter, evs []E) 
 func toEventJSONs(evs []events.Event) []EventJSON {
 	out := make([]EventJSON, len(evs))
 	for i, ev := range evs {
-		out[i] = ToEventJSON(ev)
+		out[i] = toEventJSON(ev)
 	}
 	return out
 }
@@ -99,7 +99,7 @@ func toEventJSONs(evs []events.Event) []EventJSON {
 // PublishEvent is the event detector's sink: it fans a routing event out
 // to SSE subscribers without blocking ingestion. Wire it to the detector's
 // Config.OnEvent.
-func (s *Server) PublishEvent(ev events.Event) { s.hub.PublishRouting(ev) }
+func (s *Server) PublishEvent(ev events.Event) { s.hub.publishRouting(ev) }
 
 // eventsQueryJSON is the POST /v1/events filter body.
 type eventsQueryJSON struct {

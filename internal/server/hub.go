@@ -16,7 +16,7 @@ import (
 // leaves RingSize zero.
 const DefaultRingSize = 256
 
-// Fanout is the drop-oldest fan-out behind both SSE tiers: the worker's Hub
+// Fanout is the drop-oldest fan-out behind both SSE tiers: the worker's hub
 // carries Events, the cluster router's merger carries pre-rendered frames.
 // Publish never blocks: each subscriber owns a bounded ring (a buffered
 // channel with drop-oldest overflow), so a slow or stalled client loses its
@@ -25,7 +25,7 @@ const DefaultRingSize = 256
 // publishes; each subscriber drains on its own HTTP handler goroutine.
 type Fanout[T any] struct {
 	mu   sync.Mutex
-	subs map[*Sub[T]]struct{}
+	subs map[*subscriber[T]]struct{}
 	ring int
 }
 
@@ -35,16 +35,16 @@ func NewFanout[T any](ring int) *Fanout[T] {
 	if ring <= 0 {
 		ring = DefaultRingSize
 	}
-	return &Fanout[T]{subs: make(map[*Sub[T]]struct{}), ring: ring}
+	return &Fanout[T]{subs: make(map[*subscriber[T]]struct{}), ring: ring}
 }
 
-// Hub fans the pipeline's signal stream out to SSE subscribers: a
+// hub fans the pipeline's signal stream out to SSE subscribers: a
 // Fanout[Event] with one publish method per kind of event.
-type Hub struct{ *Fanout[Event] }
+type hub struct{ *Fanout[Event] }
 
-// NewHub builds a hub with the given per-subscriber ring capacity (<= 0
+// newHub builds a hub with the given per-subscriber ring capacity (<= 0
 // uses DefaultRingSize).
-func NewHub(ring int) *Hub { return &Hub{NewFanout[Event](ring)} }
+func newHub(ring int) *hub { return &hub{NewFanout[Event](ring)} }
 
 // Event is one item on a subscriber's stream: a pipeline signal, a
 // routing event from the event detector (Routing set), or a window-close
@@ -61,27 +61,24 @@ type Event struct {
 	Window      bool
 }
 
-// Sub is one attached consumer of a Fanout.
-type Sub[T any] struct {
+// subscriber is one attached consumer of a Fanout.
+type subscriber[T any] struct {
 	ch      chan T
 	dropped atomic.Uint64
 }
 
-// Subscriber is one attached Hub consumer.
-type Subscriber = Sub[Event]
-
 // C is the subscriber's channel; drain it promptly or lose the oldest
 // buffered items.
-func (s *Sub[T]) C() <-chan T { return s.ch }
+func (s *subscriber[T]) C() <-chan T { return s.ch }
 
 // Dropped reports how many items overflow has discarded so far.
-func (s *Sub[T]) Dropped() uint64 { return s.dropped.Load() }
+func (s *subscriber[T]) Dropped() uint64 { return s.dropped.Load() }
 
 // offer enqueues without ever blocking the publisher: on a full ring it
 // evicts the oldest buffered item and retries. The retry count is
 // bounded; under pathological contention the new item itself is counted
 // dropped instead of spinning.
-func (s *Sub[T]) offer(v T) {
+func (s *subscriber[T]) offer(v T) {
 	for i := 0; i < 4; i++ {
 		select {
 		case s.ch <- v:
@@ -99,9 +96,9 @@ func (s *Sub[T]) offer(v T) {
 	metHubDropped.Inc()
 }
 
-// Subscribe attaches a new subscriber.
-func (f *Fanout[T]) Subscribe() *Sub[T] {
-	sub := &Sub[T]{ch: make(chan T, f.ring)}
+// subscribe attaches a new subscriber.
+func (f *Fanout[T]) subscribe() *subscriber[T] {
+	sub := &subscriber[T]{ch: make(chan T, f.ring)}
 	f.mu.Lock()
 	f.subs[sub] = struct{}{}
 	metHubSubscribers.Set(int64(len(f.subs)))
@@ -109,10 +106,10 @@ func (f *Fanout[T]) Subscribe() *Sub[T] {
 	return sub
 }
 
-// Unsubscribe detaches a subscriber; its channel is left open (the fan-out
+// unsubscribe detaches a subscriber; its channel is left open (the fan-out
 // simply stops publishing to it), so a racing Publish never sends on a
 // closed channel.
-func (f *Fanout[T]) Unsubscribe(sub *Sub[T]) {
+func (f *Fanout[T]) unsubscribe(sub *subscriber[T]) {
 	f.mu.Lock()
 	delete(f.subs, sub)
 	metHubSubscribers.Set(int64(len(f.subs)))
@@ -159,8 +156,8 @@ func ServeSSE[T any](w http.ResponseWriter, r *http.Request, f *Fanout[T], frame
 		WriteErr(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	sub := f.Subscribe()
-	defer f.Unsubscribe(sub)
+	sub := f.subscribe()
+	defer f.unsubscribe(sub)
 
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
@@ -207,23 +204,23 @@ func ServeSSE[T any](w http.ResponseWriter, r *http.Request, f *Fanout[T], frame
 
 // Publish delivers a signal to every subscriber without blocking. Safe for
 // use as a Pipeline sink.
-func (h *Hub) Publish(sig rrr.Signal) {
+func (h *hub) Publish(sig rrr.Signal) {
 	h.Fanout.Publish(Event{Signal: sig})
 }
 
-// PublishRouting delivers a routing event to every subscriber. The event
+// publishRouting delivers a routing event to every subscriber. The event
 // detector emits at window close, after the window's signals and before
 // the pipeline's OnWindowClose marker, so per-stream ordering is
 // signals → routing events → window marker.
-func (h *Hub) PublishRouting(ev events.Event) {
+func (h *hub) publishRouting(ev events.Event) {
 	h.Fanout.Publish(Event{Routing: &ev, WindowStart: ev.WindowStart})
 }
 
-// PublishWindow delivers a window-close marker to every subscriber. The
+// publishWindow delivers a window-close marker to every subscriber. The
 // pipeline calls it after all of a window's signals have been published,
 // so on any single subscriber's stream the marker strictly follows the
 // window's signals (drop-oldest overflow can discard either — dropped
 // counts surface the gap).
-func (h *Hub) PublishWindow(ws int64) {
+func (h *hub) publishWindow(ws int64) {
 	h.Fanout.Publish(Event{WindowStart: ws, Window: true})
 }

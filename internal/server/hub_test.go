@@ -22,8 +22,8 @@ func sig(w int64) rrr.Signal {
 // that never drains loses its oldest signals while Publish returns without
 // blocking — feed ingestion must never stall on a stuck SSE client.
 func TestHubSlowSubscriberDrops(t *testing.T) {
-	h := NewHub(4)
-	slow := h.Subscribe()
+	h := newHub(4)
+	slow := h.subscribe()
 
 	const n = 100
 	done := make(chan struct{})
@@ -55,13 +55,13 @@ func TestHubSlowSubscriberDrops(t *testing.T) {
 }
 
 func TestHubFanoutAndUnsubscribe(t *testing.T) {
-	h := NewHub(8)
-	a, b := h.Subscribe(), h.Subscribe()
+	h := newHub(8)
+	a, b := h.subscribe(), h.subscribe()
 	if h.Subscribers() != 2 {
 		t.Fatalf("Subscribers = %d", h.Subscribers())
 	}
 	h.Publish(sig(1))
-	for _, sub := range []*Subscriber{a, b} {
+	for _, sub := range []*subscriber[Event]{a, b} {
 		select {
 		case s := <-sub.C():
 			if s.Signal.WindowStart != 1 {
@@ -71,7 +71,7 @@ func TestHubFanoutAndUnsubscribe(t *testing.T) {
 			t.Fatal("subscriber missed fan-out")
 		}
 	}
-	h.Unsubscribe(b)
+	h.unsubscribe(b)
 	if h.Subscribers() != 1 {
 		t.Fatalf("Subscribers after unsubscribe = %d", h.Subscribers())
 	}
@@ -88,17 +88,17 @@ func TestHubFanoutAndUnsubscribe(t *testing.T) {
 		t.Fatal("remaining subscriber missed publish")
 	}
 	// Double unsubscribe and publish-after-unsubscribe must not panic.
-	h.Unsubscribe(b)
+	h.unsubscribe(b)
 	h.Publish(sig(3))
 }
 
-// TestHubWindowMarkers checks that PublishWindow interleaves markers with
+// TestHubWindowMarkers checks that publishWindow interleaves markers with
 // signals in publish order on a subscriber's stream.
 func TestHubWindowMarkers(t *testing.T) {
-	h := NewHub(8)
-	sub := h.Subscribe()
+	h := newHub(8)
+	sub := h.subscribe()
 	h.Publish(sig(900))
-	h.PublishWindow(900)
+	h.publishWindow(900)
 	h.Publish(sig(1800))
 
 	want := []Event{
@@ -173,7 +173,7 @@ func TestSSEFlushesOncePerBurst(t *testing.T) {
 		defer close(served)
 		srv.Handler().ServeHTTP(gw, httptest.NewRequest("GET", "/v1/signals", nil).WithContext(ctx))
 	}()
-	for srv.Hub().Subscribers() == 0 {
+	for srv.hub.Subscribers() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 

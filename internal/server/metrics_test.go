@@ -68,9 +68,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	defer ts.Close()
 
 	// Touch the hub and snapshot paths so their counters move.
-	sub := srv.Hub().Subscribe()
+	sub := srv.hub.subscribe()
 	srv.Publish(rrr.Signal{Key: stale.Key()})
-	srv.Hub().Unsubscribe(sub)
+	srv.hub.unsubscribe(sub)
 	if code := postJSON(t, ts, "/v1/snapshot", nil, nil); code != 200 {
 		t.Fatalf("POST /v1/snapshot = %d", code)
 	}
@@ -194,7 +194,7 @@ func TestWriteSnapshotDurableRoundTrip(t *testing.T) {
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("temp file survived success: stat err = %v", err)
 	}
-	snap, err := LoadSnapshot(path)
+	snap, err := loadSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}

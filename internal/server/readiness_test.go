@@ -109,7 +109,7 @@ func TestSnapshotChecksumRejectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, []byte(mutated), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSnapshot(path); err == nil || !strings.Contains(err.Error(), "checksum") {
+	if _, err := loadSnapshot(path); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("corrupted snapshot load err = %v, want checksum mismatch", err)
 	}
 }
@@ -178,7 +178,7 @@ func TestSnapshotVersionBeyondBuildRejected(t *testing.T) {
 	if err := os.WriteFile(path, fut, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSnapshot(path); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, err := loadSnapshot(path); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("future-version load err = %v, want version error", err)
 	}
 }
@@ -203,7 +203,7 @@ func TestSnapshotLatencyCountsFailures(t *testing.T) {
 	}
 
 	loadBefore := metSnapLoadSeconds.Count()
-	if _, err := LoadSnapshot(dir + "/absent.json"); err == nil {
+	if _, err := loadSnapshot(dir + "/absent.json"); err == nil {
 		t.Fatal("loading a missing snapshot succeeded")
 	}
 	if d := metSnapLoadSeconds.Count() - loadBefore; d != 1 {

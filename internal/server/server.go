@@ -5,7 +5,7 @@
 // Concurrency model: one writer (the pipeline goroutine feeding the
 // Monitor) and many readers (HTTP handler goroutines querying it) share
 // the Monitor's RWMutex; the signal stream reaches SSE subscribers through
-// a Hub whose bounded per-subscriber rings guarantee slow clients drop
+// a hub whose bounded per-subscriber rings guarantee slow clients drop
 // data rather than block ingestion.
 //
 // Endpoints (all JSON):
@@ -91,7 +91,7 @@ type WorkerIdentity struct {
 // Server serves staleness queries from a Monitor.
 type Server struct {
 	mon *rrr.Monitor
-	hub *Hub
+	hub *hub
 	cfg Config
 	mux *http.ServeMux
 	// cache memoizes verdicts across Monitor state transitions, keyed by
@@ -114,7 +114,7 @@ func New(mon *rrr.Monitor, cfg Config) *Server {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = DefaultMaxInFlight
 	}
-	s := &Server{mon: mon, hub: NewHub(cfg.RingSize), cfg: cfg, mux: http.NewServeMux(), cache: newVerdictCache(mon, 0)}
+	s := &Server{mon: mon, hub: newHub(cfg.RingSize), cfg: cfg, mux: http.NewServeMux(), cache: newVerdictCache(mon, 0)}
 	s.mux.HandleFunc("GET /v1/stale/{key}", s.handleStaleOne)
 	s.mux.HandleFunc("POST /v1/stale", s.handleStaleBatch)
 	s.mux.HandleFunc("GET /v1/keys", s.handleKeys)
@@ -223,10 +223,7 @@ func (s *Server) Publish(sig rrr.Signal) { s.hub.Publish(sig) }
 // Wire it to PipelineConfig.OnWindowClose so streams carry `event: window`
 // frames delimiting each engine window — the ordering barrier the cluster
 // router's stream merger relies on.
-func (s *Server) PublishWindowClose(ws int64) { s.hub.PublishWindow(ws) }
-
-// Hub exposes the subscriber hub (for tests and stats).
-func (s *Server) Hub() *Hub { return s.hub }
+func (s *Server) PublishWindowClose(ws int64) { s.hub.publishWindow(ws) }
 
 // --- key and signal JSON forms ---
 
@@ -636,7 +633,7 @@ func eventFrame(ev Event) []byte {
 	}
 	kind, v := "signal", any(toSignalJSON(ev.Signal))
 	if ev.Routing != nil {
-		kind, v = "routing", ToEventJSON(*ev.Routing)
+		kind, v = "routing", toEventJSON(*ev.Routing)
 	}
 	data, err := json.Marshal(v)
 	if err != nil {

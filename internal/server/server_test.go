@@ -468,13 +468,13 @@ func TestSnapshotEndpointAndRestore(t *testing.T) {
 	if err := os.WriteFile(bad, []byte(`{"magic":"other","version":1}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSnapshot(bad); err == nil {
+	if _, err := loadSnapshot(bad); err == nil {
 		t.Fatal("wrong magic accepted")
 	}
 	if err := os.WriteFile(bad, []byte(`{"magic":"rrrd-snapshot","version":99}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSnapshot(bad); err == nil {
+	if _, err := loadSnapshot(bad); err == nil {
 		t.Fatal("wrong version accepted")
 	}
 }
@@ -596,7 +596,7 @@ func TestSSESignals(t *testing.T) {
 	// handler writes headers, so the response being available implies the
 	// subscriber map will fill momentarily).
 	go func() {
-		for srv.Hub().Subscribers() == 0 {
+		for srv.hub.Subscribers() == 0 {
 			time.Sleep(time.Millisecond)
 		}
 		srv.Publish(rrr.Signal{Technique: rrr.TechBGPASPath, Key: stale.Key(), WindowStart: 46 * 900})

@@ -13,7 +13,7 @@ import (
 
 // snapshotMagic and snapshotVersion identify the on-disk snapshot
 // envelope. Bump the version when MonitorSnapshot changes incompatibly;
-// LoadSnapshot refuses files it does not understand rather than restoring
+// loadSnapshot refuses files it does not understand rather than restoring
 // garbage. Version 2 added the payload checksum; version-1 files (no
 // checksum) still load for compatibility.
 const (
@@ -147,10 +147,10 @@ func writeFileDurable(path string, data []byte) error {
 	return nil
 }
 
-// LoadSnapshot reads and validates a snapshot file. Version-2 files must
+// loadSnapshot reads and validates a snapshot file. Version-2 files must
 // pass the payload checksum before any of the payload is unmarshaled;
 // version-1 files predate the checksum and load as before.
-func LoadSnapshot(path string) (*rrr.MonitorSnapshot, error) {
+func loadSnapshot(path string) (*rrr.MonitorSnapshot, error) {
 	timer := obs.NewTimer(metSnapLoadSeconds)
 	defer timer.Stop()
 	data, err := os.ReadFile(path)
@@ -188,7 +188,7 @@ func LoadSnapshot(path string) (*rrr.MonitorSnapshot, error) {
 // RestoreSnapshot loads path and restores mon from it, returning the
 // restored entry/signal counts and the compaction watermark.
 func RestoreSnapshot(path string, mon *rrr.Monitor) (SnapshotInfo, error) {
-	snap, err := LoadSnapshot(path)
+	snap, err := loadSnapshot(path)
 	if err != nil {
 		return SnapshotInfo{}, err
 	}

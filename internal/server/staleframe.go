@@ -77,8 +77,8 @@ func AppendStaleRequest(dst []byte, n int, key func(i int) rrr.Key) []byte {
 	return sealFrame(dst, start)
 }
 
-// DecodeStaleRequest appends a framed request's keys to keys.
-func DecodeStaleRequest(frame []byte, keys []rrr.Key) ([]rrr.Key, error) {
+// decodeStaleRequest appends a framed request's keys to keys.
+func decodeStaleRequest(frame []byte, keys []rrr.Key) ([]rrr.Key, error) {
 	p, err := openFrame(frame)
 	if err != nil {
 		return keys, err
@@ -92,9 +92,9 @@ func DecodeStaleRequest(frame []byte, keys []rrr.Key) ([]rrr.Key, error) {
 	return keys, nil
 }
 
-// AppendStaleResponse appends the framed answer: n rendered verdict bodies,
+// appendStaleResponse appends the framed answer: n rendered verdict bodies,
 // stale of them stale.
-func AppendStaleResponse(dst []byte, stale, n int, verdict func(i int) []byte) []byte {
+func appendStaleResponse(dst []byte, stale, n int, verdict func(i int) []byte) []byte {
 	start := len(dst)
 	dst = slices.Grow(dst, frameHeaderLen+8+4*n)[:start+frameHeaderLen]
 	dst = binary.BigEndian.AppendUint32(dst, uint32(stale))
@@ -195,7 +195,7 @@ var staleScratchPool = sync.Pool{New: func() any { return new(staleScratch) }}
 func decodeStaleFrame(w http.ResponseWriter, r *http.Request, sc *staleScratch) (keys []rrr.Key, ok bool) {
 	var err error
 	if sc.buf, err = ReadStaleFrame(sc.buf, r.Body, r.ContentLength); err == nil {
-		sc.keys, err = DecodeStaleRequest(sc.buf, sc.keys[:0])
+		sc.keys, err = decodeStaleRequest(sc.buf, sc.keys[:0])
 	}
 	if err != nil {
 		WriteErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
@@ -207,7 +207,7 @@ func decodeStaleFrame(w http.ResponseWriter, r *http.Request, sc *staleScratch) 
 // writeStaleFrame answers a framed request. Content-Length is set so the
 // router can size its one read.
 func writeStaleFrame(w http.ResponseWriter, stale int, verdicts []cachedVerdict, sc *staleScratch) {
-	sc.buf = AppendStaleResponse(sc.buf[:0], stale, len(verdicts), func(i int) []byte { return verdicts[i].JSON })
+	sc.buf = appendStaleResponse(sc.buf[:0], stale, len(verdicts), func(i int) []byte { return verdicts[i].JSON })
 	w.Header().Set("Content-Type", StaleFrameType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(sc.buf)))
 	w.WriteHeader(http.StatusOK)

@@ -50,7 +50,7 @@ func TestStaleFrameRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 64, MaxBatch} {
 		keys := batchKeys(n, stalePair.Key(), freshPair.Key())
 		frame := AppendStaleRequest([]byte("prefix"), n, func(i int) rrr.Key { return keys[i] })[len("prefix"):]
-		back, err := DecodeStaleRequest(frame, nil)
+		back, err := decodeStaleRequest(frame, nil)
 		if err != nil || len(back) != n {
 			t.Fatalf("n=%d: request decodes to %d keys, %v", n, len(back), err)
 		}
@@ -73,7 +73,7 @@ func TestStaleFrameRoundTrip(t *testing.T) {
 				t.Fatalf("empty frame answered %d %q, empty JSON %d %q", got.Code, got.Body, want.Code, want.Body)
 			}
 			// The response codec still round-trips zero verdicts.
-			slab, err := DecodeStaleResponse(AppendStaleResponse(nil, 0, 0, nil))
+			slab, err := DecodeStaleResponse(appendStaleResponse(nil, 0, 0, nil))
 			if err != nil || slab.Len() != 0 || slab.Stale != 0 {
 				t.Fatalf("empty answer decodes to %+v, %v", slab, err)
 			}
@@ -133,8 +133,8 @@ func TestStaleFrameRefusals(t *testing.T) {
 // refused after every truncation and every single-byte flip.
 func FuzzStaleFrame(f *testing.F) {
 	verdicts := [][]byte{[]byte(`{"key":"1.2.3.4-5.6.7.8"}`), nil, []byte(`{}`)}
-	f.Add(AppendStaleResponse(nil, 1, len(verdicts), func(i int) []byte { return verdicts[i] }), byte(1))
-	f.Add(AppendStaleResponse(nil, 0, 0, nil), byte(0x80))
+	f.Add(appendStaleResponse(nil, 1, len(verdicts), func(i int) []byte { return verdicts[i] }), byte(1))
+	f.Add(appendStaleResponse(nil, 0, 0, nil), byte(0x80))
 	f.Add(AppendStaleRequest(nil, 2, func(i int) rrr.Key { return rrr.Key{Src: uint32(i), Dst: 7} }), byte(0xff))
 	f.Add([]byte{0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}, byte(2))
 	f.Fuzz(func(t *testing.T, frame []byte, flip byte) {
@@ -148,7 +148,7 @@ func FuzzStaleFrame(f *testing.F) {
 				t.Fatalf("accepted answer: %d verdict bytes of a %d-byte slab, %d stale of %d", total, len(slab.slab), slab.Stale, slab.Len())
 			}
 		}
-		keys, reqErr := DecodeStaleRequest(frame, nil)
+		keys, reqErr := decodeStaleRequest(frame, nil)
 		if reqErr == nil && 8*len(keys) != len(frame)-frameHeaderLen {
 			t.Fatalf("accepted request: %d keys from %d payload bytes", len(keys), len(frame)-frameHeaderLen)
 		}
@@ -162,7 +162,7 @@ func FuzzStaleFrame(f *testing.F) {
 			damaged[at] ^= flip | 1
 			for _, bad := range [][]byte{frame[:at], damaged} {
 				_, respErr := DecodeStaleResponse(bad)
-				_, reqErr := DecodeStaleRequest(bad, nil)
+				_, reqErr := decodeStaleRequest(bad, nil)
 				if respErr == nil || reqErr == nil {
 					t.Fatalf("damaged frame accepted (%d of %d bytes, byte %d ^ %#x): %v, %v", len(bad), len(frame), at, flip|1, respErr, reqErr)
 				}

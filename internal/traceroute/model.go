@@ -74,17 +74,6 @@ func (t *Traceroute) AppendIPPath(out []uint32) []uint32 {
 	return out
 }
 
-// ResponsiveIPs returns the responsive hop IPs in order.
-func (t *Traceroute) ResponsiveIPs() []uint32 {
-	out := make([]uint32, 0, len(t.Hops))
-	for _, h := range t.Hops {
-		if h.Responsive() {
-			out = append(out, h.IP)
-		}
-	}
-	return out
-}
-
 // Clone deep-copies the traceroute.
 func (t *Traceroute) Clone() *Traceroute {
 	out := *t
@@ -125,15 +114,15 @@ type ASHop struct {
 	First, Last int
 }
 
-// ErrASLoop is returned when a traceroute's AS mapping contains a loop and
+// errASLoop is returned when a traceroute's AS mapping contains a loop and
 // must be discarded (Appendix A).
-var ErrASLoop = fmt.Errorf("traceroute: AS-level loop")
+var errASLoop = fmt.Errorf("traceroute: AS-level loop")
 
 // ASPath maps the traceroute to AS granularity per Appendix A: consecutive
 // identical AS hops merge into one; two hops mapping to the same AS
 // separated by unmapped hops also merge; IXP interfaces are transparent
 // (attributed to neither side). Traceroutes whose mapping contains an AS
-// loop return ErrASLoop.
+// loop return errASLoop.
 func ASPath(t *Traceroute, m Mapper) ([]ASHop, error) {
 	var out []ASHop
 	for i, h := range t.Hops {
@@ -158,7 +147,7 @@ func ASPath(t *Traceroute, m Mapper) ([]ASHop, error) {
 	seen := make(map[bgp.ASN]bool, len(out))
 	for _, h := range out {
 		if seen[h.AS] {
-			return nil, ErrASLoop
+			return nil, errASLoop
 		}
 		seen[h.AS] = true
 	}
@@ -172,23 +161,4 @@ func ASNs(hops []ASHop) bgp.Path {
 		out[i] = h.AS
 	}
 	return out
-}
-
-// EqualIPPaths reports whether two IP-level paths are identical, treating
-// unresponsive hops (0) as wildcards that match anything, per Appendix A
-// ("we treat any remaining unresponsive hops as wildcards that cannot
-// indicate a change").
-func EqualIPPaths(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] == 0 || b[i] == 0 {
-			continue
-		}
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -52,25 +52,6 @@ func (p *Patcher) Patch(t *Traceroute) int {
 	return patched
 }
 
-// SubpathIndex locates the first occurrence of the responsive IP sequence
-// sub within path (which may contain 0 wildcards that match nothing) and
-// returns its start index, or -1. sub must be non-empty and hole-free.
-func SubpathIndex(path []uint32, sub []uint32) int {
-	if len(sub) == 0 || len(sub) > len(path) {
-		return -1
-	}
-outer:
-	for i := 0; i+len(sub) <= len(path); i++ {
-		for j, s := range sub {
-			if path[i+j] != s {
-				continue outer
-			}
-		}
-		return i
-	}
-	return -1
-}
-
 // TraversesVia reports whether path visits from and later to (not
 // necessarily adjacent), returning the two indices. Used by §4.2.1's
 // T^intersect set: traceroutes that go through ι_m on the way to ι_n.

@@ -87,68 +87,6 @@ func TestQuickTextRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: EqualIPPaths is reflexive, symmetric, and hole-insensitive.
-func TestQuickEqualIPPathsLaws(t *testing.T) {
-	gen := func(rng *rand.Rand) []uint32 {
-		n := rng.Intn(12)
-		out := make([]uint32, n)
-		for i := range out {
-			if rng.Intn(4) != 0 {
-				out[i] = uint32(rng.Intn(5) + 1)
-			}
-		}
-		return out
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 500; i++ {
-		a, b := gen(rng), gen(rng)
-		if !EqualIPPaths(a, a) {
-			t.Fatalf("not reflexive: %v", a)
-		}
-		if EqualIPPaths(a, b) != EqualIPPaths(b, a) {
-			t.Fatalf("not symmetric: %v %v", a, b)
-		}
-		// Punching a hole into a path never creates a difference.
-		if len(a) > 0 && EqualIPPaths(a, a) {
-			c := append([]uint32(nil), a...)
-			c[rng.Intn(len(c))] = 0
-			if !EqualIPPaths(a, c) {
-				t.Fatalf("hole created difference: %v %v", a, c)
-			}
-		}
-	}
-}
-
-// Property: SubpathIndex result really matches at the returned position.
-func TestQuickSubpathIndexSound(t *testing.T) {
-	f := func(pathSeed, subSeed []byte) bool {
-		path := make([]uint32, len(pathSeed))
-		for i, b := range pathSeed {
-			path[i] = uint32(b % 8)
-		}
-		sub := make([]uint32, 0, len(subSeed))
-		for _, b := range subSeed {
-			if len(sub) >= 4 {
-				break
-			}
-			sub = append(sub, uint32(b%8))
-		}
-		i := SubpathIndex(path, sub)
-		if i < 0 {
-			return true
-		}
-		for k, s := range sub {
-			if path[i+k] != s {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: patching only fills holes and never alters responsive hops.
 func TestQuickPatcherOnlyFillsHoles(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))

@@ -99,22 +99,8 @@ func TestASPathSkipsIXPAndUnresponsive(t *testing.T) {
 func TestASPathLoopRejected(t *testing.T) {
 	tr := mkTrace(t, "1.0.0.1", "1.0.0.9",
 		"1.0.0.2", "2.0.0.1", "1.0.0.3")
-	if _, err := ASPath(tr, testMapper{}); err != ErrASLoop {
-		t.Fatalf("want ErrASLoop, got %v", err)
-	}
-}
-
-func TestEqualIPPathsWildcards(t *testing.T) {
-	a := []uint32{1, 0, 3}
-	b := []uint32{1, 2, 3}
-	if !EqualIPPaths(a, b) {
-		t.Error("wildcard should match")
-	}
-	if EqualIPPaths([]uint32{1, 2}, []uint32{1, 2, 3}) {
-		t.Error("length mismatch should differ")
-	}
-	if EqualIPPaths([]uint32{1, 2, 4}, b) {
-		t.Error("mismatched hop should differ")
+	if _, err := ASPath(tr, testMapper{}); err != errASLoop {
+		t.Fatalf("want errASLoop, got %v", err)
 	}
 }
 
@@ -213,22 +199,6 @@ func TestPatcher(t *testing.T) {
 	}
 }
 
-func TestSubpathIndex(t *testing.T) {
-	path := []uint32{1, 2, 3, 4, 5}
-	if i := SubpathIndex(path, []uint32{2, 3}); i != 1 {
-		t.Errorf("SubpathIndex = %d; want 1", i)
-	}
-	if i := SubpathIndex(path, []uint32{3, 2}); i != -1 {
-		t.Errorf("SubpathIndex = %d; want -1", i)
-	}
-	if i := SubpathIndex(path, nil); i != -1 {
-		t.Errorf("SubpathIndex(nil) = %d; want -1", i)
-	}
-	if i := SubpathIndex([]uint32{1}, []uint32{1, 2}); i != -1 {
-		t.Errorf("SubpathIndex longer-than-path = %d; want -1", i)
-	}
-}
-
 func TestTraversesVia(t *testing.T) {
 	path := []uint32{1, 2, 3, 4}
 	if i, j, ok := TraversesVia(path, 2, 4); !ok || i != 1 || j != 3 {
@@ -249,10 +219,6 @@ func TestKeyAndStrings(t *testing.T) {
 	}
 	if want := "1.0.0.1 -> 2.0.0.1: 1.0.0.2 * 2.0.0.1"; tr.String() != want {
 		t.Errorf("String = %q", tr.String())
-	}
-	ips := tr.ResponsiveIPs()
-	if len(ips) != 2 {
-		t.Errorf("ResponsiveIPs = %v", ips)
 	}
 	full := tr.IPPath()
 	if len(full) != 3 || full[1] != 0 {

@@ -19,11 +19,11 @@ type Prefix struct {
 
 // MakePrefix masks addr to plen bits and returns the canonical prefix.
 func MakePrefix(addr uint32, plen uint8) Prefix {
-	return Prefix{Addr: addr & Mask(plen), Len: plen}
+	return Prefix{Addr: addr & mask(plen), Len: plen}
 }
 
-// Mask returns the network mask for a prefix length.
-func Mask(plen uint8) uint32 {
+// mask returns the network mask for a prefix length.
+func mask(plen uint8) uint32 {
 	if plen == 0 {
 		return 0
 	}
@@ -35,12 +35,7 @@ func Mask(plen uint8) uint32 {
 
 // Contains reports whether ip falls inside the prefix.
 func (p Prefix) Contains(ip uint32) bool {
-	return ip&Mask(p.Len) == p.Addr
-}
-
-// ContainsPrefix reports whether q is equal to or more specific than p.
-func (p Prefix) ContainsPrefix(q Prefix) bool {
-	return q.Len >= p.Len && p.Contains(q.Addr)
+	return ip&mask(p.Len) == p.Addr
 }
 
 // String renders the prefix in dotted-quad/len notation.
@@ -203,33 +198,6 @@ func (t *Trie[V]) Lookup(ip uint32) (V, bool) {
 		i++
 	}
 	return best, found
-}
-
-// LookupPrefix returns the longest stored prefix containing ip along with its
-// value.
-func (t *Trie[V]) LookupPrefix(ip uint32) (Prefix, V, bool) {
-	var (
-		best    Prefix
-		bestVal V
-		found   bool
-		cur     = &t.root
-	)
-	for i := 0; ; i++ {
-		if cur.set {
-			best = MakePrefix(ip, uint8(i))
-			bestVal = cur.val
-			found = true
-		}
-		if i == 32 {
-			break
-		}
-		bit := (ip >> (31 - i)) & 1
-		if cur.child[bit] == nil {
-			break
-		}
-		cur = cur.child[bit]
-	}
-	return best, bestVal, found
 }
 
 // Walk visits every stored prefix in lexicographic (address, length) order.

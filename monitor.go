@@ -257,8 +257,10 @@ func (m *Monitor) CloseWindow(ws int64) []Signal {
 // signal counters, the windows-closed counter, and the stale-pairs gauge
 // (active pairs live only on their owning shard, so the engine count is
 // exact). Derived detector state (series baselines, calibration
-// internals) is deliberately not exported as metrics — it rebuilds from
-// feeds and would pin the exposition to engine internals.
+// internals) is deliberately not exported as metrics — it would pin the
+// exposition to engine internals. (Series baselines rebuild from the
+// feeds; calibration rebuilds only from refreshes recorded after a
+// restart, since RecordRefresh is its only input.)
 func (m *Monitor) noteWindowMetrics(sigs []Signal, windows int) {
 	if windows <= 0 {
 		return
@@ -518,8 +520,11 @@ func (m *Monitor) Classify(t *Traceroute) (ChangeClass, error) {
 // staleness queries after a restart without replaying feed history: the
 // corpus measurements, the active (unrevoked) signals, the window clock,
 // and the cumulative counters. It deliberately excludes derived detector
-// state (RIB view, series baselines, calibration): those rebuild from the
-// live feeds, while the snapshot keeps queries answerable in the meantime.
+// state (RIB view, series baselines, calibration), while the snapshot
+// keeps queries answerable in the meantime. The RIB view and the series
+// baselines rebuild from the live feeds. Calibration does not: its only
+// input is RecordRefresh, so after a restore it rebuilds only from the
+// refreshes recorded since (ROADMAP item 2).
 // All fields are exported and JSON/gob-serializable; versioning of the
 // on-disk envelope is the caller's concern (see internal/server).
 type MonitorSnapshot struct {
