@@ -57,9 +57,12 @@ fuzz:
 # Crash-torture harness in short mode: seeded crash points across all
 # three fsync policies, each proving the recovered daemon byte-identical
 # to an uninterrupted run — single-node and one-worker-of-a-cluster both.
-# The full sweeps run without -short.
+# The full sweeps run without -short. The restart differential then runs
+# rrrd to EOF twice over one WAL and requires /v1/events and /v1/stats
+# byte-identical.
 crashtest:
 	$(GO) test ./internal/wal -run 'TestCrashTorture|TestClusterCrashTorture' -short -count=1 -v
+	$(GO) test ./internal/daemon -run TestRestartDifferential -count=1 -v
 
 # Cluster acceptance under the race detector: the K∈{1,3} differential
 # (router-merged keys/batch/stats/SSE byte-identical to one daemon), the

@@ -84,8 +84,9 @@ func TestMonitorFromMRTArchives(t *testing.T) {
 		bgp.NewMRTSource(bgp.NewMRTReader(bytes.NewReader(arcB))),
 	)
 	var got []Signal
-	if err := Pipeline(context.Background(), m, merged, nil,
-		func(s Signal) { got = append(got, s) }); err != nil {
+	if err := RunPipeline(context.Background(), m, PipelineConfig{
+		Updates: merged, Sink: func(s Signal) { got = append(got, s) },
+	}); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -169,8 +170,10 @@ func TestPipelineShardEquivalence(t *testing.T) {
 				"9.0.0.2", "2.0.0.1", "3.0.0.1", "4.0.0.2", "4.0.0.8"))
 		}
 		var got []Signal
-		if err := Pipeline(context.Background(), m, merged, NewTraceSliceSource(pubs),
-			func(s Signal) { got = append(got, s) }); err != nil {
+		if err := RunPipeline(context.Background(), m, PipelineConfig{
+			Updates: merged, Traces: NewTraceSliceSource(pubs),
+			Sink: func(s Signal) { got = append(got, s) },
+		}); err != nil {
 			t.Fatal(err)
 		}
 		return got

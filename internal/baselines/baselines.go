@@ -491,10 +491,6 @@ type SignalFeed map[traceroute.Key][]int64
 // under the budget (§5.3's "signals" line).
 type Signals struct {
 	Feed SignalFeed
-	last int64
-	// MatchWindow is the ±window for matching a signal to a change; 30
-	// minutes in the paper.
-	MatchWindow int64
 }
 
 // Name implements Strategy.
@@ -504,9 +500,6 @@ func (s *Signals) Name() string { return "signals" }
 // last measurement, so a persistent signal does not drain the budget on a
 // pair that was already refreshed.
 func (s *Signals) Step(now int64, packets float64, v *View) []traceroute.Key {
-	if s.MatchWindow == 0 {
-		s.MatchWindow = 1800
-	}
 	budget := packets
 	var out []traceroute.Key
 	for _, k := range v.oracle.Keys() {
@@ -522,14 +515,14 @@ func (s *Signals) Step(now int64, packets float64, v *View) []traceroute.Key {
 			}
 		}
 	}
-	s.last = now
 	return out
 }
 
 // EvaluateSignalsMatched implements §5.3's signal emulation directly: each
 // (pair, window) signal triggers one remap traceroute when budget allows;
-// a signal matched to a ground-truth change within MatchWindow detects it,
-// an unmatched signal is a false positive that wastes the traceroute.
+// a signal matched to a ground-truth change within ±matchWindow (30
+// minutes in the paper) detects it, an unmatched signal is a false
+// positive that wastes the traceroute.
 func EvaluateSignalsMatched(o *Oracle, feed SignalFeed, matchWindow, start, end, step int64, ppsPerPath float64) Result {
 	res := Result{Strategy: "signals", Total: o.TotalChanges(start, end)}
 	// Per-pair signal cursor and change list.
@@ -581,7 +574,7 @@ func EvaluateSignalsMatched(o *Oracle, feed SignalFeed, matchWindow, start, end,
 }
 
 // MatchOptimal computes the optimal-signals bound: every change within
-// MatchWindow of some signal counts as detected, ignoring false positives
+// ±window of some signal counts as detected, ignoring false positives
 // and budget (Fig 8's "optimal" line saturates at signal coverage).
 func MatchOptimal(o *Oracle, feed SignalFeed, window int64, start, end int64) Result {
 	res := Result{Strategy: "optimal-signals", Total: o.TotalChanges(start, end)}

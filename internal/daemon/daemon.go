@@ -128,12 +128,12 @@ type Replayed struct {
 	Stats  rrr.RecoveryStats
 }
 
-// Recover replays w (when non-nil) into mon, delivering replayed windows'
-// signals to sink, and returns the resume state read from mon's window clock
-// — so a snapshot-restored monitor resumes at the snapshot's watermark even
-// with no log to replay.
-func Recover(mon *rrr.Monitor, w *wal.WAL, sink func(rrr.Signal)) (Replayed, error) {
-	rec := rrr.NewRecovery(mon, sink)
+// Recover replays w (when non-nil) into mon through hooks — the Sink, Tap
+// and OnWindowClose of the pipeline that wrote the log — and returns the
+// resume state read from mon's window clock, so a snapshot-restored monitor
+// resumes at the snapshot's watermark even with no log to replay.
+func Recover(mon *rrr.Monitor, w *wal.WAL, hooks rrr.PipelineConfig) (Replayed, error) {
+	rec := rrr.NewPipelineRecovery(mon, hooks)
 	var out Replayed
 	if w != nil {
 		info, err := w.Replay(func(r wal.Record) error {
@@ -169,12 +169,13 @@ func (d *Daemon) compact(watermark int64) (c Compaction) {
 	return c
 }
 
-// Recover completes startup, WAL or not: replayed windows' signals reach
-// the SSE hub (and sink, when non-nil), segments a restored snapshot covers
-// are compacted away, the pipeline's resume point is recorded, and only
-// then does /readyz turn 200.
+// Recover completes startup, WAL or not: replayed windows reach the same
+// hooks the pipeline feeds (signals to the SSE hub and sink, the event
+// detector, window markers), segments a restored snapshot covers are
+// compacted away, the pipeline's resume point is recorded, and only then
+// does /readyz turn 200.
 func (d *Daemon) Recover(sink func(rrr.Signal)) (Replayed, Compaction, error) {
-	rep, err := Recover(d.Mon, d.o.WAL, rrr.Tee(d.Srv.Publish, sink))
+	rep, err := Recover(d.Mon, d.o.WAL, d.hooks(sink))
 	if err != nil {
 		return rep, Compaction{}, err
 	}
@@ -195,20 +196,27 @@ func ResumeFeeds(u rrr.UpdateSource, t rrr.TraceSource, resume *rrr.ResumeState)
 	return rrr.SkipUpdatesBefore(u, resume.WindowStart), rrr.SkipTracesBefore(t, resume.WindowStart)
 }
 
+// hooks is what every ingested record and window close reaches, live or
+// replayed: the SSE hub (and sink, when non-nil), the event detector, and
+// the hub's window markers. Recover and Pipeline both start from it.
+func (d *Daemon) hooks(sink func(rrr.Signal)) rrr.PipelineConfig {
+	return rrr.PipelineConfig{
+		Sink:          rrr.Tee(d.Srv.Publish, sink),
+		Tap:           d.Det,
+		OnWindowClose: d.Srv.PublishWindowClose,
+	}
+}
+
 // Pipeline returns the RunPipeline configuration every rrrd runs, over the
 // environment's simulated feeds resumed where Recover left off. A caller
 // ingesting from elsewhere replaces Updates/Traces with its own sources or
 // Open factories.
 func (d *Daemon) Pipeline(sink func(rrr.Signal), retry rrr.RetryPolicy) rrr.PipelineConfig {
-	cfg := rrr.PipelineConfig{
-		Sink:          rrr.Tee(d.Srv.Publish, sink),
-		Tap:           d.Det,
-		Retry:         retry,
-		DedupAdjacent: true,
-		Health:        d.o.Server.Health,
-		Resume:        d.resume,
-		OnWindowClose: d.Srv.PublishWindowClose,
-	}
+	cfg := d.hooks(sink)
+	cfg.Retry = retry
+	cfg.DedupAdjacent = true
+	cfg.Health = d.o.Server.Health
+	cfg.Resume = d.resume
 	if d.o.WAL != nil {
 		cfg.WAL = d.o.WAL
 	}

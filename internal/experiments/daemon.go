@@ -41,7 +41,7 @@ type DaemonEnv struct {
 	// unresponsive hops patched); feed them to Monitor.Track.
 	Corpus []*traceroute.Traceroute
 
-	// Updates and Traces are the live feeds for rrr.Pipeline.
+	// Updates and Traces are the live feeds for rrr.RunPipeline.
 	Updates *SimUpdateFeed
 	Traces  *SimTraceFeed
 
@@ -152,7 +152,7 @@ func NewDaemonEnv(sc Scale, pace time.Duration) *DaemonEnv {
 // daemonFeed generates the simulator's feed lazily: whenever either reader
 // runs dry it advances the simulation by one window, capturing the BGP
 // updates that Step emits and issuing that window's public traceroutes.
-// Both sources stay individually time-ordered, as rrr.Pipeline requires.
+// Both sources stay individually time-ordered, as rrr.RunPipeline requires.
 type daemonFeed struct {
 	mu sync.Mutex
 	// simMu is the services' lock, held for writing while a step mutates
@@ -228,7 +228,7 @@ func (f *daemonFeed) step() {
 // time order. ok is false once the feed has ended. It is the
 // window-at-a-time way to consume the feed, for a caller that drives a
 // Monitor on its own goroutine (Lab) instead of reading Updates and Traces
-// through rrr.Pipeline; one environment serves one of the two.
+// through rrr.RunPipeline; one environment serves one of the two.
 func (e *DaemonEnv) nextWindow() (ws int64, ups []bgp.Update, trs []*traceroute.Traceroute, ok bool) {
 	f := e.Updates.f
 	f.mu.Lock()

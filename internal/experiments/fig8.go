@@ -20,12 +20,11 @@ type Fig8Result struct {
 	DTrack        []float64
 	Signals       []float64
 	DTrackSignals []float64
-	// Optimal is budget-independent (the signals' coverage bound).
+	// Optimal is budget-independent: the signals' coverage bound, the
+	// fraction of changes with a matched signal.
 	Optimal float64
 	// TotalChanges in the pseudo-ground-truth.
 	TotalChanges int
-	// SignalCoverage is the fraction of changes with a matched signal.
-	SignalCoverage float64
 }
 
 // RunFig8 builds a DTRACK-style pseudo-ground-truth (dense measurements of
@@ -102,7 +101,6 @@ func RunFig8(sc Scale, pairs int, ppsSweep []float64) *Fig8Result {
 	res := &Fig8Result{TotalChanges: oracle.TotalChanges(start, end)}
 	opt := baselines.MatchOptimal(oracle, feed, 1800, start, end)
 	res.Optimal = opt.Fraction()
-	res.SignalCoverage = opt.Fraction()
 
 	step := sc.WindowSec
 	for _, pps := range ppsSweep {

@@ -20,7 +20,7 @@ type UpdateSource interface {
 	Read() (bgp.Update, error)
 }
 
-// TraceSource is the traceroute feed shape shared with rrr.Pipeline.
+// TraceSource is the traceroute feed shape shared with rrr.RunPipeline.
 type TraceSource interface {
 	Read() (*traceroute.Traceroute, error)
 }

@@ -511,8 +511,9 @@ func TestServeDuringIngestion(t *testing.T) {
 
 	pipeDone := make(chan error, 1)
 	go func() {
-		pipeDone <- rrr.Pipeline(context.Background(), m,
-			bgp.NewSliceSource(updates), rrr.NewTraceSliceSource(traces), srv.Publish)
+		pipeDone <- rrr.RunPipeline(context.Background(), m, rrr.PipelineConfig{
+			Updates: bgp.NewSliceSource(updates), Traces: rrr.NewTraceSliceSource(traces), Sink: srv.Publish,
+		})
 	}()
 
 	// Hammer the read endpoints from several clients until the feed ends.

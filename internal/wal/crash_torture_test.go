@@ -287,7 +287,7 @@ func runTorturePoint(t *testing.T, base baseline, policy wal.FsyncPolicy, crashA
 	}
 	m2 := tortureMonitor(t)
 	var sigs []rrr.Signal
-	rep, err := daemon.Recover(m2, w2, func(s rrr.Signal) { sigs = append(sigs, s) })
+	rep, err := daemon.Recover(m2, w2, rrr.PipelineConfig{Sink: func(s rrr.Signal) { sigs = append(sigs, s) }})
 	if err != nil {
 		t.Fatalf("recovery replay: %v", err)
 	}

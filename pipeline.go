@@ -48,11 +48,11 @@ func (s *TraceSliceSource) Read() (*Traceroute, error) {
 	return t, nil
 }
 
-// Tee fans one Pipeline sink out to several consumers: each signal is
+// Tee fans one pipeline Sink out to several consumers: each signal is
 // delivered to every non-nil sink in order, on the pipeline goroutine.
 // Sinks that must not stall ingestion (an SSE fan-out, a logger) should
 // hand off internally; see internal/server's subscriber hub. Nil sinks are
-// dropped; with none left Tee returns nil, which Pipeline treats as
+// dropped; with none left Tee returns nil, which RunPipeline treats as
 // "discard".
 func Tee(sinks ...func(Signal)) func(Signal) {
 	live := make([]func(Signal), 0, len(sinks))
@@ -96,8 +96,7 @@ func IsTransientError(err error) bool {
 const maxBackoff = 5 * time.Second
 
 // RetryPolicy bounds how hard the pipeline fights for a failing feed.
-// The zero value never retries, matching the historical Pipeline behavior
-// of treating the first feed error as terminal.
+// The zero value never retries: the first feed error is terminal.
 type RetryPolicy struct {
 	// MaxRetries is the reopen budget per failure episode: a feed with an
 	// Open factory that fails with a transient error (IsTransientError) is
@@ -185,22 +184,21 @@ type PipelineConfig struct {
 	// from "window done, none emitted".
 	OnWindowClose func(windowStart int64)
 
-	// Tap, when set, observes every ingested record and window close on
-	// the merge-loop goroutine, like a second WAL tee. Records are tapped
-	// after the window clock has advanced (so any closes they trigger are
-	// delivered first and the record is attributed to the window it
-	// belongs to) and before the monitor ingests them; window closes are
-	// tapped after the window's signals reach Sink and before
-	// OnWindowClose, so a tap that publishes per-window output (the event
-	// detector) emits it between the signals and the stream's window
-	// marker.
+	// Tap, when set, observes every ingested record and window close, like
+	// a second WAL tee, in the order RecordTap describes.
 	Tap RecordTap
 }
 
 // RecordTap observes the ingested record stream. All methods are invoked
-// on the pipeline's single merge-loop goroutine, in ingestion order, so
-// implementations see the exact sequence the monitor does — identical
-// across the serial engine, the sharded engine, and every cluster worker.
+// on one goroutine in ingestion order, so implementations see the exact
+// sequence the monitor does — identical across the serial engine, the
+// sharded engine, every cluster worker, and a WAL replay of the run
+// (NewPipelineRecovery). A record is tapped after the window clock has
+// advanced (the closes it triggers come first, so it is attributed to its
+// own window) and before the monitor ingests it; a close after the
+// window's signals reach Sink and before OnWindowClose, so a tap that
+// publishes per-window output (the event detector) emits it between the
+// signals and the stream's window marker.
 type RecordTap interface {
 	TapUpdate(bgp.Update)
 	TapTrace(*Traceroute)
@@ -224,11 +222,9 @@ type feed[T any] struct {
 	pending T
 	have    bool
 
-	// winItems are the records ingested since the last window close, in
-	// ingestion order; after a reopen the replayed stream is matched
-	// against them (via replay/replayIdx) so each record is observed
-	// exactly once.
-	winItems  []T
+	// replay is the open window's records as ingested before a reopen;
+	// the reopened stream is matched against them (from replayIdx) so each
+	// record is observed exactly once.
 	replay    []T
 	replayIdx int
 
@@ -366,9 +362,10 @@ func fill[T any](rc *pipeShared, f *feed[T]) error {
 
 // handleFeedErr decides a failing feed's fate: reopen window-aligned when
 // the error is transient and a factory and budget remain, otherwise declare
-// it dead. It reports whether the run continues; a false return carries the
-// fatal error.
-func handleFeedErr[T any](rc *pipeShared, f *feed[T], ferr error, resume int64) (bool, error) {
+// it dead. win is the feed's records already ingested in the open window
+// starting at resume. It reports whether the run continues; a false return
+// carries the fatal error.
+func handleFeedErr[T any](rc *pipeShared, f *feed[T], ferr error, resume int64, win []T) (bool, error) {
 	for f.open != nil && IsTransientError(ferr) && f.reopens < rc.retry.MaxRetries {
 		f.reopens++
 		f.met.retries.Inc()
@@ -383,16 +380,16 @@ func handleFeedErr[T any](rc *pipeShared, f *feed[T], ferr error, resume int64) 
 		}
 		// Resume from the last completed window: the reopened stream
 		// re-covers the open window, and the records already ingested
-		// (winItems) are skipped as they re-arrive. The stale pending
-		// record is discarded for the same reason — it will re-arrive.
+		// (win) are skipped as they re-arrive. The stale pending record is
+		// discarded for the same reason — it will re-arrive.
 		f.have = false
-		if len(f.winItems) == 0 {
+		if len(win) == 0 {
 			f.replay = nil
 			f.reopens = 0
 			f.met.absorbed.Inc()
 			rc.health.noteAbsorbed(f.name)
 		} else {
-			f.replay = append(f.replay[:0:0], f.winItems...)
+			f.replay = append(f.replay[:0:0], win...)
 			f.replayIdx = 0
 		}
 		// Before the reader starts: a short reopened stream can reach EOF
@@ -413,6 +410,49 @@ func handleFeedErr[T any](rc *pipeShared, f *feed[T], ferr error, resume int64) 
 		return true, nil
 	}
 	return false, f.deadErr
+}
+
+// opener adapts an Open factory to the feed's reader form (nil stays nil).
+func opener[T any, S interface{ Read() (T, error) }](open func(int64) (S, error)) func(int64) (func() (T, error), error) {
+	if open == nil {
+		return nil
+	}
+	return func(since int64) (func() (T, error), error) {
+		src, err := open(since)
+		if err != nil {
+			return nil, err
+		}
+		return src.Read, nil
+	}
+}
+
+// startFeed starts f's reader on src, or without one opens f through its
+// factory at since; an open failure goes to the supervisor, like a later
+// one would (win is the open window's records, seeded by a resume).
+func startFeed[T any](rc *pipeShared, f *feed[T], src interface{ Read() (T, error) }, since int64, win []T) error {
+	switch {
+	case src != nil:
+		spawnFeed(rc, f, src.Read)
+	case f.open != nil:
+		read, err := f.open(since)
+		if err != nil {
+			_, err = handleFeedErr(rc, f, err, since, win)
+			return err
+		}
+		spawnFeed(rc, f, read)
+	}
+	return nil
+}
+
+// pull fills f's pending record, handing a feed failure to the supervisor.
+// It reports whether the merge loop starts over (f was reopened, or died
+// under ContinueOnDeadFeed), or the error that ends the run.
+func pull[T any](rc *pipeShared, f *feed[T], resume int64, win []T) (bool, error) {
+	err := fill(rc, f)
+	if err == nil || err == errPipelineCancelled {
+		return false, err
+	}
+	return handleFeedErr(rc, f, err, resume, win)
 }
 
 // consumeReplay reports whether rec is a replayed copy of an
@@ -467,14 +507,6 @@ func traceEqual(a, b *Traceroute) bool {
 	return true
 }
 
-// Pipeline drives a Monitor from a BGP feed and a public-traceroute feed
-// with the historical semantics: any feed error is terminal (after
-// draining the open window). It is RunPipeline with a zero RetryPolicy;
-// see PipelineConfig for the self-healing knobs.
-func Pipeline(ctx context.Context, m *Monitor, updates UpdateSource, traces TraceSource, sink func(Signal)) error {
-	return RunPipeline(ctx, m, PipelineConfig{Updates: updates, Traces: traces, Sink: sink})
-}
-
 // RunPipeline drives a Monitor from a BGP feed and a public-traceroute
 // feed: the two time-ordered streams are interleaved by timestamp, windows
 // close automatically at each WindowSec boundary, and every staleness
@@ -504,18 +536,18 @@ func Pipeline(ctx context.Context, m *Monitor, updates UpdateSource, traces Trac
 //
 // Cancellation is honored even while both reader goroutines are blocked
 // inside Read (a live feed waiting for its next item): the merge loop
-// selects on ctx alongside the feed channels. On cancellation the pipeline
-// additionally closes the currently-open window — delivering buffered
-// observations as final signals to sink — before returning ctx.Err(), so a
-// daemon's graceful shutdown (cancel → drain → final window close →
-// snapshot) loses nothing that was already observed.
+// selects on ctx alongside the feed channels, and the open window's close
+// on the way out means a daemon's graceful shutdown (cancel → drain →
+// final window close → snapshot) loses nothing already observed.
 //
 // With a RecordLog (PipelineConfig.WAL) every ingested record is teed to
 // the log before the Monitor observes it, and every window close is
 // reported to the log, making the run crash-recoverable: Recovery replays
-// the log into a fresh Monitor and PipelineConfig.Resume continues the
-// open window with the same exactly-once replay matching a mid-run feed
-// reopen uses. Log failures are fatal to the run (see RecordLog).
+// the log into a fresh Monitor through this pipeline's own per-record and
+// per-close step, reaching the same hooks in the same order, and
+// PipelineConfig.Resume continues the open window with the same
+// exactly-once replay matching a mid-run feed reopen uses. Log failures
+// are fatal to the run (see RecordLog).
 func RunPipeline(ctx context.Context, m *Monitor, cfg PipelineConfig) error {
 	rc := &pipeShared{
 		stop:   make(chan struct{}),
@@ -531,258 +563,237 @@ func RunPipeline(ctx context.Context, m *Monitor, cfg PipelineConfig) error {
 
 	uf := &feed[Update]{
 		name: "bgp", errWrap: "bgp feed",
+		open:  opener[Update](cfg.OpenUpdates),
 		equal: updateEqual,
 		met:   metFeedBGP, queue: metPipeUpdateQueue, errs: metPipeErrBGP,
 	}
-	if cfg.OpenUpdates != nil {
-		uf.open = func(since int64) (func() (Update, error), error) {
-			s, err := cfg.OpenUpdates(since)
-			if err != nil {
-				return nil, err
-			}
-			return s.Read, nil
-		}
-	}
 	tf := &feed[*Traceroute]{
 		name: "traceroute", errWrap: "traceroute feed",
+		open:  opener[*Traceroute](cfg.OpenTraces),
 		equal: traceEqual,
 		met:   metFeedTrace, queue: metPipeTraceQueue, errs: metPipeErrTrace,
 	}
-	if cfg.OpenTraces != nil {
-		tf.open = func(since int64) (func() (*Traceroute, error), error) {
-			s, err := cfg.OpenTraces(since)
-			if err != nil {
-				return nil, err
-			}
-			return s.Read, nil
-		}
-	}
 
-	clk := windowClock{window: m.WindowSec()}
+	s := &ingest{m: m, cfg: cfg, live: true, window: m.WindowSec()}
 	// A recovery resume continues the replayed run's open window: the
-	// clock starts there, the initial opens ask the feeds for records
-	// from that point, and the records the replay already ingested seed
-	// the positional skip lists — exactly the state a mid-run reopen
+	// step's clock and open-window records start there, the initial opens
+	// ask the feeds for records from that point, and the replayed records
+	// seed the positional skip lists — exactly the state a mid-run reopen
 	// would have left behind. (Direct Updates/Traces sources are the
 	// caller's to align, e.g. with SkipUpdatesBefore.)
 	startSince := int64(ResumeAll)
 	if cfg.Resume != nil && cfg.Resume.WindowStart != ResumeAll {
 		startSince = cfg.Resume.WindowStart
-		clk.resume(startSince)
-		uf.winItems = append(uf.winItems, cfg.Resume.Updates...)
-		tf.winItems = append(tf.winItems, cfg.Resume.Traces...)
-		if len(cfg.Resume.Updates) > 0 {
-			uf.replay = append([]Update(nil), cfg.Resume.Updates...)
-		}
-		if len(cfg.Resume.Traces) > 0 {
-			tf.replay = append([]*Traceroute(nil), cfg.Resume.Traces...)
-		}
+		s.resume(startSince, cfg.Resume.Updates, cfg.Resume.Traces)
+		uf.replay = append([]Update(nil), cfg.Resume.Updates...) // nil if none
+		tf.replay = append([]*Traceroute(nil), cfg.Resume.Traces...)
 	}
 
-	switch {
-	case cfg.Updates != nil:
-		spawnFeed(rc, uf, cfg.Updates.Read)
-	case uf.open != nil:
-		read, err := uf.open(startSince)
-		if err != nil {
-			if ok, ferr := handleFeedErr(rc, uf, err, startSince); !ok {
-				if ferr == errPipelineCancelled && ctx != nil {
-					return ctx.Err()
-				}
-				return ferr
-			}
-		} else {
-			spawnFeed(rc, uf, read)
-		}
+	err := startFeed(rc, uf, cfg.Updates, startSince, s.ups)
+	if err == nil {
+		err = startFeed(rc, tf, cfg.Traces, startSince, s.trs)
 	}
-	switch {
-	case cfg.Traces != nil:
-		spawnFeed(rc, tf, cfg.Traces.Read)
-	case tf.open != nil:
-		read, err := tf.open(startSince)
-		if err != nil {
-			if ok, ferr := handleFeedErr(rc, tf, err, startSince); !ok {
-				if ferr == errPipelineCancelled && ctx != nil {
-					return ctx.Err()
-				}
-				return ferr
-			}
-		} else {
-			spawnFeed(rc, tf, read)
-		}
+	if err == errPipelineCancelled && ctx != nil {
+		return ctx.Err()
 	}
-
-	emit := func(sigs []Signal) {
-		if cfg.Sink == nil {
-			return
-		}
-		for _, s := range sigs {
-			cfg.Sink(s)
-		}
-	}
-	// A WindowClosed failure (an fsync that did not happen under the
-	// on-window-close policy) is recorded here and surfaced at the top of
-	// the merge loop: closeWin is also called from the finish drain, where
-	// there is no caller left to fail.
-	var walErr error
-	closeWin := func(ws int64) {
-		emit(m.CloseWindow(ws))
-		metPipeWindows.Inc()
-		if cfg.WAL != nil && walErr == nil {
-			if err := cfg.WAL.WindowClosed(ws); err != nil {
-				walErr = fmt.Errorf("rrr: wal window sync: %w", err)
-			}
-		}
-		if cfg.Tap != nil {
-			cfg.Tap.TapWindowClose(ws)
-		}
-		if cfg.OnWindowClose != nil {
-			cfg.OnWindowClose(ws)
-		}
-	}
-	advanceTo := func(t int64) {
-		if clk.advanceTo(t, closeWin) {
-			// A new window opened: everything ingested before it is
-			// behind a completed boundary and will never be replayed.
-			uf.winItems = uf.winItems[:0]
-			tf.winItems = tf.winItems[:0]
-		}
-	}
-
-	// finish closes the currently-open window on every way out — feeds
-	// exhausted, cancelled, feed error — so already-ingested observations
-	// still produce their signals (graceful-shutdown drain); the feed-error
-	// path matters because a decode failure otherwise silently discards
-	// every observation buffered since the last window boundary.
-	finish := func(err error) error {
-		if clk.started {
-			closeWin(clk.openStart())
-		}
+	if err != nil {
 		return err
 	}
 
 	for {
-		if walErr != nil {
-			return finish(walErr)
+		if s.walErr != nil {
+			return s.finish(s.walErr)
 		}
 		if ctx != nil {
 			select {
 			case <-ctx.Done():
-				return finish(ctx.Err())
+				return s.finish(ctx.Err())
 			default:
 			}
 		}
-		if err := fill(rc, uf); err != nil {
-			if err == errPipelineCancelled {
-				return finish(ctx.Err())
-			}
-			ok, ferr := handleFeedErr(rc, uf, err, clk.openStart())
-			if !ok {
-				if ferr == errPipelineCancelled {
-					return finish(ctx.Err())
-				}
-				return finish(ferr)
-			}
-			continue
+		again, err := pull(rc, uf, s.openStart(), s.ups)
+		if err == nil && !again {
+			again, err = pull(rc, tf, s.openStart(), s.trs)
 		}
-		if err := fill(rc, tf); err != nil {
-			if err == errPipelineCancelled {
-				return finish(ctx.Err())
-			}
-			ok, ferr := handleFeedErr(rc, tf, err, clk.openStart())
-			if !ok {
-				if ferr == errPipelineCancelled {
-					return finish(ctx.Err())
-				}
-				return finish(ferr)
-			}
+		if err == errPipelineCancelled {
+			err = ctx.Err()
+		}
+		if err != nil {
+			return s.finish(err)
+		}
+		if again {
 			continue
 		}
 		switch {
 		case uf.have && (!tf.have || uf.pending.Time <= tf.pending.Time):
-			rec := uf.pending
 			uf.have = false
-			if uf.consumeReplay(rc, rec) {
+			if uf.consumeReplay(rc, uf.pending) {
 				continue
 			}
-			// Tee to the WAL before the monitor sees the record: a failed
-			// append leaves the record un-ingested, so the run dies with
-			// monitor and log still agreeing.
-			if cfg.WAL != nil {
-				if err := cfg.WAL.AppendUpdate(rec); err != nil {
-					return finish(fmt.Errorf("rrr: wal append (bgp): %w", err))
-				}
+			if err := s.update(uf.pending); err != nil {
+				return s.finish(err)
 			}
-			advanceTo(rec.Time)
-			if cfg.Tap != nil {
-				cfg.Tap.TapUpdate(rec)
-			}
-			m.ObserveBGP(rec)
-			uf.winItems = append(uf.winItems, rec)
-			metPipeUpdates.Inc()
 		case tf.have:
-			rec := tf.pending
 			tf.have = false
-			if tf.consumeReplay(rc, rec) {
+			if tf.consumeReplay(rc, tf.pending) {
 				continue
 			}
-			if cfg.WAL != nil {
-				if err := cfg.WAL.AppendTrace(rec); err != nil {
-					return finish(fmt.Errorf("rrr: wal append (traceroute): %w", err))
-				}
+			if err := s.trace(tf.pending); err != nil {
+				return s.finish(err)
 			}
-			advanceTo(rec.Time)
-			if cfg.Tap != nil {
-				cfg.Tap.TapTrace(rec)
-			}
-			m.ObservePublic(rec)
-			tf.winItems = append(tf.winItems, rec)
-			metPipeTraces.Inc()
 		default:
 			// Both feeds exhausted (or dead): close the final window and
 			// surface any deferred dead-feed errors.
-			finish(nil)
-			return errors.Join(uf.deadErr, tf.deadErr, walErr)
+			s.finish(nil)
+			return errors.Join(uf.deadErr, tf.deadErr, s.walErr)
 		}
 	}
 }
 
-// windowClock is the window bookkeeping live ingest (RunPipeline) and WAL
-// replay (Recovery) share, so both close the same windows. Indices use floor
-// division so a pre-epoch (negative) timestamp lands in the window containing
-// it, matching Monitor.Advance's first-window snap; truncating division would
-// put t=-1 and t=+1 in the same window.
-type windowClock struct {
+// ingest is the one place a record and a window close take effect, for
+// live ingest (RunPipeline) and WAL replay (Recovery) alike, so a replayed
+// window reaches the Monitor and every hook exactly as the live run that
+// logged it delivered it. All calls come from one goroutine.
+//
+// A record: WAL append (live) → advance the window clock, closing each
+// window it leaves behind → Tap → Monitor → remember it as the open
+// window's. A close: CloseWindow → Sink → WAL WindowClosed (live) → Tap →
+// OnWindowClose.
+type ingest struct {
+	m    *Monitor
+	cfg  PipelineConfig // its Sink, Tap, OnWindowClose and WAL; a replay has no WAL
+	live bool           // count into the rrr_pipeline_* metrics
+
+	// The window clock. Floor division puts a pre-epoch timestamp in the
+	// window containing it, matching Monitor.Advance's first-window snap.
 	window  int64
 	idx     int64
 	started bool
+
+	// ups and trs are the open window's records in ingestion order: what
+	// a reopened feed re-delivers, and what a replay hands RunPipeline as
+	// ResumeState.
+	ups []Update
+	trs []*Traceroute
+
+	// walErr is the first WindowClosed failure (an fsync the
+	// on-window-close policy did not get). A close has no caller to fail,
+	// so RunPipeline surfaces it at the top of its merge loop.
+	walErr error
+	stats  RecoveryStats // Skipped is Recovery's to count
 }
 
-// resume starts the clock in the window beginning at start.
-func (c *windowClock) resume(start int64) {
-	c.started, c.idx = true, floorDiv(start, c.window)
+// resume starts the clock in the window beginning at start, whose records
+// so far are ups and trs.
+func (s *ingest) resume(start int64, ups []Update, trs []*Traceroute) {
+	s.started, s.idx = true, floorDiv(start, s.window)
+	s.ups = append(s.ups[:0], ups...)
+	s.trs = append(s.trs[:0], trs...)
 }
 
 // openStart is the open window's start, where a reopened feed must restart
 // (earlier windows are final); ResumeAll before any record was ingested.
-func (c *windowClock) openStart() int64 {
-	if !c.started {
+func (s *ingest) openStart() int64 {
+	if !s.started {
 		return ResumeAll
 	}
-	return c.idx * c.window
+	return s.idx * s.window
 }
 
-// advanceTo moves the clock to the window containing t. The first record
-// snaps the clock to its window; a later one calls closeWin for every window
-// it leaves behind, oldest first, and reports that a boundary was crossed.
-func (c *windowClock) advanceTo(t int64, closeWin func(ws int64)) bool {
-	idx := floorDiv(t, c.window)
-	if !c.started {
-		c.started, c.idx = true, idx
+// advance moves the clock to the window containing t. The first record
+// snaps the clock to its window; a later one closes every window it leaves
+// behind, oldest first, and then forgets their records: they are behind a
+// completed boundary and will never be replayed.
+func (s *ingest) advance(t int64) {
+	idx := floorDiv(t, s.window)
+	if !s.started {
+		s.started, s.idx = true, idx
 	}
-	crossed := c.idx < idx
-	for ; c.idx < idx; c.idx++ {
-		closeWin(c.idx * c.window)
+	if s.idx >= idx {
+		return
 	}
-	return crossed
+	for ; s.idx < idx; s.idx++ {
+		s.close(s.idx * s.window)
+	}
+	s.ups, s.trs = s.ups[:0], s.trs[:0]
+}
+
+// update ingests one BGP update. It is teed to the WAL before the monitor
+// sees it: a failed append leaves the record un-ingested, so the run dies
+// with monitor and log still agreeing.
+func (s *ingest) update(u Update) error {
+	if s.cfg.WAL != nil {
+		if err := s.cfg.WAL.AppendUpdate(u); err != nil {
+			return fmt.Errorf("rrr: wal append (bgp): %w", err)
+		}
+	}
+	s.advance(u.Time)
+	if s.cfg.Tap != nil {
+		s.cfg.Tap.TapUpdate(u)
+	}
+	s.m.ObserveBGP(u)
+	s.ups = append(s.ups, u)
+	s.stats.Updates++
+	if s.live {
+		metPipeUpdates.Inc()
+	}
+	return nil
+}
+
+// trace ingests one public traceroute, as update does an update.
+func (s *ingest) trace(t *Traceroute) error {
+	if s.cfg.WAL != nil {
+		if err := s.cfg.WAL.AppendTrace(t); err != nil {
+			return fmt.Errorf("rrr: wal append (traceroute): %w", err)
+		}
+	}
+	s.advance(t.Time)
+	if s.cfg.Tap != nil {
+		s.cfg.Tap.TapTrace(t)
+	}
+	s.m.ObservePublic(t)
+	s.trs = append(s.trs, t)
+	s.stats.Traces++
+	if s.live {
+		metPipeTraces.Inc()
+	}
+	return nil
+}
+
+// close closes the window starting at ws.
+func (s *ingest) close(ws int64) {
+	sigs := s.m.CloseWindow(ws)
+	if s.cfg.Sink != nil {
+		for _, sig := range sigs {
+			s.cfg.Sink(sig)
+		}
+	}
+	s.stats.Windows++
+	s.stats.Signals += len(sigs)
+	if s.live {
+		metPipeWindows.Inc()
+	}
+	if s.cfg.WAL != nil && s.walErr == nil {
+		if err := s.cfg.WAL.WindowClosed(ws); err != nil {
+			s.walErr = fmt.Errorf("rrr: wal window sync: %w", err)
+		}
+	}
+	if s.cfg.Tap != nil {
+		s.cfg.Tap.TapWindowClose(ws)
+	}
+	if s.cfg.OnWindowClose != nil {
+		s.cfg.OnWindowClose(ws)
+	}
+}
+
+// finish closes the open window, if any, and returns err. RunPipeline
+// leaves through it on every way out — feeds exhausted, cancelled, feed
+// error — so already-ingested observations still produce their signals; a
+// decode failure would otherwise discard the open window's observations.
+// A replay never finishes: the resumed pipeline continues its open window.
+func (s *ingest) finish(err error) error {
+	if s.started {
+		s.close(s.openStart())
+	}
+	return err
 }

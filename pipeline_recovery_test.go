@@ -52,8 +52,9 @@ func cleanRecoveryRun(t *testing.T) ([]Signal, []Key) {
 	t.Helper()
 	m, _ := recoveryMonitor(t)
 	var sigs []Signal
-	if err := Pipeline(context.Background(), m, bgp.NewSliceSource(recoveryUpdates(t)), nil,
-		func(s Signal) { sigs = append(sigs, s) }); err != nil {
+	if err := RunPipeline(context.Background(), m, PipelineConfig{
+		Updates: bgp.NewSliceSource(recoveryUpdates(t)), Sink: func(s Signal) { sigs = append(sigs, s) },
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(sigs) == 0 {

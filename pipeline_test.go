@@ -45,9 +45,10 @@ func TestPipelineInterleavesAndSignals(t *testing.T) {
 	}
 
 	var got []Signal
-	err = Pipeline(context.Background(), m,
-		bgp.NewSliceSource(updates), NewTraceSliceSource(traces),
-		func(s Signal) { got = append(got, s) })
+	err = RunPipeline(context.Background(), m, PipelineConfig{
+		Updates: bgp.NewSliceSource(updates), Traces: NewTraceSliceSource(traces),
+		Sink: func(s Signal) { got = append(got, s) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestPipelineInterleavesAndSignals(t *testing.T) {
 
 func TestPipelineNilFeeds(t *testing.T) {
 	m := newTestMonitor(t)
-	if err := Pipeline(context.Background(), m, nil, nil, nil); err != nil {
+	if err := RunPipeline(context.Background(), m, PipelineConfig{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -80,7 +81,7 @@ func TestPipelineContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	updates := []Update{announceUpd(t, 0, "5.0.0.9", 5, "4.0.0.0/8", []ASN{5, 4})}
-	err := Pipeline(ctx, m, bgp.NewSliceSource(updates), nil, nil)
+	err := RunPipeline(ctx, m, PipelineConfig{Updates: bgp.NewSliceSource(updates)})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v; want context.Canceled", err)
 	}
@@ -126,7 +127,7 @@ func (s *blockingTraceSource) Read() (*Traceroute, error) {
 
 // TestPipelineCancelWhileBlocked is the live-daemon shutdown case: both
 // reader goroutines are parked inside Read (feeds with no pending data)
-// when the context fires. Pipeline must still return promptly with
+// when the context fires. RunPipeline must still return promptly with
 // context.Canceled instead of waiting for the feeds.
 func TestPipelineCancelWhileBlocked(t *testing.T) {
 	m := newTestMonitor(t)
@@ -137,7 +138,7 @@ func TestPipelineCancelWhileBlocked(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- Pipeline(ctx, m, us, ts, nil) }()
+	go func() { done <- RunPipeline(ctx, m, PipelineConfig{Updates: us, Traces: ts}) }()
 
 	// Hand the pipeline one update so it is mid-stream (not at EOF), then
 	// leave both feeds silent and cancel.
@@ -149,7 +150,7 @@ func TestPipelineCancelWhileBlocked(t *testing.T) {
 			t.Fatalf("err = %v; want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Pipeline did not honor cancellation while readers were blocked")
+		t.Fatal("RunPipeline did not honor cancellation while readers were blocked")
 	}
 }
 
@@ -172,11 +173,11 @@ func TestPipelineCancelClosesOpenWindow(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- Pipeline(ctx, m, us, nil, func(s Signal) {
+		done <- RunPipeline(ctx, m, PipelineConfig{Updates: us, Sink: func(s Signal) {
 			mu.Lock()
 			got = append(got, s)
 			mu.Unlock()
-		})
+		}})
 	}()
 
 	// The change lands in window 45, which stays open (no later-window item
@@ -206,7 +207,7 @@ func TestPipelineCancelClosesOpenWindow(t *testing.T) {
 
 func TestTee(t *testing.T) {
 	if Tee() != nil || Tee(nil, nil) != nil {
-		t.Fatal("empty Tee should be nil (Pipeline's discard)")
+		t.Fatal("empty Tee should be nil (RunPipeline's discard)")
 	}
 	var a, b []int64
 	one := Tee(func(s Signal) { a = append(a, s.WindowStart) })
@@ -259,7 +260,7 @@ func TestPipelineFeedErrorDrain(t *testing.T) {
 		err:     io.ErrUnexpectedEOF,
 	}
 	var got []Signal
-	err := Pipeline(context.Background(), m, us, nil, func(s Signal) { got = append(got, s) })
+	err := RunPipeline(context.Background(), m, PipelineConfig{Updates: us, Sink: func(s Signal) { got = append(got, s) }})
 	if err == nil || !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("err = %v; want wrapped unexpected EOF", err)
 	}
@@ -280,7 +281,7 @@ func TestPipelineNegativeTimestampWindows(t *testing.T) {
 		announceUpd(t, -450, "5.0.0.9", 5, "4.0.0.0/8", []ASN{5, 2, 3, 4}),
 		announceUpd(t, 450, "5.0.0.9", 5, "4.0.0.0/8", []ASN{5, 2, 3, 4}),
 	}
-	if err := Pipeline(context.Background(), m, bgp.NewSliceSource(updates), nil, nil); err != nil {
+	if err := RunPipeline(context.Background(), m, PipelineConfig{Updates: bgp.NewSliceSource(updates)}); err != nil {
 		t.Fatal(err)
 	}
 	// t=-450 opens window -900, t=450 closes it and opens window 0, and the
@@ -293,7 +294,7 @@ func TestPipelineNegativeTimestampWindows(t *testing.T) {
 
 func TestPipelineFeedErrorPropagates(t *testing.T) {
 	m := newTestMonitor(t)
-	err := Pipeline(context.Background(), m, nil, failingTraceSource{}, nil)
+	err := RunPipeline(context.Background(), m, PipelineConfig{Traces: failingTraceSource{}})
 	if err == nil || !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("err = %v; want wrapped unexpected EOF", err)
 	}
@@ -307,15 +308,16 @@ func TestPipelineClosesFinalWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm up through Advance, then a single-update feed whose change
-	// should be signaled by the *final* window close inside Pipeline.
+	// should be signaled by the *final* window close inside RunPipeline.
 	m.Advance(45 * 900)
 	updates := []Update{
 		announceUpd(t, 45*900+5, "5.0.0.9", 5, "4.0.0.0/8", []ASN{5, 2, 9, 4}),
 		announceUpd(t, 46*900+5, "5.0.0.9", 5, "4.0.0.0/8", []ASN{5, 2, 9, 4}),
 	}
 	var got []Signal
-	if err := Pipeline(context.Background(), m, bgp.NewSliceSource(updates), nil,
-		func(s Signal) { got = append(got, s) }); err != nil {
+	if err := RunPipeline(context.Background(), m, PipelineConfig{
+		Updates: bgp.NewSliceSource(updates), Sink: func(s Signal) { got = append(got, s) },
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) == 0 {

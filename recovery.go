@@ -39,99 +39,74 @@ type RecoveryStats struct {
 }
 
 // Recovery replays WAL records into a Monitor at startup, reproducing
-// exactly what the pipeline did before the crash: records advance the
-// window clock (closing windows and emitting their signals to sink) and
-// are observed in log order. Records from before the monitor's restored
-// window clock — covered by the snapshot that set it — are skipped, since
-// re-observing them would double-count window contributions the snapshot
-// already rolled up.
+// exactly what the pipeline did before the crash: each record goes through
+// RunPipeline's own per-record step, so windows close where they closed
+// live and every hook sees what it saw live — tapped records, signals, tap
+// closes and window markers, in order. Records from before the monitor's
+// restored window clock — covered by the snapshot that set it — are
+// skipped, since re-observing them would double-count window contributions
+// the snapshot already rolled up.
 //
 // Feed it via ObserveUpdate/ObserveTrace in log order, then call Finish
 // for the ResumeState to hand RunPipeline. Recovery does not close the
 // open window: the resumed pipeline continues it.
 type Recovery struct {
-	m    *Monitor
-	sink func(Signal)
-	clk  windowClock
-
-	watermark int64
-	haveWM    bool
-
-	ups   []Update
-	trs   []*Traceroute
-	stats RecoveryStats
+	s         *ingest
+	watermark int64 // ResumeAll without a restored window clock
 }
 
-// NewRecovery builds a replayer for m. The snapshot watermark is read
-// from m's window clock, so restore the snapshot (if any) before calling
-// this. sink receives replayed windows' signals (nil discards them —
-// appropriate when no subscriber existed at crash time either).
+// NewRecovery builds a replayer for m that delivers replayed windows'
+// signals to sink (nil discards them — appropriate when no subscriber
+// existed at crash time either). It is NewPipelineRecovery with only a
+// Sink.
 func NewRecovery(m *Monitor, sink func(Signal)) *Recovery {
-	r := &Recovery{m: m, sink: sink, clk: windowClock{window: m.WindowSec()}}
+	return NewPipelineRecovery(m, PipelineConfig{Sink: sink})
+}
+
+// NewPipelineRecovery builds a replayer for m that drives the hooks of the
+// pipeline that wrote the log — cfg's Sink, Tap and OnWindowClose — as
+// that pipeline did. cfg's other fields are not used. The snapshot
+// watermark is read from m's window clock, so restore the snapshot (if
+// any) before calling this.
+func NewPipelineRecovery(m *Monitor, cfg PipelineConfig) *Recovery {
+	hooks := PipelineConfig{Sink: cfg.Sink, Tap: cfg.Tap, OnWindowClose: cfg.OnWindowClose}
+	r := &Recovery{s: &ingest{m: m, cfg: hooks, window: m.WindowSec()}, watermark: ResumeAll}
 	if start, opened := m.WindowClock(); opened {
-		r.watermark, r.haveWM = start, true
-		r.clk.resume(start)
+		r.watermark = start
+		r.s.resume(start, nil, nil)
 	}
 	return r
 }
 
 // ObserveUpdate replays one logged BGP update.
 func (r *Recovery) ObserveUpdate(u Update) {
-	if r.skip(u.Time) {
-		return
+	if !r.skip(u.Time) {
+		_ = r.s.update(u) // a replay has no WAL, so nothing can fail
 	}
-	r.advanceTo(u.Time)
-	r.m.ObserveBGP(u)
-	r.ups = append(r.ups, u)
-	r.stats.Updates++
 }
 
 // ObserveTrace replays one logged public traceroute.
 func (r *Recovery) ObserveTrace(t *Traceroute) {
-	if r.skip(t.Time) {
-		return
+	if !r.skip(t.Time) {
+		_ = r.s.trace(t) // a replay has no WAL, so nothing can fail
 	}
-	r.advanceTo(t.Time)
-	r.m.ObservePublic(t)
-	r.trs = append(r.trs, t)
-	r.stats.Traces++
 }
 
 func (r *Recovery) skip(t int64) bool {
-	if r.haveWM && t < r.watermark {
-		r.stats.Skipped++
+	if t < r.watermark {
+		r.s.stats.Skipped++
 		return true
 	}
 	return false
 }
 
-// advanceTo closes the windows t leaves behind and, once a boundary has
-// completed them, clears the open-window record buffers.
-func (r *Recovery) advanceTo(t int64) {
-	if r.clk.advanceTo(t, r.closeWindow) {
-		r.ups = r.ups[:0]
-		r.trs = r.trs[:0]
-	}
-}
-
-func (r *Recovery) closeWindow(ws int64) {
-	sigs := r.m.CloseWindow(ws)
-	r.stats.Windows++
-	r.stats.Signals += len(sigs)
-	if r.sink != nil {
-		for _, s := range sigs {
-			r.sink(s)
-		}
-	}
-}
-
 // Finish returns the resume state for RunPipeline and the replay stats.
 func (r *Recovery) Finish() (*ResumeState, RecoveryStats) {
 	return &ResumeState{
-		WindowStart: r.clk.openStart(),
-		Updates:     append([]Update(nil), r.ups...),
-		Traces:      append([]*Traceroute(nil), r.trs...),
-	}, r.stats
+		WindowStart: r.s.openStart(),
+		Updates:     append([]Update(nil), r.s.ups...),
+		Traces:      append([]*Traceroute(nil), r.s.trs...),
+	}, r.s.stats
 }
 
 // skipSource drops the leading records of a time-ordered source before a

@@ -3,6 +3,7 @@ package rrr
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -113,6 +114,73 @@ func TestRecoveryReplayResumesExactlyOnce(t *testing.T) {
 		if !reflect.DeepEqual(m.StaleKeys(), wantStale) {
 			t.Fatalf("cut %d: stale set = %v, want %v", cut, m.StaleKeys(), wantStale)
 		}
+	}
+}
+
+// hookLog records, in order, everything a pipeline's Sink, Tap and
+// OnWindowClose receive.
+type hookLog []string
+
+func (l *hookLog) add(format string, args ...any) { *l = append(*l, fmt.Sprintf(format, args...)) }
+
+func (l *hookLog) TapUpdate(u Update)      { l.add("tap update %d %s %v", u.Time, u.Prefix, u.ASPath) }
+func (l *hookLog) TapTrace(tr *Traceroute) { l.add("tap trace %d %v", tr.Time, tr.Key()) }
+func (l *hookLog) TapWindowClose(ws int64) { l.add("tap close %d", ws) }
+
+func (l *hookLog) hooks() PipelineConfig {
+	return PipelineConfig{
+		Sink:          func(s Signal) { l.add("signal %s", s) },
+		Tap:           l,
+		OnWindowClose: func(ws int64) { l.add("marker %d", ws) },
+	}
+}
+
+// TestReplayMatchesLiveHooks: replaying a WAL through the pipeline's hooks
+// reproduces, for every window the replay closes, exactly what the live
+// run that wrote the log handed them — tapped records, signals, tap closes
+// and window markers, in order — and taps the open window's records as the
+// live run did before it closed that window at end of feed.
+func TestReplayMatchesLiveHooks(t *testing.T) {
+	var pubs []*Traceroute
+	for w := int64(1); w <= 50; w += 3 {
+		pubs = append(pubs, trace(t, w*900+5, "9.0.0.1", "4.0.0.8", "9.0.0.2", "2.0.0.1", "3.0.0.1", "4.0.0.8"))
+	}
+	var live hookLog
+	cfg := live.hooks()
+	cfg.Updates = bgp.NewSliceSource(recoveryUpdates(t))
+	cfg.Traces = NewTraceSliceSource(pubs)
+	wlog := &memLog{}
+	cfg.WAL = wlog
+	m, _ := recoveryMonitor(t)
+	if err := RunPipeline(context.Background(), m, cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	var replayed hookLog
+	m2, _ := recoveryMonitor(t)
+	rec := NewPipelineRecovery(m2, replayed.hooks())
+	for _, r := range wlog.recs {
+		if r.u != nil {
+			rec.ObserveUpdate(*r.u)
+		} else {
+			rec.ObserveTrace(r.tr)
+		}
+	}
+	_, stats := rec.Finish()
+	if stats.Traces != len(pubs) || stats.Signals == 0 || stats.Windows != len(wlog.windows)-1 {
+		t.Fatalf("replay stats %+v: want %d traces, some signals and all %d windows but the open one",
+			stats, len(pubs), len(wlog.windows))
+	}
+	if markers := strings.Count(strings.Join(replayed, "\n"), "marker "); markers != stats.Windows {
+		t.Fatalf("replay closed %d windows but published %d markers", stats.Windows, markers)
+	}
+	for i := range replayed {
+		if i >= len(live) || replayed[i] != live[i] {
+			t.Fatalf("hook call %d of %d: replay %q, live %q", i, len(replayed), replayed[i], live[min(i, len(live)-1)])
+		}
+	}
+	if tail := live[len(replayed):]; len(tail) == 0 || !strings.HasPrefix(tail[0], "signal ") && !strings.HasPrefix(tail[0], "tap close ") {
+		t.Fatalf("live run continues with %q after the replayed prefix, want the open window's close", tail)
 	}
 }
 
