@@ -192,13 +192,13 @@ type PipelineConfig struct {
 // RecordTap observes the ingested record stream. All methods are invoked
 // on one goroutine in ingestion order, so implementations see the exact
 // sequence the monitor does — identical across the serial engine, the
-// sharded engine, every cluster worker, and a WAL replay of the run
-// (NewPipelineRecovery). A record is tapped after the window clock has
-// advanced (the closes it triggers come first, so it is attributed to its
-// own window) and before the monitor ingests it; a close after the
-// window's signals reach Sink and before OnWindowClose, so a tap that
-// publishes per-window output (the event detector) emits it between the
-// signals and the stream's window marker.
+// sharded engine, every cluster worker, and a WAL replay into an empty
+// monitor (NewPipelineRecovery; after a snapshot restore the replay taps
+// only the records from the watermark on). A record is tapped after the
+// window clock has advanced (the closes it triggers come first) and before
+// the monitor ingests it; a close after the window's signals reach Sink
+// and before OnWindowClose, so a tap that publishes per-window output (the
+// event detector) emits it between the signals and the window marker.
 type RecordTap interface {
 	TapUpdate(bgp.Update)
 	TapTrace(*Traceroute)
@@ -229,7 +229,6 @@ type feed[T any] struct {
 	replayIdx int
 
 	reopens int
-	dead    bool
 	deadErr error
 
 	equal func(T, T) bool
@@ -401,7 +400,6 @@ func handleFeedErr[T any](rc *pipeShared, f *feed[T], ferr error, resume int64, 
 	}
 	f.met.dead.Inc()
 	f.met.up.Set(0)
-	f.dead = true
 	f.deadErr = fmt.Errorf("rrr: %s: %w", f.errWrap, ferr)
 	f.ch = nil
 	f.have = false
@@ -680,7 +678,6 @@ type ingest struct {
 	// on-window-close policy did not get). A close has no caller to fail,
 	// so RunPipeline surfaces it at the top of its merge loop.
 	walErr error
-	stats  RecoveryStats // Skipped is Recovery's to count
 }
 
 // resume starts the clock in the window beginning at start, whose records
@@ -702,20 +699,17 @@ func (s *ingest) openStart() int64 {
 
 // advance moves the clock to the window containing t. The first record
 // snaps the clock to its window; a later one closes every window it leaves
-// behind, oldest first, and then forgets their records: they are behind a
+// behind, oldest first, forgetting each one's records: they are behind a
 // completed boundary and will never be replayed.
 func (s *ingest) advance(t int64) {
 	idx := floorDiv(t, s.window)
 	if !s.started {
 		s.started, s.idx = true, idx
 	}
-	if s.idx >= idx {
-		return
-	}
 	for ; s.idx < idx; s.idx++ {
 		s.close(s.idx * s.window)
+		s.ups, s.trs = s.ups[:0], s.trs[:0]
 	}
-	s.ups, s.trs = s.ups[:0], s.trs[:0]
 }
 
 // update ingests one BGP update. It is teed to the WAL before the monitor
@@ -733,7 +727,6 @@ func (s *ingest) update(u Update) error {
 	}
 	s.m.ObserveBGP(u)
 	s.ups = append(s.ups, u)
-	s.stats.Updates++
 	if s.live {
 		metPipeUpdates.Inc()
 	}
@@ -753,7 +746,6 @@ func (s *ingest) trace(t *Traceroute) error {
 	}
 	s.m.ObservePublic(t)
 	s.trs = append(s.trs, t)
-	s.stats.Traces++
 	if s.live {
 		metPipeTraces.Inc()
 	}
@@ -768,8 +760,6 @@ func (s *ingest) close(ws int64) {
 			s.cfg.Sink(sig)
 		}
 	}
-	s.stats.Windows++
-	s.stats.Signals += len(sigs)
 	if s.live {
 		metPipeWindows.Inc()
 	}

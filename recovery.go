@@ -53,6 +53,7 @@ type RecoveryStats struct {
 type Recovery struct {
 	s         *ingest
 	watermark int64 // ResumeAll without a restored window clock
+	stats     RecoveryStats
 }
 
 // NewRecovery builds a replayer for m that delivers replayed windows'
@@ -69,8 +70,19 @@ func NewRecovery(m *Monitor, sink func(Signal)) *Recovery {
 // watermark is read from m's window clock, so restore the snapshot (if
 // any) before calling this.
 func NewPipelineRecovery(m *Monitor, cfg PipelineConfig) *Recovery {
-	hooks := PipelineConfig{Sink: cfg.Sink, Tap: cfg.Tap, OnWindowClose: cfg.OnWindowClose}
-	r := &Recovery{s: &ingest{m: m, cfg: hooks, window: m.WindowSec()}, watermark: ResumeAll}
+	r := &Recovery{watermark: ResumeAll}
+	// The step reports each signal to Sink and each close to
+	// OnWindowClose, so the replay counts them there.
+	r.s = &ingest{m: m, window: m.WindowSec(), cfg: PipelineConfig{
+		Sink: Tee(func(Signal) { r.stats.Signals++ }, cfg.Sink),
+		Tap:  cfg.Tap,
+		OnWindowClose: func(ws int64) {
+			r.stats.Windows++
+			if cfg.OnWindowClose != nil {
+				cfg.OnWindowClose(ws)
+			}
+		},
+	}}
 	if start, opened := m.WindowClock(); opened {
 		r.watermark = start
 		r.s.resume(start, nil, nil)
@@ -82,6 +94,7 @@ func NewPipelineRecovery(m *Monitor, cfg PipelineConfig) *Recovery {
 func (r *Recovery) ObserveUpdate(u Update) {
 	if !r.skip(u.Time) {
 		_ = r.s.update(u) // a replay has no WAL, so nothing can fail
+		r.stats.Updates++
 	}
 }
 
@@ -89,12 +102,13 @@ func (r *Recovery) ObserveUpdate(u Update) {
 func (r *Recovery) ObserveTrace(t *Traceroute) {
 	if !r.skip(t.Time) {
 		_ = r.s.trace(t) // a replay has no WAL, so nothing can fail
+		r.stats.Traces++
 	}
 }
 
 func (r *Recovery) skip(t int64) bool {
 	if t < r.watermark {
-		r.s.stats.Skipped++
+		r.stats.Skipped++
 		return true
 	}
 	return false
@@ -106,7 +120,7 @@ func (r *Recovery) Finish() (*ResumeState, RecoveryStats) {
 		WindowStart: r.s.openStart(),
 		Updates:     append([]Update(nil), r.s.ups...),
 		Traces:      append([]*Traceroute(nil), r.s.trs...),
-	}, r.s.stats
+	}, r.stats
 }
 
 // skipSource drops the leading records of a time-ordered source before a
