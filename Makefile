@@ -3,6 +3,7 @@ FUZZTIME ?= 10s
 FUZZ_TARGETS := \
 	internal/bgp:FuzzMRTReader \
 	internal/bgp:FuzzBinaryReader \
+	internal/bgp:FuzzDecodeBinary \
 	internal/bgp:FuzzTextReader \
 	internal/bgp:FuzzParsePath \
 	internal/bgp:FuzzParseCommunity \
@@ -83,10 +84,12 @@ chaostest:
 # Networked-feed acceptance under the race detector: the wire
 # differential (a daemon fed over TCP — including forced mid-window
 # disconnects and a slow consumer tripping the drop policy — is
-# byte-identical to in-process feeds) plus the frame codec's truncation
-# and corruption suite.
+# byte-identical to in-process feeds), the frame codec's truncation
+# and corruption suite, the record codec's allocation budget (the race
+# detector leaves its counts unchanged), and the buffered server's
+# flush before it waits on an idle stream.
 feedtest:
-	$(GO) test -race -count=1 ./internal/feedwire -run 'TestWireDifferential|TestFrameReader' -v
+	$(GO) test -race -count=1 ./internal/feedwire -run 'TestWireDifferential|TestFrameReader|TestRecordCodecAllocs|TestServerFlushesBeforeWaiting' -v
 
 # Adversarial-scenario acceptance under the race detector: netsim pack
 # determinism (byte-identical streams and ground-truth labels, with and

@@ -29,14 +29,143 @@ import (
 const (
 	binaryMagic   = 0xB64D
 	binaryVersion = 1
+
+	// binaryHeaderLen is magic + version + type; binaryFixedLen is the
+	// fixed-size body after it: time(8) peerIP(4) peerAS(4) prefix(4+1)
+	// med(4) npath(2).
+	binaryHeaderLen = 4
+	binaryFixedLen  = 27
 )
 
 // errBadMagic indicates a corrupt or misaligned binary stream.
 var errBadMagic = errors.New("bgp: bad magic in binary stream")
 
+// errTrailingBytes rejects input that holds more than the one record
+// DecodeBinary was asked to decode.
+var errTrailingBytes = errors.New("bgp: trailing bytes after binary record")
+
+// AppendBinary appends u's framed binary record to dst. On error dst is
+// returned unchanged.
+func AppendBinary(dst []byte, u Update) ([]byte, error) {
+	if len(u.ASPath) > 0xffff || len(u.Communities) > 0xffff {
+		return dst, fmt.Errorf("bgp: attribute list too long (%d path, %d comm)",
+			len(u.ASPath), len(u.Communities))
+	}
+	dst = binary.BigEndian.AppendUint16(dst, binaryMagic)
+	dst = append(dst, binaryVersion, byte(u.Type))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(u.Time))
+	dst = binary.BigEndian.AppendUint32(dst, u.PeerIP)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(u.PeerAS))
+	dst = binary.BigEndian.AppendUint32(dst, u.Prefix.Addr)
+	dst = append(dst, u.Prefix.Len)
+	dst = binary.BigEndian.AppendUint32(dst, u.MED)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(u.ASPath)))
+	for _, a := range u.ASPath {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(a))
+	}
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(u.Communities)))
+	for _, c := range u.Communities {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(c))
+	}
+	return dst, nil
+}
+
+// DecodeBinary decodes exactly one record from b: a short record is
+// io.ErrUnexpectedEOF and bytes past the record are an error. It fails in
+// the order a BinaryReader would, and allocates only the Path and
+// Communities slices it returns.
+func DecodeBinary(b []byte) (Update, error) {
+	var u Update
+	if len(b) < binaryHeaderLen {
+		return u, io.ErrUnexpectedEOF
+	}
+	if err := decodeHeader(&u, b); err != nil {
+		return u, err
+	}
+	if len(b) < binaryHeaderLen+binaryFixedLen {
+		return u, io.ErrUnexpectedEOF
+	}
+	npath, err := decodeFixed(&u, b[binaryHeaderLen:])
+	if err != nil {
+		return u, err
+	}
+	b = b[binaryHeaderLen+binaryFixedLen:]
+	if len(b) < 4*npath+2 {
+		return u, io.ErrUnexpectedEOF
+	}
+	u.ASPath = decodePath(b[:4*npath])
+	ncomm := int(binary.BigEndian.Uint16(b[4*npath:]))
+	b = b[4*npath+2:]
+	if len(b) < 4*ncomm {
+		return u, io.ErrUnexpectedEOF
+	}
+	u.Communities = decodeCommunities(b[:4*ncomm])
+	if len(b) > 4*ncomm {
+		return u, errTrailingBytes
+	}
+	return u, nil
+}
+
+// decodeHeader validates the record header h[:binaryHeaderLen] and sets
+// u.Type.
+func decodeHeader(u *Update, h []byte) error {
+	if binary.BigEndian.Uint16(h[0:2]) != binaryMagic {
+		return errBadMagic
+	}
+	if h[2] != binaryVersion {
+		return fmt.Errorf("bgp: unsupported binary version %d", h[2])
+	}
+	if h[3] > 1 {
+		return fmt.Errorf("bgp: bad update type %d", h[3])
+	}
+	u.Type = UpdateType(h[3])
+	return nil
+}
+
+// decodeFixed fills u's fixed fields from f[:binaryFixedLen] and returns
+// the AS path length.
+func decodeFixed(u *Update, f []byte) (npath int, err error) {
+	u.Time = int64(binary.BigEndian.Uint64(f[0:8]))
+	u.PeerIP = binary.BigEndian.Uint32(f[8:12])
+	u.PeerAS = ASN(binary.BigEndian.Uint32(f[12:16]))
+	u.Prefix = trie.MakePrefix(binary.BigEndian.Uint32(f[16:20]), f[20])
+	if u.Prefix.Len > 32 {
+		return 0, fmt.Errorf("bgp: bad prefix length %d", f[20])
+	}
+	u.MED = binary.BigEndian.Uint32(f[21:25])
+	return int(binary.BigEndian.Uint16(f[25:27])), nil
+}
+
+// decodePath decodes big-endian ASN words; an empty b is a nil Path.
+func decodePath(b []byte) Path {
+	if len(b) == 0 {
+		return nil
+	}
+	p := make(Path, len(b)/4)
+	for i := range p {
+		p[i] = ASN(binary.BigEndian.Uint32(b[i*4:]))
+	}
+	return p
+}
+
+// decodeCommunities decodes big-endian community words; an empty b is
+// nil.
+func decodeCommunities(b []byte) Communities {
+	if len(b) == 0 {
+		return nil
+	}
+	c := make(Communities, len(b)/4)
+	for i := range c {
+		c[i] = Community(binary.BigEndian.Uint32(b[i*4:]))
+	}
+	return c
+}
+
 // BinaryWriter serializes updates in the framed binary format.
 type BinaryWriter struct {
 	w *bufio.Writer
+	// scratch holds the record being written, reused across Write calls.
+	scratch []byte
 }
 
 // NewBinaryWriter wraps w.
@@ -46,45 +175,13 @@ func NewBinaryWriter(w io.Writer) *BinaryWriter {
 
 // Write emits one record.
 func (bw *BinaryWriter) Write(u Update) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint16(hdr[0:2], binaryMagic)
-	hdr[2] = binaryVersion
-	hdr[3] = byte(u.Type)
-	if _, err := bw.w.Write(hdr[:]); err != nil {
+	b, err := AppendBinary(bw.scratch[:0], u)
+	if err != nil {
 		return err
 	}
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(u.Time))
-	bw.w.Write(buf[:])
-	binary.BigEndian.PutUint32(buf[:4], u.PeerIP)
-	bw.w.Write(buf[:4])
-	binary.BigEndian.PutUint32(buf[:4], uint32(u.PeerAS))
-	bw.w.Write(buf[:4])
-	binary.BigEndian.PutUint32(buf[:4], u.Prefix.Addr)
-	bw.w.Write(buf[:4])
-	bw.w.WriteByte(u.Prefix.Len)
-	binary.BigEndian.PutUint32(buf[:4], u.MED)
-	bw.w.Write(buf[:4])
-
-	if len(u.ASPath) > 0xffff || len(u.Communities) > 0xffff {
-		return fmt.Errorf("bgp: attribute list too long (%d path, %d comm)",
-			len(u.ASPath), len(u.Communities))
-	}
-	binary.BigEndian.PutUint16(buf[:2], uint16(len(u.ASPath)))
-	bw.w.Write(buf[:2])
-	for _, a := range u.ASPath {
-		binary.BigEndian.PutUint32(buf[:4], uint32(a))
-		bw.w.Write(buf[:4])
-	}
-	binary.BigEndian.PutUint16(buf[:2], uint16(len(u.Communities)))
-	bw.w.Write(buf[:2])
-	for _, c := range u.Communities {
-		binary.BigEndian.PutUint32(buf[:4], uint32(c))
-		if _, err := bw.w.Write(buf[:4]); err != nil {
-			return err
-		}
-	}
-	return nil
+	bw.scratch = b
+	_, err = bw.w.Write(b)
+	return err
 }
 
 // Flush flushes the underlying buffer.
@@ -93,11 +190,12 @@ func (bw *BinaryWriter) Flush() error { return bw.w.Flush() }
 // BinaryReader parses updates from the framed binary format.
 type BinaryReader struct {
 	r *bufio.Reader
-	// scratch holds the variable-length portion of the record being
-	// decoded (AS path and community words), reused across Read calls so
-	// the steady-state read path performs three io.ReadFull calls and
-	// allocates only the Path/Communities slices that escape to the
+	// head holds the header and fixed fields of the record being decoded
+	// and scratch its variable-length portion (AS path and community
+	// words). Both are reused across Read calls, so the steady-state read
+	// path allocates only the Path/Communities slices that escape to the
 	// caller.
+	head    [binaryHeaderLen + binaryFixedLen]byte
 	scratch []byte
 }
 
@@ -110,75 +208,51 @@ func NewBinaryReader(r io.Reader) *BinaryReader {
 // and io.ErrUnexpectedEOF on truncation.
 func (br *BinaryReader) Read() (Update, error) {
 	var u Update
-	var hdr [4]byte
-	if _, err := io.ReadFull(br.r, hdr[:1]); err != nil {
-		if err == io.EOF {
-			return u, io.EOF
-		}
+	h := br.head[:]
+	if _, err := io.ReadFull(br.r, h[:1]); err != nil {
 		return u, err
 	}
-	if _, err := io.ReadFull(br.r, hdr[1:]); err != nil {
+	if _, err := io.ReadFull(br.r, h[1:binaryHeaderLen]); err != nil {
 		return u, unexpectedEOF(err)
 	}
-	if binary.BigEndian.Uint16(hdr[0:2]) != binaryMagic {
-		return u, errBadMagic
+	if err := decodeHeader(&u, h); err != nil {
+		return u, err
 	}
-	if hdr[2] != binaryVersion {
-		return u, fmt.Errorf("bgp: unsupported binary version %d", hdr[2])
-	}
-	if hdr[3] > 1 {
-		return u, fmt.Errorf("bgp: bad update type %d", hdr[3])
-	}
-	u.Type = UpdateType(hdr[3])
-
-	// Fixed-size body: time(8) peerIP(4) peerAS(4) prefix(4+1) med(4)
-	// npath(2), read in one call.
-	var fixed [27]byte
-	if _, err := io.ReadFull(br.r, fixed[:]); err != nil {
+	if _, err := io.ReadFull(br.r, h[binaryHeaderLen:]); err != nil {
 		return u, unexpectedEOF(err)
 	}
-	u.Time = int64(binary.BigEndian.Uint64(fixed[0:8]))
-	u.PeerIP = binary.BigEndian.Uint32(fixed[8:12])
-	u.PeerAS = ASN(binary.BigEndian.Uint32(fixed[12:16]))
-	u.Prefix = trie.MakePrefix(binary.BigEndian.Uint32(fixed[16:20]), fixed[20])
-	if u.Prefix.Len > 32 {
-		return u, fmt.Errorf("bgp: bad prefix length %d", fixed[20])
+	npath, err := decodeFixed(&u, h[binaryHeaderLen:])
+	if err != nil {
+		return u, err
 	}
-	u.MED = binary.BigEndian.Uint32(fixed[21:25])
-	npath := binary.BigEndian.Uint16(fixed[25:27])
 
 	// Variable tail: npath ASN words plus the community count, then the
-	// community words — two more reads through a reusable scratch buffer.
-	n := int(npath)*4 + 2
+	// community words.
+	b, err := br.readScratch(4*npath + 2)
+	if err != nil {
+		return u, err
+	}
+	u.ASPath = decodePath(b[:4*npath])
+	ncomm := int(binary.BigEndian.Uint16(b[4*npath:]))
+	if ncomm > 0 {
+		if b, err = br.readScratch(4 * ncomm); err != nil {
+			return u, err
+		}
+		u.Communities = decodeCommunities(b)
+	}
+	return u, nil
+}
+
+// readScratch reads the next n bytes into the reused scratch buffer.
+func (br *BinaryReader) readScratch(n int) ([]byte, error) {
 	if cap(br.scratch) < n {
 		br.scratch = make([]byte, n)
 	}
 	b := br.scratch[:n]
 	if _, err := io.ReadFull(br.r, b); err != nil {
-		return u, unexpectedEOF(err)
+		return nil, unexpectedEOF(err)
 	}
-	if npath > 0 {
-		u.ASPath = make(Path, npath)
-		for i := range u.ASPath {
-			u.ASPath[i] = ASN(binary.BigEndian.Uint32(b[i*4:]))
-		}
-	}
-	ncomm := binary.BigEndian.Uint16(b[n-2:])
-	if ncomm > 0 {
-		n = int(ncomm) * 4
-		if cap(br.scratch) < n {
-			br.scratch = make([]byte, n)
-		}
-		b = br.scratch[:n]
-		if _, err := io.ReadFull(br.r, b); err != nil {
-			return u, unexpectedEOF(err)
-		}
-		u.Communities = make(Communities, ncomm)
-		for i := range u.Communities {
-			u.Communities[i] = Community(binary.BigEndian.Uint32(b[i*4:]))
-		}
-	}
-	return u, nil
+	return b, nil
 }
 
 func unexpectedEOF(err error) error {

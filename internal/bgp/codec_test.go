@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"bytes"
+	"encoding/hex"
 	"io"
 	"math/rand"
 	"reflect"
@@ -79,6 +80,84 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	if _, err := r.Read(); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
+	}
+}
+
+// goldenUpdates are the records whose encodings TestBinaryGolden pins: an
+// announcement with a 5-hop path and 3 communities, and a withdrawal with
+// an empty path and no communities.
+func goldenUpdates() []Update {
+	return []Update{
+		{Time: 1700000123, PeerIP: 0xc0000201, PeerAS: 64512, Type: Announce,
+			Prefix: trie.MakePrefix(0x0a010000, 16), MED: 50,
+			ASPath: Path{64512, 3356, 1299, 2914, 15169},
+			Communities: Communities{MakeCommunity(3356, 100), MakeCommunity(65535, 666),
+				MakeCommunity(1299, 2000)}},
+		{Time: -7, PeerIP: 0x0a000001, PeerAS: 4200000000, Type: Withdraw,
+			Prefix: trie.MakePrefix(0xc6336400, 24)},
+	}
+}
+
+// TestBinaryGolden pins the binary record bytes: AppendBinary and
+// BinaryWriter must both produce them, and DecodeBinary must read them
+// back to the same update.
+func TestBinaryGolden(t *testing.T) {
+	golden := []string{
+		"b64d0100000000006553f17bc00002010000fc000a010000100000003200050000fc0000000d1c0000051300000b6200003b4100030d1c0064ffff029a051307d0",
+		"b64d0101fffffffffffffff90a000001fa56ea00c6336400180000000000000000",
+	}
+	for i, u := range goldenUpdates() {
+		b, err := AppendBinary([]byte{0xee}, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(b[1:]); got != golden[i] || b[0] != 0xee {
+			t.Errorf("AppendBinary(update %d) = %s, want %s after the existing byte", i, got, golden[i])
+		}
+		var buf bytes.Buffer
+		w := NewBinaryWriter(&buf)
+		if err := w.Write(u); err != nil {
+			t.Fatal(err)
+		}
+		w.Flush()
+		if got := hex.EncodeToString(buf.Bytes()); got != golden[i] {
+			t.Errorf("BinaryWriter(update %d) = %s, want %s", i, got, golden[i])
+		}
+		back, err := DecodeBinary(b[1:])
+		if err != nil || !reflect.DeepEqual(back, u) {
+			t.Errorf("DecodeBinary(update %d) = %+v, %v; want %+v", i, back, err, u)
+		}
+	}
+}
+
+// TestDecodeBinaryExact: DecodeBinary reads one whole record, so a cut
+// anywhere is io.ErrUnexpectedEOF and any byte after it is refused.
+func TestDecodeBinaryExact(t *testing.T) {
+	b, err := AppendBinary(nil, goldenUpdates()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(b); cut++ {
+		if _, err := DecodeBinary(b[:cut]); err != io.ErrUnexpectedEOF {
+			t.Fatalf("cut at %d/%d: err = %v, want io.ErrUnexpectedEOF", cut, len(b), err)
+		}
+	}
+	if _, err := DecodeBinary(append(b, 0)); err != errTrailingBytes {
+		t.Fatalf("trailing byte: err = %v, want %v", err, errTrailingBytes)
+	}
+}
+
+// TestBinaryWriterTooLong: an oversized attribute list is refused before
+// any byte of the record is written.
+func TestBinaryWriterTooLong(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewBinaryWriter(&buf)
+	if err := w.Write(Update{ASPath: make(Path, 0x10000)}); err == nil {
+		t.Fatal("Write accepted a 65536-hop path")
+	}
+	w.Flush()
+	if buf.Len() != 0 {
+		t.Fatalf("refused record left %d bytes in the stream", buf.Len())
 	}
 }
 

@@ -148,6 +148,39 @@ func FuzzBinaryReader(f *testing.F) {
 	})
 }
 
+// FuzzDecodeBinary holds the slice decoder to the stream reader: for any
+// input, DecodeBinary succeeds exactly when a BinaryReader over the same
+// bytes reads one record and then io.EOF, and both return the same Update.
+func FuzzDecodeBinary(f *testing.F) {
+	for _, u := range fuzzSeedUpdates() {
+		b, err := AppendBinary(nil, u)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		f.Add(bytes.Clone(b[:len(b)-1]))               // cut inside the record
+		f.Add(append(bytes.Clone(b), 0xb6))            // one trailing byte
+		f.Add(append([]byte{0xb6, 0x4d, 9}, b[3:]...)) // bad version
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := DecodeBinary(data)
+		r := NewBinaryReader(bytes.NewReader(data))
+		want, rerr := r.Read()
+		if rerr == nil {
+			if _, eof := r.Read(); eof != io.EOF {
+				rerr = errors.New("more than one record")
+			}
+		}
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("DecodeBinary error %v, BinaryReader error %v", err, rerr)
+		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("DecodeBinary %+v, BinaryReader %+v", got, want)
+		}
+	})
+}
+
 func FuzzTextReader(f *testing.F) {
 	var buf bytes.Buffer
 	w := NewTextWriter(&buf)

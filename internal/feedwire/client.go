@@ -1,6 +1,7 @@
 package feedwire
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"net"
@@ -197,7 +198,7 @@ func (c *Connector) open(kind byte, since int64) (*stream, error) {
 		conn.Close()
 		return nil, transient(err)
 	}
-	fr := NewFrameReader(conn)
+	fr := NewFrameReader(bufio.NewReaderSize(conn, connBufferBytes))
 	ack, err := fr.Read()
 	if err != nil {
 		conn.Close()

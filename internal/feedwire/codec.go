@@ -15,6 +15,13 @@
 // traceroute body), so the network and the log speak one format. Control
 // payloads use kinds from 0x10 up, outside the WAL's record-kind space.
 //
+// Buffered framing. Each frame is encoded into its writer's reused buffer,
+// and both ends keep a 64 KiB buffer over the socket, so a consumer that
+// is catching up receives many frames per read. The server flushes after
+// the hello-ack, whenever its history has no next record yet (before it
+// waits for one), and when the connection ends: a record never waits in
+// the buffer for a later one to push it out.
+//
 // Failure surface. A connection cut mid-frame decodes as
 // io.ErrUnexpectedEOF and a checksum mismatch as errCorruptFrame; the
 // client connector wraps both as transient errors so the pipeline's
@@ -100,7 +107,8 @@ type Frame struct {
 	Msg string
 }
 
-// FrameWriter frames payloads onto one connection. Not safe for
+// FrameWriter frames payloads onto one connection. Each frame is built
+// in the writer's own buffer and handed to w in one Write. Not safe for
 // concurrent use; each serving goroutine owns its writer.
 type FrameWriter struct {
 	w   io.Writer
@@ -113,27 +121,28 @@ func NewFrameWriter(w io.Writer) *FrameWriter {
 }
 
 func (fw *FrameWriter) writePayload(payload []byte) error {
-	fw.buf = wal.AppendRecordFrame(fw.buf[:0], payload)
-	_, err := fw.w.Write(fw.buf)
+	return fw.send(wal.AppendRecordFrame(fw.buf[:0], payload), nil)
+}
+
+// send writes the frame built in fw's buffer, keeping the buffer for the
+// next frame.
+func (fw *FrameWriter) send(frame []byte, err error) error {
+	if err != nil {
+		return err
+	}
+	fw.buf = frame
+	_, err = fw.w.Write(frame)
 	return err
 }
 
 // WriteUpdate frames one BGP update record.
 func (fw *FrameWriter) WriteUpdate(u bgp.Update) error {
-	p, err := wal.EncodeUpdatePayload(u)
-	if err != nil {
-		return err
-	}
-	return fw.writePayload(p)
+	return fw.send(wal.AppendUpdateFrame(fw.buf[:0], u))
 }
 
 // WriteTrace frames one traceroute record.
 func (fw *FrameWriter) WriteTrace(t *traceroute.Traceroute) error {
-	p, err := wal.EncodeTracePayload(t)
-	if err != nil {
-		return err
-	}
-	return fw.writePayload(p)
+	return fw.send(wal.AppendTraceFrame(fw.buf[:0], t))
 }
 
 // writeHello frames the client handshake: stream selector + resume point.

@@ -1,6 +1,7 @@
 package feedwire
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -44,6 +45,10 @@ type Config struct {
 	// its request — an explicit resume gap, never silent loss.
 	HistoryWindows int
 }
+
+// connBufferBytes sizes the buffer each end keeps over its socket: a
+// catching-up consumer gets hundreds of record frames per socket call.
+const connBufferBytes = 64 << 10
 
 // Server retains each stream's records in an in-memory history and serves
 // any number of connections from it, each at its own cursor. Slow
@@ -220,10 +225,17 @@ func (s *Server) Close() error {
 }
 
 // serveConn runs one connection: handshake, then stream records from the
-// requested resume point with watermarks at window boundaries.
+// requested resume point with watermarks at window boundaries. Frames go
+// out through a buffer that is flushed after the hello-ack, whenever the
+// history has nothing more to send (so a live tail never waits in the
+// buffer), and when the connection ends.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	fw := NewFrameWriter(conn)
+	out := bufio.NewWriterSize(conn, connBufferBytes)
+	// The connection ends after this flush either way; a client that
+	// misses the tail sees a cut stream and reconnects.
+	defer out.Flush()
+	fw := NewFrameWriter(out)
 
 	hello := make([]byte, len(magic))
 	if _, err := io.ReadFull(conn, hello); err != nil {
@@ -245,12 +257,15 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 
 	cursor, start := h.startAt(f.Since)
-	if fw.writeHelloAck(start) != nil {
+	if fw.writeHelloAck(start) != nil || out.Flush() != nil {
 		return
 	}
 
 	lastWin := int64(math.MinInt64)
 	for {
+		if !h.ready(cursor) && out.Flush() != nil {
+			return
+		}
 		rec, next, st, msg := h.next(cursor)
 		switch st {
 		case histRecord:
@@ -312,13 +327,17 @@ const (
 )
 
 // history is one stream's retained record sequence: an append-only window
-// over a global index space (base = global index of recs[0]), with
-// blocking cursor reads and optional horizon-based trimming.
+// over a global index space, with blocking cursor reads and optional
+// horizon-based trimming. The retained records are recs[head:] (times
+// alike) and base is the global index of recs[head]; the trimmed prefix
+// recs[:head] is dropped once it is at least half the slice, so trimming
+// costs amortised O(1) per record.
 type history struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
 	base    int64
+	head    int
 	recs    []wal.Record
 	times   []int64
 	maxTime int64
@@ -346,11 +365,18 @@ func (h *history) append(rec wal.Record, horizon int64) {
 	}
 	if horizon != math.MinInt64 {
 		cut := h.maxTime - horizon
-		n := sort.Search(len(h.times), func(i int) bool { return h.times[i] >= cut })
-		if n > 0 {
-			h.recs = append(h.recs[:0:0], h.recs[n:]...)
-			h.times = append(h.times[:0:0], h.times[n:]...)
+		live := h.times[h.head:]
+		if n := sort.Search(len(live), func(i int) bool { return live[i] >= cut }); n > 0 {
+			clear(h.recs[h.head : h.head+n])
+			h.head += n
 			h.base += int64(n)
+		}
+		if h.head > 0 && 2*h.head >= len(h.recs) {
+			m := copy(h.recs, h.recs[h.head:])
+			clear(h.recs[m:])
+			h.recs = h.recs[:m]
+			h.times = h.times[:copy(h.times, h.times[h.head:])]
+			h.head = 0
 		}
 	}
 	h.cond.Broadcast()
@@ -374,18 +400,26 @@ func (h *history) closeFeed(errMsg string) {
 func (h *history) startAt(since int64) (cursor, start int64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	i := sort.Search(len(h.times), func(i int) bool { return h.times[i] >= since })
+	live := h.times[h.head:]
+	i := sort.Search(len(live), func(i int) bool { return live[i] >= since })
 	start = since
-	if h.base > 0 && (len(h.times) == 0 || since < h.times[0]) {
-		// History before times[0] was trimmed; anything the client asked
+	if h.base > 0 && (len(live) == 0 || since < live[0]) {
+		// History before live[0] was trimmed; anything the client asked
 		// for below that point may be gone.
-		if i < len(h.times) {
-			start = h.times[i]
+		if i < len(live) {
+			start = live[i]
 		} else {
 			start = h.maxTime
 		}
 	}
 	return h.base + int64(i), start
+}
+
+// ready reports whether next(cursor) would return without waiting.
+func (h *history) ready(cursor int64) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.eof || cursor-h.base < int64(len(h.recs)-h.head)
 }
 
 // next blocks until the record at cursor exists (histRecord, returning
@@ -398,8 +432,8 @@ func (h *history) next(cursor int64) (rec wal.Record, next int64, status int, er
 		if cursor < h.base {
 			return wal.Record{}, 0, histBehind, ""
 		}
-		if i := cursor - h.base; i < int64(len(h.recs)) {
-			return h.recs[i], cursor + 1, histRecord, ""
+		if i := cursor - h.base; i < int64(len(h.recs)-h.head) {
+			return h.recs[h.head+int(i)], cursor + 1, histRecord, ""
 		}
 		if h.eof {
 			if h.errMsg != "" {

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -22,10 +21,11 @@ import (
 //	payload        kind uint8 + kind-specific body
 //
 // Kind 1 wraps one record of the internal/bgp framed binary codec; kind 2
-// is the traceroute body defined by encodeTrace below. The checksum covers
-// the payload only: a corrupt length field either fails the impossible-
-// length check or misaligns the next frame, whose checksum then fails, so
-// both cases surface as a corrupt record rather than silent garbage.
+// is the traceroute body defined by appendTracePayload below. The
+// checksum covers the payload only: a corrupt length field either fails
+// the impossible-length check or misaligns the next frame, whose checksum
+// then fails, so both cases surface as a corrupt record rather than
+// silent garbage.
 const (
 	segMagic = "RRRWAL1\n"
 
@@ -59,22 +59,13 @@ func (r Record) Time() int64 {
 	return 0
 }
 
-// encodeUpdate builds the kind-1 payload: the kind byte followed by one
-// bgp binary-codec record.
-func encodeUpdate(u bgp.Update) ([]byte, error) {
-	var b bytes.Buffer
-	b.WriteByte(kindUpdate)
-	bw := bgp.NewBinaryWriter(&b)
-	if err := bw.Write(u); err != nil {
-		return nil, err
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
+// appendUpdatePayload appends the kind-1 payload: the kind byte followed
+// by one bgp binary-codec record.
+func appendUpdatePayload(dst []byte, u bgp.Update) ([]byte, error) {
+	return bgp.AppendBinary(append(dst, kindUpdate), u)
 }
 
-// encodeTrace builds the kind-2 payload:
+// appendTracePayload appends the kind-2 payload:
 //
 //	msmID   int64, probeID int64, time int64
 //	src     uint32, dst uint32
@@ -82,14 +73,13 @@ func encodeUpdate(u bgp.Update) ([]byte, error) {
 //	nhops   uint16, then per hop: ip uint32, rtt float64 bits, ttl int32
 //
 // Big endian throughout, matching the bgp codec.
-func encodeTrace(t *traceroute.Traceroute) ([]byte, error) {
+func appendTracePayload(b []byte, t *traceroute.Traceroute) ([]byte, error) {
 	if t == nil {
-		return nil, errors.New("wal: nil traceroute")
+		return b, errors.New("wal: nil traceroute")
 	}
 	if len(t.Hops) > 0xffff {
-		return nil, fmt.Errorf("wal: traceroute with %d hops exceeds codec limit", len(t.Hops))
+		return b, fmt.Errorf("wal: traceroute with %d hops exceeds codec limit", len(t.Hops))
 	}
-	b := make([]byte, 0, 36+16*len(t.Hops))
 	b = append(b, kindTrace)
 	b = binary.BigEndian.AppendUint64(b, uint64(t.MsmID))
 	b = binary.BigEndian.AppendUint64(b, uint64(int64(t.ProbeID)))
@@ -110,13 +100,18 @@ func encodeTrace(t *traceroute.Traceroute) ([]byte, error) {
 	return b, nil
 }
 
-// appendFrame frames payload (header + payload) onto dst.
-func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+// A frame is written in place: the header is reserved, the payload
+// appended after it, and sealFrame then fills in the payload's length and
+// checksum.
+var reservedHeader [frameHeaderLen]byte
+
+// sealFrame completes the frame whose reserved header starts at b[start:]
+// and whose payload runs to the end of b.
+func sealFrame(b []byte, start int) []byte {
+	p := b[start+frameHeaderLen:]
+	binary.BigEndian.PutUint32(b[start:], uint32(len(p)))
+	binary.BigEndian.PutUint32(b[start+4:], crc32.Checksum(p, castagnoli))
+	return b
 }
 
 // decodePayload parses one checksum-verified payload. Any leftover bytes
@@ -129,13 +124,9 @@ func decodePayload(p []byte) (Record, error) {
 	}
 	switch p[0] {
 	case kindUpdate:
-		br := bgp.NewBinaryReader(bytes.NewReader(p[1:]))
-		u, err := br.Read()
+		u, err := bgp.DecodeBinary(p[1:])
 		if err != nil {
 			return Record{}, fmt.Errorf("wal: decode update record: %w", err)
-		}
-		if _, err := br.Read(); err != io.EOF {
-			return Record{}, errors.New("wal: trailing bytes after update record")
 		}
 		return Record{Update: &u}, nil
 	case kindTrace:
@@ -186,19 +177,36 @@ func decodeTrace(b []byte) (*traceroute.Traceroute, error) {
 	return t, nil
 }
 
-// --- exported payload codec ---
+// --- exported record codec ---
 //
 // The feed wire protocol (internal/feedwire) frames the same record
 // payloads over TCP that the WAL frames on disk, so a daemon ingesting
 // over the network and one replaying a log decode byte-identical records
-// through one codec. These wrappers expose exactly the payload layer —
-// kind byte + body — leaving each transport to own its framing.
+// through one codec. Encoding appends a whole frame to a caller-owned
+// slice and decoding reads from one, so a transport that reuses its
+// buffer encodes without allocating and decodes allocating only the
+// record it returns.
 
-// EncodeUpdatePayload builds the kind-1 record payload for one BGP update.
-func EncodeUpdatePayload(u bgp.Update) ([]byte, error) { return encodeUpdate(u) }
+// AppendUpdateFrame appends one framed kind-1 record (length + CRC32C
+// header, then the payload) for u to dst. On error dst is returned
+// unchanged.
+func AppendUpdateFrame(dst []byte, u bgp.Update) ([]byte, error) {
+	b, err := appendUpdatePayload(append(dst, reservedHeader[:]...), u)
+	if err != nil {
+		return dst, err
+	}
+	return sealFrame(b, len(dst)), nil
+}
 
-// EncodeTracePayload builds the kind-2 record payload for one traceroute.
-func EncodeTracePayload(t *traceroute.Traceroute) ([]byte, error) { return encodeTrace(t) }
+// AppendTraceFrame appends one framed kind-2 record for t to dst. On
+// error dst is returned unchanged.
+func AppendTraceFrame(dst []byte, t *traceroute.Traceroute) ([]byte, error) {
+	b, err := appendTracePayload(append(dst, reservedHeader[:]...), t)
+	if err != nil {
+		return dst, err
+	}
+	return sealFrame(b, len(dst)), nil
+}
 
 // DecodeRecordPayload parses one checksum-verified record payload (kind
 // byte + body), enforcing exact consumption.
@@ -207,7 +215,9 @@ func DecodeRecordPayload(p []byte) (Record, error) { return decodePayload(p) }
 // AppendRecordFrame frames payload (length + CRC32C header, then the
 // payload) onto dst — the WAL's on-disk frame, reused verbatim by the
 // feed wire protocol.
-func AppendRecordFrame(dst, payload []byte) []byte { return appendFrame(dst, payload) }
+func AppendRecordFrame(dst, payload []byte) []byte {
+	return sealFrame(append(append(dst, reservedHeader[:]...), payload...), len(dst))
+}
 
 // IsRecordKind reports whether b is a record payload kind this codec
 // decodes (feedwire reserves the remaining kind space for control frames).
@@ -253,6 +263,7 @@ func scanSegment(r io.Reader, fn func(Record) error, allowTorn bool) (segScan, e
 	sc.goodLen = int64(len(segMagic))
 
 	var hdr [frameHeaderLen]byte
+	var buf []byte // payload scratch: decodePayload copies out what it keeps
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			if err == io.EOF {
@@ -268,7 +279,10 @@ func scanSegment(r io.Reader, fn func(Record) error, allowTorn bool) (segScan, e
 		if plen == 0 || plen > maxRecordBytes {
 			return torn(fmt.Errorf("wal: impossible record length %d", plen))
 		}
-		payload := make([]byte, plen)
+		if cap(buf) < int(plen) {
+			buf = make([]byte, plen)
+		}
+		payload := buf[:plen]
 		if _, err := io.ReadFull(br, payload); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				return torn(errors.New("wal: torn record payload"))

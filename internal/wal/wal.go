@@ -146,6 +146,8 @@ type WAL struct {
 
 	f *os.File
 	w *walBuffer
+	// scratch holds the frame being appended, reused under mu.
+	scratch []byte
 
 	segs     []segMeta // discovered by Open, consumed by Replay
 	sealed   []segMeta
@@ -331,25 +333,29 @@ const minInt64 = -1 << 63
 
 // AppendUpdate logs one BGP update.
 func (w *WAL) AppendUpdate(u bgp.Update) error {
-	payload, err := encodeUpdate(u)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	frame, err := AppendUpdateFrame(w.scratch[:0], u)
 	if err != nil {
 		return err
 	}
-	return w.append(payload, u.Time)
+	w.scratch = frame
+	return w.appendLocked(frame, u.Time)
 }
 
 // AppendTrace logs one public traceroute.
 func (w *WAL) AppendTrace(t *traceroute.Traceroute) error {
-	payload, err := encodeTrace(t)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	frame, err := AppendTraceFrame(w.scratch[:0], t)
 	if err != nil {
 		return err
 	}
-	return w.append(payload, t.Time)
+	w.scratch = frame
+	return w.appendLocked(frame, t.Time)
 }
 
-func (w *WAL) append(payload []byte, t int64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+func (w *WAL) appendLocked(frame []byte, t int64) error {
 	switch {
 	case w.crashed:
 		return errSimulatedCrash
@@ -362,7 +368,6 @@ func (w *WAL) append(payload []byte, t int64) error {
 		w.abandonLocked()
 		return errSimulatedCrash
 	}
-	frame := appendFrame(nil, payload)
 	if w.cur.bytes+int64(len(frame)) > w.opts.SegmentBytes && w.cur.records > 0 {
 		if err := w.rotateLocked(); err != nil {
 			return err

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -141,7 +142,10 @@ func TestWALTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A whole valid frame, then cut it short: header + half the payload.
-	frame := appendFrame(nil, mustEncodeUpdate(t, testUpdate(t, 999)))
+	frame, err := AppendUpdateFrame(nil, testUpdate(t, 999))
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -563,11 +567,54 @@ func TestParseFsyncPolicy(t *testing.T) {
 	}
 }
 
-func mustEncodeUpdate(t *testing.T, u bgp.Update) []byte {
-	t.Helper()
-	b, err := encodeUpdate(u)
-	if err != nil {
-		t.Fatal(err)
+// TestRecordFrameGolden pins the record frame bytes the log writes and
+// the feed wire sends: an update with a 5-hop path and 3 communities, a
+// withdrawal with neither, a trace with hops and one without. Each frame
+// is appended after an existing byte, which must survive, and decodes
+// back to the record it was built from.
+func TestRecordFrameGolden(t *testing.T) {
+	ups := []bgp.Update{
+		{Time: 1700000123, PeerIP: 0xc0000201, PeerAS: 64512, Type: bgp.Announce,
+			Prefix: trie.MakePrefix(0x0a010000, 16), MED: 50,
+			ASPath: bgp.Path{64512, 3356, 1299, 2914, 15169},
+			Communities: bgp.Communities{bgp.MakeCommunity(3356, 100), bgp.MakeCommunity(65535, 666),
+				bgp.MakeCommunity(1299, 2000)}},
+		{Time: -7, PeerIP: 0x0a000001, PeerAS: 4200000000, Type: bgp.Withdraw,
+			Prefix: trie.MakePrefix(0xc6336400, 24)},
 	}
-	return b
+	trs := []*traceroute.Traceroute{
+		{MsmID: 5001, ProbeID: 6012, Time: 1700000456, Src: 0x01000001, Dst: 0x04000009, Reached: true,
+			Hops: []traceroute.Hop{{IP: 0x02000001, TTL: 1, RTT: 1.25}, {TTL: 2}, {IP: 0x04000009, TTL: 3, RTT: 37.5}}},
+		{MsmID: -1, ProbeID: -2, Time: 0, Src: 0x7f000001, Dst: 0x08080808},
+	}
+	golden := []string{
+		"00000042b0f540d101b64d0100000000006553f17bc00002010000fc000a010000100000003200050000fc0000000d1c0000051300000b6200003b4100030d1c0064ffff029a051307d0",
+		"00000022020dea5501b64d0101fffffffffffffff90a000001fa56ea00c6336400180000000000000000",
+		"00000054ab8c331f020000000000001389000000000000177c000000006553f2c80100000104000009010003020000013ff40000000000000000000100000000000000000000000000000002040000094042c0000000000000000003",
+		"00000024a6874f6e02fffffffffffffffffffffffffffffffe00000000000000007f00000108080808000000",
+	}
+	check := func(i int, b []byte, err error, want Record) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(b[1:]); got != golden[i] || b[0] != 0xee {
+			t.Errorf("frame %d = %s, want %s after the existing byte", i, got, golden[i])
+		}
+		rec, err := DecodeRecordPayload(b[1+frameHeaderLen:])
+		if err != nil || !reflect.DeepEqual(rec, want) {
+			t.Errorf("frame %d decodes to %+v, %v; want %+v", i, rec, err, want)
+		}
+	}
+	for i, u := range ups {
+		b, err := AppendUpdateFrame([]byte{0xee}, u)
+		check(i, b, err, Record{Update: &u})
+	}
+	for i, tr := range trs {
+		b, err := AppendTraceFrame([]byte{0xee}, tr)
+		check(len(ups)+i, b, err, Record{Trace: tr})
+	}
+	if b, err := AppendTraceFrame([]byte{0xee}, nil); err == nil || len(b) != 1 {
+		t.Errorf("AppendTraceFrame(nil) = %x, %v; want the input back and an error", b, err)
+	}
 }
