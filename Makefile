@@ -14,7 +14,7 @@ FUZZ_TARGETS := \
 	internal/anomaly:FuzzZScoreDegenerate \
 	internal/anomaly:FuzzBitmapDetector
 
-.PHONY: build test vet fmtcheck race bench fuzz crashtest clustertest chaostest feedtest scenariotest cachetest cmdtest benchtest verify
+.PHONY: build test vet fmtcheck race bench fuzz crashtest clustertest chaostest feedtest scenariotest cachetest closetest cmdtest benchtest verify
 
 build:
 	$(GO) build ./...
@@ -111,6 +111,16 @@ scenariotest:
 cachetest:
 	$(GO) test -race -count=1 ./internal/server -run 'Cache|Allocs|Batch' -v
 	$(GO) test -race -count=1 ./internal/daemon -run TestVerdictCache -v
+
+# Window-close acceptance under the race detector: the serial-vs-sharded
+# differentials, the pinned digest of monitors that sleep through quiet
+# windows, the fold cells' route cache, the quiet-close and ingest
+# allocation budgets, and the detectors (Settled and the flat fast path
+# held to the reference bit for bit).
+closetest:
+	$(GO) test -race -count=1 ./internal/core -run 'TestShardedMatchesSerial|TestSleepingMonitorsMatchPinned|TestCellRouteCache|TestReregisterDoesNotLeakCommMonitors|TestQuietCloseAllocs' -v
+	$(GO) test -race -count=1 . -run TestIngestAllocs -v
+	$(GO) test -race -count=1 ./internal/anomaly
 
 # The commands as processes, never from the test cache: rrrd and rrrfeedd
 # (flag validation before anything is bound or created, the pinned flag

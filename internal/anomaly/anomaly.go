@@ -163,6 +163,9 @@ func (d *ZScoreDetector) push(v float64) {
 // which the adaptive threshold does read in full, lives in one buffer of
 // fixed capacity. A series that has never moved stores neither: every value
 // equals sameVal and every score is zero, so two counters stand in for both.
+// A series that moved and then held one value long enough to fill both
+// windows scores zero without discretizing anything: both bitmaps are the
+// single bigram (v, v).
 type BitmapDetector struct {
 	// Alphabet is the SAX alphabet size; 4 if zero (the paper's reference
 	// implementation default).
@@ -175,11 +178,15 @@ type BitmapDetector struct {
 	Sigmas float64
 
 	// n is the history length and win its most recent values (at least
-	// min(n, Lead+Lag) of them, contiguous, newest last). scores is the
-	// score history. While allSame holds both slices are nil and nScores
-	// counts the zero scores; afterwards nScores is unused.
+	// min(n, Lead+Lag) of them, contiguous, newest last). run is the length
+	// of the history's trailing run of equal values. scores is the score
+	// history. While allSame holds, win is nil, run is unused, scores is
+	// nil or holds the one non-zero score constantScore can give, and
+	// nScores counts the zero scores after it; afterwards nScores is
+	// unused.
 	n         int
 	win       []float64
+	run       int
 	scores    []float64
 	nScores   int
 	lastScore float64
@@ -253,32 +260,45 @@ func (d *BitmapDetector) Add(v float64) bool {
 		d.materialize()
 	}
 	if d.allSame {
-		// Constant series: zero score, never an outlier, O(1). A window is
-		// scored (as zero) once the history, this value included, is past
-		// warm-up; from MinObservations on the lead window no longer
-		// matters because nothing is compared.
+		// Constant series: never an outlier, O(1). A window is scored once
+		// the history, this value included, is past warm-up. From
+		// MinObservations on nothing is compared and the score is zero; a
+		// window scored at exactly MinObservations compares its lag and
+		// lead windows like any other (constantScore).
 		d.n++
 		d.lastScore = 0
-		if d.n > MinObservations || d.n >= d.warmup() {
+		switch {
+		case d.n == MinObservations && d.n >= d.warmup():
+			if d.lastScore = d.constantScore(v); d.lastScore != 0 {
+				d.scores = append(make([]float64, 0, historyCap+1), d.lastScore)
+			} else {
+				d.nScores++
+			}
+		case d.n > MinObservations:
 			d.nScores++
 		}
 		if d.n > historyCap {
-			d.n, d.nScores = historyKeep, historyKeep
+			d.n, d.nScores, d.scores = historyKeep, historyKeep, nil
 		}
 		return false
 	}
+	run := d.run
 	d.push(v)
 	if d.n < d.warmup() {
 		d.lastScore = 0
 		return false
 	}
-	lead := d.win[len(d.win)-d.lead():]
-	lagStart := len(d.win) - d.lead() - d.lag()
-	if lagStart < 0 {
-		lagStart = 0
+	if d.flat(d.run, len(d.win)) {
+		d.lastScore = 0
+	} else {
+		lead := d.win[len(d.win)-d.lead():]
+		lagStart := len(d.win) - d.lead() - d.lag()
+		if lagStart < 0 {
+			lagStart = 0
+		}
+		lag := d.win[lagStart : len(d.win)-d.lead()]
+		d.lastScore = bitmapDistance(lag, lead, d.alphabet())
 	}
-	lag := d.win[lagStart : len(d.win)-d.lead()]
-	d.lastScore = bitmapDistance(lag, lead, d.alphabet())
 
 	// The cheap half of the test first: a (near-)zero score is never an
 	// outlier, whatever the threshold.
@@ -288,6 +308,7 @@ func (d *BitmapDetector) Add(v float64) bool {
 			// Remove the offending value so persistent shifts keep flagging.
 			d.win = d.win[:len(d.win)-1]
 			d.n--
+			d.run = run
 			return true
 		}
 	}
@@ -304,6 +325,44 @@ func (d *BitmapDetector) Add(v float64) bool {
 	return false
 }
 
+// flat reports whether, with a trailing run of run equal values in a value
+// window of length w, the lag and lead windows hold that one value and at
+// least two of it each. Both bitmaps are then the single bigram (v, v), so
+// the score is exactly what bitmapDistance returns for them: zero, whatever
+// the lag window's mean rounds to.
+func (d *BitmapDetector) flat(run, w int) bool {
+	lead := d.lead()
+	lag := w - lead
+	if lag > d.lag() {
+		lag = d.lag()
+	}
+	return lead >= 2 && lag >= 2 && run >= lead+lag
+}
+
+// Settled reports whether the next Add(v) is a zero-score step that flags
+// nothing and after which Settled(v) still holds: a caller that knows its
+// series will stay at v may defer those steps and replay them later, one
+// Add(v) per deferred value, with the same result.
+func (d *BitmapDetector) Settled(v float64) bool {
+	if !d.started {
+		return false
+	}
+	if d.allSame {
+		// Only a window scored at exactly MinObservations can score
+		// non-zero (constantScore), and not when both of its windows can
+		// hold a bigram.
+		return v == d.sameVal && (d.n >= MinObservations || d.flat(MinObservations, MinObservations))
+	}
+	if d.n+1 < d.warmup() || d.win[len(d.win)-1] != v {
+		return false
+	}
+	w := len(d.win) + 1
+	if len(d.win) == cap(d.win) {
+		w = cap(d.win) / 2
+	}
+	return d.flat(d.run+1, w)
+}
+
 // materialize leaves the constant regime: the value window and the score
 // history the counters stood for are written out, each into a buffer sized
 // once for the detector's lifetime.
@@ -317,14 +376,41 @@ func (d *BitmapDetector) materialize() {
 	for i := range d.win {
 		d.win[i] = d.sameVal
 	}
-	d.scores = make([]float64, d.nScores, historyCap+1)
+	if d.scores == nil {
+		d.scores = make([]float64, 0, historyCap+1)
+	}
+	// The zero scores: nothing was written past len(d.scores) yet.
+	d.scores = d.scores[:len(d.scores)+d.nScores]
 	d.nScores = 0
+	d.run = k
+}
+
+// constantScore is the score of the window a constant series at v takes at
+// exactly MinObservations values: the bitmap distance between its lag and
+// lead windows. It is zero unless one window is too short to hold a bigram
+// and the lag window's mean of v rounds away from v.
+func (d *BitmapDetector) constantScore(v float64) float64 {
+	var hist [MinObservations]float64
+	for i := range hist {
+		hist[i] = v
+	}
+	lead := MinObservations - d.lead()
+	lagStart := lead - d.lag()
+	if lagStart < 0 {
+		lagStart = 0
+	}
+	return bitmapDistance(hist[lagStart:lead], hist[lead:], d.alphabet())
 }
 
 // push appends v to the history. win slides inside its buffer: when full,
 // the newest Lead+Lag-1 values move to the front, so the lag and lead
 // windows are always contiguous slices of it.
 func (d *BitmapDetector) push(v float64) {
+	if d.win[len(d.win)-1] == v {
+		d.run++
+	} else {
+		d.run = 1
+	}
 	if len(d.win) == cap(d.win) {
 		keep := cap(d.win)/2 - 1
 		d.win = d.win[:copy(d.win, d.win[len(d.win)-keep:])]

@@ -71,8 +71,9 @@ func FuzzZScoreDegenerate(f *testing.F) {
 }
 
 // FuzzBitmapDetector pins the same no-panic/no-NaN contract for the
-// bitmap detector over the identical seed corpora, and holds every verdict
-// and every score bit to the unbounded reference implementation.
+// bitmap detector over the identical seed corpora, holds every verdict
+// and every score bit to the unbounded reference implementation, and holds
+// Settled to its contract at every step.
 func FuzzBitmapDetector(f *testing.F) {
 	for _, seed := range scenarioSeries() {
 		f.Add(seed)
@@ -83,7 +84,7 @@ func FuzzBitmapDetector(f *testing.F) {
 		}
 		p := newBitmapPair(0, 0, 0)
 		for i, b := range data {
-			p.add(t, float64(int8(b)))
+			checkSettledStep(t, p, float64(int8(b)))
 			if s := p.got.Score(); math.IsNaN(s) || s < 0 {
 				t.Fatalf("step %d: score %v", i, s)
 			}

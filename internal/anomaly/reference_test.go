@@ -234,9 +234,9 @@ func newBitmapPair(alphabet, lead, lag int) *bitmapPair {
 	}
 }
 
-// add feeds v to both and fails on the first divergence in verdict, score
-// bits or readiness.
-func (p *bitmapPair) add(t testing.TB, v float64) {
+// add feeds v to both, fails on the first divergence in verdict, score
+// bits or readiness, and returns the verdict.
+func (p *bitmapPair) add(t testing.TB, v float64) bool {
 	t.Helper()
 	got, want := p.got.Add(v), p.want.Add(v)
 	gs, ws := p.got.Score(), p.want.Score()
@@ -251,6 +251,7 @@ func (p *bitmapPair) add(t testing.TB, v float64) {
 	if gs > 0 {
 		p.scored++
 	}
+	return got
 }
 
 func TestBitmapMatchesReferenceTable(t *testing.T) {
@@ -321,9 +322,13 @@ func TestBitmapMatchesReferenceTable(t *testing.T) {
 
 	// Non-default shapes: short windows, a lead long enough that warm-up
 	// exceeds MinObservations, a value window wider than what a trim keeps,
-	// every declared alphabet and an undeclared one.
+	// one-value lead and lag windows (a bigram needs two values, so these
+	// never take the flat fast path), every declared alphabet and an
+	// undeclared one. Each also holds levels flat across the fast path's
+	// boundary, and Settled is held to its contract throughout.
 	shapes := []struct{ alphabet, lead, lag int }{
 		{0, 4, 8}, {0, 30, 32}, {0, 100, 150}, {0, 8, 2},
+		{0, 1, 0}, {0, 0, 1}, {0, 1, 1}, {0, 2, 2},
 		{2, 0, 0}, {3, 0, 0}, {5, 0, 0}, {6, 0, 0}, {7, 0, 0}, {8, 0, 0}, {99, 0, 0},
 	}
 	for _, sh := range shapes {
@@ -335,10 +340,36 @@ func TestBitmapMatchesReferenceTable(t *testing.T) {
 				if i >= constantFor && r.Intn(4) == 0 {
 					v = float64(r.Intn(6))
 				}
-				p.add(t, v)
+				checkSettledStep(t, p, v)
 			}
 		}
+		p := newBitmapPair(sh.alphabet, sh.lead, sh.lag)
+		for _, v := range flatHolds(rand.New(rand.NewSource(int64(sh.lead*100+sh.lag))), p.got.lead()+p.got.lag(), long) {
+			checkSettledStep(t, p, v)
+		}
 	}
+}
+
+// flatLevels are the levels flatHolds holds; 0.1 and 2/7 are inexact in
+// binary, so a lag window's mean of them need not equal the level.
+var flatLevels = []float64{0, 1.0 / 3, 0.1, 2.0 / 7, 1}
+
+// flatHolds returns n values that hold a level for w-1, w or w+1 windows
+// (w = Lead+Lag), then spike, over and over: the flat fast path turns on
+// exactly at a run of w equal values, so every hold ends on one side of
+// that boundary or the other.
+func flatHolds(r *rand.Rand, w, n int) []float64 {
+	out := make([]float64, 0, n)
+	for len(out) < n {
+		level := flatLevels[r.Intn(len(flatLevels))]
+		for i := w - 1 + r.Intn(3); i > 0 && len(out) < n; i-- {
+			out = append(out, level)
+		}
+		for i := 1 + r.Intn(2); i > 0 && len(out) < n; i-- {
+			out = append(out, float64(r.Intn(40))/7)
+		}
+	}
+	return out
 }
 
 func boolTo(b bool) float64 {
@@ -348,46 +379,63 @@ func boolTo(b bool) float64 {
 	return 0
 }
 
-// TestBitmapMatchesReferenceRandom drives 2000 seeded series in three
-// families: shaped like the monitored ratios (long constant stretches,
-// level shifts, bursts of noise, isolated spikes — after the first shift
-// these mostly flag, by the stationarity rule), noisy from the first value
-// (so the histories grow and both trims fire), and Gaussian with a slowly
-// changing spread.
+// randomSeeds is how many randomSeries there are.
+const randomSeeds = 2500
+
+// randomSeries is one of randomSeeds seeded series in four families. The
+// first 2000 cycle through three: shaped like the monitored ratios (long
+// constant stretches, level shifts, bursts of noise, isolated spikes —
+// after the first shift these mostly flag, by the stationarity rule),
+// noisy from the first value (so the histories grow and both trims fire),
+// and Gaussian with a slowly changing spread. The rest hold levels flat
+// around the fast path's boundary (flatHolds).
+func randomSeries(seed int64) []float64 {
+	r := rand.New(rand.NewSource(seed))
+	n := 50 + r.Intn(1200)
+	if seed >= 2000 {
+		return flatHolds(r, 8+32, n)
+	}
+	out := make([]float64, 0, n)
+	level := float64(r.Intn(4)) / 3
+	noisy := seed%3 == 1
+	spread := 1.0
+	for i := 0; i < n; i++ {
+		var v float64
+		switch seed % 3 {
+		case 0, 1:
+			if seed%3 == 0 {
+				switch r.Intn(400) {
+				case 0:
+					level = float64(r.Intn(12)) / 11
+				case 1, 2:
+					noisy = !noisy
+				}
+			}
+			v = level
+			switch {
+			case r.Intn(150) == 0:
+				v = float64(r.Intn(40))
+			case noisy:
+				v += float64(r.Intn(3)-1) / 7
+			}
+		case 2:
+			if r.Intn(200) == 0 {
+				spread = 0.1 + 3*r.Float64()
+			}
+			v = spread * r.NormFloat64()
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// TestBitmapMatchesReferenceRandom holds the detector to the reference over
+// every randomSeries.
 func TestBitmapMatchesReferenceRandom(t *testing.T) {
 	steps, outliers, scored, kept := 0, 0, 0, 0
-	for seed := int64(0); seed < 2000; seed++ {
-		r := rand.New(rand.NewSource(seed))
+	for seed := int64(0); seed < randomSeeds; seed++ {
 		p := newBitmapPair(0, 0, 0)
-		n := 50 + r.Intn(1200)
-		level := float64(r.Intn(4)) / 3
-		noisy := seed%3 == 1
-		spread := 1.0
-		for i := 0; i < n; i++ {
-			var v float64
-			switch seed % 3 {
-			case 0, 1:
-				if seed%3 == 0 {
-					switch r.Intn(400) {
-					case 0:
-						level = float64(r.Intn(12)) / 11
-					case 1, 2:
-						noisy = !noisy
-					}
-				}
-				v = level
-				switch {
-				case r.Intn(150) == 0:
-					v = float64(r.Intn(40))
-				case noisy:
-					v += float64(r.Intn(3)-1) / 7
-				}
-			case 2:
-				if r.Intn(200) == 0 {
-					spread = 0.1 + 3*r.Float64()
-				}
-				v = spread * r.NormFloat64()
-			}
+		for _, v := range randomSeries(seed) {
 			p.add(t, v)
 		}
 		steps, outliers, scored = steps+p.step, outliers+p.outliers, scored+p.scored
@@ -396,6 +444,48 @@ func TestBitmapMatchesReferenceRandom(t *testing.T) {
 	t.Logf("%d steps: %d with a non-zero score, %d outliers, %d scores still held at the end", steps, scored, outliers, kept)
 	if scored < steps/2 || outliers < steps/100 || outliers > steps*3/4 {
 		t.Errorf("the generated series do not exercise both verdicts")
+	}
+}
+
+// TestBitmapSettled holds Settled to its contract over every randomSeries:
+// whenever Settled(v) holds, Add(v) flags nothing, scores zero and leaves
+// Settled(v) true. (TestBitmapMatchesReferenceRandom holds the same steps
+// to the reference.)
+func TestBitmapSettled(t *testing.T) {
+	settled, moved := 0, 0
+	for seed := int64(0); seed < randomSeeds; seed++ {
+		d := NewBitmap()
+		for _, v := range randomSeries(seed) {
+			settledStep(t, d, v, d.Add)
+			if d.Settled(v) {
+				settled++
+				if !d.allSame {
+					moved++
+				}
+			}
+		}
+	}
+	t.Logf("Settled(v) held after %d of the Add(v) steps, %d of them after the series moved", settled, moved)
+	if moved < 10000 {
+		t.Errorf("Settled held after a move only %d times; the series do not reach the fast path", moved)
+	}
+}
+
+// checkSettledStep feeds v through p and fails if Settled(v) held before
+// the step but the step broke its contract.
+func checkSettledStep(t testing.TB, p *bitmapPair, v float64) {
+	t.Helper()
+	settledStep(t, p.got, v, func(v float64) bool { return p.add(t, v) })
+}
+
+// settledStep feeds v through add, which steps d, and fails if Settled(v)
+// held before the step but the step broke its contract.
+func settledStep(t testing.TB, d *BitmapDetector, v float64, add func(float64) bool) {
+	t.Helper()
+	settled := d.Settled(v)
+	outlier := add(v)
+	if settled && (outlier || d.Score() != 0 || !d.Settled(v)) {
+		t.Fatalf("v=%v: Settled held, then Add=%v Score=%v Settled=%v", v, outlier, d.Score(), d.Settled(v))
 	}
 }
 

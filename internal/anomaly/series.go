@@ -110,7 +110,9 @@ func (s *WindowedSeries) Ready() bool { return s.Det.Ready() }
 
 // windowLadder is the set of candidate window durations used to auto-size
 // traceroute-derived series (§4.2.1): minimum 15 minutes (the BGP window),
-// maximum 24 hours (bounding accumulation to 20 days of data).
+// maximum 24 hours (bounding accumulation to 20 days of data). Every rung
+// is a multiple of 900 s, which the core engine relies on to decide a
+// "no" once per 900-s bucket.
 var windowLadder = []int64{900, 1800, 3600, 7200, 14400, 28800, 43200, 86400}
 
 // ChooseWindowMin selects the smallest window duration from ladder such

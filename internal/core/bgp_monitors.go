@@ -56,7 +56,60 @@ type aspMonitor struct {
 	// value when no monitored VP saw updates).
 	quietI, quietM int
 
-	dead bool
+	// asleep is the shard close that last stepped the monitor while it
+	// sleeps, 0 while it is awake (see closeBGPWindow).
+	asleep int
+	dead   bool
+}
+
+// quietRatio is the window value of a window that touched none of the
+// monitor's cells; ok is false when that value is missing.
+func (m *aspMonitor) quietRatio() (r float64, ok bool) {
+	if m.quietI == 0 {
+		return 0, false
+	}
+	return float64(m.quietM) / float64(m.quietI), true
+}
+
+// settled reports whether a window that touches none of the monitor's
+// cells would leave it exactly as it is: no revocation input changes
+// (hasLast and lastRatio already hold the quiet value; hasLast implies
+// hasBase) and the detector step is a settled one.
+func (m *aspMonitor) settled() bool {
+	r, ok := m.quietRatio()
+	if !ok {
+		return !m.hasLast
+	}
+	return m.hasLast && m.lastRatio == r && m.det.Settled(r)
+}
+
+// wake replays the quiet windows the monitor slept through, up to and
+// including shard close through.
+func (m *aspMonitor) wake(through int) {
+	if m.asleep == 0 {
+		return
+	}
+	r, ok := m.quietRatio()
+	if !ok {
+		m.asleep = 0
+		return
+	}
+	replay(m.det, &m.asleep, through, r)
+}
+
+// replay steps a sleeping detector through the windows after close
+// *asleep up to and including close through, each at its quiet value v,
+// and marks it awake. A monitor sleeps only while det.Settled(v) holds, and each of
+// these steps leaves it holding, so the replay flags nothing and ends in
+// the state the skipped steps would have left.
+func replay(det *anomaly.BitmapDetector, asleep *int, through int, v float64) {
+	if *asleep == 0 {
+		return
+	}
+	for i := *asleep; i < through; i++ {
+		det.Add(v)
+	}
+	*asleep = 0
 }
 
 // burstMonitor implements §4.1.4 for one corpus traceroute and one
@@ -72,6 +125,10 @@ type burstMonitor struct {
 	borders []int
 
 	sameAS, sameCity bool
+
+	// asleep and dead as in aspMonitor; the quiet value is 0 duplicates.
+	asleep int
+	dead   bool
 }
 
 type extraKey struct {
@@ -88,6 +145,9 @@ type extraSeries struct {
 	slots      []vpSlot
 	det        *anomaly.BitmapDetector
 	outlierWin int64
+	// asleep is the shared close that last stepped the series while it
+	// sleeps, 0 while it is awake (see closeShared).
+	asleep int
 }
 
 // commMonitor implements §4.1.3 for one corpus traceroute: tracks relevant
@@ -97,14 +157,39 @@ type commMonitor struct {
 	key traceroute.Key
 	// relevant maps τ ASes to the border indices adjacent to them.
 	relevant map[bgp.ASN][]int
-	// overlap[vp] is the VP's overlap state, fixed at registration.
-	overlap map[bgp.VPKey]*vpCommState
+	// overlap holds the overlapping VPs' states in VP order, fixed at
+	// registration; offBase counts the states not at baseline.
+	overlap []vpCommState
+	offBase int
 }
 
+// vpCommState is one overlapping VP of a community monitor. baseline is
+// its route's community set at registration (aliased: routes are
+// immutable); atBase is whether its current route carries exactly that
+// set, kept by the shard's close for the cells a window touched.
 type vpCommState struct {
 	cell     *vpCell
-	baseline bgp.Communities // relevant-AS communities at t0
-	current  bgp.Communities
+	baseline bgp.Communities
+	atBase   bool
+}
+
+// state returns the monitor's state for vp, nil if vp does not overlap.
+func (cm *commMonitor) state(vp bgp.VPKey) *vpCommState {
+	i := sort.Search(len(cm.overlap), func(i int) bool {
+		return !vpLess(cm.overlap[i].cell.pf.vp, vp)
+	})
+	if i < len(cm.overlap) && cm.overlap[i].cell.pf.vp == vp {
+		return &cm.overlap[i]
+	}
+	return nil
+}
+
+// vpLess orders VPs the way RIB.VPs sorts them.
+func vpLess(a, b bgp.VPKey) bool {
+	if a.PeerIP != b.PeerIP {
+		return a.PeerIP < b.PeerIP
+	}
+	return a.PeerAS < b.PeerAS
 }
 
 // vpColocation reports whether a VP shares the traceroute source's AS or
@@ -138,6 +223,7 @@ func (s *shard) registerBGPMonitors(en *corpus.Entry) {
 	type vpInfo struct {
 		vp    bgp.VPKey
 		pf    vpPrefix
+		rt    *bgp.Route
 		path  bgp.Path
 		first int // τ hop index of first intersection, -1 if none
 	}
@@ -156,7 +242,7 @@ func (s *shard) registerBGPMonitors(en *corpus.Entry) {
 			}
 		}
 		infos = append(infos, vpInfo{
-			vp: vp, pf: vpPrefix{vp: vp, pf: rt.Prefix}, path: path, first: first,
+			vp: vp, pf: vpPrefix{vp: vp, pf: rt.Prefix}, rt: rt, path: path, first: first,
 		})
 	}
 
@@ -211,6 +297,7 @@ func (s *shard) registerBGPMonitors(en *corpus.Entry) {
 		}
 		m.borders = bordersForSuffix(en, m.suffix)
 		s.asp = append(s.asp, m)
+		s.awakeASP = append(s.awakeASP, m)
 		s.aspByKey[en.Key] = append(s.aspByKey[en.Key], m)
 		s.addReg(en.Key, Registration{MonitorID: m.id, Technique: TechBGPASPath, Borders: m.borders})
 	}
@@ -276,10 +363,13 @@ func (s *shard) registerBGPMonitors(en *corpus.Entry) {
 				}
 				s.eng.sh.extras[ek] = es
 				s.eng.sh.extrasSorted = nil
+				s.eng.sh.awakeExtras = append(s.eng.sh.awakeExtras, es)
 			}
 			bm.extras = append(bm.extras, es)
 		}
 		s.bursts = append(s.bursts, bm)
+		s.awakeBursts = append(s.awakeBursts, bm)
+		s.burstByKey[en.Key] = append(s.burstByKey[en.Key], bm)
 		s.addReg(en.Key, Registration{MonitorID: bm.id, Technique: TechBGPBurst, Borders: bm.borders})
 	}
 
@@ -289,27 +379,29 @@ func (s *shard) registerBGPMonitors(en *corpus.Entry) {
 		id:       monitorID("comm", en.Key, ""),
 		key:      en.Key,
 		relevant: make(map[bgp.ASN][]int),
-		overlap:  make(map[bgp.VPKey]*vpCommState),
 	}
-	anyOverlap := false
-	var allBorders []int
 	if s.eng.cfg.disabled(TechBGPCommunity) {
 		infos = nil // do not register or index community monitors
 	}
+	// The states are counted first so the slice is allocated once, at its
+	// length; infos are in RIB.VPs order, so they come out sorted.
+	n := 0
+	for _, in := range infos {
+		if longestSharedSuffix(in.path, en.ASPath) >= 0 {
+			n++
+		}
+	}
+	cm.overlap = make([]vpCommState, 0, n)
+	var allBorders []int
 	for _, in := range infos {
 		// Longest AS-suffix of τ shared with the VP path's tail.
 		j := longestSharedSuffix(in.path, en.ASPath)
 		if j < 0 {
 			continue
 		}
-		anyOverlap = true
-		rt, _ := s.eng.rib.Lookup(in.vp, en.Key.Dst)
-		st := &vpCommState{cell: s.eng.sh.cellFor(in.pf, s)}
-		if rt != nil {
-			st.current = rt.Communities.Clone()
-			st.baseline = st.current
-		}
-		cm.overlap[in.vp] = st
+		cm.overlap = append(cm.overlap, vpCommState{
+			cell: s.eng.sh.cellFor(in.pf, s), baseline: in.rt.Communities, atBase: true,
+		})
 		for _, as := range en.ASPath[j:] {
 			if _, ok := cm.relevant[as]; !ok {
 				cm.relevant[as] = bordersForAS(en, as)
@@ -317,7 +409,7 @@ func (s *shard) registerBGPMonitors(en *corpus.Entry) {
 		}
 		s.commByVP[in.pf] = append(s.commByVP[in.pf], cm)
 	}
-	if anyOverlap {
+	if n > 0 {
 		seen := make(map[int]bool)
 		for _, bs := range cm.relevant {
 			for _, b := range bs {
@@ -386,22 +478,43 @@ func bordersForAS(en *corpus.Entry, as bgp.ASN) []int {
 // starting at ws and returns signals. The shared extra-AS series (burst
 // exculpation) and the commChanged set were already evaluated once for the
 // window by sharedState.closeShared; this function only reads them.
+//
+// A window that touched none of this shard's cells (a clean one) gives
+// every series its cached quiet value: 0 duplicates for a burst monitor,
+// quietM/quietI for an AS-path monitor. A monitor whose detector is settled
+// at that value (anomaly.BitmapDetector.Settled), and whose revocation
+// inputs it would not change, sleeps: a clean window visits only the awake
+// lists, which keep registration order, so signals are appended to active
+// in the same order. The next dirty window visits every monitor and wakes
+// each sleeper first, replaying the windows it missed.
 func (s *shard) closeBGPWindow(ws int64, sc *sharedClose) []Signal {
 	var sigs []Signal
 	commChanged := sc.commChanged
-	// A window that touched none of this shard's cells leaves every slot
-	// loop below with nothing to find: each series takes its cached quiet
-	// value straight to the detector.
+	s.closes++
 	dirty := s.winDirty
 	s.winDirty = false
 
 	// §4.1.4 burst monitors.
-	for _, bm := range s.bursts {
+	bursts := s.awakeBursts
+	if dirty {
+		bursts = s.bursts
+	}
+	awakeBursts := s.awakeBursts[:0]
+	for _, bm := range bursts {
+		if bm.dead {
+			continue
+		}
+		replay(bm.det, &bm.asleep, s.closes-1, 0)
 		dups := 0
 		if dirty {
 			dups = dupCount(bm.slots)
 		}
 		outlier := bm.det.Add(float64(dups))
+		if bm.det.Settled(0) {
+			bm.asleep = s.closes
+		} else {
+			awakeBursts = append(awakeBursts, bm)
+		}
 		// The technique's premise is *contemporaneous* duplicates from
 		// multiple peers sharing the subpath (§4.1.4): a genuine border
 		// change re-announces from every peer routing across it, so a
@@ -434,7 +547,7 @@ func (s *shard) closeBGPWindow(ws int64, sc *sharedClose) []Signal {
 				if es.outlierWin != ws {
 					continue
 				}
-				if vpTraverses(s.eng.rib, slot, es.ak) {
+				if rt := slot.cell.route; rt != nil && rt.ASPath.Contains(es.ak) {
 					explained = true
 					break
 				}
@@ -461,68 +574,113 @@ func (s *shard) closeBGPWindow(ws int64, sc *sharedClose) []Signal {
 			SameCityVP:  bm.sameCity,
 		})
 	}
+	s.awakeBursts = awakeBursts
 
 	// §4.1.2 AS-path monitors. The window value combines the cached
 	// contributions of quiet VPs with the update paths of VPs that saw
 	// changes this window; caches refresh to the post-window table route.
-	for _, m := range s.asp {
+	asps := s.awakeASP
+	if dirty {
+		asps = s.asp
+	}
+	awakeASP := s.awakeASP[:0]
+	for _, m := range asps {
 		if m.dead {
 			continue
 		}
-		intersect, match := m.quietI, m.quietM
-		for i := 0; dirty && i < len(m.slots); i++ {
-			slot := &m.slots[i]
-			st := slot.cell.win
-			if st == nil {
-				continue
-			}
-			// The cached value covers the window-start route; add the
-			// update paths on top (each counts as one observed path,
-			// §4.1.2 counts path updates).
-			for _, p := range st.paths {
-				ci, cm := m.contribution(p)
-				intersect += ci
-				match += cm
-			}
-			// Refresh the cache to the current table route for the
-			// following windows.
-			var ni, nm int
-			if rt, ok := slot.cell.route(s.eng.rib); ok {
-				ni, nm = m.contribution(rt.ASPath)
-			}
-			m.quietI += ni - slot.ci
-			m.quietM += nm - slot.cm
-			slot.ci, slot.cm = ni, nm
+		m.wake(s.closes - 1)
+		sig, fired := s.stepASP(m, dirty, ws)
+		if m.settled() {
+			m.asleep = s.closes
+		} else {
+			awakeASP = append(awakeASP, m)
 		}
-		if intersect == 0 {
-			m.hasLast = false
-			continue // missing value, not an outlier (§4.1.2)
-		}
-		ratio := float64(match) / float64(intersect)
-		if !m.hasBase {
-			m.baseline, m.hasBase = ratio, true
-		}
-		m.lastRatio, m.hasLast = ratio, true
-		if m.det.Add(ratio) {
-			sigs = append(sigs, Signal{
-				Technique:   TechBGPASPath,
-				Key:         m.key,
-				MonitorID:   m.id,
-				WindowStart: ws,
-				Borders:     m.borders,
-				Detail:      fmt.Sprintf("P_ratio outlier at %s", m.aj),
-				Score:       m.det.Score(),
-				VPCount:     len(m.slots),
-				ASOverlap:   len(m.suffix),
-				SameASVP:    m.sameAS,
-				SameCityVP:  m.sameCity,
-			})
+		if fired {
+			sigs = append(sigs, sig)
 		}
 	}
+	s.awakeASP = awakeASP
 
-	// §4.1.3 community events.
+	// §4.1.3 community events, then the touched cells' baseline bits.
 	sigs = append(sigs, s.processCommEvents(ws)...)
+	if dirty {
+		s.markCommBaselines()
+	}
 	return sigs
+}
+
+// stepASP feeds one window to an AS-path monitor and returns its signal,
+// fired reporting whether there is one.
+func (s *shard) stepASP(m *aspMonitor, dirty bool, ws int64) (sig Signal, fired bool) {
+	intersect, match := m.quietI, m.quietM
+	for i := 0; dirty && i < len(m.slots); i++ {
+		slot := &m.slots[i]
+		st := slot.cell.win
+		if st == nil {
+			continue
+		}
+		// The cached value covers the window-start route; add the
+		// update paths on top (each counts as one observed path,
+		// §4.1.2 counts path updates).
+		for _, p := range st.paths {
+			ci, cm := m.contribution(p)
+			intersect += ci
+			match += cm
+		}
+		// Refresh the cache to the current table route for the
+		// following windows.
+		var ni, nm int
+		if rt := slot.cell.route; rt != nil {
+			ni, nm = m.contribution(rt.ASPath)
+		}
+		m.quietI += ni - slot.ci
+		m.quietM += nm - slot.cm
+		slot.ci, slot.cm = ni, nm
+	}
+	if intersect == 0 {
+		m.hasLast = false
+		return Signal{}, false // missing value, not an outlier (§4.1.2)
+	}
+	ratio := float64(match) / float64(intersect)
+	if !m.hasBase {
+		m.baseline, m.hasBase = ratio, true
+	}
+	m.lastRatio, m.hasLast = ratio, true
+	if !m.det.Add(ratio) {
+		return Signal{}, false
+	}
+	return Signal{
+		Technique:   TechBGPASPath,
+		Key:         m.key,
+		MonitorID:   m.id,
+		WindowStart: ws,
+		Borders:     m.borders,
+		Detail:      fmt.Sprintf("P_ratio outlier at %s", m.aj),
+		Score:       m.det.Score(),
+		VPCount:     len(m.slots),
+		ASOverlap:   len(m.suffix),
+		SameASVP:    m.sameAS,
+		SameCityVP:  m.sameCity,
+	}, true
+}
+
+// markCommBaselines re-derives the at-baseline bit of every community
+// state on a cell the window touched (the only cells whose routes moved),
+// keeping each monitor's offBase count, which revocation reads.
+func (s *shard) markCommBaselines() {
+	for _, c := range s.eng.sh.touched {
+		for _, cm := range s.commByVP[c.pf] {
+			st := cm.state(c.pf.vp)
+			at := c.route != nil && c.route.Communities.Equal(st.baseline)
+			switch {
+			case at && !st.atBase:
+				cm.offBase--
+			case !at && st.atBase:
+				cm.offBase++
+			}
+			st.atBase = at
+		}
+	}
 }
 
 func dupSlots(slots []vpSlot) []*vpSlot {
@@ -533,15 +691,6 @@ func dupSlots(slots []vpSlot) []*vpSlot {
 		}
 	}
 	return out
-}
-
-// vpTraverses reports whether the VP's current route crosses as.
-func vpTraverses(rib *bgp.RIB, slot *vpSlot, as bgp.ASN) bool {
-	rt, ok := slot.cell.route(rib)
-	if !ok {
-		return false
-	}
-	return rt.ASPath.Contains(as)
 }
 
 // contribution scores one AS path against the monitor: (1,1) when it first
@@ -586,10 +735,6 @@ func (s *shard) processCommEvents(ws int64) []Signal {
 		added := ev.cur.Diff(ev.prev)
 		removed := ev.prev.Diff(ev.cur)
 		for _, cm := range monitors {
-			st := cm.overlap[ev.vp]
-			if st == nil {
-				continue
-			}
 			var borders []int
 			var detail bgp.Community
 			consider := func(c bgp.Community, isAdd bool) {
@@ -617,7 +762,6 @@ func (s *shard) processCommEvents(ws int64) []Signal {
 			for _, c := range removed {
 				consider(c, false)
 			}
-			st.current = ev.cur.Clone()
 			if len(borders) == 0 {
 				continue
 			}
@@ -647,14 +791,15 @@ func (s *shard) processCommEvents(ws int64) []Signal {
 // routes changed in the same window are compared at their window-start
 // state, so a simultaneous multi-VP community change is not self-masking.
 func (s *shard) communityOnOtherVP(cm *commMonitor, except bgp.VPKey, c bgp.Community) bool {
-	for vp, st := range cm.overlap {
-		if vp == except {
+	for i := range cm.overlap {
+		st := &cm.overlap[i]
+		if st.cell.pf.vp == except {
 			continue
 		}
 		var comms bgp.Communities
 		if ws := st.cell.win; ws != nil && ws.startOK {
 			comms = ws.startComms
-		} else if rt, ok := st.cell.route(s.eng.rib); ok {
+		} else if rt := st.cell.route; rt != nil {
 			comms = rt.Communities
 		}
 		for _, have := range comms {

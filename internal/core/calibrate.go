@@ -233,7 +233,9 @@ func (s *shard) evaluateRefresh(newEntry *corpus.Entry) (bordermap.ChangeClass, 
 }
 
 // removePair unregisters a corpus pair from every technique, stashing its
-// detector state for a later re-registration.
+// detector state for a later re-registration. A sleeping monitor is woken
+// first, so the stash holds the detector as of the last close. Dead BGP
+// monitors stay in asp and bursts until half of either list is dead.
 func (s *shard) removePair(k traceroute.Key) {
 	delete(s.entries, k)
 	delete(s.regs, k)
@@ -242,6 +244,7 @@ func (s *shard) removePair(k traceroute.Key) {
 
 	stash := make(map[string]*retiredState)
 	for _, m := range s.aspByKey[k] {
+		m.wake(s.closes)
 		m.dead = true
 		s.deadASP++
 		stash["asp:"+m.suffix.String()] = &retiredState{
@@ -250,25 +253,20 @@ func (s *shard) removePair(k traceroute.Key) {
 	}
 	delete(s.aspByKey, k)
 	if s.deadASP > len(s.asp)/2 && len(s.asp) > 64 {
-		alive := s.asp[:0]
-		for _, m := range s.asp {
-			if !m.dead {
-				alive = append(alive, m)
-			}
-		}
-		s.asp = alive
+		s.asp = compact(s.asp, func(m *aspMonitor) bool { return m.dead })
 		s.deadASP = 0
 	}
-
-	aliveBursts := s.bursts[:0]
-	for _, bm := range s.bursts {
-		if bm.key != k {
-			aliveBursts = append(aliveBursts, bm)
-			continue
-		}
+	for _, bm := range s.burstByKey[k] {
+		replay(bm.det, &bm.asleep, s.closes, 0)
+		bm.dead = true
+		s.deadBursts++
 		stash["burst:"+bm.suffix.String()] = &retiredState{det: bm.det}
 	}
-	s.bursts = aliveBursts
+	delete(s.burstByKey, k)
+	if s.deadBursts > len(s.bursts)/2 && len(s.bursts) > 64 {
+		s.bursts = compact(s.bursts, func(bm *burstMonitor) bool { return bm.dead })
+		s.deadBursts = 0
+	}
 	if len(stash) > 0 {
 		s.retired[k] = stash
 	}
@@ -276,8 +274,8 @@ func (s *shard) removePair(k traceroute.Key) {
 	if cm := s.comms[k]; cm != nil {
 		// Off the per-(VP, prefix) index too, or every refresh of the pair
 		// would leave one more corpse for processCommEvents to walk.
-		for _, st := range cm.overlap {
-			pf := st.cell.pf
+		for i := range cm.overlap {
+			pf := cm.overlap[i].cell.pf
 			if rest := removeComm(s.commByVP[pf], cm); len(rest) > 0 {
 				s.commByVP[pf] = rest
 			} else {
@@ -308,6 +306,19 @@ func (s *shard) removePair(k traceroute.Key) {
 		rs.watchers = ws
 	}
 	delete(s.brsByKey, k)
+}
+
+// compact drops the dead entries of a monitor list in place, keeping
+// order.
+func compact[M any](list []M, dead func(M) bool) []M {
+	alive := list[:0]
+	for _, m := range list {
+		if !dead(m) {
+			alive = append(alive, m)
+		}
+	}
+	clear(list[len(alive):])
+	return alive
 }
 
 // removeComm deletes cm from one commByVP list in place, keeping order.

@@ -272,6 +272,13 @@ type vpCell struct {
 	// nil otherwise: linked by observeBGPChange (or at creation, for a pair
 	// registered mid-window), unlinked by resetWindow.
 	win *vpWindowState
+	// route is the VP's table route for the prefix as of the last close
+	// (nil when it has none): read when the cell is created, re-read by
+	// closeShared for every cell the window touched. Every RIB change is
+	// folded through observeBGPChange, which links the cell, and RIB routes
+	// are immutable, so the per-shard close reads routes here, never the
+	// RIB.
+	route *bgp.Route
 	// shards are the shards with a monitor on this cell; linking marks
 	// their window dirty.
 	shards []*shard
@@ -281,8 +288,13 @@ type vpCell struct {
 // the open window.
 func (c *vpCell) dup() bool { return c.win != nil && c.win.dup }
 
-// route returns the VP's current table route for the prefix.
-func (c *vpCell) route(rib *bgp.RIB) (*bgp.Route, bool) { return rib.Route(c.pf.vp, c.pf.pf) }
+// readRoute points the cell at the VP's current table route.
+func (c *vpCell) readRoute(rib *bgp.RIB) {
+	c.route = nil
+	if rt, ok := rib.Route(c.pf.vp, c.pf.pf); ok {
+		c.route = rt
+	}
+}
 
 type vpWindowState struct {
 	// startPath/startComms are the route attributes at window start.

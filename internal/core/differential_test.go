@@ -123,7 +123,7 @@ const (
 // count must reproduce the Shards: 1 run — windows, counts, revocation stats
 // and refresh plan — byte for byte.
 func checkShardsMatchSerial(t *testing.T, faultSeed int64, wantDigest string) {
-	serial := runShardWorkload(t, 1, faultSeed)
+	serial := runShardWorkload(t, 1, faultSeed, nil)
 
 	// The equivalence check is only meaningful if the workload makes every
 	// technique fire (duplicates only add observations, and reordering
@@ -144,7 +144,7 @@ func checkShardsMatchSerial(t *testing.T, faultSeed int64, wantDigest string) {
 	})
 	for _, shards := range []int{3, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			got := runShardWorkload(t, shards, faultSeed)
+			got := runShardWorkload(t, shards, faultSeed, nil)
 			if len(got.windows) != len(serial.windows) {
 				t.Fatalf("window count = %d, want %d", len(got.windows), len(serial.windows))
 			}

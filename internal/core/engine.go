@@ -72,11 +72,19 @@ type shard struct {
 	entries map[traceroute.Key]*corpus.Entry
 	regs    map[traceroute.Key][]Registration
 
-	asp      []*aspMonitor
-	aspByKey map[traceroute.Key][]*aspMonitor
-	bursts   []*burstMonitor
-	comms    map[traceroute.Key]*commMonitor
-	commByVP map[vpPrefix][]*commMonitor
+	// asp and bursts hold the per-pair BGP monitors in registration order,
+	// dead ones included until a compaction (see removePair); awakeASP and
+	// awakeBursts are their subsequences a clean close visits (see
+	// closeBGPWindow), and closes counts this shard's closes.
+	asp         []*aspMonitor
+	aspByKey    map[traceroute.Key][]*aspMonitor
+	bursts      []*burstMonitor
+	burstByKey  map[traceroute.Key][]*burstMonitor
+	awakeASP    []*aspMonitor
+	awakeBursts []*burstMonitor
+	closes      int
+	comms       map[traceroute.Key]*commMonitor
+	commByVP    map[vpPrefix][]*commMonitor
 
 	subByKey   map[traceroute.Key][]*subpathMonitor
 	brsByKey   map[traceroute.Key][]*borderRouterSeries
@@ -103,6 +111,7 @@ type shard struct {
 
 	signalCount    [numTechniques]int
 	deadASP        int
+	deadBursts     int
 	revokedSignals int
 	revokedPairs   int
 }
@@ -120,30 +129,32 @@ func NewEngine(cfg Config, m traceroute.Mapper, aliases bordermap.AliasOracle, g
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
+	rib := bgp.NewRIB()
 	e := &Engine{
 		cfg:     cfg,
 		mapper:  m,
 		aliases: aliases,
 		geo:     geo,
 		rel:     rel,
-		rib:     bgp.NewRIB(),
+		rib:     rib,
 		patcher: traceroute.NewPatcher(),
-		sh:      newSharedState(cfg, geo),
+		sh:      newSharedState(cfg, geo, rib),
 		Calib:   newCalibrator(cfg.CalibrationWindows, cfg.CommunityFPQuota),
 		met:     newShardMetrics(n),
 	}
 	for i := 0; i < n; i++ {
 		e.shards = append(e.shards, &shard{
-			eng:      e,
-			entries:  make(map[traceroute.Key]*corpus.Entry),
-			regs:     make(map[traceroute.Key][]Registration),
-			aspByKey: make(map[traceroute.Key][]*aspMonitor),
-			comms:    make(map[traceroute.Key]*commMonitor),
-			commByVP: make(map[vpPrefix][]*commMonitor),
-			subByKey: make(map[traceroute.Key][]*subpathMonitor),
-			brsByKey: make(map[traceroute.Key][]*borderRouterSeries),
-			active:   make(map[traceroute.Key][]Signal),
-			retired:  make(map[traceroute.Key]map[string]*retiredState),
+			eng:        e,
+			entries:    make(map[traceroute.Key]*corpus.Entry),
+			regs:       make(map[traceroute.Key][]Registration),
+			aspByKey:   make(map[traceroute.Key][]*aspMonitor),
+			burstByKey: make(map[traceroute.Key][]*burstMonitor),
+			comms:      make(map[traceroute.Key]*commMonitor),
+			commByVP:   make(map[vpPrefix][]*commMonitor),
+			subByKey:   make(map[traceroute.Key][]*subpathMonitor),
+			brsByKey:   make(map[traceroute.Key][]*borderRouterSeries),
+			active:     make(map[traceroute.Key][]Signal),
+			retired:    make(map[traceroute.Key]map[string]*retiredState),
 		})
 	}
 	return e

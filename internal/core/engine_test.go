@@ -32,8 +32,8 @@ type workloadResult struct {
 // joiner, mid-run registrations, and refresh/reregister cycles — through a
 // fresh engine with the given shard count and records every window's signal
 // stream. A non-zero faultSeed perturbs observation delivery (see
-// faultedFeed).
-func runShardWorkload(t *testing.T, shards int, faultSeed int64) workloadResult {
+// faultedFeed). A non-nil afterClose sees the engine after every close.
+func runShardWorkload(t *testing.T, shards int, faultSeed int64, afterClose func(*Engine)) workloadResult {
 	t.Helper()
 	const w = int64(900)
 	cfg := DefaultConfig()
@@ -96,6 +96,9 @@ func runShardWorkload(t *testing.T, shards int, faultSeed int64) workloadResult 
 
 	closeW := func(ws int64) {
 		res.windows = append(res.windows, e.CloseWindow(ws))
+		if afterClose != nil {
+			afterClose(eng)
+		}
 	}
 	// steadyPub confirms the shared subpath from a public vantage; the
 	// AS4 backbone hop anchors the series beyond the border that shifts.

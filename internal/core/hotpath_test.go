@@ -13,10 +13,21 @@ import (
 // re-registers pairs for as long as it runs. Each refresh used to leave the
 // pair's previous community monitor, marked dead, on every commByVP list it
 // was indexed under, for processCommEvents to walk on every community event.
+// Burst monitors leave like AS-path monitors do: marked dead, compacted
+// away once half the list is dead, instead of a scan of the whole list per
+// removal.
 func TestReregisterDoesNotLeakCommMonitors(t *testing.T) {
+	comm := bgp.Communities{bgp.MakeCommunity(3, 51000)}
 	commChange := func(te *testEnv, end int64) []Signal {
-		te.e.ObserveBGP(announce(t, end+5, "6.0.0.9", 6, "4.0.0.0/8",
-			bgp.Path{6, 3, 4}, bgp.Communities{bgp.MakeCommunity(3, 51000)}))
+		te.e.ObserveBGP(announce(t, end+5, "6.0.0.9", 6, "4.0.0.0/8", bgp.Path{6, 3, 4}, comm))
+		return te.e.CloseWindow(end)
+	}
+	// burst follows the community change with 45 quiet windows and a
+	// window in which both VPs repeat their routes.
+	burst := func(te *testEnv) []Signal {
+		end := te.warm(t, 900, 45)
+		te.e.ObserveBGP(announce(t, end+1, "5.0.0.9", 5, "4.0.0.0/8", bgp.Path{5, 2, 3, 4}, nil))
+		te.e.ObserveBGP(announce(t, end+2, "6.0.0.9", 6, "4.0.0.0/8", bgp.Path{6, 3, 4}, comm))
 		return te.e.CloseWindow(end)
 	}
 
@@ -24,14 +35,22 @@ func TestReregisterDoesNotLeakCommMonitors(t *testing.T) {
 	control.primeVPs(t)
 	control.standardEntry(t)
 	want := commChange(control, control.warm(t, 0, 2))
+	wantBurst := burst(control)
 
 	te := newEnv(t)
 	te.primeVPs(t)
 	en := te.standardEntry(t)
+	s := te.e.shardOf(en.Key)
+	live := len(s.bursts)
+	if live == 0 {
+		t.Fatal("the pair has no burst monitors")
+	}
 	for i := 0; i < 1000; i++ {
 		te.e.Reregister(en)
+		if len(s.bursts) > 2*live+64 {
+			t.Fatalf("%d burst monitors held after %d re-registrations of a pair with %d", len(s.bursts), i+1, live)
+		}
 	}
-	s := te.e.shardOf(en.Key)
 	if len(s.commByVP) != 2 {
 		t.Fatalf("community monitors indexed under %d (VP, prefix) pairs, want the pair's 2", len(s.commByVP))
 	}
@@ -43,6 +62,13 @@ func TestReregisterDoesNotLeakCommMonitors(t *testing.T) {
 	got := commChange(te, te.warm(t, 0, 2))
 	if len(got) == 0 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("community change after re-registration churn:\n got  %v\n want %v", got, want)
+	}
+	hasBurst := false
+	for _, sig := range wantBurst {
+		hasBurst = hasBurst || sig.Technique == TechBGPBurst
+	}
+	if got := burst(te); !hasBurst || !reflect.DeepEqual(got, wantBurst) {
+		t.Fatalf("duplicate burst after re-registration churn:\n got  %v\n want %v (with a burst signal)", got, wantBurst)
 	}
 
 	te.e.RemovePair(en.Key)
@@ -153,13 +179,21 @@ func TestFoldCellsOnlyForWatchedPairs(t *testing.T) {
 // TestQuietCloseAllocs is the allocation budget of a window in which
 // nothing happened, at 2000 pairs: what is left is per window and per
 // shard (result slices, the close goroutines), never per monitor. The
-// unbounded detectors read 2106 here.
+// unbounded detectors read 2106 here. By then every detector has been
+// quiet for more than its Lead+Lag windows, so no monitor is awake.
 func TestQuietCloseAllocs(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		e := benchEnv(t, shards, 2000)
 		ws := int64(0)
-		for ; ws < 30*900; ws += 900 {
+		for ; ws < 41*900; ws += 900 {
 			e.CloseWindow(ws)
+		}
+		awake := len(e.sh.awakeExtras)
+		for _, s := range e.shards {
+			awake += len(s.awakeASP) + len(s.awakeBursts)
+		}
+		if awake != 0 {
+			t.Errorf("shards=%d: %d monitors awake after 41 quiet windows", shards, awake)
 		}
 		per := testing.AllocsPerRun(50, func() {
 			e.CloseWindow(ws)

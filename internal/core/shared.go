@@ -25,6 +25,9 @@ import (
 type sharedState struct {
 	cfg Config
 	geo Geolocator
+	// rib is the engine's RIB; the shared state only reads it, to point
+	// fold cells at their routes.
+	rib *bgp.RIB
 
 	// Per-window BGP state, folded once per classified RIB change.
 	winUpdates map[vpPrefix]*vpWindowState
@@ -37,9 +40,12 @@ type sharedState struct {
 	cells   map[vpPrefix]*vpCell
 	touched []*vpCell
 
-	// §4.1.4 extra-AS exculpation series.
+	// §4.1.4 extra-AS exculpation series. awakeExtras are the ones not
+	// asleep (see closeShared); closes counts closeShared calls.
 	extras       map[extraKey]*extraSeries
 	extrasSorted []*extraSeries // cache of deterministic order; nil = dirty
+	awakeExtras  []*extraSeries
+	closes       int
 
 	// §4.2.1 subpath monitors.
 	subpaths   map[string]*subpathMonitor
@@ -55,14 +61,31 @@ type sharedState struct {
 	ixpObserved map[int]map[bgp.ASN]bool
 	allowPriv   map[bgp.ASN]bool
 
-	// times is ratioSeries.activate's scratch.
-	times []int64
+	// times is ratioSeries.activate's scratch, and ladderStep divides every
+	// rung of the public ladder.
+	times      []int64
+	ladderStep int64
 }
 
-func newSharedState(cfg Config, geo Geolocator) *sharedState {
+// defaultLadderStep divides every rung of anomaly's default window ladder
+// (ChooseWindowMin with a nil ladder).
+const defaultLadderStep = 900
+
+func newSharedState(cfg Config, geo Geolocator, rib *bgp.RIB) *sharedState {
+	step := int64(defaultLadderStep)
+	if len(cfg.PublicLadder) > 0 {
+		step = 0
+		for _, w := range cfg.PublicLadder {
+			for w != 0 {
+				step, w = w, step%w
+			}
+		}
+	}
 	return &sharedState{
 		cfg:         cfg,
 		geo:         geo,
+		rib:         rib,
+		ladderStep:  step,
 		winUpdates:  make(map[vpPrefix]*vpWindowState),
 		cells:       make(map[vpPrefix]*vpCell),
 		extras:      make(map[extraKey]*extraSeries),
@@ -128,6 +151,7 @@ func (sh *sharedState) cellFor(pf vpPrefix, s *shard) *vpCell {
 	c := sh.cells[pf]
 	if c == nil {
 		c = &vpCell{pf: pf}
+		c.readRoute(sh.rib)
 		sh.cells[pf] = c
 		if st := sh.winUpdates[pf]; st != nil {
 			sh.link(c, st)
@@ -254,26 +278,48 @@ type sharedClose struct {
 }
 
 // closeShared runs the once-per-window evaluation of all shared series:
-// extra-AS detectors (consulted read-only by burst monitors afterwards)
-// and the subpath and border-router series advances. It mutates shared
-// detector state exactly once per window and must complete before any
-// per-shard close work starts.
+// the routes of the cells the window touched, extra-AS detectors (consulted
+// read-only by burst monitors afterwards) and the subpath and border-router
+// series advances. It mutates shared state exactly once per window and must
+// complete before any per-shard close work starts.
+//
+// An extra-AS series whose detector is settled at zero duplicates sleeps
+// through windows that touched no cell at all, as the shards' monitors do
+// (see shard.closeBGPWindow): such a window visits only awakeExtras, and
+// the next window that touches a cell replays what each sleeper missed.
 func (sh *sharedState) closeShared(ws, end int64) *sharedClose {
 	sc := &sharedClose{commChanged: make(map[trie.Prefix]bool, len(sh.winComms))}
 	for _, ev := range sh.winComms {
 		sc.commChanged[ev.prefix] = true
 	}
+	for _, c := range sh.touched {
+		c.readRoute(sh.rib)
+	}
 
 	// Extra series first: burst correlation consults their outcome.
-	for _, es := range sh.sortedExtras() {
+	sh.closes++
+	quiet := len(sh.touched) == 0
+	extras := sh.awakeExtras
+	if !quiet {
+		extras = sh.sortedExtras()
+	}
+	awake := sh.awakeExtras[:0]
+	for _, es := range extras {
+		replay(es.det, &es.asleep, sh.closes-1, 0)
 		dups := 0
-		if len(sh.touched) > 0 {
+		if !quiet {
 			dups = dupCount(es.slots)
 		}
 		if es.det.Add(float64(dups)) {
 			es.outlierWin = ws
 		}
+		if es.det.Settled(0) {
+			es.asleep = sh.closes
+		} else {
+			awake = append(awake, es)
+		}
 	}
+	sh.awakeExtras = awake
 
 	// §4.2.1 subpath series.
 	for _, mon := range sh.sortedSubpaths() {

@@ -34,6 +34,11 @@ type subpathMonitor struct {
 type ratioSeries struct {
 	buf    []subObs
 	series *anomaly.WindowedSeries
+	// noBucket is the ladder bucket (time / sharedState.ladderStep) of the
+	// last observation for which the buffer could not choose a window,
+	// valid while hasNo.
+	noBucket int64
+	hasNo    bool
 }
 
 type subpathWatcher struct {
@@ -282,8 +287,20 @@ func (r *ratioSeries) observe(sh *sharedState, t int64, match bool) {
 // buffer. The buffered times reach ChooseWindowMin through the engine's
 // scratch: a monitor can sit between 2*MinObservations and activation for
 // thousands of observations.
+//
+// A "no" is decided once per ladder bucket. Every rung w is a multiple of
+// ladderStep, so each rung's last window index, now/w, is a function of
+// the bucket now/ladderStep; an observation appended in the same bucket
+// falls in that last window, which is never counted, and trimming the
+// buffer only removes times. So the answer stays "no" until the bucket
+// moves.
 func (r *ratioSeries) activate(sh *sharedState, now int64) {
 	if len(r.buf) < 2*anomaly.MinObservations {
+		return
+	}
+	bucket := now / sh.ladderStep
+	if r.hasNo && bucket == r.noBucket {
+		r.trimBuffer()
 		return
 	}
 	times := sh.times[:0]
@@ -293,9 +310,8 @@ func (r *ratioSeries) activate(sh *sharedState, now int64) {
 	sh.times = times
 	w, ok := anomaly.ChooseWindowMin(times, now, sh.cfg.PublicLadder, 2)
 	if !ok {
-		if len(r.buf) > 4096 {
-			r.buf = r.buf[len(r.buf)-2048:]
-		}
+		r.noBucket, r.hasNo = bucket, true
+		r.trimBuffer()
 		return
 	}
 	r.series = &anomaly.WindowedSeries{WindowSec: w, Det: anomaly.NewZScore()}
@@ -303,6 +319,13 @@ func (r *ratioSeries) activate(sh *sharedState, now int64) {
 		r.series.Observe(o.t, boolVal(o.match))
 	}
 	r.buf = nil
+}
+
+// trimBuffer bounds the buffer of a series that could not activate.
+func (r *ratioSeries) trimBuffer() {
+	if len(r.buf) > 4096 {
+		r.buf = r.buf[len(r.buf)-2048:]
+	}
 }
 
 func boolVal(b bool) float64 {
@@ -421,7 +444,7 @@ func (e *Engine) monitorStats() stats {
 	}
 	for _, s := range e.shards {
 		st.ASPathMonitors += len(s.asp) - s.deadASP
-		st.BurstMonitors += len(s.bursts)
+		st.BurstMonitors += len(s.bursts) - s.deadBursts
 		st.CommunityTargets += len(s.comms)
 	}
 	for _, m := range e.sh.subpaths {
@@ -543,14 +566,8 @@ func (s *shard) pairReverted(k traceroute.Key) bool {
 	}
 	if cm := s.comms[k]; cm != nil {
 		any = true
-		for _, st := range cm.overlap {
-			rt, ok := st.cell.route(s.eng.rib)
-			if !ok {
-				return false
-			}
-			if !rt.Communities.Equal(st.baseline) {
-				return false
-			}
+		if cm.offBase > 0 {
+			return false
 		}
 	}
 	for _, mon := range s.subByKey[k] {
