@@ -114,11 +114,13 @@ cachetest:
 
 # Window-close acceptance under the race detector: the serial-vs-sharded
 # differentials, the pinned digest of monitors that sleep through quiet
-# windows, the fold cells' route cache, the quiet-close and ingest
-# allocation budgets, and the detectors (Settled and the flat fast path
-# held to the reference bit for bit).
+# windows, the pinned digest of pairs sharing series across lineages, the
+# fold cells' route cache, the series tables under re-registration churn,
+# the quiet-close and ingest allocation budgets, and the detectors
+# (Settled, Clone and the flat fast path held to the reference bit for
+# bit).
 closetest:
-	$(GO) test -race -count=1 ./internal/core -run 'TestShardedMatchesSerial|TestSleepingMonitorsMatchPinned|TestCellRouteCache|TestReregisterDoesNotLeakCommMonitors|TestQuietCloseAllocs' -v
+	$(GO) test -race -count=1 ./internal/core -run 'TestShardedMatchesSerial|TestSleepingMonitorsMatchPinned|TestSharedSeriesLineage|TestCellRouteCache|TestReregisterDoesNotLeakCommMonitors|TestQuietCloseAllocs' -v
 	$(GO) test -race -count=1 . -run TestIngestAllocs -v
 	$(GO) test -race -count=1 ./internal/anomaly
 

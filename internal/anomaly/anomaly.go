@@ -363,6 +363,27 @@ func (d *BitmapDetector) Settled(v float64) bool {
 	return d.flat(d.run+1, w)
 }
 
+// Clone returns an independent detector in the same state: it answers
+// every later sequence of Adds exactly as d would.
+func (d *BitmapDetector) Clone() *BitmapDetector {
+	c := *d
+	c.win = cloneFloats(d.win)
+	c.scores = cloneFloats(d.scores)
+	return &c
+}
+
+// cloneFloats copies xs into a buffer of the same length and capacity:
+// push slides win at its capacity, and past the length of the constant
+// regime's score buffer materialize expects zeros.
+func cloneFloats(xs []float64) []float64 {
+	if xs == nil {
+		return nil
+	}
+	out := make([]float64, len(xs), cap(xs))
+	copy(out, xs)
+	return out
+}
+
 // materialize leaves the constant regime: the value window and the score
 // history the counters stood for are written out, each into a buffer sized
 // once for the detector's lifetime.

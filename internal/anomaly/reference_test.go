@@ -507,3 +507,31 @@ func TestSaxSymbolMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestBitmapClone: a clone taken anywhere in a randomSeries answers the
+// rest of the series as a detector fed the whole series does, and so does
+// the original after another clone of it was fed a history of its own.
+func TestBitmapClone(t *testing.T) {
+	for seed := int64(0); seed < randomSeeds; seed += 10 {
+		series := randomSeries(seed)
+		for _, i := range []int{len(series) / 3, 2 * len(series) / 3} {
+			d, ref := NewBitmap(), NewBitmap()
+			for _, v := range series[:i] {
+				d.Add(v)
+				ref.Add(v)
+			}
+			other := d.Clone()
+			r := rand.New(rand.NewSource(seed))
+			for k := 0; k < 200; k++ {
+				other.Add(r.NormFloat64())
+			}
+			c := d.Clone()
+			for k, v := range series[i:] {
+				want := ref.Add(v)
+				if c.Add(v) != want || d.Add(v) != want || c.Score() != ref.Score() || d.Score() != ref.Score() {
+					t.Fatalf("seed %d: clone taken at step %d diverges %d steps later", seed, i, k)
+				}
+			}
+		}
+	}
+}

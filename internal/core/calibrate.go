@@ -233,55 +233,31 @@ func (s *shard) evaluateRefresh(newEntry *corpus.Entry) (bordermap.ChangeClass, 
 }
 
 // removePair unregisters a corpus pair from every technique, stashing its
-// detector state for a later re-registration. A sleeping monitor is woken
-// first, so the stash holds the detector as of the last close. Dead BGP
-// monitors stay in asp and bursts until half of either list is dead.
+// detector state for a later re-registration: each of its §4.1 monitors
+// leaves its series with the detector as of the last close (see
+// leaveBurst).
 func (s *shard) removePair(k traceroute.Key) {
 	delete(s.entries, k)
 	delete(s.regs, k)
 	delete(s.active, k)
 	delete(s.restored, k)
 
+	sh := s.eng.sh
 	stash := make(map[string]*retiredState)
 	for _, m := range s.aspByKey[k] {
-		m.wake(s.closes)
-		m.dead = true
-		s.deadASP++
-		stash["asp:"+m.suffix.String()] = &retiredState{
-			det: m.det, baseline: m.baseline, hasBase: m.hasBase,
-		}
+		stash["asp:"+m.series.suffix.String()] = sh.leaveASP(m)
 	}
 	delete(s.aspByKey, k)
-	if s.deadASP > len(s.asp)/2 && len(s.asp) > 64 {
-		s.asp = compact(s.asp, func(m *aspMonitor) bool { return m.dead })
-		s.deadASP = 0
-	}
 	for _, bm := range s.burstByKey[k] {
-		replay(bm.det, &bm.asleep, s.closes, 0)
-		bm.dead = true
-		s.deadBursts++
-		stash["burst:"+bm.suffix.String()] = &retiredState{det: bm.det}
+		stash["burst:"+bm.suffix.String()] = sh.leaveBurst(bm)
 	}
 	delete(s.burstByKey, k)
-	if s.deadBursts > len(s.bursts)/2 && len(s.bursts) > 64 {
-		s.bursts = compact(s.bursts, func(bm *burstMonitor) bool { return bm.dead })
-		s.deadBursts = 0
-	}
 	if len(stash) > 0 {
 		s.retired[k] = stash
 	}
 
 	if cm := s.comms[k]; cm != nil {
-		// Off the per-(VP, prefix) index too, or every refresh of the pair
-		// would leave one more corpse for processCommEvents to walk.
-		for i := range cm.overlap {
-			pf := cm.overlap[i].cell.pf
-			if rest := removeComm(s.commByVP[pf], cm); len(rest) > 0 {
-				s.commByVP[pf] = rest
-			} else {
-				delete(s.commByVP, pf)
-			}
-		}
+		sh.leaveComm(cm)
 	}
 	delete(s.comms, k)
 
@@ -306,30 +282,6 @@ func (s *shard) removePair(k traceroute.Key) {
 		rs.watchers = ws
 	}
 	delete(s.brsByKey, k)
-}
-
-// compact drops the dead entries of a monitor list in place, keeping
-// order.
-func compact[M any](list []M, dead func(M) bool) []M {
-	alive := list[:0]
-	for _, m := range list {
-		if !dead(m) {
-			alive = append(alive, m)
-		}
-	}
-	clear(list[len(alive):])
-	return alive
-}
-
-// removeComm deletes cm from one commByVP list in place, keeping order.
-func removeComm(list []*commMonitor, cm *commMonitor) []*commMonitor {
-	out := list[:0]
-	for _, have := range list {
-		if have != cm {
-			out = append(out, have)
-		}
-	}
-	return out
 }
 
 // --- Refresh planning (§4.3.1) ---

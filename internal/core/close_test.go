@@ -247,7 +247,7 @@ func checkCellRoutes(t *testing.T, e *Engine, when string) {
 	for _, s := range e.shards {
 		for k, cm := range s.comms {
 			off := 0
-			for _, st := range cm.overlap {
+			for _, st := range cm.group.overlap {
 				at := st.cell.route != nil && st.cell.route.Communities.Equal(st.baseline)
 				if at != st.atBase {
 					t.Fatalf("%s: pair %v VP %v atBase=%v, route says %v", when, k, st.cell.pf.vp, st.atBase, at)
@@ -256,8 +256,8 @@ func checkCellRoutes(t *testing.T, e *Engine, when string) {
 					off++
 				}
 			}
-			if off != cm.offBase {
-				t.Fatalf("%s: pair %v offBase=%d, %d states off baseline", when, k, cm.offBase, off)
+			if off != cm.group.offBase {
+				t.Fatalf("%s: pair %v offBase=%d, %d states off baseline", when, k, cm.group.offBase, off)
 			}
 		}
 	}

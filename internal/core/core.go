@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 
+	"rrr/internal/anomaly"
 	"rrr/internal/bgp"
 	"rrr/internal/traceroute"
 	"rrr/internal/trie"
@@ -248,9 +249,12 @@ func monitorID(kind string, k traceroute.Key, scope string) int {
 }
 
 // retiredState preserves a monitor's detector and revocation baseline
-// across re-registration.
+// across re-registration: the detector as of the close numbered at, taken
+// from series from (see series.go).
 type retiredState struct {
-	det      interface{}
+	det      *anomaly.BitmapDetector
+	from     any
+	at       int
 	baseline float64
 	hasBase  bool
 }
@@ -260,10 +264,10 @@ type vpPrefix struct {
 	pf trie.Prefix
 }
 
-// vpCell is the fold cell of one watched (VP, prefix): every monitor slot
+// vpCell is the fold cell of one watched (VP, prefix): every series slot
 // and community state over that pair points at the same cell, so the
-// per-pair close reads the window's updates through a pointer instead of
-// hashing the pair into winUpdates once per slot. Cells exist only for
+// close reads the window's updates through a pointer instead of hashing
+// the pair into winUpdates once per slot. Cells exist only for
 // pairs some monitor watches — created at registration, never per RIB
 // entry — and, like the shared series, outlive their last watcher.
 type vpCell struct {
@@ -276,12 +280,8 @@ type vpCell struct {
 	// (nil when it has none): read when the cell is created, re-read by
 	// closeShared for every cell the window touched. Every RIB change is
 	// folded through observeBGPChange, which links the cell, and RIB routes
-	// are immutable, so the per-shard close reads routes here, never the
-	// RIB.
+	// are immutable, so the close reads routes here, never the RIB.
 	route *bgp.Route
-	// shards are the shards with a monitor on this cell; linking marks
-	// their window dirty.
-	shards []*shard
 }
 
 // dup reports whether the VP emitted a duplicate update for the prefix in

@@ -15,17 +15,18 @@ import (
 // Engine consumes BGP updates and public traceroutes and emits staleness
 // prediction signals for a registered corpus. It owns everything global to
 // one feed — the RIB, the unresponsive-hop patcher, the calibrator, and the
-// sharedState (window fold, extra-AS series, subpath monitors, border-router
-// series, IXP membership) — and partitions the per-pair monitors across
-// Config.Shards shards keyed by corpus pair.
+// sharedState (window fold, the §4.1 BGP series, extra-AS series, subpath
+// monitors, border-router series, IXP membership) — and partitions the
+// per-pair state across Config.Shards shards keyed by corpus pair.
 //
 // Each update is applied to the RIB and folded into the shared state exactly
 // once, and each traceroute is patched, border-mapped, and observed exactly
 // once, on the caller's goroutine; no per-shard work happens until
-// CloseWindow. CloseWindow runs the shared phase once (extra-AS detectors,
-// subpath and border series advances), routes the resulting signals to the
-// shards owning their pairs, runs the per-pair phase on every shard — shard 0
-// on the caller's goroutine, one goroutine per further shard, alive only
+// CloseWindow. CloseWindow runs the shared phase once (every series steps
+// or advances and fans its signals out to its subscribers), routes the
+// resulting signals to the shards owning their pairs, runs the per-pair
+// phase (active signals, revocation) on every shard — shard 0 on the
+// caller's goroutine, one goroutine per further shard, alive only
 // while the close runs, so the engine owns no long-lived goroutines and needs
 // no Close — and k-way-merges the per-shard sorted streams. The per-pair
 // phase only reads shared state, so the signal stream is byte-identical for
@@ -58,41 +59,30 @@ type Engine struct {
 
 	windowsClosed int
 	met           shardMetrics
+	seriesMet     seriesMetrics
 }
 
 // shard holds the per-pair state of the corpus pairs it owns: their entries,
-// registrations, per-pair BGP monitors, their watcher links into the shared
-// subpath and border series, and their active signals. Everything else is
-// reached through eng. A shard has no lock of its own: its methods run under
-// eng.mu, and during the parallel phase of CloseWindow each shard is touched
-// by exactly one goroutine.
+// registrations, their subscriptions to the shared BGP series, their
+// watcher links into the shared subpath and border series, and their
+// active signals. Everything else is reached through eng. A shard has no
+// lock of its own: its methods run under eng.mu, and during the parallel
+// phase of CloseWindow each shard is touched by exactly one goroutine.
 type shard struct {
 	eng *Engine
 
 	entries map[traceroute.Key]*corpus.Entry
 	regs    map[traceroute.Key][]Registration
 
-	// asp and bursts hold the per-pair BGP monitors in registration order,
-	// dead ones included until a compaction (see removePair); awakeASP and
-	// awakeBursts are their subsequences a clean close visits (see
-	// closeBGPWindow), and closes counts this shard's closes.
-	asp         []*aspMonitor
-	aspByKey    map[traceroute.Key][]*aspMonitor
-	bursts      []*burstMonitor
-	burstByKey  map[traceroute.Key][]*burstMonitor
-	awakeASP    []*aspMonitor
-	awakeBursts []*burstMonitor
-	closes      int
-	comms       map[traceroute.Key]*commMonitor
-	commByVP    map[vpPrefix][]*commMonitor
+	// The pairs' §4.1 monitors, each subscribed to a series in the shared
+	// state (see series.go), in registration order per pair.
+	aspByKey   map[traceroute.Key][]*aspMonitor
+	burstByKey map[traceroute.Key][]*burstMonitor
+	comms      map[traceroute.Key]*commMonitor
 
 	subByKey   map[traceroute.Key][]*subpathMonitor
 	brsByKey   map[traceroute.Key][]*borderRouterSeries
 	pendingIXP []Signal
-
-	// winDirty is set when the open window first touches a fold cell one of
-	// this shard's monitors watches, and cleared by the shard's close.
-	winDirty bool
 
 	// Active signals per corpus pair, for revocation and querying.
 	active map[traceroute.Key][]Signal
@@ -110,8 +100,6 @@ type shard struct {
 	retired map[traceroute.Key]map[string]*retiredState
 
 	signalCount    [numTechniques]int
-	deadASP        int
-	deadBursts     int
 	revokedSignals int
 	revokedPairs   int
 }
@@ -131,16 +119,17 @@ func NewEngine(cfg Config, m traceroute.Mapper, aliases bordermap.AliasOracle, g
 	}
 	rib := bgp.NewRIB()
 	e := &Engine{
-		cfg:     cfg,
-		mapper:  m,
-		aliases: aliases,
-		geo:     geo,
-		rel:     rel,
-		rib:     rib,
-		patcher: traceroute.NewPatcher(),
-		sh:      newSharedState(cfg, geo, rib),
-		Calib:   newCalibrator(cfg.CalibrationWindows, cfg.CommunityFPQuota),
-		met:     newShardMetrics(n),
+		cfg:       cfg,
+		mapper:    m,
+		aliases:   aliases,
+		geo:       geo,
+		rel:       rel,
+		rib:       rib,
+		patcher:   traceroute.NewPatcher(),
+		sh:        newSharedState(cfg, geo, rib),
+		Calib:     newCalibrator(cfg.CalibrationWindows, cfg.CommunityFPQuota),
+		met:       newShardMetrics(n),
+		seriesMet: newSeriesMetrics(),
 	}
 	for i := 0; i < n; i++ {
 		e.shards = append(e.shards, &shard{
@@ -150,7 +139,6 @@ func NewEngine(cfg Config, m traceroute.Mapper, aliases bordermap.AliasOracle, g
 			aspByKey:   make(map[traceroute.Key][]*aspMonitor),
 			burstByKey: make(map[traceroute.Key][]*burstMonitor),
 			comms:      make(map[traceroute.Key]*commMonitor),
-			commByVP:   make(map[vpPrefix][]*commMonitor),
 			subByKey:   make(map[traceroute.Key][]*subpathMonitor),
 			brsByKey:   make(map[traceroute.Key][]*borderRouterSeries),
 			active:     make(map[traceroute.Key][]Signal),
@@ -208,12 +196,12 @@ func (e *Engine) ObservePublicTrace(t *traceroute.Traceroute) {
 func (e *Engine) CloseWindow(ws int64) []Signal {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	sc := e.sh.closeShared(ws, ws+e.cfg.WindowSec)
+	sigs := e.sh.closeShared(ws, ws+e.cfg.WindowSec, e.Calib)
 
 	// Route the shared-series signals to the shards owning their pairs;
 	// each bucket preserves the shared phase's emission order for its keys.
 	buckets := make([][]Signal, len(e.shards))
-	for _, sig := range sc.traceSigs {
+	for _, sig := range sigs {
 		i := e.shardIdxOf(sig.Key)
 		buckets[i] = append(buckets[i], sig)
 	}
@@ -221,7 +209,7 @@ func (e *Engine) CloseWindow(ws int64) []Signal {
 	results := make([][]Signal, len(e.shards))
 	closeShard := func(i int) {
 		start := time.Now()
-		results[i] = e.shards[i].closeOwned(ws, sc, buckets[i])
+		results[i] = e.shards[i].closeOwned(buckets[i])
 		e.met.close[i].Observe(time.Since(start).Seconds())
 	}
 	var wg sync.WaitGroup
@@ -264,6 +252,7 @@ func (e *Engine) AddCorpusEntry(en *corpus.Entry) {
 	i := e.shardIdxOf(en.Key)
 	e.shards[i].addCorpusEntry(en)
 	e.met.pairs[i].Set(int64(len(e.shards[i].entries)))
+	e.setSeriesGauges()
 }
 
 // Reregister replaces the pair's entry and monitors with a fresh
@@ -274,16 +263,19 @@ func (e *Engine) Reregister(en *corpus.Entry) {
 	s := e.shardOf(en.Key)
 	s.removePair(en.Key)
 	s.addCorpusEntry(en)
+	e.setSeriesGauges()
 }
 
-// RemovePair unregisters a corpus pair from every technique. Shared series
-// persist after their last watcher leaves.
+// RemovePair unregisters a corpus pair from every technique. A §4.1 series
+// leaves with its last subscriber; the other shared series persist after
+// their last watcher leaves.
 func (e *Engine) RemovePair(k traceroute.Key) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	i := e.shardIdxOf(k)
 	e.shards[i].removePair(k)
 	e.met.pairs[i].Set(int64(len(e.shards[i].entries)))
+	e.setSeriesGauges()
 }
 
 // EvaluateRefresh scores every potential signal of the pair against a new

@@ -261,6 +261,22 @@ func TestShardedQueryFanout(t *testing.T) {
 	if st.ASPathMonitors > 12*12 {
 		t.Fatalf("ASPathMonitors double-counted: %d", st.ASPathMonitors)
 	}
+	// The 12 pairs watch the same 12 VPs over τ = 1 2 3 4, and every VP
+	// shares both burst suffixes ([2 3 4] and [3 4]): one series per
+	// technique serves them all, and the gauges say so.
+	if want := (stats{BurstSeries: 1, ASPathSeries: 1, CommunityGroups: 1,
+		BurstMonitors: 24, ASPathMonitors: 12, CommunityTargets: 12, SubpathMonitors: st.SubpathMonitors}); st != want {
+		t.Fatalf("series of 12 same-input pairs: %+v, want %+v", st, want)
+	}
+	for tech, want := range map[Technique][2]int{
+		TechBGPBurst:     {st.BurstSeries, st.BurstMonitors},
+		TechBGPASPath:    {st.ASPathSeries, st.ASPathMonitors},
+		TechBGPCommunity: {st.CommunityGroups, st.CommunityTargets},
+	} {
+		if got := [2]int{int(s.seriesMet.series[tech].Value()), int(s.seriesMet.subscribers[tech].Value())}; got != want {
+			t.Errorf("%v gauges read %v series/subscribers, monitorStats %v", tech, got, want)
+		}
+	}
 
 	s.ObserveBGP(bgp.Update{
 		Time: 41*900 + 5, PeerIP: 50<<24 | 9, PeerAS: 50,

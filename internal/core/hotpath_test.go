@@ -12,10 +12,12 @@ import (
 // TestReregisterDoesNotLeakCommMonitors: a daemon that refreshes its corpus
 // re-registers pairs for as long as it runs. Each refresh used to leave the
 // pair's previous community monitor, marked dead, on every commByVP list it
-// was indexed under, for processCommEvents to walk on every community event.
-// Burst monitors leave like AS-path monitors do: marked dead, compacted
-// away once half the list is dead, instead of a scan of the whole list per
-// removal.
+// was indexed under, for the close to walk on every community event.
+// A series its last subscriber leaves is reclaimed: out of its table and
+// the awake list at once, out of the list of all series once half of that
+// list is dead, instead of a scan of the whole list per removal. So the
+// series tables stay within twice their live size through the churn, and
+// are empty once every pair is gone.
 func TestReregisterDoesNotLeakCommMonitors(t *testing.T) {
 	comm := bgp.Communities{bgp.MakeCommunity(3, 51000)}
 	commChange := func(te *testEnv, end int64) []Signal {
@@ -40,23 +42,27 @@ func TestReregisterDoesNotLeakCommMonitors(t *testing.T) {
 	te := newEnv(t)
 	te.primeVPs(t)
 	en := te.standardEntry(t)
-	s := te.e.shardOf(en.Key)
-	live := len(s.bursts)
-	if live == 0 {
-		t.Fatal("the pair has no burst monitors")
+	sh := te.e.sh
+	live := seriesHeld(sh)
+	for _, name := range []string{"burst list", "AS-path list", "community groups"} {
+		if live[name] == 0 {
+			t.Fatalf("the pair has no %s entries", name)
+		}
 	}
 	for i := 0; i < 1000; i++ {
 		te.e.Reregister(en)
-		if len(s.bursts) > 2*live+64 {
-			t.Fatalf("%d burst monitors held after %d re-registrations of a pair with %d", len(s.bursts), i+1, live)
+		for name, n := range seriesHeld(sh) {
+			if n > 2*live[name]+64 {
+				t.Fatalf("%s holds %d series after %d re-registrations of a pair with %d", name, n, i+1, live[name])
+			}
 		}
 	}
-	if len(s.commByVP) != 2 {
-		t.Fatalf("community monitors indexed under %d (VP, prefix) pairs, want the pair's 2", len(s.commByVP))
+	if len(sh.commByVP) != 2 {
+		t.Fatalf("community groups indexed under %d (VP, prefix) pairs, want the pair's 2", len(sh.commByVP))
 	}
-	for pf, list := range s.commByVP {
+	for pf, list := range sh.commByVP {
 		if len(list) != 1 {
-			t.Errorf("commByVP[%v] holds %d monitors after 1000 re-registrations, want 1", pf, len(list))
+			t.Errorf("commByVP[%v] holds %d groups after 1000 re-registrations, want 1", pf, len(list))
 		}
 	}
 	got := commChange(te, te.warm(t, 0, 2))
@@ -72,9 +78,35 @@ func TestReregisterDoesNotLeakCommMonitors(t *testing.T) {
 	}
 
 	te.e.RemovePair(en.Key)
-	if len(s.commByVP) != 0 {
-		t.Fatalf("a removed pair is still indexed under %d (VP, prefix) pairs", len(s.commByVP))
+	for name, n := range seriesHeld(sh) {
+		if n != 0 {
+			t.Errorf("%s holds %d series after every pair left", name, n)
+		}
 	}
+}
+
+// seriesHeld counts what each §4.1 series table, list and index holds,
+// reclaimed series not yet compacted away included.
+func seriesHeld(sh *sharedState) map[string]int {
+	return map[string]int{
+		"burst table":      tableLen(sh.burstTab),
+		"burst list":       len(sh.bursts),
+		"burst awake list": len(sh.awakeBursts),
+		"AS-path table":    tableLen(sh.aspTab),
+		"AS-path list":     len(sh.asps),
+		"AS-path awake":    len(sh.awakeASP),
+		"community table":  tableLen(sh.commTab),
+		"community groups": sh.commGroups,
+		"community index":  len(sh.commByVP),
+	}
+}
+
+func tableLen[S comparable](t seriesTable[S]) int {
+	n := 0
+	for _, list := range t {
+		n += len(list)
+	}
+	return n
 }
 
 // TestMidWindowRegistrationSeesEarlierUpdates: monitors read the window's
@@ -112,27 +144,25 @@ func TestMidWindowRegistrationSeesEarlierUpdates(t *testing.T) {
 	}
 
 	// First registered after the burst: the cells are created with the
-	// window's state already linked, and the shard knows its window is not
-	// quiet.
+	// window's state already linked, and the window is not quiet.
 	fresh := newEnv(t)
 	fresh.primeVPs(t)
 	dups(fresh, 0)
-	en = fresh.standardEntry(t)
-	s := fresh.e.shardOf(en.Key)
-	if !s.winDirty {
-		t.Error("shard not marked dirty by a registration over already-touched pairs")
+	fresh.standardEntry(t)
+	if len(fresh.e.sh.touched) == 0 {
+		t.Error("window not dirty after a registration over already-touched pairs")
 	}
-	slots := 0
-	for _, bm := range s.bursts {
-		for i := range bm.slots {
-			slots++
-			if st := bm.slots[i].cell.win; st == nil || !st.dup {
-				t.Errorf("burst slot %v does not see the window's earlier duplicate", bm.slots[i].cell.pf)
+	cells := 0
+	for _, bs := range fresh.e.sh.bursts {
+		for _, c := range bs.cells {
+			cells++
+			if st := c.win; st == nil || !st.dup {
+				t.Errorf("burst cell %v does not see the window's earlier duplicate", c.pf)
 			}
 		}
 	}
-	if slots == 0 {
-		t.Fatal("no burst slots registered")
+	if cells == 0 {
+		t.Fatal("no burst cells registered")
 	}
 	fresh.e.CloseWindow(0)
 	for _, c := range fresh.e.sh.cells {
@@ -140,8 +170,8 @@ func TestMidWindowRegistrationSeesEarlierUpdates(t *testing.T) {
 			t.Errorf("cell %v still linked after the window closed", c.pf)
 		}
 	}
-	if s.winDirty {
-		t.Error("shard still dirty after its close")
+	if len(fresh.e.sh.touched) != 0 {
+		t.Error("window still dirty after its close")
 	}
 }
 
@@ -188,12 +218,9 @@ func TestQuietCloseAllocs(t *testing.T) {
 		for ; ws < 41*900; ws += 900 {
 			e.CloseWindow(ws)
 		}
-		awake := len(e.sh.awakeExtras)
-		for _, s := range e.shards {
-			awake += len(s.awakeASP) + len(s.awakeBursts)
-		}
+		awake := len(e.sh.awakeExtras) + len(e.sh.awakeASP) + len(e.sh.awakeBursts)
 		if awake != 0 {
-			t.Errorf("shards=%d: %d monitors awake after 41 quiet windows", shards, awake)
+			t.Errorf("shards=%d: %d series awake after 41 quiet windows", shards, awake)
 		}
 		per := testing.AllocsPerRun(50, func() {
 			e.CloseWindow(ws)

@@ -1,0 +1,839 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+
+	"rrr/internal/anomaly"
+	"rrr/internal/bgp"
+	"rrr/internal/obs"
+	"rrr/internal/trie"
+)
+
+// The §4.1 BGP techniques define a series by what it reads, not by the
+// corpus pair that asked for it: a burst series by its VPs' fold cells, an
+// AS-path series by its cells, a_j, the AS suffix and the τ ASes before
+// a_j, a community group by its VPs' cells and baseline community sets.
+// Pairs that watch the same inputs subscribe to one series, which the
+// shared close steps once per window; a pair's monitor keeps only what is
+// its own (key, monitor ID, borders, extra-AS series, VP colocation, the
+// community relevance map) and reads the series' outcome.
+//
+// Sharing must not change what any pair sees, so two monitors share a
+// series only when their detectors would hold the same state: the same
+// inputs and the same lineage. A fresh series' lineage is its birth, the
+// number of closes before it was created; the table of fresh series is
+// keyed by inputs and birth. A monitor re-registered over a retired
+// detector (see removePair) rejoins the series it left if nothing has been
+// closed since and its inputs are unchanged, since that series still holds
+// the retired state; otherwise its detector becomes a private series that
+// is in no table, so nothing else joins it.
+
+// seriesTable indexes series by the hash of their key; a lookup compares
+// the candidates in a bucket field by field.
+type seriesTable[S comparable] map[uint64][]S
+
+func (t seriesTable[S]) add(h uint64, s S) { t[h] = append(t[h], s) }
+
+func (t seriesTable[S]) remove(h uint64, s S) {
+	list := t[h]
+	if i := slices.Index(list, s); i >= 0 {
+		list = slices.Delete(list, i, i+1)
+	}
+	if len(list) == 0 {
+		delete(t, h)
+	} else {
+		t[h] = list
+	}
+}
+
+// keyHash folds series-key words into a table hash.
+type keyHash uint64
+
+func newKeyHash() keyHash { return 14695981039346656037 }
+
+func (h keyHash) add(v uint64) keyHash {
+	h ^= keyHash(v)
+	h *= 1099511628211
+	return h ^ h>>29
+}
+
+func (h keyHash) cell(c *vpCell) keyHash {
+	return h.add(uint64(c.pf.vp.PeerIP)<<32 | uint64(c.pf.vp.PeerAS)).add(uint64(c.pf.pf.Addr)<<8 | uint64(c.pf.pf.Len))
+}
+
+func (h keyHash) path(p bgp.Path) keyHash {
+	h = h.add(uint64(len(p)))
+	for _, as := range p {
+		h = h.add(uint64(as))
+	}
+	return h
+}
+
+// burstSeries is §4.1.4's duplicate count over one VP cell set.
+type burstSeries struct {
+	cells []*vpCell
+	det   *anomaly.BitmapDetector
+	// birth is the series' lineage (see above), -1 for a private series.
+	birth int
+	hash  uint64
+	// subs are the subscribed monitors in registration order.
+	subs []*burstMonitor
+	// asleep is the shared close that last stepped the series while it
+	// sleeps, 0 while it is awake (see closeShared); dead marks a reclaimed
+	// series until the list holding it is compacted.
+	asleep int
+	dead   bool
+}
+
+// aspScope is what an AS-path series scores a path against: a_j, the τ
+// ASes before it (sorted), and τ's suffix from a_j.
+type aspScope struct {
+	aj     bgp.ASN
+	before bgp.Path
+	suffix bgp.Path
+}
+
+func (sc *aspScope) equal(o *aspScope) bool {
+	return sc.aj == o.aj && sc.before.Equal(o.before) && sc.suffix.Equal(o.suffix)
+}
+
+// contribution scores one AS path: (1,1) when it first intersects τ at a_j
+// and matches the suffix, (1,0) intersect-only, (0,0) otherwise.
+func (sc *aspScope) contribution(p bgp.Path) (int, int) {
+	if p == nil || !sc.firstIntersects(p) {
+		return 0, 0
+	}
+	if p.Suffix(sc.aj).Equal(sc.suffix) {
+		return 1, 1
+	}
+	return 1, 0
+}
+
+func (sc *aspScope) firstIntersects(p bgp.Path) bool {
+	if !p.Contains(sc.aj) {
+		return false
+	}
+	for _, as := range p {
+		if sc.before.Contains(as) {
+			return false
+		}
+	}
+	return true
+}
+
+// aspSeries is §4.1.2's overlap ratio over one VP set and scope.
+type aspSeries struct {
+	aspScope
+	// slots are the VPs' cells with their cached contributions.
+	slots []vpSlot
+	det   *anomaly.BitmapDetector
+	birth int
+	hash  uint64
+	subs  []*aspMonitor
+
+	// baseline/last ratios for revocation (§4.3.2).
+	baseline  float64
+	hasBase   bool
+	lastRatio float64
+	hasLast   bool
+
+	// quietI/quietM aggregate the cached slot contributions (the window
+	// value when no monitored VP saw updates).
+	quietI, quietM int
+
+	asleep int
+	dead   bool
+}
+
+// quietRatio is the window value of a window that touched none of the
+// series' cells; ok is false when that value is missing.
+func (as *aspSeries) quietRatio() (r float64, ok bool) {
+	if as.quietI == 0 {
+		return 0, false
+	}
+	return float64(as.quietM) / float64(as.quietI), true
+}
+
+// settled reports whether a window that touches none of the series' cells
+// would leave it exactly as it is: no revocation input changes (hasLast and
+// lastRatio already hold the quiet value; hasLast implies hasBase) and the
+// detector step is a settled one.
+func (as *aspSeries) settled() bool {
+	r, ok := as.quietRatio()
+	if !ok {
+		return !as.hasLast
+	}
+	return as.hasLast && as.lastRatio == r && as.det.Settled(r)
+}
+
+// wake replays the quiet windows the series slept through into det (its
+// own detector or a copy of it), up to and including shared close through.
+func (as *aspSeries) wake(det *anomaly.BitmapDetector, asleep *int, through int) {
+	if r, ok := as.quietRatio(); ok {
+		replay(det, asleep, through, r)
+	}
+	*asleep = 0
+}
+
+// commGroup is the overlap set §4.1.3 watches for one or more pairs: the
+// overlapping VPs' states in VP order, with baselines fixed at
+// registration; offBase counts the states not at baseline.
+type commGroup struct {
+	overlap []vpCommState
+	offBase int
+	hash    uint64
+	subs    []*commMonitor
+}
+
+// state returns the group's state for vp, nil if vp does not overlap.
+func (g *commGroup) state(vp bgp.VPKey) *vpCommState {
+	i, ok := slices.BinarySearchFunc(g.overlap, vp, func(st vpCommState, vp bgp.VPKey) int {
+		switch {
+		case st.cell.pf.vp == vp:
+			return 0
+		case vpLess(st.cell.pf.vp, vp):
+			return -1
+		}
+		return 1
+	})
+	if ok {
+		return &g.overlap[i]
+	}
+	return nil
+}
+
+// seriesTables holds the shared §4.1 series: the tables of fresh series,
+// every live series in creation order (dead ones until a compaction), the
+// awake subsequences a clean close visits, and the community groups
+// indexed by (VP, prefix).
+type seriesTables struct {
+	burstTab    seriesTable[*burstSeries]
+	bursts      []*burstSeries
+	awakeBursts []*burstSeries
+	deadBursts  int
+
+	aspTab   seriesTable[*aspSeries]
+	asps     []*aspSeries
+	awakeASP []*aspSeries
+	deadASP  int
+
+	commTab    seriesTable[*commGroup]
+	commGroups int
+	commByVP   map[vpPrefix][]*commGroup
+
+	// subscribers counts the monitors subscribed per technique; seq numbers
+	// subscriptions in registration order (see fanOut).
+	subscribers [numTechniques]int
+	seq         int
+
+	// Registration and close scratch.
+	cellBuf []*vpCell
+	slotBuf []vpSlot
+	commBuf []vpCommState
+	pathBuf bgp.Path
+	dupBuf  []*vpCell
+	onOther []uint8
+	fan     []fanned
+}
+
+func newSeriesTables() seriesTables {
+	return seriesTables{
+		burstTab: make(seriesTable[*burstSeries]),
+		aspTab:   make(seriesTable[*aspSeries]),
+		commTab:  make(seriesTable[*commGroup]),
+		commByVP: make(map[vpPrefix][]*commGroup),
+	}
+}
+
+// joinBurst subscribes bm to the series over cells (registration scratch,
+// copied if a series is created). A retired detector st, if any, decides
+// the lineage as described above.
+func (sh *sharedState) joinBurst(bm *burstMonitor, cells []*vpCell, st *retiredState) {
+	var bs *burstSeries
+	if st != nil {
+		if from, ok := st.from.(*burstSeries); ok && st.at == sh.closes && !from.dead && slices.Equal(from.cells, cells) {
+			bs = from
+		} else {
+			bs = sh.newBurst(cells, st.det, -1)
+		}
+	}
+	if bs == nil {
+		h := newKeyHash().add(uint64(sh.closes))
+		for _, c := range cells {
+			h = h.cell(c)
+		}
+		for _, have := range sh.burstTab[uint64(h)] {
+			if have.birth == sh.closes && slices.Equal(have.cells, cells) {
+				bs = have
+				break
+			}
+		}
+		if bs == nil {
+			bs = sh.newBurst(cells, anomaly.NewBitmap(), sh.closes)
+			bs.hash = uint64(h)
+			sh.burstTab.add(bs.hash, bs)
+		}
+	}
+	sh.seq++
+	bm.series, bm.seq = bs, sh.seq
+	bs.subs = append(bs.subs, bm)
+	sh.subscribers[TechBGPBurst]++
+}
+
+func (sh *sharedState) newBurst(cells []*vpCell, det *anomaly.BitmapDetector, birth int) *burstSeries {
+	bs := &burstSeries{cells: slices.Clone(cells), det: det, birth: birth}
+	sh.bursts = append(sh.bursts, bs)
+	sh.awakeBursts = append(sh.awakeBursts, bs)
+	return bs
+}
+
+// joinASP subscribes m to the series over scope and slots (registration
+// scratch, with each slot's contribution cached), as joinBurst does. An
+// AS-path series also caches its VPs' contributions, which a registration
+// computes from the routes of the moment: it joins only a series whose
+// caches agree.
+func (sh *sharedState) joinASP(m *aspMonitor, scope aspScope, slots []vpSlot, st *retiredState) {
+	var as *aspSeries
+	if st != nil {
+		if from, ok := st.from.(*aspSeries); ok && st.at == sh.closes && !from.dead &&
+			from.aspScope.equal(&scope) && slices.Equal(from.slots, slots) {
+			as = from
+		} else {
+			as = sh.newASP(scope, slots, st.det, -1)
+			as.baseline, as.hasBase = st.baseline, st.hasBase
+		}
+	}
+	if as == nil {
+		h := newKeyHash().add(uint64(sh.closes)).add(uint64(scope.aj)).path(scope.before).path(scope.suffix)
+		for i := range slots {
+			h = h.cell(slots[i].cell)
+		}
+		for _, have := range sh.aspTab[uint64(h)] {
+			if have.birth == sh.closes && have.aspScope.equal(&scope) && slices.Equal(have.slots, slots) {
+				as = have
+				break
+			}
+		}
+		if as == nil {
+			as = sh.newASP(scope, slots, anomaly.NewBitmap(), sh.closes)
+			as.hash = uint64(h)
+			sh.aspTab.add(as.hash, as)
+		}
+	}
+	sh.seq++
+	m.series, m.seq = as, sh.seq
+	as.subs = append(as.subs, m)
+	sh.subscribers[TechBGPASPath]++
+}
+
+// newASP creates an AS-path series; scope's paths may be scratch and are
+// copied into one allocation.
+func (sh *sharedState) newASP(scope aspScope, slots []vpSlot, det *anomaly.BitmapDetector, birth int) *aspSeries {
+	paths := make(bgp.Path, 0, len(scope.before)+len(scope.suffix))
+	paths = append(append(paths, scope.before...), scope.suffix...)
+	scope.before, scope.suffix = paths[:len(scope.before):len(scope.before)], paths[len(scope.before):]
+	as := &aspSeries{aspScope: scope, slots: slices.Clone(slots), det: det, birth: birth}
+	for i := range as.slots {
+		as.quietI += as.slots[i].ci
+		as.quietM += as.slots[i].cm
+	}
+	sh.asps = append(sh.asps, as)
+	sh.awakeASP = append(sh.awakeASP, as)
+	return as
+}
+
+// joinComm subscribes cm to the group over states (registration scratch,
+// every state at baseline). A group has no history beyond its at-baseline
+// bits, so cm joins any group with the same states that is entirely at
+// baseline.
+func (sh *sharedState) joinComm(cm *commMonitor, states []vpCommState) {
+	h := newKeyHash()
+	for i := range states {
+		h = h.cell(states[i].cell)
+		for _, c := range states[i].baseline {
+			h = h.add(uint64(c))
+		}
+	}
+	var g *commGroup
+	for _, have := range sh.commTab[uint64(h)] {
+		if have.offBase == 0 && sameCommStates(have.overlap, states) {
+			g = have
+			break
+		}
+	}
+	if g == nil {
+		g = &commGroup{overlap: slices.Clone(states), hash: uint64(h)}
+		sh.commTab.add(g.hash, g)
+		sh.commGroups++
+		for i := range g.overlap {
+			pf := g.overlap[i].cell.pf
+			sh.commByVP[pf] = append(sh.commByVP[pf], g)
+		}
+	}
+	cm.group = g
+	g.subs = append(g.subs, cm)
+	sh.subscribers[TechBGPCommunity]++
+}
+
+func sameCommStates(a, b []vpCommState) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].cell != b[i].cell || !a[i].baseline.Equal(b[i].baseline) {
+			return false
+		}
+	}
+	return true
+}
+
+// leaveBurst unsubscribes bm and returns its retired state: the detector as
+// of the last close. The series' own detector when bm was its last
+// subscriber (the series is reclaimed), otherwise a copy, since the series
+// keeps stepping for the others while a retired detector does not.
+func (sh *sharedState) leaveBurst(bm *burstMonitor) *retiredState {
+	bs := bm.series
+	bs.subs = removeSub(bs.subs, bm)
+	sh.subscribers[TechBGPBurst]--
+	st := &retiredState{from: bs, at: sh.closes}
+	if len(bs.subs) > 0 {
+		det, asleep := bs.det.Clone(), bs.asleep
+		replay(det, &asleep, sh.closes, 0)
+		st.det = det
+		return st
+	}
+	replay(bs.det, &bs.asleep, sh.closes, 0)
+	st.det = bs.det
+	bs.dead = true
+	if bs.birth >= 0 {
+		sh.burstTab.remove(bs.hash, bs)
+	}
+	sh.awakeBursts = removeSub(sh.awakeBursts, bs)
+	if sh.deadBursts++; 2*sh.deadBursts > len(sh.bursts) {
+		sh.bursts = compact(sh.bursts, func(bs *burstSeries) bool { return bs.dead })
+		sh.deadBursts = 0
+	}
+	return st
+}
+
+// leaveASP is leaveBurst for an AS-path monitor; the retired state also
+// keeps the revocation baseline.
+func (sh *sharedState) leaveASP(m *aspMonitor) *retiredState {
+	as := m.series
+	as.subs = removeSub(as.subs, m)
+	sh.subscribers[TechBGPASPath]--
+	st := &retiredState{from: as, at: sh.closes, baseline: as.baseline, hasBase: as.hasBase}
+	if len(as.subs) > 0 {
+		det, asleep := as.det.Clone(), as.asleep
+		as.wake(det, &asleep, sh.closes)
+		st.det = det
+		return st
+	}
+	as.wake(as.det, &as.asleep, sh.closes)
+	st.det = as.det
+	as.dead = true
+	if as.birth >= 0 {
+		sh.aspTab.remove(as.hash, as)
+	}
+	sh.awakeASP = removeSub(sh.awakeASP, as)
+	if sh.deadASP++; 2*sh.deadASP > len(sh.asps) {
+		sh.asps = compact(sh.asps, func(as *aspSeries) bool { return as.dead })
+		sh.deadASP = 0
+	}
+	return st
+}
+
+// leaveComm unsubscribes cm, dropping its group once nobody watches it.
+func (sh *sharedState) leaveComm(cm *commMonitor) {
+	g := cm.group
+	g.subs = removeSub(g.subs, cm)
+	sh.subscribers[TechBGPCommunity]--
+	if len(g.subs) > 0 {
+		return
+	}
+	sh.commTab.remove(g.hash, g)
+	sh.commGroups--
+	for i := range g.overlap {
+		pf := g.overlap[i].cell.pf
+		if rest := removeSub(sh.commByVP[pf], g); len(rest) > 0 {
+			sh.commByVP[pf] = rest
+		} else {
+			delete(sh.commByVP, pf)
+		}
+	}
+}
+
+// removeSub deletes x from list in place, keeping order.
+func removeSub[T comparable](list []T, x T) []T {
+	if i := slices.Index(list, x); i >= 0 {
+		return slices.Delete(list, i, i+1)
+	}
+	return list
+}
+
+// compact drops the dead entries of a series list in place, keeping
+// order.
+func compact[M any](list []M, dead func(M) bool) []M {
+	alive := list[:0]
+	for _, m := range list {
+		if !dead(m) {
+			alive = append(alive, m)
+		}
+	}
+	clear(list[len(alive):])
+	return alive
+}
+
+// fanned is one subscriber's signal with the subscription's registration
+// number, by which fanOut orders a technique's signals.
+type fanned struct {
+	seq int
+	sig Signal
+}
+
+// fanOut appends the technique's fanned signals to sigs in registration
+// order: a pair's signals reach its active list in the order its own
+// monitors would have raised them, whatever order the series fired in.
+func (sh *sharedState) fanOut(sigs []Signal) []Signal {
+	slices.SortFunc(sh.fan, func(a, b fanned) int { return a.seq - b.seq })
+	for i := range sh.fan {
+		sigs = append(sigs, sh.fan[i].sig)
+		sh.fan[i] = fanned{}
+	}
+	sh.fan = sh.fan[:0]
+	return sigs
+}
+
+// closeSeries steps every §4.1 series for the window starting at ws and
+// returns the window's BGP signals: burst signals, then AS-path signals,
+// each in registration order, then community signals in event order. The
+// extra-AS series and the cells' routes are already up to date.
+//
+// A window that touched no cell at all (a quiet one) gives every series
+// its cached quiet value: 0 duplicates for a burst series, quietM/quietI
+// for an AS-path series. A series whose detector is settled at that value,
+// and whose revocation inputs it would not change, sleeps: a quiet window
+// visits only the awake lists, and the next window that touches a cell
+// visits every series and wakes each sleeper first, replaying the windows
+// it missed.
+func (sh *sharedState) closeSeries(ws int64, quiet bool, commChanged map[trie.Prefix]bool, calib *Calibrator) []Signal {
+	var sigs []Signal
+
+	// §4.1.4 burst series.
+	bursts := sh.awakeBursts
+	if !quiet {
+		bursts = sh.bursts
+	}
+	awake := sh.awakeBursts[:0]
+	for _, bs := range bursts {
+		if bs.dead {
+			continue
+		}
+		replay(bs.det, &bs.asleep, sh.closes-1, 0)
+		dups := 0
+		if !quiet {
+			dups = dupCount(bs.cells)
+		}
+		outlier := bs.det.Add(float64(dups))
+		if bs.det.Settled(0) {
+			bs.asleep = sh.closes
+		} else {
+			awake = append(awake, bs)
+		}
+		if outlier {
+			sh.fanBurst(bs, dups, ws, commChanged)
+		}
+	}
+	sh.awakeBursts = awake
+	sigs = sh.fanOut(sigs)
+
+	// §4.1.2 AS-path series. The window value combines the cached
+	// contributions of quiet VPs with the update paths of VPs that saw
+	// changes this window; caches refresh to the post-window table route.
+	asps := sh.awakeASP
+	if !quiet {
+		asps = sh.asps
+	}
+	awakeASP := sh.awakeASP[:0]
+	for _, as := range asps {
+		if as.dead {
+			continue
+		}
+		as.wake(as.det, &as.asleep, sh.closes-1)
+		fired := as.step(!quiet)
+		if as.settled() {
+			as.asleep = sh.closes
+		} else {
+			awakeASP = append(awakeASP, as)
+		}
+		if fired {
+			detail := fmt.Sprintf("P_ratio outlier at %s", as.aj)
+			for _, m := range as.subs {
+				sh.fan = append(sh.fan, fanned{seq: m.seq, sig: Signal{
+					Technique:   TechBGPASPath,
+					Key:         m.key,
+					MonitorID:   m.id,
+					WindowStart: ws,
+					Borders:     m.borders,
+					Detail:      detail,
+					Score:       as.det.Score(),
+					VPCount:     len(as.slots),
+					ASOverlap:   len(as.suffix),
+					SameASVP:    m.sameAS,
+					SameCityVP:  m.sameCity,
+				}})
+			}
+		}
+	}
+	sh.awakeASP = awakeASP
+	sigs = sh.fanOut(sigs)
+
+	// §4.1.3 community events, then the touched cells' baseline bits.
+	sigs = sh.commSignals(sigs, ws, calib)
+	if !quiet {
+		sh.markCommBaselines()
+	}
+	return sigs
+}
+
+// fanBurst applies the per-subscriber checks to a burst series that
+// flagged the window's dups and queues a signal for each subscriber that
+// passes them.
+func (sh *sharedState) fanBurst(bs *burstSeries, dups int, ws int64, commChanged map[trie.Prefix]bool) {
+	// The technique's premise is *contemporaneous* duplicates from
+	// multiple peers sharing the subpath (§4.1.4): a genuine border change
+	// re-announces from every peer routing across it, so a burst must
+	// involve a meaningful share of the suffix's VPs, not a coincidence of
+	// unrelated IGP noise.
+	quorum := 2
+	if q := (len(bs.cells) + 2) / 3; q > quorum {
+		quorum = q
+	}
+	if dups < quorum {
+		return
+	}
+	dupCells := sh.dupBuf[:0]
+	allEchoes := true
+	for _, c := range bs.cells {
+		if c.dup() {
+			dupCells = append(dupCells, c)
+			allEchoes = allEchoes && commChanged[c.pf.pf]
+		}
+	}
+	sh.dupBuf = dupCells
+	if allEchoes {
+		return
+	}
+	for _, bm := range bs.subs {
+		// Is there a VP whose duplicate cannot be explained by a
+		// contemporaneous burst on an extra AS it traverses?
+		unexplained := len(bm.extras) == 0
+		for _, c := range dupCells {
+			explained := false
+			for _, es := range bm.extras {
+				if es.outlierWin != ws {
+					continue
+				}
+				if rt := c.route; rt != nil && rt.ASPath.Contains(es.ak) {
+					explained = true
+					break
+				}
+			}
+			if !explained {
+				unexplained = true
+				break
+			}
+		}
+		if !unexplained {
+			continue
+		}
+		sh.fan = append(sh.fan, fanned{seq: bm.seq, sig: Signal{
+			Technique:   TechBGPBurst,
+			Key:         bm.key,
+			MonitorID:   bm.id,
+			WindowStart: ws,
+			Borders:     bm.borders,
+			Detail:      fmt.Sprintf("dup burst on suffix %v", bm.suffix),
+			Score:       bs.det.Score(),
+			VPCount:     dups,
+			ASOverlap:   len(bm.suffix),
+			SameASVP:    bm.sameAS,
+			SameCityVP:  bm.sameCity,
+		}})
+	}
+}
+
+// step feeds one window to the series and reports whether it flagged it.
+func (as *aspSeries) step(dirty bool) bool {
+	intersect, match := as.quietI, as.quietM
+	for i := 0; dirty && i < len(as.slots); i++ {
+		slot := &as.slots[i]
+		st := slot.cell.win
+		if st == nil {
+			continue
+		}
+		// The cached value covers the window-start route; add the update
+		// paths on top (each counts as one observed path, §4.1.2 counts
+		// path updates).
+		for _, p := range st.paths {
+			ci, cm := as.contribution(p)
+			intersect += ci
+			match += cm
+		}
+		// Refresh the cache to the current table route for the following
+		// windows.
+		var ni, nm int
+		if rt := slot.cell.route; rt != nil {
+			ni, nm = as.contribution(rt.ASPath)
+		}
+		as.quietI += ni - slot.ci
+		as.quietM += nm - slot.cm
+		slot.ci, slot.cm = ni, nm
+	}
+	if intersect == 0 {
+		as.hasLast = false
+		return false // missing value, not an outlier (§4.1.2)
+	}
+	ratio := float64(match) / float64(intersect)
+	if !as.hasBase {
+		as.baseline, as.hasBase = ratio, true
+	}
+	as.lastRatio, as.hasLast = ratio, true
+	return as.det.Add(ratio)
+}
+
+// markCommBaselines re-derives the at-baseline bit of every community
+// state on a cell the window touched (the only cells whose routes moved),
+// keeping each group's offBase count, which revocation reads.
+func (sh *sharedState) markCommBaselines() {
+	for _, c := range sh.touched {
+		for _, g := range sh.commByVP[c.pf] {
+			st := g.state(c.pf.vp)
+			at := c.route != nil && c.route.Communities.Equal(st.baseline)
+			switch {
+			case at && !st.atBase:
+				g.offBase--
+			case !at && st.atBase:
+				g.offBase++
+			}
+			st.atBase = at
+		}
+	}
+}
+
+// commSignals turns the window's community change records into §4.1.3
+// signals, applying the paper's two caveats and the calibration filter.
+// Caveat 2 (was an added community already on another overlapping VP?)
+// depends on the group only, so it is decided once per group and event.
+func (sh *sharedState) commSignals(sigs []Signal, ws int64, calib *Calibrator) []Signal {
+	// One signal per (monitor, community) per window: several VPs
+	// reporting the same community change describe one network event.
+	var emitted map[[2]uint64]bool
+	for _, ev := range sh.winComms {
+		groups := sh.commByVP[vpPrefix{vp: ev.vp, pf: ev.prefix}]
+		if len(groups) == 0 {
+			continue
+		}
+		added := ev.cur.Diff(ev.prev)
+		changed := append(added, ev.prev.Diff(ev.cur)...)
+		for _, g := range groups {
+			// onOther[i] is caveat 2 for added[i]: 0 undecided, 1 no, 2 yes.
+			onOther := append(sh.onOther[:0], make([]uint8, len(added))...)
+			sh.onOther = onOther
+			for _, cm := range g.subs {
+				var borders []int
+				var detail bgp.Community
+				for i, c := range changed {
+					bs, relevant := cm.relevant[c.AS()]
+					// Calibration filter (Appendix B): skip pruned communities.
+					if !relevant || calib.communityPruned(c) {
+						continue
+					}
+					// Caveat 2: an added community already on an overlapping
+					// path from another VP is not a new change signal.
+					if i < len(added) {
+						if onOther[i] == 0 {
+							onOther[i] = 1
+							if g.communityOnOtherVP(ev.vp, c) {
+								onOther[i] = 2
+							}
+						}
+						if onOther[i] == 2 {
+							continue
+						}
+					}
+					borders = append(borders, bs...)
+					if detail == 0 {
+						detail = c
+					}
+				}
+				if len(borders) == 0 {
+					continue
+				}
+				dk := [2]uint64{uint64(cm.id), uint64(detail)}
+				if emitted == nil {
+					emitted = make(map[[2]uint64]bool)
+				}
+				if emitted[dk] {
+					continue
+				}
+				emitted[dk] = true
+				sigs = append(sigs, Signal{
+					Technique:   TechBGPCommunity,
+					Key:         cm.key,
+					MonitorID:   cm.id,
+					WindowStart: ws,
+					Borders:     dedupInts(borders),
+					Detail:      detail.String(),
+					Comm:        detail,
+					VPCount:     1,
+				})
+			}
+		}
+	}
+	return sigs
+}
+
+// communityOnOtherVP checks whether the community was already present on
+// another overlapping VP's route *before* this window's changes; VPs whose
+// routes changed in the same window are compared at their window-start
+// state, so a simultaneous multi-VP community change is not self-masking.
+func (g *commGroup) communityOnOtherVP(except bgp.VPKey, c bgp.Community) bool {
+	for i := range g.overlap {
+		st := &g.overlap[i]
+		if st.cell.pf.vp == except {
+			continue
+		}
+		var comms bgp.Communities
+		if ws := st.cell.win; ws != nil && ws.startOK {
+			comms = ws.startComms
+		} else if rt := st.cell.route; rt != nil {
+			comms = rt.Communities
+		}
+		for _, have := range comms {
+			if have == c {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// seriesMetrics are the sharing gauges: live series and subscribed
+// monitors per BGP technique. Their ratio is how many pairs one series
+// serves.
+type seriesMetrics struct {
+	series, subscribers [numTechniques]*obs.Gauge
+}
+
+func newSeriesMetrics() seriesMetrics {
+	obs.Default.Help("rrr_series", "live shared BGP series (community: overlap groups) per technique")
+	obs.Default.Help("rrr_series_subscribers", "per-pair monitors subscribed to the shared BGP series per technique")
+	var m seriesMetrics
+	for _, t := range []Technique{TechBGPBurst, TechBGPASPath, TechBGPCommunity} {
+		m.series[t] = obs.Default.Gauge("rrr_series", "technique", t.String())
+		m.subscribers[t] = obs.Default.Gauge("rrr_series_subscribers", "technique", t.String())
+	}
+	return m
+}

@@ -19,9 +19,9 @@ import (
 //
 // Concurrency contract: all writes happen on the caller's goroutine under
 // Engine.mu. During the parallel phase of CloseWindow the shards only read
-// this state (winUpdates lookups, extra-series outlierWin, series
-// First/Last), which is safe because the shared close phase finishes before
-// the per-shard phase starts.
+// this state (the §4.1 series' revocation inputs, the trace series'
+// First/Last), which is safe because the shared close phase finishes
+// before the per-shard phase starts.
 type sharedState struct {
 	cfg Config
 	geo Geolocator
@@ -39,6 +39,10 @@ type sharedState struct {
 	// lists the ones linked to this window's state, for resetWindow.
 	cells   map[vpPrefix]*vpCell
 	touched []*vpCell
+
+	// §4.1 series shared by the pairs that watch the same inputs (see
+	// series.go).
+	seriesTables
 
 	// §4.1.4 extra-AS exculpation series. awakeExtras are the ones not
 	// asleep (see closeShared); closes counts closeShared calls.
@@ -82,19 +86,20 @@ func newSharedState(cfg Config, geo Geolocator, rib *bgp.RIB) *sharedState {
 		}
 	}
 	return &sharedState{
-		cfg:         cfg,
-		geo:         geo,
-		rib:         rib,
-		ladderStep:  step,
-		winUpdates:  make(map[vpPrefix]*vpWindowState),
-		cells:       make(map[vpPrefix]*vpCell),
-		extras:      make(map[extraKey]*extraSeries),
-		subpaths:    make(map[string]*subpathMonitor),
-		subByStart:  make(map[uint32][]*subpathMonitor),
-		borders:     make(map[borderGroupKey]*borderGroup),
-		ixpMembers:  make(map[int]map[bgp.ASN]bool),
-		ixpObserved: make(map[int]map[bgp.ASN]bool),
-		allowPriv:   make(map[bgp.ASN]bool),
+		cfg:          cfg,
+		geo:          geo,
+		rib:          rib,
+		ladderStep:   step,
+		winUpdates:   make(map[vpPrefix]*vpWindowState),
+		cells:        make(map[vpPrefix]*vpCell),
+		seriesTables: newSeriesTables(),
+		extras:       make(map[extraKey]*extraSeries),
+		subpaths:     make(map[string]*subpathMonitor),
+		subByStart:   make(map[uint32][]*subpathMonitor),
+		borders:      make(map[borderGroupKey]*borderGroup),
+		ixpMembers:   make(map[int]map[bgp.ASN]bool),
+		ixpObserved:  make(map[int]map[bgp.ASN]bool),
+		allowPriv:    make(map[bgp.ASN]bool),
 	}
 }
 
@@ -143,11 +148,11 @@ func (sh *sharedState) observeBGPChange(u bgp.Update, c bgp.Change) {
 	}
 }
 
-// cellFor returns the fold cell of a (VP, prefix) a monitor on shard s is
-// about to watch, creating it on first use. A pair first watched mid-window
-// must still see that window's earlier updates, so a new cell looks its
-// state up once here; from then on observeBGPChange keeps it linked.
-func (sh *sharedState) cellFor(pf vpPrefix, s *shard) *vpCell {
+// cellFor returns the fold cell of a (VP, prefix) a series is about to
+// watch, creating it on first use. A pair first watched mid-window must
+// still see that window's earlier updates, so a new cell looks its state up
+// once here; from then on observeBGPChange keeps it linked.
+func (sh *sharedState) cellFor(pf vpPrefix) *vpCell {
 	c := sh.cells[pf]
 	if c == nil {
 		c = &vpCell{pf: pf}
@@ -157,32 +162,14 @@ func (sh *sharedState) cellFor(pf vpPrefix, s *shard) *vpCell {
 			sh.link(c, st)
 		}
 	}
-	if s != nil && !c.watchedBy(s) {
-		c.shards = append(c.shards, s)
-		if c.win != nil {
-			s.winDirty = true
-		}
-	}
 	return c
 }
 
-func (c *vpCell) watchedBy(s *shard) bool {
-	for _, have := range c.shards {
-		if have == s {
-			return true
-		}
-	}
-	return false
-}
-
-// link points a cell at the open window's state for its pair and marks the
-// window dirty for every shard watching it.
+// link points a cell at the open window's state for its pair, which makes
+// the window a dirty one (see closeSeries).
 func (sh *sharedState) link(c *vpCell, st *vpWindowState) {
 	c.win = st
 	sh.touched = append(sh.touched, c)
-	for _, s := range c.shards {
-		s.winDirty = true
-	}
 }
 
 // resetWindow clears the per-window fold, recycling the state objects (and
@@ -265,32 +252,25 @@ func (sh *sharedState) sortedBorderSeries() []*borderRouterSeries {
 	return sh.borderSorted
 }
 
-// sharedClose carries the results of the once-per-window shared close
-// phase into the per-shard close phase.
-type sharedClose struct {
-	// commChanged marks prefixes with community changes this window (used
-	// by burst echo suppression).
-	commChanged map[trie.Prefix]bool
-	// traceSigs are the window's subpath and border signals in emission
-	// order; CloseWindow routes each to the shard owning its pair before the
-	// per-shard phase.
-	traceSigs []Signal
-}
-
 // closeShared runs the once-per-window evaluation of all shared series:
-// the routes of the cells the window touched, extra-AS detectors (consulted
-// read-only by burst monitors afterwards) and the subpath and border-router
-// series advances. It mutates shared state exactly once per window and must
-// complete before any per-shard close work starts.
+// the routes of the cells the window touched, the extra-AS detectors, the
+// §4.1 BGP series (closeSeries; bursts consult the extra-AS outcome) and
+// the subpath and border-router series advances. It returns every series
+// signal of the window in emission order, BGP before traceroute; CloseWindow
+// routes each to the shard owning its pair. It mutates shared state exactly
+// once per window and must complete before any per-shard close work starts.
 //
 // An extra-AS series whose detector is settled at zero duplicates sleeps
-// through windows that touched no cell at all, as the shards' monitors do
-// (see shard.closeBGPWindow): such a window visits only awakeExtras, and
-// the next window that touches a cell replays what each sleeper missed.
-func (sh *sharedState) closeShared(ws, end int64) *sharedClose {
-	sc := &sharedClose{commChanged: make(map[trie.Prefix]bool, len(sh.winComms))}
-	for _, ev := range sh.winComms {
-		sc.commChanged[ev.prefix] = true
+// through windows that touched no cell at all, as the §4.1 series do (see
+// closeSeries): such a window visits only awakeExtras, and the next window
+// that touches a cell replays what each sleeper missed.
+func (sh *sharedState) closeShared(ws, end int64, calib *Calibrator) []Signal {
+	var commChanged map[trie.Prefix]bool
+	if len(sh.winComms) > 0 {
+		commChanged = make(map[trie.Prefix]bool, len(sh.winComms))
+		for _, ev := range sh.winComms {
+			commChanged[ev.prefix] = true
+		}
 	}
 	for _, c := range sh.touched {
 		c.readRoute(sh.rib)
@@ -308,7 +288,7 @@ func (sh *sharedState) closeShared(ws, end int64) *sharedClose {
 		replay(es.det, &es.asleep, sh.closes-1, 0)
 		dups := 0
 		if !quiet {
-			dups = dupCount(es.slots)
+			dups = dupCount(es.cells)
 		}
 		if es.det.Add(float64(dups)) {
 			es.outlierWin = ws
@@ -321,6 +301,8 @@ func (sh *sharedState) closeShared(ws, end int64) *sharedClose {
 	}
 	sh.awakeExtras = awake
 
+	sigs := sh.closeSeries(ws, quiet, commChanged, calib)
+
 	// §4.2.1 subpath series.
 	for _, mon := range sh.sortedSubpaths() {
 		if mon.series == nil {
@@ -328,7 +310,7 @@ func (sh *sharedState) closeShared(ws, end int64) *sharedClose {
 		}
 		for _, o := range mon.series.AdvanceTo(end) {
 			for _, w := range mon.watchers {
-				sc.traceSigs = append(sc.traceSigs, Signal{
+				sigs = append(sigs, Signal{
 					Technique:   TechTraceSubpath,
 					Key:         w.key,
 					MonitorID:   mon.id,
@@ -349,7 +331,7 @@ func (sh *sharedState) closeShared(ws, end int64) *sharedClose {
 		}
 		for _, o := range rs.series.AdvanceTo(end) {
 			for _, w := range rs.watchers {
-				sc.traceSigs = append(sc.traceSigs, Signal{
+				sigs = append(sigs, Signal{
 					Technique:   TechTraceBorder,
 					Key:         w.key,
 					MonitorID:   rs.id,
@@ -361,7 +343,7 @@ func (sh *sharedState) closeShared(ws, end int64) *sharedClose {
 			}
 		}
 	}
-	return sc
+	return sigs
 }
 
 // borderGroupOf geolocates a crossing's endpoints into the group key and

@@ -416,66 +416,52 @@ func ixpMonitorID(ixp int, as bgp.ASN) int {
 	return -(ixp<<32 | int(uint32(as)))
 }
 
-// stats summarizes monitor state for diagnostics and ablation reporting.
+// stats counts the engine's series and the pair monitors subscribed to
+// them, for diagnostics and the rrr_series gauges.
 type stats struct {
-	SubpathMonitors  int
-	SubpathActive    int
-	SubpathBuffered  int
-	BorderGroups     int
-	BorderSeries     int
-	BorderActive     int
-	IXPObservedASes  int
-	ASPathMonitors   int
-	BurstMonitors    int
-	ExtraSeries      int
-	CommunityTargets int
+	// The §4.1 BGP series (community: overlap groups) and their
+	// subscribers.
+	BurstSeries, ASPathSeries, CommunityGroups      int
+	BurstMonitors, ASPathMonitors, CommunityTargets int
+	SubpathMonitors                                 int
 }
 
-// monitorStats reports how many monitors exist and how many traceroute
-// series have accumulated enough data to activate. Shared series are counted
-// once from the shared state; per-pair monitors are summed over the shards.
+// monitorStats reports the engine's series counts. It takes no lock: the
+// engine calls it under e.mu, tests between engine calls. Every count is
+// kept as series come and go, so this is cheap enough to run on every
+// registration.
 func (e *Engine) monitorStats() stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st := stats{
-		SubpathMonitors: len(e.sh.subpaths),
-		BorderGroups:    len(e.sh.borders),
-		ExtraSeries:     len(e.sh.extras),
+	sh := e.sh
+	return stats{
+		BurstSeries:      len(sh.bursts) - sh.deadBursts,
+		ASPathSeries:     len(sh.asps) - sh.deadASP,
+		CommunityGroups:  sh.commGroups,
+		BurstMonitors:    sh.subscribers[TechBGPBurst],
+		ASPathMonitors:   sh.subscribers[TechBGPASPath],
+		CommunityTargets: sh.subscribers[TechBGPCommunity],
+		SubpathMonitors:  len(sh.subpaths),
 	}
-	for _, s := range e.shards {
-		st.ASPathMonitors += len(s.asp) - s.deadASP
-		st.BurstMonitors += len(s.bursts) - s.deadBursts
-		st.CommunityTargets += len(s.comms)
-	}
-	for _, m := range e.sh.subpaths {
-		if m.series != nil {
-			st.SubpathActive++
-		}
-		st.SubpathBuffered += len(m.buf)
-	}
-	for _, grp := range e.sh.borders {
-		st.BorderSeries += len(grp.routers)
-		for _, rs := range grp.routers {
-			if rs.series != nil {
-				st.BorderActive++
-			}
-		}
-	}
-	for _, m := range e.sh.ixpObserved {
-		st.IXPObservedASes += len(m)
-	}
-	return st
 }
 
-// closeOwned finishes the window for the monitors this shard owns:
-// per-pair BGP series, the routed share of the window's subpath/border
-// signals (traceSigs), pending IXP signals, active-signal tracking, and
+// setSeriesGauges publishes monitorStats' §4.1 counts.
+func (e *Engine) setSeriesGauges() {
+	st := e.monitorStats()
+	m := &e.seriesMet
+	m.series[TechBGPBurst].Set(int64(st.BurstSeries))
+	m.series[TechBGPASPath].Set(int64(st.ASPathSeries))
+	m.series[TechBGPCommunity].Set(int64(st.CommunityGroups))
+	m.subscribers[TechBGPBurst].Set(int64(st.BurstMonitors))
+	m.subscribers[TechBGPASPath].Set(int64(st.ASPathMonitors))
+	m.subscribers[TechBGPCommunity].Set(int64(st.CommunityTargets))
+}
+
+// closeOwned finishes the window for the pairs this shard owns: the routed
+// share of the window's series signals (sigs, in the shared phase's
+// emission order), pending IXP signals, active-signal tracking, and
 // revocation. It only reads shared state; all shared mutation happened in
 // closeShared, so shards can run closeOwned concurrently.
-func (s *shard) closeOwned(ws int64, sc *sharedClose, traceSigs []Signal) []Signal {
+func (s *shard) closeOwned(sigs []Signal) []Signal {
 	s.changed = s.changed[:0]
-	sigs := s.closeBGPWindow(ws, sc)
-	sigs = append(sigs, traceSigs...)
 
 	// Drain pending IXP signals produced during the window.
 	sigs = append(sigs, s.pendingIXP...)
@@ -560,13 +546,13 @@ func (s *shard) pairReverted(k traceroute.Key) bool {
 	any := false
 	for _, m := range s.aspByKey[k] {
 		any = true
-		if !m.hasBase || !m.hasLast || m.lastRatio != m.baseline {
+		if as := m.series; !as.hasBase || !as.hasLast || as.lastRatio != as.baseline {
 			return false
 		}
 	}
 	if cm := s.comms[k]; cm != nil {
 		any = true
-		if cm.offBase > 0 {
+		if cm.group.offBase > 0 {
 			return false
 		}
 	}

@@ -95,6 +95,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rrr_engine_observations_total",
 		"rrr_shard_pairs",
 		"rrr_shard_close_window_seconds",
+		"rrr_series",
+		"rrr_series_subscribers",
 		// serve-path admission control
 		"rrr_server_inflight",
 		"rrr_server_shed_total",
