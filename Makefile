@@ -7,6 +7,7 @@ FUZZ_TARGETS := \
 	internal/bgp:FuzzTextReader \
 	internal/bgp:FuzzParsePath \
 	internal/bgp:FuzzParseCommunity \
+	internal/bgp:FuzzRIBApply \
 	internal/wal:FuzzWALReader \
 	internal/server:FuzzParseKey \
 	internal/server:FuzzStaleFrame \
@@ -45,7 +46,8 @@ bench:
 # Short fuzz pass over every entry point that consumes untrusted bytes:
 # the BGP parsers (MRT, binary, and text codecs; path and community
 # parsers), the WAL segment reader, the HTTP pair-key parser, and the
-# router<->worker stale frame. Each
+# router<->worker stale frame; plus the RIB against its reference model.
+# Each
 # pkg:Target entry gets FUZZTIME of coverage-guided input on top of its
 # seed corpus. Go allows one -fuzz target per invocation, hence the loop.
 fuzz:
@@ -116,11 +118,14 @@ cachetest:
 # differentials, the pinned digest of monitors that sleep through quiet
 # windows, the pinned digest of pairs sharing series across lineages, the
 # fold cells' route cache, the series tables under re-registration churn,
-# the quiet-close and ingest allocation budgets, and the detectors
-# (Settled, Clone and the flat fast path held to the reference bit for
-# bit).
+# the quiet-close allocation budget, the ingest budgets (RIB.Apply,
+# BinaryReader.Read, Detector.TapUpdate and the whole ingest path), and
+# the detectors (Settled, Clone and the flat fast path held to the
+# reference bit for bit).
 closetest:
 	$(GO) test -race -count=1 ./internal/core -run 'TestShardedMatchesSerial|TestSleepingMonitorsMatchPinned|TestSharedSeriesLineage|TestCellRouteCache|TestReregisterDoesNotLeakCommMonitors|TestQuietCloseAllocs' -v
+	$(GO) test -race -count=1 ./internal/bgp -run 'TestRIBApplyAllocs|TestBinaryReaderAllocs' -v
+	$(GO) test -race -count=1 ./internal/events -run TestTapUpdateAllocs -v
 	$(GO) test -race -count=1 . -run TestIngestAllocs -v
 	$(GO) test -race -count=1 ./internal/anomaly
 

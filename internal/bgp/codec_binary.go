@@ -41,7 +41,7 @@ const (
 var errBadMagic = errors.New("bgp: bad magic in binary stream")
 
 // errTrailingBytes rejects input that holds more than the one record
-// DecodeBinary was asked to decode.
+// Decoder.Decode was asked to decode.
 var errTrailingBytes = errors.New("bgp: trailing bytes after binary record")
 
 // AppendBinary appends u's framed binary record to dst. On error dst is
@@ -70,11 +70,37 @@ func AppendBinary(dst []byte, u Update) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeBinary decodes exactly one record from b: a short record is
+// Decoder decodes binary records. Each decoded update's Path and
+// Communities are carved, capped, from chunks the Decoder owns: a chunk is
+// filled front to back, then dropped for a fresh one and never written
+// again, so a decoded slice stays valid for as long as the caller keeps it,
+// and a record costs no allocation of its own. The zero value is ready to
+// use. Not safe for concurrent use.
+type Decoder struct {
+	path []ASN
+	comm []Community
+}
+
+// decodeChunk is the length in words of a fresh chunk: a few hundred
+// records' attributes per allocation.
+const decodeChunk = 4096
+
+// carve returns the next n words of *chunk, capped at n so an append by
+// the caller cannot reach the words after them, replacing the chunk when
+// it has fewer than n left.
+func carve[E any](chunk *[]E, n int) []E {
+	if cap(*chunk) < n {
+		*chunk = make([]E, max(n, decodeChunk))
+	}
+	s := (*chunk)[:n:n]
+	*chunk = (*chunk)[n:cap(*chunk)]
+	return s
+}
+
+// Decode decodes exactly one record from b: a short record is
 // io.ErrUnexpectedEOF and bytes past the record are an error. It fails in
-// the order a BinaryReader would, and allocates only the Path and
-// Communities slices it returns.
-func DecodeBinary(b []byte) (Update, error) {
+// the order a BinaryReader would.
+func (d *Decoder) Decode(b []byte) (Update, error) {
 	var u Update
 	if len(b) < binaryHeaderLen {
 		return u, io.ErrUnexpectedEOF
@@ -93,13 +119,13 @@ func DecodeBinary(b []byte) (Update, error) {
 	if len(b) < 4*npath+2 {
 		return u, io.ErrUnexpectedEOF
 	}
-	u.ASPath = decodePath(b[:4*npath])
+	u.ASPath = d.decodePath(b[:4*npath])
 	ncomm := int(binary.BigEndian.Uint16(b[4*npath:]))
 	b = b[4*npath+2:]
 	if len(b) < 4*ncomm {
 		return u, io.ErrUnexpectedEOF
 	}
-	u.Communities = decodeCommunities(b[:4*ncomm])
+	u.Communities = d.decodeCommunities(b[:4*ncomm])
 	if len(b) > 4*ncomm {
 		return u, errTrailingBytes
 	}
@@ -137,11 +163,11 @@ func decodeFixed(u *Update, f []byte) (npath int, err error) {
 }
 
 // decodePath decodes big-endian ASN words; an empty b is a nil Path.
-func decodePath(b []byte) Path {
+func (d *Decoder) decodePath(b []byte) Path {
 	if len(b) == 0 {
 		return nil
 	}
-	p := make(Path, len(b)/4)
+	p := Path(carve(&d.path, len(b)/4))
 	for i := range p {
 		p[i] = ASN(binary.BigEndian.Uint32(b[i*4:]))
 	}
@@ -150,11 +176,11 @@ func decodePath(b []byte) Path {
 
 // decodeCommunities decodes big-endian community words; an empty b is
 // nil.
-func decodeCommunities(b []byte) Communities {
+func (d *Decoder) decodeCommunities(b []byte) Communities {
 	if len(b) == 0 {
 		return nil
 	}
-	c := make(Communities, len(b)/4)
+	c := Communities(carve(&d.comm, len(b)/4))
 	for i := range c {
 		c[i] = Community(binary.BigEndian.Uint32(b[i*4:]))
 	}
@@ -192,11 +218,12 @@ type BinaryReader struct {
 	r *bufio.Reader
 	// head holds the header and fixed fields of the record being decoded
 	// and scratch its variable-length portion (AS path and community
-	// words). Both are reused across Read calls, so the steady-state read
-	// path allocates only the Path/Communities slices that escape to the
-	// caller.
+	// words). Both are reused across Read calls, and dec carves the
+	// Path/Communities slices that escape to the caller, so the steady-state
+	// read path allocates nothing per record.
 	head    [binaryHeaderLen + binaryFixedLen]byte
 	scratch []byte
+	dec     Decoder
 }
 
 // NewBinaryReader wraps r.
@@ -232,13 +259,13 @@ func (br *BinaryReader) Read() (Update, error) {
 	if err != nil {
 		return u, err
 	}
-	u.ASPath = decodePath(b[:4*npath])
+	u.ASPath = br.dec.decodePath(b[:4*npath])
 	ncomm := int(binary.BigEndian.Uint16(b[4*npath:]))
 	if ncomm > 0 {
 		if b, err = br.readScratch(4 * ncomm); err != nil {
 			return u, err
 		}
-		u.Communities = decodeCommunities(b)
+		u.Communities = br.dec.decodeCommunities(b)
 	}
 	return u, nil
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -99,7 +100,7 @@ func goldenUpdates() []Update {
 }
 
 // TestBinaryGolden pins the binary record bytes: AppendBinary and
-// BinaryWriter must both produce them, and DecodeBinary must read them
+// BinaryWriter must both produce them, and Decoder.Decode must read them
 // back to the same update.
 func TestBinaryGolden(t *testing.T) {
 	golden := []string{
@@ -123,26 +124,28 @@ func TestBinaryGolden(t *testing.T) {
 		if got := hex.EncodeToString(buf.Bytes()); got != golden[i] {
 			t.Errorf("BinaryWriter(update %d) = %s, want %s", i, got, golden[i])
 		}
-		back, err := DecodeBinary(b[1:])
+		var d Decoder
+		back, err := d.Decode(b[1:])
 		if err != nil || !reflect.DeepEqual(back, u) {
-			t.Errorf("DecodeBinary(update %d) = %+v, %v; want %+v", i, back, err, u)
+			t.Errorf("Decode(update %d) = %+v, %v; want %+v", i, back, err, u)
 		}
 	}
 }
 
-// TestDecodeBinaryExact: DecodeBinary reads one whole record, so a cut
+// TestDecodeBinaryExact: Decoder.Decode reads one whole record, so a cut
 // anywhere is io.ErrUnexpectedEOF and any byte after it is refused.
 func TestDecodeBinaryExact(t *testing.T) {
 	b, err := AppendBinary(nil, goldenUpdates()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
+	var d Decoder
 	for cut := 0; cut < len(b); cut++ {
-		if _, err := DecodeBinary(b[:cut]); err != io.ErrUnexpectedEOF {
+		if _, err := d.Decode(b[:cut]); err != io.ErrUnexpectedEOF {
 			t.Fatalf("cut at %d/%d: err = %v, want io.ErrUnexpectedEOF", cut, len(b), err)
 		}
 	}
-	if _, err := DecodeBinary(append(b, 0)); err != errTrailingBytes {
+	if _, err := d.Decode(append(b, 0)); err != errTrailingBytes {
 		t.Fatalf("trailing byte: err = %v, want %v", err, errTrailingBytes)
 	}
 }
@@ -317,5 +320,42 @@ func BenchmarkBinaryRead(b *testing.B) {
 		if _, err := r.Read(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestBinaryReaderAllocs is the stream decoder's allocation budget: its
+// Decoder carves every record's Path and Communities from chunks of a few
+// hundred records' words, so a read allocates ≤ 0.01 times, amortised —
+// reader construction included. Before the chunks it was 2 per record.
+func TestBinaryReaderAllocs(t *testing.T) {
+	const records, budget = 20000, 0.01
+	rng := rand.New(rand.NewSource(3))
+	var buf bytes.Buffer
+	w := NewBinaryWriter(&buf)
+	for i := 0; i < records; i++ {
+		if err := w.Write(randomUpdate(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Flush()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewBinaryReader(bytes.NewReader(buf.Bytes()))
+	n := 0
+	for ; ; n++ {
+		if _, err := r.Read(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n != records {
+		t.Fatalf("read %d records, wrote %d", n, records)
+	}
+	per := float64(after.Mallocs-before.Mallocs) / records
+	t.Logf("%.4f allocations per record", per)
+	if per > budget {
+		t.Fatalf("%.4f allocations per record, budget %v", per, budget)
 	}
 }

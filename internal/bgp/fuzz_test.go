@@ -149,8 +149,10 @@ func FuzzBinaryReader(f *testing.F) {
 }
 
 // FuzzDecodeBinary holds the slice decoder to the stream reader: for any
-// input, DecodeBinary succeeds exactly when a BinaryReader over the same
+// input, Decoder.Decode succeeds exactly when a BinaryReader over the same
 // bytes reads one record and then io.EOF, and both return the same Update.
+// A second decode by the same Decoder must leave the first one's slices
+// as they were: decoded slices never share words.
 func FuzzDecodeBinary(f *testing.F) {
 	for _, u := range fuzzSeedUpdates() {
 		b, err := AppendBinary(nil, u)
@@ -164,7 +166,8 @@ func FuzzDecodeBinary(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeBinary(data)
+		var d Decoder
+		got, err := d.Decode(data)
 		r := NewBinaryReader(bytes.NewReader(data))
 		want, rerr := r.Read()
 		if rerr == nil {
@@ -173,10 +176,23 @@ func FuzzDecodeBinary(f *testing.F) {
 			}
 		}
 		if (err == nil) != (rerr == nil) {
-			t.Fatalf("DecodeBinary error %v, BinaryReader error %v", err, rerr)
+			t.Fatalf("Decode error %v, BinaryReader error %v", err, rerr)
 		}
-		if err == nil && !reflect.DeepEqual(got, want) {
-			t.Fatalf("DecodeBinary %+v, BinaryReader %+v", got, want)
+		if err != nil {
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Decode %+v, BinaryReader %+v", got, want)
+		}
+		again, _ := d.Decode(data)
+		for i := range again.ASPath {
+			again.ASPath[i]++
+		}
+		for i := range again.Communities {
+			again.Communities[i]++
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("a second decode wrote into the first one's slices: %+v", got)
 		}
 	})
 }

@@ -188,9 +188,6 @@ func WriteRIBDump(w io.Writer, rib *RIB, dumpTime int64) error {
 	for _, vp := range peers {
 		for _, p := range rib.Prefixes(vp) {
 			rt, _ := rib.Route(vp, p)
-			if rt == nil {
-				continue
-			}
 			if _, seen := byPrefix[p]; !seen {
 				order = append(order, p)
 			}

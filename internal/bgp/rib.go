@@ -1,7 +1,9 @@
 package bgp
 
 import (
-	"sort"
+	"cmp"
+	"math/bits"
+	"slices"
 
 	"rrr/internal/trie"
 )
@@ -47,16 +49,18 @@ func (k ChangeKind) String() string {
 	return "unknown"
 }
 
-// Change describes the effect of applying one update to a RIB.
+// Change describes the effect of applying one update to a RIB. It holds
+// the routes by value: no pointer into the RIB's tables escapes.
 type Change struct {
 	Kind ChangeKind
 	VP   VPKey
-	// Prev is the route before the update (nil for ChangeNew).
-	Prev *Route
-	// Cur is the route after the update (nil for ChangeWithdrawn).
-	Cur *Route
-	// Update is the update that caused the change.
-	Update Update
+	// HasPrev reports whether the VP held a route for the prefix before
+	// the update; Prev is that route (the zero Route when it held none).
+	HasPrev bool
+	Prev    Route
+	// Cur is the route after the update (the zero Route for
+	// ChangeWithdrawn).
+	Cur Route
 }
 
 // RIB maintains per-VP routing tables: for every vantage point, the current
@@ -71,8 +75,13 @@ type RIB struct {
 	commScratch Communities
 }
 
+// vpTable is one VP's routes, keyed by trie.Prefix.Key. lens counts the
+// routes of each prefix length and present has bit l set while lens[l] is
+// non-zero, so a longest-prefix match probes only the lengths present.
 type vpTable struct {
-	trie trie.Trie[*Route]
+	routes  map[uint64]Route
+	lens    [33]int32
+	present uint64
 }
 
 // NewRIB returns an empty RIB.
@@ -81,79 +90,99 @@ func NewRIB() *RIB {
 }
 
 // Apply ingests one update and returns the classified change. Withdrawals
-// for unknown routes return a Change with Kind ChangeWithdrawn and nil Prev.
+// for unknown routes return a Change with Kind ChangeWithdrawn and no Prev.
+// A duplicate or a withdrawal allocates nothing; a changed AS path or
+// community set allocates its one new slice. The table never aliases the
+// update's slices: they stay the caller's.
 func (r *RIB) Apply(u Update) Change {
 	vp := VPKey{PeerIP: u.PeerIP, PeerAS: u.PeerAS}
 	tbl := r.tables[vp]
 	if tbl == nil {
-		tbl = &vpTable{}
+		tbl = &vpTable{routes: make(map[uint64]Route)}
 		r.tables[vp] = tbl
 	}
-	prev, _ := tbl.trie.Get(u.Prefix)
+	key := u.Prefix.Key()
+	prev, had := tbl.routes[key]
 
 	if u.Type == Withdraw {
-		if prev != nil {
-			tbl.trie.Delete(u.Prefix)
+		if had {
+			delete(tbl.routes, key)
+			tbl.count(u.Prefix.Len, -1)
 		}
-		return Change{Kind: ChangeWithdrawn, VP: vp, Prev: prev, Update: u}
+		return Change{Kind: ChangeWithdrawn, VP: vp, HasPrev: had, Prev: prev}
 	}
 
-	cur := &Route{
-		Prefix:  u.Prefix,
-		MED:     u.MED,
-		Updated: u.Time,
-	}
-	// Routes are immutable once inserted, so an unchanged attribute can
-	// alias the previous route's slice instead of cloning the update's.
-	samePath := prev != nil && prev.ASPath.Equal(u.ASPath)
+	cur := Route{MED: u.MED, Updated: u.Time}
+	// The table never writes into a route's slices, so an unchanged
+	// attribute shares the previous route's slice instead of cloning the
+	// update's.
+	samePath := had && prev.ASPath.Equal(u.ASPath)
 	if samePath {
 		cur.ASPath = prev.ASPath
 	} else {
 		cur.ASPath = u.ASPath.Clone()
 	}
 	r.commScratch = NormalizeCommunities(append(r.commScratch[:0], u.Communities...))
-	sameComms := prev != nil && prev.Communities.Equal(r.commScratch)
-	if sameComms {
+	sameComms := had && prev.Communities.Equal(r.commScratch)
+	switch {
+	case sameComms:
 		cur.Communities = prev.Communities
-	} else {
-		cur.Communities = NormalizeCommunities(u.Communities.Clone())
+	case u.Communities != nil:
+		cur.Communities = append(make(Communities, 0, len(r.commScratch)), r.commScratch...)
 	}
-	tbl.trie.Insert(u.Prefix, cur)
+	tbl.routes[key] = cur
 
 	switch {
-	case prev == nil:
-		return Change{Kind: ChangeNew, VP: vp, Cur: cur, Update: u}
+	case !had:
+		tbl.count(u.Prefix.Len, 1)
+		return Change{Kind: ChangeNew, VP: vp, Cur: cur}
 	case !samePath:
-		return Change{Kind: ChangeASPath, VP: vp, Prev: prev, Cur: cur, Update: u}
+		return Change{Kind: ChangeASPath, VP: vp, HasPrev: true, Prev: prev, Cur: cur}
 	case !sameComms:
-		return Change{Kind: ChangeCommunities, VP: vp, Prev: prev, Cur: cur, Update: u}
+		return Change{Kind: ChangeCommunities, VP: vp, HasPrev: true, Prev: prev, Cur: cur}
 	default:
-		return Change{Kind: ChangeDuplicate, VP: vp, Prev: prev, Cur: cur, Update: u}
+		return Change{Kind: ChangeDuplicate, VP: vp, HasPrev: true, Prev: prev, Cur: cur}
+	}
+}
+
+// count adds d to the number of routes of prefix length l.
+func (t *vpTable) count(l uint8, d int32) {
+	t.lens[l] += d
+	if t.lens[l] == 0 {
+		t.present &^= 1 << l
+	} else {
+		t.present |= 1 << l
 	}
 }
 
 // Route returns vp's current route for the exact prefix.
-func (r *RIB) Route(vp VPKey, p trie.Prefix) (*Route, bool) {
+func (r *RIB) Route(vp VPKey, p trie.Prefix) (Route, bool) {
 	tbl := r.tables[vp]
 	if tbl == nil {
-		return nil, false
+		return Route{}, false
 	}
-	return tbl.trie.Get(p)
+	rt, ok := tbl.routes[p.Key()]
+	return rt, ok
 }
 
-// Lookup returns vp's most specific route covering ip, mirroring the
-// "find the most specific prefix advertised by each BGP vantage point"
-// step of §4.1.1.
-func (r *RIB) Lookup(vp VPKey, ip uint32) (*Route, bool) {
+// Lookup returns vp's most specific route covering ip and its prefix,
+// mirroring the "find the most specific prefix advertised by each BGP
+// vantage point" step of §4.1.1. It probes the prefix lengths the table
+// holds, longest first.
+func (r *RIB) Lookup(vp VPKey, ip uint32) (trie.Prefix, Route, bool) {
 	tbl := r.tables[vp]
 	if tbl == nil {
-		return nil, false
+		return trie.Prefix{}, Route{}, false
 	}
-	rt, ok := tbl.trie.Lookup(ip)
-	if !ok || rt == nil {
-		return nil, false
+	for m := tbl.present; m != 0; {
+		l := uint8(63 - bits.LeadingZeros64(m))
+		m &^= 1 << l
+		p := trie.MakePrefix(ip, l)
+		if rt, ok := tbl.routes[p.Key()]; ok {
+			return p, rt, true
+		}
 	}
-	return rt, true
+	return trie.Prefix{}, Route{}, false
 }
 
 // VPs returns all vantage points present in the RIB, sorted for determinism.
@@ -162,11 +191,11 @@ func (r *RIB) VPs() []VPKey {
 	for vp := range r.tables {
 		out = append(out, vp)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].PeerIP != out[j].PeerIP {
-			return out[i].PeerIP < out[j].PeerIP
+	slices.SortFunc(out, func(a, b VPKey) int {
+		if c := cmp.Compare(a.PeerIP, b.PeerIP); c != 0 {
+			return c
 		}
-		return out[i].PeerAS < out[j].PeerAS
+		return cmp.Compare(a.PeerAS, b.PeerAS)
 	})
 	return out
 }
@@ -176,11 +205,21 @@ func (r *RIB) VPs() []VPKey {
 // far and may indicate misconfiguration or blackholing (paper §4.1.1).
 func FilterTooSpecific(p trie.Prefix) bool { return p.Len > 24 }
 
-// Prefixes returns all prefixes vp currently holds routes for, sorted.
+// Prefixes returns all prefixes vp currently holds routes for, sorted by
+// address, then length.
 func (r *RIB) Prefixes(vp VPKey) []trie.Prefix {
 	tbl := r.tables[vp]
 	if tbl == nil {
 		return nil
 	}
-	return tbl.trie.Prefixes()
+	keys := make([]uint64, 0, len(tbl.routes))
+	for k := range tbl.routes {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	out := make([]trie.Prefix, len(keys))
+	for i, k := range keys {
+		out[i] = trie.KeyPrefix(k)
+	}
+	return out
 }

@@ -8,7 +8,7 @@ package bgp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -177,16 +177,10 @@ func parsePath(s string) (Path, error) {
 type Communities []Community
 
 // NormalizeCommunities sorts and deduplicates a community set in place and
-// returns it.
+// returns it. It allocates nothing: RIB.Apply runs it on every update.
 func NormalizeCommunities(cs Communities) Communities {
-	sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
-	out := cs[:0]
-	for i, c := range cs {
-		if i == 0 || c != cs[i-1] {
-			out = append(out, c)
-		}
-	}
-	return out
+	slices.Sort(cs)
+	return slices.Compact(cs)
 }
 
 // Equal reports whether two normalized community sets are identical.
@@ -274,9 +268,10 @@ type Update struct {
 }
 
 // Route is the state a VP holds for a prefix: the attributes from the most
-// recent announcement.
+// recent announcement. A RIB stores routes by value under their prefix and
+// never writes into a route's slices, so a copy stays valid after the
+// route is replaced.
 type Route struct {
-	Prefix      trie.Prefix
 	ASPath      Path
 	Communities Communities
 	MED         uint32

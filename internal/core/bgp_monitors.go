@@ -157,13 +157,13 @@ func (s *shard) registerBGPMonitors(en *corpus.Entry) {
 	type vpInfo struct {
 		vp    bgp.VPKey
 		pf    vpPrefix
-		rt    *bgp.Route
 		path  bgp.Path
+		comms bgp.Communities
 		first int // τ hop index of first intersection, -1 if none
 	}
 	var infos []vpInfo
 	for _, vp := range vps {
-		rt, ok := s.eng.rib.Lookup(vp, en.Key.Dst)
+		pf, rt, ok := s.eng.rib.Lookup(vp, en.Key.Dst)
 		if !ok {
 			continue
 		}
@@ -176,7 +176,7 @@ func (s *shard) registerBGPMonitors(en *corpus.Entry) {
 			}
 		}
 		infos = append(infos, vpInfo{
-			vp: vp, pf: vpPrefix{vp: vp, pf: rt.Prefix}, rt: rt, path: path, first: first,
+			vp: vp, pf: vpPrefix{vp: vp, pf: pf}, path: path, comms: rt.Communities, first: first,
 		})
 	}
 
@@ -311,7 +311,7 @@ func (s *shard) registerBGPMonitors(en *corpus.Entry) {
 			continue
 		}
 		states = append(states, vpCommState{
-			cell: sh.cellFor(in.pf), baseline: in.rt.Communities, atBase: true,
+			cell: sh.cellFor(in.pf), baseline: in.comms, atBase: true,
 		})
 		for _, as := range en.ASPath[j:] {
 			if _, ok := cm.relevant[as]; !ok {

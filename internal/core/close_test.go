@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"rrr/internal/anomaly"
 	"rrr/internal/bgp"
@@ -230,25 +231,31 @@ func TestSleepingMonitorsMatchPinned(t *testing.T) {
 	}
 }
 
-// checkCellRoutes fails unless every fold cell's cached route is the RIB's
-// current route for its (VP, prefix), and every community state's
-// at-baseline bit and every monitor's off-baseline count agree with it.
+// sameSlice reports whether a and b are the same slice: one backing array,
+// one length. Equal contents in another array would not do: the cell must
+// hold the RIB's route, not a copy that happens to match it.
+func sameSlice[E any](a, b []E) bool {
+	return unsafe.SliceData(a) == unsafe.SliceData(b) && len(a) == len(b)
+}
+
+// checkCellRoutes fails unless every fold cell caches the RIB's current
+// route for its (VP, prefix) — whether there is one, and the very path and
+// community slices the RIB holds — and every community state's at-baseline
+// bit and every monitor's off-baseline count agree with it.
 func checkCellRoutes(t *testing.T, e *Engine, when string) {
 	t.Helper()
 	for pf, c := range e.sh.cells {
 		rt, ok := e.rib.Route(pf.vp, pf.pf)
-		if !ok {
-			rt = nil
-		}
-		if c.route != rt {
-			t.Fatalf("%s: cell %v caches route %v, the RIB holds %v", when, pf, c.route, rt)
+		if c.routed != ok || !sameSlice(c.path, rt.ASPath) || !sameSlice(c.comms, rt.Communities) {
+			t.Fatalf("%s: cell %v caches route %v (path %v, communities %v), the RIB holds %v (%+v)",
+				when, pf, c.routed, c.path, c.comms, ok, rt)
 		}
 	}
 	for _, s := range e.shards {
 		for k, cm := range s.comms {
 			off := 0
 			for _, st := range cm.group.overlap {
-				at := st.cell.route != nil && st.cell.route.Communities.Equal(st.baseline)
+				at := st.cell.routed && st.cell.comms.Equal(st.baseline)
 				if at != st.atBase {
 					t.Fatalf("%s: pair %v VP %v atBase=%v, route says %v", when, k, st.cell.pf.vp, st.atBase, at)
 				}
@@ -292,7 +299,7 @@ func TestCellRouteCache(t *testing.T) {
 
 	withdraw("5.0.0.9", 5, "4.0.0.0/8")
 	closeAndCheck("withdrawal")
-	if c := te.e.sh.cells[vpPrefix{vp: bgp.VPKey{PeerIP: mustIP(t, "5.0.0.9"), PeerAS: 5}, pf: pfx(t, "4.0.0.0/8")}]; c == nil || c.route != nil {
+	if c := te.e.sh.cells[vpPrefix{vp: bgp.VPKey{PeerIP: mustIP(t, "5.0.0.9"), PeerAS: 5}, pf: pfx(t, "4.0.0.0/8")}]; c == nil || c.routed || c.path != nil {
 		t.Fatal("the withdrawn route's cell still holds a route")
 	}
 

@@ -276,24 +276,26 @@ type vpCell struct {
 	// nil otherwise: linked by observeBGPChange (or at creation, for a pair
 	// registered mid-window), unlinked by resetWindow.
 	win *vpWindowState
-	// route is the VP's table route for the prefix as of the last close
-	// (nil when it has none): read when the cell is created, re-read by
-	// closeShared for every cell the window touched. Every RIB change is
-	// folded through observeBGPChange, which links the cell, and RIB routes
-	// are immutable, so the close reads routes here, never the RIB.
-	route *bgp.Route
+	// routed, path and comms are the VP's table route for the prefix as of
+	// the last close (routed is false when it has none), reduced to the
+	// two attributes the close reads: read when the cell is created,
+	// re-read by closeShared for every cell the window touched. Every RIB
+	// change is folded through observeBGPChange, which links the cell, and
+	// the RIB never writes into a route's slices, so the close reads routes
+	// here, never the RIB.
+	routed bool
+	path   bgp.Path
+	comms  bgp.Communities
 }
 
 // dup reports whether the VP emitted a duplicate update for the prefix in
 // the open window.
 func (c *vpCell) dup() bool { return c.win != nil && c.win.dup }
 
-// readRoute points the cell at the VP's current table route.
+// readRoute caches the VP's current table route in the cell.
 func (c *vpCell) readRoute(rib *bgp.RIB) {
-	c.route = nil
-	if rt, ok := rib.Route(c.pf.vp, c.pf.pf); ok {
-		c.route = rt
-	}
+	rt, ok := rib.Route(c.pf.vp, c.pf.pf)
+	c.routed, c.path, c.comms = ok, rt.ASPath, rt.Communities
 }
 
 type vpWindowState struct {

@@ -635,7 +635,7 @@ func (sh *sharedState) fanBurst(bs *burstSeries, dups int, ws int64, commChanged
 				if es.outlierWin != ws {
 					continue
 				}
-				if rt := c.route; rt != nil && rt.ASPath.Contains(es.ak) {
+				if c.path.Contains(es.ak) {
 					explained = true
 					break
 				}
@@ -683,10 +683,7 @@ func (as *aspSeries) step(dirty bool) bool {
 		}
 		// Refresh the cache to the current table route for the following
 		// windows.
-		var ni, nm int
-		if rt := slot.cell.route; rt != nil {
-			ni, nm = as.contribution(rt.ASPath)
-		}
+		ni, nm := as.contribution(slot.cell.path)
 		as.quietI += ni - slot.ci
 		as.quietM += nm - slot.cm
 		slot.ci, slot.cm = ni, nm
@@ -710,7 +707,7 @@ func (sh *sharedState) markCommBaselines() {
 	for _, c := range sh.touched {
 		for _, g := range sh.commByVP[c.pf] {
 			st := g.state(c.pf.vp)
-			at := c.route != nil && c.route.Communities.Equal(st.baseline)
+			at := c.routed && c.comms.Equal(st.baseline)
 			switch {
 			case at && !st.atBase:
 				g.offBase--
@@ -808,8 +805,8 @@ func (g *commGroup) communityOnOtherVP(except bgp.VPKey, c bgp.Community) bool {
 		var comms bgp.Communities
 		if ws := st.cell.win; ws != nil && ws.startOK {
 			comms = ws.startComms
-		} else if rt := st.cell.route; rt != nil {
-			comms = rt.Communities
+		} else {
+			comms = st.cell.comms
 		}
 		for _, have := range comms {
 			if have == c {

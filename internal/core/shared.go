@@ -117,7 +117,7 @@ func (sh *sharedState) observeBGPChange(u bgp.Update, c bgp.Change) {
 		} else {
 			st = &vpWindowState{}
 		}
-		if c.Prev != nil {
+		if c.HasPrev {
 			st.startPath = c.Prev.ASPath
 			st.startComms = c.Prev.Communities
 			st.startOK = true
@@ -135,12 +135,8 @@ func (sh *sharedState) observeBGPChange(u bgp.Update, c bgp.Change) {
 		st.paths = append(st.paths, c.Cur.ASPath)
 	case bgp.ChangeCommunities:
 		st.paths = append(st.paths, c.Cur.ASPath)
-		prev := bgp.Communities(nil)
-		if c.Prev != nil {
-			prev = c.Prev.Communities
-		}
 		sh.winComms = append(sh.winComms, commEvent{
-			vp: c.VP, prefix: u.Prefix, prev: prev,
+			vp: c.VP, prefix: u.Prefix, prev: c.Prev.Communities,
 			cur: c.Cur.Communities, time: u.Time,
 		})
 	case bgp.ChangeASPath, bgp.ChangeNew:

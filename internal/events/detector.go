@@ -31,9 +31,11 @@ type Config struct {
 // BlackholeCommunity is RFC 7999's well-known BLACKHOLE community.
 var BlackholeCommunity = bgp.MakeCommunity(65535, 666)
 
-// routeKey identifies one vantage point's route to one prefix.
+// routeKey identifies one vantage point's route to one prefix. A vantage
+// point is a BGP session, (peer IP, peer AS), as in bgp.RIB: two sessions
+// on one IP hold two routes.
 type routeKey struct {
-	peer   uint32
+	vp     bgp.VPKey
 	prefix trie.Prefix
 }
 
@@ -87,7 +89,7 @@ type Detector struct {
 
 type blackholeObs struct {
 	origin bgp.ASN
-	vps    map[uint32]bool
+	vps    map[bgp.VPKey]bool
 }
 
 // traceSigs is one pair's distinct hop sequences in the open window: the
@@ -183,11 +185,10 @@ func (d *Detector) Prime(u bgp.Update) {
 		d.baseline[u.Prefix] = set
 	}
 	set[origin] = true
-	path := u.ASPath.Compact()
-	for i := 1; i+1 < len(path); i++ {
-		d.transit[path[i]] = true
+	for _, as := range interior(u.ASPath) {
+		d.transit[as] = true
 	}
-	d.setRoute(routeKey{peer: u.PeerIP, prefix: u.Prefix}, routeVal{origin: origin})
+	d.setRoute(routeKey{vp: vpOf(u), prefix: u.Prefix}, routeVal{origin: origin})
 	metEventsPrimed.Inc()
 }
 
@@ -229,14 +230,41 @@ func (d *Detector) setRoute(rk routeKey, val routeVal) {
 	}
 }
 
-// TapUpdate ingests one streamed BGP update (rrr.RecordTap).
+// vpOf is the vantage point (BGP session) that sent u.
+func vpOf(u bgp.Update) bgp.VPKey { return bgp.VPKey{PeerIP: u.PeerIP, PeerAS: u.PeerAS} }
+
+// interior returns the hops of p in the interior positions of its
+// compacted form — every hop but the leading and the trailing run of
+// prepends — as a subslice of p, where Compact would allocate. A repeat
+// of an interior hop is harmless to its callers, which ask whether some
+// interior hop is (or mark every one as) transit.
+func interior(p bgp.Path) bgp.Path {
+	if len(p) == 0 {
+		return nil
+	}
+	lo, hi := 1, len(p)-1
+	for lo < len(p) && p[lo] == p[0] {
+		lo++
+	}
+	for hi > lo && p[hi-1] == p[len(p)-1] {
+		hi--
+	}
+	if lo >= hi {
+		return nil
+	}
+	return p[lo:hi]
+}
+
+// TapUpdate ingests one streamed BGP update (rrr.RecordTap). On a route
+// the detector already holds, announced again in a window that has seen
+// its prefix, it allocates nothing.
 func (d *Detector) TapUpdate(u bgp.Update) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	metEventsUpdates.Inc()
 	d.winChurn[u.Prefix]++
 	d.winTouched[u.Prefix] = true
-	rk := routeKey{peer: u.PeerIP, prefix: u.Prefix}
+	rk := routeKey{vp: vpOf(u), prefix: u.Prefix}
 	if u.Type == bgp.Withdraw {
 		d.setRoute(rk, routeVal{})
 		return
@@ -245,11 +273,10 @@ func (d *Detector) TapUpdate(u bgp.Update) {
 		return
 	}
 	origin := u.ASPath.Origin()
-	path := u.ASPath.Compact()
 	var leaker bgp.ASN
-	for i := 1; i+1 < len(path); i++ {
-		if !d.transit[path[i]] {
-			leaker = path[i]
+	for _, as := range interior(u.ASPath) {
+		if !d.transit[as] {
+			leaker = as
 			break
 		}
 	}
@@ -266,10 +293,10 @@ func (d *Detector) TapUpdate(u bgp.Update) {
 		if c == BlackholeCommunity {
 			obs := d.winBlackhole[u.Prefix]
 			if obs == nil {
-				obs = &blackholeObs{origin: origin, vps: make(map[uint32]bool)}
+				obs = &blackholeObs{origin: origin, vps: make(map[bgp.VPKey]bool)}
 				d.winBlackhole[u.Prefix] = obs
 			}
-			obs.vps[u.PeerIP] = true
+			obs.vps[rk.vp] = true
 			break
 		}
 	}

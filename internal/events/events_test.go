@@ -1,7 +1,9 @@
 package events
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -400,5 +402,89 @@ func TestTruthMatchesWindowPadding(t *testing.T) {
 	ev.AS = 8
 	if tr.Matches(ev, 900) {
 		t.Error("AS mismatch matched")
+	}
+}
+
+// TestSessionsSharingAnIP: a vantage point is a BGP session, so two
+// sessions on one peer IP (different peer ASes) hold two routes, as in
+// bgp.RIB. Keyed by IP alone, the second session's announcement replaced
+// the first's: the MOAS below read as a full origin hijack, and the leak
+// vanished when the other session announced a clean path.
+func TestSessionsSharingAnIP(t *testing.T) {
+	P := pfx("20.1.0.0/16")
+	sess := func(as bgp.ASN, path ...bgp.ASN) bgp.Update {
+		u := annc(0xA1, P, path...)
+		u.PeerAS = as
+		return u
+	}
+	for _, tc := range []struct {
+		name   string
+		stream []bgp.Update
+		want   Event
+	}{
+		{
+			name:   "one session's foreign origin is MOAS while the other routes to the baseline",
+			stream: []bgp.Update{sess(100, 100, 200, 400)},
+			want:   Event{Class: HijackMOAS, WindowStart: 900, Prefix: P, AS: 400, VPCount: 1},
+		},
+		{
+			name:   "one session's leak survives the other session's clean announcement",
+			stream: []bgp.Update{sess(100, 100, 400, 200, 300), sess(101, 101, 200, 300)},
+			want:   Event{Class: RouteLeak, WindowStart: 900, Prefix: P, AS: 400, VPCount: 1},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewDetector(Config{WindowSec: 900})
+			d.Prime(sess(100, 100, 200, 300))
+			d.Prime(sess(101, 101, 200, 300))
+			for _, u := range tc.stream {
+				d.TapUpdate(u)
+			}
+			d.TapWindowClose(900)
+			evs := d.Events()
+			if len(evs) != 1 {
+				t.Fatalf("events %+v, want one %v", evs, tc.want.Class)
+			}
+			got := evs[0]
+			got.Detail, got.Score = "", 0
+			if got != tc.want {
+				t.Fatalf("event %+v, want %+v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestInteriorMatchesCompact holds interior to the compacted path it
+// replaces: the same hops in the same order, up to repeats of a hop.
+func TestInteriorMatchesCompact(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 20000; i++ {
+		p := make(bgp.Path, rng.Intn(8))
+		for j := range p {
+			p[j] = bgp.ASN(1 + rng.Intn(3))
+		}
+		var want bgp.Path
+		if c := p.Compact(); len(c) > 2 {
+			want = c[1 : len(c)-1]
+		}
+		got := slices.Compact(slices.Clone(interior(p)))
+		if !slices.Equal(got, want) {
+			t.Fatalf("interior(%v) = %v, want %v", p, interior(p), want)
+		}
+	}
+}
+
+// TestTapUpdateAllocs: re-announcing a route the detector holds, in a
+// window that has already seen its prefix, allocates nothing — the
+// duplicate is the commonest update.
+func TestTapUpdateAllocs(t *testing.T) {
+	P := pfx("20.1.0.0/16")
+	d := NewDetector(Config{WindowSec: 900})
+	u := annc(0xA1, P, 100, 100, 200, 300, 300)
+	u.Communities = bgp.Communities{bgp.MakeCommunity(100, 1)}
+	d.Prime(u)
+	d.TapUpdate(u)
+	if n := testing.AllocsPerRun(1000, func() { d.TapUpdate(u) }); n != 0 {
+		t.Fatalf("TapUpdate on a known route: %v allocations, want 0", n)
 	}
 }

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"testing"
 
+	"rrr/internal/bgp"
 	"rrr/internal/bordermap"
 )
 
@@ -162,5 +165,36 @@ func TestDaemonEnvServicesUnderFeed(t *testing.T) {
 			env.Aliases.RouterOf(ip)
 			env.Geo.LocateCity(ip, 0)
 		}
+	}
+}
+
+// TestQuickScaleRIBDumpPinned pins WriteRIBDump of the QuickScale table
+// dump plus its first 16 windows of updates (withdrawals and duplicates
+// among them) to the bytes the trie-backed RIB wrote, so neither the
+// RIB's prefix order nor its routes can drift.
+func TestQuickScaleRIBDumpPinned(t *testing.T) {
+	const want = "eb4584dd8e10733b32afd98331478cd01c034963bd85701be5e162189f573c5d"
+	sc := QuickScale()
+	env := NewDaemonEnv(sc, 0)
+	rib := bgp.NewRIB()
+	for _, u := range env.Dump {
+		rib.Apply(u)
+	}
+	for {
+		u, err := env.Updates.Read()
+		if err == io.EOF || u.Time >= 16*sc.WindowSec {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rib.Apply(u)
+	}
+	h := sha256.New()
+	if err := bgp.WriteRIBDump(h, rib, 777); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("RIB dump sha256 %s, want %s", got, want)
 	}
 }

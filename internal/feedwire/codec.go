@@ -190,6 +190,8 @@ type FrameReader struct {
 	r       io.Reader
 	hdr     [frameHeaderLen]byte
 	payload []byte
+	// dec carves the Path and Communities of decoded updates.
+	dec bgp.Decoder
 }
 
 // NewFrameReader wraps r.
@@ -224,12 +226,12 @@ func (fr *FrameReader) Read() (Frame, error) {
 	if crc32.Checksum(p, castagnoli) != want {
 		return Frame{}, fmt.Errorf("%w: checksum mismatch", errCorruptFrame)
 	}
-	return decodeFrame(p)
+	return fr.decodeFrame(p)
 }
 
-func decodeFrame(p []byte) (Frame, error) {
+func (fr *FrameReader) decodeFrame(p []byte) (Frame, error) {
 	if wal.IsRecordKind(p[0]) {
-		rec, err := wal.DecodeRecordPayload(p)
+		rec, err := wal.DecodeRecordPayload(&fr.dec, p)
 		if err != nil {
 			return Frame{}, fmt.Errorf("%w: %v", errCorruptFrame, err)
 		}

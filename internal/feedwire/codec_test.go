@@ -67,9 +67,9 @@ func drainFrames(r io.Reader) ([]Frame, error) {
 		if err != nil {
 			return out, err
 		}
-		// The reader reuses its payload buffer; deep-copy the record
-		// pointers' content is unnecessary (DecodeRecordPayload allocates)
-		// but Msg strings are already copies.
+		// The reader reuses its payload buffer, but a decoded record's
+		// slices are carved from chunks it never writes again and Msg
+		// strings are copies, so frames need no deep copy.
 		out = append(out, f)
 	}
 }

@@ -33,6 +33,18 @@ func mask(plen uint8) uint32 {
 	return ^uint32(0) << (32 - plen)
 }
 
+// Key packs the canonical prefix into one integer, addr<<8 | len. A Prefix
+// has padding, so as a map key it takes the field-by-field hash; a Key
+// takes the word hash. Keys order prefixes by address, then length.
+func (p Prefix) Key() uint64 {
+	return uint64(p.Addr&mask(p.Len))<<8 | uint64(p.Len)
+}
+
+// KeyPrefix is Key's inverse.
+func KeyPrefix(k uint64) Prefix {
+	return Prefix{Addr: uint32(k >> 8), Len: uint8(k)}
+}
+
 // Contains reports whether ip falls inside the prefix.
 func (p Prefix) Contains(ip uint32) bool {
 	return ip&mask(p.Len) == p.Addr

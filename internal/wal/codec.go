@@ -117,14 +117,15 @@ func sealFrame(b []byte, start int) []byte {
 // decodePayload parses one checksum-verified payload. Any leftover bytes
 // after the body are corruption (the checksum only proves the payload is
 // what the writer framed, not that the writer framed a whole record), so
-// exact consumption is enforced for both kinds.
-func decodePayload(p []byte) (Record, error) {
+// exact consumption is enforced for both kinds. dec carves the update's
+// Path and Communities.
+func decodePayload(dec *bgp.Decoder, p []byte) (Record, error) {
 	if len(p) == 0 {
 		return Record{}, errors.New("wal: empty record payload")
 	}
 	switch p[0] {
 	case kindUpdate:
-		u, err := bgp.DecodeBinary(p[1:])
+		u, err := dec.Decode(p[1:])
 		if err != nil {
 			return Record{}, fmt.Errorf("wal: decode update record: %w", err)
 		}
@@ -209,8 +210,11 @@ func AppendTraceFrame(dst []byte, t *traceroute.Traceroute) ([]byte, error) {
 }
 
 // DecodeRecordPayload parses one checksum-verified record payload (kind
-// byte + body), enforcing exact consumption.
-func DecodeRecordPayload(p []byte) (Record, error) { return decodePayload(p) }
+// byte + body), enforcing exact consumption. dec carves an update's Path
+// and Communities, as it does for the WAL's own reader.
+func DecodeRecordPayload(dec *bgp.Decoder, p []byte) (Record, error) {
+	return decodePayload(dec, p)
+}
 
 // AppendRecordFrame frames payload (length + CRC32C header, then the
 // payload) onto dst — the WAL's on-disk frame, reused verbatim by the
@@ -264,6 +268,7 @@ func scanSegment(r io.Reader, fn func(Record) error, allowTorn bool) (segScan, e
 
 	var hdr [frameHeaderLen]byte
 	var buf []byte // payload scratch: decodePayload copies out what it keeps
+	var dec bgp.Decoder
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			if err == io.EOF {
@@ -292,7 +297,7 @@ func scanSegment(r io.Reader, fn func(Record) error, allowTorn bool) (segScan, e
 		if crc32.Checksum(payload, castagnoli) != want {
 			return torn(errors.New("wal: record checksum mismatch"))
 		}
-		rec, err := decodePayload(payload)
+		rec, err := decodePayload(&dec, payload)
 		if err != nil {
 			return torn(err)
 		}

@@ -601,7 +601,8 @@ func TestRecordFrameGolden(t *testing.T) {
 		if got := hex.EncodeToString(b[1:]); got != golden[i] || b[0] != 0xee {
 			t.Errorf("frame %d = %s, want %s after the existing byte", i, got, golden[i])
 		}
-		rec, err := DecodeRecordPayload(b[1+frameHeaderLen:])
+		var dec bgp.Decoder
+		rec, err := DecodeRecordPayload(&dec, b[1+frameHeaderLen:])
 		if err != nil || !reflect.DeepEqual(rec, want) {
 			t.Errorf("frame %d decodes to %+v, %v; want %+v", i, rec, err, want)
 		}
