@@ -13,7 +13,8 @@ FUZZ_TARGETS := \
 	internal/server:FuzzStaleFrame \
 	internal/feedwire:FuzzFrameReader \
 	internal/anomaly:FuzzZScoreDegenerate \
-	internal/anomaly:FuzzBitmapDetector
+	internal/anomaly:FuzzBitmapDetector \
+	internal/anomaly:FuzzChooseWindowMin
 
 .PHONY: build test vet fmtcheck race bench fuzz crashtest clustertest chaostest feedtest scenariotest cachetest closetest cmdtest benchtest verify
 
@@ -46,7 +47,8 @@ bench:
 # Short fuzz pass over every entry point that consumes untrusted bytes:
 # the BGP parsers (MRT, binary, and text codecs; path and community
 # parsers), the WAL segment reader, the HTTP pair-key parser, and the
-# router<->worker stale frame; plus the RIB against its reference model.
+# router<->worker stale frame; plus the RIB, the bitmap detector and the
+# window choice against their reference models.
 # Each
 # pkg:Target entry gets FUZZTIME of coverage-guided input on top of its
 # seed corpus. Go allows one -fuzz target per invocation, hence the loop.
@@ -118,12 +120,15 @@ cachetest:
 # differentials, the pinned digest of monitors that sleep through quiet
 # windows, the pinned digest of pairs sharing series across lineages, the
 # fold cells' route cache, the series tables under re-registration churn,
-# the quiet-close allocation budget, the ingest budgets (RIB.Apply,
+# the quiet-close allocation budget, the public-trace intake (the subpath
+# index held to the unfiltered loop, the pinned subpath key, the
+# once-per-bucket window choice over out-of-order buffers and the
+# per-trace allocation budget), the ingest budgets (RIB.Apply,
 # BinaryReader.Read, Detector.TapUpdate and the whole ingest path), and
-# the detectors (Settled, Clone and the flat fast path held to the
-# reference bit for bit).
+# the detectors and window choice (Settled, Clone and the flat fast path
+# held to the reference bit for bit, ChooseWindowMin to the full scan).
 closetest:
-	$(GO) test -race -count=1 ./internal/core -run 'TestShardedMatchesSerial|TestSleepingMonitorsMatchPinned|TestSharedSeriesLineage|TestCellRouteCache|TestReregisterDoesNotLeakCommMonitors|TestQuietCloseAllocs' -v
+	$(GO) test -race -count=1 ./internal/core -run 'TestShardedMatchesSerial|TestSleepingMonitorsMatchPinned|TestSharedSeriesLineage|TestCellRouteCache|TestReregisterDoesNotLeakCommMonitors|TestQuietCloseAllocs|TestSubpathIndexMatchesScan|TestSubpathKeyOf|TestRatioSeriesDecidesOncePerBucket|TestObserveTraceAllocs' -v
 	$(GO) test -race -count=1 ./internal/bgp -run 'TestRIBApplyAllocs|TestBinaryReaderAllocs' -v
 	$(GO) test -race -count=1 ./internal/events -run TestTapUpdateAllocs -v
 	$(GO) test -race -count=1 . -run TestIngestAllocs -v

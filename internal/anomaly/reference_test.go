@@ -535,3 +535,37 @@ func TestBitmapClone(t *testing.T) {
 		}
 	}
 }
+
+// refChooseWindowMin is ChooseWindowMin as it stood before it required
+// ascending times: every rung counts every time into the last 20 windows.
+// It is the reference the walk-back must match on ascending input.
+func refChooseWindowMin(times []int64, now int64, ladder []int64, minPer int) (int64, bool) {
+	if len(ladder) == 0 {
+		ladder = windowLadder
+	}
+	if minPer < 1 {
+		minPer = 1
+	}
+ladderLoop:
+	for _, w := range ladder {
+		endIdx := now / w
+		startIdx := endIdx - MinObservations
+		if startIdx < 0 {
+			continue
+		}
+		var filled [MinObservations]int
+		for _, t := range times {
+			idx := t / w
+			if idx >= startIdx && idx < endIdx {
+				filled[idx-startIdx]++
+			}
+		}
+		for _, f := range filled {
+			if f < minPer {
+				continue ladderLoop
+			}
+		}
+		return w, true
+	}
+	return 0, false
+}

@@ -123,6 +123,11 @@ var windowLadder = []int64{900, 1800, 3600, 7200, 14400, 28800, 43200, 86400}
 // not considered for staleness inference (§4.2.1). Requiring more than one
 // observation per window keeps the per-window ratio from degenerating into
 // single-coin-flip noise.
+//
+// times must be in non-decreasing order. Per rung, the check walks back
+// from the newest time, so it stops at the first window that falls short
+// instead of counting every buffered time; the answer depends only on the
+// multiset of times.
 func ChooseWindowMin(times []int64, now int64, ladder []int64, minPer int) (int64, bool) {
 	if len(ladder) == 0 {
 		ladder = windowLadder
@@ -130,26 +135,33 @@ func ChooseWindowMin(times []int64, now int64, ladder []int64, minPer int) (int6
 	if minPer < 1 {
 		minPer = 1
 	}
-ladderLoop:
 	for _, w := range ladder {
 		endIdx := now / w
 		startIdx := endIdx - MinObservations
-		if startIdx < 0 {
-			continue
+		if startIdx >= 0 && windowsFilled(times, w, startIdx, endIdx, minPer) {
+			return w, true
 		}
-		var filled [MinObservations]int
-		for _, t := range times {
-			idx := t / w
-			if idx >= startIdx && idx < endIdx {
-				filled[idx-startIdx]++
-			}
-		}
-		for _, f := range filled {
-			if f < minPer {
-				continue ladderLoop
-			}
-		}
-		return w, true
 	}
 	return 0, false
+}
+
+// windowsFilled reports whether every w-second window with index in
+// [startIdx, endIdx) holds at least minPer (≥ 1) of the ascending times.
+// Truncated division keeps t/w non-decreasing in t, so the times of one
+// window are contiguous and a window with no time shows as a jump.
+func windowsFilled(times []int64, w, startIdx, endIdx int64, minPer int) bool {
+	j := len(times) - 1
+	for j >= 0 && times[j]/w >= endIdx {
+		j--
+	}
+	for idx := endIdx - 1; idx >= startIdx; idx-- {
+		n := 0
+		for ; j >= 0 && times[j]/w == idx; j-- {
+			n++
+		}
+		if n < minPer {
+			return false
+		}
+	}
+	return true
 }

@@ -11,8 +11,12 @@ import (
 )
 
 // benchEnv builds an engine with many synthetic corpus pairs sharing a
-// destination block, the hot shape of the experiment runs.
-func benchEnv(b testing.TB, shards, pairs int) *Engine {
+// destination block, the hot shape of the experiment runs. With fan 0
+// every pair crosses the same borders 2.0.0.1 → 3.0.0.1 → 4.0.0.2; with
+// fan > 0, pair i crosses from 2.0.0.1 into the (i mod fan)-th of fan
+// distinct 3.x → 4.x far sides, so 2·fan subpath monitors share the start
+// anchor 2.0.0.1.
+func benchEnv(b testing.TB, shards, pairs, fan int) *Engine {
 	b.Helper()
 	cfg := DefaultConfig()
 	cfg.IXPBootstrapSec = 0
@@ -37,9 +41,13 @@ func benchEnv(b testing.TB, shards, pairs int) *Engine {
 			Src: uint32(1)<<24 | uint32(i+1),
 			Dst: uint32(4)<<24 | uint32(0xc000+i),
 		}
+		g := uint32(0)
+		if fan > 0 {
+			g = uint32(i % fan)
+		}
 		for h, ip := range []uint32{
 			1<<24 | uint32(i+1000),
-			2<<24 | 1, 3<<24 | 1, 4<<24 | 2,
+			2<<24 | 1, 3<<24 | (1 + g), 4<<24 | (2 + g),
 			4<<24 | uint32(0xc000+i),
 		} {
 			tr.Hops = append(tr.Hops, traceroute.Hop{TTL: h + 1, IP: ip})
@@ -60,7 +68,7 @@ func benchEnv(b testing.TB, shards, pairs int) *Engine {
 func BenchmarkEngineQuietWindow(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			e := benchEnv(b, shards, 2000)
+			e := benchEnv(b, shards, 2000, 0)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -75,7 +83,7 @@ func BenchmarkEngineQuietWindow(b *testing.B) {
 func BenchmarkEngineBusyWindow(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			e := benchEnv(b, shards, 2000)
+			e := benchEnv(b, shards, 2000, 0)
 			pfx, _ := trie.ParsePrefix("4.0.0.0/8")
 			for i := 0; i < 30; i++ {
 				e.CloseWindow(int64(i) * 900)
@@ -98,7 +106,7 @@ func BenchmarkEngineBusyWindow(b *testing.B) {
 
 // BenchmarkEngineRegistration measures corpus on-boarding cost.
 func BenchmarkEngineRegistration(b *testing.B) {
-	e := benchEnv(b, 1, 1)
+	e := benchEnv(b, 1, 1, 0)
 	corp := corpus.New(testMapper{}, identityAliases)
 	tr := &traceroute.Traceroute{Src: 1<<24 | 0xffff, Dst: 4<<24 | 0xffff}
 	for h, ip := range []uint32{1<<24 | 7, 2<<24 | 1, 3<<24 | 1, 4<<24 | 2, 4<<24 | 0xffff} {
@@ -115,12 +123,20 @@ func BenchmarkEngineRegistration(b *testing.B) {
 }
 
 // BenchmarkEnginePublicTrace measures public-feed intake, which runs once on
-// the caller's goroutine whatever the shard count.
+// the caller's goroutine whatever the shard count. The fan shape is the
+// one the subpath index filters: each trace meets the 2·21 monitors that
+// share the start anchor 2.0.0.1 but reaches the last anchor of only the
+// two of its own far side, as most monitors a mid-scale trace meets are
+// never intersected.
 func BenchmarkEnginePublicTrace(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			e := benchEnv(b, shards, 500)
-			traces := benchTraces()
+	for _, c := range []struct{ shards, fan int }{{1, 0}, {4, 0}, {1, 21}} {
+		name := fmt.Sprintf("shards=%d", c.shards)
+		if c.fan > 0 {
+			name = fmt.Sprintf("fan=%d", c.fan)
+		}
+		b.Run(name, func(b *testing.B) {
+			e := benchEnv(b, c.shards, 500, c.fan)
+			traces := benchTraces(c.fan)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

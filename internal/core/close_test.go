@@ -335,18 +335,24 @@ func TestCellRouteCache(t *testing.T) {
 }
 
 // TestRatioSeriesDecidesOncePerBucket holds ratioSeries.activate, which
-// asks ChooseWindowMin once per ladder bucket, to the same series asking
-// on every observation: the buffer, and the observation that activates
-// the series, must match at every step — through bursts of thousands of
+// asks ChooseWindowMin once per ladder bucket over sorted times, to the
+// same series asking on every observation with a full scan of the buffer
+// in arrival order: the buffer, and the observation that activates the
+// series, must match at every step — through bursts of thousands of
 // observations in one bucket (so the buffer trims while the answer is
-// remembered), observations out of order, sparse stretches, and a ladder
-// whose rungs share a divisor smaller than its shortest rung.
+// remembered), observations a little out of order, sparse stretches, a
+// ladder whose rungs share a divisor smaller than its shortest rung, and a
+// feed that delivers observations hours late, as a faulted feed does.
 func TestRatioSeriesDecidesOncePerBucket(t *testing.T) {
-	for _, ladder := range [][]int64{nil, {600, 1500, 3000}} {
+	for _, tc := range []struct {
+		ladder []int64
+		late   int
+	}{{nil, 60}, {[]int64{600, 1500, 3000}, 60}, {nil, 20000}} {
+		ladder := tc.ladder
 		cfg := DefaultConfig()
 		cfg.PublicLadder = ladder
 		sh := newSharedState(cfg, nil, bgp.NewRIB())
-		rng := rand.New(rand.NewSource(int64(len(ladder))))
+		rng := rand.New(rand.NewSource(int64(len(ladder) + tc.late)))
 		var got, want ratioSeries
 		tm := int64(5000)
 		trims := 0
@@ -362,7 +368,7 @@ func TestRatioSeriesDecidesOncePerBucket(t *testing.T) {
 			default:
 				tm += 300 // activates on the shortest rung
 			}
-			at := tm - int64(rng.Intn(60)) // a little out of order
+			at := tm - int64(rng.Intn(tc.late)) // out of order
 			match := rng.Intn(2) == 0
 			before := len(got.buf)
 			got.observe(sh, at, match)
@@ -373,40 +379,60 @@ func TestRatioSeriesDecidesOncePerBucket(t *testing.T) {
 			activateEveryTime(&want, sh, at)
 			if (got.series == nil) != (want.series == nil) || len(got.buf) != len(want.buf) ||
 				(len(got.buf) > 0 && got.buf[0] != want.buf[0]) {
-				t.Fatalf("ladder %v, observation %d at %d: activated %v, buffer %d from %v; asking every time: %v, %d from %v",
-					ladder, i, at, got.series != nil, len(got.buf), got.buf[:min(1, len(got.buf))],
+				t.Fatalf("ladder %v, late %d, observation %d at %d: activated %v, buffer %d from %v; asking every time: %v, %d from %v",
+					ladder, tc.late, i, at, got.series != nil, len(got.buf), got.buf[:min(1, len(got.buf))],
 					want.series != nil, len(want.buf), want.buf[:min(1, len(want.buf))])
 			}
 			if i > 200000 {
-				t.Fatalf("ladder %v: no activation in %d observations", ladder, i)
+				t.Fatalf("ladder %v, late %d: no activation in %d observations", ladder, tc.late, i)
 			}
 		}
 		if got.series.WindowSec != want.series.WindowSec {
-			t.Fatalf("ladder %v: window %d, asking every time %d", ladder, got.series.WindowSec, want.series.WindowSec)
+			t.Fatalf("ladder %v, late %d: window %d, asking every time %d", ladder, tc.late, got.series.WindowSec, want.series.WindowSec)
 		}
 		if trims == 0 {
-			t.Fatalf("ladder %v: the buffer never trimmed", ladder)
+			t.Fatalf("ladder %v, late %d: the buffer never trimmed", ladder, tc.late)
 		}
-		t.Logf("ladder %v: %d trims, activated at %d s with %d-s windows", ladder, trims, tm, got.series.WindowSec)
+		if !got.unsorted {
+			t.Fatalf("ladder %v, late %d: the buffer never went out of order", ladder, tc.late)
+		}
+		t.Logf("ladder %v, late %d: %d trims, activated at %d s with %d-s windows", ladder, tc.late, trims, tm, got.series.WindowSec)
 	}
 }
 
-// activateEveryTime is ratioSeries.activate without the bucket memo.
+// activateEveryTime is ratioSeries.activate without the bucket memo and
+// without sorting: it counts the buffer in arrival order, rung by rung,
+// as ChooseWindowMin did before it required ascending times.
 func activateEveryTime(r *ratioSeries, sh *sharedState, now int64) {
 	if len(r.buf) < 2*anomaly.MinObservations {
 		return
 	}
-	times := make([]int64, 0, len(r.buf))
-	for _, o := range r.buf {
-		times = append(times, o.t)
+	ladder := sh.cfg.PublicLadder
+	if len(ladder) == 0 {
+		ladder = []int64{900, 1800, 3600, 7200, 14400, 28800, 43200, 86400}
 	}
-	w, ok := anomaly.ChooseWindowMin(times, now, sh.cfg.PublicLadder, 2)
-	if !ok {
-		if len(r.buf) > 4096 {
-			r.buf = r.buf[len(r.buf)-2048:]
+rungs:
+	for _, w := range ladder {
+		startIdx := now/w - anomaly.MinObservations
+		if startIdx < 0 {
+			continue
 		}
+		var filled [anomaly.MinObservations]int
+		for _, o := range r.buf {
+			if k := o.t/w - startIdx; k >= 0 && k < anomaly.MinObservations {
+				filled[k]++
+			}
+		}
+		for _, f := range filled {
+			if f < 2 {
+				continue rungs
+			}
+		}
+		r.series = &anomaly.WindowedSeries{WindowSec: w, Det: anomaly.NewZScore()}
+		r.buf = nil
 		return
 	}
-	r.series = &anomaly.WindowedSeries{WindowSec: w, Det: anomaly.NewZScore()}
-	r.buf = nil
+	if len(r.buf) > 4096 {
+		r.buf = r.buf[len(r.buf)-2048:]
+	}
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rrr/internal/bgp"
@@ -213,7 +215,7 @@ func TestFoldCellsOnlyForWatchedPairs(t *testing.T) {
 // quiet for more than its Lead+Lag windows, so no monitor is awake.
 func TestQuietCloseAllocs(t *testing.T) {
 	for _, shards := range []int{1, 2} {
-		e := benchEnv(t, shards, 2000)
+		e := benchEnv(t, shards, 2000, 0)
 		ws := int64(0)
 		for ; ws < 41*900; ws += 900 {
 			e.CloseWindow(ws)
@@ -235,10 +237,11 @@ func TestQuietCloseAllocs(t *testing.T) {
 
 // TestObserveTraceAllocs is the allocation budget of one public traceroute
 // in steady state: the patched hops, the IP path and the border path live
-// in engine-owned scratch. The cloning path read 9.
+// in engine-owned scratch, and the subpath and border-router loops walk
+// slices. The cloning path read 9.
 func TestObserveTraceAllocs(t *testing.T) {
-	e := benchEnv(t, 1, 500)
-	traces := benchTraces()
+	e := benchEnv(t, 1, 500, 0)
+	traces := benchTraces(0)
 	for i := 0; i < 4*len(traces); i++ {
 		e.ObservePublicTrace(traces[i%len(traces)])
 	}
@@ -248,14 +251,140 @@ func TestObserveTraceAllocs(t *testing.T) {
 		i++
 	})
 	t.Logf("%.2f allocations per public traceroute", per)
-	if per > 2 {
-		t.Errorf("%.2f allocations per public traceroute, budget 2", per)
+	if per > 0 {
+		t.Errorf("%.2f allocations per public traceroute, budget 0", per)
+	}
+}
+
+// subObserve is one observe call of matchSubpaths.
+type subObserve struct {
+	id    int
+	t     int64
+	match bool
+}
+
+// TestSubpathIndexMatchesScan holds matchSubpaths, which skips a monitor
+// whose last anchor's bit is clear in the path's word, to the loop that
+// runs TraversesVia on every monitor by start: over random paths with
+// holes and repeated IPs, monitors whose last anchor is their start, and
+// IPs chosen to collide in the word, both must make the same observe calls
+// in the same order.
+func TestSubpathIndexMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	// Twelve IPs, each with a partner that sets the same bit.
+	var universe []uint32
+	for len(universe) < 24 {
+		x := rng.Uint32()
+		y := x + 1
+		for ipBit(y) != ipBit(x) {
+			y++
+		}
+		universe = append(universe, x, y)
+	}
+	pick := func() uint32 { return universe[rng.Intn(len(universe))] }
+
+	sh := newSharedState(DefaultConfig(), nil, bgp.NewRIB())
+	for len(sh.subpaths) < 400 {
+		ips := []uint32{pick()}
+		for n := 1 + rng.Intn(3); len(ips) <= n; {
+			if ip := pick(); ip != ips[len(ips)-1] {
+				ips = append(ips, ip)
+			}
+		}
+		if rng.Intn(10) == 0 && len(ips) > 2 {
+			ips[len(ips)-1] = ips[0] // last anchor = start anchor
+		}
+		if key := subpathKeyOf(ips); sh.subpaths[key] == nil {
+			sh.addSubpath(key, ips)
+		}
+	}
+
+	var visits, skipped, collided, observed, matched int
+	for trace := 0; trace < 3000; trace++ {
+		path := make([]uint32, 1+rng.Intn(14))
+		for i := range path {
+			if rng.Intn(8) > 0 {
+				path[i] = pick() // else a hole
+			}
+		}
+		tm := int64(trace) * 60
+
+		var got, want []subObserve
+		sh.matchSubpaths(path, func(mon *subpathMonitor, match bool) {
+			got = append(got, subObserve{mon.id, tm, match})
+		})
+		on := make(map[uint32]bool)
+		var word uint64
+		for _, ip := range path {
+			on[ip] = true
+			word |= ipBit(ip)
+		}
+		for i, ip := range path {
+			if ip == 0 {
+				continue
+			}
+			for _, st := range sh.subByStart[ip] {
+				mon, last := st.mon, st.mon.ips[len(st.mon.ips)-1]
+				visits++
+				switch {
+				case word&ipBit(last) == 0:
+					skipped++
+				case !on[last]:
+					collided++
+				}
+				_, endIdx, via := traceroute.TraversesVia(path[i:], ip, last)
+				if !via {
+					continue
+				}
+				match := matchesSparse(path[i:], mon.ips)
+				if !match && spanHasHole(path[i:], endIdx) {
+					continue
+				}
+				want = append(want, subObserve{mon.id, tm, match})
+				observed++
+				if match {
+					matched++
+				}
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trace %d %x: indexed observe calls %v, scanning every monitor %v", trace, path, got, want)
+		}
+	}
+	t.Logf("%d visits: %d skipped by the word, %d let through by a colliding bit, %d observed (%d matching)",
+		visits, skipped, collided, observed, matched)
+	if skipped == 0 || collided == 0 || matched == 0 || matched == observed {
+		t.Fatal("the random paths do not exercise the filter, a collision, a match and a mismatch")
+	}
+}
+
+// TestSubpathKeyOf pins the subpath key to the fmt form it was built with:
+// hashID("sub:"+key) names the monitor in every subpath signal.
+func TestSubpathKeyOf(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cases := [][]uint32{{0}, {0xffffffff}, {0, 0xffffffff, 0x0a000001}}
+	for i := 0; i < 200; i++ {
+		ips := make([]uint32, 1+rng.Intn(5))
+		for j := range ips {
+			ips[j] = rng.Uint32() >> rng.Intn(32)
+		}
+		cases = append(cases, ips)
+	}
+	for _, ips := range cases {
+		parts := make([]string, len(ips))
+		for i, ip := range ips {
+			parts[i] = fmt.Sprintf("%08x", ip)
+		}
+		if got, want := subpathKeyOf(ips), strings.Join(parts, "-"); got != want {
+			t.Fatalf("subpathKeyOf(%v) = %q, want %q", ips, got, want)
+		}
 	}
 }
 
 // benchTraces is the public feed of the trace benches: 64 traceroutes from
-// outside the corpus crossing the corpus pairs' borders.
-func benchTraces() []*traceroute.Traceroute {
+// outside the corpus crossing the corpus pairs' borders, each through one
+// far side of benchEnv's fan (all through the one far side when fan is 0).
+func benchTraces(fan int) []*traceroute.Traceroute {
 	rng := rand.New(rand.NewSource(1))
 	traces := make([]*traceroute.Traceroute, 64)
 	for i := range traces {
@@ -264,7 +393,11 @@ func benchTraces() []*traceroute.Traceroute {
 			Dst:  4<<24 | uint32(rng.Intn(100)+0xd000),
 			Time: int64(i) * 10,
 		}
-		for h, ip := range []uint32{9<<24 | 2, 2<<24 | 1, 3<<24 | 1, 4<<24 | 2} {
+		g := uint32(0)
+		if fan > 0 {
+			g = uint32(rng.Intn(fan))
+		}
+		for h, ip := range []uint32{9<<24 | 2, 2<<24 | 1, 3<<24 | (1 + g), 4<<24 | (2 + g)} {
 			tr.Hops = append(tr.Hops, traceroute.Hop{TTL: h + 1, IP: ip})
 		}
 		traces[i] = tr

@@ -51,9 +51,9 @@ type sharedState struct {
 	awakeExtras  []*extraSeries
 	closes       int
 
-	// §4.2.1 subpath monitors.
+	// §4.2.1 subpath monitors, indexed by start anchor (see matchSubpaths).
 	subpaths   map[string]*subpathMonitor
-	subByStart map[uint32][]*subpathMonitor
+	subByStart map[uint32][]subStart
 	subSorted  []*subpathMonitor // cache of key-sorted order; nil = dirty
 
 	// §4.2.2 border-router series.
@@ -95,7 +95,7 @@ func newSharedState(cfg Config, geo Geolocator, rib *bgp.RIB) *sharedState {
 		seriesTables: newSeriesTables(),
 		extras:       make(map[extraKey]*extraSeries),
 		subpaths:     make(map[string]*subpathMonitor),
-		subByStart:   make(map[uint32][]*subpathMonitor),
+		subByStart:   make(map[uint32][]subStart),
 		borders:      make(map[borderGroupKey]*borderGroup),
 		ixpMembers:   make(map[int]map[bgp.ASN]bool),
 		ixpObserved:  make(map[int]map[bgp.ASN]bool),
@@ -369,33 +369,9 @@ func (sh *sharedState) borderGroupOf(b bordermap.BorderHop, when int64) (borderG
 // turns each join into per-pair signals by scanning its shards' corpus
 // slices.
 func (sh *sharedState) observeTrace(pt preparedTrace, onJoin func(ixp int, member bgp.ASN, when int64)) {
-	path := pt.path
-
-	// §4.2.1: subpath observations.
-	for i, ip := range path {
-		if ip == 0 {
-			continue
-		}
-		for _, mon := range sh.subByStart[ip] {
-			// Intersect: the trace passes ι_m then later ι_n.
-			_, endIdx, via := traceroute.TraversesVia(path[i:], ip, mon.last)
-			if !via {
-				continue
-			}
-			// Match: the anchors appear in order. Anchors are border
-			// interfaces; intra-domain hops between them may differ
-			// across flows and over time without indicating a border
-			// change (§4.2's interdomain-only rule). A failed match that
-			// could be explained by an unresponsive hop in the span is
-			// unknown — wildcards cannot indicate a change (Appendix A) —
-			// and is dropped.
-			match := matchesSparse(path[i:], mon.ips)
-			if !match && spanHasHole(path[i:], endIdx) {
-				continue
-			}
-			mon.observe(sh, pt.time, match)
-		}
-	}
+	sh.matchSubpaths(pt.path, func(mon *subpathMonitor, match bool) {
+		mon.observe(sh, pt.time, match)
+	})
 
 	// §4.2.2 consumes the border path.
 	if sh.geo != nil {
@@ -413,7 +389,7 @@ func (sh *sharedState) observeTrace(pt preparedTrace, onJoin func(ixp int, membe
 			if grp == nil {
 				continue
 			}
-			for _, rs := range grp.routers {
+			for _, rs := range grp.series {
 				rs.observe(sh, pt.time, rs.router == router)
 			}
 		}
@@ -451,6 +427,71 @@ func (sh *sharedState) observeTrace(pt preparedTrace, onJoin func(ixp int, membe
 			continue
 		}
 		onJoin(b.IXP, member, pt.time)
+	}
+}
+
+// subStart is one subpath monitor in its start anchor's subByStart entry,
+// with what matchSubpaths needs to skip it without following mon: its
+// last anchor ι_n and that anchor's ipBit.
+type subStart struct {
+	last uint32
+	bit  uint64
+	mon  *subpathMonitor
+}
+
+// ipBit maps an IP to one bit of a 64-bit word: the top 6 bits of a
+// multiplicative hash.
+func ipBit(ip uint32) uint64 {
+	return 1 << ((ip * 0x9e3779b1) >> 26)
+}
+
+// addSubpath creates the monitor of a new subpath key and indexes it under
+// its start anchor, after the monitors already registered there.
+func (sh *sharedState) addSubpath(key string, ips []uint32) *subpathMonitor {
+	last := ips[len(ips)-1]
+	mon := &subpathMonitor{id: hashID("sub:" + key), ips: ips}
+	sh.subpaths[key] = mon
+	sh.subByStart[ips[0]] = append(sh.subByStart[ips[0]], subStart{last: last, bit: ipBit(last), mon: mon})
+	sh.subSorted = nil
+	return mon
+}
+
+// matchSubpaths runs §4.2.1's intersect and match steps for one path,
+// calling observe for each subpath monitor it yields an observation for,
+// in path order and then registration order. A monitor whose last anchor's
+// bit is clear in the path's word cannot be in T^intersect (its last
+// anchor is not on the path), so it is skipped before TraversesVia.
+func (sh *sharedState) matchSubpaths(path []uint32, observe func(mon *subpathMonitor, match bool)) {
+	var word uint64
+	for _, ip := range path {
+		word |= ipBit(ip)
+	}
+	for i, ip := range path {
+		if ip == 0 {
+			continue
+		}
+		for _, st := range sh.subByStart[ip] {
+			if word&st.bit == 0 {
+				continue
+			}
+			// Intersect: the trace passes ι_m then later ι_n.
+			_, endIdx, via := traceroute.TraversesVia(path[i:], ip, st.last)
+			if !via {
+				continue
+			}
+			// Match: the anchors appear in order. Anchors are border
+			// interfaces; intra-domain hops between them may differ
+			// across flows and over time without indicating a border
+			// change (§4.2's interdomain-only rule). A failed match that
+			// could be explained by an unresponsive hop in the span is
+			// unknown — wildcards cannot indicate a change (Appendix A) —
+			// and is dropped.
+			match := matchesSparse(path[i:], st.mon.ips)
+			if !match && spanHasHole(path[i:], endIdx) {
+				continue
+			}
+			observe(st.mon, match)
+		}
 	}
 }
 

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 
 	"rrr/internal/anomaly"
 	"rrr/internal/bgp"
@@ -16,9 +16,8 @@ import (
 // Monitors are shared across corpus traceroutes that traverse the same
 // subpath (the sharing that Appendix C's Fig 14 quantifies).
 type subpathMonitor struct {
-	id   int
-	ips  []uint32 // the anchor sequence ι_m..ι_n (hole-free, deduped)
-	last uint32   // ips[len-1], the ι_n endpoint
+	id  int
+	ips []uint32 // the anchor sequence ι_m..ι_n (hole-free, deduped)
 
 	// watchers are the corpus pairs covering this subpath and the border
 	// indices the subpath spans in each.
@@ -32,8 +31,11 @@ type subpathMonitor struct {
 // enough data exists to pick a window size from the ladder; then a modified
 // z-score series activates and the buffer is replayed into it.
 type ratioSeries struct {
-	buf    []subObs
-	series *anomaly.WindowedSeries
+	buf []subObs
+	// unsorted is set once an observation arrives older than the one
+	// before it; activate then sorts the times it hands ChooseWindowMin.
+	unsorted bool
+	series   *anomaly.WindowedSeries
 	// noBucket is the ladder bucket (time / sharedState.ladderStep) of the
 	// last observation for which the buffer could not choose a window,
 	// valid while hasNo.
@@ -61,10 +63,13 @@ type borderGroupKey struct {
 }
 
 // borderGroup tracks which border routers carry traffic between two
-// ⟨AS, city⟩ points, with one ratio series per registered router.
+// ⟨AS, city⟩ points, with one ratio series per registered router: routers
+// finds a router's series, series holds them in registration order for
+// the per-trace loop.
 type borderGroup struct {
 	key     borderGroupKey
 	routers map[int]*borderRouterSeries
+	series  []*borderRouterSeries
 }
 
 type borderRouterSeries struct {
@@ -114,10 +119,7 @@ func (s *shard) registerSubpathMonitors(en *corpus.Entry) {
 		if !ok {
 			// Monitors shared across entries are content-named like
 			// everything else.
-			mon = &subpathMonitor{id: hashID("sub:" + key), ips: ips, last: ips[len(ips)-1]}
-			s.eng.sh.subpaths[key] = mon
-			s.eng.sh.subByStart[ips[0]] = append(s.eng.sh.subByStart[ips[0]], mon)
-			s.eng.sh.subSorted = nil
+			mon = s.eng.sh.addSubpath(key, ips)
 		}
 		mon.watchers = append(mon.watchers, subpathWatcher{key: en.Key, borders: []int{bi}})
 		s.subByKey[en.Key] = append(s.subByKey[en.Key], mon)
@@ -165,15 +167,21 @@ func hasZero(xs []uint32) bool {
 	return false
 }
 
+// subpathKeyOf names a subpath by its anchors as zero-padded lowercase
+// hex joined by '-'. The key is part of the monitor's content name
+// (hashID("sub:"+key)), so its bytes must never change.
 func subpathKeyOf(ips []uint32) string {
-	var b strings.Builder
+	const digits = "0123456789abcdef"
+	b := make([]byte, 0, 9*len(ips))
 	for i, ip := range ips {
 		if i > 0 {
-			b.WriteByte('-')
+			b = append(b, '-')
 		}
-		fmt.Fprintf(&b, "%08x", ip)
+		for shift := 28; shift >= 0; shift -= 4 {
+			b = append(b, digits[ip>>shift&0xf])
+		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // registerBorderMonitors creates (or joins) §4.2.2 monitors: one ratio
@@ -198,6 +206,7 @@ func (s *shard) registerBorderMonitors(en *corpus.Entry) {
 			name := fmt.Sprintf("brs:%d/%d-%d/%d@%d", gk.FromAS, gk.FromC, gk.ToAS, gk.ToC, router)
 			rs = &borderRouterSeries{id: hashID(name), gk: gk, router: router}
 			grp.routers[router] = rs
+			grp.series = append(grp.series, rs)
 			s.eng.sh.borderSorted = nil
 		}
 		rs.watchers = append(rs.watchers, subpathWatcher{key: en.Key, borders: []int{bi}})
@@ -278,6 +287,9 @@ func (r *ratioSeries) observe(sh *sharedState, t int64, match bool) {
 		r.series.Observe(t, boolVal(match))
 		return
 	}
+	if n := len(r.buf); n > 0 && t < r.buf[n-1].t {
+		r.unsorted = true
+	}
 	r.buf = append(r.buf, subObs{t: t, match: match})
 	r.activate(sh, t)
 }
@@ -286,7 +298,9 @@ func (r *ratioSeries) observe(sh *sharedState, t int64, match bool) {
 // to choose a window size per §4.2.1's ladder rule, then replays the
 // buffer. The buffered times reach ChooseWindowMin through the engine's
 // scratch: a monitor can sit between 2*MinObservations and activation for
-// thousands of observations.
+// thousands of observations. ChooseWindowMin wants them ascending, so the
+// scratch copy is sorted when the feed delivered them out of order; the
+// buffer, and its replay into the series, stay in arrival order.
 //
 // A "no" is decided once per ladder bucket. Every rung w is a multiple of
 // ladderStep, so each rung's last window index, now/w, is a function of
@@ -306,6 +320,9 @@ func (r *ratioSeries) activate(sh *sharedState, now int64) {
 	times := sh.times[:0]
 	for _, o := range r.buf {
 		times = append(times, o.t)
+	}
+	if r.unsorted {
+		slices.Sort(times)
 	}
 	sh.times = times
 	w, ok := anomaly.ChooseWindowMin(times, now, sh.cfg.PublicLadder, 2)
