@@ -31,9 +31,9 @@ vet:
 fmtcheck:
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
-# The race detector matters here: the engine's sharded close, Monitor, and
-# Pipeline are concurrent, and the equivalence/concurrency tests only
-# prove their locking under -race.
+# The race detector matters here: Monitor, Pipeline, the server and the
+# cluster are concurrent, and the equivalence/concurrency tests only prove
+# their locking under -race.
 race:
 	$(GO) test -race ./...
 
@@ -99,8 +99,8 @@ feedtest:
 # determinism (byte-identical streams and ground-truth labels, with and
 # without seeded duplicate delivery), the classifier edge-case tables (benign anycast
 # MOAS vs hijack MOAS, self-healing leaks, blackholes), the ground-truth
-# accuracy harness, and the event-surface differential (serial vs sharded
-# vs 3-worker cluster byte-identical on /v1/events and SSE routing frames).
+# accuracy harness, and the event-surface differential (single daemon vs
+# 3-worker cluster byte-identical on /v1/events and SSE routing frames).
 scenariotest:
 	$(GO) test -race -count=1 ./internal/events -v
 	$(GO) test -race -count=1 ./internal/netsim -run TestScenario -v
@@ -116,10 +116,10 @@ cachetest:
 	$(GO) test -race -count=1 ./internal/server -run 'Cache|Allocs|Batch' -v
 	$(GO) test -race -count=1 ./internal/daemon -run TestVerdictCache -v
 
-# Window-close acceptance under the race detector: the serial-vs-sharded
-# differentials, the pinned digest of monitors that sleep through quiet
-# windows, the pinned digest of pairs sharing series across lineages, the
-# fold cells' route cache, the series tables under re-registration churn,
+# Window-close acceptance under the race detector: the pinned serial
+# digests, clean and faulted, and a zero Config held to them; the pinned
+# digest of monitors that sleep through quiet windows, the pinned digest of
+# pairs sharing series across lineages, the fold cells' route cache, the series tables under re-registration churn,
 # the quiet-close allocation budget, the public-trace intake (the subpath
 # index held to the unfiltered loop, the pinned subpath key, the
 # once-per-bucket window choice over out-of-order buffers and the
@@ -128,7 +128,7 @@ cachetest:
 # the detectors and window choice (Settled, Clone and the flat fast path
 # held to the reference bit for bit, ChooseWindowMin to the full scan).
 closetest:
-	$(GO) test -race -count=1 ./internal/core -run 'TestShardedMatchesSerial|TestSleepingMonitorsMatchPinned|TestSharedSeriesLineage|TestCellRouteCache|TestReregisterDoesNotLeakCommMonitors|TestQuietCloseAllocs|TestSubpathIndexMatchesScan|TestSubpathKeyOf|TestRatioSeriesDecidesOncePerBucket|TestObserveTraceAllocs' -v
+	$(GO) test -race -count=1 ./internal/core -run 'TestShardedMatchesSerial|TestZeroConfigMatchesDefault|TestSleepingMonitorsMatchPinned|TestSharedSeriesLineage|TestCellRouteCache|TestReregisterDoesNotLeakCommMonitors|TestQuietCloseAllocs|TestSubpathIndexMatchesScan|TestSubpathKeyOf|TestRatioSeriesDecidesOncePerBucket|TestObserveTraceAllocs' -v
 	$(GO) test -race -count=1 ./internal/bgp -run 'TestRIBApplyAllocs|TestBinaryReaderAllocs' -v
 	$(GO) test -race -count=1 ./internal/events -run TestTapUpdateAllocs -v
 	$(GO) test -race -count=1 . -run TestIngestAllocs -v

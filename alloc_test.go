@@ -19,17 +19,17 @@ import (
 // ingested in them. With cloned traces, unbounded detectors and per-trace
 // maps this read 23.26; on engine-owned scratch 0.63 (signals, buffered
 // series still growing, the close goroutines); with the RIB's value tables
-// and a detector tap that no longer compacts every path it reads 0.59,
-// and the budget is 1.5x that, so a per-record or per-quiet-monitor
-// allocation cannot creep back between benchmark runs.
+// and a detector tap that no longer compacts every path 0.59; with a close
+// that starts no goroutines it reads 0.51, and the budget is 1.5x that, so
+// a per-record or per-quiet-monitor allocation cannot creep back between
+// benchmark runs.
 func TestIngestAllocs(t *testing.T) {
-	const warmup, measured, budget = 8, 24, 0.88
+	const warmup, measured, budget = 8, 24, 0.77
 
 	sc := experiments.QuickScale()
 	env := experiments.NewDaemonEnv(sc, 0)
 	cfg := rrr.DefaultConfig()
 	cfg.WindowSec = sc.WindowSec
-	cfg.Shards = 2
 	mon, err := rrr.NewMonitor(rrr.Options{
 		Config: cfg, Mapper: env.Mapper, Aliases: env.Aliases,
 		Geo: env.Geo, Rel: env.Rel, IXPMembers: env.IXPMembers,

@@ -64,7 +64,6 @@ type options struct {
 	scale        string
 	days         int
 	seed         int64
-	shards       int
 	restore      bool
 	walFsync     string
 	debugAddr    string
@@ -115,7 +114,6 @@ func main() {
 	flag.StringVar(&o.scale, "scale", "quick", "feed scale: quick or paper")
 	flag.IntVar(&o.days, "days", 0, "virtual days of feed before EOF (0 keeps the scale default)")
 	flag.Int64Var(&o.seed, "seed", 0, "simulation seed (0 keeps the scale default)")
-	flag.IntVar(&o.shards, "shards", 0, "engine shards (0 = GOMAXPROCS)")
 	flag.DurationVar(&o.d.Pace, "pace", 0, "wall-clock delay per 15-min virtual window (0 = full speed)")
 	flag.StringVar(&o.d.Server.SnapshotPath, "snapshot", "", "snapshot file path (written on shutdown and POST /v1/snapshot)")
 	flag.BoolVar(&o.restore, "restore", false, "restore corpus and signals from -snapshot at startup")
@@ -152,7 +150,6 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	sc.Shards = o.shards
 	pack, err := parseScenarioPack(o.scenario)
 	if err != nil {
 		return err

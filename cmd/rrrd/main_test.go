@@ -190,7 +190,7 @@ func TestBinary(t *testing.T) {
 		}
 		// flag prints in lexical order.
 		want := "-addr -days -debug-addr -feed-addr -feed-backoff -feed-buffer -feed-policy -feed-retries -feed-stall " +
-			"-max-inflight -pace -partitions -restore -ring -scale -scenario -scenario-seed -seed -shards -snapshot " +
+			"-max-inflight -pace -partitions -restore -ring -scale -scenario -scenario-seed -seed -snapshot " +
 			"-v -wal-dir -wal-fsync -wal-segment-bytes -worker-id -workers"
 		if strings.Join(got, " ") != want {
 			t.Fatalf("flags = %v\nwant    %s", got, want)

@@ -3,9 +3,6 @@ package rrr
 import (
 	"bytes"
 	"context"
-	"fmt"
-	"reflect"
-	"sort"
 	"testing"
 
 	"rrr/internal/bgp"
@@ -97,95 +94,5 @@ func TestMonitorFromMRTArchives(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("MRT-fed pipeline produced no AS-path signal (got %v)", got)
-	}
-}
-
-// TestPipelineShardEquivalence runs the same MRT-fed pipeline (with a
-// public traceroute feed) at several shard counts and requires identical
-// signal streams — the end-to-end form of the sharded-engine guarantee.
-func TestPipelineShardEquivalence(t *testing.T) {
-	aliases := bordermap.OracleFunc(func(v uint32) (int, bool) { return int(v), true })
-	p, _ := ParsePrefix("4.0.0.0/8")
-
-	mkArchive := func(vpIP string, vpAS ASN, paths map[int64][]ASN) []byte {
-		var buf bytes.Buffer
-		w := bgp.NewMRTWriter(&buf)
-		var times []int64
-		for tm := range paths {
-			times = append(times, tm)
-		}
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-		for _, tm := range times {
-			if err := w.Write(Update{
-				Time: tm, PeerIP: ip(t, vpIP), PeerAS: vpAS, Type: bgp.Announce,
-				Prefix: p, ASPath: paths[tm],
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
-	pathsA := map[int64][]ASN{}
-	for w := int64(1); w <= 50; w++ {
-		pathsA[w*900+3] = []ASN{6, 3, 4}
-	}
-	pathsB := map[int64][]ASN{}
-	for w := int64(1); w < 45; w++ {
-		pathsB[w*900+7] = []ASN{5, 2, 3, 4}
-	}
-	for w := int64(45); w <= 50; w++ {
-		pathsB[w*900+7] = []ASN{5, 2, 9, 4}
-	}
-
-	run := func(shards int) []Signal {
-		t.Helper()
-		m, err := NewMonitor(Options{
-			Config: Config{Shards: shards},
-			Mapper: facadeMapper{}, Aliases: aliases,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.ObserveBGP(announceUpd(t, 0, "5.0.0.9", 5, "4.0.0.0/8", []ASN{5, 2, 3, 4}))
-		m.ObserveBGP(announceUpd(t, 0, "6.0.0.9", 6, "4.0.0.0/8", []ASN{6, 3, 4}))
-		// Several pairs so they spread across shards.
-		for i := 1; i <= 6; i++ {
-			tr := trace(t, 0, fmt.Sprintf("1.0.0.%d", i), fmt.Sprintf("4.0.0.%d", 100+i),
-				fmt.Sprintf("1.0.0.%d", 50+i), "2.0.0.1", "3.0.0.1", "4.0.0.2", fmt.Sprintf("4.0.0.%d", 100+i))
-			if err := m.Track(tr); err != nil {
-				t.Fatal(err)
-			}
-		}
-		merged := bgp.NewMerger(
-			bgp.NewMRTSource(bgp.NewMRTReader(bytes.NewReader(mkArchive("6.0.0.9", 6, pathsA)))),
-			bgp.NewMRTSource(bgp.NewMRTReader(bytes.NewReader(mkArchive("5.0.0.9", 5, pathsB)))),
-		)
-		var pubs []*Traceroute
-		for w := int64(1); w <= 50; w++ {
-			pubs = append(pubs, trace(t, w*900+11, "9.0.0.1", "4.0.0.8",
-				"9.0.0.2", "2.0.0.1", "3.0.0.1", "4.0.0.2", "4.0.0.8"))
-		}
-		var got []Signal
-		if err := RunPipeline(context.Background(), m, PipelineConfig{
-			Updates: merged, Traces: NewTraceSliceSource(pubs),
-			Sink: func(s Signal) { got = append(got, s) },
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-
-	want := run(1)
-	if len(want) == 0 {
-		t.Fatal("pipeline produced no signals; equivalence check is vacuous")
-	}
-	for _, shards := range []int{2, 4} {
-		if got := run(shards); !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d stream diverges from serial:\n got  %v\n want %v", shards, got, want)
-		}
 	}
 }

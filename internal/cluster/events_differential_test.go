@@ -100,10 +100,10 @@ func clusterEventsOutputs(t *testing.T, sc experiments.Scale, workers int) event
 }
 
 // TestEventsDifferential extends the byte-identity guarantee to the event
-// surfaces: under a full adversarial scenario pack, the serial engine, a
-// 4-shard engine, and a 3-worker cluster produce byte-identical SSE
-// streams (signals, routing events, and window markers in order) and
-// byte-identical GET/POST /v1/events bodies.
+// surfaces: under a full adversarial scenario pack, a single daemon and a
+// 3-worker cluster produce byte-identical SSE streams (signals, routing
+// events, and window markers in order) and byte-identical GET/POST
+// /v1/events bodies.
 func TestEventsDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("events differential runs two simulated days per topology")
@@ -125,16 +125,6 @@ func TestEventsDifferential(t *testing.T) {
 	if err := json.Unmarshal([]byte(want.query), &got); err != nil || got.Count < 2 {
 		t.Fatalf("POST /v1/events filter matches %d events (err %v); want at least the BGP classes", got.Count, err)
 	}
-
-	t.Run("sharded", func(t *testing.T) {
-		sc := eventsDiffScale()
-		sc.Shards = 4
-		gotOut := singleEventsOutputs(t, sc)
-		diffStrings(t, "GET /v1/events", want.get, gotOut.get)
-		diffStrings(t, "POST /v1/events", want.query, gotOut.query)
-		diffStrings(t, "routing frames", want.routing, gotOut.routing)
-		diffStrings(t, "full stream", want.stream, gotOut.stream)
-	})
 
 	t.Run("cluster-K=3", func(t *testing.T) {
 		gotOut := clusterEventsOutputs(t, eventsDiffScale(), 3)

@@ -16,11 +16,10 @@ import (
 // fan > 0, pair i crosses from 2.0.0.1 into the (i mod fan)-th of fan
 // distinct 3.x → 4.x far sides, so 2·fan subpath monitors share the start
 // anchor 2.0.0.1.
-func benchEnv(b testing.TB, shards, pairs, fan int) *Engine {
+func benchEnv(b testing.TB, pairs, fan int) *Engine {
 	b.Helper()
 	cfg := DefaultConfig()
 	cfg.IXPBootstrapSec = 0
-	cfg.Shards = shards
 	e := NewEngine(cfg, testMapper{}, identityAliases, mapGeo{}, mapRel{})
 	corp := corpus.New(testMapper{}, identityAliases)
 
@@ -62,51 +61,41 @@ func benchEnv(b testing.TB, shards, pairs, fan int) *Engine {
 }
 
 // BenchmarkEngineQuietWindow measures per-window cost with no feed events
-// (the overwhelmingly common case in long runs) at several shard counts
-// (2000 pairs). shards=1 runs the whole close on the benchmark goroutine,
-// the baseline for parallel speedup.
+// (the overwhelmingly common case in long runs) over 2000 pairs.
 func BenchmarkEngineQuietWindow(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			e := benchEnv(b, shards, 2000, 0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.CloseWindow(int64(i) * 900)
-			}
-		})
+	e := benchEnv(b, 2000, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.CloseWindow(int64(i) * 900)
 	}
 }
 
 // BenchmarkEngineBusyWindow measures a window containing a VP path change
-// affecting all monitored pairs, at several shard counts.
+// affecting all 2000 monitored pairs.
 func BenchmarkEngineBusyWindow(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			e := benchEnv(b, shards, 2000, 0)
-			pfx, _ := trie.ParsePrefix("4.0.0.0/8")
-			for i := 0; i < 30; i++ {
-				e.CloseWindow(int64(i) * 900)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				path := bgp.Path{5, 2, 3, 4}
-				if i%2 == 0 {
-					path = bgp.Path{5, 2, 9, 4}
-				}
-				e.ObserveBGP(bgp.Update{
-					Time: int64(30+i) * 900, PeerIP: 5<<24 | 9, PeerAS: 5,
-					Type: bgp.Announce, Prefix: pfx, ASPath: path,
-				})
-				e.CloseWindow(int64(30+i) * 900)
-			}
+	e := benchEnv(b, 2000, 0)
+	pfx, _ := trie.ParsePrefix("4.0.0.0/8")
+	for i := 0; i < 30; i++ {
+		e.CloseWindow(int64(i) * 900)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		path := bgp.Path{5, 2, 3, 4}
+		if i%2 == 0 {
+			path = bgp.Path{5, 2, 9, 4}
+		}
+		e.ObserveBGP(bgp.Update{
+			Time: int64(30+i) * 900, PeerIP: 5<<24 | 9, PeerAS: 5,
+			Type: bgp.Announce, Prefix: pfx, ASPath: path,
 		})
+		e.CloseWindow(int64(30+i) * 900)
 	}
 }
 
 // BenchmarkEngineRegistration measures corpus on-boarding cost.
 func BenchmarkEngineRegistration(b *testing.B) {
-	e := benchEnv(b, 1, 1, 0)
+	e := benchEnv(b, 1, 0)
 	corp := corpus.New(testMapper{}, identityAliases)
 	tr := &traceroute.Traceroute{Src: 1<<24 | 0xffff, Dst: 4<<24 | 0xffff}
 	for h, ip := range []uint32{1<<24 | 7, 2<<24 | 1, 3<<24 | 1, 4<<24 | 2, 4<<24 | 0xffff} {
@@ -122,21 +111,16 @@ func BenchmarkEngineRegistration(b *testing.B) {
 	}
 }
 
-// BenchmarkEnginePublicTrace measures public-feed intake, which runs once on
-// the caller's goroutine whatever the shard count. The fan shape is the
-// one the subpath index filters: each trace meets the 2·21 monitors that
+// BenchmarkEnginePublicTrace measures public-feed intake. The fan=21 shape
+// is the one the subpath index filters: each trace meets the 2·21 monitors that
 // share the start anchor 2.0.0.1 but reaches the last anchor of only the
 // two of its own far side, as most monitors a mid-scale trace meets are
 // never intersected.
 func BenchmarkEnginePublicTrace(b *testing.B) {
-	for _, c := range []struct{ shards, fan int }{{1, 0}, {4, 0}, {1, 21}} {
-		name := fmt.Sprintf("shards=%d", c.shards)
-		if c.fan > 0 {
-			name = fmt.Sprintf("fan=%d", c.fan)
-		}
-		b.Run(name, func(b *testing.B) {
-			e := benchEnv(b, c.shards, 500, c.fan)
-			traces := benchTraces(c.fan)
+	for _, fan := range []int{0, 21} {
+		b.Run(fmt.Sprintf("fan=%d", fan), func(b *testing.B) {
+			e := benchEnv(b, 500, fan)
+			traces := benchTraces(fan)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

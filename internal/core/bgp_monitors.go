@@ -125,7 +125,7 @@ func vpLess(a, b bgp.VPKey) bool {
 
 // vpColocation reports whether a VP shares the traceroute source's AS or
 // city (Table 1 attributes 3-5).
-func (s *shard) vpColocation(vp bgp.VPKey, en *corpus.Entry) (sameAS, sameCity bool) {
+func (s *pairState) vpColocation(vp bgp.VPKey, en *corpus.Entry) (sameAS, sameCity bool) {
 	if srcAS, ok := s.eng.mapper.ASOf(en.Key.Src); ok && srcAS == vp.PeerAS {
 		sameAS = true
 	}
@@ -140,11 +140,11 @@ func (s *shard) vpColocation(vp bgp.VPKey, en *corpus.Entry) (sameAS, sameCity b
 }
 
 // registerBGPMonitors wires a corpus entry into the three BGP techniques:
-// each of the pair's monitors is indexed on the owning shard and subscribes
+// each of the pair's monitors is indexed in the pair state and subscribes
 // to its series in the engine's shared state (see series.go), as the
 // extra-AS series (§4.1.4's exculpation set) are created in or joined from
 // it.
-func (s *shard) registerBGPMonitors(en *corpus.Entry) {
+func (s *pairState) registerBGPMonitors(en *corpus.Entry) {
 	sh := s.eng.sh
 	vps := s.eng.rib.VPs()
 	tauASes := make(map[bgp.ASN]int, len(en.ASPath)) // AS → hop index
@@ -236,7 +236,7 @@ func (s *shard) registerBGPMonitors(en *corpus.Entry) {
 				shared = append(shared, in)
 			}
 		}
-		if len(shared) < s.eng.cfg.MinSuffixVPs {
+		if len(shared) < minSuffixVPs {
 			continue
 		}
 		bm := &burstMonitor{

@@ -196,8 +196,8 @@ func portionChanged(old *corpus.Entry, borders []int, new *corpus.Entry) bool {
 	return false
 }
 
-// evaluateRefresh is Engine.EvaluateRefresh on the shard owning the pair.
-func (s *shard) evaluateRefresh(newEntry *corpus.Entry) (bordermap.ChangeClass, bool) {
+// evaluateRefresh is Engine.EvaluateRefresh under the engine lock.
+func (s *pairState) evaluateRefresh(newEntry *corpus.Entry) (bordermap.ChangeClass, bool) {
 	old, ok := s.entries[newEntry.Key]
 	if !ok {
 		return bordermap.Unchanged, false
@@ -236,7 +236,7 @@ func (s *shard) evaluateRefresh(newEntry *corpus.Entry) (bordermap.ChangeClass, 
 // detector state for a later re-registration: each of its §4.1 monitors
 // leaves its series with the detector as of the last close (see
 // leaveBurst).
-func (s *shard) removePair(k traceroute.Key) {
+func (s *pairState) removePair(k traceroute.Key) {
 	delete(s.entries, k)
 	delete(s.regs, k)
 	delete(s.active, k)
@@ -319,8 +319,8 @@ func bestSignal(sigs []Signal) Signal {
 	return best
 }
 
-// refreshPlan is RefreshPlanDetailed over explicit state: the engine merges
-// its shards' active/registration maps and plans globally. Its outcome
+// refreshPlan is RefreshPlanDetailed over explicit state, which it only
+// reads: the engine passes its own active and registration maps. Its outcome
 // depends only on the map contents, not iteration order: every candidate
 // list is sorted before budget is spent, and every rate sum runs in key
 // order (floating-point addition is not associative, so a sum in map order

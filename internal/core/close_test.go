@@ -21,12 +21,11 @@ import (
 // retired detectors), removed and re-added; then the churn resumes and
 // the quiet stretch repeats. Public traces arrive every window throughout,
 // so the traceroute series keep advancing while BGP is quiet.
-func runSleepWorkload(t *testing.T, shards int) workloadResult {
+func runSleepWorkload(t *testing.T) workloadResult {
 	t.Helper()
 	const w = int64(900)
 	cfg := DefaultConfig()
 	cfg.IXPBootstrapSec = 0
-	cfg.Shards = shards
 	e := NewEngine(cfg, testMapper{}, identityAliases, workloadGeo(), workloadRel())
 	corp := corpus.New(testMapper{}, identityAliases)
 	res := workloadResult{counts: map[Technique]int{}}
@@ -209,7 +208,7 @@ func runSleepWorkload(t *testing.T, shards int) workloadResult {
 
 // sleepDigest is runSleepWorkload's digest, captured at e715fab, whose
 // close stepped every detector in every window; with settled monitors
-// asleep, every shard count must still reproduce it.
+// asleep, the engine must still reproduce it.
 const sleepDigest = "48e9e933a8ff625cf64b9370f96d2fb275f09335a71f15ad5496f502659f3e09"
 
 // TestSleepingMonitorsMatchPinned: a monitor that sleeps through quiet
@@ -218,16 +217,14 @@ const sleepDigest = "48e9e933a8ff625cf64b9370f96d2fb275f09335a71f15ad5496f502659
 // stream, the revocations and the refresh plan exactly as stepping it
 // every window did.
 func TestSleepingMonitorsMatchPinned(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		res := runSleepWorkload(t, shards)
-		for _, tech := range []Technique{TechBGPASPath, TechBGPCommunity, TechBGPBurst} {
-			if res.counts[tech] == 0 {
-				t.Errorf("shards=%d: no %v signals; the workload is too weak", shards, tech)
-			}
+	res := runSleepWorkload(t)
+	for _, tech := range []Technique{TechBGPASPath, TechBGPCommunity, TechBGPBurst} {
+		if res.counts[tech] == 0 {
+			t.Errorf("no %v signals; the workload is too weak", tech)
 		}
-		if got := res.digest(); got != sleepDigest {
-			t.Errorf("shards=%d: digest %s, want %s", shards, got, sleepDigest)
-		}
+	}
+	if got := res.digest(); got != sleepDigest {
+		t.Errorf("digest %s, want %s", got, sleepDigest)
 	}
 }
 
@@ -251,32 +248,30 @@ func checkCellRoutes(t *testing.T, e *Engine, when string) {
 				when, pf, c.routed, c.path, c.comms, ok, rt)
 		}
 	}
-	for _, s := range e.shards {
-		for k, cm := range s.comms {
-			off := 0
-			for _, st := range cm.group.overlap {
-				at := st.cell.routed && st.cell.comms.Equal(st.baseline)
-				if at != st.atBase {
-					t.Fatalf("%s: pair %v VP %v atBase=%v, route says %v", when, k, st.cell.pf.vp, st.atBase, at)
-				}
-				if !at {
-					off++
-				}
+	for k, cm := range e.comms {
+		off := 0
+		for _, st := range cm.group.overlap {
+			at := st.cell.routed && st.cell.comms.Equal(st.baseline)
+			if at != st.atBase {
+				t.Fatalf("%s: pair %v VP %v atBase=%v, route says %v", when, k, st.cell.pf.vp, st.atBase, at)
 			}
-			if off != cm.group.offBase {
-				t.Fatalf("%s: pair %v offBase=%d, %d states off baseline", when, k, cm.group.offBase, off)
+			if !at {
+				off++
 			}
+		}
+		if off != cm.group.offBase {
+			t.Fatalf("%s: pair %v offBase=%d, %d states off baseline", when, k, cm.group.offBase, off)
 		}
 	}
 }
 
-// TestCellRouteCache: the per-shard close reads routes from the fold
+// TestCellRouteCache: the per-pair close reads routes from the fold
 // cells, so after every close each cell must hold the RIB's route — through
 // the faulted differential workload, withdrawals, announcements too
 // specific to enter the RIB, and registrations in the middle of a window.
 func TestCellRouteCache(t *testing.T) {
 	closes := 0
-	runShardWorkload(t, 3, 1337, func(e *Engine) {
+	runWorkload(t, DefaultConfig(), 1337, func(e *Engine) {
 		closes++
 		checkCellRoutes(t, e, fmt.Sprintf("differential close %d", closes))
 	})

@@ -135,6 +135,16 @@ type RelOracle interface {
 	Rel(a, b bgp.ASN) Rel
 }
 
+// The paper's fixed parameters. Revocation (§4.3.2) is always on.
+const (
+	// minSuffixVPs is the minimum number of VPs sharing an AS suffix for
+	// §4.1.4 to instantiate a burst series over it.
+	minSuffixVPs = 2
+	// calibrationWindows is §4.3.1's sliding window length l for the
+	// per-(VP, signal) TPR/TNR tallies.
+	calibrationWindows = 30
+)
+
 // Config tunes the engine.
 type Config struct {
 	// WindowSec is the BGP signal-generation window; 900 s in the paper
@@ -143,17 +153,9 @@ type Config struct {
 	// PublicLadder is the candidate window ladder for traceroute-derived
 	// series; the anomaly package's default ladder if nil.
 	PublicLadder []int64
-	// MinSuffixVPs is the minimum VP set size to instantiate a burst
-	// series.
-	MinSuffixVPs int
 	// CommunityFPQuota is how many observed false-positive windows a
 	// community survives before calibration prunes it (Appendix B).
 	CommunityFPQuota int
-	// CalibrationWindows is the sliding window length l for TPR/TNR
-	// tallies; 30 in the paper.
-	CalibrationWindows int
-	// RevokeSignals enables §4.3.2 revocation.
-	RevokeSignals bool
 	// IXPBootstrapSec is the initial period during which traceroute-
 	// observed IXP members silently augment the membership snapshot
 	// instead of generating signals (§4.2.3's snapshot augmentation).
@@ -162,10 +164,10 @@ type Config struct {
 	// even registered), for ablation studies: the paper's Table 2 "unique"
 	// columns quantify what each technique contributes.
 	Disabled []Technique
-	// Shards is how many shards the engine partitions the corpus across
-	// for the per-pair phase of CloseWindow: 0 means runtime.GOMAXPROCS(0),
-	// 1 runs the whole close on the caller's goroutine. The signal stream
-	// is identical regardless of the value.
+	// Shards is ignored: the engine closes every window on the caller's
+	// goroutine.
+	//
+	// Deprecated: kept only so existing callers compile; it has no effect.
 	Shards int
 }
 
@@ -182,12 +184,9 @@ func (c Config) disabled(t Technique) bool {
 // DefaultConfig mirrors the paper's parameters.
 func DefaultConfig() Config {
 	return Config{
-		WindowSec:          900,
-		MinSuffixVPs:       2,
-		CommunityFPQuota:   1,
-		CalibrationWindows: 30,
-		RevokeSignals:      true,
-		IXPBootstrapSec:    86400,
+		WindowSec:        900,
+		CommunityFPQuota: 1,
+		IXPBootstrapSec:  86400,
 	}
 }
 
@@ -196,12 +195,6 @@ func DefaultConfig() Config {
 func (c Config) withDefaults() Config {
 	if c.WindowSec == 0 {
 		c.WindowSec = 900
-	}
-	if c.MinSuffixVPs == 0 {
-		c.MinSuffixVPs = 2
-	}
-	if c.CalibrationWindows == 0 {
-		c.CalibrationWindows = 30
 	}
 	if c.CommunityFPQuota == 0 {
 		c.CommunityFPQuota = 1
@@ -317,9 +310,9 @@ type commEvent struct {
 }
 
 // signalLess is a total order over distinguishable signals, so sorting a
-// merged multi-shard signal stream reproduces the one-shard engine's output
-// byte for byte (sort.Slice is unstable; a partial order would let equal-
-// keyed signals land in input order, which differs across shard merges).
+// window's signals, or merging several partitions' sorted streams, yields
+// the same bytes whatever the input order (sort.Slice is unstable; a
+// partial order would let equal-keyed signals land in input order).
 func signalLess(a, b Signal) bool {
 	if a.WindowStart != b.WindowStart {
 		return a.WindowStart < b.WindowStart

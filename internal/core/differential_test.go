@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -17,10 +16,10 @@ import (
 // faultedFeed perturbs observation delivery the way a faulty transport
 // would — duplicate deliveries and bounded reordering within a window —
 // before handing records to the engine. The perturbation is a pure function
-// of the seed, so engines at every shard count fed with the same seed see
-// the identical faulted sequence. Pens flush before a window closes, so
-// faults never move an observation across a window boundary. A nil rng
-// delivers everything untouched.
+// of the seed, so every engine fed with the same seed sees the identical
+// faulted sequence. Pens flush before a window closes, so faults never move
+// an observation across a window boundary. A nil rng delivers everything
+// untouched.
 type faultedFeed struct {
 	*Engine
 	rng  *rand.Rand
@@ -109,74 +108,51 @@ func (res workloadResult) digest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Digests of runShardWorkload through the serial core.NewEngine of the last
+// Digests of runWorkload through the serial core.NewEngine of the last
 // commit that still had a separate serial engine (f30b904), clean and under
-// faultedFeed seed 1337. The Shards: 1 engine must reproduce them, so the
-// reference every other configuration is compared against cannot drift.
+// faultedFeed seed 1337. The engine must reproduce them, so the reference
+// every other configuration is compared against cannot drift.
 const (
 	serialDigestClean   = "dacbc9e99d00dea1b9c321c39a85f1583fd98064cdbb912c888d05793435f64b"
 	serialDigestFaulted = "0f37b29f51c34efb4e40cbbc1e286c61e8444b77279e482866d97107954820ee"
 )
 
-// checkShardsMatchSerial is the one serial-vs-sharded differential: the
-// Shards: 1 run must equal the pinned serial digest, and every further shard
-// count must reproduce the Shards: 1 run — windows, counts, revocation stats
-// and refresh plan — byte for byte.
-func checkShardsMatchSerial(t *testing.T, faultSeed int64, wantDigest string) {
-	serial := runShardWorkload(t, 1, faultSeed, nil)
+// checkMatchesSerial runs the workload and requires the pinned serial
+// digest: windows, counts, revocation stats and refresh plan, byte for
+// byte.
+func checkMatchesSerial(t *testing.T, faultSeed int64, wantDigest string) {
+	serial := runWorkload(t, DefaultConfig(), faultSeed, nil)
 
-	// The equivalence check is only meaningful if the workload makes every
+	// The digest check is only meaningful if the workload makes every
 	// technique fire (duplicates only add observations, and reordering
 	// stays within windows, so the faulted one should too).
 	for tech, n := range serial.counts {
 		if n == 0 {
-			t.Errorf("workload produced no %v signals; equivalence check is weak", tech)
+			t.Errorf("workload produced no %v signals; the digest check is weak", tech)
 		}
 	}
 	if serial.revoked[0] == 0 {
 		t.Error("workload produced no revocations")
 	}
 
+	// The subtest keeps the name the serial reference run has always had.
 	t.Run("shards=1", func(t *testing.T) {
 		if got := serial.digest(); got != wantDigest {
-			t.Fatalf("Shards: 1 digest = %s, want the pinned serial engine's %s", got, wantDigest)
+			t.Fatalf("digest = %s, want the pinned serial engine's %s", got, wantDigest)
 		}
 	})
-	for _, shards := range []int{3, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			got := runShardWorkload(t, shards, faultSeed, nil)
-			if len(got.windows) != len(serial.windows) {
-				t.Fatalf("window count = %d, want %d", len(got.windows), len(serial.windows))
-			}
-			for i := range serial.windows {
-				if !reflect.DeepEqual(got.windows[i], serial.windows[i]) {
-					t.Fatalf("window %d diverges:\n sharded: %v\n serial:  %v",
-						i, got.windows[i], serial.windows[i])
-				}
-			}
-			if !reflect.DeepEqual(got.counts, serial.counts) {
-				t.Errorf("signal counts = %v, want %v", got.counts, serial.counts)
-			}
-			if got.revoked != serial.revoked {
-				t.Errorf("revocation stats = %v, want %v", got.revoked, serial.revoked)
-			}
-			if !reflect.DeepEqual(got.plan, serial.plan) {
-				t.Errorf("refresh plan = %v, want %v", got.plan, serial.plan)
-			}
-		})
-	}
 }
 
-// TestShardedMatchesSerial locks in the engine's guarantee: for the same
-// feed, the signal stream is byte-identical at any shard count.
+// TestShardedMatchesSerial locks in the engine's signal stream for the
+// clean workload against the pinned serial digest.
 func TestShardedMatchesSerial(t *testing.T) {
-	checkShardsMatchSerial(t, 0, serialDigestClean)
+	checkMatchesSerial(t, 0, serialDigestClean)
 }
 
-// TestShardedMatchesSerialUnderFaults extends the guarantee to faulted
-// inputs: under the identical seeded dup+reorder-within-window schedule a
-// divergence means some engine path (burst counting, monitor state, shard
-// drains) depends on more than the observation sequence itself.
+// TestShardedMatchesSerialUnderFaults extends the pin to faulted inputs:
+// under the seeded dup+reorder-within-window schedule a divergence means
+// some engine path (burst counting, monitor state) depends on more than
+// the observation sequence itself.
 func TestShardedMatchesSerialUnderFaults(t *testing.T) {
-	checkShardsMatchSerial(t, 1337, serialDigestFaulted)
+	checkMatchesSerial(t, 1337, serialDigestFaulted)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
@@ -16,23 +15,16 @@ import (
 // prediction signals for a registered corpus. It owns everything global to
 // one feed — the RIB, the unresponsive-hop patcher, the calibrator, and the
 // sharedState (window fold, the §4.1 BGP series, extra-AS series, subpath
-// monitors, border-router series, IXP membership) — and partitions the
-// per-pair state across Config.Shards shards keyed by corpus pair.
+// monitors, border-router series, IXP membership) — and, in its embedded
+// pairState, the state of each corpus pair.
 //
 // Each update is applied to the RIB and folded into the shared state exactly
 // once, and each traceroute is patched, border-mapped, and observed exactly
-// once, on the caller's goroutine; no per-shard work happens until
-// CloseWindow. CloseWindow runs the shared phase once (every series steps
-// or advances and fans its signals out to its subscribers), routes the
-// resulting signals to the shards owning their pairs, runs the per-pair
-// phase (active signals, revocation) on every shard — shard 0 on the
-// caller's goroutine, one goroutine per further shard, alive only
-// while the close runs, so the engine owns no long-lived goroutines and needs
-// no Close — and k-way-merges the per-shard sorted streams. The per-pair
-// phase only reads shared state, so the signal stream is byte-identical for
-// any shard count; Shards: 1 is the same code with no goroutine and an
-// identity merge, and is the serial reference the differentials compare
-// against.
+// once, on the caller's goroutine. CloseWindow runs on the caller's
+// goroutine too: the shared phase (every series steps or advances and fans
+// its signals out to its subscribers), then the per-pair phase (active
+// signals, revocation, one sort into signalLess order), then the window
+// reset. The engine owns no goroutines and needs no Close.
 //
 // Engine is safe for concurrent use, but updates and traceroutes must still
 // arrive in time order, so concurrent feeders must serialize externally (the
@@ -49,26 +41,22 @@ type Engine struct {
 	patcher *traceroute.Patcher
 	scratch traceScratch
 	sh      *sharedState
-	shards  []*shard
-	// changed is the last close's merged per-shard changed lists; see
-	// ChangedKeys.
-	changed []traceroute.Key
 
 	// Calib is the §4.3 calibrator; exported for refresh planning.
 	Calib *Calibrator
 
 	windowsClosed int
-	met           shardMetrics
+	met           engineMetrics
 	seriesMet     seriesMetrics
+
+	pairState
 }
 
-// shard holds the per-pair state of the corpus pairs it owns: their entries,
-// registrations, their subscriptions to the shared BGP series, their
-// watcher links into the shared subpath and border series, and their
-// active signals. Everything else is reached through eng. A shard has no
-// lock of its own: its methods run under eng.mu, and during the parallel
-// phase of CloseWindow each shard is touched by exactly one goroutine.
-type shard struct {
+// pairState holds the per-pair state of the corpus: entries, registrations,
+// the pairs' subscriptions to the shared BGP series, their watcher links
+// into the shared subpath and border series, and their active signals.
+// Everything else is reached through eng. Its methods run under eng.mu.
+type pairState struct {
 	eng *Engine
 
 	entries map[traceroute.Key]*corpus.Entry
@@ -86,8 +74,9 @@ type shard struct {
 
 	// Active signals per corpus pair, for revocation and querying.
 	active map[traceroute.Key][]Signal
-	// changed lists the pairs whose active signals this shard's last close
-	// changed (raised or revoked), repeats allowed; closeOwned resets it.
+	// changed lists the pairs whose active signals the last close changed
+	// (raised or revoked), repeats allowed; closeOwned resets it. See
+	// ChangedKeys.
 	changed []traceroute.Key
 	// restored marks pairs whose active signals came from a snapshot and
 	// whose monitors have not raised a signal in this process; revocation
@@ -104,7 +93,7 @@ type shard struct {
 	revokedPairs   int
 }
 
-func (s *shard) addReg(k traceroute.Key, r Registration) {
+func (s *pairState) addReg(k traceroute.Key, r Registration) {
 	s.regs[k] = append(s.regs[k], r)
 }
 
@@ -113,10 +102,6 @@ func (s *shard) addReg(k traceroute.Key, r Registration) {
 // the paper starts BGP collection two days before corpus initialization.
 func NewEngine(cfg Config, m traceroute.Mapper, aliases bordermap.AliasOracle, geo Geolocator, rel RelOracle) *Engine {
 	cfg = cfg.withDefaults()
-	n := cfg.Shards
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
 	rib := bgp.NewRIB()
 	e := &Engine{
 		cfg:       cfg,
@@ -127,37 +112,23 @@ func NewEngine(cfg Config, m traceroute.Mapper, aliases bordermap.AliasOracle, g
 		rib:       rib,
 		patcher:   traceroute.NewPatcher(),
 		sh:        newSharedState(cfg, geo, rib),
-		Calib:     newCalibrator(cfg.CalibrationWindows, cfg.CommunityFPQuota),
-		met:       newShardMetrics(n),
+		Calib:     newCalibrator(calibrationWindows, cfg.CommunityFPQuota),
+		met:       newEngineMetrics(),
 		seriesMet: newSeriesMetrics(),
 	}
-	for i := 0; i < n; i++ {
-		e.shards = append(e.shards, &shard{
-			eng:        e,
-			entries:    make(map[traceroute.Key]*corpus.Entry),
-			regs:       make(map[traceroute.Key][]Registration),
-			aspByKey:   make(map[traceroute.Key][]*aspMonitor),
-			burstByKey: make(map[traceroute.Key][]*burstMonitor),
-			comms:      make(map[traceroute.Key]*commMonitor),
-			subByKey:   make(map[traceroute.Key][]*subpathMonitor),
-			brsByKey:   make(map[traceroute.Key][]*borderRouterSeries),
-			active:     make(map[traceroute.Key][]Signal),
-			retired:    make(map[traceroute.Key]map[string]*retiredState),
-		})
+	e.pairState = pairState{
+		eng:        e,
+		entries:    make(map[traceroute.Key]*corpus.Entry),
+		regs:       make(map[traceroute.Key][]Registration),
+		aspByKey:   make(map[traceroute.Key][]*aspMonitor),
+		burstByKey: make(map[traceroute.Key][]*burstMonitor),
+		comms:      make(map[traceroute.Key]*commMonitor),
+		subByKey:   make(map[traceroute.Key][]*subpathMonitor),
+		brsByKey:   make(map[traceroute.Key][]*borderRouterSeries),
+		active:     make(map[traceroute.Key][]Signal),
+		retired:    make(map[traceroute.Key]map[string]*retiredState),
 	}
 	return e
-}
-
-// shardIdxOf maps a corpus pair to its owning shard index.
-func (e *Engine) shardIdxOf(k traceroute.Key) int {
-	h := uint64(k.Src)*0x9e3779b185ebca87 + uint64(k.Dst)*0xc2b2ae3d27d4eb4f
-	h ^= h >> 33
-	return int(h % uint64(len(e.shards)))
-}
-
-// shardOf maps a corpus pair to its owning shard.
-func (e *Engine) shardOf(k traceroute.Key) *shard {
-	return e.shards[e.shardIdxOf(k)]
 }
 
 // ObserveBGP ingests one BGP update. Updates must be fed in time order;
@@ -174,16 +145,14 @@ func (e *Engine) ObserveBGP(u bgp.Update) {
 
 // ObservePublicTrace ingests one public traceroute, feeding the subpath,
 // border, and IXP techniques plus the unresponsive-hop patcher. Only a
-// §4.2.3 IXP join touches the shards, because turning a join into signals
-// scans each shard's own corpus slice; those signals are delivered by the
-// next CloseWindow.
+// §4.2.3 IXP join touches per-pair state, because turning a join into
+// signals scans the corpus; those signals are delivered by the next
+// CloseWindow.
 func (e *Engine) ObservePublicTrace(t *traceroute.Traceroute) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.sh.observeTrace(e.prepareTrace(t), func(ixp int, member bgp.ASN, when int64) {
-		for _, s := range e.shards {
-			s.pendingIXP = append(s.pendingIXP, s.ixpJoinSignals(ixp, member, when)...)
-		}
+		e.pendingIXP = append(e.pendingIXP, e.ixpJoinSignals(ixp, member, when)...)
 	})
 	e.met.obs.Inc()
 }
@@ -197,39 +166,12 @@ func (e *Engine) CloseWindow(ws int64) []Signal {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	sigs := e.sh.closeShared(ws, ws+e.cfg.WindowSec, e.Calib)
-
-	// Route the shared-series signals to the shards owning their pairs;
-	// each bucket preserves the shared phase's emission order for its keys.
-	buckets := make([][]Signal, len(e.shards))
-	for _, sig := range sigs {
-		i := e.shardIdxOf(sig.Key)
-		buckets[i] = append(buckets[i], sig)
-	}
-
-	results := make([][]Signal, len(e.shards))
-	closeShard := func(i int) {
-		start := time.Now()
-		results[i] = e.shards[i].closeOwned(buckets[i])
-		e.met.close[i].Observe(time.Since(start).Seconds())
-	}
-	var wg sync.WaitGroup
-	for i := 1; i < len(e.shards); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			closeShard(i)
-		}(i)
-	}
-	closeShard(0)
-	wg.Wait()
-
-	e.changed = e.changed[:0]
-	for _, s := range e.shards {
-		e.changed = append(e.changed, s.changed...)
-	}
+	start := time.Now()
+	sigs = e.closeOwned(sigs)
+	e.met.close.Observe(time.Since(start).Seconds())
 	e.sh.resetWindow()
 	e.windowsClosed++
-	return mergeSortedSignals(results)
+	return sigs
 }
 
 // ChangedKeys returns the pairs whose active signals the last CloseWindow
@@ -244,14 +186,11 @@ func (e *Engine) ChangedKeys() []traceroute.Key {
 }
 
 // AddCorpusEntry registers a processed corpus traceroute with every
-// technique, on the shard owning its pair. The engine's RIB must already be
-// primed.
+// technique. The engine's RIB must already be primed.
 func (e *Engine) AddCorpusEntry(en *corpus.Entry) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	i := e.shardIdxOf(en.Key)
-	e.shards[i].addCorpusEntry(en)
-	e.met.pairs[i].Set(int64(len(e.shards[i].entries)))
+	e.addCorpusEntry(en)
 	e.setSeriesGauges()
 }
 
@@ -260,9 +199,8 @@ func (e *Engine) AddCorpusEntry(en *corpus.Entry) {
 func (e *Engine) Reregister(en *corpus.Entry) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	s := e.shardOf(en.Key)
-	s.removePair(en.Key)
-	s.addCorpusEntry(en)
+	e.removePair(en.Key)
+	e.addCorpusEntry(en)
 	e.setSeriesGauges()
 }
 
@@ -272,9 +210,7 @@ func (e *Engine) Reregister(en *corpus.Entry) {
 func (e *Engine) RemovePair(k traceroute.Key) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	i := e.shardIdxOf(k)
-	e.shards[i].removePair(k)
-	e.met.pairs[i].Set(int64(len(e.shards[i].entries)))
+	e.removePair(k)
 	e.setSeriesGauges()
 }
 
@@ -285,14 +221,14 @@ func (e *Engine) RemovePair(k traceroute.Key) {
 func (e *Engine) EvaluateRefresh(en *corpus.Entry) (bordermap.ChangeClass, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.shardOf(en.Key).evaluateRefresh(en)
+	return e.evaluateRefresh(en)
 }
 
 // Entry returns the registered corpus entry for a pair.
 func (e *Engine) Entry(k traceroute.Key) (*corpus.Entry, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	en, ok := e.shardOf(k).entries[k]
+	en, ok := e.entries[k]
 	return en, ok
 }
 
@@ -300,14 +236,14 @@ func (e *Engine) Entry(k traceroute.Key) (*corpus.Entry, bool) {
 func (e *Engine) Registrations(k traceroute.Key) []Registration {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.shardOf(k).regs[k]
+	return e.regs[k]
 }
 
 // Active returns the currently-active (unrevoked) signals for a pair.
 func (e *Engine) Active(k traceroute.Key) []Signal {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.shardOf(k).active[k]
+	return e.active[k]
 }
 
 // clearActive resets a pair's signal state (after a refresh re-registers
@@ -315,9 +251,8 @@ func (e *Engine) Active(k traceroute.Key) []Signal {
 func (e *Engine) clearActive(k traceroute.Key) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	s := e.shardOf(k)
-	delete(s.active, k)
-	delete(s.restored, k)
+	delete(e.active, k)
+	delete(e.restored, k)
 }
 
 // RestoreActive re-injects previously-generated signals into the active
@@ -334,12 +269,11 @@ func (e *Engine) RestoreActive(sigs []Signal) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, sig := range sigs {
-		s := e.shardOf(sig.Key)
-		s.active[sig.Key] = append(s.active[sig.Key], sig)
-		if s.restored == nil {
-			s.restored = make(map[traceroute.Key]bool)
+		e.active[sig.Key] = append(e.active[sig.Key], sig)
+		if e.restored == nil {
+			e.restored = make(map[traceroute.Key]bool)
 		}
-		s.restored[sig.Key] = true
+		e.restored[sig.Key] = true
 	}
 }
 
@@ -349,9 +283,7 @@ func (e *Engine) SignalCounts() map[Technique]int {
 	defer e.mu.Unlock()
 	out := make(map[Technique]int, int(numTechniques))
 	for t := Technique(0); t < numTechniques; t++ {
-		for _, s := range e.shards {
-			out[t] += s.signalCount[t]
-		}
+		out[t] = e.signalCount[t]
 	}
 	return out
 }
@@ -361,11 +293,9 @@ func (e *Engine) ActivePairs() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	n := 0
-	for _, s := range e.shards {
-		for _, sigs := range s.active {
-			if len(sigs) > 0 {
-				n++
-			}
+	for _, sigs := range e.active {
+		if len(sigs) > 0 {
+			n++
 		}
 	}
 	return n
@@ -376,11 +306,7 @@ func (e *Engine) ActivePairs() int {
 func (e *Engine) RevocationStats() (signals, pairEvents int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, s := range e.shards {
-		signals += s.revokedSignals
-		pairEvents += s.revokedPairs
-	}
-	return signals, pairEvents
+	return e.revokedSignals, e.revokedPairs
 }
 
 // WindowsClosed reports how many CloseWindow calls the engine has run.
@@ -425,20 +351,9 @@ func (e *Engine) RefreshPlan(budget int, rng *rand.Rand) []traceroute.Key {
 
 // RefreshPlanDetailed is RefreshPlan returning each selection with the
 // attributes it was ranked by, so a cluster router can re-merge
-// per-worker plans in global priority order. It plans over the union of
-// every shard's flagged pairs.
+// per-worker plans in global priority order.
 func (e *Engine) RefreshPlanDetailed(budget int, rng *rand.Rand) []PlanItem {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	active := make(map[traceroute.Key][]Signal)
-	regs := make(map[traceroute.Key][]Registration)
-	for _, s := range e.shards {
-		for k, sigs := range s.active {
-			if len(sigs) > 0 {
-				active[k] = sigs
-				regs[k] = s.regs[k]
-			}
-		}
-	}
-	return refreshPlan(active, regs, e.Calib, budget, rng)
+	return refreshPlan(e.active, e.regs, e.Calib, budget, rng)
 }

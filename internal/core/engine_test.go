@@ -27,18 +27,16 @@ type workloadResult struct {
 	plan    []traceroute.Key
 }
 
-// runShardWorkload drives a multi-technique feed — AS-path changes, a
-// community change, an update burst, diverging public subpaths, an IXP
-// joiner, mid-run registrations, and refresh/reregister cycles — through a
-// fresh engine with the given shard count and records every window's signal
-// stream. A non-zero faultSeed perturbs observation delivery (see
+// runWorkload drives a multi-technique feed — AS-path changes, a community
+// change, an update burst, diverging public subpaths, an IXP joiner, mid-run
+// registrations, and refresh/reregister cycles — through a fresh engine
+// built from cfg with the IXP bootstrap off, and records every window's
+// signal stream. A non-zero faultSeed perturbs observation delivery (see
 // faultedFeed). A non-nil afterClose sees the engine after every close.
-func runShardWorkload(t *testing.T, shards int, faultSeed int64, afterClose func(*Engine)) workloadResult {
+func runWorkload(t *testing.T, cfg Config, faultSeed int64, afterClose func(*Engine)) workloadResult {
 	t.Helper()
 	const w = int64(900)
-	cfg := DefaultConfig()
 	cfg.IXPBootstrapSec = 0
-	cfg.Shards = shards
 	eng := NewEngine(cfg, testMapper{}, identityAliases, workloadGeo(), workloadRel())
 	e := &faultedFeed{Engine: eng}
 	if faultSeed != 0 {
@@ -75,8 +73,7 @@ func runShardWorkload(t *testing.T, shards int, faultSeed int64, afterClose func
 	}
 
 	// Corpus pairs share the 2.0.0.1 → 3.0.0.1 → 4.0.0.2 backbone (shared
-	// subpath and border monitors) and spread over src/dst so they hash
-	// across shards.
+	// subpath and border monitors) and spread over src/dst.
 	addEntry := func(tm int64, srcNet, i uint32) *corpus.Entry {
 		t.Helper()
 		tr := mkTraceIPs(tm,
@@ -116,8 +113,7 @@ func runShardWorkload(t *testing.T, shards int, faultSeed int64, afterClose func
 		end += w
 	}
 
-	// Mid-run registrations join shared monitors warmed above, whichever
-	// shard their pairs hash to.
+	// Mid-run registrations join shared monitors warmed above.
 	for i := uint32(1); i <= 8; i++ {
 		entries = append(entries, addEntry(end, 7, i))
 	}
@@ -217,12 +213,11 @@ func workloadRel() mapRel {
 	return mapRel{[2]bgp.ASN{1, 2}: RelCustomerOf}
 }
 
-// TestShardedQueryFanout checks that the pair-scoped and aggregate query
-// surface reaches the owning shard and counts each pair once.
+// TestShardedQueryFanout checks that the aggregate query surface counts
+// each pair once.
 func TestShardedQueryFanout(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.IXPBootstrapSec = 0
-	cfg.Shards = 3
 	s := NewEngine(cfg, testMapper{}, identityAliases, mapGeo{}, mapRel{})
 	corp := corpus.New(testMapper{}, identityAliases)
 
@@ -244,20 +239,11 @@ func TestShardedQueryFanout(t *testing.T) {
 		s.AddCorpusEntry(en)
 		keys = append(keys, en.Key)
 	}
-	for _, k := range keys {
-		if _, ok := s.Entry(k); !ok {
-			t.Fatalf("Entry(%v) missing", k)
-		}
-		if len(s.Registrations(k)) == 0 {
-			t.Fatalf("Registrations(%v) empty", k)
-		}
-	}
 	st := s.monitorStats()
 	if st.ASPathMonitors == 0 || st.SubpathMonitors == 0 {
 		t.Fatalf("stats missing monitors: %+v", st)
 	}
-	// Per-pair monitors live on exactly one shard each; stats must count
-	// each pair once, not per shard.
+	// Stats must count each pair's monitors once.
 	if st.ASPathMonitors > 12*12 {
 		t.Fatalf("ASPathMonitors double-counted: %d", st.ASPathMonitors)
 	}
@@ -305,63 +291,25 @@ func TestShardedQueryFanout(t *testing.T) {
 	}
 }
 
-// TestShardMetricsPerClose pins what the shard-labelled series mean at every
-// shard count: rrr_shard_close_window_seconds{shard} gets exactly one
-// observation per CloseWindow for each shard index, and rrr_shard_pairs sums
-// to the tracked-pair count. The series are process-global, so the test reads
-// deltas through the engine's own handles.
+// TestShardMetricsPerClose: rrr_shard_close_window_seconds takes exactly
+// one observation per CloseWindow. The series is process-global, so the
+// test reads a delta through the engine's own handle.
 func TestShardMetricsPerClose(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		cfg := DefaultConfig()
-		cfg.Shards = shards
-		e := NewEngine(cfg, testMapper{}, identityAliases, mapGeo{}, mapRel{})
-		corp := corpus.New(testMapper{}, identityAliases)
-		e.ObserveBGP(bgp.Update{
-			Time: 0, PeerIP: 50<<24 | 9, PeerAS: 50,
-			Type: bgp.Announce, Prefix: pfx(t, "4.0.0.0/8"), ASPath: bgp.Path{50, 2, 3, 4},
-		})
-		var keys []traceroute.Key
-		for i := uint32(1); i <= 12; i++ {
-			en, err := corp.Process(mkTraceIPs(0, 1<<24|i, 4<<24|100+i,
-				1<<24|(i+50), 2<<24|1, 3<<24|1, 4<<24|2, 4<<24|100+i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.AddCorpusEntry(en)
-			keys = append(keys, en.Key)
-		}
-		e.RemovePair(keys[0])
-
-		before := make([]uint64, shards)
-		for i, h := range e.met.close {
-			before[i] = h.Count()
-		}
-		const closes = 5
-		for w := 0; w < closes; w++ {
-			e.CloseWindow(int64(w) * 900)
-		}
-		if len(e.met.close) != shards || len(e.met.pairs) != shards {
-			t.Fatalf("shards=%d: %d close series, %d pair series", shards, len(e.met.close), len(e.met.pairs))
-		}
-		pairs := int64(0)
-		for i := range e.met.close {
-			if got := e.met.close[i].Count() - before[i]; got != closes {
-				t.Errorf("shards=%d: shard %d close histogram took %d observations over %d closes", shards, i, got, closes)
-			}
-			pairs += e.met.pairs[i].Value()
-		}
-		if want := int64(len(keys) - 1); pairs != want {
-			t.Errorf("shards=%d: rrr_shard_pairs sums to %d, want %d tracked pairs", shards, pairs, want)
-		}
+	e := NewEngine(DefaultConfig(), testMapper{}, identityAliases, mapGeo{}, mapRel{})
+	before := e.met.close.Count()
+	const closes = 5
+	for w := 0; w < closes; w++ {
+		e.CloseWindow(int64(w) * 900)
+	}
+	if got := e.met.close.Count() - before; got != closes {
+		t.Errorf("close histogram took %d observations over %d closes", got, closes)
 	}
 }
 
-// TestRestoreActive checks snapshot restore: injected signals land on the
-// right shard and are served (and clearable) per key.
+// TestRestoreActive checks snapshot restore: injected signals are served
+// (and clearable) per key.
 func TestRestoreActive(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Shards = 3
-	s := NewEngine(cfg, testMapper{}, identityAliases, mapGeo{}, mapRel{})
+	s := NewEngine(DefaultConfig(), testMapper{}, identityAliases, mapGeo{}, mapRel{})
 
 	var sigs []Signal
 	var keys []traceroute.Key
@@ -380,7 +328,7 @@ func TestRestoreActive(t *testing.T) {
 		}
 		for _, sg := range act {
 			if sg.Key != k {
-				t.Fatalf("signal for %v routed to %v's shard", sg.Key, k)
+				t.Fatalf("signal for %v served for %v", sg.Key, k)
 			}
 		}
 	}
@@ -400,5 +348,20 @@ func TestCommunityFPQuotaDefaultUnified(t *testing.T) {
 	e := NewEngine(Config{WindowSec: 900}, testMapper{}, identityAliases, nil, nil)
 	if got, want := e.Calib.fpQuota, DefaultConfig().CommunityFPQuota; got != want {
 		t.Errorf("NewEngine zero-config quota = %d, want DefaultConfig's %d", got, want)
+	}
+}
+
+// TestZeroConfigMatchesDefault: the paper's fixed parameters are constants,
+// not Config fields a zero value can silently switch off. A Config that sets
+// only WindowSec must run the workload exactly as DefaultConfig does, §4.3.2
+// revocation included.
+func TestZeroConfigMatchesDefault(t *testing.T) {
+	want := runWorkload(t, DefaultConfig(), 0, nil)
+	got := runWorkload(t, Config{WindowSec: 900}, 0, nil)
+	if got.revoked != want.revoked {
+		t.Errorf("revocation stats = %v, want DefaultConfig's %v", got.revoked, want.revoked)
+	}
+	if g, w := got.digest(), want.digest(); g != w {
+		t.Errorf("digest = %s, want DefaultConfig's %s", g, w)
 	}
 }

@@ -209,29 +209,26 @@ func TestFoldCellsOnlyForWatchedPairs(t *testing.T) {
 }
 
 // TestQuietCloseAllocs is the allocation budget of a window in which
-// nothing happened, at 2000 pairs: what is left is per window and per
-// shard (result slices, the close goroutines), never per monitor. The
-// unbounded detectors read 2106 here. By then every detector has been
-// quiet for more than its Lead+Lag windows, so no monitor is awake.
+// nothing happened, at 2000 pairs: none. The unbounded detectors read 2106
+// here. By then every detector has been quiet for more than its Lead+Lag
+// windows, so no monitor is awake.
 func TestQuietCloseAllocs(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		e := benchEnv(t, shards, 2000, 0)
-		ws := int64(0)
-		for ; ws < 41*900; ws += 900 {
-			e.CloseWindow(ws)
-		}
-		awake := len(e.sh.awakeExtras) + len(e.sh.awakeASP) + len(e.sh.awakeBursts)
-		if awake != 0 {
-			t.Errorf("shards=%d: %d series awake after 41 quiet windows", shards, awake)
-		}
-		per := testing.AllocsPerRun(50, func() {
-			e.CloseWindow(ws)
-			ws += 900
-		})
-		t.Logf("shards=%d: %.0f allocations per quiet window", shards, per)
-		if per > 16 {
-			t.Errorf("shards=%d: %.0f allocations per quiet window over 2000 pairs, budget 16", shards, per)
-		}
+	e := benchEnv(t, 2000, 0)
+	ws := int64(0)
+	for ; ws < 41*900; ws += 900 {
+		e.CloseWindow(ws)
+	}
+	awake := len(e.sh.awakeExtras) + len(e.sh.awakeASP) + len(e.sh.awakeBursts)
+	if awake != 0 {
+		t.Errorf("%d series awake after 41 quiet windows", awake)
+	}
+	per := testing.AllocsPerRun(50, func() {
+		e.CloseWindow(ws)
+		ws += 900
+	})
+	t.Logf("%.0f allocations per quiet window", per)
+	if per > 0 {
+		t.Errorf("%.0f allocations per quiet window over 2000 pairs, budget 0", per)
 	}
 }
 
@@ -240,7 +237,7 @@ func TestQuietCloseAllocs(t *testing.T) {
 // in engine-owned scratch, and the subpath and border-router loops walk
 // slices. The cloning path read 9.
 func TestObserveTraceAllocs(t *testing.T) {
-	e := benchEnv(t, 1, 500, 0)
+	e := benchEnv(t, 500, 0)
 	traces := benchTraces(0)
 	for i := 0; i < 4*len(traces); i++ {
 		e.ObservePublicTrace(traces[i%len(traces)])

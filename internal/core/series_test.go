@@ -47,12 +47,11 @@ type lineageRun struct {
 // 0..8 only. So A's [3 4] series predates its [2 3 4] series, and in a
 // window where both fire, A's signals must still reach its active list in
 // A's registration order.
-func runLineageWorkload(t *testing.T, shards int) lineageRun {
+func runLineageWorkload(t *testing.T) lineageRun {
 	t.Helper()
 	const w = int64(900)
 	cfg := DefaultConfig()
 	cfg.IXPBootstrapSec = 0
-	cfg.Shards = shards
 	e := NewEngine(cfg, testMapper{}, identityAliases, workloadGeo(), workloadRel())
 	corp := corpus.New(testMapper{}, identityAliases)
 	rng := rand.New(rand.NewSource(36))
@@ -272,19 +271,17 @@ const lineageDigest = "3f95011e85bee348aabf45a39424ae54297404a67f92cadd19d99dd74
 // only when their detector histories are the same, so every pair's signals
 // and active list must match what one detector per monitor gave.
 func TestSharedSeriesLineage(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		run := runLineageWorkload(t, shards)
-		for _, tech := range []Technique{TechBGPASPath, TechBGPCommunity, TechBGPBurst} {
-			if run.counts[tech] == 0 {
-				t.Errorf("shards=%d: no %v signals; the workload is too weak", shards, tech)
-			}
+	run := runLineageWorkload(t)
+	for _, tech := range []Technique{TechBGPASPath, TechBGPCommunity, TechBGPBurst} {
+		if run.counts[tech] == 0 {
+			t.Errorf("no %v signals; the workload is too weak", tech)
 		}
-		if run.twinBursts == 0 {
-			t.Errorf("shards=%d: no pair raised two burst signals in one window", shards)
-		}
-		t.Logf("shards=%d: counts %v, %d twin bursts", shards, run.counts, run.twinBursts)
-		if run.digest != lineageDigest {
-			t.Errorf("shards=%d: digest %s, want %s", shards, run.digest, lineageDigest)
-		}
+	}
+	if run.twinBursts == 0 {
+		t.Error("no pair raised two burst signals in one window")
+	}
+	t.Logf("counts %v, %d twin bursts", run.counts, run.twinBursts)
+	if run.digest != lineageDigest {
+		t.Errorf("digest %s, want %s", run.digest, lineageDigest)
 	}
 }

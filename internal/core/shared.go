@@ -13,15 +13,13 @@ import (
 // sharedState is the engine state that is logically global to one feed:
 // the per-window BGP observation fold and every monitor series shared
 // across corpus pairs (extra-AS series, subpath monitors, border-router
-// series, IXP membership). The Engine owns one instance and its shards reach
-// it through their back-pointer, so each update and traceroute is folded in
-// exactly once whatever the shard count.
+// series, IXP membership). The Engine owns one instance, and its pair state
+// reaches it through the engine, so each update and traceroute is folded in
+// exactly once.
 //
-// Concurrency contract: all writes happen on the caller's goroutine under
-// Engine.mu. During the parallel phase of CloseWindow the shards only read
-// this state (the §4.1 series' revocation inputs, the trace series'
-// First/Last), which is safe because the shared close phase finishes
-// before the per-shard phase starts.
+// All access happens under Engine.mu. CloseWindow's per-pair phase only
+// reads this state (the §4.1 series' revocation inputs, the trace series'
+// First/Last), after the shared close phase has finished mutating it.
 type sharedState struct {
 	cfg Config
 	geo Geolocator
@@ -105,7 +103,7 @@ func newSharedState(cfg Config, geo Geolocator, rib *bgp.RIB) *sharedState {
 
 // observeBGPChange folds one already-applied RIB change into the window
 // state. It never touches the RIB, so the dispatcher applies each update
-// once and folds it once, regardless of shard count.
+// once and folds it once.
 func (sh *sharedState) observeBGPChange(u bgp.Update, c bgp.Change) {
 	key := vpPrefix{vp: c.VP, pf: u.Prefix}
 	st := sh.winUpdates[key]
@@ -252,9 +250,9 @@ func (sh *sharedState) sortedBorderSeries() []*borderRouterSeries {
 // the routes of the cells the window touched, the extra-AS detectors, the
 // §4.1 BGP series (closeSeries; bursts consult the extra-AS outcome) and
 // the subpath and border-router series advances. It returns every series
-// signal of the window in emission order, BGP before traceroute; CloseWindow
-// routes each to the shard owning its pair. It mutates shared state exactly
-// once per window and must complete before any per-shard close work starts.
+// signal of the window in emission order, BGP before traceroute, for
+// CloseWindow's per-pair phase. It mutates shared state exactly once per
+// window and must complete before the per-pair phase starts.
 //
 // An extra-AS series whose detector is settled at zero duplicates sleeps
 // through windows that touched no cell at all, as the §4.1 series do (see
@@ -366,8 +364,7 @@ func (sh *sharedState) borderGroupOf(b bordermap.BorderHop, when int64) (borderG
 // new-IXP-member detection. Detected joins are reported through onJoin
 // one at a time, interleaved with the membership mutation (a second join on
 // the same traceroute must see the first one already recorded). The caller
-// turns each join into per-pair signals by scanning its shards' corpus
-// slices.
+// turns each join into per-pair signals by scanning the corpus.
 func (sh *sharedState) observeTrace(pt preparedTrace, onJoin func(ixp int, member bgp.ASN, when int64)) {
 	sh.matchSubpaths(pt.path, func(mon *subpathMonitor, match bool) {
 		mon.observe(sh, pt.time, match)
@@ -493,41 +490,4 @@ func (sh *sharedState) matchSubpaths(path []uint32, observe func(mon *subpathMon
 			observe(st.mon, match)
 		}
 	}
-}
-
-// mergeSortedSignals merges per-shard signal slices, each already in
-// signalLess order, into one totally-ordered stream. Replaces the old
-// concatenate-and-resort, which redid O(n log n) comparison work the
-// shards had already paid for.
-func mergeSortedSignals(parts [][]Signal) []Signal {
-	total, nonEmpty, last := 0, 0, 0
-	for i := range parts {
-		if len(parts[i]) > 0 {
-			total += len(parts[i])
-			nonEmpty++
-			last = i
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-	if nonEmpty == 1 {
-		return parts[last]
-	}
-	out := make([]Signal, 0, total)
-	idx := make([]int, len(parts))
-	for len(out) < total {
-		best := -1
-		for i := range parts {
-			if idx[i] >= len(parts[i]) {
-				continue
-			}
-			if best < 0 || signalLess(parts[i][idx[i]], parts[best][idx[best]]) {
-				best = i
-			}
-		}
-		out = append(out, parts[best][idx[best]])
-		idx[best]++
-	}
-	return out
 }

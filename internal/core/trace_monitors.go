@@ -84,7 +84,7 @@ type borderRouterSeries struct {
 // addCorpusEntry registers a processed corpus traceroute with every
 // technique. Shared series (extra-AS, subpath, border-router) are created in
 // or joined from the engine's shared state.
-func (s *shard) addCorpusEntry(en *corpus.Entry) {
+func (s *pairState) addCorpusEntry(en *corpus.Entry) {
 	s.entries[en.Key] = en
 
 	s.registerBGPMonitors(en)
@@ -97,7 +97,7 @@ func (s *shard) addCorpusEntry(en *corpus.Entry) {
 // AS boundaries: interdomain segments give the reliable signals, while
 // intradomain segments churn with traffic engineering (§4.2's first
 // accuracy rule).
-func (s *shard) registerSubpathMonitors(en *corpus.Entry) {
+func (s *pairState) registerSubpathMonitors(en *corpus.Entry) {
 	if s.eng.cfg.disabled(TechTraceSubpath) {
 		return
 	}
@@ -187,7 +187,7 @@ func subpathKeyOf(ips []uint32) string {
 // registerBorderMonitors creates (or joins) §4.2.2 monitors: one ratio
 // series per (inter-city AS adjacency, border router) the entry uses.
 // Crossings whose endpoints cannot be geolocated are skipped (Appendix A).
-func (s *shard) registerBorderMonitors(en *corpus.Entry) {
+func (s *pairState) registerBorderMonitors(en *corpus.Entry) {
 	if s.eng.geo == nil || s.eng.cfg.disabled(TechTraceBorder) {
 		return
 	}
@@ -356,7 +356,7 @@ func boolVal(b bool) float64 {
 // member AS_i and, later, another member AS_j, and generates signals
 // according to the relationship between AS_i and its current next hop
 // (§4.2.3's provider / public-peer / private-peer rules).
-func (s *shard) ixpJoinSignals(ixp int, asI bgp.ASN, when int64) []Signal {
+func (s *pairState) ixpJoinSignals(ixp int, asI bgp.ASN, when int64) []Signal {
 	if s.eng.rel == nil {
 		return nil
 	}
@@ -472,12 +472,12 @@ func (e *Engine) setSeriesGauges() {
 	m.subscribers[TechBGPCommunity].Set(int64(st.CommunityTargets))
 }
 
-// closeOwned finishes the window for the pairs this shard owns: the routed
-// share of the window's series signals (sigs, in the shared phase's
-// emission order), pending IXP signals, active-signal tracking, and
-// revocation. It only reads shared state; all shared mutation happened in
-// closeShared, so shards can run closeOwned concurrently.
-func (s *shard) closeOwned(sigs []Signal) []Signal {
+// closeOwned finishes the window for the corpus pairs: the window's series
+// signals (sigs, in the shared phase's emission order) and pending IXP
+// signals are tracked as active, reverted pairs are revoked (§4.3.2), and
+// the signals are sorted into signalLess order. It only reads shared state;
+// all shared mutation happened in closeShared.
+func (s *pairState) closeOwned(sigs []Signal) []Signal {
 	s.changed = s.changed[:0]
 
 	// Drain pending IXP signals produced during the window.
@@ -491,9 +491,7 @@ func (s *shard) closeOwned(sigs []Signal) []Signal {
 		s.changed = append(s.changed, sigs[i].Key)
 		delete(s.restored, sigs[i].Key)
 	}
-	if s.eng.cfg.RevokeSignals {
-		s.revokeReverted()
-	}
+	s.revokeReverted()
 
 	sortSignals(sigs)
 	return sigs
@@ -542,7 +540,7 @@ func sortedRouterIDs(m map[int]*borderRouterSeries) []int {
 // monitored series associated with it has returned to its baseline value
 // (§4.3.2): the route reverted, so the traceroute is fresh again. Pairs
 // still marked restored are skipped (see RestoreActive).
-func (s *shard) revokeReverted() {
+func (s *pairState) revokeReverted() {
 	for k, sigs := range s.active {
 		if len(sigs) == 0 || s.restored[k] {
 			continue
@@ -559,7 +557,7 @@ func (s *shard) revokeReverted() {
 // pairReverted reports whether every monitored quantity of the pair is
 // back at the value it had when the corpus traceroute was issued: AS-path
 // ratios, community sets, and subpath/border-router ratios (§4.3.2).
-func (s *shard) pairReverted(k traceroute.Key) bool {
+func (s *pairState) pairReverted(k traceroute.Key) bool {
 	any := false
 	for _, m := range s.aspByKey[k] {
 		any = true

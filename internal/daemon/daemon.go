@@ -59,7 +59,6 @@ func New(sc experiments.Scale, o Options) (*Daemon, error) {
 	env := experiments.NewDaemonEnv(sc, o.Pace)
 	cfg := rrr.DefaultConfig()
 	cfg.WindowSec = sc.WindowSec
-	cfg.Shards = sc.Shards
 	mon, err := rrr.NewMonitor(rrr.Options{
 		Config:     cfg,
 		Mapper:     env.Mapper,

@@ -128,7 +128,6 @@ func TestLabMatchesDaemon(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			sc := quickScale(t, 1)
 			sc.SimCfg.Seed = seed
-			sc.Shards = 1
 			got, gotWindows := labSignals(sc)
 			want, wantWindows := daemonSignals(t, sc)
 			for i := 0; i < len(got) || i < len(want); i++ {

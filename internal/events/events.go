@@ -7,9 +7,9 @@
 //
 // The Detector consumes the same ingested records as the staleness engine,
 // fed through the Pipeline's record tap on the single merge-loop
-// goroutine, so its event stream is deterministic and identical across the
-// serial engine, the sharded engine, and every worker of a cluster (each
-// worker ingests the full feed). Events are emitted at window close in the
+// goroutine, so its event stream is deterministic and identical in a single
+// daemon and in every worker of a cluster (each worker ingests the full
+// feed). Events are emitted at window close in the
 // canonical EventLess order, mirroring the signal stream's SignalLess
 // contract, so cluster routers can union-merge worker streams byte for
 // byte.

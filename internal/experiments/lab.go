@@ -42,11 +42,6 @@ type Scale struct {
 	// ScenarioSeed seeds the episode schedule independently of the
 	// simulator seed; 0 derives a default from SimCfg.Seed.
 	ScenarioSeed int64
-	// Shards sets engine parallelism. Experiments default to 1 (no
-	// goroutines) so published numbers stay deterministic regardless of
-	// the host's core count; the engine's signal stream is identical at
-	// any shard count either way.
-	Shards int
 }
 
 // QuickScale is small enough for unit tests and CI.
@@ -160,7 +155,7 @@ func (r labRel) Rel(a, b bgp.ASN) core.Rel {
 
 // NewLab builds the daemon environment at scale sc and a monitor over its
 // services, primed with the environment's table dump the way daemon.New
-// primes rrrd's. Engine parallelism defaults to one shard (no goroutines).
+// primes rrrd's.
 // The monitor tracks nothing yet: BuildCorpus tracks the anchoring-round
 // corpus, and experiments with a corpus of their own track it themselves.
 func NewLab(sc Scale) *Lab {
@@ -168,10 +163,6 @@ func NewLab(sc Scale) *Lab {
 	cfg := rrr.DefaultConfig()
 	cfg.WindowSec = sc.WindowSec
 	cfg.Disabled = sc.Disabled
-	cfg.Shards = sc.Shards
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
-	}
 	mon, err := rrr.NewMonitor(rrr.Options{
 		Config:     cfg,
 		Mapper:     env.Mapper,

@@ -10,8 +10,7 @@
 // Duplicates are drawn from a math/rand PRNG seeded from Config.Seed, so a
 // fault schedule is a pure function of (seed, input stream): tests replay
 // the exact same faults on every run, which is what makes the differential
-// harness (faulted run vs. clean run, sharded vs. serial engine)
-// meaningful.
+// harness (faulted run vs. clean run) meaningful.
 //
 // An injected duplicate is byte-identical to its original and delivered
 // adjacent to it — transport-level redelivery semantics, which the

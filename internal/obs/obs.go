@@ -16,7 +16,7 @@
 //     every scraper understands.
 //
 // The package-level Default registry is what the instrumented layers
-// (Pipeline, Monitor, the sharded engine, the serving hub, snapshots)
+// (Pipeline, Monitor, the engine, the serving hub, snapshots)
 // write to and what rrrd's GET /metrics serves. Independent registries
 // can be created for tests.
 package obs

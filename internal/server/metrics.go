@@ -4,7 +4,7 @@ import "rrr/internal/obs"
 
 // Serving-layer metric handles (SSE hub fan-out and snapshot I/O),
 // resolved once at package init. They live in obs.Default alongside the
-// pipeline/monitor/shard series and are served by GET /metrics.
+// pipeline/monitor/engine series and are served by GET /metrics.
 var (
 	metHubSubscribers = obs.Default.Gauge("rrr_hub_subscribers")
 	metHubPublished   = obs.Default.Counter("rrr_hub_published_total")

@@ -58,7 +58,7 @@ func scrapeFamilies(t *testing.T, ts *httptest.Server) map[string]bool {
 
 // TestMetricsEndpoint checks the daemon's scrape surface: parseable
 // exposition, stable series names, and coverage of every instrumented
-// layer (pipeline, monitor, sharded engine, hub, snapshot).
+// layer (pipeline, monitor, engine, hub, snapshot).
 func TestMetricsEndpoint(t *testing.T) {
 	mon, stale, _ := newStaleMonitor(t)
 	dir := t.TempDir()
@@ -91,9 +91,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rrr_monitor_windows_closed_total",
 		"rrr_monitor_refreshes_total",
 		"rrr_monitor_signals_total",
-		// sharded engine
+		// engine
 		"rrr_engine_observations_total",
-		"rrr_shard_pairs",
 		"rrr_shard_close_window_seconds",
 		"rrr_series",
 		"rrr_series_subscribers",

@@ -16,10 +16,8 @@ import (
 // are optional and disable the techniques that need them when absent
 // (border-router signals need Geo, IXP signals need Rel).
 type Options struct {
-	// Config tunes windows and calibration; DefaultConfig() if zero.
-	// Config.Shards sets engine parallelism (0 means GOMAXPROCS, 1 closes
-	// every window on the caller's goroutine) and is honored even when the
-	// rest of the config is zero.
+	// Config tunes windows and calibration; DefaultConfig() if WindowSec
+	// is zero.
 	Config Config
 	// Mapper resolves hop addresses to origin ASes and IXP LANs
 	// (longest-prefix matching over collector RIBs plus IXP prefix lists;
@@ -100,9 +98,7 @@ func NewMonitor(opts Options) (*Monitor, error) {
 	}
 	cfg := opts.Config
 	if cfg.WindowSec == 0 {
-		shards := cfg.Shards
 		cfg = DefaultConfig()
-		cfg.Shards = shards
 	}
 	eng := core.NewEngine(cfg, opts.Mapper, opts.Aliases, opts.Geo, opts.Rel)
 	if opts.IXPMembers != nil {
@@ -254,9 +250,8 @@ func (m *Monitor) CloseWindow(ws int64) []Signal {
 }
 
 // noteWindowMetrics records one or more window closes: per-technique
-// signal counters, the windows-closed counter, and the stale-pairs gauge
-// (active pairs live only on their owning shard, so the engine count is
-// exact). Derived detector state (series baselines, calibration
+// signal counters, the windows-closed counter, and the stale-pairs gauge.
+// Derived detector state (series baselines, calibration
 // internals) is deliberately not exported as metrics — it would pin the
 // exposition to engine internals. (Series baselines rebuild from the
 // feeds; calibration rebuilds only from refreshes recorded after a

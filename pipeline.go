@@ -191,10 +191,10 @@ type PipelineConfig struct {
 
 // RecordTap observes the ingested record stream. All methods are invoked
 // on one goroutine in ingestion order, so implementations see the exact
-// sequence the monitor does — identical across the serial engine, the
-// sharded engine, every cluster worker, and a WAL replay into an empty
-// monitor (NewPipelineRecovery; after a snapshot restore the replay taps
-// only the records from the watermark on). A record is tapped after the
+// sequence the monitor does — identical in a single daemon, every cluster
+// worker, and a WAL replay into an empty monitor (NewPipelineRecovery;
+// after a snapshot restore the replay taps only the records from the
+// watermark on). A record is tapped after the
 // window clock has advanced (the closes it triggers come first) and before
 // the monitor ingests it; a close after the window's signals reach Sink
 // and before OnWindowClose, so a tap that publishes per-window output (the

@@ -42,8 +42,7 @@ type (
 	Signal = core.Signal
 	// Technique identifies which of the six techniques fired.
 	Technique = core.Technique
-	// Config tunes windows, calibration, revocation, and engine
-	// parallelism (Shards; 0 = GOMAXPROCS, 1 = no goroutines).
+	// Config tunes windows, calibration, and the techniques in use.
 	Config = core.Config
 	// Registration is a potential signal covering part of a traceroute.
 	Registration = core.Registration
