@@ -11,6 +11,7 @@ FUZZ_TARGETS := \
 	internal/wal:FuzzWALReader \
 	internal/server:FuzzParseKey \
 	internal/server:FuzzStaleFrame \
+	internal/server:FuzzDecodeStaleBatch \
 	internal/feedwire:FuzzFrameReader \
 	internal/anomaly:FuzzZScoreDegenerate \
 	internal/anomaly:FuzzBitmapDetector \
@@ -46,8 +47,9 @@ bench:
 
 # Short fuzz pass over every entry point that consumes untrusted bytes:
 # the BGP parsers (MRT, binary, and text codecs; path and community
-# parsers), the WAL segment reader, the HTTP pair-key parser, and the
-# router<->worker stale frame; plus the RIB, the bitmap detector and the
+# parsers), the WAL segment reader, the HTTP pair-key parser, the
+# router<->worker stale frame, and the POST /v1/stale key scanner against
+# encoding/json; plus the RIB, the bitmap detector and the
 # window choice against their reference models.
 # Each
 # pkg:Target entry gets FUZZTIME of coverage-guided input on top of its

@@ -57,10 +57,12 @@ func (rt *Router) subBatch(ctx context.Context, worker int, keys []rrr.Key, dest
 }
 
 func (rt *Router) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
-	names, keys, ok := server.DecodeStaleBatch(w, r)
+	batch, ok := server.DecodeStaleBatch(w, r)
 	if !ok {
 		return
 	}
+	defer batch.Release()
+	keys := batch.Keys
 	// One breaker reading per worker per request, not one per key.
 	up := make([]bool, len(rt.all))
 	for worker := range up {
@@ -144,9 +146,9 @@ func (rt *Router) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
 	var extra []byte
 	if len(lost) > 0 {
 		metRouterPartial.Inc()
-		extra = rt.lostVerdicts(lost, names, keys, verdicts, workerErrs)
+		extra = rt.lostVerdicts(lost, batch, verdicts, workerErrs)
 	}
-	server.WriteStaleBatch(w, stale, len(verdicts), func(i int) []byte { return verdicts[i] }, extra)
+	batch.WriteVerdicts(w, stale, len(verdicts), func(i int) []byte { return verdicts[i] }, extra)
 }
 
 // lostVerdicts fills the verdicts no live replica could answer with
@@ -154,12 +156,13 @@ func (rt *Router) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
 // aligned with the request; visibility "unavailable" is the partition-down
 // analogue of "untracked". It returns the degradation members that precede
 // the verdicts: the partitions lost, ascending, and each failed worker's
-// error, keyed by worker ID in ascending numeric order.
-func (rt *Router) lostVerdicts(lost []int, names []string, keys []rrr.Key, verdicts [][]byte, workerErrs map[int]string) []byte {
+// error, keyed by worker ID in ascending numeric order. A lost key's text
+// becomes a string here, and only here.
+func (rt *Router) lostVerdicts(lost []int, batch *server.StaleBatch, verdicts [][]byte, workerErrs map[int]string) []byte {
 	unavailSet := map[int]bool{}
 	for _, i := range lost {
-		unavailSet[rt.ring.partitionOf(keys[i])] = true
-		verdicts[i], _ = json.Marshal(server.Verdict{Key: names[i], Visibility: "unavailable"})
+		unavailSet[rt.ring.partitionOf(batch.Keys[i])] = true
+		verdicts[i], _ = json.Marshal(server.Verdict{Key: batch.Name(i), Visibility: "unavailable"})
 	}
 	unavailParts := make([]int, 0, len(unavailSet))
 	for p := range unavailSet {

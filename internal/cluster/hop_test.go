@@ -160,8 +160,11 @@ func TestRouterCloseEndsWorkerConnections(t *testing.T) {
 // TestRoutedBatchAllocs is the allocation budget of the routed batch path:
 // two workers, 64-key bodies over loopback, one persistent client
 // connection, every malloc in the process (client, router, both workers)
-// per request. The JSON hop read 972 here; the framed hop must stay under
-// 500, so the count cannot creep back between benchmark runs.
+// per request. The JSON hop read 972 here and the framed hop 416; with the
+// client's keys scanned in place on the router it reads 322 (349 under the
+// race detector, whose sync.Pools drop a quarter of what they are given),
+// and the budget is that + 10 %, so the count cannot creep back between
+// benchmark runs.
 func TestRoutedBatchAllocs(t *testing.T) {
 	lc, err := StartLocal(LocalOptions{Workers: 2, Scale: diffScale(), StreamBackoff: 20 * time.Millisecond})
 	if err != nil {
@@ -193,7 +196,7 @@ func TestRoutedBatchAllocs(t *testing.T) {
 			t.Fatalf("request %d: status %d, %d bytes", i, resp.StatusCode, n)
 		}
 	}
-	const warmup, measured, budget = 500, 2000, 500
+	const warmup, measured, budget = 500, 2000, 355
 	for i := 0; i < warmup; i++ {
 		post(i)
 	}

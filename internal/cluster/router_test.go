@@ -274,11 +274,13 @@ func TestRouterSSEReconnect(t *testing.T) {
 func TestRouterRelaysClientErrors(t *testing.T) {
 	lc := startSmallCluster(t, nil)
 	oversized, _ := json.Marshal(map[string]any{"keys": make([]string, server.MaxBatch+1)})
+	overBytes := `{"keys":["` + strings.Repeat("1", server.MaxBatchBytes) + `"]}`
 	rows := []struct{ name, path, body string }{
 		{"stale: malformed JSON", "/v1/stale", `{`},
 		{"stale: no keys", "/v1/stale", `{"keys":[]}`},
 		{"stale: bad key", "/v1/stale", `{"keys":["junk"]}`},
 		{"stale: over the batch limit", "/v1/stale", string(oversized)},
+		{"stale: over the byte limit", "/v1/stale", overBytes},
 		{"events: unknown class", "/v1/events", `{"classes":["nosuch"]}`},
 		{"events: malformed JSON", "/v1/events", `{`},
 		{"refresh plan: budget 0", "/v1/refresh/plan", `{"budget":0}`},

@@ -77,35 +77,35 @@ func newVerdictCache(log changeLog, capacity int) *verdictCache {
 	}
 }
 
-// get returns the cached verdict for k if it is current at version. A newer
-// version first syncs the cache forward; an older one is a miss.
-func (c *verdictCache) get(k rrr.Key, version uint64) (cachedVerdict, bool) {
+// get looks all of keys up under one read lock: out[i] becomes keys[i]'s
+// verdict if it is current at version, else the zero cachedVerdict (JSON
+// nil). A newer version first syncs the cache forward; at an older one
+// every key misses. Hits and misses count per key, added once per call.
+func (c *verdictCache) get(keys []rrr.Key, version uint64, out []cachedVerdict) {
 	c.mu.RLock()
-	if c.version == version {
-		if v, ok := c.entries[k]; ok {
-			c.mu.RUnlock()
-			c.hits.Inc()
-			return v, true
-		}
+	if c.version < version {
 		c.mu.RUnlock()
-		c.misses.Inc()
-		return cachedVerdict{}, false
-	}
-	behind := c.version < version
-	c.mu.RUnlock()
-	if behind {
 		c.sync(version)
 		c.mu.RLock()
-		v, ok := c.entries[k]
-		ok = ok && c.version == version
-		c.mu.RUnlock()
-		if ok {
-			c.hits.Inc()
-			return v, true
-		}
 	}
-	c.misses.Inc()
-	return cachedVerdict{}, false
+	hits := 0
+	if c.version == version {
+		for i, k := range keys {
+			out[i] = c.entries[k]
+			if out[i].JSON != nil {
+				hits++
+			}
+		}
+	} else {
+		clear(out[:len(keys)])
+	}
+	c.mu.RUnlock()
+	if hits > 0 {
+		c.hits.Add(uint64(hits))
+	}
+	if hits < len(keys) {
+		c.misses.Add(uint64(len(keys) - hits))
+	}
 }
 
 // sync brings a cache older than version up to the monitor's current

@@ -225,6 +225,13 @@ func (f *fakeChangeLog) ChangedSince(v uint64) ([]rrr.Key, bool, uint64) {
 	return keys, false, f.now
 }
 
+// getOne is the cache's batch lookup for one key.
+func getOne(c *verdictCache, k rrr.Key, version uint64) (cachedVerdict, bool) {
+	var out [1]cachedVerdict
+	c.get([]rrr.Key{k}, version, out[:])
+	return out[0], out[0].JSON != nil
+}
+
 // TestVerdictCacheGenerationOnlyMovesForward interleaves two requests by
 // hand across a close: an old one that read the state version just before
 // the close, and a new one that synced the cache past it. The old request's
@@ -236,31 +243,31 @@ func TestVerdictCacheGenerationOnlyMovesForward(t *testing.T) {
 	log := &fakeChangeLog{now: 1, changed: map[uint64][]rrr.Key{}}
 	c := newVerdictCache(log, 0)
 	va, vb := cachedVerdict{JSON: []byte(`"a1"`)}, cachedVerdict{JSON: []byte(`"b1"`)}
-	c.get(a, 1) // syncs the empty cache to version 1
+	getOne(c, a, 1) // syncs the empty cache to version 1
 	c.put(a, va, 1)
 	c.put(b, vb, 1)
 
 	// Version 2 changes a only.
 	log.now, log.changed[2] = 2, []rrr.Key{a}
-	if _, ok := c.get(b, 2); !ok {
+	if _, ok := getOne(c, b, 2); !ok {
 		t.Fatal("new request: b's verdict did not survive a close that changed only a")
 	}
-	if _, ok := c.get(a, 2); ok {
+	if _, ok := getOne(c, a, 2); ok {
 		t.Fatal("new request: a's verdict survived the close that changed it")
 	}
 	a2 := cachedVerdict{JSON: []byte(`"a2"`)}
 	c.put(a, a2, 2)
 
 	// The old request arrives late, still at version 1.
-	if _, ok := c.get(b, 1); ok {
+	if _, ok := getOne(c, b, 1); ok {
 		t.Fatal("old request: a lookup at an older version hit")
 	}
 	c.put(a, va, 1)
 
-	if got, ok := c.get(a, 2); !ok || string(got.JSON) != `"a2"` {
+	if got, ok := getOne(c, a, 2); !ok || string(got.JSON) != `"a2"` {
 		t.Fatalf("after the old request: a = %s, %v; want the version-2 verdict kept", got.JSON, ok)
 	}
-	if _, ok := c.get(b, 2); !ok {
+	if _, ok := getOne(c, b, 2); !ok {
 		t.Fatal("after the old request: b's verdict was dropped")
 	}
 	if c.version != 2 {

@@ -27,19 +27,19 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"rrr"
 	"rrr/internal/events"
 	"rrr/internal/obs"
+	"rrr/internal/trie"
 	"rrr/internal/wal"
 )
 
@@ -153,6 +153,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // different limit would turn their 413s into lost verdicts.
 const MaxBatch = 10000
 
+// MaxBatchBytes caps a JSON POST /v1/stale body, on the same terms: 64
+// bytes per key is room for the longest key, "255.255.255.255->255.255.255.255"
+// quoted with its comma (35 bytes), and some whitespace. A longer body is
+// refused with 413 before it is read.
+const MaxBatchBytes = MaxBatch*64 + 4<<10
+
 // DefaultMaxInFlight is the Config.MaxInFlight default: generous enough
 // that the differential and torture suites never shed, small enough to
 // bound memory under a stampede.
@@ -232,21 +238,31 @@ func FormatKey(k rrr.Key) string {
 	return rrr.FormatIP(k.Src) + "-" + rrr.FormatIP(k.Dst)
 }
 
-// ParseKey accepts "src-dst" or the Go String() form "src->dst".
-func ParseKey(s string) (rrr.Key, error) {
-	sep := "-"
-	if strings.Contains(s, "->") {
-		sep = "->"
+// ParseKey accepts "src-dst" or the Go String() form "src->dst": split at
+// the first "->" if there is one, else at the first "-". The []byte form
+// parses a key in place in a request body.
+func ParseKey[T string | []byte](s T) (rrr.Key, error) {
+	cut, sep := -1, 1
+	for i := 0; i < len(s); i++ {
+		if s[i] != '-' {
+			continue
+		}
+		if i+1 < len(s) && s[i+1] == '>' {
+			cut, sep = i, 2
+			break
+		}
+		if cut < 0 {
+			cut = i
+		}
 	}
-	a, b, ok := strings.Cut(s, sep)
-	if !ok {
+	if cut < 0 {
 		return rrr.Key{}, fmt.Errorf("key %q: want src-dst", s)
 	}
-	src, err := rrr.ParseIP(a)
+	src, err := trie.ParseIP(s[:cut])
 	if err != nil {
 		return rrr.Key{}, fmt.Errorf("key %q: %v", s, err)
 	}
-	dst, err := rrr.ParseIP(b)
+	dst, err := trie.ParseIP(s[cut+sep:])
 	if err != nil {
 		return rrr.Key{}, fmt.Errorf("key %q: %v", s, err)
 	}
@@ -369,50 +385,55 @@ func renderVerdict(ps rrr.PairState) cachedVerdict {
 	return cachedVerdict{Stale: v.Stale, JSON: data}
 }
 
-// verdicts answers a batch of keys: repeated keys are deduplicated (each
-// unique key is resolved once), cached answers stamped with the current
-// state version are served without locking the Monitor, and all remaining
-// keys are read in one PairStates call — a single lock acquisition per
-// request rather than three per key.
-func (s *Server) verdicts(keys []rrr.Key) []cachedVerdict {
+// verdicts answers b.Keys: repeated keys are deduplicated (each unique key
+// is resolved once), the cached answers stamped with the current state
+// version are read under one cache read lock without locking the Monitor,
+// and all remaining keys are read in one PairStates call. The answers live
+// in b, until it is released.
+func (s *Server) verdicts(b *StaleBatch) []cachedVerdict {
 	ver := s.mon.StateVersion()
-	out := make([]cachedVerdict, len(keys))
-	// first maps each key to its first occurrence; duplicate positions are
-	// back-filled from there after resolution, avoiding a per-key index
-	// slice on this hot path.
-	first := make(map[rrr.Key]int, len(keys))
-	uniq := make([]rrr.Key, 0, len(keys))
-	dups := false
-	for i, k := range keys {
-		if _, seen := first[k]; seen {
-			dups = true
-			continue
-		}
-		first[k] = i
-		uniq = append(uniq, k)
+	if b.first == nil {
+		b.first = make(map[rrr.Key]int32, len(b.Keys))
 	}
-	miss := uniq[:0]
-	for _, k := range uniq {
-		if v, ok := s.cache.get(k, ver); ok {
-			out[first[k]] = v
-		} else {
-			miss = append(miss, k)
+	clear(b.first)
+	b.slot, b.uniq = b.slot[:0], b.uniq[:0]
+	for _, k := range b.Keys {
+		j, seen := b.first[k]
+		if !seen {
+			j = int32(len(b.uniq))
+			b.first[k] = j
+			b.uniq = append(b.uniq, k)
 		}
+		b.slot = append(b.slot, j)
 	}
-	if len(miss) > 0 {
-		states, sver := s.mon.PairStates(miss)
-		for _, ps := range states {
-			v := renderVerdict(ps)
-			s.cache.put(ps.Key, v, sver)
-			out[first[ps.Key]] = v
+	found := slices.Grow(b.found[:0], len(b.uniq))[:len(b.uniq)]
+	b.found = found
+	s.cache.get(b.uniq, ver, found)
+	b.miss = b.miss[:0]
+	for j := range found {
+		if found[j].JSON == nil {
+			b.miss = append(b.miss, b.uniq[j])
 		}
 	}
-	if dups {
-		for i, k := range keys {
-			out[i] = out[first[k]]
+	if len(b.miss) > 0 {
+		states, sver := s.mon.PairStates(b.miss)
+		m := 0
+		for j := range found {
+			if found[j].JSON == nil {
+				found[j] = renderVerdict(states[m])
+				s.cache.put(states[m].Key, found[j], sver)
+				m++
+			}
 		}
 	}
-	return out
+	if len(b.uniq) == len(b.Keys) {
+		return found
+	}
+	b.out = b.out[:0]
+	for _, j := range b.slot {
+		b.out = append(b.out, found[j])
+	}
+	return b.out
 }
 
 // --- handlers ---
@@ -423,95 +444,27 @@ func (s *Server) handleStaleOne(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	cv := s.verdicts([]rrr.Key{k})[0]
+	b := getStaleBatch()
+	defer b.Release()
+	b.Keys = append(b.Keys[:0], k)
+	cv := s.verdicts(b)[0]
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(cv.JSON)
 	w.Write([]byte("\n"))
 }
 
-// DecodeStaleBatch reads and validates a POST /v1/stale body, returning the
-// keys as sent and as parsed. On a bad request it answers the 400 or 413
-// itself and reports ok false.
-func DecodeStaleBatch(w http.ResponseWriter, r *http.Request) (names []string, keys []rrr.Key, ok bool) {
-	var req struct {
-		Keys []string `json:"keys"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return nil, nil, false
-	}
-	if !batchSizeOK(w, len(req.Keys)) {
-		return nil, nil, false
-	}
-	keys = make([]rrr.Key, len(req.Keys))
-	for i, ks := range req.Keys {
-		k, err := ParseKey(ks)
-		if err != nil {
-			WriteErr(w, http.StatusBadRequest, err.Error())
-			return nil, nil, false
-		}
-		keys[i] = k
-	}
-	return req.Keys, keys, true
-}
-
-// batchSizeOK refuses an empty or over-limit batch, whichever body form
-// carried it, and reports whether n keys may be served.
-func batchSizeOK(w http.ResponseWriter, n int) bool {
-	switch {
-	case n == 0:
-		WriteErr(w, http.StatusBadRequest, "no keys")
-	case n > MaxBatch:
-		WriteErr(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("%d keys exceeds batch limit %d", n, MaxBatch))
-	default:
-		return true
-	}
-	return false
-}
-
-// WriteStaleBatch answers POST /v1/stale with n pre-rendered verdict bodies.
-// They are spliced directly instead of round-tripping through json.Marshal,
-// which would re-scan (Compact) every byte of every cached verdict on every
-// request. extra is spliced after the count: the cluster router's
-// pre-rendered degradation members, each with its leading comma.
-func WriteStaleBatch(w http.ResponseWriter, stale, n int, verdict func(i int) []byte, extra []byte) {
-	size := len(extra) + 64
-	for i := 0; i < n; i++ {
-		size += len(verdict(i)) + 1
-	}
-	var buf bytes.Buffer
-	buf.Grow(size)
-	buf.WriteString(`{"stale":`)
-	buf.WriteString(strconv.Itoa(stale))
-	buf.WriteString(`,"count":`)
-	buf.WriteString(strconv.Itoa(n))
-	buf.Write(extra)
-	buf.WriteString(`,"verdicts":[`)
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		buf.Write(verdict(i))
-	}
-	buf.WriteString("]}\n")
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(buf.Bytes())
-}
-
 func (s *Server) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
 	// The body form is the only fork: admission, the deadline and the
 	// verdicts are the same code for a client's JSON and a router's frame.
-	var keys []rrr.Key
-	var sc *staleScratch
-	ok := false
-	if r.Header.Get("Content-Type") == StaleFrameType {
-		sc = staleScratchPool.Get().(*staleScratch)
-		defer staleScratchPool.Put(sc)
-		keys, ok = decodeStaleFrame(w, r, sc)
+	b := getStaleBatch()
+	defer b.Release()
+	framed := r.Header.Get("Content-Type") == StaleFrameType
+	var ok bool
+	if framed {
+		ok = decodeStaleFrame(w, r, b)
 	} else {
-		_, keys, ok = DecodeStaleBatch(w, r)
+		ok = b.decodeJSON(w, r)
 	}
 	if !ok {
 		return
@@ -521,7 +474,7 @@ func (s *Server) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Context().Err() != nil {
 		return
 	}
-	verdicts := s.verdicts(keys)
+	verdicts := s.verdicts(b)
 	if r.Context().Err() != nil {
 		return
 	}
@@ -531,11 +484,11 @@ func (s *Server) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
 			stale++
 		}
 	}
-	if sc != nil {
-		writeStaleFrame(w, stale, verdicts, sc)
+	if framed {
+		writeStaleFrame(w, stale, verdicts, b)
 		return
 	}
-	WriteStaleBatch(w, stale, len(verdicts), func(i int) []byte { return verdicts[i].JSON }, nil)
+	b.WriteVerdicts(w, stale, len(verdicts), func(i int) []byte { return verdicts[i].JSON }, nil)
 }
 
 func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -166,7 +167,8 @@ func TestKeyRoundTrip(t *testing.T) {
 }
 
 // FuzzParseKey: whatever ParseKey accepts is a plain "src-dst"/"src->dst" of
-// unsigned dotted quads and survives the canonical form unchanged.
+// unsigned dotted quads and survives the canonical form unchanged, and the
+// string and []byte forms agree on the key and on the error's words.
 func FuzzParseKey(f *testing.F) {
 	for _, s := range []string{
 		"1.2.3.4-5.6.7.8", "1.2.3.4->5.6.7.8", "", "-", "->", "1.2.3.4", "1.2.3.4-",
@@ -177,6 +179,10 @@ func FuzzParseKey(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		k, err := ParseKey(s)
+		kb, errb := ParseKey([]byte(s))
+		if kb != k || fmt.Sprint(errb) != fmt.Sprint(err) {
+			t.Fatalf("ParseKey(%q) = %v, %v as a string and %v, %v as bytes", s, k, err, kb, errb)
+		}
 		if err != nil {
 			return
 		}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
-	"sync"
 
 	"rrr"
 	"rrr/internal/wal"
@@ -163,53 +161,39 @@ func DecodeStaleResponse(frame []byte) (StaleSlab, error) {
 // ReadStaleFrame reads a framed body into dst's storage, in one read sized
 // from the declared length when there is one (-1: none was declared).
 func ReadStaleFrame(dst []byte, body io.Reader, length int64) ([]byte, error) {
-	if length > maxStaleFrame {
-		return dst[:0], fmt.Errorf("stale frame: %d-byte body exceeds the %d-byte limit", length, maxStaleFrame)
+	b, over, err := readBody(dst, body, length, maxStaleFrame)
+	switch {
+	case over && length >= 0:
+		err = fmt.Errorf("stale frame: %d-byte body exceeds the %d-byte limit", length, maxStaleFrame)
+	case over:
+		err = fmt.Errorf("stale frame: body exceeds the %d-byte limit", maxStaleFrame)
 	}
-	if length >= 0 {
-		dst = slices.Grow(dst[:0], int(length))[:length]
-		_, err := io.ReadFull(body, dst)
-		return dst, err
-	}
-	buf := bytes.NewBuffer(dst[:0])
-	if _, err := buf.ReadFrom(io.LimitReader(body, maxStaleFrame+1)); err != nil {
-		return buf.Bytes(), err
-	}
-	if buf.Len() > maxStaleFrame {
-		return buf.Bytes(), fmt.Errorf("stale frame: body exceeds the %d-byte limit", maxStaleFrame)
-	}
-	return buf.Bytes(), nil
+	return b, err
 }
 
-// staleScratch is the worker-side working memory of one framed request: the
-// request frame, then — once the keys are out of it — the response frame.
-type staleScratch struct {
-	buf  []byte
-	keys []rrr.Key
-}
-
-var staleScratchPool = sync.Pool{New: func() any { return new(staleScratch) }}
-
-// decodeStaleFrame is DecodeStaleBatch for the framed body form: the same
-// refusals, in the same words where the JSON form has them.
-func decodeStaleFrame(w http.ResponseWriter, r *http.Request, sc *staleScratch) (keys []rrr.Key, ok bool) {
+// decodeStaleFrame is decodeJSON for the framed body form: the same
+// refusals, in the same words where the JSON form has them. The request
+// frame is read into b's buffer, which the answer frame reuses once the
+// keys are out of it.
+func decodeStaleFrame(w http.ResponseWriter, r *http.Request, b *StaleBatch) bool {
 	var err error
-	if sc.buf, err = ReadStaleFrame(sc.buf, r.Body, r.ContentLength); err == nil {
-		sc.keys, err = decodeStaleRequest(sc.buf, sc.keys[:0])
+	b.names = b.names[:0]
+	if b.buf, err = ReadStaleFrame(b.buf, r.Body, r.ContentLength); err == nil {
+		b.Keys, err = decodeStaleRequest(b.buf, b.Keys[:0])
 	}
 	if err != nil {
 		WriteErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return nil, false
+		return false
 	}
-	return sc.keys, batchSizeOK(w, len(sc.keys))
+	return batchSizeOK(w, len(b.Keys))
 }
 
 // writeStaleFrame answers a framed request. Content-Length is set so the
 // router can size its one read.
-func writeStaleFrame(w http.ResponseWriter, stale int, verdicts []cachedVerdict, sc *staleScratch) {
-	sc.buf = appendStaleResponse(sc.buf[:0], stale, len(verdicts), func(i int) []byte { return verdicts[i].JSON })
+func writeStaleFrame(w http.ResponseWriter, stale int, verdicts []cachedVerdict, b *StaleBatch) {
+	b.buf = appendStaleResponse(b.buf[:0], stale, len(verdicts), func(i int) []byte { return verdicts[i].JSON })
 	w.Header().Set("Content-Type", StaleFrameType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(sc.buf)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(b.buf)))
 	w.WriteHeader(http.StatusOK)
-	w.Write(sc.buf)
+	w.Write(b.buf)
 }

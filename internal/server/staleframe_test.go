@@ -89,7 +89,7 @@ func TestStaleFrameRoundTrip(t *testing.T) {
 		// Re-splicing the slab as the router does must reproduce the JSON
 		// form's body byte for byte.
 		spliced := httptest.NewRecorder()
-		WriteStaleBatch(spliced, slab.Stale, slab.Len(), slab.Verdict, nil)
+		new(StaleBatch).WriteVerdicts(spliced, slab.Stale, slab.Len(), slab.Verdict, nil)
 		if spliced.Body.String() != want.Body.String() {
 			t.Fatalf("n=%d: slab spliced to JSON differs from the JSON form's answer", n)
 		}

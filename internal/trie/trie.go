@@ -81,8 +81,9 @@ func FormatIP(ip uint32) string {
 // ParseIP parses a dotted-quad IPv4 address: four dot-separated runs of one
 // or more ASCII digits, each at most 255 (leading zeros allowed, no signs).
 // One pass, no allocation on success — it runs twice per key on every
-// /v1/stale request.
-func ParseIP(s string) (uint32, error) {
+// /v1/stale request, where the keys are parsed in place in the request
+// body, hence the []byte form.
+func ParseIP[T string | []byte](s T) (uint32, error) {
 	var ip, octet uint32
 	dots, digits, ok := 0, 0, true
 	for i := 0; i < len(s); i++ {
