@@ -16,7 +16,7 @@ import (
 // across requests on both tiers: the body as read, the keys parsed from it
 // and where each key's text lies in the body, then, on a worker, the
 // verdict lookup's dedup table and answers. Framed bodies leave the key
-// text empty; the router, the only caller of Name, sends JSON.
+// text empty; Name's one caller, the router, decodes only JSON bodies.
 type StaleBatch struct {
 	// Keys are the request's keys, in request order.
 	Keys []rrr.Key
