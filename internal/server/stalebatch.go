@@ -41,9 +41,9 @@ type span struct{ from, to uint32 }
 // staleBatches is the free list of released batches. It is a bounded
 // channel, not a sync.Pool: under the race detector a Pool drops a random
 // quarter of what it is handed, and the allocation budgets of this path
-// must hold there too. 64 slots cover the requests a daemon has in flight
-// at a time under closed-loop load, while bounding what idle batches hold
-// to 64 of the small ones Release keeps.
+// must hold there too. A request that finds the list empty allocates a
+// batch, and one released to a full list is dropped, so the 64 slots bound
+// what idle batches hold: 64 of the small ones Release keeps.
 var staleBatches = make(chan *StaleBatch, 64)
 
 func getStaleBatch() *StaleBatch {
