@@ -124,13 +124,16 @@ cachetest:
 # pairs sharing series across lineages, the fold cells' route cache, the series tables under re-registration churn,
 # the quiet-close allocation budget, the public-trace intake (the subpath
 # index held to the unfiltered loop, the pinned subpath key, the
-# once-per-bucket window choice over out-of-order buffers and the
-# per-trace allocation budget), the ingest budgets (RIB.Apply,
-# BinaryReader.Read, Detector.TapUpdate and the whole ingest path), and
+# once-per-bucket window choice over out-of-order buffers, the per-trace
+# allocation budget, and the hop table: a service answer flipped under a
+# new generation, one service call per IP per generation, and the table
+# held to the services asked by IP over a feed with IXP joins), the ingest
+# budgets (RIB.Apply, BinaryReader.Read, Detector.TapUpdate and the whole
+# ingest path), and
 # the detectors and window choice (Settled, Clone and the flat fast path
 # held to the reference bit for bit, ChooseWindowMin to the full scan).
 closetest:
-	$(GO) test -race -count=1 ./internal/core -run 'TestShardedMatchesSerial|TestZeroConfigMatchesDefault|TestSleepingMonitorsMatchPinned|TestSharedSeriesLineage|TestCellRouteCache|TestReregisterDoesNotLeakCommMonitors|TestQuietCloseAllocs|TestSubpathIndexMatchesScan|TestSubpathKeyOf|TestRatioSeriesDecidesOncePerBucket|TestObserveTraceAllocs' -v
+	$(GO) test -race -count=1 ./internal/core -run 'TestShardedMatchesSerial|TestZeroConfigMatchesDefault|TestSleepingMonitorsMatchPinned|TestSharedSeriesLineage|TestCellRouteCache|TestReregisterDoesNotLeakCommMonitors|TestQuietCloseAllocs|TestSubpathIndexMatchesScan|TestSubpathKeyOf|TestRatioSeriesDecidesOncePerBucket|TestObserveTraceAllocs|TestHopTable' -v
 	$(GO) test -race -count=1 ./internal/bgp -run 'TestRIBApplyAllocs|TestBinaryReaderAllocs' -v
 	$(GO) test -race -count=1 ./internal/events -run TestTapUpdateAllocs -v
 	$(GO) test -race -count=1 . -run TestIngestAllocs -v

@@ -17,6 +17,12 @@ import (
 // The primary implementation is MIDAR-style alias resolution, which the
 // paper consumes as an external service; the simulator provides ground
 // truth.
+//
+// The answer for an IP must not change while the oracle is in use, unless
+// the oracle also has a method Generation() uint64 whose value changes
+// whenever any answer may have changed: the signal engine keeps each
+// interface's answers and asks again only for an IP it has not resolved
+// under the current generation.
 type AliasOracle interface {
 	RouterOf(ip uint32) (int, bool)
 }
@@ -47,21 +53,34 @@ type BorderHop struct {
 	NearIdx, FarIdx int
 }
 
-// Key returns the identity used for border-level path comparison: the
-// AS pair plus the border router (falling back to the interface when alias
-// resolution failed).
-func (b BorderHop) Key() string {
+// BorderID is a crossing's identity for border-level path comparison: the
+// AS pair plus the border router, or minus the far interface address when
+// alias resolution failed. It is comparable, and two crossings have equal
+// IDs exactly when they have equal Keys.
+type BorderID struct {
+	FromAS, ToAS bgp.ASN
+	Router       int
+}
+
+// ID returns the crossing's comparable identity.
+func (b BorderHop) ID() BorderID {
 	id := b.Router
 	if id == 0 {
 		id = -int(b.FarIP)
 	}
-	return fmt.Sprintf("%d-%d@%d", b.FromAS, b.ToAS, id)
+	return BorderID{FromAS: b.FromAS, ToAS: b.ToAS, Router: id}
+}
+
+// Key returns the printed form of ID, "from-to@router".
+func (b BorderHop) Key() string {
+	id := b.ID()
+	return fmt.Sprintf("%d-%d@%d", id.FromAS, id.ToAS, id.Router)
 }
 
 // IXPMembershipResolver assigns an IXP LAN interface to the member AS it
 // belongs to, as traIXroute does from exchange membership data. Mappers
-// that can resolve memberships should implement it; BorderPath detects it
-// by type assertion.
+// that can resolve memberships should implement it; MapHop detects it by
+// type assertion.
 type IXPMembershipResolver interface {
 	IXPMemberOf(ip uint32) (bgp.ASN, bool)
 }
@@ -70,86 +89,106 @@ type IXPMembershipResolver interface {
 // follows Appendix A: AS transitions between responsive mapped hops become
 // borders; an IXP interface is the border itself, attributed to the member
 // AS it is assigned to when membership data resolves it, otherwise to the
-// next mapped AS after the LAN.
+// next mapped AS after the LAN. It asks the mapper about every hop
+// (MapHop), leaves the crossings to AppendBorders, and asks the alias
+// oracle only about the crossings' far interfaces.
 func BorderPath(t *traceroute.Traceroute, m traceroute.Mapper, aliases AliasOracle) []BorderHop {
-	return AppendBorderPath(nil, t, m, aliases)
-}
-
-// AppendBorderPath is BorderPath appending to out, for callers that map
-// one traceroute after another into a buffer they own. Nothing of t is
-// retained.
-func AppendBorderPath(out []BorderHop, t *traceroute.Traceroute, m traceroute.Mapper, aliases AliasOracle) []BorderHop {
-	type mapped struct {
-		idx int
-		ip  uint32
-		as  bgp.ASN
-		ixp int
-	}
-	membership, _ := m.(IXPMembershipResolver)
 	// Traceroutes are tens of hops at most: the mapped-hop list lives on
 	// the stack unless a trace is longer than any probe sends.
-	hops := make([]mapped, 0, 64)
+	hops := make([]MappedHop, 0, 64)
 	for i, h := range t.Hops {
 		if !h.Responsive() {
 			continue
 		}
-		if ixp, ok := m.IXPOf(h.IP); ok {
-			mh := mapped{idx: i, ip: h.IP, ixp: ixp}
-			if membership != nil {
-				if as, ok := membership.IXPMemberOf(h.IP); ok {
-					mh.as = as
-				}
-			}
+		if mh, ok := MapHop(h.IP, m, nil); ok {
+			mh.Idx = i
 			hops = append(hops, mh)
-			continue
-		}
-		if as, ok := m.ASOf(h.IP); ok {
-			hops = append(hops, mapped{idx: i, ip: h.IP, as: as})
 		}
 	}
-	resolve := func(ip uint32) int {
-		if aliases == nil {
-			return 0
+	out := AppendBorders(nil, hops)
+	if aliases != nil {
+		for i := range out {
+			if r, ok := aliases.RouterOf(out[i].FarIP); ok {
+				out[i].Router = r
+			}
 		}
-		r, ok := aliases.RouterOf(ip)
-		if !ok {
-			return 0
-		}
-		return r
 	}
+	return out
+}
+
+// MappedHop is one responsive traceroute hop that maps into an AS or onto
+// an IXP LAN, with every answer border mapping needs about it.
+type MappedHop struct {
+	// Idx indexes the hop in the source traceroute.
+	Idx int
+	IP  uint32
+	// AS is the hop's origin AS or, for an IXP interface, the member AS
+	// it is assigned to; 0 for an IXP interface whose member is unknown.
+	AS bgp.ASN
+	// IXP is nonzero for an IXP LAN interface.
+	IXP int
+	// Router is the interface's alias-resolved router; 0 when unresolved.
+	Router int
+}
+
+// MapHop asks the services about one responsive hop address: an IXP LAN
+// interface with the member it is assigned to (when m resolves
+// membership), else its origin AS, and its router when aliases is not nil.
+// ok is false when ip is on no IXP LAN and maps to no AS; the hop then
+// takes no part in border mapping, and only IP is set. Idx is left zero.
+func MapHop(ip uint32, m traceroute.Mapper, aliases AliasOracle) (MappedHop, bool) {
+	mh := MappedHop{IP: ip}
+	if ixp, ok := m.IXPOf(ip); ok {
+		mh.IXP = ixp
+		if membership, ok := m.(IXPMembershipResolver); ok {
+			if as, ok := membership.IXPMemberOf(ip); ok {
+				mh.AS = as
+			}
+		}
+	} else if as, ok := m.ASOf(ip); ok {
+		mh.AS = as
+	} else {
+		return mh, false
+	}
+	if aliases != nil {
+		if r, ok := aliases.RouterOf(ip); ok {
+			mh.Router = r
+		}
+	}
+	return mh, true
+}
+
+// AppendBorders appends the border crossings of a traceroute's mapped
+// hops, given in hop order, to out. It is BorderPath's Appendix A logic
+// for callers that resolve hops themselves; nothing of hops is retained.
+func AppendBorders(out []BorderHop, hops []MappedHop) []BorderHop {
 	for i := 1; i < len(hops); i++ {
-		prev, cur := hops[i-1], hops[i]
-		if prev.as == 0 {
+		prev, cur := &hops[i-1], &hops[i]
+		if prev.AS == 0 {
 			continue // unresolved IXP interface: crossing handled at entry
 		}
-		if cur.as != 0 {
-			if cur.as != prev.as {
-				out = append(out, BorderHop{
-					FromAS: prev.as, ToAS: cur.as,
-					NearIP: prev.ip, FarIP: cur.ip,
-					Router: resolve(cur.ip), IXP: cur.ixp,
-					NearIdx: prev.idx, FarIdx: cur.idx,
-				})
+		toAS := cur.AS
+		if toAS == 0 {
+			// cur is an IXP interface with unknown member: the border's
+			// far AS is the next mapped AS after the LAN.
+			for j := i + 1; j < len(hops); j++ {
+				if hops[j].AS != 0 {
+					toAS = hops[j].AS
+					break
+				}
 			}
-			continue
-		}
-		// cur is an IXP interface with unknown member: the border's far AS
-		// is the next mapped AS after the LAN.
-		toAS := bgp.ASN(0)
-		for j := i + 1; j < len(hops); j++ {
-			if hops[j].as != 0 {
-				toAS = hops[j].as
-				break
+			if toAS == 0 {
+				continue
 			}
 		}
-		if toAS == 0 || toAS == prev.as {
+		if toAS == prev.AS {
 			continue
 		}
 		out = append(out, BorderHop{
-			FromAS: prev.as, ToAS: toAS,
-			NearIP: prev.ip, FarIP: cur.ip,
-			Router: resolve(cur.ip), IXP: cur.ixp,
-			NearIdx: prev.idx, FarIdx: cur.idx,
+			FromAS: prev.AS, ToAS: toAS,
+			NearIP: prev.IP, FarIP: cur.IP,
+			Router: cur.Router, IXP: cur.IXP,
+			NearIdx: prev.Idx, FarIdx: cur.Idx,
 		})
 	}
 	return out
@@ -181,11 +220,11 @@ func borderLevelChanged(a, b []BorderHop) bool {
 	return false
 }
 
-func routersByPair(bs []BorderHop) map[[2]bgp.ASN][]string {
-	out := make(map[[2]bgp.ASN][]string, len(bs))
+func routersByPair(bs []BorderHop) map[[2]bgp.ASN][]BorderID {
+	out := make(map[[2]bgp.ASN][]BorderID, len(bs))
 	for _, b := range bs {
 		pair := [2]bgp.ASN{b.FromAS, b.ToAS}
-		out[pair] = append(out[pair], b.Key())
+		out[pair] = append(out[pair], b.ID())
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package bordermap
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -201,6 +202,47 @@ func TestBorderHopKeyFallsBackToInterface(t *testing.T) {
 	other := BorderHop{FromAS: 1, ToAS: 2, FarIP: 101}
 	if without.Key() == other.Key() {
 		t.Fatal("different interfaces should give different fallback keys")
+	}
+}
+
+// TestBorderIDMatchesKey: the comparable ID and the printed Key agree on
+// which crossings are the same, over random crossings drawn from a small
+// universe so that equal ones, unresolved routers, and routers equal to a
+// negated interface all occur.
+func TestBorderIDMatchesKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	hop := func() BorderHop {
+		b := BorderHop{
+			FromAS: bgp.ASN(1 + rng.Intn(3)),
+			ToAS:   bgp.ASN(1 + rng.Intn(3)),
+			FarIP:  uint32(1 + rng.Intn(3)),
+			NearIP: uint32(rng.Intn(3)),
+			IXP:    rng.Intn(2),
+		}
+		switch rng.Intn(3) {
+		case 0: // unresolved: falls back to the interface
+		case 1:
+			b.Router = 1 + rng.Intn(3)
+		case 2:
+			b.Router = -1 - rng.Intn(3)
+		}
+		return b
+	}
+	var same, differ int
+	for i := 0; i < 20000; i++ {
+		a, b := hop(), hop()
+		byID, byKey := a.ID() == b.ID(), a.Key() == b.Key()
+		if byID != byKey {
+			t.Fatalf("%+v vs %+v: ID equal %v, Key equal %v", a, b, byID, byKey)
+		}
+		if byID {
+			same++
+		} else {
+			differ++
+		}
+	}
+	if same == 0 || differ == 0 {
+		t.Fatalf("%d equal and %d different pairs: the draw does not exercise both", same, differ)
 	}
 }
 

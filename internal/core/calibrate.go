@@ -171,25 +171,24 @@ func portionChanged(old *corpus.Entry, borders []int, new *corpus.Entry) bool {
 		return corpus.ClassifyEntry(old, new) != bordermap.Unchanged
 	}
 	// Align by AS pair: a crossing hidden by unresponsive hops in the new
-	// measurement is a wildcard, not a change.
-	newByPair := make(map[[2]bgp.ASN]map[string]bool, len(new.Borders))
-	for _, b := range new.Borders {
-		pair := [2]bgp.ASN{b.FromAS, b.ToAS}
-		if newByPair[pair] == nil {
-			newByPair[pair] = make(map[string]bool)
-		}
-		newByPair[pair][b.Key()] = true
-	}
+	// measurement is a wildcard, not a change. Border paths are a handful
+	// of crossings, so the new one is scanned per old crossing.
 	for _, bi := range borders {
 		if bi >= len(old.Borders) {
 			continue
 		}
-		b := old.Borders[bi]
-		keys, visible := newByPair[[2]bgp.ASN{b.FromAS, b.ToAS}]
-		if !visible {
-			continue
+		id := old.Borders[bi].ID()
+		visible, found := false, false
+		for _, nb := range new.Borders {
+			if nb.FromAS == id.FromAS && nb.ToAS == id.ToAS {
+				visible = true
+				if nb.ID() == id {
+					found = true
+					break
+				}
+			}
 		}
-		if !keys[b.Key()] {
+		if visible && !found {
 			return true
 		}
 	}

@@ -12,10 +12,24 @@ import (
 )
 
 // The test universe: AS i owns i.0.0.0/8; 240.x is IXP 1 with members
-// resolved via ixpMembers below.
+// resolved via ixpIfaceMember below.
 type testMapper struct{}
 
-var ixpIfaceMember = map[uint32]bgp.ASN{}
+// ixpIfaceMember assigns IXP interfaces to members. Tests write it through
+// setIXPMember only, which moves testMapper's generation: an answer that
+// changes while an engine runs must come with a new generation.
+var (
+	ixpIfaceMember = map[uint32]bgp.ASN{}
+	ixpMemberGen   uint64
+)
+
+func setIXPMember(ip uint32, as bgp.ASN) {
+	ixpIfaceMember[ip] = as
+	ixpMemberGen++
+}
+
+// Generation implements the engine's optional generation contract.
+func (testMapper) Generation() uint64 { return ixpMemberGen }
 
 func (testMapper) ASOf(ip uint32) (bgp.ASN, bool) {
 	f := ip >> 24
@@ -438,7 +452,7 @@ func TestIXPMembershipSignal(t *testing.T) {
 	en := te.standardEntry(t)
 
 	// A public trace shows AS1 as near-end neighbor of an IXP interface.
-	ixpIfaceMember[mustIP(t, "240.0.0.77")] = 9
+	setIXPMember(mustIP(t, "240.0.0.77"), 9)
 	pub := mkTrace(t, 100, "1.0.0.5", "9.0.0.8",
 		"1.0.0.6", "240.0.0.77", "9.0.0.8")
 	te.e.ObservePublicTrace(pub)
@@ -468,7 +482,7 @@ func TestIXPPrivatePeerSuppressed(t *testing.T) {
 	te.e.SetInitialIXPMembership(map[int][]bgp.ASN{1: {3}})
 	te.rel[[2]bgp.ASN{1, 2}] = RelPeerPrivate
 	te.standardEntry(t)
-	ixpIfaceMember[mustIP(t, "240.0.0.78")] = 9
+	setIXPMember(mustIP(t, "240.0.0.78"), 9)
 	te.e.ObservePublicTrace(mkTrace(t, 100, "1.0.0.5", "9.0.0.8",
 		"1.0.0.6", "240.0.0.78", "9.0.0.8"))
 	sigs := te.e.CloseWindow(0)

@@ -13,10 +13,11 @@ import (
 
 // Engine consumes BGP updates and public traceroutes and emits staleness
 // prediction signals for a registered corpus. It owns everything global to
-// one feed — the RIB, the unresponsive-hop patcher, the calibrator, and the
-// sharedState (window fold, the §4.1 BGP series, extra-AS series, subpath
-// monitors, border-router series, IXP membership) — and, in its embedded
-// pairState, the state of each corpus pair.
+// one feed — the RIB, the hop table (hop IDs, their mapping answers and
+// unresponsive-hop patching evidence), the calibrator, and the sharedState
+// (window fold, the §4.1 BGP series, extra-AS series, subpath monitors,
+// border-router series, IXP membership) — and, in its embedded pairState,
+// the state of each corpus pair.
 //
 // Each update is applied to the RIB and folded into the shared state exactly
 // once, and each traceroute is patched, border-mapped, and observed exactly
@@ -30,15 +31,17 @@ import (
 // arrive in time order, so concurrent feeders must serialize externally (the
 // Monitor facade does).
 type Engine struct {
-	mu      sync.Mutex
-	cfg     Config
-	mapper  traceroute.Mapper
-	aliases bordermap.AliasOracle
-	geo     Geolocator
-	rel     RelOracle
+	mu     sync.Mutex
+	cfg    Config
+	mapper traceroute.Mapper
+	geo    Geolocator
+	rel    RelOracle
 
-	rib     *bgp.RIB
-	patcher *traceroute.Patcher
+	rib *bgp.RIB
+	// hops interns public-trace hops, keeps their unresponsive-hop patching
+	// evidence, and resolves them through the mapper and alias oracle once
+	// per IP and service generation.
+	hops    *hopTable
 	scratch traceScratch
 	sh      *sharedState
 
@@ -106,11 +109,10 @@ func NewEngine(cfg Config, m traceroute.Mapper, aliases bordermap.AliasOracle, g
 	e := &Engine{
 		cfg:       cfg,
 		mapper:    m,
-		aliases:   aliases,
 		geo:       geo,
 		rel:       rel,
 		rib:       rib,
-		patcher:   traceroute.NewPatcher(),
+		hops:      newHopTable(m, aliases),
 		sh:        newSharedState(cfg, geo, rib),
 		Calib:     newCalibrator(calibrationWindows, cfg.CommunityFPQuota),
 		met:       newEngineMetrics(),

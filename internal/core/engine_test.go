@@ -46,7 +46,7 @@ func runWorkload(t *testing.T, cfg Config, faultSeed int64, afterClose func(*Eng
 	res := workloadResult{counts: map[Technique]int{}}
 
 	e.SetInitialIXPMembership(map[int][]bgp.ASN{1: {3}})
-	ixpIfaceMember[240<<24|77] = 9
+	setIXPMember(240<<24|77, 9)
 
 	pfx4 := pfx(t, "4.0.0.0/8")
 	// 12 VPs with routes to 4.0.0.0/8; vp index 1 carries a community

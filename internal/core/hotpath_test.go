@@ -281,6 +281,7 @@ func TestSubpathIndexMatchesScan(t *testing.T) {
 	pick := func() uint32 { return universe[rng.Intn(len(universe))] }
 
 	sh := newSharedState(DefaultConfig(), nil, bgp.NewRIB())
+	ht := newHopTable(nil, nil)
 	for len(sh.subpaths) < 400 {
 		ips := []uint32{pick()}
 		for n := 1 + rng.Intn(3); len(ips) <= n; {
@@ -292,22 +293,24 @@ func TestSubpathIndexMatchesScan(t *testing.T) {
 			ips[len(ips)-1] = ips[0] // last anchor = start anchor
 		}
 		if key := subpathKeyOf(ips); sh.subpaths[key] == nil {
-			sh.addSubpath(key, ips)
+			sh.addSubpath(key, ips, ht.intern(ips[0]))
 		}
 	}
 
 	var visits, skipped, collided, observed, matched int
 	for trace := 0; trace < 3000; trace++ {
 		path := make([]uint32, 1+rng.Intn(14))
+		ids := make([]uint32, len(path))
 		for i := range path {
 			if rng.Intn(8) > 0 {
 				path[i] = pick() // else a hole
 			}
+			ids[i] = ht.intern(path[i])
 		}
 		tm := int64(trace) * 60
 
 		var got, want []subObserve
-		sh.matchSubpaths(path, func(mon *subpathMonitor, match bool) {
+		sh.matchSubpaths(path, ids, func(mon *subpathMonitor, match bool) {
 			got = append(got, subObserve{mon.id, tm, match})
 		})
 		on := make(map[uint32]bool)
@@ -320,8 +323,13 @@ func TestSubpathIndexMatchesScan(t *testing.T) {
 			if ip == 0 {
 				continue
 			}
-			for _, st := range sh.subByStart[ip] {
-				mon, last := st.mon, st.mon.ips[len(st.mon.ips)-1]
+			var starts []subStart
+			if id := ht.intern(ip); int(id) < len(sh.subByStart) {
+				starts = sh.subByStart[id]
+			}
+			for _, st := range starts {
+				mon := st.mon
+				last := mon.ips[len(mon.ips)-1]
 				visits++
 				switch {
 				case word&ipBit(last) == 0:
@@ -376,6 +384,25 @@ func TestSubpathKeyOf(t *testing.T) {
 			t.Fatalf("subpathKeyOf(%v) = %q, want %q", ips, got, want)
 		}
 	}
+}
+
+// matchesSparse reports whether the anchors appear in order within path,
+// starting at path[0] == anchors[0]: the reference for matchSubpaths'
+// inline-anchor match.
+func matchesSparse(path []uint32, anchors []uint32) bool {
+	if len(path) == 0 || len(anchors) == 0 || path[0] != anchors[0] {
+		return false
+	}
+	ai := 1
+	for _, ip := range path[1:] {
+		if ai == len(anchors) {
+			break
+		}
+		if ip == anchors[ai] {
+			ai++
+		}
+	}
+	return ai == len(anchors)
 }
 
 // benchTraces is the public feed of the trace benches: 64 traceroutes from

@@ -49,9 +49,10 @@ type sharedState struct {
 	awakeExtras  []*extraSeries
 	closes       int
 
-	// §4.2.1 subpath monitors, indexed by start anchor (see matchSubpaths).
+	// §4.2.1 subpath monitors, indexed by their start anchor's hop ID
+	// (see matchSubpaths).
 	subpaths   map[string]*subpathMonitor
-	subByStart map[uint32][]subStart
+	subByStart [][]subStart
 	subSorted  []*subpathMonitor // cache of key-sorted order; nil = dirty
 
 	// §4.2.2 border-router series.
@@ -93,7 +94,6 @@ func newSharedState(cfg Config, geo Geolocator, rib *bgp.RIB) *sharedState {
 		seriesTables: newSeriesTables(),
 		extras:       make(map[extraKey]*extraSeries),
 		subpaths:     make(map[string]*subpathMonitor),
-		subByStart:   make(map[uint32][]subStart),
 		borders:      make(map[borderGroupKey]*borderGroup),
 		ixpMembers:   make(map[int]map[bgp.ASN]bool),
 		ixpObserved:  make(map[int]map[bgp.ASN]bool),
@@ -366,7 +366,7 @@ func (sh *sharedState) borderGroupOf(b bordermap.BorderHop, when int64) (borderG
 // the same traceroute must see the first one already recorded). The caller
 // turns each join into per-pair signals by scanning the corpus.
 func (sh *sharedState) observeTrace(pt preparedTrace, onJoin func(ixp int, member bgp.ASN, when int64)) {
-	sh.matchSubpaths(pt.path, func(mon *subpathMonitor, match bool) {
+	sh.matchSubpaths(pt.path, pt.ids, func(mon *subpathMonitor, match bool) {
 		mon.observe(sh, pt.time, match)
 	})
 
@@ -427,14 +427,18 @@ func (sh *sharedState) observeTrace(pt preparedTrace, onJoin func(ixp int, membe
 	}
 }
 
-// subStart is one subpath monitor in its start anchor's subByStart entry,
-// with what matchSubpaths needs to skip it without following mon: its
-// last anchor ι_n and that anchor's ipBit.
+// subStart is one subpath monitor in its start anchor's subByStart slot,
+// with the anchors after the start inline, so matchSubpaths decides a
+// match without following mon.
 type subStart struct {
-	last uint32
-	bit  uint64
 	mon  *subpathMonitor
+	rest [maxSubpathAnchors - 1]uint32 // ι_{m+1}..ι_n
+	n    uint8                         // anchors used in rest
 }
+
+// maxSubpathAnchors bounds a subpath monitor's anchors: the short monitor
+// of registerSubpathMonitors has three, its bracket monitor four.
+const maxSubpathAnchors = 4
 
 // ipBit maps an IP to one bit of a 64-bit word: the top 6 bits of a
 // multiplicative hash.
@@ -443,36 +447,49 @@ func ipBit(ip uint32) uint64 {
 }
 
 // addSubpath creates the monitor of a new subpath key and indexes it under
-// its start anchor, after the monitors already registered there.
-func (sh *sharedState) addSubpath(key string, ips []uint32) *subpathMonitor {
-	last := ips[len(ips)-1]
+// its start anchor's hop ID, start, after the monitors already registered
+// there.
+func (sh *sharedState) addSubpath(key string, ips []uint32, start uint32) *subpathMonitor {
+	if len(ips) > maxSubpathAnchors {
+		panic("core: subpath with more than maxSubpathAnchors anchors")
+	}
 	mon := &subpathMonitor{id: hashID("sub:" + key), ips: ips}
 	sh.subpaths[key] = mon
-	sh.subByStart[ips[0]] = append(sh.subByStart[ips[0]], subStart{last: last, bit: ipBit(last), mon: mon})
+	if n := int(start) + 1; n > len(sh.subByStart) {
+		sh.subByStart = append(sh.subByStart, make([][]subStart, n-len(sh.subByStart))...)
+	}
+	st := subStart{mon: mon}
+	st.n = uint8(copy(st.rest[:], ips[1:]))
+	sh.subByStart[start] = append(sh.subByStart[start], st)
 	sh.subSorted = nil
 	return mon
 }
 
 // matchSubpaths runs §4.2.1's intersect and match steps for one path,
-// calling observe for each subpath monitor it yields an observation for,
-// in path order and then registration order. A monitor whose last anchor's
-// bit is clear in the path's word cannot be in T^intersect (its last
-// anchor is not on the path), so it is skipped before TraversesVia.
-func (sh *sharedState) matchSubpaths(path []uint32, observe func(mon *subpathMonitor, match bool)) {
+// given with its hop IDs, calling observe for each subpath monitor it
+// yields an observation for, in path order and then registration order. A
+// monitor whose last anchor's bit is clear in the path's word cannot be in
+// T^intersect (its last anchor is not on the path), so it is skipped
+// before TraversesVia.
+func (sh *sharedState) matchSubpaths(path, ids []uint32, observe func(mon *subpathMonitor, match bool)) {
 	var word uint64
 	for _, ip := range path {
 		word |= ipBit(ip)
 	}
-	for i, ip := range path {
-		if ip == 0 {
+	for i, id := range ids {
+		if int(id) >= len(sh.subByStart) {
 			continue
 		}
-		for _, st := range sh.subByStart[ip] {
-			if word&st.bit == 0 {
+		ip, starts := path[i], sh.subByStart[id]
+		for k := range starts {
+			st := &starts[k]
+			rest := st.rest[:st.n]
+			last := rest[len(rest)-1]
+			if word&ipBit(last) == 0 {
 				continue
 			}
 			// Intersect: the trace passes ι_m then later ι_n.
-			_, endIdx, via := traceroute.TraversesVia(path[i:], ip, st.last)
+			_, endIdx, via := traceroute.TraversesVia(path[i:], ip, last)
 			if !via {
 				continue
 			}
@@ -483,7 +500,7 @@ func (sh *sharedState) matchSubpaths(path []uint32, observe func(mon *subpathMon
 			// could be explained by an unresponsive hop in the span is
 			// unknown — wildcards cannot indicate a change (Appendix A) —
 			// and is dropped.
-			match := matchesSparse(path[i:], st.mon.ips)
+			match := inOrder(path[i+1:], rest)
 			if !match && spanHasHole(path[i:], endIdx) {
 				continue
 			}

@@ -119,7 +119,7 @@ func (s *pairState) registerSubpathMonitors(en *corpus.Entry) {
 		if !ok {
 			// Monitors shared across entries are content-named like
 			// everything else.
-			mon = s.eng.sh.addSubpath(key, ips)
+			mon = s.eng.sh.addSubpath(key, ips, s.eng.hops.intern(ips[0]))
 		}
 		mon.watchers = append(mon.watchers, subpathWatcher{key: en.Key, borders: []int{bi}})
 		s.subByKey[en.Key] = append(s.subByKey[en.Key], mon)
@@ -220,43 +220,56 @@ func (s *pairState) registerBorderMonitors(en *corpus.Entry) {
 // engine's per-trace scratch, valid until the next prepareTrace; nothing
 // downstream retains them.
 type preparedTrace struct {
-	time    int64
+	time int64
+	// path is the patched IP path and ids its hop IDs, hop for hop.
 	path    []uint32
+	ids     []uint32
 	borders []bordermap.BorderHop
 }
 
 // traceScratch is the engine-owned working memory of one public
-// traceroute, reused for the next: the caller's hops are patched in a copy
-// (the traceroute itself is the feed's), and the IP and border paths are
-// appended into buffers that stop growing at the longest trace seen.
+// traceroute, reused for the next: the hop IDs (patched in place; the
+// traceroute itself is the feed's), the IP path, the mapped hops and the
+// border path are appended into buffers that stop growing at the longest
+// trace seen.
 type traceScratch struct {
-	hops    []traceroute.Hop
+	ids     []uint32
 	path    []uint32
+	mapped  []bordermap.MappedHop
 	borders []bordermap.BorderHop
 }
 
-// prepareTrace feeds the unresponsive-hop patcher and resolves the
-// patched IP path and border path.
+// prepareTrace interns the hops, feeds and applies the unresponsive-hop
+// patching evidence, and resolves the patched path's hops through the hop
+// table into the IP path and the border path.
 func (e *Engine) prepareTrace(t *traceroute.Traceroute) preparedTrace {
-	e.patcher.Observe(t)
-	sc := &e.scratch
-	sc.hops = append(sc.hops[:0], t.Hops...)
-	patched := *t
-	patched.Hops = sc.hops
-	e.patcher.Patch(&patched)
-	sc.path = patched.AppendIPPath(sc.path[:0])
-	sc.borders = bordermap.AppendBorderPath(sc.borders[:0], &patched, e.mapper, e.aliases)
-	return preparedTrace{time: t.Time, path: sc.path, borders: sc.borders}
+	ht, sc := e.hops, &e.scratch
+	ht.sync()
+	sc.ids = sc.ids[:0]
+	for _, h := range t.Hops {
+		sc.ids = append(sc.ids, ht.intern(h.IP))
+	}
+	ht.observeGaps(sc.ids)
+	ht.patchGaps(sc.ids)
+	sc.path, sc.mapped = sc.path[:0], sc.mapped[:0]
+	for i, id := range sc.ids {
+		h := ht.resolve(id)
+		sc.path = append(sc.path, h.hop.IP)
+		if h.mapped {
+			mh := h.hop
+			mh.Idx = i
+			sc.mapped = append(sc.mapped, mh)
+		}
+	}
+	sc.borders = bordermap.AppendBorders(sc.borders[:0], sc.mapped)
+	return preparedTrace{time: t.Time, path: sc.path, ids: sc.ids, borders: sc.borders}
 }
 
-// matchesSparse reports whether the anchors appear in order within path,
-// starting at path[0] == anchors[0].
-func matchesSparse(path []uint32, anchors []uint32) bool {
-	if len(path) == 0 || len(anchors) == 0 || path[0] != anchors[0] {
-		return false
-	}
-	ai := 1
-	for _, ip := range path[1:] {
+// inOrder reports whether the anchors appear in order within path, not
+// necessarily adjacent.
+func inOrder(path []uint32, anchors []uint32) bool {
+	ai := 0
+	for _, ip := range path {
 		if ai == len(anchors) {
 			break
 		}

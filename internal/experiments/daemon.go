@@ -319,6 +319,16 @@ func (s *simServices) RouterOf(ip uint32) (int, bool) {
 	return int(r), ok
 }
 
+// Generation implements the optional generation contract of
+// traceroute.Mapper and bordermap.AliasOracle: the topology's interface
+// count, which grows whenever an IXP join gives a member a LAN address,
+// the only mapping or alias answer that changes while the feed runs.
+func (s *simServices) Generation() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return uint64(s.t.InterfaceCount())
+}
+
 // LocateCity implements core.Geolocator.
 func (s *simServices) LocateCity(ip uint32, when int64) (int, bool) {
 	s.mu.RLock()

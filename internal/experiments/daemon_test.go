@@ -133,6 +133,10 @@ func TestDaemonEnvServicesUnderFeed(t *testing.T) {
 	if !ok {
 		t.Fatal("env.Mapper lost IXPMemberOf; border mapping would stop resolving IXP members")
 	}
+	gen, ok := env.Mapper.(interface{ Generation() uint64 })
+	if !ok {
+		t.Fatal("env.Mapper lost Generation; the engine would keep answers an IXP join changes")
+	}
 	var ips []uint32
 	for _, r := range env.Sim.T.Routers[1:] {
 		ips = append(ips, r.Interfaces...)
@@ -159,6 +163,7 @@ func TestDaemonEnvServicesUnderFeed(t *testing.T) {
 			return
 		default:
 		}
+		gen.Generation()
 		for _, ip := range ips {
 			env.Mapper.IXPOf(ip)
 			members.IXPMemberOf(ip)

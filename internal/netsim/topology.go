@@ -709,6 +709,12 @@ func (t *Topology) IXPMemberForIP(ip uint32) (bgp.ASN, bool) {
 	return as, ok
 }
 
+// InterfaceCount is the number of addresses RouterForIP resolves. Every
+// mapping answer that changes during a run comes with a new address: only
+// an IXP join adds entries (a member's LAN address), and the origin and
+// IXP tries are built once with the topology.
+func (t *Topology) InterfaceCount() int { return len(t.ipToRouter) }
+
 // RouterForIP resolves an interface or loopback address to its router.
 func (t *Topology) RouterForIP(ip uint32) (RouterID, bool) {
 	r, ok := t.ipToRouter[ip]

@@ -539,7 +539,7 @@ type Stats struct {
 
 func (s *Server) stats() Stats {
 	st := Stats{
-		CorpusSize:    len(s.mon.Tracked()),
+		CorpusSize:    s.mon.TrackedCount(),
 		StaleKeys:     len(s.mon.StaleKeys()),
 		WindowSec:     s.mon.WindowSec(),
 		WindowsClosed: s.mon.WindowsClosed(),

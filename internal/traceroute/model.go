@@ -63,11 +63,7 @@ func (k Key) String() string {
 
 // IPPath returns the hop IPs (0 for unresponsive hops).
 func (t *Traceroute) IPPath() []uint32 {
-	return t.AppendIPPath(make([]uint32, 0, len(t.Hops)))
-}
-
-// AppendIPPath is IPPath appending to out.
-func (t *Traceroute) AppendIPPath(out []uint32) []uint32 {
+	out := make([]uint32, 0, len(t.Hops))
 	for _, h := range t.Hops {
 		out = append(out, h.IP)
 	}
@@ -96,6 +92,12 @@ func (t *Traceroute) String() string {
 // Mapper resolves hop IPs to origin ASes and identifies IXP interfaces.
 // Implementations combine longest-prefix matching over BGP-advertised
 // prefixes, RIR delegations, and IXP prefix lists (Appendix A).
+//
+// The answers for an IP (ASOf, IXPOf, and IXPMemberOf where implemented)
+// must not change while the mapper is in use, unless the mapper also has a
+// method Generation() uint64 whose value changes whenever any answer may
+// have changed: the signal engine keeps each hop IP's answers and asks
+// again only about an IP it has not resolved under the current generation.
 type Mapper interface {
 	// ASOf maps ip to the AS that originates its covering prefix.
 	ASOf(ip uint32) (bgp.ASN, bool)

@@ -15,6 +15,14 @@ import (
 // Options configures a Monitor. Mapper is required; the remaining services
 // are optional and disable the techniques that need them when absent
 // (border-router signals need Geo, IXP signals need Rel).
+//
+// The Monitor resolves each public-trace hop IP through Mapper and Aliases
+// once and keeps the answers, so those answers must be fixed for an IP. A
+// Mapper or AliasOracle whose answers can change implements
+// Generation() uint64, returning a new value whenever any answer may have
+// changed; the Monitor reads it once per traceroute and asks again about
+// every IP after it moves. Geo is asked on every use (its answers depend on
+// the time).
 type Options struct {
 	// Config tunes windows and calibration; DefaultConfig() if WindowSec
 	// is zero.
@@ -226,6 +234,14 @@ func (m *Monitor) Tracked() []Key {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.corp.Keys()
+}
+
+// TrackedCount returns how many pairs the corpus tracks, without copying
+// or sorting their keys.
+func (m *Monitor) TrackedCount() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.corp.Len()
 }
 
 // Entry returns the stored corpus entry for a pair.

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"rrr/internal/bgp"
 	"rrr/internal/bordermap"
@@ -154,9 +155,28 @@ func TestMonitorUntrack(t *testing.T) {
 	if err := m.Track(tr); err != nil {
 		t.Fatal(err)
 	}
+	if n := m.TrackedCount(); n != 1 {
+		t.Fatalf("TrackedCount = %d after one Track", n)
+	}
 	m.Untrack(tr.Key())
-	if len(m.Tracked()) != 0 || len(m.Potential(tr.Key())) != 0 {
+	if len(m.Tracked()) != 0 || len(m.Potential(tr.Key())) != 0 || m.TrackedCount() != 0 {
 		t.Fatal("untrack incomplete")
+	}
+}
+
+// TestTrackedCountSharesReadLock: /v1/stats counts the corpus beside other
+// readers; it must not wait for the write lock, as Tracked does (its keys
+// sort lazily).
+func TestTrackedCountSharesReadLock(t *testing.T) {
+	m := newTestMonitor(t)
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	done := make(chan int, 1)
+	go func() { done <- m.TrackedCount() }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("TrackedCount blocked behind a reader")
 	}
 }
 
@@ -606,6 +626,7 @@ func TestMonitorConcurrentAccess(t *testing.T) {
 				m.ActiveSignals(tr.Key())
 				m.SignalCounts()
 				m.Tracked()
+				m.TrackedCount()
 				m.StaleKeys()
 				m.PrunedCommunities()
 			}
