@@ -12,6 +12,7 @@ FUZZ_TARGETS := \
 	internal/server:FuzzParseKey \
 	internal/server:FuzzStaleFrame \
 	internal/server:FuzzDecodeStaleBatch \
+	internal/cluster:FuzzSSEReader \
 	internal/feedwire:FuzzFrameReader \
 	internal/anomaly:FuzzZScoreDegenerate \
 	internal/anomaly:FuzzBitmapDetector \
@@ -48,10 +49,10 @@ bench:
 # Short fuzz pass over every entry point that consumes untrusted bytes:
 # the BGP parsers (MRT, binary, and text codecs; path and community
 # parsers), the WAL segment reader, the HTTP pair-key parser, the
-# router<->worker stale frame, and the POST /v1/stale key scanner against
-# encoding/json; plus the RIB, the bitmap detector and the
-# window choice against their reference models.
-# Each
+# router<->worker stale frame, the POST /v1/stale key scanner against
+# encoding/json, and the router's reader of a worker's SSE stream; plus
+# the RIB, the bitmap detector and the window choice against their
+# reference models. Each
 # pkg:Target entry gets FUZZTIME of coverage-guided input on top of its
 # seed corpus. Go allows one -fuzz target per invocation, hence the loop.
 fuzz:

@@ -34,7 +34,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -51,7 +50,6 @@ func main() {
 	workers := flag.String("workers", "", "comma-separated worker base URLs, ordered by worker ID")
 	flag.IntVar(&opts.Partitions, "partitions", cluster.DefaultPartitions, "hash-ring partition count (must match the workers)")
 	flag.DurationVar(&opts.Timeout, "timeout", 2*time.Second, "per-worker sub-request timeout (one retry before a partition is reported unavailable)")
-	flag.IntVar(&opts.RingSize, "ring", server.DefaultRingSize, "per-SSE-subscriber frame buffer")
 	flag.DurationVar(&opts.StreamBackoff, "stream-backoff", 100*time.Millisecond, "initial worker-stream reconnect delay")
 	flag.IntVar(&opts.BreakerThreshold, "breaker-threshold", cluster.DefaultBreakerThreshold, "consecutive worker failures before the circuit breaker opens")
 	flag.DurationVar(&opts.BreakerCooldown, "breaker-cooldown", cluster.DefaultBreakerCooldown, "open-breaker wait before a half-open /readyz probe")
@@ -87,7 +85,8 @@ func run(addr, workers string, opts cluster.Options) error {
 			len(rt.Ring().StandbyPartitions(w)), rt.Ring().ReplicaFactor())
 	}
 
-	httpSrv := &http.Server{Addr: addr, Handler: rt.Handler()}
+	httpSrv := server.NewHTTPServer(rt.Handler())
+	httpSrv.Addr = addr
 	httpDone := make(chan error, 1)
 	go func() {
 		log.Printf("rrrd-router: serving on %s (%d workers)", addr, len(urls))

@@ -38,7 +38,7 @@ func TestBinary(t *testing.T) {
 		}
 	})
 
-	for _, gone := range [][]string{{"-heartbeat", "1s"}, {"-max-batch", "5"}} {
+	for _, gone := range [][]string{{"-heartbeat", "1s"}, {"-max-batch", "5"}, {"-ring", "256"}} {
 		t.Run("removed flag "+gone[0]+" exits 2", func(t *testing.T) {
 			if code, msg := run(t, gone...); code != 2 || !strings.Contains(msg, "flag provided but not defined") {
 				t.Fatalf("exit %d, stderr %q; want 2 (flag not defined)", code, msg)
@@ -53,7 +53,7 @@ func TestBinary(t *testing.T) {
 			got = append(got, m[1])
 		}
 		// flag prints in lexical order.
-		want := "-addr -breaker-cooldown -breaker-threshold -max-inflight -partitions -ring -stream-backoff -timeout -workers"
+		want := "-addr -breaker-cooldown -breaker-threshold -max-inflight -partitions -stream-backoff -timeout -workers"
 		if strings.Join(got, " ") != want {
 			t.Fatalf("flags = %v\nwant    %s", got, want)
 		}

@@ -75,7 +75,7 @@ type options struct {
 	scenario     string
 	scenarioSeed int64
 
-	d     daemon.Options           // -pace -snapshot -ring -max-inflight
+	d     daemon.Options           // -pace -snapshot -max-inflight
 	wal   wal.Options              // -wal-dir -wal-segment-bytes
 	retry rrr.RetryPolicy          // -feed-retries -feed-backoff
 	feed  feedwire.ConnectorConfig // -feed-addr -feed-buffer -feed-stall
@@ -120,7 +120,6 @@ func main() {
 	flag.StringVar(&o.wal.Dir, "wal-dir", "", "write-ahead log directory (empty disables the WAL)")
 	flag.StringVar(&o.walFsync, "wal-fsync", "window", "WAL durability: record, window, or a sync interval like 2s")
 	flag.Int64Var(&o.wal.SegmentBytes, "wal-segment-bytes", 8<<20, "WAL segment rotation size")
-	flag.IntVar(&o.d.Server.RingSize, "ring", server.DefaultRingSize, "per-SSE-subscriber signal buffer")
 	flag.IntVar(&o.d.Server.MaxInFlight, "max-inflight", server.DefaultMaxInFlight, "in-flight data-request bound; excess requests are shed with 503 + Retry-After")
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "optional debug listen address serving /metrics and /debug/pprof/*")
 	flag.IntVar(&o.retry.MaxRetries, "feed-retries", o.retry.MaxRetries, "reconnects per failure episode for -feed-addr before a feed is declared dead")
@@ -208,7 +207,7 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: d.Srv.Handler()}
+	httpSrv := server.NewHTTPServer(d.Srv.Handler())
 	httpDone := make(chan error, 1)
 	go func() {
 		log.Printf("rrrd: serving on %s (readiness gated on recovery)", lis.Addr())
@@ -287,7 +286,9 @@ func run(o options) error {
 		http.Handle("GET /metrics", obs.Default.Handler())
 		go func() {
 			log.Printf("rrrd: debug endpoints on %s (/metrics, /debug/pprof/)", o.debugAddr)
-			if err := http.ListenAndServe(o.debugAddr, nil); err != nil {
+			dbg := server.NewHTTPServer(nil) // nil: the default mux
+			dbg.Addr = o.debugAddr
+			if err := dbg.ListenAndServe(); err != nil {
 				log.Printf("rrrd: debug listener: %v", err)
 			}
 		}()

@@ -12,15 +12,7 @@ import (
 	"rrr"
 	"rrr/internal/daemon"
 	"rrr/internal/experiments"
-	"rrr/internal/server"
 )
-
-// localRingSize is the SSE ring used by in-process workers and routers.
-// Local feeds run at full simulation speed (no wall-clock pacing), so the
-// production default ring would shed frames under burst and break the
-// byte-identity the differential tests assert; a deep ring keeps local
-// streams lossless without touching production defaults.
-const localRingSize = 1 << 14
 
 // LocalOptions configures an in-process cluster over simulated feeds.
 type LocalOptions struct {
@@ -116,7 +108,7 @@ type LocalCluster struct {
 // router prefixes merged feed names per worker, and the differentials compare
 // merged stats with a single daemon's byte for byte.
 func startWorker(sc experiments.Scale, ring *Ring, id int, wrap func(int, http.Handler) http.Handler) (*LocalWorker, error) {
-	opts := daemon.Options{Server: server.Config{RingSize: localRingSize}}
+	var opts daemon.Options
 	if ring != nil {
 		opts.Keep, opts.Server.Worker = ring.Worker(id)
 	}
@@ -174,7 +166,6 @@ func StartLocal(opts LocalOptions) (*LocalCluster, error) {
 		Partitions:       opts.Partitions,
 		Timeout:          opts.RouterTimeout,
 		StreamBackoff:    opts.StreamBackoff,
-		RingSize:         localRingSize,
 		MaxInFlight:      opts.RouterMaxInFlight,
 		BreakerThreshold: opts.BreakerThreshold,
 		BreakerCooldown:  opts.BreakerCooldown,

@@ -71,10 +71,10 @@ type merger struct {
 	lossyLast  int64
 	flushed    int64
 	hasFlushed bool
-	hub        *server.Fanout[[]byte]
+	hub        *server.Stream
 }
 
-func newMerger(workers int, hub *server.Fanout[[]byte], ring *Ring) *merger {
+func newMerger(workers int, hub *server.Stream, ring *Ring) *merger {
 	partReps := make([][]int, ring.Partitions())
 	for p := range partReps {
 		partReps[p] = ring.Replicas(p)
@@ -208,16 +208,20 @@ func (m *merger) marker(w int, ws int64) {
 	m.mu.Unlock()
 }
 
-// workerDropped propagates a worker-side ring overflow: the worker's own
-// hub discarded n events before we read them, so the merged stream has an
-// unquantifiable hole. Surface it like a reconnect gap.
+// workerDropped propagates a worker-side loss: the worker's stream log
+// trimmed n frames before we read them, so the merged stream has an
+// unquantifiable hole. Surface it like a reconnect gap. The gap is
+// published under m.mu, so it lands between windows, never inside one
+// that another worker's marker is flushing.
 func (m *merger) workerDropped(w int, n uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	metClusterStreamLate.Add(n)
 	m.publishGap(`{"worker":%d,"droppedUpstream":%d}`, w, n)
 }
 
 // publishGap puts a `gap` frame — the router's own frame kind; no worker
-// emits one — on the merged stream.
+// emits one — on the merged stream. Callers hold m.mu.
 func (m *merger) publishGap(format string, args ...any) {
 	metClusterStreamGaps.Inc()
 	m.hub.Publish(server.SSEFrame("gap", fmt.Appendf(nil, format, args...)))

@@ -32,9 +32,6 @@ type Options struct {
 	// Timeout bounds each worker sub-request (0 = 2s). A worker that
 	// exceeds it is retried once, then reported unavailable.
 	Timeout time.Duration
-	// RingSize is the per-SSE-subscriber frame buffer (0 =
-	// server.DefaultRingSize).
-	RingSize int
 	// StreamBackoff is the initial worker-stream reconnect delay
 	// (0 = 100ms; doubles to a 2s cap).
 	StreamBackoff time.Duration
@@ -62,7 +59,7 @@ type Router struct {
 	all      []int // every worker ID, ascending: the scatter target of whole-cluster requests
 	opts     Options
 	mux      *http.ServeMux
-	hub      *server.Fanout[[]byte]
+	hub      *server.Stream
 	merger   *merger
 	breakers []*breaker
 	// client carries every connection the router opens to a worker —
@@ -90,7 +87,7 @@ func NewRouter(opts Options) (*Router, error) {
 	for i, u := range opts.Workers {
 		opts.Workers[i] = strings.TrimRight(u, "/")
 	}
-	rt := &Router{ring: ring, opts: opts, mux: http.NewServeMux(), hub: server.NewFanout[[]byte](opts.RingSize)}
+	rt := &Router{ring: ring, opts: opts, mux: http.NewServeMux(), hub: new(server.Stream)}
 	// Every admitted request may hold one connection per worker at once;
 	// an idle pool of that size means a burst at the admission bound
 	// redials nothing on the next one.
@@ -161,9 +158,6 @@ func (rt *Router) Handler() http.Handler {
 
 // Ring exposes the placement (for worker-mode corpus filtering and tests).
 func (rt *Router) Ring() *Ring { return rt.ring }
-
-// Subscribers reports attached merged-stream clients.
-func (rt *Router) Subscribers() int { return rt.hub.Subscribers() }
 
 // Close stops the worker stream subscriptions and closes the idle worker
 // connections.
@@ -477,11 +471,10 @@ func mergeEventBodies(resps []*workerResp) ([]json.RawMessage, error) {
 
 // handleEvents serves GET and POST /v1/events: the client's request goes to
 // every worker as it came, so a filter the workers refuse is refused in
-// their words.
+// their words. The body is read through the workers' own limit.
 func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		server.WriteErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	body, ok := server.ReadEventsBody(w, r)
+	if !ok {
 		return
 	}
 	resps, down, ok := rt.askAll(w, r, r.Method, "/v1/events", body, false)
@@ -662,7 +655,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // handleSignals serves the merged stream exactly as a worker serves its
 // own: clients see one daemon, not a proxy.
 func (rt *Router) handleSignals(w http.ResponseWriter, r *http.Request) {
-	server.ServeSSE(w, r, rt.hub, func(frame []byte) []byte { return frame })
+	server.ServeSSE(w, r, rt.hub)
 }
 
 // --- refresh + snapshot fan-out ---

@@ -275,6 +275,7 @@ func TestRouterRelaysClientErrors(t *testing.T) {
 	lc := startSmallCluster(t, nil)
 	oversized, _ := json.Marshal(map[string]any{"keys": make([]string, server.MaxBatch+1)})
 	overBytes := `{"keys":["` + strings.Repeat("1", server.MaxBatchBytes) + `"]}`
+	overEvents := `{"classes":["` + strings.Repeat("x", server.MaxEventsBodyBytes) + `"]}`
 	rows := []struct{ name, path, body string }{
 		{"stale: malformed JSON", "/v1/stale", `{`},
 		{"stale: no keys", "/v1/stale", `{"keys":[]}`},
@@ -283,6 +284,7 @@ func TestRouterRelaysClientErrors(t *testing.T) {
 		{"stale: over the byte limit", "/v1/stale", overBytes},
 		{"events: unknown class", "/v1/events", `{"classes":["nosuch"]}`},
 		{"events: malformed JSON", "/v1/events", `{`},
+		{"events: over the byte limit", "/v1/events", overEvents},
 		{"refresh plan: budget 0", "/v1/refresh/plan", `{"budget":0}`},
 		{"refresh record: bad src", "/v1/refresh/record", `{"src":"nope","dst":"10.0.0.1","time":1,"hops":[]}`},
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -84,8 +85,13 @@ func (c *sseClient) consume(ctx context.Context) error {
 	}
 	c.lastDropped = 0
 	c.m.setConnected(c.worker, true)
+	return c.read(resp.Body)
+}
 
-	sc := bufio.NewScanner(resp.Body)
+// read parses one connection's event stream, dispatching each complete
+// event, until the stream ends.
+func (c *sseClient) read(body io.Reader) error {
+	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	event, data := "", ""
 	for sc.Scan() {
@@ -108,6 +114,9 @@ func (c *sseClient) consume(ctx context.Context) error {
 }
 
 func (c *sseClient) dispatch(event, data string) {
+	if strings.Contains(data, "\r") {
+		return // a line break inside the field; no worker writes one
+	}
 	switch event {
 	case "signal":
 		raw := []byte(data)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -96,16 +97,42 @@ func toEventJSONs(evs []events.Event) []EventJSON {
 	return out
 }
 
-// PublishEvent is the event detector's sink: it fans a routing event out
-// to SSE subscribers without blocking ingestion. Wire it to the detector's
+// PublishEvent is the event detector's sink: it appends a routing event's
+// frame to the SSE stream without blocking ingestion, like Publish. The
+// detector emits at window close, after the window's signals and before
+// the pipeline's OnWindowClose marker, so each stream reads signals →
+// routing events → window marker. Wire it to the detector's
 // Config.OnEvent.
-func (s *Server) PublishEvent(ev events.Event) { s.hub.publishRouting(ev) }
+func (s *Server) PublishEvent(ev events.Event) {
+	s.publish(func() []byte { return jsonFrame("routing", toEventJSON(ev)) })
+}
 
 // eventsQueryJSON is the POST /v1/events filter body.
 type eventsQueryJSON struct {
 	Classes    []string `json:"classes,omitempty"`
 	FromWindow int64    `json:"fromWindow,omitempty"`
 	ToWindow   int64    `json:"toWindow,omitempty"`
+}
+
+// MaxEventsBodyBytes caps a POST /v1/events body: a filter is a class list
+// and two window bounds, which fit in a fraction of this. A longer body is
+// refused with 413 on both tiers.
+const MaxEventsBodyBytes = 64 << 10
+
+// ReadEventsBody reads a /v1/events request body through
+// MaxEventsBodyBytes. On a body past the limit, or a failed read, it
+// answers the 413 or 400 itself and reports ok false.
+func ReadEventsBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	body, over, err := readBody(nil, r.Body, r.ContentLength, MaxEventsBodyBytes)
+	if over {
+		WriteErr(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds the %d-byte limit", MaxEventsBodyBytes))
+		return nil, false
+	}
+	if err != nil {
+		WriteErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return nil, false
+	}
+	return body, true
 }
 
 // handleEvents is GET /v1/events — every routing event emitted so far, in
@@ -116,9 +143,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, http.StatusConflict, "event detection not enabled")
 		return
 	}
+	body, ok := ReadEventsBody(w, r)
+	if !ok {
+		return
+	}
 	var req eventsQueryJSON
 	if r.Method == http.MethodPost {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		// A decoder, not Unmarshal: bytes after the filter are ignored.
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 			WriteErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 			return
 		}

@@ -2,7 +2,7 @@ package server
 
 import "rrr/internal/obs"
 
-// Serving-layer metric handles (SSE hub fan-out and snapshot I/O),
+// Serving-layer metric handles (the SSE stream and snapshot I/O),
 // resolved once at package init. They live in obs.Default alongside the
 // pipeline/monitor/engine series and are served by GET /metrics.
 var (
@@ -23,8 +23,8 @@ var (
 
 func init() {
 	obs.Default.Help("rrr_hub_subscribers", "attached SSE signal-stream subscribers")
-	obs.Default.Help("rrr_hub_published_total", "signals published to the SSE hub")
-	obs.Default.Help("rrr_hub_dropped_total", "signals dropped by per-subscriber ring overflow")
+	obs.Default.Help("rrr_hub_published_total", "frames published to the SSE stream")
+	obs.Default.Help("rrr_hub_dropped_total", "frames a subscriber lost because the stream log trimmed them before it read them")
 	obs.Default.Help("rrr_snapshot_writes_total", "restart snapshots written successfully")
 	obs.Default.Help("rrr_snapshot_write_errors_total", "snapshot write attempts that failed")
 	obs.Default.Help("rrr_snapshot_write_seconds", "snapshot capture+encode+fsync+rename duration")

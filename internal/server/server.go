@@ -5,8 +5,8 @@
 // Concurrency model: one writer (the pipeline goroutine feeding the
 // Monitor) and many readers (HTTP handler goroutines querying it) share
 // the Monitor's RWMutex; the signal stream reaches SSE subscribers through
-// a hub whose bounded per-subscriber rings guarantee slow clients drop
-// data rather than block ingestion.
+// one bounded frame log (Stream) that each subscriber reads at its own
+// pace, so a slow client drops data rather than block ingestion.
 //
 // Endpoints (all JSON):
 //
@@ -48,8 +48,10 @@ type Config struct {
 	// SnapshotPath is where POST /v1/snapshot (and the daemon's shutdown
 	// hook) write the restart snapshot; empty disables the endpoint.
 	SnapshotPath string
-	// RingSize is the per-SSE-subscriber signal buffer (0 =
-	// DefaultRingSize).
+	// RingSize is ignored: the SSE stream is one log bounded in bytes
+	// (streamBytes), not a ring per subscriber.
+	//
+	// Deprecated: set nothing here; the field goes once no caller sets it.
 	RingSize int
 	// MaxInFlight bounds concurrently-served data requests (0 =
 	// DefaultMaxInFlight). Requests past the bound are shed with
@@ -91,7 +93,7 @@ type WorkerIdentity struct {
 // Server serves staleness queries from a Monitor.
 type Server struct {
 	mon *rrr.Monitor
-	hub *hub
+	hub *Stream
 	cfg Config
 	mux *http.ServeMux
 	// cache memoizes verdicts across Monitor state transitions, keyed by
@@ -114,7 +116,7 @@ func New(mon *rrr.Monitor, cfg Config) *Server {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = DefaultMaxInFlight
 	}
-	s := &Server{mon: mon, hub: newHub(cfg.RingSize), cfg: cfg, mux: http.NewServeMux(), cache: newVerdictCache(mon, 0)}
+	s := &Server{mon: mon, hub: new(Stream), cfg: cfg, mux: http.NewServeMux(), cache: newVerdictCache(mon, 0)}
 	s.mux.HandleFunc("GET /v1/stale/{key}", s.handleStaleOne)
 	s.mux.HandleFunc("POST /v1/stale", s.handleStaleBatch)
 	s.mux.HandleFunc("GET /v1/keys", s.handleKeys)
@@ -158,6 +160,14 @@ const MaxBatch = 10000
 // quoted with its comma (35 bytes), and some whitespace. A longer body is
 // refused with 413 before it is read.
 const MaxBatchBytes = MaxBatch*64 + 4<<10
+
+// NewHTTPServer builds the http.Server both binaries serve h on. A client
+// gets 10 s to send its request headers, at most 64 KiB of them, and an
+// idle keep-alive connection is closed after 2 min. There is no write
+// timeout: GET /v1/signals streams for as long as its client stays.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute, MaxHeaderBytes: 64 << 10}
+}
 
 // DefaultMaxInFlight is the Config.MaxInFlight default: generous enough
 // that the differential and torture suites never shed, small enough to
@@ -221,15 +231,32 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// Publish is the Pipeline sink: it fans the signal out to SSE subscribers
-// without blocking ingestion. Compose with other sinks via rrr.Tee.
-func (s *Server) Publish(sig rrr.Signal) { s.hub.Publish(sig) }
+// Publish is the Pipeline sink: it appends the signal's frame to the SSE
+// stream without blocking ingestion. Compose with other sinks via rrr.Tee.
+func (s *Server) Publish(sig rrr.Signal) {
+	s.publish(func() []byte { return jsonFrame("signal", toSignalJSON(sig)) })
+}
 
-// PublishWindowClose fans a window-close marker out to SSE subscribers.
-// Wire it to PipelineConfig.OnWindowClose so streams carry `event: window`
-// frames delimiting each engine window — the ordering barrier the cluster
+// publish appends the frame render returns to the SSE stream, calling
+// render only while someone is subscribed: a stream no one reads costs no
+// rendering.
+func (s *Server) publish(render func() []byte) {
+	var frame []byte
+	if s.hub.Subscribers() > 0 {
+		frame = render()
+	}
+	s.hub.Publish(frame)
+}
+
+// PublishWindowClose appends a window-close marker to the SSE stream. The
+// pipeline calls it after all of a window's signals and routing events,
+// so on every subscriber's stream the marker follows them. Wire it to
+// PipelineConfig.OnWindowClose so streams carry `event: window` frames
+// delimiting each engine window — the ordering barrier the cluster
 // router's stream merger relies on.
-func (s *Server) PublishWindowClose(ws int64) { s.hub.publishWindow(ws) }
+func (s *Server) PublishWindowClose(ws int64) {
+	s.publish(func() []byte { return WindowFrame(ws) })
+}
 
 // --- key and signal JSON forms ---
 
@@ -569,7 +596,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSignals(w http.ResponseWriter, r *http.Request) {
-	ServeSSE(w, r, s.hub.Fanout, eventFrame)
+	ServeSSE(w, r, s.hub)
 }
 
 // WindowFrame renders the window-close marker frame for the window
@@ -578,16 +605,9 @@ func WindowFrame(ws int64) []byte {
 	return SSEFrame("window", fmt.Appendf(nil, `{"windowStart":%d}`, ws))
 }
 
-// eventFrame renders one hub event as its SSE frame (nil if it cannot be
-// encoded, which writes nothing).
-func eventFrame(ev Event) []byte {
-	if ev.Window {
-		return WindowFrame(ev.WindowStart)
-	}
-	kind, v := "signal", any(toSignalJSON(ev.Signal))
-	if ev.Routing != nil {
-		kind, v = "routing", toEventJSON(*ev.Routing)
-	}
+// jsonFrame renders v as an SSE frame of the given kind (nil if it cannot
+// be encoded, which publishes nothing).
+func jsonFrame(kind string, v any) []byte {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return nil

@@ -19,6 +19,7 @@ import (
 	"rrr"
 	"rrr/internal/bgp"
 	"rrr/internal/bordermap"
+	"rrr/internal/events"
 )
 
 // testMapper: AS by first octet; 240.x is IXP 1 (mirrors the facade tests).
@@ -630,5 +631,49 @@ func TestSSESignals(t *testing.T) {
 	}
 	if sig.Key != FormatKey(stale.Key()) || sig.Technique != rrr.TechBGPASPath.String() {
 		t.Fatalf("signal = %+v", sig)
+	}
+}
+
+// TestNewHTTPServerLimits: the server both binaries run bounds how long a
+// client may take over its headers, how large they may be, and how long an
+// idle connection stays open, and sets no write timeout, which would cut
+// GET /v1/signals.
+func TestNewHTTPServerLimits(t *testing.T) {
+	h := http.NotFoundHandler()
+	s := NewHTTPServer(h)
+	if s.ReadHeaderTimeout <= 0 || s.IdleTimeout <= 0 || s.MaxHeaderBytes <= 0 {
+		t.Fatalf("ReadHeaderTimeout %v, IdleTimeout %v, MaxHeaderBytes %d; want all set",
+			s.ReadHeaderTimeout, s.IdleTimeout, s.MaxHeaderBytes)
+	}
+	if s.WriteTimeout != 0 || s.ReadTimeout != 0 {
+		t.Fatalf("WriteTimeout %v, ReadTimeout %v; a stream needs neither", s.WriteTimeout, s.ReadTimeout)
+	}
+	if s.Handler == nil {
+		t.Fatal("handler not set")
+	}
+}
+
+// TestEventsBodyLimit: a POST /v1/events body past MaxEventsBodyBytes is
+// refused with 413, declared length or not; one at the limit is read.
+func TestEventsBodyLimit(t *testing.T) {
+	srv := New(newTestMonitor(t), Config{Events: events.NewDetector(events.Config{WindowSec: 900})})
+	want := fmt.Sprintf(`{"error":"request body exceeds the %d-byte limit"}`+"\n", MaxEventsBodyBytes)
+	pad := func(n int) string { return `{"classes":[]` + strings.Repeat(" ", n-len(`{"classes":[]}`)) + `}` }
+	for _, declared := range []bool{true, false} {
+		post := func(body string) *httptest.ResponseRecorder {
+			req := httptest.NewRequest("POST", "/v1/events", strings.NewReader(body))
+			if !declared {
+				req.ContentLength = -1
+			}
+			rr := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rr, req)
+			return rr
+		}
+		if rr := post(pad(MaxEventsBodyBytes + 1)); rr.Code != http.StatusRequestEntityTooLarge || rr.Body.String() != want {
+			t.Fatalf("over the limit (length declared %v): %d %q; want 413 %q", declared, rr.Code, rr.Body, want)
+		}
+		if rr := post(pad(MaxEventsBodyBytes)); rr.Code != http.StatusOK {
+			t.Fatalf("at the limit (length declared %v): %d %q; want 200", declared, rr.Code, rr.Body)
+		}
 	}
 }

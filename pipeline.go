@@ -51,7 +51,7 @@ func (s *TraceSliceSource) Read() (*Traceroute, error) {
 // Tee fans one pipeline Sink out to several consumers: each signal is
 // delivered to every non-nil sink in order, on the pipeline goroutine.
 // Sinks that must not stall ingestion (an SSE fan-out, a logger) should
-// hand off internally; see internal/server's subscriber hub. Nil sinks are
+// hand off internally; see internal/server's Stream. Nil sinks are
 // dropped; with none left Tee returns nil, which RunPipeline treats as
 // "discard".
 func Tee(sinks ...func(Signal)) func(Signal) {
