@@ -107,7 +107,7 @@ func BenchmarkEngineRegistration(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Reregister(en)
+		e.AddCorpusEntry(en)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"rrr/internal/bgp"
@@ -195,17 +196,20 @@ func portionChanged(old *corpus.Entry, borders []int, new *corpus.Entry) bool {
 	return false
 }
 
-// evaluateRefresh is Engine.EvaluateRefresh under the engine lock.
-func (s *pairState) evaluateRefresh(newEntry *corpus.Entry) (bordermap.ChangeClass, bool) {
-	old, ok := s.entries[newEntry.Key]
+// EvaluateRefresh scores every potential signal of the pair against a new
+// measurement, updating the calibrator (including community reputations),
+// and returns the change classification. It does not modify registrations;
+// call AddCorpusEntry afterwards to swap in the new measurement.
+func (e *Engine) EvaluateRefresh(newEntry *corpus.Entry) (bordermap.ChangeClass, bool) {
+	old, ok := e.corp.Get(newEntry.Key)
 	if !ok {
 		return bordermap.Unchanged, false
 	}
 	signaled := make(map[int][]Signal)
-	for _, sig := range s.active[newEntry.Key] {
+	for _, sig := range e.active[newEntry.Key] {
 		signaled[sig.MonitorID] = append(signaled[sig.MonitorID], sig)
 	}
-	for _, reg := range s.regs[newEntry.Key] {
+	for _, reg := range e.regs[newEntry.Key] {
 		changed := portionChanged(old, reg.Borders, newEntry)
 		sigs, wasSignaled := signaled[reg.MonitorID]
 		var o Outcome
@@ -219,11 +223,11 @@ func (s *pairState) evaluateRefresh(newEntry *corpus.Entry) (bordermap.ChangeCla
 		default:
 			o = outcomeFN
 		}
-		s.eng.Calib.Record(newEntry.Key.Src, reg.MonitorID, o)
+		e.Calib.Record(newEntry.Key.Src, reg.MonitorID, o)
 		if reg.Technique == TechBGPCommunity && wasSignaled {
 			for _, sig := range sigs {
 				if sig.Comm != 0 {
-					s.eng.Calib.recordCommunityOutcome(sig.Comm, changed)
+					e.Calib.recordCommunityOutcome(sig.Comm, changed)
 				}
 			}
 		}
@@ -231,15 +235,15 @@ func (s *pairState) evaluateRefresh(newEntry *corpus.Entry) (bordermap.ChangeCla
 	return corpus.ClassifyEntry(old, newEntry), true
 }
 
-// removePair unregisters a corpus pair from every technique, stashing its
-// detector state for a later re-registration: each of its §4.1 monitors
-// leaves its series with the detector as of the last close (see
-// leaveBurst).
-func (s *pairState) removePair(k traceroute.Key) {
-	delete(s.entries, k)
+// unregister drops a pair's registrations, monitors, and active and pending
+// signals, stashing its detector state for a later re-registration: each of
+// its §4.1 monitors leaves its series with the detector as of the last close
+// (see leaveBurst). The pair's entry stays in the store.
+func (s *pairState) unregister(k traceroute.Key) {
 	delete(s.regs, k)
 	delete(s.active, k)
 	delete(s.restored, k)
+	s.pendingIXP = slices.DeleteFunc(s.pendingIXP, func(sig Signal) bool { return sig.Key == k })
 
 	sh := s.eng.sh
 	stash := make(map[string]*retiredState)

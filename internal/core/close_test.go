@@ -165,7 +165,7 @@ func runSleepWorkload(t *testing.T) workloadResult {
 	// Every BGP detector is settled now. Re-register, remove and add pairs
 	// under them, in quiet windows.
 	for _, en := range entries[:4] {
-		e.Reregister(en)
+		e.AddCorpusEntry(en)
 	}
 	e.RemovePair(entries[4].Key)
 	e.RemovePair(entries[5].Key)
@@ -192,7 +192,7 @@ func runSleepWorkload(t *testing.T) workloadResult {
 	for _, en := range entries[:6] {
 		if len(e.Active(en.Key)) > 0 {
 			e.EvaluateRefresh(en)
-			e.Reregister(en)
+			e.AddCorpusEntry(en)
 		}
 	}
 	for i := 0; i < 30; i++ {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rrr/internal/bgp"
@@ -476,6 +477,56 @@ func TestIXPMembershipSignal(t *testing.T) {
 	}
 }
 
+// TestPendingIXPSignalDroppedWithPair: an IXP join's signals wait for the
+// next close, and a pair untracked or re-measured in between must not get
+// one — the pair is gone, or its new path was measured after the join.
+func TestPendingIXPSignalDroppedWithPair(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		after func(t *testing.T, te *testEnv, en *corpus.Entry)
+	}{
+		{"untracked", func(_ *testing.T, te *testEnv, en *corpus.Entry) { te.e.RemovePair(en.Key) }},
+		{"re-registered", func(t *testing.T, te *testEnv, en *corpus.Entry) {
+			fresh, err := te.corp.Process(mkTrace(t, 200, "1.0.0.1", "4.0.0.9",
+				"1.0.0.2", "2.0.0.1", "3.0.0.1", "4.0.0.2", "4.0.0.9"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			te.e.AddCorpusEntry(fresh)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			te := newEnv(t)
+			te.primeVPs(t)
+			te.e.SetInitialIXPMembership(map[int][]bgp.ASN{1: {3}})
+			te.rel[[2]bgp.ASN{1, 2}] = RelCustomerOf
+			en := te.standardEntry(t)
+			setIXPMember(mustIP(t, "240.0.0.77"), 9)
+			te.e.ObservePublicTrace(mkTrace(t, 100, "1.0.0.5", "9.0.0.8",
+				"1.0.0.6", "240.0.0.77", "9.0.0.8"))
+			tc.after(t, te, en)
+
+			for _, s := range te.e.CloseWindow(0) {
+				if s.Key == en.Key {
+					t.Errorf("close emitted %v for the pair", s)
+				}
+			}
+			if a, n := te.e.Active(en.Key), te.e.ActivePairs(); len(a) != 0 || n != 0 {
+				t.Errorf("Active = %v, ActivePairs = %d; want none", a, n)
+			}
+			if sigs, pairs := te.e.RevocationStats(); sigs != 0 || pairs != 0 {
+				t.Errorf("RevocationStats = %d, %d; want 0, 0", sigs, pairs)
+			}
+			if n := te.e.SignalCounts()[TechIXPMembership]; n != 0 {
+				t.Errorf("%d IXP signals counted; want 0", n)
+			}
+			if plan := te.e.RefreshPlan(10, rand.New(rand.NewSource(1))); slices.Contains(plan, en.Key) {
+				t.Errorf("RefreshPlan(10) = %v holds the pair", plan)
+			}
+		})
+	}
+}
+
 func TestIXPPrivatePeerSuppressed(t *testing.T) {
 	te := newEnv(t)
 	te.primeVPs(t)
@@ -575,11 +626,11 @@ func TestEvaluateRefreshOutcomes(t *testing.T) {
 	if !foundTP {
 		t.Fatal("no TP outcome recorded")
 	}
-	// Reregister swaps the entry.
-	te.e.Reregister(newEn)
-	got, _ := te.e.Entry(en.Key)
+	// Re-registering swaps the entry.
+	te.e.AddCorpusEntry(newEn)
+	got, _ := te.e.Corpus().Get(en.Key)
 	if got != newEn {
-		t.Fatal("Reregister did not swap the entry")
+		t.Fatal("re-registration did not swap the entry")
 	}
 	if len(te.e.Active(en.Key)) != 0 {
 		t.Fatal("active signals survive reregistration")
@@ -935,7 +986,7 @@ func TestReregisterDoesNotLeakMonitors(t *testing.T) {
 	en := te.standardEntry(t)
 	base := te.e.monitorStats()
 	for i := 0; i < 500; i++ {
-		te.e.Reregister(en)
+		te.e.AddCorpusEntry(en)
 	}
 	st := te.e.monitorStats()
 	if st.ASPathMonitors > base.ASPathMonitors+2 {

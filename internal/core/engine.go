@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 
 	"rrr/internal/bgp"
@@ -27,11 +26,11 @@ import (
 // signals, revocation, one sort into signalLess order), then the window
 // reset. The engine owns no goroutines and needs no Close.
 //
-// Engine is safe for concurrent use, but updates and traceroutes must still
-// arrive in time order, so concurrent feeders must serialize externally (the
-// Monitor facade does).
+// Engine is not safe for concurrent use. rrr.Monitor, its one caller outside
+// tests, serializes every call behind its own lock: feeds, closes and
+// registrations under the write lock, queries under the read lock (they only
+// read). Updates and traceroutes must arrive in time order.
 type Engine struct {
-	mu     sync.Mutex
 	cfg    Config
 	mapper traceroute.Mapper
 	geo    Geolocator
@@ -58,12 +57,14 @@ type Engine struct {
 // pairState holds the per-pair state of the corpus: entries, registrations,
 // the pairs' subscriptions to the shared BGP series, their watcher links
 // into the shared subpath and border series, and their active signals.
-// Everything else is reached through eng. Its methods run under eng.mu.
+// Everything else is reached through eng.
 type pairState struct {
 	eng *Engine
 
-	entries map[traceroute.Key]*corpus.Entry
-	regs    map[traceroute.Key][]Registration
+	// corp stores each registered pair's entry; AddCorpusEntry and
+	// RemovePair are its only writers (see Corpus).
+	corp *corpus.Corpus
+	regs map[traceroute.Key][]Registration
 
 	// The pairs' §4.1 monitors, each subscribed to a series in the shared
 	// state (see series.go), in registration order per pair.
@@ -120,7 +121,7 @@ func NewEngine(cfg Config, m traceroute.Mapper, aliases bordermap.AliasOracle, g
 	}
 	e.pairState = pairState{
 		eng:        e,
-		entries:    make(map[traceroute.Key]*corpus.Entry),
+		corp:       corpus.New(m, aliases),
 		regs:       make(map[traceroute.Key][]Registration),
 		aspByKey:   make(map[traceroute.Key][]*aspMonitor),
 		burstByKey: make(map[traceroute.Key][]*burstMonitor),
@@ -136,8 +137,6 @@ func NewEngine(cfg Config, m traceroute.Mapper, aliases bordermap.AliasOracle, g
 // ObserveBGP ingests one BGP update. Updates must be fed in time order;
 // CloseWindow must be called at each window boundary.
 func (e *Engine) ObserveBGP(u bgp.Update) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if bgp.FilterTooSpecific(u.Prefix) {
 		return
 	}
@@ -151,8 +150,6 @@ func (e *Engine) ObserveBGP(u bgp.Update) {
 // signals scans the corpus; those signals are delivered by the next
 // CloseWindow.
 func (e *Engine) ObservePublicTrace(t *traceroute.Traceroute) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.sh.observeTrace(e.prepareTrace(t), func(ixp int, member bgp.ASN, when int64) {
 		e.pendingIXP = append(e.pendingIXP, e.ixpJoinSignals(ixp, member, when)...)
 	})
@@ -165,8 +162,6 @@ func (e *Engine) ObservePublicTrace(t *traceroute.Traceroute) {
 // order. Callers must invoke it once per WindowSec with monotonically
 // increasing ws.
 func (e *Engine) CloseWindow(ws int64) []Signal {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	sigs := e.sh.closeShared(ws, ws+e.cfg.WindowSec, e.Calib)
 	start := time.Now()
 	sigs = e.closeOwned(sigs)
@@ -182,77 +177,49 @@ func (e *Engine) CloseWindow(ws int64) []Signal {
 // reads (entry, registrations) moves in a close. The slice is engine-owned
 // scratch, overwritten by the next CloseWindow.
 func (e *Engine) ChangedKeys() []traceroute.Key {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.changed
 }
 
 // AddCorpusEntry registers a processed corpus traceroute with every
-// technique. The engine's RIB must already be primed.
+// technique and stores it as the pair's entry. A pair that is already
+// registered is replaced: its monitors, active and pending signals go, and
+// its entry is swapped in place. The engine's RIB must already be primed.
 func (e *Engine) AddCorpusEntry(en *corpus.Entry) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.addCorpusEntry(en)
+	if _, ok := e.corp.Get(en.Key); ok {
+		e.unregister(en.Key)
+	}
+	e.corp.Put(en)
+	e.registerBGPMonitors(en)
+	e.registerSubpathMonitors(en)
+	e.registerBorderMonitors(en)
 	e.setSeriesGauges()
 }
 
-// Reregister replaces the pair's entry and monitors with a fresh
-// measurement, clearing its active signals.
-func (e *Engine) Reregister(en *corpus.Entry) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.removePair(en.Key)
-	e.addCorpusEntry(en)
-	e.setSeriesGauges()
-}
-
-// RemovePair unregisters a corpus pair from every technique. A §4.1 series
-// leaves with its last subscriber; the other shared series persist after
-// their last watcher leaves.
+// RemovePair unregisters a corpus pair from every technique and drops its
+// entry. A §4.1 series leaves with its last subscriber; the other shared
+// series persist after their last watcher leaves.
 func (e *Engine) RemovePair(k traceroute.Key) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.removePair(k)
+	e.unregister(k)
+	e.corp.Remove(k)
 	e.setSeriesGauges()
 }
 
-// EvaluateRefresh scores every potential signal of the pair against a new
-// measurement, updating the calibrator (including community reputations),
-// and returns the change classification. It does not modify registrations;
-// call Reregister afterwards to swap in the new measurement.
-func (e *Engine) EvaluateRefresh(en *corpus.Entry) (bordermap.ChangeClass, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.evaluateRefresh(en)
-}
-
-// Entry returns the registered corpus entry for a pair.
-func (e *Engine) Entry(k traceroute.Key) (*corpus.Entry, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	en, ok := e.entries[k]
-	return en, ok
-}
+// Corpus returns the store of registered pairs for reading. Only
+// AddCorpusEntry and RemovePair write it.
+func (e *Engine) Corpus() *corpus.Corpus { return e.corp }
 
 // Registrations returns the potential signals covering a corpus pair.
 func (e *Engine) Registrations(k traceroute.Key) []Registration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.regs[k]
 }
 
 // Active returns the currently-active (unrevoked) signals for a pair.
 func (e *Engine) Active(k traceroute.Key) []Signal {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.active[k]
 }
 
-// clearActive resets a pair's signal state (after a refresh re-registers
-// it).
+// clearActive resets a pair's signal state.
 func (e *Engine) clearActive(k traceroute.Key) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	delete(e.active, k)
 	delete(e.restored, k)
 }
@@ -268,8 +235,6 @@ func (e *Engine) clearActive(k traceroute.Key) {
 // revocation once it raises a signal here (its monitors then hold an
 // observed baseline); re-registration, removal and clearActive drop the mark.
 func (e *Engine) RestoreActive(sigs []Signal) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for _, sig := range sigs {
 		e.active[sig.Key] = append(e.active[sig.Key], sig)
 		if e.restored == nil {
@@ -281,8 +246,6 @@ func (e *Engine) RestoreActive(sigs []Signal) {
 
 // SignalCounts returns per-technique signal totals.
 func (e *Engine) SignalCounts() map[Technique]int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	out := make(map[Technique]int, int(numTechniques))
 	for t := Technique(0); t < numTechniques; t++ {
 		out[t] = e.signalCount[t]
@@ -290,15 +253,22 @@ func (e *Engine) SignalCounts() map[Technique]int {
 	return out
 }
 
-// ActivePairs counts pairs with at least one active signal.
+// ActivePairs counts the registered pairs holding at least one active
+// signal. A close only raises signals on registered pairs, so an
+// unregistered pair can hold signals only from RestoreActive and is still
+// marked restored: only restored pairs need the store lookup.
 func (e *Engine) ActivePairs() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	n := 0
-	for _, sigs := range e.active {
-		if len(sigs) > 0 {
-			n++
+	for k, sigs := range e.active {
+		if len(sigs) == 0 {
+			continue
 		}
+		if e.restored[k] {
+			if _, ok := e.corp.Get(k); !ok {
+				continue
+			}
+		}
+		n++
 	}
 	return n
 }
@@ -306,23 +276,17 @@ func (e *Engine) ActivePairs() int {
 // RevocationStats reports how many signals (and distinct pair-events) the
 // §4.3.2 revocation machinery has discarded because routes reverted.
 func (e *Engine) RevocationStats() (signals, pairEvents int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.revokedSignals, e.revokedPairs
 }
 
 // WindowsClosed reports how many CloseWindow calls the engine has run.
 func (e *Engine) WindowsClosed() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.windowsClosed
 }
 
 // SetInitialIXPMembership seeds §4.2.3's membership snapshot (PeeringDB
 // substitute, possibly incomplete).
 func (e *Engine) SetInitialIXPMembership(members map[int][]bgp.ASN) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for ixp, list := range members {
 		m := make(map[bgp.ASN]bool, len(list))
 		for _, as := range list {
@@ -336,8 +300,6 @@ func (e *Engine) SetInitialIXPMembership(members map[int][]bgp.ASN) {
 // equal local preference, enabling IXP signals through private peers
 // (§4.2.3's learned exception).
 func (e *Engine) allowPrivatePeerSignals(as bgp.ASN) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.sh.allowPriv[as] = true
 }
 
@@ -355,7 +317,5 @@ func (e *Engine) RefreshPlan(budget int, rng *rand.Rand) []traceroute.Key {
 // attributes it was ranked by, so a cluster router can re-merge
 // per-worker plans in global priority order.
 func (e *Engine) RefreshPlanDetailed(budget int, rng *rand.Rand) []PlanItem {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return refreshPlan(e.active, e.regs, e.Calib, budget, rng)
 }

@@ -1,7 +1,12 @@
 package core
 
 import (
+	"go/parser"
+	"go/token"
 	"math/rand"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"rrr/internal/bgp"
@@ -118,7 +123,7 @@ func runWorkload(t *testing.T, cfg Config, faultSeed int64, afterClose func(*Eng
 		entries = append(entries, addEntry(end, 7, i))
 	}
 	entries[0].MeasuredAt = end
-	e.Reregister(entries[0])
+	e.AddCorpusEntry(entries[0])
 
 	// Window A: one VP shifts its path (AS-path signals).
 	announceVP(end+5, 0, bgp.Path{50, 2, 9, 4}, nil)
@@ -189,7 +194,7 @@ func runWorkload(t *testing.T, cfg Config, faultSeed int64, afterClose func(*Eng
 			t.Fatal(err)
 		}
 		e.EvaluateRefresh(fen)
-		e.Reregister(fen)
+		e.AddCorpusEntry(fen)
 	}
 	for i := 0; i < 3; i++ {
 		closeW(end)
@@ -286,7 +291,7 @@ func TestShardedQueryFanout(t *testing.T) {
 		t.Fatalf("WindowsClosed = %d, want 45", s.WindowsClosed())
 	}
 	s.RemovePair(keys[0])
-	if _, ok := s.Entry(keys[0]); ok {
+	if _, ok := s.Corpus().Get(keys[0]); ok {
 		t.Fatal("RemovePair left entry registered")
 	}
 }
@@ -321,6 +326,11 @@ func TestRestoreActive(t *testing.T) {
 			Signal{Technique: TechBGPBurst, Key: k, WindowStart: 1800, MonitorID: int(i)})
 	}
 	s.RestoreActive(sigs)
+	// The signals are served per key, but none of these pairs is
+	// registered, so none counts as a stale pair.
+	if n := s.ActivePairs(); n != 0 {
+		t.Fatalf("ActivePairs = %d over unregistered pairs, want 0", n)
+	}
 	for _, k := range keys {
 		act := s.Active(k)
 		if len(act) != 2 {
@@ -363,5 +373,35 @@ func TestZeroConfigMatchesDefault(t *testing.T) {
 	}
 	if g, w := got.digest(), want.digest(); g != w {
 		t.Errorf("digest = %s, want DefaultConfig's %s", g, w)
+	}
+}
+
+// TestEngineTakesNoLock: rrr.Monitor owns the one lock over engine state and
+// serializes every engine call under it, so no non-test file of this package
+// may import sync or sync/atomic; a second lock would cost every ingested
+// record two lock round-trips again.
+func TestEngineTakesNoLock(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked++
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); path == "sync" || path == "sync/atomic" {
+				t.Errorf("%s imports %s; rrr.Monitor owns the engine's lock", name, path)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no non-test files found")
 	}
 }

@@ -10,8 +10,6 @@ import (
 // of the patched IP path and the border path, for tests in package
 // core_test.
 func (e *Engine) PreparedTrace(t *traceroute.Traceroute) ([]uint32, []bordermap.BorderHop) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	pt := e.prepareTrace(t)
 	return append([]uint32(nil), pt.path...), append([]bordermap.BorderHop(nil), pt.borders...)
 }

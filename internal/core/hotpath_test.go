@@ -52,7 +52,7 @@ func TestReregisterDoesNotLeakCommMonitors(t *testing.T) {
 		}
 	}
 	for i := 0; i < 1000; i++ {
-		te.e.Reregister(en)
+		te.e.AddCorpusEntry(en)
 		for name, n := range seriesHeld(sh) {
 			if n > 2*live[name]+64 {
 				t.Fatalf("%s holds %d series after %d re-registrations of a pair with %d", name, n, i+1, live[name])
@@ -135,7 +135,7 @@ func TestMidWindowRegistrationSeesEarlierUpdates(t *testing.T) {
 	en := te.standardEntry(t)
 	te.warm(t, 0, 45)
 	dups(te, end)
-	te.e.Reregister(en)
+	te.e.AddCorpusEntry(en)
 	got := te.e.CloseWindow(end)
 	burst := false
 	for _, s := range want {

@@ -229,7 +229,7 @@ func runLineageWorkload(t *testing.T) lineageRun {
 			vps[0].routed = true
 			send(end+1, 0)
 		case 76:
-			e.Reregister(a[2])
+			e.AddCorpusEntry(a[2])
 		case 100: // (d)
 			e.RemovePair(entries[0].Key)
 		case 110:

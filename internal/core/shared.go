@@ -17,9 +17,10 @@ import (
 // reaches it through the engine, so each update and traceroute is folded in
 // exactly once.
 //
-// All access happens under Engine.mu. CloseWindow's per-pair phase only
-// reads this state (the §4.1 series' revocation inputs, the trace series'
-// First/Last), after the shared close phase has finished mutating it.
+// The engine's caller serializes all access (see Engine). CloseWindow's
+// per-pair phase only reads this state (the §4.1 series' revocation inputs,
+// the trace series' First/Last), after the shared close phase has finished
+// mutating it.
 type sharedState struct {
 	cfg Config
 	geo Geolocator

@@ -81,17 +81,6 @@ type borderRouterSeries struct {
 	ratioSeries
 }
 
-// addCorpusEntry registers a processed corpus traceroute with every
-// technique. Shared series (extra-AS, subpath, border-router) are created in
-// or joined from the engine's shared state.
-func (s *pairState) addCorpusEntry(en *corpus.Entry) {
-	s.entries[en.Key] = en
-
-	s.registerBGPMonitors(en)
-	s.registerSubpathMonitors(en)
-	s.registerBorderMonitors(en)
-}
-
 // registerSubpathMonitors creates (or joins) §4.2.1 monitors for each
 // border-crossing subpath of the entry. Monitored subpaths are anchored at
 // AS boundaries: interdomain segments give the reliable signals, while
@@ -375,21 +364,10 @@ func (s *pairState) ixpJoinSignals(ixp int, asI bgp.ASN, when int64) []Signal {
 	}
 	members := s.eng.sh.ixpMembers[ixp]
 	var sigs []Signal
-	keys := make([]traceroute.Key, 0, len(s.entries))
-	for k := range s.entries {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Src != keys[j].Src {
-			return keys[i].Src < keys[j].Src
-		}
-		return keys[i].Dst < keys[j].Dst
-	})
-	for _, k := range keys {
-		en := s.entries[k]
+	s.corp.Each(func(en *corpus.Entry) {
 		idxI := en.ASPath.Index(asI)
 		if idxI < 0 || idxI+1 >= len(en.ASPath) {
-			continue
+			return
 		}
 		// A later hop that is already a member of the exchange.
 		foundJ := -1
@@ -402,7 +380,7 @@ func (s *pairState) ixpJoinSignals(ixp int, asI bgp.ASN, when int64) []Signal {
 		if foundJ < 0 || foundJ == idxI+1 {
 			// Already adjacent (possibly already via this IXP): the new
 			// membership cannot shorten the path.
-			continue
+			return
 		}
 		asK := en.ASPath[idxI+1]
 		emit := false
@@ -417,7 +395,7 @@ func (s *pairState) ixpJoinSignals(ixp int, asI bgp.ASN, when int64) []Signal {
 			emit = s.eng.sh.allowPriv[asI]
 		}
 		if !emit {
-			continue
+			return
 		}
 		// The signal covers the border leaving AS_i.
 		var bs []int
@@ -429,14 +407,14 @@ func (s *pairState) ixpJoinSignals(ixp int, asI bgp.ASN, when int64) []Signal {
 		cm := ixpMonitorID(ixp, asI)
 		sigs = append(sigs, Signal{
 			Technique:   TechIXPMembership,
-			Key:         k,
+			Key:         en.Key,
 			MonitorID:   cm,
 			WindowStart: (when / s.eng.cfg.WindowSec) * s.eng.cfg.WindowSec,
 			Borders:     bs,
 			Detail:      fmt.Sprintf("%s joined IXP %d", asI, ixp),
 			VPCount:     1,
 		})
-	}
+	})
 	return sigs
 }
 
@@ -456,8 +434,7 @@ type stats struct {
 	SubpathMonitors                                 int
 }
 
-// monitorStats reports the engine's series counts. It takes no lock: the
-// engine calls it under e.mu, tests between engine calls. Every count is
+// monitorStats reports the engine's series counts. Every count is
 // kept as series come and go, so this is cheap enough to run on every
 // registration.
 func (e *Engine) monitorStats() stats {

@@ -69,8 +69,7 @@ func (c *Corpus) Add(t *traceroute.Traceroute) (*Entry, error) {
 }
 
 // Put stores an already-processed entry, replacing any previous entry for
-// its pair. Use it when the same *Entry must also be registered elsewhere
-// (e.g. with the signal engine), so both sides share one pointer.
+// its pair in place: a replacement leaves the key index as it was.
 func (c *Corpus) Put(e *Entry) {
 	if _, existed := c.entries[e.Key]; !existed {
 		c.keys = append(c.keys, e.Key)
@@ -104,18 +103,33 @@ func (c *Corpus) Len() int { return len(c.entries) }
 
 // Keys returns the monitored pairs, sorted for deterministic iteration.
 func (c *Corpus) Keys() []traceroute.Key {
-	if !c.sorted {
-		sort.Slice(c.keys, func(i, j int) bool {
-			if c.keys[i].Src != c.keys[j].Src {
-				return c.keys[i].Src < c.keys[j].Src
-			}
-			return c.keys[i].Dst < c.keys[j].Dst
-		})
-		c.sorted = true
-	}
+	c.sortKeys()
 	out := make([]traceroute.Key, len(c.keys))
 	copy(out, c.keys)
 	return out
+}
+
+// Each calls fn on every entry in sorted (Src, Dst) order, walking the key
+// index without copying it. fn must not add or remove entries.
+func (c *Corpus) Each(fn func(*Entry)) {
+	c.sortKeys()
+	for _, k := range c.keys {
+		fn(c.entries[k])
+	}
+}
+
+// sortKeys sorts the key index if an addition or removal unsorted it.
+func (c *Corpus) sortKeys() {
+	if c.sorted {
+		return
+	}
+	sort.Slice(c.keys, func(i, j int) bool {
+		if c.keys[i].Src != c.keys[j].Src {
+			return c.keys[i].Src < c.keys[j].Src
+		}
+		return c.keys[i].Dst < c.keys[j].Dst
+	})
+	c.sorted = true
 }
 
 // Classify compares a new measurement of a monitored pair against the

@@ -567,7 +567,7 @@ type Stats struct {
 func (s *Server) stats() Stats {
 	st := Stats{
 		CorpusSize:    s.mon.TrackedCount(),
-		StaleKeys:     len(s.mon.StaleKeys()),
+		StaleKeys:     s.mon.StaleCount(),
 		WindowSec:     s.mon.WindowSec(),
 		WindowsClosed: s.mon.WindowsClosed(),
 		Signals:       make(map[string]int),

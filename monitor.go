@@ -51,8 +51,11 @@ type Options struct {
 // only makes sense if their items are externally time-merged (as Pipeline
 // does).
 type Monitor struct {
-	mu       sync.RWMutex
-	engine   *core.Engine
+	// mu is the only lock over the engine, which has none of its own.
+	mu     sync.RWMutex
+	engine *core.Engine
+	// corp is the engine's store of tracked pairs, read here and written
+	// only through the engine's AddCorpusEntry and RemovePair.
 	corp     *corpus.Corpus
 	window   int64
 	cur      int64
@@ -114,7 +117,7 @@ func NewMonitor(opts Options) (*Monitor, error) {
 	}
 	return &Monitor{
 		engine: eng,
-		corp:   corpus.New(opts.Mapper, opts.Aliases),
+		corp:   eng.Corpus(),
 		window: cfg.WindowSec,
 	}, nil
 }
@@ -164,19 +167,11 @@ func (m *Monitor) ObservePublic(t *Traceroute) {
 func (m *Monitor) Track(t *Traceroute) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.trackLocked(t)
-}
-
-func (m *Monitor) trackLocked(t *Traceroute) error {
-	en, err := m.corp.Add(t)
+	en, err := m.corp.Process(t)
 	if err != nil {
 		return err
 	}
-	if _, tracked := m.engine.Entry(en.Key); tracked {
-		m.engine.Reregister(en)
-	} else {
-		m.engine.AddCorpusEntry(en)
-	}
+	m.engine.AddCorpusEntry(en)
 	metMonTracked.Set(int64(m.corp.Len()))
 	m.bump(false, []Key{en.Key})
 	return nil
@@ -186,7 +181,6 @@ func (m *Monitor) trackLocked(t *Traceroute) error {
 func (m *Monitor) Untrack(k Key) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.corp.Remove(k)
 	m.engine.RemovePair(k)
 	metMonTracked.Set(int64(m.corp.Len()))
 	m.bump(false, []Key{k})
@@ -337,12 +331,20 @@ func (m *Monitor) StaleKeys() []Key {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var out []Key
-	for _, k := range m.corp.Keys() {
-		if len(m.engine.Active(k)) > 0 {
-			out = append(out, k)
+	m.corp.Each(func(en *Entry) {
+		if len(m.engine.Active(en.Key)) > 0 {
+			out = append(out, en.Key)
 		}
-	}
+	})
 	return out
+}
+
+// StaleCount returns how many pairs StaleKeys would list, under the read
+// lock and without copying or sorting keys.
+func (m *Monitor) StaleCount() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.engine.ActivePairs()
 }
 
 // StateVersion returns the monitor's verdict-state version. It moves on
@@ -442,8 +444,7 @@ func (m *Monitor) RecordRefresh(t *Traceroute) (ChangeClass, error) {
 		return Unchanged, err
 	}
 	cls, _ := m.engine.EvaluateRefresh(en)
-	m.corp.Put(en)
-	m.engine.Reregister(en)
+	m.engine.AddCorpusEntry(en)
 	metMonRefreshes.Inc()
 	metMonStale.Set(int64(m.engine.ActivePairs()))
 	m.bump(false, []Key{en.Key})
@@ -576,14 +577,10 @@ func (m *Monitor) Snapshot() *MonitorSnapshot {
 		SignalCounts:  m.signalCountsLocked(),
 		WindowsClosed: m.baseWindows + m.engine.WindowsClosed(),
 	}
-	for _, k := range m.corp.Keys() {
-		en, ok := m.corp.Get(k)
-		if !ok {
-			continue
-		}
+	m.corp.Each(func(en *Entry) {
 		s.Traces = append(s.Traces, en.Trace)
-		s.Active = append(s.Active, m.engine.Active(k)...)
-	}
+		s.Active = append(s.Active, m.engine.Active(en.Key)...)
+	})
 	revSigs, revPairs := m.engine.RevocationStats()
 	s.RevokedSignals = m.baseRevSigs + revSigs
 	s.RevokedPairEvents = m.baseRevPairs + revPairs
@@ -618,12 +615,7 @@ func (m *Monitor) Restore(s *MonitorSnapshot) error {
 		entries = append(entries, en)
 	}
 	for _, en := range entries {
-		m.corp.Put(en)
-		if _, tracked := m.engine.Entry(en.Key); tracked {
-			m.engine.Reregister(en)
-		} else {
-			m.engine.AddCorpusEntry(en)
-		}
+		m.engine.AddCorpusEntry(en)
 	}
 	metMonTracked.Set(int64(m.corp.Len()))
 	m.engine.RestoreActive(s.Active)

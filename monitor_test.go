@@ -164,19 +164,21 @@ func TestMonitorUntrack(t *testing.T) {
 	}
 }
 
-// TestTrackedCountSharesReadLock: /v1/stats counts the corpus beside other
-// readers; it must not wait for the write lock, as Tracked does (its keys
-// sort lazily).
+// TestTrackedCountSharesReadLock: /v1/stats counts the corpus and its stale
+// pairs beside other readers; neither count may wait for the write lock, as
+// Tracked and StaleKeys do (their keys sort lazily).
 func TestTrackedCountSharesReadLock(t *testing.T) {
 	m := newTestMonitor(t)
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	done := make(chan int, 1)
-	go func() { done <- m.TrackedCount() }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("TrackedCount blocked behind a reader")
+	for name, count := range map[string]func() int{"TrackedCount": m.TrackedCount, "StaleCount": m.StaleCount} {
+		go func() { done <- count() }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s blocked behind a reader", name)
+		}
 	}
 }
 
@@ -422,9 +424,8 @@ func TestRecordRefreshSingleProcess(t *testing.T) {
 	if !ok || stored.Trace != fresh2 {
 		t.Fatal("corpus does not hold the fresh measurement")
 	}
-	reg, ok := m.engine.Entry(fresh2.Key())
-	if !ok || reg != stored {
-		t.Fatal("engine and corpus hold different entry pointers")
+	if m.corp != m.engine.Corpus() {
+		t.Fatal("monitor and engine hold different pair stores")
 	}
 }
 
@@ -601,8 +602,9 @@ func snapshotScenario(t *testing.T) (*Monitor, *Traceroute) {
 	return m, tr
 }
 
-// TestMonitorConcurrentAccess drives feeds and queries from separate
-// goroutines; run with -race it checks the Monitor's locking.
+// TestMonitorConcurrentAccess drives feeds, refreshes, tracking changes and
+// queries from separate goroutines; run with -race it checks that the
+// Monitor's lock, the only one over engine state, covers every path.
 func TestMonitorConcurrentAccess(t *testing.T) {
 	m := newTestMonitor(t)
 	m.ObserveBGP(announceUpd(t, 0, "5.0.0.9", 5, "4.0.0.0/8", []ASN{5, 2, 3, 4}))
@@ -610,12 +612,15 @@ func TestMonitorConcurrentAccess(t *testing.T) {
 	if err := m.Track(tr); err != nil {
 		t.Fatal(err)
 	}
+	other := trace(t, 0, "8.0.0.1", "4.0.0.9", "8.0.0.2", "2.0.0.1", "3.0.0.1", "4.0.0.9")
+	keys := []Key{tr.Key(), other.Key()}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for q := 0; q < 4; q++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var v uint64
 			for {
 				select {
 				case <-done:
@@ -628,7 +633,18 @@ func TestMonitorConcurrentAccess(t *testing.T) {
 				m.Tracked()
 				m.TrackedCount()
 				m.StaleKeys()
+				m.StaleCount()
 				m.PrunedCommunities()
+				_, v = m.PairStates(keys)
+				m.PlanRefreshDetailed(2, nil)
+				m.Potential(other.Key())
+				m.Entry(other.Key())
+				m.Classify(tr)
+				m.RevocationStats()
+				m.WindowsClosed()
+				m.PrunedCommunityIDs()
+				m.ChangedSince(v)
+				m.Snapshot()
 			}
 		}()
 	}
@@ -640,6 +656,20 @@ func TestMonitorConcurrentAccess(t *testing.T) {
 		}
 		m.ObserveBGP(announceUpd(t, w*900+5, "5.0.0.9", 5, "4.0.0.0/8", path))
 		m.Advance((w + 1) * 900)
+		if w%3 == 2 {
+			fresh := *tr
+			fresh.Time = (w + 1) * 900
+			if _, err := m.RecordRefresh(&fresh); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if w%2 == 0 {
+			if err := m.Track(other); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			m.Untrack(other.Key())
+		}
 	}
 	close(done)
 	wg.Wait()
