@@ -72,12 +72,14 @@ crashtest:
 	$(GO) test ./internal/wal -run 'TestCrashTorture|TestClusterCrashTorture' -short -count=1 -v
 	$(GO) test ./internal/daemon -run TestRestartDifferential -count=1 -v
 
-# Cluster acceptance under the race detector: the K∈{1,3} differential
-# (router-merged keys/batch/stats/SSE byte-identical to one daemon), the
-# router degradation paths (worker down mid-batch, wedged worker, SSE
-# reconnect), and the kill-one-worker WAL recovery torture.
+# Cluster acceptance under the race detector: the K∈{1,3} differential at
+# two scales (router-merged keys/batch/stats/SSE byte-identical to one
+# daemon, no frame dropped as late), the stream merger's own cases (window
+# by marker, relayed worker drops), the router degradation paths (worker
+# down mid-batch, wedged worker, SSE reconnect), and the kill-one-worker
+# WAL recovery torture.
 clustertest:
-	$(GO) test -race -count=1 ./internal/cluster -run 'TestClusterDifferential|TestRouter|TestRing|TestBreaker' -v
+	$(GO) test -race -count=1 ./internal/cluster -run 'TestClusterDifferential|TestMerger|TestRouter|TestRing|TestBreaker' -v
 	$(GO) test -race -count=1 ./internal/wal -run TestClusterCrashTorture -v
 
 # Self-healing acceptance under the race detector: one cluster run absorbs

@@ -28,7 +28,7 @@ func TestClusterChaos(t *testing.T) {
 		t.Skip("chaos run drives full feeds several times; run without -short")
 	}
 	// The reference: a healthy cluster over the same feeds, never killed.
-	want := clusterOutputs(t, 3)
+	want := clusterOutputs(t, diffScale(), 3)
 
 	// Chaos cluster: worker 2's HTTP traffic — the router's SSE stream
 	// subscription included — runs through a flaky proxy that resets the

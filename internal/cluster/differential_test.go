@@ -162,9 +162,9 @@ func batchBody(t *testing.T, keysJSON string) string {
 	return string(body)
 }
 
-func singleOutputs(t *testing.T) outputs {
+func singleOutputs(t *testing.T, sc experiments.Scale) outputs {
 	t.Helper()
-	lw, err := StartLocalDaemon(diffScale())
+	lw, err := StartLocalDaemon(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +182,11 @@ func singleOutputs(t *testing.T) outputs {
 	return o
 }
 
-func clusterOutputs(t *testing.T, workers int) outputs {
+func clusterOutputs(t *testing.T, sc experiments.Scale, workers int) outputs {
 	t.Helper()
 	lc, err := StartLocal(LocalOptions{
 		Workers:       workers,
-		Scale:         diffScale(),
+		Scale:         sc,
 		RouterTimeout: 30 * time.Second,
 		StreamBackoff: 20 * time.Millisecond,
 	})
@@ -238,25 +238,82 @@ func diffStrings(t *testing.T, what, want, got string) {
 // TestClusterDifferential is the tentpole guarantee: a K-worker cluster's
 // merged /v1/stale, /v1/stats, /v1/keys, and SSE signal stream are
 // byte-identical to a single daemon over the same simulated feeds, for
-// K ∈ {1, 3}.
+// K ∈ {1, 3}, and the merger drops no frame as late. It runs at diffScale
+// and, as Days2, over two days of dense public traces: there §4.2.1's
+// subpath series choose windows longer than the engine's, so a close
+// publishes signals about a series window that began windows earlier.
 func TestClusterDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential runs a full simulated day per topology")
 	}
-	want := singleOutputs(t)
+	clusterDifferential(t, diffScale(), 0)
+	t.Run("Days2", func(t *testing.T) {
+		sc := diffScale()
+		sc.Days = 2
+		sc.PublicPerWindow = 80
+		clusterDifferential(t, sc, 1)
+	})
+}
+
+// clusterDifferential compares K ∈ {1, 3} clusters with the single-daemon
+// baseline at sc, whose stream must carry at least minOlder signals about
+// a window older than the marker that follows them.
+func clusterDifferential(t *testing.T, sc experiments.Scale, minOlder int) {
+	want := singleOutputs(t, sc)
 	if n := strings.Count(want.stream, "event: signal"); n < 10 {
 		t.Fatalf("baseline stream carries %d signals; differential would be vacuous", n)
 	}
 	if n := strings.Count(want.stream, "event: window"); n < 10 {
 		t.Fatalf("baseline stream carries %d window markers; want a full day's worth", n)
 	}
+	if n := olderThanMarker(t, want.stream); n < minOlder {
+		t.Fatalf("baseline stream carries %d signals about a window older than their marker; want >= %d", n, minOlder)
+	}
 	for _, workers := range []int{1, 3} {
 		t.Run(fmt.Sprintf("K=%d", workers), func(t *testing.T) {
-			got := clusterOutputs(t, workers)
+			late := metClusterStreamLate.Value()
+			got := clusterOutputs(t, sc, workers)
 			diffStrings(t, "keys", want.keys, got.keys)
 			diffStrings(t, "batch verdicts", want.batch, got.batch)
 			diffStrings(t, "stats", want.stats, got.stats)
 			diffStrings(t, "signal stream", want.stream, got.stream)
+			if n := metClusterStreamLate.Value() - late; n != 0 {
+				t.Fatalf("merger dropped %d frames as late", n)
+			}
 		})
 	}
+}
+
+// olderThanMarker counts the stream's signals whose windowStart precedes
+// the window marker that follows them.
+func olderThanMarker(t *testing.T, stream string) int {
+	var pending []int64
+	n, event := 0, ""
+	for _, line := range strings.Split(stream, "\n") {
+		if kind, ok := strings.CutPrefix(line, "event: "); ok {
+			event = kind
+			continue
+		}
+		data, ok := strings.CutPrefix(line, "data: ")
+		if !ok || (event != "signal" && event != "window") {
+			continue
+		}
+		var f struct {
+			WindowStart int64 `json:"windowStart"`
+		}
+		if err := json.Unmarshal([]byte(data), &f); err != nil {
+			t.Fatalf("%s frame %q: %v", event, data, err)
+		}
+		if event == "signal" {
+			pending = append(pending, f.WindowStart)
+			continue
+		}
+		for _, ws := range pending {
+			if ws < f.WindowStart {
+				n++
+			}
+		}
+		pending = pending[:0]
+	}
+	return n
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -29,14 +30,33 @@ type routingEvent struct {
 	raw []byte
 }
 
+// segment is one worker's frames up to its window marker ws.
+type segment struct {
+	ws    int64
+	sigs  []sigEvent
+	routs []routingEvent
+}
+
+// workerStream is the merger's view of one worker's SSE stream.
+type workerStream struct {
+	connected, everConn bool
+	attached            int64     // the flushed window when the stream attached
+	last                int64     // the stream's last marker; math.MinInt64 before one
+	open                segment   // frames since the last marker
+	closed              []segment // marked, unflushed segments, oldest first
+}
+
 // merger multiplexes K workers' SSE streams into one totally-ordered
 // stream. Workers delimit engine windows with `window` marker frames
-// (every worker ingests the full feed, so all close the same windows);
-// the merger buffers each worker's signals and flushes window W — all
-// buffered signals of W sorted by rrr.SignalLess, then W's marker — once
-// every connected worker has reported W closed. Because a single engine
-// also emits each window signalLess-sorted and marker-terminated, the
-// merged stream is byte-identical to a single daemon's.
+// (every worker ingests the full feed, so all close the same windows). A
+// close publishes its signals, its routing events, then its marker, so a
+// frame belongs to the window whose marker follows it on its worker's
+// stream, even when it is about an older series window (§4.2.1 subpaths
+// choose their own). The merger flushes window W — W's frames sorted by
+// rrr.SignalLess and events.EventLess, then W's marker — once the barrier
+// admits W. A single engine also emits each window signalLess-sorted and
+// marker-terminated, so the merged stream is byte-identical to a single
+// daemon's.
 //
 // Replication: each partition's signals arrive from every connected
 // replica, so the flush dedups identical signal bytes down to their
@@ -54,14 +74,9 @@ type routingEvent struct {
 // with the count and window range, so consumers can size a catch-up
 // fetch — once coverage is restored.
 type merger struct {
-	mu        sync.Mutex
-	workers   int
-	started   bool // all workers connected at least once; no flush before
-	connected []bool
-	everConn  []bool
-	buf       [][]sigEvent
-	rbuf      [][]routingEvent
-	markQ     [][]int64
+	mu      sync.Mutex
+	started bool // all workers connected at least once; no flush before
+	streams []workerStream
 	// partReps maps each partition to its replica workers, for coverage.
 	partReps [][]int
 	// Windows flushed while some partition had no connected replica: the
@@ -69,8 +84,7 @@ type merger struct {
 	lossyCount int
 	lossyFirst int64
 	lossyLast  int64
-	flushed    int64
-	hasFlushed bool
+	flushed    int64 // the last flushed window; math.MinInt64 before the first
 	hub        *server.Stream
 }
 
@@ -80,30 +94,21 @@ func newMerger(workers int, hub *server.Stream, ring *Ring) *merger {
 		partReps[p] = ring.Replicas(p)
 	}
 	return &merger{
-		workers:   workers,
-		connected: make([]bool, workers),
-		everConn:  make([]bool, workers),
-		buf:       make([][]sigEvent, workers),
-		rbuf:      make([][]routingEvent, workers),
-		markQ:     make([][]int64, workers),
-		partReps:  partReps,
-		hub:       hub,
+		streams:  make([]workerStream, workers),
+		partReps: partReps,
+		flushed:  math.MinInt64,
+		hub:      hub,
 	}
 }
 
 func (m *merger) setConnected(w int, up bool) {
 	m.mu.Lock()
-	wasUp := m.connected[w]
-	m.connected[w] = up
+	s := &m.streams[w]
+	wasUp := s.connected
+	s.connected = up
 	if up {
-		m.everConn[w] = true
-		if !m.started {
-			all := true
-			for _, ever := range m.everConn {
-				all = all && ever
-			}
-			m.started = all
-		}
+		s.everConn = true
+		s.attached, s.last = m.flushed, math.MinInt64
 		if m.lossyCount > 0 && m.coveredLocked() {
 			// Coverage is back, but the windows flushed while some
 			// partition had no connected replica are missing signals the
@@ -115,19 +120,21 @@ func (m *merger) setConnected(w int, up bool) {
 			m.lossyCount = 0
 		}
 	} else if wasUp {
-		// The stream died mid-window: whatever it buffered was never
-		// confirmed by a marker and will not be re-sent on reconnect.
-		metClusterStreamLate.Add(uint64(len(m.buf[w]) + len(m.rbuf[w])))
-		m.buf[w] = nil
-		m.rbuf[w] = nil
-		m.markQ[w] = nil
+		// The stream died: nothing it delivered since the last flush will
+		// be re-sent on reconnect.
+		for _, seg := range append(s.closed, s.open) {
+			metClusterStreamLate.Add(uint64(len(seg.sigs) + len(seg.routs)))
+		}
+		s.open, s.closed = segment{}, nil
 	}
-	n := int64(0)
-	for _, c := range m.connected {
-		if c {
+	n, all := int64(0), true
+	for _, o := range m.streams {
+		if o.connected {
 			n++
 		}
+		all = all && o.everConn
 	}
+	m.started = all
 	metClusterWorkerConnected.Set(n)
 	m.tryFlushLocked()
 	m.mu.Unlock()
@@ -140,7 +147,7 @@ func (m *merger) coveredLocked() bool {
 	for _, reps := range m.partReps {
 		live := false
 		for _, w := range reps {
-			if m.connected[w] {
+			if m.streams[w].connected {
 				live = true
 				break
 			}
@@ -163,8 +170,8 @@ func (m *merger) covered() bool {
 func (m *merger) allConnected() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, c := range m.connected {
-		if !c {
+	for _, s := range m.streams {
+		if !s.connected {
 			return false
 		}
 	}
@@ -173,39 +180,33 @@ func (m *merger) allConnected() bool {
 
 func (m *merger) signal(w int, sig rrr.Signal, raw []byte) {
 	m.mu.Lock()
-	if m.hasFlushed && sig.WindowStart <= m.flushed {
-		// Late arrival for a window the barrier already emitted; keeping
-		// it would reorder the client stream.
-		metClusterStreamLate.Inc()
-		m.mu.Unlock()
-		return
-	}
-	m.buf[w] = append(m.buf[w], sigEvent{sig: sig, raw: raw})
+	m.streams[w].open.sigs = append(m.streams[w].open.sigs, sigEvent{sig: sig, raw: raw})
 	m.mu.Unlock()
 }
 
 func (m *merger) routing(w int, ev events.Event, raw []byte) {
 	m.mu.Lock()
-	if m.hasFlushed && ev.WindowStart <= m.flushed {
-		metClusterStreamLate.Inc()
-		m.mu.Unlock()
-		return
-	}
-	m.rbuf[w] = append(m.rbuf[w], routingEvent{ev: ev, raw: raw})
+	m.streams[w].open.routs = append(m.streams[w].open.routs, routingEvent{ev: ev, raw: raw})
 	m.mu.Unlock()
 }
 
+// marker closes worker w's open segment as window ws. A flushed window's
+// segment is dropped: a replica's duplicate, or, from a stream that
+// attached after the flush (a recovered worker replaying), late.
 func (m *merger) marker(w int, ws int64) {
 	m.mu.Lock()
-	if m.hasFlushed && ws <= m.flushed {
-		// Re-announced window (worker recovered and replayed); its
-		// signals were either flushed already or are unrecoverable.
-		m.mu.Unlock()
+	defer m.mu.Unlock()
+	s := &m.streams[w]
+	seg := s.open
+	seg.ws, s.last, s.open = ws, ws, segment{}
+	if ws <= m.flushed {
+		if ws <= s.attached {
+			metClusterStreamLate.Add(uint64(len(seg.sigs) + len(seg.routs)))
+		}
 		return
 	}
-	m.markQ[w] = append(m.markQ[w], ws)
+	s.closed = append(s.closed, seg)
 	m.tryFlushLocked()
-	m.mu.Unlock()
 }
 
 // workerDropped propagates a worker-side loss: the worker's stream log
@@ -228,13 +229,14 @@ func (m *merger) publishGap(format string, args ...any) {
 }
 
 // tryFlushLocked advances the barrier. The candidate is the smallest head
-// marker among connected workers; it flushes once every partition that
-// has a connected replica at all has one that confirmed the candidate
-// (head marker equal to it — a later head means the replica's signals for
-// this window were lost to a disconnect, an empty queue that it hasn't
-// closed the window yet). Replicas deliver identical bytes, so flushing
-// on the first confirming replica emits the same window a full barrier
-// would; the laggard's duplicates are dropped as late arrivals. Waiting
+// segment's window among connected workers; it flushes once every
+// partition that has a connected replica at all has one that confirmed
+// the candidate (head segment stamped with it — a later head means the
+// replica's frames for this window were lost to a disconnect, an empty
+// queue that it hasn't closed the window yet). Replicas deliver identical
+// bytes, so flushing on the first confirming replica emits the same
+// window a full barrier would; the flush takes what a laggard has
+// delivered of the window, and marker drops the rest. Waiting
 // for every connected worker instead would wedge the stream on a replica
 // that reconnected after its feed ended and will never mark again.
 // Partitions with no connected replica cannot be saved by waiting; they
@@ -246,12 +248,12 @@ func (m *merger) tryFlushLocked() {
 	for {
 		ws := int64(0)
 		have := false
-		for w := 0; w < m.workers; w++ {
-			if !m.connected[w] || len(m.markQ[w]) == 0 {
+		for _, s := range m.streams {
+			if !s.connected || len(s.closed) == 0 {
 				continue
 			}
-			if !have || m.markQ[w][0] < ws {
-				ws = m.markQ[w][0]
+			if head := s.closed[0].ws; !have || head < ws {
+				ws = head
 				have = true
 			}
 		}
@@ -262,11 +264,11 @@ func (m *merger) tryFlushLocked() {
 			anyConnected := false
 			confirmed := false
 			for _, w := range reps {
-				if !m.connected[w] {
+				if !m.streams[w].connected {
 					continue
 				}
 				anyConnected = true
-				if len(m.markQ[w]) > 0 && m.markQ[w][0] == ws {
+				if c := m.streams[w].closed; len(c) > 0 && c[0].ws == ws {
 					confirmed = true
 					break
 				}
@@ -292,41 +294,36 @@ func (m *merger) flushWindowLocked(ws int64) {
 	aggs := make(map[string]*sigAgg)
 	var routs []routingEvent
 	seenRout := make(map[string]bool)
-	for w := 0; w < m.workers; w++ {
-		if len(m.markQ[w]) > 0 && m.markQ[w][0] == ws {
-			m.markQ[w] = m.markQ[w][1:]
+	for w := range m.streams {
+		s := &m.streams[w]
+		var seg segment
+		switch {
+		case len(s.closed) > 0 && s.closed[0].ws == ws:
+			seg, s.closed = s.closed[0], s.closed[1:]
+		case s.last == m.flushed: // a laggard: its frames so far are ws's
+			seg, s.open = s.open, segment{}
+		default:
+			continue
 		}
 		perWorker := make(map[string]int)
-		keep := m.buf[w][:0]
-		for _, ev := range m.buf[w] {
-			if ev.sig.WindowStart <= ws {
-				raw := string(ev.raw)
-				perWorker[raw]++
-				if a := aggs[raw]; a == nil {
-					aggs[raw] = &sigAgg{ev: ev, count: perWorker[raw]}
-				} else if perWorker[raw] > a.count {
-					a.count = perWorker[raw]
-				}
-			} else {
-				keep = append(keep, ev)
+		for _, ev := range seg.sigs {
+			raw := string(ev.raw)
+			perWorker[raw]++
+			if a := aggs[raw]; a == nil {
+				aggs[raw] = &sigAgg{ev: ev, count: perWorker[raw]}
+			} else if perWorker[raw] > a.count {
+				a.count = perWorker[raw]
 			}
 		}
-		m.buf[w] = keep
 		// Routing events: every worker emits the identical stream (full
 		// feed, identical detector), so the window's merged set is the
 		// byte-level union-dedup of worker emissions.
-		rkeep := m.rbuf[w][:0]
-		for _, rev := range m.rbuf[w] {
-			if rev.ev.WindowStart <= ws {
-				if !seenRout[string(rev.raw)] {
-					seenRout[string(rev.raw)] = true
-					routs = append(routs, rev)
-				}
-			} else {
-				rkeep = append(rkeep, rev)
+		for _, rev := range seg.routs {
+			if !seenRout[string(rev.raw)] {
+				seenRout[string(rev.raw)] = true
+				routs = append(routs, rev)
 			}
 		}
-		m.rbuf[w] = rkeep
 	}
 	if !m.coveredLocked() {
 		// Some partition had no connected replica while this window
@@ -368,5 +365,4 @@ func (m *merger) flushWindowLocked(ws int64) {
 	m.hub.Publish(server.WindowFrame(ws))
 	metClusterStreamWindows.Inc()
 	m.flushed = ws
-	m.hasFlushed = true
 }

@@ -135,6 +135,56 @@ func TestMergerRelaysWorkerDrop(t *testing.T) {
 	}
 }
 
+// TestMergerWindowFromMarker: a frame belongs to the window whose marker
+// follows it on its worker's stream, even when it is about an older
+// window (as a subpath signal about a longer series window is).
+func TestMergerWindowFromMarker(t *testing.T) {
+	late := metClusterStreamLate.Value()
+	t.Run("one worker", func(t *testing.T) {
+		_, c, tap := testMerger(t, 1)
+		c[0].read(strings.NewReader(oldSignalStream))
+		want := frame("window", windowData(0)) + frame("signal", signalData(1, 0)) + frame("window", windowData(900))
+		if got := tap.frames(t); got != want {
+			t.Fatalf("merged stream:\n%s\nwant:\n%s", got, want)
+		}
+	})
+	t.Run("two workers", func(t *testing.T) {
+		// Worker 0 closes windows 0 and 900 before worker 1's stream
+		// attaches, so both flush together; window 0's flush must not
+		// take the older signal from worker 0's segment 900.
+		ring, err := NewRing(2, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hub := new(server.Stream)
+		tap := tapStream(t, hub)
+		m := newMerger(2, hub, ring)
+		c := []*sseClient{newSSEClient(0, "http://worker", nil, m, 0), newSSEClient(1, "http://worker", nil, m, 0)}
+		m.setConnected(0, true)
+		for _, f := range [][2]string{
+			{"signal", signalData(0, 0)}, {"window", windowData(0)},
+			{"signal", signalData(2, 0)}, {"window", windowData(900)},
+		} {
+			c[0].dispatch(f[0], f[1])
+		}
+		m.setConnected(1, true)
+		c[1].dispatch("signal", signalData(0, 0))
+		c[1].dispatch("window", windowData(0))
+		want := frame("signal", signalData(0, 0)) + frame("window", windowData(0)) +
+			frame("signal", signalData(2, 0)) + frame("window", windowData(900))
+		if got := tap.frames(t); got != want {
+			t.Fatalf("merged stream:\n%s\nwant:\n%s", got, want)
+		}
+	})
+	if n := metClusterStreamLate.Value() - late; n != 0 {
+		t.Fatalf("merger dropped %d frames as late", n)
+	}
+}
+
+// oldSignalStream is one worker's stream whose window-900 close publishes
+// a signal about window 0.
+var oldSignalStream = frame("window", windowData(0)) + frame("signal", signalData(1, 0)) + frame("window", windowData(900))
+
 // TestMergerGapNeverSplitsWindow relays worker drops while the other
 // worker's markers flush windows: every gap must land between windows,
 // never among a window's signals.
@@ -196,6 +246,7 @@ func FuzzSSEReader(f *testing.F) {
 	f.Add([]byte(frame("routing", `{"class":"hijack-origin","windowStart":0,"prefix":"10.0.0.0/8","as":7}`) +
 		frame("window", windowData(0)) + "event: window\ndata: {\"windowStart\":-1}\n\n"))
 	f.Add([]byte("data: x\nevent: dropped\ndata: {\"dropped\":18446744073709551615}\n\n\x00\xff"))
+	f.Add([]byte(oldSignalStream))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		_, c, tap := testMerger(t, 1)
 		c[0].read(bytes.NewReader(in))

@@ -40,7 +40,7 @@ func init() {
 	obs.Default.Help("rrr_cluster_stream_routing_total", "routing events merged into the router's SSE stream")
 	obs.Default.Help("rrr_cluster_stream_windows_total", "window barriers flushed by the stream merger")
 	obs.Default.Help("rrr_cluster_stream_gaps_total", "stream discontinuities surfaced after worker reconnects")
-	obs.Default.Help("rrr_cluster_stream_late_dropped_total", "late signals for already-flushed windows, dropped")
+	obs.Default.Help("rrr_cluster_stream_late_dropped_total", "worker frames dropped unmerged: cut streams, windows flushed before their stream attached, worker-side drops")
 	obs.Default.Help("rrr_cluster_workers_connected", "worker SSE streams currently connected")
 	obs.Default.Help("rrr_cluster_stream_reconnects_total", "worker SSE stream reconnect attempts")
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -675,7 +676,7 @@ func (rt *Router) handleRefreshPlan(w http.ResponseWriter, r *http.Request) {
 	body, _ := json.Marshal(map[string]int{"budget": req.Budget})
 	// Every worker is asked, open breakers included: a plan missing a live
 	// worker's slice is wrong, not merely slow.
-	parts, errs := scatter(rt.all, func(worker int) ([]server.PlanEntry, error) {
+	parts, errs := scatter(rt.all, func(worker int) ([]rrr.PlanItem, error) {
 		wr, err := rt.do(r.Context(), http.MethodPost, worker, "/v1/refresh/plan", body)
 		if err != nil {
 			return nil, err
@@ -686,42 +687,37 @@ func (rt *Router) handleRefreshPlan(w http.ResponseWriter, r *http.Request) {
 		if err := json.Unmarshal(wr.body, &resp); err != nil {
 			return nil, err
 		}
-		return resp.Plan, nil
+		items := make([]rrr.PlanItem, len(resp.Plan))
+		for i, e := range resp.Plan {
+			if items[i], err = server.ParsePlanEntry(e); err != nil {
+				return nil, err
+			}
+		}
+		return items, nil
 	})
-	K := rt.ring.Workers()
-	cur := make([]int, K) // per-worker merge cursor
 	// Each worker plans within its own slice with the full budget and
-	// returns entries in global priority order (server.PlanEntryLess), so
-	// the item at global rank r sits at rank <= r within its worker:
-	// a k-way merge of the per-worker lists, truncated at the budget,
-	// reconstructs the single-daemon priority order — no worker's
-	// below-cut entry can outrank an accepted one. Replication makes a
-	// pair's entry appear in both its replicas' lists; the merge keeps the
-	// first and skips later duplicates by key.
+	// returns entries in global priority order (rrr.PlanLess), so the item
+	// at global rank r sits at rank <= r within its worker: merging the
+	// per-worker lists, truncated at the budget, reconstructs the
+	// single-daemon priority order — no worker's below-cut entry can
+	// outrank an accepted one. A stable sort of their concatenation is that
+	// merge. Replication makes a pair's entry appear in both its replicas'
+	// lists; the merge keeps the first and skips later duplicates by key.
+	all := slices.Concat(parts...)
+	sort.SliceStable(all, func(i, j int) bool { return rrr.PlanLess(all[i], all[j]) })
 	merged := make([]server.PlanEntry, 0, req.Budget)
 	keys := make([]string, 0, req.Budget)
-	seen := make(map[string]bool, req.Budget)
-	for len(merged) < req.Budget {
-		best := -1
-		for c := 0; c < K; c++ {
-			if cur[c] >= len(parts[c]) {
-				continue
-			}
-			if best < 0 || server.PlanEntryLess(parts[c][cur[c]], parts[best][cur[best]]) {
-				best = c
-			}
-		}
-		if best < 0 {
+	seen := make(map[rrr.Key]bool, req.Budget)
+	for _, it := range all {
+		if len(merged) == req.Budget {
 			break
 		}
-		e := parts[best][cur[best]]
-		cur[best]++
-		if seen[e.Key] {
+		if seen[it.Key] {
 			continue
 		}
-		seen[e.Key] = true
-		merged = append(merged, e)
-		keys = append(keys, e.Key)
+		seen[it.Key] = true
+		merged = append(merged, server.PlanEntryOf(it))
+		keys = append(keys, server.FormatKey(it.Key))
 	}
 	resp := map[string]any{"keys": keys, "plan": merged, "planned": len(keys)}
 	if uncovered := rt.unavailablePartitions(failedOf(errs)); len(uncovered) > 0 {

@@ -472,6 +472,28 @@ func sortedKeySet(m map[traceroute.Key]bool) []traceroute.Key {
 	return out
 }
 
+// PlanLess reports whether a outranks b in the §4.3.1 order
+// RefreshPlanDetailed emits: calibrated picks first (VP summed TPR
+// descending, then key), then Table 1's bootstrap order over the
+// representative signals. Merging per-partition plans with it reproduces a
+// single engine's order whenever the per-VP TPR sums do (always, in the
+// refresh-free regime where no VP is calibrated).
+func PlanLess(a, b PlanItem) bool {
+	if a.Calibrated != b.Calibrated {
+		return a.Calibrated
+	}
+	if !a.Calibrated {
+		return table1Less(a.Sig, b.Sig)
+	}
+	if a.VPTPR != b.VPTPR {
+		return a.VPTPR > b.VPTPR
+	}
+	if a.Key.Src != b.Key.Src {
+		return a.Key.Src < b.Key.Src
+	}
+	return a.Key.Dst < b.Key.Dst
+}
+
 // table1Less orders signals by the paper's Table 1 priority attributes:
 // IP-level overlap, AS-level overlap, VP in same AS and city, same AS,
 // same city, AS-level change kind, then border/IXP change; ties break on

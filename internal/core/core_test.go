@@ -664,6 +664,19 @@ func TestRefreshPlanRespectsBudget(t *testing.T) {
 	if len(plan) != 2 {
 		t.Fatalf("plan size = %d; want 2 (all flagged)", len(plan))
 	}
+	wantPlanLessOrder(t, te.e.RefreshPlanDetailed(10, rng), false)
+}
+
+// wantPlanLessOrder checks a two-pick plan, both calibrated or both
+// bootstrap as given, for PlanLess order.
+func wantPlanLessOrder(t *testing.T, items []PlanItem, calibrated bool) {
+	t.Helper()
+	if len(items) != 2 || items[0].Calibrated != calibrated || items[1].Calibrated != calibrated {
+		t.Fatalf("plan = %+v; want two picks with Calibrated %v", items, calibrated)
+	}
+	if PlanLess(items[1], items[0]) {
+		t.Fatalf("plan %+v is not in PlanLess order", items)
+	}
 }
 
 func TestCalibratorRates(t *testing.T) {
@@ -839,6 +852,9 @@ func TestRefreshPlanPrefersCalibratedVP(t *testing.T) {
 	if len(plan) != 1 || plan[0] != en1.Key {
 		t.Fatalf("plan = %v; want [%v]", plan, en1.Key)
 	}
+	// The whole plan comes out in PlanLess order: the order a cluster
+	// router merges workers' plans by.
+	wantPlanLessOrder(t, te.e.RefreshPlanDetailed(10, rand.New(rand.NewSource(2))), true)
 }
 
 // TestRefreshPlanIgnoresMapOrder: VP 2's relative TPR is 0.1+0.2+0.3 over

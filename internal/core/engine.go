@@ -218,12 +218,6 @@ func (e *Engine) Active(k traceroute.Key) []Signal {
 	return e.active[k]
 }
 
-// clearActive resets a pair's signal state.
-func (e *Engine) clearActive(k traceroute.Key) {
-	delete(e.active, k)
-	delete(e.restored, k)
-}
-
 // RestoreActive re-injects previously-generated signals into the active
 // set, used when a Monitor is rebuilt from a snapshot: the signals keep
 // flagging their pairs as stale across a restart without replaying the
@@ -233,7 +227,7 @@ func (e *Engine) clearActive(k traceroute.Key) {
 // monitors were registered by this process against whatever routes the
 // restart found, so "back at baseline" is trivially true. The pair rejoins
 // revocation once it raises a signal here (its monitors then hold an
-// observed baseline); re-registration, removal and clearActive drop the mark.
+// observed baseline); re-registration and removal drop the mark.
 func (e *Engine) RestoreActive(sigs []Signal) {
 	for _, sig := range sigs {
 		e.active[sig.Key] = append(e.active[sig.Key], sig)
@@ -294,13 +288,6 @@ func (e *Engine) SetInitialIXPMembership(members map[int][]bgp.ASN) {
 		}
 		e.sh.ixpMembers[ixp] = m
 	}
-}
-
-// allowPrivatePeerSignals marks an AS as giving public and private peers
-// equal local preference, enabling IXP signals through private peers
-// (§4.2.3's learned exception).
-func (e *Engine) allowPrivatePeerSignals(as bgp.ASN) {
-	e.sh.allowPriv[as] = true
 }
 
 // RefreshPlan selects which corpus pairs to refresh given the probing

@@ -634,14 +634,14 @@ func (s *Server) handleRefreshPlan(w http.ResponseWriter, r *http.Request) {
 	entries := make([]PlanEntry, len(plan))
 	for i, it := range plan {
 		keys[i] = FormatKey(it.Key)
-		entries[i] = toPlanEntry(it)
+		entries[i] = PlanEntryOf(it)
 	}
 	WriteJSON(w, http.StatusOK, map[string]any{"keys": keys, "plan": entries, "planned": len(keys)})
 }
 
 // PlanEntry is one /v1/refresh/plan selection with the attributes it was
 // ranked by. A cluster router re-merges workers' entries with
-// PlanEntryLess to reconstruct the global priority order; a plain client
+// rrr.PlanLess to reconstruct the global priority order; a plain client
 // can ignore everything but the keys list.
 type PlanEntry struct {
 	Key        string  `json:"key"`
@@ -656,7 +656,9 @@ type PlanEntry struct {
 	SameCityVP bool    `json:"sameCityVp,omitempty"`
 }
 
-func toPlanEntry(it rrr.PlanItem) PlanEntry {
+// PlanEntryOf renders a plan item as its /v1/refresh/plan entry; it
+// inverts ParsePlanEntry.
+func PlanEntryOf(it rrr.PlanItem) PlanEntry {
 	return PlanEntry{
 		Key:        FormatKey(it.Key),
 		Calibrated: it.Calibrated,
@@ -671,72 +673,22 @@ func toPlanEntry(it rrr.PlanItem) PlanEntry {
 	}
 }
 
-// PlanEntryLess reports whether a outranks b in the global §4.3.1
-// priority order: calibrated selections first (VP summed TPR descending,
-// then VP address), then Table 1's bootstrap order over the
-// representative-signal attributes, with the numeric key as the final
-// deterministic tiebreak. Merging per-partition plans with it reproduces
-// a single daemon's order whenever the per-VP TPR sums do (always, in
-// the refresh-free regime where no VP is calibrated).
-func PlanEntryLess(a, b PlanEntry) bool {
-	ak, aerr := ParseKey(a.Key)
-	bk, berr := ParseKey(b.Key)
-	if aerr != nil || berr != nil {
-		return a.Key < b.Key
+// ParsePlanEntry decodes a /v1/refresh/plan entry back into the plan item
+// it was rendered from, as far as the entry carries it: the cluster router
+// merges workers' plans with rrr.PlanLess and re-renders the merged items.
+func ParsePlanEntry(e PlanEntry) (rrr.PlanItem, error) {
+	k, err := ParseKey(e.Key)
+	if err != nil {
+		return rrr.PlanItem{}, err
 	}
-	if a.Calibrated != b.Calibrated {
-		return a.Calibrated
+	t, ok := techniqueByName[e.Technique]
+	if !ok {
+		return rrr.PlanItem{}, fmt.Errorf("unknown technique %q", e.Technique)
 	}
-	if a.Calibrated {
-		if a.VPTPR != b.VPTPR {
-			return a.VPTPR > b.VPTPR
-		}
-		if ak.Src != bk.Src {
-			return ak.Src < bk.Src
-		}
-		return ak.Dst < bk.Dst
-	}
-	if a.IPOverlap != b.IPOverlap {
-		return a.IPOverlap > b.IPOverlap
-	}
-	if a.ASOverlap != b.ASOverlap {
-		return a.ASOverlap > b.ASOverlap
-	}
-	aBoth, bBoth := a.SameASVP && a.SameCityVP, b.SameASVP && b.SameCityVP
-	if aBoth != bBoth {
-		return aBoth
-	}
-	if a.SameASVP != b.SameASVP {
-		return a.SameASVP
-	}
-	if a.SameCityVP != b.SameCityVP {
-		return a.SameCityVP
-	}
-	at, aok := techniqueByName[a.Technique]
-	bt, bok := techniqueByName[b.Technique]
-	if aok && bok {
-		aAS, bAS := at == rrr.TechBGPASPath, bt == rrr.TechBGPASPath
-		if aAS != bAS {
-			return aAS
-		}
-		if at.IsBGP() != bt.IsBGP() {
-			if a.VPCount != b.VPCount {
-				return a.VPCount > b.VPCount
-			}
-			return a.Score > b.Score
-		}
-		if at.IsBGP() {
-			if a.VPCount != b.VPCount {
-				return a.VPCount > b.VPCount
-			}
-		} else if a.Score != b.Score {
-			return a.Score > b.Score
-		}
-	}
-	if ak.Src != bk.Src {
-		return ak.Src < bk.Src
-	}
-	return ak.Dst < bk.Dst
+	return rrr.PlanItem{Key: k, Calibrated: e.Calibrated, VPTPR: e.VPTPR, Sig: rrr.Signal{
+		Technique: t, Key: k, VPCount: e.VPCount, Score: e.Score, IPOverlap: e.IPOverlap,
+		ASOverlap: e.ASOverlap, SameASVP: e.SameASVP, SameCityVP: e.SameCityVP,
+	}}, nil
 }
 
 // traceJSON is the wire form of a traceroute measurement for

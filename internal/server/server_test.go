@@ -373,14 +373,27 @@ func TestRefreshEndpoints(t *testing.T) {
 	defer ts.Close()
 
 	var plan struct {
-		Keys    []string `json:"keys"`
-		Planned int      `json:"planned"`
+		Keys    []string    `json:"keys"`
+		Planned int         `json:"planned"`
+		Plan    []PlanEntry `json:"plan"`
 	}
 	if code := postJSON(t, ts, "/v1/refresh/plan", map[string]int{"budget": 1}, &plan); code != http.StatusOK {
 		t.Fatalf("plan status = %d", code)
 	}
 	if plan.Planned != 1 || plan.Keys[0] != FormatKey(stale.Key()) {
 		t.Fatalf("plan = %+v", plan)
+	}
+	// A cluster router decodes each entry into the item it renders from;
+	// an entry it cannot decode fails the worker's answer.
+	if it, err := ParsePlanEntry(plan.Plan[0]); err != nil || PlanEntryOf(it) != plan.Plan[0] {
+		t.Fatalf("plan entry %+v decodes to %+v, %v", plan.Plan[0], it, err)
+	}
+	badKey, badTech := plan.Plan[0], plan.Plan[0]
+	badKey.Key, badTech.Technique = "1.0.0.1", "nosuch"
+	for _, e := range []PlanEntry{badKey, badTech} {
+		if _, err := ParsePlanEntry(e); err == nil {
+			t.Fatalf("plan entry %+v decoded", e)
+		}
 	}
 	if code := postJSON(t, ts, "/v1/refresh/plan", map[string]int{"budget": 0}, nil); code != http.StatusBadRequest {
 		t.Fatalf("zero budget status = %d", code)

@@ -172,7 +172,6 @@ func (m *Monitor) Track(t *Traceroute) error {
 		return err
 	}
 	m.engine.AddCorpusEntry(en)
-	metMonTracked.Set(int64(m.corp.Len()))
 	m.bump(false, []Key{en.Key})
 	return nil
 }
@@ -182,15 +181,16 @@ func (m *Monitor) Untrack(k Key) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.engine.RemovePair(k)
-	metMonTracked.Set(int64(m.corp.Len()))
 	m.bump(false, []Key{k})
 }
 
 // bump is the one place the state version moves. It logs the pairs the
 // transition changed (every pair when all is set or the list is longer
-// than maxLoggedKeys) under the new version, reusing the slot's storage.
-// Callers hold the write lock.
+// than maxLoggedKeys) under the new version, reusing the slot's storage,
+// and sets the tracked- and stale-pair gauges. Callers hold the write lock.
 func (m *Monitor) bump(all bool, keys []Key) {
+	metMonTracked.Set(int64(m.corp.Len()))
+	metMonStale.Set(int64(m.engine.ActivePairs()))
 	r := &m.changes[m.version.Add(1)%changeLogLen]
 	r.all = all || len(keys) > maxLoggedKeys
 	r.keys = r.keys[:0]
@@ -260,7 +260,7 @@ func (m *Monitor) CloseWindow(ws int64) []Signal {
 }
 
 // noteWindowMetrics records one or more window closes: per-technique
-// signal counters, the windows-closed counter, and the stale-pairs gauge.
+// signal counters and the windows-closed counter.
 // Derived detector state (series baselines, calibration
 // internals) is deliberately not exported as metrics — it would pin the
 // exposition to engine internals. (Series baselines rebuild from the
@@ -272,7 +272,6 @@ func (m *Monitor) noteWindowMetrics(sigs []Signal, windows int) {
 	}
 	metMonWindows.Add(uint64(windows))
 	recordSignalMetrics(sigs)
-	metMonStale.Set(int64(m.engine.ActivePairs()))
 }
 
 // Advance runs CloseWindow for every window up to (excluding) t, returning
@@ -446,7 +445,6 @@ func (m *Monitor) RecordRefresh(t *Traceroute) (ChangeClass, error) {
 	cls, _ := m.engine.EvaluateRefresh(en)
 	m.engine.AddCorpusEntry(en)
 	metMonRefreshes.Inc()
-	metMonStale.Set(int64(m.engine.ActivePairs()))
 	m.bump(false, []Key{en.Key})
 	return cls, nil
 }
@@ -617,7 +615,6 @@ func (m *Monitor) Restore(s *MonitorSnapshot) error {
 	for _, en := range entries {
 		m.engine.AddCorpusEntry(en)
 	}
-	metMonTracked.Set(int64(m.corp.Len()))
 	m.engine.RestoreActive(s.Active)
 	m.cur, m.opened = s.Cur, s.Opened
 	m.firstObs, m.haveObs = s.FirstObs, s.HaveObs

@@ -148,19 +148,26 @@ func TestMonitorEndToEnd(t *testing.T) {
 	}
 }
 
+// TestMonitorUntrack also reads the pair gauges: untracking the only,
+// stale, pair must leave both at 0.
 func TestMonitorUntrack(t *testing.T) {
-	m := newTestMonitor(t)
-	m.ObserveBGP(announceUpd(t, 0, "5.0.0.9", 5, "4.0.0.0/8", []ASN{5, 2, 3, 4}))
-	tr := trace(t, 0, "1.0.0.1", "4.0.0.9", "1.0.0.2", "2.0.0.1", "3.0.0.1", "4.0.0.9")
-	if err := m.Track(tr); err != nil {
-		t.Fatal(err)
-	}
+	m, tr := snapshotScenario(t)
 	if n := m.TrackedCount(); n != 1 {
 		t.Fatalf("TrackedCount = %d after one Track", n)
 	}
+	wantGauges(t, 1, 1)
 	m.Untrack(tr.Key())
 	if len(m.Tracked()) != 0 || len(m.Potential(tr.Key())) != 0 || m.TrackedCount() != 0 {
 		t.Fatal("untrack incomplete")
+	}
+	wantGauges(t, 0, 0)
+}
+
+// wantGauges checks the tracked- and stale-pair gauges.
+func wantGauges(t *testing.T, tracked, stale int64) {
+	t.Helper()
+	if got, gotStale := metMonTracked.Value(), metMonStale.Value(); got != tracked || gotStale != stale {
+		t.Fatalf("gauges: %d tracked, %d stale pairs; want %d, %d", got, gotStale, tracked, stale)
 	}
 }
 
@@ -558,6 +565,7 @@ func TestSnapshotRestore(t *testing.T) {
 	if m2.WindowsClosed() != m.WindowsClosed() {
 		t.Fatalf("WindowsClosed = %d, want %d", m2.WindowsClosed(), m.WindowsClosed())
 	}
+	wantGauges(t, 1, 1)
 
 	// The restored monitor keeps working: a refresh clears the staleness
 	// and counters keep accumulating on top of the restored baseline.
@@ -568,6 +576,7 @@ func TestSnapshotRestore(t *testing.T) {
 	if m2.Stale(k) {
 		t.Fatal("refresh did not clear restored staleness")
 	}
+	wantGauges(t, 1, 0)
 
 	// Snapshots chain: a second snapshot of the restored monitor carries
 	// the combined counters.
@@ -575,6 +584,12 @@ func TestSnapshotRestore(t *testing.T) {
 	if snap2.WindowsClosed != m2.WindowsClosed() {
 		t.Fatalf("second snapshot windows = %d, want %d", snap2.WindowsClosed, m2.WindowsClosed())
 	}
+
+	// The gauges follow a restore, not the last close or refresh.
+	if err := newTestMonitor(t).Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	wantGauges(t, 1, 1)
 
 	// Window-size mismatch is refused.
 	bad := *snap

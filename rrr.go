@@ -103,6 +103,11 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // reproduces single-engine output byte for byte.
 func SignalLess(a, b Signal) bool { return core.SignalLess(a, b) }
 
+// PlanLess reports whether a outranks b in the refresh-plan priority order
+// Monitor.PlanRefreshDetailed emits; merging partitioned plans with it
+// reproduces a single monitor's order.
+func PlanLess(a, b PlanItem) bool { return core.PlanLess(a, b) }
+
 // MakeCommunity builds a community from the defining AS and value.
 func MakeCommunity(as ASN, value uint16) Community { return bgp.MakeCommunity(as, value) }
 
