@@ -92,13 +92,14 @@ chaostest:
 
 # Networked-feed acceptance under the race detector: the wire
 # differential (a daemon fed over TCP — including forced mid-window
-# disconnects and a slow consumer tripping the drop policy — is
-# byte-identical to in-process feeds), the frame codec's truncation
-# and corruption suite, the record codec's allocation budget (the race
-# detector leaves its counts unchanged), and the buffered server's
-# flush before it waits on an idle stream.
+# disconnects and a stalled consumer pushing back on the server with
+# no reconnect — is byte-identical to in-process feeds), the frame
+# codec's truncation and corruption suite, the record codec's
+# allocation budget (the race detector leaves its counts unchanged),
+# the buffered server's flush before it waits on an idle stream, and
+# Close releasing a Read blocked on an idle stream.
 feedtest:
-	$(GO) test -race -count=1 ./internal/feedwire -run 'TestWireDifferential|TestFrameReader|TestRecordCodecAllocs|TestServerFlushesBeforeWaiting' -v
+	$(GO) test -race -count=1 ./internal/feedwire -run 'TestWireDifferential|TestFrameReader|TestRecordCodecAllocs|TestServerFlushesBeforeWaiting|TestConnectorCloseUnblocksRead' -v
 
 # Adversarial-scenario acceptance under the race detector: netsim pack
 # determinism (byte-identical streams and ground-truth labels, with and

@@ -68,7 +68,6 @@ type options struct {
 	walFsync     string
 	debugAddr    string
 	verbose      bool
-	feedPolicy   string
 	workerID     int
 	workers      int
 	partitions   int
@@ -78,7 +77,7 @@ type options struct {
 	d     daemon.Options           // -pace -snapshot -max-inflight
 	wal   wal.Options              // -wal-dir -wal-segment-bytes
 	retry rrr.RetryPolicy          // -feed-retries -feed-backoff
-	feed  feedwire.ConnectorConfig // -feed-addr -feed-buffer -feed-stall
+	feed  feedwire.ConnectorConfig // -feed-addr
 }
 
 // parseScenarioPack maps the -scenario flag to a netsim pack: empty or
@@ -126,9 +125,6 @@ func main() {
 	flag.DurationVar(&o.retry.Backoff, "feed-backoff", o.retry.Backoff, "initial reconnect backoff after a -feed-addr failure (doubles per attempt, up to 5s)")
 	flag.BoolVar(&o.verbose, "v", false, "log every signal")
 	flag.StringVar(&o.feed.Addr, "feed-addr", "", "rrrfeedd address to ingest from over TCP (empty = in-process simulator feeds)")
-	flag.IntVar(&o.feed.Buffer, "feed-buffer", feedwire.DefaultBuffer, "per-stream client record buffer for -feed-addr")
-	flag.StringVar(&o.feedPolicy, "feed-policy", "block", "full-buffer policy for -feed-addr: block (TCP backpressure) or disconnect (drop + reconnect)")
-	flag.DurationVar(&o.feed.StallTimeout, "feed-stall", 5*time.Second, "how long the disconnect policy tolerates a full buffer before dropping the connection")
 	flag.IntVar(&o.workerID, "worker-id", -1, "cluster worker ID in [0, -workers); -1 runs single-node")
 	flag.IntVar(&o.workers, "workers", 0, "cluster worker count (with -worker-id)")
 	flag.IntVar(&o.partitions, "partitions", cluster.DefaultPartitions, "cluster hash-ring partition count (must match the router)")
@@ -252,12 +248,9 @@ func run(o options) error {
 		// resuming window-aligned from the since the supervisor passes —
 		// reconnect after a cut and resume after recovery are the same
 		// code path.
-		if o.feed.Policy, err = feedwire.ParsePolicy(o.feedPolicy); err != nil {
-			return err
-		}
 		conn := feedwire.NewConnector(o.feed)
 		defer conn.Close()
-		log.Printf("rrrd: ingesting over the wire from %s (buffer %d, policy %s)", o.feed.Addr, o.feed.Buffer, o.feedPolicy)
+		log.Printf("rrrd: ingesting over the wire from %s", o.feed.Addr)
 		pipeCfg.Updates, pipeCfg.Traces = nil, nil
 		pipeCfg.OpenUpdates = func(since int64) (rrr.UpdateSource, error) { return conn.OpenUpdates(since) }
 		pipeCfg.OpenTraces = func(since int64) (rrr.TraceSource, error) { return conn.OpenTraces(since) }

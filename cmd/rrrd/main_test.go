@@ -189,7 +189,7 @@ func TestBinary(t *testing.T) {
 			got = append(got, m[1])
 		}
 		// flag prints in lexical order.
-		want := "-addr -days -debug-addr -feed-addr -feed-backoff -feed-buffer -feed-policy -feed-retries -feed-stall " +
+		want := "-addr -days -debug-addr -feed-addr -feed-backoff -feed-retries " +
 			"-max-inflight -pace -partitions -restore -scale -scenario -scenario-seed -seed -snapshot " +
 			"-v -wal-dir -wal-fsync -wal-segment-bytes -worker-id -workers"
 		if strings.Join(got, " ") != want {

@@ -474,7 +474,7 @@ func mergeEventBodies(resps []*workerResp) ([]json.RawMessage, error) {
 // every worker as it came, so a filter the workers refuse is refused in
 // their words. The body is read through the workers' own limit.
 func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
-	body, ok := server.ReadEventsBody(w, r)
+	body, ok := server.ReadBody(w, r, server.MaxEventsBodyBytes)
 	if !ok {
 		return
 	}
@@ -662,10 +662,14 @@ func (rt *Router) handleSignals(w http.ResponseWriter, r *http.Request) {
 // --- refresh + snapshot fan-out ---
 
 func (rt *Router) handleRefreshPlan(w http.ResponseWriter, r *http.Request) {
+	reqBody, ok := server.ReadBody(w, r, server.MaxRefreshBodyBytes)
+	if !ok {
+		return
+	}
 	var req struct {
 		Budget int `json:"budget"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(reqBody)).Decode(&req); err != nil {
 		server.WriteErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -728,9 +732,8 @@ func (rt *Router) handleRefreshPlan(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleRefreshRecord(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		server.WriteErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	body, ok := server.ReadBody(w, r, server.MaxRefreshBodyBytes)
+	if !ok {
 		return
 	}
 	var probe struct {

@@ -276,6 +276,7 @@ func TestRouterRelaysClientErrors(t *testing.T) {
 	oversized, _ := json.Marshal(map[string]any{"keys": make([]string, server.MaxBatch+1)})
 	overBytes := `{"keys":["` + strings.Repeat("1", server.MaxBatchBytes) + `"]}`
 	overEvents := `{"classes":["` + strings.Repeat("x", server.MaxEventsBodyBytes) + `"]}`
+	overRefresh := `{"budget":1` + strings.Repeat(" ", 20<<20) + `}`
 	rows := []struct{ name, path, body string }{
 		{"stale: malformed JSON", "/v1/stale", `{`},
 		{"stale: no keys", "/v1/stale", `{"keys":[]}`},
@@ -287,6 +288,8 @@ func TestRouterRelaysClientErrors(t *testing.T) {
 		{"events: over the byte limit", "/v1/events", overEvents},
 		{"refresh plan: budget 0", "/v1/refresh/plan", `{"budget":0}`},
 		{"refresh record: bad src", "/v1/refresh/record", `{"src":"nope","dst":"10.0.0.1","time":1,"hops":[]}`},
+		{"refresh plan: 20 MB", "/v1/refresh/plan", overRefresh},
+		{"refresh record: 20 MB", "/v1/refresh/record", overRefresh},
 	}
 	post := func(base, path, body string) (int, string) {
 		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
@@ -315,5 +318,11 @@ func TestRouterRelaysClientErrors(t *testing.T) {
 				t.Fatalf("rrr_router_partial_responses_total moved by %d on a client error", n)
 			}
 		})
+	}
+	// The rows above hold the two tiers equal; this holds them to 413.
+	for _, path := range []string{"/v1/refresh/plan", "/v1/refresh/record"} {
+		if code, body := post(lc.URL(), path, overRefresh); code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("router answered a 20 MB %s body %d %q, want 413", path, code, body)
+		}
 	}
 }

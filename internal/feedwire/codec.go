@@ -23,18 +23,18 @@
 // the buffer for a later one to push it out.
 //
 // Failure surface. A connection cut mid-frame decodes as
-// io.ErrUnexpectedEOF and a checksum mismatch as errCorruptFrame; the
-// client connector wraps both as transient errors so the pipeline's
-// RetryPolicy reconnects and resumes window-aligned (positional replay
-// makes the recovery exactly-once). Torn (short) reads are absorbed by
-// io.ReadFull and never corrupt a parse.
+// io.ErrUnexpectedEOF, and a checksum mismatch or undecodable payload as
+// an error matching wal.ErrCorruptFrame (wal.FrameReader reads and checks
+// the frames of both the log and the wire). The client connector wraps
+// both as transient errors so the pipeline's RetryPolicy reconnects and
+// resumes window-aligned (positional replay makes the recovery
+// exactly-once). Torn (short) reads are absorbed by io.ReadFull and never
+// corrupt a parse.
 package feedwire
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"rrr/internal/bgp"
@@ -65,29 +65,19 @@ const (
 	kindError     byte = 0x14
 )
 
-const (
-	frameHeaderLen = 8
-
-	// maxFrameBytes rejects impossible frame lengths before allocating,
-	// mirroring the WAL's bound: record payloads are tens to hundreds of
-	// bytes, so anything past 16 MiB is a corrupt length field.
-	maxFrameBytes = 16 << 20
-)
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // errCorruptFrame reports a frame whose checksum did not match or whose
 // payload failed to decode: the stream position can no longer be trusted
 // and the connection must be re-established.
-var errCorruptFrame = errors.New("feedwire: corrupt frame")
+var errCorruptFrame = wal.ErrCorruptFrame
 
 // Frame is one decoded wire frame; exactly one of the kind-specific
 // groups is meaningful.
 type Frame struct {
 	Kind byte
 
-	// Update/Trace carry a record frame's payload (Kind 1 or 2).
-	Update *bgp.Update
+	// Update/Trace carry a record frame's payload (Kind 1 or 2). The
+	// update is held by value, so decoding one allocates nothing.
+	Update bgp.Update
 	Trace  *traceroute.Traceroute
 
 	// Stream and Since carry a hello frame's stream selector and resume
@@ -187,55 +177,34 @@ func (fw *FrameWriter) writeError(msg string) error {
 // FrameReader decodes frames off one connection. Not safe for concurrent
 // use.
 type FrameReader struct {
-	r       io.Reader
-	hdr     [frameHeaderLen]byte
-	payload []byte
+	frames *wal.FrameReader
 	// dec carves the Path and Communities of decoded updates.
 	dec bgp.Decoder
 }
 
 // NewFrameReader wraps r.
 func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{r: r}
+	return &FrameReader{frames: wal.NewFrameReader(r)}
 }
 
 // Read decodes the next frame. A clean cut at a frame boundary returns
 // io.EOF; a cut inside a frame returns io.ErrUnexpectedEOF; a checksum
 // or payload-decode failure returns an error wrapping errCorruptFrame.
 func (fr *FrameReader) Read() (Frame, error) {
-	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
-		// A partial header is a mid-frame cut; io.ReadFull already maps
-		// it to io.ErrUnexpectedEOF and a clean boundary to io.EOF.
+	p, err := fr.frames.Next()
+	if err != nil {
 		return Frame{}, err
-	}
-	plen := binary.BigEndian.Uint32(fr.hdr[0:4])
-	want := binary.BigEndian.Uint32(fr.hdr[4:8])
-	if plen == 0 || plen > maxFrameBytes {
-		return Frame{}, fmt.Errorf("%w: impossible frame length %d", errCorruptFrame, plen)
-	}
-	if cap(fr.payload) < int(plen) {
-		fr.payload = make([]byte, plen)
-	}
-	p := fr.payload[:plen]
-	if _, err := io.ReadFull(fr.r, p); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Frame{}, err
-	}
-	if crc32.Checksum(p, castagnoli) != want {
-		return Frame{}, fmt.Errorf("%w: checksum mismatch", errCorruptFrame)
 	}
 	return fr.decodeFrame(p)
 }
 
 func (fr *FrameReader) decodeFrame(p []byte) (Frame, error) {
 	if wal.IsRecordKind(p[0]) {
-		rec, err := wal.DecodeRecordPayload(&fr.dec, p)
+		u, t, err := wal.DecodeRecordParts(&fr.dec, p)
 		if err != nil {
 			return Frame{}, fmt.Errorf("%w: %v", errCorruptFrame, err)
 		}
-		return Frame{Kind: p[0], Update: rec.Update, Trace: rec.Trace}, nil
+		return Frame{Kind: p[0], Update: u, Trace: t}, nil
 	}
 	switch p[0] {
 	case kindHello:

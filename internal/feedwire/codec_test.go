@@ -17,6 +17,14 @@ import (
 	"rrr/internal/faultfeed"
 	"rrr/internal/traceroute"
 	"rrr/internal/trie"
+	"rrr/internal/wal"
+)
+
+// The wire's frames are the log's: wal.FrameReader reads them, with its
+// header length and length bound.
+const (
+	frameHeaderLen = wal.FrameHeaderLen
+	maxFrameBytes  = 16 << 20
 )
 
 // seedStream renders one of every frame kind, returning the stream, the
@@ -50,7 +58,7 @@ func seedStream(t *testing.T) ([]byte, map[int]bool, []Frame) {
 	want := []Frame{
 		{Kind: kindHello, Stream: StreamUpdates, Since: ResumeAll},
 		{Kind: kindHelloAck, Start: 100},
-		{Kind: 1, Update: &u},
+		{Kind: 1, Update: u},
 		{Kind: 2, Trace: tr},
 		{Kind: kindWatermark, Watermark: 900},
 		{Kind: kindError, Msg: "feed detached"},

@@ -5,24 +5,20 @@ import "rrr/internal/obs"
 // streamMetrics groups the per-stream connector instrumentation; one set
 // per stream label ("updates" / "traces").
 type streamMetrics struct {
-	connects    *obs.Counter // successful dials+handshakes
-	reconnects  *obs.Counter // connects after the first (retry-driven reopens)
-	frames      *obs.Counter // record frames decoded off the wire
-	watermarks  *obs.Counter // watermark frames decoded
-	resumeGaps  *obs.Counter // hello-acks admitting trimmed (lost) history
-	dropped     *obs.Counter // connections dropped by the slow-consumer policy
-	bufferDepth *obs.Gauge   // records currently parked in the client buffer
+	connects   *obs.Counter // successful dials+handshakes
+	reconnects *obs.Counter // connects after the first (retry-driven reopens)
+	frames     *obs.Counter // record frames decoded off the wire
+	watermarks *obs.Counter // watermark frames decoded
+	resumeGaps *obs.Counter // hello-acks admitting trimmed (lost) history
 }
 
 func newStreamMetrics(stream string) streamMetrics {
 	return streamMetrics{
-		connects:    obs.Default.Counter("rrr_feedwire_connects_total", "stream", stream),
-		reconnects:  obs.Default.Counter("rrr_feedwire_reconnects_total", "stream", stream),
-		frames:      obs.Default.Counter("rrr_feedwire_frames_total", "stream", stream),
-		watermarks:  obs.Default.Counter("rrr_feedwire_watermarks_total", "stream", stream),
-		resumeGaps:  obs.Default.Counter("rrr_feedwire_resume_gaps_total", "stream", stream),
-		dropped:     obs.Default.Counter("rrr_feedwire_dropped_conns_total", "stream", stream),
-		bufferDepth: obs.Default.Gauge("rrr_feedwire_buffer_depth", "stream", stream),
+		connects:   obs.Default.Counter("rrr_feedwire_connects_total", "stream", stream),
+		reconnects: obs.Default.Counter("rrr_feedwire_reconnects_total", "stream", stream),
+		frames:     obs.Default.Counter("rrr_feedwire_frames_total", "stream", stream),
+		watermarks: obs.Default.Counter("rrr_feedwire_watermarks_total", "stream", stream),
+		resumeGaps: obs.Default.Counter("rrr_feedwire_resume_gaps_total", "stream", stream),
 	}
 }
 
@@ -32,6 +28,4 @@ func init() {
 	obs.Default.Help("rrr_feedwire_frames_total", "Record frames received over the feed wire per stream.")
 	obs.Default.Help("rrr_feedwire_watermarks_total", "Watermark frames received over the feed wire per stream.")
 	obs.Default.Help("rrr_feedwire_resume_gaps_total", "Reconnects whose resume point was past server retention (records lost).")
-	obs.Default.Help("rrr_feedwire_dropped_conns_total", "Connections dropped by the slow-consumer disconnect policy.")
-	obs.Default.Help("rrr_feedwire_buffer_depth", "Records buffered client-side awaiting the pipeline per stream.")
 }

@@ -119,22 +119,6 @@ type eventsQueryJSON struct {
 // refused with 413 on both tiers.
 const MaxEventsBodyBytes = 64 << 10
 
-// ReadEventsBody reads a /v1/events request body through
-// MaxEventsBodyBytes. On a body past the limit, or a failed read, it
-// answers the 413 or 400 itself and reports ok false.
-func ReadEventsBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
-	body, over, err := readBody(nil, r.Body, r.ContentLength, MaxEventsBodyBytes)
-	if over {
-		WriteErr(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds the %d-byte limit", MaxEventsBodyBytes))
-		return nil, false
-	}
-	if err != nil {
-		WriteErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return nil, false
-	}
-	return body, true
-}
-
 // handleEvents is GET /v1/events — every routing event emitted so far, in
 // window order (EventLess within a window) — and POST /v1/events, the same
 // list narrowed by class set and window range.
@@ -143,7 +127,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, http.StatusConflict, "event detection not enabled")
 		return
 	}
-	body, ok := ReadEventsBody(w, r)
+	body, ok := ReadBody(w, r, MaxEventsBodyBytes)
 	if !ok {
 		return
 	}

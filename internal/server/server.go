@@ -27,6 +27,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -160,6 +161,16 @@ const MaxBatch = 10000
 // quoted with its comma (35 bytes), and some whitespace. A longer body is
 // refused with 413 before it is read.
 const MaxBatchBytes = MaxBatch*64 + 4<<10
+
+// MaxRefreshBodyBytes caps a POST /v1/refresh/plan or /v1/refresh/record
+// body, on the same terms. A recorded traceroute has at most 255 hops, one
+// per TTL, and a hop's longest form,
+// {"ip":"255.255.255.255","rtt":-2.2250738585072014e-308,"ttl":255} with
+// its comma, is 66 bytes: 128 per hop is room for whitespace, and 4 KiB
+// holds the rest of the traceroute (its ids, time, src, dst and reached
+// flag take 162 bytes at most). A plan request, one budget, fits many
+// times over. A longer body is refused with 413 on both tiers.
+const MaxRefreshBodyBytes = 255*128 + 4<<10
 
 // NewHTTPServer builds the http.Server both binaries serve h on. A client
 // gets 10 s to send its request headers, at most 64 KiB of them, and an
@@ -616,10 +627,15 @@ func jsonFrame(kind string, v any) []byte {
 }
 
 func (s *Server) handleRefreshPlan(w http.ResponseWriter, r *http.Request) {
+	body, ok := ReadBody(w, r, MaxRefreshBodyBytes)
+	if !ok {
+		return
+	}
 	var req struct {
 		Budget int `json:"budget"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	// A decoder, not Unmarshal: bytes after the request are ignored.
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 		WriteErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -741,8 +757,12 @@ func (t traceJSON) toTraceroute() (*rrr.Traceroute, error) {
 }
 
 func (s *Server) handleRefreshRecord(w http.ResponseWriter, r *http.Request) {
+	body, ok := ReadBody(w, r, MaxRefreshBodyBytes)
+	if !ok {
+		return
+	}
 	var req traceJSON
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 		WriteErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -800,4 +820,20 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 // WriteErr answers code with the API's {"error": msg} body.
 func WriteErr(w http.ResponseWriter, code int, msg string) {
 	WriteJSON(w, code, map[string]string{"error": msg})
+}
+
+// ReadBody reads a JSON request body of at most limit bytes. On a body
+// past the limit, or a failed read, it answers the 413 or 400 itself and
+// reports ok false.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	body, over, err := readBody(nil, r.Body, r.ContentLength, limit)
+	if over {
+		WriteErr(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds the %d-byte limit", limit))
+		return nil, false
+	}
+	if err != nil {
+		WriteErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return nil, false
+	}
+	return body, true
 }

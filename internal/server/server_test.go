@@ -666,6 +666,37 @@ func TestNewHTTPServerLimits(t *testing.T) {
 	}
 }
 
+// TestRefreshBodyLimit: a 20 MB POST /v1/refresh/plan or /record body is
+// refused with 413, declared length or not; one at MaxRefreshBodyBytes is
+// read and answered on its merits.
+func TestRefreshBodyLimit(t *testing.T) {
+	srv := New(newTestMonitor(t), Config{})
+	want := fmt.Sprintf(`{"error":"request body exceeds the %d-byte limit"}`+"\n", MaxRefreshBodyBytes)
+	pad := func(body string, n int) string { return body[:len(body)-1] + strings.Repeat(" ", n-len(body)) + "}" }
+	for _, row := range []struct{ path, body string }{
+		{"/v1/refresh/plan", `{"budget":1}`},
+		{"/v1/refresh/record", `{"src":"nope","dst":"10.0.0.1","time":1,"hops":[]}`},
+	} {
+		for _, declared := range []bool{true, false} {
+			post := func(body string) *httptest.ResponseRecorder {
+				req := httptest.NewRequest("POST", row.path, strings.NewReader(body))
+				if !declared {
+					req.ContentLength = -1
+				}
+				rr := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(rr, req)
+				return rr
+			}
+			if rr := post(pad(row.body, 20<<20)); rr.Code != http.StatusRequestEntityTooLarge || rr.Body.String() != want {
+				t.Fatalf("%s, 20 MB (length declared %v): %d %q; want 413 %q", row.path, declared, rr.Code, rr.Body, want)
+			}
+			if rr := post(pad(row.body, MaxRefreshBodyBytes)); rr.Code == http.StatusRequestEntityTooLarge {
+				t.Fatalf("%s at the limit (length declared %v): %d %q", row.path, declared, rr.Code, rr.Body)
+			}
+		}
+	}
+}
+
 // TestEventsBodyLimit: a POST /v1/events body past MaxEventsBodyBytes is
 // refused with 413, declared length or not; one at the limit is read.
 func TestEventsBodyLimit(t *testing.T) {

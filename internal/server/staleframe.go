@@ -2,9 +2,7 @@ package server
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
 	"slices"
@@ -32,41 +30,30 @@ import (
 // the request and on its 200 answer. Every other status answers in JSON.
 const StaleFrameType = "application/x-rrr-stale-frame"
 
-const (
-	frameHeaderLen = 8
-	// maxStaleFrame bounds a body read on either side of the hop: MaxBatch
-	// verdicts of a pair with every technique firing stay far below it.
-	maxStaleFrame = 64 << 20
-)
+// maxStaleFrame bounds a body read on either side of the hop: MaxBatch
+// verdicts of a pair with every technique firing stay far below it.
+const maxStaleFrame = 64 << 20
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// sealFrame frames the payload built at buf[start+frameHeaderLen:]. The
-// header lands in the gap left before it and AppendRecordFrame's copy of
-// the payload lands on the bytes it reads, so nothing moves.
+// sealFrame frames the payload built at buf[start+wal.FrameHeaderLen:].
+// The header lands in the gap left before it and AppendRecordFrame's copy
+// of the payload lands on the bytes it reads, so nothing moves.
 func sealFrame(buf []byte, start int) []byte {
-	return wal.AppendRecordFrame(buf[:start], buf[start+frameHeaderLen:])
+	return wal.AppendRecordFrame(buf[:start], buf[start+wal.FrameHeaderLen:])
 }
 
 // openFrame checks frame is exactly one record frame and returns its payload.
 func openFrame(frame []byte) ([]byte, error) {
-	if len(frame) < frameHeaderLen {
-		return nil, fmt.Errorf("stale frame: %d bytes is shorter than a frame header", len(frame))
+	p, err := wal.OpenFrame(frame)
+	if err != nil {
+		return nil, fmt.Errorf("stale frame: %w", err)
 	}
-	payload := frame[frameHeaderLen:]
-	if plen := binary.BigEndian.Uint32(frame[0:4]); uint64(plen) != uint64(len(payload)) {
-		return nil, fmt.Errorf("stale frame: header says %d payload bytes, body has %d", plen, len(payload))
-	}
-	if crc32.Checksum(payload, castagnoli) != binary.BigEndian.Uint32(frame[4:8]) {
-		return nil, errors.New("stale frame: checksum mismatch")
-	}
-	return payload, nil
+	return p, nil
 }
 
 // AppendStaleRequest appends the framed request for the n keys key(0..n-1).
 func AppendStaleRequest(dst []byte, n int, key func(i int) rrr.Key) []byte {
 	start := len(dst)
-	dst = slices.Grow(dst, frameHeaderLen+8*n)[:start+frameHeaderLen]
+	dst = slices.Grow(dst, wal.FrameHeaderLen+8*n)[:start+wal.FrameHeaderLen]
 	for i := 0; i < n; i++ {
 		k := key(i)
 		dst = binary.BigEndian.AppendUint32(dst, k.Src)
@@ -94,7 +81,7 @@ func decodeStaleRequest(frame []byte, keys []rrr.Key) ([]rrr.Key, error) {
 // stale of them stale.
 func appendStaleResponse(dst []byte, stale, n int, verdict func(i int) []byte) []byte {
 	start := len(dst)
-	dst = slices.Grow(dst, frameHeaderLen+8+4*n)[:start+frameHeaderLen]
+	dst = slices.Grow(dst, wal.FrameHeaderLen+8+4*n)[:start+wal.FrameHeaderLen]
 	dst = binary.BigEndian.AppendUint32(dst, uint32(stale))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
 	end := 0

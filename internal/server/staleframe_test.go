@@ -9,7 +9,11 @@ import (
 	"testing"
 
 	"rrr"
+	"rrr/internal/wal"
 )
+
+// frameHeaderLen is the header a stale frame carries before its payload.
+const frameHeaderLen = wal.FrameHeaderLen
 
 // postStale sends one POST /v1/stale body straight into the handler.
 func postStale(h http.Handler, ctype string, body []byte) *httptest.ResponseRecorder {

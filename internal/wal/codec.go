@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"rrr/internal/bgp"
 	"rrr/internal/traceroute"
@@ -32,7 +33,8 @@ const (
 	kindUpdate byte = 1
 	kindTrace  byte = 2
 
-	frameHeaderLen = 8
+	// FrameHeaderLen is the length + checksum header before each payload.
+	FrameHeaderLen = 8
 
 	// maxRecordBytes rejects impossible frame lengths before allocating:
 	// real records are tens to hundreds of bytes, so anything past 16 MiB
@@ -41,6 +43,18 @@ const (
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrCorruptFrame is matched (errors.Is) by every framing failure: an
+// impossible length, a header whose length is not the bytes that follow,
+// or a checksum mismatch.
+var ErrCorruptFrame = errors.New("corrupt frame")
+
+// frameError is one framing failure. It reads as its cause alone, so each
+// reader puts its own context in front.
+type frameError string
+
+func (e frameError) Error() string        { return string(e) }
+func (e frameError) Is(target error) bool { return target == ErrCorruptFrame }
 
 // Record is one logged feed record; exactly one of Update/Trace is set.
 type Record struct {
@@ -103,42 +117,15 @@ func appendTracePayload(b []byte, t *traceroute.Traceroute) ([]byte, error) {
 // A frame is written in place: the header is reserved, the payload
 // appended after it, and sealFrame then fills in the payload's length and
 // checksum.
-var reservedHeader [frameHeaderLen]byte
+var reservedHeader [FrameHeaderLen]byte
 
 // sealFrame completes the frame whose reserved header starts at b[start:]
 // and whose payload runs to the end of b.
 func sealFrame(b []byte, start int) []byte {
-	p := b[start+frameHeaderLen:]
+	p := b[start+FrameHeaderLen:]
 	binary.BigEndian.PutUint32(b[start:], uint32(len(p)))
 	binary.BigEndian.PutUint32(b[start+4:], crc32.Checksum(p, castagnoli))
 	return b
-}
-
-// decodePayload parses one checksum-verified payload. Any leftover bytes
-// after the body are corruption (the checksum only proves the payload is
-// what the writer framed, not that the writer framed a whole record), so
-// exact consumption is enforced for both kinds. dec carves the update's
-// Path and Communities.
-func decodePayload(dec *bgp.Decoder, p []byte) (Record, error) {
-	if len(p) == 0 {
-		return Record{}, errors.New("wal: empty record payload")
-	}
-	switch p[0] {
-	case kindUpdate:
-		u, err := dec.Decode(p[1:])
-		if err != nil {
-			return Record{}, fmt.Errorf("wal: decode update record: %w", err)
-		}
-		return Record{Update: &u}, nil
-	case kindTrace:
-		t, err := decodeTrace(p[1:])
-		if err != nil {
-			return Record{}, err
-		}
-		return Record{Trace: t}, nil
-	default:
-		return Record{}, fmt.Errorf("wal: unknown record kind %d", p[0])
-	}
 }
 
 func decodeTrace(b []byte) (*traceroute.Traceroute, error) {
@@ -186,7 +173,7 @@ func decodeTrace(b []byte) (*traceroute.Traceroute, error) {
 // through one codec. Encoding appends a whole frame to a caller-owned
 // slice and decoding reads from one, so a transport that reuses its
 // buffer encodes without allocating and decodes allocating only the
-// record it returns.
+// record it returns (nothing, for an update decoded by DecodeRecordParts).
 
 // AppendUpdateFrame appends one framed kind-1 record (length + CRC32C
 // header, then the payload) for u to dst. On error dst is returned
@@ -209,11 +196,42 @@ func AppendTraceFrame(dst []byte, t *traceroute.Traceroute) ([]byte, error) {
 	return sealFrame(b, len(dst)), nil
 }
 
-// DecodeRecordPayload parses one checksum-verified record payload (kind
-// byte + body), enforcing exact consumption. dec carves an update's Path
-// and Communities, as it does for the WAL's own reader.
+// DecodeRecordParts parses one checksum-verified record payload (kind
+// byte + body): an update comes back by value with t nil, a traceroute as
+// t. Any leftover bytes after the body are corruption (the checksum only
+// proves the payload is what the writer framed, not that the writer
+// framed a whole record), so exact consumption is enforced for both
+// kinds. dec carves the update's Path and Communities.
+func DecodeRecordParts(dec *bgp.Decoder, p []byte) (u bgp.Update, t *traceroute.Traceroute, err error) {
+	if len(p) == 0 {
+		return u, nil, errors.New("wal: empty record payload")
+	}
+	switch p[0] {
+	case kindUpdate:
+		if u, err = dec.Decode(p[1:]); err != nil {
+			return u, nil, fmt.Errorf("wal: decode update record: %w", err)
+		}
+		return u, nil, nil
+	case kindTrace:
+		t, err = decodeTrace(p[1:])
+		return u, t, err
+	default:
+		return u, nil, fmt.Errorf("wal: unknown record kind %d", p[0])
+	}
+}
+
+// DecodeRecordPayload is DecodeRecordParts in the log's Record form, the
+// update boxed.
 func DecodeRecordPayload(dec *bgp.Decoder, p []byte) (Record, error) {
-	return decodePayload(dec, p)
+	u, t, err := DecodeRecordParts(dec, p)
+	switch {
+	case err != nil:
+		return Record{}, err
+	case t != nil:
+		return Record{Trace: t}, nil
+	default:
+		return Record{Update: &u}, nil
+	}
 }
 
 // AppendRecordFrame frames payload (length + CRC32C header, then the
@@ -226,6 +244,59 @@ func AppendRecordFrame(dst, payload []byte) []byte {
 // IsRecordKind reports whether b is a record payload kind this codec
 // decodes (feedwire reserves the remaining kind space for control frames).
 func IsRecordKind(b byte) bool { return b == kindUpdate || b == kindTrace }
+
+// OpenFrame checks that frame is exactly one frame, its header's length
+// the bytes that follow and its checksum theirs, and returns the payload.
+// Failures match ErrCorruptFrame. The log's reader, the feed wire's and
+// the stale-batch hop's all check frames here.
+func OpenFrame(frame []byte) ([]byte, error) {
+	if len(frame) < FrameHeaderLen {
+		return nil, frameError(fmt.Sprintf("%d bytes is shorter than a frame header", len(frame)))
+	}
+	payload := frame[FrameHeaderLen:]
+	if plen := binary.BigEndian.Uint32(frame[0:4]); uint64(plen) != uint64(len(payload)) {
+		return nil, frameError(fmt.Sprintf("header says %d payload bytes, body has %d", plen, len(payload)))
+	}
+	if crc32.Checksum(payload, castagnoli) != binary.BigEndian.Uint32(frame[4:8]) {
+		return nil, frameError("checksum mismatch")
+	}
+	return payload, nil
+}
+
+// FrameReader reads the frames of a stream into one reused buffer.
+type FrameReader struct {
+	r   io.Reader
+	buf []byte
+}
+
+// NewFrameReader wraps r.
+func NewFrameReader(r io.Reader) *FrameReader {
+	return &FrameReader{r: r}
+}
+
+// Next reads and opens the next frame, returning its payload, which is
+// valid until the following call. A stream that ends at a frame boundary
+// returns io.EOF and one that ends inside a frame io.ErrUnexpectedEOF. A
+// length of 0 or past maxRecordBytes is refused, matching ErrCorruptFrame,
+// before anything is allocated for it.
+func (fr *FrameReader) Next() ([]byte, error) {
+	fr.buf = slices.Grow(fr.buf[:0], FrameHeaderLen)[:FrameHeaderLen]
+	if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
+		return nil, err
+	}
+	plen := binary.BigEndian.Uint32(fr.buf[0:4])
+	if plen == 0 || plen > maxRecordBytes {
+		return nil, frameError(fmt.Sprintf("impossible frame length %d", plen))
+	}
+	fr.buf = slices.Grow(fr.buf, int(plen))[:FrameHeaderLen+int(plen)]
+	if _, err := io.ReadFull(fr.r, fr.buf[FrameHeaderLen:]); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return OpenFrame(fr.buf)
+}
 
 // segScan summarizes one segment pass.
 type segScan struct {
@@ -266,38 +337,19 @@ func scanSegment(r io.Reader, fn func(Record) error, allowTorn bool) (segScan, e
 	}
 	sc.goodLen = int64(len(segMagic))
 
-	var hdr [frameHeaderLen]byte
-	var buf []byte // payload scratch: decodePayload copies out what it keeps
+	frames := FrameReader{r: br} // DecodeRecordPayload copies out what it keeps
 	var dec bgp.Decoder
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF {
-				return sc, nil // clean frame boundary
-			}
-			if err == io.ErrUnexpectedEOF {
-				return torn(errors.New("wal: torn record header"))
-			}
+		payload, err := frames.Next()
+		switch {
+		case err == io.EOF:
+			return sc, nil // clean frame boundary
+		case errors.Is(err, io.ErrUnexpectedEOF), errors.Is(err, ErrCorruptFrame):
+			return torn(fmt.Errorf("wal: torn record: %w", err))
+		case err != nil:
 			return sc, err
 		}
-		plen := binary.BigEndian.Uint32(hdr[0:4])
-		want := binary.BigEndian.Uint32(hdr[4:8])
-		if plen == 0 || plen > maxRecordBytes {
-			return torn(fmt.Errorf("wal: impossible record length %d", plen))
-		}
-		if cap(buf) < int(plen) {
-			buf = make([]byte, plen)
-		}
-		payload := buf[:plen]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return torn(errors.New("wal: torn record payload"))
-			}
-			return sc, err
-		}
-		if crc32.Checksum(payload, castagnoli) != want {
-			return torn(errors.New("wal: record checksum mismatch"))
-		}
-		rec, err := decodePayload(&dec, payload)
+		rec, err := DecodeRecordPayload(&dec, payload)
 		if err != nil {
 			return torn(err)
 		}
@@ -305,7 +357,7 @@ func scanSegment(r io.Reader, fn func(Record) error, allowTorn bool) (segScan, e
 		if t := rec.Time(); t > sc.maxTime {
 			sc.maxTime = t
 		}
-		sc.goodLen += int64(frameHeaderLen) + int64(plen)
+		sc.goodLen += int64(FrameHeaderLen + len(payload))
 		if fn != nil {
 			if err := fn(rec); err != nil {
 				return sc, err

@@ -24,3 +24,6 @@ func (w *WAL) SetFailSync(err error) {
 	defer w.mu.Unlock()
 	w.failSync = err
 }
+
+// frameHeaderLen is FrameHeaderLen under the name the tests use.
+const frameHeaderLen = FrameHeaderLen
