@@ -12,6 +12,7 @@ FUZZ_TARGETS := \
 	internal/server:FuzzParseKey \
 	internal/server:FuzzStaleFrame \
 	internal/server:FuzzDecodeStaleBatch \
+	internal/server:FuzzRestoreSnapshot \
 	internal/cluster:FuzzSSEReader \
 	internal/feedwire:FuzzFrameReader \
 	internal/anomaly:FuzzZScoreDegenerate \
@@ -50,7 +51,8 @@ bench:
 # the BGP parsers (MRT, binary, and text codecs; path and community
 # parsers), the WAL segment reader, the HTTP pair-key parser, the
 # router<->worker stale frame, the POST /v1/stale key scanner against
-# encoding/json, and the router's reader of a worker's SSE stream; plus
+# encoding/json, the snapshot file a restart restores (every trace
+# re-registered), and the router's reader of a worker's SSE stream; plus
 # the RIB, the bitmap detector and the window choice against their
 # reference models. Each
 # pkg:Target entry gets FUZZTIME of coverage-guided input on top of its
@@ -135,9 +137,13 @@ cachetest:
 # budgets (RIB.Apply, BinaryReader.Read, Detector.TapUpdate and the whole
 # ingest path), and
 # the detectors and window choice (Settled, Clone and the flat fast path
-# held to the reference bit for bit, ChooseWindowMin to the full scan).
+# held to the reference bit for bit, ChooseWindowMin to the full scan); and
+# the per-pair heap ratchet (TestTrackHeapPerPair: the live heap tracking a
+# simulated corpus keeps per pair), with the narrowed fields' bounds.
 closetest:
-	$(GO) test -race -count=1 ./internal/core -run 'TestShardedMatchesSerial|TestZeroConfigMatchesDefault|TestSleepingMonitorsMatchPinned|TestSharedSeriesLineage|TestCellRouteCache|TestReregisterDoesNotLeakCommMonitors|TestQuietCloseAllocs|TestSubpathIndexMatchesScan|TestSubpathKeyOf|TestRatioSeriesDecidesOncePerBucket|TestObserveTraceAllocs|TestHopTable' -v
+	$(GO) test -race -count=1 ./internal/core -run 'TestShardedMatchesSerial|TestZeroConfigMatchesDefault|TestSleepingMonitorsMatchPinned|TestSharedSeriesLineage|TestCellRouteCache|TestReregisterDoesNotLeakCommMonitors|TestQuietCloseAllocs|TestSubpathIndexMatchesScan|TestSubpathKeyOf|TestRatioSeriesDecidesOncePerBucket|TestObserveTraceAllocs|TestHopTable|TestPackedObservationBounds|TestBorderIndexBound' -v
+	$(GO) test -race -count=1 ./internal/corpus -run TestBorderCountBound -v
+	$(GO) test -race -count=1 . -run TestTrackHeapPerPair -v
 	$(GO) test -race -count=1 ./internal/bgp -run 'TestRIBApplyAllocs|TestBinaryReaderAllocs' -v
 	$(GO) test -race -count=1 ./internal/events -run TestTapUpdateAllocs -v
 	$(GO) test -race -count=1 . -run TestIngestAllocs -v

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"rrr/internal/bgp"
@@ -36,28 +37,34 @@ func benchEnv(b testing.TB, pairs, fan int) *Engine {
 		})
 	}
 	for i := 0; i < pairs; i++ {
-		tr := &traceroute.Traceroute{
-			Src: uint32(1)<<24 | uint32(i+1),
-			Dst: uint32(4)<<24 | uint32(0xc000+i),
-		}
-		g := uint32(0)
-		if fan > 0 {
-			g = uint32(i % fan)
-		}
-		for h, ip := range []uint32{
-			1<<24 | uint32(i+1000),
-			2<<24 | 1, 3<<24 | (1 + g), 4<<24 | (2 + g),
-			4<<24 | uint32(0xc000+i),
-		} {
-			tr.Hops = append(tr.Hops, traceroute.Hop{TTL: h + 1, IP: ip})
-		}
-		en, err := corp.Process(tr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.AddCorpusEntry(en)
+		e.AddCorpusEntry(benchEntry(b, corp, i, fan))
 	}
 	return e
+}
+
+// benchEntry is benchEnv's i'th corpus pair.
+func benchEntry(b testing.TB, corp *corpus.Corpus, i, fan int) *corpus.Entry {
+	b.Helper()
+	tr := &traceroute.Traceroute{
+		Src: uint32(1)<<24 | uint32(i+1),
+		Dst: uint32(4)<<24 | uint32(0xc000+i),
+	}
+	g := uint32(0)
+	if fan > 0 {
+		g = uint32(i % fan)
+	}
+	for h, ip := range []uint32{
+		1<<24 | uint32(i+1000),
+		2<<24 | 1, 3<<24 | (1 + g), 4<<24 | (2 + g),
+		4<<24 | uint32(0xc000+i),
+	} {
+		tr.Hops = append(tr.Hops, traceroute.Hop{TTL: h + 1, IP: ip})
+	}
+	en, err := corp.Process(tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return en
 }
 
 // BenchmarkEngineQuietWindow measures per-window cost with no feed events
@@ -93,22 +100,46 @@ func BenchmarkEngineBusyWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineRegistration measures corpus on-boarding cost.
+// BenchmarkEngineRegistration measures corpus on-boarding: each op
+// registers one more pair into an engine tracking 2000 pairs of the same
+// shape. B/pair is what registration keeps: the live heap, after a full
+// collection, that registering 1000 pairs into a primed engine adds, per
+// pair; it does not depend on b.N.
 func BenchmarkEngineRegistration(b *testing.B) {
-	e := benchEnv(b, 1, 0)
+	const kept = 1000
+	fresh := benchEnv(b, 0, 0)
 	corp := corpus.New(testMapper{}, identityAliases)
-	tr := &traceroute.Traceroute{Src: 1<<24 | 0xffff, Dst: 4<<24 | 0xffff}
-	for h, ip := range []uint32{1<<24 | 7, 2<<24 | 1, 3<<24 | 1, 4<<24 | 2, 4<<24 | 0xffff} {
-		tr.Hops = append(tr.Hops, traceroute.Hop{TTL: h + 1, IP: ip})
+	entries := make([]*corpus.Entry, kept)
+	for i := range entries {
+		entries[i] = benchEntry(b, corp, i, 0)
 	}
-	en, err := corp.Process(tr)
-	if err != nil {
-		b.Fatal(err)
+	before := liveHeap()
+	for _, en := range entries {
+		fresh.AddCorpusEntry(en)
 	}
-	b.ResetTimer()
+	perPair := float64(int64(liveHeap())-int64(before)) / kept
+	runtime.KeepAlive(fresh)
+
+	e := benchEnv(b, 2000, 0)
+	entries = entries[:0]
 	for i := 0; i < b.N; i++ {
+		entries = append(entries, benchEntry(b, corp, 2000+i, 0))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, en := range entries {
 		e.AddCorpusEntry(en)
 	}
+	b.StopTimer()
+	b.ReportMetric(perPair, "B/pair") // after ResetTimer, which drops reported metrics
+}
+
+// liveHeap is the heap in use after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // BenchmarkEnginePublicTrace measures public-feed intake. The fan=21 shape

@@ -6,18 +6,10 @@ import (
 
 	"rrr/internal/anomaly"
 	"rrr/internal/bgp"
+	"rrr/internal/bordermap"
 	"rrr/internal/corpus"
 	"rrr/internal/traceroute"
 )
-
-// vpSlot is one vantage point inside an AS-path series' fixed VP set: the
-// fold cell of its (VP, prefix), and the cached (intersect, match)
-// contribution of its current table route so quiet windows need no RIB
-// walk.
-type vpSlot struct {
-	cell   *vpCell
-	ci, cm int
-}
 
 // dupCount counts the cells whose VP emitted a duplicate update in the
 // open window (§4.1.4's U_i).
@@ -96,13 +88,32 @@ type extraSeries struct {
 
 // commMonitor is one corpus traceroute's §4.1.3 monitor: the τ ASes whose
 // communities matter to it, over the community group of its overlapping
-// VPs.
+// VPs. A pair without one holds a zero commMonitor (nil group).
 type commMonitor struct {
-	id  int
-	key traceroute.Key
-	// relevant maps τ ASes to the border indices adjacent to them.
-	relevant map[bgp.ASN][]int
-	group    *commGroup
+	id int
+	en *corpus.Entry
+	// from starts the relevant τ ASes: en.ASPath[from:], the longest
+	// suffix of τ an overlapping VP's path shares.
+	from  int
+	group *commGroup
+}
+
+// relevant reports whether as is one of the τ ASes whose communities
+// matter to the monitor.
+func (cm *commMonitor) relevant(as bgp.ASN) bool {
+	return cm.en.ASPath[cm.from:].Contains(as)
+}
+
+// borders returns the entry's border indices adjacent to any relevant AS,
+// ascending: the monitor's registration.
+func (cm *commMonitor) borders() []int {
+	var out []int
+	for k, b := range cm.en.Borders {
+		if cm.relevant(b.FromAS) || cm.relevant(b.ToAS) {
+			out = append(out, k)
+		}
+	}
+	return out
 }
 
 // vpCommState is one overlapping VP of a community group. baseline is its
@@ -140,11 +151,12 @@ func (s *pairState) vpColocation(vp bgp.VPKey, en *corpus.Entry) (sameAS, sameCi
 }
 
 // registerBGPMonitors wires a corpus entry into the three BGP techniques:
-// each of the pair's monitors is indexed in the pair state and subscribes
-// to its series in the engine's shared state (see series.go), as the
-// extra-AS series (§4.1.4's exculpation set) are created in or joined from
-// it.
-func (s *pairState) registerBGPMonitors(en *corpus.Entry) {
+// each of the pair's monitors is stored in pm and subscribes to its series
+// in the engine's shared state (see series.go), as the extra-AS series
+// (§4.1.4's exculpation set) are created in or joined from it. The series
+// point at the monitors, so each technique's monitors are allocated once,
+// at their final count.
+func (s *pairState) registerBGPMonitors(en *corpus.Entry, pm *pairMonitors) {
 	sh := s.eng.sh
 	vps := s.eng.rib.VPs()
 	tauASes := make(map[bgp.ASN]int, len(en.ASPath)) // AS → hop index
@@ -196,39 +208,49 @@ func (s *pairState) registerBGPMonitors(en *corpus.Entry) {
 	if s.eng.cfg.disabled(TechBGPASPath) {
 		firstIdxs = nil
 	}
-	for _, j := range firstIdxs {
+	pm.asp = make([]aspMonitor, len(firstIdxs))
+	for i, j := range firstIdxs {
 		suffix := en.ASPath[j:]
-		m := &aspMonitor{
-			id:      monitorID("asp", en.Key, suffix.String()),
-			key:     en.Key,
-			borders: bordersForSuffix(en, suffix),
-		}
+		m := &pm.asp[i]
+		m.id = monitorID("asp", en.Key, suffix.String())
+		m.key = en.Key
+		m.borders = bordersForSuffix(en, suffix)
 		// The series scores paths against τ's ASes before a_j as a set.
 		before := append(sh.pathBuf[:0], en.ASPath[:j]...)
 		slices.Sort(before)
 		sh.pathBuf = before
 		scope := aspScope{aj: en.ASPath[j], before: before, suffix: suffix}
-		slots := sh.slotBuf[:0]
+		cells, contrib := sh.cellBuf[:0], sh.contribBuf[:0]
 		for _, in := range byFirst[j] {
-			slot := vpSlot{cell: sh.cellFor(in.pf)}
-			slot.ci, slot.cm = scope.contribution(in.path)
-			slots = append(slots, slot)
+			cells = append(cells, sh.cellFor(in.pf))
+			contrib = append(contrib, packContrib(scope.contribution(in.path)))
 			sa, sc := s.vpColocation(in.vp, en)
 			m.sameAS = m.sameAS || sa
 			m.sameCity = m.sameCity || sc
 		}
-		sh.slotBuf = slots
+		sh.cellBuf, sh.contribBuf = cells, contrib
 		// A refresh that kept this portion of the path re-registers an
 		// identical monitor: keep the warmed-up detector instead of
 		// cold-starting (a cold detector is blind for ~MinObservations
 		// windows after every refresh).
-		sh.joinASP(m, scope, slots, retired["asp:"+suffix.String()])
-		s.aspByKey[en.Key] = append(s.aspByKey[en.Key], m)
-		s.addReg(en.Key, Registration{MonitorID: m.id, Technique: TechBGPASPath, Borders: m.borders})
+		sh.joinASP(m, scope, cells, contrib, retired["asp:"+suffix.String()])
 	}
 
 	// §4.1.4: one monitor per AS-suffix with enough VPs sharing it.
+	var suffixes []int // the j of each monitored suffix
 	for j := 0; !s.eng.cfg.disabled(TechBGPBurst) && j+2 <= len(en.ASPath); j++ {
+		n := 0
+		for _, in := range infos {
+			if pathEndsWith(in.path, en.ASPath[j:]) {
+				n++
+			}
+		}
+		if n >= minSuffixVPs {
+			suffixes = append(suffixes, j)
+		}
+	}
+	pm.burst = make([]burstMonitor, len(suffixes))
+	for i, j := range suffixes {
 		suffix := en.ASPath[j:]
 		var shared []vpInfo
 		for _, in := range infos {
@@ -236,15 +258,11 @@ func (s *pairState) registerBGPMonitors(en *corpus.Entry) {
 				shared = append(shared, in)
 			}
 		}
-		if len(shared) < minSuffixVPs {
-			continue
-		}
-		bm := &burstMonitor{
-			id:      monitorID("burst", en.Key, suffix.String()),
-			key:     en.Key,
-			suffix:  suffix,
-			borders: bordersForSuffix(en, suffix),
-		}
+		bm := &pm.burst[i]
+		bm.id = monitorID("burst", en.Key, suffix.String())
+		bm.key = en.Key
+		bm.suffix = suffix
+		bm.borders = bordersForSuffix(en, suffix)
 		cells := sh.cellBuf[:0]
 		for _, in := range shared {
 			cells = append(cells, sh.cellFor(in.pf))
@@ -288,8 +306,6 @@ func (s *pairState) registerBGPMonitors(en *corpus.Entry) {
 			bm.extras = append(bm.extras, es)
 		}
 		sh.joinBurst(bm, cells, retired["burst:"+suffix.String()])
-		s.burstByKey[en.Key] = append(s.burstByKey[en.Key], bm)
-		s.addReg(en.Key, Registration{MonitorID: bm.id, Technique: TechBGPBurst, Borders: bm.borders})
 	}
 
 	// §4.1.3: one community monitor per τ over VPs overlapping an
@@ -298,11 +314,7 @@ func (s *pairState) registerBGPMonitors(en *corpus.Entry) {
 	if s.eng.cfg.disabled(TechBGPCommunity) {
 		infos = nil // do not register or index community monitors
 	}
-	cm := &commMonitor{
-		id:       monitorID("comm", en.Key, ""),
-		key:      en.Key,
-		relevant: make(map[bgp.ASN][]int),
-	}
+	from := len(en.ASPath)
 	states := sh.commBuf[:0]
 	for _, in := range infos {
 		// Longest AS-suffix of τ shared with the VP path's tail.
@@ -313,29 +325,13 @@ func (s *pairState) registerBGPMonitors(en *corpus.Entry) {
 		states = append(states, vpCommState{
 			cell: sh.cellFor(in.pf), baseline: in.comms, atBase: true,
 		})
-		for _, as := range en.ASPath[j:] {
-			if _, ok := cm.relevant[as]; !ok {
-				cm.relevant[as] = bordersForAS(en, as)
-			}
-		}
+		from = min(from, j)
 	}
 	sh.commBuf = states
 	if len(states) > 0 {
-		var allBorders []int
-		seen := make(map[int]bool)
-		for _, bs := range cm.relevant {
-			for _, b := range bs {
-				if !seen[b] {
-					seen[b] = true
-					allBorders = append(allBorders, b)
-				}
-			}
-		}
-		sort.Ints(allBorders)
-		sh.joinComm(cm, states)
+		pm.comm = commMonitor{id: monitorID("comm", en.Key, ""), en: en, from: from}
+		sh.joinComm(&pm.comm, states)
 		clear(states) // the scratch must not keep old routes' community sets alive
-		s.comms[en.Key] = cm
-		s.addReg(en.Key, Registration{MonitorID: cm.id, Technique: TechBGPCommunity, Borders: allBorders})
 	}
 	delete(s.retired, en.Key)
 }
@@ -361,29 +357,66 @@ func longestSharedSuffix(path, tau bgp.Path) int {
 
 // bordersForSuffix returns the border indices of an entry that fall within
 // the AS suffix: crossings out of suffix ASes plus the crossing entering
-// the suffix head.
+// the suffix head. They are usually a run of consecutive indices, which
+// borderRun shares instead of allocating.
 func bordersForSuffix(en *corpus.Entry, suffix bgp.Path) []int {
-	in := make(map[bgp.ASN]bool, len(suffix))
-	for _, as := range suffix {
-		in[as] = true
-	}
-	var out []int
 	head := suffix[0]
+	within := func(b bordermap.BorderHop) bool { return suffix.Contains(b.FromAS) || b.ToAS == head }
+	first, n, run := 0, 0, true
 	for k, b := range en.Borders {
-		if in[b.FromAS] || b.ToAS == head {
+		if within(b) {
+			if n == 0 {
+				first = k
+			}
+			run = run && k == first+n
+			n++
+		}
+	}
+	if run {
+		return borderRun(first, first+n)
+	}
+	out := make([]int, 0, n)
+	for k, b := range en.Borders {
+		if within(b) {
 			out = append(out, k)
 		}
 	}
 	return out
 }
 
-// bordersForAS returns the border indices adjacent to an AS.
-func bordersForAS(en *corpus.Entry, as bgp.ASN) []int {
-	var out []int
+// appendBordersForAS appends the entry's border indices adjacent to an AS.
+func appendBordersForAS(dst []int, en *corpus.Entry, as bgp.ASN) []int {
 	for k, b := range en.Borders {
 		if b.FromAS == as || b.ToAS == as {
-			out = append(out, k)
+			dst = append(dst, k)
 		}
+	}
+	return dst
+}
+
+// borderIndex holds 0, 1, 2, …: a run of consecutive border indices below
+// its length is a cap-limited subslice of it rather than a slice of its
+// own. Signal and Registration border slices are read-only everywhere, so
+// they may share it.
+var borderIndex = func() (t [256]int) {
+	for i := range t {
+		t[i] = i
+	}
+	return t
+}()
+
+// borderRun returns the border indices from..to-1, nil when the run is
+// empty.
+func borderRun(from, to int) []int {
+	switch {
+	case from >= to:
+		return nil
+	case to <= len(borderIndex):
+		return borderIndex[from:to:to]
+	}
+	out := make([]int, 0, to-from)
+	for i := from; i < to; i++ {
+		out = append(out, i)
 	}
 	return out
 }

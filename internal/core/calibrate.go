@@ -209,7 +209,7 @@ func (e *Engine) EvaluateRefresh(newEntry *corpus.Entry) (bordermap.ChangeClass,
 	for _, sig := range e.active[newEntry.Key] {
 		signaled[sig.MonitorID] = append(signaled[sig.MonitorID], sig)
 	}
-	for _, reg := range e.regs[newEntry.Key] {
+	for _, reg := range e.Registrations(newEntry.Key) {
 		changed := portionChanged(old, reg.Borders, newEntry)
 		sigs, wasSignaled := signaled[reg.MonitorID]
 		var o Outcome
@@ -240,51 +240,42 @@ func (e *Engine) EvaluateRefresh(newEntry *corpus.Entry) (bordermap.ChangeClass,
 // its §4.1 monitors leaves its series with the detector as of the last close
 // (see leaveBurst). The pair's entry stays in the store.
 func (s *pairState) unregister(k traceroute.Key) {
-	delete(s.regs, k)
 	delete(s.active, k)
 	delete(s.restored, k)
 	s.pendingIXP = slices.DeleteFunc(s.pendingIXP, func(sig Signal) bool { return sig.Key == k })
 
+	pm := s.mons[k]
+	if pm == nil {
+		return
+	}
+	delete(s.mons, k)
 	sh := s.eng.sh
 	stash := make(map[string]*retiredState)
-	for _, m := range s.aspByKey[k] {
+	for i := range pm.asp {
+		m := &pm.asp[i]
 		stash["asp:"+m.series.suffix.String()] = sh.leaveASP(m)
 	}
-	delete(s.aspByKey, k)
-	for _, bm := range s.burstByKey[k] {
+	for i := range pm.burst {
+		bm := &pm.burst[i]
 		stash["burst:"+bm.suffix.String()] = sh.leaveBurst(bm)
 	}
-	delete(s.burstByKey, k)
 	if len(stash) > 0 {
 		s.retired[k] = stash
 	}
-
-	if cm := s.comms[k]; cm != nil {
-		sh.leaveComm(cm)
+	if pm.comm.group != nil {
+		sh.leaveComm(&pm.comm)
 	}
-	delete(s.comms, k)
-
-	for _, mon := range s.subByKey[k] {
-		ws := mon.watchers[:0]
-		for _, w := range mon.watchers {
-			if w.key != k {
-				ws = append(ws, w)
-			}
-		}
-		mon.watchers = ws
+	for _, l := range pm.subs {
+		l.mon.watchers = dropWatcher(l.mon.watchers, k)
 	}
-	delete(s.subByKey, k)
-
-	for _, rs := range s.brsByKey[k] {
-		ws := rs.watchers[:0]
-		for _, w := range rs.watchers {
-			if w.key != k {
-				ws = append(ws, w)
-			}
-		}
-		rs.watchers = ws
+	for _, l := range pm.brs {
+		l.rs.watchers = dropWatcher(l.rs.watchers, k)
 	}
-	delete(s.brsByKey, k)
+}
+
+// dropWatcher removes every watcher of pair k in place, keeping order.
+func dropWatcher(ws []subpathWatcher, k traceroute.Key) []subpathWatcher {
+	return slices.DeleteFunc(ws, func(w subpathWatcher) bool { return w.key == k })
 }
 
 // --- Refresh planning (§4.3.1) ---
@@ -323,12 +314,12 @@ func bestSignal(sigs []Signal) Signal {
 }
 
 // refreshPlan is RefreshPlanDetailed over explicit state, which it only
-// reads: the engine passes its own active and registration maps. Its outcome
+// reads: the engine passes its own active signals and monitors. Its outcome
 // depends only on the map contents, not iteration order: every candidate
 // list is sorted before budget is spent, and every rate sum runs in key
 // order (floating-point addition is not associative, so a sum in map order
 // could reorder two VPs whose relative TPRs tie).
-func refreshPlan(active map[traceroute.Key][]Signal, regs map[traceroute.Key][]Registration,
+func refreshPlan(active map[traceroute.Key][]Signal, mons map[traceroute.Key]*pairMonitors,
 	calib *Calibrator, budget int, rng *rand.Rand) []PlanItem {
 	type vpState struct {
 		src     uint32
@@ -399,7 +390,7 @@ func refreshPlan(active map[traceroute.Key][]Signal, regs map[traceroute.Key][]R
 			}
 		}
 		for _, k := range st.keys {
-			for _, reg := range regs[k] {
+			for _, reg := range mons[k].registrations() {
 				if signaledMon[k][reg.MonitorID] {
 					continue
 				}

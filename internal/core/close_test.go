@@ -248,7 +248,11 @@ func checkCellRoutes(t *testing.T, e *Engine, when string) {
 				when, pf, c.routed, c.path, c.comms, ok, rt)
 		}
 	}
-	for k, cm := range e.comms {
+	for k, pm := range e.mons {
+		cm := &pm.comm
+		if cm.group == nil {
+			continue
+		}
 		off := 0
 		for _, st := range cm.group.overlap {
 			at := st.cell.routed && st.cell.comms.Equal(st.baseline)
@@ -348,7 +352,8 @@ func TestRatioSeriesDecidesOncePerBucket(t *testing.T) {
 		cfg.PublicLadder = ladder
 		sh := newSharedState(cfg, nil, bgp.NewRIB())
 		rng := rand.New(rand.NewSource(int64(len(ladder) + tc.late)))
-		var got, want ratioSeries
+		var got ratioSeries
+		var want refRatioSeries
 		tm := int64(5000)
 		trims := 0
 		for i := 0; got.series == nil || want.series == nil; i++ {
@@ -365,17 +370,22 @@ func TestRatioSeriesDecidesOncePerBucket(t *testing.T) {
 			}
 			at := tm - int64(rng.Intn(tc.late)) // out of order
 			match := rng.Intn(2) == 0
-			before := len(got.buf)
+			before := got.buffered()
 			got.observe(sh, at, match)
-			if len(got.buf) < before {
+			if got.buffered() < before {
 				trims++
 			}
 			want.buf = append(want.buf, subObs{t: at, match: match})
 			activateEveryTime(&want, sh, at)
-			if (got.series == nil) != (want.series == nil) || len(got.buf) != len(want.buf) ||
-				(len(got.buf) > 0 && got.buf[0] != want.buf[0]) {
+			n := got.buffered()
+			if (got.series == nil) != (want.series == nil) || n != len(want.buf) ||
+				(n > 0 && got.bufferedAt(0) != want.buf[0]) {
+				var gotFirst []subObs
+				if n > 0 {
+					gotFirst = append(gotFirst, got.bufferedAt(0))
+				}
 				t.Fatalf("ladder %v, late %d, observation %d at %d: activated %v, buffer %d from %v; asking every time: %v, %d from %v",
-					ladder, tc.late, i, at, got.series != nil, len(got.buf), got.buf[:min(1, len(got.buf))],
+					ladder, tc.late, i, at, got.series != nil, n, gotFirst,
 					want.series != nil, len(want.buf), want.buf[:min(1, len(want.buf))])
 			}
 			if i > 200000 {
@@ -395,10 +405,17 @@ func TestRatioSeriesDecidesOncePerBucket(t *testing.T) {
 	}
 }
 
+// refRatioSeries is the reference model of a ratioSeries' buffer: every
+// observation as it arrived, unpacked.
+type refRatioSeries struct {
+	buf    []subObs
+	series *anomaly.WindowedSeries
+}
+
 // activateEveryTime is ratioSeries.activate without the bucket memo and
 // without sorting: it counts the buffer in arrival order, rung by rung,
 // as ChooseWindowMin did before it required ascending times.
-func activateEveryTime(r *ratioSeries, sh *sharedState, now int64) {
+func activateEveryTime(r *refRatioSeries, sh *sharedState, now int64) {
 	if len(r.buf) < 2*anomaly.MinObservations {
 		return
 	}
@@ -430,4 +447,57 @@ rungs:
 	if len(r.buf) > 4096 {
 		r.buf = r.buf[len(r.buf)-2048:]
 	}
+}
+
+// TestPackedObservationBounds: a buffered observation packs its time and
+// match bit into one word only while the time survives the shift. At the
+// packed range's ends the buffer stays packed; one past either end it
+// turns wide for good, keeping every observation it already held, and
+// every buffered observation reads back exactly as observed.
+func TestPackedObservationBounds(t *testing.T) {
+	sh := newSharedState(DefaultConfig(), nil, bgp.NewRIB())
+	for _, tc := range []struct {
+		edge, past int64
+	}{{maxPackedTime, maxPackedTime + 1}, {minPackedTime, minPackedTime - 1}} {
+		var r ratioSeries
+		want := []subObs{{t: 5000, match: true}, {t: tc.edge, match: false}, {t: tc.edge, match: true}}
+		for _, o := range want {
+			r.observe(sh, o.t, o.match)
+		}
+		if r.wide != nil || len(r.buf) != len(want) {
+			t.Fatalf("time %d: buffer wide=%v with %d packed, want %d packed", tc.edge, r.wide != nil, len(r.buf), len(want))
+		}
+		want = append(want, subObs{t: tc.past, match: true}, subObs{t: 7000, match: false})
+		for _, o := range want[3:] {
+			r.observe(sh, o.t, o.match)
+		}
+		if r.wide == nil || r.buf != nil {
+			t.Fatalf("time %d did not turn the buffer wide", tc.past)
+		}
+		if r.buffered() != len(want) {
+			t.Fatalf("%d observations buffered, want %d", r.buffered(), len(want))
+		}
+		for i, o := range want {
+			if got := r.bufferedAt(i); got != o {
+				t.Errorf("observation %d reads %+v, want %+v", i, got, o)
+			}
+		}
+	}
+}
+
+// TestBorderIndexBound: a watcher keeps its border index in 32 bits, and
+// corpus.Process bounds an entry's border path so that every index fits:
+// the last index below corpus.MaxBorders narrows exactly, the first one
+// past it panics instead of wrapping.
+func TestBorderIndexBound(t *testing.T) {
+	if got := borderOf(corpus.MaxBorders - 1); int(got) != corpus.MaxBorders-1 {
+		t.Fatalf("borderOf(%d) = %d", corpus.MaxBorders-1, got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("borderOf(%d) did not panic", corpus.MaxBorders)
+		}
+	}()
+	b := borderOf(corpus.MaxBorders)
+	t.Fatalf("borderOf(%d) = %d", corpus.MaxBorders, b)
 }

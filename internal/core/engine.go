@@ -54,26 +54,21 @@ type Engine struct {
 	pairState
 }
 
-// pairState holds the per-pair state of the corpus: entries, registrations,
-// the pairs' subscriptions to the shared BGP series, their watcher links
-// into the shared subpath and border series, and their active signals.
-// Everything else is reached through eng.
+// pairState holds the per-pair state of the corpus: entries, the pairs'
+// monitors (their registrations), and their active signals. Everything else
+// is reached through eng.
 type pairState struct {
 	eng *Engine
 
 	// corp stores each registered pair's entry; AddCorpusEntry and
 	// RemovePair are its only writers (see Corpus).
 	corp *corpus.Corpus
-	regs map[traceroute.Key][]Registration
-
-	// The pairs' §4.1 monitors, each subscribed to a series in the shared
-	// state (see series.go), in registration order per pair.
-	aspByKey   map[traceroute.Key][]*aspMonitor
-	burstByKey map[traceroute.Key][]*burstMonitor
-	comms      map[traceroute.Key]*commMonitor
-
-	subByKey   map[traceroute.Key][]*subpathMonitor
-	brsByKey   map[traceroute.Key][]*borderRouterSeries
+	// mons holds the monitors of each registered pair that has any.
+	mons map[traceroute.Key]*pairMonitors
+	// Registration scratch: a pair's watcher links, copied out at their
+	// final count.
+	subLinkBuf []subpathLink
+	brsLinkBuf []borderLink
 	pendingIXP []Signal
 
 	// Active signals per corpus pair, for revocation and querying.
@@ -97,8 +92,70 @@ type pairState struct {
 	revokedPairs   int
 }
 
-func (s *pairState) addReg(k traceroute.Key, r Registration) {
-	s.regs[k] = append(s.regs[k], r)
+// pairMonitors is one registered pair's monitors, each technique's in
+// registration order: its subscriptions to the shared §4.1 series (see
+// series.go), which point at these monitors, and its watcher links into the
+// shared subpath and border-router series. The pair's registrations are
+// read off them; a pair keeps no Registration values.
+type pairMonitors struct {
+	asp   []aspMonitor
+	burst []burstMonitor
+	comm  commMonitor
+	subs  []subpathLink
+	brs   []borderLink
+}
+
+// subpathLink and borderLink are a pair's watcher links: the shared series
+// and the entry border the pair's watcher spans in it.
+type subpathLink struct {
+	mon    *subpathMonitor
+	border int32
+}
+
+type borderLink struct {
+	rs     *borderRouterSeries
+	border int32
+}
+
+// potential counts the pair's registrations.
+func (pm *pairMonitors) potential() int {
+	if pm == nil {
+		return 0
+	}
+	n := len(pm.asp) + len(pm.burst) + len(pm.subs) + len(pm.brs)
+	if pm.comm.group != nil {
+		n++
+	}
+	return n
+}
+
+// registrations lists the pair's potential signals in registration order:
+// AS-path, burst and community monitors, then subpath and border-router
+// watchers. Nil for a pair without monitors.
+func (pm *pairMonitors) registrations() []Registration {
+	n := pm.potential()
+	if n == 0 {
+		return nil
+	}
+	out := make([]Registration, 0, n)
+	for i := range pm.asp {
+		m := &pm.asp[i]
+		out = append(out, Registration{MonitorID: m.id, Technique: TechBGPASPath, Borders: m.borders})
+	}
+	for i := range pm.burst {
+		bm := &pm.burst[i]
+		out = append(out, Registration{MonitorID: bm.id, Technique: TechBGPBurst, Borders: bm.borders})
+	}
+	if cm := &pm.comm; cm.group != nil {
+		out = append(out, Registration{MonitorID: cm.id, Technique: TechBGPCommunity, Borders: cm.borders()})
+	}
+	for _, l := range pm.subs {
+		out = append(out, Registration{MonitorID: l.mon.id, Technique: TechTraceSubpath, Borders: oneBorder(l.border)})
+	}
+	for _, l := range pm.brs {
+		out = append(out, Registration{MonitorID: l.rs.id, Technique: TechTraceBorder, Borders: oneBorder(l.border)})
+	}
+	return out
 }
 
 // NewEngine builds an engine. The RIB should be primed with an initial
@@ -120,16 +177,11 @@ func NewEngine(cfg Config, m traceroute.Mapper, aliases bordermap.AliasOracle, g
 		seriesMet: newSeriesMetrics(),
 	}
 	e.pairState = pairState{
-		eng:        e,
-		corp:       corpus.New(m, aliases),
-		regs:       make(map[traceroute.Key][]Registration),
-		aspByKey:   make(map[traceroute.Key][]*aspMonitor),
-		burstByKey: make(map[traceroute.Key][]*burstMonitor),
-		comms:      make(map[traceroute.Key]*commMonitor),
-		subByKey:   make(map[traceroute.Key][]*subpathMonitor),
-		brsByKey:   make(map[traceroute.Key][]*borderRouterSeries),
-		active:     make(map[traceroute.Key][]Signal),
-		retired:    make(map[traceroute.Key]map[string]*retiredState),
+		eng:     e,
+		corp:    corpus.New(m, aliases),
+		mons:    make(map[traceroute.Key]*pairMonitors),
+		active:  make(map[traceroute.Key][]Signal),
+		retired: make(map[traceroute.Key]map[string]*retiredState),
 	}
 	return e
 }
@@ -184,14 +236,20 @@ func (e *Engine) ChangedKeys() []traceroute.Key {
 // technique and stores it as the pair's entry. A pair that is already
 // registered is replaced: its monitors, active and pending signals go, and
 // its entry is swapped in place. The engine's RIB must already be primed.
+// The entry must come from corpus.Process, which bounds its border count
+// (see borderOf).
 func (e *Engine) AddCorpusEntry(en *corpus.Entry) {
 	if _, ok := e.corp.Get(en.Key); ok {
 		e.unregister(en.Key)
 	}
 	e.corp.Put(en)
-	e.registerBGPMonitors(en)
-	e.registerSubpathMonitors(en)
-	e.registerBorderMonitors(en)
+	pm := &pairMonitors{}
+	e.registerBGPMonitors(en, pm)
+	e.registerSubpathMonitors(en, pm)
+	e.registerBorderMonitors(en, pm)
+	if pm.potential() > 0 {
+		e.mons[en.Key] = pm
+	}
 	e.setSeriesGauges()
 }
 
@@ -208,9 +266,16 @@ func (e *Engine) RemovePair(k traceroute.Key) {
 // AddCorpusEntry and RemovePair write it.
 func (e *Engine) Corpus() *corpus.Corpus { return e.corp }
 
-// Registrations returns the potential signals covering a corpus pair.
+// Registrations returns the potential signals covering a corpus pair, in
+// registration order, read off its monitors into a new slice.
 func (e *Engine) Registrations(k traceroute.Key) []Registration {
-	return e.regs[k]
+	return e.mons[k].registrations()
+}
+
+// Potential counts the potential signals covering a corpus pair:
+// len(Registrations(k)) without building them.
+func (e *Engine) Potential(k traceroute.Key) int {
+	return e.mons[k].potential()
 }
 
 // Active returns the currently-active (unrevoked) signals for a pair.
@@ -304,5 +369,5 @@ func (e *Engine) RefreshPlan(budget int, rng *rand.Rand) []traceroute.Key {
 // attributes it was ranked by, so a cluster router can re-merge
 // per-worker plans in global priority order.
 func (e *Engine) RefreshPlanDetailed(budget int, rng *rand.Rand) []PlanItem {
-	return refreshPlan(e.active, e.regs, e.Calib, budget, rng)
+	return refreshPlan(e.active, e.mons, e.Calib, budget, rng)
 }

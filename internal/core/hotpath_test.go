@@ -91,24 +91,17 @@ func TestReregisterDoesNotLeakCommMonitors(t *testing.T) {
 // reclaimed series not yet compacted away included.
 func seriesHeld(sh *sharedState) map[string]int {
 	return map[string]int{
-		"burst table":      tableLen(sh.burstTab),
-		"burst list":       len(sh.bursts),
-		"burst awake list": len(sh.awakeBursts),
-		"AS-path table":    tableLen(sh.aspTab),
-		"AS-path list":     len(sh.asps),
-		"AS-path awake":    len(sh.awakeASP),
-		"community table":  tableLen(sh.commTab),
-		"community groups": sh.commGroups,
-		"community index":  len(sh.commByVP),
+		"burst table":       sh.burstTab.len(),
+		"burst list":        len(sh.bursts),
+		"burst awake list":  len(sh.awakeBursts),
+		"AS-path table":     sh.aspTab.len(),
+		"AS-path list":      len(sh.asps),
+		"AS-path awake":     len(sh.awakeASP),
+		"community table":   sh.commTab.len(),
+		"AS-path cell sets": sh.cellSets.len(),
+		"community groups":  sh.commGroups,
+		"community index":   len(sh.commByVP),
 	}
-}
-
-func tableLen[S comparable](t seriesTable[S]) int {
-	n := 0
-	for _, list := range t {
-		n += len(list)
-	}
-	return n
 }
 
 // TestMidWindowRegistrationSeesEarlierUpdates: monitors read the window's

@@ -17,7 +17,7 @@ import (
 // Pairs that watch the same inputs subscribe to one series, which the
 // shared close steps once per window; a pair's monitor keeps only what is
 // its own (key, monitor ID, borders, extra-AS series, VP colocation, the
-// community relevance map) and reads the series' outcome.
+// relevant τ ASes) and reads the series' outcome.
 //
 // Sharing must not change what any pair sees, so two monitors share a
 // series only when their detectors would hold the same state: the same
@@ -30,21 +30,70 @@ import (
 // is in no table, so nothing else joins it.
 
 // seriesTable indexes series by the hash of their key; a lookup compares
-// the candidates in a bucket field by field.
-type seriesTable[S comparable] map[uint64][]S
+// the candidates under one hash field by field. A hash names one series
+// but for a collision, so the first series under a hash sits in first and
+// only the others in a list of their own.
+type seriesTable[S comparable] struct {
+	first map[uint64]S
+	more  map[uint64][]S
+}
 
-func (t seriesTable[S]) add(h uint64, s S) { t[h] = append(t[h], s) }
+func newSeriesTable[S comparable]() seriesTable[S] {
+	return seriesTable[S]{first: make(map[uint64]S)}
+}
 
-func (t seriesTable[S]) remove(h uint64, s S) {
-	list := t[h]
-	if i := slices.Index(list, s); i >= 0 {
+func (t *seriesTable[S]) add(h uint64, s S) {
+	if _, ok := t.first[h]; !ok {
+		t.first[h] = s
+		return
+	}
+	if t.more == nil {
+		t.more = make(map[uint64][]S)
+	}
+	t.more[h] = append(t.more[h], s)
+}
+
+func (t *seriesTable[S]) remove(h uint64, s S) {
+	list := t.more[h]
+	if first, ok := t.first[h]; ok && first == s {
+		if len(list) == 0 {
+			delete(t.first, h)
+			return
+		}
+		t.first[h], list = list[0], list[1:]
+	} else if i := slices.Index(list, s); i >= 0 {
 		list = slices.Delete(list, i, i+1)
 	}
 	if len(list) == 0 {
-		delete(t, h)
+		delete(t.more, h)
 	} else {
-		t[h] = list
+		t.more[h] = list
 	}
+}
+
+// find returns the first series under h that match accepts.
+func (t *seriesTable[S]) find(h uint64, match func(S) bool) (S, bool) {
+	if first, ok := t.first[h]; ok {
+		if match(first) {
+			return first, true
+		}
+		for _, s := range t.more[h] {
+			if match(s) {
+				return s, true
+			}
+		}
+	}
+	var zero S
+	return zero, false
+}
+
+// len counts the series in the table.
+func (t *seriesTable[S]) len() int {
+	n := len(t.first)
+	for _, list := range t.more {
+		n += len(list)
+	}
+	return n
 }
 
 // keyHash folds series-key words into a table hash.
@@ -110,6 +159,12 @@ func (sc *aspScope) contribution(p bgp.Path) (int, int) {
 	return 1, 0
 }
 
+// packContrib stores a contribution in one byte: intersect in bit 0,
+// match in bit 1. Both are 0 or 1, so nothing is lost.
+func packContrib(ci, cm int) uint8 { return uint8(ci | cm<<1) }
+
+func unpackContrib(b uint8) (ci, cm int) { return int(b & 1), int(b >> 1) }
+
 func (sc *aspScope) firstIntersects(p bgp.Path) bool {
 	if !p.Contains(sc.aj) {
 		return false
@@ -122,15 +177,29 @@ func (sc *aspScope) firstIntersects(p bgp.Path) bool {
 	return true
 }
 
+// cellSet is an interned list of fold cells. The AS-path series over the
+// same VPs' cells share one, whatever their scopes: the series of pairs
+// towards one destination block mostly differ only in the τ ASes before
+// a_j.
+type cellSet struct {
+	cells []*vpCell
+	hash  uint64
+	// refs counts the live series holding the set.
+	refs int
+}
+
 // aspSeries is §4.1.2's overlap ratio over one VP set and scope.
 type aspSeries struct {
 	aspScope
-	// slots are the VPs' cells with their cached contributions.
-	slots []vpSlot
-	det   *anomaly.BitmapDetector
-	birth int
-	hash  uint64
-	subs  []*aspMonitor
+	// cells are the VPs' fold cells; contrib caches, per cell, the
+	// (intersect, match) contribution of its current table route (see
+	// packContrib), so quiet windows need no RIB walk.
+	cells   *cellSet
+	contrib []uint8
+	det     *anomaly.BitmapDetector
+	birth   int
+	hash    uint64
+	subs    []*aspMonitor
 
 	// baseline/last ratios for revocation (§4.3.2).
 	baseline  float64
@@ -217,6 +286,8 @@ type seriesTables struct {
 	asps     []*aspSeries
 	awakeASP []*aspSeries
 	deadASP  int
+	// cellSets interns the AS-path series' cell lists.
+	cellSets seriesTable[*cellSet]
 
 	commTab    seriesTable[*commGroup]
 	commGroups int
@@ -228,20 +299,22 @@ type seriesTables struct {
 	seq         int
 
 	// Registration and close scratch.
-	cellBuf []*vpCell
-	slotBuf []vpSlot
-	commBuf []vpCommState
-	pathBuf bgp.Path
-	dupBuf  []*vpCell
-	onOther []uint8
-	fan     []fanned
+	cellBuf    []*vpCell
+	contribBuf []uint8
+	commBuf    []vpCommState
+	borderBuf  []int
+	pathBuf    bgp.Path
+	dupBuf     []*vpCell
+	onOther    []uint8
+	fan        []fanned
 }
 
 func newSeriesTables() seriesTables {
 	return seriesTables{
-		burstTab: make(seriesTable[*burstSeries]),
-		aspTab:   make(seriesTable[*aspSeries]),
-		commTab:  make(seriesTable[*commGroup]),
+		burstTab: newSeriesTable[*burstSeries](),
+		aspTab:   newSeriesTable[*aspSeries](),
+		cellSets: newSeriesTable[*cellSet](),
+		commTab:  newSeriesTable[*commGroup](),
 		commByVP: make(map[vpPrefix][]*commGroup),
 	}
 }
@@ -263,12 +336,9 @@ func (sh *sharedState) joinBurst(bm *burstMonitor, cells []*vpCell, st *retiredS
 		for _, c := range cells {
 			h = h.cell(c)
 		}
-		for _, have := range sh.burstTab[uint64(h)] {
-			if have.birth == sh.closes && slices.Equal(have.cells, cells) {
-				bs = have
-				break
-			}
-		}
+		bs, _ = sh.burstTab.find(uint64(h), func(have *burstSeries) bool {
+			return have.birth == sh.closes && slices.Equal(have.cells, cells)
+		})
 		if bs == nil {
 			bs = sh.newBurst(cells, anomaly.NewBitmap(), sh.closes)
 			bs.hash = uint64(h)
@@ -288,35 +358,34 @@ func (sh *sharedState) newBurst(cells []*vpCell, det *anomaly.BitmapDetector, bi
 	return bs
 }
 
-// joinASP subscribes m to the series over scope and slots (registration
-// scratch, with each slot's contribution cached), as joinBurst does. An
-// AS-path series also caches its VPs' contributions, which a registration
-// computes from the routes of the moment: it joins only a series whose
-// caches agree.
-func (sh *sharedState) joinASP(m *aspMonitor, scope aspScope, slots []vpSlot, st *retiredState) {
+// joinASP subscribes m to the series over scope and cells (registration
+// scratch, with each cell's contribution cached in contrib), as joinBurst
+// does. An AS-path series also caches its VPs' contributions, which a
+// registration computes from the routes of the moment: it joins only a
+// series whose caches agree.
+func (sh *sharedState) joinASP(m *aspMonitor, scope aspScope, cells []*vpCell, contrib []uint8, st *retiredState) {
+	same := func(have *aspSeries) bool {
+		return have.aspScope.equal(&scope) && slices.Equal(have.cells.cells, cells) && slices.Equal(have.contrib, contrib)
+	}
 	var as *aspSeries
 	if st != nil {
-		if from, ok := st.from.(*aspSeries); ok && st.at == sh.closes && !from.dead &&
-			from.aspScope.equal(&scope) && slices.Equal(from.slots, slots) {
+		if from, ok := st.from.(*aspSeries); ok && st.at == sh.closes && !from.dead && same(from) {
 			as = from
 		} else {
-			as = sh.newASP(scope, slots, st.det, -1)
+			as = sh.newASP(scope, cells, contrib, st.det, -1)
 			as.baseline, as.hasBase = st.baseline, st.hasBase
 		}
 	}
 	if as == nil {
 		h := newKeyHash().add(uint64(sh.closes)).add(uint64(scope.aj)).path(scope.before).path(scope.suffix)
-		for i := range slots {
-			h = h.cell(slots[i].cell)
+		for _, c := range cells {
+			h = h.cell(c)
 		}
-		for _, have := range sh.aspTab[uint64(h)] {
-			if have.birth == sh.closes && have.aspScope.equal(&scope) && slices.Equal(have.slots, slots) {
-				as = have
-				break
-			}
-		}
+		as, _ = sh.aspTab.find(uint64(h), func(have *aspSeries) bool {
+			return have.birth == sh.closes && same(have)
+		})
 		if as == nil {
-			as = sh.newASP(scope, slots, anomaly.NewBitmap(), sh.closes)
+			as = sh.newASP(scope, cells, contrib, anomaly.NewBitmap(), sh.closes)
 			as.hash = uint64(h)
 			sh.aspTab.add(as.hash, as)
 		}
@@ -327,20 +396,45 @@ func (sh *sharedState) joinASP(m *aspMonitor, scope aspScope, slots []vpSlot, st
 	sh.subscribers[TechBGPASPath]++
 }
 
-// newASP creates an AS-path series; scope's paths may be scratch and are
-// copied into one allocation.
-func (sh *sharedState) newASP(scope aspScope, slots []vpSlot, det *anomaly.BitmapDetector, birth int) *aspSeries {
+// newASP creates an AS-path series; scope's paths, cells and contrib may
+// be scratch: the paths are copied into one allocation, the cells interned.
+func (sh *sharedState) newASP(scope aspScope, cells []*vpCell, contrib []uint8, det *anomaly.BitmapDetector, birth int) *aspSeries {
 	paths := make(bgp.Path, 0, len(scope.before)+len(scope.suffix))
 	paths = append(append(paths, scope.before...), scope.suffix...)
 	scope.before, scope.suffix = paths[:len(scope.before):len(scope.before)], paths[len(scope.before):]
-	as := &aspSeries{aspScope: scope, slots: slices.Clone(slots), det: det, birth: birth}
-	for i := range as.slots {
-		as.quietI += as.slots[i].ci
-		as.quietM += as.slots[i].cm
+	as := &aspSeries{aspScope: scope, cells: sh.internCells(cells), contrib: slices.Clone(contrib), det: det, birth: birth}
+	for _, b := range as.contrib {
+		ci, cm := unpackContrib(b)
+		as.quietI += ci
+		as.quietM += cm
 	}
 	sh.asps = append(sh.asps, as)
 	sh.awakeASP = append(sh.awakeASP, as)
 	return as
+}
+
+// internCells returns the shared set over cells (registration scratch),
+// creating it on first use, and counts the caller as one more holder.
+func (sh *sharedState) internCells(cells []*vpCell) *cellSet {
+	h := newKeyHash()
+	for _, c := range cells {
+		h = h.cell(c)
+	}
+	cs, _ := sh.cellSets.find(uint64(h), func(have *cellSet) bool { return slices.Equal(have.cells, cells) })
+	if cs == nil {
+		cs = &cellSet{cells: slices.Clone(cells), hash: uint64(h)}
+		sh.cellSets.add(cs.hash, cs)
+	}
+	cs.refs++
+	return cs
+}
+
+// releaseCells drops one holder of cs, and the set from the table with
+// its last holder.
+func (sh *sharedState) releaseCells(cs *cellSet) {
+	if cs.refs--; cs.refs == 0 {
+		sh.cellSets.remove(cs.hash, cs)
+	}
 }
 
 // joinComm subscribes cm to the group over states (registration scratch,
@@ -355,13 +449,9 @@ func (sh *sharedState) joinComm(cm *commMonitor, states []vpCommState) {
 			h = h.add(uint64(c))
 		}
 	}
-	var g *commGroup
-	for _, have := range sh.commTab[uint64(h)] {
-		if have.offBase == 0 && sameCommStates(have.overlap, states) {
-			g = have
-			break
-		}
-	}
+	g, _ := sh.commTab.find(uint64(h), func(have *commGroup) bool {
+		return have.offBase == 0 && sameCommStates(have.overlap, states)
+	})
 	if g == nil {
 		g = &commGroup{overlap: slices.Clone(states), hash: uint64(h)}
 		sh.commTab.add(g.hash, g)
@@ -433,6 +523,7 @@ func (sh *sharedState) leaveASP(m *aspMonitor) *retiredState {
 	as.wake(as.det, &as.asleep, sh.closes)
 	st.det = as.det
 	as.dead = true
+	sh.releaseCells(as.cells)
 	if as.birth >= 0 {
 		sh.aspTab.remove(as.hash, as)
 	}
@@ -578,7 +669,7 @@ func (sh *sharedState) closeSeries(ws int64, quiet bool, commChanged map[trie.Pr
 					Borders:     m.borders,
 					Detail:      detail,
 					Score:       as.det.Score(),
-					VPCount:     len(as.slots),
+					VPCount:     len(as.cells.cells),
 					ASOverlap:   len(as.suffix),
 					SameASVP:    m.sameAS,
 					SameCityVP:  m.sameCity,
@@ -667,26 +758,28 @@ func (sh *sharedState) fanBurst(bs *burstSeries, dups int, ws int64, commChanged
 // step feeds one window to the series and reports whether it flagged it.
 func (as *aspSeries) step(dirty bool) bool {
 	intersect, match := as.quietI, as.quietM
-	for i := 0; dirty && i < len(as.slots); i++ {
-		slot := &as.slots[i]
-		st := slot.cell.win
-		if st == nil {
-			continue
+	if dirty {
+		for i, c := range as.cells.cells {
+			st := c.win
+			if st == nil {
+				continue
+			}
+			// The cached value covers the window-start route; add the update
+			// paths on top (each counts as one observed path, §4.1.2 counts
+			// path updates).
+			for _, p := range st.paths {
+				ci, cm := as.contribution(p)
+				intersect += ci
+				match += cm
+			}
+			// Refresh the cache to the current table route for the following
+			// windows.
+			ni, nm := as.contribution(c.path)
+			oi, om := unpackContrib(as.contrib[i])
+			as.quietI += ni - oi
+			as.quietM += nm - om
+			as.contrib[i] = packContrib(ni, nm)
 		}
-		// The cached value covers the window-start route; add the update
-		// paths on top (each counts as one observed path, §4.1.2 counts
-		// path updates).
-		for _, p := range st.paths {
-			ci, cm := as.contribution(p)
-			intersect += ci
-			match += cm
-		}
-		// Refresh the cache to the current table route for the following
-		// windows.
-		ni, nm := as.contribution(slot.cell.path)
-		as.quietI += ni - slot.ci
-		as.quietM += nm - slot.cm
-		slot.ci, slot.cm = ni, nm
 	}
 	if intersect == 0 {
 		as.hasLast = false
@@ -739,12 +832,11 @@ func (sh *sharedState) commSignals(sigs []Signal, ws int64, calib *Calibrator) [
 			onOther := append(sh.onOther[:0], make([]uint8, len(added))...)
 			sh.onOther = onOther
 			for _, cm := range g.subs {
-				var borders []int
+				borders := sh.borderBuf[:0]
 				var detail bgp.Community
 				for i, c := range changed {
-					bs, relevant := cm.relevant[c.AS()]
 					// Calibration filter (Appendix B): skip pruned communities.
-					if !relevant || calib.communityPruned(c) {
+					if !cm.relevant(c.AS()) || calib.communityPruned(c) {
 						continue
 					}
 					// Caveat 2: an added community already on an overlapping
@@ -760,11 +852,12 @@ func (sh *sharedState) commSignals(sigs []Signal, ws int64, calib *Calibrator) [
 							continue
 						}
 					}
-					borders = append(borders, bs...)
+					borders = appendBordersForAS(borders, cm.en, c.AS())
 					if detail == 0 {
 						detail = c
 					}
 				}
+				sh.borderBuf = borders
 				if len(borders) == 0 {
 					continue
 				}
@@ -778,10 +871,10 @@ func (sh *sharedState) commSignals(sigs []Signal, ws int64, calib *Calibrator) [
 				emitted[dk] = true
 				sigs = append(sigs, Signal{
 					Technique:   TechBGPCommunity,
-					Key:         cm.key,
+					Key:         cm.en.Key,
 					MonitorID:   cm.id,
 					WindowStart: ws,
-					Borders:     dedupInts(borders),
+					Borders:     slices.Clone(dedupInts(borders)),
 					Detail:      detail.String(),
 					Comm:        detail,
 					VPCount:     1,

@@ -310,7 +310,7 @@ func (sh *sharedState) closeShared(ws, end int64, calib *Calibrator) []Signal {
 					Key:         w.key,
 					MonitorID:   mon.id,
 					WindowStart: o.WindowStart,
-					Borders:     w.borders,
+					Borders:     oneBorder(w.border),
 					Detail:      fmt.Sprintf("subpath %s ratio %.2f", trie.FormatIP(mon.ips[0]), o.Value),
 					Score:       o.Score,
 					IPOverlap:   len(mon.ips),
@@ -331,7 +331,7 @@ func (sh *sharedState) closeShared(ws, end int64, calib *Calibrator) []Signal {
 					Key:         w.key,
 					MonitorID:   rs.id,
 					WindowStart: o.WindowStart,
-					Borders:     w.borders,
+					Borders:     oneBorder(w.border),
 					Detail:      fmt.Sprintf("border %s->%s router shift", rs.gk.FromAS, rs.gk.ToAS),
 					Score:       o.Score,
 				})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -31,26 +32,87 @@ type subpathMonitor struct {
 // enough data exists to pick a window size from the ladder; then a modified
 // z-score series activates and the buffer is replayed into it.
 type ratioSeries struct {
-	buf []subObs
-	// unsorted is set once an observation arrives older than the one
-	// before it; activate then sorts the times it hands ChooseWindowMin.
-	unsorted bool
-	series   *anomaly.WindowedSeries
+	// buf holds the buffered observations packed one to a word (see
+	// packObs); wide holds them instead, for good, from the first
+	// observation whose time does not pack.
+	buf    []int64
+	wide   []subObs
+	series *anomaly.WindowedSeries
 	// noBucket is the ladder bucket (time / sharedState.ladderStep) of the
 	// last observation for which the buffer could not choose a window,
 	// valid while hasNo.
 	noBucket int64
 	hasNo    bool
+	// unsorted is set once an observation arrives older than the one
+	// before it; activate then sorts the times it hands ChooseWindowMin.
+	unsorted bool
 }
 
+// subpathWatcher is one corpus pair watching a subpath or border-router
+// series, and the index of the entry border the series spans.
 type subpathWatcher struct {
-	key     traceroute.Key
-	borders []int
+	key    traceroute.Key
+	border int32
 }
 
 type subObs struct {
 	t     int64
 	match bool
+}
+
+// The times a packed observation holds: the int64s whose shift left by one
+// loses nothing.
+const (
+	minPackedTime = math.MinInt64 >> 1
+	maxPackedTime = math.MaxInt64 >> 1
+)
+
+// packObs packs an observation into one word, the time shifted left by one
+// and the match bit below it; ok is false when the time is out of range.
+func packObs(t int64, match bool) (w int64, ok bool) {
+	if t < minPackedTime || t > maxPackedTime {
+		return 0, false
+	}
+	w = t << 1
+	if match {
+		w |= 1
+	}
+	return w, true
+}
+
+func unpackObs(w int64) subObs { return subObs{t: w >> 1, match: w&1 == 1} }
+
+// buffered counts the buffered observations.
+func (r *ratioSeries) buffered() int {
+	if r.wide != nil {
+		return len(r.wide)
+	}
+	return len(r.buf)
+}
+
+// bufferedAt returns the i'th buffered observation.
+func (r *ratioSeries) bufferedAt(i int) subObs {
+	if r.wide != nil {
+		return r.wide[i]
+	}
+	return unpackObs(r.buf[i])
+}
+
+// push buffers one observation, switching the buffer to the wide form at
+// the first time that does not pack.
+func (r *ratioSeries) push(o subObs) {
+	if r.wide == nil {
+		if w, ok := packObs(o.t, o.match); ok {
+			r.buf = append(r.buf, w)
+			return
+		}
+		r.wide = make([]subObs, len(r.buf), len(r.buf)+1)
+		for i, w := range r.buf {
+			r.wide[i] = unpackObs(w)
+		}
+		r.buf = nil
+	}
+	r.wide = append(r.wide, o)
 }
 
 // borderGroupKey identifies an inter-city AS adjacency ⟨AS_m, c_m⟩→⟨AS_n,
@@ -86,15 +148,17 @@ type borderRouterSeries struct {
 // AS boundaries: interdomain segments give the reliable signals, while
 // intradomain segments churn with traffic engineering (§4.2's first
 // accuracy rule).
-func (s *pairState) registerSubpathMonitors(en *corpus.Entry) {
+func (s *pairState) registerSubpathMonitors(en *corpus.Entry, pm *pairMonitors) {
 	if s.eng.cfg.disabled(TechTraceSubpath) {
 		return
 	}
 	path := en.Trace.IPPath()
+	links := s.subLinkBuf[:0]
 	register := func(raw []uint32, bi int) {
 		// Dedupe consecutive identical anchors (the far hop of one
 		// crossing is often the near hop of the next).
-		ips := raw[:0:0]
+		var buf [maxSubpathAnchors]uint32
+		ips := buf[:0]
 		for i, ip := range raw {
 			if i == 0 || ip != raw[i-1] {
 				ips = append(ips, ip)
@@ -108,11 +172,11 @@ func (s *pairState) registerSubpathMonitors(en *corpus.Entry) {
 		if !ok {
 			// Monitors shared across entries are content-named like
 			// everything else.
-			mon = s.eng.sh.addSubpath(key, ips, s.eng.hops.intern(ips[0]))
+			mon = s.eng.sh.addSubpath(key, slices.Clone(ips), s.eng.hops.intern(ips[0]))
 		}
-		mon.watchers = append(mon.watchers, subpathWatcher{key: en.Key, borders: []int{bi}})
-		s.subByKey[en.Key] = append(s.subByKey[en.Key], mon)
-		s.addReg(en.Key, Registration{MonitorID: mon.id, Technique: TechTraceSubpath, Borders: []int{bi}})
+		border := borderOf(bi)
+		mon.watchers = append(mon.watchers, subpathWatcher{key: en.Key, border: border})
+		links = append(links, subpathLink{mon: mon, border: border})
 	}
 	for bi, b := range en.Borders {
 		// Short monitor: near hop, far hop, and one hop of context. It
@@ -145,7 +209,25 @@ func (s *pairState) registerSubpathMonitors(en *corpus.Entry) {
 		}
 		register(bracket, bi)
 	}
+	s.subLinkBuf = links
+	if len(links) > 0 {
+		pm.subs = slices.Clone(links)
+	}
 }
+
+// borderOf narrows an entry's border index for a watcher. corpus.Process
+// rejects an entry with more than corpus.MaxBorders crossings, so every
+// index of a registered entry fits; one that does not is a caller's bug,
+// and borderOf panics rather than wrap it.
+func borderOf(bi int) int32 {
+	if bi < 0 || bi >= corpus.MaxBorders {
+		panic(fmt.Sprintf("core: border index %d of an entry corpus.Process did not bound", bi))
+	}
+	return int32(bi)
+}
+
+// oneBorder is a signal's or registration's Borders for one border index.
+func oneBorder(b int32) []int { return borderRun(int(b), int(b)+1) }
 
 func hasZero(xs []uint32) bool {
 	for _, x := range xs {
@@ -176,10 +258,11 @@ func subpathKeyOf(ips []uint32) string {
 // registerBorderMonitors creates (or joins) §4.2.2 monitors: one ratio
 // series per (inter-city AS adjacency, border router) the entry uses.
 // Crossings whose endpoints cannot be geolocated are skipped (Appendix A).
-func (s *pairState) registerBorderMonitors(en *corpus.Entry) {
+func (s *pairState) registerBorderMonitors(en *corpus.Entry, pm *pairMonitors) {
 	if s.eng.geo == nil || s.eng.cfg.disabled(TechTraceBorder) {
 		return
 	}
+	links := s.brsLinkBuf[:0]
 	for bi, b := range en.Borders {
 		gk, router, ok := s.eng.sh.borderGroupOf(b, en.MeasuredAt)
 		if !ok {
@@ -198,9 +281,13 @@ func (s *pairState) registerBorderMonitors(en *corpus.Entry) {
 			grp.series = append(grp.series, rs)
 			s.eng.sh.borderSorted = nil
 		}
-		rs.watchers = append(rs.watchers, subpathWatcher{key: en.Key, borders: []int{bi}})
-		s.brsByKey[en.Key] = append(s.brsByKey[en.Key], rs)
-		s.addReg(en.Key, Registration{MonitorID: rs.id, Technique: TechTraceBorder, Borders: []int{bi}})
+		border := borderOf(bi)
+		rs.watchers = append(rs.watchers, subpathWatcher{key: en.Key, border: border})
+		links = append(links, borderLink{rs: rs, border: border})
+	}
+	s.brsLinkBuf = links
+	if len(links) > 0 {
+		pm.brs = slices.Clone(links)
 	}
 }
 
@@ -289,10 +376,10 @@ func (r *ratioSeries) observe(sh *sharedState, t int64, match bool) {
 		r.series.Observe(t, boolVal(match))
 		return
 	}
-	if n := len(r.buf); n > 0 && t < r.buf[n-1].t {
+	if n := r.buffered(); n > 0 && t < r.bufferedAt(n-1).t {
 		r.unsorted = true
 	}
-	r.buf = append(r.buf, subObs{t: t, match: match})
+	r.push(subObs{t: t, match: match})
 	r.activate(sh, t)
 }
 
@@ -311,7 +398,8 @@ func (r *ratioSeries) observe(sh *sharedState, t int64, match bool) {
 // buffer only removes times. So the answer stays "no" until the bucket
 // moves.
 func (r *ratioSeries) activate(sh *sharedState, now int64) {
-	if len(r.buf) < 2*anomaly.MinObservations {
+	n := r.buffered()
+	if n < 2*anomaly.MinObservations {
 		return
 	}
 	bucket := now / sh.ladderStep
@@ -320,8 +408,8 @@ func (r *ratioSeries) activate(sh *sharedState, now int64) {
 		return
 	}
 	times := sh.times[:0]
-	for _, o := range r.buf {
-		times = append(times, o.t)
+	for i := 0; i < n; i++ {
+		times = append(times, r.bufferedAt(i).t)
 	}
 	if r.unsorted {
 		slices.Sort(times)
@@ -334,16 +422,20 @@ func (r *ratioSeries) activate(sh *sharedState, now int64) {
 		return
 	}
 	r.series = &anomaly.WindowedSeries{WindowSec: w, Det: anomaly.NewZScore()}
-	for _, o := range r.buf {
+	for i := 0; i < n; i++ {
+		o := r.bufferedAt(i)
 		r.series.Observe(o.t, boolVal(o.match))
 	}
-	r.buf = nil
+	r.buf, r.wide = nil, nil
 }
 
 // trimBuffer bounds the buffer of a series that could not activate.
 func (r *ratioSeries) trimBuffer() {
 	if len(r.buf) > 4096 {
 		r.buf = r.buf[len(r.buf)-2048:]
+	}
+	if len(r.wide) > 4096 {
+		r.wide = r.wide[len(r.wide)-2048:]
 	}
 }
 
@@ -548,40 +640,48 @@ func (s *pairState) revokeReverted() {
 // back at the value it had when the corpus traceroute was issued: AS-path
 // ratios, community sets, and subpath/border-router ratios (§4.3.2).
 func (s *pairState) pairReverted(k traceroute.Key) bool {
+	pm := s.mons[k]
+	if pm == nil {
+		return false
+	}
 	any := false
-	for _, m := range s.aspByKey[k] {
+	for i := range pm.asp {
 		any = true
-		if as := m.series; !as.hasBase || !as.hasLast || as.lastRatio != as.baseline {
+		if as := pm.asp[i].series; !as.hasBase || !as.hasLast || as.lastRatio != as.baseline {
 			return false
 		}
 	}
-	if cm := s.comms[k]; cm != nil {
+	if g := pm.comm.group; g != nil {
 		any = true
-		if cm.group.offBase > 0 {
+		if g.offBase > 0 {
 			return false
 		}
 	}
-	for _, mon := range s.subByKey[k] {
-		if mon.series == nil {
+	for _, l := range pm.subs {
+		if l.mon.series == nil {
 			continue
 		}
 		any = true
-		first, ok1 := mon.series.First()
-		last, ok2 := mon.series.Last()
-		if ok1 && ok2 && first != last {
+		if !l.mon.atBaseline() {
 			return false
 		}
 	}
-	for _, rs := range s.brsByKey[k] {
-		if rs.series == nil {
+	for _, l := range pm.brs {
+		if l.rs.series == nil {
 			continue
 		}
 		any = true
-		first, ok1 := rs.series.First()
-		last, ok2 := rs.series.Last()
-		if ok1 && ok2 && first != last {
+		if !l.rs.atBaseline() {
 			return false
 		}
 	}
 	return any
+}
+
+// atBaseline reports whether an active series' last window value equals
+// its first (§4.3.2), or it has no such pair of values yet.
+func (r *ratioSeries) atBaseline() bool {
+	first, ok1 := r.series.First()
+	last, ok2 := r.series.Last()
+	return !ok1 || !ok2 || first == last
 }

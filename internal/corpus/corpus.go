@@ -5,6 +5,7 @@
 package corpus
 
 import (
+	"fmt"
 	"sort"
 
 	"rrr/internal/bgp"
@@ -40,11 +41,29 @@ func New(m traceroute.Mapper, aliases bordermap.AliasOracle) *Corpus {
 	}
 }
 
+// MaxBorders bounds an entry's border path: the signal engine keeps a
+// border index in 32 bits, so every index must be below 1<<31.
+const MaxBorders = 1 << 31
+
+// checkBorders rejects a border path of n crossings longer than
+// MaxBorders.
+func checkBorders(n int) error {
+	if n > MaxBorders {
+		return fmt.Errorf("corpus: %d border crossings, more than %d", n, MaxBorders)
+	}
+	return nil
+}
+
 // Process converts a raw traceroute into an Entry; traceroutes with AS
-// loops are rejected (Appendix A).
+// loops are rejected (Appendix A), as are border paths longer than
+// MaxBorders.
 func (c *Corpus) Process(t *traceroute.Traceroute) (*Entry, error) {
 	hops, err := traceroute.ASPath(t, c.mapper)
 	if err != nil {
+		return nil, err
+	}
+	borders := bordermap.BorderPath(t, c.mapper, c.aliases)
+	if err := checkBorders(len(borders)); err != nil {
 		return nil, err
 	}
 	return &Entry{
@@ -52,7 +71,7 @@ func (c *Corpus) Process(t *traceroute.Traceroute) (*Entry, error) {
 		Trace:      t,
 		ASPath:     traceroute.ASNs(hops),
 		ASHops:     hops,
-		Borders:    bordermap.BorderPath(t, c.mapper, c.aliases),
+		Borders:    borders,
 		MeasuredAt: t.Time,
 	}, nil
 }

@@ -213,3 +213,15 @@ func TestCensusHandCheck(t *testing.T) {
 		t.Fatalf("unshared border AS pairs = %d; want 1", got)
 	}
 }
+
+// TestBorderCountBound: Process accepts a border path of exactly
+// MaxBorders crossings, whose indices all fit the signal engine's 32 bits,
+// and rejects one more.
+func TestBorderCountBound(t *testing.T) {
+	if err := checkBorders(MaxBorders); err != nil {
+		t.Fatalf("%d crossings rejected: %v", MaxBorders, err)
+	}
+	if err := checkBorders(MaxBorders + 1); err == nil {
+		t.Fatalf("%d crossings accepted", MaxBorders+1)
+	}
+}

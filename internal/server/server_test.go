@@ -40,7 +40,7 @@ func (testMapper) IXPOf(ip uint32) (int, bool) {
 	return 0, false
 }
 
-func ip(t *testing.T, s string) uint32 {
+func ip(t testing.TB, s string) uint32 {
 	t.Helper()
 	v, err := rrr.ParseIP(s)
 	if err != nil {
@@ -49,7 +49,7 @@ func ip(t *testing.T, s string) uint32 {
 	return v
 }
 
-func trace(t *testing.T, when int64, src, dst string, hops ...string) *rrr.Traceroute {
+func trace(t testing.TB, when int64, src, dst string, hops ...string) *rrr.Traceroute {
 	t.Helper()
 	tr := &rrr.Traceroute{Src: ip(t, src), Dst: ip(t, dst), Time: when}
 	for i, h := range hops {
@@ -62,7 +62,7 @@ func trace(t *testing.T, when int64, src, dst string, hops ...string) *rrr.Trace
 	return tr
 }
 
-func announceUpd(t *testing.T, tm int64, vpIP string, as rrr.ASN, prefix string, path []rrr.ASN) rrr.Update {
+func announceUpd(t testing.TB, tm int64, vpIP string, as rrr.ASN, prefix string, path []rrr.ASN) rrr.Update {
 	t.Helper()
 	p, err := rrr.ParsePrefix(prefix)
 	if err != nil {
@@ -72,7 +72,7 @@ func announceUpd(t *testing.T, tm int64, vpIP string, as rrr.ASN, prefix string,
 		Prefix: p, ASPath: path}
 }
 
-func newTestMonitor(t *testing.T) *rrr.Monitor {
+func newTestMonitor(t testing.TB) *rrr.Monitor {
 	t.Helper()
 	aliases := bordermap.OracleFunc(func(v uint32) (int, bool) { return int(v), true })
 	m, err := rrr.NewMonitor(rrr.Options{Mapper: testMapper{}, Aliases: aliases})
@@ -84,7 +84,7 @@ func newTestMonitor(t *testing.T) *rrr.Monitor {
 
 // newQuietMonitor builds a monitor tracking two pairs over routes that have
 // not changed, with every window up to 45 closed (calibration done).
-func newQuietMonitor(t *testing.T) (m *rrr.Monitor, first, second *rrr.Traceroute) {
+func newQuietMonitor(t testing.TB) (m *rrr.Monitor, first, second *rrr.Traceroute) {
 	t.Helper()
 	m = newTestMonitor(t)
 	m.ObserveBGP(announceUpd(t, 0, "5.0.0.9", 5, "4.0.0.0/8", []rrr.ASN{5, 2, 3, 4}))
@@ -103,7 +103,7 @@ func newQuietMonitor(t *testing.T) (m *rrr.Monitor, first, second *rrr.Tracerout
 
 // newStaleMonitor builds a monitor with one tracked pair that has gone
 // stale (the canonical AS-path-change scenario) and one fresh pair.
-func newStaleMonitor(t *testing.T) (*rrr.Monitor, *rrr.Traceroute, *rrr.Traceroute) {
+func newStaleMonitor(t testing.TB) (*rrr.Monitor, *rrr.Traceroute, *rrr.Traceroute) {
 	t.Helper()
 	m, stale, fresh := newQuietMonitor(t)
 	m.ObserveBGP(announceUpd(t, 45*900+5, "5.0.0.9", 5, "4.0.0.0/8", []rrr.ASN{5, 2, 9, 4}))

@@ -57,6 +57,9 @@ func (e frameError) Error() string        { return string(e) }
 func (e frameError) Is(target error) bool { return target == ErrCorruptFrame }
 
 // Record is one logged feed record; exactly one of Update/Trace is set.
+// During Replay, Update points at the replay's scratch update: it is valid
+// until the callback returns, so a callback that keeps the update copies
+// it (its Path and Communities stay valid).
 type Record struct {
 	Update *bgp.Update
 	Trace  *traceroute.Traceroute
@@ -220,20 +223,6 @@ func DecodeRecordParts(dec *bgp.Decoder, p []byte) (u bgp.Update, t *traceroute.
 	}
 }
 
-// DecodeRecordPayload is DecodeRecordParts in the log's Record form, the
-// update boxed.
-func DecodeRecordPayload(dec *bgp.Decoder, p []byte) (Record, error) {
-	u, t, err := DecodeRecordParts(dec, p)
-	switch {
-	case err != nil:
-		return Record{}, err
-	case t != nil:
-		return Record{Trace: t}, nil
-	default:
-		return Record{Update: &u}, nil
-	}
-}
-
 // AppendRecordFrame frames payload (length + CRC32C header, then the
 // payload) onto dst — the WAL's on-disk frame, reused verbatim by the
 // feed wire protocol.
@@ -314,7 +303,9 @@ type segScan struct {
 // tail into a truncation point instead of an error: everything up to the
 // first bad byte is kept, the rest is the unsynced remains of a crash.
 // Mid-log segments get no such forgiveness — a bad record there means data
-// the log claimed durable is gone, which must fail recovery loudly.
+// the log claimed durable is gone, which must fail recovery loudly. Every
+// update record is decoded into one scratch update that the Record handed
+// to fn points at, so replay boxes no update.
 func scanSegment(r io.Reader, fn func(Record) error, allowTorn bool) (segScan, error) {
 	sc := segScan{maxTime: math.MinInt64}
 	torn := func(reason error) (segScan, error) {
@@ -337,8 +328,9 @@ func scanSegment(r io.Reader, fn func(Record) error, allowTorn bool) (segScan, e
 	}
 	sc.goodLen = int64(len(segMagic))
 
-	frames := FrameReader{r: br} // DecodeRecordPayload copies out what it keeps
+	frames := FrameReader{r: br} // DecodeRecordParts copies out what it keeps
 	var dec bgp.Decoder
+	var u bgp.Update
 	for {
 		payload, err := frames.Next()
 		switch {
@@ -349,9 +341,14 @@ func scanSegment(r io.Reader, fn func(Record) error, allowTorn bool) (segScan, e
 		case err != nil:
 			return sc, err
 		}
-		rec, err := DecodeRecordPayload(&dec, payload)
-		if err != nil {
+		var rec Record
+		if upd, tr, err := DecodeRecordParts(&dec, payload); err != nil {
 			return torn(err)
+		} else if tr != nil {
+			rec.Trace = tr
+		} else {
+			u = upd
+			rec.Update = &u
 		}
 		sc.records++
 		if t := rec.Time(); t > sc.maxTime {

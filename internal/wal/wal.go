@@ -213,7 +213,8 @@ func Open(opts Options) (*WAL, error) {
 
 // Replay streams every intact record, oldest segment first, through fn
 // (nil fn just validates and counts), then reopens the final segment for
-// appending. A torn or corrupt tail on the final segment is truncated at
+// appending. A record's Update is valid only until fn returns (see
+// Record). A torn or corrupt tail on the final segment is truncated at
 // the first bad record — counted in rrr_wal_tail_truncations_total — and
 // recovery continues; the same damage mid-log is a hard error, because a
 // record behind a later segment was claimed durable.

@@ -57,7 +57,14 @@ func openLog(t *testing.T, opts Options) (*WAL, []Record, ReplayInfo) {
 		t.Fatal(err)
 	}
 	var recs []Record
-	info, err := w.Replay(func(r Record) error { recs = append(recs, r); return nil })
+	info, err := w.Replay(func(r Record) error {
+		if r.Update != nil {
+			u := *r.Update // Replay reuses the update it points at
+			r.Update = &u
+		}
+		recs = append(recs, r)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +609,11 @@ func TestRecordFrameGolden(t *testing.T) {
 			t.Errorf("frame %d = %s, want %s after the existing byte", i, got, golden[i])
 		}
 		var dec bgp.Decoder
-		rec, err := DecodeRecordPayload(&dec, b[1+frameHeaderLen:])
+		u, tr, err := DecodeRecordParts(&dec, b[1+frameHeaderLen:])
+		rec := Record{Trace: tr}
+		if tr == nil {
+			rec.Update = &u
+		}
 		if err != nil || !reflect.DeepEqual(rec, want) {
 			t.Errorf("frame %d decodes to %+v, %v; want %+v", i, rec, err, want)
 		}

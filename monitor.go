@@ -386,7 +386,7 @@ func (m *Monitor) PairStates(keys []Key) ([]PairState, uint64) {
 		}
 		out[i].Tracked = true
 		out[i].MeasuredAt = en.MeasuredAt
-		out[i].Potential = len(m.engine.Registrations(k))
+		out[i].Potential = m.engine.Potential(k)
 		out[i].Signals = m.engine.Active(k)
 	}
 	return out, m.version.Load()
@@ -605,7 +605,10 @@ func (m *Monitor) Restore(s *MonitorSnapshot) error {
 		return fmt.Errorf("rrr: snapshot window %ds does not match monitor window %ds", s.WindowSec, m.window)
 	}
 	entries := make([]*Entry, 0, len(s.Traces))
-	for _, tr := range s.Traces {
+	for i, tr := range s.Traces {
+		if tr == nil {
+			return fmt.Errorf("rrr: restore: trace %d is null", i)
+		}
 		en, err := m.corp.Process(tr)
 		if err != nil {
 			return fmt.Errorf("rrr: restore %s: %w", tr.Key(), err)
