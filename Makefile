@@ -8,6 +8,8 @@ FUZZ_TARGETS := \
 	internal/bgp:FuzzParsePath \
 	internal/bgp:FuzzParseCommunity \
 	internal/bgp:FuzzRIBApply \
+	internal/bgp:FuzzRIBDumpReader \
+	internal/traceroute:FuzzParseText \
 	internal/wal:FuzzWALReader \
 	internal/server:FuzzParseKey \
 	internal/server:FuzzStaleFrame \
@@ -137,11 +139,15 @@ cachetest:
 # budgets (RIB.Apply, BinaryReader.Read, Detector.TapUpdate and the whole
 # ingest path), and
 # the detectors and window choice (Settled, Clone and the flat fast path
-# held to the reference bit for bit, ChooseWindowMin to the full scan); and
-# the per-pair heap ratchet (TestTrackHeapPerPair: the live heap tracking a
-# simulated corpus keeps per pair), with the narrowed fields' bounds.
+# held to the reference bit for bit, ChooseWindowMin to the full scan); the
+# active-signal records held to a model built from the signal stream
+# through closes, revocation, re-registration, removal and a restore
+# (TestActiveSignalsMatchModel); and the heap ratchets: per tracked pair
+# (TestTrackHeapPerPair: the live heap tracking a simulated corpus keeps
+# per pair) and per active signal (TestActiveSignalHeap: what a repeating
+# signal's record holds), with the narrowed fields' bounds.
 closetest:
-	$(GO) test -race -count=1 ./internal/core -run 'TestShardedMatchesSerial|TestZeroConfigMatchesDefault|TestSleepingMonitorsMatchPinned|TestSharedSeriesLineage|TestCellRouteCache|TestReregisterDoesNotLeakCommMonitors|TestQuietCloseAllocs|TestSubpathIndexMatchesScan|TestSubpathKeyOf|TestRatioSeriesDecidesOncePerBucket|TestObserveTraceAllocs|TestHopTable|TestPackedObservationBounds|TestBorderIndexBound' -v
+	$(GO) test -race -count=1 ./internal/core -run 'TestShardedMatchesSerial|TestZeroConfigMatchesDefault|TestSleepingMonitorsMatchPinned|TestSharedSeriesLineage|TestCellRouteCache|TestReregisterDoesNotLeakCommMonitors|TestQuietCloseAllocs|TestSubpathIndexMatchesScan|TestSubpathKeyOf|TestRatioSeriesDecidesOncePerBucket|TestObserveTraceAllocs|TestHopTable|TestPackedObservationBounds|TestBorderIndexBound|TestActiveSignalsMatchModel|TestActiveSignalHeap' -v
 	$(GO) test -race -count=1 ./internal/corpus -run TestBorderCountBound -v
 	$(GO) test -race -count=1 . -run TestTrackHeapPerPair -v
 	$(GO) test -race -count=1 ./internal/bgp -run 'TestRIBApplyAllocs|TestBinaryReaderAllocs' -v

@@ -12,13 +12,15 @@ import (
 // Monitor primed from the QuickScale table dump tracks the simulated
 // corpus of 120 probes and 30 anchors (2 234 pairs), and the live heap
 // after a full collection grows by at most trackHeapBudget bytes per
-// tracked pair. The figure is the same on every run of a tree (1 829 to
-// 1 832 B at GOMAXPROCS 1 to 4, under the race detector too), and the
+// tracked pair. The figure is the same on every run of a tree (1 548 to
+// 1 551 B at GOMAXPROCS 1 to 4, under the race detector too), and the
 // budget sits 5 % above it. With a Registration slice per pair in a map, a
 // private copy of every AS-path series' fold cells and a border slice per
-// trace watcher, tracking kept 3 742 B per pair here.
+// trace watcher, tracking kept 3 742 B per pair here; with each series'
+// detector allocated on its own, every border path and burst extras list
+// append-grown and each entry keeping its unread AS-hop list, 1 829 B.
 func TestTrackHeapPerPair(t *testing.T) {
-	const trackHeapBudget = 1924
+	const trackHeapBudget = 1628
 
 	sc := experiments.QuickScale()
 	sc.PlatCfg.NumProbes, sc.PlatCfg.NumAnchors = 120, 30

@@ -160,40 +160,54 @@ func (d *ZScoreDetector) push(v float64) {
 // The outlier-free history is conceptually unbounded up to a 4×→2×
 // defaultMaxHistory trim, but Add only ever reads its length and its last
 // Lead+Lag values, so that is all the detector stores; the score history,
-// which the adaptive threshold does read in full, lives in one buffer of
-// fixed capacity. A series that has never moved stores neither: every value
-// equals sameVal and every score is zero, so two counters stand in for both.
-// A series that moved and then held one value long enough to fill both
-// windows scores zero without discretizing anything: both bitmaps are the
-// single bigram (v, v).
+// which the adaptive threshold does read in full, lives in one buffer that
+// grows on demand to at most historyCap+1 scores. A series that has never
+// moved stores neither: every value equals sameVal and every score is
+// zero, so two counters stand in for both, and the detector allocates
+// nothing. A series that moved and then held one value long enough to
+// fill both windows scores zero without discretizing anything: both
+// bitmaps are the single bigram (v, v).
+//
+// The zero value is a detector with the reference defaults; it is small
+// enough (48 bytes) for a series to hold it by value.
 type BitmapDetector struct {
-	// Alphabet is the SAX alphabet size; 4 if zero (the paper's reference
-	// implementation default).
-	Alphabet int
-	// Lead is the lead-window length; 8 if zero.
-	Lead int
-	// Lag is the lag-window length; 32 if zero.
-	Lag int
 	// Sigmas is the adaptive threshold multiplier; 3 if zero.
 	Sigmas float64
-
-	// n is the history length and win its most recent values (at least
-	// min(n, Lead+Lag) of them, contiguous, newest last). run is the length
-	// of the history's trailing run of equal values. scores is the score
-	// history. While allSame holds, win is nil, run is unused, scores is
-	// nil or holds the one non-zero score constantScore can give, and
-	// nScores counts the zero scores after it; afterwards nScores is
-	// unused.
-	n         int
-	win       []float64
-	run       int
-	scores    []float64
-	nScores   int
-	lastScore float64
+	// Alphabet is the SAX alphabet size; 4 if zero (the paper's reference
+	// implementation default).
+	Alphabet int16
+	// Lead is the lead-window length; 8 if zero.
+	Lead int16
+	// Lag is the lag-window length; 32 if zero.
+	Lag int16
 
 	allSame bool
-	sameVal float64
 	started bool
+
+	lastScore float64
+	sameVal   float64
+	// n is the history length. While allSame holds, nScores counts the
+	// zero scores (after the one non-zero score constantScore can give,
+	// if it gave one); afterwards it is unused. Neither passes
+	// historyCap+1.
+	n       int32
+	nScores int32
+	// h holds the value window and the score history; nil while allSame
+	// holds, unless the constant regime scored non-zero.
+	h *bitmapHistory
+}
+
+// bitmapHistory is the stored history of a detector. win holds the most
+// recent values (at least min(n, Lead+Lag) of them, contiguous, newest
+// last), and run is the length of the history's trailing run of equal
+// values, saturating at math.MaxInt32 (every decision reads it against
+// Lead+Lag). scores is the score history, grown on demand up to
+// historyCap+1 scores. While the detector's allSame holds, win is nil, run
+// is unused and scores holds the one non-zero score constantScore gave.
+type bitmapHistory struct {
+	win    []float64
+	scores []float64
+	run    int32
 }
 
 // historyCap is where the value and score histories are trimmed, and
@@ -204,28 +218,25 @@ const (
 	historyKeep = 2 * defaultMaxHistory
 )
 
-// NewBitmap returns a detector with reference defaults.
-func NewBitmap() *BitmapDetector { return &BitmapDetector{} }
-
 func (d *BitmapDetector) alphabet() int {
 	if d.Alphabet == 0 {
 		return 4
 	}
-	return d.Alphabet
+	return int(d.Alphabet)
 }
 
 func (d *BitmapDetector) lead() int {
 	if d.Lead == 0 {
 		return 8
 	}
-	return d.Lead
+	return int(d.Lead)
 }
 
 func (d *BitmapDetector) lag() int {
 	if d.Lag == 0 {
 		return 32
 	}
-	return d.Lag
+	return int(d.Lag)
 }
 
 func (d *BitmapDetector) sigmas() float64 {
@@ -245,7 +256,7 @@ func (d *BitmapDetector) warmup() int {
 }
 
 // Ready reports whether enough history has accumulated.
-func (d *BitmapDetector) Ready() bool { return d.n >= d.warmup() }
+func (d *BitmapDetector) Ready() bool { return int(d.n) >= d.warmup() }
 
 // Score returns the bitmap distance of the most recent Add.
 func (d *BitmapDetector) Score() float64 { return d.lastScore }
@@ -268,9 +279,9 @@ func (d *BitmapDetector) Add(v float64) bool {
 		d.n++
 		d.lastScore = 0
 		switch {
-		case d.n == MinObservations && d.n >= d.warmup():
+		case d.n == MinObservations && int(d.n) >= d.warmup():
 			if d.lastScore = d.constantScore(v); d.lastScore != 0 {
-				d.scores = append(make([]float64, 0, historyCap+1), d.lastScore)
+				d.h = &bitmapHistory{scores: []float64{d.lastScore}}
 			} else {
 				d.nScores++
 			}
@@ -278,48 +289,50 @@ func (d *BitmapDetector) Add(v float64) bool {
 			d.nScores++
 		}
 		if d.n > historyCap {
-			d.n, d.nScores, d.scores = historyKeep, historyKeep, nil
+			d.n, d.nScores, d.h = historyKeep, historyKeep, nil
 		}
 		return false
 	}
-	run := d.run
+	h := d.h
+	run := h.run
 	d.push(v)
-	if d.n < d.warmup() {
+	if int(d.n) < d.warmup() {
 		d.lastScore = 0
 		return false
 	}
-	if d.flat(d.run, len(d.win)) {
+	if d.flat(int(h.run), len(h.win)) {
 		d.lastScore = 0
 	} else {
-		lead := d.win[len(d.win)-d.lead():]
-		lagStart := len(d.win) - d.lead() - d.lag()
+		lead := h.win[len(h.win)-d.lead():]
+		lagStart := len(h.win) - d.lead() - d.lag()
 		if lagStart < 0 {
 			lagStart = 0
 		}
-		lag := d.win[lagStart : len(d.win)-d.lead()]
+		lag := h.win[lagStart : len(h.win)-d.lead()]
 		d.lastScore = bitmapDistance(lag, lead, d.alphabet())
 	}
 
 	// The cheap half of the test first: a (near-)zero score is never an
 	// outlier, whatever the threshold.
-	if d.lastScore > 1e-12 && len(d.scores) >= MinObservations {
-		m, s := meanStd(d.scores)
+	if d.lastScore > 1e-12 && len(h.scores) >= MinObservations {
+		m, s := meanStd(h.scores)
 		if d.lastScore > m+d.sigmas()*s {
 			// Remove the offending value so persistent shifts keep flagging.
-			d.win = d.win[:len(d.win)-1]
+			h.win = h.win[:len(h.win)-1]
 			d.n--
-			d.run = run
+			h.run = run
 			return true
 		}
 	}
-	d.scores = append(d.scores, d.lastScore)
-	if len(d.scores) > historyCap {
-		d.scores = d.scores[:copy(d.scores, d.scores[len(d.scores)-historyKeep:])]
+	h.scores = extendScores(h.scores, 1)
+	h.scores[len(h.scores)-1] = d.lastScore
+	if len(h.scores) > historyCap {
+		h.scores = h.scores[:copy(h.scores, h.scores[len(h.scores)-historyKeep:])]
 	}
 	if d.n > historyCap {
 		d.n = historyKeep
-		if len(d.win) > d.n {
-			d.win = d.win[:copy(d.win, d.win[len(d.win)-d.n:])]
+		if len(h.win) > historyKeep {
+			h.win = h.win[:copy(h.win, h.win[len(h.win)-historyKeep:])]
 		}
 	}
 	return false
@@ -353,28 +366,29 @@ func (d *BitmapDetector) Settled(v float64) bool {
 		// hold a bigram.
 		return v == d.sameVal && (d.n >= MinObservations || d.flat(MinObservations, MinObservations))
 	}
-	if d.n+1 < d.warmup() || d.win[len(d.win)-1] != v {
+	h := d.h
+	if int(d.n)+1 < d.warmup() || h.win[len(h.win)-1] != v {
 		return false
 	}
-	w := len(d.win) + 1
-	if len(d.win) == cap(d.win) {
-		w = cap(d.win) / 2
+	w := len(h.win) + 1
+	if len(h.win) == cap(h.win) {
+		w = cap(h.win) / 2
 	}
-	return d.flat(d.run+1, w)
+	return d.flat(int(h.run)+1, w)
 }
 
 // Clone returns an independent detector in the same state: it answers
 // every later sequence of Adds exactly as d would.
-func (d *BitmapDetector) Clone() *BitmapDetector {
+func (d *BitmapDetector) Clone() BitmapDetector {
 	c := *d
-	c.win = cloneFloats(d.win)
-	c.scores = cloneFloats(d.scores)
-	return &c
+	if d.h != nil {
+		c.h = &bitmapHistory{win: cloneFloats(d.h.win), scores: cloneFloats(d.h.scores), run: d.h.run}
+	}
+	return c
 }
 
 // cloneFloats copies xs into a buffer of the same length and capacity:
-// push slides win at its capacity, and past the length of the constant
-// regime's score buffer materialize expects zeros.
+// push slides win at its capacity.
 func cloneFloats(xs []float64) []float64 {
 	if xs == nil {
 		return nil
@@ -384,26 +398,39 @@ func cloneFloats(xs []float64) []float64 {
 	return out
 }
 
+// extendScores lengthens a score history by n zero scores. Its buffer
+// grows by doubling from 16 scores, never past the historyCap+1 a history
+// reaches before Add trims it, so a detector that has just left the
+// constant regime holds only the scores it has.
+func extendScores(s []float64, n int) []float64 {
+	l := len(s) + n
+	if l > cap(s) {
+		c := max(min(max(2*cap(s), 16), historyCap+1), l)
+		s = append(make([]float64, 0, c), s...)
+	}
+	s = s[:l]
+	clear(s[l-n:])
+	return s
+}
+
 // materialize leaves the constant regime: the value window and the score
-// history the counters stood for are written out, each into a buffer sized
-// once for the detector's lifetime.
+// history the counters stood for are written out, the window into a buffer
+// sized once for the detector's lifetime.
 func (d *BitmapDetector) materialize() {
+	if d.h == nil {
+		d.h = &bitmapHistory{}
+	}
+	h := d.h
 	w := d.lead() + d.lag()
-	k := d.n
-	if k > w {
-		k = w
+	k := min(int(d.n), w)
+	h.win = make([]float64, k, 2*w)
+	for i := range h.win {
+		h.win[i] = d.sameVal
 	}
-	d.win = make([]float64, k, 2*w)
-	for i := range d.win {
-		d.win[i] = d.sameVal
-	}
-	if d.scores == nil {
-		d.scores = make([]float64, 0, historyCap+1)
-	}
-	// The zero scores: nothing was written past len(d.scores) yet.
-	d.scores = d.scores[:len(d.scores)+d.nScores]
+	// The zero scores after the constant regime's one non-zero score.
+	h.scores = extendScores(h.scores, int(d.nScores))
 	d.nScores = 0
-	d.run = k
+	h.run = int32(k)
 }
 
 // constantScore is the score of the window a constant series at v takes at
@@ -427,16 +454,19 @@ func (d *BitmapDetector) constantScore(v float64) float64 {
 // the newest Lead+Lag-1 values move to the front, so the lag and lead
 // windows are always contiguous slices of it.
 func (d *BitmapDetector) push(v float64) {
-	if d.win[len(d.win)-1] == v {
-		d.run++
+	h := d.h
+	if h.win[len(h.win)-1] == v {
+		if h.run < math.MaxInt32 {
+			h.run++
+		}
 	} else {
-		d.run = 1
+		h.run = 1
 	}
-	if len(d.win) == cap(d.win) {
-		keep := cap(d.win)/2 - 1
-		d.win = d.win[:copy(d.win, d.win[len(d.win)-keep:])]
+	if len(h.win) == cap(h.win) {
+		keep := cap(h.win)/2 - 1
+		h.win = h.win[:copy(h.win, h.win[len(h.win)-keep:])]
 	}
-	d.win = append(d.win, v)
+	h.win = append(h.win, v)
 	d.n++
 }
 

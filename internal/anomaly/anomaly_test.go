@@ -406,3 +406,6 @@ func TestBitmapScoreAccessor(t *testing.T) {
 		t.Fatal("deviation should produce a positive score")
 	}
 }
+
+// NewBitmap returns a detector with reference defaults.
+func NewBitmap() *BitmapDetector { return &BitmapDetector{} }

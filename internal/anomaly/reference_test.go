@@ -229,7 +229,7 @@ type bitmapPair struct {
 
 func newBitmapPair(alphabet, lead, lag int) *bitmapPair {
 	return &bitmapPair{
-		got:  &BitmapDetector{Alphabet: alphabet, Lead: lead, Lag: lag},
+		got:  &BitmapDetector{Alphabet: int16(alphabet), Lead: int16(lead), Lag: int16(lag)},
 		want: &refBitmapDetector{Alphabet: alphabet, Lead: lead, Lag: lag},
 	}
 }
@@ -300,8 +300,8 @@ func TestBitmapMatchesReferenceTable(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			p.add(t, 3)
 		}
-		if p.got.win != nil || p.got.scores != nil {
-			t.Fatalf("a series that never moved holds %d values and %d scores", cap(p.got.win), cap(p.got.scores))
+		if h := p.got.h; h != nil {
+			t.Fatalf("a series that never moved holds %d values and %d scores", cap(h.win), cap(h.scores))
 		}
 	})
 

@@ -206,10 +206,10 @@ func (cs Communities) Clone() Communities {
 	return out
 }
 
-// Diff returns the communities present in cs but not in other. Both sets
-// must be normalized.
-func (cs Communities) Diff(other Communities) Communities {
-	var out Communities
+// Diff appends to dst the communities present in cs but not in other, and
+// returns the extended slice. Both sets must be normalized.
+func (cs Communities) Diff(dst, other Communities) Communities {
+	out := dst
 	i, j := 0, 0
 	for i < len(cs) {
 		switch {

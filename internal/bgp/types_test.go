@@ -118,11 +118,11 @@ func TestNormalizeCommunities(t *testing.T) {
 func TestCommunitiesDiff(t *testing.T) {
 	a := NormalizeCommunities(Communities{1, 2, 3, 5})
 	b := NormalizeCommunities(Communities{2, 3, 4})
-	got := a.Diff(b)
+	got := a.Diff(nil, b)
 	if !got.Equal(Communities{1, 5}) {
 		t.Errorf("Diff = %v", got)
 	}
-	if d := (Communities{}).Diff(b); len(d) != 0 {
+	if d := (Communities{}).Diff(nil, b); len(d) != 0 {
 		t.Errorf("empty Diff = %v", d)
 	}
 }
@@ -139,7 +139,7 @@ func TestQuickCommunitiesDiffPartition(t *testing.T) {
 		}
 		a = NormalizeCommunities(a)
 		b = NormalizeCommunities(b)
-		onlyA := a.Diff(b)
+		onlyA := a.Diff(nil, b)
 		// every element of onlyA is in a and not in b
 		inB := make(map[Community]bool)
 		for _, c := range b {

@@ -105,7 +105,15 @@ func BorderPath(t *traceroute.Traceroute, m traceroute.Mapper, aliases AliasOrac
 			hops = append(hops, mh)
 		}
 	}
-	out := AppendBorders(nil, hops)
+	// The crossings are gathered on the stack too and copied out at their
+	// final count: an entry keeps its border path for as long as it is
+	// tracked, so append's slack would stay with it.
+	var buf [32]BorderHop
+	found := AppendBorders(buf[:0], hops)
+	if len(found) == 0 {
+		return nil
+	}
+	out := append(make([]BorderHop, 0, len(found)), found...)
 	if aliases != nil {
 		for i := range out {
 			if r, ok := aliases.RouterOf(out[i].FarIP); ok {

@@ -28,7 +28,7 @@ func dupCount(cells []*vpCell) int {
 // and marks it awake. A series sleeps only while det.Settled(v) holds, and
 // each of these steps leaves it holding, so the replay flags nothing and
 // ends in the state the skipped steps would have left.
-func replay(det *anomaly.BitmapDetector, asleep *int, through int, v float64) {
+func replay(det *anomaly.BitmapDetector, asleep *int32, through int32, v float64) {
 	if *asleep == 0 {
 		return
 	}
@@ -77,13 +77,13 @@ type extraKey struct {
 // the destination but do not share the monitored subpath; contemporaneous
 // outliers exculpate the monitored border (§4.1.4, Fig 4).
 type extraSeries struct {
-	ak         bgp.ASN
 	cells      []*vpCell
-	det        *anomaly.BitmapDetector
+	det        anomaly.BitmapDetector
 	outlierWin int64
+	ak         bgp.ASN
 	// asleep is the shared close that last stepped the series while it
 	// sleeps, 0 while it is awake (see closeShared).
-	asleep int
+	asleep int32
 }
 
 // commMonitor is one corpus traceroute's §4.1.3 monitor: the τ ASes whose
@@ -287,15 +287,26 @@ func (s *pairState) registerBGPMonitors(en *corpus.Entry, pm *pairMonitors) {
 			}
 		}
 		sort.Slice(aks, func(x, y int) bool { return aks[x] < aks[y] })
+		if len(aks) > 0 {
+			bm.extras = make([]*extraSeries, 0, len(aks))
+		}
 		for _, ak := range aks {
 			ek := extraKey{ak: ak, dstIP: en.Key.Dst, j: j}
 			es, ok := sh.extras[ek]
 			if !ok {
-				es = &extraSeries{ak: ak, det: anomaly.NewBitmap()}
+				es = &extraSeries{ak: ak}
 				// W set: VPs traversing a_k toward d but not sharing the
 				// whole suffix.
+				inW := func(in vpInfo) bool { return in.path.Contains(ak) && !pathEndsWith(in.path, suffix) }
+				n := 0
 				for _, in := range infos {
-					if in.path.Contains(ak) && !pathEndsWith(in.path, suffix) {
+					if inW(in) {
+						n++
+					}
+				}
+				es.cells = make([]*vpCell, 0, n)
+				for _, in := range infos {
+					if inW(in) {
 						es.cells = append(es.cells, sh.cellFor(in.pf))
 					}
 				}

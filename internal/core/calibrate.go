@@ -206,7 +206,7 @@ func (e *Engine) EvaluateRefresh(newEntry *corpus.Entry) (bordermap.ChangeClass,
 		return bordermap.Unchanged, false
 	}
 	signaled := make(map[int][]Signal)
-	for _, sig := range e.active[newEntry.Key] {
+	for _, sig := range e.Active(newEntry.Key) {
 		signaled[sig.MonitorID] = append(signaled[sig.MonitorID], sig)
 	}
 	for _, reg := range e.Registrations(newEntry.Key) {

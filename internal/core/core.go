@@ -245,10 +245,10 @@ func monitorID(kind string, k traceroute.Key, scope string) int {
 // across re-registration: the detector as of the close numbered at, taken
 // from series from (see series.go).
 type retiredState struct {
-	det      *anomaly.BitmapDetector
+	det      anomaly.BitmapDetector
 	from     any
-	at       int
 	baseline float64
+	at       int32
 	hasBase  bool
 }
 

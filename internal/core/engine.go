@@ -71,8 +71,10 @@ type pairState struct {
 	brsLinkBuf []borderLink
 	pendingIXP []Signal
 
-	// Active signals per corpus pair, for revocation and querying.
-	active map[traceroute.Key][]Signal
+	// Active signals per corpus pair, for revocation and querying, as
+	// records (see active.go); trackBuf is track's scratch.
+	active   map[traceroute.Key][]activeSig
+	trackBuf []int32
 	// changed lists the pairs whose active signals the last close changed
 	// (raised or revoked), repeats allowed; closeOwned resets it. See
 	// ChangedKeys.
@@ -180,7 +182,7 @@ func NewEngine(cfg Config, m traceroute.Mapper, aliases bordermap.AliasOracle, g
 		eng:     e,
 		corp:    corpus.New(m, aliases),
 		mons:    make(map[traceroute.Key]*pairMonitors),
-		active:  make(map[traceroute.Key][]Signal),
+		active:  make(map[traceroute.Key][]activeSig),
 		retired: make(map[traceroute.Key]map[string]*retiredState),
 	}
 	return e
@@ -278,31 +280,6 @@ func (e *Engine) Potential(k traceroute.Key) int {
 	return e.mons[k].potential()
 }
 
-// Active returns the currently-active (unrevoked) signals for a pair.
-func (e *Engine) Active(k traceroute.Key) []Signal {
-	return e.active[k]
-}
-
-// RestoreActive re-injects previously-generated signals into the active
-// set, used when a Monitor is rebuilt from a snapshot: the signals keep
-// flagging their pairs as stale across a restart without replaying the
-// feed history that produced them. Restored signals carry MonitorIDs from
-// the previous process generation, which is fine for staleness queries and
-// refresh planning. §4.3.2 revocation is suspended for a restored pair: its
-// monitors were registered by this process against whatever routes the
-// restart found, so "back at baseline" is trivially true. The pair rejoins
-// revocation once it raises a signal here (its monitors then hold an
-// observed baseline); re-registration and removal drop the mark.
-func (e *Engine) RestoreActive(sigs []Signal) {
-	for _, sig := range sigs {
-		e.active[sig.Key] = append(e.active[sig.Key], sig)
-		if e.restored == nil {
-			e.restored = make(map[traceroute.Key]bool)
-		}
-		e.restored[sig.Key] = true
-	}
-}
-
 // SignalCounts returns per-technique signal totals.
 func (e *Engine) SignalCounts() map[Technique]int {
 	out := make(map[Technique]int, int(numTechniques))
@@ -318,8 +295,8 @@ func (e *Engine) SignalCounts() map[Technique]int {
 // marked restored: only restored pairs need the store lookup.
 func (e *Engine) ActivePairs() int {
 	n := 0
-	for k, sigs := range e.active {
-		if len(sigs) == 0 {
+	for k, recs := range e.active {
+		if len(recs) == 0 {
 			continue
 		}
 		if e.restored[k] {
@@ -369,5 +346,11 @@ func (e *Engine) RefreshPlan(budget int, rng *rand.Rand) []traceroute.Key {
 // attributes it was ranked by, so a cluster router can re-merge
 // per-worker plans in global priority order.
 func (e *Engine) RefreshPlanDetailed(budget int, rng *rand.Rand) []PlanItem {
-	return refreshPlan(e.active, e.mons, e.Calib, budget, rng)
+	active := make(map[traceroute.Key][]Signal, len(e.active))
+	for k := range e.active {
+		if sigs := e.Active(k); len(sigs) > 0 {
+			active[k] = sigs
+		}
+	}
+	return refreshPlan(active, e.mons, e.Calib, budget, rng)
 }

@@ -122,16 +122,16 @@ func (h keyHash) path(p bgp.Path) keyHash {
 // burstSeries is §4.1.4's duplicate count over one VP cell set.
 type burstSeries struct {
 	cells []*vpCell
-	det   *anomaly.BitmapDetector
-	// birth is the series' lineage (see above), -1 for a private series.
-	birth int
-	hash  uint64
 	// subs are the subscribed monitors in registration order.
 	subs []*burstMonitor
+	hash uint64
+	det  anomaly.BitmapDetector
+	// birth is the series' lineage (see above), -1 for a private series.
+	birth int32
 	// asleep is the shared close that last stepped the series while it
 	// sleeps, 0 while it is awake (see closeShared); dead marks a reclaimed
 	// series until the list holding it is compacted.
-	asleep int
+	asleep int32
 	dead   bool
 }
 
@@ -188,7 +188,9 @@ type cellSet struct {
 	refs int
 }
 
-// aspSeries is §4.1.2's overlap ratio over one VP set and scope.
+// aspSeries is §4.1.2's overlap ratio over one VP set and scope. Its
+// fields are ordered to pack it, detector included, into the 208-byte
+// size class.
 type aspSeries struct {
 	aspScope
 	// cells are the VPs' fold cells; contrib caches, per cell, the
@@ -196,23 +198,24 @@ type aspSeries struct {
 	// packContrib), so quiet windows need no RIB walk.
 	cells   *cellSet
 	contrib []uint8
-	det     *anomaly.BitmapDetector
-	birth   int
-	hash    uint64
 	subs    []*aspMonitor
+	hash    uint64
 
-	// baseline/last ratios for revocation (§4.3.2).
+	// baseline/last ratios for revocation (§4.3.2), valid while hasBase
+	// and hasLast.
 	baseline  float64
-	hasBase   bool
 	lastRatio float64
-	hasLast   bool
+
+	det    anomaly.BitmapDetector
+	birth  int32
+	asleep int32
 
 	// quietI/quietM aggregate the cached slot contributions (the window
-	// value when no monitored VP saw updates).
-	quietI, quietM int
+	// value when no monitored VP saw updates); each is at most the number
+	// of cells.
+	quietI, quietM int32
 
-	asleep int
-	dead   bool
+	hasBase, hasLast, dead bool
 }
 
 // quietRatio is the window value of a window that touched none of the
@@ -238,7 +241,7 @@ func (as *aspSeries) settled() bool {
 
 // wake replays the quiet windows the series slept through into det (its
 // own detector or a copy of it), up to and including shared close through.
-func (as *aspSeries) wake(det *anomaly.BitmapDetector, asleep *int, through int) {
+func (as *aspSeries) wake(det *anomaly.BitmapDetector, asleep *int32, through int32) {
 	if r, ok := as.quietRatio(); ok {
 		replay(det, asleep, through, r)
 	}
@@ -298,11 +301,17 @@ type seriesTables struct {
 	subscribers [numTechniques]int
 	seq         int
 
+	// burstDetails holds the signal Detail of each burst monitor that has
+	// fired, formatted once (see burstDetail); a monitor's entry leaves
+	// with it.
+	burstDetails map[*burstMonitor]string
+
 	// Registration and close scratch.
 	cellBuf    []*vpCell
 	contribBuf []uint8
 	commBuf    []vpCommState
 	borderBuf  []int
+	diffBuf    bgp.Communities
 	pathBuf    bgp.Path
 	dupBuf     []*vpCell
 	onOther    []uint8
@@ -340,7 +349,7 @@ func (sh *sharedState) joinBurst(bm *burstMonitor, cells []*vpCell, st *retiredS
 			return have.birth == sh.closes && slices.Equal(have.cells, cells)
 		})
 		if bs == nil {
-			bs = sh.newBurst(cells, anomaly.NewBitmap(), sh.closes)
+			bs = sh.newBurst(cells, anomaly.BitmapDetector{}, sh.closes)
 			bs.hash = uint64(h)
 			sh.burstTab.add(bs.hash, bs)
 		}
@@ -351,7 +360,7 @@ func (sh *sharedState) joinBurst(bm *burstMonitor, cells []*vpCell, st *retiredS
 	sh.subscribers[TechBGPBurst]++
 }
 
-func (sh *sharedState) newBurst(cells []*vpCell, det *anomaly.BitmapDetector, birth int) *burstSeries {
+func (sh *sharedState) newBurst(cells []*vpCell, det anomaly.BitmapDetector, birth int32) *burstSeries {
 	bs := &burstSeries{cells: slices.Clone(cells), det: det, birth: birth}
 	sh.bursts = append(sh.bursts, bs)
 	sh.awakeBursts = append(sh.awakeBursts, bs)
@@ -385,7 +394,7 @@ func (sh *sharedState) joinASP(m *aspMonitor, scope aspScope, cells []*vpCell, c
 			return have.birth == sh.closes && same(have)
 		})
 		if as == nil {
-			as = sh.newASP(scope, cells, contrib, anomaly.NewBitmap(), sh.closes)
+			as = sh.newASP(scope, cells, contrib, anomaly.BitmapDetector{}, sh.closes)
 			as.hash = uint64(h)
 			sh.aspTab.add(as.hash, as)
 		}
@@ -398,15 +407,15 @@ func (sh *sharedState) joinASP(m *aspMonitor, scope aspScope, cells []*vpCell, c
 
 // newASP creates an AS-path series; scope's paths, cells and contrib may
 // be scratch: the paths are copied into one allocation, the cells interned.
-func (sh *sharedState) newASP(scope aspScope, cells []*vpCell, contrib []uint8, det *anomaly.BitmapDetector, birth int) *aspSeries {
+func (sh *sharedState) newASP(scope aspScope, cells []*vpCell, contrib []uint8, det anomaly.BitmapDetector, birth int32) *aspSeries {
 	paths := make(bgp.Path, 0, len(scope.before)+len(scope.suffix))
 	paths = append(append(paths, scope.before...), scope.suffix...)
 	scope.before, scope.suffix = paths[:len(scope.before):len(scope.before)], paths[len(scope.before):]
 	as := &aspSeries{aspScope: scope, cells: sh.internCells(cells), contrib: slices.Clone(contrib), det: det, birth: birth}
 	for _, b := range as.contrib {
 		ci, cm := unpackContrib(b)
-		as.quietI += ci
-		as.quietM += cm
+		as.quietI += int32(ci)
+		as.quietM += int32(cm)
 	}
 	sh.asps = append(sh.asps, as)
 	sh.awakeASP = append(sh.awakeASP, as)
@@ -486,14 +495,15 @@ func (sh *sharedState) leaveBurst(bm *burstMonitor) *retiredState {
 	bs := bm.series
 	bs.subs = removeSub(bs.subs, bm)
 	sh.subscribers[TechBGPBurst]--
+	delete(sh.burstDetails, bm)
 	st := &retiredState{from: bs, at: sh.closes}
 	if len(bs.subs) > 0 {
-		det, asleep := bs.det.Clone(), bs.asleep
-		replay(det, &asleep, sh.closes, 0)
-		st.det = det
+		st.det = bs.det.Clone()
+		asleep := bs.asleep
+		replay(&st.det, &asleep, sh.closes, 0)
 		return st
 	}
-	replay(bs.det, &bs.asleep, sh.closes, 0)
+	replay(&bs.det, &bs.asleep, sh.closes, 0)
 	st.det = bs.det
 	bs.dead = true
 	if bs.birth >= 0 {
@@ -515,12 +525,12 @@ func (sh *sharedState) leaveASP(m *aspMonitor) *retiredState {
 	sh.subscribers[TechBGPASPath]--
 	st := &retiredState{from: as, at: sh.closes, baseline: as.baseline, hasBase: as.hasBase}
 	if len(as.subs) > 0 {
-		det, asleep := as.det.Clone(), as.asleep
-		as.wake(det, &asleep, sh.closes)
-		st.det = det
+		st.det = as.det.Clone()
+		asleep := as.asleep
+		as.wake(&st.det, &asleep, sh.closes)
 		return st
 	}
-	as.wake(as.det, &as.asleep, sh.closes)
+	as.wake(&as.det, &as.asleep, sh.closes)
 	st.det = as.det
 	as.dead = true
 	sh.releaseCells(as.cells)
@@ -621,7 +631,7 @@ func (sh *sharedState) closeSeries(ws int64, quiet bool, commChanged map[trie.Pr
 		if bs.dead {
 			continue
 		}
-		replay(bs.det, &bs.asleep, sh.closes-1, 0)
+		replay(&bs.det, &bs.asleep, sh.closes-1, 0)
 		dups := 0
 		if !quiet {
 			dups = dupCount(bs.cells)
@@ -651,7 +661,7 @@ func (sh *sharedState) closeSeries(ws int64, quiet bool, commChanged map[trie.Pr
 		if as.dead {
 			continue
 		}
-		as.wake(as.det, &as.asleep, sh.closes-1)
+		as.wake(&as.det, &as.asleep, sh.closes-1)
 		fired := as.step(!quiet)
 		if as.settled() {
 			as.asleep = sh.closes
@@ -745,7 +755,7 @@ func (sh *sharedState) fanBurst(bs *burstSeries, dups int, ws int64, commChanged
 			MonitorID:   bm.id,
 			WindowStart: ws,
 			Borders:     bm.borders,
-			Detail:      fmt.Sprintf("dup burst on suffix %v", bm.suffix),
+			Detail:      sh.burstDetail(bm),
 			Score:       bs.det.Score(),
 			VPCount:     dups,
 			ASOverlap:   len(bm.suffix),
@@ -755,9 +765,24 @@ func (sh *sharedState) fanBurst(bs *burstSeries, dups int, ws int64, commChanged
 	}
 }
 
+// burstDetail is the Detail of bm's signals. It names the monitor's
+// suffix, which is fixed at registration, so it is formatted at the
+// monitor's first firing and kept.
+func (sh *sharedState) burstDetail(bm *burstMonitor) string {
+	d, ok := sh.burstDetails[bm]
+	if !ok {
+		d = fmt.Sprintf("dup burst on suffix %v", bm.suffix)
+		if sh.burstDetails == nil {
+			sh.burstDetails = make(map[*burstMonitor]string)
+		}
+		sh.burstDetails[bm] = d
+	}
+	return d
+}
+
 // step feeds one window to the series and reports whether it flagged it.
 func (as *aspSeries) step(dirty bool) bool {
-	intersect, match := as.quietI, as.quietM
+	intersect, match := int(as.quietI), int(as.quietM)
 	if dirty {
 		for i, c := range as.cells.cells {
 			st := c.win
@@ -776,8 +801,8 @@ func (as *aspSeries) step(dirty bool) bool {
 			// windows.
 			ni, nm := as.contribution(c.path)
 			oi, om := unpackContrib(as.contrib[i])
-			as.quietI += ni - oi
-			as.quietM += nm - om
+			as.quietI += int32(ni - oi)
+			as.quietM += int32(nm - om)
 			as.contrib[i] = packContrib(ni, nm)
 		}
 	}
@@ -825,11 +850,16 @@ func (sh *sharedState) commSignals(sigs []Signal, ws int64, calib *Calibrator) [
 		if len(groups) == 0 {
 			continue
 		}
-		added := ev.cur.Diff(ev.prev)
-		changed := append(added, ev.prev.Diff(ev.cur)...)
+		// changed is the added communities (the first nAdded), then the
+		// removed ones, in close scratch.
+		changed := ev.cur.Diff(sh.diffBuf[:0], ev.prev)
+		nAdded := len(changed)
+		changed = ev.prev.Diff(changed, ev.cur)
+		sh.diffBuf = changed
 		for _, g := range groups {
-			// onOther[i] is caveat 2 for added[i]: 0 undecided, 1 no, 2 yes.
-			onOther := append(sh.onOther[:0], make([]uint8, len(added))...)
+			// onOther[i] is caveat 2 for changed[i], i < nAdded: 0
+			// undecided, 1 no, 2 yes.
+			onOther := append(sh.onOther[:0], make([]uint8, nAdded)...)
 			sh.onOther = onOther
 			for _, cm := range g.subs {
 				borders := sh.borderBuf[:0]
@@ -841,7 +871,7 @@ func (sh *sharedState) commSignals(sigs []Signal, ws int64, calib *Calibrator) [
 					}
 					// Caveat 2: an added community already on an overlapping
 					// path from another VP is not a new change signal.
-					if i < len(added) {
+					if i < nAdded {
 						if onOther[i] == 0 {
 							onOther[i] = 1
 							if g.communityOnOtherVP(ev.vp, c) {

@@ -44,11 +44,13 @@ type sharedState struct {
 	seriesTables
 
 	// §4.1.4 extra-AS exculpation series. awakeExtras are the ones not
-	// asleep (see closeShared); closes counts closeShared calls.
+	// asleep (see closeShared); closes counts closeShared calls (an int32,
+	// as the series' lineages and sleep marks that copy it are: 2³¹
+	// windows is 61 000 years of 900 s windows).
 	extras       map[extraKey]*extraSeries
 	extrasSorted []*extraSeries // cache of deterministic order; nil = dirty
 	awakeExtras  []*extraSeries
-	closes       int
+	closes       int32
 
 	// §4.2.1 subpath monitors, indexed by their start anchor's hop ID
 	// (see matchSubpaths).
@@ -280,7 +282,7 @@ func (sh *sharedState) closeShared(ws, end int64, calib *Calibrator) []Signal {
 	}
 	awake := sh.awakeExtras[:0]
 	for _, es := range extras {
-		replay(es.det, &es.asleep, sh.closes-1, 0)
+		replay(&es.det, &es.asleep, sh.closes-1, 0)
 		dups := 0
 		if !quiet {
 			dups = dupCount(es.cells)
@@ -325,6 +327,7 @@ func (sh *sharedState) closeShared(ws, end int64, calib *Calibrator) []Signal {
 			continue
 		}
 		for _, o := range rs.series.AdvanceTo(end) {
+			detail := rs.grp.shiftDetail()
 			for _, w := range rs.watchers {
 				sigs = append(sigs, Signal{
 					Technique:   TechTraceBorder,
@@ -332,7 +335,7 @@ func (sh *sharedState) closeShared(ws, end int64, calib *Calibrator) []Signal {
 					MonitorID:   rs.id,
 					WindowStart: o.WindowStart,
 					Borders:     oneBorder(w.border),
-					Detail:      fmt.Sprintf("border %s->%s router shift", rs.gk.FromAS, rs.gk.ToAS),
+					Detail:      detail,
 					Score:       o.Score,
 				})
 			}

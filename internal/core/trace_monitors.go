@@ -132,11 +132,22 @@ type borderGroup struct {
 	key     borderGroupKey
 	routers map[int]*borderRouterSeries
 	series  []*borderRouterSeries
+	// detail is its routers' signal detail, formatted when one first
+	// fires (see shiftDetail).
+	detail string
+}
+
+// shiftDetail is the Detail of a router shift signal in the group.
+func (g *borderGroup) shiftDetail() string {
+	if g.detail == "" {
+		g.detail = fmt.Sprintf("border %s->%s router shift", g.key.FromAS, g.key.ToAS)
+	}
+	return g.detail
 }
 
 type borderRouterSeries struct {
 	id       int
-	gk       borderGroupKey
+	grp      *borderGroup
 	router   int
 	watchers []subpathWatcher
 
@@ -276,7 +287,7 @@ func (s *pairState) registerBorderMonitors(en *corpus.Entry, pm *pairMonitors) {
 		rs := grp.routers[router]
 		if rs == nil {
 			name := fmt.Sprintf("brs:%d/%d-%d/%d@%d", gk.FromAS, gk.FromC, gk.ToAS, gk.ToC, router)
-			rs = &borderRouterSeries{id: hashID(name), gk: gk, router: router}
+			rs = &borderRouterSeries{id: hashID(name), grp: grp, router: router}
 			grp.routers[router] = rs
 			grp.series = append(grp.series, rs)
 			s.eng.sh.borderSorted = nil
@@ -569,10 +580,10 @@ func (s *pairState) closeOwned(sigs []Signal) []Signal {
 	// Track active signals and revoke reverted ones (§4.3.2).
 	for i := range sigs {
 		s.signalCount[sigs[i].Technique]++
-		s.active[sigs[i].Key] = append(s.active[sigs[i].Key], sigs[i])
 		s.changed = append(s.changed, sigs[i].Key)
 		delete(s.restored, sigs[i].Key)
 	}
+	s.track(sigs)
 	s.revokeReverted()
 
 	sortSignals(sigs)
@@ -623,12 +634,12 @@ func sortedRouterIDs(m map[int]*borderRouterSeries) []int {
 // (§4.3.2): the route reverted, so the traceroute is fresh again. Pairs
 // still marked restored are skipped (see RestoreActive).
 func (s *pairState) revokeReverted() {
-	for k, sigs := range s.active {
-		if len(sigs) == 0 || s.restored[k] {
+	for k, recs := range s.active {
+		if len(recs) == 0 || s.restored[k] {
 			continue
 		}
 		if s.pairReverted(k) {
-			s.revokedSignals += len(sigs)
+			s.revokedSignals += len(recs)
 			s.revokedPairs++
 			delete(s.active, k)
 			s.changed = append(s.changed, k)

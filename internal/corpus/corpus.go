@@ -18,7 +18,6 @@ type Entry struct {
 	Key        traceroute.Key
 	Trace      *traceroute.Traceroute
 	ASPath     bgp.Path
-	ASHops     []traceroute.ASHop
 	Borders    []bordermap.BorderHop
 	MeasuredAt int64
 }
@@ -70,7 +69,6 @@ func (c *Corpus) Process(t *traceroute.Traceroute) (*Entry, error) {
 		Key:        t.Key(),
 		Trace:      t,
 		ASPath:     traceroute.ASNs(hops),
-		ASHops:     hops,
 		Borders:    borders,
 		MeasuredAt: t.Time,
 	}, nil

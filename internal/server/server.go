@@ -386,8 +386,9 @@ type Verdict struct {
 }
 
 // verdictFromState renders a Monitor pair snapshot as a wire verdict. The
-// signalJSON conversion copies each signal out of engine-internal storage,
-// so the resulting Verdict is safe to cache across state transitions.
+// signalJSON conversion copies each signal's fields (its border indices
+// are the engine's, which never writes them), so the resulting Verdict is
+// safe to cache across state transitions.
 func verdictFromState(ps rrr.PairState) Verdict {
 	v := Verdict{Key: FormatKey(ps.Key)}
 	if !ps.Tracked {

@@ -314,10 +314,10 @@ func (m *Monitor) Advance(t int64) []Signal {
 func (m *Monitor) Stale(k Key) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.engine.Active(k)) > 0
+	return m.engine.ActiveCount(k) > 0
 }
 
-// ActiveSignals returns the pair's active signals.
+// ActiveSignals returns the pair's active signals in a new slice.
 func (m *Monitor) ActiveSignals(k Key) []Signal {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -331,7 +331,7 @@ func (m *Monitor) StaleKeys() []Key {
 	defer m.mu.Unlock()
 	var out []Key
 	m.corp.Each(func(en *Entry) {
-		if len(m.engine.Active(en.Key)) > 0 {
+		if m.engine.ActiveCount(en.Key) > 0 {
 			out = append(out, en.Key)
 		}
 	})
@@ -356,9 +356,9 @@ func (m *Monitor) StaleCount() int {
 func (m *Monitor) StateVersion() uint64 { return m.version.Load() }
 
 // PairState is one pair's verdict inputs, read consistently under a single
-// lock acquisition by PairStates. Signals aliases engine-internal storage:
-// treat it as read-only, and copy it to keep it past the next transition
-// that ChangedSince reports for the pair.
+// lock acquisition by PairStates. Signals is built for the call (one
+// buffer serves every key of a PairStates call) and stays valid; its
+// Borders slices are shared with the engine and must not be written.
 type PairState struct {
 	Key        Key
 	Tracked    bool
@@ -378,6 +378,7 @@ func (m *Monitor) PairStates(keys []Key) ([]PairState, uint64) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	out := make([]PairState, len(keys))
+	n := 0
 	for i, k := range keys {
 		out[i] = PairState{Key: k}
 		en, ok := m.corp.Get(k)
@@ -387,7 +388,19 @@ func (m *Monitor) PairStates(keys []Key) ([]PairState, uint64) {
 		out[i].Tracked = true
 		out[i].MeasuredAt = en.MeasuredAt
 		out[i].Potential = m.engine.Potential(k)
-		out[i].Signals = m.engine.Active(k)
+		n += m.engine.ActiveCount(k)
+	}
+	// Every key's signals go into one buffer, allocated at its final size
+	// (no allocation when it is 0).
+	buf := make([]Signal, 0, n)
+	for i := range out {
+		if out[i].Tracked {
+			start := len(buf)
+			buf = m.engine.AppendActive(buf, out[i].Key)
+			if len(buf) > start {
+				out[i].Signals = buf[start:len(buf):len(buf)]
+			}
+		}
 	}
 	return out, m.version.Load()
 }
@@ -577,7 +590,7 @@ func (m *Monitor) Snapshot() *MonitorSnapshot {
 	}
 	m.corp.Each(func(en *Entry) {
 		s.Traces = append(s.Traces, en.Trace)
-		s.Active = append(s.Active, m.engine.Active(en.Key)...)
+		s.Active = m.engine.AppendActive(s.Active, en.Key)
 	})
 	revSigs, revPairs := m.engine.RevocationStats()
 	s.RevokedSignals = m.baseRevSigs + revSigs
