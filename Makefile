@@ -44,7 +44,8 @@ race:
 
 # The per-layer counts behind the ledger's ingest numbers, one command:
 # ns, B and allocs per op for the engine (window close, public trace,
-# registration), the two detectors, and the event tap.
+# registration, and per update the window fold of a watched and of an
+# unwatched pair), the two detectors, and the event tap.
 bench:
 	$(GO) test -run xxx -bench . -benchmem -benchtime 10x ./internal/core/
 	$(GO) test -run xxx -bench 'Add|TapTrace' -benchmem ./internal/anomaly/ ./internal/events/
@@ -130,7 +131,12 @@ cachetest:
 # digests, clean and faulted, and a zero Config held to them; the pinned
 # digest of monitors that sleep through quiet windows, the pinned digest of
 # pairs sharing series across lineages, the fold cells' route cache, the series tables under re-registration churn,
-# the quiet-close allocation budget, the public-trace intake (the subpath
+# the quiet-close allocation budget; the window fold (window state for
+# watched pairs only, a pair watched mid-window replaying the window's
+# log, held to a plain map fold and to registrations made before the
+# window: TestFoldMatchesMapModel), its bounds after a table-dump window
+# (TestDumpWindowDoesNotPinFold) and its steady-storm allocation budget
+# (TestUnwatchedStormAllocs); the public-trace intake (the subpath
 # index held to the unfiltered loop, the pinned subpath key, the
 # once-per-bucket window choice over out-of-order buffers, the per-trace
 # allocation budget, and the hop table: a service answer flipped under a
@@ -147,7 +153,7 @@ cachetest:
 # per pair) and per active signal (TestActiveSignalHeap: what a repeating
 # signal's record holds), with the narrowed fields' bounds.
 closetest:
-	$(GO) test -race -count=1 ./internal/core -run 'TestShardedMatchesSerial|TestZeroConfigMatchesDefault|TestSleepingMonitorsMatchPinned|TestSharedSeriesLineage|TestCellRouteCache|TestReregisterDoesNotLeakCommMonitors|TestQuietCloseAllocs|TestSubpathIndexMatchesScan|TestSubpathKeyOf|TestRatioSeriesDecidesOncePerBucket|TestObserveTraceAllocs|TestHopTable|TestPackedObservationBounds|TestBorderIndexBound|TestActiveSignalsMatchModel|TestActiveSignalHeap' -v
+	$(GO) test -race -count=1 ./internal/core -run 'TestShardedMatchesSerial|TestZeroConfigMatchesDefault|TestSleepingMonitorsMatchPinned|TestSharedSeriesLineage|TestCellRouteCache|TestReregisterDoesNotLeakCommMonitors|TestQuietCloseAllocs|TestSubpathIndexMatchesScan|TestSubpathKeyOf|TestRatioSeriesDecidesOncePerBucket|TestObserveTraceAllocs|TestHopTable|TestPackedObservationBounds|TestBorderIndexBound|TestActiveSignalsMatchModel|TestActiveSignalHeap|TestFoldMatchesMapModel|TestDumpWindowDoesNotPinFold|TestUnwatchedStormAllocs' -v
 	$(GO) test -race -count=1 ./internal/corpus -run TestBorderCountBound -v
 	$(GO) test -race -count=1 . -run TestTrackHeapPerPair -v
 	$(GO) test -race -count=1 ./internal/bgp -run 'TestRIBApplyAllocs|TestBinaryReaderAllocs' -v

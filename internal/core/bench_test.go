@@ -162,3 +162,70 @@ func BenchmarkEnginePublicTrace(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkObserveBGPWatched and BenchmarkObserveBGPUnwatched time the
+// window fold alone, per classified RIB change: one op is a window of
+// foldWindow changes handed to observeBGPChange, the window's close
+// untimed. A change to a watched pair folds into its cell's window state;
+// one to any other pair is a log append.
+func BenchmarkObserveBGPWatched(b *testing.B) {
+	pfx, _ := trie.ParsePrefix("4.0.0.0/8")
+	benchFold(b, func(i int) vpPrefix {
+		v := i % 12 // benchEnv's VPs, each watched towards pfx
+		return vpPrefix{vp: bgp.VPKey{PeerIP: uint32(5+v)<<24 | 9, PeerAS: bgp.ASN(5 + v)}, pf: pfx}
+	})
+}
+
+func BenchmarkObserveBGPUnwatched(b *testing.B) {
+	benchFold(b, func(i int) vpPrefix {
+		return vpPrefix{vp: bgp.VPKey{PeerIP: 5<<24 | 9, PeerAS: 5}, pf: trie.MakePrefix(10<<24|uint32(i)<<8, 24)}
+	})
+}
+
+// foldWindow is the number of changes per window in the fold benchmarks.
+const foldWindow = 4096
+
+// benchFold runs the fold benchmarks' windows over the pairs key names
+// (AS-path changes and duplicates, alternating), on an engine tracking one
+// pair, and reports ns, B and allocs per change.
+func benchFold(b *testing.B, key func(int) vpPrefix) {
+	e := benchEnv(b, 1, 0)
+	us, cs := make([]bgp.Update, foldWindow), make([]bgp.Change, foldWindow)
+	prev, cur := bgp.Route{ASPath: bgp.Path{5, 2, 3, 4}}, bgp.Route{ASPath: bgp.Path{5, 2, 9, 4}}
+	for i := range us {
+		k := key(i)
+		us[i] = bgp.Update{Prefix: k.pf}
+		cs[i] = bgp.Change{Kind: bgp.ChangeASPath, VP: k.vp, HasPrev: true, Prev: prev, Cur: cur}
+		if i%2 == 1 {
+			cs[i].Kind, cs[i].Prev = bgp.ChangeDuplicate, cur
+		}
+	}
+	window := func() {
+		for i := range us {
+			e.sh.observeBGPChange(us[i], cs[i])
+		}
+	}
+	ws := int64(0)
+	window() // sizes the pool and the log
+	e.CloseWindow(ws)
+	var before, after runtime.MemStats
+	var mallocs, bytes uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ws += 900
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		window()
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		bytes += after.TotalAlloc - before.TotalAlloc
+		e.CloseWindow(ws)
+		b.StartTimer()
+	}
+	n := float64(b.N) * foldWindow
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/update")
+	b.ReportMetric(float64(bytes)/n, "B/update")
+	b.ReportMetric(float64(mallocs)/n, "allocs/update")
+}

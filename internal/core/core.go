@@ -259,15 +259,16 @@ type vpPrefix struct {
 
 // vpCell is the fold cell of one watched (VP, prefix): every series slot
 // and community state over that pair points at the same cell, so the
-// close reads the window's updates through a pointer instead of hashing
-// the pair into winUpdates once per slot. Cells exist only for
-// pairs some monitor watches — created at registration, never per RIB
-// entry — and, like the shared series, outlive their last watcher.
+// close reads the window's updates through a pointer, and the fold keeps
+// window state for watched pairs only. Cells exist only for pairs some
+// monitor watches — created at registration, never per RIB entry — and,
+// like the shared series, outlive their last watcher.
 type vpCell struct {
 	pf vpPrefix
 	// win is the pair's fold state while the open window has touched it,
-	// nil otherwise: linked by observeBGPChange (or at creation, for a pair
-	// registered mid-window), unlinked by resetWindow.
+	// nil otherwise: linked by observeBGPChange (or at creation, from the
+	// window's log, for a pair registered mid-window), unlinked by
+	// resetWindow.
 	win *vpWindowState
 	// routed, path and comms are the VP's table route for the prefix as of
 	// the last close (routed is false when it has none), reduced to the
@@ -292,8 +293,8 @@ func (c *vpCell) readRoute(rib *bgp.RIB) {
 }
 
 type vpWindowState struct {
-	// startPath/startComms are the route attributes at window start.
-	startPath  bgp.Path
+	// startComms is the route's community set at window start (startOK is
+	// false when the VP had no route then).
 	startComms bgp.Communities
 	startOK    bool
 	// updates during this window.

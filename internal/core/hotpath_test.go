@@ -172,7 +172,8 @@ func TestMidWindowRegistrationSeesEarlierUpdates(t *testing.T) {
 
 // TestFoldCellsOnlyForWatchedPairs: the storm workloads divide their heap
 // by a few dozen pairs while the feed touches the whole table, so nothing
-// per-(VP, prefix) may be created by an update.
+// per-(VP, prefix) may be created by an update: no fold cell, and no window
+// state taken from the pool or added to it.
 func TestFoldCellsOnlyForWatchedPairs(t *testing.T) {
 	te := newEnv(t)
 	te.primeVPs(t)
@@ -182,6 +183,7 @@ func TestFoldCellsOnlyForWatchedPairs(t *testing.T) {
 	if watched != 2 {
 		t.Fatalf("%d fold cells for a pair watched through 2 VPs", watched)
 	}
+	pool := len(te.e.sh.freeStates)
 	for i := 0; i < 1000; i++ {
 		te.e.ObserveBGP(bgp.Update{
 			Time: 905, PeerIP: mustIP(t, "5.0.0.9"), PeerAS: 5, Type: bgp.Announce,
@@ -198,7 +200,13 @@ func TestFoldCellsOnlyForWatchedPairs(t *testing.T) {
 	if got := len(te.e.sh.touched); got != 0 {
 		t.Fatalf("%d cells linked by updates no monitor watches", got)
 	}
+	if got := len(te.e.sh.freeStates); got != pool {
+		t.Fatalf("window-state pool went from %d to %d on updates no monitor watches", pool, got)
+	}
 	te.e.CloseWindow(900)
+	if got := len(te.e.sh.freeStates); got != pool {
+		t.Fatalf("window-state pool went from %d to %d over a close of unwatched updates", pool, got)
+	}
 }
 
 // TestQuietCloseAllocs is the allocation budget of a window in which

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rrr/internal/bgp"
@@ -28,9 +29,19 @@ type sharedState struct {
 	// fold cells at their routes.
 	rib *bgp.RIB
 
-	// Per-window BGP state, folded once per classified RIB change.
-	winUpdates map[vpPrefix]*vpWindowState
-	winComms   []commEvent
+	// Per-window BGP state, folded once per classified RIB change. A
+	// change to a watched (VP, prefix) folds into its cell's
+	// vpWindowState; a change to any other pair is one winLog record, which
+	// cellFor replays if a monitor starts watching the pair mid-window.
+	// winComms holds every VP's community changes (fanBurst reads any VP's
+	// on a burst cell's prefix).
+	winComms []commEvent
+	winLog   []foldRecord
+	// logHead indexes winLog[:logIndexed] by pair: the pair's newest
+	// record, whose prev chains back. cellFor builds it on first need;
+	// resetWindow drops it.
+	logHead    map[vpPrefix]int32
+	logIndexed int
 	// freeStates recycles vpWindowState objects across windows so the
 	// steady-state fold allocates nothing.
 	freeStates []*vpWindowState
@@ -92,7 +103,6 @@ func newSharedState(cfg Config, geo Geolocator, rib *bgp.RIB) *sharedState {
 		geo:          geo,
 		rib:          rib,
 		ladderStep:   step,
-		winUpdates:   make(map[vpPrefix]*vpWindowState),
 		cells:        make(map[vpPrefix]*vpCell),
 		seriesTables: newSeriesTables(),
 		extras:       make(map[extraKey]*extraSeries),
@@ -104,62 +114,126 @@ func newSharedState(cfg Config, geo Geolocator, rib *bgp.RIB) *sharedState {
 	}
 }
 
+// foldRecord is one logged change to a pair no monitor watches: what
+// replaying it into a vpWindowState needs, and no more.
+type foldRecord struct {
+	key vpPrefix
+	// prev is the index of the pair's previous record in the log, -1 for
+	// none; set when the record is indexed (see catchUp).
+	prev      int32
+	kind      bgp.ChangeKind
+	hasPrev   bool
+	prevComms bgp.Communities
+	cur       bgp.Path
+}
+
+// Pool and log sizes below which resetWindow never trims (see trimFold).
+const (
+	minFoldStates = 64
+	minFoldLog    = 1024
+)
+
 // observeBGPChange folds one already-applied RIB change into the window
 // state. It never touches the RIB, so the dispatcher applies each update
 // once and folds it once.
 func (sh *sharedState) observeBGPChange(u bgp.Update, c bgp.Change) {
-	key := vpPrefix{vp: c.VP, pf: u.Prefix}
-	st := sh.winUpdates[key]
-	if st == nil {
-		if n := len(sh.freeStates); n > 0 {
-			st = sh.freeStates[n-1]
-			sh.freeStates[n-1] = nil
-			sh.freeStates = sh.freeStates[:n-1]
-		} else {
-			st = &vpWindowState{}
-		}
-		if c.HasPrev {
-			st.startPath = c.Prev.ASPath
-			st.startComms = c.Prev.Communities
-			st.startOK = true
-		}
-		sh.winUpdates[key] = st
-		if cell := sh.cells[key]; cell != nil {
-			sh.link(cell, st)
-		}
-	}
-	switch c.Kind {
-	case bgp.ChangeWithdrawn:
-		// A withdrawal removes the path; contributes no path update.
-	case bgp.ChangeDuplicate:
-		st.dup = true
-		st.paths = append(st.paths, c.Cur.ASPath)
-	case bgp.ChangeCommunities:
-		st.paths = append(st.paths, c.Cur.ASPath)
+	if c.Kind == bgp.ChangeCommunities {
 		sh.winComms = append(sh.winComms, commEvent{
 			vp: c.VP, prefix: u.Prefix, prev: c.Prev.Communities,
 			cur: c.Cur.Communities, time: u.Time,
 		})
-	case bgp.ChangeASPath, bgp.ChangeNew:
-		st.paths = append(st.paths, c.Cur.ASPath)
 	}
+	key := vpPrefix{vp: c.VP, pf: u.Prefix}
+	cell := sh.cells[key]
+	if cell == nil {
+		sh.winLog = append(sh.winLog, foldRecord{
+			key: key, kind: c.Kind, hasPrev: c.HasPrev,
+			prevComms: c.Prev.Communities, cur: c.Cur.ASPath,
+		})
+		return
+	}
+	if cell.win == nil {
+		sh.link(cell, sh.takeState(c.HasPrev, c.Prev.Communities))
+	}
+	cell.win.fold(c.Kind, c.Cur.ASPath)
+}
+
+// fold adds one change to the pair's window state: every change but a
+// withdrawal contributes its path.
+func (st *vpWindowState) fold(kind bgp.ChangeKind, cur bgp.Path) {
+	if kind == bgp.ChangeWithdrawn {
+		return
+	}
+	st.dup = st.dup || kind == bgp.ChangeDuplicate
+	st.paths = append(st.paths, cur)
+}
+
+// takeState returns an empty window state from the pool, started at the
+// window-start route of the pair's first change.
+func (sh *sharedState) takeState(startOK bool, startComms bgp.Communities) *vpWindowState {
+	var st *vpWindowState
+	if n := len(sh.freeStates); n > 0 {
+		st = sh.freeStates[n-1]
+		sh.freeStates[n-1] = nil
+		sh.freeStates = sh.freeStates[:n-1]
+	} else {
+		st = &vpWindowState{}
+	}
+	st.startOK, st.startComms = startOK, startComms
+	return st
 }
 
 // cellFor returns the fold cell of a (VP, prefix) a series is about to
 // watch, creating it on first use. A pair first watched mid-window must
-// still see that window's earlier updates, so a new cell looks its state up
-// once here; from then on observeBGPChange keeps it linked.
+// still see that window's earlier updates, so a new cell replays the
+// pair's logged changes once here; from then on observeBGPChange folds
+// them into it directly.
 func (sh *sharedState) cellFor(pf vpPrefix) *vpCell {
 	c := sh.cells[pf]
 	if c == nil {
 		c = &vpCell{pf: pf}
 		c.readRoute(sh.rib)
 		sh.cells[pf] = c
-		if st := sh.winUpdates[pf]; st != nil {
-			sh.link(c, st)
-		}
+		sh.catchUp(c)
 	}
 	return c
+}
+
+// catchUp folds a new cell's logged changes, in log order, into a window
+// state linked to it. It first indexes the records logged since the last
+// catch-up: the window's log is indexed once, however many cells it
+// creates.
+func (sh *sharedState) catchUp(c *vpCell) {
+	if len(sh.winLog) == 0 {
+		return
+	}
+	if sh.logHead == nil {
+		sh.logHead = make(map[vpPrefix]int32)
+	}
+	for i := sh.logIndexed; i < len(sh.winLog); i++ {
+		r := &sh.winLog[i]
+		r.prev = -1
+		if j, ok := sh.logHead[r.key]; ok {
+			r.prev = j
+		}
+		sh.logHead[r.key] = int32(i)
+	}
+	sh.logIndexed = len(sh.winLog)
+	i, ok := sh.logHead[c.pf]
+	if !ok {
+		return
+	}
+	// Walk the chain newest first, then put the paths in log order; the
+	// oldest record holds the window-start route.
+	st := sh.takeState(false, nil)
+	var first *foldRecord
+	for ; i >= 0; i = sh.winLog[i].prev {
+		first = &sh.winLog[i]
+		st.fold(first.kind, first.cur)
+	}
+	slices.Reverse(st.paths)
+	st.startOK, st.startComms = first.hasPrev, first.prevComms
+	sh.link(c, st)
 }
 
 // link points a cell at the open window's state for its pair, which makes
@@ -169,27 +243,45 @@ func (sh *sharedState) link(c *vpCell, st *vpWindowState) {
 	sh.touched = append(sh.touched, c)
 }
 
-// resetWindow clears the per-window fold, recycling the state objects (and
-// their path slices) for the next window.
+// resetWindow clears the per-window fold: the touched cells' states go back
+// to the pool (with their path slices), and the log and its index are
+// emptied.
 func (sh *sharedState) resetWindow() {
 	for _, c := range sh.touched {
+		st := c.win
 		c.win = nil
-	}
-	sh.touched = sh.touched[:0]
-	for _, st := range sh.winUpdates {
-		st.startPath, st.startComms = nil, nil
-		st.startOK, st.dup = false, false
-		for i := range st.paths {
-			st.paths[i] = nil
-		}
+		st.startComms, st.startOK, st.dup = nil, false, false
+		clear(st.paths)
 		st.paths = st.paths[:0]
 		sh.freeStates = append(sh.freeStates, st)
 	}
-	clear(sh.winUpdates)
+	used := len(sh.touched)
+	sh.touched = sh.touched[:0]
+	logged := len(sh.winLog)
+	clear(sh.winLog)
+	sh.winLog = sh.winLog[:0]
+	sh.logHead, sh.logIndexed = nil, 0
+	sh.trimFold(used, logged)
 	for i := range sh.winComms {
 		sh.winComms[i] = commEvent{}
 	}
 	sh.winComms = sh.winComms[:0]
+}
+
+// trimFold releases the part of the state pool and of the log's storage
+// that the window just closed left unused: when a window used under a
+// quarter of either, it keeps twice what it used (and at least
+// minFoldStates states and minFoldLog records of room). One burst window,
+// such as a table dump, so does not pin its peak, while a steady storm
+// keeps both and allocates nothing.
+func (sh *sharedState) trimFold(used, logged int) {
+	if n := len(sh.freeStates); n > minFoldStates && 4*used < n {
+		keep := max(2*used, minFoldStates)
+		sh.freeStates = append([]*vpWindowState(nil), sh.freeStates[n-keep:]...)
+	}
+	if n := cap(sh.winLog); n > minFoldLog && 4*logged < n {
+		sh.winLog = make([]foldRecord, 0, max(2*logged, minFoldLog))
+	}
 }
 
 // sortedExtras returns the extra-AS series in deterministic order. The
