@@ -115,7 +115,7 @@ feedtest:
 scenariotest:
 	$(GO) test -race -count=1 ./internal/events -v
 	$(GO) test -race -count=1 ./internal/netsim -run TestScenario -v
-	$(GO) test -race -count=1 ./internal/experiments -run 'TestScenario|TestScoreEvents' -v
+	$(GO) test -race -count=1 ./internal/experiments -run 'TestScenario|TestScoreEvents|TestEventsPinned' -v
 	$(GO) test -race -count=1 ./internal/cluster -run TestEventsDifferential -v
 
 # Verdict-cache acceptance under the race detector: the cache's own tests

@@ -1,8 +1,15 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"rrr/internal/bgp"
 	"rrr/internal/events"
 	"rrr/internal/netsim"
 	"rrr/internal/trie"
@@ -122,4 +129,132 @@ func TestScoreEventsMatching(t *testing.T) {
 	if prec != 0.5 || rec != 0.5 {
 		t.Fatalf("prec=%v rec=%v, want 0.5/0.5", prec, rec)
 	}
+}
+
+// TestEventsPinned pins the detector's whole event stream, field by field,
+// where the accuracy floors above only see class-level precision and
+// recall: a change that reclassifies, rescores or drops one event fails
+// here. Two streams feed it: the reduced full-pack run, and a seeded churn
+// stream that reaches what the pack does not (a leaked route withdrawn, one
+// session re-announcing a foreign origin within a window, sessions sharing
+// an IP, announcements without a path). A deliberate classification change
+// re-pins the digest and counts and says which events moved.
+func TestEventsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		run      func() []events.Event
+		digest   string
+		perClass map[string]int
+	}{
+		{
+			name: "scenario",
+			run: func() []events.Event {
+				sc := QuickScale()
+				sc.Days = 4
+				sc.PublicPerWindow = 20
+				pack := netsim.FullPack()
+				return runScenarioPass(sc, &pack, 4242).events
+			},
+			digest: "e7411529ba2f042e31e2693cf6ff6e1485a10719e4105c9b64250fbc32355a2e",
+			perClass: map[string]int{
+				"hijack-origin": 2, "hijack-moas": 2, "hijack-subprefix": 2, "route-leak": 2, "blackhole": 2,
+				"trace-loop": 1, "trace-cycle": 2, "trace-diamond": 2, "diurnal": 3,
+			},
+		},
+		{
+			name:   "churn",
+			run:    func() []events.Event { return churnEvents(4242) },
+			digest: "7c1a1ddc883a93279d2e7d34f3cff0cd21c5f38eb51f8cf17e165dfe1e0b7fa5",
+			perClass: map[string]int{
+				"hijack-moas": 76, "hijack-subprefix": 57, "route-leak": 451, "blackhole": 72, "diurnal": 1,
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := sha256.New()
+			counts := map[string]int{}
+			for _, ev := range tc.run() {
+				fmt.Fprintf(h, "%v|%d|%v|%d|%d>%d|%s|%x|%d\n", ev.Class, ev.WindowStart, ev.Prefix, ev.AS,
+					ev.Key.Src, ev.Key.Dst, ev.Detail, math.Float64bits(ev.Score), ev.VPCount)
+				counts[ev.Class.String()]++
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.digest {
+				t.Errorf("event stream digest %s, want %s", got, tc.digest)
+			}
+			if !reflect.DeepEqual(counts, tc.perClass) {
+				t.Errorf("events per class %v, want %v", counts, tc.perClass)
+			}
+		})
+	}
+}
+
+// churnEvents runs three days of seeded random BGP churn through a primed
+// detector: eight sessions (three pairs of them share a peer IP) over
+// eleven baseline prefixes, two of them anycast, with duplicates, prepend
+// flaps, foreign origins, leaks, withdrawals, blackholes, more-specifics,
+// community toggles and pathless announcements, plus a twelfth prefix that
+// churns once a day in the same slot.
+func churnEvents(seed int64) []events.Event {
+	const windowSec, days = 900, 3
+	rng := rand.New(rand.NewSource(seed))
+	det := events.NewDetector(events.Config{})
+	type session struct {
+		ip uint32
+		as bgp.ASN
+	}
+	var sessions []session
+	for i := 0; i < 8; i++ {
+		sessions = append(sessions, session{ip: 0xC6336401 + uint32(i%5), as: bgp.ASN(100 + i)})
+	}
+	prefix := func(i int) trie.Prefix { return trie.MakePrefix(0x14000000+uint32(i)<<16, 16) }
+	origin := func(s, p int) bgp.ASN {
+		if p < 2 && s%2 == 1 {
+			return bgp.ASN(320 + p) // anycast second origin
+		}
+		return bgp.ASN(300 + p)
+	}
+	update := func(s int, p trie.Prefix, path ...bgp.ASN) bgp.Update {
+		return bgp.Update{PeerIP: sessions[s].ip, PeerAS: sessions[s].as, Type: bgp.Announce, Prefix: p, ASPath: path}
+	}
+	baseline := func(s, p int) bgp.Update {
+		return update(s, prefix(p), sessions[s].as, bgp.ASN(200+(s+p)%4), origin(s, p))
+	}
+	for s := range sessions {
+		for p := 0; p < 12; p++ {
+			det.Prime(baseline(s, p))
+		}
+	}
+	for w := int64(0); w < days*86400/windowSec; w++ {
+		for n := rng.Intn(6); n > 0; n-- {
+			s, p := rng.Intn(len(sessions)), rng.Intn(11)
+			u := baseline(s, p)
+			switch rng.Intn(9) {
+			case 1: // prepend flap
+				u.ASPath = append(bgp.Path{sessions[s].as}, u.ASPath...)
+			case 2: // foreign origin
+				u.ASPath[2] = bgp.ASN(400 + rng.Intn(3))
+			case 3: // leak through a stub
+				u.ASPath = bgp.Path{u.ASPath[0], bgp.ASN(400 + rng.Intn(3)), u.ASPath[1], u.ASPath[2]}
+			case 4:
+				u = bgp.Update{PeerIP: u.PeerIP, PeerAS: u.PeerAS, Type: bgp.Withdraw, Prefix: u.Prefix}
+			case 5:
+				u.Communities = bgp.Communities{events.BlackholeCommunity}
+			case 6: // more-specific, by the covering origin or a stub
+				u.Prefix = trie.MakePrefix(u.Prefix.Addr|uint32(rng.Intn(4))<<14, 18)
+				if rng.Intn(2) == 0 {
+					u.ASPath[2] = bgp.ASN(400 + rng.Intn(3))
+				}
+			case 7:
+				u.Communities = bgp.Communities{bgp.MakeCommunity(u.ASPath[0], uint16(rng.Intn(3)))}
+			case 8:
+				u.ASPath = nil
+			}
+			det.TapUpdate(u)
+		}
+		if w%96 == 30 {
+			det.TapUpdate(baseline(int(w/96)%len(sessions), 11))
+		}
+		det.TapWindowClose(w * windowSec)
+	}
+	return det.Events()
 }
