@@ -48,7 +48,7 @@ race:
 # unwatched pair), the two detectors, and the event tap.
 bench:
 	$(GO) test -run xxx -bench . -benchmem -benchtime 10x ./internal/core/
-	$(GO) test -run xxx -bench 'Add|TapTrace' -benchmem ./internal/anomaly/ ./internal/events/
+	$(GO) test -run xxx -bench 'Add|Tap' -benchmem ./internal/anomaly/ ./internal/events/
 
 # Short fuzz pass over every entry point that consumes untrusted bytes:
 # the BGP parsers (MRT, binary, and text codecs; path and community

@@ -488,3 +488,36 @@ func TestTapUpdateAllocs(t *testing.T) {
 		t.Fatalf("TapUpdate on a known route: %v allocations, want 0", n)
 	}
 }
+
+// BenchmarkTapUpdate is the detector's per-update cost on the mid-scale
+// table's shape: 46 sessions × 268 prefixes primed, then windows of 4 096
+// updates that cycle exact re-announcements, prepend flaps and community
+// toggles over those routes. The window close is not timed.
+func BenchmarkTapUpdate(b *testing.B) {
+	const sessions, prefixes, window = 46, 268, 4096
+	d := NewDetector(Config{})
+	var updates []bgp.Update
+	for p := 0; p < prefixes; p++ {
+		for s := 0; s < sessions; s++ {
+			u := bgp.Update{PeerIP: 0xC6336401 + uint32(s), PeerAS: bgp.ASN(100 + s), Type: bgp.Announce,
+				Prefix: trie.MakePrefix(0x14000000+uint32(p)<<16, 16),
+				ASPath: bgp.Path{bgp.ASN(100 + s), bgp.ASN(200 + (s+p)%8), bgp.ASN(300 + p)}}
+			d.Prime(u)
+			flap, toggle := u, u
+			flap.ASPath = append(bgp.Path{u.ASPath[0]}, u.ASPath...)
+			toggle.Communities = bgp.Communities{bgp.MakeCommunity(u.PeerAS, 1)}
+			updates = append(updates, u, flap, toggle)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A stride coprime with len(updates) spreads each window over the table.
+		d.TapUpdate(updates[i*7919%len(updates)])
+		if i%window == window-1 {
+			b.StopTimer()
+			d.TapWindowClose(int64(i/window) * 900)
+			b.StartTimer()
+		}
+	}
+}
