@@ -37,7 +37,7 @@ func TestIngestAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := events.NewDetector(events.Config{WindowSec: sc.WindowSec})
+	det := events.NewDetector(events.Config{})
 	for _, u := range env.Dump {
 		mon.ObserveBGP(u)
 		det.Prime(u)

@@ -73,7 +73,7 @@ func New(sc experiments.Scale, o Options) (*Daemon, error) {
 	// Prime before tracking so registrations see the RIB. The detector
 	// learns its baselines from the same dump; every worker sees the full
 	// feed, so detectors are identical whatever Keep selects.
-	det := events.NewDetector(events.Config{WindowSec: sc.WindowSec})
+	det := events.NewDetector(events.Config{})
 	for _, u := range env.Dump {
 		mon.ObserveBGP(u)
 		det.Prime(u)

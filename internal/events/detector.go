@@ -1,6 +1,7 @@
 package events
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -9,41 +10,28 @@ import (
 	"rrr/internal/trie"
 )
 
-// Config tunes the Detector.
+// Config is NewDetector's argument; none of its fields has an effect.
 type Config struct {
-	// WindowSec is the emission window length (must match the engine's;
-	// 900 if zero). Diurnal slot arithmetic requires 86400 % WindowSec == 0,
-	// which every deployed window length satisfies.
+	// WindowSec was the emission window length. The detector closes
+	// whichever windows the pipeline closes; diurnal slots are window
+	// starts, so any window length dividing a day works.
+	//
+	// Deprecated: kept only so existing callers compile; it has no effect.
 	WindowSec int64
-	// DiurnalDays is how many consecutive days a prefix must churn in the
-	// same daily slot before it is classified diurnal (3 if zero).
-	DiurnalDays int
-	// DiurnalSparseMax caps how many *other* active windows the prefix may
-	// have had in the trailing day: periodicity means the churn is
-	// concentrated in the repeating slot, not constant (3 if zero).
-	DiurnalSparseMax int
-	// OnEvent, when set, receives every emitted event in canonical order
-	// at window close, on the tapping goroutine. Wire it to the serving
-	// hub's event publisher.
-	OnEvent func(Event)
 }
+
+// Diurnal classification: a prefix is diurnal once it has churned in the
+// same daily slot on diurnalDays consecutive days, with at most
+// diurnalSparseMax *other* active windows in the trailing day — periodicity
+// means the churn is concentrated in the repeating slot, not constant.
+const (
+	diurnalDays      = 3
+	diurnalSparseMax = 3
+	day              = 86400
+)
 
 // BlackholeCommunity is RFC 7999's well-known BLACKHOLE community.
 var BlackholeCommunity = bgp.MakeCommunity(65535, 666)
-
-// routeKey identifies one vantage point's route to one prefix. A vantage
-// point is a BGP session, (peer IP, peer AS), as in bgp.RIB: two sessions
-// on one IP hold two routes.
-type routeKey struct {
-	vp     bgp.VPKey
-	prefix trie.Prefix
-}
-
-// routeVal is the current state of one (vp, prefix) route.
-type routeVal struct {
-	origin bgp.ASN
-	leaker bgp.ASN // non-transit AS observed mid-path; 0 when clean
-}
 
 // Detector consumes the ingested record stream (via the Pipeline's record
 // tap) and classifies routing events against a baseline learned from the
@@ -51,27 +39,16 @@ type routeVal struct {
 // goroutine; Events/Filtered may be called concurrently from HTTP
 // handlers.
 type Detector struct {
-	mu  sync.Mutex
-	cfg Config
+	mu   sync.Mutex
+	sink func(Event)
 
-	// Baseline learned during priming: per-prefix legitimate origin sets
-	// (multi-origin baselines are anycast, hence benign MOAS) and the set
-	// of ASes observed providing transit (mid-path).
-	baseline map[trie.Prefix]map[bgp.ASN]bool
-	transit  map[bgp.ASN]bool
+	// The ASes the priming dump showed providing transit (mid-path).
+	transit map[bgp.ASN]bool
+	// One record per prefix seen, primed or streamed; touched lists the
+	// ones the open window has updates for, which are all a close reads.
+	prefixes map[trie.Prefix]*prefixState
+	touched  []*prefixState
 
-	// Live routing view: per-(vp, prefix) current route plus per-prefix
-	// tallies of VPs per origin and per leaker, kept incrementally so
-	// window close classifies in O(touched prefixes).
-	cur       map[routeKey]routeVal
-	originCnt map[trie.Prefix]map[bgp.ASN]int
-	leakCnt   map[trie.Prefix]map[bgp.ASN]int
-
-	// Per-window accumulators, reset at each close.
-	winTouched   map[trie.Prefix]bool
-	winNewOrigin map[trie.Prefix]map[bgp.ASN]int // non-baseline origins seen: VP count
-	winBlackhole map[trie.Prefix]*blackholeObs
-	winChurn     map[trie.Prefix]int
 	winArtifacts map[artifactKey]*artifactObs
 	// Distinct hop sequences seen per pair this window: winTraceSigs heads
 	// a chain through winSigs, whose entries span winSigHops. The slab and
@@ -80,16 +57,45 @@ type Detector struct {
 	winSigs      []sigSpan
 	winSigHops   []uint32
 
-	// Diurnal slot activity: prefix -> set of window starts with churn,
-	// pruned past the detection horizon.
-	activity map[trie.Prefix]map[int64]bool
-
 	emitted []Event
 }
 
-type blackholeObs struct {
+// prefixState is all the detector knows of one prefix. Its slices are
+// small (one entry per session at most) and reused across windows, so a
+// linear scan beats a map.
+type prefixState struct {
+	prefix trie.Prefix
+	// baseline holds the origins the priming dump showed (several for
+	// anycast, hence benign MOAS); empty for a prefix first seen streamed.
+	baseline []bgp.ASN
+	// routes holds each session's current route, in no particular order.
+	routes []route
+
+	// The open window: how many updates it has seen, the non-baseline
+	// origins announced with their update counts, and the sessions that
+	// announced the blackhole community with the origin of the first.
+	churn           int
+	newOrigins      []originCount
+	blackholes      []bgp.VPKey
+	blackholeOrigin bgp.ASN
+
+	// slots holds the window starts, ascending, whose close found the
+	// prefix churning, pruned to the diurnal horizon at each such close.
+	slots []int64
+}
+
+// route is one session's current route to a prefix. A vantage point is a
+// BGP session, (peer IP, peer AS), as in bgp.RIB: two sessions on one IP
+// hold two routes.
+type route struct {
+	vp     bgp.VPKey
 	origin bgp.ASN
-	vps    map[bgp.VPKey]bool
+	leaker bgp.ASN // non-transit AS observed mid-path; 0 when clean
+}
+
+type originCount struct {
+	origin bgp.ASN
+	n      int
 }
 
 // traceSigs is one pair's distinct hop sequences in the open window: the
@@ -119,54 +125,32 @@ type artifactObs struct {
 
 // NewDetector builds a detector with an empty baseline; feed the priming
 // table dump through Prime before streaming.
-func NewDetector(cfg Config) *Detector {
-	if cfg.WindowSec <= 0 {
-		cfg.WindowSec = 900
-	}
-	if cfg.DiurnalDays <= 0 {
-		cfg.DiurnalDays = 3
-	}
-	if cfg.DiurnalSparseMax <= 0 {
-		cfg.DiurnalSparseMax = 3
-	}
-	d := &Detector{
-		cfg:       cfg,
-		baseline:  make(map[trie.Prefix]map[bgp.ASN]bool),
-		transit:   make(map[bgp.ASN]bool),
-		cur:       make(map[routeKey]routeVal),
-		originCnt: make(map[trie.Prefix]map[bgp.ASN]int),
-		leakCnt:   make(map[trie.Prefix]map[bgp.ASN]int),
-		activity:  make(map[trie.Prefix]map[int64]bool),
-
-		winTouched:   make(map[trie.Prefix]bool),
-		winNewOrigin: make(map[trie.Prefix]map[bgp.ASN]int),
-		winBlackhole: make(map[trie.Prefix]*blackholeObs),
-		winChurn:     make(map[trie.Prefix]int),
+func NewDetector(Config) *Detector {
+	return &Detector{
+		transit:      make(map[bgp.ASN]bool),
+		prefixes:     make(map[trie.Prefix]*prefixState),
 		winArtifacts: make(map[artifactKey]*artifactObs),
 		winTraceSigs: make(map[traceroute.Key]traceSigs),
 	}
-	return d
 }
 
-// SetSink replaces the emission callback. Useful when the sink (an SSE
-// hub, say) is constructed after the detector it subscribes to.
+// SetSink sets the callback that receives every emitted event in canonical
+// order at window close, on the tapping goroutine. Set it once the sink (an
+// SSE hub, say) exists; it may come after the detector it subscribes to.
 func (d *Detector) SetSink(fn func(Event)) {
 	d.mu.Lock()
-	d.cfg.OnEvent = fn
+	d.sink = fn
 	d.mu.Unlock()
 }
 
-// resetWindow empties the per-window accumulators, keeping their storage:
-// a window's maps are about the size of the last one's.
-func (d *Detector) resetWindow() {
-	clear(d.winTouched)
-	clear(d.winNewOrigin)
-	clear(d.winBlackhole)
-	clear(d.winChurn)
-	clear(d.winArtifacts)
-	clear(d.winTraceSigs)
-	d.winSigs = d.winSigs[:0]
-	d.winSigHops = d.winSigHops[:0]
+// state returns p's record, creating it on first sight.
+func (d *Detector) state(p trie.Prefix) *prefixState {
+	st := d.prefixes[p]
+	if st == nil {
+		st = &prefixState{prefix: p}
+		d.prefixes[p] = st
+	}
+	return st
 }
 
 // Prime learns the baseline from one table-dump update: legitimate origin
@@ -179,54 +163,37 @@ func (d *Detector) Prime(u bgp.Update) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	origin := u.ASPath.Origin()
-	set := d.baseline[u.Prefix]
-	if set == nil {
-		set = make(map[bgp.ASN]bool)
-		d.baseline[u.Prefix] = set
+	st := d.state(u.Prefix)
+	if !slices.Contains(st.baseline, origin) {
+		st.baseline = append(st.baseline, origin)
 	}
-	set[origin] = true
 	for _, as := range interior(u.ASPath) {
 		d.transit[as] = true
 	}
-	d.setRoute(routeKey{vp: vpOf(u), prefix: u.Prefix}, routeVal{origin: origin})
+	st.setRoute(route{vp: vpOf(u), origin: origin})
 	metEventsPrimed.Inc()
 }
 
-// setRoute installs (or with zero val, removes) one vp route, maintaining
-// the per-prefix origin and leaker tallies.
-func (d *Detector) setRoute(rk routeKey, val routeVal) {
-	if old, ok := d.cur[rk]; ok {
-		if m := d.originCnt[rk.prefix]; m != nil {
-			if m[old.origin]--; m[old.origin] <= 0 {
-				delete(m, old.origin)
-			}
-		}
-		if old.leaker != 0 {
-			if m := d.leakCnt[rk.prefix]; m != nil {
-				if m[old.leaker]--; m[old.leaker] <= 0 {
-					delete(m, old.leaker)
-				}
-			}
+// setRoute installs r as its session's route.
+func (st *prefixState) setRoute(r route) {
+	for i := range st.routes {
+		if st.routes[i].vp == r.vp {
+			st.routes[i] = r
+			return
 		}
 	}
-	if val == (routeVal{}) {
-		delete(d.cur, rk)
-		return
-	}
-	d.cur[rk] = val
-	m := d.originCnt[rk.prefix]
-	if m == nil {
-		m = make(map[bgp.ASN]int)
-		d.originCnt[rk.prefix] = m
-	}
-	m[val.origin]++
-	if val.leaker != 0 {
-		lm := d.leakCnt[rk.prefix]
-		if lm == nil {
-			lm = make(map[bgp.ASN]int)
-			d.leakCnt[rk.prefix] = lm
+	st.routes = append(st.routes, r)
+}
+
+// dropRoute removes vp's route, if it has one.
+func (st *prefixState) dropRoute(vp bgp.VPKey) {
+	for i := range st.routes {
+		if st.routes[i].vp == vp {
+			last := len(st.routes) - 1
+			st.routes[i] = st.routes[last]
+			st.routes = st.routes[:last]
+			return
 		}
-		lm[val.leaker]++
 	}
 }
 
@@ -262,11 +229,14 @@ func (d *Detector) TapUpdate(u bgp.Update) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	metEventsUpdates.Inc()
-	d.winChurn[u.Prefix]++
-	d.winTouched[u.Prefix] = true
-	rk := routeKey{vp: vpOf(u), prefix: u.Prefix}
+	st := d.state(u.Prefix)
+	if st.churn == 0 {
+		d.touched = append(d.touched, st)
+	}
+	st.churn++
+	vp := vpOf(u)
 	if u.Type == bgp.Withdraw {
-		d.setRoute(rk, routeVal{})
+		st.dropRoute(vp)
 		return
 	}
 	if len(u.ASPath) == 0 {
@@ -280,24 +250,21 @@ func (d *Detector) TapUpdate(u bgp.Update) {
 			break
 		}
 	}
-	d.setRoute(rk, routeVal{origin: origin, leaker: leaker})
-	if set, known := d.baseline[u.Prefix]; !known || !set[origin] {
-		m := d.winNewOrigin[u.Prefix]
-		if m == nil {
-			m = make(map[bgp.ASN]int)
-			d.winNewOrigin[u.Prefix] = m
+	st.setRoute(route{vp: vp, origin: origin, leaker: leaker})
+	if !slices.Contains(st.baseline, origin) {
+		i := slices.IndexFunc(st.newOrigins, func(o originCount) bool { return o.origin == origin })
+		if i < 0 {
+			i = len(st.newOrigins)
+			st.newOrigins = append(st.newOrigins, originCount{origin: origin})
 		}
-		m[origin]++
+		st.newOrigins[i].n++
 	}
-	for _, c := range u.Communities {
-		if c == BlackholeCommunity {
-			obs := d.winBlackhole[u.Prefix]
-			if obs == nil {
-				obs = &blackholeObs{origin: origin, vps: make(map[bgp.VPKey]bool)}
-				d.winBlackhole[u.Prefix] = obs
-			}
-			obs.vps[rk.vp] = true
-			break
+	if slices.Contains(u.Communities, BlackholeCommunity) {
+		if len(st.blackholes) == 0 {
+			st.blackholeOrigin = origin
+		}
+		if !slices.Contains(st.blackholes, vp) {
+			st.blackholes = append(st.blackholes, vp)
 		}
 	}
 }
@@ -374,16 +341,33 @@ func sameHops(ips []uint32, hops []traceroute.Hop) bool {
 func (d *Detector) TapWindowClose(ws int64) {
 	d.mu.Lock()
 	var evs []Event
-	d.classifyHijacks(ws, &evs)
-	d.classifyLeaks(ws, &evs)
-	d.classifyBlackholes(ws, &evs)
+	for _, st := range d.touched {
+		d.classifyHijacks(ws, st, &evs)
+		classifyLeaks(ws, st, &evs)
+		if len(st.blackholes) > 0 {
+			evs = append(evs, Event{
+				Class: Blackhole, WindowStart: ws,
+				Prefix: st.prefix, AS: st.blackholeOrigin,
+				Detail:  "RFC7999 65535:666",
+				Score:   float64(len(st.blackholes)),
+				VPCount: len(st.blackholes),
+			})
+		}
+		classifyDiurnal(ws, st, &evs)
+		st.churn = 0
+		st.newOrigins = st.newOrigins[:0]
+		st.blackholes = st.blackholes[:0]
+	}
+	d.touched = d.touched[:0]
 	d.classifyArtifacts(ws, &evs)
-	d.classifyDiurnal(ws, &evs)
 	sort.Slice(evs, func(i, j int) bool { return EventLess(evs[i], evs[j]) })
 	d.emitted = append(d.emitted, evs...)
-	d.resetWindow()
+	clear(d.winArtifacts)
+	clear(d.winTraceSigs)
+	d.winSigs = d.winSigs[:0]
+	d.winSigHops = d.winSigHops[:0]
 	metEventsWindows.Inc()
-	sink := d.cfg.OnEvent
+	sink := d.sink
 	d.mu.Unlock()
 	for _, ev := range evs {
 		metEventsEmitted(ev.Class).Inc()
@@ -394,91 +378,67 @@ func (d *Detector) TapWindowClose(ws int64) {
 }
 
 // coveringBaseline finds the longest baseline prefix strictly covering p,
-// for sub-prefix hijack classification.
-func (d *Detector) coveringBaseline(p trie.Prefix) (trie.Prefix, map[bgp.ASN]bool, bool) {
+// for sub-prefix hijack classification; nil when there is none.
+func (d *Detector) coveringBaseline(p trie.Prefix) *prefixState {
 	for l := int(p.Len) - 1; l >= 1; l-- {
-		anc := trie.MakePrefix(p.Addr, uint8(l))
-		if set, ok := d.baseline[anc]; ok {
-			return anc, set, true
+		if st := d.prefixes[trie.MakePrefix(p.Addr, uint8(l))]; st != nil && len(st.baseline) > 0 {
+			return st
 		}
 	}
-	return trie.Prefix{}, nil, false
+	return nil
 }
 
-func (d *Detector) classifyHijacks(ws int64, evs *[]Event) {
-	for prefix, origins := range d.winNewOrigin {
-		baseline, known := d.baseline[prefix]
-		for origin, vps := range origins {
-			if !known {
-				// Unknown prefix: a more-specific of a baseline prefix
-				// originated by a foreign AS is a sub-prefix hijack; the
-				// covering origin announcing its own more-specific (or a
-				// genuinely new prefix) is not an event.
-				_, ancSet, covered := d.coveringBaseline(prefix)
-				if covered && !ancSet[origin] {
-					*evs = append(*evs, Event{
-						Class: HijackSubprefix, WindowStart: ws,
-						Prefix: prefix, AS: origin,
-						Detail:  "more-specific of covered baseline prefix",
-						Score:   float64(vps),
-						VPCount: vps,
-					})
-				}
+func (d *Detector) classifyHijacks(ws int64, st *prefixState, evs *[]Event) {
+	for _, o := range st.newOrigins {
+		ev := Event{
+			Class: HijackOrigin, WindowStart: ws,
+			Prefix: st.prefix, AS: o.origin,
+			Detail:  "baseline origin displaced",
+			Score:   float64(o.n),
+			VPCount: o.n,
+		}
+		switch {
+		case len(st.baseline) == 0:
+			// Unknown prefix: a more-specific of a baseline prefix
+			// originated by a foreign AS is a sub-prefix hijack; the
+			// covering origin announcing its own more-specific (or a
+			// genuinely new prefix) is not an event.
+			anc := d.coveringBaseline(st.prefix)
+			if anc == nil || slices.Contains(anc.baseline, o.origin) {
 				continue
 			}
+			ev.Class, ev.Detail = HijackSubprefix, "more-specific of covered baseline prefix"
+		case slices.ContainsFunc(st.routes, func(r route) bool { return slices.Contains(st.baseline, r.origin) }):
 			// Known prefix, foreign origin: MOAS while any vantage point
 			// still routes to a baseline origin, full origin hijack once
 			// none does. Stable baseline multi-origin (anycast) never
 			// reaches here — those origins are in the baseline set.
-			baselineVisible := 0
-			for bOrigin := range baseline {
-				baselineVisible += d.originCnt[prefix][bOrigin]
-			}
-			cls := HijackOrigin
-			detail := "baseline origin displaced"
-			if baselineVisible > 0 {
-				cls = HijackMOAS
-				detail = "foreign origin alongside baseline"
-			}
-			*evs = append(*evs, Event{
-				Class: cls, WindowStart: ws,
-				Prefix: prefix, AS: origin,
-				Detail:  detail,
-				Score:   float64(vps),
-				VPCount: vps,
-			})
+			ev.Class, ev.Detail = HijackMOAS, "foreign origin alongside baseline"
 		}
+		*evs = append(*evs, ev)
 	}
 }
 
-func (d *Detector) classifyLeaks(ws int64, evs *[]Event) {
-	// A leak is flagged only while the leaked path is still the current
-	// route at window close: a leak announced and healed within one window
-	// self-heals and stays silent by design.
-	for prefix := range d.winTouched {
-		for leaker, n := range d.leakCnt[prefix] {
-			if n <= 0 {
-				continue
-			}
-			*evs = append(*evs, Event{
-				Class: RouteLeak, WindowStart: ws,
-				Prefix: prefix, AS: leaker,
-				Detail:  "non-transit AS in transit position",
-				Score:   float64(n),
-				VPCount: n,
-			})
+// classifyLeaks emits one event per leaker over the routes held at close:
+// a leak announced and healed within one window self-heals and stays
+// silent by design.
+func classifyLeaks(ws int64, st *prefixState, evs *[]Event) {
+	for i, r := range st.routes {
+		if r.leaker == 0 || slices.ContainsFunc(st.routes[:i], func(q route) bool { return q.leaker == r.leaker }) {
+			continue
 		}
-	}
-}
-
-func (d *Detector) classifyBlackholes(ws int64, evs *[]Event) {
-	for prefix, obs := range d.winBlackhole {
+		n := 0
+		for _, q := range st.routes[i:] {
+			if q.leaker == r.leaker {
+				n++
+			}
+		}
 		*evs = append(*evs, Event{
-			Class: Blackhole, WindowStart: ws,
-			Prefix: prefix, AS: obs.origin,
-			Detail:  "RFC7999 65535:666",
-			Score:   float64(len(obs.vps)),
-			VPCount: len(obs.vps),
+			Class: RouteLeak, WindowStart: ws,
+			Prefix: st.prefix, AS: r.leaker,
+			Detail:  "non-transit AS in transit position",
+			Score:   float64(n),
+			VPCount: n,
 		})
 	}
 }
@@ -505,55 +465,30 @@ func (d *Detector) classifyArtifacts(ws int64, evs *[]Event) {
 	}
 }
 
-func (d *Detector) classifyDiurnal(ws int64, evs *[]Event) {
-	const day = 86400
-	horizon := ws - int64(d.cfg.DiurnalDays+1)*day
-	for prefix, n := range d.winChurn {
-		if n == 0 {
-			continue
-		}
-		slots := d.activity[prefix]
-		if slots == nil {
-			slots = make(map[int64]bool)
-			d.activity[prefix] = slots
-		}
-		slots[ws] = true
-		// Same daily slot active for DiurnalDays consecutive days, with
-		// the rest of the trailing day mostly quiet.
-		periodic := true
-		for dd := 1; dd < d.cfg.DiurnalDays; dd++ {
-			if !slots[ws-int64(dd)*day] {
-				periodic = false
-				break
-			}
-		}
-		if periodic {
-			others := 0
-			for at := range slots {
-				if at > ws-day && at < ws {
-					others++
-				}
-			}
-			if others <= d.cfg.DiurnalSparseMax {
-				*evs = append(*evs, Event{
-					Class: Diurnal, WindowStart: ws,
-					Prefix: prefix,
-					Detail: "daily-slot churn recurrence",
-					Score:  float64(d.cfg.DiurnalDays),
-				})
-			}
+// classifyDiurnal records ws as one of the churning prefix's slots and
+// emits a diurnal event when the same daily slot churned on each of the
+// last diurnalDays days while the rest of the trailing day stayed mostly
+// quiet. Slots before the horizon can decide nothing any more.
+func classifyDiurnal(ws int64, st *prefixState, evs *[]Event) {
+	horizon, _ := slices.BinarySearch(st.slots, ws-(diurnalDays+1)*day)
+	st.slots = append(st.slots[:0], st.slots[horizon:]...)
+	if at, found := slices.BinarySearch(st.slots, ws); !found {
+		st.slots = slices.Insert(st.slots, at, ws)
+	}
+	for dd := int64(1); dd < diurnalDays; dd++ {
+		if _, found := slices.BinarySearch(st.slots, ws-dd*day); !found {
+			return
 		}
 	}
-	// Prune stale slots so long runs stay bounded.
-	for prefix, slots := range d.activity {
-		for at := range slots {
-			if at < horizon {
-				delete(slots, at)
-			}
-		}
-		if len(slots) == 0 {
-			delete(d.activity, prefix)
-		}
+	lo, _ := slices.BinarySearch(st.slots, ws-day+1)
+	hi, _ := slices.BinarySearch(st.slots, ws)
+	if hi-lo <= diurnalSparseMax {
+		*evs = append(*evs, Event{
+			Class: Diurnal, WindowStart: ws,
+			Prefix: st.prefix,
+			Detail: "daily-slot churn recurrence",
+			Score:  diurnalDays,
+		})
 	}
 }
 

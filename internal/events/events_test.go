@@ -197,7 +197,7 @@ func TestClassifierExpectedLabels(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := NewDetector(Config{WindowSec: 900})
+			d := NewDetector(Config{})
 			for _, u := range tc.prime {
 				d.Prime(u)
 			}
@@ -229,7 +229,7 @@ func TestTraceArtifactClassifiers(t *testing.T) {
 		return tr
 	}
 
-	d := NewDetector(Config{WindowSec: 900})
+	d := NewDetector(Config{})
 	// Adjacent repeat -> loop.
 	d.TapTrace(mk(1, 2, 10, 11, 11, 12))
 	// Non-adjacent repeat -> cycle.
@@ -271,7 +271,7 @@ func TestTraceDiamondCountsDistinctSequences(t *testing.T) {
 		}
 		return tr
 	}
-	d := NewDetector(Config{WindowSec: 900})
+	d := NewDetector(Config{})
 	for _, tr := range []*traceroute.Traceroute{
 		mk(5, 6, 30, 31, 32),
 		mk(5, 6, 30, 33, 32),
@@ -314,7 +314,7 @@ func BenchmarkTapTrace(b *testing.B) {
 		}
 		traces[i] = tr
 	}
-	d := NewDetector(Config{WindowSec: 900})
+	d := NewDetector(Config{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		d.TapTrace(traces[i%len(traces)])
@@ -326,7 +326,7 @@ func BenchmarkTapTrace(b *testing.B) {
 
 func TestDiurnalClassifier(t *testing.T) {
 	const day = 86400
-	d := NewDetector(Config{WindowSec: 900, DiurnalDays: 3, DiurnalSparseMax: 3})
+	d := NewDetector(Config{})
 	P := pfx("30.0.0.0/16")
 	d.Prime(annc(0xA1, P, 100, 200, 300))
 
@@ -350,7 +350,7 @@ func TestDiurnalClassifier(t *testing.T) {
 }
 
 func TestFilteredSelectsClassAndRange(t *testing.T) {
-	d := NewDetector(Config{WindowSec: 900})
+	d := NewDetector(Config{})
 	P := pfx("20.1.0.0/16")
 	d.Prime(annc(0xA1, P, 100, 200, 300))
 	d.Prime(annc(0xA2, P, 100, 200, 300))
@@ -434,7 +434,7 @@ func TestSessionsSharingAnIP(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d := NewDetector(Config{WindowSec: 900})
+			d := NewDetector(Config{})
 			d.Prime(sess(100, 100, 200, 300))
 			d.Prime(sess(101, 101, 200, 300))
 			for _, u := range tc.stream {
@@ -479,7 +479,7 @@ func TestInteriorMatchesCompact(t *testing.T) {
 // duplicate is the commonest update.
 func TestTapUpdateAllocs(t *testing.T) {
 	P := pfx("20.1.0.0/16")
-	d := NewDetector(Config{WindowSec: 900})
+	d := NewDetector(Config{})
 	u := annc(0xA1, P, 100, 100, 200, 300, 300)
 	u.Communities = bgp.Communities{bgp.MakeCommunity(100, 1)}
 	d.Prime(u)

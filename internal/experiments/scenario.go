@@ -83,7 +83,7 @@ func runScenarioPass(sc Scale, pack *netsim.ScenarioPack, seed int64) *scenarioP
 
 	// The dump carries the scenario's legitimate multi-origin baseline
 	// (anycast), so the detector's origin sets learn it as the RIB does.
-	det := events.NewDetector(events.Config{WindowSec: sc.WindowSec})
+	det := events.NewDetector(events.Config{})
 	for _, u := range lab.Dump {
 		det.Prime(u)
 	}

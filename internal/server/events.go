@@ -101,8 +101,8 @@ func toEventJSONs(evs []events.Event) []EventJSON {
 // frame to the SSE stream without blocking ingestion, like Publish. The
 // detector emits at window close, after the window's signals and before
 // the pipeline's OnWindowClose marker, so each stream reads signals →
-// routing events → window marker. Wire it to the detector's
-// Config.OnEvent.
+// routing events → window marker. Wire it in with the detector's
+// SetSink.
 func (s *Server) PublishEvent(ev events.Event) {
 	s.publish(func() []byte { return jsonFrame("routing", toEventJSON(ev)) })
 }

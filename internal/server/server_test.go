@@ -700,7 +700,7 @@ func TestRefreshBodyLimit(t *testing.T) {
 // TestEventsBodyLimit: a POST /v1/events body past MaxEventsBodyBytes is
 // refused with 413, declared length or not; one at the limit is read.
 func TestEventsBodyLimit(t *testing.T) {
-	srv := New(newTestMonitor(t), Config{Events: events.NewDetector(events.Config{WindowSec: 900})})
+	srv := New(newTestMonitor(t), Config{Events: events.NewDetector(events.Config{})})
 	want := fmt.Sprintf(`{"error":"request body exceeds the %d-byte limit"}`+"\n", MaxEventsBodyBytes)
 	pad := func(n int) string { return `{"classes":[]` + strings.Repeat(" ", n-len(`{"classes":[]}`)) + `}` }
 	for _, declared := range []bool{true, false} {
