@@ -71,11 +71,11 @@ type prefixState struct {
 	// routes holds each session's current route, in no particular order.
 	routes []route
 
-	// The open window: how many updates it has seen, the non-baseline
-	// origins announced with their update counts, and the sessions that
-	// announced the blackhole community with the origin of the first.
+	// The open window: how many updates it has seen, each session that
+	// announced a non-baseline origin (once per origin), and the sessions
+	// that announced the blackhole community with the origin of the first.
 	churn           int
-	newOrigins      []originCount
+	newOrigins      []sessionOrigin
 	blackholes      []bgp.VPKey
 	blackholeOrigin bgp.ASN
 
@@ -93,9 +93,9 @@ type route struct {
 	leaker bgp.ASN // non-transit AS observed mid-path; 0 when clean
 }
 
-type originCount struct {
+type sessionOrigin struct {
+	vp     bgp.VPKey
 	origin bgp.ASN
-	n      int
 }
 
 // traceSigs is one pair's distinct hop sequences in the open window: the
@@ -252,12 +252,9 @@ func (d *Detector) TapUpdate(u bgp.Update) {
 	}
 	st.setRoute(route{vp: vp, origin: origin, leaker: leaker})
 	if !slices.Contains(st.baseline, origin) {
-		i := slices.IndexFunc(st.newOrigins, func(o originCount) bool { return o.origin == origin })
-		if i < 0 {
-			i = len(st.newOrigins)
-			st.newOrigins = append(st.newOrigins, originCount{origin: origin})
+		if so := (sessionOrigin{vp: vp, origin: origin}); !slices.Contains(st.newOrigins, so) {
+			st.newOrigins = append(st.newOrigins, so)
 		}
-		st.newOrigins[i].n++
 	}
 	if slices.Contains(u.Communities, BlackholeCommunity) {
 		if len(st.blackholes) == 0 {
@@ -388,14 +385,25 @@ func (d *Detector) coveringBaseline(p trie.Prefix) *prefixState {
 	return nil
 }
 
+// classifyHijacks emits one event per non-baseline origin announced in
+// the window, counting the sessions that announced it.
 func (d *Detector) classifyHijacks(ws int64, st *prefixState, evs *[]Event) {
-	for _, o := range st.newOrigins {
+	for i, o := range st.newOrigins {
+		if slices.ContainsFunc(st.newOrigins[:i], func(q sessionOrigin) bool { return q.origin == o.origin }) {
+			continue
+		}
+		n := 0
+		for _, q := range st.newOrigins[i:] {
+			if q.origin == o.origin {
+				n++
+			}
+		}
 		ev := Event{
 			Class: HijackOrigin, WindowStart: ws,
 			Prefix: st.prefix, AS: o.origin,
 			Detail:  "baseline origin displaced",
-			Score:   float64(o.n),
-			VPCount: o.n,
+			Score:   float64(n),
+			VPCount: n,
 		}
 		switch {
 		case len(st.baseline) == 0:

@@ -72,11 +72,13 @@ func TestEventLessCanonicalOrder(t *testing.T) {
 // classifierCase drives one expected-label scenario through a fresh
 // detector: a priming dump establishing the baseline, one window of
 // streamed updates, and the exact set of classes the close must emit.
+// When vps is set, every event must count that many vantage points.
 type classifierCase struct {
 	name   string
 	prime  []bgp.Update
 	stream []bgp.Update
 	want   []Class
+	vps    int
 }
 
 func TestClassifierExpectedLabels(t *testing.T) {
@@ -193,6 +195,19 @@ func TestClassifierExpectedLabels(t *testing.T) {
 			},
 			want: []Class{HijackMOAS, Blackhole},
 		},
+		{
+			name: "a session re-announcing a foreign origin counts once",
+			prime: []bgp.Update{
+				annc(0xA1, P, 100, 200, 300),
+				annc(0xA2, P, 100, 200, 300),
+			},
+			stream: []bgp.Update{
+				annc(0xA1, P, 100, 200, 666),
+				annc(0xA1, P, 100, 100, 200, 666), // the same session, prepended
+			},
+			want: []Class{HijackMOAS},
+			vps:  1,
+		},
 	}
 
 	for _, tc := range cases {
@@ -208,6 +223,9 @@ func TestClassifierExpectedLabels(t *testing.T) {
 			var got []Class
 			for _, ev := range d.Events() {
 				got = append(got, ev.Class)
+				if tc.vps != 0 && (ev.VPCount != tc.vps || ev.Score != float64(tc.vps)) {
+					t.Errorf("%v: vpCount=%d score=%v, want %d vantage points", ev.Class, ev.VPCount, ev.Score, tc.vps)
+				}
 			}
 			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 			want := append([]Class(nil), tc.want...)
