@@ -12,9 +12,9 @@ import (
 
 // Config is NewDetector's argument; none of its fields has an effect.
 type Config struct {
-	// WindowSec was the emission window length. The detector closes
-	// whichever windows the pipeline closes; diurnal slots are window
-	// starts, so any window length dividing a day works.
+	// WindowSec is ignored: the detector closes whichever windows the
+	// pipeline closes, and diurnal slots are window starts, so any window
+	// length dividing a day works.
 	//
 	// Deprecated: kept only so existing callers compile; it has no effect.
 	WindowSec int64
@@ -479,7 +479,7 @@ func (d *Detector) classifyArtifacts(ws int64, evs *[]Event) {
 // quiet. Slots before the horizon can decide nothing any more.
 func classifyDiurnal(ws int64, st *prefixState, evs *[]Event) {
 	horizon, _ := slices.BinarySearch(st.slots, ws-(diurnalDays+1)*day)
-	st.slots = append(st.slots[:0], st.slots[horizon:]...)
+	st.slots = slices.Delete(st.slots, 0, horizon)
 	if at, found := slices.BinarySearch(st.slots, ws); !found {
 		st.slots = slices.Insert(st.slots, at, ws)
 	}
