@@ -60,9 +60,9 @@ type Detector struct {
 	emitted []Event
 }
 
-// prefixState is all the detector knows of one prefix. Its slices are
-// small (one entry per session at most) and reused across windows, so a
-// linear scan beats a map.
+// prefixState is all the detector knows of one prefix. Its route and
+// window slices hold about one entry per session (a few dozen) and are
+// reused across windows, so a linear scan beats a map.
 type prefixState struct {
 	prefix trie.Prefix
 	// baseline holds the origins the priming dump showed (several for

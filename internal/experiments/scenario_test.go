@@ -135,9 +135,9 @@ func TestScoreEventsMatching(t *testing.T) {
 // where the accuracy floors above only see class-level precision and
 // recall: a change that reclassifies, rescores or drops one event fails
 // here. Two streams feed it: the reduced full-pack run, and a seeded churn
-// stream that reaches what the pack does not (a leaked route withdrawn, one
-// session re-announcing a foreign origin within a window, sessions sharing
-// an IP, announcements without a path). A deliberate classification change
+// stream that reaches what the pack does not (a leaked route withdrawn,
+// sessions sharing an IP, announcements without a path, many prefixes
+// leaking or hijacked at once). A deliberate classification change
 // re-pins the digest and counts and says which events moved.
 func TestEventsPinned(t *testing.T) {
 	for _, tc := range []struct {
@@ -206,18 +206,14 @@ func churnEvents(seed int64) []events.Event {
 	for i := 0; i < 8; i++ {
 		sessions = append(sessions, session{ip: 0xC6336401 + uint32(i%5), as: bgp.ASN(100 + i)})
 	}
-	prefix := func(i int) trie.Prefix { return trie.MakePrefix(0x14000000+uint32(i)<<16, 16) }
-	origin := func(s, p int) bgp.ASN {
-		if p < 2 && s%2 == 1 {
-			return bgp.ASN(320 + p) // anycast second origin
-		}
-		return bgp.ASN(300 + p)
-	}
-	update := func(s int, p trie.Prefix, path ...bgp.ASN) bgp.Update {
-		return bgp.Update{PeerIP: sessions[s].ip, PeerAS: sessions[s].as, Type: bgp.Announce, Prefix: p, ASPath: path}
-	}
 	baseline := func(s, p int) bgp.Update {
-		return update(s, prefix(p), sessions[s].as, bgp.ASN(200+(s+p)%4), origin(s, p))
+		origin := bgp.ASN(300 + p)
+		if p < 2 && s%2 == 1 {
+			origin = bgp.ASN(320 + p) // anycast second origin
+		}
+		return bgp.Update{PeerIP: sessions[s].ip, PeerAS: sessions[s].as, Type: bgp.Announce,
+			Prefix: trie.MakePrefix(0x14000000+uint32(p)<<16, 16),
+			ASPath: bgp.Path{sessions[s].as, bgp.ASN(200 + (s+p)%4), origin}}
 	}
 	for s := range sessions {
 		for p := 0; p < 12; p++ {
