@@ -7,11 +7,13 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rrr/internal/bgp"
 	"rrr/internal/events"
 	"rrr/internal/netsim"
+	"rrr/internal/traceroute"
 	"rrr/internal/trie"
 )
 
@@ -134,11 +136,13 @@ func TestScoreEventsMatching(t *testing.T) {
 // TestEventsPinned pins the detector's whole event stream, field by field,
 // where the accuracy floors above only see class-level precision and
 // recall: a change that reclassifies, rescores or drops one event fails
-// here. Two streams feed it: the reduced full-pack run, and a seeded churn
+// here. Three streams feed it: the reduced full-pack run, a seeded churn
 // stream that reaches what the pack does not (a leaked route withdrawn,
 // sessions sharing an IP, announcements without a path, many prefixes
-// leaking or hijacked at once). A deliberate classification change
-// re-pins the digest and counts and says which events moved.
+// leaking or hijacked at once), and a seeded trace stream that does the
+// same for the trace classes (see traceEvents). A deliberate
+// classification change re-pins the digest and counts and says which
+// events moved.
 func TestEventsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -168,6 +172,12 @@ func TestEventsPinned(t *testing.T) {
 			perClass: map[string]int{
 				"hijack-moas": 76, "hijack-subprefix": 57, "route-leak": 451, "blackhole": 72, "diurnal": 1,
 			},
+		},
+		{
+			name:     "traces",
+			run:      func() []events.Event { return traceEvents(4242) },
+			digest:   "999b452ffb695868b5e9c16d710c3207fb6087c7bb3d2b632fa5054dcce7d55d",
+			perClass: map[string]int{"trace-loop": 236, "trace-cycle": 198, "trace-diamond": 39},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -251,6 +261,81 @@ func churnEvents(seed int64) []events.Event {
 			det.TapUpdate(baseline(int(w/96)%len(sessions), 11))
 		}
 		det.TapWindowClose(w * windowSec)
+	}
+	return det.Events()
+}
+
+// traceEvents runs two days of seeded public traces over 36 pairs through
+// a detector. Each pair has a base path and two detours, and a trace takes
+// one of them (repeated and divergent hop sequences), loses a run of hops
+// to stars (a repeat of unresponsive hops, which is no artifact), repeats
+// a hop right after itself (a loop) or a few hops on (a cycle), or does
+// both, the cycle first. Twice every three hours pair 0 shows a loop, a
+// cycle and a diamond in one window, and pair 1 loops at two hop indices
+// in one window, where the first trace's index and hop must win.
+func traceEvents(seed int64) []events.Event {
+	const windowSec, days, pairs = 900, 2, 36
+	rng := rand.New(rand.NewSource(seed))
+	det := events.NewDetector(events.Config{})
+	base := make([][]uint32, pairs)
+	for p := range base {
+		for h := 0; h < 6+rng.Intn(8); h++ {
+			base[p] = append(base[p], 0x0A000000|uint32(p)<<8|uint32(h+1))
+		}
+	}
+	tap := func(p int, ips []uint32, t int64) {
+		tr := &traceroute.Traceroute{ProbeID: p, Time: t, Src: 0xC0000000 | uint32(p), Dst: 0xD0000000 | uint32(p%7)}
+		for i, ip := range ips {
+			h := traceroute.Hop{IP: ip, TTL: i + 1}
+			if ip != 0 {
+				h.RTT = float64(i + 1)
+			}
+			tr.Hops = append(tr.Hops, h)
+		}
+		det.TapTrace(tr)
+	}
+	// repeat copies ips with the hop at k repeated d hops after it.
+	repeat := func(ips []uint32, k, d int) []uint32 {
+		return slices.Insert(slices.Clone(ips), k+d, ips[k])
+	}
+	for w := int64(0); w < days*86400/windowSec; w++ {
+		t := w * windowSec
+		for n := rng.Intn(8); n > 0; n-- {
+			p := rng.Intn(pairs)
+			ips := slices.Clone(base[p])
+			k := 1 + rng.Intn(len(ips)-3)
+			switch rng.Intn(8) {
+			case 1, 2: // a detour through one of two other hops
+				ips[k] = 0x0B000000 | uint32(p)<<8 | uint32(k)<<1 | uint32(rng.Intn(2))
+			case 3: // a run of stars
+				ips[k], ips[k+1] = 0, 0
+				if rng.Intn(2) == 0 {
+					ips[k+2] = 0
+				}
+			case 4:
+				ips = repeat(ips, k, 1)
+			case 5:
+				ips = repeat(ips, k, 2+rng.Intn(2))
+			case 6: // a cycle, then a loop further on
+				ips = repeat(repeat(ips, k-1, 2), k+2, 1)
+			case 7: // two stars, then a loop
+				ips[k] = 0
+				ips = repeat(ips, k, 1)
+				ips = repeat(ips, k+2, 1)
+			}
+			tap(p, ips, t+int64(rng.Intn(windowSec)))
+		}
+		if w%6 == 2 {
+			tap(0, repeat(base[0], 2, 1), t)
+			tap(0, repeat(base[0], 1, 3), t)
+			tap(0, base[0], t)
+			detour := slices.Clone(base[0])
+			detour[3] = 0x0B0000FF
+			tap(0, detour, t)
+			tap(1, repeat(base[1], 3, 1), t)
+			tap(1, repeat(base[1], 1, 1), t)
+		}
+		det.TapWindowClose(t)
 	}
 	return det.Events()
 }
