@@ -367,6 +367,90 @@ func TestDiurnalClassifier(t *testing.T) {
 	}
 }
 
+// TestEventsReadDuringIngest reads the log from one goroutine while
+// another taps a churn stream and closes windows, as HTTP handlers read it
+// while the pipeline ingests. Every read must be a prefix of the final log
+// (the same stream tapped serially) ending at a window boundary; -race
+// checks that the reads share nothing unpublished with the tapper.
+func TestEventsReadDuringIngest(t *testing.T) {
+	ingest := func(d *Detector) {
+		P := func(p int) trie.Prefix { return trie.MakePrefix(0x14000000+uint32(p)<<16, 16) }
+		for vp := uint32(0); vp < 4; vp++ {
+			for p := 0; p < 8; p++ {
+				d.Prime(annc(0xA1+vp, P(p), 100, 200, bgp.ASN(300+p)))
+			}
+		}
+		rng := rand.New(rand.NewSource(9))
+		for w := int64(0); w < 1000; w++ {
+			for n := rng.Intn(6); n > 0; n-- {
+				p := rng.Intn(8)
+				u := annc(0xA1+uint32(rng.Intn(4)), P(p), 100, 200, bgp.ASN(300+p))
+				switch rng.Intn(5) {
+				case 1:
+					u.ASPath[2] = bgp.ASN(400 + rng.Intn(2))
+				case 2:
+					u.ASPath = bgp.Path{100, 400, 200, bgp.ASN(300 + p)}
+				case 3:
+					u.Communities = bgp.Communities{BlackholeCommunity}
+				case 4:
+					u = wdraw(u.PeerIP, u.Prefix)
+				}
+				d.TapUpdate(u)
+			}
+			tr := &traceroute.Traceroute{Src: uint32(rng.Intn(4)), Dst: 9}
+			for h := 0; h < 6; h++ {
+				tr.Hops = append(tr.Hops, traceroute.Hop{IP: uint32(10 + h - h/4*rng.Intn(3)), TTL: h + 1})
+			}
+			d.TapTrace(tr)
+			d.TapWindowClose(w * 900)
+		}
+	}
+	serial := NewDetector(Config{})
+	ingest(serial)
+	want := serial.Events()
+	wantLeaks := serial.Filtered(Filter{Classes: []Class{RouteLeak}})
+	if len(wantLeaks) == 0 || len(wantLeaks) == len(want) {
+		t.Fatalf("stream emits %d events, %d of them leaks: too plain to test a filter", len(want), len(wantLeaks))
+	}
+	atBoundary := func(got []Event) bool {
+		n := len(got)
+		if n > len(want) || !slices.Equal(got, want[:n]) {
+			return false
+		}
+		return n == 0 || n == len(want) || want[n].WindowStart != want[n-1].WindowStart
+	}
+
+	d := NewDetector(Config{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ingest(d)
+	}()
+	reads, partial := 0, 0
+	for ingesting := true; ingesting; reads++ {
+		select {
+		case <-done:
+			ingesting = false
+		default:
+		}
+		evs, all := d.Events(), d.Filtered(Filter{})
+		if !atBoundary(evs) || !atBoundary(all) {
+			t.Fatalf("read %d: %d and %d events, not a prefix of the final %d ending at a window boundary",
+				reads, len(evs), len(all), len(want))
+		}
+		if leaks := d.Filtered(Filter{Classes: []Class{RouteLeak}}); len(leaks) > len(wantLeaks) || !slices.Equal(leaks, wantLeaks[:len(leaks)]) {
+			t.Fatalf("read %d: %d leak events, not a prefix of the final %d", reads, len(leaks), len(wantLeaks))
+		}
+		if len(evs) > 0 && len(evs) < len(want) {
+			partial++
+		}
+	}
+	if got := d.Events(); !slices.Equal(got, want) {
+		t.Fatalf("final log has %d events, the serial run %d", len(got), len(want))
+	}
+	t.Logf("%d reads, %d of them mid-stream, final log %d events", reads, partial, len(want))
+}
+
 func TestFilteredSelectsClassAndRange(t *testing.T) {
 	d := NewDetector(Config{})
 	P := pfx("20.1.0.0/16")
