@@ -142,8 +142,9 @@ cachetest:
 # allocation budget, and the hop table: a service answer flipped under a
 # new generation, one service call per IP per generation, and the table
 # held to the services asked by IP over a feed with IXP joins), the ingest
-# budgets (RIB.Apply, BinaryReader.Read, Detector.TapUpdate and the whole
-# ingest path), and
+# budgets (RIB.Apply, BinaryReader.Read, Detector.TapUpdate, a window's
+# first loop and cycle through Detector.TapTrace, and the whole ingest
+# path), and
 # the detectors and window choice (Settled, Clone and the flat fast path
 # held to the reference bit for bit, ChooseWindowMin to the full scan); the
 # active-signal records held to a model built from the signal stream
@@ -157,7 +158,7 @@ closetest:
 	$(GO) test -race -count=1 ./internal/corpus -run TestBorderCountBound -v
 	$(GO) test -race -count=1 . -run TestTrackHeapPerPair -v
 	$(GO) test -race -count=1 ./internal/bgp -run 'TestRIBApplyAllocs|TestBinaryReaderAllocs' -v
-	$(GO) test -race -count=1 ./internal/events -run TestTapUpdateAllocs -v
+	$(GO) test -race -count=1 ./internal/events -run 'TestTapUpdateAllocs|TestTapTraceAllocs' -v
 	$(GO) test -race -count=1 . -run TestIngestAllocs -v
 	$(GO) test -race -count=1 ./internal/anomaly
 

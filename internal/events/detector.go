@@ -3,7 +3,7 @@ package events
 import (
 	"slices"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"rrr/internal/bgp"
 	"rrr/internal/traceroute"
@@ -35,11 +35,10 @@ var BlackholeCommunity = bgp.MakeCommunity(65535, 666)
 
 // Detector consumes the ingested record stream (via the Pipeline's record
 // tap) and classifies routing events against a baseline learned from the
-// priming table dump. All Tap* methods are called on the pipeline's merge
-// goroutine; Events/Filtered may be called concurrently from HTTP
-// handlers.
+// priming table dump. The goroutine that ingests (the pipeline's merge
+// loop, or a WAL replay before it starts) owns it and makes every other
+// call; Events and Filtered, from any goroutine, read the published log.
 type Detector struct {
-	mu   sync.Mutex
 	sink func(Event)
 
 	// The ASes the priming dump showed providing transit (mid-path).
@@ -49,15 +48,18 @@ type Detector struct {
 	prefixes map[trie.Prefix]*prefixState
 	touched  []*prefixState
 
-	winArtifacts map[artifactKey]*artifactObs
-	// Distinct hop sequences seen per pair this window: winTraceSigs heads
-	// a chain through winSigs, whose entries span winSigHops. The slab and
-	// the entries are reused from window to window.
-	winTraceSigs map[traceroute.Key]traceSigs
-	winSigs      []sigSpan
-	winSigHops   []uint32
+	// One record per pair traced in the open window. Its distinct hop
+	// sequences chain through winSigs, whose entries span winSigHops. The
+	// map, the slab and the entries are reused from window to window.
+	winTraces  map[traceroute.Key]traceWin
+	winSigs    []sigSpan
+	winSigHops []uint32
 
+	// emitted is every event so far; each close that appends to it
+	// publishes it in log. A reader reads up to the published length, and
+	// later appends write past it or into a new array.
 	emitted []Event
+	log     atomic.Pointer[[]Event]
 }
 
 // prefixState is all the detector knows of one prefix. Its route and
@@ -98,11 +100,19 @@ type sessionOrigin struct {
 	origin bgp.ASN
 }
 
-// traceSigs is one pair's distinct hop sequences in the open window: the
-// index of the newest in Detector.winSigs, and how many there are.
-type traceSigs struct {
-	head  int32
-	count int32
+// traceWin is one pair's record of the open window: its distinct hop
+// sequences (the newest's index in Detector.winSigs, and how many), and
+// the first loop and the first cycle its traces showed.
+type traceWin struct {
+	head, count int32
+	loop, cycle hopRepeat
+}
+
+// hopRepeat is a responsive hop repeating an earlier one of its trace: its
+// index and address. Index 0 means none, as a repeat is never the first hop.
+type hopRepeat struct {
+	at int32
+	ip uint32
 }
 
 // sigSpan is one hop sequence, winSigHops[off:off+n], chained to the
@@ -112,36 +122,21 @@ type sigSpan struct {
 	prev   int32
 }
 
-type artifactKey struct {
-	class Class
-	key   traceroute.Key
-}
-
-type artifactObs struct {
-	detail string
-	score  float64
-	count  int
-}
-
 // NewDetector builds a detector with an empty baseline; feed the priming
 // table dump through Prime before streaming.
 func NewDetector(Config) *Detector {
 	return &Detector{
-		transit:      make(map[bgp.ASN]bool),
-		prefixes:     make(map[trie.Prefix]*prefixState),
-		winArtifacts: make(map[artifactKey]*artifactObs),
-		winTraceSigs: make(map[traceroute.Key]traceSigs),
+		transit:   make(map[bgp.ASN]bool),
+		prefixes:  make(map[trie.Prefix]*prefixState),
+		winTraces: make(map[traceroute.Key]traceWin),
 	}
 }
 
 // SetSink sets the callback that receives every emitted event in canonical
 // order at window close, on the tapping goroutine. Set it once the sink (an
-// SSE hub, say) exists; it may come after the detector it subscribes to.
-func (d *Detector) SetSink(fn func(Event)) {
-	d.mu.Lock()
-	d.sink = fn
-	d.mu.Unlock()
-}
+// SSE hub, say) exists, which may be after the detector is built, but
+// before the first tap: it is an unguarded field of the owner's.
+func (d *Detector) SetSink(fn func(Event)) { d.sink = fn }
 
 // state returns p's record, creating it on first sight.
 func (d *Detector) state(p trie.Prefix) *prefixState {
@@ -160,8 +155,6 @@ func (d *Detector) Prime(u bgp.Update) {
 	if u.Type != bgp.Announce || len(u.ASPath) == 0 {
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	origin := u.ASPath.Origin()
 	st := d.state(u.Prefix)
 	if !slices.Contains(st.baseline, origin) {
@@ -226,8 +219,6 @@ func interior(p bgp.Path) bgp.Path {
 // the detector already holds, announced again in a window that has seen
 // its prefix, it allocates nothing.
 func (d *Detector) TapUpdate(u bgp.Update) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	metEventsUpdates.Inc()
 	st := d.state(u.Prefix)
 	if st.churn == 0 {
@@ -272,10 +263,12 @@ func (d *Detector) TapTrace(tr *traceroute.Traceroute) {
 	if tr == nil {
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	metEventsTraces.Inc()
 	key := tr.Key()
+	w, seen := d.winTraces[key]
+	if !seen {
+		w.head = -1
+	}
 	// The first responsive hop that repeats an earlier one: a trace is tens
 	// of hops, so looking back over them beats building a set.
 	for i, h := range tr.Hops {
@@ -286,26 +279,19 @@ func (d *Detector) TapTrace(tr *traceroute.Traceroute) {
 			if tr.Hops[j].IP != h.IP {
 				continue
 			}
-			cls := TraceCycle
+			r := &w.cycle
 			if j == i-1 {
-				cls = TraceLoop
+				r = &w.loop
 			}
-			ak := artifactKey{class: cls, key: key}
-			obs := d.winArtifacts[ak]
-			if obs == nil {
-				obs = &artifactObs{detail: trie.FormatIP(h.IP), score: float64(i)}
-				d.winArtifacts[ak] = obs
+			if r.at == 0 { // the window's first loop (cycle) of the pair wins
+				*r = hopRepeat{at: int32(i), ip: h.IP}
+				d.winTraces[key] = w
 			}
-			obs.count++
 			return // a looping trace's hop signature is not a diamond variant
 		}
 	}
 	// Record the hop sequence unless the pair already showed it this window.
-	sigs, seen := d.winTraceSigs[key]
-	if !seen {
-		sigs.head = -1
-	}
-	for at := sigs.head; at >= 0; at = d.winSigs[at].prev {
+	for at := w.head; at >= 0; at = d.winSigs[at].prev {
 		if sp := d.winSigs[at]; sameHops(d.winSigHops[sp.off:sp.off+sp.n], tr.Hops) {
 			return
 		}
@@ -314,8 +300,9 @@ func (d *Detector) TapTrace(tr *traceroute.Traceroute) {
 	for _, h := range tr.Hops {
 		d.winSigHops = append(d.winSigHops, h.IP)
 	}
-	d.winSigs = append(d.winSigs, sigSpan{off: off, n: int32(len(tr.Hops)), prev: sigs.head})
-	d.winTraceSigs[key] = traceSigs{head: int32(len(d.winSigs) - 1), count: sigs.count + 1}
+	d.winSigs = append(d.winSigs, sigSpan{off: off, n: int32(len(tr.Hops)), prev: w.head})
+	w.head, w.count = int32(len(d.winSigs)-1), w.count+1
+	d.winTraces[key] = w
 }
 
 func sameHops(ips []uint32, hops []traceroute.Hop) bool {
@@ -336,7 +323,6 @@ func sameHops(ips []uint32, hops []traceroute.Hop) bool {
 // window-close marker, so on an SSE stream each window reads:
 // signals, routing events, marker.
 func (d *Detector) TapWindowClose(ws int64) {
-	d.mu.Lock()
 	var evs []Event
 	for _, st := range d.touched {
 		d.classifyHijacks(ws, st, &evs)
@@ -358,18 +344,19 @@ func (d *Detector) TapWindowClose(ws int64) {
 	d.touched = d.touched[:0]
 	d.classifyArtifacts(ws, &evs)
 	sort.Slice(evs, func(i, j int) bool { return EventLess(evs[i], evs[j]) })
-	d.emitted = append(d.emitted, evs...)
-	clear(d.winArtifacts)
-	clear(d.winTraceSigs)
+	clear(d.winTraces)
 	d.winSigs = d.winSigs[:0]
 	d.winSigHops = d.winSigHops[:0]
+	if len(evs) > 0 {
+		d.emitted = append(d.emitted, evs...)
+		log := d.emitted
+		d.log.Store(&log)
+	}
 	metEventsWindows.Inc()
-	sink := d.sink
-	d.mu.Unlock()
 	for _, ev := range evs {
 		metEventsEmitted(ev.Class).Inc()
-		if sink != nil {
-			sink(ev)
+		if d.sink != nil {
+			d.sink(ev)
 		}
 	}
 }
@@ -451,25 +438,29 @@ func classifyLeaks(ws int64, st *prefixState, evs *[]Event) {
 	}
 }
 
+// classifyArtifacts emits each traced pair's first loop and first cycle of
+// the window, and a diamond when the pair showed two or more hop sequences.
 func (d *Detector) classifyArtifacts(ws int64, evs *[]Event) {
-	for ak, obs := range d.winArtifacts {
-		*evs = append(*evs, Event{
-			Class: ak.class, WindowStart: ws,
-			Key:    ak.key,
-			Detail: "repeated hop " + obs.detail,
-			Score:  obs.score,
-		})
-	}
-	for key, sigs := range d.winTraceSigs {
-		if sigs.count < 2 {
-			continue
+	for key, w := range d.winTraces {
+		w.loop.emit(evs, TraceLoop, ws, key)
+		w.cycle.emit(evs, TraceCycle, ws, key)
+		if w.count >= 2 {
+			*evs = append(*evs, Event{
+				Class: TraceDiamond, WindowStart: ws,
+				Key:    key,
+				Detail: "divergent same-pair hop sequences",
+				Score:  float64(w.count),
+			})
 		}
-		*evs = append(*evs, Event{
-			Class: TraceDiamond, WindowStart: ws,
-			Key:    key,
-			Detail: "divergent same-pair hop sequences",
-			Score:  float64(sigs.count),
-		})
+	}
+}
+
+// emit appends r, unless it is none, to evs as pair key's event of class c.
+// Its detail is built here, once per event rather than once per trace.
+func (r hopRepeat) emit(evs *[]Event, c Class, ws int64, key traceroute.Key) {
+	if r.at != 0 {
+		*evs = append(*evs, Event{Class: c, WindowStart: ws, Key: key,
+			Detail: "repeated hop " + trie.FormatIP(r.ip), Score: float64(r.at)})
 	}
 }
 
@@ -500,13 +491,20 @@ func classifyDiurnal(ws int64, st *prefixState, evs *[]Event) {
 	}
 }
 
-// Events returns every emitted event so far, in emission order (windows
-// ascending, EventLess within each window).
+// published is the log as the last close that emitted events left it.
+func (d *Detector) published() []Event {
+	if log := d.log.Load(); log != nil {
+		return *log
+	}
+	return nil
+}
+
+// Events returns a copy of every event emitted so far, in emission order
+// (windows ascending, EventLess within each window).
 func (d *Detector) Events() []Event {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]Event, len(d.emitted))
-	copy(out, d.emitted)
+	log := d.published()
+	out := make([]Event, len(log))
+	copy(out, log)
 	return out
 }
 
@@ -525,10 +523,8 @@ func (d *Detector) Filtered(f Filter) []Event {
 	for _, c := range f.Classes {
 		want[c] = true
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	var out []Event
-	for _, ev := range d.emitted {
+	for _, ev := range d.published() {
 		if len(want) > 0 && !want[ev.Class] {
 			continue
 		}

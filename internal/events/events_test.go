@@ -3,6 +3,7 @@ package events
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -588,6 +589,42 @@ func TestTapUpdateAllocs(t *testing.T) {
 	d.TapUpdate(u)
 	if n := testing.AllocsPerRun(1000, func() { d.TapUpdate(u) }); n != 0 {
 		t.Fatalf("TapUpdate on a known route: %v allocations, want 0", n)
+	}
+}
+
+// TestTapTraceAllocs: once the window's pair map has held a pair, tapping
+// the pair's first loop and first cycle of a window allocates nothing; the
+// events' details are rendered at close. The closes, which allocate the
+// events, are left out of the count.
+func TestTapTraceAllocs(t *testing.T) {
+	mk := func(ips ...uint32) *traceroute.Traceroute {
+		tr := &traceroute.Traceroute{Src: 1, Dst: 2}
+		for i, ip := range ips {
+			tr.Hops = append(tr.Hops, traceroute.Hop{IP: ip, TTL: i + 1})
+		}
+		return tr
+	}
+	loop, cycle := mk(10, 11, 11, 12), mk(10, 11, 12, 11)
+	d := NewDetector(Config{})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const windows = 100
+	var before, after runtime.MemStats
+	var mallocs uint64
+	for w := int64(0); w <= windows; w++ {
+		runtime.ReadMemStats(&before)
+		d.TapTrace(loop)
+		d.TapTrace(cycle)
+		runtime.ReadMemStats(&after)
+		if w > 0 { // the first window warms the pair map
+			mallocs += after.Mallocs - before.Mallocs
+		}
+		d.TapWindowClose(w * 900)
+	}
+	if n := len(d.Events()); n != 2*(windows+1) {
+		t.Fatalf("%d events, want a loop and a cycle in each of %d windows", n, windows+1)
+	}
+	if n := float64(mallocs) / (2 * windows); n != 0 {
+		t.Fatalf("TapTrace of a window's first loop or cycle: %.2f allocations, want 0", n)
 	}
 }
 

@@ -74,8 +74,8 @@ type Config struct {
 	Worker *WorkerIdentity
 	// Events, when set, serves the routing-event detector's emissions on
 	// GET/POST /v1/events. The detector is fed by the same pipeline that
-	// feeds the Monitor (PipelineConfig.Tap) and is internally locked, so
-	// handlers read it while ingestion writes.
+	// feeds the Monitor (PipelineConfig.Tap); handlers read the log it
+	// publishes at each window close, without waiting on ingestion.
 	Events *events.Detector
 }
 
