@@ -216,8 +216,10 @@ func TestClusterChaos(t *testing.T) {
 	}
 
 	// The merged stream must be byte-identical to the never-killed run —
-	// coverage never broke, so failover left no mark and no gap frame.
-	stream := normalizeStream(cap.stable(t, 300*time.Millisecond, 30*time.Second))
+	// coverage never broke, so failover left no mark and no gap frame. The
+	// capture ends once the reference's last window marker has arrived: a
+	// quiet spell on a loaded host is not the stream's end.
+	stream := normalizeStream(cap.until(t, lastWindowFrame(t, want.stream), 30*time.Second))
 	if strings.Contains(stream, "event: gap") {
 		t.Fatal("gap frame on a stream that never lost partition coverage")
 	}
@@ -306,4 +308,16 @@ func pollReady(t *testing.T, url string, max time.Duration) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// lastWindowFrame is the last window marker frame of a normalized stream,
+// up to its blank-line terminator.
+func lastWindowFrame(t *testing.T, stream string) string {
+	t.Helper()
+	at := strings.LastIndex(stream, "event: window\n")
+	if at < 0 {
+		t.Fatal("reference stream has no window marker")
+	}
+	frame, _, _ := strings.Cut(stream[at:], "\n\n")
+	return frame + "\n\n"
 }

@@ -83,6 +83,28 @@ func (c *streamCapture) stable(t *testing.T, idle, max time.Duration) string {
 			break
 		}
 	}
+	return c.close()
+}
+
+// until waits until the stream holds frame, or max has passed, then closes
+// the subscription and returns everything captured.
+func (c *streamCapture) until(t *testing.T, frame string, max time.Duration) string {
+	t.Helper()
+	deadline := time.Now().Add(max)
+	for !c.holds(frame) && time.Now().Before(deadline) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	return c.close()
+}
+
+func (c *streamCapture) holds(frame string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return bytes.Contains(c.buf.Bytes(), []byte(frame))
+}
+
+// close ends the subscription and returns everything captured.
+func (c *streamCapture) close() string {
 	c.resp.Body.Close()
 	<-c.done
 	c.mu.Lock()
