@@ -17,6 +17,9 @@
 // pipeline's adjacent-dedup stage can remove without touching
 // protocol-level BGP duplicates (those differ in arrival time and feed the
 // burst detector).
+//
+// The package also holds the differential reader (Surfaces, Sides,
+// Capture) through which every byte-identity test reads its two runs.
 package faultfeed
 
 import (
