@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -17,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"rrr/internal/faultfeed"
 	"rrr/internal/server"
 )
 
@@ -83,49 +82,13 @@ func (p *proc) term(t *testing.T) {
 	}
 }
 
-func httpDo(t *testing.T, method, url, body string) string {
-	t.Helper()
-	req, err := http.NewRequest(method, url, strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("%s %s: status %d: %s", method, url, resp.StatusCode, data)
-	}
-	return string(data)
-}
-
 func stats(t *testing.T, base string) server.Stats {
 	t.Helper()
 	var st server.Stats
-	if err := json.Unmarshal([]byte(httpDo(t, "GET", base+"/v1/stats", "")), &st); err != nil {
+	if err := json.Unmarshal([]byte(faultfeed.Get(t, base+"/v1/stats")), &st); err != nil {
 		t.Fatal(err)
 	}
 	return st
-}
-
-// surfaces reads the key list, the full-corpus batch verdicts and the stats
-// of a daemon whose feed has ended.
-func surfaces(t *testing.T, base string) (keys, batch, st string) {
-	t.Helper()
-	keys = httpDo(t, "GET", base+"/v1/keys", "")
-	var kr struct {
-		Keys []string `json:"keys"`
-	}
-	if err := json.Unmarshal([]byte(keys), &kr); err != nil || len(kr.Keys) == 0 {
-		t.Fatalf("keys response %q: %v", keys, err)
-	}
-	body, _ := json.Marshal(map[string]any{"keys": kr.Keys})
-	return keys, httpDo(t, "POST", base+"/v1/stale", string(body)), httpDo(t, "GET", base+"/v1/stats", "")
 }
 
 const (
@@ -205,7 +168,7 @@ func TestBinary(t *testing.T) {
 		p := start(t, rrrd, args...)
 		base := "http://" + p.waitLog(t, servingRE)
 		p.waitLog(t, exhaustedRE)
-		httpDo(t, "GET", base+"/readyz", "")
+		faultfeed.Get(t, base+"/readyz")
 		first := stats(t, base)
 		if first.TotalSignals == 0 || first.StaleKeys == 0 || first.WAL == nil {
 			t.Fatalf("first run stats %+v; the restart would prove nothing", first)
@@ -215,7 +178,7 @@ func TestBinary(t *testing.T) {
 		p = start(t, rrrd, append(args, "-restore")...)
 		base = "http://" + p.waitLog(t, servingRE)
 		p.waitLog(t, exhaustedRE)
-		httpDo(t, "GET", base+"/readyz", "")
+		faultfeed.Get(t, base+"/readyz")
 		second := stats(t, base)
 		p.term(t)
 
@@ -239,17 +202,7 @@ func TestBinary(t *testing.T) {
 		gotBase := "http://" + wire.waitLog(t, servingRE)
 		inproc.waitLog(t, exhaustedRE)
 		wire.waitLog(t, exhaustedRE)
-		wantKeys, wantBatch, wantStats := surfaces(t, wantBase)
-		gotKeys, gotBatch, gotStats := surfaces(t, gotBase)
-		if gotKeys != wantKeys {
-			t.Errorf("/v1/keys differ:\n wire %s\ninproc %s", gotKeys, wantKeys)
-		}
-		if gotBatch != wantBatch {
-			t.Errorf("full-corpus /v1/stale differs (%d vs %d bytes)", len(gotBatch), len(wantBatch))
-		}
-		if gotStats != wantStats {
-			t.Errorf("/v1/stats differ:\n wire %s\ninproc %s", gotStats, wantStats)
-		}
+		faultfeed.Sides{Want: "inproc", Got: "wire"}.Compare(t, faultfeed.ReadSurfaces(t, wantBase), faultfeed.ReadSurfaces(t, gotBase))
 		inproc.term(t)
 		wire.term(t)
 		feed.term(t)

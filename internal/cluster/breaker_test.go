@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rrr/internal/faultfeed"
 )
 
 // TestBreakerTransitions walks the full state machine with a pinned clock:
@@ -188,7 +190,7 @@ func TestRouterShedRecover(t *testing.T) {
 	if code := <-first; code != http.StatusOK {
 		t.Fatalf("wedged request finished %d, want 200 after release", code)
 	}
-	if got := httpPost(t, lc.URL()+"/v1/stale", string(body)); !strings.Contains(got, `"count":1`) {
+	if got := faultfeed.Post(t, lc.URL()+"/v1/stale", string(body)); !strings.Contains(got, `"count":1`) {
 		t.Fatalf("post-recovery batch = %s", got)
 	}
 }
@@ -198,19 +200,7 @@ func TestRouterShedRecover(t *testing.T) {
 // text, so dashboards can alert on breaker flips and shed storms.
 func TestRouterMetricsExposition(t *testing.T) {
 	lc := startSmallCluster(t, nil)
-	resp, err := http.Get(lc.URL() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics = %d", resp.StatusCode)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(data)
+	body := faultfeed.Get(t, lc.URL()+"/metrics")
 	for _, fam := range []string{
 		"rrr_router_breaker_state",
 		"rrr_router_breaker_opens_total",

@@ -75,7 +75,7 @@ func TestClusterChaos(t *testing.T) {
 	if err := lc.WaitStreams(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	cap := captureStream(t, lc.URL())
+	cap := faultfeed.Subscribe(t, lc.URL()+"/v1/signals")
 	all, _ := clusterKeys(t, lc)
 
 	// Continuous read load: single-key verdicts and small batches, every
@@ -215,19 +215,15 @@ func TestClusterChaos(t *testing.T) {
 		t.Fatal("readers issued no requests; the chaos phases went unobserved")
 	}
 
-	// The merged stream must be byte-identical to the never-killed run —
-	// coverage never broke, so failover left no mark and no gap frame. The
-	// capture ends once the reference's last window marker has arrived: a
-	// quiet spell on a loaded host is not the stream's end.
-	stream := normalizeStream(cap.until(t, lastWindowFrame(t, want.stream), 30*time.Second))
-	if strings.Contains(stream, "event: gap") {
+	// Every surface, the merged stream included, must be byte-identical to
+	// the never-killed run: coverage never broke, so failover left no mark
+	// and no gap frame. The capture ends at the feeds' last window marker:
+	// a quiet spell on a loaded host is not the stream's end.
+	got := readOutputs(t, lc.URL(), cap, lc.Workers[0].lastMarker())
+	if strings.Contains(got.stream, "event: gap") {
 		t.Fatal("gap frame on a stream that never lost partition coverage")
 	}
-	diffStrings(t, "chaos stream", want.stream, stream)
-	gotKeys := httpGet(t, lc.URL()+"/v1/keys")
-	diffStrings(t, "chaos keys", want.keys, gotKeys)
-	diffStrings(t, "chaos batch", want.batch, httpPost(t, lc.URL()+"/v1/stale", batchBody(t, gotKeys)))
-	diffStrings(t, "chaos stats", want.stats, httpGet(t, lc.URL()+"/v1/stats"))
+	compare(t, faultfeed.Sides{Want: "intact", Got: "chaos"}, want, got)
 
 	// Phase 4 — both replicas down: partitions replicated only on workers
 	// {1, 2} go dark; exactly those are reported unavailable, everything
@@ -239,7 +235,7 @@ func TestClusterChaos(t *testing.T) {
 		t.Fatal("no partition has both replicas on workers 1 and 2; ring geometry changed, rewrite the test")
 	}
 	var resp batchResp
-	if err := json.Unmarshal([]byte(httpPost(t, lc.URL()+"/v1/stale", string(fullBatch))), &resp); err != nil {
+	if err := json.Unmarshal([]byte(faultfeed.Post(t, lc.URL()+"/v1/stale", string(fullBatch))), &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Count != len(all) {
@@ -281,10 +277,7 @@ func TestClusterChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	pollReady(t, lc.URL(), 15*time.Second)
-	gotKeys = httpGet(t, lc.URL()+"/v1/keys")
-	diffStrings(t, "post-recovery keys", want.keys, gotKeys)
-	diffStrings(t, "post-recovery batch", want.batch, httpPost(t, lc.URL()+"/v1/stale", batchBody(t, gotKeys)))
-	diffStrings(t, "post-recovery stats", want.stats, httpGet(t, lc.URL()+"/v1/stats"))
+	faultfeed.Sides{Want: "intact", Got: "recovered"}.Compare(t, want.Surfaces, faultfeed.ReadSurfaces(t, lc.URL()))
 }
 
 // pollReady polls the router's /readyz until it reports "ready" — the
@@ -308,16 +301,4 @@ func pollReady(t *testing.T, url string, max time.Duration) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-}
-
-// lastWindowFrame is the last window marker frame of a normalized stream,
-// up to its blank-line terminator.
-func lastWindowFrame(t *testing.T, stream string) string {
-	t.Helper()
-	at := strings.LastIndex(stream, "event: window\n")
-	if at < 0 {
-		t.Fatal("reference stream has no window marker")
-	}
-	frame, _, _ := strings.Cut(stream[at:], "\n\n")
-	return frame + "\n\n"
 }

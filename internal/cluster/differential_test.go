@@ -1,18 +1,15 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"rrr/internal/experiments"
+	"rrr/internal/faultfeed"
 )
 
 // diffScale keeps the simulated feed small enough for CI while still
@@ -24,166 +21,42 @@ func diffScale() experiments.Scale {
 	return sc
 }
 
-// streamCapture tails an SSE endpoint into a buffer.
-type streamCapture struct {
-	mu   sync.Mutex
-	buf  bytes.Buffer
-	resp *http.Response
-	done chan struct{}
-}
+// sides labels the differentials' reports: a single daemon is the
+// reference every cluster is held to.
+var sides = faultfeed.Sides{Want: "single", Got: "cluster"}
 
-func captureStream(t *testing.T, url string) *streamCapture {
-	t.Helper()
-	resp, err := http.Get(url + "/v1/signals")
-	if err != nil {
-		t.Fatalf("subscribe %s: %v", url, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("subscribe %s: status %d", url, resp.StatusCode)
-	}
-	c := &streamCapture{resp: resp, done: make(chan struct{})}
-	go func() {
-		defer close(c.done)
-		chunk := make([]byte, 32<<10)
-		for {
-			n, err := resp.Body.Read(chunk)
-			if n > 0 {
-				c.mu.Lock()
-				c.buf.Write(chunk[:n])
-				c.mu.Unlock()
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
-	return c
-}
+// eventsFilter is the POST /v1/events body the differentials compare:
+// the BGP classes from the second simulated day on.
+const eventsFilter = `{"classes":["blackhole","route-leak","hijack-origin","hijack-moas","hijack-subprefix"],"fromWindow":86400}`
 
-func (c *streamCapture) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.buf.Len()
-}
-
-// stable waits until the stream has been idle for `idle`, then closes the
-// subscription and returns everything captured.
-func (c *streamCapture) stable(t *testing.T, idle, max time.Duration) string {
-	t.Helper()
-	deadline := time.Now().Add(max)
-	last, lastChange := c.size(), time.Now()
-	for {
-		time.Sleep(20 * time.Millisecond)
-		if n := c.size(); n != last {
-			last, lastChange = n, time.Now()
-		} else if time.Since(lastChange) >= idle {
-			break
-		}
-		if time.Now().After(deadline) {
-			break
-		}
-	}
-	return c.close()
-}
-
-// until waits until the stream holds frame, or max has passed, then closes
-// the subscription and returns everything captured.
-func (c *streamCapture) until(t *testing.T, frame string, max time.Duration) string {
-	t.Helper()
-	deadline := time.Now().Add(max)
-	for !c.holds(frame) && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
-	}
-	return c.close()
-}
-
-func (c *streamCapture) holds(frame string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return bytes.Contains(c.buf.Bytes(), []byte(frame))
-}
-
-// close ends the subscription and returns everything captured.
-func (c *streamCapture) close() string {
-	c.resp.Body.Close()
-	<-c.done
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.buf.String()
-}
-
-// normalizeStream strips SSE comments (the preamble and keepalives, whose
-// timing is wall-clock) leaving only event frames.
-func normalizeStream(s string) string {
-	var out []string
-	for _, line := range strings.Split(s, "\n") {
-		if strings.HasPrefix(line, ":") {
-			continue
-		}
-		out = append(out, line)
-	}
-	return strings.Join(out, "\n")
-}
-
-func httpGet(t *testing.T, url string) string {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, body)
-	}
-	return string(body)
-}
-
-func httpPost(t *testing.T, url, body string) string {
-	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST %s: status %d: %s", url, resp.StatusCode, data)
-	}
-	return string(data)
-}
-
-// singleOutputs runs the single-node baseline to feed EOF and captures
-// the three comparison surfaces: the signal stream, the key list, the
-// full-corpus batch verdicts, and /v1/stats.
+// outputs are what a differential compares after the feeds end: the
+// /v1/signals stream (signals, routing events and window markers in
+// order), the read surfaces, and the POST /v1/events filter.
 type outputs struct {
 	stream string
-	keys   string
-	batch  string
-	stats  string
+	faultfeed.Surfaces
+	filtered string
 }
 
-func batchBody(t *testing.T, keysJSON string) string {
+// readOutputs ends cap at marker and reads the surfaces at base.
+func readOutputs(t *testing.T, base string, cap *faultfeed.Capture, marker string) outputs {
 	t.Helper()
-	var resp struct {
-		Keys []string `json:"keys"`
+	return outputs{
+		stream:   cap.Until(t, marker, 30*time.Second),
+		Surfaces: faultfeed.ReadSurfaces(t, base),
+		filtered: faultfeed.Post(t, base+"/v1/events", eventsFilter),
 	}
-	if err := json.Unmarshal([]byte(keysJSON), &resp); err != nil {
-		t.Fatalf("keys response: %v", err)
-	}
-	if len(resp.Keys) == 0 {
-		t.Fatal("empty key list; differential would be vacuous")
-	}
-	body, _ := json.Marshal(map[string]any{"keys": resp.Keys})
-	return string(body)
 }
 
+// compare diffs every output of got against want, reporting under s.
+func compare(t *testing.T, s faultfeed.Sides, want, got outputs) {
+	t.Helper()
+	s.Compare(t, want.Surfaces, got.Surfaces)
+	s.Diff(t, "POST /v1/events", want.filtered, got.filtered)
+	s.Diff(t, "signal stream", want.stream, got.stream)
+}
+
+// singleOutputs runs the single-node baseline to feed EOF.
 func singleOutputs(t *testing.T, sc experiments.Scale) outputs {
 	t.Helper()
 	lw, err := StartLocalDaemon(sc)
@@ -192,18 +65,14 @@ func singleOutputs(t *testing.T, sc experiments.Scale) outputs {
 	}
 	defer lw.StopHTTP()
 
-	cap := captureStream(t, lw.URL())
+	cap := faultfeed.Subscribe(t, lw.URL()+"/v1/signals")
 	if err := lw.RunFeed(context.Background()); err != nil {
 		t.Fatalf("baseline feed: %v", err)
 	}
-	var o outputs
-	o.stream = normalizeStream(cap.stable(t, 300*time.Millisecond, 30*time.Second))
-	o.keys = httpGet(t, lw.URL()+"/v1/keys")
-	o.batch = httpPost(t, lw.URL()+"/v1/stale", batchBody(t, o.keys))
-	o.stats = httpGet(t, lw.URL()+"/v1/stats")
-	return o
+	return readOutputs(t, lw.URL(), cap, lw.lastMarker())
 }
 
+// clusterOutputs runs a K-worker cluster to feed EOF.
 func clusterOutputs(t *testing.T, sc experiments.Scale, workers int) outputs {
 	t.Helper()
 	lc, err := StartLocal(LocalOptions{
@@ -220,46 +89,17 @@ func clusterOutputs(t *testing.T, sc experiments.Scale, workers int) outputs {
 		t.Fatal(err)
 	}
 
-	cap := captureStream(t, lc.URL())
+	cap := faultfeed.Subscribe(t, lc.URL()+"/v1/signals")
 	lc.StartFeeds()
 	if err := lc.WaitFeeds(); err != nil {
 		t.Fatalf("cluster feeds: %v", err)
 	}
-	var o outputs
-	o.stream = normalizeStream(cap.stable(t, 300*time.Millisecond, 30*time.Second))
-	o.keys = httpGet(t, lc.URL()+"/v1/keys")
-	o.batch = httpPost(t, lc.URL()+"/v1/stale", batchBody(t, o.keys))
-	o.stats = httpGet(t, lc.URL()+"/v1/stats")
-	return o
-}
-
-// diffStrings fails with a focused diff rather than dumping two full
-// multi-kilobyte bodies.
-func diffStrings(t *testing.T, what, want, got string) {
-	t.Helper()
-	if want == got {
-		return
-	}
-	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
-	for i := 0; i < len(w) || i < len(g); i++ {
-		wl, gl := "", ""
-		if i < len(w) {
-			wl = w[i]
-		}
-		if i < len(g) {
-			gl = g[i]
-		}
-		if wl != gl {
-			t.Fatalf("%s diverges at line %d:\n single: %q\ncluster: %q\n(single %d lines, cluster %d lines)",
-				what, i+1, wl, gl, len(w), len(g))
-		}
-	}
-	t.Fatalf("%s differs only in trailing newlines (single %d lines, cluster %d)", what, len(w), len(g))
+	return readOutputs(t, lc.URL(), cap, lc.Workers[0].lastMarker())
 }
 
 // TestClusterDifferential is the tentpole guarantee: a K-worker cluster's
-// merged /v1/stale, /v1/stats, /v1/keys, and SSE signal stream are
-// byte-identical to a single daemon over the same simulated feeds, for
+// merged /v1/keys, /v1/stale, /v1/stats, /v1/events (GET and the filter)
+// and SSE signal stream are byte-identical to a single daemon over the same simulated feeds, for
 // K ∈ {1, 3}, and the merger drops no frame as late. It runs at diffScale
 // and, as Days2, over two days of dense public traces: there §4.2.1's
 // subpath series choose windows longer than the engine's, so a close
@@ -294,11 +134,7 @@ func clusterDifferential(t *testing.T, sc experiments.Scale, minOlder int) {
 	for _, workers := range []int{1, 3} {
 		t.Run(fmt.Sprintf("K=%d", workers), func(t *testing.T) {
 			late := metClusterStreamLate.Value()
-			got := clusterOutputs(t, sc, workers)
-			diffStrings(t, "keys", want.keys, got.keys)
-			diffStrings(t, "batch verdicts", want.batch, got.batch)
-			diffStrings(t, "stats", want.stats, got.stats)
-			diffStrings(t, "signal stream", want.stream, got.stream)
+			compare(t, sides, want, clusterOutputs(t, sc, workers))
 			if n := metClusterStreamLate.Value() - late; n != 0 {
 				t.Fatalf("merger dropped %d frames as late", n)
 			}

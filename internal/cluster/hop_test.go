@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"rrr/internal/faultfeed"
 	"rrr/internal/server"
 )
 
@@ -66,13 +67,13 @@ func TestRouterDamagedFrameFailsOver(t *testing.T) {
 		t.Fatalf("worker %d owns no keys; pick another corpus seed", bad)
 	}
 	body, _ := json.Marshal(map[string]any{"keys": all})
-	want := httpPost(t, lc.URL()+"/v1/stale", string(body))
+	want := faultfeed.Post(t, lc.URL()+"/v1/stale", string(body))
 
 	for m, name := range map[int32]string{flipByte: "flipped byte", shortFrame: "short frame", cutBody: "cut body"} {
 		mode.Store(m)
 		failovers, retries, partial := metRouterFailovers.Value(), metRouterRetries.Value(), metRouterPartial.Value()
-		got := httpPost(t, lc.URL()+"/v1/stale", string(body))
-		diffStrings(t, "batch across a "+name, want, got)
+		got := faultfeed.Post(t, lc.URL()+"/v1/stale", string(body))
+		faultfeed.Sides{Want: "clean", Got: name}.Diff(t, "batch", want, got)
 		if n := metRouterFailovers.Value() - failovers; n != uint64(len(byWorker[bad])) {
 			t.Errorf("%s: rrr_router_failovers_total moved by %d, want worker %d's %d keys", name, n, bad, len(byWorker[bad]))
 		}

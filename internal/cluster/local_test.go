@@ -12,6 +12,7 @@ import (
 	"rrr"
 	"rrr/internal/daemon"
 	"rrr/internal/experiments"
+	"rrr/internal/faultfeed"
 )
 
 // LocalOptions configures an in-process cluster over simulated feeds.
@@ -138,6 +139,15 @@ func StartLocalDaemon(sc experiments.Scale) (*LocalWorker, error) {
 // EOF, publishing signals and window markers to its SSE hub.
 func (lw *LocalWorker) RunFeed(ctx context.Context) error {
 	return rrr.RunPipeline(ctx, lw.Mon, lw.Pipeline(nil, daemon.DefaultRetry))
+}
+
+// lastMarker is the window marker the worker published last once its feed
+// has ended: the close of the window before the one its clock opened.
+// Every worker ingests the full feed, so in a cluster each names the
+// merged stream's end.
+func (lw *LocalWorker) lastMarker() string {
+	ws, _ := lw.Mon.WindowClock()
+	return faultfeed.WindowMarker(ws - lw.Mon.WindowSec())
 }
 
 // StartLocal brings up the cluster: workers listening, router subscribed

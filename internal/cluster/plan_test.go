@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"rrr/internal/faultfeed"
 )
 
 type planResp struct {
@@ -50,14 +52,14 @@ func TestClusterRefreshPlanDifferential(t *testing.T) {
 	if err := lw.RunFeed(context.Background()); err != nil {
 		t.Fatalf("baseline feed: %v", err)
 	}
-	full := parsePlan(t, httpPost(t, lw.URL()+"/v1/refresh/plan", planBody(1<<20)))
+	full := parsePlan(t, faultfeed.Post(t, lw.URL()+"/v1/refresh/plan", planBody(1<<20)))
 	if full.Planned < 6 {
 		t.Fatalf("only %d plannable pairs; differential would be vacuous", full.Planned)
 	}
 	// A budget below the candidate count forces the truncation the old
 	// merge got wrong.
 	budget := full.Planned * 2 / 3
-	want := httpPost(t, lw.URL()+"/v1/refresh/plan", planBody(budget))
+	want := faultfeed.Post(t, lw.URL()+"/v1/refresh/plan", planBody(budget))
 	if got := parsePlan(t, want).Planned; got != budget {
 		t.Fatalf("baseline planned %d of budget %d", got, budget)
 	}
@@ -88,7 +90,7 @@ func TestClusterRefreshPlanDifferential(t *testing.T) {
 	var workerKeys [][]string
 	contributing := 0
 	for _, w := range lc.Workers {
-		p := parsePlan(t, httpPost(t, w.URL()+"/v1/refresh/plan", planBody(budget)))
+		p := parsePlan(t, faultfeed.Post(t, w.URL()+"/v1/refresh/plan", planBody(budget)))
 		if p.Planned > 0 {
 			contributing++
 		}
@@ -105,8 +107,8 @@ func TestClusterRefreshPlanDifferential(t *testing.T) {
 		naive = naive[:budget]
 	}
 
-	got := httpPost(t, lc.URL()+"/v1/refresh/plan", planBody(budget))
-	diffStrings(t, "refresh plan", want, got)
+	got := faultfeed.Post(t, lc.URL()+"/v1/refresh/plan", planBody(budget))
+	sides.Diff(t, "refresh plan", want, got)
 
 	merged := parsePlan(t, got)
 	naiveMatches := len(naive) == len(merged.Keys)

@@ -8,6 +8,7 @@ import (
 	"rrr"
 	"rrr/internal/bgp"
 	"rrr/internal/bordermap"
+	"rrr/internal/faultfeed"
 	"rrr/internal/server"
 )
 
@@ -146,7 +147,7 @@ func TestClusterPrunedCommunitiesMerge(t *testing.T) {
 	ids := make(map[uint32]int)
 	for _, u := range urls {
 		var st server.Stats
-		if err := json.Unmarshal([]byte(httpGet(t, u+"/v1/stats")), &st); err != nil {
+		if err := json.Unmarshal([]byte(faultfeed.Get(t, u+"/v1/stats")), &st); err != nil {
 			t.Fatal(err)
 		}
 		naiveSum += st.PrunedCommunities
@@ -166,11 +167,8 @@ func TestClusterPrunedCommunitiesMerge(t *testing.T) {
 		t.Fatalf("naive sum %d would not have inflated; scenario is vacuous", naiveSum)
 	}
 
-	singleStats := httpGet(t, singleTS.URL+"/v1/stats")
-	routerStats := httpGet(t, rtTS.URL+"/v1/stats")
-	if singleStats != routerStats {
-		t.Fatalf("clustered stats diverge from single daemon:\nsingle: %s\nrouter: %s", singleStats, routerStats)
-	}
+	routerStats := faultfeed.Get(t, rtTS.URL+"/v1/stats")
+	sides.Diff(t, "GET /v1/stats", faultfeed.Get(t, singleTS.URL+"/v1/stats"), routerStats)
 	var merged server.Stats
 	if err := json.Unmarshal([]byte(routerStats), &merged); err != nil {
 		t.Fatal(err)

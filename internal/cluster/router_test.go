@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"rrr"
+	"rrr/internal/faultfeed"
 	"rrr/internal/server"
 )
 
@@ -39,7 +41,7 @@ func clusterKeys(t *testing.T, lc *LocalCluster) (all []string, byWorker [][]str
 	var resp struct {
 		Keys []string `json:"keys"`
 	}
-	if err := json.Unmarshal([]byte(httpGet(t, lc.URL()+"/v1/keys")), &resp); err != nil {
+	if err := json.Unmarshal([]byte(faultfeed.Get(t, lc.URL()+"/v1/keys")), &resp); err != nil {
 		t.Fatal(err)
 	}
 	byWorker = make([][]string, lc.Ring.Workers())
@@ -101,13 +103,13 @@ func TestRouterWorkerDownMidBatch(t *testing.T) {
 		t.Fatalf("worker %d owns no keys; pick another corpus seed", down)
 	}
 	body, _ := json.Marshal(map[string]any{"keys": all})
-	before := httpPost(t, lc.URL()+"/v1/stale", string(body))
+	before := faultfeed.Post(t, lc.URL()+"/v1/stale", string(body))
 
 	// One worker down: every one of its partitions has a live standby, so
 	// the failover must be invisible — same bytes, no degradation fields.
 	lc.Workers[down].StopHTTP()
-	after := httpPost(t, lc.URL()+"/v1/stale", string(body))
-	diffStrings(t, "batch across single-worker failover", before, after)
+	after := faultfeed.Post(t, lc.URL()+"/v1/stale", string(body))
+	faultfeed.Sides{Want: "before", Got: "after"}.Diff(t, "batch across single-worker failover", before, after)
 
 	// Second worker down: partitions replicated only on {1, 2} go dark.
 	lc.Workers[2].StopHTTP()
@@ -116,7 +118,7 @@ func TestRouterWorkerDownMidBatch(t *testing.T) {
 		t.Fatal("no partition has both replicas on workers 1 and 2; ring geometry changed, rewrite the test")
 	}
 	var resp batchResp
-	if err := json.Unmarshal([]byte(httpPost(t, lc.URL()+"/v1/stale", string(body))), &resp); err != nil {
+	if err := json.Unmarshal([]byte(faultfeed.Post(t, lc.URL()+"/v1/stale", string(body))), &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Count != len(all) {
@@ -191,7 +193,7 @@ func TestRouterSlowWorkerTimeout(t *testing.T) {
 	body, _ := json.Marshal(map[string]any{"keys": all})
 	start := time.Now()
 	var resp batchResp
-	if err := json.Unmarshal([]byte(httpPost(t, lc.URL()+"/v1/stale", string(body))), &resp); err != nil {
+	if err := json.Unmarshal([]byte(faultfeed.Post(t, lc.URL()+"/v1/stale", string(body))), &resp); err != nil {
 		t.Fatal(err)
 	}
 	// One per-worker timeout (the retry shares its deadline) plus the
@@ -219,7 +221,7 @@ func TestRouterSlowWorkerTimeout(t *testing.T) {
 func TestRouterSSEReconnect(t *testing.T) {
 	lc := startSmallCluster(t, nil)
 
-	cap := captureStream(t, lc.URL())
+	cap := faultfeed.Subscribe(t, lc.URL()+"/v1/signals")
 	lc.Workers[0].StopHTTP()
 	deadline := time.Now().Add(5 * time.Second)
 	for lc.Router.merger.allConnected() {
@@ -240,7 +242,7 @@ func TestRouterSSEReconnect(t *testing.T) {
 	if err := lc.WaitFeeds(); err != nil {
 		t.Fatal(err)
 	}
-	stream := normalizeStream(cap.stable(t, 300*time.Millisecond, 30*time.Second))
+	stream := cap.Until(t, lc.Workers[0].lastMarker(), 30*time.Second)
 	if n := strings.Count(stream, "event: signal"); n == 0 {
 		t.Fatal("no signals after worker restart")
 	}
@@ -264,6 +266,43 @@ func TestRouterSSEReconnect(t *testing.T) {
 			t.Fatalf("window barrier went backwards: %d after %d", mk.WindowStart, last)
 		}
 		last = mk.WindowStart
+	}
+}
+
+// TestRouterSSEReattachDelay drops a worker's stream right after each of
+// eight attaches: a connection that attached resets the reconnect delay,
+// so every reattach waits one StreamBackoff, not a doubling series.
+func TestRouterSSEReattachDelay(t *testing.T) {
+	const drops = 8
+	// Room for every attach the test reads; the handler drops later ones.
+	attached := make(chan time.Time, drops+1)
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/signals" {
+			select {
+			case attached <- time.Now():
+			default:
+			}
+		}
+	}))
+	defer worker.Close()
+	rt, err := NewRouter(Options{Workers: []string{worker.URL}, StreamBackoff: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	first := <-attached
+	for i := 1; i <= drops; i++ {
+		select {
+		case at := <-attached:
+			if i == drops {
+				if took := at.Sub(first); took > 2*time.Second {
+					t.Fatalf("%d reattaches took %v; the delay did not reset after an attach", drops, took)
+				}
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("reattach %d of %d never came", i, drops)
+		}
 	}
 }
 

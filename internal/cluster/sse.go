@@ -42,18 +42,22 @@ func newSSEClient(worker int, baseURL string, httpc *http.Client, m *merger, bac
 }
 
 // run blocks until ctx is done, reconnecting after every stream failure.
+// The delay doubles while attempts fail and starts over after a
+// connection that attached.
 func (c *sseClient) run(ctx context.Context) {
 	wait := c.backoff
 	for {
 		if ctx.Err() != nil {
 			return
 		}
-		err := c.consume(ctx)
+		// Connection failures are expected during worker restarts.
+		if c.consume(ctx) {
+			wait = c.backoff
+		}
 		c.m.setConnected(c.worker, false)
 		if ctx.Err() != nil {
 			return
 		}
-		_ = err // connection failures are expected during worker restarts
 		metClusterStreamReconnects.Inc()
 		select {
 		case <-ctx.Done():
@@ -67,30 +71,32 @@ func (c *sseClient) run(ctx context.Context) {
 }
 
 // consume runs one connection: it marks the worker connected after the
-// stream opens and dispatches events until the stream breaks.
-func (c *sseClient) consume(ctx context.Context) error {
+// stream opens and dispatches events until the stream breaks. It reports
+// whether the stream opened.
+func (c *sseClient) consume(ctx context.Context) bool {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url, nil)
 	if err != nil {
-		return err
+		return false
 	}
 	// A streaming client must not carry a response deadline; liveness
 	// comes from the worker's keepalive comments and ctx cancellation.
 	resp, err := c.httpc.Do(req)
 	if err != nil {
-		return err
+		return false
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return &httpStatusError{status: resp.StatusCode}
+		return false
 	}
 	c.lastDropped = 0
 	c.m.setConnected(c.worker, true)
-	return c.read(resp.Body)
+	c.read(resp.Body)
+	return true
 }
 
 // read parses one connection's event stream, dispatching each complete
 // event, until the stream ends.
-func (c *sseClient) read(body io.Reader) error {
+func (c *sseClient) read(body io.Reader) {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	event, data := "", ""
@@ -110,7 +116,6 @@ func (c *sseClient) read(body io.Reader) error {
 			data = line[len("data: "):]
 		}
 	}
-	return sc.Err()
 }
 
 func (c *sseClient) dispatch(event, data string) {
@@ -152,10 +157,4 @@ func (c *sseClient) dispatch(event, data string) {
 			c.lastDropped = d.Dropped
 		}
 	}
-}
-
-type httpStatusError struct{ status int }
-
-func (e *httpStatusError) Error() string {
-	return "unexpected stream status " + http.StatusText(e.status)
 }

@@ -7,11 +7,13 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rrr"
 	"rrr/internal/daemon"
 	"rrr/internal/experiments"
+	"rrr/internal/faultfeed"
 	"rrr/internal/server"
 	"rrr/internal/wal"
 )
@@ -130,18 +132,7 @@ func TestLabMatchesDaemon(t *testing.T) {
 			sc.SimCfg.Seed = seed
 			got, gotWindows := labSignals(sc)
 			want, wantWindows := daemonSignals(t, sc)
-			for i := 0; i < len(got) || i < len(want); i++ {
-				var g, w string
-				if i < len(got) {
-					g = got[i]
-				}
-				if i < len(want) {
-					w = want[i]
-				}
-				if g != w {
-					t.Fatalf("signal %d of %d (lab) / %d (daemon) differs:\n lab:    %s\n daemon: %s", i, len(got), len(want), g, w)
-				}
-			}
+			faultfeed.Sides{Want: "daemon", Got: "lab"}.Diff(t, "signals", strings.Join(want, "\n"), strings.Join(got, "\n"))
 			if gotWindows != wantWindows {
 				t.Fatalf("lab closed %d windows, daemon %d", gotWindows, wantWindows)
 			}

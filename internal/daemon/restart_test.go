@@ -9,6 +9,7 @@ import (
 	"rrr"
 	"rrr/internal/daemon"
 	"rrr/internal/experiments"
+	"rrr/internal/faultfeed"
 	"rrr/internal/netsim"
 	"rrr/internal/wal"
 )
@@ -17,35 +18,30 @@ import (
 // then started again over the same log. The second process ingests nothing
 // new: it replays every window the first one served and closes the last.
 // The replay drives the pipeline's own hooks, the event detector included,
-// so GET /v1/events and GET /v1/stats must come back byte for byte.
+// so /v1/keys, the full-corpus /v1/stale, /v1/stats and /v1/events must
+// come back byte for byte.
 func TestRestartDifferential(t *testing.T) {
 	sc := quickScale(t, 2)
 	pack := netsim.FullPack()
 	sc.Scenario = &pack
 	walDir := t.TempDir()
 
-	events1, stats1 := restartRun(t, sc, walDir)
+	first := restartRun(t, sc, walDir)
 	var got struct{ Count int }
-	if err := json.Unmarshal(events1, &got); err != nil {
-		t.Fatalf("/v1/events %s: %v", events1, err)
+	if err := json.Unmarshal([]byte(first.Events), &got); err != nil {
+		t.Fatalf("/v1/events %s: %v", first.Events, err)
 	}
 	if got.Count == 0 {
 		t.Fatal("first run classified no events; the comparison would be vacuous")
 	}
-	events2, stats2 := restartRun(t, sc, walDir)
-	if string(events2) != string(events1) {
-		t.Errorf("/v1/events after restart:\n got  %s\n want %s", events2, events1)
-	}
-	if string(stats2) != string(stats1) {
-		t.Errorf("/v1/stats after restart:\n got  %s\n want %s", stats2, stats1)
-	}
-	t.Logf("first run: %d events, %d stats bytes", got.Count, len(stats1))
+	faultfeed.Sides{Want: "first", Got: "restarted"}.Compare(t, first, restartRun(t, sc, walDir))
+	t.Logf("first run: %d events, %d stats bytes", got.Count, len(first.Stats))
 }
 
 // restartRun is one rrrd process over the WAL in walDir — New, Track,
-// Recover, ingest to the end of the feed — and returns the GET /v1/events
-// and GET /v1/stats bodies it serves at the end.
-func restartRun(t *testing.T, sc experiments.Scale, walDir string) (events, stats []byte) {
+// Recover, ingest to the end of the feed — and returns what it serves at
+// the end.
+func restartRun(t *testing.T, sc experiments.Scale, walDir string) faultfeed.Surfaces {
 	t.Helper()
 	w, err := wal.Open(wal.Options{Dir: walDir})
 	if err != nil {
@@ -67,13 +63,7 @@ func restartRun(t *testing.T, sc experiments.Scale, walDir string) (events, stat
 	if err := rrr.RunPipeline(context.Background(), d.Mon, cfg); err != nil {
 		t.Fatal(err)
 	}
-	get := func(path string) []byte {
-		rec := httptest.NewRecorder()
-		d.Srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		if rec.Code != 200 {
-			t.Fatalf("GET %s = %d %s", path, rec.Code, rec.Body)
-		}
-		return rec.Body.Bytes()
-	}
-	return get("/v1/events"), get("/v1/stats")
+	ts := httptest.NewServer(d.Srv.Handler())
+	defer ts.Close()
+	return faultfeed.ReadSurfaces(t, ts.URL)
 }

@@ -2,10 +2,7 @@ package feedwire_test
 
 import (
 	"context"
-	"encoding/json"
-	"io"
 	"net"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
@@ -18,7 +15,6 @@ import (
 	"rrr/internal/faultfeed"
 	"rrr/internal/feedwire"
 	"rrr/internal/obs"
-	"rrr/internal/server"
 )
 
 // diffScale keeps the simulated feed small enough for CI while still
@@ -53,69 +49,18 @@ func newDaemon(t *testing.T, sc experiments.Scale) *daemon.Daemon {
 var wireRetry = rrr.RetryPolicy{MaxRetries: 10, Backoff: 5 * time.Millisecond}
 
 // outputs are the comparison surfaces: every emitted signal in order,
-// then the served key list, full-corpus batch verdicts, and stats.
+// then what the daemon's own server reads after the feed finished.
 type outputs struct {
 	signals string
-	keys    string
-	batch   string
-	stats   string
+	faultfeed.Surfaces
 }
 
-func httpGet(t *testing.T, url string) string {
+// collect reads d's serving surfaces after the feed finished.
+func collect(t *testing.T, d *daemon.Daemon, signals []string) outputs {
 	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, body)
-	}
-	return string(body)
-}
-
-func httpPost(t *testing.T, url, body string) string {
-	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST %s: status %d: %s", url, resp.StatusCode, data)
-	}
-	return string(data)
-}
-
-// collect reads the monitor's serving surfaces after the feed finished.
-func collect(t *testing.T, mon *rrr.Monitor, signals []string) outputs {
-	t.Helper()
-	ts := httptest.NewServer(server.New(mon, server.Config{}).Handler())
+	ts := httptest.NewServer(d.Srv.Handler())
 	defer ts.Close()
-	var o outputs
-	o.signals = strings.Join(signals, "\n")
-	o.keys = httpGet(t, ts.URL+"/v1/keys")
-	var kr struct {
-		Keys []string `json:"keys"`
-	}
-	if err := json.Unmarshal([]byte(o.keys), &kr); err != nil {
-		t.Fatalf("keys response: %v", err)
-	}
-	if len(kr.Keys) == 0 {
-		t.Fatal("empty key list; differential would be vacuous")
-	}
-	body, _ := json.Marshal(map[string]any{"keys": kr.Keys})
-	o.batch = httpPost(t, ts.URL+"/v1/stale", string(body))
-	o.stats = httpGet(t, ts.URL+"/v1/stats")
-	return o
+	return outputs{strings.Join(signals, "\n"), faultfeed.ReadSurfaces(t, ts.URL)}
 }
 
 // inprocOutputs is the baseline: the monitor ingests the simulator feeds
@@ -129,7 +74,7 @@ func inprocOutputs(t *testing.T) outputs {
 	if err := rrr.RunPipeline(context.Background(), d.Mon, cfg); err != nil {
 		t.Fatalf("baseline pipeline: %v", err)
 	}
-	return collect(t, d.Mon, sigs)
+	return collect(t, d, sigs)
 }
 
 // stallPoints makes an update-source wrapper that injects one long pause
@@ -263,46 +208,22 @@ func wireOutputs(t *testing.T, opts wireOpts) outputs {
 			t.Fatalf("rrr_feedwire_reconnects_total moved by %d, want 0", n)
 		}
 	}
-	return collect(t, d.Mon, sigs)
-}
-
-// diffStrings fails with a focused diff rather than dumping two full
-// multi-kilobyte bodies.
-func diffStrings(t *testing.T, what, want, got string) {
-	t.Helper()
-	if want == got {
-		return
-	}
-	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
-	for i := 0; i < len(w) || i < len(g); i++ {
-		wl, gl := "", ""
-		if i < len(w) {
-			wl = w[i]
-		}
-		if i < len(g) {
-			gl = g[i]
-		}
-		if wl != gl {
-			t.Fatalf("%s diverges at line %d:\ninproc: %q\n  wire: %q\n(inproc %d lines, wire %d lines)",
-				what, i+1, wl, gl, len(w), len(g))
-		}
-	}
-	t.Fatalf("%s differs only in trailing newlines (inproc %d lines, wire %d)", what, len(w), len(g))
+	return collect(t, d, sigs)
 }
 
 func compareOutputs(t *testing.T, want, got outputs) {
 	t.Helper()
-	diffStrings(t, "signals", want.signals, got.signals)
-	diffStrings(t, "keys", want.keys, got.keys)
-	diffStrings(t, "batch verdicts", want.batch, got.batch)
-	diffStrings(t, "stats", want.stats, got.stats)
+	sides := faultfeed.Sides{Want: "inproc", Got: "wire"}
+	sides.Diff(t, "signals", want.signals, got.signals)
+	sides.Compare(t, want.Surfaces, got.Surfaces)
 }
 
 // TestWireDifferential is the guarantee for the feed wire: a daemon
 // ingesting over TCP — including across forced mid-window disconnects
 // with reconnect+resume, and under a consumer that stalls long enough to
-// push back on the server — produces byte-identical signals, stale sets,
-// and /v1/stats to one ingesting the same feeds in-process.
+// push back on the server — produces byte-identical signals, keys, stale
+// sets, /v1/stats and /v1/events to one ingesting the same feeds
+// in-process.
 func TestWireDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential runs a full simulated day per scenario")

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rrr/internal/faultfeed"
 )
 
 // TestDeadlineHeaderShed pins the deadline-propagation contract: a request
@@ -119,13 +121,5 @@ func TestOverloadShed(t *testing.T) {
 	if code := <-first; code != http.StatusOK {
 		t.Fatalf("wedged request finished %d, want 200", code)
 	}
-	resp, err = http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-recovery request = %d, want 200", resp.StatusCode)
-	}
+	faultfeed.Get(t, ts.URL+"/v1/stats") // the recovered server answers 200
 }

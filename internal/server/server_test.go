@@ -20,6 +20,7 @@ import (
 	"rrr/internal/bgp"
 	"rrr/internal/bordermap"
 	"rrr/internal/events"
+	"rrr/internal/faultfeed"
 )
 
 // testMapper: AS by first octet; 240.x is IXP 1 (mirrors the facade tests).
@@ -466,22 +467,8 @@ func TestSnapshotEndpointAndRestore(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(New(m2, Config{}).Handler())
 	defer ts2.Close()
-	read := func(s *httptest.Server) string {
-		resp, err := s.Client().Get(s.URL + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	before, after := read(ts), read(ts2)
-	if before != after {
-		t.Fatalf("stats diverge after restore:\n before: %s\n after:  %s", before, after)
-	}
+	faultfeed.Sides{Want: "before", Got: "after"}.Diff(t, "stats after restore",
+		faultfeed.Get(t, ts.URL+"/v1/stats"), faultfeed.Get(t, ts2.URL+"/v1/stats"))
 
 	// Corrupt / wrong-version snapshots are refused.
 	bad := t.TempDir() + "/bad.snap"

@@ -2,23 +2,19 @@
 // seeded WAL append points mid-ingest, recover it from its own on-disk
 // log, and prove the cluster lost nothing — the recovered worker's signal
 // stream, stale set, and log bytes match its never-crashed twin, and the
-// router-merged /v1/keys, full-corpus /v1/stale, and /v1/stats are
-// byte-identical to a cluster that never lost the worker. Lives beside
+// router-merged /v1/keys, full-corpus /v1/stale, /v1/stats and /v1/events
+// are byte-identical to a cluster that never lost the worker. Lives beside
 // the single-node torture harness because the crash-injection hooks are
 // test-only exports of package wal.
 package wal_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -26,6 +22,7 @@ import (
 	"rrr/internal/cluster"
 	"rrr/internal/daemon"
 	"rrr/internal/experiments"
+	"rrr/internal/faultfeed"
 	"rrr/internal/wal"
 )
 
@@ -85,44 +82,9 @@ func runFeed(d *daemon.Daemon, sink func(rrr.Signal)) error {
 	return rrr.RunPipeline(context.Background(), d.Mon, d.Pipeline(sink, daemon.DefaultRetry))
 }
 
-func clusterGet(t *testing.T, url string) string {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, body)
-	}
-	return string(body)
-}
-
-func clusterPost(t *testing.T, url, body string) string {
-	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST %s: status %d: %s", url, resp.StatusCode, data)
-	}
-	return string(data)
-}
-
 // mergedSurfaces serves the given workers behind a fresh router and
-// captures the merged comparison surfaces: the key list, a full-corpus
-// batch verdict response, and merged stats.
-func mergedSurfaces(t *testing.T, ds []*daemon.Daemon) (keys, batch, stats string) {
+// reads the merged surfaces.
+func mergedSurfaces(t *testing.T, ds []*daemon.Daemon) faultfeed.Surfaces {
 	t.Helper()
 	urls := make([]string, len(ds))
 	workers := make([]*httptest.Server, len(ds))
@@ -150,43 +112,7 @@ func mergedSurfaces(t *testing.T, ds []*daemon.Daemon) (keys, batch, stats strin
 		}
 	}()
 
-	keys = clusterGet(t, front.URL+"/v1/keys")
-	var kr struct {
-		Keys []string `json:"keys"`
-	}
-	if err := json.Unmarshal([]byte(keys), &kr); err != nil {
-		t.Fatalf("keys response: %v", err)
-	}
-	if len(kr.Keys) == 0 {
-		t.Fatal("merged key list is empty; the torture comparison would be vacuous")
-	}
-	body, _ := json.Marshal(map[string]any{"keys": kr.Keys})
-	batch = clusterPost(t, front.URL+"/v1/stale", string(body))
-	stats = clusterGet(t, front.URL+"/v1/stats")
-	return keys, batch, stats
-}
-
-// mustMatch fails at the first divergent line instead of dumping two full
-// bodies.
-func mustMatch(t *testing.T, what, want, got string) {
-	t.Helper()
-	if want == got {
-		return
-	}
-	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
-	for i := 0; i < len(w) || i < len(g); i++ {
-		wl, gl := "", ""
-		if i < len(w) {
-			wl = w[i]
-		}
-		if i < len(g) {
-			gl = g[i]
-		}
-		if wl != gl {
-			t.Fatalf("%s diverges at line %d:\n intact:    %q\n recovered: %q", what, i+1, wl, gl)
-		}
-	}
-	t.Fatalf("%s differs only in trailing newlines", what)
+	return faultfeed.ReadSurfaces(t, front.URL)
 }
 
 // clusterWorkerBase is one worker's uninterrupted ground truth.
@@ -242,7 +168,7 @@ func TestClusterCrashTorture(t *testing.T) {
 		wb.log = dirBytes(t, dir)
 		bases[w] = wb
 	}
-	baseKeys, baseBatch, baseStats := mergedSurfaces(t, workersOf(bases))
+	baseMerged := mergedSurfaces(t, workersOf(bases))
 
 	const victim = 1
 	policies := []wal.FsyncPolicy{wal.FsyncEveryRecord, wal.FsyncOnWindowClose, wal.FsyncInterval}
@@ -260,15 +186,14 @@ func TestClusterCrashTorture(t *testing.T) {
 		crashAt := 1 + rng.Intn(total-1)
 		partial := rng.Intn(48)
 		t.Run(fmt.Sprintf("%s/crashAt=%d", policy, crashAt), func(t *testing.T) {
-			runClusterTorturePoint(t, sc, ring, bases, victim, policy, uint64(crashAt), partial,
-				baseKeys, baseBatch, baseStats)
+			runClusterTorturePoint(t, sc, ring, bases, victim, policy, uint64(crashAt), partial, baseMerged)
 		})
 	}
 }
 
 func runClusterTorturePoint(t *testing.T, sc experiments.Scale, ring *cluster.Ring,
 	bases []*clusterWorkerBase, victim int, policy wal.FsyncPolicy, crashAt uint64, partial int,
-	baseKeys, baseBatch, baseStats string) {
+	baseMerged faultfeed.Surfaces) {
 	dir := t.TempDir()
 
 	// Incarnation 1: the victim ingests until the armed append kills it.
@@ -329,8 +254,5 @@ func runClusterTorturePoint(t *testing.T, sc experiments.Scale, ring *cluster.Ri
 	// be byte-identical to the never-killed cluster.
 	workers := workersOf(bases)
 	workers[victim] = d2
-	keys, batch, stats := mergedSurfaces(t, workers)
-	mustMatch(t, "merged /v1/keys", baseKeys, keys)
-	mustMatch(t, "merged /v1/stale batch", baseBatch, batch)
-	mustMatch(t, "merged /v1/stats", baseStats, stats)
+	faultfeed.Sides{Want: "intact", Got: "recovered"}.Compare(t, baseMerged, mergedSurfaces(t, workers))
 }
