@@ -69,20 +69,24 @@ fuzz:
 
 # Crash-torture harness in short mode: seeded crash points across all
 # three fsync policies, each proving the recovered daemon byte-identical
-# to an uninterrupted run — single-node and one-worker-of-a-cluster both.
-# The full sweeps run without -short. The restart differential then runs
-# rrrd to EOF twice over one WAL and requires /v1/events and /v1/stats
+# to an uninterrupted run — single-node and one-worker-of-a-cluster both;
+# the cluster one compares the router-merged /v1/keys, full-corpus
+# /v1/stale, /v1/stats and /v1/events with a never-crashed cluster's. The
+# full sweeps run without -short. The restart differential then runs rrrd
+# to EOF twice over one WAL and requires the same four surfaces
 # byte-identical.
 crashtest:
 	$(GO) test ./internal/wal -run 'TestCrashTorture|TestClusterCrashTorture' -short -count=1 -v
 	$(GO) test ./internal/daemon -run TestRestartDifferential -count=1 -v
 
 # Cluster acceptance under the race detector: the K∈{1,3} differential at
-# two scales (router-merged keys/batch/stats/SSE byte-identical to one
-# daemon, no frame dropped as late), the stream merger's own cases (window
-# by marker, relayed worker drops), the router degradation paths (worker
-# down mid-batch, wedged worker, SSE reconnect), and the kill-one-worker
-# WAL recovery torture.
+# two scales (router-merged keys, full-corpus batch, stats, GET and POST
+# /v1/events and the SSE stream up to the last window marker,
+# byte-identical to one daemon; no frame dropped as late), the stream
+# merger's own cases (window by marker, relayed worker drops), the router
+# degradation paths (worker down mid-batch, wedged worker, SSE reconnect
+# and its reset delay), and the kill-one-worker WAL recovery torture
+# (merged keys/batch/stats/events against a never-crashed cluster).
 clustertest:
 	$(GO) test -race -count=1 ./internal/cluster -run 'TestClusterDifferential|TestMerger|TestRouter|TestRing|TestBreaker' -v
 	$(GO) test -race -count=1 ./internal/wal -run TestClusterCrashTorture -v
@@ -98,7 +102,8 @@ chaostest:
 # Networked-feed acceptance under the race detector: the wire
 # differential (a daemon fed over TCP — including forced mid-window
 # disconnects and a stalled consumer pushing back on the server with
-# no reconnect — is byte-identical to in-process feeds), the frame
+# no reconnect — emits the signals and serves the keys, full-corpus
+# batch, stats and /v1/events of in-process feeds, byte for byte), the frame
 # codec's truncation and corruption suite, the record codec's
 # allocation budget (the race detector leaves its counts unchanged),
 # the buffered server's flush before it waits on an idle stream, and
@@ -111,7 +116,8 @@ feedtest:
 # without seeded duplicate delivery), the classifier edge-case tables (benign anycast
 # MOAS vs hijack MOAS, self-healing leaks, blackholes), the ground-truth
 # accuracy harness, and the event-surface differential (single daemon vs
-# 3-worker cluster byte-identical on /v1/events and SSE routing frames).
+# 3-worker cluster byte-identical on GET and POST /v1/events, the SSE
+# routing frames and whole stream, keys, batch verdicts and stats).
 scenariotest:
 	$(GO) test -race -count=1 ./internal/events -v
 	$(GO) test -race -count=1 ./internal/netsim -run TestScenario -v
