@@ -45,10 +45,13 @@ race:
 # The per-layer counts behind the ledger's ingest numbers, one command:
 # ns, B and allocs per op for the engine (window close, public trace,
 # registration, and per update the window fold of a watched and of an
-# unwatched pair), the two detectors, and the event tap.
+# unwatched pair), the two detectors, the event tap, and the pipeline's
+# own reader, hand-off queue and merge loop per record
+# (BenchmarkPipelineHandoff: re-announcements into an untracked monitor).
 bench:
 	$(GO) test -run xxx -bench . -benchmem -benchtime 10x ./internal/core/
 	$(GO) test -run xxx -bench 'Add|Tap' -benchmem ./internal/anomaly/ ./internal/events/
+	$(GO) test -run xxx -bench PipelineHandoff -benchmem .
 
 # Short fuzz pass over every entry point that consumes untrusted bytes:
 # the BGP parsers (MRT, binary, and text codecs; path and community
@@ -107,9 +110,16 @@ chaostest:
 # codec's truncation and corruption suite, the record codec's
 # allocation budget (the race detector leaves its counts unchanged),
 # the buffered server's flush before it waits on an idle stream, and
-# Close releasing a Read blocked on an idle stream.
+# Close releasing a Read blocked on an idle stream. Then the pipeline's
+# own tests, three times over: the feed hand-off queue's record order,
+# exactly-once reopen replay and 1 024-record bound under a slow tap
+# (TestPipelineHandoffOrderAndBound), a record handed over before the
+# next Read and a reader parked on a full queue leaving with a cancelled
+# run (TestPipelineHandoffHandsOverAndLeaksNothing), cancellation, feed
+# errors and recovery.
 feedtest:
 	$(GO) test -race -count=1 ./internal/feedwire -run 'TestWireDifferential|TestFrameReader|TestRecordCodecAllocs|TestServerFlushesBeforeWaiting|TestConnectorCloseUnblocksRead' -v
+	$(GO) test -race -count=3 . -run 'TestPipeline'
 
 # Adversarial-scenario acceptance under the race detector: netsim pack
 # determinism (byte-identical streams and ground-truth labels, with and

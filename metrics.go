@@ -78,9 +78,9 @@ func init() {
 	obs.Default.Help("rrr_pipeline_updates_total", "BGP updates consumed by the pipeline merge loop")
 	obs.Default.Help("rrr_pipeline_traces_total", "public traceroutes consumed by the pipeline merge loop")
 	obs.Default.Help("rrr_pipeline_windows_closed_total", "signal windows closed by the pipeline (boundary, drain, and final closes)")
-	obs.Default.Help("rrr_pipeline_update_queue_depth", "decoded BGP updates buffered ahead of the merge loop")
-	obs.Default.Help("rrr_pipeline_trace_queue_depth", "decoded traceroutes buffered ahead of the merge loop")
-	obs.Default.Help("rrr_pipeline_merge_stall_seconds", "time the merge loop spent blocked waiting on an empty feed channel")
+	obs.Default.Help("rrr_pipeline_update_queue_depth", "decoded BGP updates the merge loop took from the feed's hand-off queue at its last take (0 once the feed ended)")
+	obs.Default.Help("rrr_pipeline_trace_queue_depth", "decoded traceroutes the merge loop took from the feed's hand-off queue at its last take (0 once the feed ended)")
+	obs.Default.Help("rrr_pipeline_merge_stall_seconds", "time the merge loop spent blocked waiting on an empty feed queue")
 	obs.Default.Help("rrr_pipeline_feed_errors_total", "feed decode errors that terminated a pipeline run")
 	obs.Default.Help("rrr_monitor_tracked_pairs", "corpus pairs currently tracked by the monitor")
 	obs.Default.Help("rrr_monitor_stale_pairs", "tracked pairs with active (unrevoked) staleness signals")

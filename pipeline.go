@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 	"time"
 
 	"rrr/internal/bgp"
@@ -13,8 +14,8 @@ import (
 )
 
 // errPipelineCancelled is the internal sentinel the fill helpers return
-// when ctx fires while they are blocked on a feed channel; the merge loop
-// maps it back to ctx.Err() after draining.
+// when ctx fires while they are blocked on an empty feed queue; the merge
+// loop maps it back to ctx.Err() after draining.
 var errPipelineCancelled = errors.New("rrr: pipeline cancelled")
 
 // UpdateSource produces BGP updates in time order (io.EOF ends the feed).
@@ -74,10 +75,15 @@ func Tee(sinks ...func(Signal)) func(Signal) {
 	}
 }
 
-// pipelineChanCap bounds each feed's decode-ahead buffer, so decoding
-// overlaps monitor work without letting a fast feed run away from a slow
-// consumer (backpressure: a full channel blocks the reader goroutine).
-const pipelineChanCap = 1024
+// pipelineInFlight bounds each feed's decoded records between its Read and
+// the merge loop, so decoding overlaps monitor work without letting a fast
+// feed run away from a slow consumer. The reader blocks while handoffCap
+// records are queued, and the merge loop holds at most one taken batch of
+// as many (backpressure: a full queue blocks the reader goroutine).
+const (
+	pipelineInFlight = 1024
+	handoffCap       = pipelineInFlight / 2
+)
 
 // ResumeAll is the since value passed to an Open factory when the pipeline
 // has not yet ingested anything: deliver the feed from its beginning.
@@ -205,22 +211,21 @@ type RecordTap interface {
 	TapWindowClose(windowStart int64)
 }
 
-// feedItem carries one decoded record or a terminal reader error.
-type feedItem[T any] struct {
-	rec T
-	err error
-}
-
 // feed is the merge loop's per-feed supervisor state.
 type feed[T any] struct {
 	name    string
 	errWrap string
-	ch      chan feedItem[T]
+	// q is the running reader's hand-off queue (nil: no reader, the feed
+	// ended or is dead).
+	q *handoff[T]
 	// open is the normalized reopen factory (nil: any error ends the feed).
 	open func(int64) (func() (T, error), error)
 
-	pending T
-	have    bool
+	// batch is the records the merge loop took from q in one step; it
+	// walks them from next on without synchronisation, and hands the
+	// walked buffer back to q as the reader's next one.
+	batch []T
+	next  int
 
 	// replay is the open window's records as ingested before a reopen;
 	// the reopened stream is matched against them (from replayIdx) so each
@@ -236,6 +241,119 @@ type feed[T any] struct {
 	met   *feedMetrics
 	queue *obs.Gauge
 	errs  *obs.Counter
+}
+
+// head is the feed's next record in merge order, or nil while its batch is
+// walked to the end.
+func (f *feed[T]) head() *T {
+	if f.next == len(f.batch) {
+		return nil
+	}
+	return &f.batch[f.next]
+}
+
+// handoff is one feed's bounded queue from its reader goroutine to the
+// merge loop. The reader appends each record as it decodes it, so a record
+// is visible to the merge loop at once, even while the next Read blocks on
+// an idle live feed; the merge loop swaps out everything queued in one
+// locked step. ready and space are 1-slot wake-ups, sent after the state
+// change they announce, so a waiter that re-checks under mu never misses
+// one and can select on a stop channel beside them.
+type handoff[T any] struct {
+	mu   sync.Mutex
+	recs []T
+	// end is the reader's terminal error (io.EOF at a clean end), reported
+	// to the merge loop only once recs is empty.
+	end error
+
+	ready chan struct{} // recs became non-empty, or end was set
+	space chan struct{} // the merge loop took recs
+}
+
+func newHandoff[T any]() *handoff[T] {
+	return &handoff[T]{
+		recs:  make([]T, 0, handoffCap),
+		ready: make(chan struct{}, 1),
+		space: make(chan struct{}, 1),
+	}
+}
+
+func wake(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+// put queues rec, blocking while handoffCap records wait. It reports false
+// once stop has fired, so a reader that outlives its run stops at its next
+// record.
+func (q *handoff[T]) put(rec T, stop <-chan struct{}) bool {
+	select {
+	case <-stop:
+		return false
+	default:
+	}
+	q.mu.Lock()
+	for len(q.recs) >= handoffCap {
+		q.mu.Unlock()
+		select {
+		case <-q.space:
+		case <-stop:
+			return false
+		}
+		q.mu.Lock()
+	}
+	q.recs = append(q.recs, rec)
+	first := len(q.recs) == 1
+	q.mu.Unlock()
+	if first {
+		wake(q.ready)
+	}
+	return true
+}
+
+// finish records the reader's terminal error.
+func (q *handoff[T]) finish(err error) {
+	q.mu.Lock()
+	q.end = err
+	q.mu.Unlock()
+	wake(q.ready)
+}
+
+// take returns every queued record, giving the reader spare (the merge
+// loop's walked batch) to queue into next. While the queue is empty it
+// blocks, timing the wait into metPipeStall; once it is empty for good it
+// returns the reader's terminal error, or errPipelineCancelled when done
+// fires first.
+func (q *handoff[T]) take(spare []T, done <-chan struct{}) ([]T, error) {
+	q.mu.Lock()
+	if len(q.recs) == 0 && q.end == nil {
+		// The merge loop is stalling on the decoder. Timing only this
+		// path keeps time.Now off the fast path.
+		stall := time.Now()
+		for len(q.recs) == 0 && q.end == nil {
+			q.mu.Unlock()
+			select {
+			case <-q.ready:
+			case <-done:
+				metPipeStall.Observe(time.Since(stall).Seconds())
+				return nil, errPipelineCancelled
+			}
+			q.mu.Lock()
+		}
+		metPipeStall.Observe(time.Since(stall).Seconds())
+	}
+	batch := q.recs
+	if len(batch) == 0 {
+		err := q.end
+		q.mu.Unlock()
+		return nil, err
+	}
+	q.recs = spare[:0]
+	q.mu.Unlock()
+	wake(q.space)
+	return batch, nil
 }
 
 // pipeShared is the state shared between the merge loop and the reader
@@ -291,71 +409,56 @@ func dedupReader[T any](read func() (T, error), f *feed[T]) func() (T, error) {
 // error: io.EOF ends the feed cleanly, and any other error goes to the
 // merge loop, whose supervisor reopens the feed or declares it dead.
 func spawnFeed[T any](rc *pipeShared, f *feed[T], read func() (T, error)) {
-	ch := make(chan feedItem[T], pipelineChanCap)
-	f.ch = ch
+	q := newHandoff[T]()
+	f.q = q
+	if f.batch == nil {
+		f.batch = make([]T, 0, handoffCap)
+	}
 	f.met.up.Set(1)
 	rc.health.setStatus(f.name, FeedRunning, nil)
 	go func() {
-		defer close(ch)
 		if rc.dedup {
 			read = dedupReader(read, f)
 		}
 		for {
 			rec, err := read()
-			if err == io.EOF {
-				f.met.up.Set(0)
-				rc.health.setStatus(f.name, FeedEOF, nil)
-				return
-			}
 			if err != nil {
-				select {
-				case ch <- feedItem[T]{err: err}:
-				case <-rc.stop:
+				if err == io.EOF {
+					f.met.up.Set(0)
+					rc.health.setStatus(f.name, FeedEOF, nil)
 				}
+				q.finish(err)
 				return
 			}
-			select {
-			case ch <- feedItem[T]{rec: rec}:
-			case <-rc.stop:
+			if !q.put(rec, rc.stop) {
 				return
 			}
 		}
 	}()
 }
 
-// fill receives the next item for f unless one is already pending. It
+// fill takes f's next batch once the merge loop has walked the last one. It
 // returns errPipelineCancelled when ctx fires, or the feed's raw error for
 // the supervisor to classify.
 func fill[T any](rc *pipeShared, f *feed[T]) error {
-	if f.ch == nil || f.have {
+	if f.q == nil || f.next < len(f.batch) {
 		return nil
 	}
-	var it feedItem[T]
-	var ok bool
-	select {
-	case it, ok = <-f.ch:
-	default:
-		// Empty buffer: the merge loop is stalling on the decoder.
-		// Timing only this path keeps time.Now off the fast path.
-		stall := time.Now()
-		select {
-		case it, ok = <-f.ch:
-		case <-rc.done:
-			metPipeStall.Observe(time.Since(stall).Seconds())
-			return errPipelineCancelled
+	batch, err := f.q.take(f.batch, rc.done)
+	if err == errPipelineCancelled {
+		return err
+	}
+	if err != nil {
+		f.q = nil
+		f.queue.Set(0)
+		if err == io.EOF {
+			return nil
 		}
-		metPipeStall.Observe(time.Since(stall).Seconds())
-	}
-	if !ok {
-		f.ch = nil
-		return nil
-	}
-	f.queue.Set(int64(len(f.ch)))
-	if it.err != nil {
 		f.errs.Inc()
-		return it.err
+		return err
 	}
-	f.pending, f.have = it.rec, true
+	f.batch, f.next = batch, 0
+	f.queue.Set(int64(len(batch)))
 	return nil
 }
 
@@ -379,9 +482,7 @@ func handleFeedErr[T any](rc *pipeShared, f *feed[T], ferr error, resume int64, 
 		}
 		// Resume from the last completed window: the reopened stream
 		// re-covers the open window, and the records already ingested
-		// (win) are skipped as they re-arrive. The stale pending record is
-		// discarded for the same reason — it will re-arrive.
-		f.have = false
+		// (win) are skipped as they re-arrive.
 		if len(win) == 0 {
 			f.replay = nil
 			f.reopens = 0
@@ -401,8 +502,6 @@ func handleFeedErr[T any](rc *pipeShared, f *feed[T], ferr error, resume int64, 
 	f.met.dead.Inc()
 	f.met.up.Set(0)
 	f.deadErr = fmt.Errorf("rrr: %s: %w", f.errWrap, ferr)
-	f.ch = nil
-	f.have = false
 	rc.health.setStatus(f.name, FeedDead, ferr)
 	if rc.retry.ContinueOnDeadFeed {
 		return true, nil
@@ -442,9 +541,10 @@ func startFeed[T any](rc *pipeShared, f *feed[T], src interface{ Read() (T, erro
 	return nil
 }
 
-// pull fills f's pending record, handing a feed failure to the supervisor.
-// It reports whether the merge loop starts over (f was reopened, or died
-// under ContinueOnDeadFeed), or the error that ends the run.
+// pull refills f's batch once it is walked, handing a feed failure to the
+// supervisor. It reports whether the merge loop starts over (f was
+// reopened, or died under ContinueOnDeadFeed), or the error that ends the
+// run.
 func pull[T any](rc *pipeShared, f *feed[T], resume int64, win []T) (bool, error) {
 	err := fill(rc, f)
 	if err == nil || err == errPipelineCancelled {
@@ -460,11 +560,11 @@ func pull[T any](rc *pipeShared, f *feed[T], resume int64, win []T) (bool, error
 // everything from there on is ingested (divergence is counted, not fatal).
 // Either way the replay's end closes the failure episode and refunds the
 // reopen budget; only a full match counts as absorbed.
-func (f *feed[T]) consumeReplay(rc *pipeShared, rec T) bool {
+func (f *feed[T]) consumeReplay(rc *pipeShared, rec *T) bool {
 	if f.replay == nil {
 		return false
 	}
-	if f.equal(rec, f.replay[f.replayIdx]) {
+	if f.equal(*rec, f.replay[f.replayIdx]) {
 		f.replayIdx++
 		f.met.replayed.Inc()
 		rc.health.noteReplayed(f.name)
@@ -515,11 +615,11 @@ func traceEqual(a, b *Traceroute) bool {
 // closed on the way out, so buffered observations always produce their
 // signals.
 //
-// Each source is decoded on its own goroutine feeding a bounded channel,
-// so MRT parsing and archive I/O overlap signal processing while
-// backpressure keeps memory bounded. Items are still consumed in merged
-// time order, so the Monitor sees exactly the stream a serial loop would
-// produce.
+// Each source is decoded on its own goroutine feeding a bounded hand-off
+// queue, which the merge loop empties a batch at a time, so MRT parsing and
+// archive I/O overlap signal processing while backpressure keeps memory
+// bounded. Items are still consumed in merged time order, so the Monitor
+// sees exactly the stream a serial loop would produce.
 //
 // Failure handling is per feed, and reopen-and-replay is its one recovery:
 // a transient error (IsTransientError) on a feed with an Open factory
@@ -534,8 +634,8 @@ func traceEqual(a, b *Traceroute) bool {
 //
 // Cancellation is honored even while both reader goroutines are blocked
 // inside Read (a live feed waiting for its next item): the merge loop
-// selects on ctx alongside the feed channels, and the open window's close
-// on the way out means a daemon's graceful shutdown (cancel → drain →
+// selects on ctx alongside the feed queues' wake-ups, and the open window's
+// close on the way out means a daemon's graceful shutdown (cancel → drain →
 // final window close → snapshot) loses nothing already observed.
 //
 // With a RecordLog (PipelineConfig.WAL) every ingested record is teed to
@@ -622,21 +722,22 @@ func RunPipeline(ctx context.Context, m *Monitor, cfg PipelineConfig) error {
 		if again {
 			continue
 		}
+		u, t := uf.head(), tf.head()
 		switch {
-		case uf.have && (!tf.have || uf.pending.Time <= tf.pending.Time):
-			uf.have = false
-			if uf.consumeReplay(rc, uf.pending) {
+		case u != nil && (t == nil || u.Time <= (*t).Time):
+			uf.next++
+			if uf.consumeReplay(rc, u) {
 				continue
 			}
-			if err := s.update(uf.pending); err != nil {
+			if err := s.update(*u); err != nil {
 				return s.finish(err)
 			}
-		case tf.have:
-			tf.have = false
-			if tf.consumeReplay(rc, tf.pending) {
+		case t != nil:
+			tf.next++
+			if tf.consumeReplay(rc, t) {
 				continue
 			}
-			if err := s.trace(tf.pending); err != nil {
+			if err := s.trace(*t); err != nil {
 				return s.finish(err)
 			}
 		default:
