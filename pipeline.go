@@ -243,7 +243,7 @@ type feed[T any] struct {
 	errs  *obs.Counter
 }
 
-// head is the feed's next record in merge order, or nil while its batch is
+// head is the feed's next record in merge order, or nil once its batch is
 // walked to the end.
 func (f *feed[T]) head() *T {
 	if f.next == len(f.batch) {
@@ -278,6 +278,7 @@ func newHandoff[T any]() *handoff[T] {
 	}
 }
 
+// wake posts a wake-up on ch unless one is already pending.
 func wake(ch chan struct{}) {
 	select {
 	case ch <- struct{}{}:

@@ -182,17 +182,6 @@ func TestPipelineHandoffOrderAndBound(t *testing.T) {
 	t.Logf("reader at most %d records ahead of the tap", maxAhead)
 }
 
-// endlessUpdates serves announcements forever, counting its reads.
-type endlessUpdates struct {
-	u     Update
-	reads atomic.Int64
-}
-
-func (s *endlessUpdates) Read() (Update, error) {
-	s.u.Time = s.reads.Add(1)
-	return s.u, nil
-}
-
 // TestPipelineHandoffHandsOverAndLeaksNothing: a record is handed to the
 // merge loop before the reader asks its source for the next one, and a
 // reader parked on a full queue leaves with the run.
@@ -234,30 +223,30 @@ func TestPipelineHandoffHandsOverAndLeaksNothing(t *testing.T) {
 
 	t.Run("cancel while the reader is parked on a full queue", func(t *testing.T) {
 		base := runtime.NumGoroutine()
-		src := &endlessUpdates{u: announceUpd(t, 0, "5.0.0.9", 5, "4.0.0.0/8", []ASN{5, 4})}
+		// An endless feed, counting its reads.
+		var reads atomic.Int64
+		u := announceUpd(t, 0, "5.0.0.9", 5, "4.0.0.0/8", []ASN{5, 4})
+		src := updateFunc(func() (Update, error) {
+			u.Time = reads.Add(1)
+			return u, nil
+		})
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		first := true
+		var parkAt int64
 		tap := tapFunc(func(Update) {
-			if !first {
+			if parkAt != 0 {
 				return
 			}
-			first = false
-			// The reader holds at least the first batch's record, a full
-			// queue and one record it cannot queue: it is parked once its
-			// reads stop.
+			// Behind the first batch, whose size the gauge reads, the
+			// reader fills the queue and parks holding one more record.
+			parkAt = metPipeUpdateQueue.Value() + handoffCap + 1
 			deadline := time.Now().Add(10 * time.Second)
-			for last := int64(-1); ; {
-				time.Sleep(20 * time.Millisecond)
-				r := src.reads.Load()
-				if r == last && r >= 2+handoffCap {
-					break
-				}
+			for reads.Load() < parkAt {
 				if time.Now().After(deadline) {
-					t.Errorf("the reader never parked (%d reads)", r)
+					t.Errorf("the reader stopped at %d reads, want %d", reads.Load(), parkAt)
 					break
 				}
-				last = r
+				time.Sleep(time.Millisecond)
 			}
 			cancel()
 		})
@@ -265,8 +254,8 @@ func TestPipelineHandoffHandsOverAndLeaksNothing(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v; want context.Canceled", err)
 		}
-		if r := src.reads.Load(); r > 1+pipelineInFlight {
-			t.Fatalf("the reader read %d records with one ingested, bound %d", r, 1+pipelineInFlight)
+		if r := reads.Load(); r != parkAt {
+			t.Fatalf("the reader read %d records, want the first batch, a full queue and one more: %d", r, parkAt)
 		}
 		settled(t, base)
 	})
