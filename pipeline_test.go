@@ -185,7 +185,7 @@ func TestPipelineCancelClosesOpenWindow(t *testing.T) {
 	<-us.reads // reader is inside Read
 	us.ch <- announceUpd(t, 45*900+5, "5.0.0.9", 5, "4.0.0.0/8", []ASN{5, 2, 9, 4})
 	// The reader re-entering Read means the update was handed to the merge
-	// loop's channel; give the merge a beat to observe it.
+	// loop's queue; give the merge a beat to observe it.
 	<-us.reads
 	time.Sleep(100 * time.Millisecond)
 	if m.Stale(tr.Key()) {
