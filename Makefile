@@ -115,7 +115,8 @@ chaostest:
 # exactly-once reopen replay and 1 024-record bound under a slow tap
 # (TestPipelineHandoffOrderAndBound), a record handed over before the
 # next Read and a reader parked on a full queue leaving with a cancelled
-# run (TestPipelineHandoffHandsOverAndLeaksNothing), cancellation, feed
+# run (TestPipelineHandoffHandsOverAndLeaksNothing), run ingest held to a
+# per-record serial loop (TestPipelineRunsMatchSerial), cancellation, feed
 # errors and recovery.
 feedtest:
 	$(GO) test -race -count=1 ./internal/feedwire -run 'TestWireDifferential|TestFrameReader|TestRecordCodecAllocs|TestServerFlushesBeforeWaiting|TestConnectorCloseUnblocksRead' -v

@@ -2,6 +2,7 @@ package rrr_test
 
 import (
 	"io"
+	"math"
 	"runtime"
 	"testing"
 
@@ -14,15 +15,17 @@ import (
 // path: a Monitor primed from the QuickScale table dump and tracking its
 // corpus, with the routing-event detector tapping every record, takes 8
 // windows of warm-up and then 24 measured windows of public traceroutes and
-// simulator updates through ObserveBGP / ObservePublic / CloseWindow. Every
-// malloc in the process over the measured windows is charged to the records
+// simulator updates through the pipeline's own ingest step: updates a run
+// at a time, traces one by one, windows closed by the clock. Every malloc
+// in the process over the measured windows is charged to the records
 // ingested in them. With cloned traces, unbounded detectors and per-trace
 // maps this read 23.26; on engine-owned scratch 0.63 (signals, buffered
 // series still growing, the close goroutines); with the RIB's value tables
 // and a detector tap that no longer compacts every path 0.59; with a close
 // that starts no goroutines it reads 0.51, and the budget is 1.5x that, so
 // a per-record or per-quiet-monitor allocation cannot creep back between
-// benchmark runs.
+// benchmark runs. It reads 0.54 both record by record and a run at a time:
+// a run reuses the engine's change scratch.
 func TestIngestAllocs(t *testing.T) {
 	const warmup, measured, budget = 8, 24, 0.77
 
@@ -71,40 +74,39 @@ func TestIngestAllocs(t *testing.T) {
 		trs = append(trs, tr)
 	}
 
-	// The pipeline's merge order: by timestamp, updates first on ties.
+	// The pipeline's ingest step in its merge order: by timestamp, updates
+	// first on ties, the updates before the next trace a run at a time out
+	// of hand-off batches of at most HandoffCap. Windows close as the next
+	// one's first record arrives.
+	step := rrr.NewIngestStep(mon, det)
 	records := 0
-	window := func(w int) {
-		limit := int64(w+1) * sc.WindowSec
+	feed := func(end int64) {
 		for {
-			haveU := len(ups) > 0 && ups[0].Time < limit
-			haveT := len(trs) > 0 && trs[0].Time < limit
+			haveU := len(ups) > 0 && ups[0].Time < end
+			haveT := len(trs) > 0 && trs[0].Time < end
 			switch {
 			case haveU && (!haveT || ups[0].Time <= trs[0].Time):
-				det.TapUpdate(ups[0])
-				mon.ObserveBGP(ups[0])
-				ups = ups[1:]
+				until := int64(math.MaxInt64)
+				if len(trs) > 0 {
+					until = trs[0].Time
+				}
+				n := step.Update(ups[:min(len(ups), rrr.HandoffCap)], until)
+				ups = ups[n:]
+				records += n
 			case haveT:
-				det.TapTrace(trs[0])
-				mon.ObservePublic(trs[0])
+				step.Trace(trs[0])
 				trs = trs[1:]
+				records++
 			default:
-				ws := int64(w) * sc.WindowSec
-				mon.CloseWindow(ws)
-				det.TapWindowClose(ws)
 				return
 			}
-			records++
 		}
 	}
-	for w := 0; w < warmup; w++ {
-		window(w)
-	}
+	feed(warmup * sc.WindowSec)
 	records = 0
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for w := warmup; w < warmup+measured; w++ {
-		window(w)
-	}
+	feed((warmup + measured) * sc.WindowSec)
 	runtime.ReadMemStats(&after)
 	if records < 1000 {
 		t.Fatalf("only %d records in %d windows: the feed is not what this test was sized for", records, measured)

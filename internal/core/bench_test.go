@@ -202,7 +202,7 @@ func benchFold(b *testing.B, key func(int) vpPrefix) {
 	}
 	window := func() {
 		for i := range us {
-			e.sh.observeBGPChange(us[i], cs[i])
+			e.sh.observeBGPChange(&us[i], &cs[i])
 		}
 	}
 	ws := int64(0)

@@ -37,6 +37,8 @@ type Engine struct {
 	rel    RelOracle
 
 	rib *bgp.RIB
+	// changes is ObserveBGP's scratch: a run's RIB changes, in order.
+	changes []bgp.Change
 	// hops interns public-trace hops, keeps their unresponsive-hop patching
 	// evidence, and resolves them through the mapper and alias oracle once
 	// per IP and service generation.
@@ -188,14 +190,29 @@ func NewEngine(cfg Config, m traceroute.Mapper, aliases bordermap.AliasOracle, g
 	return e
 }
 
-// ObserveBGP ingests one BGP update. Updates must be fed in time order;
-// CloseWindow must be called at each window boundary.
-func (e *Engine) ObserveBGP(u bgp.Update) {
-	if bgp.FilterTooSpecific(u.Prefix) {
-		return
+// ObserveBGP ingests a run of BGP updates, all in the open window;
+// updates for prefixes longer than /24 are dropped (§4.1.1). Updates must
+// be fed in time order; CloseWindow must be called at each window
+// boundary, so a run never spans one. The whole run is applied to the RIB
+// into the reused change scratch first, and its changes are then folded
+// into the shared state in order: the fold reads only the changes, never
+// the RIB, so the two tight loops give what one update at a time gives.
+func (e *Engine) ObserveBGP(run ...bgp.Update) {
+	cs := e.changes[:0]
+	for i := range run {
+		if !bgp.FilterTooSpecific(run[i].Prefix) {
+			cs = append(cs, e.rib.Apply(run[i]))
+		}
 	}
-	e.sh.observeBGPChange(u, e.rib.Apply(u))
-	e.met.obs.Inc()
+	j := 0
+	for i := range run {
+		if !bgp.FilterTooSpecific(run[i].Prefix) {
+			e.sh.observeBGPChange(&run[i], &cs[j])
+			j++
+		}
+	}
+	e.changes = cs
+	e.met.obs.Add(uint64(len(cs)))
 }
 
 // ObservePublicTrace ingests one public traceroute, feeding the subpath,

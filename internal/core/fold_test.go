@@ -353,7 +353,7 @@ func TestUnwatchedStormAllocs(t *testing.T) {
 	}
 	window := func() {
 		for i := range us {
-			te.e.sh.observeBGPChange(us[i], cs[i])
+			te.e.sh.observeBGPChange(&us[i], &cs[i])
 		}
 		te.e.CloseWindow(ws)
 		ws += 900

@@ -136,7 +136,7 @@ const (
 // observeBGPChange folds one already-applied RIB change into the window
 // state. It never touches the RIB, so the dispatcher applies each update
 // once and folds it once.
-func (sh *sharedState) observeBGPChange(u bgp.Update, c bgp.Change) {
+func (sh *sharedState) observeBGPChange(u *bgp.Update, c *bgp.Change) {
 	if c.Kind == bgp.ChangeCommunities {
 		sh.winComms = append(sh.winComms, commEvent{
 			vp: c.VP, prefix: u.Prefix, prev: c.Prev.Communities,

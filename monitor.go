@@ -147,10 +147,20 @@ func (m *Monitor) noteObs(t int64) {
 // ObserveBGP ingests one BGP update. Feed a full table dump first to prime
 // the monitor's RIB view, then stream updates in time order.
 func (m *Monitor) ObserveBGP(u Update) {
+	m.observeBGP([]Update{u})
+}
+
+// observeBGP ingests a run of BGP updates, all in the open window, under
+// one write lock: the pipeline's monitor stage.
+func (m *Monitor) observeBGP(run []Update) {
+	first := run[0].Time
+	for i := range run {
+		first = min(first, run[i].Time)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.noteObs(u.Time)
-	m.engine.ObserveBGP(u)
+	m.noteObs(first)
+	m.engine.ObserveBGP(run...)
 }
 
 // ObservePublic ingests one public traceroute.

@@ -200,11 +200,14 @@ type PipelineConfig struct {
 // sequence the monitor does — identical in a single daemon, every cluster
 // worker, and a WAL replay into an empty monitor (NewPipelineRecovery;
 // after a snapshot restore the replay taps only the records from the
-// watermark on). A record is tapped after the
-// window clock has advanced (the closes it triggers come first) and before
-// the monitor ingests it; a close after the window's signals reach Sink
-// and before OnWindowClose, so a tap that publishes per-window output (the
-// event detector) emits it between the signals and the window marker.
+// watermark on). A record is tapped after the window clock has advanced
+// (the closes it triggers come first) and before the monitor ingests it.
+// Updates are ingested a run at a time (see RunPipeline), and the tap stage
+// comes before the monitor stage of each run: every update of a run is
+// tapped before the monitor observes any of them. A close is tapped after
+// the window's signals reach Sink and before OnWindowClose, so a tap that
+// publishes per-window output (the event detector) emits it between the
+// signals and the window marker.
 type RecordTap interface {
 	TapUpdate(bgp.Update)
 	TapTrace(*Traceroute)
@@ -620,7 +623,12 @@ func traceEqual(a, b *Traceroute) bool {
 // queue, which the merge loop empties a batch at a time, so MRT parsing and
 // archive I/O overlap signal processing while backpressure keeps memory
 // bounded. Items are still consumed in merged time order, so the Monitor
-// sees exactly the stream a serial loop would produce.
+// sees exactly the stream a serial loop would produce. BGP updates go in a
+// run at a time: the longest stretch of a batch that stays in the open
+// window and comes before the next traceroute (updates first on ties).
+// A run crosses no window close and no traceroute, so each stage takes the
+// whole run in one loop — log, tap, then the Monitor under one lock — and
+// every hook still sees the serial order.
 //
 // Failure handling is per feed, and reopen-and-replay is its one recovery:
 // a transient error (IsTransientError) on a feed with an Open factory
@@ -640,10 +648,10 @@ func traceEqual(a, b *Traceroute) bool {
 // final window close → snapshot) loses nothing already observed.
 //
 // With a RecordLog (PipelineConfig.WAL) every ingested record is teed to
-// the log before the Monitor observes it, and every window close is
-// reported to the log, making the run crash-recoverable: Recovery replays
-// the log into a fresh Monitor through this pipeline's own per-record and
-// per-close step, reaching the same hooks in the same order, and
+// the log before the Monitor observes any record of its run, and every
+// window close is reported to the log, making the run crash-recoverable:
+// Recovery replays the log into a fresh Monitor through this pipeline's own
+// ingest step, reaching the same hooks in the same order, and
 // PipelineConfig.Resume continues the open window with the same
 // exactly-once replay matching a mid-run feed reopen uses. Log failures
 // are fatal to the run (see RecordLog).
@@ -726,11 +734,19 @@ func RunPipeline(ctx context.Context, m *Monitor, cfg PipelineConfig) error {
 		u, t := uf.head(), tf.head()
 		switch {
 		case u != nil && (t == nil || u.Time <= (*t).Time):
-			uf.next++
 			if uf.consumeReplay(rc, u) {
+				uf.next++
 				continue
 			}
-			if err := s.update(*u); err != nil {
+			// The rest of the batch goes in as runs, each up to the next
+			// trace (updates first on ties) and the open window's end.
+			until := int64(math.MaxInt64)
+			if t != nil {
+				until = (*t).Time
+			}
+			n, err := s.update(uf.batch[uf.next:], until)
+			uf.next += n
+			if err != nil {
 				return s.finish(err)
 			}
 		case t != nil:
@@ -757,8 +773,9 @@ func RunPipeline(ctx context.Context, m *Monitor, cfg PipelineConfig) error {
 //
 // A record: WAL append (live) → advance the window clock, closing each
 // window it leaves behind → Tap → Monitor → remember it as the open
-// window's. A close: CloseWindow → Sink → WAL WindowClosed (live) → Tap →
-// OnWindowClose.
+// window's. A run of updates takes each stage for all its records before
+// the next stage (see update); a replay feeds runs of one. A close:
+// CloseWindow → Sink → WAL WindowClosed (live) → Tap → OnWindowClose.
 type ingest struct {
 	m    *Monitor
 	cfg  PipelineConfig // its Sink, Tap, OnWindowClose and WAL; a replay has no WAL
@@ -814,23 +831,55 @@ func (s *ingest) advance(t int64) {
 	}
 }
 
-// update ingests one BGP update. It is teed to the WAL before the monitor
-// sees it: a failed append leaves the record un-ingested, so the run dies
-// with monitor and log still agreeing.
-func (s *ingest) update(u Update) error {
+// update ingests a run of BGP updates and returns its length: the longest
+// prefix of ups that stays in the window ups[0] advances the clock to and
+// comes no later than until. A run crosses no window close, so each stage
+// takes the whole run before the next starts, in one tight loop: every
+// record is teed to the WAL, then tapped, then observed under one monitor
+// lock, then remembered as the open window's. The stream every hook sees
+// is the serial one. Only ups[0] can advance the clock, and it is logged
+// before it does. A failed append at k ingests run[:k] and returns the
+// error, so the run dies with monitor and log still agreeing.
+func (s *ingest) update(ups []Update, until int64) (int, error) {
+	if err := s.logUpdate(ups[0]); err != nil {
+		return 0, err
+	}
+	s.advance(ups[0].Time)
+	end := (s.idx + 1) * s.window
+	n := 1
+	for n < len(ups) && ups[n].Time < end && ups[n].Time <= until {
+		n++
+	}
+	run := ups[:n]
+	var err error
 	if s.cfg.WAL != nil {
-		if err := s.cfg.WAL.AppendUpdate(u); err != nil {
-			return fmt.Errorf("rrr: wal append (bgp): %w", err)
+		for k := 1; k < n; k++ {
+			if err = s.logUpdate(run[k]); err != nil {
+				run = run[:k]
+				break
+			}
 		}
 	}
-	s.advance(u.Time)
 	if s.cfg.Tap != nil {
-		s.cfg.Tap.TapUpdate(u)
+		for i := range run {
+			s.cfg.Tap.TapUpdate(run[i])
+		}
 	}
-	s.m.ObserveBGP(u)
-	s.ups = append(s.ups, u)
+	s.m.observeBGP(run)
+	s.ups = append(s.ups, run...)
 	if s.live {
-		metPipeUpdates.Inc()
+		metPipeUpdates.Add(uint64(len(run)))
+	}
+	return len(run), err
+}
+
+// logUpdate tees u to the WAL, if any.
+func (s *ingest) logUpdate(u Update) error {
+	if s.cfg.WAL == nil {
+		return nil
+	}
+	if err := s.cfg.WAL.AppendUpdate(u); err != nil {
+		return fmt.Errorf("rrr: wal append (bgp): %w", err)
 	}
 	return nil
 }

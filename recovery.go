@@ -40,12 +40,12 @@ type RecoveryStats struct {
 
 // Recovery replays WAL records into a Monitor at startup, reproducing
 // exactly what the pipeline did before the crash: each record goes through
-// RunPipeline's own per-record step, so windows close where they closed
-// live and every hook sees what it saw live — tapped records, signals, tap
-// closes and window markers, in order. Records from before the monitor's
-// restored window clock — covered by the snapshot that set it — are
-// skipped, since re-observing them would double-count window contributions
-// the snapshot already rolled up.
+// RunPipeline's own ingest step (an update as a run of one), so windows
+// close where they closed live and every hook sees what it saw live —
+// tapped records, signals, tap closes and window markers, in order.
+// Records from before the monitor's restored window clock — covered by the
+// snapshot that set it — are skipped, since re-observing them would
+// double-count window contributions the snapshot already rolled up.
 //
 // Feed it via ObserveUpdate/ObserveTrace in log order, then call Finish
 // for the ResumeState to hand RunPipeline. Recovery does not close the
@@ -93,7 +93,7 @@ func NewPipelineRecovery(m *Monitor, cfg PipelineConfig) *Recovery {
 // ObserveUpdate replays one logged BGP update.
 func (r *Recovery) ObserveUpdate(u Update) {
 	if !r.skip(u.Time) {
-		_ = r.s.update(u) // a replay has no WAL, so nothing can fail
+		_, _ = r.s.update([]Update{u}, u.Time) // a replay has no WAL, so nothing can fail
 		r.stats.Updates++
 	}
 }
