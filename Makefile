@@ -139,9 +139,11 @@ scenariotest:
 # (per-key invalidation, forward-only generation, flushes, the quiet-close
 # allocation budget), the four-day differential that reads every key after
 # every close and refresh against a fresh server, and readers racing a
-# whole pipeline run.
+# whole pipeline run; and /v1/stats read in a loop beside a writer that
+# closes windows, every reading a state the writer passed through.
 cachetest:
 	$(GO) test -race -count=1 ./internal/server -run 'Cache|Allocs|Batch' -v
+	$(GO) test -race -count=5 ./internal/server -run TestStatsDuringIngest -v
 	$(GO) test -race -count=1 ./internal/daemon -run TestVerdictCache -v
 
 # Window-close acceptance under the race detector: the pinned serial

@@ -75,15 +75,14 @@ func main() {
 		if dayRefreshed > 0 {
 			prec = float64(dayChanged) / float64(dayRefreshed)
 		}
-		revoked, _ := mon.RevocationStats()
+		c := mon.Counts()
 		fmt.Printf("day %d: %4d signals, %4d flagged pairs, refreshed %d (precision %.2f), revoked %d, pruned-communities %d\n",
-			day, daySignals, len(mon.StaleKeys()), dayRefreshed, prec, revoked, mon.PrunedCommunities())
+			day, daySignals, c.Stale, dayRefreshed, prec, c.RevokedSignals, c.PrunedCommunities)
 		daySignals, dayRefreshed, dayChanged = 0, 0, 0
 	}
 
-	counts := mon.SignalCounts()
 	fmt.Println("\nper-technique signal totals:")
-	for t := rrr.Technique(0); int(t) < len(counts); t++ {
-		fmt.Printf("  %-22s %d\n", t, counts[t])
+	for t, n := range mon.Counts().Signals {
+		fmt.Printf("  %-22s %d\n", rrr.Technique(t), n)
 	}
 }

@@ -14,12 +14,9 @@ import (
 // diffResult captures everything observable about one pipeline run: the
 // exact signal stream plus the monitor's final queryable state.
 type diffResult struct {
-	sigs     []Signal
-	stale    []Key
-	counts   map[Technique]int
-	windows  int
-	revSigs  int
-	revPairs int
+	sigs   []Signal
+	stale  []Key
+	counts Counts
 }
 
 // diffWorkload builds the differential feed: two VPs announcing every
@@ -94,9 +91,7 @@ func runDifferential(t *testing.T, faults *faultfeed.Config) diffResult {
 		t.Fatal(err)
 	}
 	res.stale = m.StaleKeys()
-	res.counts = m.SignalCounts()
-	res.windows = m.WindowsClosed()
-	res.revSigs, res.revPairs = m.RevocationStats()
+	res.counts = m.Counts()
 	return res
 }
 
@@ -109,14 +104,7 @@ func (r diffResult) assertEqual(t *testing.T, name string, want diffResult) {
 		t.Fatalf("%s: stale set = %v, want %v", name, r.stale, want.stale)
 	}
 	if !reflect.DeepEqual(r.counts, want.counts) {
-		t.Fatalf("%s: signal counts = %v, want %v", name, r.counts, want.counts)
-	}
-	if r.windows != want.windows {
-		t.Fatalf("%s: windows closed = %d, want %d", name, r.windows, want.windows)
-	}
-	if r.revSigs != want.revSigs || r.revPairs != want.revPairs {
-		t.Fatalf("%s: revocation stats = (%d,%d), want (%d,%d)",
-			name, r.revSigs, r.revPairs, want.revSigs, want.revPairs)
+		t.Fatalf("%s: counts = %+v, want %+v", name, r.counts, want.counts)
 	}
 }
 

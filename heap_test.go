@@ -43,7 +43,7 @@ func TestTrackHeapPerPair(t *testing.T) {
 	}
 	after := liveHeap()
 	runtime.KeepAlive(env)
-	pairs := mon.TrackedCount()
+	pairs := mon.Counts().Tracked
 	if pairs < 100 {
 		t.Fatalf("tracked %d pairs; the corpus is too small to measure", pairs)
 	}

@@ -112,7 +112,7 @@ func TestClusterPrunedCommunitiesMerge(t *testing.T) {
 	// Single-daemon baseline: one monitor tracking both pairs.
 	single := newPrunedMonitor(t)
 	driveCommunityFP(t, single, p1, p2)
-	if got := single.PrunedCommunities(); got != 1 {
+	if got := single.Counts().PrunedCommunities; got != 1 {
 		t.Fatalf("baseline pruned %d communities; want exactly 1", got)
 	}
 	singleTS := httptest.NewServer(server.New(single, server.Config{}).Handler())

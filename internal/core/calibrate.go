@@ -150,15 +150,15 @@ func (c *Calibrator) communityPruned(comm bgp.Community) bool {
 // (Fig 13's converging quantity).
 func (c *Calibrator) PrunedCommunityCount() int { return len(c.commPruned) }
 
-// PrunedCommunities lists the pruned community values in ascending order,
+// PrunedCommunityIDs lists the pruned community values in ascending order,
 // so a cluster merge can de-duplicate prune decisions that independent
 // workers reached about the same community.
-func (c *Calibrator) PrunedCommunities() []bgp.Community {
-	out := make([]bgp.Community, 0, len(c.commPruned))
+func (c *Calibrator) PrunedCommunityIDs() []uint32 {
+	out := make([]uint32, 0, len(c.commPruned))
 	for comm := range c.commPruned {
-		out = append(out, comm)
+		out = append(out, uint32(comm))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -28,7 +28,7 @@ func runSleepWorkload(t *testing.T) workloadResult {
 	cfg.IXPBootstrapSec = 0
 	e := NewEngine(cfg, testMapper{}, identityAliases, workloadGeo(), workloadRel())
 	corp := corpus.New(testMapper{}, identityAliases)
-	res := workloadResult{counts: map[Technique]int{}}
+	var res workloadResult
 	rng := rand.New(rand.NewSource(35))
 
 	pfx4, pfx16 := pfx(t, "4.0.0.0/8"), pfx(t, "4.0.0.0/16")

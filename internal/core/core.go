@@ -35,7 +35,7 @@ const (
 	TechTraceSubpath
 	TechTraceBorder
 	TechIXPMembership
-	numTechniques
+	NumTechniques // how many techniques there are; names none
 )
 
 // String names the technique with the paper's Table 2 labels.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"rrr/internal/bgp"
@@ -93,13 +92,8 @@ func (res workloadResult) digest() string {
 				s.SameASVP, s.SameCityVP, uint64(s.Comm))
 		}
 	}
-	techs := make([]int, 0, len(res.counts))
-	for tech := range res.counts {
-		techs = append(techs, int(tech))
-	}
-	sort.Ints(techs)
-	for _, tech := range techs {
-		fmt.Fprintf(h, "count %d %d\n", tech, res.counts[Technique(tech)])
+	for tech, n := range res.counts {
+		fmt.Fprintf(h, "count %d %d\n", tech, n)
 	}
 	fmt.Fprintf(h, "revoked %d %d\n", res.revoked[0], res.revoked[1])
 	for _, k := range res.plan {
@@ -128,7 +122,7 @@ func checkMatchesSerial(t *testing.T, faultSeed int64, wantDigest string) {
 	// stays within windows, so the faulted one should too).
 	for tech, n := range serial.counts {
 		if n == 0 {
-			t.Errorf("workload produced no %v signals; the digest check is weak", tech)
+			t.Errorf("workload produced no %v signals; the digest check is weak", Technique(tech))
 		}
 	}
 	if serial.revoked[0] == 0 {

@@ -91,7 +91,7 @@ type pairState struct {
 	// detector history instead of cold-starting.
 	retired map[traceroute.Key]map[string]*retiredState
 
-	signalCount    [numTechniques]int
+	signalCount    [NumTechniques]int
 	revokedSignals int
 	revokedPairs   int
 }
@@ -297,13 +297,9 @@ func (e *Engine) Potential(k traceroute.Key) int {
 	return e.mons[k].potential()
 }
 
-// SignalCounts returns per-technique signal totals.
-func (e *Engine) SignalCounts() map[Technique]int {
-	out := make(map[Technique]int, int(numTechniques))
-	for t := Technique(0); t < numTechniques; t++ {
-		out[t] = e.signalCount[t]
-	}
-	return out
+// SignalCounts returns per-technique signal totals, indexed by Technique.
+func (e *Engine) SignalCounts() [NumTechniques]int {
+	return e.signalCount
 }
 
 // ActivePairs counts the registered pairs holding at least one active

@@ -27,7 +27,7 @@ func mkTraceIPs(when int64, src, dst uint32, hops ...uint32) *traceroute.Tracero
 
 type workloadResult struct {
 	windows [][]Signal
-	counts  map[Technique]int
+	counts  [NumTechniques]int
 	revoked [2]int
 	plan    []traceroute.Key
 }
@@ -48,7 +48,7 @@ func runWorkload(t *testing.T, cfg Config, faultSeed int64, afterClose func(*Eng
 		e.rng = rand.New(rand.NewSource(faultSeed))
 	}
 	corp := corpus.New(testMapper{}, identityAliases)
-	res := workloadResult{counts: map[Technique]int{}}
+	var res workloadResult
 
 	e.SetInitialIXPMembership(map[int][]bgp.ASN{1: {3}})
 	setIXPMember(240<<24|77, 9)

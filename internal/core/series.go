@@ -298,7 +298,7 @@ type seriesTables struct {
 
 	// subscribers counts the monitors subscribed per technique; seq numbers
 	// subscriptions in registration order (see fanOut).
-	subscribers [numTechniques]int
+	subscribers [NumTechniques]int
 	seq         int
 
 	// burstDetails holds the signal Detail of each burst monitor that has
@@ -944,7 +944,7 @@ func (g *commGroup) communityOnOtherVP(except bgp.VPKey, c bgp.Community) bool {
 // monitors per BGP technique. Their ratio is how many pairs one series
 // serves.
 type seriesMetrics struct {
-	series, subscribers [numTechniques]*obs.Gauge
+	series, subscribers [NumTechniques]*obs.Gauge
 }
 
 func newSeriesMetrics() seriesMetrics {

@@ -19,7 +19,7 @@ import (
 // how often one pair raised two burst signals in one window.
 type lineageRun struct {
 	digest string
-	counts map[Technique]int
+	counts [NumTechniques]int
 	// twinBursts counts (pair, window) cases with two burst signals from
 	// different monitors of the pair, the case whose active-list order
 	// registration order decides.
@@ -251,7 +251,7 @@ func runLineageWorkload(t *testing.T) lineageRun {
 	}
 
 	run.counts = e.SignalCounts()
-	for tech := Technique(0); tech < numTechniques; tech++ {
+	for tech := Technique(0); tech < NumTechniques; tech++ {
 		fmt.Fprintf(h, "count %d %d\n", tech, run.counts[tech])
 	}
 	sigs, pairs := e.RevocationStats()

@@ -118,35 +118,39 @@ func (c *Corpus) Remove(k traceroute.Key) {
 // Len returns the number of monitored pairs.
 func (c *Corpus) Len() int { return len(c.entries) }
 
-// Keys returns the monitored pairs, sorted for deterministic iteration.
+// Keys returns the monitored pairs in a new slice, sorted for
+// deterministic iteration. It only reads the corpus (a dirty key index is
+// sorted in the copy), so concurrent readers may call it.
 func (c *Corpus) Keys() []traceroute.Key {
-	c.sortKeys()
 	out := make([]traceroute.Key, len(c.keys))
 	copy(out, c.keys)
+	if !c.sorted {
+		sortKeys(out)
+	}
 	return out
 }
 
 // Each calls fn on every entry in sorted (Src, Dst) order, walking the key
-// index without copying it. fn must not add or remove entries.
+// index without copying it. It sorts a dirty index in place, so the caller
+// must hold the corpus exclusively; fn must not add or remove entries.
 func (c *Corpus) Each(fn func(*Entry)) {
-	c.sortKeys()
+	if !c.sorted {
+		sortKeys(c.keys)
+		c.sorted = true
+	}
 	for _, k := range c.keys {
 		fn(c.entries[k])
 	}
 }
 
-// sortKeys sorts the key index if an addition or removal unsorted it.
-func (c *Corpus) sortKeys() {
-	if c.sorted {
-		return
-	}
-	sort.Slice(c.keys, func(i, j int) bool {
-		if c.keys[i].Src != c.keys[j].Src {
-			return c.keys[i].Src < c.keys[j].Src
+// sortKeys sorts keys in (Src, Dst) order.
+func sortKeys(keys []traceroute.Key) {
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].Src != keys[j].Src {
+			return keys[i].Src < keys[j].Src
 		}
-		return c.keys[i].Dst < c.keys[j].Dst
+		return keys[i].Dst < keys[j].Dst
 	})
-	c.sorted = true
 }
 
 // Classify compares a new measurement of a monitored pair against the

@@ -141,11 +141,12 @@ func TestVerdictCacheDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	c := d.Mon.Counts()
 	sigs := 0
-	for _, n := range d.Mon.SignalCounts() {
+	for _, n := range c.Signals {
 		sigs += n
 	}
-	revSigs, revPairs := d.Mon.RevocationStats()
+	revSigs, revPairs := c.RevokedSignals, c.RevokedPairEvents
 	t.Logf("%d closes, %d refreshes, %d signals, %d signals in %d pair events revoked, %d mismatching reads",
 		closes, refreshes, sigs, revSigs, revPairs, mismatches)
 	if refreshes == 0 || revPairs == 0 {

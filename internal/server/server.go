@@ -576,23 +576,27 @@ type Stats struct {
 	Worker *WorkerIdentity `json:"worker,omitempty"`
 }
 
+// stats reads the monitor's counts once, so the answer is one state the
+// monitor passed through, never a mix of two.
 func (s *Server) stats() Stats {
+	c := s.mon.Counts()
 	st := Stats{
-		CorpusSize:    s.mon.TrackedCount(),
-		StaleKeys:     s.mon.StaleCount(),
-		WindowSec:     s.mon.WindowSec(),
-		WindowsClosed: s.mon.WindowsClosed(),
-		Signals:       make(map[string]int),
-		Subscribers:   s.hub.Subscribers(),
+		CorpusSize:        c.Tracked,
+		StaleKeys:         c.Stale,
+		WindowSec:         s.mon.WindowSec(),
+		WindowsClosed:     c.WindowsClosed,
+		Signals:           make(map[string]int, len(c.Signals)),
+		RevokedSignals:    c.RevokedSignals,
+		RevokedPairEvents: c.RevokedPairEvents,
+		PrunedCommunities: c.PrunedCommunities,
+		Subscribers:       s.hub.Subscribers(),
 	}
-	for t, n := range s.mon.SignalCounts() {
-		st.Signals[t.String()] = n
+	for t, n := range c.Signals {
+		st.Signals[rrr.Technique(t).String()] = n
 		st.TotalSignals += n
 	}
-	st.RevokedSignals, st.RevokedPairEvents = s.mon.RevocationStats()
-	st.PrunedCommunities = s.mon.PrunedCommunities()
 	if s.cfg.Worker != nil {
-		st.PrunedCommunityIDs = s.mon.PrunedCommunityIDs()
+		st.PrunedCommunityIDs = c.PrunedCommunityIDs
 	}
 	st.Feeds = s.cfg.Health.Snapshot() // nil-safe: nil Health yields no feeds
 	if s.cfg.WALStatus != nil {

@@ -324,6 +324,87 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestStatsDuringIngest: one goroutine closes windows whose routes flip
+// back and forth (signals, revocations and a moving stale set), another
+// reads GET /v1/stats in a loop. Every reading must be a state the writer
+// passed through: the writer's tally after that many closes.
+func TestStatsDuringIngest(t *testing.T) {
+	const windows = 2000
+	m, _, _ := newQuietMonitor(t)
+	h := New(m, Config{}).Handler()
+	type tally struct{ total, stale, revoked, corpus int }
+	first := m.WindowsClosed()
+	tallies := []tally{{stale: len(m.StaleKeys()), revoked: m.Snapshot().RevokedSignals, corpus: len(m.Tracked())}}
+
+	done := make(chan struct{})
+	var readings []Stats
+	go func() {
+		defer close(done)
+		for {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+			var st Stats
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+				t.Error(err)
+				return
+			}
+			readings = append(readings, st)
+			if st.WindowsClosed == first+windows {
+				return
+			}
+		}
+	}()
+	path4, path7 := []rrr.ASN{5, 2, 3, 4}, []rrr.ASN{6, 7}
+	for w := int64(45); w < 45+windows; w++ {
+		if w%3 == 0 {
+			path4 = []rrr.ASN{5, 2, 3, 4}
+			if w%6 == 0 {
+				path4 = []rrr.ASN{5, 2, 9, 4}
+			}
+		}
+		if w%5 == 0 {
+			path7 = []rrr.ASN{6, 7}
+			if w%10 == 0 {
+				path7 = []rrr.ASN{6, 9, 7}
+			}
+		}
+		m.ObserveBGP(announceUpd(t, w*900+5, "5.0.0.9", 5, "4.0.0.0/8", path4))
+		m.ObserveBGP(announceUpd(t, w*900+6, "6.0.0.9", 6, "7.0.0.0/8", path7))
+		last := tallies[len(tallies)-1]
+		sigs := m.CloseWindow(w * 900)
+		tallies = append(tallies, tally{last.total + len(sigs), len(m.StaleKeys()), m.Snapshot().RevokedSignals, len(m.Tracked())})
+	}
+	<-done
+
+	last := tallies[len(tallies)-1]
+	staleSets := map[int]bool{}
+	for _, tl := range tallies {
+		staleSets[tl.stale] = true
+	}
+	if last.total == 0 || last.revoked == 0 || len(staleSets) < 2 {
+		t.Fatalf("writer ended at %+v with stale counts %v: the workload moves too little", last, staleSets)
+	}
+	mid := 0
+	for _, st := range readings {
+		n := st.WindowsClosed - first
+		if n < 0 || n > windows {
+			t.Fatalf("reading with %d windows closed, outside the run", st.WindowsClosed)
+		}
+		if n < windows {
+			mid++
+		}
+		want := tallies[n]
+		got := tally{st.TotalSignals, st.StaleKeys, st.RevokedSignals, st.CorpusSize}
+		if got != want {
+			t.Fatalf("reading after %d closes: %+v, but the writer had %+v", n, got, want)
+		}
+	}
+	t.Logf("%d readings (%d during ingest); writer ended at %+v", len(readings), mid, last)
+	if mid == 0 {
+		t.Fatal("no reading landed during ingest")
+	}
+}
+
 // TestStatsFeedHealth: a server wired with the pipeline's health registry
 // reports per-feed supervisor state under /v1/stats, so an operator can see
 // a degraded or finished feed from the query API alone.

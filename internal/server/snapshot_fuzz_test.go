@@ -83,7 +83,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		}
 		m := newPrimedMonitor(t)
 		if _, err := RestoreSnapshot(path, m); err != nil {
-			if n := m.TrackedCount(); n != 0 {
+			if n := m.Counts().Tracked; n != 0 {
 				t.Fatalf("failed restore (%v) left %d pairs tracked", err, n)
 			}
 			return

@@ -75,14 +75,31 @@ type Monitor struct {
 	// ChangedSince; written by bump.
 	changes [changeLogLen]changeRec
 
-	// Baselines carried over from a restored snapshot, so cumulative
-	// counters (signal totals, closed windows, revocations, pruned
-	// communities) survive process restarts.
-	baseCounts   map[Technique]int
-	baseWindows  int
-	baseRevSigs  int
-	baseRevPairs int
-	basePruned   int
+	// counts is the record bump published last.
+	counts atomic.Pointer[Counts]
+	// base is the counters a restored snapshot carried over.
+	base Counts
+}
+
+// Counts is the Monitor's tallies at one state version: how many pairs it
+// tracks and how many of them are stale, and the cumulative counters
+// (Table 2's signals per technique, §4.3.2's revocations, Appendix B's
+// pruned communities), each including a restored snapshot's baseline. The
+// writer publishes a new record at every state change, so one Counts is a
+// state some serial run passed through, never a mix of two.
+type Counts struct {
+	Tracked       int
+	Stale         int
+	WindowsClosed int
+	// Signals counts the signals raised, indexed by Technique.
+	Signals           [core.NumTechniques]int
+	RevokedSignals    int
+	RevokedPairEvents int
+	PrunedCommunities int
+	// PrunedCommunityIDs lists the communities this process pruned, in
+	// ascending order (a restored baseline carries no IDs), for a cluster
+	// merge to de-duplicate. Records share the slice; do not write it.
+	PrunedCommunityIDs []uint32
 }
 
 // changeLogLen is how many state versions ChangedSince looks back over. A
@@ -115,11 +132,13 @@ func NewMonitor(opts Options) (*Monitor, error) {
 	if opts.IXPMembers != nil {
 		eng.SetInitialIXPMembership(opts.IXPMembers)
 	}
-	return &Monitor{
+	m := &Monitor{
 		engine: eng,
 		corp:   eng.Corpus(),
 		window: cfg.WindowSec,
-	}, nil
+	}
+	m.counts.Store(&Counts{})
+	return m, nil
 }
 
 // WindowSec returns the signal-generation window duration.
@@ -194,13 +213,16 @@ func (m *Monitor) Untrack(k Key) {
 	m.bump(false, []Key{k})
 }
 
-// bump is the one place the state version moves. It logs the pairs the
-// transition changed (every pair when all is set or the list is longer
-// than maxLoggedKeys) under the new version, reusing the slot's storage,
-// and sets the tracked- and stale-pair gauges. Callers hold the write lock.
+// bump is the one place the state version and the counts move. It
+// publishes the new state's counts, sets the tracked- and stale-pair
+// gauges from them, and logs the pairs the transition changed (every pair
+// when all is set or the list is longer than maxLoggedKeys) under the new
+// version, reusing the slot's storage. Callers hold the write lock.
 func (m *Monitor) bump(all bool, keys []Key) {
-	metMonTracked.Set(int64(m.corp.Len()))
-	metMonStale.Set(int64(m.engine.ActivePairs()))
+	c := m.countNow()
+	m.counts.Store(c)
+	metMonTracked.Set(int64(c.Tracked))
+	metMonStale.Set(int64(c.Stale))
 	r := &m.changes[m.version.Add(1)%changeLogLen]
 	r.all = all || len(keys) > maxLoggedKeys
 	r.keys = r.keys[:0]
@@ -208,6 +230,36 @@ func (m *Monitor) bump(all bool, keys []Key) {
 		r.keys = append(r.keys, keys...)
 	}
 }
+
+// countNow builds the counts record of the current state, adding the
+// restored baseline. It allocates the record, and the ID slice only when
+// the pruned count moved (communities are pruned, never unpruned).
+func (m *Monitor) countNow() *Counts {
+	b := &m.base
+	ids := m.counts.Load().PrunedCommunityIDs
+	if m.engine.Calib.PrunedCommunityCount() != len(ids) {
+		ids = m.engine.Calib.PrunedCommunityIDs()
+	}
+	revSigs, revPairs := m.engine.RevocationStats()
+	c := &Counts{
+		Tracked:            m.corp.Len(),
+		Stale:              m.engine.ActivePairs(),
+		WindowsClosed:      b.WindowsClosed + m.engine.WindowsClosed(),
+		Signals:            m.engine.SignalCounts(),
+		RevokedSignals:     b.RevokedSignals + revSigs,
+		RevokedPairEvents:  b.RevokedPairEvents + revPairs,
+		PrunedCommunities:  b.PrunedCommunities + len(ids),
+		PrunedCommunityIDs: ids,
+	}
+	for t, n := range b.Signals {
+		c.Signals[t] += n
+	}
+	return c
+}
+
+// Counts returns the counts record the last state change published. It
+// takes no lock, so it never waits for ingest or a window close.
+func (m *Monitor) Counts() Counts { return *m.counts.Load() }
 
 // ChangedSince reports which pairs' verdict inputs (tracking, measurement
 // time, potential monitors, active signals) may differ from what they were
@@ -235,17 +287,9 @@ func (m *Monitor) ChangedSince(v uint64) (keys []Key, all bool, now uint64) {
 // Tracked returns the monitored pairs in sorted (Src, Dst) order, so API
 // responses and tests are deterministic across runs.
 func (m *Monitor) Tracked() []Key {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.corp.Keys()
-}
-
-// TrackedCount returns how many pairs the corpus tracks, without copying
-// or sorting their keys.
-func (m *Monitor) TrackedCount() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.corp.Len()
+	return m.corp.Keys()
 }
 
 // Entry returns the stored corpus entry for a pair.
@@ -335,25 +379,17 @@ func (m *Monitor) ActiveSignals(k Key) []Signal {
 }
 
 // StaleKeys returns all currently-flagged pairs in sorted (Src, Dst)
-// order (the iteration follows the corpus's sorted key list).
+// order.
 func (m *Monitor) StaleKeys() []Key {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []Key
-	m.corp.Each(func(en *Entry) {
-		if m.engine.ActiveCount(en.Key) > 0 {
-			out = append(out, en.Key)
-		}
-	})
-	return out
-}
-
-// StaleCount returns how many pairs StaleKeys would list, under the read
-// lock and without copying or sorting keys.
-func (m *Monitor) StaleCount() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.engine.ActivePairs()
+	var out []Key
+	for _, k := range m.corp.Keys() {
+		if m.engine.ActiveCount(k) > 0 {
+			out = append(out, k)
+		}
+	}
+	return out
 }
 
 // StateVersion returns the monitor's verdict-state version. It moves on
@@ -472,64 +508,9 @@ func (m *Monitor) RecordRefresh(t *Traceroute) (ChangeClass, error) {
 	return cls, nil
 }
 
-// SignalCounts returns cumulative per-technique signal totals, including
-// any baseline restored from a snapshot.
-func (m *Monitor) SignalCounts() map[Technique]int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.signalCountsLocked()
-}
-
-func (m *Monitor) signalCountsLocked() map[Technique]int {
-	out := m.engine.SignalCounts()
-	for t, n := range m.baseCounts {
-		out[t] += n
-	}
-	return out
-}
-
 // WindowsClosed reports how many signal-generation windows the monitor has
 // finished, including windows counted in a restored snapshot.
-func (m *Monitor) WindowsClosed() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.baseWindows + m.engine.WindowsClosed()
-}
-
-// PrunedCommunities reports how many communities calibration has learned
-// to ignore (Appendix B).
-func (m *Monitor) PrunedCommunities() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.basePruned + m.engine.Calib.PrunedCommunityCount()
-}
-
-// PrunedCommunityIDs lists the pruned communities' values in ascending
-// order (only communities pruned by this process — a snapshot baseline
-// contributes to PrunedCommunities' count but carries no IDs). A cluster
-// merge de-duplicates on these: every worker sees the full feed, so
-// independent workers reach the same prune decision about the same
-// community.
-func (m *Monitor) PrunedCommunityIDs() []uint32 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	comms := m.engine.Calib.PrunedCommunities()
-	out := make([]uint32, len(comms))
-	for i, c := range comms {
-		out[i] = uint32(c)
-	}
-	return out
-}
-
-// RevocationStats reports how many signals §4.3.2 revocation discarded
-// because all monitored quantities reverted to their baselines (the
-// traceroutes became fresh again without remeasurement).
-func (m *Monitor) RevocationStats() (signals, pairEvents int) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	signals, pairEvents = m.engine.RevocationStats()
-	return m.baseRevSigs + signals, m.baseRevPairs + pairEvents
-}
+func (m *Monitor) WindowsClosed() int { return m.Counts().WindowsClosed }
 
 // NewRIBFromUpdates is a convenience that builds a primed RIB-backed
 // monitor feed from a table dump; exported for tooling.
@@ -583,29 +564,33 @@ type MonitorSnapshot struct {
 	PrunedCommunities int
 }
 
-// Snapshot captures the monitor's restartable state. It takes the write
-// lock (the corpus key index sorts lazily) but does not disturb feed or
-// window state; it can run while a Pipeline is ingesting.
+// Snapshot captures the monitor's restartable state. It takes the read
+// lock and does not disturb feed or window state; it can run while a
+// Pipeline is ingesting.
 func (m *Monitor) Snapshot() *MonitorSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	c := m.counts.Load()
 	s := &MonitorSnapshot{
-		WindowSec:     m.window,
-		Cur:           m.cur,
-		Opened:        m.opened,
-		FirstObs:      m.firstObs,
-		HaveObs:       m.haveObs,
-		SignalCounts:  m.signalCountsLocked(),
-		WindowsClosed: m.baseWindows + m.engine.WindowsClosed(),
+		WindowSec:         m.window,
+		Cur:               m.cur,
+		Opened:            m.opened,
+		FirstObs:          m.firstObs,
+		HaveObs:           m.haveObs,
+		SignalCounts:      make(map[Technique]int, len(c.Signals)),
+		WindowsClosed:     c.WindowsClosed,
+		RevokedSignals:    c.RevokedSignals,
+		RevokedPairEvents: c.RevokedPairEvents,
+		PrunedCommunities: c.PrunedCommunities,
 	}
-	m.corp.Each(func(en *Entry) {
+	for t, n := range c.Signals {
+		s.SignalCounts[Technique(t)] = n
+	}
+	for _, k := range m.corp.Keys() {
+		en, _ := m.corp.Get(k)
 		s.Traces = append(s.Traces, en.Trace)
-		s.Active = m.engine.AppendActive(s.Active, en.Key)
-	})
-	revSigs, revPairs := m.engine.RevocationStats()
-	s.RevokedSignals = m.baseRevSigs + revSigs
-	s.RevokedPairEvents = m.baseRevPairs + revPairs
-	s.PrunedCommunities = m.basePruned + m.engine.Calib.PrunedCommunityCount()
+		s.Active = m.engine.AppendActive(s.Active, k)
+	}
 	return s
 }
 
@@ -627,6 +612,18 @@ func (m *Monitor) Restore(s *MonitorSnapshot) error {
 	if s.WindowSec != m.window {
 		return fmt.Errorf("rrr: snapshot window %ds does not match monitor window %ds", s.WindowSec, m.window)
 	}
+	base := Counts{
+		WindowsClosed:     s.WindowsClosed,
+		RevokedSignals:    s.RevokedSignals,
+		RevokedPairEvents: s.RevokedPairEvents,
+		PrunedCommunities: s.PrunedCommunities,
+	}
+	for t, n := range s.SignalCounts {
+		if t < 0 || int(t) >= len(base.Signals) {
+			return fmt.Errorf("rrr: restore: signal count for unknown technique %d", int(t))
+		}
+		base.Signals[t] = n
+	}
 	entries := make([]*Entry, 0, len(s.Traces))
 	for i, tr := range s.Traces {
 		if tr == nil {
@@ -644,13 +641,7 @@ func (m *Monitor) Restore(s *MonitorSnapshot) error {
 	m.engine.RestoreActive(s.Active)
 	m.cur, m.opened = s.Cur, s.Opened
 	m.firstObs, m.haveObs = s.FirstObs, s.HaveObs
-	m.baseCounts = make(map[Technique]int, len(s.SignalCounts))
-	for t, n := range s.SignalCounts {
-		m.baseCounts[t] = n
-	}
-	m.baseWindows = s.WindowsClosed
-	m.baseRevSigs, m.baseRevPairs = s.RevokedSignals, s.RevokedPairEvents
-	m.basePruned = s.PrunedCommunities
+	m.base = base
 	m.bump(true, nil)
 	return nil
 }

@@ -142,9 +142,8 @@ func TestMonitorEndToEnd(t *testing.T) {
 	if m.Stale(tr.Key()) {
 		t.Fatal("refresh should clear staleness")
 	}
-	counts := m.SignalCounts()
-	if counts[TechBGPASPath] == 0 {
-		t.Fatalf("counts = %v", counts)
+	if c := m.Counts(); c.Signals[TechBGPASPath] == 0 {
+		t.Fatalf("counts = %+v", c)
 	}
 }
 
@@ -152,12 +151,12 @@ func TestMonitorEndToEnd(t *testing.T) {
 // stale, pair must leave both at 0.
 func TestMonitorUntrack(t *testing.T) {
 	m, tr := snapshotScenario(t)
-	if n := m.TrackedCount(); n != 1 {
-		t.Fatalf("TrackedCount = %d after one Track", n)
+	if n := m.Counts().Tracked; n != 1 {
+		t.Fatalf("Counts().Tracked = %d after one Track", n)
 	}
 	wantGauges(t, 1, 1)
 	m.Untrack(tr.Key())
-	if len(m.Tracked()) != 0 || len(m.Potential(tr.Key())) != 0 || m.TrackedCount() != 0 {
+	if len(m.Tracked()) != 0 || len(m.Potential(tr.Key())) != 0 || m.Counts().Tracked != 0 {
 		t.Fatal("untrack incomplete")
 	}
 	wantGauges(t, 0, 0)
@@ -171,21 +170,62 @@ func wantGauges(t *testing.T, tracked, stale int64) {
 	}
 }
 
-// TestTrackedCountSharesReadLock: /v1/stats counts the corpus and its stale
-// pairs beside other readers; neither count may wait for the write lock, as
-// Tracked and StaleKeys do (their keys sort lazily).
+// TestTrackedCountSharesReadLock: /v1/keys, /v1/stats and snapshots read
+// beside other readers. Tracked, StaleKeys and Snapshot share the read lock
+// even when the corpus key index is dirty (a reader sorts a copy), and
+// Counts takes no lock, so it returns while the writer holds one.
 func TestTrackedCountSharesReadLock(t *testing.T) {
-	m := newTestMonitor(t)
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	done := make(chan int, 1)
-	for name, count := range map[string]func() int{"TrackedCount": m.TrackedCount, "StaleCount": m.StaleCount} {
-		go func() { done <- count() }()
+	m, tr := snapshotScenario(t)
+	// A pair that sorts before the scenario's leaves the key index dirty.
+	early := trace(t, 46*900, "1.0.0.1", "4.0.0.8", "1.0.0.2", "2.0.0.1", "3.0.0.1", "4.0.0.8")
+	if err := m.Track(early); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		c              Counts
+		tracked, stale []Key
+		snap           *MonitorSnapshot
+	)
+	for _, r := range []struct {
+		name  string
+		write bool
+		read  func()
+	}{
+		{"Counts", false, func() { c = m.Counts() }},
+		{"Tracked", false, func() { tracked = m.Tracked() }},
+		{"StaleKeys", false, func() { stale = m.StaleKeys() }},
+		{"Snapshot", false, func() { snap = m.Snapshot() }},
+		{"Counts", true, func() { c = m.Counts() }},
+	} {
+		lock, unlock, holder := m.mu.RLock, m.mu.RUnlock, "a reader"
+		if r.write {
+			lock, unlock, holder = m.mu.Lock, m.mu.Unlock, "the writer"
+		}
+		lock()
+		done := make(chan struct{})
+		go func() {
+			r.read()
+			close(done)
+		}()
 		select {
 		case <-done:
+			unlock()
 		case <-time.After(10 * time.Second):
-			t.Fatalf("%s blocked behind a reader", name)
+			t.Fatalf("%s blocked behind %s", r.name, holder)
 		}
+	}
+	want := []Key{early.Key(), tr.Key()}
+	if !reflect.DeepEqual(tracked, want) {
+		t.Fatalf("Tracked = %v, want %v", tracked, want)
+	}
+	if !reflect.DeepEqual(stale, want[1:]) {
+		t.Fatalf("StaleKeys = %v, want %v", stale, want[1:])
+	}
+	if len(snap.Traces) != 2 || snap.Traces[0] != early || snap.Traces[1] != tr {
+		t.Fatalf("Snapshot traces not in key order: %v", snap.Traces)
+	}
+	if c.Tracked != 2 || c.Stale != 1 {
+		t.Fatalf("Counts = %+v, want 2 tracked, 1 stale", c)
 	}
 }
 
@@ -276,7 +316,7 @@ func TestNewRIBFromUpdates(t *testing.T) {
 
 func TestMonitorPrunedCommunities(t *testing.T) {
 	m := newTestMonitor(t)
-	if m.PrunedCommunities() != 0 {
+	if m.Counts().PrunedCommunities != 0 {
 		t.Fatal("fresh monitor has pruned communities")
 	}
 	m.ObserveBGP(announceUpd(t, 0, "5.0.0.9", 5, "4.0.0.0/8", []ASN{5, 2, 3, 4}))
@@ -299,8 +339,8 @@ func TestMonitorPrunedCommunities(t *testing.T) {
 	if _, err := m.RecordRefresh(same); err != nil {
 		t.Fatal(err)
 	}
-	if m.PrunedCommunities() == 0 {
-		t.Fatal("false-positive community not pruned (quota 1)")
+	if c := m.Counts(); c.PrunedCommunities == 0 || len(c.PrunedCommunityIDs) != c.PrunedCommunities {
+		t.Fatalf("pruned %d communities with IDs %v; want the false-positive community pruned (quota 1)", c.PrunedCommunities, c.PrunedCommunityIDs)
 	}
 }
 
@@ -373,9 +413,8 @@ func TestRevocationStats(t *testing.T) {
 	if m.Stale(tr.Key()) {
 		t.Fatal("still stale after revert")
 	}
-	sigs, pairs := m.RevocationStats()
-	if sigs == 0 || pairs == 0 {
-		t.Fatalf("revocation stats = %d, %d; want > 0", sigs, pairs)
+	if c := m.Counts(); c.RevokedSignals == 0 || c.RevokedPairEvents == 0 {
+		t.Fatalf("revocation stats = %d, %d; want > 0", c.RevokedSignals, c.RevokedPairEvents)
 	}
 }
 
@@ -556,14 +595,8 @@ func TestSnapshotRestore(t *testing.T) {
 	if got, want := m2.Tracked(), m.Tracked(); len(got) != len(want) || got[0] != want[0] {
 		t.Fatalf("Tracked = %v, want %v", got, want)
 	}
-	got, want := m2.SignalCounts(), m.SignalCounts()
-	for tech, n := range want {
-		if got[tech] != n {
-			t.Fatalf("SignalCounts[%v] = %d, want %d", tech, got[tech], n)
-		}
-	}
-	if m2.WindowsClosed() != m.WindowsClosed() {
-		t.Fatalf("WindowsClosed = %d, want %d", m2.WindowsClosed(), m.WindowsClosed())
+	if got, want := m2.Counts(), m.Counts(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Counts = %+v, want %+v", got, want)
 	}
 	wantGauges(t, 1, 1)
 
@@ -644,20 +677,15 @@ func TestMonitorConcurrentAccess(t *testing.T) {
 				}
 				m.Stale(tr.Key())
 				m.ActiveSignals(tr.Key())
-				m.SignalCounts()
+				m.Counts()
 				m.Tracked()
-				m.TrackedCount()
 				m.StaleKeys()
-				m.StaleCount()
-				m.PrunedCommunities()
 				_, v = m.PairStates(keys)
 				m.PlanRefreshDetailed(2, nil)
 				m.Potential(other.Key())
 				m.Entry(other.Key())
 				m.Classify(tr)
-				m.RevocationStats()
 				m.WindowsClosed()
-				m.PrunedCommunityIDs()
 				m.ChangedSince(v)
 				m.Snapshot()
 			}

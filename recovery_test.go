@@ -331,8 +331,9 @@ func (s *sliceTraceSource) Read() (*Traceroute, error) {
 }
 
 // TestRestoreAllOrNothing: a snapshot holding one unprocessable trace (an
-// AS loop the snapshotting mapper never saw) must leave the target monitor
-// exactly as it was — no partial corpus, no counters.
+// AS loop the snapshotting mapper never saw), or a signal count for a
+// technique that does not exist, must leave the target monitor exactly as
+// it was — no partial corpus, no counters.
 func TestRestoreAllOrNothing(t *testing.T) {
 	good := trace(t, 0, "1.0.0.1", "4.0.0.9", "1.0.0.2", "2.0.0.1", "3.0.0.1", "4.0.0.9")
 	looped := trace(t, 0, "1.0.0.1", "9.0.0.9", "2.0.0.1", "3.0.0.1", "2.0.0.2", "9.0.0.9")
@@ -361,17 +362,26 @@ func TestRestoreAllOrNothing(t *testing.T) {
 	if n := m.WindowsClosed(); n != 0 {
 		t.Fatalf("failed restore bumped WindowsClosed to %d", n)
 	}
-	for tech, n := range m.SignalCounts() {
+	for tech, n := range m.Counts().Signals {
 		if n != 0 {
-			t.Fatalf("failed restore installed a %s count of %d", tech, n)
+			t.Fatalf("failed restore installed a %s count of %d", Technique(tech), n)
 		}
 	}
 	if _, opened := m.WindowClock(); opened {
 		t.Fatal("failed restore advanced the window clock")
 	}
 
-	// The same monitor then accepts a clean snapshot: nothing was wedged.
 	snap.Traces = []*Traceroute{good}
+	snap.SignalCounts[Technique(99)] = 1
+	if err := m.Restore(snap); err == nil || !strings.Contains(err.Error(), "unknown technique 99") {
+		t.Fatalf("restore of a count for technique 99: err = %v", err)
+	}
+	if c := m.Counts(); c.Tracked != 0 || c.WindowsClosed != 0 || c.Signals[TechBGPASPath] != 0 {
+		t.Fatalf("failed restore left %+v", c)
+	}
+
+	// The same monitor then accepts a clean snapshot: nothing was wedged.
+	delete(snap.SignalCounts, Technique(99))
 	if err := m.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
