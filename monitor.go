@@ -46,10 +46,10 @@ type Options struct {
 // Monitor maintains a corpus of traceroutes and flags stale entries from
 // passive feeds. It is safe for concurrent use: writes (feed ingestion,
 // window closes, tracking changes) serialize behind a mutex while
-// read-only queries share a read lock. The feeds themselves must still
-// arrive in time order, so interleaving multiple feed-writing goroutines
-// only makes sense if their items are externally time-merged (as Pipeline
-// does).
+// read-only queries share a read lock (Counts takes none). The feeds
+// themselves must still arrive in time order, so interleaving multiple
+// feed-writing goroutines only makes sense if their items are externally
+// time-merged (as Pipeline does).
 type Monitor struct {
 	// mu is the only lock over the engine, which has none of its own.
 	mu     sync.RWMutex
