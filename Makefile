@@ -47,11 +47,14 @@ race:
 # registration, and per update the window fold of a watched and of an
 # unwatched pair), the two detectors, the event tap, and the pipeline's
 # own reader, hand-off queue and merge loop per record
-# (BenchmarkPipelineHandoff: re-announcements into an untracked monitor).
+# (BenchmarkPipelineHandoff: re-announcements into an untracked monitor);
+# then the router path (BenchmarkRouterBatch: a routed 64-key batch on K=2
+# and K=3 local clusters, with the worker sub-requests it cost).
 bench:
 	$(GO) test -run xxx -bench . -benchmem -benchtime 10x ./internal/core/
 	$(GO) test -run xxx -bench 'Add|Tap' -benchmem ./internal/anomaly/ ./internal/events/
 	$(GO) test -run xxx -bench PipelineHandoff -benchmem .
+	$(GO) test -run xxx -bench RouterBatch -benchmem ./internal/cluster/
 
 # Short fuzz pass over every entry point that consumes untrusted bytes:
 # the BGP parsers (MRT, binary, and text codecs; path and community

@@ -1,6 +1,7 @@
 // Command rrrd-router is the stateless front end for a partitioned rrrd
-// cluster: it routes staleness queries to the worker owning each key's
-// hash-ring partition, splices worker verdicts into single responses,
+// cluster: it routes staleness queries to workers replicating each key's
+// hash-ring partition, a batch to the fewest live workers that hold all of
+// its keys, splices worker verdicts into single responses,
 // merges /v1/keys and /v1/stats, and multiplexes the workers' SSE signal
 // streams into one totally-ordered stream. It owns no monitor state —
 // restart it freely.

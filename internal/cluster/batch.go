@@ -13,8 +13,9 @@ import (
 	"rrr/internal/server"
 )
 
-// The batch path: POST /v1/stale split by owner into framed sub-batches
-// (server.StaleFrameType) and spliced back in request order.
+// The batch path: POST /v1/stale split into framed sub-batches
+// (server.StaleFrameType) for the fewest live replicas that hold every key,
+// and spliced back in request order.
 
 // hop is one sub-batch's working memory, pooled across requests: the
 // request positions a worker is asked for, their keys framed, and the framed
@@ -30,8 +31,8 @@ var hopPool = sync.Pool{New: func() any { return new(hop) }}
 // subBatch asks worker for the verdicts of the keys dest assigns it, over
 // the framed form of POST /v1/stale (server.StaleFrameType). A frame that
 // does not decode, or answers a different number of keys, fails the attempt
-// like a transport error: retried once, then reported so the caller moves
-// the keys to their standby. The hop is the caller's to put back either way.
+// like a transport error: retried once, then reported so the caller asks the
+// keys' other replicas. The hop is the caller's to put back either way.
 func (rt *Router) subBatch(ctx context.Context, worker int, keys []rrr.Key, dest []int) (*hop, error) {
 	h := hopPool.Get().(*hop)
 	h.idxs = h.idxs[:0]
@@ -63,21 +64,25 @@ func (rt *Router) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer batch.Release()
 	keys := batch.Keys
-	// One breaker reading per worker per request, not one per key.
-	up := make([]bool, len(rt.all))
-	for worker := range up {
-		up[worker] = rt.workerUp(worker)
+	// One breaker reading per worker per request, not one per key. A worker
+	// that fails this request stops being live for it.
+	live := make([]bool, len(rt.all))
+	for worker := range live {
+		live[worker] = rt.workerUp(worker)
 	}
-	// dest[i] is the worker to ask for key i, negative once there is none.
-	// Each key first routes to its partition's designated replica: the
-	// primary, unless the primary's breaker is open and the standby's isn't.
+	// parts[i] is key i's partition; dest[i] the worker to ask for it,
+	// negative when none is to be asked this round.
+	parts := make([]int, len(keys))
 	dest := make([]int, len(keys))
+	todo := make([]int, len(keys))
 	for i, k := range keys {
-		reps := rt.ring.Replicas(rt.ring.partitionOf(k))
-		dest[i] = reps[0]
-		if len(reps) == 2 && !up[reps[0]] && up[reps[1]] {
-			dest[i] = reps[1]
-		}
+		parts[i] = rt.ring.partitionOf(k)
+		todo[i] = i
+	}
+	// A key no live worker holds is asked of its primary all the same, and
+	// lost with that worker's error if it fails.
+	for _, i := range rt.cover(todo, parts, dest, live) {
+		dest[i] = rt.ring.ownerOfPartition(parts[i])
 	}
 	verdicts := make([][]byte, len(keys))
 	stale := 0
@@ -100,12 +105,15 @@ func (rt *Router) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
 			return rt.subBatch(r.Context(), worker, keys, dest)
 		})
 		hops = append(hops, answers...)
+		failed := false
 		for n, h := range answers {
 			if errs[n] != nil {
 				if workerErrs == nil {
 					workerErrs = map[int]string{}
 				}
 				workerErrs[workers[n]] = errs[n].Error()
+				live[workers[n]] = false
+				failed = true
 				continue
 			}
 			for j, i := range h.idxs {
@@ -113,35 +121,31 @@ func (rt *Router) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			stale += h.slab.Stale
 		}
-		if len(workerErrs) == 0 {
+		if !failed {
 			break
 		}
-		// Keys whose round-one worker failed are regrouped onto their
-		// alternate replica for a second round; a standby's verdicts are
-		// byte-identical to the primary's (same full feed, same tracked
-		// slice), so a failover is invisible in the response. A key whose
-		// worker failed with no replica left to ask is lost.
-		moved := 0
+		// The keys whose worker failed are covered again by the workers
+		// still live; a standby's verdicts are byte-identical to the
+		// primary's (same full feed, same tracked slice), so a failover is
+		// invisible in the response. A key with no live replica left to ask
+		// is lost, as is every key of a worker that fails the second round.
+		todo = todo[:0]
 		for i, worker := range dest {
 			dest[i] = -1
-			if _, failed := workerErrs[worker]; !failed {
-				continue
-			}
-			for _, cand := range rt.ring.Replicas(rt.ring.partitionOf(keys[i])) {
-				if _, failed := workerErrs[cand]; round == 0 && !failed && up[cand] {
-					dest[i] = cand
-					moved++
-					break
-				}
-			}
-			if dest[i] < 0 {
-				lost = append(lost, i)
+			if _, gone := workerErrs[worker]; gone {
+				todo = append(todo, i)
 			}
 		}
-		if moved == 0 {
+		if round == 1 {
+			lost = append(lost, todo...)
 			break
 		}
-		metRouterFailovers.Add(uint64(moved))
+		left := rt.cover(todo, parts, dest, live)
+		lost = append(lost, left...)
+		if len(left) == len(todo) {
+			break
+		}
+		metRouterFailovers.Add(uint64(len(todo) - len(left)))
 	}
 	var extra []byte
 	if len(lost) > 0 {
@@ -149,6 +153,62 @@ func (rt *Router) handleStaleBatch(w http.ResponseWriter, r *http.Request) {
 		extra = rt.lostVerdicts(lost, batch, verdicts, workerErrs)
 	}
 	batch.WriteVerdicts(w, stale, len(verdicts), func(i int) []byte { return verdicts[i] }, extra)
+}
+
+// cover assigns the keys at request indices todo to as few live workers as
+// it can, writing each one's worker to dest. Until every key is assigned it
+// takes the live worker that holds the most of the keys left; on a tie, the
+// one designated for more of them (see designated); on a further tie, the
+// lower ID. With RF=2 that is one worker at K=2 and two at K=3. It returns
+// the keys no live worker holds, as a prefix of todo, whose order it does
+// not keep.
+func (rt *Router) cover(todo, parts, dest []int, live []bool) []int {
+	k := len(rt.all)
+	held := make([]int, 2*k) // per worker: keys held, then keys designated
+	for {
+		clear(held)
+		for _, i := range todo {
+			reps := rt.ring.Replicas(parts[i])
+			for _, worker := range reps {
+				if live[worker] {
+					held[worker]++
+				}
+			}
+			if d := designated(reps, live); live[d] {
+				held[k+d]++
+			}
+		}
+		best := -1
+		for worker := range k {
+			if held[worker] > 0 && (best < 0 || held[worker] > held[best] ||
+				held[worker] == held[best] && held[k+worker] > held[k+best]) {
+				best = worker
+			}
+		}
+		if best < 0 {
+			return todo
+		}
+		n := 0
+		for _, i := range todo {
+			if slices.Contains(rt.ring.Replicas(parts[i]), best) {
+				dest[i] = best
+			} else {
+				todo[n] = i
+				n++
+			}
+		}
+		todo = todo[:n]
+	}
+}
+
+// designated is the replica a partition's keys are meant for: its primary,
+// or its standby while the primary is not live (its breaker is open, or it
+// failed this request) and the standby is.
+func designated(reps []int, live []bool) int {
+	if len(reps) == 2 && !live[reps[0]] && live[reps[1]] {
+		return reps[1]
+	}
+	return reps[0]
 }
 
 // lostVerdicts fills the verdicts no live replica could answer with

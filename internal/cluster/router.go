@@ -178,9 +178,14 @@ type workerResp struct {
 // scatter runs call once per worker, concurrently, and returns the results
 // and errors in the order of workers. Every fan-out the router makes goes
 // through it; decoding a sub-response inside call keeps that parallel too.
+// A fan-out of one runs on the caller's goroutine.
 func scatter[T any](workers []int, call func(worker int) (T, error)) ([]T, []error) {
 	out := make([]T, len(workers))
 	errs := make([]error, len(workers))
+	if len(workers) == 1 {
+		out[0], errs[0] = call(workers[0])
+		return out, errs
+	}
 	var wg sync.WaitGroup
 	for i, worker := range workers {
 		wg.Add(1)

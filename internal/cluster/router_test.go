@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,7 +39,7 @@ func startSmallCluster(t *testing.T, mw func(int, http.Handler) http.Handler) *L
 }
 
 // clusterKeys fetches the merged key list and splits it by owner.
-func clusterKeys(t *testing.T, lc *LocalCluster) (all []string, byWorker [][]string) {
+func clusterKeys(t testing.TB, lc *LocalCluster) (all []string, byWorker [][]string) {
 	t.Helper()
 	var resp struct {
 		Keys []string `json:"keys"`
@@ -163,18 +166,24 @@ func mustKey(t *testing.T, ks string) rrr.Key {
 
 // TestRouterSlowWorkerTimeout wedges one worker's batch endpoint past the
 // per-worker timeout and checks the router neither hangs the whole batch
-// nor degrades it: the wedged worker's keys fail over to their standbys
-// and the response comes back complete.
+// nor degrades it: the wedged worker's keys fail over to their other
+// replicas and the response comes back complete. The router asks the fewest
+// workers that hold every key, so the test also requires that the wedged
+// worker was asked for a framed batch.
 func TestRouterSlowWorkerTimeout(t *testing.T) {
 	const slow = 2
 	block := make(chan struct{})
 	t.Cleanup(func() { close(block) })
+	var framed atomic.Bool
 	mw := func(id int, h http.Handler) http.Handler {
 		if id != slow {
 			return h
 		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.Method == http.MethodPost && r.URL.Path == "/v1/stale" {
+				if r.Header.Get("Content-Type") == server.StaleFrameType {
+					framed.Store(true)
+				}
 				select {
 				case <-block: // wedged until test teardown
 				case <-r.Context().Done():
@@ -185,10 +194,7 @@ func TestRouterSlowWorkerTimeout(t *testing.T) {
 		})
 	}
 	lc := startSmallCluster(t, mw)
-	all, byWorker := clusterKeys(t, lc)
-	if len(byWorker[slow]) == 0 {
-		t.Fatalf("worker %d owns no keys", slow)
-	}
+	all, _ := clusterKeys(t, lc)
 
 	body, _ := json.Marshal(map[string]any{"keys": all})
 	start := time.Now()
@@ -202,6 +208,9 @@ func TestRouterSlowWorkerTimeout(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("batch took %v against a wedged worker", elapsed)
 	}
+	if !framed.Load() {
+		t.Fatalf("worker %d was asked for no framed batch, so nothing was wedged", slow)
+	}
 	if resp.Count != len(all) {
 		t.Fatalf("count = %d, want %d", resp.Count, len(all))
 	}
@@ -212,6 +221,79 @@ func TestRouterSlowWorkerTimeout(t *testing.T) {
 		if v.Visibility == "unavailable" {
 			t.Fatalf("verdict %d for %q marked unavailable; its standby should have answered", i, v.Key)
 		}
+	}
+}
+
+// TestRouterBatchAsksFewestWorkers counts the sub-requests behind each batch
+// (rrr_router_fanout_total). Every partition lives on two workers, so at K=2
+// either worker holds every key and a 64-key batch is one sub-request, and at
+// K=3 any two workers hold every key and a full-corpus batch is two. While a
+// worker's breaker is open it is asked for nothing, since each of its keys
+// has a live replica elsewhere. Every body is a single daemon's, byte for
+// byte.
+func TestRouterBatchAsksFewestWorkers(t *testing.T) {
+	single, err := StartLocalDaemon(diffScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(single.StopHTTP)
+	for _, tc := range []struct {
+		workers, batchKeys, want int // batchKeys 0 is the full corpus
+	}{{2, 64, 1}, {3, 0, 2}} {
+		t.Run(fmt.Sprintf("K=%d", tc.workers), func(t *testing.T) {
+			framed := make([]atomic.Int64, tc.workers) // framed batches each worker was asked
+			lc, err := StartLocal(LocalOptions{
+				Workers:         tc.workers,
+				Scale:           diffScale(),
+				StreamBackoff:   20 * time.Millisecond,
+				BreakerCooldown: time.Hour, // an opened breaker stays open
+				Middleware: func(id int, h http.Handler) http.Handler {
+					return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+						if r.Header.Get("Content-Type") == server.StaleFrameType {
+							framed[id].Add(1)
+						}
+						h.ServeHTTP(w, r)
+					})
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(lc.Close)
+			if err := lc.WaitStreams(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			all, _ := clusterKeys(t, lc)
+			var bodies []string
+			for lo, n := 0, cmp.Or(tc.batchKeys, len(all)); lo < len(all); lo += n {
+				body, _ := json.Marshal(map[string]any{"keys": all[lo:min(lo+n, len(all))]})
+				bodies = append(bodies, string(body))
+			}
+			ask := func(what string) {
+				t.Helper()
+				for b, body := range bodies {
+					before := metRouterFanout.Value()
+					got := faultfeed.Post(t, lc.URL()+"/v1/stale", body)
+					if n := metRouterFanout.Value() - before; n != uint64(tc.want) {
+						t.Errorf("%s, batch %d of %d: %d sub-requests, want %d", what, b+1, len(bodies), n, tc.want)
+					}
+					want := faultfeed.Post(t, single.URL()+"/v1/stale", body)
+					faultfeed.Sides{Want: "single", Got: what}.Diff(t, "batch", want, got)
+				}
+			}
+			ask("all breakers closed")
+			for down := range lc.Workers {
+				for range DefaultBreakerThreshold {
+					lc.Router.breakers[down].onFailure(time.Now())
+				}
+				before := framed[down].Load()
+				ask(fmt.Sprintf("worker %d's breaker open", down))
+				if n := framed[down].Load() - before; n != 0 {
+					t.Errorf("worker %d was asked for %d framed batches while its breaker was open and every key it holds had a live replica", down, n)
+				}
+				lc.Router.breakers[down].onSuccess()
+			}
+		})
 	}
 }
 
